@@ -48,7 +48,6 @@ from repro.dad import (
     DistributedArray,
 )
 from repro.schedule import build_region_schedule
-from repro.schedule.collplan import CollectiveReceiver, CollectiveSender
 from repro.schedule.costmodel import estimate
 from repro.schedule.executor import execute_inter
 from repro.simmpi.intercomm import couple_jobs
@@ -165,10 +164,12 @@ def _measure(kind, m, n, extent, round_bytes, steps=STEPS, sched=None):
     src_job, dst_job = Job(src_desc.nranks), Job(dst_desc.nranks)
     c_src_inters, c_dst_inters = couple_jobs(src_job, dst_job)
     c_srcs, c_dsts = _arrays(src_desc, dst_desc, extent)
-    senders = [CollectiveSender(sched, coll, c_src_inters[r], c_srcs[r],
-                                tag=720) for r in range(src_desc.nranks)]
-    receivers = [CollectiveReceiver(sched, coll, c_dst_inters[r], c_dsts[r],
-                                    tag=720) for r in range(dst_desc.nranks)]
+    bound = dict(tag=720, planner="collective", round_bytes=round_bytes)
+    senders = [sched.persistent_sender(c_src_inters[r], c_srcs[r], **bound)
+               for r in range(src_desc.nranks)]
+    receivers = [sched.persistent_receiver(c_dst_inters[r], c_dsts[r],
+                                           **bound)
+                 for r in range(dst_desc.nranks)]
     _collective_step(senders, receivers, coll.nrounds)  # warm pools
     TRANSPORT_STATS.reset()
     p0 = sum(tx.pool.stats.get("allocations") for tx in senders)

@@ -14,7 +14,8 @@ This report sweeps M×N and template kinds and prints, per pair:
 
 * build time of the retained all-pairs baseline vs the dispatcher,
 * schedule shape (messages, communicating rank pairs, elements), and
-* executed message/byte counters packed vs unpacked.
+* executed message/byte counters of the packed engine vs the
+  per-region baseline (:mod:`repro.baselines.per_region`).
 
 ``python benchmarks/bench_schedule_scaling.py [--json PATH]`` emits the
 same numbers as machine-readable JSON (default: stdout summary only).
@@ -34,6 +35,7 @@ from repro.dad import (
     DistArrayDescriptor,
     DistributedArray,
 )
+from repro.baselines import redistribute_per_region
 from repro.dad.template import block_template
 from repro.schedule import (
     build_allpairs_schedule,
@@ -96,9 +98,10 @@ def _execute_counters(src_desc, dst_desc, *, packed):
                if comm.rank < src_desc.nranks else None)
         dst = (DistributedArray.allocate(dst_desc, comm.rank)
                if comm.rank < dst_desc.nranks else None)
-        execute_intra(sched, comm, src_array=src, dst_array=dst,
-                      src_ranks=range(src_desc.nranks),
-                      dst_ranks=range(dst_desc.nranks), packed=packed)
+        run = execute_intra if packed else redistribute_per_region
+        run(sched, comm, src_array=src, dst_array=dst,
+            src_ranks=range(src_desc.nranks),
+            dst_ranks=range(dst_desc.nranks))
         return comm.counters  # shared per job; read after all threads join
 
     counters = run_spmd(n, main)[0]

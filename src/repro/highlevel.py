@@ -30,10 +30,10 @@ from repro.dad.descriptor import DistArrayDescriptor
 from repro.dad.template import Template, block_template
 from repro.schedule.bufpool import BufferPool
 from repro.schedule.builder import GLOBAL_CACHE
-from repro.schedule.costmodel import (choose_planner, resolve_planner,
-                                      resolve_round_bytes)
+from repro.schedule.costmodel import resolve_planner
 from repro.schedule.delta import compile_delta
-from repro.schedule.executor import execute_inter, execute_intra
+from repro.schedule.executor import (execute_inter, execute_intra,
+                                     resolve_tier)
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.intercomm import Intercommunicator, NameService
 from repro.simmpi.runner import run_spmd
@@ -215,31 +215,29 @@ def reconfigure(comm: Communicator, darray: DistributedArray | None,
 class Channel:
     """A persistent coupled-field channel (see :meth:`Coupler.open`).
 
-    Rides the zero-copy persistent engines: the producer packs through a
-    per-channel :class:`~repro.schedule.bufpool.BufferPool` (zero
-    steady-state allocations) and ships move/borrow-semantics payloads;
-    the consumer preposts recv-into-destination slots so in-flight data
-    lands straight in ``channel.array``'s consolidated local base.
+    Holds one bound transfer (:mod:`repro.schedule.executor`), bound at
+    the first ``push``/``pull`` and stepped by every one after: the
+    producer packs through a per-channel
+    :class:`~repro.schedule.bufpool.BufferPool` (zero steady-state
+    allocations) and ships move/borrow-semantics payloads; the consumer
+    preposts recv-into-destination slots so in-flight data lands
+    straight in ``channel.array``'s consolidated local base.
     ``pool_stats`` exposes the pool counters (producer side; all zeros
     on the consumer, which needs no staging at all).
 
-    ``one_sided=True`` requests the RMA execution tier (both sides must
-    agree; ``one_sided=None`` follows ``REPRO_RMA``): on the procs
-    backend the consumer's array lives inside a shared RMA window and
-    each ``push`` writes directly into it, synchronized by exposure
-    epochs instead of message matching.  Note the coupling this buys
-    its speed with: an RMA ``push`` waits for the consumer's matching
-    ``pull`` epoch, so producer and consumer proceed in lockstep —
-    two programs that each push before pulling the reverse channel
-    must stay two-sided (or pre-arm) to avoid a cycle.
-
-    ``planner="collective"`` (or ``auto`` deciding so, or
-    ``REPRO_PLANNER``) swaps both engines for the memory-bounded
-    collective tier (:mod:`repro.schedule.collplan`): pushes ship
-    acknowledged ``round_bytes``-capped rounds, so peak transfer
-    residency is O(round buffer) per rank instead of O(pairs) — and,
-    like the RMA tier, a push does not return until the consumer has
-    pulled the step, so producer and consumer proceed in lockstep.
+    The execution tier is resolved once, at open, by
+    :func:`~repro.schedule.executor.resolve_tier` (its table says what
+    each tier costs and releases); both sides must pass the same
+    ``one_sided``/``planner``.  ``one_sided=True`` requests the RMA
+    tier (``None`` follows ``REPRO_RMA``): on the procs backend the
+    consumer's array lives inside a shared window and each ``push``
+    writes directly into it.  ``planner="collective"`` (or ``auto``
+    deciding so, or ``REPRO_PLANNER``) selects memory-bounded
+    acknowledged rounds instead.  Both of those make a ``push`` wait
+    for the consumer's matching ``pull``, so producer and consumer
+    proceed in lockstep — two programs that each push before pulling
+    the reverse channel must stay two-sided (or pre-arm) to avoid a
+    cycle.
     """
 
     def __init__(self, inter: Intercommunicator, role: str,
@@ -251,71 +249,59 @@ class Channel:
         self._schedule = schedule
         self._darray = darray
         self.pool = BufferPool()
-        self._engine = None
-        self._mode = (None if one_sided is None
-                      else ("rma" if one_sided else "two_sided"))
-        self._planner = choose_planner(
-            schedule, np.dtype(darray.descriptor.dtype).itemsize,
+        self._transfer = None
+        self._closed = False
+        self._tier = resolve_tier(
+            schedule, np.dtype(darray.descriptor.dtype).itemsize, inter,
+            mode=(None if one_sided is None
+                  else ("rma" if one_sided else "two_sided")),
             planner=planner)
         self.transfers = 0
 
     @property
     def planner(self) -> str:
         """The resolved execution strategy ("p2p" or "collective")."""
-        return self._planner
+        return "collective" if self._tier.coll is not None else "p2p"
 
-    def _collective_plan(self):
-        itemsize = np.dtype(self._darray.descriptor.dtype).itemsize
-        return self._schedule.collective_plan(itemsize,
-                                              resolve_round_bytes())
+    @property
+    def mode(self) -> str:
+        """The resolved execution tier: ``"two_sided"``, ``"rma"`` or
+        ``"collective"``."""
+        return self._tier.kind
+
+    def _step(self) -> None:
+        if self._closed:
+            raise ConnectionError_("channel is closed")
+        if self._transfer is None:
+            bind = (self._schedule.persistent_sender
+                    if self._role == "source"
+                    else self._schedule.persistent_receiver)
+            self._transfer = bind(self._inter, self._darray, tag=_DATA_TAG,
+                                  pool=self.pool, tier=self._tier)
+        self._transfer.step()
+        self.transfers += 1
 
     def push(self) -> None:
         """Producer side: send the current contents of the local array."""
         if self._role != "source":
             raise ConnectionError_("push() is for the publishing side")
-        if self._engine is None:
-            if self._planner == "collective":
-                from repro.schedule.collplan import CollectiveSender
-                self._engine = CollectiveSender(
-                    self._schedule, self._collective_plan(), self._inter,
-                    self._darray, tag=_DATA_TAG, pool=self.pool)
-            else:
-                self._engine = self._schedule.persistent_sender(
-                    self._inter, self._darray, tag=_DATA_TAG,
-                    pool=self.pool, mode=self._mode)
-        self._engine.step()
-        self.transfers += 1
+        self._step()
 
     def pull(self) -> DistributedArray:
         """Consumer side: receive the next snapshot into the local array."""
         if self._role != "destination":
             raise ConnectionError_("pull() is for the subscribing side")
-        if self._engine is None:
-            if self._planner == "collective":
-                from repro.schedule.collplan import CollectiveReceiver
-                self._engine = CollectiveReceiver(
-                    self._schedule, self._collective_plan(), self._inter,
-                    self._darray, tag=_DATA_TAG)
-            else:
-                self._engine = self._schedule.persistent_receiver(
-                    self._inter, self._darray, tag=_DATA_TAG,
-                    mode=self._mode)
-        self._engine.step()
-        self.transfers += 1
+        self._step()
         return self._darray
 
-    @property
-    def mode(self) -> str | None:
-        """The engine's resolved execution mode (``None`` before the
-        first transfer constructs it; collective engines have no
-        two-sided/RMA distinction)."""
-        return getattr(self._engine, "mode", None)
-
     def close(self) -> None:
-        """Release engine resources (RMA windows).  Idempotent; safe on
-        channels that never transferred."""
-        if self._engine is not None and hasattr(self._engine, "close"):
-            self._engine.close()
+        """Release the bound transfer's resources (RMA windows);
+        ``push``/``pull`` raise :class:`~repro.errors.ConnectionError_`
+        afterwards.  Idempotent; safe on channels that never
+        transferred."""
+        self._closed = True
+        if self._transfer is not None:
+            self._transfer.close()
 
     @property
     def array(self) -> DistributedArray:

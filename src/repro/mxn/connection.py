@@ -82,9 +82,10 @@ class MxNConnection:
         self._cycle = 0
         self.transfers_completed = 0
         self._closed = False
-        # Persistent connections ride the zero-copy engines: pooled pack
-        # buffers on the source, recv-into-destination on the other side.
-        self._engine = None
+        # A persistent connection holds one bound transfer
+        # (repro.schedule.executor) across cycles: pooled pack buffers
+        # on the source, recv-into-destination on the other side.
+        self._transfer = None
         self.pool = (BufferPool()
                      if spec.kind is ConnectionKind.PERSISTENT else None)
 
@@ -111,25 +112,28 @@ class MxNConnection:
             fire = cycle % self.spec.period == 0
         if not fire:
             return False
-        if self.spec.kind is ConnectionKind.PERSISTENT:
-            if self._engine is None:
-                if self.role == "source":
-                    self._engine = self.schedule.persistent_sender(
-                        self.inter, self.darray, tag=self._tag,
-                        pool=self.pool)
-                else:
-                    self._engine = self.schedule.persistent_receiver(
-                        self.inter, self.darray, tag=self._tag)
-            self._engine.step()
+        if self.spec.kind is ConnectionKind.ONE_SHOT:
+            execute_inter(self.schedule, self.inter,
+                          "src" if self.role == "source" else "dst",
+                          self.darray, tag=self._tag)
         else:
-            side = "src" if self.role == "source" else "dst"
-            execute_inter(self.schedule, self.inter, side, self.darray,
-                          tag=self._tag)
+            if self._transfer is None:
+                bind = (self.schedule.persistent_sender
+                        if self.role == "source"
+                        else self.schedule.persistent_receiver)
+                self._transfer = bind(self.inter, self.darray,
+                                      tag=self._tag, pool=self.pool)
+            self._transfer.step()
         self.transfers_completed += 1
         return True
 
     def close(self) -> None:
+        """Close the bound transfer (an RMA destination array is
+        evacuated to private memory and its window retired);
+        ``data_ready()`` raises afterwards.  Idempotent."""
         self._closed = True
+        if self._transfer is not None:
+            self._transfer.close()
 
     # -- metrics ------------------------------------------------------------
 

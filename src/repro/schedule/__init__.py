@@ -16,9 +16,11 @@ Two schedule families are provided:
   linearization pairs — the Meta-Chaos approach, which also couples
   non-array structures.
 
-Schedules are plain data; :mod:`repro.schedule.executor` moves the bytes
-over an intra- or inter-communicator using buffered point-to-point
-sends, so "actual transfers can be carried out fully in parallel".
+Schedules are plain data; :mod:`repro.schedule.executor` binds one side
+of a schedule to an array, a link (intra- or inter-communicator) and an
+execution tier, and replays it with ``step()`` — buffered point-to-point
+sends by default, so "actual transfers can be carried out fully in
+parallel".
 """
 
 from repro.schedule.plan import CommSchedule, LinearSchedule, TransferItem, LinearItem
@@ -50,10 +52,7 @@ from repro.schedule.delta import (
 )
 from repro.schedule.collplan import (
     CollectivePlan,
-    CollectiveReceiver,
-    CollectiveSender,
     RoundChunk,
-    execute_collective_intra,
     plan_collective_rounds,
 )
 from repro.schedule.costmodel import (
@@ -64,11 +63,12 @@ from repro.schedule.costmodel import (
     resolve_round_bytes,
 )
 from repro.schedule.executor import (
-    PersistentReceiver,
-    PersistentSender,
+    BoundTransfer,
+    Tier,
     execute_inter,
     execute_intra,
     execute_linear_inter,
+    resolve_tier,
 )
 from repro.schedule.packing import (
     pack_regions,
@@ -96,15 +96,13 @@ __all__ = [
     "execute_intra",
     "execute_inter",
     "execute_linear_inter",
+    "BoundTransfer",
+    "Tier",
+    "resolve_tier",
     "BufferPool",
-    "PersistentSender",
-    "PersistentReceiver",
     "CollectivePlan",
-    "CollectiveSender",
-    "CollectiveReceiver",
     "RoundChunk",
     "plan_collective_rounds",
-    "execute_collective_intra",
     "CostEstimate",
     "estimate",
     "choose_planner",

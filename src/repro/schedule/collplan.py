@@ -41,24 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ScheduleError
-from repro.schedule.bufpool import BufferPool
-from repro.simmpi import payload
 
-__all__ = [
-    "RoundChunk",
-    "CollectivePlan",
-    "plan_collective_rounds",
-    "execute_collective_intra",
-    "CollectiveSender",
-    "CollectiveReceiver",
-]
-
-#: Tag offset of the round-acknowledgement stream relative to the data
-#: tag (both are scoped by the channel's intercommunicator context).
-ACK_TAG_OFFSET = 1
+__all__ = ["RoundChunk", "CollectivePlan", "plan_collective_rounds"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,18 +158,38 @@ class CollectivePlan:
         """
         return 2 * self.inflight_bound()
 
-    # -- per-rank views (executor queries) -----------------------------------
+    # -- per-rank view (the executor's bind-time query) ----------------------
 
-    def sends_in(self, rnd: int, src: int) -> list[RoundChunk]:
-        """Round ``rnd``'s chunks sent by schedule source rank ``src``,
-        in (dst, lo) order."""
-        return [c for c in self.rounds[rnd] if c.src == src]
+    def round_table(self, plan, side: str, rank: int, peer_of,
+                    ) -> list[list[tuple[int, tuple, int]]]:
+        """Schedule rank ``rank``'s segments of every round, realized
+        against its compiled :class:`~repro.schedule.indexplan.RankPlan`
+        ``plan`` (``side`` is ``"src"`` or ``"dst"``).
 
-    def recvs_in(self, rnd: int, dst: int) -> list[RoundChunk]:
-        """Round ``rnd``'s chunks received by schedule destination rank
-        ``dst``, in (src, lo) order."""
-        return sorted((c for c in self.rounds[rnd] if c.dst == dst),
-                      key=lambda c: (c.src, c.lo))
+        ``table[rnd]`` lists ``(peer, sub_plans, elements)`` per peer the
+        rank exchanges data with in that round: ``peer`` already
+        translated by ``peer_of`` to the link's rank numbering and the
+        list sorted by it (``alltoallv`` displacement order intra-job,
+        remote-rank order across an intercommunicator — both sides sort
+        the same way, so buffers line up with no metadata), ``sub_plans``
+        the :meth:`~repro.schedule.indexplan.PairPlan.sub` plans of the
+        pair's chunks in wire order.  Built once per bind; both wires of
+        the collective tier replay it every step."""
+        mine, theirs = (("src", "dst") if side == "src" else ("dst", "src"))
+        pairs = {pp.peer: pp for pp in plan.pairs}
+        table = []
+        for chunks in self.rounds:
+            by_peer: dict[int, list] = {}
+            for c in sorted((c for c in chunks if getattr(c, mine) == rank),
+                            key=lambda c: (getattr(c, theirs), c.lo)):
+                peer = getattr(c, theirs)
+                by_peer.setdefault(peer, []).append(
+                    pairs[peer].sub(c.lo, c.hi))
+            table.append(sorted(
+                ((peer_of(peer), tuple(subs), sum(sub.size for sub in subs))
+                 for peer, subs in by_peer.items()),
+                key=lambda seg: seg[0]))
+        return table
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CollectivePlan({self.nrounds} rounds, "
@@ -244,284 +249,3 @@ def plan_collective_rounds(schedule, *, itemsize: int,
                           round_bytes=round_bytes,
                           src_nranks=schedule.src_nranks,
                           dst_nranks=schedule.dst_nranks)
-
-
-# -- intra-job execution: alltoallv rounds over the tree collectives ---------
-
-def _send_segments(plan, coll: CollectivePlan, rnd: int, s: int,
-                   order_of) -> list[tuple[int, object, int, int]]:
-    """Round ``rnd``'s send segments for source rank ``s``:
-    ``(dst, sub_plan, lo, hi)`` sorted by the caller-supplied wire order
-    of the destination (comm rank intra-job, peer rank inter-job)."""
-    pairs = {pp.peer: pp for pp in plan.pairs}
-    segs = [(c.dst, pairs[c.dst].sub(c.lo, c.hi), c.lo, c.hi)
-            for c in coll.sends_in(rnd, s)]
-    segs.sort(key=lambda t: (order_of(t[0]), t[2]))
-    return segs
-
-
-def _recv_segments(plan, coll: CollectivePlan, rnd: int, d: int,
-                   order_of) -> list[tuple[int, object, int, int]]:
-    """Round ``rnd``'s receive segments for destination rank ``d``,
-    sorted to match the concatenation order of the round's arrivals."""
-    pairs = {pp.peer: pp for pp in plan.pairs}
-    segs = [(c.src, pairs[c.src].sub(c.lo, c.hi), c.lo, c.hi)
-            for c in coll.recvs_in(rnd, d)]
-    segs.sort(key=lambda t: (order_of(t[0]), t[2]))
-    return segs
-
-
-def execute_collective_intra(schedule, comm, coll: CollectivePlan,
-                             *, src_array, dst_array,
-                             src_ranks, dst_ranks, pool=None) -> int:
-    """Run a collective round plan inside one communicator.
-
-    Collective over **all** ranks of ``comm``: every rank calls
-    ``alltoallv`` (with statically known counts — no count-exchange
-    round trip) plus a tree ``barrier`` once per round, so rounds are
-    globally synchronized and at most one round's bytes are in flight.
-    Round send buffers are loaned from ``pool`` (sized per round, so a
-    replayed schedule reuses them with zero steady-state allocations).
-    Returns the number of elements this rank received.
-    """
-    src_pos = {rank: i for i, rank in enumerate(src_ranks)}
-    dst_pos = {rank: i for i, rank in enumerate(dst_ranks)}
-    me = comm.rank
-    pool = pool if pool is not None else BufferPool()
-    dtype = None
-    send_plan = recv_plan = None
-    s = src_pos.get(me)
-    d = dst_pos.get(me)
-    if s is not None:
-        if src_array is None:
-            raise ScheduleError(f"rank {me} is a source but has no src_array")
-        dtype = np.dtype(src_array.descriptor.dtype)
-        send_plan = schedule.send_plan(
-            s, src_array.descriptor.local_regions(s))
-    if d is not None:
-        if dst_array is None:
-            raise ScheduleError(
-                f"rank {me} is a destination but has no dst_array")
-        dtype = np.dtype(dst_array.descriptor.dtype)
-        recv_plan = schedule.recv_plan(
-            d, dst_array.descriptor.local_regions(d))
-    if dtype is None and coll.nrounds:
-        raise ScheduleError(
-            f"rank {me} joins collective-planner execution with neither "
-            f"a source nor a destination array — it cannot size the "
-            f"round buffers (every comm rank must hold one side)")
-
-    received = 0
-    for rnd in range(coll.nrounds):
-        sendcounts = [0] * comm.size
-        # pack in destination comm-rank order (alltoallv's sdispls order)
-        segs = (_send_segments(send_plan, coll, rnd, s,
-                               lambda i: dst_ranks[i])
-                if s is not None else [])
-        total = sum(hi - lo for _, _, lo, hi in segs)
-        if total:
-            buf, release = pool.loan(("collsend", me, rnd), total, dtype)
-        else:
-            buf, release = np.empty(0, dtype=dtype), (lambda: None)
-        flat = src_array.flat_local() if s is not None else None
-        off = 0
-        for dst, sub, lo, hi in segs:
-            n = hi - lo
-            sub.gather_into(flat, buf[off:off + n])
-            sendcounts[dst_ranks[dst]] += n
-            off += n
-        recvcounts = [0] * comm.size
-        if d is not None:
-            for c in coll.recvs_in(rnd, d):
-                recvcounts[src_ranks[c.src]] += c.size
-        arrived = comm.alltoallv(buf[:total], sendcounts,
-                                 recvcounts=recvcounts)
-        release()
-        if d is not None and arrived.size:
-            rflat = dst_array.flat_local()
-            rsegs = _recv_segments(recv_plan, coll, rnd, d,
-                                   lambda i: src_ranks[i])
-            off = 0
-            for _src, sub, lo, hi in rsegs:
-                n = hi - lo
-                received += sub.scatter(rflat, arrived[off:off + n])
-                off += n
-        # round barrier: no rank starts packing round r+1 until every
-        # rank has drained round r — the static bound's lockstep.
-        comm.barrier()
-    return received
-
-
-# -- inter-job execution: persistent round engines ----------------------------
-
-class CollectiveSender:
-    """Source half of a memory-bounded persistent channel.
-
-    Per round, packs this rank's chunks into one pooled buffer per
-    destination (realized by cached :meth:`~repro.schedule.indexplan.
-    PairPlan.sub` sub-plans), ships each as an :class:`~repro.simmpi.
-    payload.OwnedBuffer` (move semantics — the receiver's preposted sink
-    scatters it straight into final storage and the release returns the
-    buffer to the pool), and **waits for the receivers' round
-    acknowledgements before packing the next round** — the in-flight
-    bound that makes :meth:`CollectivePlan.resident_ceiling` hold.
-
-    Note the coupling this buys its bound with (same trade as the RMA
-    tier): a push does not return until the consumer has pulled the
-    step's rounds, so two programs that each push before pulling a
-    reverse channel must keep that channel point-to-point.
-    """
-
-    def __init__(self, schedule, coll: CollectivePlan, inter, array,
-                 *, tag: int, rank: int | None = None,
-                 peer_map: list[int] | None = None,
-                 pool: BufferPool | None = None):
-        me = rank if rank is not None else inter.rank
-        self._inter = inter
-        self._tag = tag
-        self._ack_tag = tag + ACK_TAG_OFFSET
-        self._peer_map = peer_map
-        self._me = me
-        self._array = array
-        self._coll = coll
-        self._dtype = np.dtype(array.descriptor.dtype)
-        self.pool = pool if pool is not None else BufferPool()
-        plan = schedule.send_plan(me, array.descriptor.local_regions(me))
-        # per round: [(dst, [(sub_plan, lo, hi), ...], total_elems)]
-        self._round_sends: list[list[tuple[int, list, int]]] = []
-        for rnd in range(coll.nrounds):
-            segs = _send_segments(plan, coll, rnd, me,
-                                  lambda i: self._peer(i))
-            by_dst: dict[int, list] = {}
-            for dst, sub, lo, hi in segs:
-                by_dst.setdefault(dst, []).append((sub, lo, hi))
-            self._round_sends.append(
-                [(dst, subs, sum(hi - lo for _, lo, hi in subs))
-                 for dst, subs in sorted(by_dst.items(),
-                                         key=lambda kv: self._peer(kv[0]))])
-        self._awaiting: list[int] = []
-
-    def _peer(self, r: int) -> int:
-        return self._peer_map[r] if self._peer_map is not None else r
-
-    def _wait_acks(self) -> None:
-        awaiting, self._awaiting = self._awaiting, []
-        for dst in awaiting:
-            self._inter.recv(source=self._peer(dst), tag=self._ack_tag)
-
-    def send_round(self, rnd: int) -> int:
-        """Pack and post round ``rnd``'s messages (after draining the
-        previous round's acknowledgements); returns elements sent."""
-        self._wait_acks()
-        flat = self._array.flat_local()
-        moved = 0
-        for dst, subs, total in self._round_sends[rnd]:
-            buf, release = self.pool.loan(
-                ("collsend", self._me, rnd, dst), total, self._dtype)
-            off = 0
-            for sub, lo, hi in subs:
-                n = hi - lo
-                sub.gather_into(flat, buf[off:off + n])
-                off += n
-            self._inter.send(payload.OwnedBuffer(buf, release=release),
-                             dest=self._peer(dst), tag=self._tag)
-            self._awaiting.append(dst)
-            moved += total
-        return moved
-
-    def finish(self) -> None:
-        """Drain the final round's acknowledgements — the step's memory
-        is fully released when this returns."""
-        self._wait_acks()
-
-    def step(self) -> int:
-        """Send one full snapshot: every round, ack-synchronized."""
-        moved = 0
-        for rnd in range(self._coll.nrounds):
-            moved += self.send_round(rnd)
-        self.finish()
-        return moved
-
-    def close(self) -> None:
-        """No persistent resources beyond the pool; kept for engine
-        interface symmetry."""
-        self._awaiting = []
-
-
-class CollectiveReceiver:
-    """Destination half of a memory-bounded persistent channel.
-
-    Per round, preposts one recv-into-destination slot per source (the
-    sink scatters the round buffer through the pair's sub-plans straight
-    into the array's consolidated base — no staging copy), waits for all
-    of them, then acknowledges each source so it may pack the next
-    round."""
-
-    def __init__(self, schedule, coll: CollectivePlan, inter, array,
-                 *, tag: int, rank: int | None = None,
-                 peer_map: list[int] | None = None):
-        me = rank if rank is not None else inter.rank
-        self._inter = inter
-        self._tag = tag
-        self._ack_tag = tag + ACK_TAG_OFFSET
-        self._peer_map = peer_map
-        self._me = me
-        self._array = array
-        self._coll = coll
-        plan = schedule.recv_plan(me, array.descriptor.local_regions(me))
-        # per round: [(src, [(sub_plan, lo, hi), ...], total_elems)]
-        self._round_recvs: list[list[tuple[int, list, int]]] = []
-        for rnd in range(coll.nrounds):
-            segs = _recv_segments(plan, coll, rnd, me,
-                                  lambda i: self._peer(i))
-            by_src: dict[int, list] = {}
-            for src, sub, lo, hi in segs:
-                by_src.setdefault(src, []).append((sub, lo, hi))
-            self._round_recvs.append(
-                [(src, subs, sum(hi - lo for _, lo, hi in subs))
-                 for src, subs in sorted(by_src.items(),
-                                         key=lambda kv: self._peer(kv[0]))])
-
-    def _peer(self, r: int) -> int:
-        return self._peer_map[r] if self._peer_map is not None else r
-
-    def _sink(self, subs, total):
-        flat = self._array.flat_local()
-
-        def sink(values) -> int:
-            vals = np.asarray(values).reshape(-1)
-            if vals.size != total:
-                raise ScheduleError(
-                    f"round buffer holds {vals.size} elements, plan "
-                    f"expects {total}")
-            off = 0
-            done = 0
-            for sub, lo, hi in subs:
-                n = hi - lo
-                done += sub.scatter(flat, vals[off:off + n])
-                off += n
-            return done
-
-        return sink
-
-    def recv_round(self, rnd: int) -> int:
-        """Prepost, complete, and acknowledge round ``rnd``; returns
-        elements received."""
-        slots = [
-            (src, self._inter.prepost_recv(self._sink(subs, total),
-                                           source=self._peer(src),
-                                           tag=self._tag))
-            for src, subs, total in self._round_recvs[rnd]]
-        received = 0
-        for src, slot in slots:
-            received += slot.wait()
-            self._inter.send(None, dest=self._peer(src), tag=self._ack_tag)
-        return received
-
-    def step(self) -> int:
-        """Receive one full snapshot: every round, in order."""
-        return sum(self.recv_round(rnd)
-                   for rnd in range(self._coll.nrounds))
-
-    def close(self) -> None:
-        """Kept for engine interface symmetry."""

@@ -1,65 +1,93 @@
-"""Schedule execution: moving the bytes a schedule describes.
+"""Schedule execution: one bound-transfer core, three tiers.
 
-Transfers decompose into independent point-to-point messages (the
-paper's §4.1 protocol): sends are posted first (buffered, so they never
-block), then receives complete in per-source FIFO order.  No barrier is
-required on either side — experiment E9 counts exactly that.
+A schedule is computed once and replayed (paper §2.3); this module is
+the one way to replay it.  :func:`bind` ties one side of a schedule to
+local storage, a link and an execution tier and returns a
+:class:`BoundTransfer`: ``step()`` moves one snapshot, ``close()``
+releases what the tier holds.  Everything else is that lifecycle:
 
-By default execution is *packed* (message coalescing): every
-communicating (src, dst) rank pair exchanges one contiguous buffer
-holding all of its regions, so the message count equals the pair count
-rather than the region count.  ``packed=False`` restores the historical
-one-message-per-region wire protocol; both sides of a transfer must use
-the same setting.
+* a **one-shot** transfer (:func:`execute_inter`, :func:`execute_intra`,
+  the flat-storage path of :func:`execute_linear_inter`) is literally
+  bind → step → close;
+* an **intra-job** transfer binds a sender half and a receiver half on
+  the same :class:`~repro.simmpi.communicator.Communicator` (peer
+  translation = the cohort rank lists) instead of running a second
+  engine — a communicator and an intercommunicator expose the same
+  ``send``/``recv``/``prepost_recv`` shape, so a half never knows which
+  one its link is;
+* a **persistent channel** keeps the handle and calls ``step()`` per
+  time step (:meth:`CommSchedule.persistent_sender
+  <repro.schedule.plan.CommSchedule.persistent_sender>` /
+  ``persistent_receiver`` are the public spellings of :func:`bind`).
 
-The packed copy phase runs on **compiled index plans**
-(:mod:`repro.schedule.indexplan`) and the **zero-copy transport**
-(:mod:`repro.simmpi.payload`):
+Bind does, once: side validation, the ``REPRO_VERIFY`` proof
+(:func:`~repro.verify.hook.maybe_verify_side` — never in a step), plan
+compilation through the schedule's cache, tier resolution
+(:func:`resolve_tier`), peer translation of every pair, and the tier's
+bootstrap.  A step replays compiled :class:`~repro.schedule.indexplan.
+PairPlan` objects only: slice-like pairs lend a live view of local
+storage (:class:`~repro.simmpi.payload.Borrowed`), index pairs gather
+into a :class:`~repro.schedule.bufpool.BufferPool` loan that moves
+(:class:`~repro.simmpi.payload.OwnedBuffer`) and returns to the pool on
+consumption — zero steady-state allocations.  Every verb of a closed
+transfer raises :class:`~repro.errors.ConnectionError_`.
 
-* slice-like pairs (contiguous or strided) send a
-  :class:`~repro.simmpi.payload.Borrowed` view of local storage — the
-  transport consumes it synchronously, writing straight into a
-  preposted destination when one is armed;
-* index-array pairs send the freshly gathered buffer as an
-  :class:`~repro.simmpi.payload.OwnedBuffer` (move semantics — the
-  defensive send copy is skipped because the buffer has no other owner);
-* the receive side is **pipelined**: packed receives complete in
-  *arrival* order (iprobe sweep, blocking on the oldest pair only when
-  nothing is ready), so a destination scatters pair k while pair k+1 is
-  still in flight instead of serializing on plan order.
+The tiers — small strategy halves over that shared core (``picked
+when`` is :func:`resolve_tier`'s rule):
 
-Persistent channels go further: :class:`PersistentSender` packs through
-a :class:`~repro.schedule.bufpool.BufferPool` (zero steady-state
-allocations) and :class:`PersistentReceiver` preposts every pair's
-scatter as a recv-into-destination sink, so a steady-state step moves
-each byte exactly once — the A7 benchmark and the CI copies-per-byte
-gate measure precisely this path.
+===========  ======================  ======================  ======================
+             ``two_sided``           ``rma``                 ``collective``
+===========  ======================  ======================  ======================
+wire per     one message per pair;   ``wait_open → put →     ``round_bytes``-capped
+step         the receiver preposts   commit`` per pair       rounds: ``alltoallv``
+             one scatter sink per    straight into the       + tree barrier on a
+             pair, so armed data     receiver's shared       communicator, acked
+             lands with one copy     window — no message,    messages across an
+                                     no matching             intercommunicator
+who blocks   nobody: sends are       sender waits for the    round *r+1* is not
+on whom      buffered, a receiver    receiver's exposure     packed until round *r*
+             waits only for its      epoch, receiver fences  is drained: lockstep,
+             own pairs               once per step:          peak residency
+                                     lockstep                O(round buffer)
+``close()``  nothing                 sender detaches its     nothing
+releases                             remote windows;
+                                     receiver evacuates its
+                                     array to private heap,
+                                     retires the window
+picked       by default              ``mode="rma"`` /        ``planner=
+when                                 ``REPRO_RMA=1`` on an   "collective"``, or
+                                     ``rma_capable``         ``auto`` when the cost
+                                     transport (else         model says p2p
+                                     two-sided, counted as   residency exceeds the
+                                     ``rma_fallbacks``)      ceiling; beats ``rma``
+===========  ======================  ======================  ======================
 
-Three deployment shapes are supported:
-
-* :func:`execute_intra` — source and destination cohorts live in one
-  SPMD job (self-redistribution, transposes, in-job M×N),
-* :func:`execute_inter` — two coupled jobs joined by an
-  intercommunicator (the Fig. 3 paired-component case),
-* :func:`execute_linear_inter` — same, but driven by a linearization
-  schedule so non-array structures can participate.
+Both wires of the collective tier replay the same bind-time
+:meth:`~repro.schedule.collplan.CollectivePlan.round_table`; which one
+runs follows from the link type, because the static memory bound and
+its proofs are stated per wire.  The receiver's ``arm()``/``complete()``
+split and the collective halves' ``send_round``/``recv_round`` exist so
+a single thread can drive both sides deterministically (tests, A7, A10).
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ScheduleError
+from repro.errors import ConnectionError_, ScheduleError
 from repro.dad.darray import DistributedArray
 from repro.linearize.linearization import Linearization
+from repro.schedule.bufpool import BufferPool
+from repro.schedule.collplan import CollectivePlan
 from repro.schedule.costmodel import (choose_planner, resolve_planner,
                                       resolve_round_bytes)
-from repro.schedule.bufpool import BufferPool
 from repro.schedule.plan import CommSchedule, LinearSchedule
-from repro.simmpi import payload
+from repro.simmpi import payload, rma
 from repro.simmpi import sanitize as _san
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.intercomm import Intercommunicator
@@ -69,61 +97,463 @@ from repro.verify.hook import maybe_verify_side
 #: Default tag for schedule-driven data messages.
 TRANSFER_TAG = 64
 
-#: Execution modes of the persistent engines.
-MODES = ("two_sided", "rma")
+#: Tag offset of the collective tier's round-acknowledgement stream
+#: relative to the data tag (both scoped by the link's context).
+ACK_TAG_OFFSET = 1
+
+#: Executor side names -> the schedule's plan-cache side names; also the
+#: set of valid sides.
+_PLAN_SIDE = {"src": "send", "dst": "recv"}
 
 
-def resolve_mode(mode: str | None, inter: Intercommunicator) -> str:
-    """Normalize a persistent-engine mode selection.
+@dataclass(frozen=True, slots=True)
+class Tier:
+    """A resolved execution tier: ``kind`` is ``"two_sided"``, ``"rma"``
+    or ``"collective"``; ``coll`` is the round plan of the last."""
 
-    Explicit argument > ``REPRO_RMA=1`` environment > two-sided.  RMA
-    needs ranks that can attach each other's shared windows; on a
-    transport that cannot (the threads backend) the engines fall back
-    to two-sided transparently (counted as ``rma_fallbacks``).  Both
-    jobs of a coupled run resolve identically: the backend is
-    domain-wide and the environment is inherited across fork, so the
-    only way to diverge is passing *different explicit modes* on the
-    two sides — which the RMA bootstrap handshake then rejects.
+    kind: str
+    coll: CollectivePlan | None = None
+
+
+def resolve_tier(schedule, itemsize: int | None, link, *,
+                 mode: str | None = None, planner: str | None = None,
+                 round_bytes: int | None = None) -> Tier:
+    """The one place a transfer's execution tier is decided.
+
+    ``planner`` (argument > ``REPRO_PLANNER`` > ``p2p``) goes first:
+    ``collective``, or ``auto`` with the cost model saying so, wins over
+    everything and carries the round plan for ``round_bytes`` (argument
+    > ``REPRO_ROUND_BYTES`` > default).  Otherwise ``mode`` (argument >
+    ``REPRO_RMA=1`` > two-sided) picks between the point-to-point
+    tiers; RMA needs ranks that can attach each other's windows, so on a
+    transport that cannot (the threads backend) it falls back to
+    two-sided, counted as ``rma_fallbacks``.
+
+    Every input is the same on both sides of a coupling — the schedule
+    was agreed at the handshake, the backend is domain-wide, the
+    environment is inherited across fork — so both resolve identically
+    without negotiating; passing *different explicit arguments* on the
+    two sides is the only way to diverge (the RMA bootstrap handshake
+    rejects that).  ``itemsize`` may be ``None`` only when ``planner``
+    resolves to ``p2p``.
     """
+    rb = resolve_round_bytes(round_bytes)
+    if choose_planner(schedule, itemsize, planner=planner,
+                      round_bytes=rb) == "collective":
+        return Tier("collective", schedule.collective_plan(itemsize, rb))
     if mode is None:
         mode = "rma" if os.environ.get("REPRO_RMA") == "1" else "two_sided"
-    if mode not in MODES:
-        raise ValueError(f"unknown persistent mode {mode!r}; "
-                         f"expected one of {MODES}")
-    if mode == "rma" and not inter.local_comm.job.transport.rma_capable:
+    if mode not in ("two_sided", "rma"):
+        raise ValueError(f"unknown execution mode {mode!r}; expected "
+                         f"'two_sided' or 'rma'")
+    comm = link.local_comm if isinstance(link, Intercommunicator) else link
+    if mode == "rma" and not comm.job.transport.rma_capable:
         TRANSPORT_STATS.add("rma_fallbacks")
-        return "two_sided"
-    return mode
+        mode = "two_sided"
+    return Tier(mode)
 
 
-def _wire_payload(pp, flat: np.ndarray):
-    """The transport marker for one pair's packed send buffer.
+# -- the core -----------------------------------------------------------------
 
-    Slice-like pairs lend their live view (Borrowed: consumed
-    synchronously, never aliased); index pairs move the freshly
-    gathered buffer (OwnedBuffer: no other owner exists).
+class BoundTransfer:
+    """One side of one schedule, bound: compiled rank plan × flat local
+    storage × link × translated peers × tag × tier.
+
+    ``storage`` is anything with ``flat_local()`` (re-read every step —
+    a rebase or an ownership swap may move it) and, for an RMA
+    destination, ``rebase()``.  ``link`` is a communicator or an
+    intercommunicator.  ``tier`` names the resolved tier; ``pool`` is
+    the staging-buffer pool (``pool.stats`` proves the zero-allocation
+    steady state).  Construct through :func:`bind`.
     """
-    buf = pp.gather(flat)
-    if pp.idx is None:
-        return payload.Borrowed(buf)
-    return payload.OwnedBuffer(buf)
+
+    def __init__(self, plan, storage, link, tier: Tier, *, tag: int,
+                 me: int, peer_map: Sequence[int] | None = None,
+                 pool: BufferPool | None = None):
+        self.tier = tier.kind
+        self.pool = pool if pool is not None else BufferPool()
+        self._plan = plan
+        self._storage = storage
+        self._dtype = storage.flat_local().dtype
+        self._link = link
+        self._tag = tag
+        self._me = me
+        self._closed = False
+        self._peer_of = lambda r: peer_map[r] if peer_map is not None else r
+        self._pairs = [(pp, self._peer_of(pp.peer)) for pp in plan.pairs]
+        self._setup(tier)
+
+    def _setup(self, tier: Tier) -> None:
+        """Tier bootstrap (window exchange, round table)."""
+
+    def _live(self) -> None:
+        if self._closed:
+            raise ConnectionError_(
+                f"{self.tier} transfer is closed — bind a new one")
+
+    def _staged(self, pp, flat) -> tuple:
+        """One pair's packed bytes and their loan release: a zero-copy
+        view of local storage (release ``None``) on the slice fast
+        paths, a pooled staging buffer otherwise."""
+        if pp.idx is None:
+            return pp.gather(flat), None
+        buf, release = self.pool.loan(("send", self._me, pp.peer), pp.size,
+                                      self._dtype)
+        pp.gather_into(flat, buf)
+        return buf, release
+
+    def step(self) -> int:
+        """Move one snapshot; returns the elements this side moved."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Release what the tier holds.  Idempotent; afterwards every
+        other verb raises :class:`~repro.errors.ConnectionError_`."""
+        if not self._closed:
+            self._closed = True
+            self._release()
+
+    def _release(self) -> None:
+        """Tier teardown."""
 
 
-def _scatter_arrivals(pairs, flat, recv_from, probe_from) -> int:
-    """Scatter packed pair buffers in *arrival* order.
+class _TwoSidedSend(BoundTransfer):
 
-    Sweeps the pending pairs with iprobe and consumes whichever peer's
-    message is already there; blocks on the oldest pending pair only
-    when none is — pipelining the unpack against in-flight deliveries
-    without busy-waiting.
-    """
-    pending = list(pairs)
+    def step(self) -> int:
+        self._live()
+        flat = self._storage.flat_local()
+        moved = 0
+        for pp, peer in self._pairs:
+            buf, release = self._staged(pp, flat)
+            self._link.send(
+                payload.Borrowed(buf) if release is None
+                else payload.OwnedBuffer(buf, release=release),
+                peer, self._tag)
+            moved += pp.size
+        return moved
+
+
+class _TwoSidedRecv(BoundTransfer):
+    _slots = None
+
+    def arm(self) -> None:
+        """Prepost every pair's recv-into-destination sink.  Messages
+        already queued are consumed at once (FIFO-safe); later sends
+        write straight into final storage.  A producer running ahead of
+        an unarmed consumer falls back to snapshot buffering, so the
+        consumer's array never changes outside a step."""
+        self._live()
+        if self._slots is None:
+            flat = self._storage.flat_local()
+            self._slots = [
+                self._link.prepost_recv(partial(pp.scatter, flat),
+                                        source=peer, tag=self._tag)
+                for pp, peer in self._pairs]
+
+    def complete(self, *, timeout: float | None = None) -> int:
+        """Arm if needed, then block until every sink has fired."""
+        self.arm()
+        slots, self._slots = self._slots, None
+        return sum(slot.wait(timeout) for slot in slots)
+
+    def step(self) -> int:
+        return self.complete()
+
+
+class _RmaSend(BoundTransfer):
+
+    def _setup(self, tier: Tier) -> None:
+        # Bootstrap: one WindowHandle per pair, shipped by the receiver
+        # over the ordinary two-sided channel.  The data tag is free for
+        # this — on this tier no data message ever travels on it again.
+        mailbox = self._link._my_mailbox()
+        self._rwins = [
+            rma.RemoteWindow(
+                rma.check_handle(
+                    self._link.recv(source=peer, tag=self._tag), pp.size),
+                mailbox)
+            for pp, peer in self._pairs]
+        self._epoch = 0
+
+    def step(self) -> int:
+        self._live()
+        self._epoch += 1
+        flat = self._storage.flat_local()
+        moved = 0
+        for (pp, _peer), rwin in zip(self._pairs, self._rwins):
+            rwin.wait_open(self._epoch)
+            buf, release = self._staged(pp, flat)
+            moved += rwin.put(buf)
+            if release is not None:
+                release()
+            rwin.commit(self._epoch)
+        return moved
+
+    def _release(self) -> None:
+        for rwin in self._rwins:
+            rwin.close()
+
+
+class _RmaRecv(BoundTransfer):
+    _armed = False
+
+    def _setup(self, tier: Tier) -> None:
+        # Expose the array's consolidated base as a window and rebase the
+        # array into it, so remote puts land in final storage; each
+        # sender gets the handle carrying its pair's scatter plan.
+        flat = self._storage.flat_local()
+        self._win = rma.ExposedWindow(flat.nbytes, flat.dtype,
+                                      len(self._pairs),
+                                      self._link._my_mailbox())
+        self._storage.rebase(self._win.buffer)
+        for i, (pp, peer) in enumerate(self._pairs):
+            self._link.send(self._win.handle(i, pp), peer, self._tag)
+
+    def arm(self) -> None:
+        """Open the next exposure epoch: from here until
+        :meth:`complete`'s fence returns, senders may write into the
+        window (= the destination array's storage)."""
+        self._live()
+        if not self._armed:
+            self._win.epoch_open()
+            self._armed = True
+
+    def complete(self, *, timeout: float | None = None) -> int:
+        """Fence the open epoch — one wait amortized over all pairs
+        replaces per-message rendezvous."""
+        self.arm()
+        self._armed = False
+        self._win.fence(timeout=timeout)
+        if _san.ACTIVE is not None:
+            # The destination array is handed back to the caller here —
+            # the seqlock read site of the epoch protocol.
+            self._win.check_read()
+        return self._plan.element_count
+
+    def step(self) -> int:
+        return self.complete()
+
+    def _release(self) -> None:
+        # Evacuate the array onto a private heap buffer (a rebase with
+        # the last fenced contents) before the mapping goes away: no
+        # remote write can reach it afterwards and its lifetime no
+        # longer pins the window.
+        flat = self._storage.flat_local()
+        self._storage.rebase(np.empty(flat.size, dtype=flat.dtype))
+        self._win.close()
+
+
+def _gather_subs(subs, flat, buf) -> None:
+    off = 0
+    for sub in subs:
+        sub.gather_into(flat, buf[off:off + sub.size])
+        off += sub.size
+
+
+def _scatter_subs(subs, total: int, flat, values) -> int:
+    values = np.asarray(values).reshape(-1)
+    if values.size != total:
+        raise ScheduleError(f"round buffer holds {values.size} elements, "
+                            f"plan expects {total}")
+    off = 0
+    for sub in subs:
+        off += sub.scatter(flat, values[off:off + sub.size])
+    return off
+
+
+class _RoundSend(BoundTransfer):
+    """Acknowledged rounds, source half: a step does not return until
+    the consumer has drained it (same trade as the RMA tier), so two
+    programs that each push before pulling a reverse channel must keep
+    that channel two-sided."""
+
+    def _setup(self, tier: Tier) -> None:
+        self._rounds = tier.coll.round_table(self._plan, "src", self._me,
+                                             self._peer_of)
+        self._awaiting: list[int] = []
+
+    def _wait_acks(self) -> None:
+        awaiting, self._awaiting = self._awaiting, []
+        for peer in awaiting:
+            self._link.recv(source=peer, tag=self._tag + ACK_TAG_OFFSET)
+
+    def send_round(self, rnd: int) -> int:
+        """Drain the previous round's acknowledgements, then pack and
+        post round ``rnd`` — one pooled buffer per destination."""
+        self._live()
+        self._wait_acks()
+        flat = self._storage.flat_local()
+        moved = 0
+        for peer, subs, total in self._rounds[rnd]:
+            buf, release = self.pool.loan(
+                ("collsend", self._me, rnd, peer), total, self._dtype)
+            _gather_subs(subs, flat, buf)
+            self._link.send(payload.OwnedBuffer(buf, release=release),
+                            peer, self._tag)
+            self._awaiting.append(peer)
+            moved += total
+        return moved
+
+    def finish(self) -> None:
+        """Drain the final round's acknowledgements — the step's memory
+        is fully released when this returns."""
+        self._wait_acks()
+
+    def step(self) -> int:
+        self._live()
+        moved = sum(self.send_round(rnd) for rnd in range(len(self._rounds)))
+        self.finish()
+        return moved
+
+
+class _RoundRecv(BoundTransfer):
+
+    def _setup(self, tier: Tier) -> None:
+        self._rounds = tier.coll.round_table(self._plan, "dst", self._me,
+                                             self._peer_of)
+
+    def recv_round(self, rnd: int) -> int:
+        """Prepost one sink per source (scattering the round buffer
+        through the pair's sub-plans into final storage), wait for all
+        of them, acknowledge each source."""
+        self._live()
+        flat = self._storage.flat_local()
+        slots = [
+            (peer, self._link.prepost_recv(
+                partial(_scatter_subs, subs, total, flat),
+                source=peer, tag=self._tag))
+            for peer, subs, total in self._rounds[rnd]]
+        received = 0
+        for peer, slot in slots:
+            received += slot.wait()
+            self._link.send(None, peer, self._tag + ACK_TAG_OFFSET)
+        return received
+
+    def step(self) -> int:
+        self._live()
+        return sum(self.recv_round(rnd) for rnd in range(len(self._rounds)))
+
+
+def _alltoallv_rounds(comm: Communicator, tx: _RoundSend | None,
+                      rx: _RoundRecv | None, nrounds: int) -> int:
+    """The collective tier's intra-job wire: per round one ``alltoallv``
+    (statically known counts — no count exchange) and one tree barrier,
+    collective over **all** ranks of ``comm``, so no rank packs round
+    r+1 before every rank has drained round r — the static bound's
+    lockstep.  ``tx``/``rx`` are this rank's bound halves (either may be
+    absent); returns the elements this rank received."""
     received = 0
-    while pending:
-        pp = next((p for p in pending if probe_from(p.peer)), pending[0])
-        received += pp.scatter(flat, recv_from(pp.peer))
-        pending.remove(pp)
+    dtype = (tx if tx is not None else rx)._dtype
+    flat = tx._storage.flat_local() if tx is not None else None
+    rflat = rx._storage.flat_local() if rx is not None else None
+    for rnd in range(nrounds):
+        sendcounts = [0] * comm.size
+        recvcounts = [0] * comm.size
+        segs = tx._rounds[rnd] if tx is not None else ()
+        total = sum(n for _, _, n in segs)
+        if total:
+            buf, release = tx.pool.loan(("collsend", comm.rank, rnd), total,
+                                        dtype)
+        else:
+            buf, release = np.empty(0, dtype=dtype), None
+        off = 0
+        for peer, subs, n in segs:
+            _gather_subs(subs, flat, buf[off:off + n])
+            sendcounts[peer] = n
+            off += n
+        rsegs = rx._rounds[rnd] if rx is not None else ()
+        for peer, _, n in rsegs:
+            recvcounts[peer] = n
+        arrived = comm.alltoallv(buf, sendcounts, recvcounts=recvcounts)
+        if release is not None:
+            release()
+        off = 0
+        for _, subs, n in rsegs:
+            received += _scatter_subs(subs, n, rflat, arrived[off:off + n])
+            off += n
+        comm.barrier()
     return received
+
+
+_HALVES = {
+    ("two_sided", "src"): _TwoSidedSend, ("two_sided", "dst"): _TwoSidedRecv,
+    ("rma", "src"): _RmaSend, ("rma", "dst"): _RmaRecv,
+    ("collective", "src"): _RoundSend, ("collective", "dst"): _RoundRecv,
+}
+
+
+def _half(tier: Tier, side: str, plan, storage, link, **kw) -> BoundTransfer:
+    # A point-to-point rank with no pairs has nothing to bootstrap (no
+    # window to expose or attach): it runs the empty two-sided loops
+    # while still reporting the resolved tier.
+    kind = tier.kind if plan.pairs or tier.coll is not None else "two_sided"
+    return _HALVES[kind, side](plan, storage, link, tier, **kw)
+
+
+def bind(schedule: CommSchedule, side: str, link, array: DistributedArray,
+         *, tag: int = TRANSFER_TAG, rank: int | None = None,
+         peer_map: Sequence[int] | None = None,
+         pool: BufferPool | None = None, tier: Tier | None = None,
+         mode: str | None = None, planner: str | None = None,
+         round_bytes: int | None = None) -> BoundTransfer:
+    """Bind ``side`` (``"src"``/``"dst"``) of ``schedule`` to ``array``
+    over ``link``.
+
+    Schedule ranks equal the link's local ranks by default.  ``rank``
+    overrides this side's schedule rank (PRMI sub-setting, where
+    effective caller ranks differ from cohort ranks; intra-job cohorts)
+    and ``peer_map`` translates the *peer* side's schedule ranks to
+    actual ranks on the link for the same reason.  ``tier`` is an
+    already-resolved :class:`Tier`; without one, ``mode``/``planner``/
+    ``round_bytes`` go through :func:`resolve_tier`.  On the RMA tier
+    the two sides' binds rendezvous (window handles travel receiver →
+    sender), so a single thread must bind receivers first.
+    """
+    if side not in _PLAN_SIDE:
+        raise ValueError(f"side must be 'src' or 'dst', got {side!r}")
+    me = rank if rank is not None else link.rank
+    descriptor = array.descriptor
+    # Verification happens here — never in step() — so the steady-state
+    # path carries zero hook overhead.
+    maybe_verify_side(schedule, _PLAN_SIDE[side], me, descriptor)
+    plan = schedule.rank_plan(_PLAN_SIDE[side], me,
+                              descriptor.local_regions(me))
+    if tier is None:
+        tier = resolve_tier(schedule, np.dtype(descriptor.dtype).itemsize,
+                            link, mode=mode, planner=planner,
+                            round_bytes=round_bytes)
+    return _half(tier, side, plan, array, link, tag=tag, me=me,
+                 peer_map=peer_map, pool=pool)
+
+
+# -- one-shot transfers: bind, step, close ---------------------------------------
+
+def _once(half: BoundTransfer) -> int:
+    try:
+        return half.step()
+    finally:
+        half.close()
+
+
+def execute_inter(schedule: CommSchedule, inter: Intercommunicator,
+                  side: str, array: DistributedArray,
+                  *, tag: int = TRANSFER_TAG, rank: int | None = None,
+                  peer_map: Sequence[int] | None = None,
+                  planner: str | None = None,
+                  round_bytes: int | None = None) -> int:
+    """Run ``schedule`` once across an intercommunicator; returns
+    elements sent (``side="src"``) or received (``"dst"``).
+
+    ``rank``/``peer_map``/``planner``/``round_bytes`` as in :func:`bind`.
+    A one-shot never takes the RMA tier (a window's setup is only worth
+    it amortized over steps).  On the collective tier the send side
+    blocks until the peer consumes each round, so both jobs must drive
+    the transfer concurrently; a single-threaded harness binds the
+    halves itself and drives ``send_round``/``recv_round``.
+    """
+    return _once(bind(schedule, side, inter, array, tag=tag, rank=rank,
+                      peer_map=peer_map, mode="two_sided", planner=planner,
+                      round_bytes=round_bytes))
 
 
 def execute_intra(schedule: CommSchedule, comm: Communicator,
@@ -131,27 +561,22 @@ def execute_intra(schedule: CommSchedule, comm: Communicator,
                   dst_array: DistributedArray | None = None,
                   src_ranks: Sequence[int] | None = None,
                   dst_ranks: Sequence[int] | None = None,
-                  tag: int = TRANSFER_TAG, packed: bool = True,
+                  tag: int = TRANSFER_TAG,
                   planner: str | None = None,
                   round_bytes: int | None = None) -> int:
-    """Run ``schedule`` inside one communicator.
+    """Run ``schedule`` once inside one communicator; returns the
+    elements this rank received.
 
     ``src_ranks[i]`` is the comm rank playing source-template rank ``i``
     (default: identity); likewise ``dst_ranks``.  A rank may appear on
-    both sides (e.g. an in-place transpose over the same cohort).  Every
-    participating rank must call this collectively with the same
-    schedule (and the same ``packed`` setting).  Returns the number of
-    elements this rank received.
-
-    ``planner`` selects the execution strategy (explicit argument >
-    ``REPRO_PLANNER`` > ``p2p``): ``p2p`` is the packed point-to-point
-    path below; ``collective`` rewrites the transfer into
-    memory-bounded ``alltoallv`` rounds (:mod:`repro.schedule.
-    collplan`, round cap ``round_bytes``/``REPRO_ROUND_BYTES``);
-    ``auto`` consults the cost model.  The collective path is always
-    packed and ignores ``packed=False``; every rank of ``comm`` must
-    then hold at least one side's array (the rounds are collective over
-    the whole communicator).
+    both sides (e.g. a transpose over the same cohort): it binds a
+    sender half and a receiver half on ``comm``, posts its (buffered)
+    sends, then completes its receives — no barrier on either side,
+    which is what experiment E9 counts.  Every participating rank calls
+    this collectively with the same schedule.  On the collective tier
+    (``planner``/``round_bytes`` as in :func:`resolve_tier`) the rounds
+    are collective over the *whole* communicator, so every comm rank
+    must hold at least one side's array.
     """
     src_ranks = list(src_ranks if src_ranks is not None
                      else range(schedule.src_nranks))
@@ -163,444 +588,94 @@ def execute_intra(schedule: CommSchedule, comm: Communicator,
     if len(dst_ranks) != schedule.dst_nranks:
         raise ScheduleError(
             f"need {schedule.dst_nranks} dest ranks, got {len(dst_ranks)}")
-    planner = resolve_planner(planner)
-    if planner != "p2p":
-        arr = src_array if src_array is not None else dst_array
-        if arr is None:
-            raise ScheduleError(
-                f"rank {comm.rank} resolves planner {planner!r} but holds "
-                f"neither array — collective rounds need every comm rank "
-                f"on at least one side")
-        itemsize = np.dtype(arr.descriptor.dtype).itemsize
-        rb = resolve_round_bytes(round_bytes)
-        if choose_planner(schedule, itemsize,
-                                    planner=planner,
-                                    round_bytes=rb) == "collective":
-            from repro.schedule.collplan import execute_collective_intra
-            coll = schedule.collective_plan(itemsize, rb)
-            return execute_collective_intra(
-                schedule, comm, coll, src_array=src_array,
-                dst_array=dst_array, src_ranks=src_ranks,
-                dst_ranks=dst_ranks)
-    src_pos = {rank: i for i, rank in enumerate(src_ranks)}
-    dst_pos = {rank: i for i, rank in enumerate(dst_ranks)}
-
     me = comm.rank
-    # Post all sends first (buffered -> nonblocking).
-    if me in src_pos:
+    held = src_array if src_array is not None else dst_array
+    if held is None and resolve_planner(planner) != "p2p":
+        raise ScheduleError(
+            f"rank {me} joins collective-planner execution holding neither "
+            f"array — the rounds need every comm rank on at least one side")
+    tier = resolve_tier(
+        schedule,
+        None if held is None else np.dtype(held.descriptor.dtype).itemsize,
+        comm, mode="two_sided", planner=planner, round_bytes=round_bytes)
+    tx = rx = None
+    if me in src_ranks:
         if src_array is None:
             raise ScheduleError(f"rank {me} is a source but has no src_array")
-        s = src_pos[me]
-        if packed:
-            maybe_verify_side(schedule, "send", s, src_array.descriptor)
-            plan = schedule.send_plan(
-                s, src_array.descriptor.local_regions(s))
-            flat = src_array.flat_local()
-            for pp in plan.pairs:
-                comm.send(_wire_payload(pp, flat), dst_ranks[pp.peer], tag)
-        else:
-            for d, region in schedule.sends_from(s):
-                comm.send(src_array.local_view(region), dst_ranks[d], tag)
-    received = 0
-    if me in dst_pos:
+        tx = bind(schedule, "src", comm, src_array, tag=tag, tier=tier,
+                  rank=src_ranks.index(me), peer_map=dst_ranks)
+    if me in dst_ranks:
         if dst_array is None:
-            raise ScheduleError(f"rank {me} is a destination but has no dst_array")
-        d = dst_pos[me]
-        if packed:
-            maybe_verify_side(schedule, "recv", d, dst_array.descriptor)
-            plan = schedule.recv_plan(
-                d, dst_array.descriptor.local_regions(d))
-            flat = dst_array.flat_local()
-            received += _scatter_arrivals(
-                plan.pairs, flat,
-                lambda peer: comm.recv(source=src_ranks[peer], tag=tag),
-                lambda peer: comm.iprobe(source=src_ranks[peer],
-                                         tag=tag) is not None)
-        else:
-            for s, region in schedule.recvs_at(d):
-                data = comm.recv(source=src_ranks[s], tag=tag)
-                dst_array.local_view(region)[...] = np.asarray(data).reshape(
-                    region.shape)
-                received += region.volume
-    return received
+            raise ScheduleError(
+                f"rank {me} is a destination but has no dst_array")
+        rx = bind(schedule, "dst", comm, dst_array, tag=tag, tier=tier,
+                  rank=dst_ranks.index(me), peer_map=src_ranks)
+    try:
+        if tier.coll is not None:
+            return _alltoallv_rounds(comm, tx, rx, tier.coll.nrounds)
+        if tx is not None:
+            tx.step()
+        return rx.step() if rx is not None else 0
+    finally:
+        for half in (tx, rx):
+            if half is not None:
+                half.close()
 
 
-def execute_inter(schedule: CommSchedule, inter: Intercommunicator,
-                  side: str, array: DistributedArray,
-                  *, tag: int = TRANSFER_TAG, rank: int | None = None,
-                  peer_map: list[int] | None = None,
-                  packed: bool = True,
-                  planner: str | None = None,
-                  round_bytes: int | None = None) -> int:
-    """Run ``schedule`` across an intercommunicator.
+class _FlatStorage:
+    """A bare flat array as bound storage (linearized structures)."""
 
-    ``side`` is ``"src"`` or ``"dst"``; schedule ranks equal each side's
-    local ranks by default.  ``rank`` overrides this side's schedule
-    rank (e.g. PRMI sub-setting, where effective caller ranks differ
-    from cohort ranks); ``peer_map`` translates the *peer* side's
-    schedule ranks to actual remote ranks for the same reason.  Both
-    jobs must agree on ``packed``.  Returns elements sent (src side) or
-    received (dst).
+    def __init__(self, flat: np.ndarray):
+        self._flat = flat
 
-    ``planner`` (explicit > ``REPRO_PLANNER`` > ``p2p``): under
-    ``collective`` (or ``auto`` deciding so) the transfer runs as
-    memory-bounded acknowledged rounds via one-step
-    :class:`~repro.schedule.collplan.CollectiveSender`/
-    :class:`~repro.schedule.collplan.CollectiveReceiver` engines.  The
-    ack handshake makes the send side block until the peer consumes
-    each round, so both jobs must drive the transfer concurrently
-    (their own threads/processes); a single-threaded harness must drive
-    the engines' ``send_round``/``recv_round`` directly instead.  The
-    cost model is a pure function of (schedule, dtype, environment), so
-    both sides resolve identically without negotiating.
-    """
-    me = rank if rank is not None else inter.rank
-    planner = resolve_planner(planner)
-    if planner != "p2p":
-        itemsize = np.dtype(array.descriptor.dtype).itemsize
-        rb = resolve_round_bytes(round_bytes)
-        if choose_planner(schedule, itemsize,
-                                    planner=planner,
-                                    round_bytes=rb) == "collective":
-            from repro.schedule.collplan import (CollectiveReceiver,
-                                                 CollectiveSender)
-            coll = schedule.collective_plan(itemsize, rb)
-            if side == "src":
-                return CollectiveSender(schedule, coll, inter, array,
-                                        tag=tag, rank=rank,
-                                        peer_map=peer_map).step()
-            if side == "dst":
-                return CollectiveReceiver(schedule, coll, inter, array,
-                                          tag=tag, rank=rank,
-                                          peer_map=peer_map).step()
-            raise ValueError(f"side must be 'src' or 'dst', got {side!r}")
-
-    def peer(r: int) -> int:
-        return peer_map[r] if peer_map is not None else r
-
-    if side == "src":
-        moved = 0
-        if packed:
-            maybe_verify_side(schedule, "send", me, array.descriptor)
-            plan = schedule.send_plan(me, array.descriptor.local_regions(me))
-            flat = array.flat_local()
-            for pp in plan.pairs:
-                inter.send(_wire_payload(pp, flat), dest=peer(pp.peer),
-                           tag=tag)
-                moved += pp.size
-        else:
-            for d, region in schedule.sends_from(me):
-                inter.send(array.local_view(region), dest=peer(d), tag=tag)
-                moved += region.volume
-        return moved
-    if side == "dst":
-        received = 0
-        if packed:
-            maybe_verify_side(schedule, "recv", me, array.descriptor)
-            plan = schedule.recv_plan(me, array.descriptor.local_regions(me))
-            flat = array.flat_local()
-            received += _scatter_arrivals(
-                plan.pairs, flat,
-                lambda p: inter.recv(source=peer(p), tag=tag),
-                lambda p: inter.iprobe(source=peer(p), tag=tag) is not None)
-        else:
-            for s, region in schedule.recvs_at(me):
-                data = inter.recv(source=peer(s), tag=tag)
-                array.local_view(region)[...] = np.asarray(data).reshape(
-                    region.shape)
-                received += region.volume
-        return received
-    raise ValueError(f"side must be 'src' or 'dst', got {side!r}")
+    def flat_local(self) -> np.ndarray:
+        return self._flat
 
 
 def execute_linear_inter(schedule: LinearSchedule, inter: Intercommunicator,
                          side: str, lin: Linearization, storage,
                          *, tag: int = TRANSFER_TAG) -> int:
-    """Run a linearization schedule across an intercommunicator.
+    """Run a linearization schedule once across an intercommunicator.
 
     ``storage`` is whatever local form ``lin`` extracts from / injects
-    into (a :class:`DistributedArray`, a graph-value dict, ...).
-
-    The wire carries **one packed buffer per communicating rank pair**
-    (all of the pair's runs in ascending-``lo`` order), mirroring the
-    packed region path.  When ``lin`` supports flat indexing
-    (:meth:`~repro.linearize.linearization.Linearization.flat_storage`),
-    the local copy phase runs on a compiled index plan cached on the
-    schedule — one ``take``/fancy assignment per pair; otherwise the
-    pair's buffer is assembled/consumed run by run via
-    ``extract``/``inject``.  Either side may fall back independently —
-    the wire format is identical.
+    into (a :class:`DistributedArray`, a graph-value dict, ...).  The
+    wire carries one packed buffer per communicating rank pair (the
+    pair's runs in ascending-``lo`` order).  When ``lin`` supports flat
+    indexing (:meth:`~repro.linearize.linearization.Linearization.
+    flat_storage`) this is the same bind → step → close as
+    :func:`execute_inter`, over a plan compiled from ``lin.run_indices``
+    and cached on the schedule; otherwise the pair's buffer is
+    assembled/consumed run by run via ``extract``/``inject``.  Either
+    side may fall back independently — the wire format is identical.
     """
+    if side not in _PLAN_SIDE:
+        raise ValueError(f"side must be 'src' or 'dst', got {side!r}")
     me = inter.rank
+    flat = lin.flat_storage(me, storage)
+    if flat is not None:
+        plan = schedule.rank_plan(_PLAN_SIDE[side], me,
+                                  lambda run: lin.run_indices(me, run))
+        return _once(_half(Tier("two_sided"), side, plan, _FlatStorage(flat),
+                           inter, tag=tag, me=me))
     if side == "src":
         moved = 0
-        flat = lin.flat_storage(me, storage)
-        if flat is not None:
-            plan = schedule.send_plan(
-                me, lambda run: lin.run_indices(me, run))
-            for pp in plan.pairs:
-                inter.send(_wire_payload(pp, flat), dest=pp.peer, tag=tag)
-                moved += pp.size
-        else:
-            for d, runs, offsets in schedule.send_groups(me):
-                buf = np.concatenate(
-                    [np.asarray(lin.extract(me, run, storage)).reshape(-1)
-                     for run in runs]) if runs else np.empty(0, dtype=lin.dtype)
-                # np.concatenate always yields a fresh contiguous buffer
-                # with no other owner, so it moves rather than copies.
-                inter.send(payload.OwnedBuffer(buf), dest=d, tag=tag)
-                moved += int(offsets[-1])
+        for d, runs, offsets in schedule.send_groups(me):
+            buf = np.concatenate(
+                [np.asarray(lin.extract(me, run, storage)).reshape(-1)
+                 for run in runs]) if runs else np.empty(0, dtype=lin.dtype)
+            # np.concatenate always yields a fresh contiguous buffer
+            # with no other owner, so it moves rather than copies.
+            inter.send(payload.OwnedBuffer(buf), dest=d, tag=tag)
+            moved += int(offsets[-1])
         return moved
-    if side == "dst":
-        received = 0
-        flat = lin.flat_storage(me, storage)
-        if flat is not None:
-            plan = schedule.recv_plan(
-                me, lambda run: lin.run_indices(me, run))
-            received += _scatter_arrivals(
-                plan.pairs, flat,
-                lambda p: inter.recv(source=p, tag=tag),
-                lambda p: inter.iprobe(source=p, tag=tag) is not None)
-        else:
-            for s, runs, offsets in schedule.recv_groups(me):
-                values = np.asarray(inter.recv(source=s, tag=tag)).reshape(-1)
-                if values.size != offsets[-1]:
-                    raise ScheduleError(
-                        f"packed linear buffer holds {values.size} elements,"
-                        f" runs expect {int(offsets[-1])}")
-                for run, lo, hi in zip(runs, offsets, offsets[1:]):
-                    lin.inject(me, run, values[lo:hi], storage)
-                received += int(offsets[-1])
-        return received
-    raise ValueError(f"side must be 'src' or 'dst', got {side!r}")
-
-
-# -- persistent-channel engines ---------------------------------------------
-
-class PersistentSender:
-    """Source half of a persistent channel over an intercommunicator.
-
-    Compiles the send plan once and, on every :meth:`step`, ships each
-    pair with the cheapest safe semantics: slice-like pairs lend a live
-    view (Borrowed — written straight into the peer's preposted
-    destination when armed), index pairs pack into a pooled staging
-    buffer shipped with move semantics (OwnedBuffer) whose release
-    returns the buffer to the pool.  In steady state the pool performs
-    zero allocations; ``pool.stats`` proves it.
-
-    ``mode="rma"`` (or ``REPRO_RMA=1``) selects the **one-sided tier**
-    on an RMA-capable transport (procs backend): construction receives
-    one :class:`~repro.simmpi.rma.WindowHandle` per pair from the peer
-    and attaches its window; each step then waits for the peer's
-    exposure epoch, scatters the pair's bytes *directly into the remote
-    window* (a single cross-process copy on the slice fast paths — no
-    slot ring, no envelope, no matching) and commits.  On transports
-    without RMA support the mode falls back to two-sided transparently.
-    """
-
-    def __init__(self, schedule: CommSchedule, inter: Intercommunicator,
-                 array: DistributedArray, *, tag: int = TRANSFER_TAG,
-                 rank: int | None = None,
-                 peer_map: list[int] | None = None,
-                 pool: BufferPool | None = None,
-                 mode: str | None = None):
-        me = rank if rank is not None else inter.rank
-        self._inter = inter
-        self._tag = tag
-        self._peer_map = peer_map
-        self._me = me
-        self._array = array
-        self._dtype = np.dtype(array.descriptor.dtype)
-        # Verification happens at engine construction — never in step()
-        # — so the steady-state path carries zero hook overhead.
-        maybe_verify_side(schedule, "send", me, array.descriptor)
-        self._plan = schedule.send_plan(
-            me, array.descriptor.local_regions(me))
-        self.pool = pool if pool is not None else BufferPool()
-        self.mode = resolve_mode(mode, inter)
-        self._rwins: list | None = None
-        self._epoch = 0
-        if self.mode == "rma" and self._plan.pairs:
-            from repro.simmpi import rma
-            mailbox = inter._my_mailbox()
-            # Bootstrap: one WindowHandle per pair, shipped by the
-            # receiver over the ordinary two-sided channel.  The data
-            # tag is free for this — in RMA mode no data message ever
-            # travels on it again.
-            self._rwins = [
-                rma.RemoteWindow(
-                    rma.check_handle(
-                        inter.recv(source=self._peer(pp.peer),
-                                   tag=self._tag),
-                        pp.size),
-                    mailbox)
-                for pp in self._plan.pairs]
-
-    def _peer(self, r: int) -> int:
-        return self._peer_map[r] if self._peer_map is not None else r
-
-    def step(self) -> int:
-        """Send the current local array contents; returns elements sent."""
-        if self.mode == "rma":
-            return self._step_rma()
-        flat = self._array.flat_local()
-        moved = 0
-        for pp in self._plan.pairs:
-            if pp.idx is None:
-                wire = payload.Borrowed(pp.gather(flat))
-            else:
-                buf, release = self.pool.loan(
-                    ("send", self._me, pp.peer), pp.size, self._dtype)
-                pp.gather_into(flat, buf)
-                wire = payload.OwnedBuffer(buf, release=release)
-            self._inter.send(wire, dest=self._peer(pp.peer), tag=self._tag)
-            moved += pp.size
-        return moved
-
-    def _step_rma(self) -> int:
-        """One one-sided step: wait for each peer's exposure epoch, put
-        straight into its window, commit.  Slice pairs go view -> remote
-        scatter (one copy, zero staging); index pairs gather into a
-        pooled buffer first (zero steady-state allocations)."""
-        self._epoch += 1
-        flat = self._array.flat_local()
-        moved = 0
-        for pp, rwin in zip(self._plan.pairs, self._rwins or ()):
-            rwin.wait_open(self._epoch)
-            if pp.idx is None:
-                moved += rwin.put(pp.gather(flat))
-            else:
-                buf, release = self.pool.loan(
-                    ("send", self._me, pp.peer), pp.size, self._dtype)
-                pp.gather_into(flat, buf)
-                moved += rwin.put(buf)
-                release()
-            rwin.commit(self._epoch)
-        return moved
-
-    def close(self) -> None:
-        """Detach any attached remote windows (the engine is done)."""
-        for rwin in self._rwins or ():
-            rwin.close()
-        self._rwins = []
-
-
-class PersistentReceiver:
-    """Destination half of a persistent channel over an intercommunicator.
-
-    :meth:`arm` preposts one recv-into-destination slot per pair — the
-    sink is the pair plan's scatter against the destination array's
-    consolidated ``flat_local()`` base, so matching sends write their
-    bytes straight into final storage with no staging buffer.
-    :meth:`complete` blocks until all armed slots have fired.
-    :meth:`step` is ``arm`` (if not already armed) + ``complete``:
-    arming happens *inside* the blocking receive call, so a producer
-    running ahead of the consumer falls back to snapshot buffering and
-    the consumer's view of its own array never changes outside a pull.
-
-    ``mode="rma"`` (or ``REPRO_RMA=1``) selects the **one-sided tier**
-    on an RMA-capable transport (procs backend): construction exposes
-    the destination array's consolidated base as an RMA window
-    (:class:`~repro.simmpi.rma.ExposedWindow`), *rebases* the array into
-    the window payload so remote puts land in final storage, and ships
-    each sender its :class:`~repro.simmpi.rma.WindowHandle` (segment
-    name + this pair's scatter plan).  :meth:`arm` then opens an
-    exposure epoch and :meth:`complete` fences it — one fence amortized
-    over all pairs replaces per-message rendezvous.
-    """
-
-    def __init__(self, schedule: CommSchedule, inter: Intercommunicator,
-                 array: DistributedArray, *, tag: int = TRANSFER_TAG,
-                 rank: int | None = None,
-                 peer_map: list[int] | None = None,
-                 mode: str | None = None):
-        me = rank if rank is not None else inter.rank
-        self._inter = inter
-        self._tag = tag
-        self._peer_map = peer_map
-        self._array = array
-        maybe_verify_side(schedule, "recv", me, array.descriptor)
-        self._plan = schedule.recv_plan(
-            me, array.descriptor.local_regions(me))
-        self._slots: list | None = None
-        self.mode = resolve_mode(mode, inter)
-        self._win = None
-        self._rma_armed = False
-        if self.mode == "rma" and self._plan.pairs:
-            from repro.simmpi import rma
-            flat = array.flat_local()
-            self._win = rma.ExposedWindow(
-                flat.nbytes, flat.dtype, len(self._plan.pairs),
-                inter._my_mailbox())
-            array.rebase(self._win.buffer)
-            for i, pp in enumerate(self._plan.pairs):
-                self._inter.send(self._win.handle(i, pp),
-                                 dest=self._peer(pp.peer), tag=self._tag)
-
-    def _peer(self, r: int) -> int:
-        return self._peer_map[r] if self._peer_map is not None else r
-
-    def _sink(self, pp):
-        flat = self._array.flat_local()
-        return lambda values: pp.scatter(flat, values)
-
-    def arm(self) -> None:
-        """Prepost every pair's recv-into-destination slot.  Queued
-        messages are consumed immediately (FIFO-safe); later sends
-        write straight into the destination array.
-
-        In RMA mode this opens the next exposure epoch instead: from
-        here until :meth:`complete`'s fence returns, senders may write
-        into the window (= the destination array's storage)."""
-        if self.mode == "rma":
-            if not self._rma_armed:
-                if self._win is not None:
-                    self._win.epoch_open()
-                self._rma_armed = True
-            return
-        if self._slots is not None:
-            return
-        self._slots = [
-            self._inter.prepost_recv(self._sink(pp),
-                                     source=self._peer(pp.peer),
-                                     tag=self._tag)
-            for pp in self._plan.pairs]
-
-    def complete(self, *, timeout: float | None = None) -> int:
-        """Block until all armed slots have fired; returns elements
-        received.  Arms first if needed.
-
-        In RMA mode: fence the open epoch — block until every writer
-        has committed its puts for this step.  After the fence the
-        destination array holds the step's data (it *is* the window)."""
-        if self.mode == "rma":
-            self.arm()
-            self._rma_armed = False
-            if self._win is not None:
-                self._win.fence(timeout=timeout)
-                if _san.ACTIVE is not None:
-                    # The destination array is handed back to the caller
-                    # here — the seqlock read site of the epoch protocol.
-                    self._win.check_read()
-            return self._plan.element_count
-        self.arm()
-        slots, self._slots = self._slots, None
-        return sum(slot.wait(timeout) for slot in slots)
-
-    def step(self) -> int:
-        """One pull: arm (unless pre-armed) and complete."""
-        return self.complete()
-
-    def close(self) -> None:
-        """Tear down the exposed window, if any (the engine is done).
-
-        The destination array is first evacuated back onto a private
-        heap buffer (a :meth:`~repro.dad.darray.DistributedArray.rebase`
-        with the last fenced contents), so after ``close`` it is an
-        ordinary array again — no remote writes can reach it and its
-        lifetime no longer pins the window mapping."""
-        if self._win is not None:
-            win, self._win = self._win, None
-            flat = self._array.flat_local()
-            self._array.rebase(np.empty(flat.size, dtype=flat.dtype))
-            win.close()
+    received = 0
+    for s, runs, offsets in schedule.recv_groups(me):
+        values = np.asarray(inter.recv(source=s, tag=tag)).reshape(-1)
+        if values.size != offsets[-1]:
+            raise ScheduleError(
+                f"packed linear buffer holds {values.size} elements,"
+                f" runs expect {int(offsets[-1])}")
+        for run, lo, hi in zip(runs, offsets, offsets[1:]):
+            lin.inject(me, run, values[lo:hi], storage)
+        received += int(offsets[-1])
+    return received

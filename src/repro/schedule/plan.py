@@ -9,6 +9,7 @@ the same templates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -60,52 +61,61 @@ def _group_by_peer(pairs: list[tuple[int, "Region"]], volume_of,
     return groups
 
 
-class CommSchedule:
-    """A region-based communication schedule between two templates.
+class _Schedule:
+    """What region and linear schedules share: item ordering, per-rank
+    views, per-(src, dst)-pair coalescing groups, the compiled-plan
+    cache and the memoized collective round plans.
 
-    Per-rank send/receive views and per-(src, dst)-pair coalescing
-    groups are indexed once at construction, so the executor's queries
-    are O(per-rank items) instead of O(total items) rescans.
+    Subclasses name the attribute of an item that says *what* moves
+    (``_WHAT``: ``"region"`` / ``"run"``) and of that object's element
+    count (``_SIZE``), and supply :meth:`_compile`.  Everything is
+    indexed once at construction, so the executor's queries are
+    O(per-rank items) instead of O(total items) rescans.
     """
 
-    def __init__(self, items: list[TransferItem], src_nranks: int,
-                 dst_nranks: int):
+    _WHAT: str
+    _SIZE: str
+
+    def __init__(self, items: list, src_nranks: int, dst_nranks: int):
+        what = attrgetter(self._WHAT)
         self.items = sorted(
-            items, key=lambda it: (it.src, it.dst, it.region.lo))
+            items, key=lambda it: (it.src, it.dst, what(it).lo))
         self.src_nranks = src_nranks
         self.dst_nranks = dst_nranks
-        sends: list[list[tuple[int, Region]]] = [[] for _ in range(src_nranks)]
-        recvs: list[list[tuple[int, Region]]] = [[] for _ in range(dst_nranks)]
+        sends: list[list[tuple]] = [[] for _ in range(src_nranks)]
+        recvs: list[list[tuple]] = [[] for _ in range(dst_nranks)]
         for it in self.items:
             # items are (src, dst, lo)-sorted, so each send list arrives
             # ordered by (dst, lo) already.
-            sends[it.src].append((it.dst, it.region))
-            recvs[it.dst].append((it.src, it.region))
+            moved = what(it)
+            sends[it.src].append((it.dst, moved))
+            recvs[it.dst].append((it.src, moved))
         for lst in recvs:
             lst.sort(key=lambda t: (t[0], t[1].lo))
         self._sends = sends
         self._recvs = recvs
-        vol = lambda region: region.volume  # noqa: E731
-        self._send_groups = [_group_by_peer(lst, vol) for lst in sends]
-        self._recv_groups = [_group_by_peer(lst, vol) for lst in recvs]
+        size = attrgetter(self._SIZE)
+        self._send_groups = [_group_by_peer(lst, size) for lst in sends]
+        self._recv_groups = [_group_by_peer(lst, size) for lst in recvs]
         #: compiled index plans, keyed ("send"/"recv", rank) — see
-        #: send_plan/recv_plan.
-        self._plans: dict[tuple[str, int], "RankPlan"] = {}
+        #: rank_plan.
+        self._plans: dict[tuple[str, int], RankPlan] = {}
         #: memoized collective round plans, keyed (itemsize, round_bytes)
         self._coll_plans: dict[tuple[int, int], object] = {}
 
     # -- per-rank views -------------------------------------------------------
 
-    def sends_from(self, src: int) -> list[tuple[int, Region]]:
-        """(dst, region) pairs rank ``src`` must send, in wire order."""
+    def sends_from(self, src: int) -> list[tuple]:
+        """(dst, region-or-run) pairs rank ``src`` must send, in wire
+        order."""
         if not (0 <= src < self.src_nranks):
             return []
         return list(self._sends[src])
 
-    def recvs_at(self, dst: int) -> list[tuple[int, Region]]:
-        """(src, region) pairs rank ``dst`` must receive.
+    def recvs_at(self, dst: int) -> list[tuple]:
+        """(src, region-or-run) pairs rank ``dst`` must receive.
 
-        Ordered by (src, region) — the same relative order per source as
+        Ordered by (src, lo) — the same relative order per source as
         :meth:`sends_from` produces, so FIFO matching lines up.
         """
         if not (0 <= dst < self.dst_nranks):
@@ -114,17 +124,18 @@ class CommSchedule:
 
     # -- per-pair coalescing groups ------------------------------------------
 
-    def send_groups(self, src: int) -> list[tuple[int, list[Region], np.ndarray]]:
+    def send_groups(self, src: int) -> list[tuple[int, list, np.ndarray]]:
         """Per-destination coalescing groups for rank ``src``:
-        ``(dst, regions, offsets)`` with regions in wire order and
-        ``offsets`` the flattened ``np.int64`` element offsets (total
-        appended).  Callers must not mutate the returned lists."""
+        ``(dst, items, offsets)`` with the regions/runs in wire order
+        and ``offsets`` the flattened ``np.int64`` element offsets of
+        each inside the pair's packed buffer (total appended).  Callers
+        must not mutate the returned lists."""
         if not (0 <= src < self.src_nranks):
             return []
         return self._send_groups[src]
 
-    def recv_groups(self, dst: int) -> list[tuple[int, list[Region], np.ndarray]]:
-        """Per-source coalescing groups for rank ``dst``; region order
+    def recv_groups(self, dst: int) -> list[tuple[int, list, np.ndarray]]:
+        """Per-source coalescing groups for rank ``dst``; item order
         matches the sender's :meth:`send_groups` order, so one packed
         buffer per pair unpacks positionally."""
         if not (0 <= dst < self.dst_nranks):
@@ -133,42 +144,49 @@ class CommSchedule:
 
     # -- compiled index plans ------------------------------------------------
 
-    def send_plan(self, src: int, owned_regions) -> "RankPlan":
+    def send_plan(self, src: int, layout) -> RankPlan:
         """Compiled gather plan for schedule rank ``src``: one flat
-        index array (or contiguous slice) per destination, addressing
-        the rank's consolidated local buffer.  ``owned_regions`` is the
-        rank's patch layout (``descriptor.local_regions(src)``); plans
-        are compiled on first use and cached for the schedule's
-        lifetime, which is sound because every array replayed against
-        this schedule conforms to the same template."""
-        return self._plan("send", src, self._send_groups[src], owned_regions)
+        index array (or slice) per destination, addressing the rank's
+        flat local storage.  ``layout`` says where things live there —
+        the rank's patch regions (``descriptor.local_regions(src)``) for
+        a region schedule, an ``indices_of(run)`` mapping for a linear
+        one.  Plans are compiled on first use and cached for the
+        schedule's lifetime, which is sound because everything replayed
+        against one schedule conforms to the same template — every
+        caller must therefore supply an equivalent ``layout``."""
+        return self.rank_plan("send", src, layout)
 
-    def recv_plan(self, dst: int, owned_regions) -> "RankPlan":
+    def recv_plan(self, dst: int, layout) -> RankPlan:
         """Compiled scatter plan for schedule rank ``dst`` (see
         :meth:`send_plan`)."""
-        return self._plan("recv", dst, self._recv_groups[dst], owned_regions)
+        return self.rank_plan("recv", dst, layout)
 
-    def _plan(self, side: str, rank: int, groups, owned_regions) -> "RankPlan":
-        key = (side, rank)
-        plan = self._plans.get(key)
+    def rank_plan(self, side: str, rank: int, layout) -> RankPlan:
+        """:meth:`send_plan` (``side="send"``) or :meth:`recv_plan`
+        (``"recv"``) — the form the executor binds through."""
+        plan = self._plans.get((side, rank))
         if plan is None:
-            plan = compile_rank_plan(groups, list(owned_regions))
-            self._plans[key] = plan
+            groups = (self._send_groups if side == "send"
+                      else self._recv_groups)[rank]
+            plan = self._plans[(side, rank)] = self._compile(groups, layout)
         return plan
 
-    def plan_if_compiled(self, side: str, rank: int) -> "RankPlan | None":
+    def _compile(self, groups, layout) -> RankPlan:
+        raise NotImplementedError
+
+    def plan_if_compiled(self, side: str, rank: int) -> RankPlan | None:
         """The cached compiled plan for ``(side, rank)``, or ``None`` if
         it was never compiled — the delta compiler's probe for artifacts
         worth carrying across a resize (no compilation is triggered)."""
         return self._plans.get((side, rank))
 
-    def seed_plan(self, side: str, rank: int, plan: "RankPlan") -> None:
+    def seed_plan(self, side: str, rank: int, plan: RankPlan) -> None:
         """Install a precompiled :class:`~repro.schedule.indexplan.
         RankPlan` for ``(side, rank)`` — the warm-start path of
         :func:`repro.schedule.delta.warm_start_plans`.  The caller owns
         the soundness argument: the plan must equal what
         :meth:`send_plan`/:meth:`recv_plan` would compile (same wire
-        regions over the same patch layout)."""
+        items over the same layout)."""
         if side not in ("send", "recv"):
             raise ScheduleError(f"unknown schedule side {side!r}")
         self._plans[(side, rank)] = plan
@@ -188,32 +206,13 @@ class CommSchedule:
             self._coll_plans[key] = plan
         return plan
 
-    # -- persistent-channel engines ------------------------------------------
-
-    def persistent_sender(self, inter, array, **kw):
-        """A :class:`~repro.schedule.executor.PersistentSender` bound to
-        this schedule: pooled pack buffers + move/borrow-semantics
-        sends, one :meth:`~repro.schedule.executor.PersistentSender.
-        step` per transfer.  Keyword arguments pass through (``tag``,
-        ``rank``, ``peer_map``, ``pool``)."""
-        from repro.schedule.executor import PersistentSender
-        return PersistentSender(self, inter, array, **kw)
-
-    def persistent_receiver(self, inter, array, **kw):
-        """A :class:`~repro.schedule.executor.PersistentReceiver` bound
-        to this schedule: preposted recv-into-destination slots writing
-        straight into ``array``'s consolidated local base (``tag``,
-        ``rank``, ``peer_map`` pass through)."""
-        from repro.schedule.executor import PersistentReceiver
-        return PersistentReceiver(self, inter, array, **kw)
+    # -- metrics -----------------------------------------------------------------
 
     @property
     def pair_count(self) -> int:
-        """Number of communicating (src, dst) rank pairs — the packed
+        """Number of communicating (src, dst) rank pairs — the
         executors' message count."""
         return sum(len(g) for g in self._send_groups)
-
-    # -- metrics -----------------------------------------------------------------
 
     @property
     def message_count(self) -> int:
@@ -221,7 +220,40 @@ class CommSchedule:
 
     @property
     def element_count(self) -> int:
-        return sum(it.region.volume for it in self.items)
+        return sum(int(offsets[-1]) for groups in self._send_groups
+                   for _, _, offsets in groups)
+
+
+class CommSchedule(_Schedule):
+    """A region-based communication schedule between two templates."""
+
+    _WHAT, _SIZE = "region", "volume"
+
+    def _compile(self, groups, owned_regions) -> RankPlan:
+        return compile_rank_plan(groups, list(owned_regions))
+
+    # -- the bound-transfer core's two public constructors --------------------
+
+    def persistent_sender(self, link, array, **kw):
+        """The source half of this schedule bound to ``array`` over
+        ``link`` (an intercommunicator): a
+        :class:`~repro.schedule.executor.BoundTransfer` whose
+        ``step()`` sends the array's current contents and whose
+        ``close()`` releases what the tier holds.  Keyword arguments
+        (``tag``, ``rank``, ``peer_map``, ``pool``, ``mode``,
+        ``planner``, ``round_bytes``, ``tier``) pass through to
+        :func:`repro.schedule.executor.bind`."""
+        from repro.schedule.executor import bind
+        return bind(self, "src", link, array, **kw)
+
+    def persistent_receiver(self, link, array, **kw):
+        """The destination half (see :meth:`persistent_sender`):
+        ``arm()`` / ``complete()`` / ``step()`` land each transfer
+        straight in ``array``'s consolidated local base."""
+        from repro.schedule.executor import bind
+        return bind(self, "dst", link, array, **kw)
+
+    # -- metrics -----------------------------------------------------------------
 
     def nbytes(self, dtype: np.dtype | str = np.float64) -> int:
         return self.element_count * np.dtype(dtype).itemsize
@@ -270,105 +302,13 @@ class CommSchedule:
                 f"{self.src_nranks}x{self.dst_nranks})")
 
 
-class LinearSchedule:
+class LinearSchedule(_Schedule):
     """A linearization-based schedule: runs moved between rank pairs."""
 
-    def __init__(self, items: list[LinearItem], src_nranks: int,
-                 dst_nranks: int):
-        self.items = sorted(items, key=lambda it: (it.src, it.dst, it.run.lo))
-        self.src_nranks = src_nranks
-        self.dst_nranks = dst_nranks
-        sends: list[list[tuple[int, Run]]] = [[] for _ in range(src_nranks)]
-        recvs: list[list[tuple[int, Run]]] = [[] for _ in range(dst_nranks)]
-        for it in self.items:
-            sends[it.src].append((it.dst, it.run))
-            recvs[it.dst].append((it.src, it.run))
-        for lst in recvs:
-            lst.sort(key=lambda t: (t[0], t[1].lo))
-        self._sends = sends
-        self._recvs = recvs
-        length = lambda run: run.length  # noqa: E731
-        self._send_groups = [_group_by_peer(lst, length) for lst in sends]
-        self._recv_groups = [_group_by_peer(lst, length) for lst in recvs]
-        self._plans: dict[tuple[str, int], RankPlan] = {}
-        self._coll_plans: dict[tuple[int, int], object] = {}
+    _WHAT, _SIZE = "run", "length"
 
-    def sends_from(self, src: int) -> list[tuple[int, Run]]:
-        if not (0 <= src < self.src_nranks):
-            return []
-        return list(self._sends[src])
-
-    def recvs_at(self, dst: int) -> list[tuple[int, Run]]:
-        if not (0 <= dst < self.dst_nranks):
-            return []
-        return list(self._recvs[dst])
-
-    # -- per-pair coalescing groups ------------------------------------------
-
-    def send_groups(self, src: int) -> list[tuple[int, list[Run], np.ndarray]]:
-        """Per-destination coalescing groups for rank ``src``:
-        ``(dst, runs, offsets)`` with runs in wire order (ascending
-        ``lo``) and ``offsets`` the ``np.int64`` element offsets of each
-        run in the pair's packed buffer (total appended)."""
-        if not (0 <= src < self.src_nranks):
-            return []
-        return self._send_groups[src]
-
-    def recv_groups(self, dst: int) -> list[tuple[int, list[Run], np.ndarray]]:
-        """Per-source coalescing groups for rank ``dst``; run order
-        matches the sender's :meth:`send_groups` order."""
-        if not (0 <= dst < self.dst_nranks):
-            return []
-        return self._recv_groups[dst]
-
-    @property
-    def pair_count(self) -> int:
-        """Number of communicating (src, dst) rank pairs — the coalesced
-        executors' message count."""
-        return sum(len(g) for g in self._send_groups)
-
-    # -- compiled index plans ------------------------------------------------
-
-    def send_plan(self, src: int, indices_of) -> RankPlan:
-        """Compiled gather plan for rank ``src``: ``indices_of(run)``
-        maps each run to its flat indices in the rank's local storage
-        (e.g. AttrVect rows, linearization storage positions).  Compiled
-        once per rank and cached for the schedule's lifetime — every
-        caller of one schedule instance must therefore supply an
-        equivalent ``indices_of`` mapping."""
-        return self._lin_plan("send", src, self._send_groups[src], indices_of)
-
-    def recv_plan(self, dst: int, indices_of) -> RankPlan:
-        """Compiled scatter plan for rank ``dst`` (see :meth:`send_plan`)."""
-        return self._lin_plan("recv", dst, self._recv_groups[dst], indices_of)
-
-    def _lin_plan(self, side: str, rank: int, groups, indices_of) -> RankPlan:
-        key = (side, rank)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = compile_pair_plans(groups, indices_of)
-            self._plans[key] = plan
-        return plan
-
-    def collective_plan(self, itemsize: int, round_bytes: int):
-        """Memory-bounded round decomposition (see
-        :meth:`CommSchedule.collective_plan`)."""
-        key = (int(itemsize), int(round_bytes))
-        plan = self._coll_plans.get(key)
-        if plan is None:
-            from repro.schedule.collplan import plan_collective_rounds
-            plan = plan_collective_rounds(self, itemsize=key[0],
-                                          round_bytes=key[1])
-            self._coll_plans[key] = plan
-        return plan
-
-    @property
-    def message_count(self) -> int:
-        return len(self.items)
-
-    @property
-    def element_count(self) -> int:
-        return sum(it.run.length for it in self.items)
+    def _compile(self, groups, indices_of) -> RankPlan:
+        return compile_pair_plans(groups, indices_of)
 
     def entries(self) -> int:
         return len(self.items) * 4

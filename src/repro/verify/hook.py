@@ -1,10 +1,11 @@
 """Runtime verification hook (``REPRO_VERIFY=1``).
 
-The executors call :func:`maybe_verify_side` at *plan-binding* points —
-one-shot ``execute_intra``/``execute_inter`` entry and persistent-engine
-construction — never inside a steady-state ``step``.  When verification
-is disabled (the default) the hook is a single module-global boolean
-test; when enabled, each (schedule, side, rank) triple is proved once
+The executor calls :func:`maybe_verify_side` at its one *plan-binding*
+point — :func:`repro.schedule.executor.bind`, which every one-shot
+``execute_intra``/``execute_inter`` and every persistent transfer on
+every tier goes through — never inside a steady-state ``step``.  When
+verification is disabled (the default) the hook is a single
+module-global boolean test; when enabled, each (schedule, side, rank) triple is proved once
 against the fallback gather (:func:`repro.verify.schedule.
 verify_rank_plans`) and cached on the schedule object, so even an
 enabled long-running transfer loop verifies exactly once.

@@ -16,8 +16,8 @@ over ``src/``:
   one on an attribute, into a subscript, or into a container
   (``.append``/``.add``/``.insert``/``.extend``) keeps a lent view (or
   a moved buffer) alive past its consumption scope.  Returning a
-  freshly built marker is fine — that is how ``_wire_payload`` hands
-  one to the send call.
+  freshly built marker is fine — a helper may hand one straight to
+  the send call.
 * **V103 — Raw payload in the procs backend.**  ``Raw`` wraps
   process-local handles whose identity cannot survive a fork; modules
   implementing the forked-process backend must never construct one.

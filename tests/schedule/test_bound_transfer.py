@@ -1,0 +1,349 @@
+"""The single execution core: every tier through bind → step → close.
+
+One equivalence matrix (tier × deployment shape × one-shot/persistent)
+against the global truth, the closed-transfer contract on every tier,
+and the ``REPRO_VERIFY`` hook's reach onto the collective tier.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from repro.dad import DistArrayDescriptor, DistributedArray
+from repro.errors import ConnectionError_
+from repro.highlevel import Coupler
+from repro.mxn.connection import (ConnectionKind, ConnectionSpec,
+                                  MxNConnection)
+from repro.schedule import (build_region_schedule, execute_inter,
+                            execute_intra)
+from repro.simmpi import run_coupled, run_spmd
+from repro.simmpi.intercomm import couple_jobs, default_nameservice
+from repro.simmpi.runner import Job
+from repro.util.counters import TRANSPORT_STATS
+from repro.verify import hook
+
+from tests.schedule.test_packing import CASES
+
+ROUND_BYTES = 32          # small enough that every case needs several rounds
+STEPS = 3
+
+
+def _descs(src_t, dst_t):
+    return (DistArrayDescriptor(src_t, np.float64),
+            DistArrayDescriptor(dst_t, np.float64))
+
+
+def _truth(shape, step):
+    n = int(np.prod(shape))
+    return np.arange(n, dtype=np.float64).reshape(shape) + 1000.0 * step
+
+
+def _same_bytes(parts, truth):
+    return DistributedArray.assemble(parts).tobytes() == truth.tobytes()
+
+
+# -- the tier-equivalence matrix ----------------------------------------------
+
+def _intra(src_desc, dst_desc, planner, steps):
+    """``steps`` one-shot transfers inside one job; returns per-step
+    (assembled-bytes-ok, data messages, barriers)."""
+    sched = build_region_schedule(src_desc, dst_desc)
+    n = max(src_desc.nranks, dst_desc.nranks)
+    out = []
+    for step in range(steps):
+        g = _truth(src_desc.shape, step)
+
+        def main(comm, g=g):
+            src = (DistributedArray.from_global(src_desc, comm.rank, g)
+                   if comm.rank < src_desc.nranks else None)
+            dst = (DistributedArray.allocate(dst_desc, comm.rank)
+                   if comm.rank < dst_desc.nranks else None)
+            execute_intra(sched, comm, src_array=src, dst_array=dst,
+                          src_ranks=range(src_desc.nranks),
+                          dst_ranks=range(dst_desc.nranks),
+                          planner=planner, round_bytes=ROUND_BYTES)
+            return dst, comm.counters   # shared per job; read after join
+
+        res = run_spmd(n, main)
+        counters = res[0][1].snapshot()
+        out.append((_same_bytes([d for d, _ in res if d is not None], g),
+                    counters.get("msgs", 0), counters.get("barriers", 0)))
+    return sched, out
+
+
+def _inter(src_desc, dst_desc, planner, steps, persistent):
+    """``steps`` transfers between two coupled jobs — one bound transfer
+    stepped ``steps`` times, or a fresh one-shot per step; returns
+    per-step (assembled-bytes-ok, data + ack messages sent by the
+    producers, acks sent by the consumers)."""
+    sched = build_region_schedule(src_desc, dst_desc)
+    kw = dict(tag=77, planner=planner, round_bytes=ROUND_BYTES)
+
+    def producer(comm):
+        inter = default_nameservice.accept("matrix", comm)
+        da = DistributedArray.allocate(src_desc, comm.rank)
+        tx = sched.persistent_sender(inter, da, **kw) if persistent else None
+        for step in range(steps):
+            da.flat_local()[:] = DistributedArray.from_global(
+                src_desc, comm.rank, _truth(src_desc.shape, step)).flat_local()
+            if persistent:
+                tx.step()
+            else:
+                execute_inter(sched, inter, "src", da, **kw)
+            inter.recv(source=0, tag=78)   # consumers checked this step
+        return comm.counters
+
+    def consumer(comm):
+        inter = default_nameservice.connect("matrix", comm)
+        da = DistributedArray.allocate(dst_desc, comm.rank)
+        rx = (sched.persistent_receiver(inter, da, **kw) if persistent
+              else None)
+        snaps = []
+        for _ in range(steps):
+            if persistent:
+                rx.step()
+            else:
+                execute_inter(sched, inter, "dst", da, **kw)
+            snaps.append(da.flat_local().copy())
+            comm.barrier()
+            if comm.rank == 0:
+                for s in range(src_desc.nranks):
+                    inter.send(None, s, tag=78)
+        return snaps, comm.counters
+
+    res = run_coupled([("prod", src_desc.nranks, producer, ()),
+                       ("cons", dst_desc.nranks, consumer, ())],
+                      deadlock_timeout=30.0)
+    out = []
+    for step in range(steps):
+        parts = []
+        for r, (snaps, _) in enumerate(res["cons"]):
+            da = DistributedArray.allocate(dst_desc, r)
+            da.flat_local()[:] = snaps[step]
+            parts.append(da)
+        out.append(_same_bytes(parts, _truth(src_desc.shape, step)))
+    sent = res["prod"][0].get("inter_msgs")
+    acks = res["cons"][0][1].get("inter_msgs") - steps * src_desc.nranks
+    return sched, out, sent, acks
+
+
+@pytest.mark.parametrize("src_t,dst_t", CASES)
+@pytest.mark.parametrize("planner", ["p2p", "collective"])
+class TestTierEquivalence:
+    def test_intra_one_shot(self, src_t, dst_t, planner):
+        src_desc, dst_desc = _descs(src_t, dst_t)
+        sched, steps = _intra(src_desc, dst_desc, planner, STEPS)
+        coll = sched.collective_plan(8, ROUND_BYTES)
+        assert coll.nrounds > 1
+        for ok, msgs, barriers in steps:
+            assert ok
+            if planner == "p2p":
+                # one packed message per communicating pair, no barrier
+                assert (msgs, barriers) == (sched.pair_count, 0)
+            else:
+                # one alltoallv + one barrier per round on every rank
+                n = max(src_desc.nranks, dst_desc.nranks)
+                assert barriers == coll.nrounds * n
+
+    @pytest.mark.parametrize("persistent", [False, True],
+                             ids=["one-shot", "persistent"])
+    def test_inter(self, src_t, dst_t, planner, persistent):
+        src_desc, dst_desc = _descs(src_t, dst_t)
+        sched, oks, sent, acks = _inter(src_desc, dst_desc, planner, STEPS,
+                                        persistent)
+        assert oks == [True] * STEPS
+        if planner == "p2p":
+            assert sent == STEPS * sched.pair_count
+            assert acks == 0
+        else:
+            # every chunk of every round is one data message and one ack
+            coll = sched.collective_plan(8, ROUND_BYTES)
+            assert coll.nrounds > 1
+            assert sent == acks == STEPS * coll.chunk_count
+
+
+# -- RMA on real processes ----------------------------------------------------
+
+_SRC_T, _DST_T = CASES[2]
+_SRC_DESC, _DST_DESC = _descs(_SRC_T, _DST_T)
+
+
+def _rma_producer(comm, steps):
+    chan = Coupler("core-rma", default_nameservice).open(
+        comm, "source",
+        DistributedArray.allocate(_SRC_DESC, comm.rank), one_sided=True)
+    matched = []
+    for step in range(steps):
+        chan.array.flat_local()[:] = DistributedArray.from_global(
+            _SRC_DESC, comm.rank, _truth(_SRC_DESC.shape, step)).flat_local()
+        m0 = TRANSPORT_STATS.get("messages_matched")
+        chan.push()
+        matched.append(TRANSPORT_STATS.get("messages_matched") - m0)
+    chan.close()
+    with pytest.raises(ConnectionError_):
+        chan.push()
+    chan.close()                       # idempotent
+    return chan.mode, matched
+
+
+def _rma_consumer(comm, steps):
+    chan = Coupler("core-rma", default_nameservice).open(
+        comm, "destination", _DST_DESC, one_sided=True)
+    snaps = [chan.pull().flat_local().copy() for _ in range(steps)]
+    chan.close()
+    with pytest.raises(ConnectionError_):
+        chan.pull()
+    chan.close()
+    return chan.mode, snaps
+
+
+def test_rma_tier_on_procs_matches_truth_and_refuses_steps_after_close():
+    res = run_coupled([("prod", _SRC_DESC.nranks, _rma_producer, (STEPS,)),
+                       ("cons", _DST_DESC.nranks, _rma_consumer, (STEPS,))],
+                      deadlock_timeout=30.0, backend="procs")
+    assert {m for m, _ in res["prod"] + res["cons"]} == {"rma"}
+    for step in range(STEPS):
+        parts = []
+        for r, (_, snaps) in enumerate(res["cons"]):
+            da = DistributedArray.allocate(_DST_DESC, r)
+            da.flat_local()[:] = snaps[step]
+            parts.append(da)
+        assert _same_bytes(parts, _truth(_SRC_DESC.shape, step))
+    # after the bind's window handles, the data plane matches nothing
+    for _, matched in res["prod"]:
+        assert matched[1:] == [0] * (STEPS - 1)
+
+
+# -- a closed transfer refuses every verb -------------------------------------
+
+def _bound_pair(planner):
+    src_desc, dst_desc = _descs(*CASES[2])
+    sched = build_region_schedule(src_desc, dst_desc)
+    src_inters, dst_inters = couple_jobs(Job(src_desc.nranks),
+                                         Job(dst_desc.nranks))
+    g = _truth(src_desc.shape, 0)
+    kw = dict(planner=planner, round_bytes=ROUND_BYTES)
+    tx = sched.persistent_sender(
+        src_inters[0], DistributedArray.from_global(src_desc, 0, g), **kw)
+    rx = sched.persistent_receiver(
+        dst_inters[0], DistributedArray.allocate(dst_desc, 0), **kw)
+    return tx, rx
+
+
+def test_closed_two_sided_transfer_raises():
+    tx, rx = _bound_pair("p2p")
+    assert (tx.tier, rx.tier) == ("two_sided", "two_sided")
+    for half in (tx, rx):
+        half.close()
+        half.close()                   # idempotent
+    for verb in (tx.step, rx.step, rx.arm, rx.complete):
+        with pytest.raises(ConnectionError_):
+            verb()
+
+
+def test_closed_collective_transfer_raises():
+    tx, rx = _bound_pair("collective")
+    assert (tx.tier, rx.tier) == ("collective", "collective")
+    for half in (tx, rx):
+        half.close()
+        half.close()
+    for verb in (tx.step, rx.step, lambda: tx.send_round(0),
+                 lambda: rx.recv_round(0)):
+        with pytest.raises(ConnectionError_):
+            verb()
+
+
+# -- MxNConnection.close() closes its bound transfer --------------------------
+
+def _home(arr):
+    return arr.flat_local().__array_interface__["data"][0]
+
+
+def _mxn_side(comm, role):
+    spec = ConnectionSpec(_SRC_DESC, _DST_DESC, ConnectionKind.PERSISTENT)
+    inter = (default_nameservice.accept("core-mxn", comm) if role == "source"
+             else default_nameservice.connect("core-mxn", comm))
+    g = _truth(_SRC_DESC.shape, 0)
+    da = (DistributedArray.from_global(_SRC_DESC, comm.rank, g)
+          if role == "source"
+          else DistributedArray.allocate(_DST_DESC, comm.rank))
+    conn = MxNConnection(spec, inter, role, da)
+    comm.barrier()
+    before = set(os.listdir("/dev/shm"))
+    private = _home(da)
+    for _ in range(2):
+        conn.data_ready()
+    in_window = _home(da)
+    conn.close()
+    conn.close()                       # idempotent
+    comm.barrier()                     # every rank of this job has closed
+    leaked = set(os.listdir("/dev/shm")) - before
+    with pytest.raises(ConnectionError_):
+        conn.data_ready()
+    return private, in_window, _home(da), sorted(leaked), da
+
+
+def test_mxn_close_retires_the_rma_window(monkeypatch):
+    monkeypatch.setenv("REPRO_RMA", "1")
+    res = run_coupled([("src", _SRC_DESC.nranks, _mxn_side, ("source",)),
+                       ("dst", _DST_DESC.nranks, _mxn_side, ("destination",))],
+                      deadlock_timeout=30.0, backend="procs")
+    for private, in_window, after, leaked, _ in res["dst"]:
+        assert in_window != private    # the bind rebased it into the window
+        assert after != in_window      # close() evacuated it again
+        assert leaked == []
+    assert _same_bytes([da for *_, da in res["dst"]],
+                       _truth(_SRC_DESC.shape, 0))
+
+
+# -- REPRO_VERIFY reaches the collective tier ---------------------------------
+
+@pytest.fixture
+def verify_on():
+    was = hook.verify_enabled()
+    hook.set_verify(True)
+    hook.VERIFY_STATS.reset()
+    yield hook.VERIFY_STATS
+    hook.set_verify(was)
+    hook.VERIFY_STATS.reset()
+
+
+def test_verify_hook_proves_collective_binds_inter(verify_on):
+    src_desc, dst_desc = _descs(*CASES[2])
+    sched = build_region_schedule(src_desc, dst_desc)
+    src_inters, dst_inters = couple_jobs(Job(src_desc.nranks),
+                                         Job(dst_desc.nranks))
+    g = _truth(src_desc.shape, 0)
+    kw = dict(planner="collective", round_bytes=ROUND_BYTES)
+    senders = [sched.persistent_sender(
+        src_inters[r], DistributedArray.from_global(src_desc, r, g), **kw)
+        for r in range(src_desc.nranks)]
+    dsts = [DistributedArray.allocate(dst_desc, r)
+            for r in range(dst_desc.nranks)]
+    receivers = [sched.persistent_receiver(dst_inters[r], dsts[r], **kw)
+                 for r in range(dst_desc.nranks)]
+    bound = verify_on.snapshot()
+    assert bound["rank_checks"] == src_desc.nranks + dst_desc.nranks
+    nrounds = sched.collective_plan(8, ROUND_BYTES).nrounds
+    for _ in range(STEPS):
+        for rnd in range(nrounds):
+            for tx in senders:
+                tx.send_round(rnd)
+            for rx in receivers:
+                rx.recv_round(rnd)
+        for tx in senders:
+            tx.finish()
+    assert _same_bytes(dsts, g)
+    assert verify_on.snapshot() == bound          # zero hook calls per step
+
+
+def test_verify_hook_proves_collective_binds_intra(verify_on):
+    src_desc, dst_desc = _descs(*CASES[2])
+    _, steps = _intra(src_desc, dst_desc, "collective", 2)
+    assert all(ok for ok, _, _ in steps)
+    stats = verify_on.snapshot()
+    # proved once per (side, rank); the second transfer re-binds and hits
+    # the proof cache
+    assert stats["rank_checks"] == src_desc.nranks + dst_desc.nranks
+    assert stats["cache_hits"] == src_desc.nranks + dst_desc.nranks

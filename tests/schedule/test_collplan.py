@@ -28,11 +28,7 @@ from repro.schedule import (
     resolve_planner,
     resolve_round_bytes,
 )
-from repro.schedule.collplan import (
-    ACK_TAG_OFFSET,
-    CollectiveReceiver,
-    CollectiveSender,
-)
+from repro.schedule.executor import ACK_TAG_OFFSET
 from repro.simmpi import run_spmd
 from repro.simmpi.intercomm import couple_jobs
 from repro.simmpi.runner import Job
@@ -306,10 +302,10 @@ def _build_engines(src_desc, dst_desc, g, round_bytes, tag=610):
             for r in range(src_desc.nranks)]
     dsts = [DistributedArray.allocate(dst_desc, r)
             for r in range(dst_desc.nranks)]
-    senders = [CollectiveSender(sched, coll, src_inters[r], srcs[r], tag=tag)
+    bound = dict(tag=tag, planner="collective", round_bytes=round_bytes)
+    senders = [sched.persistent_sender(src_inters[r], srcs[r], **bound)
                for r in range(src_desc.nranks)]
-    receivers = [CollectiveReceiver(sched, coll, dst_inters[r], dsts[r],
-                                    tag=tag)
+    receivers = [sched.persistent_receiver(dst_inters[r], dsts[r], **bound)
                  for r in range(dst_desc.nranks)]
     return sched, coll, senders, receivers, dsts
 

@@ -1,5 +1,6 @@
-"""Message coalescing: packed execution must match unpacked byte-for-byte
-and collapse the wire traffic to one message per communicating pair."""
+"""Message coalescing: packed execution must match the per-region
+baseline byte-for-byte and collapse the wire traffic to one message per
+communicating pair."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.dad import (
     DistributedArray,
 )
 from repro.dad.template import block_template
+from repro.baselines import redistribute_per_region
 from repro.errors import ScheduleError
 from repro.schedule import (
     build_region_schedule,
@@ -38,9 +40,10 @@ def _redistribute(src_desc, dst_desc, g, *, packed):
                if comm.rank < src_desc.nranks else None)
         dst = (DistributedArray.allocate(dst_desc, comm.rank)
                if comm.rank < dst_desc.nranks else None)
-        execute_intra(sched, comm, src_array=src, dst_array=dst,
-                      src_ranks=range(src_desc.nranks),
-                      dst_ranks=range(dst_desc.nranks), packed=packed)
+        run = execute_intra if packed else redistribute_per_region
+        run(sched, comm, src_array=src, dst_array=dst,
+            src_ranks=range(src_desc.nranks),
+            dst_ranks=range(dst_desc.nranks))
         # counters are shared per job; snapshot after all threads join
         return dst, comm.counters
 

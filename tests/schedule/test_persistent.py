@@ -256,8 +256,8 @@ class TestRmaEquivalence:
                        dtype=np.float64)
         src_arrays, dst_arrays, senders, receivers = _rma_engines(
             src_desc, dst_desc, g)
-        assert all(tx.mode == "rma" for tx in senders)
-        assert all(rx.mode == "rma" for rx in receivers)
+        assert all(tx.tier == "rma" for tx in senders)
+        assert all(rx.tier == "rma" for rx in receivers)
         total = int(np.prod(src_t.shape))
         for _i in range(3):
             got = _step(senders, receivers)
@@ -315,13 +315,19 @@ class TestRmaEquivalence:
         _, dst_arrays, senders, receivers = _rma_engines(
             src_desc, dst_desc, g)
         _step(senders, receivers)
-        wins = [rx._win for rx in receivers]
+        def home(arr):
+            return arr.flat_local().__array_interface__["data"][0]
+
+        # bound: every destination array lives inside its exposed window
+        assert all(np.shares_memory(arr.flat_local(), rx._win.buffer)
+                   for arr, rx in zip(dst_arrays, receivers))
+        in_window = [home(arr) for arr in dst_arrays]
         _close_all(senders, receivers)
         for d, arr in enumerate(dst_arrays):
             expect = DistributedArray.from_global(dst_desc, d, g)
             assert arr.flat_local().tobytes() == expect.flat_local().tobytes()
-        assert all(w is None for w in (rx._win for rx in receivers))
-        assert all(w is not None for w in wins)
+        assert all(home(arr) != was
+                   for arr, was in zip(dst_arrays, in_window))
 
     def test_rma_falls_back_on_incapable_transport(self):
         """mode="rma" on the plain threads transport (no shared windows
@@ -345,7 +351,7 @@ class TestRmaEquivalence:
                                            mode="rma")
                    for r in range(src_desc.nranks)]
         assert TRANSPORT_STATS.get("rma_fallbacks") > before
-        assert all(e.mode == "two_sided" for e in senders + receivers)
+        assert all(e.tier == "two_sided" for e in senders + receivers)
         got = _step(senders, receivers)
         assert got == 24
         for d, arr in enumerate(dst_arrays):
@@ -370,6 +376,6 @@ class TestRmaEquivalence:
                      for r in range(3)]
         senders = [sched.persistent_sender(src_inters[r], src_arrays[r])
                    for r in range(2)]
-        assert all(e.mode == "rma" for e in senders + receivers)
+        assert all(e.tier == "rma" for e in senders + receivers)
         assert _step(senders, receivers) == 12
         _close_all(senders, receivers)
