@@ -385,7 +385,7 @@ def test_acceptance_memory_bound():
 
 def test_cost_model_decisions():
     # A reduced-extent fan-out schedule still crosses the ceiling: the
-    # auto rule compares 2x wire bytes against REPRO_MEM_CEILING.
+    # auto rule compares 2x wire bytes against costmodel.MEM_CEILING.
     src_desc, dst_desc = _pair(*ACCEPTANCE, 384_000)
     sched = build_region_schedule(src_desc, dst_desc)
     assert cost_model_decisions(sched)["passed"]

@@ -24,13 +24,13 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import config
 from repro.errors import ConnectionError_, ScheduleError
 from repro.dad.darray import DistributedArray
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.dad.template import Template, block_template
 from repro.schedule.bufpool import BufferPool
 from repro.schedule.builder import GLOBAL_CACHE
-from repro.schedule.costmodel import resolve_planner
 from repro.schedule.delta import compile_delta
 from repro.schedule.executor import (execute_inter, execute_intra,
                                      resolve_tier)
@@ -48,6 +48,10 @@ _HANDSHAKE_TAG = 150
 _DATA_TAG = 151
 _RESIZE_TAG = 152
 
+#: Knobs both jobs of a coupling must resolve identically: with the
+#: agreed schedule, dtype and transport they determine the tier.
+_AGREED = ("planner", "round_bytes", "rma")
+
 
 def redistribute(global_array: np.ndarray,
                  src_grid: Sequence[int],
@@ -60,15 +64,15 @@ def redistribute(global_array: np.ndarray,
 
     ``backend="procs"`` runs the ranks as real processes with payloads
     in shared memory (see :mod:`repro.simmpi.transport`); the default
-    follows ``REPRO_BACKEND`` / threads.  ``planner`` picks the
-    execution strategy (``p2p``/``collective``/``auto``, default
-    ``REPRO_PLANNER`` then ``p2p``)."""
+    is the ``backend`` knob.  ``planner`` picks the execution strategy
+    (``p2p``/``collective``/``auto``, the ``planner`` knob) — see
+    :mod:`repro.config`."""
     global_array = np.asarray(global_array)
     src = DistArrayDescriptor(
         block_template(global_array.shape, src_grid), global_array.dtype)
     dst = DistArrayDescriptor(
         block_template(global_array.shape, dst_grid), global_array.dtype)
-    sched = _cache.get(src, dst, planner=resolve_planner(planner))
+    sched = _cache.get(src, dst)
     n = max(src.nranks, dst.nranks)
 
     def main(comm):
@@ -227,14 +231,14 @@ class Channel:
 
     The execution tier is resolved once, at open, by
     :func:`~repro.schedule.executor.resolve_tier` (its table says what
-    each tier costs and releases); both sides must pass the same
-    ``one_sided``/``planner``.  ``one_sided=True`` requests the RMA
-    tier (``None`` follows ``REPRO_RMA``): on the procs backend the
+    each tier costs and releases); both sides must request the same
+    ``one_sided``/``planner`` (:meth:`Coupler.open` checks).
+    ``one_sided=True`` requests the RMA tier: on the procs backend the
     consumer's array lives inside a shared window and each ``push``
     writes directly into it.  ``planner="collective"`` (or ``auto``
-    deciding so, or ``REPRO_PLANNER``) selects memory-bounded
-    acknowledged rounds instead.  Both of those make a ``push`` wait
-    for the consumer's matching ``pull``, so producer and consumer
+    deciding so) selects memory-bounded acknowledged rounds instead.
+    Both of those make a ``push`` wait for the consumer's matching
+    ``pull``, so producer and consumer
     proceed in lockstep — two programs that each push before pulling
     the reverse channel must stay two-sided (or pre-arm) to avoid a
     cycle.
@@ -253,8 +257,7 @@ class Channel:
         self._closed = False
         self._tier = resolve_tier(
             schedule, np.dtype(darray.descriptor.dtype).itemsize, inter,
-            mode=(None if one_sided is None
-                  else ("rma" if one_sided else "two_sided")),
+            mode="rma" if config.resolve("rma", one_sided) else "two_sided",
             planner=planner)
         self.transfers = 0
 
@@ -328,26 +331,36 @@ class Coupler:
     # -- connection plumbing ------------------------------------------------
 
     def _handshake(self, comm: Communicator, role: str,
-                   descriptor: DistArrayDescriptor,
+                   descriptor: DistArrayDescriptor, *,
+                   one_sided: bool | None = False,
                    planner: str | None = None):
+        """Connect, then exchange the descriptor and this job's resolved
+        :data:`_AGREED` requests in one message.  Every rank of both
+        jobs raises :class:`~repro.errors.ConnectionError_` when the
+        requests differ — before any transfer could stall on it.
+        One-shots are always two-sided, hence ``one_sided=False``."""
         if role == "source":
             inter = self.nameservice.accept(self.name, comm)
         else:
             inter = self.nameservice.connect(self.name, comm)
+        mine = tuple(config.resolve(knob, arg) for knob, arg
+                     in zip(_AGREED, (planner, None, one_sided)))
         if comm.rank == 0:
-            inter.send(descriptor, dest=0, tag=_HANDSHAKE_TAG)
+            inter.send((descriptor, mine), dest=0, tag=_HANDSHAKE_TAG)
             peer = inter.recv(source=0, tag=_HANDSHAKE_TAG)
         else:
             peer = None
-        peer = comm.bcast(peer, root=0)
-        # Planner participates in the cache key: a collective-tier
-        # schedule (with its memoized round plans) never aliases the
-        # p2p entry for the same template pair.
-        planner = resolve_planner(planner)
+        peer, theirs = comm.bcast(peer, root=0)
+        for knob, a, b in zip(_AGREED, mine, theirs):
+            if a != b:
+                raise ConnectionError_(
+                    f"coupling {self.name!r}: the jobs disagree on {knob} "
+                    f"({config.KNOBS[knob].env}) — this {role} resolved "
+                    f"{a!r}, its peer {b!r}")
         if role == "source":
-            sched = _cache.get(descriptor, peer, planner=planner)
+            sched = _cache.get(descriptor, peer)
         else:
-            sched = _cache.get(peer, descriptor, planner=planner)
+            sched = _cache.get(peer, descriptor)
         return inter, sched
 
     # -- one-shot -----------------------------------------------------------------
@@ -377,25 +390,22 @@ class Coupler:
         Consumer: ``open(comm, "destination", layout_descriptor)`` —
         the local array is allocated for you (``channel.array``).
 
-        ``one_sided=True`` requests the RMA execution tier (pass it on
-        **both** sides; see :class:`Channel`); ``None`` defers to the
-        ``REPRO_RMA`` environment variable.  ``planner`` selects the
-        redistribution strategy (``p2p``/``collective``/``auto``,
-        ``None`` defers to ``REPRO_PLANNER``); the ``auto`` cost model
-        is a pure function of the handshaken schedule, the dtype, and
-        the environment, so both sides resolve the same strategy
-        without negotiating — pass the same value on both sides.
+        ``one_sided=True`` requests the RMA execution tier (see
+        :class:`Channel`); ``planner`` selects the redistribution
+        strategy (``p2p``/``collective``/``auto``).  ``None`` defers to
+        the ``rma`` / ``planner`` knobs of :mod:`repro.config`.  Both
+        sides must resolve the same requests — the handshake raises
+        :class:`~repro.errors.ConnectionError_` on every rank of both
+        jobs otherwise — and the tier then follows from the handshaken
+        schedule and the dtype without negotiating.
         """
-        if role == "source":
-            darray = darray_or_layout
-            inter, sched = self._handshake(comm, role, darray.descriptor,
-                                           planner)
-        elif role == "destination":
-            layout = darray_or_layout
-            darray = DistributedArray.allocate(layout, comm.rank)
-            inter, sched = self._handshake(comm, role, layout, planner)
-        else:
+        if role not in ("source", "destination"):
             raise ConnectionError_(
                 f"role must be 'source' or 'destination', got {role!r}")
+        darray = (darray_or_layout if role == "source" else
+                  DistributedArray.allocate(darray_or_layout, comm.rank))
+        inter, sched = self._handshake(
+            comm, role, darray.descriptor, one_sided=one_sided,
+            planner=planner)
         return Channel(inter, role, sched, darray, one_sided=one_sided,
                        planner=planner)

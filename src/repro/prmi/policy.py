@@ -29,18 +29,17 @@ Policies
   traffic until :meth:`CachedRead.invalidate` is called.  Only sound
   for read-like methods; staleness is the caller's explicit contract.
 
-``batch_max``/``delay_us`` default from ``REPRO_BATCH_MAX`` /
-``REPRO_BATCH_DELAY_US`` (explicit arguments win), the same
-arg > env > default precedence the planner knobs use.
+``batch_max``/``delay_us`` are the ``batch_max`` / ``batch_delay_us``
+knobs of :mod:`repro.config`.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
 import numpy as np
 
+from repro import config
 from repro.cca.sidl import MethodSpec
 from repro.errors import PRMIError
 from repro.util.counters import PRMI_STATS
@@ -52,57 +51,7 @@ __all__ = [
     "Batched",
     "CachedRead",
     "PolicyTable",
-    "resolve_batch_max",
-    "resolve_batch_delay_us",
-    "resolve_inflight_max",
 ]
-
-#: Built-in defaults behind the env knobs.
-DEFAULT_BATCH_MAX = 32
-DEFAULT_BATCH_DELAY_US = 200
-DEFAULT_INFLIGHT_MAX = 1024
-
-
-def _env_int(name: str, default: int, *, minimum: int = 1) -> int:
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise PRMIError(f"{name}={raw!r} is not an integer") from exc
-    if value < minimum:
-        raise PRMIError(f"{name}={value} must be >= {minimum}")
-    return value
-
-
-def resolve_batch_max(arg: int | None = None) -> int:
-    """Batch-size cap: explicit arg > ``REPRO_BATCH_MAX`` > 32."""
-    if arg is not None:
-        if arg < 1:
-            raise PRMIError(f"batch_max={arg} must be >= 1")
-        return int(arg)
-    return _env_int("REPRO_BATCH_MAX", DEFAULT_BATCH_MAX)
-
-
-def resolve_batch_delay_us(arg: int | None = None) -> int:
-    """Flush deadline (µs): explicit arg > ``REPRO_BATCH_DELAY_US`` > 200."""
-    if arg is not None:
-        if arg < 0:
-            raise PRMIError(f"batch_delay_us={arg} must be >= 0")
-        return int(arg)
-    return _env_int("REPRO_BATCH_DELAY_US", DEFAULT_BATCH_DELAY_US,
-                    minimum=0)
-
-
-def resolve_inflight_max(arg: int | None = None) -> int:
-    """In-flight cap per endpoint: arg > ``REPRO_INFLIGHT_MAX`` > 1024."""
-    if arg is not None:
-        if arg < 1:
-            raise PRMIError(f"inflight_max={arg} must be >= 1")
-        return int(arg)
-    return _env_int("REPRO_INFLIGHT_MAX", DEFAULT_INFLIGHT_MAX)
-
 
 class TransmissionPolicy:
     """Base class: how one method's invocations travel."""
@@ -144,8 +93,8 @@ class Batched(TransmissionPolicy):
 
     def __init__(self, batch_max: int | None = None,
                  delay_us: int | None = None):
-        self.batch_max = resolve_batch_max(batch_max)
-        self.delay_us = resolve_batch_delay_us(delay_us)
+        self.batch_max = config.resolve("batch_max", batch_max)
+        self.delay_us = config.resolve("batch_delay_us", delay_us)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Batched(batch_max={self.batch_max}, "

@@ -55,6 +55,7 @@ import time
 from collections import deque
 from typing import Any
 
+from repro import config
 from repro.errors import PRMIError, ServerOverloaded
 from repro.prmi.endpoint import (
     CalleeEndpoint,
@@ -65,14 +66,7 @@ from repro.prmi.endpoint import (
     SUBSET_TAG,
 )
 from repro.prmi.frames import decode_frame, encode_frame
-from repro.prmi.policy import (
-    Batched,
-    CachedRead,
-    PolicyTable,
-    resolve_batch_delay_us,
-    resolve_batch_max,
-    resolve_inflight_max,
-)
+from repro.prmi.policy import Batched, CachedRead, PolicyTable
 from repro.simmpi.constants import ANY_SOURCE, frame_tag
 from repro.util.counters import PRMI_LATENCY, PRMI_STATS
 
@@ -172,7 +166,7 @@ class ServerLoop:
                  queue_max: int | None = None):
         self.callee = callee
         self.inter = callee.inter
-        self.queue_max = resolve_inflight_max(queue_max)
+        self.queue_max = config.resolve("inflight_max", queue_max)
         self._stopped: set[int] = set()
         #: Dispatch tallies, returned by :meth:`serve_forever`.
         self.served = {"collective": 0, "independent": 0, "frames": 0,
@@ -329,9 +323,9 @@ class InvocationPipeline:
         self.caller = caller
         self.inter = caller.inter
         self.policies = policies if policies is not None else PolicyTable()
-        self.batch_max = resolve_batch_max(batch_max)
-        self.delay_us = resolve_batch_delay_us(delay_us)
-        self.inflight_max = resolve_inflight_max(inflight_max)
+        self.batch_max = config.resolve("batch_max", batch_max)
+        self.delay_us = config.resolve("batch_delay_us", delay_us)
+        self.inflight_max = config.resolve("inflight_max", inflight_max)
         self.overflow = overflow
         #: callee -> [(seq, method, kwargs, future-or-None)], unsent.
         self._pending: dict[int, list] = {}

@@ -36,7 +36,6 @@ from repro.schedule.indexplan import (
 from repro.schedule.builder import (
     GLOBAL_CACHE,
     ScheduleCache,
-    resolve_cache_max,
     build_allpairs_schedule,
     build_block_schedule,
     build_linear_schedule,
@@ -59,8 +58,6 @@ from repro.schedule.costmodel import (
     CostEstimate,
     choose_planner,
     estimate,
-    resolve_planner,
-    resolve_round_bytes,
 )
 from repro.schedule.executor import (
     BoundTransfer,
@@ -83,7 +80,6 @@ __all__ = [
     "LinearItem",
     "ScheduleCache",
     "GLOBAL_CACHE",
-    "resolve_cache_max",
     "DeltaSchedule",
     "compile_delta",
     "warm_start_plans",
@@ -106,8 +102,6 @@ __all__ = [
     "CostEstimate",
     "estimate",
     "choose_planner",
-    "resolve_planner",
-    "resolve_round_bytes",
     "pack_regions",
     "unpack_regions",
     "region_offsets",

@@ -30,7 +30,6 @@ array again) skips the build entirely.
 from __future__ import annotations
 
 import heapq
-import os
 import threading
 from collections import OrderedDict
 from itertools import product
@@ -38,6 +37,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro import config
 from repro.errors import ScheduleError
 from repro.dad.axis import (
     AxisDistribution,
@@ -316,34 +316,6 @@ def build_linear_schedule(src: Linearization,
     return LinearSchedule(items, src.nranks, dst.nranks)
 
 
-#: Default LRU bound for :class:`ScheduleCache`.  One entry pins a
-#: schedule plus its compiled plans (O(items) each); 512 distinct
-#: template pairs is far beyond any single coupling but small enough
-#: that a long-lived multi-tenant process cannot grow without limit.
-DEFAULT_SCHEDULE_CACHE_MAX = 512
-
-
-def resolve_cache_max(max_entries: int | None = None) -> int:
-    """Resolve the schedule-cache LRU bound: explicit argument, else the
-    ``REPRO_SCHEDULE_CACHE_MAX`` environment variable, else
-    :data:`DEFAULT_SCHEDULE_CACHE_MAX`.  ``0`` disables eviction
-    (unbounded); negative values are rejected."""
-    if max_entries is None:
-        raw = os.environ.get("REPRO_SCHEDULE_CACHE_MAX")
-        max_entries = DEFAULT_SCHEDULE_CACHE_MAX if raw is None else raw
-    try:
-        max_entries = int(max_entries)
-    except (TypeError, ValueError):
-        raise ScheduleError(
-            f"REPRO_SCHEDULE_CACHE_MAX must be an integer, got "
-            f"{max_entries!r}") from None
-    if max_entries < 0:
-        raise ScheduleError(
-            f"REPRO_SCHEDULE_CACHE_MAX must be >= 0 (0 = unbounded), got "
-            f"{max_entries}")
-    return max_entries
-
-
 class ScheduleCache:
     """Template-pair keyed, LRU-bounded schedule cache with statistics.
 
@@ -351,20 +323,18 @@ class ScheduleCache:
     and even for different arrays as long as they conform to the same
     distribution template".  Builder options participate in the key:
     ``get(src, dst, force_general=True)`` never returns a fast-path
-    schedule cached by a plain ``get(src, dst)``.  So does the
-    execution ``planner`` (which the builder never sees): a schedule
-    carries memoized per-planner state — collective round plans, index
-    plans sized for round packing — so a ``planner="collective"`` entry
-    must never alias a ``planner="p2p"`` one compiled for the same
-    template pair.
+    schedule cached by a plain ``get(src, dst)``.  The execution
+    planner does not: a schedule's memoized plans serve every tier, so
+    one template pair is one entry whichever tier replays it.
 
     Two behaviors beyond plain memoization:
 
-    * **Bounded.**  At most :func:`resolve_cache_max` entries are
-      retained (``max_entries`` argument, else the
-      ``REPRO_SCHEDULE_CACHE_MAX`` env knob, resolved per insert so the
-      knob is live); least-recently-*used* entries are evicted and
-      counted in ``evictions``.
+    * **Bounded.**  At most ``max_entries`` entries are retained (the
+      ``schedule_cache_max`` knob of :mod:`repro.config`, resolved per
+      insert so the variable is live; 512 pinned schedules is far beyond
+      any single coupling, small enough that a long-lived process cannot
+      grow without limit); least-recently-*used* entries are evicted
+      and counted in ``evictions``.
     * **Warm starts.**  On a miss whose key shares one descriptor side
       with a cached entry (the elastic-resize signature: same source
       template, new destination), the freshly built schedule is seeded
@@ -393,12 +363,11 @@ class ScheduleCache:
     @property
     def max_entries(self) -> int:
         """The currently effective LRU bound (0 = unbounded)."""
-        return resolve_cache_max(self._max_entries)
+        return config.resolve("schedule_cache_max", self._max_entries)
 
     def get(self, src: DistArrayDescriptor,
-            dst: DistArrayDescriptor, *, planner: str | None = None,
-            **kwargs) -> CommSchedule:
-        key = (src.cache_key(), dst.cache_key(), planner,
+            dst: DistArrayDescriptor, **kwargs) -> CommSchedule:
+        key = (src.cache_key(), dst.cache_key(),
                tuple(sorted(kwargs.items())))
         with self._lock:
             entry = self._cache.get(key)
@@ -409,7 +378,7 @@ class ScheduleCache:
             self.misses += 1
             schedule = self._builder(src, dst, **kwargs)
             if self._warm_start:
-                sibling = self._find_sibling(key)
+                sibling = next(self._siblings(key), None)
                 if sibling is not None:
                     from repro.schedule.delta import warm_start_plans
                     old_sched, old_src, old_dst = sibling
@@ -423,47 +392,37 @@ class ScheduleCache:
                     self.evictions += 1
             return schedule
 
-    def _find_sibling(self, key: tuple):
-        """Most-recently-used cached entry sharing a descriptor side
-        (and all builder options) with ``key``.  Either side of the
-        sibling may match either side of the key — compiled plans are
+    def _siblings(self, key: tuple):
+        """Cached entries sharing a descriptor side (and all builder
+        options) with ``key``, most recently used first.  Either side of
+        a sibling may match either side of the key — compiled plans are
         side-agnostic (pure functions of layout + wire regions), and
         an elastic resize chain alternates sides: the (d8→d10) entry is
         the artifact source for a (d10→d12) miss."""
-        src_key, dst_key, planner, opts = key
+        src_key, dst_key, opts = key
         for other, entry in reversed(self._cache.items()):
-            o_src, o_dst, o_planner, o_opts = other
-            if (o_planner, o_opts) != (planner, opts):
-                continue
-            if src_key in (o_src, o_dst) or dst_key in (o_src, o_dst):
-                return entry
-        return None
+            o_src, o_dst, o_opts = other
+            if other != key and o_opts == opts and (
+                    src_key in (o_src, o_dst) or dst_key in (o_src, o_dst)):
+                yield entry
 
     def delta_sibling(self, src: DistArrayDescriptor,
-                      dst: DistArrayDescriptor, *,
-                      planner: str | None = None, **kwargs):
-        """Most-recently-used cached entry sharing a descriptor side
-        with ``(src, dst)`` whose schedule already carries a compiled
-        delta split — the artifact source for warm-starting a fresh
-        delta's *migration* plans (:func:`repro.schedule.delta.
-        compile_delta`).  Returns the sibling's
-        :class:`~repro.schedule.delta.DeltaSchedule` or ``None``."""
+                      dst: DistArrayDescriptor, **kwargs):
+        """Most-recently-used sibling of ``(src, dst)`` whose schedule
+        already carries a compiled delta split — the artifact source
+        for warm-starting a fresh delta's *migration* plans
+        (:func:`repro.schedule.delta.compile_delta`).  Returns the
+        sibling's :class:`~repro.schedule.delta.DeltaSchedule` or
+        ``None``."""
         if not self._warm_start:
             return None
-        key = (src.cache_key(), dst.cache_key(), planner,
+        key = (src.cache_key(), dst.cache_key(),
                tuple(sorted(kwargs.items())))
-        src_key, dst_key, planner_k, opts = key
         with self._lock:
-            for other, entry in reversed(self._cache.items()):
-                if other == key:
-                    continue
-                o_src, o_dst, o_planner, o_opts = other
-                if (o_planner, o_opts) != (planner_k, opts):
-                    continue
-                if src_key in (o_src, o_dst) or dst_key in (o_src, o_dst):
-                    delta = getattr(entry[0], "_delta_split", None)
-                    if delta is not None:
-                        return delta
+            for sched, _src, _dst in self._siblings(key):
+                delta = getattr(sched, "_delta_split", None)
+                if delta is not None:
+                    return delta
         return None
 
     def stats(self) -> dict[str, int]:

@@ -20,82 +20,22 @@ model that picks between them per (schedule, itemsize, world size):
   it, else ``p2p`` (small transfers keep the latency-optimal path).
 
 Both sides of a coupled handshake evaluate the model independently, so
-every input is deterministic: the schedule (already agreed via the
-descriptor handshake), the dtype itemsize, and two knobs read from the
-environment at decision time — ``REPRO_ROUND_BYTES`` (per-rank
-per-round cap, default 64 KiB) and ``REPRO_MEM_CEILING`` (resident
-bytes above which ``auto`` switches, default 1 MiB).  The planner
-itself is forced with ``REPRO_PLANNER={p2p,collective,auto}`` or the
-``planner=`` argument on :meth:`repro.highlevel.Coupler.open` (explicit
-argument wins over the environment; the default is ``p2p``).
+every input is deterministic: the schedule (agreed via the descriptor
+handshake), the dtype itemsize, the constant :data:`MEM_CEILING`, and
+the ``planner`` / ``round_bytes`` knobs (:mod:`repro.config`; the
+handshake cross-checks them).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from repro.errors import ScheduleError
+from repro import config
 
-__all__ = [
-    "PLANNERS",
-    "DEFAULT_ROUND_BYTES",
-    "DEFAULT_MEM_CEILING",
-    "CostEstimate",
-    "resolve_planner",
-    "resolve_round_bytes",
-    "resolve_mem_ceiling",
-    "estimate",
-    "choose_planner",
-]
+__all__ = ["MEM_CEILING", "CostEstimate", "estimate", "choose_planner"]
 
-PLANNERS = ("p2p", "collective", "auto")
-
-#: Per-rank, per-round byte cap for collective round plans (64 KiB —
-#: large enough that pack/copy dominates round overhead, small enough
-#: that a handful of rounds cover typical shards).
-DEFAULT_ROUND_BYTES = 1 << 16
-
-#: Resident-byte threshold above which ``auto`` abandons p2p (1 MiB).
-DEFAULT_MEM_CEILING = 1 << 20
-
-
-def resolve_planner(planner: str | None = None) -> str:
-    """The effective planner name: explicit argument beats
-    ``REPRO_PLANNER`` beats the ``p2p`` default."""
-    if planner is None:
-        planner = os.environ.get("REPRO_PLANNER", "p2p")
-    planner = planner.lower()
-    if planner not in PLANNERS:
-        raise ScheduleError(
-            f"unknown planner {planner!r}: expected one of {PLANNERS}")
-    return planner
-
-
-def resolve_round_bytes(round_bytes: int | None = None) -> int:
-    """The effective per-rank per-round cap (argument, then
-    ``REPRO_ROUND_BYTES``, then the default)."""
-    if round_bytes is None:
-        round_bytes = int(os.environ.get("REPRO_ROUND_BYTES",
-                                         DEFAULT_ROUND_BYTES))
-    round_bytes = int(round_bytes)
-    if round_bytes <= 0:
-        raise ScheduleError(f"round_bytes must be positive, got "
-                            f"{round_bytes}")
-    return round_bytes
-
-
-def resolve_mem_ceiling(mem_ceiling: int | None = None) -> int:
-    """The effective auto-switch threshold (argument, then
-    ``REPRO_MEM_CEILING``, then the default)."""
-    if mem_ceiling is None:
-        mem_ceiling = int(os.environ.get("REPRO_MEM_CEILING",
-                                         DEFAULT_MEM_CEILING))
-    mem_ceiling = int(mem_ceiling)
-    if mem_ceiling <= 0:
-        raise ScheduleError(f"mem_ceiling must be positive, got "
-                            f"{mem_ceiling}")
-    return mem_ceiling
+#: Resident bytes above which ``auto`` abandons p2p (1 MiB).
+MEM_CEILING = 1 << 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,14 +58,13 @@ class CostEstimate:
         return self.p2p_peak_bytes / self.coll_peak_bytes
 
 
-def estimate(schedule, itemsize: int, *, round_bytes: int | None = None,
-             mem_ceiling: int | None = None) -> CostEstimate:
+def estimate(schedule, itemsize: int, *,
+             round_bytes: int | None = None) -> CostEstimate:
     """Evaluate both planners for ``schedule`` at ``itemsize`` and pick
     one under the ``auto`` rule.  Pure: depends only on the schedule,
-    the itemsize, and the resolved knobs, so all ranks and both coupled
-    sides agree without communicating."""
-    round_bytes = resolve_round_bytes(round_bytes)
-    mem_ceiling = resolve_mem_ceiling(mem_ceiling)
+    the itemsize, and the resolved ``round_bytes``, so all ranks and
+    both coupled sides agree without communicating."""
+    round_bytes = config.resolve("round_bytes", round_bytes)
     itemsize = int(itemsize)
     coll = schedule.collective_plan(itemsize, round_bytes)
     total = schedule.element_count * itemsize
@@ -133,7 +72,7 @@ def estimate(schedule, itemsize: int, *, round_bytes: int | None = None,
     # and queued at once (the A7/A9 one-shot shape).
     p2p_peak = 2 * total
     coll_peak = coll.resident_ceiling()
-    chosen = "collective" if (p2p_peak > mem_ceiling
+    chosen = "collective" if (p2p_peak > MEM_CEILING
                               and coll_peak < p2p_peak) else "p2p"
     return CostEstimate(pair_count=schedule.pair_count,
                         total_bytes=total,
@@ -145,12 +84,10 @@ def estimate(schedule, itemsize: int, *, round_bytes: int | None = None,
 
 def choose_planner(schedule, itemsize: int, *,
                    planner: str | None = None,
-                   round_bytes: int | None = None,
-                   mem_ceiling: int | None = None) -> str:
+                   round_bytes: int | None = None) -> str:
     """Resolve ``planner`` to a concrete execution strategy ("p2p" or
     "collective"), running the cost model when it is ``auto``."""
-    planner = resolve_planner(planner)
+    planner = config.resolve("planner", planner)
     if planner != "auto":
         return planner
-    return estimate(schedule, itemsize, round_bytes=round_bytes,
-                    mem_ceiling=mem_ceiling).chosen
+    return estimate(schedule, itemsize, round_bytes=round_bytes).chosen

@@ -72,20 +72,19 @@ a single thread can drive both sides deterministically (tests, A7, A10).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
 import numpy as np
 
+from repro import config
 from repro.errors import ConnectionError_, ScheduleError
 from repro.dad.darray import DistributedArray
 from repro.linearize.linearization import Linearization
 from repro.schedule.bufpool import BufferPool
 from repro.schedule.collplan import CollectivePlan
-from repro.schedule.costmodel import (choose_planner, resolve_planner,
-                                      resolve_round_bytes)
+from repro.schedule.costmodel import choose_planner
 from repro.schedule.plan import CommSchedule, LinearSchedule
 from repro.simmpi import payload, rma
 from repro.simmpi import sanitize as _san
@@ -120,29 +119,27 @@ def resolve_tier(schedule, itemsize: int | None, link, *,
                  round_bytes: int | None = None) -> Tier:
     """The one place a transfer's execution tier is decided.
 
-    ``planner`` (argument > ``REPRO_PLANNER`` > ``p2p``) goes first:
+    ``planner``, ``round_bytes`` and ``mode`` (``None`` = the ``rma``
+    flag) are knobs of :mod:`repro.config`.  ``planner`` goes first:
     ``collective``, or ``auto`` with the cost model saying so, wins over
-    everything and carries the round plan for ``round_bytes`` (argument
-    > ``REPRO_ROUND_BYTES`` > default).  Otherwise ``mode`` (argument >
-    ``REPRO_RMA=1`` > two-sided) picks between the point-to-point
-    tiers; RMA needs ranks that can attach each other's windows, so on a
-    transport that cannot (the threads backend) it falls back to
-    two-sided, counted as ``rma_fallbacks``.
+    everything and carries the round plan for ``round_bytes``.
+    Otherwise ``mode`` picks between the point-to-point tiers; RMA needs
+    ranks that can attach each other's windows, so on a transport that
+    cannot (the threads backend) it falls back to two-sided, counted as
+    ``rma_fallbacks``.
 
-    Every input is the same on both sides of a coupling — the schedule
-    was agreed at the handshake, the backend is domain-wide, the
-    environment is inherited across fork — so both resolve identically
-    without negotiating; passing *different explicit arguments* on the
-    two sides is the only way to diverge (the RMA bootstrap handshake
-    rejects that).  ``itemsize`` may be ``None`` only when ``planner``
-    resolves to ``p2p``.
+    A pure function of the schedule, the itemsize, the transport and
+    those three requests: two coupled jobs that agree on the requests
+    (:meth:`repro.highlevel.Coupler.open` cross-checks them at the
+    handshake) resolve the same tier without negotiating.  ``itemsize``
+    may be ``None`` only when ``planner`` resolves to ``p2p``.
     """
-    rb = resolve_round_bytes(round_bytes)
+    rb = config.resolve("round_bytes", round_bytes)
     if choose_planner(schedule, itemsize, planner=planner,
                       round_bytes=rb) == "collective":
         return Tier("collective", schedule.collective_plan(itemsize, rb))
     if mode is None:
-        mode = "rma" if os.environ.get("REPRO_RMA") == "1" else "two_sided"
+        mode = "rma" if config.resolve("rma") else "two_sided"
     if mode not in ("two_sided", "rma"):
         raise ValueError(f"unknown execution mode {mode!r}; expected "
                          f"'two_sided' or 'rma'")
@@ -590,7 +587,7 @@ def execute_intra(schedule: CommSchedule, comm: Communicator,
             f"need {schedule.dst_nranks} dest ranks, got {len(dst_ranks)}")
     me = comm.rank
     held = src_array if src_array is not None else dst_array
-    if held is None and resolve_planner(planner) != "p2p":
+    if held is None and config.resolve("planner", planner) != "p2p":
         raise ScheduleError(
             f"rank {me} joins collective-planner execution holding neither "
             f"array — the rounds need every comm rank on at least one side")

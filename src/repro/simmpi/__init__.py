@@ -34,18 +34,15 @@ from repro.simmpi.status import Status
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.intercomm import Intercommunicator, NameService
 from repro.simmpi.runner import SpmdRunner, run_spmd, run_coupled
-from repro.simmpi.transport import BACKENDS, resolve_backend
 
 __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
-    "BACKENDS",
     "Status",
     "Communicator",
     "Intercommunicator",
     "NameService",
     "SpmdRunner",
-    "resolve_backend",
     "run_spmd",
     "run_coupled",
 ]

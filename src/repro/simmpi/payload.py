@@ -39,18 +39,18 @@ what the A7 steady-state benchmark and the CI copies-per-byte gate read.
 
 from __future__ import annotations
 
-import os
 import pickle
 from typing import Any, Callable, Optional
 
 import numpy as np
 
+from repro import config
 from repro.util.counters import TRANSPORT_STATS
 
 #: Byte written over every element of a moved buffer in debug mode.
 POISON_BYTE = 0xCB
 
-_transport_debug = os.environ.get("REPRO_TRANSPORT_DEBUG", "") not in ("", "0")
+_transport_debug = config.resolve("transport_debug")
 
 
 def set_transport_debug(on: bool) -> None:

@@ -30,11 +30,12 @@ import threading
 import time
 from typing import Any, Callable, Optional, Sequence
 
+from repro import config
 from repro.errors import SpmdError
 from repro.simmpi import sanitize as _san
 from repro.simmpi.communicator import Communicator, allocate_context
 from repro.simmpi.matching import AbortFlag
-from repro.simmpi.transport import ThreadTransport, resolve_backend
+from repro.simmpi.transport import ThreadTransport
 from repro.util.counters import Counters
 
 
@@ -235,7 +236,7 @@ def run_spmd(n: int, fn: Callable[..., Any], *args: Any,
     (``slot_bytes``, ``slots_per_endpoint``).  Default: ``"threads"``
     (or the ``REPRO_BACKEND`` environment variable).
     """
-    backend = resolve_backend(backend)
+    backend = config.resolve("backend", backend)
     if backend == "procs":
         from repro.simmpi.procs import run_spmd_procs
         return run_spmd_procs(n, fn, args, kwargs,
@@ -275,7 +276,7 @@ def run_coupled(jobs: Sequence[tuple[str, int, Callable[..., Any], tuple]],
         keyed by ``"{job} rank {r}"`` strings identifying each failed
         rank across all jobs.
     """
-    backend = resolve_backend(backend)
+    backend = config.resolve("backend", backend)
     if backend == "procs":
         from repro.simmpi.procs import run_coupled_procs
         return run_coupled_procs(jobs, deadlock_timeout=deadlock_timeout,

@@ -59,6 +59,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro import config
 from repro.util.counters import RACE_STATS
 
 __all__ = ["RaceReport", "Sanitizer", "enabled", "set_tsan",
@@ -430,10 +431,5 @@ def clear_reports() -> None:
         san.clear()
 
 
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_TSAN", "").strip().lower() in (
-        "1", "true", "on", "yes")
-
-
-if _env_enabled():  # pragma: no cover - exercised by the CI TSAN shard
+if config.resolve("tsan"):  # pragma: no cover - exercised by the CI TSAN shard
     ACTIVE = Sanitizer()

@@ -39,7 +39,6 @@ Wire format of one control message (pickled by the queue):
 from __future__ import annotations
 
 import itertools
-import os
 import pickle
 import sys
 import threading
@@ -48,6 +47,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from repro import config
 from repro.simmpi import sanitize as _san
 from repro.util.counters import Counters, TRANSPORT_STATS
 
@@ -67,29 +67,12 @@ PICKLE = "pk"
 OBJ = "ob"
 
 
-def _inline_max_from_env(default: int = 2048) -> int:
-    """Resolve ``REPRO_SHM_INLINE_MAX`` (bytes, >= 0) or ``default``."""
-    raw = os.environ.get("REPRO_SHM_INLINE_MAX")
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SHM_INLINE_MAX must be an integer byte count, "
-            f"got {raw!r}") from None
-    if value < 0:
-        raise ValueError(
-            f"REPRO_SHM_INLINE_MAX must be >= 0, got {value}")
-    return value
-
-
 #: Payloads at most this many bytes ride inline in the control message
 #: even when a slot is free — a pipe write beats a slot round-trip for
 #: tiny protocol traffic (barrier tokens, handshakes, scalar reduces).
 #: Override with ``REPRO_SHM_INLINE_MAX`` (bytes; 0 disables inlining
 #: of anything but slot-ring overflow).
-INLINE_MAX = _inline_max_from_env()
+INLINE_MAX = config.resolve("shm_inline_max")
 
 _FREE = 0
 _BUSY = 1

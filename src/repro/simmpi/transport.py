@@ -29,7 +29,6 @@ and a pump thread that replays remote deliveries into it.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Optional, Sequence
 
 from repro.simmpi.matching import AbortFlag, Envelope, Mailbox
@@ -37,24 +36,9 @@ from repro.simmpi.matching import AbortFlag, Envelope, Mailbox
 __all__ = [
     "Transport",
     "ThreadTransport",
-    "resolve_backend",
     "current_runtime",
     "set_current_runtime",
 ]
-
-#: Backends accepted by :func:`resolve_backend`.
-BACKENDS = ("threads", "procs")
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Normalize a backend selection (explicit arg > env var > threads)."""
-    if backend is None:
-        backend = os.environ.get("REPRO_BACKEND") or "threads"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    return backend
-
 
 class Transport:
     """Backend contract: deliver to any rank, receive on the local one.

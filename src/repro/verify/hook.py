@@ -16,8 +16,7 @@ per-step work (``verify_hook`` section of ``BENCH_schedule.json``).
 
 from __future__ import annotations
 
-import os
-
+from repro import config
 from repro.util.counters import Counters
 
 __all__ = ["verify_enabled", "set_verify", "maybe_verify_side",
@@ -29,7 +28,7 @@ __all__ = ["verify_enabled", "set_verify", "maybe_verify_side",
 #: benchmark asserts none of these grow during steady-state stepping.
 VERIFY_STATS = Counters()
 
-_enabled = os.environ.get("REPRO_VERIFY", "0") not in ("", "0")
+_enabled = config.resolve("verify")
 
 
 def verify_enabled() -> bool:

@@ -61,6 +61,11 @@ over ``src/``:
   the collective round planner exist to avoid.  Loops that loan from a
   pool (any ``.loan(...)`` call in the loop body) are exempt, as are
   constant-size allocations (empty placeholders).
+* **V110 — knob read outside the config table.**  An ``environ`` /
+  ``getenv`` access to a ``REPRO_*`` name anywhere but
+  :mod:`repro.config` is a second resolver: its own grammar, its own
+  blank-value rule, its own error type — and one more input that two
+  coupled jobs can resolve differently.  Call ``config.resolve``.
 
 A line can opt out with a ``# verify: allow(V10x)`` pragma naming the
 rule.  :func:`lint_paths` walks files or directories and returns
@@ -89,6 +94,7 @@ RULES = {
     "V107": "per-invocation pickle.dumps in a loop outside the frame codec",
     "V108": "raw shared-segment field access outside the accessor layer",
     "V109": "flag transition with no paired release/acquire accessor in scope",
+    "V110": "REPRO_* environment read outside repro.config",
 }
 
 #: The batch frame codec — the one module allowed to pickle in a loop
@@ -114,6 +120,10 @@ SHARED_SEGMENT_FIELDS = {
 
 #: The accessor layer: the only modules allowed to index shared fields.
 ACCESSOR_MODULES = ("simmpi/shm.py", "simmpi/sanitize.py")
+
+#: The knob table — the one module allowed to read ``REPRO_*``
+#: variables from the environment (V110 scope).
+CONFIG_MODULE = "repro/config.py"
 
 #: FREE/BUSY and lifecycle flag constants whose stores V109 polices.
 _FLAG_CONSTANTS = {"_FREE", "_BUSY", "STATE_RUNNING", "STATE_BLOCKED",
@@ -425,6 +435,30 @@ def _check_unpaired_flag_store(func: ast.FunctionDef,
                    f"edge in scope")
 
 
+def _check_env_knob_read(tree: ast.AST, relpath: str,
+                         ) -> Iterator[tuple[int, str]]:
+    """V110: a ``"REPRO_*"`` literal as the key of an ``environ`` /
+    ``getenv`` call or subscript, outside :data:`CONFIG_MODULE`."""
+    if relpath.endswith(CONFIG_MODULE):
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            target, keys = node.func, node.args
+        elif isinstance(node, ast.Subscript):
+            target, keys = node.value, [node.slice]
+        else:
+            continue
+        if not {"environ", "getenv"} & set(_names_in(target)):
+            continue
+        for key in keys:
+            if (isinstance(key, ast.Constant) and isinstance(key.value, str)
+                    and key.value.startswith("REPRO_")):
+                yield (node.lineno,
+                       f"{key.value} read from the environment outside "
+                       f"repro.config — a second resolver; call "
+                       f"config.resolve(...) so the one rule applies")
+
+
 def lint_source(source: str, path: str = "<string>",
                 relpath: str | None = None) -> list[LintViolation]:
     """Run every rule over one module's source text."""
@@ -453,6 +487,8 @@ def lint_source(source: str, path: str = "<string>",
                 for ln, msg in _check_loop_pickle(tree, relpath))
     hits.extend((ln, "V108", msg)
                 for ln, msg in _check_raw_shared_access(tree, relpath))
+    hits.extend((ln, "V110", msg)
+                for ln, msg in _check_env_knob_read(tree, relpath))
 
     out = []
     for line, rule, message in sorted(hits):

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import config
 from repro.errors import ScheduleError, VerificationError
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.linearize.linearization import Linearization
@@ -318,11 +319,9 @@ def verify_collective_plan(schedule: CommSchedule,
       and ``resident_ceiling()`` match the loads recomputed here from
       the raw chunks.
     """
-    from repro.schedule.costmodel import resolve_round_bytes
-
     proof = verify_against_oracle(schedule, src_desc, dst_desc)
     itemsize = np.dtype(src_desc.dtype).itemsize
-    round_bytes = resolve_round_bytes(round_bytes)
+    round_bytes = config.resolve("round_bytes", round_bytes)
     coll = schedule.collective_plan(itemsize, round_bytes)
     failures: list[str] = []
 

@@ -18,15 +18,13 @@ from repro.dad import (
 )
 from repro.errors import ScheduleError
 from repro.schedule import (
+    GLOBAL_CACHE,
     PLAN_STATS,
-    ScheduleCache,
     build_region_schedule,
     choose_planner,
     estimate,
     execute_intra,
     plan_collective_rounds,
-    resolve_planner,
-    resolve_round_bytes,
 )
 from repro.schedule.executor import ACK_TAG_OFFSET
 from repro.simmpi import run_spmd
@@ -128,30 +126,8 @@ def test_collective_plan_memoized_on_schedule():
 # -- planner resolution and the cost model -------------------------------------
 
 
-def test_resolve_planner_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_PLANNER", raising=False)
-    assert resolve_planner() == "p2p"
-    monkeypatch.setenv("REPRO_PLANNER", "collective")
-    assert resolve_planner() == "collective"
-    assert resolve_planner("p2p") == "p2p", "explicit arg wins over env"
-    monkeypatch.setenv("REPRO_PLANNER", "bogus")
-    with pytest.raises(ScheduleError):
-        resolve_planner()
-
-
-def test_resolve_round_bytes(monkeypatch):
-    monkeypatch.delenv("REPRO_ROUND_BYTES", raising=False)
-    assert resolve_round_bytes() == 1 << 16
-    monkeypatch.setenv("REPRO_ROUND_BYTES", "4096")
-    assert resolve_round_bytes() == 4096
-    assert resolve_round_bytes(512) == 512
-    with pytest.raises(ScheduleError):
-        resolve_round_bytes(-1)
-
-
 def test_auto_picks_p2p_on_small_and_collective_on_fanout(monkeypatch):
     monkeypatch.delenv("REPRO_PLANNER", raising=False)
-    monkeypatch.delenv("REPRO_MEM_CEILING", raising=False)
     small = build_region_schedule(*_fanout_pair(extent=96, m=4, n=3))
     assert choose_planner(small, 8, planner="auto") == "p2p"
     # a wire volume past the 1 MiB default ceiling, cheap to build
@@ -167,43 +143,7 @@ def test_auto_picks_p2p_on_small_and_collective_on_fanout(monkeypatch):
     assert choose_planner(big, 8, planner="p2p") == "p2p"
 
 
-def test_auto_respects_mem_ceiling_override():
-    big = build_region_schedule(_cart(BlockCyclic(400_000, 4, 64)),
-                                _cart(Block(400_000, 6)))
-    huge = 1 << 40
-    assert choose_planner(big, 8, planner="auto",
-                          mem_ceiling=huge) == "p2p"
-
-
 # -- schedule-cache keying ------------------------------------------------------
-
-
-def test_cache_keys_on_planner_dimension():
-    src, dst = _fanout_pair()
-    cache = ScheduleCache()
-    p2p = cache.get(src, dst, planner="p2p")
-    coll = cache.get(src, dst, planner="collective")
-    assert p2p is not coll, "planners must not share memoized state"
-    assert cache.get(src, dst, planner="p2p") is p2p
-    assert cache.get(src, dst, planner="collective") is coll
-
-
-def test_cached_schedule_compiles_plans_once_per_key():
-    src, dst = _fanout_pair()
-    cache = ScheduleCache()
-    sched = cache.get(src, dst, planner="collective")
-    PLAN_STATS.reset()
-    first = sched.send_plan(0, src.local_regions(0))
-    compiled = PLAN_STATS.get("rank_plans")
-    assert compiled == 1
-    again = sched.send_plan(0, src.local_regions(0))
-    assert again is first
-    assert PLAN_STATS.get("rank_plans") == compiled
-    # the same descriptor pair under the other planner key compiles its
-    # own plans — distinct state, no cross-key reuse
-    other = cache.get(src, dst, planner="p2p")
-    other.send_plan(0, src.local_regions(0))
-    assert PLAN_STATS.get("rank_plans") == compiled + 1
 
 
 # -- intra-communicator execution ------------------------------------------------
@@ -363,7 +303,7 @@ def test_inter_engines_reuse_pools_after_warmup():
                for tx in senders) == allocs0
 
 
-def test_coupler_collective_round_trip():
+def _coupler_round_trip(planner):
     from repro.highlevel import Coupler
     from repro.simmpi import NameService, run_coupled
 
@@ -374,17 +314,16 @@ def test_coupler_collective_round_trip():
     def producer(comm):
         coupler = Coupler("field", ns)
         darray = DistributedArray.from_global(src_desc, comm.rank, g)
-        ch = coupler.open(comm, "source", darray, planner="collective")
-        assert ch.planner == "collective"
+        ch = coupler.open(comm, "source", darray, planner=planner)
+        assert ch.planner == planner
         for _ in range(2):
             ch.push()
         return ch.transfers
 
     def consumer(comm):
         coupler = Coupler("field", ns)
-        ch = coupler.open(comm, "destination", dst_desc,
-                          planner="collective")
-        assert ch.planner == "collective"
+        ch = coupler.open(comm, "destination", dst_desc, planner=planner)
+        assert ch.planner == planner
         for _ in range(2):
             out = ch.pull()
         return out
@@ -393,3 +332,22 @@ def test_coupler_collective_round_trip():
     assert out["p"] == [2, 2, 2]
     np.testing.assert_array_equal(
         DistributedArray.assemble(out["c"]), g)
+
+
+def test_coupler_collective_round_trip():
+    _coupler_round_trip("collective")
+
+
+def test_one_template_pair_is_one_cache_entry_under_both_planners():
+    """§2.3 reuse: the planner is not part of the cache key, so opening
+    the same template pair under ``p2p`` then ``collective`` builds one
+    schedule and compiles its rank plans once."""
+    GLOBAL_CACHE.clear()
+    _coupler_round_trip("p2p")
+    first, plans = GLOBAL_CACHE.stats(), PLAN_STATS.get("rank_plans")
+    assert (first["entries"], first["misses"], first["hits"]) == (1, 1, 6)
+    assert plans == 7  # one per (side, rank)
+    _coupler_round_trip("collective")
+    second = GLOBAL_CACHE.stats()
+    assert (second["entries"], second["misses"], second["hits"]) == (1, 1, 13)
+    assert PLAN_STATS.get("rank_plans") == plans

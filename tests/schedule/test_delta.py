@@ -19,7 +19,6 @@ from repro.schedule import (
     ScheduleCache,
     build_region_schedule,
     compile_delta,
-    resolve_cache_max,
 )
 from repro.schedule.delta import DeltaSchedule
 from repro.util.counters import REDIST_STATS
@@ -231,20 +230,9 @@ def test_cache_max_env_knob(monkeypatch):
     cache.get(B10, B8)
     assert len(cache) == 3
     monkeypatch.setenv("REPRO_SCHEDULE_CACHE_MAX", "-3")
-    with pytest.raises(ScheduleError):
-        resolve_cache_max()
-    monkeypatch.setenv("REPRO_SCHEDULE_CACHE_MAX", "lots")
-    with pytest.raises(ScheduleError):
-        resolve_cache_max()
-
-
-def test_resolve_cache_max_explicit_overrides_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULE_CACHE_MAX", "7")
-    assert resolve_cache_max() == 7
-    assert resolve_cache_max(3) == 3
-    monkeypatch.delenv("REPRO_SCHEDULE_CACHE_MAX")
-    from repro.schedule.builder import DEFAULT_SCHEDULE_CACHE_MAX
-    assert resolve_cache_max() == DEFAULT_SCHEDULE_CACHE_MAX
+    with pytest.raises(ScheduleError, match="REPRO_SCHEDULE_CACHE_MAX"):
+        cache.get(GB10, GB8)
+    assert ScheduleCache(max_entries=3).max_entries == 3  # arg beats env
 
 
 # -- DRI reorg routing ------------------------------------------------------

@@ -27,7 +27,6 @@ from repro.schedule import build_region_schedule
 from repro.simmpi import run_coupled, run_spmd
 from repro.simmpi import payload
 from repro.simmpi.intercomm import default_nameservice
-from repro.simmpi.transport import resolve_backend
 from repro.util.counters import TRANSPORT_STATS
 
 BACKENDS = ["threads", "procs"]
@@ -56,11 +55,10 @@ def test_procs_ranks_are_real_processes():
 
 def test_backend_env_var_selects_procs(monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", "procs")
-    assert resolve_backend(None) == "procs"
     pids = run_spmd(2, lambda comm: os.getpid())
     assert os.getpid() not in pids
-    with pytest.raises(ValueError, match="unknown backend"):
-        resolve_backend("fibers")
+    with pytest.raises(ValueError, match="REPRO_BACKEND"):
+        run_spmd(2, lambda comm: None, backend="fibers")
 
 
 def _collectives(comm):
@@ -483,22 +481,6 @@ def test_matching_counters_track_rendezvous_cost():
     matched, waited = _run(2, main)[0]          # rank 0: the receiver
     assert matched >= 1
     assert waited >= 1
-
-
-def test_inline_max_env_validation(monkeypatch):
-    from repro.simmpi.shm import _inline_max_from_env
-
-    assert _inline_max_from_env() == 2048       # documented default
-    monkeypatch.setenv("REPRO_SHM_INLINE_MAX", "4096")
-    assert _inline_max_from_env() == 4096
-    monkeypatch.setenv("REPRO_SHM_INLINE_MAX", "0")
-    assert _inline_max_from_env() == 0          # 0 = never inline
-    monkeypatch.setenv("REPRO_SHM_INLINE_MAX", "-1")
-    with pytest.raises(ValueError):
-        _inline_max_from_env()
-    monkeypatch.setenv("REPRO_SHM_INLINE_MAX", "lots")
-    with pytest.raises(ValueError):
-        _inline_max_from_env()
 
 
 def test_slot_view_rejects_oversized_payload():

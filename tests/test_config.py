@@ -1,0 +1,162 @@
+"""The knob table (:mod:`repro.config`): one rule for every knob.
+
+``EXPECTED`` is written by hand, not derived from the registry, so a
+changed variable name, default, bound or error class fails here.  Its
+rows carry the assertions of the per-resolver tests this file replaced
+(``ScheduleError`` for the planner knobs, ``PRMIError`` for the serving
+knobs, ``ValueError`` for backend / inline-max).
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from repro import config
+from repro.errors import PRMIError, ScheduleError
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+#: name -> (variable, default, error, {env text: value}, rejected values)
+EXPECTED = {
+    "backend": ("REPRO_BACKEND", "threads", ValueError,
+                {"procs": "procs", "Threads": "threads"}, ["fibers"]),
+    "transport_debug": ("REPRO_TRANSPORT_DEBUG", False, ValueError,
+                        {"1": True, "off": False}, ["2", "maybe"]),
+    "verify": ("REPRO_VERIFY", False, ValueError,
+               {"1": True, "false": False}, ["2", "maybe"]),
+    "tsan": ("REPRO_TSAN", False, ValueError,
+             {"true": True, "0": False}, ["2", "maybe"]),
+    "rma": ("REPRO_RMA", False, ValueError,
+            {"true": True, "1": True, "no": False}, ["2", "maybe"]),
+    "shm_inline_max": ("REPRO_SHM_INLINE_MAX", 2048, ValueError,
+                       {"4096": 4096, "0": 0}, ["-1", "lots"]),
+    "planner": ("REPRO_PLANNER", "p2p", ScheduleError,
+                {"collective": "collective", "AUTO": "auto"}, ["bogus"]),
+    "round_bytes": ("REPRO_ROUND_BYTES", 1 << 16, ScheduleError,
+                    {"4096": 4096, "1": 1}, ["0", "-1", "64k"]),
+    "schedule_cache_max": ("REPRO_SCHEDULE_CACHE_MAX", 512, ScheduleError,
+                           {"7": 7, "0": 0}, ["-3", "lots"]),
+    "batch_max": ("REPRO_BATCH_MAX", 32, PRMIError,
+                  {"4": 4, "1": 1}, ["0", "many"]),
+    "batch_delay_us": ("REPRO_BATCH_DELAY_US", 200, PRMIError,
+                       {"50": 50, "0": 0}, ["-1", "soon"]),
+    "inflight_max": ("REPRO_INFLIGHT_MAX", 1024, PRMIError,
+                     {"8": 8, "1": 1}, ["0", "many"]),
+}
+
+ROWS = [pytest.param(name, *row, id=name) for name, row in EXPECTED.items()]
+FLAGS = [name for name, row in EXPECTED.items() if isinstance(row[1], bool)]
+
+
+def test_registry_is_exactly_the_twelve_knobs():
+    assert len(EXPECTED) == 12 and "REPRO_MEM_CEILING" not in str(EXPECTED)
+    assert [(k.name, k.env) for k in config.KNOBS.values()] == \
+        [(name, row[0]) for name, row in EXPECTED.items()]
+
+
+@pytest.mark.parametrize("name, env, default, error, good, bad", ROWS)
+def test_default_env_arg_precedence(monkeypatch, name, env, default, error,
+                                    good, bad):
+    monkeypatch.delenv(env, raising=False)
+    assert config.lookup(name) == (default, "default")
+    for blank in ("", "   "):
+        monkeypatch.setenv(env, blank)
+        assert config.lookup(name) == (default, "default")
+    for text, value in good.items():
+        monkeypatch.setenv(env, text)
+        assert config.lookup(name) == (value, "env")
+        assert config.resolve(name) == value
+    # the last environment value loses to any explicit argument, given
+    # either typed or as the same text the environment would carry
+    for text, value in good.items():
+        assert config.lookup(name, value) == (value, "arg")
+        assert config.resolve(name, text) == value
+
+
+@pytest.mark.parametrize("name, env, default, error, good, bad", ROWS)
+def test_rejected_values_raise_the_rows_error(monkeypatch, name, env,
+                                              default, error, good, bad):
+    for text in bad:
+        monkeypatch.setenv(env, text)
+        with pytest.raises(error, match=env):
+            config.resolve(name)
+        monkeypatch.delenv(env)
+        with pytest.raises(error, match=env):
+            config.resolve(name, text)
+    if isinstance(default, int) and not isinstance(default, bool):
+        with pytest.raises(error, match=env):
+            config.resolve(name, 2.5)
+
+
+@pytest.mark.parametrize("name", FLAGS)
+@pytest.mark.parametrize("text, value", [
+    ("0", False), ("false", False), ("off", False), ("no", False),
+    ("1", True), ("true", True), ("on", True), ("yes", True),
+    ("FALSE", False), ("On", True), (" yes ", True),
+])
+def test_one_flag_grammar(monkeypatch, name, text, value):
+    monkeypatch.setenv(EXPECTED[name][0], text)
+    assert config.resolve(name) is value
+    assert config.resolve(name, not value) is (not value)
+
+
+def _python(*args, **env):
+    """Run ``python *args`` in a fresh interpreter with ``env`` added."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src"), **env})
+
+
+@pytest.mark.parametrize("env, text, code, printed", [
+    ("REPRO_SHM_INLINE_MAX", "4096",
+     "from repro.simmpi import shm; print(shm.INLINE_MAX)", "4096"),
+    ("REPRO_SHM_INLINE_MAX", "",
+     "from repro.simmpi import shm; print(shm.INLINE_MAX)", "2048"),
+    ("REPRO_VERIFY", "false",
+     "from repro.verify import hook; print(hook.verify_enabled())", "False"),
+    ("REPRO_VERIFY", "on",
+     "from repro.verify import hook; print(hook.verify_enabled())", "True"),
+    ("REPRO_TRANSPORT_DEBUG", "off",
+     "from repro.simmpi import payload; print(payload.transport_debug())",
+     "False"),
+    ("REPRO_TRANSPORT_DEBUG", "1",
+     "from repro.simmpi import payload; print(payload.transport_debug())",
+     "True"),
+    ("REPRO_TSAN", "true",
+     "from repro.simmpi import sanitize; print(sanitize.enabled())", "True"),
+    ("REPRO_TSAN", "no",
+     "from repro.simmpi import sanitize; print(sanitize.enabled())", "False"),
+])
+def test_import_time_knobs(env, text, code, printed):
+    done = _python("-c", code, **{env: text})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == printed
+
+
+def test_import_time_garbage_names_the_variable():
+    done = _python("-c", "import repro", REPRO_SHM_INLINE_MAX="lots")
+    assert done.returncode != 0
+    assert "ValueError" in done.stderr
+    assert "REPRO_SHM_INLINE_MAX" in done.stderr
+
+
+def test_cli_lists_every_knob_with_provenance():
+    done = _python("-m", "repro.config", REPRO_PLANNER="auto",
+                   REPRO_VERIFY="")
+    assert done.returncode == 0, done.stderr
+    rows = dict((line.split()[0], line.split()[1:])
+                for line in done.stdout.splitlines())
+    assert list(rows) == [row[0] for row in EXPECTED.values()]
+    assert rows["REPRO_PLANNER"] == ["auto", "env"]
+    assert rows["REPRO_VERIFY"] == ["0", "default"]
+
+
+def test_readme_table_is_the_generated_one():
+    """No drift: the README's knob table is ``--markdown``'s output."""
+    done = _python("-m", "repro.config", "--markdown")
+    assert done.stdout == config.markdown() + "\n"
+    assert config.markdown() in (REPO / "README.md").read_text()
+    assert config.markdown().count("\n| `REPRO_") == len(EXPECTED)

@@ -111,3 +111,53 @@ class TestCoupler:
 
         from repro.simmpi import run_spmd
         assert all(run_spmd(1, one))
+
+
+_MISMATCH_SRC = DistArrayDescriptor(block_template((4096,), (2,)))
+_MISMATCH_DST = DistArrayDescriptor(block_template((4096,), (3,)))
+
+
+def _open_and_step(comm, role, kwargs):
+    """Open one side of the 'mismatch' coupling and try one transfer;
+    return (seconds until the typed error, its message)."""
+    import time
+
+    from repro.simmpi.intercomm import default_nameservice
+
+    held = (DistributedArray.allocate(_MISMATCH_SRC, comm.rank)
+            if role == "source" else _MISMATCH_DST)
+    t0 = time.perf_counter()
+    try:
+        chan = Coupler("mismatch", default_nameservice).open(
+            comm, role, held, **kwargs)
+        chan.push() if role == "source" else chan.pull()
+    except ConnectionError_ as exc:
+        return time.perf_counter() - t0, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("backend", ["threads", "procs"],
+                         ids=["backend-threads", "backend-procs"])
+@pytest.mark.parametrize("knob, variable, prod, cons", [
+    ("planner", "REPRO_PLANNER",
+     {"planner": "collective"}, {"planner": "p2p"}),
+    ("rma", "REPRO_RMA", {"one_sided": True}, {"one_sided": False}),
+])
+def test_mismatched_requests_fail_typed_on_both_jobs(backend, knob, variable,
+                                                     prod, cons):
+    """Two jobs that resolve different tier requests raise
+    ``ConnectionError_`` naming the knob on every rank of both, at the
+    handshake — not a one-sided ``DeadlockError`` after the stall
+    watchdog."""
+    out = run_coupled(
+        [("prod", 2, _open_and_step, ("source", prod)),
+         ("cons", 3, _open_and_step, ("destination", cons))],
+        backend=backend)
+    for job, mine, theirs in (("prod", prod, cons), ("cons", cons, prod)):
+        for result in out[job]:
+            assert result is not None, f"{job} opened a mismatched channel"
+            seconds, message = result
+            assert seconds < 1.0
+            assert knob in message and variable in message
+            (a,), (b,) = mine.values(), theirs.values()
+            assert message.index(repr(a)) < message.index(repr(b))

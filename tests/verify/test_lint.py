@@ -373,3 +373,46 @@ def test_v109_pragma_opts_out():
             self.flags[:] = _FREE  # verify: allow(V109)
     """)
     assert hits == []
+
+
+# -- V110: knob read outside the config table --------------------------------
+
+def test_v110_every_environment_spelling_fires():
+    hits = lint("""
+        import os
+        from os import environ, getenv
+
+        a = os.environ.get("REPRO_PLANNER", "p2p")
+        b = os.getenv("REPRO_RMA")
+        c = os.environ["REPRO_BACKEND"]
+        d = environ.get("REPRO_VERIFY")
+        e = getenv("REPRO_TSAN", "0")
+    """, "src/repro/schedule/costmodel.py")
+    assert [h.rule for h in hits] == ["V110"] * 5
+    assert "REPRO_PLANNER" in hits[0].message
+    assert "config.resolve" in hits[0].message
+
+
+def test_v110_config_module_and_other_variables_are_exempt():
+    code = """
+        import os
+
+        raw = os.environ.get("REPRO_PLANNER", "")
+    """
+    assert lint(code, "src/repro/config.py") == []
+    assert lint("""
+        import os
+
+        home = os.environ.get("HOME")
+        knob = config.resolve("planner")
+        label = names.get("REPRO_PLANNER")
+    """) == []
+
+
+def test_v110_pragma_opts_out():
+    hits = lint("""
+        import os
+
+        raw = os.getenv("REPRO_BACKEND")  # verify: allow(V110)
+    """)
+    assert hits == []
