@@ -13,7 +13,7 @@ import pytest
 from _common import banner, fmt_table, timed
 from repro.dad import DistArrayDescriptor
 from repro.dad.template import block_template
-from repro.schedule import build_block_schedule, build_region_schedule
+from repro.schedule import build_region_schedule, build_structured_schedule
 
 SHAPE = (128, 128)
 GRIDS = [((2, 2), (4, 1)), ((4, 4), (8, 2)), ((8, 8), (16, 4)),
@@ -26,7 +26,7 @@ def report():
     for src_grid, dst_grid in GRIDS:
         src = DistArrayDescriptor(block_template(SHAPE, src_grid))
         dst = DistArrayDescriptor(block_template(SHAPE, dst_grid))
-        t_fast, s_fast = timed(lambda: build_block_schedule(src, dst))
+        t_fast, s_fast = timed(lambda: build_structured_schedule(src, dst))
         t_gen, s_gen = timed(
             lambda: build_region_schedule(src, dst, force_general=True))
         assert s_fast.items == s_gen.items
@@ -45,7 +45,7 @@ def report():
 def test_fast_path(benchmark, grids):
     src = DistArrayDescriptor(block_template(SHAPE, grids[0]))
     dst = DistArrayDescriptor(block_template(SHAPE, grids[1]))
-    benchmark(lambda: build_block_schedule(src, dst))
+    benchmark(lambda: build_structured_schedule(src, dst))
 
 
 @pytest.mark.parametrize("grids", [GRIDS[2]], ids=["64x64ranks"])

@@ -47,7 +47,7 @@ from repro.dad import (
     DistArrayDescriptor,
     DistributedArray,
 )
-from repro.schedule import build_region_schedule
+from repro.schedule import bind, build_region_schedule
 from repro.schedule.costmodel import estimate
 from repro.schedule.executor import execute_inter
 from repro.simmpi.intercomm import couple_jobs
@@ -165,10 +165,10 @@ def _measure(kind, m, n, extent, round_bytes, steps=STEPS, sched=None):
     c_src_inters, c_dst_inters = couple_jobs(src_job, dst_job)
     c_srcs, c_dsts = _arrays(src_desc, dst_desc, extent)
     bound = dict(tag=720, planner="collective", round_bytes=round_bytes)
-    senders = [sched.persistent_sender(c_src_inters[r], c_srcs[r], **bound)
+    senders = [bind(sched, "src", c_src_inters[r], c_srcs[r], **bound)
                for r in range(src_desc.nranks)]
-    receivers = [sched.persistent_receiver(c_dst_inters[r], c_dsts[r],
-                                           **bound)
+    receivers = [bind(sched, "dst", c_dst_inters[r], c_dsts[r],
+                      **bound)
                  for r in range(dst_desc.nranks)]
     _collective_step(senders, receivers, coll.nrounds)  # warm pools
     TRANSPORT_STATS.reset()

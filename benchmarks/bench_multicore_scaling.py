@@ -43,7 +43,8 @@ from repro.dad import (
     DistArrayDescriptor,
     DistributedArray,
 )
-from repro.highlevel import Coupler, _cache
+from repro.highlevel import Coupler
+from repro.schedule import GLOBAL_CACHE
 from repro.simmpi import run_coupled
 from repro.simmpi.intercomm import default_nameservice
 from repro.simmpi.procs import slot_stats
@@ -145,7 +146,8 @@ def _measure(backend, extent=EXTENT, steps=STEPS, *, collect=False,
     """One backend's steady-state throughput plus the exact allocation
     counters, all from the same persistent-channel rank program."""
     src_desc, dst_desc = _descs(extent)
-    sched = _cache.get(src_desc, dst_desc)   # pre-warm: forked ranks inherit
+    # pre-warm: forked ranks inherit the cached schedule
+    sched = GLOBAL_CACHE.get(src_desc, dst_desc)
     wire_bytes = sched.nbytes(np.float64)
     pairs = {(it.src, it.dst) for it in sched.items}
     dst_of = {r: sorted(d for s, d in pairs if s == r) for r in range(M)}

@@ -43,8 +43,7 @@ from repro.dad import (
     DistributedArray,
 )
 from repro.dad.template import block_template
-from repro.schedule import build_region_schedule
-from repro.schedule.executor import execute_inter
+from repro.schedule import bind, build_region_schedule, execute_inter
 from repro.simmpi.intercomm import couple_jobs
 from repro.simmpi.runner import Job
 from repro.util.counters import TRANSPORT_STATS
@@ -132,9 +131,9 @@ def _measure(kind, m, n, extent=EXTENT, steps=STEPS):
     src_job, dst_job = Job(src_desc.nranks), Job(dst_desc.nranks)
     src_inters, dst_inters = couple_jobs(src_job, dst_job)
     srcs, dsts = _arrays(src_desc, dst_desc, extent)
-    senders = [sched.persistent_sender(src_inters[r], srcs[r])
+    senders = [bind(sched, "src", src_inters[r], srcs[r])
                for r in range(src_desc.nranks)]
-    receivers = [sched.persistent_receiver(dst_inters[r], dsts[r])
+    receivers = [bind(sched, "dst", dst_inters[r], dsts[r])
                  for r in range(dst_desc.nranks)]
     _persistent_step(senders, receivers)  # warm-up: pools fill here
     c0 = TRANSPORT_STATS.get("bytes_copied")
@@ -182,9 +181,9 @@ def verify_hook_guard(extent=480, steps=6):
         src_job, dst_job = Job(src_desc.nranks), Job(dst_desc.nranks)
         src_inters, dst_inters = couple_jobs(src_job, dst_job)
         srcs, dsts = _arrays(src_desc, dst_desc, extent)
-        senders = [sched.persistent_sender(src_inters[r], srcs[r])
+        senders = [bind(sched, "src", src_inters[r], srcs[r])
                    for r in range(src_desc.nranks)]
-        receivers = [sched.persistent_receiver(dst_inters[r], dsts[r])
+        receivers = [bind(sched, "dst", dst_inters[r], dsts[r])
                      for r in range(dst_desc.nranks)]
         return senders, receivers
 

@@ -48,7 +48,8 @@ from repro.dad import (
     DistArrayDescriptor,
     DistributedArray,
 )
-from repro.highlevel import Coupler, _cache
+from repro.highlevel import Coupler
+from repro.schedule import GLOBAL_CACHE
 from repro.simmpi import run_coupled
 from repro.simmpi.intercomm import default_nameservice
 from repro.simmpi.procs import slot_stats
@@ -171,7 +172,8 @@ def _consumer(comm, extent, steps, src_of, collect, one_sided):
 def _measure(one_sided, extent=EXTENT, steps=STEPS, *, collect=False,
              transport_opts=None):
     src_desc, dst_desc = _descs(extent)
-    sched = _cache.get(src_desc, dst_desc)   # pre-warm: forked ranks inherit
+    # pre-warm: forked ranks inherit the cached schedule
+    sched = GLOBAL_CACHE.get(src_desc, dst_desc)
     wire_bytes = sched.nbytes(np.float64)
     pairs = {(it.src, it.dst) for it in sched.items}
     dst_of = {r: sorted(d for s, d in pairs if s == r) for r in range(M)}

@@ -37,11 +37,8 @@ from repro.dad import (
 )
 from repro.baselines import redistribute_per_region
 from repro.dad.template import block_template
-from repro.schedule import (
-    build_allpairs_schedule,
-    build_region_schedule,
-    execute_intra,
-)
+from repro.schedule import build_region_schedule, execute_intra
+from repro.verify.schedule import build_allpairs_schedule
 from repro.simmpi import run_spmd
 
 EXTENT = 960

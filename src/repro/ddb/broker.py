@@ -20,7 +20,7 @@ from repro.ddb.regrid import regrid_matrix
 from repro.mct.attrvect import AttrVect
 from repro.mct.gsmap import GlobalSegMap
 from repro.mct.sparsematrix import InterpolationScheduler, SparseMatrix
-from repro.schedule.builder import build_region_schedule
+from repro.schedule.builder import GLOBAL_CACHE
 from repro.schedule.executor import execute_inter
 from repro.simmpi import payload as _payload
 from repro.simmpi.communicator import Communicator
@@ -35,6 +35,7 @@ class _Offer:
     resolution: int
     producer_nranks: int
     next_request: int = 0
+    served: int = 0
 
 
 class DataBroker:
@@ -106,7 +107,7 @@ class DataBroker:
             inter_desc = DistArrayDescriptor(
                 block_template(desc.shape, (inter.remote_size,)),
                 desc.dtype)
-            sched = build_region_schedule(desc, inter_desc)
+            sched = GLOBAL_CACHE.get(desc, inter_desc)
             sent += execute_inter(sched, inter, "src", darray,
                                   tag=DDB_DATA_TAG)
         return sent
@@ -114,9 +115,8 @@ class DataBroker:
     def _served_counter(self, field: str) -> int:
         with self._lock:
             offer = self._offers[field]
-            counter = getattr(offer, "_served", 0)
-            offer.__dict__["_served"] = counter + 1
-            return counter
+            offer.served += 1
+            return offer.served - 1
 
     # -- consumer side -------------------------------------------------------------
 
@@ -143,7 +143,7 @@ class DataBroker:
             block_template((src_res,), (comm.size,)))
         src_side_desc = DistArrayDescriptor(
             block_template((src_res,), (inter.remote_size,)))
-        sched = build_region_schedule(src_side_desc, inter_desc)
+        sched = GLOBAL_CACHE.get(src_side_desc, inter_desc)
         staged = DistributedArray.allocate(inter_desc, comm.rank)
         execute_inter(sched, inter, "dst", staged, tag=DDB_DATA_TAG)
 

@@ -32,17 +32,12 @@ from repro.dad.template import Template, block_template
 from repro.schedule.bufpool import BufferPool
 from repro.schedule.builder import GLOBAL_CACHE
 from repro.schedule.delta import compile_delta
-from repro.schedule.executor import (execute_inter, execute_intra,
+from repro.schedule.executor import (bind, execute_inter, execute_intra,
                                      resolve_tier)
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.intercomm import Intercommunicator, NameService
 from repro.simmpi.runner import run_spmd
 from repro.util.counters import REDIST_STATS
-
-#: Process-wide schedule cache shared by the convenience layer (an
-#: alias of :data:`repro.schedule.builder.GLOBAL_CACHE`, so couplings,
-#: reorgs and live resizes all reuse each other's compiled schedules).
-_cache = GLOBAL_CACHE
 
 _HANDSHAKE_TAG = 150
 _DATA_TAG = 151
@@ -72,7 +67,7 @@ def redistribute(global_array: np.ndarray,
         block_template(global_array.shape, src_grid), global_array.dtype)
     dst = DistArrayDescriptor(
         block_template(global_array.shape, dst_grid), global_array.dtype)
-    sched = _cache.get(src, dst)
+    sched = GLOBAL_CACHE.get(src, dst)
     n = max(src.nranks, dst.nranks)
 
     def main(comm):
@@ -177,8 +172,8 @@ def reconfigure(comm: Communicator, darray: DistributedArray | None,
         raise ScheduleError(
             f"rank {me}: local array's decomposition differs from rank "
             f"0's — the cohort disagrees on the old distribution")
-    delta = compile_delta(old_desc, new_desc, cache=_cache if cache is None
-                          else cache)
+    delta = compile_delta(old_desc, new_desc,
+                          cache=GLOBAL_CACHE if cache is None else cache)
     incoming = None
     if me < new_n:
         if me in delta.identity_ranks and darray is not None:
@@ -219,8 +214,8 @@ def reconfigure(comm: Communicator, darray: DistributedArray | None,
 class Channel:
     """A persistent coupled-field channel (see :meth:`Coupler.open`).
 
-    Holds one bound transfer (:mod:`repro.schedule.executor`), bound at
-    the first ``push``/``pull`` and stepped by every one after: the
+    Holds one bound transfer (:func:`repro.schedule.executor.bind`),
+    bound at open and stepped by every ``push``/``pull``: the
     producer packs through a per-channel
     :class:`~repro.schedule.bufpool.BufferPool` (zero steady-state
     allocations) and ships move/borrow-semantics payloads; the consumer
@@ -248,63 +243,50 @@ class Channel:
                  schedule, darray: DistributedArray,
                  one_sided: bool | None = None,
                  planner: str | None = None):
-        self._inter = inter
         self._role = role
-        self._schedule = schedule
         self._darray = darray
         self.pool = BufferPool()
-        self._transfer = None
-        self._closed = False
-        self._tier = resolve_tier(
+        tier = resolve_tier(
             schedule, np.dtype(darray.descriptor.dtype).itemsize, inter,
             mode="rma" if config.resolve("rma", one_sided) else "two_sided",
             planner=planner)
+        self._transfer = bind(
+            schedule, "src" if role == "source" else "dst", inter, darray,
+            tag=_DATA_TAG, pool=self.pool, tier=tier)
         self.transfers = 0
 
     @property
     def planner(self) -> str:
         """The resolved execution strategy ("p2p" or "collective")."""
-        return "collective" if self._tier.coll is not None else "p2p"
+        return "collective" if self.mode == "collective" else "p2p"
 
     @property
     def mode(self) -> str:
         """The resolved execution tier: ``"two_sided"``, ``"rma"`` or
         ``"collective"``."""
-        return self._tier.kind
-
-    def _step(self) -> None:
-        if self._closed:
-            raise ConnectionError_("channel is closed")
-        if self._transfer is None:
-            bind = (self._schedule.persistent_sender
-                    if self._role == "source"
-                    else self._schedule.persistent_receiver)
-            self._transfer = bind(self._inter, self._darray, tag=_DATA_TAG,
-                                  pool=self.pool, tier=self._tier)
-        self._transfer.step()
-        self.transfers += 1
+        return self._transfer.tier
 
     def push(self) -> None:
         """Producer side: send the current contents of the local array."""
         if self._role != "source":
             raise ConnectionError_("push() is for the publishing side")
-        self._step()
+        self._transfer.step()
+        self.transfers += 1
 
     def pull(self) -> DistributedArray:
         """Consumer side: receive the next snapshot into the local array."""
         if self._role != "destination":
             raise ConnectionError_("pull() is for the subscribing side")
-        self._step()
+        self._transfer.step()
+        self.transfers += 1
         return self._darray
 
     def close(self) -> None:
-        """Release the bound transfer's resources (RMA windows);
-        ``push``/``pull`` raise :class:`~repro.errors.ConnectionError_`
-        afterwards.  Idempotent; safe on channels that never
-        transferred."""
-        self._closed = True
-        if self._transfer is not None:
-            self._transfer.close()
+        """Close the bound transfer, releasing what its tier holds (RMA
+        windows); ``push``/``pull`` raise
+        :class:`~repro.errors.ConnectionError_` afterwards.  Idempotent;
+        safe on channels that never transferred."""
+        self._transfer.close()
 
     @property
     def array(self) -> DistributedArray:
@@ -358,9 +340,9 @@ class Coupler:
                     f"({config.KNOBS[knob].env}) — this {role} resolved "
                     f"{a!r}, its peer {b!r}")
         if role == "source":
-            sched = _cache.get(descriptor, peer)
+            sched = GLOBAL_CACHE.get(descriptor, peer)
         else:
-            sched = _cache.get(peer, descriptor)
+            sched = GLOBAL_CACHE.get(peer, descriptor)
         return inter, sched
 
     # -- one-shot -----------------------------------------------------------------

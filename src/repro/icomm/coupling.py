@@ -22,7 +22,7 @@ from repro.errors import CoordinationError
 from repro.dad.darray import DistributedArray
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.icomm.coordination import CoordinationSpec
-from repro.schedule.builder import build_region_schedule
+from repro.schedule.builder import GLOBAL_CACHE
 from repro.schedule.executor import execute_inter
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.intercomm import Intercommunicator
@@ -49,7 +49,7 @@ def _build_channels(fields: dict[str, tuple[DistArrayDescriptor,
     channels = {}
     for name, (src, dst) in fields.items():
         channels[name] = _FieldChannel(
-            src, dst, build_region_schedule(src, dst), _field_tag(name))
+            src, dst, GLOBAL_CACHE.get(src, dst), _field_tag(name))
     return channels
 
 

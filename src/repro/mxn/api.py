@@ -41,6 +41,9 @@ class MxNComponent:
     def __init__(self, local_comm: Communicator):
         self.local_comm = local_comm
         self._fields: dict[str, _FieldEntry] = {}
+        #: Handshaken connections so far per intercommunicator (keyed by
+        #: its recv context): the next connection's id, hence its tag.
+        self._handshakes: dict[int, int] = {}
 
     # -- registration -------------------------------------------------------
 
@@ -87,6 +90,11 @@ class MxNComponent:
         matching call with the opposite ``role``.  Descriptors are
         exchanged through the paired M×N components, so neither
         application component needs to know the other's decomposition.
+
+        Successive connections over one intercommunicator get successive
+        connection ids — each its own data tag, so their transfers may
+        fire in any order on either side — which the handshake
+        cross-checks together with ``kind`` and ``period``.
         """
         entry = self._entry(local_field)
         if role == "source" and not entry.mode.allows_read():
@@ -97,22 +105,24 @@ class MxNComponent:
                 f"field {local_field!r} is not writable (mode {entry.mode})")
 
         my_desc = entry.darray.descriptor
+        conn_id = self._handshakes.get(inter.recv_context, 0)
+        self._handshakes[inter.recv_context] = conn_id + 1
+        mine = (kind.value, period, conn_id)
         if self.local_comm.rank == 0:
-            inter.send((my_desc, kind.value, period), dest=0, tag=90)
-            peer_desc, peer_kind, peer_period = inter.recv(source=0, tag=90)
-            if (peer_kind, peer_period) != (kind.value, period):
+            inter.send((my_desc, *mine), dest=0, tag=90)
+            peer_desc, *theirs = inter.recv(source=0, tag=90)
+            if tuple(theirs) != mine:
                 raise ConnectionError_(
-                    f"connection parameter mismatch: local "
-                    f"({kind.value}, {period}) vs peer "
-                    f"({peer_kind}, {peer_period})")
+                    f"connection parameter mismatch (kind, period, id): "
+                    f"local {mine} vs peer {tuple(theirs)}")
         else:
             peer_desc = None
         peer_desc = self.local_comm.bcast(peer_desc, root=0)
 
         if role == "source":
-            spec = ConnectionSpec(my_desc, peer_desc, kind, period)
+            spec = ConnectionSpec(my_desc, peer_desc, kind, period, conn_id)
         elif role == "destination":
-            spec = ConnectionSpec(peer_desc, my_desc, kind, period)
+            spec = ConnectionSpec(peer_desc, my_desc, kind, period, conn_id)
         else:
             raise ConnectionError_(
                 f"role must be 'source' or 'destination', got {role!r}")

@@ -8,6 +8,11 @@ corresponding destination cohort process (1 of N) completes the given
 pairwise communication.  ...  By breaking down the overall M×N transfer
 into these independent asynchronous point-to-point transfers, no
 additional synchronization barriers are required on either side."
+
+A connection fetches its schedule from the process-wide cache
+(:data:`~repro.schedule.builder.GLOBAL_CACHE`) and binds it once, at
+construction; connections sharing an intercommunicator are kept apart
+by their ``connection_id``'s data tag.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from repro.errors import ConnectionError_
 from repro.dad.darray import DistributedArray
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.schedule.bufpool import BufferPool
-from repro.schedule.builder import build_region_schedule
-from repro.schedule.executor import execute_inter
+from repro.schedule.builder import GLOBAL_CACHE
+from repro.schedule.executor import bind
 from repro.simmpi.intercomm import Intercommunicator
 
 #: Tag space for M×N connection data (distinct per connection id).
@@ -62,10 +67,19 @@ class ConnectionSpec:
 class MxNConnection:
     """One side's handle on an established M×N connection.
 
-    The communication schedule is computed once at connection time and
-    reused for every transfer (§2.3 reuse).  ``data_ready()`` is per
-    cohort instance and per cycle; it never synchronizes beyond the
+    The communication schedule is fetched once at connection time from
+    the process-wide cache — two connections over one template pair
+    share it and its compiled plans — and bound once
+    (:func:`repro.schedule.executor.bind`); every transfer replays that
+    one bound transfer (§2.3 reuse).  ``data_ready()`` is per cohort
+    instance and per cycle; it never synchronizes beyond the
     point-to-point messages the schedule itself requires.
+
+    A one-shot connection is the same path, always two-sided (a window
+    is only worth its setup amortized over steps), closed after its
+    single transfer.  A persistent one holds its transfer across cycles
+    — pooled pack buffers on the source, recv-into-destination on the
+    other side — until :meth:`close`.
     """
 
     def __init__(self, spec: ConnectionSpec, inter: Intercommunicator,
@@ -77,17 +91,15 @@ class MxNConnection:
         self.inter = inter
         self.role = role
         self.darray = darray
-        self.schedule = build_region_schedule(spec.src_desc, spec.dst_desc)
-        self._tag = MXN_DATA_TAG_BASE + (spec.connection_id % _TAG_SPACE)
+        self.schedule = GLOBAL_CACHE.get(spec.src_desc, spec.dst_desc)
         self._cycle = 0
         self.transfers_completed = 0
-        self._closed = False
-        # A persistent connection holds one bound transfer
-        # (repro.schedule.executor) across cycles: pooled pack buffers
-        # on the source, recv-into-destination on the other side.
-        self._transfer = None
-        self.pool = (BufferPool()
-                     if spec.kind is ConnectionKind.PERSISTENT else None)
+        one_shot = spec.kind is ConnectionKind.ONE_SHOT
+        self.pool = None if one_shot else BufferPool()
+        self._transfer = bind(
+            self.schedule, "src" if role == "source" else "dst", inter,
+            darray, tag=MXN_DATA_TAG_BASE + spec.connection_id % _TAG_SPACE,
+            pool=self.pool, mode="two_sided" if one_shot else None)
 
     # -- the dataReady protocol -------------------------------------------
 
@@ -96,44 +108,27 @@ class MxNConnection:
 
         On transfer cycles the source side posts its schedule sends and
         the destination side completes its schedule receives.  Returns
-        True when a transfer happened on this cycle.
+        True when a transfer happened on this cycle.  A one-shot
+        connection transfers on its first cycle and is closed by it;
+        a transfer cycle of a closed connection raises
+        :class:`~repro.errors.ConnectionError_`.
         """
-        if self._closed:
-            raise ConnectionError_("connection is closed")
         cycle = self._cycle
         self._cycle += 1
-        if self.spec.kind is ConnectionKind.ONE_SHOT:
-            if cycle > 0:
-                raise ConnectionError_(
-                    "one-shot connection already transferred; create a new "
-                    "connection or use a persistent one")
-            fire = True
-        else:
-            fire = cycle % self.spec.period == 0
-        if not fire:
+        one_shot = self.spec.kind is ConnectionKind.ONE_SHOT
+        if not one_shot and cycle % self.spec.period:
             return False
-        if self.spec.kind is ConnectionKind.ONE_SHOT:
-            execute_inter(self.schedule, self.inter,
-                          "src" if self.role == "source" else "dst",
-                          self.darray, tag=self._tag)
-        else:
-            if self._transfer is None:
-                bind = (self.schedule.persistent_sender
-                        if self.role == "source"
-                        else self.schedule.persistent_receiver)
-                self._transfer = bind(self.inter, self.darray,
-                                      tag=self._tag, pool=self.pool)
-            self._transfer.step()
+        self._transfer.step()
+        if one_shot:
+            self._transfer.close()
         self.transfers_completed += 1
         return True
 
     def close(self) -> None:
         """Close the bound transfer (an RMA destination array is
         evacuated to private memory and its window retired);
-        ``data_ready()`` raises afterwards.  Idempotent."""
-        self._closed = True
-        if self._transfer is not None:
-            self._transfer.close()
+        transfer cycles raise afterwards.  Idempotent."""
+        self._transfer.close()
 
     # -- metrics ------------------------------------------------------------
 

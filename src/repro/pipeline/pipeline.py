@@ -28,7 +28,7 @@ from repro.errors import ReproError, ScheduleError
 from repro.dad.darray import DistributedArray
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.pipeline.filters import Filter
-from repro.schedule.builder import build_region_schedule
+from repro.schedule.builder import GLOBAL_CACHE
 from repro.schedule.executor import execute_intra
 from repro.simmpi.communicator import Communicator
 
@@ -76,14 +76,14 @@ class Pipeline:
                         f"{stage.descriptor.shape} != field shape {shape}")
             elif not isinstance(stage, FilterStage):
                 raise ReproError(f"unknown stage kind: {stage!r}")
-        # Schedules are precomputed per redistribution stage (reusable
+        # Schedules are fetched once per redistribution stage (reusable
         # across executions, §2.3).
         self._schedules = []
         current = src_descriptor
         for stage in self.stages:
             if isinstance(stage, RedistributeStage):
                 self._schedules.append(
-                    build_region_schedule(current, stage.descriptor))
+                    GLOBAL_CACHE.get(current, stage.descriptor))
                 current = stage.descriptor
             else:
                 self._schedules.append(None)
@@ -176,7 +176,7 @@ class FusedPipeline:
         self._identity = (src_descriptor.cache_key()
                           == output_descriptor.cache_key())
         self._schedule = None if self._identity else \
-            build_region_schedule(src_descriptor, output_descriptor)
+            GLOBAL_CACHE.get(src_descriptor, output_descriptor)
 
     @property
     def max_nranks(self) -> int:

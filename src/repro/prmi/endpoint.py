@@ -13,8 +13,9 @@ Collective calls pair M caller ranks with N callee ranks:
 Parallel arguments are *pulled*: the invocation ships only descriptor
 metadata; the callee announces its desired layout (pre-registered, or
 lazily from inside the method body — the paper's two strategies), both
-cohorts build the same M×N schedule from the descriptor pair, and the
-data moves as schedule point-to-point messages.
+cohorts fetch the same M×N schedule for the descriptor pair from the
+process-wide cache (built and compiled on the first call, a hit on every
+one after), and the data moves as schedule point-to-point messages.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.cca.sidl import MethodSpec, PortType
 from repro.dad.darray import DistributedArray
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.prmi.args import LazyParallelArg, ParallelArg
-from repro.schedule.builder import build_region_schedule
+from repro.schedule.builder import GLOBAL_CACHE
 from repro.schedule.executor import execute_inter
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.intercomm import Intercommunicator
@@ -169,6 +170,10 @@ class CallerEndpoint:
             raise PRMIError(f"invalid subset {ranks} for cohort of "
                             f"{self.local_comm.size}")
         self.stats.subset_engagements += 1
+        # Nobody announces until every caller is here, i.e. has its
+        # pre-subset returns: a callee that installed the new map first
+        # would never match a slower caller's pending old-map fragment.
+        self.local_comm.barrier()
         if self.local_comm.rank == 0:
             # One inter-job message: callee rank 0 relays the
             # announcement down a binomial tree over its own cohort
@@ -284,7 +289,7 @@ class CallerEndpoint:
                 layout = None
             layout = self._pcomm.bcast(layout, root=0)
             arg = parallel[p.name]
-            sched = build_region_schedule(arg.descriptor, layout)
+            sched = GLOBAL_CACHE.get(arg.descriptor, layout)
             execute_inter(sched, self.inter, "src", arg.darray,
                           tag=DATA_TAG, rank=me)
 
@@ -428,7 +433,7 @@ class CalleeEndpoint:
         if self.local_comm.rank == 0:
             self.inter.send(layout, dest=self._pull_root, tag=PULL_TAG)
         dst = DistributedArray.allocate(layout, self.local_comm.rank)
-        sched = build_region_schedule(src_descriptor, layout)
+        sched = GLOBAL_CACHE.get(src_descriptor, layout)
         execute_inter(sched, self.inter, "dst", dst, tag=DATA_TAG,
                       peer_map=self._caller_map)
         return dst

@@ -16,7 +16,7 @@ from repro.errors import ConnectionError_
 from repro.dad.darray import DistributedArray
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.pubsub.board import Subscription, SubscriptionBoard
-from repro.schedule.builder import build_region_schedule
+from repro.schedule.builder import GLOBAL_CACHE
 from repro.schedule.executor import execute_inter
 from repro.simmpi import payload as _payload
 from repro.simmpi.communicator import Communicator
@@ -71,7 +71,7 @@ class Publisher:
         inter = self.ns.connect(sub.service, self.comm)
         if self.comm.rank == 0:
             inter.send(self.src_descriptor, dest=0, tag=HELLO_TAG)
-        schedule = build_region_schedule(self.src_descriptor, sub.layout)
+        schedule = GLOBAL_CACHE.get(self.src_descriptor, sub.layout)
         self._channels[sub.sub_id] = _Channel(sub, inter, schedule)
 
     def _close_channel(self, sub_id: int) -> None:
@@ -144,7 +144,7 @@ class Subscriber:
         else:
             src_desc = None
         self.src_descriptor = comm.bcast(src_desc, root=0)
-        self.schedule = build_region_schedule(self.src_descriptor, layout)
+        self.schedule = GLOBAL_CACHE.get(self.src_descriptor, layout)
         self._open = True
         self.received = 0
 

@@ -10,17 +10,21 @@ same distribution template."
 Two schedule families are provided:
 
 * region schedules (:func:`build_region_schedule`) computed from DAD
-  pairs — the CUMULVS/PAWS/InterComm approach, with a fast path for
-  pure block templates, and
+  pairs — the CUMULVS/PAWS/InterComm approach, with a closed-form fast
+  path for structured Cartesian templates, and
 * linear schedules (:func:`build_linear_schedule`) computed from
   linearization pairs — the Meta-Chaos approach, which also couples
   non-array structures.
 
-Schedules are plain data; :mod:`repro.schedule.executor` binds one side
-of a schedule to an array, a link (intra- or inter-communicator) and an
-execution tier, and replays it with ``step()`` — buffered point-to-point
-sends by default, so "actual transfers can be carried out fully in
-parallel".
+Schedules are plain data with one lifecycle — **cache → bind → step →
+close**: ``GLOBAL_CACHE.get(src, dst)`` is where every subsystem obtains
+a region schedule (built and compiled once per template pair), and
+:func:`bind` ties one side of it to an array, a link (intra- or
+inter-communicator) and an execution tier; ``step()`` replays it —
+buffered point-to-point sends by default, so "actual transfers can be
+carried out fully in parallel" — and ``close()`` releases what the tier
+holds.  :func:`execute_inter` / :func:`execute_intra` are that lifecycle
+for a single step.
 """
 
 from repro.schedule.plan import CommSchedule, LinearSchedule, TransferItem, LinearItem
@@ -36,8 +40,6 @@ from repro.schedule.indexplan import (
 from repro.schedule.builder import (
     GLOBAL_CACHE,
     ScheduleCache,
-    build_allpairs_schedule,
-    build_block_schedule,
     build_linear_schedule,
     build_region_schedule,
     build_structured_schedule,
@@ -62,6 +64,7 @@ from repro.schedule.costmodel import (
 from repro.schedule.executor import (
     BoundTransfer,
     Tier,
+    bind,
     execute_inter,
     execute_intra,
     execute_linear_inter,
@@ -84,14 +87,13 @@ __all__ = [
     "compile_delta",
     "warm_start_plans",
     "build_region_schedule",
-    "build_allpairs_schedule",
-    "build_block_schedule",
     "build_structured_schedule",
     "build_sweep_schedule",
     "build_linear_schedule",
     "execute_intra",
     "execute_inter",
     "execute_linear_inter",
+    "bind",
     "BoundTransfer",
     "Tier",
     "resolve_tier",

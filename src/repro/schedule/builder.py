@@ -1,7 +1,7 @@
 """Schedule construction: descriptor intersection, fast paths, caching.
 
-Three general-purpose engines build region schedules, ordered from most
-to least structure-aware:
+Two general-purpose engines build region schedules, the more
+structure-aware first:
 
 * :func:`build_structured_schedule` — closed-form enumeration for
   Cartesian templates whose axes are Block / Cyclic / BlockCyclic /
@@ -15,11 +15,10 @@ to least structure-aware:
   whose leading intervals overlap, then clips all surviving candidates
   in one vectorized NumPy pass (:func:`repro.util.regions.intersect_boxes`).
   Cost is O((S + D) log(S + D) + overlaps) instead of O(S·D).
-* :func:`build_allpairs_schedule` — the original all-pairs loop, kept
-  only as the baseline the scaling benchmark measures against.
 
 :func:`build_region_schedule` dispatches: structured when either side
-qualifies, sweep otherwise, all-pairs never (unless asked explicitly).
+qualifies, sweep otherwise.  (The O(S·D) all-pairs loop both are proved
+against is the oracle in :mod:`repro.verify.schedule`.)
 
 :class:`ScheduleCache` implements the reuse the paper calls out:
 schedules are keyed by the *template pair* (plus the builder options),
@@ -90,12 +89,6 @@ def _is_structured(desc: DistArrayDescriptor) -> bool:
     t = desc.template
     return (isinstance(t, CartesianTemplate)
             and all(isinstance(a, _STRUCTURED_AXES) for a in t.axes))
-
-
-def _is_pure_block(desc: DistArrayDescriptor) -> bool:
-    t = desc.template
-    return (isinstance(t, CartesianTemplate)
-            and all(type(a) is Block for a in t.axes))
 
 
 def _axis_pieces(axis: AxisDistribution, lo: int,
@@ -179,18 +172,6 @@ def build_structured_schedule(src: DistArrayDescriptor,
     return CommSchedule(items, src.nranks, dst.nranks)
 
 
-def build_block_schedule(src: DistArrayDescriptor,
-                         dst: DistArrayDescriptor) -> CommSchedule:
-    """Closed-form schedule for pure block × pure block templates.
-
-    Retained as the historical entry point; delegates to the structured
-    engine, which covers this case exactly.
-    """
-    if not (_is_pure_block(src) and _is_pure_block(dst)):
-        raise ScheduleError("block fast path requires pure block templates")
-    return build_structured_schedule(src, dst)
-
-
 # -- sweep-line general builder ----------------------------------------------
 
 def _overlap_pairs_1d(a_iv: Sequence[tuple[int, int]],
@@ -264,26 +245,6 @@ def build_sweep_schedule(src: DistArrayDescriptor,
     return CommSchedule(items, src.nranks, dst.nranks)
 
 
-def build_allpairs_schedule(src: DistArrayDescriptor,
-                            dst: DistArrayDescriptor) -> CommSchedule:
-    """The original O(S·D) all-pairs intersection, kept as the baseline
-    the scaling benchmark (and regression tests) compare against."""
-    if src.shape != dst.shape:
-        raise ScheduleError(
-            f"cannot build schedule between shapes {src.shape} and "
-            f"{dst.shape}")
-    items: list[TransferItem] = []
-    dst_regions = [(r, reg) for r in range(dst.nranks)
-                   for reg in dst.local_regions(r)]
-    for s in range(src.nranks):
-        for sreg in src.local_regions(s):
-            for d, dreg in dst_regions:
-                inter = sreg.intersect(dreg)
-                if inter is not None:
-                    items.append(TransferItem(s, d, inter))
-    return CommSchedule(items, src.nranks, dst.nranks)
-
-
 def build_linear_schedule(src: Linearization,
                           dst: Linearization) -> LinearSchedule:
     """Intersect two linearizations' run lists by a sorted merge sweep.
@@ -348,14 +309,13 @@ class ScheduleCache:
     """
 
     def __init__(self, builder: Callable[..., CommSchedule] = build_region_schedule,
-                 *, max_entries: int | None = None, warm_start: bool = True):
+                 *, max_entries: int | None = None):
         self._builder = builder
         self._lock = threading.Lock()
         # key -> (schedule, src_desc, dst_desc); descriptors are kept so
         # warm starts can check per-rank ownership against the sibling.
         self._cache: "OrderedDict[tuple, tuple[CommSchedule, DistArrayDescriptor, DistArrayDescriptor]]" = OrderedDict()
         self._max_entries = max_entries
-        self._warm_start = warm_start
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -377,13 +337,12 @@ class ScheduleCache:
                 return entry[0]
             self.misses += 1
             schedule = self._builder(src, dst, **kwargs)
-            if self._warm_start:
-                sibling = next(self._siblings(key), None)
-                if sibling is not None:
-                    from repro.schedule.delta import warm_start_plans
-                    old_sched, old_src, old_dst = sibling
-                    warm_start_plans(schedule, old_sched,
-                                     src, dst, old_src, old_dst)
+            sibling = next(self._siblings(key), None)
+            if sibling is not None:
+                from repro.schedule.delta import warm_start_plans
+                old_sched, old_src, old_dst = sibling
+                warm_start_plans(schedule, old_sched,
+                                 src, dst, old_src, old_dst)
             self._cache[key] = (schedule, src, dst)
             limit = self.max_entries
             if limit:
@@ -414,8 +373,6 @@ class ScheduleCache:
         (:func:`repro.schedule.delta.compile_delta`).  Returns the
         sibling's :class:`~repro.schedule.delta.DeltaSchedule` or
         ``None``."""
-        if not self._warm_start:
-            return None
         key = (src.cache_key(), dst.cache_key(),
                tuple(sorted(kwargs.items())))
         with self._lock:
@@ -439,9 +396,10 @@ class ScheduleCache:
             self.hits = self.misses = self.evictions = 0
 
 
-#: The process-wide schedule cache: the high-level coupling API
-#: (:mod:`repro.highlevel`), :class:`~repro.dri.reorg.DRIReorg` and
-#: :func:`repro.highlevel.reconfigure` all share it, so a reorg over a
-#: template pair the coupler already compiled — or a resize back to a
-#: previously seen decomposition — is a cache hit, not a rebuild.
+#: The process-wide schedule cache, and the one place a subsystem gets
+#: a region schedule from (lint V111): couplings, M×N connections, PRMI
+#: parallel arguments, pub/sub channels, pipelines, reorgs and live
+#: resizes all call ``GLOBAL_CACHE.get(src, dst)``, so a template pair
+#: any of them already compiled — or a resize back to a previously seen
+#: decomposition — is a cache hit, not a rebuild.
 GLOBAL_CACHE = ScheduleCache()

@@ -16,9 +16,8 @@ releases what the tier holds.  Everything else is that lifecycle:
   ``send``/``recv``/``prepost_recv`` shape, so a half never knows which
   one its link is;
 * a **persistent channel** keeps the handle and calls ``step()`` per
-  time step (:meth:`CommSchedule.persistent_sender
-  <repro.schedule.plan.CommSchedule.persistent_sender>` /
-  ``persistent_receiver`` are the public spellings of :func:`bind`).
+  time step (:func:`bind`, re-exported as ``repro.schedule.bind``, is
+  the one public constructor).
 
 Bind does, once: side validation, the ``REPRO_VERIFY`` proof
 (:func:`~repro.verify.hook.maybe_verify_side` — never in a step), plan

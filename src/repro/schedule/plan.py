@@ -232,27 +232,6 @@ class CommSchedule(_Schedule):
     def _compile(self, groups, owned_regions) -> RankPlan:
         return compile_rank_plan(groups, list(owned_regions))
 
-    # -- the bound-transfer core's two public constructors --------------------
-
-    def persistent_sender(self, link, array, **kw):
-        """The source half of this schedule bound to ``array`` over
-        ``link`` (an intercommunicator): a
-        :class:`~repro.schedule.executor.BoundTransfer` whose
-        ``step()`` sends the array's current contents and whose
-        ``close()`` releases what the tier holds.  Keyword arguments
-        (``tag``, ``rank``, ``peer_map``, ``pool``, ``mode``,
-        ``planner``, ``round_bytes``, ``tier``) pass through to
-        :func:`repro.schedule.executor.bind`."""
-        from repro.schedule.executor import bind
-        return bind(self, "src", link, array, **kw)
-
-    def persistent_receiver(self, link, array, **kw):
-        """The destination half (see :meth:`persistent_sender`):
-        ``arm()`` / ``complete()`` / ``step()`` land each transfer
-        straight in ``array``'s consolidated local base."""
-        from repro.schedule.executor import bind
-        return bind(self, "dst", link, array, **kw)
-
     # -- metrics -----------------------------------------------------------------
 
     def nbytes(self, dtype: np.dtype | str = np.float64) -> int:

@@ -51,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import DeadlockError, ScheduleError
+from repro.errors import ConnectionError_, DeadlockError, ScheduleError
 from repro.schedule.indexplan import PairPlan
 from repro.simmpi import sanitize as _san
 from repro.simmpi.matching import Mailbox
@@ -188,8 +188,13 @@ class RemoteWindow:
     that execute the receiver's scatter plan into it."""
 
     def __init__(self, handle: WindowHandle, mailbox: Mailbox):
-        self._seg = WindowSegment.attach(handle.name, handle.nbytes,
-                                         handle.nwriters)
+        try:
+            self._seg = WindowSegment.attach(handle.name, handle.nbytes,
+                                             handle.nwriters)
+        except FileNotFoundError:
+            raise ConnectionError_(
+                f"window {handle.name} is gone: the receiving side closed "
+                f"its transfer before this side bound") from None
         self.buffer = self._seg.data.view(np.dtype(handle.dtype))
         self._plan = handle.plan
         self._writer = handle.writer

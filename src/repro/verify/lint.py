@@ -66,6 +66,13 @@ over ``src/``:
   :mod:`repro.config` is a second resolver: its own grammar, its own
   blank-value rule, its own error type — and one more input that two
   coupled jobs can resolve differently.  Call ``config.resolve``.
+* **V111 — private schedule build.**  A call to
+  ``build_region_schedule`` / ``build_structured_schedule`` /
+  ``build_sweep_schedule`` outside :mod:`repro.schedule`,
+  :mod:`repro.verify` and :mod:`repro.baselines` builds — and later
+  compiles — a schedule nobody else can reuse, per object or per call.
+  Subsystems take theirs from ``GLOBAL_CACHE.get(src, dst)``: one
+  build and one set of compiled plans per template pair.
 
 A line can opt out with a ``# verify: allow(V10x)`` pragma naming the
 rule.  :func:`lint_paths` walks files or directories and returns
@@ -95,6 +102,7 @@ RULES = {
     "V108": "raw shared-segment field access outside the accessor layer",
     "V109": "flag transition with no paired release/acquire accessor in scope",
     "V110": "REPRO_* environment read outside repro.config",
+    "V111": "region schedule built outside the schedule cache",
 }
 
 #: The batch frame codec — the one module allowed to pickle in a loop
@@ -124,6 +132,13 @@ ACCESSOR_MODULES = ("simmpi/shm.py", "simmpi/sanitize.py")
 #: The knob table — the one module allowed to read ``REPRO_*``
 #: variables from the environment (V110 scope).
 CONFIG_MODULE = "repro/config.py"
+
+#: The region-schedule builders, and the packages allowed to call them
+#: directly (V111 scope): the cache's own package, the proofs that
+#: compare builders, and the baselines that time them.
+_SCHEDULE_BUILDERS = {"build_region_schedule", "build_structured_schedule",
+                      "build_sweep_schedule"}
+BUILDER_PACKAGES = ("repro/schedule/", "repro/verify/", "repro/baselines/")
 
 #: FREE/BUSY and lifecycle flag constants whose stores V109 polices.
 _FLAG_CONSTANTS = {"_FREE", "_BUSY", "STATE_RUNNING", "STATE_BLOCKED",
@@ -459,6 +474,19 @@ def _check_env_knob_read(tree: ast.AST, relpath: str,
                        f"config.resolve(...) so the one rule applies")
 
 
+def _check_private_build(tree: ast.AST, relpath: str,
+                         ) -> Iterator[tuple[int, str]]:
+    """V111: a region-schedule builder called outside
+    :data:`BUILDER_PACKAGES`."""
+    if any(pkg in relpath for pkg in BUILDER_PACKAGES):
+        return
+    for call in _marker_calls(tree, _SCHEDULE_BUILDERS):
+        yield (call.lineno,
+               f"{_call_name(call)}() builds a private schedule — take it "
+               f"from GLOBAL_CACHE.get(src, dst) so the template pair is "
+               f"built and compiled once")
+
+
 def lint_source(source: str, path: str = "<string>",
                 relpath: str | None = None) -> list[LintViolation]:
     """Run every rule over one module's source text."""
@@ -489,6 +517,8 @@ def lint_source(source: str, path: str = "<string>",
                 for ln, msg in _check_raw_shared_access(tree, relpath))
     hits.extend((ln, "V110", msg)
                 for ln, msg in _check_env_knob_read(tree, relpath))
+    hits.extend((ln, "V111", msg)
+                for ln, msg in _check_private_build(tree, relpath))
 
     out = []
     for line, rule, message in sorted(hits):

@@ -25,8 +25,8 @@ establishes, with vectorized whole-array evidence rather than sampling:
 
 :func:`verify_against_oracle` additionally proves a fast-path schedule
 routes every element through the same (src, dst) pair as the all-pairs
-intersection oracle (:func:`~repro.schedule.builder.
-build_allpairs_schedule`) — since ownership is a partition on both
+intersection oracle (:func:`build_allpairs_schedule`, defined here
+beside its one caller) — since ownership is a partition on both
 sides, element routing is unique and any correct builder must agree
 with it exactly.
 
@@ -45,13 +45,13 @@ from repro import config
 from repro.errors import ScheduleError, VerificationError
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.linearize.linearization import Linearization
-from repro.schedule.builder import build_allpairs_schedule
 from repro.schedule.indexplan import LocalIndexer, PairPlan
-from repro.schedule.plan import CommSchedule, LinearSchedule
+from repro.schedule.plan import CommSchedule, LinearSchedule, TransferItem
 from repro.util.indexing import region_flat_indices, shape_volume
 
 __all__ = [
     "ScheduleProof",
+    "build_allpairs_schedule",
     "verify_schedule",
     "verify_against_oracle",
     "verify_collective_plan",
@@ -256,6 +256,28 @@ def verify_schedule(schedule: CommSchedule, src_desc: DistArrayDescriptor,
     if failures:
         raise VerificationError("schedule failed verification", failures)
     return proof
+
+
+def build_allpairs_schedule(src: DistArrayDescriptor,
+                            dst: DistArrayDescriptor) -> CommSchedule:
+    """The oracle: the O(S·D) all-pairs region intersection, with no
+    fast path to get wrong — what :func:`verify_against_oracle` (and
+    the scaling benchmark's baseline column) compare the dispatching
+    builders against."""
+    if src.shape != dst.shape:
+        raise ScheduleError(
+            f"cannot build schedule between shapes {src.shape} and "
+            f"{dst.shape}")
+    items: list[TransferItem] = []
+    dst_regions = [(r, reg) for r in range(dst.nranks)
+                   for reg in dst.local_regions(r)]
+    for s in range(src.nranks):
+        for sreg in src.local_regions(s):
+            for d, dreg in dst_regions:
+                inter = sreg.intersect(dreg)
+                if inter is not None:
+                    items.append(TransferItem(s, d, inter))
+    return CommSchedule(items, src.nranks, dst.nranks)
 
 
 def verify_against_oracle(schedule: CommSchedule,

@@ -8,6 +8,7 @@ from repro.dad.template import block_template
 from repro.errors import ConnectionError_, RegistrationError, SpmdError
 from repro.mxn import ConnectionKind, ConnectionSpec, MxNComponent
 from repro.simmpi import NameService, run_coupled, run_spmd
+from repro.simmpi.intercomm import default_nameservice
 
 SHAPE = (8, 6)
 G = np.arange(48.0).reshape(SHAPE)
@@ -241,3 +242,40 @@ def test_connection_parameter_mismatch_detected():
 
     out = run_coupled([("src", 1, source, ()), ("dst", 1, dest, ())])
     assert all(out["src"]) and all(out["dst"])
+
+
+# -- connections sharing one intercommunicator stay independent ---------------
+
+def _two_fields(comm, role, order):
+    """Connect fields ``a`` then ``b`` over ONE intercommunicator, then
+    fire them in ``order`` — the two sides use opposite orders."""
+    source = role == "source"
+    src_desc, dst_desc = make_sides(2, 3)
+    inter = (default_nameservice.accept("two-fields", comm) if source
+             else default_nameservice.connect("two-fields", comm))
+    mxn = MxNComponent(comm)
+    for k, name in enumerate("ab"):
+        mxn.register(name, DistributedArray.from_global(
+            src_desc, comm.rank, G + 1000.0 * k) if source
+            else DistributedArray.allocate(dst_desc, comm.rank))
+    conns = {name: mxn.connect(inter, role, name) for name in "ab"}
+    fired = [conns[name].data_ready() for name in order]
+    return fired, conns["a"].spec.connection_id, \
+        conns["b"].spec.connection_id, mxn.field("a"), mxn.field("b")
+
+
+@pytest.mark.parametrize("backend", ["threads", "procs"])
+def test_connections_on_one_intercomm_do_not_cross(backend):
+    """§4.1: "independent asynchronous point-to-point transfers, no
+    additional synchronization" — two handshaken connections get
+    distinct ids (tags), so firing them in different orders on the two
+    sides cannot deliver one field's bytes into the other's array."""
+    out = run_coupled([("src", 2, _two_fields, ("source", "ab")),
+                       ("dst", 3, _two_fields, ("destination", "ba"))],
+                      backend=backend)
+    for k, field in enumerate((3, 4)):
+        got = DistributedArray.assemble([r[field] for r in out["dst"]])
+        assert got.tobytes() == (G + 1000.0 * k).tobytes()
+    for fired, id_a, id_b, _, _ in out["src"] + out["dst"]:
+        assert fired == [True, True]
+        assert (id_a, id_b) == (0, 1)

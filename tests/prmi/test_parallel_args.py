@@ -8,6 +8,7 @@ from repro.dad import DistArrayDescriptor, DistributedArray
 from repro.dad.template import block_template
 from repro.errors import SpmdError
 from repro.prmi import CalleeEndpoint, CallerEndpoint, ParallelArg
+from repro.schedule import GLOBAL_CACHE, PLAN_STATS
 from repro.simmpi import NameService, run_coupled
 
 FIELD_PORT = port(
@@ -207,3 +208,93 @@ def test_unwrapped_parallel_arg_rejected():
 
     out = run_coupled([("callee", 1, callee, ()), ("caller", 1, caller, ())])
     assert out["caller"] == [True]
+
+
+# -- schedule lifecycle: fetched once, compiled once, replayed per call ------
+
+_CALLS = 4
+_SYNC_TAG = 999
+
+
+def _truth(call):
+    return G + 1000.0 * call
+
+
+def _compiles():
+    return (GLOBAL_CACHE.stats()["misses"], PLAN_STATS.get("rank_plans"),
+            PLAN_STATS.get("pair_plans"))
+
+
+@pytest.mark.parametrize("cohort,subset,n,lazy", [
+    (2, None, 3, False),        # pre-registered layout, M < N (ghost calls)
+    (3, None, 2, True),         # LazyParallelArg layout
+    (4, [0, 2], 3, False),      # engaged sub-set: rank= / peer_map= path
+    (4, None, 2, False),        # M > N: merged invocations
+], ids=["preregistered", "lazy", "subset", "merged"])
+def test_parallel_arg_schedule_is_fetched_and_compiled_once(cohort, subset,
+                                                            n, lazy):
+    """Both cohorts take the M×N schedule from the shared cache: after
+    the first call no call builds a schedule or compiles a plan, and
+    every call still delivers exactly its own bytes."""
+    m = len(subset) if subset else cohort
+    src_desc = DistArrayDescriptor(block_template(SHAPE, (m, 1)), G.dtype)
+    layout = DistArrayDescriptor(block_template(SHAPE, (1, n)), G.dtype)
+    ns = NameService()
+
+    class Impl:
+        def __init__(self):
+            self.seen = []
+
+        def norm(self, field):
+            if lazy:
+                field = field.materialize(layout)
+            self.seen.append(field.flat_local().copy())
+
+    def caller(comm):
+        inter = ns.connect("fp", comm)
+        ep = CallerEndpoint(comm, inter, FIELD_PORT)
+        if subset:
+            ep = ep.engage_subset(subset)
+        snaps = []
+        for call in range(_CALLS):
+            if ep.caller_rank is not None:
+                field = DistributedArray.from_global(
+                    src_desc, ep.caller_rank, _truth(call))
+                ep.invoke("norm", field=ParallelArg(field))
+            # every callee rank has finished this call, then every caller
+            if comm.rank == 0:
+                inter.recv(source=0, tag=_SYNC_TAG)
+            comm.barrier()
+            snaps.append(_compiles())
+        return snaps
+
+    def callee(comm):
+        inter = ns.accept("fp", comm)
+        impl = Impl()
+        ep = CalleeEndpoint(comm, inter, FIELD_PORT, impl)
+        if not lazy:
+            ep.set_param_layout("norm", "field", layout)
+        if subset:
+            ep.accept_subset()
+        for _ in range(_CALLS):
+            ep.serve_one()
+            comm.barrier()
+            if comm.rank == 0:
+                inter.send(None, 0, tag=_SYNC_TAG)
+        return impl.seen
+
+    out = run_coupled([("callee", n, callee, ()),
+                       ("caller", cohort, caller, ())])
+    for call in range(_CALLS):
+        parts = []
+        for r, seen in enumerate(out["callee"]):
+            da = DistributedArray.allocate(layout, r)
+            da.flat_local()[:] = seen[call]
+            parts.append(da)
+        assert (DistributedArray.assemble(parts).tobytes()
+                == _truth(call).tobytes())
+    snaps = out["caller"][0]
+    # one template pair: one build, one plan per (side, rank) that moves data
+    assert snaps[0] == (1, m + n, 2 * GLOBAL_CACHE.get(
+        src_desc, layout).pair_count)
+    assert snaps[1:] == [snaps[0]] * (_CALLS - 1)

@@ -15,7 +15,7 @@ from repro.errors import ConnectionError_
 from repro.highlevel import Coupler
 from repro.mxn.connection import (ConnectionKind, ConnectionSpec,
                                   MxNConnection)
-from repro.schedule import (build_region_schedule, execute_inter,
+from repro.schedule import (bind, build_region_schedule, execute_inter,
                             execute_intra)
 from repro.simmpi import run_coupled, run_spmd
 from repro.simmpi.intercomm import couple_jobs, default_nameservice
@@ -83,7 +83,7 @@ def _inter(src_desc, dst_desc, planner, steps, persistent):
     def producer(comm):
         inter = default_nameservice.accept("matrix", comm)
         da = DistributedArray.allocate(src_desc, comm.rank)
-        tx = sched.persistent_sender(inter, da, **kw) if persistent else None
+        tx = bind(sched, "src", inter, da, **kw) if persistent else None
         for step in range(steps):
             da.flat_local()[:] = DistributedArray.from_global(
                 src_desc, comm.rank, _truth(src_desc.shape, step)).flat_local()
@@ -97,7 +97,7 @@ def _inter(src_desc, dst_desc, planner, steps, persistent):
     def consumer(comm):
         inter = default_nameservice.connect("matrix", comm)
         da = DistributedArray.allocate(dst_desc, comm.rank)
-        rx = (sched.persistent_receiver(inter, da, **kw) if persistent
+        rx = (bind(sched, "dst", inter, da, **kw) if persistent
               else None)
         snaps = []
         for _ in range(steps):
@@ -224,10 +224,10 @@ def _bound_pair(planner):
                                          Job(dst_desc.nranks))
     g = _truth(src_desc.shape, 0)
     kw = dict(planner=planner, round_bytes=ROUND_BYTES)
-    tx = sched.persistent_sender(
-        src_inters[0], DistributedArray.from_global(src_desc, 0, g), **kw)
-    rx = sched.persistent_receiver(
-        dst_inters[0], DistributedArray.allocate(dst_desc, 0), **kw)
+    tx = bind(sched, "src", src_inters[0],
+              DistributedArray.from_global(src_desc, 0, g), **kw)
+    rx = bind(sched, "dst", dst_inters[0],
+              DistributedArray.allocate(dst_desc, 0), **kw)
     return tx, rx
 
 
@@ -260,6 +260,20 @@ def _home(arr):
     return arr.flat_local().__array_interface__["data"][0]
 
 
+def _shm_before(comm):
+    """/dev/shm as it is before any rank of this job binds (a window
+    is created by the bind, so nobody may bind until everybody looked)."""
+    comm.barrier()
+    before = set(os.listdir("/dev/shm"))
+    comm.barrier()
+    return before
+
+
+def _shm_leaked(comm, before):
+    comm.barrier()                     # every rank of this job has closed
+    return sorted(set(os.listdir("/dev/shm")) - before)
+
+
 def _mxn_side(comm, role):
     spec = ConnectionSpec(_SRC_DESC, _DST_DESC, ConnectionKind.PERSISTENT)
     inter = (default_nameservice.accept("core-mxn", comm) if role == "source"
@@ -268,20 +282,18 @@ def _mxn_side(comm, role):
     da = (DistributedArray.from_global(_SRC_DESC, comm.rank, g)
           if role == "source"
           else DistributedArray.allocate(_DST_DESC, comm.rank))
-    conn = MxNConnection(spec, inter, role, da)
-    comm.barrier()
-    before = set(os.listdir("/dev/shm"))
+    before = _shm_before(comm)
     private = _home(da)
+    conn = MxNConnection(spec, inter, role, da)
     for _ in range(2):
         conn.data_ready()
     in_window = _home(da)
     conn.close()
     conn.close()                       # idempotent
-    comm.barrier()                     # every rank of this job has closed
-    leaked = set(os.listdir("/dev/shm")) - before
+    leaked = _shm_leaked(comm, before)
     with pytest.raises(ConnectionError_):
         conn.data_ready()
-    return private, in_window, _home(da), sorted(leaked), da
+    return private, in_window, _home(da), leaked, da
 
 
 def test_mxn_close_retires_the_rma_window(monkeypatch):
@@ -295,6 +307,101 @@ def test_mxn_close_retires_the_rma_window(monkeypatch):
         assert leaked == []
     assert _same_bytes([da for *_, da in res["dst"]],
                        _truth(_SRC_DESC.shape, 0))
+
+
+# -- closed before the first transfer: the handle's own state is the only state
+
+_TIER_ENV = {"two_sided": {},
+             "collective": {"REPRO_PLANNER": "collective",
+                            "REPRO_ROUND_BYTES": str(ROUND_BYTES)},
+             "rma": {"REPRO_RMA": "1"}}
+
+
+def _both_jobs_here(comm, sync):
+    comm.barrier()
+    if comm.rank == 0:
+        sync.send(None, 0, tag=1)
+        sync.recv(source=0, tag=1)
+    comm.barrier()
+
+
+def _close_first(comm, handle, role):
+    """Open ``handle`` (the tier comes from the knobs), close it before
+    any transfer; returns (the tier a Channel resolved, whether the
+    array sat in a window while open, segments left behind)."""
+    source = role == "source"
+    sync = (default_nameservice.accept("close-first-sync", comm) if source
+            else default_nameservice.connect("close-first-sync", comm))
+    da = (DistributedArray.allocate(_SRC_DESC, comm.rank) if source
+          else None)
+    before = _shm_before(comm)
+    if handle == "channel":
+        h = Coupler("close-first", default_nameservice).open(
+            comm, role, da if source else _DST_DESC)
+        verb, mode, da = (h.push if source else h.pull), h.mode, h.array
+        windowed = False               # the channel allocated it: no "before"
+    else:
+        inter = (default_nameservice.accept("close-first", comm) if source
+                 else default_nameservice.connect("close-first", comm))
+        da = da if source else DistributedArray.allocate(_DST_DESC, comm.rank)
+        private = _home(da)
+        h = MxNConnection(
+            ConnectionSpec(_SRC_DESC, _DST_DESC, ConnectionKind(handle)),
+            inter, role, da)
+        verb, mode, windowed = h.data_ready, None, _home(da) != private
+    # Both sides are bound before either closes: a window closed under a
+    # sender still attaching is the next test's typed error, not this one.
+    _both_jobs_here(comm, sync)
+    h.close()
+    h.close()                          # idempotent
+    leaked = _shm_leaked(comm, before)
+    with pytest.raises(ConnectionError_):
+        verb()
+    return mode, windowed, leaked
+
+
+@pytest.mark.parametrize("tier", list(_TIER_ENV))
+@pytest.mark.parametrize("handle", ["channel", "persistent", "one_shot"])
+def test_close_before_first_transfer_refuses_every_verb(monkeypatch, handle,
+                                                        tier):
+    for var, value in _TIER_ENV[tier].items():
+        monkeypatch.setenv(var, value)
+    # RMA needs ranks that can attach each other's windows: real processes
+    res = run_coupled(
+        [("src", _SRC_DESC.nranks, _close_first, (handle, "source")),
+         ("dst", _DST_DESC.nranks, _close_first, (handle, "destination"))],
+        deadlock_timeout=30.0, backend="procs" if tier == "rma" else "threads")
+    if handle == "channel":
+        assert {m for m, _, _ in res["src"] + res["dst"]} == {tier}
+    for _, windowed, leaked in res["dst"]:
+        # a one-shot never takes the RMA tier, whatever the knob says
+        assert windowed == (tier == "rma" and handle == "persistent")
+        assert leaked == []            # an unused window is retired too
+
+
+def _bind_after_peer_closed(comm, side):
+    sched = build_region_schedule(_SRC_DESC, _DST_DESC)
+    if side == "dst":
+        inter = default_nameservice.connect("gone", comm)
+        bind(sched, "dst", inter,
+             DistributedArray.allocate(_DST_DESC, comm.rank),
+             mode="rma").close()
+        comm.barrier()
+        if comm.rank == 0:
+            for s in range(_SRC_DESC.nranks):
+                inter.send(None, s, tag=78)
+        return None
+    inter = default_nameservice.accept("gone", comm)
+    inter.recv(source=0, tag=78)       # every receiver has closed
+    with pytest.raises(ConnectionError_, match="closed its transfer"):
+        bind(sched, "src", inter,
+             DistributedArray.allocate(_SRC_DESC, comm.rank), mode="rma")
+
+
+def test_rma_bind_after_the_receiver_closed_is_a_typed_error():
+    run_coupled([("src", _SRC_DESC.nranks, _bind_after_peer_closed, ("src",)),
+                 ("dst", _DST_DESC.nranks, _bind_after_peer_closed, ("dst",))],
+                deadlock_timeout=30.0, backend="procs")
 
 
 # -- REPRO_VERIFY reaches the collective tier ---------------------------------
@@ -316,12 +423,12 @@ def test_verify_hook_proves_collective_binds_inter(verify_on):
                                          Job(dst_desc.nranks))
     g = _truth(src_desc.shape, 0)
     kw = dict(planner="collective", round_bytes=ROUND_BYTES)
-    senders = [sched.persistent_sender(
-        src_inters[r], DistributedArray.from_global(src_desc, r, g), **kw)
+    senders = [bind(sched, "src", src_inters[r],
+                    DistributedArray.from_global(src_desc, r, g), **kw)
         for r in range(src_desc.nranks)]
     dsts = [DistributedArray.allocate(dst_desc, r)
             for r in range(dst_desc.nranks)]
-    receivers = [sched.persistent_receiver(dst_inters[r], dsts[r], **kw)
+    receivers = [bind(sched, "dst", dst_inters[r], dsts[r], **kw)
                  for r in range(dst_desc.nranks)]
     bound = verify_on.snapshot()
     assert bound["rank_checks"] == src_desc.nranks + dst_desc.nranks

@@ -6,7 +6,6 @@ import pytest
 from repro.dad import (
     BlockCyclic,
     CartesianTemplate,
-    Cyclic,
     DistArrayDescriptor,
 )
 from repro.dad.template import ExplicitTemplate, block_template
@@ -14,9 +13,9 @@ from repro.errors import ScheduleError
 from repro.linearize import DenseLinearization
 from repro.schedule import (
     ScheduleCache,
-    build_block_schedule,
     build_linear_schedule,
     build_region_schedule,
+    build_structured_schedule,
 )
 from repro.util.regions import Region
 
@@ -91,7 +90,7 @@ class TestBlockFastPath:
     def test_matches_general_path(self, shape, g1, g2):
         src = desc(block_template(shape, g1))
         dst = desc(block_template(shape, g2))
-        fast = build_block_schedule(src, dst)
+        fast = build_structured_schedule(src, dst)
         general = build_region_schedule(src, dst, force_general=True)
         assert ([(i.src, i.dst, i.region) for i in fast.items]
                 == [(i.src, i.dst, i.region) for i in general.items])
@@ -100,19 +99,13 @@ class TestBlockFastPath:
         src = desc(block_template((8, 8), (2, 2)))
         dst = desc(block_template((8, 8), (4, 2)))
         assert (build_region_schedule(src, dst).items
-                == build_block_schedule(src, dst).items)
-
-    def test_fast_path_rejects_non_block(self):
-        src = desc(CartesianTemplate([Cyclic(8, 2)]))
-        dst = desc(block_template((8,), (2,)))
-        with pytest.raises(ScheduleError):
-            build_block_schedule(src, dst)
+                == build_structured_schedule(src, dst).items)
 
     def test_fast_path_with_empty_trailing_blocks(self):
         # extent 5 over 4 procs: block=2 -> rank 3 owns nothing
         src = desc(block_template((5,), (4,)))
         dst = desc(block_template((5,), (2,)))
-        sched = build_block_schedule(src, dst)
+        sched = build_structured_schedule(src, dst)
         sched.validate(src, dst)
 
 

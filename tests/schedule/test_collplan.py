@@ -20,6 +20,7 @@ from repro.errors import ScheduleError
 from repro.schedule import (
     GLOBAL_CACHE,
     PLAN_STATS,
+    bind,
     build_region_schedule,
     choose_planner,
     estimate,
@@ -243,9 +244,9 @@ def _build_engines(src_desc, dst_desc, g, round_bytes, tag=610):
     dsts = [DistributedArray.allocate(dst_desc, r)
             for r in range(dst_desc.nranks)]
     bound = dict(tag=tag, planner="collective", round_bytes=round_bytes)
-    senders = [sched.persistent_sender(src_inters[r], srcs[r], **bound)
+    senders = [bind(sched, "src", src_inters[r], srcs[r], **bound)
                for r in range(src_desc.nranks)]
-    receivers = [sched.persistent_receiver(dst_inters[r], dsts[r], **bound)
+    receivers = [bind(sched, "dst", dst_inters[r], dsts[r], **bound)
                  for r in range(dst_desc.nranks)]
     return sched, coll, senders, receivers, dsts
 

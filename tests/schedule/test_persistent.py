@@ -17,7 +17,7 @@ from repro.dad import (
     GeneralizedBlock,
 )
 from repro.dad.template import block_template
-from repro.schedule import build_region_schedule
+from repro.schedule import bind, build_region_schedule
 from repro.simmpi import payload
 from repro.simmpi.intercomm import couple_jobs
 from repro.simmpi.runner import Job
@@ -81,9 +81,9 @@ def _engines(src_desc, dst_desc, g):
                   for r in range(src_desc.nranks)]
     dst_arrays = [DistributedArray.allocate(dst_desc, r)
                   for r in range(dst_desc.nranks)]
-    senders = [sched.persistent_sender(src_inters[r], src_arrays[r])
+    senders = [bind(sched, "src", src_inters[r], src_arrays[r])
                for r in range(src_desc.nranks)]
-    receivers = [sched.persistent_receiver(dst_inters[r], dst_arrays[r])
+    receivers = [bind(sched, "dst", dst_inters[r], dst_arrays[r])
                  for r in range(dst_desc.nranks)]
     return src_arrays, dst_arrays, senders, receivers
 
@@ -100,11 +100,11 @@ def _rma_engines(src_desc, dst_desc, g):
                   for r in range(src_desc.nranks)]
     dst_arrays = [DistributedArray.allocate(dst_desc, r)
                   for r in range(dst_desc.nranks)]
-    receivers = [sched.persistent_receiver(dst_inters[r], dst_arrays[r],
-                                           mode="rma")
+    receivers = [bind(sched, "dst", dst_inters[r], dst_arrays[r],
+                      mode="rma")
                  for r in range(dst_desc.nranks)]
-    senders = [sched.persistent_sender(src_inters[r], src_arrays[r],
-                                       mode="rma")
+    senders = [bind(sched, "src", src_inters[r], src_arrays[r],
+                    mode="rma")
                for r in range(src_desc.nranks)]
     return src_arrays, dst_arrays, senders, receivers
 
@@ -344,11 +344,11 @@ class TestRmaEquivalence:
         dst_arrays = [DistributedArray.allocate(dst_desc, r)
                       for r in range(dst_desc.nranks)]
         before = TRANSPORT_STATS.get("rma_fallbacks")
-        receivers = [sched.persistent_receiver(dst_inters[r], dst_arrays[r],
-                                               mode="rma")
+        receivers = [bind(sched, "dst", dst_inters[r], dst_arrays[r],
+                          mode="rma")
                      for r in range(dst_desc.nranks)]
-        senders = [sched.persistent_sender(src_inters[r], src_arrays[r],
-                                           mode="rma")
+        senders = [bind(sched, "src", src_inters[r], src_arrays[r],
+                        mode="rma")
                    for r in range(src_desc.nranks)]
         assert TRANSPORT_STATS.get("rma_fallbacks") > before
         assert all(e.tier == "two_sided" for e in senders + receivers)
@@ -372,9 +372,9 @@ class TestRmaEquivalence:
                       for r in range(2)]
         dst_arrays = [DistributedArray.allocate(dst_desc, r)
                       for r in range(3)]
-        receivers = [sched.persistent_receiver(dst_inters[r], dst_arrays[r])
+        receivers = [bind(sched, "dst", dst_inters[r], dst_arrays[r])
                      for r in range(3)]
-        senders = [sched.persistent_sender(src_inters[r], src_arrays[r])
+        senders = [bind(sched, "src", src_inters[r], src_arrays[r])
                    for r in range(2)]
         assert all(e.tier == "rma" for e in senders + receivers)
         assert _step(senders, receivers) == 12

@@ -24,13 +24,12 @@ from repro.dad import (
 from repro.dad.template import ExplicitTemplate, block_template
 from repro.schedule import (
     ScheduleCache,
-    build_allpairs_schedule,
-    build_block_schedule,
     build_region_schedule,
     build_structured_schedule,
     build_sweep_schedule,
 )
 from repro.schedule.builder import _is_structured, _overlap_pairs_1d
+from repro.verify.schedule import build_allpairs_schedule
 from repro.util.regions import Region
 
 
@@ -113,12 +112,6 @@ class TestEngineEquivalence:
         sched = build_region_schedule(src, dst)
         assert triples(sched) == triples(build_allpairs_schedule(src, dst))
         sched.validate(src, dst)
-
-    def test_block_fast_path_delegates(self):
-        src = desc(block_template((12, 12), (2, 2)))
-        dst = desc(block_template((12, 12), (3, 3)))
-        assert (triples(build_block_schedule(src, dst))
-                == triples(build_allpairs_schedule(src, dst)))
 
 
 class TestSweepPrimitive:

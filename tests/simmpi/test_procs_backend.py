@@ -23,7 +23,7 @@ from repro.dad import (
 )
 from repro.errors import CommunicatorError, DeadlockError, SpmdError
 from repro.highlevel import Coupler
-from repro.schedule import build_region_schedule
+from repro.schedule import bind, build_region_schedule
 from repro.simmpi import run_coupled, run_spmd
 from repro.simmpi import payload
 from repro.simmpi.intercomm import default_nameservice
@@ -309,8 +309,8 @@ def test_persistent_channel_byte_identical_across_backends(backend):
 def _engine_producer(comm, steps):
     inter = default_nameservice.accept("procs-direct", comm)
     da = DistributedArray.from_global(_SRC_DESC, comm.rank, _GLOBAL)
-    tx = build_region_schedule(_SRC_DESC, _DST_DESC).persistent_sender(
-        inter, da, tag=61)
+    tx = bind(build_region_schedule(_SRC_DESC, _DST_DESC), "src", inter, da,
+              tag=61)
     for _ in range(steps):
         for d in range(_DST_DESC.nranks):      # wait until every consumer
             inter.recv(d, tag=62)              # has preposted its slots
@@ -320,8 +320,8 @@ def _engine_producer(comm, steps):
 def _engine_consumer(comm, steps):
     inter = default_nameservice.connect("procs-direct", comm)
     da = DistributedArray.allocate(_DST_DESC, comm.rank)
-    rx = build_region_schedule(_SRC_DESC, _DST_DESC).persistent_receiver(
-        inter, da, tag=61)
+    rx = bind(build_region_schedule(_SRC_DESC, _DST_DESC), "dst", inter, da,
+              tag=61)
     d0 = TRANSPORT_STATS.get("direct_deliveries")
     for _ in range(steps):
         rx.arm()

@@ -1,6 +1,8 @@
 """Cross-subsystem integration tests: multiple connections, multiple
 fields, and failure injection."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,11 @@ from repro.icomm import (
     MatchRule,
     Matching,
 )
-from repro.mxn import ConnectionKind, ConnectionSpec, MxNComponent
+from repro.highlevel import Coupler
+from repro.mxn import (ConnectionKind, ConnectionSpec, MxNComponent,
+                       MxNConnection)
+from repro.pubsub import Publisher, Subscriber, SubscriptionBoard
+from repro.schedule import GLOBAL_CACHE, PLAN_STATS
 from repro.simmpi import NameService, run_coupled
 
 
@@ -106,6 +112,55 @@ class TestMultipleConnections:
         m1, v1, m2, v2 = out["consumer"][0]
         assert (m1, v1) == (5, 5.0)     # EXACT hit
         assert (m2, v2) == (3, 3.0)     # REGULAR/3 snapped down
+
+
+class TestOneScheduleLifecycle:
+    def test_subsystems_share_one_schedule_per_template_pair(self):
+        """§2.3: a schedule serves "different arrays as long as they
+        conform to the same distribution template".  A coupling channel,
+        an M×N connection and a pub/sub topic over one template pair in
+        one process are one cache entry, built once, each (side, rank)
+        plan compiled once."""
+        shape, m, n = (8, 6), 2, 3
+        src = DistArrayDescriptor(block_template(shape, (m, 1)))
+        dst = DistArrayDescriptor(block_template(shape, (1, n)))
+        g = np.arange(48.0).reshape(shape)
+        ns, board = NameService(), SubscriptionBoard()
+
+        def producer(comm):
+            da = DistributedArray.from_global(src, comm.rank, g)
+            chan = Coupler("field", ns).open(comm, "source", da)
+            chan.push()
+            chan.close()
+            conn = MxNConnection(ConnectionSpec(src, dst),
+                                 ns.accept("mxn", comm), "source", da)
+            conn.data_ready()
+            pub = Publisher(comm, ns, board, "topic", src)
+            while comm.rank == 0 and not board.active("topic"):
+                time.sleep(0.01)
+            comm.barrier()
+            served = pub.publish(da)
+            pub.close()
+            return served
+
+        def consumer(comm):
+            chan = Coupler("field", ns).open(comm, "destination", dst)
+            via_channel = chan.pull()
+            chan.close()
+            via_mxn = DistributedArray.allocate(dst, comm.rank)
+            MxNConnection(ConnectionSpec(src, dst), ns.connect("mxn", comm),
+                          "destination", via_mxn).data_ready()
+            via_topic = Subscriber(comm, ns, board, "topic", dst).receive()
+            return via_channel, via_mxn, via_topic
+
+        out = run_coupled([("prod", m, producer, ()),
+                           ("cons", n, consumer, ())])
+        assert out["prod"] == [1] * m
+        for parts in zip(*out["cons"]):
+            assert DistributedArray.assemble(parts).tobytes() == g.tobytes()
+        stats = GLOBAL_CACHE.stats()
+        assert (stats["entries"], stats["misses"]) == (1, 1)
+        assert PLAN_STATS.get("rank_plans") == m + n
 
 
 class TestFailureInjection:

@@ -416,3 +416,48 @@ def test_v110_pragma_opts_out():
         raw = os.getenv("REPRO_BACKEND")  # verify: allow(V110)
     """)
     assert hits == []
+
+
+# -- V111: private schedule build outside the cache ---------------------------
+
+def test_v111_every_region_builder_fires_in_a_subsystem():
+    hits = lint("""
+        from repro.schedule import builder
+        from repro.schedule.builder import build_region_schedule
+
+        class Connection:
+            def __init__(self, src, dst):
+                self.schedule = build_region_schedule(src, dst)
+
+        def per_call(src, dst):
+            a = builder.build_structured_schedule(src, dst)
+            return a, builder.build_sweep_schedule(src, dst)
+    """, "src/repro/mxn/connection.py")
+    assert [h.rule for h in hits] == ["V111"] * 3
+    assert "build_region_schedule" in hits[0].message
+    assert "GLOBAL_CACHE.get" in hits[0].message
+
+
+def test_v111_builder_packages_and_the_cache_are_exempt():
+    code = """
+        def oracle_gate(src, dst):
+            return build_region_schedule(src, dst, force_general=True)
+    """
+    for path in ("src/repro/schedule/delta.py", "src/repro/verify/__main__.py",
+                 "src/repro/baselines/per_region.py"):
+        assert lint(code, path) == []
+    assert lint("""
+        from repro.schedule.builder import GLOBAL_CACHE, build_region_schedule
+
+        def fetch(src, dst):
+            linear = build_linear_schedule(src, dst)   # not a region builder
+            custom = ScheduleCache(build_region_schedule)   # passed, not called
+            return GLOBAL_CACHE.get(src, dst)
+    """, "src/repro/pubsub/endpoints.py") == []
+
+
+def test_v111_pragma_opts_out():
+    hits = lint("""
+        sched = build_region_schedule(src, dst)  # verify: allow(V111)
+    """, "src/repro/icomm/coupling.py")
+    assert hits == []
