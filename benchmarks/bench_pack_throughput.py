@@ -1,16 +1,17 @@
-"""A6 (ablation): packed-copy throughput — compiled index plans vs the
+"""A6 (ablation): packed-copy throughput — compiled copy plans vs the
 region-loop pack/unpack path.
 
 The packed executor's copy phase used to walk every region of every
 (src, dst) rank pair in Python (``pack_regions``/``unpack_regions``),
-touching one region per iteration.  The compiled-plan path flattens each
-pair to one ``np.int64`` gather-index array at first use — or, when the
-pair's regions chain into a single ascending range, to a slice whose
-send-side gather is a zero-copy view — so the copy phase is one
-``take``/fancy-assignment per pair regardless of region count.  Cyclic
-templates are the stress case: every owned element is its own region, so
-the loop path pays one Python iteration per element while the plan path
-stays a single vectorized gather.
+touching one region per iteration.  The compiled-plan path folds each
+pair at first use into a strided box ``(lo, shape, strides)`` — one
+range when the pair's regions chain, a strided range for cyclic pairs,
+``(nruns, run_len)`` for block-cyclic ones — so the copy phase is one
+strided ``np.copyto`` per pair regardless of region count, and no
+regular pair stores an element index.  Cyclic templates are the stress
+case: every owned element is its own region, so the loop path pays one
+Python iteration per element while the plan path stays a single
+vectorized copy.
 
 This report sweeps template kinds and M×N rank pairs and times both copy
 paths directly (single-threaded, per source/destination rank in turn —
@@ -52,6 +53,7 @@ KINDS = {
     "block": lambda p, e: block_template((e,), (p,)),
     "cyclic": lambda p, e: CartesianTemplate([Cyclic(e, p)]),
     "blockcyclic4": lambda p, e: CartesianTemplate([BlockCyclic(e, p, 4)]),
+    "blockcyclic64": lambda p, e: CartesianTemplate([BlockCyclic(e, p, 64)]),
 }
 
 # the acceptance pair from the issue: cyclic 32 -> 48 ranks
@@ -116,14 +118,16 @@ def _time_phase(fn, *args, reps=REPS):
 
 
 def _plan_shape(sched, src_desc, dst_desc):
-    pairs = contiguous = 0
+    """(pairs, contiguous pairs, pairs holding an index array)."""
+    pairs = contiguous = indexed = 0
     for side, desc in (("send", src_desc), ("recv", dst_desc)):
         for r in range(desc.nranks):
             plan = (sched.send_plan(r, desc.local_regions(r)) if side == "send"
                     else sched.recv_plan(r, desc.local_regions(r)))
             pairs += len(plan.pairs)
             contiguous += plan.contiguous_pairs
-    return pairs, contiguous
+            indexed += sum(p.idx is not None for p in plan.pairs)
+    return pairs, contiguous, indexed
 
 
 def sweep_rows(extent=EXTENT):
@@ -141,10 +145,12 @@ def sweep_rows(extent=EXTENT):
             # time it once (variance is dwarfed by the gap anyway)
             t_loop = _time_phase(_loop_copy_phase, sched, src_desc,
                                  dst_desc, srcs, dsts, reps=1)
-            pairs, contiguous = _plan_shape(sched, src_desc, dst_desc)
+            pairs, contiguous, indexed = _plan_shape(sched, src_desc,
+                                                     dst_desc)
             rows.append({
                 "kind": kind, "m": m, "n": n,
                 "pairs": pairs, "contiguous_pairs": contiguous,
+                "indexed_pairs": indexed,
                 "elements": extent,
                 "loop_ms": t_loop * 1e3, "plan_ms": t_plan * 1e3,
                 "speedup": t_loop / t_plan if t_plan > 0 else float("inf"),
@@ -157,18 +163,19 @@ def report(json_path=None):
                  "compiled plans vs region loop"))
     rows = sweep_rows()
     print(fmt_table(
-        ["kind", "M x N", "pairs", "contig", "loop ms", "plan ms",
-         "speedup"],
+        ["kind", "M x N", "pairs", "contig", "indexed", "loop ms",
+         "plan ms", "speedup"],
         [[r["kind"], f"{r['m']}x{r['n']}", r["pairs"],
-          r["contiguous_pairs"], f"{r['loop_ms']:.2f}",
+          r["contiguous_pairs"], r["indexed_pairs"], f"{r['loop_ms']:.2f}",
           f"{r['plan_ms']:.2f}", f"{r['speedup']:.1f}x"] for r in rows]))
 
     kind, m, n = ACCEPTANCE
     acc = next(r for r in rows if (r["kind"], r["m"], r["n"]) == (kind, m, n))
     print(f"\nAcceptance pair ({kind} {m}x{n}, extent {EXTENT}): "
           f"{acc['speedup']:.0f}x copy-phase speedup over the region "
-          f"loop (floor: 5x).\nBlock rows compile entirely to slices "
-          f"(contig == pairs): the send-side gather is a zero-copy view.")
+          f"loop (floor: 5x).\nBlock rows compile entirely to one range "
+          f"(contig == pairs): the send-side gather is a zero-copy view; "
+          f"no row holds an element index (indexed == 0).")
 
     payload = {"extent": EXTENT, "reps": REPS, "rows": rows,
                "acceptance": {"kind": kind, "m": m, "n": n,
@@ -185,9 +192,13 @@ def report(json_path=None):
 def smoke():
     """CI gate: plan/loop equivalence and fast-path detection on a small
     extent — correctness, not timing, so it cannot flake."""
-    extent = 240
-    for kind in KINDS:
-        src_desc, dst_desc = _pair(kind, 4, 6, extent)
+    # three kinds 4 -> 6, plus the stream workloads' 2 -> 3 geometry
+    # with a ragged last block (1000 is no multiple of 64)
+    cases = [(kind, 4, 6, 240) for kind in ("block", "cyclic",
+                                            "blockcyclic4")]
+    cases.append(("blockcyclic64", 2, 3, 1000))
+    for kind, m, n, extent in cases:
+        src_desc, dst_desc = _pair(kind, m, n, extent)
         sched, srcs, dsts_plan = _setup(src_desc, dst_desc)
         _, _, dsts_loop = _setup(src_desc, dst_desc)
         assert _plan_copy_phase(sched, src_desc, dst_desc,
@@ -197,13 +208,16 @@ def smoke():
         for a, b in zip(dsts_plan, dsts_loop):
             if a.flat_local().tobytes() != b.flat_local().tobytes():
                 raise SystemExit(f"plan/loop mismatch for {kind}")
-        pairs, contiguous = _plan_shape(sched, src_desc, dst_desc)
+        pairs, contiguous, indexed = _plan_shape(sched, src_desc, dst_desc)
+        if indexed:
+            raise SystemExit(f"{kind} {m}x{n}: {indexed} of {pairs} pairs "
+                             f"hold an index array, must be boxes")
         if kind == "block" and contiguous != pairs:
-            raise SystemExit("block pairs did not compile to slices")
-        if kind == "cyclic" and contiguous == pairs:
-            raise SystemExit("cyclic pairs unexpectedly all contiguous")
+            raise SystemExit("block pairs did not compile to one range")
+        if kind != "block" and contiguous == pairs:
+            raise SystemExit(f"{kind} pairs unexpectedly all contiguous")
     # offsets stay int64 cumsum arrays
-    regions = list(_pair("cyclic", 4, 6, extent)[0].local_regions(0))
+    regions = list(_pair("cyclic", 4, 6, 240)[0].local_regions(0))
     offs = region_offsets(regions)
     assert offs.dtype == np.int64 and offs[-1] == \
         sum(r.volume for r in regions)

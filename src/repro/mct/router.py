@@ -73,15 +73,16 @@ def _run_row_indices(gsmap: GlobalSegMap, pe: int, run) -> np.ndarray:
 
 def _pair_rows(plan_pair, av: AttrVect) -> np.ndarray:
     """The AttrVect rows a compiled pair plan addresses — a zero-copy
-    view on the slice fast paths (contiguous or strided), a fancy-gather
+    view for a one-axis box (contiguous or strided), a fancy-gather
     otherwise."""
     return av.data[plan_pair.selector, :]
 
 
 def _pair_wire(plan_pair, av: AttrVect):
-    """Transport marker for one pair's fused 2-D block: slice-like pairs
-    lend their live view (consumed synchronously by the send), gathered
-    blocks move (the fresh fancy-index result has no other owner)."""
+    """Transport marker for one pair's fused 2-D block: box pairs (row
+    plans only ever hold one-axis boxes) lend their live view (consumed
+    synchronously by the send), gathered blocks move (the fresh
+    fancy-index result has no other owner)."""
     block = _pair_rows(plan_pair, av)
     if plan_pair.idx is None:
         return payload.Borrowed(block)

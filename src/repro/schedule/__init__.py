@@ -30,6 +30,7 @@ for a single step.
 from repro.schedule.plan import CommSchedule, LinearSchedule, TransferItem, LinearItem
 from repro.schedule.indexplan import (
     PLAN_STATS,
+    Box,
     LocalIndexer,
     PairPlan,
     RankPlan,
@@ -108,6 +109,7 @@ __all__ = [
     "unpack_regions",
     "region_offsets",
     "PLAN_STATS",
+    "Box",
     "LocalIndexer",
     "PairPlan",
     "RankPlan",

@@ -173,8 +173,9 @@ class CollectivePlan:
         remote-rank order across an intercommunicator — both sides sort
         the same way, so buffers line up with no metadata), ``sub_plans``
         the :meth:`~repro.schedule.indexplan.PairPlan.sub` plans of the
-        pair's chunks in wire order.  Built once per bind; both wires of
-        the collective tier replay it every step."""
+        pair's chunks in wire order (a chunk of a box pair stays boxes:
+        head-partial row, whole rows, tail-partial row).  Built once per
+        bind; both wires of the collective tier replay it every step."""
         mine, theirs = (("src", "dst") if side == "src" else ("dst", "src"))
         pairs = {pp.peer: pp for pp in plan.pairs}
         table = []

@@ -20,7 +20,8 @@ result into the only two things a live resize actually needs:
   one gather :class:`~repro.schedule.indexplan.PairPlan` over the old
   layout and one scatter plan over the new layout, compiled with the
   same machinery as wire plans, so a repack is one vectorized
-  gather/scatter (and zero copies on the double-slice fast path).
+  gather/scatter — one box → box copy through the lent view when
+  the gather side is a single box.
   Ranks whose ownership is completely unchanged (*identity ranks*,
   detected via :meth:`~repro.dad.descriptor.DistArrayDescriptor.
   ownership_key`) skip even the repack and keep their buffer.
@@ -155,7 +156,9 @@ class DeltaSchedule:
         if plans is None:
             return 0
         gather, scatter = plans
-        scatter.scatter(new_flat, gather.gather(old_flat))
+        kept = gather.lend(old_flat)
+        scatter.scatter(new_flat,
+                        kept if kept is not None else gather.gather(old_flat))
         return gather.size
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

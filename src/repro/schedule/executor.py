@@ -24,9 +24,10 @@ Bind does, once: side validation, the ``REPRO_VERIFY`` proof
 compilation through the schedule's cache, tier resolution
 (:func:`resolve_tier`), peer translation of every pair, and the tier's
 bootstrap.  A step replays compiled :class:`~repro.schedule.indexplan.
-PairPlan` objects only: slice-like pairs lend a live view of local
-storage (:class:`~repro.simmpi.payload.Borrowed`), index pairs gather
-into a :class:`~repro.schedule.bufpool.BufferPool` loan that moves
+PairPlan` objects only: a single-box pair lends its strided n-D view of
+local storage (:class:`~repro.simmpi.payload.Borrowed`) so the wire's
+own copy reads source storage, multi-box and index pairs gather into a
+:class:`~repro.schedule.bufpool.BufferPool` loan that moves
 (:class:`~repro.simmpi.payload.OwnedBuffer`) and returns to the pool on
 consumption — zero steady-state allocations.  Every verb of a closed
 transfer raises :class:`~repro.errors.ConnectionError_`.
@@ -188,15 +189,21 @@ class BoundTransfer:
                 f"{self.tier} transfer is closed — bind a new one")
 
     def _staged(self, pp, flat) -> tuple:
-        """One pair's packed bytes and their loan release: a zero-copy
-        view of local storage (release ``None``) on the slice fast
-        paths, a pooled staging buffer otherwise."""
-        if pp.idx is None:
-            return pp.gather(flat), None
+        """One pair's wire-order elements and their loan release: the
+        lent n-D view of local storage (release ``None``) for a
+        single-box plan, a pooled staging buffer otherwise."""
+        view = pp.lend(flat)
+        if view is not None:
+            return view, None
         buf, release = self.pool.loan(("send", self._me, pp.peer), pp.size,
                                       self._dtype)
         pp.gather_into(flat, buf)
         return buf, release
+
+    def _scratch(self, pp):
+        """Pooled scratch for the one copy a plan cannot do in place (a
+        lent non-contiguous view meeting a box of another shape)."""
+        return partial(self.pool.loan, ("stage", self._me, pp.peer))
 
     def step(self) -> int:
         """Move one snapshot; returns the elements this side moved."""
@@ -242,8 +249,9 @@ class _TwoSidedRecv(BoundTransfer):
         if self._slots is None:
             flat = self._storage.flat_local()
             self._slots = [
-                self._link.prepost_recv(partial(pp.scatter, flat),
-                                        source=peer, tag=self._tag)
+                self._link.prepost_recv(
+                    partial(pp.scatter, flat, loan=self._scratch(pp)),
+                    source=peer, tag=self._tag)
                 for pp, peer in self._pairs]
 
     def complete(self, *, timeout: float | None = None) -> int:
@@ -279,7 +287,7 @@ class _RmaSend(BoundTransfer):
         for (pp, _peer), rwin in zip(self._pairs, self._rwins):
             rwin.wait_open(self._epoch)
             buf, release = self._staged(pp, flat)
-            moved += rwin.put(buf)
+            moved += rwin.put(buf, loan=self._scratch(pp))
             if release is not None:
                 release()
             rwin.commit(self._epoch)

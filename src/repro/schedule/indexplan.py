@@ -1,33 +1,43 @@
-"""Compiled gather/scatter index plans for schedule data movement.
+"""Compiled copy plans for schedule data movement: box | index.
 
-PR 1 minimized *message counts* (one packed buffer per communicating
-rank pair); this layer minimizes the cost of producing and consuming
-those buffers.  The region-loop pack/unpack path walks a pair's regions
-one by one, paying a Python-level ``local_view`` (a linear scan over the
-rank's patches) plus a small NumPy copy per region — for fragmented
-templates (cyclic, block-cyclic) that per-region overhead dominates the
-whole transfer.
+A schedule is computed once and replayed (paper §2.3), so the replay is
+the product.  A :class:`PairPlan` is everything one (src, dst) rank pair
+exchanges, compiled against the owning rank's row-major local buffer
+(:meth:`~repro.dad.darray.DistributedArray.flat_local`) into one of two
+shapes:
 
-A :class:`PairPlan` compiles everything a (src, dst) rank pair exchanges
-into one flat ``np.int64`` element-index array into the rank's row-major
-local buffer (:meth:`~repro.dad.darray.DistributedArray.flat_local`), so
-the copy phase of a transfer collapses to a single vectorized call per
-pair::
+**box** — a :class:`Box` ``(lo, shape, strides)`` in elements, or a
+short tuple of them.  The closed-form redistribution tables of
+block-cyclic layouts *are* strided boxes:
 
-    buf = flat_local.take(plan.idx)      # gather (send side)
-    flat_local[plan.idx] = buf           # scatter (receive side)
+===========================  ====================  ===================
+pair                         ``shape``             ``strides``
+===========================  ====================  ===================
+contiguous range             ``(n,)``              ``(1,)``
+cyclic (every k-th element)  ``(n,)``              ``(k,)``
+block-cyclic, block > 1      ``(nruns, run_len)``  ``(stride, 1)``
+2-D sub-block of a patch     ``(rows, cols)``      ``(patch_width, 1)``
+===========================  ====================  ===================
 
-with a **contiguity fast path**: when a pair's regions flatten to one
-ascending unit-stride range, the index array is dropped entirely and the
-plan carries a ``[lo, lo + size)`` slice — gather then returns a
-zero-copy *view* of local storage and scatter is one slice assignment.
-A **strided fast path** generalizes this: indices forming any ascending
-arithmetic progression (the signature of cyclic ownership, where every
-peer takes every k-th owned element) compress to ``(lo, size, step)``
-and gather/scatter become strided-slice operations — still a zero-copy
-view on the send side, which is what lets persistent channels deliver
-cyclic pairs straight into the destination's ``flat_local()`` base with
-a single copy per byte.
+and a ragged last block is a second box.  A box executes as one
+``np.copyto`` over a strided n-D view of the flat buffer — no index is
+stored, pickled (the RMA tier ships its scatter plan in the window
+handle) or fancy-indexed.
+
+**index** — the fallback: one ``np.int64`` element index per element in
+wire order, for pairs that do not fold into :data:`MAX_BOXES` boxes
+(irregular explicit templates, linearization runs that are not an
+arithmetic progression).
+
+**Lending.**  A single-box plan *lends*: :meth:`PairPlan.lend` hands out
+the n-D view itself, and the executor sends that view as a
+:class:`~repro.simmpi.payload.Borrowed` payload instead of gathering
+into a staging buffer — the transport's own copy (shared-memory slot
+write, preposted sink, RMA window put) reads source storage directly.
+:meth:`PairPlan.scatter` accepts what arrives in any shape: wire order
+is the C order of the payload, so it reshapes whichever side is
+contiguous to the other's shape (free), copies box to box when the
+shapes agree, and stages through a loan only when neither holds.
 
 Plans are pure functions of (schedule groups, owner patch layout), so
 they are compiled once and cached on the schedule next to
@@ -39,16 +49,19 @@ schedule (the paper's persistent-channel case) pay compilation once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from math import prod
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import ScheduleError
 from repro.util.counters import Counters, TRANSPORT_STATS
-from repro.util.indexing import region_flat_indices, row_major_strides
+from repro.util.indexing import region_flat_indices
 from repro.util.regions import Region
 
 __all__ = [
+    "Box",
+    "MAX_BOXES",
     "PairPlan",
     "RankPlan",
     "PLAN_STATS",
@@ -65,65 +78,197 @@ __all__ = [
 #: over a cached schedule.
 PLAN_STATS = Counters()
 
+#: A pair that does not fold into at most this many boxes falls back to
+#: an index array.  A regular pair needs one (plus a ragged tail); a
+#: ``sub()`` range of a two-axis box three.
+MAX_BOXES = 8
+
+#: ``loan(size, dtype) -> (buffer, release)``: where a copy that needs
+#: staging gets its 1-D scratch (the executor passes its buffer pool).
+Loan = Callable[[int, np.dtype], tuple[np.ndarray, Callable[[], None]]]
+
+
+def _heap_loan(size: int, dtype) -> tuple[np.ndarray, Callable[[], None]]:
+    buf = np.empty(size, dtype)
+    TRANSPORT_STATS.add("alloc_bytes", buf.nbytes)
+    return buf, lambda: None
+
+
+class Box(NamedTuple):
+    """``shape`` elements starting at ``lo``, axis ``d`` advancing
+    ``strides[d]`` elements of the flat buffer; wire order is the box's
+    C order.  Always canonical (see :func:`_box`): at least one axis, no
+    unit axis, no two axes that chain — so equal element sequences
+    compile to equal boxes and contiguous means ``strides == (1,)``."""
+
+    lo: int
+    shape: tuple[int, ...]
+    strides: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return prod(self.shape)
+
+    def view(self, flat: np.ndarray) -> np.ndarray:
+        """The box as a strided n-D view of 1-D C-contiguous ``flat``.
+        NumPy checks the extent against the buffer, so a box reaching
+        outside it raises instead of addressing foreign memory."""
+        step = flat.itemsize
+        try:
+            return np.ndarray(self.shape, flat.dtype, flat, self.lo * step,
+                              tuple(s * step for s in self.strides))
+        except (TypeError, ValueError) as exc:
+            raise ScheduleError(
+                f"{self} does not fit a flat buffer of {flat.size} "
+                f"elements ({exc})") from None
+
+    def indices(self) -> np.ndarray:
+        """Flat element indices in wire order."""
+        idx = np.full((), self.lo, dtype=np.int64)
+        for n, s in zip(self.shape, self.strides):
+            idx = idx[..., None] + np.arange(n, dtype=np.int64) * s
+        return idx.reshape(-1)
+
+    def sub(self, a: int, b: int) -> list["Box"]:
+        """Wire-order elements ``[a, b)`` as boxes: head-partial row,
+        whole rows, tail-partial row, recursively per axis — at most
+        ``2 * naxes - 1`` of them."""
+        return [_box(*raw) for raw in
+                _sub_raw(self.lo, self.shape, self.strides, a, b)]
+
+
+_EMPTY = Box(0, (0,), (1,))
+
+
+def _box(lo: int, shape: Sequence[int], strides: Sequence[int]) -> Box:
+    """Canonical :class:`Box`: unit axes dropped, axes that chain
+    (``strides[d] == shape[d+1] * strides[d+1]``) merged."""
+    if 0 in shape:
+        return _EMPTY
+    out_n: list[int] = []
+    out_s: list[int] = []
+    for n, s in zip(shape, strides):
+        if n == 1:
+            continue
+        if out_n and out_s[-1] == n * s:
+            out_n[-1] *= n
+            out_s[-1] = s
+        else:
+            out_n.append(int(n))
+            out_s.append(int(s))
+    if not out_n:
+        return Box(int(lo), (1,), (1,))
+    return Box(int(lo), tuple(out_n), tuple(out_s))
+
+
+def _sub_raw(lo, shape, strides, a, b):
+    if a >= b:
+        return
+    if len(shape) == 1:
+        yield lo + a * strides[0], (b - a,), strides
+        return
+    inner, step = prod(shape[1:]), strides[0]
+    (r0, a0), (r1, b1) = divmod(a, inner), divmod(b, inner)
+    if r0 == r1:
+        yield from _sub_raw(lo + r0 * step, shape[1:], strides[1:], a0, b1)
+        return
+    if a0:
+        yield from _sub_raw(lo + r0 * step, shape[1:], strides[1:], a0, inner)
+        r0 += 1
+    if r1 > r0:
+        yield lo + r0 * step, (r1 - r0,) + shape[1:], strides
+    yield from _sub_raw(lo + r1 * step, shape[1:], strides[1:], 0, b1)
+
+
+def _copy_box(dst: np.ndarray, src: np.ndarray, loan: Loan | None) -> None:
+    """``dst <- src`` for equal-size arrays whose wire order is their C
+    order.  Equal shapes copy box to box; otherwise whichever side is
+    contiguous is reshaped to the other's shape (free); only two
+    non-contiguous views of different shape stage through ``loan``."""
+    release = None
+    if dst.shape != src.shape:
+        if src.flags.c_contiguous:
+            src = src.reshape(dst.shape)
+        elif dst.flags.c_contiguous:
+            dst = dst.reshape(src.shape)
+        else:
+            src, release = _staged_flat(src, loan)
+            src = src.reshape(dst.shape)
+    np.copyto(dst, src)
+    if release is not None:
+        release()
+
+
+def _staged_flat(values: np.ndarray, loan: Loan | None):
+    """A non-contiguous lent view copied into 1-D scratch (one pass)."""
+    tmp, release = (loan or _heap_loan)(values.size, values.dtype)
+    np.copyto(tmp.reshape(values.shape), values)
+    TRANSPORT_STATS.add("bytes_copied", tmp.nbytes)
+    return tmp, release
+
 
 @dataclass(frozen=True, slots=True)
 class PairPlan:
-    """One rank pair's compiled copy phase.
-
-    ``idx`` holds flat element indices into the owning rank's local
-    buffer, in wire order.  ``idx is None`` is the slice fast path: the
-    pair's elements are exactly ``flat_local[lo:lo + size*step:step]`` —
-    unit ``step`` is the classic contiguous case, ``step > 1`` the
-    strided (arithmetic-progression) case that cyclic templates produce.
-    """
+    """One rank pair's compiled copy phase: ``boxes`` in wire order, or
+    — ``boxes == ()`` — the ``idx`` fallback holding one flat element
+    index per element.  ``idx is None`` for every box plan."""
 
     peer: int
     size: int
-    lo: int
-    idx: np.ndarray | None
-    step: int = 1
+    boxes: tuple[Box, ...]
+    idx: np.ndarray | None = None
 
     @property
     def contiguous(self) -> bool:
-        """Unit-stride slice: the gather view is itself contiguous."""
-        return self.idx is None and self.step == 1
+        """One unit-stride range: the gather view is itself contiguous."""
+        return len(self.boxes) == 1 and self.boxes[0].strides == (1,)
 
-    @property
-    def strided(self) -> bool:
-        """Non-unit-stride slice (cyclic signature): still a zero-copy
-        view on gather, still a single slice assignment on scatter."""
-        return self.idx is None and self.step > 1
+    def indices(self) -> np.ndarray:
+        """The flat element indices this plan addresses, in wire order —
+        boxes expanded (what the static proof and multi-axis selectors
+        materialize; never used by a transfer step)."""
+        if self.idx is not None:
+            return self.idx
+        return np.concatenate([box.indices() for box in self.boxes])
 
     @property
     def selector(self):
         """The NumPy selector addressing this pair's elements in the
-        owning rank's flat local buffer — a slice on the fast paths,
-        the index array otherwise.  Safe for any consumer that indexes
+        owning rank's flat local buffer — a slice for a one-axis box,
+        an index array otherwise.  Safe for any consumer that indexes
         a dimension with it (e.g. 2-D AttrVect row selection)."""
-        if self.idx is None:
-            return slice(self.lo, self.lo + self.size * self.step, self.step)
-        return self.idx
+        if len(self.boxes) == 1 and len(self.boxes[0].shape) == 1:
+            lo, (n,), (step,) = self.boxes[0]
+            return slice(lo, lo + n * step, step)
+        return self.indices()
+
+    def lend(self, flat_local: np.ndarray) -> np.ndarray | None:
+        """A single-box plan's elements as a live n-D view of
+        ``flat_local`` (wire order = the view's C order) — what the
+        executor sends instead of a gathered copy.  ``None`` for a
+        multi-box or index plan, which must be staged."""
+        if len(self.boxes) == 1:
+            return self.boxes[0].view(flat_local)
+        return None
 
     def gather(self, flat_local: np.ndarray) -> np.ndarray:
-        """This pair's packed send buffer (a zero-copy view on the slice
-        fast paths, a fresh gathered buffer otherwise)."""
-        if self.idx is None:
-            return flat_local[self.selector]
-        out = flat_local.take(self.idx)
-        TRANSPORT_STATS.add("bytes_copied", out.nbytes)
-        TRANSPORT_STATS.add("alloc_bytes", out.nbytes)
-        return out
+        """This pair's packed 1-D send buffer: a zero-copy view for a
+        one-axis box, a fresh gathered buffer otherwise."""
+        if len(self.boxes) == 1 and len(self.boxes[0].shape) == 1:
+            return self.boxes[0].view(flat_local)
+        out, _ = _heap_loan(self.size, flat_local.dtype)
+        return self.gather_into(flat_local, out)
 
     def gather_into(self, flat_local: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Gather this pair's elements into a caller-provided (pooled)
-        buffer — the zero-allocation steady-state pack."""
-        if out.size != self.size:
+        C-contiguous buffer — the zero-allocation pack of a plan that
+        cannot lend."""
+        if out.size != self.size or not out.flags.c_contiguous:
             raise ScheduleError(
                 f"staging buffer holds {out.size} elements, plan expects "
-                f"{self.size}")
-        if self.idx is None:
-            np.copyto(out, flat_local[self.selector])
-        else:
+                f"{self.size} in a C-contiguous buffer")
+        flat_out = out.reshape(-1)
+        if self.idx is not None:
             # mode="clip", not the default "raise": with ``out=`` NumPy
             # services "raise" through a private copy of ``out`` (one
             # extra allocation and pass per call — 2x warm, 10x into a
@@ -131,38 +276,66 @@ class PairPlan:
             # construction (LocalIndexer only indexes inside owned
             # patches; REPRO_VERIFY=1 proves the plan), so nothing is
             # ever clipped.
-            flat_local.take(self.idx, out=out, mode="clip")
+            flat_local.take(self.idx, out=flat_out, mode="clip")
+        else:
+            off = 0
+            for box in self.boxes:
+                np.copyto(flat_out[off:off + box.size].reshape(box.shape),
+                          box.view(flat_local))
+                off += box.size
         TRANSPORT_STATS.add("bytes_copied", out.nbytes)
         return out
 
     def sub(self, lo: int, hi: int) -> "PairPlan":
         """The sub-plan addressing wire-order elements ``[lo, hi)`` of
-        this pair — the collective planner's chunking primitive.  Slice
-        fast paths stay slices (an arithmetic progression restricted to
-        a contiguous index range is still one); index-array pairs
-        re-detect progressions on the restricted range.  Does not count
-        as a fresh compilation in ``PLAN_STATS``."""
+        this pair — the collective planner's chunking primitive.  Boxes
+        stay boxes (a range of a two-axis box is at most head-partial
+        row, whole rows, tail-partial row); index pairs re-detect
+        progressions on the restricted range.  Does not count as a
+        fresh compilation in ``PLAN_STATS``."""
         if not (0 <= lo <= hi <= self.size):
             raise ScheduleError(
                 f"sub-plan range [{lo}, {hi}) outside pair of size "
                 f"{self.size}")
-        if self.idx is None:
-            return PairPlan(self.peer, hi - lo, self.lo + lo * self.step,
-                            None, self.step)
-        return plan_from_indices(self.peer, self.idx[lo:hi])
+        if self.idx is not None:
+            return plan_from_indices(self.peer, self.idx[lo:hi])
+        boxes: list[Box] = []
+        off = 0
+        for box in self.boxes:
+            boxes += box.sub(max(lo - off, 0), min(hi - off, box.size))
+            off += box.size
+        if len(boxes) > MAX_BOXES:
+            return PairPlan(self.peer, hi - lo, (),
+                            np.concatenate([b.indices() for b in boxes]))
+        return PairPlan(self.peer, hi - lo, tuple(boxes) or (_EMPTY,))
 
-    def scatter(self, flat_local: np.ndarray, values) -> int:
-        """Write a packed buffer back into local storage; returns the
-        element count."""
-        values = np.asarray(values).reshape(-1)
+    def scatter(self, flat_local: np.ndarray, values, *,
+                loan: Loan | None = None) -> int:
+        """Write a packed buffer — or a peer's lent view, of any shape —
+        back into local storage; returns the element count.  ``loan``
+        supplies scratch for the one case that needs staging (see
+        :func:`_copy_box`; default: a fresh heap buffer)."""
+        values = np.asarray(values)
         if values.size != self.size:
             raise ScheduleError(
                 f"packed buffer holds {values.size} elements, plan expects "
                 f"{self.size} — sender and receiver disagree on packing")
-        if self.idx is None:
-            flat_local[self.selector] = values
+        if len(self.boxes) == 1:
+            _copy_box(self.boxes[0].view(flat_local), values, loan)
         else:
-            flat_local[self.idx] = values
+            release = None
+            if not values.flags.c_contiguous:
+                values, release = _staged_flat(values, loan)
+            values = values.reshape(-1)
+            if self.idx is not None:
+                flat_local[self.idx] = values
+            off = 0
+            for box in self.boxes:
+                np.copyto(box.view(flat_local),
+                          values[off:off + box.size].reshape(box.shape))
+                off += box.size
+            if release is not None:
+                release()
         TRANSPORT_STATS.add("bytes_copied", values.nbytes)
         return self.size
 
@@ -175,7 +348,7 @@ class RankPlan:
 
     @property
     def contiguous_pairs(self) -> int:
-        """How many pairs hit the contiguity fast path."""
+        """How many pairs are one unit-stride range."""
         return sum(1 for p in self.pairs if p.contiguous)
 
     @property
@@ -184,92 +357,198 @@ class RankPlan:
 
 
 def plan_from_indices(peer: int, idx: np.ndarray) -> PairPlan:
-    """Wrap a flat index array as a :class:`PairPlan`, detecting the
-    slice fast paths: ascending unit-stride indices (contiguous) and
-    any other ascending arithmetic progression (strided — the cyclic
-    signature)."""
+    """Wrap a flat index array as a :class:`PairPlan`: a one-axis box
+    when the indices form an ascending arithmetic progression, else the
+    index array itself — never a multi-axis box, because callers index
+    a dimension with :attr:`PairPlan.selector` (AttrVect rows)."""
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     size = int(idx.size)
-    if size == 0:
-        return PairPlan(peer, 0, 0, None)
-    if size == 1:
-        return PairPlan(peer, size, int(idx[0]), None)
+    if size <= 1:
+        return PairPlan(peer, size,
+                        (_box(int(idx[0]) if size else 0, (size,), (1,)),))
     d = np.diff(idx)
     step = int(d[0])
     if step >= 1 and bool((d == step).all()):
-        return PairPlan(peer, size, int(idx[0]), None, step)
-    return PairPlan(peer, size, 0, idx)
+        return PairPlan(peer, size, (_box(int(idx[0]), (size,), (step,)),))
+    return PairPlan(peer, size, (), idx)
+
+
+# -- compilation --------------------------------------------------------------
+#
+# Rows: k boxes as three int64 arrays ``lo (k,)``, ``shape (k, m)``,
+# ``strides (k, m)`` — one per transfer region to start with.
+
+def _fold(lo, shape, strides):
+    """One folding level: every maximal run of consecutive rows with
+    equal shape and strides and one constant positive ``lo`` delta
+    becomes a single row with one more outer axis ``(count, delta)``."""
+    k = len(lo)
+    delta = np.diff(lo)
+    same = ((shape[1:] == shape[:-1]).all(axis=1)
+            & (strides[1:] == strides[:-1]).all(axis=1) & (delta > 0))
+    link = np.where(same, delta, 0)             # 0 = rows do not chain
+    cuts = np.flatnonzero(link[1:] != link[:-1]) + 1
+    # Greedy over groups of equal links: a run keeps extending while the
+    # link repeats; the first differing link is the boundary to the next
+    # run and belongs to neither.
+    first, last = [], []
+    a = 0
+    starts = [0, *cuts.tolist()]
+    for gs, ge, chained in zip(starts, [*starts[1:], k - 1],
+                               link[starts].tolist()):
+        if not chained:
+            first += [a, *range(gs + 1, ge)]
+            last += [gs, *range(gs + 1, ge)]
+            a = ge
+        elif a < gs:
+            first.append(a)
+            last.append(gs)
+            a = gs + 1
+    first.append(a)
+    last.append(k - 1)
+    first = np.asarray(first)
+    count = np.asarray(last) - first + 1
+    step = np.where(count > 1, lo[np.minimum(first + 1, k - 1)] - lo[first], 0)
+    return (lo[first], np.column_stack((count, shape[first])),
+            np.column_stack((step, strides[first])))
+
+
+def _expand(lo, shape, strides) -> np.ndarray:
+    """Flat indices of ragged rows, row by row in C order — vectorised
+    over all elements, no per-row ``arange``."""
+    vol = shape.prod(axis=1)
+    row = np.repeat(np.arange(len(lo)), vol)
+    ordinal = np.arange(int(vol.sum())) - np.repeat(np.cumsum(vol) - vol, vol)
+    idx = lo[row]
+    for d in range(shape.shape[1] - 1, -1, -1):
+        ordinal, coord = np.divmod(ordinal, shape[row, d])
+        idx += coord * strides[row, d]
+    return idx
+
+
+def _pair_from_rows(peer: int, lo, shape, strides) -> PairPlan:
+    PLAN_STATS.add("pair_plans")
+    size = int(shape.prod(axis=1).sum())
+    rows = (lo, shape, strides)
+    while len(rows[0]) > 1:
+        folded = _fold(*rows)
+        if len(folded[0]) == len(rows[0]):
+            break
+        rows = folded
+    if len(rows[0]) > MAX_BOXES:
+        return PairPlan(peer, size, (), _expand(lo, shape, strides))
+    boxes = [_box(*raw) for raw in zip(
+        rows[0].tolist(), rows[1].tolist(), rows[2].tolist())]
+    boxes = tuple(b for b in boxes if b.size) or (_EMPTY,)
+    return PairPlan(peer, size, boxes)
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    # not np.unique: its first call imports numpy.ma (~10 ms), which
+    # every forked rank process would pay inside its first bind
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
 class LocalIndexer:
-    """Flat row-major indices of global regions inside one rank's local
-    storage.
+    """Where global regions live inside one rank's local storage.
 
     The local buffer layout is the one :class:`~repro.dad.darray.
     DistributedArray` guarantees: owned patches sorted by ``region.lo``,
-    each flattened row-major, concatenated.  Lookup of a transfer
-    region's containing patch uses an exact-match dict (the common case
-    for fragmented templates, whose transfer regions coincide with
-    patches), a last-hit cache (the common case for block templates,
-    where one patch serves many regions), and a containment scan as the
-    general fallback.
+    each flattened row-major, concatenated.  :meth:`locate` answers for
+    many regions at once, in closed form: the per-axis patch edges cut
+    the index space into cells each owned by at most one patch, so a
+    region's patch is one ``searchsorted`` per axis and one table
+    lookup, and its box ``lo`` one dot with the patch strides.
     """
 
     def __init__(self, owned_regions: Sequence[Region]):
         patches = sorted(owned_regions, key=lambda r: r.lo)
-        offsets = np.zeros(len(patches) + 1, dtype=np.int64)
-        np.cumsum([r.volume for r in patches], out=offsets[1:])
+        n, ndim = len(patches), patches[0].ndim if patches else 0
         self._patches = patches
-        self._offsets = offsets
-        self._exact = {r: i for i, r in enumerate(patches)}
-        self._last: int | None = None
+        self._plo = np.array([r.lo for r in patches],
+                             dtype=np.int64).reshape(n, ndim)
+        self._phi = np.array([r.hi for r in patches],
+                             dtype=np.int64).reshape(n, ndim)
+        shape = self._phi - self._plo
+        self._offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(shape.prod(axis=1), out=self._offsets[1:])
+        self._strides = np.ones_like(shape)
+        for d in range(ndim - 2, -1, -1):
+            self._strides[:, d] = self._strides[:, d + 1] * shape[:, d + 1]
+        self._edges = [_sorted_unique(np.concatenate((self._plo[:, d],
+                                                      self._phi[:, d])))
+                       for d in range(ndim)]
+        cells = tuple(max(len(e) - 1, 0) for e in self._edges)
+        # A Cartesian rank's patches are a product of per-axis intervals
+        # (at most 2**ndim cells per patch); an irregular layout whose
+        # edges do not line up could need far more, and scans instead.
+        self._cells = None
+        if n and prod(cells) <= (n << ndim) + (1 << 16):
+            self._cells = np.full(cells, -1, dtype=np.int64)
+            a = [np.searchsorted(e, self._plo[:, d])
+                 for d, e in enumerate(self._edges)]
+            z = [np.searchsorted(e, self._phi[:, d])
+                 for d, e in enumerate(self._edges)]
+            single = np.all([zd - ad == 1 for ad, zd in zip(a, z)], axis=0)
+            ids = np.arange(n)
+            self._cells[tuple(ad[single] for ad in a)] = ids[single]
+            for i in ids[~single].tolist():
+                self._cells[tuple(slice(ad[i], zd[i])
+                                  for ad, zd in zip(a, z))] = i
 
-    def _find_patch(self, region: Region) -> int:
-        i = self._exact.get(region)
-        if i is not None:
-            return i
-        if self._last is not None and \
-                self._patches[self._last].contains(region):
-            return self._last
-        for i, patch in enumerate(self._patches):
-            if patch.contains(region):
-                self._last = i
-                return i
-        raise ScheduleError(
-            f"transfer region {region} not contained in any owned patch")
+    def _patch_of(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        k = len(lo)
+        if self._cells is None:
+            patch = np.full(k, -1, dtype=np.int64)
+            for i in range(k):
+                hit = np.flatnonzero(((self._plo <= lo[i])
+                                      & (hi[i] <= self._phi)).all(axis=1))
+                if hit.size:
+                    patch[i] = hit[0]
+            return patch
+        inside = np.ones(k, dtype=bool)
+        cell = []
+        for d, edges in enumerate(self._edges):
+            c = np.searchsorted(edges, lo[:, d], side="right") - 1
+            inside &= (c >= 0) & (c < self._cells.shape[d])
+            cell.append(np.clip(c, 0, self._cells.shape[d] - 1))
+        return np.where(inside, self._cells[tuple(cell)], -1)
+
+    def locate(self, regions: Sequence[Region]):
+        """Rows ``(lo, shape, strides)`` — one box per region, in the
+        order given: the region inside its containing patch."""
+        k, ndim = len(regions), self._plo.shape[1]
+        if k and not self._patches:
+            raise ScheduleError(
+                f"transfer region {regions[0]} not contained in any owned "
+                f"patch")
+        lo = np.array([r.lo for r in regions], dtype=np.int64).reshape(k, ndim)
+        hi = np.array([r.hi for r in regions], dtype=np.int64).reshape(k, ndim)
+        patch = self._patch_of(lo, hi)
+        bad = np.flatnonzero((patch < 0) | (hi > self._phi[patch]).any(axis=1))
+        if bad.size:
+            raise ScheduleError(
+                f"transfer region {regions[int(bad[0])]} not contained in "
+                f"any owned patch")
+        strides = self._strides[patch]
+        return (self._offsets[patch] + ((lo - self._plo[patch]) * strides
+                                        ).sum(axis=1),
+                hi - lo, strides)
 
     def region_indices(self, region: Region) -> np.ndarray:
         """Flat local indices of ``region``'s elements, in the region's
-        row-major order."""
-        i = self._find_patch(region)
-        patch = self._patches[i]
-        local = region.relative_to(patch)
-        idx = region_flat_indices(local, patch.shape)
-        idx += self._offsets[i]
-        return idx
-
-    def region_run(self, region: Region) -> tuple[int, int] | None:
-        """``(lo, size)`` when ``region`` flattens to one contiguous
-        local range, else ``None`` — an O(ndim) closed-form check that
-        avoids materializing the index array for the common case."""
-        i = self._find_patch(region)
-        patch = self._patches[i]
-        shape = patch.shape
-        # Contiguous iff every axis before the first partial axis spans
-        # one index, i.e. all fragmentation lives in the trailing
-        # full-width tail plus at most one leading partial axis.
-        seen_partial = False
-        for d in range(len(shape) - 1, -1, -1):
-            span = region.hi[d] - region.lo[d]
-            if seen_partial and span != 1:
-                return None
-            if span != shape[d]:
-                seen_partial = True
-        local = region.relative_to(patch)
-        strides = row_major_strides(shape)
-        lo = int(self._offsets[i]) + sum(
-            l * s for l, s in zip(local.lo, strides))
-        return lo, region.volume
+        row-major order — the element-by-element reference the static
+        proof (:mod:`repro.verify.schedule`) holds compiled plans to,
+        deliberately independent of :meth:`locate`."""
+        for i, patch in enumerate(self._patches):
+            if patch.contains(region):
+                idx = region_flat_indices(region.relative_to(patch),
+                                          patch.shape)
+                idx += self._offsets[i]
+                return idx
+        raise ScheduleError(
+            f"transfer region {region} not contained in any owned patch")
 
 
 def compile_pair(indexer: LocalIndexer, peer: int,
@@ -279,26 +558,7 @@ def compile_pair(indexer: LocalIndexer, peer: int,
     calls with equal region lists over an equal layout yield
     byte-identical plans — the soundness basis for the delta compiler's
     verbatim plan reuse (:mod:`repro.schedule.delta`)."""
-    runs = [indexer.region_run(r) for r in regions]
-    if all(r is not None for r in runs):
-        # All regions individually contiguous: the pair is a single
-        # slice iff the runs chain end-to-start.
-        chained = all(runs[k][0] + runs[k][1] == runs[k + 1][0]
-                      for k in range(len(runs) - 1))
-        if chained:
-            lo = runs[0][0] if runs else 0
-            size = sum(n for _, n in runs)
-            PLAN_STATS.add("pair_plans")
-            return PairPlan(peer, size, lo, None)
-        idx = np.concatenate(
-            [np.arange(lo, lo + n, dtype=np.int64) for lo, n in runs]) \
-            if runs else np.empty(0, dtype=np.int64)
-    else:
-        parts = [indexer.region_indices(r) for r in regions]
-        idx = np.concatenate(parts) if parts else \
-            np.empty(0, dtype=np.int64)
-    PLAN_STATS.add("pair_plans")
-    return plan_from_indices(peer, idx)
+    return _pair_from_rows(peer, *indexer.locate(regions))
 
 
 def compile_rank_plan(groups: Sequence[tuple[int, Sequence[Region], object]],
@@ -306,13 +566,21 @@ def compile_rank_plan(groups: Sequence[tuple[int, Sequence[Region], object]],
     """Compile one rank's per-pair groups against its patch layout.
 
     ``groups`` is the schedule's ``send_groups``/``recv_groups`` output:
-    ``(peer, regions, offsets)`` with regions in wire order.  The index
-    order inside each compiled pair matches the region-loop pack order
-    exactly, so plan-based and loop-based buffers are byte-identical.
+    ``(peer, regions, offsets)`` with regions in wire order.  All of the
+    rank's regions are located in one vectorised pass; each pair then
+    folds its slice of the rows.  The element order inside each compiled
+    pair matches the region-loop pack order exactly, so plan-based and
+    loop-based buffers are byte-identical.
     """
-    indexer = LocalIndexer(owned_regions)
-    pairs = [compile_pair(indexer, peer, regions)
-             for peer, regions, _offsets in groups]
+    lo, shape, strides = LocalIndexer(owned_regions).locate(
+        [r for _peer, regions, _offsets in groups for r in regions])
+    pairs = []
+    at = 0
+    for peer, regions, _offsets in groups:
+        to = at + len(regions)
+        pairs.append(_pair_from_rows(peer, lo[at:to], shape[at:to],
+                                     strides[at:to]))
+        at = to
     PLAN_STATS.add("rank_plans")
     return RankPlan(tuple(pairs))
 

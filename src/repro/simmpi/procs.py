@@ -210,10 +210,9 @@ class ProcTransport(Transport):
                 TRANSPORT_STATS.add("shm_slot_bytes", nbytes)
             else:
                 # inline fallback: tiny payload, full ring, or oversize
-                if kind == shm.ND:
-                    inline = np.ascontiguousarray(buf).tobytes()
-                else:
-                    inline = buf.tobytes()
+                # (tobytes() emits C order from any view, lent strided
+                # and n-D ones included, in one pass)
+                inline = buf.tobytes()
                 if nbytes > shm.INLINE_MAX:
                     rt.pool.stats.add("allocations")
                     rt.pool.stats.add("allocated_bytes", nbytes)

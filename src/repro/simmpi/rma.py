@@ -6,10 +6,11 @@ compiled :class:`~repro.schedule.indexplan.PairPlan` already tells each
 sender *exactly where in the receiver's flat buffer* its bytes land —
 so once the receiver exposes that buffer as an RMA *window*
 (:class:`~repro.simmpi.shm.WindowSegment`), the sender can execute the
-receiver's scatter plan **directly into remote memory**: the strided or
-contiguous fast path becomes a single cross-process copy with no slot
-ring, no envelope, and no per-message matching.  Per-epoch fences
-replace rendezvous, so one fence amortizes over all pairs in a step.
+receiver's scatter plan **directly into remote memory**: a box pair is
+a single cross-process copy, the sender's strided box straight into the
+receiver's, with no slot ring, no envelope, and no per-message matching.
+Per-epoch fences replace rendezvous, so one fence amortizes over all
+pairs in a step.
 
 Protocol (MPI post-start-complete-wait flavour, one window per
 receiving rank):
@@ -236,15 +237,17 @@ class RemoteWindow:
             san.win_wait_open(seg, epoch)
         self._mailbox.note_progress()
 
-    def put(self, values: np.ndarray) -> int:
-        """Scatter one packed pair buffer straight into the remote
-        window via the receiver's compiled plan.  Returns the element
-        count.  Must only run inside an open exposure epoch
-        (:meth:`wait_open`)."""
+    def put(self, values: np.ndarray, *, loan=None) -> int:
+        """Scatter one pair's elements — a packed buffer, or the
+        sender's lent strided view, copied box to box — straight into
+        the remote window via the receiver's compiled plan (``loan`` as
+        in :meth:`~repro.schedule.indexplan.PairPlan.scatter`).
+        Returns the element count.  Must only run inside an open
+        exposure epoch (:meth:`wait_open`)."""
         san = _san.ACTIVE
         if san is not None:
             san.win_put(self._seg, self._writer)
-        n = self._plan.scatter(self.buffer, values)
+        n = self._plan.scatter(self.buffer, values, loan=loan)
         TRANSPORT_STATS.add("rma_puts")
         TRANSPORT_STATS.add("rma_put_bytes", n * self.buffer.itemsize)
         return n

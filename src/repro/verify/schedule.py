@@ -18,8 +18,8 @@ establishes, with vectorized whole-array evidence rather than sampling:
   and bytes received, per rank and globally, and match the coalescing
   groups' precomputed offsets,
 * **plan consistency** — every compiled :class:`~repro.schedule.
-  indexplan.PairPlan`, *including its contiguous/strided slice fast
-  paths*, selects exactly the elements the fallback gather
+  indexplan.PairPlan`, *strided boxes included*, selects exactly the
+  elements the fallback gather
   (:meth:`~repro.schedule.indexplan.LocalIndexer.region_indices`) would,
   in the same wire order.
 
@@ -91,12 +91,10 @@ def _owner_map(desc: DistArrayDescriptor) -> np.ndarray:
 
 
 def _materialize(pp: PairPlan) -> np.ndarray:
-    """The flat local indices a compiled pair plan addresses — fast
-    paths expanded, so slice claims are checked element-for-element."""
-    if pp.idx is None:
-        return np.arange(pp.lo, pp.lo + pp.size * pp.step, pp.step,
-                         dtype=np.int64)
-    return np.asarray(pp.idx, dtype=np.int64)
+    """The flat local indices a compiled pair plan addresses — boxes
+    expanded, so a box's ``(lo, shape, strides)`` claim is checked
+    element-for-element."""
+    return np.asarray(pp.indices(), dtype=np.int64)
 
 
 def _check_rank_plans(schedule: CommSchedule, side: str, rank: int,
@@ -136,8 +134,7 @@ def _check_rank_plans(schedule: CommSchedule, side: str, rank: int,
             if regions else np.empty(0, dtype=np.int64))
         got = _materialize(pp)
         if got.shape != expect.shape or not np.array_equal(got, expect):
-            kind = ("contiguous" if pp.contiguous else
-                    "strided" if pp.strided else "indexed")
+            kind = "box" if pp.idx is None else "indexed"
             failures.append(
                 f"{label}: {kind} plan selects different elements than "
                 f"the fallback gather (wire order or coverage mismatch)")
@@ -152,7 +149,7 @@ def verify_rank_plans(schedule: CommSchedule, side: str, rank: int,
     """One rank's plan↔fallback-gather proof (the runtime-hook check).
 
     Raises :class:`~repro.errors.VerificationError` on any mismatch
-    between a compiled pair plan — fast paths included — and the
+    between a compiled pair plan — box plans included — and the
     indices the fallback gather would use.
     """
     failures: list[str] = []
@@ -251,7 +248,7 @@ def verify_schedule(schedule: CommSchedule, src_desc: DistArrayDescriptor,
         if not failures:
             proof.passed(
                 f"plan consistency ({proof.pairs} pair plans, "
-                f"{proof.fastpath_pairs} on slice fast paths)")
+                f"{proof.fastpath_pairs} box plans)")
 
     if failures:
         raise VerificationError("schedule failed verification", failures)
@@ -470,7 +467,7 @@ def verify_delta_equivalence(old_desc: DistArrayDescriptor,
     * **local repack consistency** — per rank, the compiled kept-bytes
       (gather, scatter) plans address exactly the indices the fallback
       region gather would, over the old and new patch layouts
-      respectively (slice fast paths expanded, like every plan check
+      respectively (boxes expanded, like every plan check
       here).
 
     Returns the combined :class:`ScheduleProof`; raises

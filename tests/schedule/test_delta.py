@@ -95,6 +95,34 @@ def test_local_repack_round_trips():
         np.testing.assert_array_equal(new_flat, expect)
 
 
+def test_local_repack_of_boxes_allocates_nothing():
+    """Block-cyclic 2→3 ranks with a ragged last block: every repack
+    plan is boxes, and a single-box gather side is copied box → box out
+    of the old buffer — no gathered staging buffer."""
+    from repro.dad import BlockCyclic
+    from repro.util.counters import TRANSPORT_STATS
+    extent = 64 * 37 + 17
+    old, new = (DistArrayDescriptor(CartesianTemplate(
+        [BlockCyclic(extent, p, 64)])) for p in (2, 3))
+    delta = compile_delta(old, new)
+    g = np.arange(extent, dtype=np.float64)
+    lent = 0
+    for rank in range(2):
+        gather, scatter = delta.local_plan(rank)
+        assert gather.idx is None and scatter.idx is None
+        old_flat = np.concatenate(
+            [g[r.to_slices()].reshape(-1) for r in old.local_regions(rank)])
+        new_flat = np.full(new.local_volume(rank), -1.0)
+        before = TRANSPORT_STATS.get("alloc_bytes")
+        assert delta.apply_local(rank, old_flat, new_flat) == gather.size
+        if len(gather.boxes) == 1:
+            lent += 1
+            assert TRANSPORT_STATS.get("alloc_bytes") == before
+        np.testing.assert_array_equal(new_flat[scatter.indices()],
+                                      old_flat[gather.indices()])
+    assert lent
+
+
 def test_delta_rejects_shape_and_dtype_mismatch():
     with pytest.raises(ScheduleError):
         compile_delta(B8, DistArrayDescriptor(block_template((32,), (8,))))
@@ -160,8 +188,7 @@ def test_warm_start_reuses_pairs_verbatim():
             continue
         ref = fresh.send_plan(r, src.local_regions(r))
         for a, b in zip(seeded.pairs, ref.pairs):
-            assert (a.peer, a.size, a.lo, a.step) == \
-                   (b.peer, b.size, b.lo, b.step)
+            assert (a.peer, a.size, a.boxes) == (b.peer, b.size, b.boxes)
             assert (a.idx is None) == (b.idx is None)
             if a.idx is not None:
                 np.testing.assert_array_equal(a.idx, b.idx)

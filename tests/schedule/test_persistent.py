@@ -16,13 +16,14 @@ from repro.dad import (
     DistributedArray,
     GeneralizedBlock,
 )
-from repro.dad.template import block_template
+from repro.dad.template import ExplicitTemplate, block_template
 from repro.schedule import bind, build_region_schedule
 from repro.simmpi import payload
 from repro.simmpi.intercomm import couple_jobs
 from repro.simmpi.runner import Job
 from repro.simmpi.transport import ThreadTransport
 from repro.util.counters import TRANSPORT_STATS
+from repro.util.regions import Region
 
 
 class RmaThreadTransport(ThreadTransport):
@@ -214,12 +215,20 @@ class TestPoisonMode:
         transport (or a sender reusing a loaned buffer) surfaces as the
         pattern — while the wire contents stay correct."""
         payload.set_transport_debug(True)
-        src_desc = DistArrayDescriptor(block_template((6, 8), (1, 2)))
-        dst_desc = DistArrayDescriptor(block_template((6, 8), (1, 4)))
-        g = np.arange(48.0).reshape(6, 8)
+        # An explicit irregular layout: twenty patches of sizes 1..20
+        # dealt alternately to two ranks never fold into boxes, so the
+        # sender's pairs are index plans that stage through the pool.
+        bounds = np.concatenate(([0], np.cumsum(np.arange(1, 21))))
+        src_desc = DistArrayDescriptor(block_template((210,), (1,)))
+        dst_desc = DistArrayDescriptor(ExplicitTemplate(
+            (210,), [(k % 2, Region((int(a),), (int(b),)))
+                     for k, (a, b) in enumerate(zip(bounds, bounds[1:]))]))
+        g = np.arange(210.0)
         _, dst_arrays, senders, receivers = _engines(src_desc, dst_desc, g)
+        assert all(pp.idx is not None
+                   for tx in senders for pp in tx._plan.pairs)
         got = _step(senders, receivers)
-        assert got == 48
+        assert got == 210
         for d, arr in enumerate(dst_arrays):
             expect = DistributedArray.from_global(dst_desc, d, g)
             assert arr.flat_local().tobytes() == expect.flat_local().tobytes()

@@ -127,6 +127,29 @@ def test_procs_oversize_payload_falls_back_inline():
         assert stats["allocations"] >= 1
 
 
+def _oversize_lent(comm):
+    base = np.arange(8192, dtype=np.float64)
+    strided = base[1::2]                            # 32 KB, every other
+    boxed = base.reshape(64, 128)[:, 5:69]          # 32 KB, 2-D sub-block
+    if comm.rank == 0:
+        comm.send(payload.Borrowed(strided), 1, tag=9)
+        comm.send(payload.Borrowed(boxed), 1, tag=9)
+        from repro.simmpi.procs import slot_stats
+        return slot_stats()
+    got = [comm.recv(0, tag=9) for _ in range(2)]
+    return [(a.shape, a.tobytes() == want.tobytes())
+            for a, want in zip(got, (strided, boxed))]
+
+
+def test_procs_oversize_lent_views_arrive_byte_identical():
+    """A lent non-contiguous view larger than a slot — strided, or an
+    n-D sub-block — rides the inline path in C order, shape kept."""
+    stats, got = run_spmd(2, _oversize_lent, backend="procs",
+                          transport_opts={"slot_bytes": 4096})
+    assert stats["oversize"] == 2
+    assert got == [((4096,), True), ((64, 64), True)]
+
+
 def test_segment_pool_ring_exhaustion_and_reuse():
     from repro.simmpi.shm import SegmentPool
     pool = SegmentPool(1, slot_bytes=128, slots_per_endpoint=2)

@@ -73,8 +73,10 @@ def test_enabled_hook_rejects_corrupted_plan():
     sched = build_region_schedule(src, dst)
     plan = sched.send_plan(0, src.local_regions(0))
     pp = plan.pairs[0]
+    (box,) = pp.boxes
     sched._plans[("send", 0)] = RankPlan(
-        (PairPlan(pp.peer, pp.size, pp.lo + 1, None),) + plan.pairs[1:])
+        (PairPlan(pp.peer, pp.size, (box._replace(lo=box.lo + 1),)),)
+        + plan.pairs[1:])
     from repro.errors import SpmdError
     with pytest.raises(SpmdError) as exc:
         _run_transfer(sched, src, dst, 4)

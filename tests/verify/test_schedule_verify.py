@@ -20,7 +20,7 @@ from repro.schedule.builder import (
     build_linear_schedule,
     build_region_schedule,
 )
-from repro.schedule.indexplan import PairPlan, RankPlan
+from repro.schedule.indexplan import Box, PairPlan, RankPlan
 from repro.schedule.plan import CommSchedule, TransferItem
 from repro.util.regions import Region
 from repro.verify.schedule import (
@@ -116,19 +116,65 @@ def test_all_failures_reported_together():
 
 
 def test_tampered_fast_path_plan_is_caught():
-    """A plan whose slice claim points at the wrong offset must fail the
+    """A plan whose box claim points at the wrong offset must fail the
     plan-consistency proof even though coverage stays intact."""
     src, dst = _block_pair()
     sched = build_region_schedule(src, dst)
     plan = sched.send_plan(0, src.local_regions(0))
     pp = plan.pairs[0]
     assert pp.contiguous
+    (box,) = pp.boxes
     sched._plans[("send", 0)] = RankPlan(
-        (PairPlan(pp.peer, pp.size, pp.lo + 1, None),) + plan.pairs[1:])
-    with pytest.raises(VerificationError, match="fallback gather"):
+        (PairPlan(pp.peer, pp.size, (box._replace(lo=box.lo + 1),)),)
+        + plan.pairs[1:])
+    with pytest.raises(VerificationError, match="box plan selects"):
         verify_rank_plans(sched, "send", 0, src.local_regions(0))
     with pytest.raises(VerificationError):
         verify_schedule(sched, src, dst)
+
+
+#: Must-fail mutants of the (3, 4)/(12, 1) box of block-cyclic 4, 2→3
+#: over 72 elements — each keeps the element count, so only the
+#: element-for-element expansion can tell.
+BOX_MUTANTS = {
+    "lo+1": Box(1, (3, 4), (12, 1)),
+    "run_len-1": Box(0, (4, 3), (12, 1)),
+    "outer-stride": Box(0, (3, 4), (8, 1)),
+    "axes-swapped": Box(0, (4, 3), (1, 12)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(BOX_MUTANTS))
+def test_box_mutants_are_rejected(mutant):
+    from repro.dad.darray import DistributedArray
+    from repro.schedule import bind
+    from repro.simmpi.intercomm import couple_jobs
+    from repro.simmpi.runner import Job
+    from repro.verify import hook
+
+    src, dst = cart(BlockCyclic(72, 2, 4)), cart(BlockCyclic(72, 3, 4))
+    sched = build_region_schedule(src, dst)
+    plan = sched.send_plan(0, src.local_regions(0))
+    pp = plan.pairs[0]
+    assert pp.boxes == (Box(0, (3, 4), (12, 1)),)
+    proof = verify_schedule(sched, src, dst)
+    assert proof.fastpath_pairs == proof.pairs == 12
+    sched._plans[("send", 0)] = RankPlan(
+        (PairPlan(pp.peer, pp.size, (BOX_MUTANTS[mutant],)),)
+        + plan.pairs[1:])
+    with pytest.raises(VerificationError, match="box plan selects"):
+        verify_rank_plans(sched, "send", 0, src.local_regions(0))
+    # ... and by REPRO_VERIFY=1 at bind, before a byte moves
+    src_inters, _ = couple_jobs(Job(2), Job(3))
+    array = DistributedArray.from_global(src, 0, np.arange(72.0))
+    was = hook.verify_enabled()
+    hook.set_verify(True)
+    try:
+        with pytest.raises(VerificationError):
+            bind(sched, "src", src_inters[0], array)
+    finally:
+        hook.set_verify(was)
+        hook.VERIFY_STATS.reset()
 
 
 def test_shape_mismatch_rejected():
