@@ -17,12 +17,16 @@ This report sweeps M×N and template kinds and prints, per pair:
 * executed message/byte counters of the packed engine vs the
   per-region baseline (:mod:`repro.baselines.per_region`).
 
-``python benchmarks/bench_schedule_scaling.py [--json PATH]`` emits the
-same numbers as machine-readable JSON (default: stdout summary only).
+``python benchmarks/bench_schedule_scaling.py [--json PATH] [--smoke]``
+emits the same numbers as machine-readable JSON (default: stdout summary
+only); ``--smoke`` instead runs the CI gate: builder items equal to the
+all-pairs oracle's on every kind up to 16 x 24 ranks plus the acceptance
+pair, which must also build at least 5x faster than the oracle.
 """
 
 import json
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -153,6 +157,27 @@ def report(json_path=None):
     return payload
 
 
+def smoke():
+    """CI gate: the builders (structured, and the sweep on the same
+    pairs) agree item for item with the oracle, in wire order."""
+    for kind in KINDS:
+        for m, n in SIZES:
+            if (m > 16 or n > 24) and (kind, m, n) != ACCEPTANCE:
+                continue
+            src, dst = _pair(kind, m, n)
+            t_fast, s_fast = timed(partial(build_region_schedule, src, dst))
+            t_all, s_all = timed(partial(build_allpairs_schedule, src, dst))
+            s_sweep = build_region_schedule(src, dst, force_general=True)
+            if not s_fast.items == s_sweep.items == s_all.items:
+                raise SystemExit(f"{kind} {m}x{n}: builder items differ "
+                                 f"from the all-pairs oracle")
+            if (kind, m, n) == ACCEPTANCE and t_all < 5 * t_fast:
+                raise SystemExit(f"acceptance pair {kind} {m}x{n}: "
+                                 f"{t_all / t_fast:.1f}x build speed-up, "
+                                 f"floor is 5x")
+    print("bench_schedule_scaling smoke: OK")
+
+
 # --- pytest-benchmark hooks -------------------------------------------------
 
 def _acc_pair():
@@ -182,7 +207,10 @@ def test_acceptance_speedup():
 
 
 if __name__ == "__main__":
-    path = None
-    if "--json" in sys.argv:
-        path = sys.argv[sys.argv.index("--json") + 1]
-    report(json_path=path)
+    if "--smoke" in sys.argv:
+        smoke()
+    else:
+        path = None
+        if "--json" in sys.argv:
+            path = sys.argv[sys.argv.index("--json") + 1]
+        report(json_path=path)

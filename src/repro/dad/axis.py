@@ -62,6 +62,17 @@ class AxisDistribution(ABC):
         """Number of elements owned by ``proc``."""
         return sum(b - a for a, b in self.intervals(proc))
 
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The axis as one partition of ``[0, extent)``: ascending int64
+        cut points ``(m + 1,)`` and the process coordinate owning each of
+        the ``m`` cells, one cell per interval :meth:`intervals` reports.
+        The structured schedule builder works on these arrays; a type
+        with many cells overrides this with a closed form."""
+        spans = sorted((lo, hi, p) for p in range(self.nprocs)
+                       for lo, hi in self.intervals(p))
+        cuts = np.array([0] + [hi for _, hi, _ in spans], dtype=np.int64)
+        return cuts, np.array([p for *_, p in spans], dtype=np.int64)
+
     def validate_partition(self) -> None:
         """Check that the procs' intervals partition ``[0, extent)``."""
         marks = np.zeros(self.extent, dtype=np.int32)
@@ -150,6 +161,11 @@ class BlockCyclic(AxisDistribution):
             hi = min(lo + self.block, self.extent)
             out.append((lo, hi))
         return out
+
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        starts = np.arange(0, self.extent, self.block, dtype=np.int64)
+        return (np.append(starts, np.int64(self.extent)),
+                np.arange(len(starts), dtype=np.int64) % self.nprocs)
 
     def descriptor_entries(self) -> int:
         return 3

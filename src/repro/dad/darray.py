@@ -27,7 +27,9 @@ class DistributedArray:
     Local storage is **consolidated**: one contiguous row-major base
     buffer holds every owned patch (patches sorted by ``region.lo``,
     each flattened row-major), and ``self.patches`` maps each region to
-    a shaped *view* into that buffer.  :meth:`flat_local` exposes the
+    a shaped *view* into that buffer, carved on first use — transfers
+    address the base buffer, so a fresh array costs one buffer, not one
+    view per patch.  :meth:`flat_local` exposes the
     base buffer, which is what the compiled gather/scatter index plans
     (:mod:`repro.schedule.indexplan`) address — a single ``take`` or
     fancy assignment there reads/writes every patch at once, and slice
@@ -53,7 +55,7 @@ class DistributedArray:
                     f"{region.shape}")
         self._base = np.empty(sum(r.volume for r in owned),
                               dtype=descriptor.dtype)
-        self.patches = self._bind_patches(owned)
+        self._patches = None
         for region, view in self.patches.items():
             view[...] = patches[region]
 
@@ -65,13 +67,19 @@ class DistributedArray:
         return (type(self), (self.descriptor, self.rank,
                              {r: v.copy() for r, v in self.patches.items()}))
 
-    def _bind_patches(self, owned: list[Region]) -> dict[Region, np.ndarray]:
-        """Carve the base buffer into one shaped view per owned region
-        (lo-sorted order — the layout index plans are compiled against).
-        """
+    @property
+    def patches(self) -> dict[Region, np.ndarray]:
+        """Owned region → its shaped view into the base buffer, carved in
+        lo-sorted order (the layout index plans are compiled against)."""
+        if self._patches is None:
+            self._patches = self._bind_patches()
+        return self._patches
+
+    def _bind_patches(self) -> dict[Region, np.ndarray]:
         views: dict[Region, np.ndarray] = {}
         off = 0
-        for region in owned:
+        for region in sorted(self.descriptor.local_regions(self.rank),
+                             key=lambda r: r.lo):
             views[region] = self._base[off:off + region.volume].reshape(
                 region.shape)
             off += region.volume
@@ -87,10 +95,9 @@ class DistributedArray:
         descriptor.template._check_rank(rank)
         obj.descriptor = descriptor
         obj.rank = rank
-        owned = sorted(descriptor.local_regions(rank), key=lambda r: r.lo)
-        obj._base = np.zeros(sum(r.volume for r in owned),
+        obj._base = np.zeros(descriptor.local_regions(rank).volume,
                              dtype=descriptor.dtype)
-        obj.patches = obj._bind_patches(owned)
+        obj._patches = None
         return obj
 
     @classmethod
@@ -185,8 +192,7 @@ class DistributedArray:
                 f"{self._base.dtype}")
         np.copyto(base, self._base)
         self._base = base
-        self.patches = self._bind_patches(
-            sorted(self.patches, key=lambda r: r.lo))
+        self._patches = None
 
     def flat_local(self) -> np.ndarray:
         """The consolidated 1-D local buffer: owned patches sorted by
@@ -221,7 +227,7 @@ class DistributedArray:
         self.descriptor = descriptor
         if source is not self:
             self._base = source._base
-            self.patches = source.patches
+            self._patches = source._patches
         return self
 
     @property

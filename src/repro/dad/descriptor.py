@@ -111,18 +111,24 @@ class DistArrayDescriptor:
 
     def ownership_key(self, rank: int) -> tuple:
         """Hashable fingerprint of ``rank``'s exact ownership: the
-        ``(lo, hi)`` corner pairs of its patches in ``lo`` order.  Two
-        descriptors agreeing on a rank's key own *identical* global
-        elements with an identical local patch layout, so compiled
+        shape and bytes of its patches' ``lo`` / ``hi`` columns in ``lo``
+        order.  Two descriptors agreeing on a rank's key own *identical*
+        global elements with an identical local patch layout, so compiled
         per-rank plans addressing that layout transfer verbatim — the
         reuse test of the delta-schedule compiler
         (:mod:`repro.schedule.delta`).  Ranks outside the template
-        (``rank >= nranks``) own nothing and fingerprint empty."""
+        (``rank >= nranks``) and ranks owning nothing fingerprint
+        empty."""
         if not (0 <= rank < self.nranks):
+            return ()
+        owned = self.local_regions(rank)
+        if not len(owned):
             return ()
         # Sorted by lo — the same normalization LocalIndexer applies to
         # the patch layout, so equal keys really mean equal layouts.
-        return tuple(sorted((r.lo, r.hi) for r in self.local_regions(rank)))
+        order = np.lexsort(owned.lo.T[::-1])
+        return (owned.lo.shape, owned.lo[order].tobytes(),
+                owned.hi[order].tobytes())
 
     # -- alignment ---------------------------------------------------------
 

@@ -17,7 +17,6 @@ transfer, which is exactly what the schedule builder needs.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -117,13 +116,18 @@ class CartesianTemplate(Template):
         return row_major_offset(coords, self.grid)
 
     def owner_regions(self, rank: int) -> RegionList:
-        coords = self.proc_coords(rank)
-        per_axis = [d.intervals(c) for d, c in zip(self.axes, coords)]
-        regions = [
-            Region(tuple(a for a, _ in combo), tuple(b for _, b in combo))
-            for combo in product(*per_axis)
-        ]
-        return RegionList(regions, validate=False)
+        """The outer product of ``rank``'s per-axis interval arrays, as
+        columns in ascending (row-major) order — no :class:`Region` is
+        built."""
+        lo, hi = [], []
+        for axis, c in zip(self.axes, self.proc_coords(rank)):
+            spans = np.array(axis.intervals(c), dtype=np.int64).reshape(-1, 2)
+            lo.append(spans[:, 0])
+            hi.append(spans[:, 1])
+        pick = np.indices([len(a) for a in lo]).reshape(self.ndim, -1)
+        return RegionList.from_arrays(
+            np.stack([a[i] for a, i in zip(lo, pick)], axis=1),
+            np.stack([b[i] for b, i in zip(hi, pick)], axis=1))
 
     def owner_of(self, point: Sequence[int]) -> int:
         if len(point) != self.ndim:

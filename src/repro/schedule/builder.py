@@ -3,18 +3,22 @@
 Two general-purpose engines build region schedules, the more
 structure-aware first:
 
-* :func:`build_structured_schedule` — closed-form enumeration for
-  Cartesian templates whose axes are Block / Cyclic / BlockCyclic /
-  Collapsed / GeneralizedBlock.  For every ownership region of the
-  unstructured side, the overlapping pieces of the structured side are
-  computed by per-axis index arithmetic, so the build cost is
-  proportional to the number of actual transfers.
+* :func:`build_structured_schedule` — closed form for Cartesian
+  templates whose axes are Block / Cyclic / BlockCyclic / Collapsed /
+  GeneralizedBlock, from each axis's cell partition
+  (:meth:`~repro.dad.axis.AxisDistribution.cells`): an outer product of
+  per-axis interval intersections when both sides qualify, a ragged
+  per-axis expansion of the other side's ownership regions when one
+  does.  The build cost is proportional to the number of transfers.
 * :func:`build_sweep_schedule` — a sorted-interval sweep along the
   first axis (the N-dimensional generalization of the merge sweep in
   :func:`build_linear_schedule`) that enumerates only the region pairs
   whose leading intervals overlap, then clips all surviving candidates
   in one vectorized NumPy pass (:func:`repro.util.regions.intersect_boxes`).
   Cost is O((S + D) log(S + D) + overlaps) instead of O(S·D).
+
+Every builder writes the schedule's int64 columns directly — no object
+per item (:mod:`repro.schedule.plan`).
 
 :func:`build_region_schedule` dispatches: structured when either side
 qualifies, sweep otherwise.  (The O(S·D) all-pairs loop both are proved
@@ -31,8 +35,7 @@ from __future__ import annotations
 import heapq
 import threading
 from collections import OrderedDict
-from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,14 +50,10 @@ from repro.dad.axis import (
 )
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.dad.template import CartesianTemplate
-from repro.linearize.linearization import Linearization, Run
-from repro.schedule.plan import (
-    CommSchedule,
-    LinearItem,
-    LinearSchedule,
-    TransferItem,
-)
-from repro.util.regions import Region, intersect_boxes
+from repro.linearize.linearization import Linearization
+from repro.schedule.plan import CommSchedule, LinearSchedule
+from repro.util.indexing import ragged_arange
+from repro.util.regions import intersect_boxes
 
 
 def build_region_schedule(src: DistArrayDescriptor,
@@ -78,6 +77,14 @@ def build_region_schedule(src: DistArrayDescriptor,
     return build_sweep_schedule(src, dst)
 
 
+def _owner_columns(desc: DistArrayDescriptor):
+    """Every ownership region of ``desc`` as columns: rank, lo, hi."""
+    owned = [desc.local_regions(r) for r in range(desc.nranks)]
+    return (np.repeat(np.arange(desc.nranks), [len(o) for o in owned]),
+            np.concatenate([o.lo.reshape(-1, desc.ndim) for o in owned]),
+            np.concatenate([o.hi.reshape(-1, desc.ndim) for o in owned]))
+
+
 # -- structured fast path -----------------------------------------------------
 
 #: Axis types whose ownership pieces over an interval have a closed form.
@@ -91,85 +98,83 @@ def _is_structured(desc: DistArrayDescriptor) -> bool:
             and all(isinstance(a, _STRUCTURED_AXES) for a in t.axes))
 
 
-def _axis_pieces(axis: AxisDistribution, lo: int,
-                 hi: int) -> list[tuple[int, int, int]]:
-    """Owned pieces of ``[lo, hi)`` as ``(proc, piece_lo, piece_hi)``.
-
-    Closed-form per axis type: no search over processes, only over the
-    blocks actually overlapping the query interval, so the total work is
-    proportional to the number of pieces returned.
-    """
-    if isinstance(axis, Collapsed):
-        return [(0, lo, hi)]
-    if isinstance(axis, Block):
-        b = axis.block
-        return [(c, max(lo, c * b), min(hi, (c + 1) * b))
-                for c in range(lo // b, (hi - 1) // b + 1)]
-    if isinstance(axis, BlockCyclic):  # includes Cyclic
-        b, p = axis.block, axis.nprocs
-        return [(k % p, max(lo, k * b), min(hi, (k + 1) * b))
-                for k in range(lo // b, (hi - 1) // b + 1)]
-    if isinstance(axis, GeneralizedBlock):
-        bounds = np.concatenate(([0], np.cumsum(axis.sizes)))
-        first = int(np.searchsorted(bounds, lo, side="right") - 1)
-        out = []
-        for c in range(max(first, 0), axis.nprocs):
-            plo, phi = int(bounds[c]), int(bounds[c + 1])
-            if plo >= hi:
-                break
-            if phi > plo:
-                out.append((c, max(lo, plo), min(hi, phi)))
-        return out
-    raise ScheduleError(
-        f"axis type {type(axis).__name__} has no structured fast path")
+def _axis_pieces(axis: AxisDistribution, lo: np.ndarray, hi: np.ndarray):
+    """Owned pieces of the non-empty intervals ``[lo[i], hi[i])`` as
+    columns ``(i, proc, piece_lo, piece_hi)``, ascending per interval:
+    one ``searchsorted`` per bound over the axis's cells and one ragged
+    ``np.repeat`` expansion, proportional to the pieces returned."""
+    cuts, procs = axis.cells()
+    first = np.searchsorted(cuts, lo, side="right") - 1
+    count = np.searchsorted(cuts, hi, side="left") - first
+    row = np.repeat(np.arange(len(lo)), count)
+    cell = first[row] + ragged_arange(count)
+    return (row, procs[cell], np.maximum(lo[row], cuts[cell]),
+            np.minimum(hi[row], cuts[cell + 1]))
 
 
-def _structured_overlaps(template: CartesianTemplate,
-                         region: Region) -> Iterator[tuple[int, Region]]:
-    """(rank, piece) for every ownership piece of ``template`` that
-    overlaps ``region``; pieces are already clipped to ``region``."""
-    per_axis = [_axis_pieces(ax, lo, hi)
-                for ax, lo, hi in zip(template.axes, region.lo, region.hi)]
-    for combo in product(*per_axis):
-        coords = tuple(c for c, _, _ in combo)
-        yield (template.proc_rank(coords),
-               Region(tuple(a for _, a, _ in combo),
-                      tuple(b for _, _, b in combo)))
+def _structured_overlaps(template: CartesianTemplate, lo: np.ndarray,
+                         hi: np.ndarray):
+    """Every ownership piece of ``template`` inside each box row of
+    ``lo`` / ``hi``, as columns ``(row, rank, piece_lo, piece_hi)`` —
+    one :func:`_axis_pieces` expansion per axis."""
+    row = np.arange(len(lo))
+    coords: list[np.ndarray] = []
+    plo: list[np.ndarray] = []
+    phi: list[np.ndarray] = []
+    for d, axis in enumerate(template.axes):
+        at, proc, a, b = _axis_pieces(axis, lo[row, d], hi[row, d])
+        row = row[at]
+        coords = [c[at] for c in coords] + [proc]
+        plo = [x[at] for x in plo] + [a]
+        phi = [x[at] for x in phi] + [b]
+    return (row, np.ravel_multi_index(coords, template.grid),
+            np.stack(plo, axis=1), np.stack(phi, axis=1))
+
+
+def _cell_overlay(st: CartesianTemplate, dt: CartesianTemplate):
+    """Both sides structured: per axis, the source cells cut against the
+    destination cells (:func:`_axis_pieces`); the items are the outer
+    product of those per-axis pieces, as columns ``(src, dst, lo,
+    hi)``."""
+    per_axis = []
+    for sa, da in zip(st.axes, dt.axes):
+        cuts, procs = da.cells()
+        cell, sp, lo, hi = _axis_pieces(sa, cuts[:-1], cuts[1:])
+        per_axis.append((lo, hi, sp, procs[cell]))
+    pick = np.indices([len(a[0]) for a in per_axis]).reshape(len(per_axis),
+                                                              -1)
+
+    def column(j):
+        return [a[j][i] for a, i in zip(per_axis, pick)]
+
+    return (np.ravel_multi_index(column(2), st.grid),
+            np.ravel_multi_index(column(3), dt.grid),
+            np.stack(column(0), axis=1), np.stack(column(1), axis=1))
 
 
 def build_structured_schedule(src: DistArrayDescriptor,
                               dst: DistArrayDescriptor) -> CommSchedule:
     """Closed-form schedule when at least one side is a Cartesian
     template of structured axes (Block / Cyclic / BlockCyclic /
-    Collapsed / GeneralizedBlock).
-
-    The unstructured (or destination, when both qualify) side's
-    ownership regions are enumerated and the structured side's
-    overlapping pieces computed per axis by index arithmetic — the
-    Sudarsan–Ribbens interval-algebra fast path, generalized beyond pure
-    Block.
-    """
-    items: list[TransferItem] = []
-    if _is_structured(src):
-        st = src.template
-        assert isinstance(st, CartesianTemplate)
-        for d in range(dst.nranks):
-            for dreg in dst.local_regions(d):
-                for s, piece in _structured_overlaps(st, dreg):
-                    items.append(TransferItem(s, d, piece))
-    elif _is_structured(dst):
-        dt = dst.template
-        assert isinstance(dt, CartesianTemplate)
-        for s in range(src.nranks):
-            for sreg in src.local_regions(s):
-                for d, piece in _structured_overlaps(dt, sreg):
-                    items.append(TransferItem(s, d, piece))
-    else:
+    Collapsed / GeneralizedBlock) — the Sudarsan–Ribbens per-axis
+    interval algebra (arXiv 0706.2146), generalized beyond pure Block:
+    :func:`_cell_overlay` when both sides qualify (no ownership region
+    enumerated), else the other side's region columns cut per axis
+    (:func:`_structured_overlaps`)."""
+    s_ok, d_ok = _is_structured(src), _is_structured(dst)
+    if not (s_ok or d_ok):
         raise ScheduleError(
             "structured fast path requires a Cartesian template with "
             "Block/Cyclic/BlockCyclic/Collapsed/GeneralizedBlock axes "
             "on at least one side")
-    return CommSchedule(items, src.nranks, dst.nranks)
+    if s_ok and d_ok:
+        s, d, lo, hi = _cell_overlay(src.template, dst.template)
+    else:
+        structured, other = (src, dst) if s_ok else (dst, src)
+        ranks, olo, ohi = _owner_columns(other)
+        row, own, lo, hi = _structured_overlaps(structured.template, olo, ohi)
+        s, d = (own, ranks[row]) if s_ok else (ranks[row], own)
+    return CommSchedule.from_columns(s, d, lo, hi, src.nranks, dst.nranks)
 
 
 # -- sweep-line general builder ----------------------------------------------
@@ -211,38 +216,23 @@ def build_sweep_schedule(src: DistArrayDescriptor,
     maps, mixed Cartesian axes).  The sweep over the leading axis
     discards the vast majority of the S·D region pairs an all-pairs scan
     would test; the survivors are intersected on all axes in one NumPy
-    call and only non-empty intersections materialize as transfers.
+    call and the non-empty intersections become the schedule's columns.
     """
     if src.shape != dst.shape:
         raise ScheduleError(
             f"cannot build schedule between shapes {src.shape} and "
             f"{dst.shape}")
-    src_owner = [(r, reg) for r in range(src.nranks)
-                 for reg in src.local_regions(r)]
-    dst_owner = [(r, reg) for r in range(dst.nranks)
-                 for reg in dst.local_regions(r)]
-    if not src_owner or not dst_owner:
-        return CommSchedule([], src.nranks, dst.nranks)
-    pairs = _overlap_pairs_1d(
-        [(reg.lo[0], reg.hi[0]) for _, reg in src_owner],
-        [(reg.lo[0], reg.hi[0]) for _, reg in dst_owner])
-    if not pairs:
-        return CommSchedule([], src.nranks, dst.nranks)
-    pair_arr = np.asarray(pairs, dtype=np.intp)
-    s_lo = np.asarray([reg.lo for _, reg in src_owner], dtype=np.int64)
-    s_hi = np.asarray([reg.hi for _, reg in src_owner], dtype=np.int64)
-    d_lo = np.asarray([reg.lo for _, reg in dst_owner], dtype=np.int64)
-    d_hi = np.asarray([reg.hi for _, reg in dst_owner], dtype=np.int64)
-    si, di = pair_arr[:, 0], pair_arr[:, 1]
+    s_rank, s_lo, s_hi = _owner_columns(src)
+    d_rank, d_lo, d_hi = _owner_columns(dst)
+    pairs = _overlap_pairs_1d(list(zip(s_lo[:, 0].tolist(),
+                                       s_hi[:, 0].tolist())),
+                              list(zip(d_lo[:, 0].tolist(),
+                                       d_hi[:, 0].tolist())))
+    si, di = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
     lo, hi, keep = intersect_boxes(s_lo[si], s_hi[si], d_lo[di], d_hi[di])
-    items = [
-        TransferItem(src_owner[s][0], dst_owner[d][0],
-                     Region(tuple(int(x) for x in l),
-                            tuple(int(x) for x in h)))
-        for s, d, l, h in zip(si[keep].tolist(), di[keep].tolist(),
-                              lo[keep], hi[keep])
-    ]
-    return CommSchedule(items, src.nranks, dst.nranks)
+    return CommSchedule.from_columns(s_rank[si][keep], d_rank[di][keep],
+                                     lo[keep], hi[keep],
+                                     src.nranks, dst.nranks)
 
 
 def build_linear_schedule(src: Linearization,
@@ -262,19 +252,21 @@ def build_linear_schedule(src: Linearization,
     dst_runs = sorted(
         ((run.lo, run.hi, r) for r in range(dst.nranks)
          for run in dst.runs(r)))
-    items: list[LinearItem] = []
+    rows: list[tuple[int, int, int, int]] = []
     i = j = 0
     while i < len(src_runs) and j < len(dst_runs):
         slo, shi, s = src_runs[i]
         dlo, dhi, d = dst_runs[j]
         lo, hi = max(slo, dlo), min(shi, dhi)
         if hi > lo:
-            items.append(LinearItem(s, d, Run(lo, hi)))
+            rows.append((s, d, lo, hi))
         if shi <= dhi:
             i += 1
         if dhi <= shi:
             j += 1
-    return LinearSchedule(items, src.nranks, dst.nranks)
+    cols = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    return LinearSchedule.from_columns(cols[:, 0], cols[:, 1], cols[:, 2:3],
+                                       cols[:, 3:], src.nranks, dst.nranks)
 
 
 class ScheduleCache:

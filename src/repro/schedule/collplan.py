@@ -31,7 +31,7 @@ pay the extra round synchronization is the cost model's call
 (:mod:`repro.schedule.costmodel`, ``REPRO_PLANNER={p2p,collective,
 auto}``).
 
-Plans are pure functions of (schedule groups, itemsize, round_bytes);
+Plans are pure functions of (schedule pair sizes, itemsize, round_bytes);
 :meth:`CommSchedule.collective_plan` memoizes them on the schedule next
 to the index plans, so both sides of a coupled run (and every rank of
 an SPMD job) derive the identical round structure with no negotiation.
@@ -203,9 +203,8 @@ def plan_collective_rounds(schedule, *, itemsize: int,
                            round_bytes: int) -> CollectivePlan:
     """Decompose ``schedule`` into capped collective rounds.
 
-    Works on any schedule exposing ``send_groups(src)`` /
-    ``src_nranks`` / ``dst_nranks`` (both :class:`~repro.schedule.plan.
-    CommSchedule` and :class:`~repro.schedule.plan.LinearSchedule`).
+    Works on both schedule kinds: it reads only the ``pair_src`` /
+    ``pair_dst`` / ``pair_size`` columns and the rank counts.
     Deterministic: pairs are visited in (src, dst) order and chunks
     first-fit into the earliest round whose source and destination caps
     both still hold, never earlier than the pair's previous chunk —
@@ -224,28 +223,28 @@ def plan_collective_rounds(schedule, *, itemsize: int,
     rounds: list[list[RoundChunk]] = []
     send_load: list[dict[int, int]] = []
     recv_load: list[dict[int, int]] = []
-    for src in range(schedule.src_nranks):
-        for dst, _items, offsets in schedule.send_groups(src):
-            size = int(offsets[-1])
-            pos = 0
-            nxt = 0  # chunks of one pair stay in wire order across rounds
-            while pos < size:
-                n = min(cap, size - pos)
-                r = nxt
-                while True:
-                    if r == len(rounds):
-                        rounds.append([])
-                        send_load.append({})
-                        recv_load.append({})
-                    if (send_load[r].get(src, 0) + n <= cap
-                            and recv_load[r].get(dst, 0) + n <= cap):
-                        break
-                    r += 1
-                rounds[r].append(RoundChunk(src, dst, pos, pos + n))
-                send_load[r][src] = send_load[r].get(src, 0) + n
-                recv_load[r][dst] = recv_load[r].get(dst, 0) + n
-                nxt = r + 1
-                pos += n
+    for src, dst, size in zip(schedule.pair_src.tolist(),
+                              schedule.pair_dst.tolist(),
+                              schedule.pair_size.tolist()):
+        pos = 0
+        nxt = 0  # chunks of one pair stay in wire order across rounds
+        while pos < size:
+            n = min(cap, size - pos)
+            r = nxt
+            while True:
+                if r == len(rounds):
+                    rounds.append([])
+                    send_load.append({})
+                    recv_load.append({})
+                if (send_load[r].get(src, 0) + n <= cap
+                        and recv_load[r].get(dst, 0) + n <= cap):
+                    break
+                r += 1
+            rounds[r].append(RoundChunk(src, dst, pos, pos + n))
+            send_load[r][src] = send_load[r].get(src, 0) + n
+            recv_load[r][dst] = recv_load[r].get(dst, 0) + n
+            nxt = r + 1
+            pos += n
     return CollectivePlan(rounds, itemsize=itemsize,
                           round_bytes=round_bytes,
                           src_nranks=schedule.src_nranks,

@@ -1,46 +1,31 @@
 """Delta-schedule compilation: resize a live decomposition by moving
 only the bytes whose owner actually changed.
 
-A full rebuild of an M×N coupling after a resize (m → m′ ranks) pays
-three costs the paper's static couplings never see: rebuilding the
-region schedule from scratch, recompiling every per-rank index plan,
-and shipping *every* byte of the array over the wire — even though for
-modest resizes most (src, dst) ownership pairs are unchanged.  This
-module diffs the two decompositions at the region level and splits the
-result into the only two things a live resize actually needs:
+A full rebuild after a resize (m → m′ ranks) rebuilds the schedule,
+recompiles every plan and ships every byte, although for modest resizes
+most ownership is unchanged.  The full old→new schedule already is the
+exact region-level diff, so one boolean mask over its columns splits it
+(memoized on the full schedule, so a cached schedule yields a cached
+delta) into the two things a live resize needs:
 
-* a **migration schedule** — a :class:`~repro.schedule.plan.
-  CommSchedule` containing exactly the transfer items whose source and
-  destination ranks differ.  These are the only wire bytes.  The
-  migration schedule is a plain schedule: the persistent/collective
-  executors replay it unchanged, and the cost model picks the tier.
-* **kept items** — regions that stay on their rank but may land at a
-  different offset in the rank's consolidated local buffer (the patch
-  layout follows ownership).  They become per-rank *local move plans*:
-  one gather :class:`~repro.schedule.indexplan.PairPlan` over the old
-  layout and one scatter plan over the new layout, compiled with the
-  same machinery as wire plans, so a repack is one vectorized
-  gather/scatter — one box → box copy through the lent view when
-  the gather side is a single box.
-  Ranks whose ownership is completely unchanged (*identity ranks*,
-  detected via :meth:`~repro.dad.descriptor.DistArrayDescriptor.
-  ownership_key`) skip even the repack and keep their buffer.
+* the **migration schedule** — the rows with ``src != dst``, the only
+  wire bytes; a plain schedule that every tier replays unchanged;
+* the **kept schedule** — the rows with ``src == dst``: data that stays
+  home but may move inside the rank's consolidated buffer (the patch
+  layout follows ownership), repacked by one gather plan over the old
+  layout and one scatter plan over the new — a box → box copy through
+  the lent view when the gather side is one box.  *Identity ranks*
+  (equal :meth:`~repro.dad.descriptor.DistArrayDescriptor.
+  ownership_key`) skip even that and keep their buffer.
 
-The diff itself is free: :func:`~repro.schedule.builder.
-build_region_schedule` already computes the exact region-level
-intersection of the two templates — items with ``src == dst`` *are*
-the unchanged intersection, items with ``src != dst`` the delta.
-Splitting is a single O(items) pass, memoized on the full schedule so
-a cached schedule yields a cached delta.
-
-:func:`warm_start_plans` carries compiled artifacts across a resize:
-when the :class:`~repro.schedule.builder.ScheduleCache` misses on a
-key that shares one descriptor side with a cached entry, every
-:class:`PairPlan` of the sibling whose owner layout and wire regions
-are unchanged is installed verbatim on the new schedule (a plan is a
-pure function of both — see :func:`~repro.schedule.indexplan.
-compile_pair`), and only the changed pairs are recompiled.
-``REDIST_STATS`` counts ``pairs_reused`` / ``pairs_recompiled``.
+:func:`warm_start_plans` carries compiled artifacts across a resize: on
+a :class:`~repro.schedule.builder.ScheduleCache` miss whose key shares a
+descriptor side with a cached entry, every sibling :class:`PairPlan`
+whose owner layout and wire region columns are unchanged is installed
+verbatim (a plan is a pure function of both — see
+:func:`~repro.schedule.indexplan.compile_pair`); only the changed pairs
+are recompiled.  ``REDIST_STATS`` counts ``pairs_reused`` /
+``pairs_recompiled``.
 """
 
 from __future__ import annotations
@@ -58,9 +43,8 @@ from repro.schedule.indexplan import (
     RankPlan,
     compile_pair,
 )
-from repro.schedule.plan import CommSchedule, TransferItem
+from repro.schedule.plan import CommSchedule
 from repro.util.counters import REDIST_STATS
-from repro.util.regions import Region
 
 __all__ = [
     "DeltaSchedule",
@@ -79,26 +63,21 @@ class DeltaSchedule:
     replays against any conforming array.  ``migration`` deliberately
     does *not* tile the destination — never call ``validate`` on it;
     the equivalence proof lives in
-    :func:`repro.verify.schedule.verify_delta_equivalence`.
+    :func:`repro.verify.schedule.verify_delta_equivalence`.  ``kept``
+    is the schedule of the items that stay home.
     """
 
     def __init__(self, old_desc: DistArrayDescriptor,
                  new_desc: DistArrayDescriptor,
-                 migration: CommSchedule,
-                 kept_items: list[TransferItem]):
+                 migration: CommSchedule, kept: CommSchedule):
         self.old_desc = old_desc
         self.new_desc = new_desc
         self.migration = migration
-        self.kept_items = kept_items
-        kept_by_rank: dict[int, list[Region]] = {}
-        for it in kept_items:
-            kept_by_rank.setdefault(it.dst, []).append(it.region)
-        # Wire order (ascending lo) per rank, matching the full
-        # schedule's recv order so the local repack and a full
-        # redistribute write elements identically.
-        for regions in kept_by_rank.values():
-            regions.sort(key=lambda r: r.lo)
-        self.kept_by_rank = kept_by_rank
+        #: Per rank, its receive side lists the rank's kept regions in
+        #: wire order (ascending lo), matching the full schedule's recv
+        #: order so the local repack and a full redistribute write
+        #: elements identically.
+        self.kept = kept
         common = min(old_desc.nranks, new_desc.nranks)
         #: Ranks whose ownership (and hence local patch layout) is
         #: byte-identical across the resize — no wire traffic, no
@@ -118,7 +97,7 @@ class DeltaSchedule:
     @property
     def kept_elements(self) -> int:
         """Elements that stay on their rank (repacked or untouched)."""
-        return sum(it.region.volume for it in self.kept_items)
+        return self.kept.element_count
 
     def migrated_bytes(self) -> int:
         return self.moved_elements * self.old_desc.dtype.itemsize
@@ -136,14 +115,14 @@ class DeltaSchedule:
         (or many reps of a benchmark) compiles the repack once."""
         if rank in self._local_plans:
             return self._local_plans[rank]
-        regions = self.kept_by_rank.get(rank)
-        if not regions or rank in self.identity_ranks:
+        _peers, _bounds, lo, hi = self.kept.wire("recv", rank)
+        if not len(lo) or rank in self.identity_ranks:
             plans = None
         else:
-            old_ix = LocalIndexer(list(self.old_desc.local_regions(rank)))
-            new_ix = LocalIndexer(list(self.new_desc.local_regions(rank)))
-            plans = (compile_pair(old_ix, rank, regions),
-                     compile_pair(new_ix, rank, regions))
+            plans = tuple(
+                compile_pair(LocalIndexer(desc.local_regions(rank)), rank,
+                             lo, hi)
+                for desc in (self.old_desc, self.new_desc))
         self._local_plans[rank] = plans
         return plans
 
@@ -200,16 +179,14 @@ def compile_delta(old_desc: DistArrayDescriptor,
         delta = getattr(full, "_delta_split", None)
         if delta is not None:
             return delta
-        moved: list[TransferItem] = []
-        kept: list[TransferItem] = []
-        for it in full.items:
-            (kept if it.src == it.dst else moved).append(it)
-        migration = CommSchedule(moved, full.src_nranks, full.dst_nranks)
-        delta = DeltaSchedule(old_desc, new_desc, migration, kept)
-        if cache is not None and moved:
+        moved = full.src != full.dst
+        migration = full.subset(moved)
+        delta = DeltaSchedule(old_desc, new_desc, migration,
+                              full.subset(~moved))
+        if cache is not None and migration.message_count:
             # Live-resize warm start: only the *migration* schedule's
             # plans get compiled in the reconfigure path (the cached
-            # full schedule stays item-only), so seed them from the
+            # full schedule stays uncompiled), so seed them from the
             # nearest sibling resize's migration — a resize back (B→A
             # after A→B) reuses every pair verbatim, the items merely
             # reversed.
@@ -222,6 +199,13 @@ def compile_delta(old_desc: DistArrayDescriptor,
     return delta
 
 
+def _wire_pairs(schedule: CommSchedule, side: str, rank: int) -> list:
+    """``(peer, lo, hi)`` per pair of ``(side, rank)``, in wire order."""
+    peers, bounds, lo, hi = schedule.wire(side, rank)
+    return [(peer, lo[a:b], hi[a:b]) for peer, a, b in
+            zip(peers.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())]
+
+
 def warm_start_plans(new_sched: CommSchedule, old_sched: CommSchedule,
                      src_desc: DistArrayDescriptor,
                      dst_desc: DistArrayDescriptor,
@@ -232,79 +216,58 @@ def warm_start_plans(new_sched: CommSchedule, old_sched: CommSchedule,
     that is provably still valid; returns ``(reused, recompiled)`` pair
     counts (also accumulated into ``REDIST_STATS``).
 
-    Reuse test, per (side, rank): the rank's owner layout under the new
-    schedule must equal its layout under one of the old schedule's
-    sides (:meth:`~repro.dad.descriptor.DistArrayDescriptor.
-    ownership_key`), and a pair transfers only if its peer and wire
-    region list match exactly — under both conditions
-    :func:`~repro.schedule.indexplan.compile_pair` is a pure function
-    that would reproduce the old plan bit-for-bit, so copying it is
-    sound.  A plan may cross sides (an old *recv* plan seeding a new
-    *send* rank): gather and scatter address the same flat index set,
-    and only layout + regions determine it — this is what carries
-    artifacts down an elastic chain, where a resize's source side was
-    the previous resize's destination.  Only ranks the old schedule
-    actually compiled are considered, and a rank with no reusable pair
-    is left lazy (no eager compilation for fully-changed ranks).
+    Reuse test, per (side, rank): the rank's owner layout must equal its
+    layout under one of the old schedule's sides (``ownership_key``),
+    and a pair transfers only if its peer and wire region columns match
+    exactly — then :func:`~repro.schedule.indexplan.compile_pair` would
+    reproduce the old plan bit-for-bit.  A plan may cross sides (an old
+    *recv* plan seeding a new *send* rank: gather and scatter address
+    the same flat index set), which carries artifacts down an elastic
+    chain.  Only ranks the old schedule compiled are considered, and a
+    rank with no reusable pair is left lazy.
     """
     reused = recompiled = 0
-    new_sides = (
-        ("send", src_desc, new_sched.src_nranks),
-        ("recv", dst_desc, new_sched.dst_nranks),
-    )
     old_sides = (
         ("send", old_src_desc, old_sched.src_nranks),
         ("recv", old_dst_desc, old_sched.dst_nranks),
     )
-    for side, desc, nranks in new_sides:
+    for side, desc, nranks in (("send", src_desc, new_sched.src_nranks),
+                               ("recv", dst_desc, new_sched.dst_nranks)):
         # Prefer the old side with the identical descriptor key (its
         # fingerprints match for every rank); fall back to the other.
         candidates = sorted(
             old_sides,
             key=lambda o: o[1].cache_key() != desc.cache_key())
         for rank in range(nranks):
-            groups = (new_sched.send_groups(rank) if side == "send"
-                      else new_sched.recv_groups(rank))
-            if not groups:
+            wire = _wire_pairs(new_sched, side, rank)
+            if not wire:
                 continue
-            seeded = False
             for old_side, old_desc, old_nranks in candidates:
-                if seeded or rank >= old_nranks:
-                    continue
-                old_plan = old_sched.plan_if_compiled(old_side, rank)
-                if old_plan is None:
-                    continue
-                if desc.ownership_key(rank) != old_desc.ownership_key(rank):
-                    continue  # layout changed: old indices are meaningless
-                old_groups = (old_sched.send_groups(rank)
-                              if old_side == "send"
-                              else old_sched.recv_groups(rank))
-                old_by_peer: dict[int, tuple[list, PairPlan]] = {
-                    peer: (regions, plan)
-                    for (peer, regions, _off), plan
-                    in zip(old_groups, old_plan.pairs)}
-                matches: list[PairPlan | None] = []
-                for peer, regions, _off in groups:
-                    hit = old_by_peer.get(peer)
-                    matches.append(hit[1] if hit is not None
-                                   and hit[0] == regions else None)
+                old_plan = (old_sched.plan_if_compiled(old_side, rank)
+                            if rank < old_nranks else None)
+                if old_plan is None or (desc.ownership_key(rank)
+                                        != old_desc.ownership_key(rank)):
+                    continue  # nothing compiled, or the layout changed
+                old_by_peer = {
+                    peer: (lo, hi, plan) for (peer, lo, hi), plan
+                    in zip(_wire_pairs(old_sched, old_side, rank),
+                           old_plan.pairs)}
+                matches = []
+                for peer, lo, hi in wire:
+                    olo, ohi, plan = old_by_peer.get(peer, (None, None, None))
+                    matches.append(plan if np.array_equal(olo, lo)
+                                   and np.array_equal(ohi, hi) else None)
                 n_hit = sum(m is not None for m in matches)
                 if n_hit == 0:
                     continue
-                indexer: LocalIndexer | None = None
-                pairs: list[PairPlan] = []
-                for m, (peer, regions, _off) in zip(matches, groups):
-                    if m is not None:
-                        pairs.append(m)
-                        continue
-                    if indexer is None:
-                        indexer = LocalIndexer(
-                            list(desc.local_regions(rank)))
-                    pairs.append(compile_pair(indexer, peer, regions))
-                new_sched.seed_plan(side, rank, RankPlan(tuple(pairs)))
+                indexer = (LocalIndexer(desc.local_regions(rank))
+                           if n_hit < len(wire) else None)
+                new_sched.seed_plan(side, rank, RankPlan(tuple(
+                    m if m is not None else compile_pair(indexer, peer, lo, hi)
+                    for m, (peer, lo, hi) in zip(matches, wire))))
                 reused += n_hit
-                recompiled += len(pairs) - n_hit
-                seeded = True
+                recompiled += len(wire) - n_hit
+                break
     if reused or recompiled:
         REDIST_STATS.add("pairs_reused", reused)
         REDIST_STATS.add("pairs_recompiled", recompiled)

@@ -39,10 +39,10 @@ is the C order of the payload, so it reshapes whichever side is
 contiguous to the other's shape (free), copies box to box when the
 shapes agree, and stages through a loan only when neither holds.
 
-Plans are pure functions of (schedule groups, owner patch layout), so
-they are compiled once and cached on the schedule next to
-``send_groups``/``recv_groups`` — repeated transfers over a reused
-schedule (the paper's persistent-channel case) pay compilation once.
+Plans are pure functions of (a rank's wire columns, owner patch
+layout), so they are compiled once and cached on the schedule —
+repeated transfers over a reused schedule (the paper's
+persistent-channel case) pay compilation once.
 ``PLAN_STATS`` counts compilations so tests can pin that down.
 """
 
@@ -56,8 +56,8 @@ import numpy as np
 
 from repro.errors import ScheduleError
 from repro.util.counters import Counters, TRANSPORT_STATS
-from repro.util.indexing import region_flat_indices
-from repro.util.regions import Region
+from repro.util.indexing import ragged_arange, region_flat_indices
+from repro.util.regions import Region, RegionList
 
 __all__ = [
     "Box",
@@ -418,7 +418,7 @@ def _expand(lo, shape, strides) -> np.ndarray:
     over all elements, no per-row ``arange``."""
     vol = shape.prod(axis=1)
     row = np.repeat(np.arange(len(lo)), vol)
-    ordinal = np.arange(int(vol.sum())) - np.repeat(np.cumsum(vol) - vol, vol)
+    ordinal = ragged_arange(vol)
     idx = lo[row]
     for d in range(shape.shape[1] - 1, -1, -1):
         ordinal, coord = np.divmod(ordinal, shape[row, d])
@@ -450,6 +450,10 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
+def _region(lo: np.ndarray, hi: np.ndarray) -> Region:
+    return Region(tuple(lo.tolist()), tuple(hi.tolist()))
+
+
 class LocalIndexer:
     """Where global regions live inside one rank's local storage.
 
@@ -462,14 +466,16 @@ class LocalIndexer:
     lookup, and its box ``lo`` one dot with the patch strides.
     """
 
-    def __init__(self, owned_regions: Sequence[Region]):
-        patches = sorted(owned_regions, key=lambda r: r.lo)
-        n, ndim = len(patches), patches[0].ndim if patches else 0
-        self._patches = patches
-        self._plo = np.array([r.lo for r in patches],
-                             dtype=np.int64).reshape(n, ndim)
-        self._phi = np.array([r.hi for r in patches],
-                             dtype=np.int64).reshape(n, ndim)
+    def __init__(self, owned_regions: RegionList | Sequence[Region]):
+        """``owned_regions``: a :class:`RegionList` (its columns are read
+        as they are) or any sequence of :class:`Region`."""
+        if not isinstance(owned_regions, RegionList):
+            owned_regions = RegionList(owned_regions, validate=False)
+        n, ndim = owned_regions.lo.shape
+        order = np.lexsort(owned_regions.lo.T[::-1]) if n else slice(None)
+        self._plo = owned_regions.lo[order]
+        self._phi = owned_regions.hi[order]
+        self._patches: list[Region] | None = None
         shape = self._phi - self._plo
         self._offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(shape.prod(axis=1), out=self._offsets[1:])
@@ -515,21 +521,20 @@ class LocalIndexer:
             cell.append(np.clip(c, 0, self._cells.shape[d] - 1))
         return np.where(inside, self._cells[tuple(cell)], -1)
 
-    def locate(self, regions: Sequence[Region]):
-        """Rows ``(lo, shape, strides)`` — one box per region, in the
-        order given: the region inside its containing patch."""
-        k, ndim = len(regions), self._plo.shape[1]
-        if k and not self._patches:
+    def locate(self, lo: np.ndarray, hi: np.ndarray):
+        """Rows ``(lo, shape, strides)`` — one box per row of the
+        ``(k, ndim)`` region bounds ``lo`` / ``hi``, in the order given:
+        the region inside its containing patch."""
+        if len(lo) and not len(self._plo):
             raise ScheduleError(
-                f"transfer region {regions[0]} not contained in any owned "
-                f"patch")
-        lo = np.array([r.lo for r in regions], dtype=np.int64).reshape(k, ndim)
-        hi = np.array([r.hi for r in regions], dtype=np.int64).reshape(k, ndim)
+                f"transfer region {_region(lo[0], hi[0])} not contained in "
+                f"any owned patch")
         patch = self._patch_of(lo, hi)
         bad = np.flatnonzero((patch < 0) | (hi > self._phi[patch]).any(axis=1))
         if bad.size:
+            i = int(bad[0])
             raise ScheduleError(
-                f"transfer region {regions[int(bad[0])]} not contained in "
+                f"transfer region {_region(lo[i], hi[i])} not contained in "
                 f"any owned patch")
         strides = self._strides[patch]
         return (self._offsets[patch] + ((lo - self._plo[patch]) * strides
@@ -541,6 +546,9 @@ class LocalIndexer:
         row-major order — the element-by-element reference the static
         proof (:mod:`repro.verify.schedule`) holds compiled plans to,
         deliberately independent of :meth:`locate`."""
+        if self._patches is None:
+            self._patches = RegionList.from_arrays(self._plo,
+                                                   self._phi).regions
         for i, patch in enumerate(self._patches):
             if patch.contains(region):
                 idx = region_flat_indices(region.relative_to(patch),
@@ -551,38 +559,32 @@ class LocalIndexer:
             f"transfer region {region} not contained in any owned patch")
 
 
-def compile_pair(indexer: LocalIndexer, peer: int,
-                 regions: Sequence[Region]) -> PairPlan:
-    """Compile one (src, dst) pair's wire-order regions against a rank's
-    patch layout.  The plan is a pure function of (regions, layout): two
-    calls with equal region lists over an equal layout yield
-    byte-identical plans — the soundness basis for the delta compiler's
-    verbatim plan reuse (:mod:`repro.schedule.delta`)."""
-    return _pair_from_rows(peer, *indexer.locate(regions))
+def compile_pair(indexer: LocalIndexer, peer: int, lo: np.ndarray,
+                 hi: np.ndarray) -> PairPlan:
+    """Compile one (src, dst) pair's wire-order region bounds against a
+    rank's patch layout.  The plan is a pure function of (regions,
+    layout): two calls with equal bound columns over an equal layout
+    yield byte-identical plans — the soundness basis for the delta
+    compiler's verbatim plan reuse (:mod:`repro.schedule.delta`)."""
+    return _pair_from_rows(peer, *indexer.locate(lo, hi))
 
 
-def compile_rank_plan(groups: Sequence[tuple[int, Sequence[Region], object]],
-                      owned_regions: Sequence[Region]) -> RankPlan:
-    """Compile one rank's per-pair groups against its patch layout.
-
-    ``groups`` is the schedule's ``send_groups``/``recv_groups`` output:
-    ``(peer, regions, offsets)`` with regions in wire order.  All of the
-    rank's regions are located in one vectorised pass; each pair then
-    folds its slice of the rows.  The element order inside each compiled
-    pair matches the region-loop pack order exactly, so plan-based and
-    loop-based buffers are byte-identical.
-    """
-    lo, shape, strides = LocalIndexer(owned_regions).locate(
-        [r for _peer, regions, _offsets in groups for r in regions])
-    pairs = []
-    at = 0
-    for peer, regions, _offsets in groups:
-        to = at + len(regions)
-        pairs.append(_pair_from_rows(peer, lo[at:to], shape[at:to],
-                                     strides[at:to]))
-        at = to
+def compile_rank_plan(peers: np.ndarray, bounds: np.ndarray, lo: np.ndarray,
+                      hi: np.ndarray, owned_regions) -> RankPlan:
+    """Compile one rank's side of a schedule — the columns of
+    :meth:`~repro.schedule.plan.CommSchedule.wire` — against its patch
+    layout.  All rows are located in one vectorised pass; each pair then
+    folds its slice of them, in wire order, so plan-based and loop-based
+    buffers are byte-identical."""
+    pairs: tuple[PairPlan, ...] = ()
+    if len(peers):
+        rows = LocalIndexer(owned_regions).locate(lo, hi)
+        pairs = tuple(_pair_from_rows(peer, *(r[a:b] for r in rows))
+                      for peer, a, b in zip(peers.tolist(),
+                                            bounds[:-1].tolist(),
+                                            bounds[1:].tolist()))
     PLAN_STATS.add("rank_plans")
-    return RankPlan(tuple(pairs))
+    return RankPlan(pairs)
 
 
 def compile_pair_plans(groups: Sequence[tuple[int, Sequence, object]],

@@ -1,23 +1,42 @@
-"""Schedule data structures.
+"""Schedule data structures: columns, not objects.
 
 A schedule is pure data — (source rank, destination rank, what-to-move)
 triples in a deterministic order — so it can be computed once, cached,
 shipped to a third party, or replayed against any array conforming to
-the same templates.
+the same templates (paper §2.3).  ``k`` items are four int64 columns:
+``src``, ``dst`` ``(k,)`` and the half-open bounds ``lo``, ``hi``
+``(k, ndim)`` of what moves — a region for a :class:`CommSchedule`, a
+linear run (``ndim = 1``) for a :class:`LinearSchedule`.  The builders
+write them directly; a pickled schedule is them plus any compiled plans.
+
+**Wire order** is ``(src, dst, lo)``, one stable ``np.lexsort``: every
+(src, dst) pair is one contiguous row range in ascending ``lo`` — the
+order both sides pack and unpack the pair's message in, with no
+metadata — a sender visits its pairs by destination and a receiver by
+source.  A rank's plan compiles straight from its rows
+(:meth:`_Schedule.wire`).
+
+**Objects on demand.**  ``items`` is a lazy sequence: ``len`` is O(1);
+iterating, indexing, slicing, ``==`` and ``+`` materialise the
+:class:`TransferItem` / :class:`LinearItem` objects, once.  The per-rank
+``send_groups`` / ``recv_groups`` / ``sends_from`` / ``recvs_at`` views
+are built on first use too — for the verifier, the experiment tables and
+the linear extract/inject fallback, never a build, a compile or a step.
+A list of items (the oracle, tests, mutants) still constructs a
+schedule; it is converted to columns once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
-from repro.errors import ScheduleError
+from repro.errors import ScheduleError, VerificationError
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.linearize.linearization import Linearization, Run
 from repro.schedule.indexplan import RankPlan, compile_pair_plans, compile_rank_plan
-from repro.util.regions import Region, RegionList
+from repro.util.regions import Region
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,109 +57,175 @@ class LinearItem:
     run: Run
 
 
-def _group_by_peer(pairs: list[tuple[int, "Region"]], volume_of,
-                   ) -> list[tuple[int, list, np.ndarray]]:
-    """Group an ordered (peer, item) list into per-peer runs.
+class _Items:
+    """A schedule's ``items``: ``len`` reads the columns; anything else
+    materialises the item objects (once, cached on the schedule)."""
 
-    Returns ``(peer, items, offsets)`` tuples where ``offsets`` is the
-    flattened element offset of each item inside the coalesced buffer,
-    with the total volume appended (an ``np.int64`` cumsum, so
-    downstream slicing never re-converts) — precomputed once so packed
-    execution never rescans volumes.
-    """
-    grouped: list[tuple[int, list]] = []
-    for peer, item in pairs:
-        if not grouped or grouped[-1][0] != peer:
-            grouped.append((peer, []))
-        grouped[-1][1].append(item)
-    groups: list[tuple[int, list, np.ndarray]] = []
-    for peer, items in grouped:
-        offsets = np.zeros(len(items) + 1, dtype=np.int64)
-        np.cumsum([volume_of(it) for it in items], out=offsets[1:])
-        groups.append((peer, items, offsets))
-    return groups
+    __slots__ = ("_schedule",)
+
+    def __init__(self, schedule: "_Schedule"):
+        self._schedule = schedule
+
+    def __len__(self) -> int:
+        return len(self._schedule.src)
+
+    def __getitem__(self, index):
+        return self._schedule._objects()[index]
+
+    def __iter__(self):
+        return iter(self._schedule._objects())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (_Items, list, tuple)):
+            return NotImplemented
+        return self._schedule._objects() == list(other)
+
+    def __add__(self, other) -> list:
+        return self._schedule._objects() + list(other)
+
+
+#: Derived from the columns by ``_index`` — not pickled, re-derived.
+_DERIVED = ("pair_src", "pair_dst", "pair_size", "element_count",
+            "_item_objects", "_group_views", "_by_dst")
 
 
 class _Schedule:
-    """What region and linear schedules share: item ordering, per-rank
-    views, per-(src, dst)-pair coalescing groups, the compiled-plan
-    cache and the memoized collective round plans.
+    """What region and linear schedules share: the sorted columns, the
+    pair index (``pair_src`` / ``pair_dst`` / ``pair_size``: the
+    communicating pairs in (src, dst) order), the plan caches and the
+    object views.  Subclasses say how an item's bounds read (``_span``)
+    and how a row materialises (``_what``, ``_item``), and compile a
+    rank (:meth:`_compile`)."""
 
-    Subclasses name the attribute of an item that says *what* moves
-    (``_WHAT``: ``"region"`` / ``"run"``) and of that object's element
-    count (``_SIZE``), and supply :meth:`_compile`.  Everything is
-    indexed once at construction, so the executor's queries are
-    O(per-rank items) instead of O(total items) rescans.
-    """
+    def __init__(self, items, src_nranks: int, dst_nranks: int):
+        items = list(items)
+        spans = [self._span(it) for it in items]
+        shape = (len(items), len(spans[0][0]) if spans else 0)
+        self._set_columns(
+            np.array([it.src for it in items], dtype=np.int64),
+            np.array([it.dst for it in items], dtype=np.int64),
+            np.array([lo for lo, _ in spans], dtype=np.int64).reshape(shape),
+            np.array([hi for _, hi in spans], dtype=np.int64).reshape(shape),
+            src_nranks, dst_nranks)
 
-    _WHAT: str
-    _SIZE: str
+    @classmethod
+    def from_columns(cls, src: np.ndarray, dst: np.ndarray, lo: np.ndarray,
+                     hi: np.ndarray, src_nranks: int, dst_nranks: int):
+        """A schedule over int64 columns in any row order (sorted here)."""
+        schedule = cls.__new__(cls)
+        schedule._set_columns(src, dst, lo, hi, src_nranks, dst_nranks)
+        return schedule
 
-    def __init__(self, items: list, src_nranks: int, dst_nranks: int):
-        what = attrgetter(self._WHAT)
-        self.items = sorted(
-            items, key=lambda it: (it.src, it.dst, what(it).lo))
+    def _set_columns(self, src, dst, lo, hi, src_nranks, dst_nranks) -> None:
+        order = np.lexsort((*lo.T[::-1], dst, src))
+        self.src, self.dst, self.lo, self.hi = (
+            src[order], dst[order], lo[order], hi[order])
         self.src_nranks = src_nranks
         self.dst_nranks = dst_nranks
-        sends: list[list[tuple]] = [[] for _ in range(src_nranks)]
-        recvs: list[list[tuple]] = [[] for _ in range(dst_nranks)]
-        for it in self.items:
-            # items are (src, dst, lo)-sorted, so each send list arrives
-            # ordered by (dst, lo) already.
-            moved = what(it)
-            sends[it.src].append((it.dst, moved))
-            recvs[it.dst].append((it.src, moved))
-        for lst in recvs:
-            lst.sort(key=lambda t: (t[0], t[1].lo))
-        self._sends = sends
-        self._recvs = recvs
-        size = attrgetter(self._SIZE)
-        self._send_groups = [_group_by_peer(lst, size) for lst in sends]
-        self._recv_groups = [_group_by_peer(lst, size) for lst in recvs]
         #: compiled index plans, keyed ("send"/"recv", rank) — see
         #: rank_plan.
         self._plans: dict[tuple[str, int], RankPlan] = {}
         #: memoized collective round plans, keyed (itemsize, round_bytes)
         self._coll_plans: dict[tuple[int, int], object] = {}
+        self._index()
 
-    # -- per-rank views -------------------------------------------------------
+    def _index(self) -> None:
+        first = np.flatnonzero((np.diff(self.src, prepend=-1) != 0)
+                               | (np.diff(self.dst, prepend=-1) != 0))
+        self.pair_src, self.pair_dst = self.src[first], self.dst[first]
+        volume = (self.hi - self.lo).prod(axis=1)
+        self.pair_size = np.add.reduceat(volume, first)
+        self.element_count = int(volume.sum())
+        self._item_objects: list | None = None
+        self._group_views: dict[tuple[str, int], list] = {}
+        self._by_dst: tuple[np.ndarray, np.ndarray] | None = None
 
-    def sends_from(self, src: int) -> list[tuple]:
-        """(dst, region-or-run) pairs rank ``src`` must send, in wire
-        order."""
-        if not (0 <= src < self.src_nranks):
-            return []
-        return list(self._sends[src])
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in _DERIVED}
 
-    def recvs_at(self, dst: int) -> list[tuple]:
-        """(src, region-or-run) pairs rank ``dst`` must receive.
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._index()
 
-        Ordered by (src, lo) — the same relative order per source as
-        :meth:`sends_from` produces, so FIFO matching lines up.
-        """
-        if not (0 <= dst < self.dst_nranks):
-            return []
-        return list(self._recvs[dst])
+    def subset(self, mask: np.ndarray):
+        """The schedule of the rows ``mask`` selects, over the same ranks."""
+        return self.from_columns(self.src[mask], self.dst[mask],
+                                 self.lo[mask], self.hi[mask],
+                                 self.src_nranks, self.dst_nranks)
 
-    # -- per-pair coalescing groups ------------------------------------------
+    def wire(self, side: str, rank: int):
+        """Rank ``rank``'s ``side`` (``"send"``/``"recv"``) as columns, in
+        wire order: ``(peers, bounds, lo, hi)`` — pair ``i`` moves the
+        rows ``bounds[i]:bounds[i+1]`` of ``lo`` / ``hi`` to or from
+        ``peers[i]``.  A receiver's rows keep the sorted order, which is
+        ``(src, lo)`` for one ``dst``."""
+        if side == "send":
+            a, b = np.searchsorted(self.src, (rank, rank + 1))
+            rows = np.arange(a, b)
+        else:
+            if self._by_dst is None:
+                # stable, so each destination keeps its (src, lo) order
+                order = np.argsort(self.dst, kind="stable")
+                self._by_dst = order, self.dst[order]
+            order, dst = self._by_dst
+            a, b = np.searchsorted(dst, (rank, rank + 1))
+            rows = order[a:b]
+        peer = (self.dst if side == "send" else self.src)[rows]
+        starts = np.flatnonzero(np.diff(peer, prepend=-1))
+        return (peer[starts], np.append(starts, len(rows)),
+                self.lo[rows], self.hi[rows])
+
+    # -- object views ----------------------------------------------------------
+
+    @property
+    def items(self) -> _Items:
+        """Every item in wire order — a lazy sequence (see module doc)."""
+        return _Items(self)
+
+    def _objects(self) -> list:
+        if self._item_objects is None:
+            self._item_objects = [
+                self._item(s, d, self._what(a, b)) for s, d, a, b in zip(
+                    self.src.tolist(), self.dst.tolist(), self.lo.tolist(),
+                    self.hi.tolist())]
+        return self._item_objects
+
+    def _groups(self, side: str, rank: int) -> list[tuple[int, list, np.ndarray]]:
+        groups = self._group_views.get((side, rank))
+        if groups is None:
+            peers, bounds, lo, hi = self.wire(side, rank)
+            moved = [self._what(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+            ends = np.concatenate(([0], np.cumsum((hi - lo).prod(axis=1))))
+            groups = self._group_views[(side, rank)] = [
+                (peer, moved[a:b], ends[a:b + 1] - ends[a])
+                for peer, a, b in zip(peers.tolist(), bounds[:-1].tolist(),
+                                      bounds[1:].tolist())]
+        return groups
 
     def send_groups(self, src: int) -> list[tuple[int, list, np.ndarray]]:
-        """Per-destination coalescing groups for rank ``src``:
-        ``(dst, items, offsets)`` with the regions/runs in wire order
-        and ``offsets`` the flattened ``np.int64`` element offsets of
-        each inside the pair's packed buffer (total appended).  Callers
-        must not mutate the returned lists."""
-        if not (0 <= src < self.src_nranks):
-            return []
-        return self._send_groups[src]
+        """Per-destination groups of rank ``src``: ``(dst, items,
+        offsets)``, the regions/runs in wire order and their ``np.int64``
+        element offsets in the pair's packed buffer (total appended).
+        Callers must not mutate the returned lists."""
+        return self._groups("send", src)
 
     def recv_groups(self, dst: int) -> list[tuple[int, list, np.ndarray]]:
         """Per-source coalescing groups for rank ``dst``; item order
         matches the sender's :meth:`send_groups` order, so one packed
         buffer per pair unpacks positionally."""
-        if not (0 <= dst < self.dst_nranks):
-            return []
-        return self._recv_groups[dst]
+        return self._groups("recv", dst)
+
+    def sends_from(self, src: int) -> list[tuple]:
+        """(dst, region-or-run) pairs rank ``src`` sends, in wire order."""
+        return [(d, moved) for d, items, _ in self.send_groups(src)
+                for moved in items]
+
+    def recvs_at(self, dst: int) -> list[tuple]:
+        """(src, region-or-run) pairs rank ``dst`` receives, by (src, lo)
+        — per source the order :meth:`sends_from` produces, so FIFO
+        matching lines up."""
+        return [(s, moved) for s, items, _ in self.recv_groups(dst)
+                for moved in items]
 
     # -- compiled index plans ------------------------------------------------
 
@@ -166,13 +251,9 @@ class _Schedule:
         (``"recv"``) — the form the executor binds through."""
         plan = self._plans.get((side, rank))
         if plan is None:
-            groups = (self._send_groups if side == "send"
-                      else self._recv_groups)[rank]
-            plan = self._plans[(side, rank)] = self._compile(groups, layout)
+            plan = self._plans[(side, rank)] = self._compile(side, rank,
+                                                             layout)
         return plan
-
-    def _compile(self, groups, layout) -> RankPlan:
-        raise NotImplementedError
 
     def plan_if_compiled(self, side: str, rank: int) -> RankPlan | None:
         """The cached compiled plan for ``(side, rank)``, or ``None`` if
@@ -210,70 +291,47 @@ class _Schedule:
 
     @property
     def pair_count(self) -> int:
-        """Number of communicating (src, dst) rank pairs — the
-        executors' message count."""
-        return sum(len(g) for g in self._send_groups)
+        """Communicating (src, dst) rank pairs — the executors' messages."""
+        return len(self.pair_src)
 
     @property
     def message_count(self) -> int:
-        return len(self.items)
+        return len(self.src)
 
-    @property
-    def element_count(self) -> int:
-        return sum(int(offsets[-1]) for groups in self._send_groups
-                   for _, _, offsets in groups)
+    def entries(self) -> int:
+        """Bookkeeping size of the schedule itself, in integers."""
+        return 2 * (self.src.size + self.lo.size)
 
 
 class CommSchedule(_Schedule):
     """A region-based communication schedule between two templates."""
 
-    _WHAT, _SIZE = "region", "volume"
+    _item = TransferItem
 
-    def _compile(self, groups, owned_regions) -> RankPlan:
-        return compile_rank_plan(groups, list(owned_regions))
+    @staticmethod
+    def _span(item: TransferItem):
+        return item.region.lo, item.region.hi
 
-    # -- metrics -----------------------------------------------------------------
+    @staticmethod
+    def _what(lo: list, hi: list) -> Region:
+        return Region(tuple(lo), tuple(hi))
+
+    def _compile(self, side: str, rank: int, owned_regions) -> RankPlan:
+        return compile_rank_plan(*self.wire(side, rank), owned_regions)
 
     def nbytes(self, dtype: np.dtype | str = np.float64) -> int:
         return self.element_count * np.dtype(dtype).itemsize
 
-    def entries(self) -> int:
-        """Bookkeeping size of the schedule itself."""
-        ndim = self.items[0].region.ndim if self.items else 0
-        return len(self.items) * (2 + 2 * ndim)
-
-    # -- validation ---------------------------------------------------------------
-
     def validate(self, src_desc: DistArrayDescriptor,
                  dst_desc: DistArrayDescriptor) -> None:
-        """Check schedule completeness and consistency:
-
-        * every item's region is owned by its src on the source side and
-          by its dst on the destination side,
-        * per destination rank, the received regions exactly tile that
-          rank's ownership (every destination element written once).
-        """
-        if src_desc.shape != dst_desc.shape:
-            raise ScheduleError(
-                f"template shapes differ: {src_desc.shape} vs {dst_desc.shape}")
-        for it in self.items:
-            if not src_desc.local_regions(it.src).intersect_region(
-                    it.region).volume == it.region.volume:
-                raise ScheduleError(
-                    f"item {it}: region not owned by source rank {it.src}")
-            if not dst_desc.local_regions(it.dst).intersect_region(
-                    it.region).volume == it.region.volume:
-                raise ScheduleError(
-                    f"item {it}: region not owned by dest rank {it.dst}")
-        for dst in range(self.dst_nranks):
-            incoming = [r for _, r in self.recvs_at(dst)]
-            owned = dst_desc.local_regions(dst)
-            got = sum(r.volume for r in incoming)
-            if got != owned.volume:
-                raise ScheduleError(
-                    f"dest rank {dst} receives {got} elements but owns "
-                    f"{owned.volume}")
-            RegionList(incoming)  # disjointness
+        """Ownership on both sides and exactly-once coverage: the static
+        proof :func:`repro.verify.schedule.verify_schedule` (no plans),
+        failures raised as :class:`~repro.errors.ScheduleError`."""
+        from repro.verify.schedule import verify_schedule
+        try:
+            verify_schedule(self, src_desc, dst_desc, check_plans=False)
+        except VerificationError as exc:
+            raise ScheduleError(str(exc)) from exc
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CommSchedule({self.message_count} messages, "
@@ -284,33 +342,28 @@ class CommSchedule(_Schedule):
 class LinearSchedule(_Schedule):
     """A linearization-based schedule: runs moved between rank pairs."""
 
-    _WHAT, _SIZE = "run", "length"
+    _item = LinearItem
 
-    def _compile(self, groups, indices_of) -> RankPlan:
-        return compile_pair_plans(groups, indices_of)
+    @staticmethod
+    def _span(item: LinearItem):
+        return (item.run.lo,), (item.run.hi,)
 
-    def entries(self) -> int:
-        return len(self.items) * 4
+    @staticmethod
+    def _what(lo: list, hi: list) -> Run:
+        return Run(lo[0], hi[0])
+
+    def _compile(self, side: str, rank: int, indices_of) -> RankPlan:
+        return compile_pair_plans(self._groups(side, rank), indices_of)
 
     def validate(self, src_lin: Linearization, dst_lin: Linearization) -> None:
-        """Every destination position covered exactly once by items that
-        the source side actually owns."""
-        if src_lin.total != dst_lin.total:
-            raise ScheduleError(
-                f"linear spaces differ: {src_lin.total} vs {dst_lin.total}")
-        marks = np.zeros(dst_lin.total, dtype=np.int32)
-        for it in self.items:
-            owned = any(r.intersect(it.run) is not None and
-                        r.lo <= it.run.lo and it.run.hi <= r.hi
-                        for r in src_lin.runs(it.src))
-            if not owned:
-                raise ScheduleError(
-                    f"item {it}: run not owned by source rank {it.src}")
-            marks[it.run.lo:it.run.hi] += 1
-        if not np.all(marks == 1):
-            bad = int(np.flatnonzero(marks != 1)[0])
-            raise ScheduleError(
-                f"linear position {bad} transferred {int(marks[bad])} times")
+        """Run ownership and exactly-once coverage: the static proof
+        :func:`repro.verify.schedule.verify_linear_schedule`, failures
+        raised as :class:`~repro.errors.ScheduleError`."""
+        from repro.verify.schedule import verify_linear_schedule
+        try:
+            verify_linear_schedule(self, src_lin, dst_lin)
+        except VerificationError as exc:
+            raise ScheduleError(str(exc)) from exc
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"LinearSchedule({self.message_count} runs, "

@@ -47,6 +47,14 @@ def row_major_coords(offset: int, shape: Sequence[int]) -> tuple[int, ...]:
     return tuple(coords)
 
 
+def ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(n) for n in counts])`` without a Python loop
+    — the ordinal inside each run of a ragged ``np.repeat`` expansion."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) - np.repeat(ends - counts, counts)
+
+
 def region_flat_indices(region: Region, shape: Sequence[int]) -> np.ndarray:
     """Row-major flat indices of every element of ``region`` within an
     enclosing array of ``shape``, in region-row-major order.

@@ -203,17 +203,45 @@ def intersect_boxes(a_lo: np.ndarray, a_hi: np.ndarray,
 class RegionList:
     """An ordered collection of disjoint regions with set-like queries.
 
-    Region lists describe irregular ownership (explicit distributions) and
-    schedule send/receive sets.  Disjointness is validated on construction
-    because overlapping ownership is always a bug in this domain.
+    Region lists describe ownership (a rank's patches) and schedule
+    send/receive sets.  They are stored as columns: ``lo`` and ``hi`` are
+    ``(k, ndim)`` int64 arrays of half-open bounds, one row per region,
+    zero-volume rows dropped — what the schedule builders and the plan
+    compiler read.  :attr:`regions` and iteration materialise
+    :class:`Region` objects lazily, once.  Disjointness is validated on
+    construction from regions (``validate=True``) because overlapping
+    ownership is always a bug in this domain.
     """
 
-    __slots__ = ("regions",)
+    __slots__ = ("lo", "hi", "_regions")
 
     def __init__(self, regions: Iterable[Region] = (), *, validate: bool = True):
-        self.regions: list[Region] = [r for r in regions if not r.empty]
+        regions = [r for r in regions if not r.empty]
+        shape = (len(regions), regions[0].ndim if regions else 0)
+        self.lo = np.array([r.lo for r in regions],
+                           dtype=np.int64).reshape(shape)
+        self.hi = np.array([r.hi for r in regions],
+                           dtype=np.int64).reshape(shape)
+        self._regions: list[Region] | None = regions
         if validate:
             self._check_disjoint()
+
+    @classmethod
+    def from_arrays(cls, lo: np.ndarray, hi: np.ndarray) -> "RegionList":
+        """A list over ``(k, ndim)`` bound columns, zero-volume rows
+        dropped; no :class:`Region` is built until asked for."""
+        keep = (hi > lo).all(axis=1)
+        out = cls.__new__(cls)
+        out.lo, out.hi = (lo, hi) if keep.all() else (lo[keep], hi[keep])
+        out._regions = None
+        return out
+
+    @property
+    def regions(self) -> list[Region]:
+        if self._regions is None:
+            self._regions = [Region(tuple(a), tuple(b)) for a, b in
+                             zip(self.lo.tolist(), self.hi.tolist())]
+        return self._regions
 
     def _check_disjoint(self) -> None:
         # Sort-and-sweep along the first axis: a region can only collide
@@ -234,7 +262,7 @@ class RegionList:
 
     @property
     def volume(self) -> int:
-        return sum(r.volume for r in self.regions)
+        return int((self.hi - self.lo).prod(axis=1).sum())
 
     def intersect_region(self, other: Region) -> "RegionList":
         """All parts of this list lying inside ``other``."""
@@ -273,7 +301,7 @@ class RegionList:
         return iter(self.regions)
 
     def __len__(self) -> int:
-        return len(self.regions)
+        return len(self.lo)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RegionList({self.regions!r})"

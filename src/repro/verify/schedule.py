@@ -487,7 +487,7 @@ def verify_delta_equivalence(old_desc: DistArrayDescriptor,
 
     # partition: migration ∪ kept == full, disjoint.
     migration_items = set(delta.migration.items)
-    kept_items = set(delta.kept_items)
+    kept_items = set(delta.kept.items)
     overlap = migration_items & kept_items
     union = migration_items | kept_items
     full_items = set(full.items)
@@ -520,7 +520,7 @@ def verify_delta_equivalence(old_desc: DistArrayDescriptor,
             failures.append(
                 f"minimality: migration item {it} moves rank "
                 f"{it.src}'s data to itself")
-    for it in delta.kept_items:
+    for it in delta.kept.items:
         idx = region_flat_indices(it.region, shape)
         bad_route += int(np.count_nonzero(
             (old_owner[idx] != it.src) | (new_owner[idx] != it.dst)))
@@ -569,7 +569,10 @@ def verify_delta_equivalence(old_desc: DistArrayDescriptor,
 
     # local repack plans vs the fallback gather on both layouts.
     plan_pairs = 0
-    for rank, regions in sorted(delta.kept_by_rank.items()):
+    for rank in range(delta.kept.dst_nranks):
+        regions = [reg for _, reg in delta.kept.recvs_at(rank)]
+        if not regions:
+            continue
         try:
             plans = delta.local_plan(rank)
         except ScheduleError as exc:

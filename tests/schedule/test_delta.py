@@ -43,8 +43,8 @@ def test_delta_partitions_the_full_schedule():
     full = build_region_schedule(B8, B10)
     delta = compile_delta(B8, B10, full=full)
     assert all(it.src != it.dst for it in delta.migration.items)
-    assert all(it.src == it.dst for it in delta.kept_items)
-    assert (set(delta.migration.items) | set(delta.kept_items)
+    assert all(it.src == it.dst for it in delta.kept.items)
+    assert (set(delta.migration.items) | set(delta.kept.items)
             == set(full.items))
     assert delta.moved_elements + delta.kept_elements == 64
     assert delta.migrated_bytes() < full.nbytes(np.float64)
@@ -86,7 +86,7 @@ def test_local_repack_round_trips():
         new_flat = np.full(new.local_volume(rank), -1.0)
         delta.apply_local(rank, old_flat, new_flat)
         # every kept element landed at its new-layout position.
-        regions = delta.kept_by_rank.get(rank, [])
+        regions = [reg for _, reg in delta.kept.recvs_at(rank)]
         expect = np.full(new.local_volume(rank), -1.0)
         from repro.schedule.indexplan import LocalIndexer
         ix = LocalIndexer(list(new.local_regions(rank)))
@@ -156,7 +156,8 @@ def test_verify_delta_equivalence_catches_tampering():
         B8, B10,
         type(full)(list(delta.migration.items[1:]),
                    full.src_nranks, full.dst_nranks),
-        delta.kept_items + [delta.migration.items[0]])
+        type(full)(delta.kept.items + [delta.migration.items[0]],
+                   full.src_nranks, full.dst_nranks))
     with pytest.raises(VerificationError) as exc:
         verify_delta_equivalence(B8, B10, delta=bad)
     assert "minimality" in str(exc.value)

@@ -38,6 +38,7 @@ from repro.simmpi.intercomm import couple_jobs
 from repro.simmpi.rma import WindowHandle
 from repro.simmpi.runner import Job
 from repro.util.counters import TRANSPORT_STATS
+from repro.util.regions import RegionList
 
 
 @st.composite
@@ -522,9 +523,14 @@ class TestLocalIndexer:
         from repro.schedule.indexplan import LocalIndexer, compile_pair
         ix = LocalIndexer(patches)
         want = np.concatenate([ix.region_indices(r) for r in regions])
+        rows = RegionList(regions, validate=False)
         np.testing.assert_array_equal(
-            compile_pair(ix, 0, regions).indices(), want)
+            compile_pair(ix, 0, rows.lo, rows.hi).indices(), want)
         return ix
+
+    @staticmethod
+    def _locate(ix, region):
+        return ix.locate(np.array([region.lo]), np.array([region.hi]))
 
     def test_patches_spanning_several_cells(self):
         from repro.util.regions import Region
@@ -535,9 +541,9 @@ class TestLocalIndexer:
                                    Region((4, 2), (6, 7))])
         assert ix._cells is not None
         with pytest.raises(ScheduleError, match="not contained"):
-            ix.locate([Region((3, 3), (5, 5))])      # straddles two patches
+            self._locate(ix, Region((3, 3), (5, 5)))      # straddles two patches
         with pytest.raises(ScheduleError, match="not contained"):
-            ix.locate([Region((6, 0), (7, 1))])      # outside every patch
+            self._locate(ix, Region((6, 0), (7, 1)))      # outside every patch
 
     def test_irregular_layout_scans_for_patches(self):
         """200 patches whose edges never line up would need a 399 x 399
@@ -551,7 +557,7 @@ class TestLocalIndexer:
             for p in patches])
         assert ix._cells is None
         with pytest.raises(ScheduleError, match="not contained"):
-            ix.locate([Region((8, 8), (9, 9))])
+            self._locate(ix, Region((8, 8), (9, 9)))
 
 
 class TestLendingSteadyState:
