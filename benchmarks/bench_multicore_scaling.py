@@ -54,6 +54,10 @@ M, N = 8, 12                    # producer x consumer ranks (cyclic 8 -> 12)
 BLOCK = 4096                    # interleave block (elements)
 EXTENT = 8 * 1024 * 1024        # 64 MiB of float64 per snapshot
 SMOKE_EXTENT = 96_000
+#: Smoke case on default transport options: 20 blocks per pair make each
+#: pair message 640 KiB, a run of 3 of the default 256 KiB slots (the
+#: ring holds 8, so a producer's third message waits for a release).
+RUNS_EXTENT = 20 * 24 * BLOCK
 STEPS = 3
 RATIO_FLOOR = 2.0
 MIN_CORES = 4
@@ -109,6 +113,7 @@ def _producer(comm, extent, steps, dst_of):
         "slot_allocs": s1.get("allocations", 0) - s0.get("allocations", 0),
         "ring_full": s1.get("ring_full", 0) - s0.get("ring_full", 0),
         "slot_loans": s1.get("loans", 0) - s0.get("loans", 0),
+        "oversize": s1.get("oversize", 0) - s0.get("oversize", 0),
     }
 
 
@@ -171,6 +176,7 @@ def _measure(backend, extent=EXTENT, steps=STEPS, *, collect=False,
         "slot_allocs": sum(r["slot_allocs"] for r in prods),
         "ring_full": sum(r["ring_full"] for r in prods),
         "slot_loans": sum(r["slot_loans"] for r in prods),
+        "oversize": sum(r["oversize"] for r in prods),
         "direct": sum(r["direct"] for r in cons),
         "sum": sum(r["sum"] for r in cons),
         "parts": [r["array"] for r in cons] if collect else None,
@@ -261,9 +267,34 @@ def smoke():
     if cores >= base["min_cores"] and ratio < base["ratio_floor"]:
         raise SystemExit(f"throughput regression: procs/threads {ratio:.2f}x "
                          f"< floor {base['ratio_floor']}x on {cores} cores")
+    runs = smoke_runs(base)
     print(f"bench_multicore_scaling smoke: OK (identical bytes on both "
           f"backends, 0 steady-state slot allocs, ratio {ratio:.2f}x on "
-          f"{cores} core(s))")
+          f"{cores} core(s); default options: {runs['oversize']} "
+          f"multi-slot messages, {runs['ring_full']} ring-full waits, "
+          f"0 slot allocs)")
+
+
+def smoke_runs(base):
+    """CI gate for messages wider than one slot on default transport
+    options: every pair message rides a run of slots — byte-identical,
+    and never an inline allocation."""
+    row = _measure("procs", RUNS_EXTENT, collect=True)
+    got = DistributedArray.assemble([p for p in row["parts"] if p is not None])
+    if not np.array_equal(got, _global(RUNS_EXTENT)):
+        raise SystemExit("procs, default options: reassembled snapshot is "
+                         "not byte-identical to the ground truth")
+    if row["oversize"] != row["pairs"] * STEPS:
+        raise SystemExit(
+            f"procs, default options: {row['oversize']} multi-slot "
+            f"messages, expected one per pair per step "
+            f"({row['pairs'] * STEPS})")
+    if row["slot_allocs"] > base["slot_allocs_per_step"]:
+        raise SystemExit(
+            f"procs, default options: {row['slot_allocs']} slot-pool "
+            f"allocations for multi-slot messages, baseline "
+            f"{base['slot_allocs_per_step']}")
+    return row
 
 
 # -- pytest hooks ------------------------------------------------------------

@@ -106,11 +106,10 @@ class AbortFlag:
     def wait(self, timeout: float) -> bool:
         """Sleep up to ``timeout`` seconds, waking early on abort.
 
-        The backoff primitive for cross-process RMA epoch waits
-        (:mod:`repro.simmpi.rma`): there is no condition variable
-        spanning the window's processes, so waiters poll the shared
-        counter — but they sleep on the abort event, keeping the wait
-        abort-responsive without a bare ``time.sleep`` loop."""
+        The backoff primitive of :meth:`Mailbox.wait_until`: there is
+        no condition variable spanning processes, so waiters poll the
+        shared state — but they sleep on the abort event, keeping the
+        wait abort-responsive without a bare ``time.sleep`` loop."""
         return self._event.wait(timeout)
 
 
@@ -175,24 +174,40 @@ class Mailbox:
         self._block_state = block_state or (lambda rank, desc: None)
         abort.subscribe(self._cond)
 
-    # -- watchdog plumbing for non-mailbox waits (RMA epoch spins) ---------
+    # -- non-mailbox waits (RMA epochs, a full slot ring) ------------------
 
-    @property
-    def abort(self) -> AbortFlag:
-        """The job-wide abort flag this mailbox subscribes to."""
-        return self._abort
+    def wait_until(self, ready: Callable[[], Any], desc: str, *,
+                   poll: float, timeout: float | None = None) -> Any:
+        """Poll ``ready()`` until it returns something other than
+        ``None`` and return that value.
 
-    def set_block_desc(self, desc: str | None) -> None:
-        """Record (or clear, with ``None``) what this rank is blocked on
-        — the same watchdog channel mailbox waits use, exposed so
-        one-sided epoch waits (:mod:`repro.simmpi.rma`) are visible in
-        deadlock dumps too."""
+        The wait for shared-memory state no condition variable spans (a
+        peer's epoch or done counter, a free run of slots): it is
+        recorded as this rank's blocked state, so the watchdog sees it
+        like a mailbox wait; it backs off on the abort flag between
+        polls, so an abort wakes it at once and raises
+        :class:`DeadlockError`; an explicit ``timeout`` raises
+        :class:`TimeoutError`.  Completing it counts as progress."""
+        got = ready()
+        if got is not None:
+            return got
+        abort = self._abort
+        deadline = None if timeout is None else time.monotonic() + timeout
         self._block_state(self.rank, desc)
-
-    def note_progress(self) -> None:
-        """Bump the job's progress counter for work done outside the
-        mailbox (a completed RMA fence or epoch wait)."""
+        try:
+            while (got := ready()) is None:
+                if abort.is_set():
+                    raise DeadlockError(
+                        f"rank {self.rank} aborted while blocked in "
+                        f"{desc}: {abort.reason}",
+                        blocked=abort.blocked_dump)
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise TimeoutError(f"rank {self.rank}: {desc} timed out")
+                abort.wait(poll)
+        finally:
+            self._block_state(self.rank, None)
         self._progress()
+        return got
 
     # -- sending ----------------------------------------------------------
 

@@ -8,17 +8,20 @@ scales with cores instead of serializing in one interpreter.
 
 Data plane: payload bytes travel through the domain's
 :class:`~repro.simmpi.shm.SegmentPool` — per-sender rings of fixed-size
-shared-memory slots — while a small control message (context, source,
-tag, payload kind, slot index) rides an unbounded per-endpoint
-``multiprocessing`` queue.  Sends therefore never block, exactly like
-the threads backend: a full slot ring degrades to shipping the payload
-inline through the queue (counted, never wrong).  On the receive side a
-per-process *pump thread* replays control messages into the rank's
-ordinary :class:`~repro.simmpi.matching.Mailbox`, handing array
-payloads over as lent views of the shared slot — so a preposted
+shared-memory slots, a payload wider than one slot taking a run of
+adjacent ones — while a small control message (context, source, tag,
+payload kind, first slot) rides an unbounded per-endpoint
+``multiprocessing`` queue.  A sender whose ring has no free run waits
+for one (abort-aware, visible to the watchdog); only tiny payloads and
+payloads wider than the whole ring ride inline in the queue.  On the
+receive side a per-process *pump thread* replays control messages into
+the rank's ordinary :class:`~repro.simmpi.matching.Mailbox`, handing
+array payloads over as lent views of the shared run — so a preposted
 recv-into-destination sink scatters **straight out of shared memory**
-into the destination array, with no staging buffer, and the slot is
-released the moment the mailbox has consumed it.
+into the destination array, with no staging buffer, and the run is
+released the moment the mailbox has consumed it.  Because the pump
+consumes whatever the rank's main thread is doing, a full ring drains
+on its own: the wait ends unless a receiver has exited.
 
 Control plane: the parent process supervises.  A
 :class:`~repro.simmpi.shm.SharedState` struct carries each endpoint's
@@ -78,6 +81,13 @@ CHILD_CTX_SHIFT = 20
 BROKER_CTX_BASE = 1 << 40
 
 _SUPERVISE_TICK = 0.05
+
+#: Backoff between flag scans while a sender waits for a free run.  A
+#: release lands within one scatter of the wait starting.  Measured on
+#: ``stream_default`` (2-core guest): 5 and 20 µs polls are
+#: indistinguishable (timer slack makes either a ~60-80 µs sleep),
+#: while RMA's 200 µs poll costs ~7 % of a step.
+RING_POLL = 20e-6
 
 
 def _fork_context():
@@ -189,16 +199,18 @@ class ProcTransport(Transport):
         else:
             kind, meta, buf, inline = shm.encode_payload(obj)
         slot = -1
+        width = 0
         if buf is not None:
+            pool = rt.pool
             nbytes = buf.nbytes
-            if nbytes > shm.INLINE_MAX and nbytes <= rt.pool.slot_bytes:
-                got = rt.pool.acquire(rt.endpoint)
-                if got is not None:
-                    slot = got
-            elif nbytes > rt.pool.slot_bytes:
-                rt.pool.stats.add("oversize")
-            if slot >= 0:
-                dst = rt.pool.slot_view(
+            width = -(-nbytes // pool.slot_bytes)
+            if width > 1:
+                pool.stats.add("oversize")
+            if nbytes > shm.INLINE_MAX and width <= pool.slots_per_endpoint:
+                slot = pool.acquire(rt.endpoint, width)
+                if slot is None:
+                    slot = self._wait_for_run(width)
+                dst = pool.slot_view(
                     slot, nbytes,
                     dtype=buf.dtype if kind == shm.ND else None)
                 if kind == shm.ND:
@@ -209,29 +221,43 @@ class ProcTransport(Transport):
                 TRANSPORT_STATS.add("shm_slot_msgs")
                 TRANSPORT_STATS.add("shm_slot_bytes", nbytes)
             else:
-                # inline fallback: tiny payload, full ring, or oversize
-                # (tobytes() emits C order from any view, lent strided
-                # and n-D ones included, in one pass)
+                # inline: a tiny payload, or one wider than the whole
+                # ring (tobytes() emits C order from any view, lent
+                # strided and n-D ones included, in one pass)
                 inline = buf.tobytes()
                 if nbytes > shm.INLINE_MAX:
-                    rt.pool.stats.add("allocations")
-                    rt.pool.stats.add("allocated_bytes", nbytes)
+                    pool.stats.add("allocations")
+                    pool.stats.add("allocated_bytes", nbytes)
                 TRANSPORT_STATS.add("shm_inline_msgs")
                 TRANSPORT_STATS.add("shm_inline_bytes", nbytes)
         if env.release is not None:
-            # the wire (slot or inline blob) now owns the bytes: the
+            # the wire (slot run or inline blob) now owns the bytes: the
             # sender's pooled buffer is free to be reused immediately
             env.release()
         msg = (shm.MSG, env.context, env.source, env.tag, env.nbytes,
                kind, meta, slot, inline)
         san = _san.ACTIVE
         if san is not None:
-            # wire piggyback: the sender's vector clock plus the slot's
-            # shadow generation ride as an optional tenth field (the
+            # wire piggyback: the sender's vector clock plus the run's
+            # shadow generations ride as an optional tenth field (the
             # nine-field format is untouched when the sanitizer is off)
-            msg = msg + (san.slot_publish(rt.pool, slot),)
+            msg = msg + (san.slot_publish(rt.pool, slot, width),)
         rt.spec.queues[endpoint].put(msg)
         self._rt.bump_progress()
+
+    def _wait_for_run(self, width: int) -> int:
+        """Block until the receivers of this endpoint's messages release
+        a run of ``width`` slots, then claim it.  Each receiver's pump
+        frees its run right after delivery, whatever its rank is doing,
+        so the wait ends unless a receiver is gone — then the watchdog
+        sees this rank blocked on the ring and aborts the domain.  This
+        rank is its ring's only claimant, so the claim cannot miss."""
+        pool, ep = self._rt.pool, self._rt.endpoint
+        self._own.wait_until(
+            lambda: pool.find_run(ep, width),
+            f"slot_ring(endpoint={ep}, run of {width} slot(s))",
+            poll=RING_POLL)
+        return pool.acquire(ep, width)
 
 
 class ProcRuntime:
@@ -318,6 +344,7 @@ class ProcRuntime:
     def _pump_loop(self) -> None:
         q = self.spec.queues[self.endpoint]
         mailbox = self.transport.mailbox(self.job_rank)
+        pool = self.spec.pool
         _san.register_actor(f"ep{self.endpoint}.pump")
         while True:
             msg = q.get()
@@ -336,9 +363,10 @@ class ProcRuntime:
             san = _san.ACTIVE
             if san is not None and extra:
                 # happens-before join with the sender, plus the
-                # generation check that catches slot reuse in flight
-                san.slot_consume(self.spec.pool, slot, extra[0])
-            raw = (self.spec.pool.slot_view(
+                # generation check that catches reuse of any slot of
+                # the run in flight
+                san.slot_consume(pool, slot, extra[0])
+            raw = (pool.slot_view(
                        slot, nbytes,
                        dtype=np.dtype(meta[0]) if kind == shm.ND else None)
                    if slot >= 0 else inline)
@@ -352,7 +380,8 @@ class ProcRuntime:
                 env.payload = value
                 mailbox.deliver(env)
             if slot >= 0:
-                self.spec.pool.release(slot)
+                # the run's width is implied by its payload size
+                pool.release(slot, -(-nbytes // pool.slot_bytes))
 
 
 def _safe_dumps(obj: Any) -> bytes:

@@ -37,22 +37,21 @@ that span (each is spinning on ``epoch >= k+1``) — so a reader
 observes generation ``k`` in full, never a mix.
 
 The spin waits have no cross-process condition variable to sleep on;
-they back off on the job's :meth:`~repro.simmpi.matching.AbortFlag.
-wait` (waking immediately on abort) and register a blocked-state
-description so the deadlock watchdog sees RMA waits exactly like
-mailbox waits.
+they poll through :meth:`~repro.simmpi.matching.Mailbox.wait_until`,
+which backs off on the job's abort flag (waking immediately on abort)
+and registers a blocked-state description so the deadlock watchdog
+sees RMA waits exactly like mailbox waits.
 """
 
 from __future__ import annotations
 
-import time
 import weakref
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.errors import ConnectionError_, DeadlockError, ScheduleError
+from repro.errors import ConnectionError_, ScheduleError
 from repro.schedule.indexplan import PairPlan
 from repro.simmpi import sanitize as _san
 from repro.simmpi.matching import Mailbox
@@ -141,34 +140,15 @@ class ExposedWindow:
         """
         k = self._epoch
         seg = self._seg
-        if seg.min_done() >= k:
-            san = _san.ACTIVE
-            if san is not None:
-                san.win_fence(seg, k)
-            TRANSPORT_STATS.add("rma_fences")
-            return
-        desc = f"rma_fence(window={seg.name}, epoch={k})"
-        abort = self._mailbox.abort
-        deadline = None if timeout is None else time.monotonic() + timeout
-        self._mailbox.set_block_desc(desc)
-        try:
-            while seg.min_done() < k:
-                if abort.is_set():
-                    raise DeadlockError(
-                        f"rank {self._mailbox.rank} aborted while blocked "
-                        f"in {desc}: {abort.reason}",
-                        blocked=abort.blocked_dump)
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise TimeoutError(
-                        f"rank {self._mailbox.rank}: {desc} timed out")
-                abort.wait(RMA_POLL)
-        finally:
-            self._mailbox.set_block_desc(None)
+        if seg.min_done() < k:
+            self._mailbox.wait_until(
+                lambda: seg.min_done() >= k or None,
+                f"rma_fence(window={seg.name}, epoch={k})",
+                poll=RMA_POLL, timeout=timeout)
         san = _san.ACTIVE
         if san is not None:
             san.win_fence(seg, k)
         TRANSPORT_STATS.add("rma_fences")
-        self._mailbox.note_progress()
 
     def check_read(self) -> None:
         """``REPRO_TSAN`` read-site hook: record a torn-seqlock-read
@@ -209,33 +189,15 @@ class RemoteWindow:
     def wait_open(self, epoch: int, *, timeout: float | None = None) -> None:
         """Spin until the owner has opened exposure epoch ``epoch``."""
         seg = self._seg
-        if seg.epoch() >= epoch:
-            san = _san.ACTIVE
-            if san is not None:
-                san.win_wait_open(seg, epoch)
-            return
-        TRANSPORT_STATS.add("rma_epoch_waits")
-        desc = f"rma_put(window={seg.name}, epoch={epoch})"
-        abort = self._mailbox.abort
-        deadline = None if timeout is None else time.monotonic() + timeout
-        self._mailbox.set_block_desc(desc)
-        try:
-            while seg.epoch() < epoch:
-                if abort.is_set():
-                    raise DeadlockError(
-                        f"rank {self._mailbox.rank} aborted while blocked "
-                        f"in {desc}: {abort.reason}",
-                        blocked=abort.blocked_dump)
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise TimeoutError(
-                        f"rank {self._mailbox.rank}: {desc} timed out")
-                abort.wait(RMA_POLL)
-        finally:
-            self._mailbox.set_block_desc(None)
+        if seg.epoch() < epoch:
+            TRANSPORT_STATS.add("rma_epoch_waits")
+            self._mailbox.wait_until(
+                lambda: seg.epoch() >= epoch or None,
+                f"rma_put(window={seg.name}, epoch={epoch})",
+                poll=RMA_POLL, timeout=timeout)
         san = _san.ACTIVE
         if san is not None:
             san.win_wait_open(seg, epoch)
-        self._mailbox.note_progress()
 
     def put(self, values: np.ndarray, *, loan=None) -> int:
         """Scatter one pair's elements — a packed buffer, or the

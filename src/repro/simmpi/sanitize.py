@@ -23,6 +23,8 @@ Happens-before edges tracked:
   of the pool's own segment, so the checks see cross-process state:
   acquiring a slot whose holder is still set, or consuming a
   generation the ring has moved past, is reuse before release (ABA).
+  A message spanning a run of slots is checked slot by slot: the wire
+  token carries one generation per slot of the run.
 * **seqlock windows** — the epoch header itself is the sync object:
   a put must happen inside an exposure epoch (``epoch >= done+1``), a
   commit may only publish an exposed epoch once, and an owner read is
@@ -226,44 +228,49 @@ class Sanitizer:
         self._join(rel)
         self._tick()
 
-    def slot_publish(self, pool, slot: int) -> tuple:
-        """Sender is done writing payload bytes; returns the wire token
-        ``(generation, clock, site-tag)`` the control message carries.
-        ``slot`` may be ``-1`` for inline payloads (clock only)."""
+    def slot_publish(self, pool, slot: int, nslots: int = 1) -> tuple:
+        """Sender is done writing the payload bytes of the run of
+        ``nslots`` slots starting at ``slot``; returns the wire token
+        ``(generations, clock, site-tag)`` the control message carries,
+        one generation per slot of the run.  ``slot`` may be ``-1`` for
+        inline payloads (clock only)."""
         actor = self.actor()
         if slot < 0 or pool is None or pool._tsan_holder is None:
             return (None, dict(self._tick()),
                     f"{actor}:inline_publish")
         me = _actor_token(actor)
-        holder = int(pool._tsan_holder[slot])
-        if holder != me:
-            self._report(
-                UNSYNC_WRITE, f"slot.publish(slot={slot})",
-                f"payload published from a slot this actor does not "
-                f"hold (holder token {holder}, mine {me}) — write "
-                f"without a FREE->BUSY acquire",
-                prior=f"actor token {holder or '<none>'}")
-        gen = int(pool._tsan_gen[slot])
+        for s in range(slot, slot + nslots):
+            holder = int(pool._tsan_holder[s])
+            if holder != me:
+                self._report(
+                    UNSYNC_WRITE, f"slot.publish(slot={s})",
+                    f"payload published from a slot this actor does not "
+                    f"hold (holder token {holder}, mine {me}) — write "
+                    f"without a FREE->BUSY acquire",
+                    prior=f"actor token {holder or '<none>'}")
+        gens = tuple(int(pool._tsan_gen[s])
+                     for s in range(slot, slot + nslots))
         clock = self._publish(("slot", id(pool), slot))
-        return (gen, clock, f"{actor}:slot_publish(slot={slot})")
+        return (gens, clock, f"{actor}:slot_publish(slot={slot})")
 
     def slot_consume(self, pool, slot: int, token: Optional[tuple]) -> None:
-        """Receiver observed the control message for ``slot``; the
-        payload bytes it is about to read must still be generation
-        ``token[0]``."""
+        """Receiver observed the control message for the run starting
+        at ``slot``; the payload bytes it is about to read must still
+        be the generations ``token[0]`` records, slot by slot."""
         if token is None:
             return
-        gen, clock, site = token
-        if (gen is not None and slot >= 0 and pool is not None
+        gens, clock, site = token
+        if (gens is not None and slot >= 0 and pool is not None
                 and pool._tsan_gen is not None):
-            now = int(pool._tsan_gen[slot])
-            if now != gen:
-                self._report(
-                    SLOT_REUSE, f"slot.consume(slot={slot})",
-                    f"consuming generation {gen} but the ring is at "
-                    f"generation {now} — the slot was released and "
-                    f"re-acquired before this read (ABA reuse, torn "
-                    f"payload)", prior=site)
+            for s, gen in enumerate(gens, slot):
+                now = int(pool._tsan_gen[s])
+                if now != gen:
+                    self._report(
+                        SLOT_REUSE, f"slot.consume(slot={s})",
+                        f"consuming generation {gen} but the ring is at "
+                        f"generation {now} — the slot was released and "
+                        f"re-acquired before this read (ABA reuse, torn "
+                        f"payload)", prior=site)
         self._join(clock)
 
     def slot_released(self, pool, slot: int) -> None:

@@ -7,18 +7,26 @@ of a ``run_coupled`` launch):
 * :class:`SegmentPool` — the payload plane.  One segment holds
   ``endpoints * slots_per_endpoint`` fixed-size slots plus a one-byte
   ownership flag per slot.  Slots are **statically partitioned by
-  sending endpoint**, so slot allocation is a lock-free local scan of
-  the sender's own ring: the sender flips a slot's flag ``FREE -> BUSY``
-  before writing payload bytes into it, the receiver flips it back
-  after consuming.  The control message announcing the slot travels
-  through an OS pipe (:class:`multiprocessing.queues.Queue`), which
-  orders the flag/payload writes before the receiver's reads.  A full
-  ring degrades gracefully: the payload is shipped inline through the
-  control queue instead (counted — steady-state benchmarks assert the
-  fallback never fires).  The accounting mirrors
+  sending endpoint**, and each endpoint's ring is one contiguous byte
+  range, so a **message is a run** of ``k = ceil(nbytes / slot_bytes)``
+  adjacent slots: one contiguous payload, filled by one copy and
+  scattered out of by one read.  Allocation is a lock-free first-fit
+  scan of the sender's own ring: the sender flips the run's flags
+  ``FREE -> BUSY`` before writing payload bytes into it, the receiver
+  flips them back after consuming.  The control message announcing the
+  run carries only its first slot; the receiver derives ``k`` from the
+  ``nbytes`` field it already gets.  The message travels through an OS
+  pipe (:class:`multiprocessing.queues.Queue`), which orders the
+  flag/payload writes before the receiver's reads.  A ring with no free
+  run of width ``k`` **blocks the sender** until a receiver releases
+  one (abort-aware and visible to the watchdog; ``ring_full`` counts
+  each message that had to wait).  Only tiny payloads (at most
+  :data:`INLINE_MAX` bytes) and payloads wider than the whole ring ride
+  inline in the control message.  The accounting mirrors
   :class:`repro.schedule.bufpool.BufferPool`: ``loans`` / ``reuses``
-  (slot grants) vs ``allocations`` (inline fallbacks — the only path
-  that allocates per message).
+  (run grants) vs ``allocations`` (inline payloads wider than the ring
+  — the only path that allocates per message); ``oversize`` counts
+  messages wider than one slot.
 
 * :class:`SharedState` — the watchdog plane.  A per-endpoint progress
   counter, run-state byte (running / blocked / finished) and a short
@@ -33,7 +41,8 @@ Wire format of one control message (pickled by the queue):
 ``(MSG, context, source, tag, nbytes, kind, meta, slot, inline)`` where
 ``kind`` is ``ND`` (array: meta = (dtype-str, shape)), ``BYTES``,
 ``PICKLE`` or ``OBJ`` (small immutable scalars shipped inline), and
-``slot`` is the segment slot index or ``-1`` for inline payloads.
+``slot`` is the first slot of the payload's run or ``-1`` for inline
+payloads.
 """
 
 from __future__ import annotations
@@ -122,45 +131,83 @@ class SegmentPool:
             self._tsan_holder = self._tsan_gen = None
         #: per-process slot accounting (bufpool-style names)
         self.stats = Counters()
+        #: bytes of each ring this process last charged to its
+        #: ``slot_bytes`` / ``resident_bytes`` gauges (process-local)
+        self._charged = [0] * endpoints
 
     # -- sender side -------------------------------------------------------
 
-    def acquire(self, endpoint: int) -> Optional[int]:
-        """A free slot owned by ``endpoint``, flagged BUSY — or ``None``
-        when the endpoint's whole ring is still in flight."""
+    def _ring(self, endpoint: int) -> tuple[int, bytes]:
+        """First slot of ``endpoint``'s ring and a snapshot of its flags
+        (only the owner flips FREE -> BUSY, so a FREE read stays FREE)."""
         lo = endpoint * self.slots_per_endpoint
-        self.stats.add("loans")
-        for s in range(lo, lo + self.slots_per_endpoint):
-            if self._flags[s] == _FREE:
-                self._flags[s] = _BUSY
-                san = _san.ACTIVE
-                if san is not None and self._tsan_holder is not None:
-                    san.slot_acquired(self, s)
-                self.stats.add("reuses")
-                # gauges are per process: acquire charges the sender's
-                # process, release credits the receiver's — each side's
-                # peak_* reflects the slots it held/consumed.
-                TRANSPORT_STATS.gauge_add("slot_bytes", self.slot_bytes)
-                TRANSPORT_STATS.gauge_add("resident_bytes", self.slot_bytes)
-                return s
-        self.stats.add("ring_full")
-        return None
+        return lo, self._flags[lo:lo + self.slots_per_endpoint].tobytes()
 
-    def release(self, slot: int) -> None:
-        """Receiver side: mark ``slot`` consumed (reusable by its owner)."""
+    def find_run(self, endpoint: int, nslots: int = 1) -> Optional[int]:
+        """First slot of the lowest run of ``nslots`` adjacent FREE slots
+        in ``endpoint``'s ring, or ``None``.  Claims nothing: this is the
+        predicate a sender polls while its ring is full."""
+        lo, ring = self._ring(endpoint)
+        i = ring.find(bytes(nslots))
+        return None if i < 0 else lo + i
+
+    def acquire(self, endpoint: int, nslots: int = 1) -> Optional[int]:
+        """First fit: the lowest run of ``nslots`` adjacent FREE slots
+        owned by ``endpoint``, flagged BUSY; returns its first slot — or
+        ``None`` (counted as ``ring_full``) when no such run is free."""
+        lo, ring = self._ring(endpoint)
+        self.stats.add("loans")
+        i = ring.find(bytes(nslots))
+        busy = ring.count(_BUSY)
+        if i < 0:
+            self._charge(endpoint, busy)
+            self.stats.add("ring_full")
+            return None
+        s = lo + i
+        if nslots == 1:
+            self._flags[s] = _BUSY
+        else:
+            self._flags[s:s + nslots] = _BUSY
         san = _san.ACTIVE
         if san is not None and self._tsan_holder is not None:
-            # shadow holder must clear before the flag flips, so a
-            # racing acquire of a half-released slot sees it held
-            san.slot_released(self, slot)
-        self._flags[slot] = _FREE
+            for t in range(s, s + nslots):
+                san.slot_acquired(self, t)
+        self.stats.add("reuses")
+        self._charge(endpoint, busy + nslots)
+        return s
+
+    def _charge(self, endpoint: int, busy: int) -> None:
+        """Set this process's slot gauges to ``busy`` slots of
+        ``endpoint``'s ring.  The sender reads every flag of its ring on
+        each acquire, so it alone charges *and* credits its slots: no
+        process's gauge drifts, and the peak is the ring's high-water
+        occupancy as its owner saw it."""
+        delta = busy * self.slot_bytes - self._charged[endpoint]
+        if delta:
+            self._charged[endpoint] += delta
+            TRANSPORT_STATS.gauge_add("slot_bytes", delta)
+            TRANSPORT_STATS.gauge_add("resident_bytes", delta)
+
+    def release(self, slot: int, nslots: int = 1) -> None:
+        """Receiver side: mark the run of ``nslots`` slots starting at
+        ``slot`` consumed (reusable by its owner)."""
+        san = _san.ACTIVE
+        if san is not None and self._tsan_holder is not None:
+            # shadow holders must clear before the flags flip, so a
+            # racing acquire of a half-released run sees it held
+            for t in range(slot, slot + nslots):
+                san.slot_released(self, t)
+        if nslots == 1:
+            self._flags[slot] = _FREE
+        else:
+            self._flags[slot:slot + nslots] = _FREE
         self.stats.add("releases")
-        TRANSPORT_STATS.gauge_add("slot_bytes", -self.slot_bytes)
-        TRANSPORT_STATS.gauge_add("resident_bytes", -self.slot_bytes)
 
     def slot_view(self, slot: int, nbytes: int,
                   dtype: Any = None) -> np.ndarray:
-        """A uint8 view of the first ``nbytes`` of ``slot``'s payload.
+        """A uint8 view of the first ``nbytes`` of the run starting at
+        ``slot``.  A run may span consecutive slots up to the end of its
+        sender's ring, never into the next endpoint's.
 
         ``dtype`` declares how the caller will reinterpret the bytes;
         passing it validates that the payload is a whole number of
@@ -168,11 +215,13 @@ class SegmentPool:
         alignment, instead of letting a sender/receiver dtype mismatch
         silently reinterpret bytes.
         """
-        if nbytes > self.slot_bytes:
+        left = self.slots_per_endpoint - slot % self.slots_per_endpoint
+        if nbytes > left * self.slot_bytes:
             raise ValueError(
-                f"payload of {nbytes} bytes does not fit in a "
-                f"{self.slot_bytes}-byte slot — raise slot_bytes or ship "
-                f"the payload inline")
+                f"payload of {nbytes} bytes does not fit in the {left} "
+                f"{self.slot_bytes}-byte slot(s) from slot {slot} to the "
+                f"end of its ring — raise slot_bytes or ship the payload "
+                f"inline")
         off = self._data_off + slot * self.slot_bytes
         if dtype is not None:
             dt = np.dtype(dtype)
@@ -536,9 +585,9 @@ class SharedState:
 def encode_payload(obj: Any) -> tuple[str, Any, Optional[np.ndarray], Any]:
     """Classify one wire payload for the procs transport.
 
-    Returns ``(kind, meta, buf, inline)``: ``buf`` is a flat uint8 view
-    of the bytes to place in a slot (or ship inline when small / no slot
-    is free), ``inline`` the ready-to-pickle object for slot-less kinds.
+    Returns ``(kind, meta, buf, inline)``: ``buf`` holds the bytes to
+    place in a run of slots (or ship inline when tiny or wider than the
+    ring), ``inline`` the ready-to-pickle object for slot-less kinds.
     """
     if isinstance(obj, np.ndarray):
         arr = obj

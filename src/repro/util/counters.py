@@ -74,7 +74,9 @@ class Counters:
 #: a ``peak_``-prefixed high-water twin): ``pool_bytes`` — bytes on
 #: loan from :class:`~repro.schedule.bufpool.BufferPool`\ s,
 #: ``slot_bytes`` — shared-memory slots held BUSY in a
-#: :class:`~repro.simmpi.shm.SegmentPool`, and ``resident_bytes`` —
+#: :class:`~repro.simmpi.shm.SegmentPool` (the sending process charges
+#: and credits its own ring's occupancy, read at every acquire), and
+#: ``resident_bytes`` —
 #: the sum of both plus every envelope queued in a mailbox awaiting its
 #: receiver.  ``peak_resident_bytes`` is therefore the process-wide
 #: transfer-buffer footprint high-water mark the A10 memory-ceiling

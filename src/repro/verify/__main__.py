@@ -347,7 +347,7 @@ def cmd_race(_args) -> int:
     for msg in selfcheck:
         failures += 1
         print(f"  sanitizer selfcheck MISMATCH: {msg}")
-    print(f"  sanitizer selfcheck (live hooks, clean round + 5 seeded "
+    print(f"  sanitizer selfcheck (live hooks, clean round + 6 seeded "
           f"corruptions): " + ("OK" if not selfcheck else "FAIL"))
     print("race: " + ("FAIL" if failures else "OK"))
     return 1 if failures else 0

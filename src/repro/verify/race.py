@@ -11,7 +11,8 @@ module is the *static* half of the proof obligation: each protocol is
 extracted into an explicit-state model and the commgraph search engine
 (:func:`repro.verify.commgraph.explore_states`) exhaustively explores
 every interleaving at a bounded scope (2–3 writers, ring depth 2, two
-epochs), proving
+epochs; depth 3 with messages spanning runs of up to two slots),
+proving
 
 * **no lost wakeups** — every interleaving of the shipped protocol
   runs to completion (no reachable stuck state),
@@ -47,6 +48,7 @@ from repro.verify.commgraph import Exploration, explore_states
 __all__ = [
     "ModelResult",
     "SLOT_MUTANTS",
+    "RUN_MUTANTS",
     "EPOCH_MUTANTS",
     "slot_ring_model",
     "epoch_model",
@@ -59,6 +61,13 @@ SLOT_MUTANTS = {
     "acquire_skips_busy": "violation:" + sanitize.UNSYNC_WRITE,
     "release_before_consume": "violation:" + sanitize.SLOT_REUSE,
     "skip_release": "stuck",
+}
+
+#: Seeded bugs of multi-slot runs (visible only at ``width > 1``) and
+#: the outcome each must produce.
+RUN_MUTANTS = {
+    "run_checks_first_only": "violation:" + sanitize.UNSYNC_WRITE,
+    "release_first_only": "stuck",
 }
 
 #: Seeded epoch-protocol bugs and the outcome each must produce.
@@ -99,92 +108,130 @@ class ModelResult:
 
 
 def slot_ring_model(writers: int = 2, depth: int = 2, messages: int = 2,
-                    mutant: Optional[str] = None) -> Exploration:
+                    mutant: Optional[str] = None,
+                    width: int = 1) -> Exploration:
     """Explicit-state model of the :class:`~repro.simmpi.shm.SegmentPool`
     slot ring: ``writers`` senders each pushing ``messages`` payloads
     through one consumer's ring of ``depth`` slots.
 
+    A payload occupies a *run* of adjacent slots: message ``m`` of
+    writer ``w`` spans ``width`` slots when ``w + m`` is odd and one
+    slot otherwise, so at ``width > 1`` runs of mixed widths share the
+    ring and fragment it.  ``width=1`` is the one-slot ring.
+
     State: per-slot FREE/BUSY flags and generation counters, the FIFO
-    control queue of published ``(slot, generation)`` pairs, each
-    writer's ``(remaining, held-slot)`` and the consumer's
-    ``(consumed, in-flight read)``.  Transitions mirror the runtime
-    verbs — acquire (lowest FREE slot, flip BUSY, bump generation),
-    publish (enqueue), pop, read (generation must match) and release
-    (flag back to FREE).  A transition that breaks the discipline
-    carries an error tag the safety check reports; see
-    :data:`SLOT_MUTANTS` for the seeded corruptions.
+    control queue of published ``(first slot, run generations)``
+    pairs, each writer's ``(remaining, held-run start)`` and the
+    consumer's ``(consumed, in-flight read)``.  Transitions mirror the
+    runtime verbs — acquire (first fit: lowest run of FREE slots, flip
+    them BUSY, bump their generations; a writer with no fitting run
+    waits), publish (enqueue), pop, read (every generation of the run
+    must match) and release (the run's flags back to FREE).  A
+    transition that breaks the discipline carries an error tag the
+    safety check reports; see :data:`SLOT_MUTANTS` and
+    :data:`RUN_MUTANTS` for the seeded corruptions.
     """
-    if mutant is not None and mutant not in SLOT_MUTANTS:
+    if mutant is not None and mutant not in SLOT_MUTANTS \
+            and mutant not in RUN_MUTANTS:
         raise ValueError(f"unknown slot-ring mutant {mutant!r}")
     total = writers * messages
     init = (
         (0,) * depth,                     # flags: 0 FREE / 1 BUSY
         (0,) * depth,                     # per-slot generation
-        (),                               # control queue of (slot, gen)
+        (),                               # control queue of (slot, gens)
         ((messages, -1),) * writers,      # writer (remaining, held slot)
         0,                                # messages consumed
-        (-1, -1),                         # consumer in-flight (slot, gen)
+        (-1, ()),                         # consumer in-flight (slot, gens)
         "",                               # safety-violation tag
     )
+
+    def run_of(w, remaining):
+        return width if (w + messages - remaining) % 2 else 1
+
+    def gen_label(gs):
+        return gs[0] if len(gs) == 1 else gs
+
+    def slots_label(s, k):
+        return f"slot={s}" if k == 1 else f"slots={s}..{s + k - 1}"
+
+    def setting(flags, lo, k, value):
+        return tuple(value if lo <= i < lo + k else f
+                     for i, f in enumerate(flags))
 
     def successors(state):
         flags, gens, queue, ws, consumed, reading, err = state
         out = []
         for w, (remaining, held) in enumerate(ws):
             if held < 0 and remaining > 0:
+                k = run_of(w, remaining)
+                starts = range(depth - k + 1)
                 if mutant == "acquire_skips_busy":
-                    # the corrupted scan ignores the BUSY flag, so it
-                    # claims the lowest slot unconditionally
+                    # the corrupted scan ignores the BUSY flags, so it
+                    # claims the lowest run unconditionally
                     candidates = [0]
+                elif mutant == "run_checks_first_only":
+                    # the corrupted scan tests only a run's first flag
+                    candidates = [s for s in starts if flags[s] == 0][:1]
                 else:
-                    candidates = [s for s in range(depth) if flags[s] == 0][:1]
+                    candidates = [s for s in starts
+                                  if not any(flags[s:s + k])][:1]
                 for s in candidates:
                     nerr = err
-                    if any(h == s for _, h in ws) or (
-                            flags[s] != 0 and mutant == "acquire_skips_busy"):
+                    if any(h >= 0 and h < s + k
+                           and s < h + run_of(v, r)
+                           for v, (r, h) in enumerate(ws)) \
+                            or any(flags[s:s + k]):
                         nerr = (f"{sanitize.UNSYNC_WRITE}: writer {w} "
-                                f"acquires slot {s} while it is still "
-                                f"held — two actors filling one payload "
-                                f"slot")
-                    nflags = tuple(1 if i == s else f
-                                   for i, f in enumerate(flags))
-                    ngens = tuple(g + 1 if i == s else g
+                                f"acquires {slots_label(s, k)} while it "
+                                f"is still held — two actors filling one "
+                                f"payload slot")
+                    ngens = tuple(g + 1 if s <= i < s + k else g
                                   for i, g in enumerate(gens))
                     nws = tuple((r, s) if i == w else (r, h)
                                 for i, (r, h) in enumerate(ws))
-                    out.append((f"writer {w}: acquire(slot={s})",
-                                (nflags, ngens, queue, nws, consumed,
-                                 reading, nerr)))
+                    out.append((f"writer {w}: acquire({slots_label(s, k)})",
+                                (setting(flags, s, k, 1), ngens, queue,
+                                 nws, consumed, reading, nerr)))
             elif held >= 0:
+                k = run_of(w, remaining)
+                run = gens[held:held + k]
                 nws = tuple((r - 1, -1) if i == w else (r, h)
                             for i, (r, h) in enumerate(ws))
                 out.append((f"writer {w}: publish(slot={held}, "
-                            f"gen={gens[held]})",
-                            (flags, gens, queue + ((held, gens[held]),),
+                            f"gen={gen_label(run)})",
+                            (flags, gens, queue + ((held, run),),
                              nws, consumed, reading, err)))
         if reading[0] < 0 and queue:
-            slot, gen = queue[0]
+            slot, run = queue[0]
             nflags = flags
             if mutant == "release_before_consume":
-                # the corrupted pump frees the slot before reading it
-                nflags = tuple(0 if i == slot else f
-                               for i, f in enumerate(flags))
-            out.append((f"consumer: pop(slot={slot}, gen={gen})",
+                # the corrupted pump frees the run before reading it
+                nflags = setting(flags, slot, len(run), 0)
+            out.append((f"consumer: pop(slot={slot}, "
+                        f"gen={gen_label(run)})",
                         (nflags, gens, queue[1:], ws, consumed,
-                         (slot, gen), err)))
+                         (slot, run), err)))
         elif reading[0] >= 0:
-            slot, gen = reading
+            slot, run = reading
+            k = len(run)
             nerr = err
-            if gens[slot] != gen:
+            stale = [(i, g) for i, g in enumerate(run, slot) if gens[i] != g]
+            if stale:
+                i, g = stale[0]
                 nerr = (f"{sanitize.SLOT_REUSE}: consumer reads slot "
-                        f"{slot} at generation {gens[slot]} but the "
-                        f"control message published generation {gen} — "
+                        f"{i} at generation {gens[i]} but the "
+                        f"control message published generation {g} — "
                         f"ABA reuse, torn payload")
-            nflags = flags if mutant == "skip_release" else tuple(
-                0 if i == slot else f for i, f in enumerate(flags))
-            out.append((f"consumer: read+release(slot={slot})",
+            if mutant == "skip_release":
+                nflags = flags
+            elif mutant == "release_first_only":
+                # the corrupted pump frees only the run's first slot
+                nflags = setting(flags, slot, 1, 0)
+            else:
+                nflags = setting(flags, slot, k, 0)
+            out.append((f"consumer: read+release({slots_label(slot, k)})",
                         (nflags, gens, queue, ws, consumed + 1,
-                         (-1, -1), nerr)))
+                         (-1, ()), nerr)))
         return out
 
     def is_final(state):
@@ -281,8 +328,9 @@ def epoch_model(writers: int = 2, epochs: int = 2,
                           check=lambda state: state[-1])
 
 
-#: Clean-proof scopes (the ISSUE's bounded scope: 2–3 writers, depth 2).
+#: Clean-proof scopes (2–3 writers, depth 2; runs at depth 3).
 _SLOT_SCOPES = ((2, 2, 3), (3, 2, 2))
+_RUN_SCOPES = ((2, 3, 2, 1), (2, 3, 2, 2))
 _EPOCH_SCOPES = ((2, 2), (3, 2))
 
 
@@ -295,6 +343,10 @@ def check_protocols() -> list[ModelResult]:
         out.append(ModelResult(
             "slot_ring", f"W={w} D={d} M={m}", None, "clean",
             slot_ring_model(w, d, m)))
+    for w, d, m, r in _RUN_SCOPES:
+        out.append(ModelResult(
+            "slot_ring", f"W={w} D={d} M={m} width={r}", None, "clean",
+            slot_ring_model(w, d, m, width=r)))
     for w, e in _EPOCH_SCOPES:
         out.append(ModelResult(
             "epoch", f"W={w} E={e}", None, "clean", epoch_model(w, e)))
@@ -302,6 +354,10 @@ def check_protocols() -> list[ModelResult]:
         out.append(ModelResult(
             "slot_ring", "W=2 D=2 M=2", mutant, expect,
             slot_ring_model(2, 2, 2, mutant=mutant)))
+    for mutant, expect in RUN_MUTANTS.items():
+        out.append(ModelResult(
+            "slot_ring", "W=2 D=3 M=2 width=2", mutant, expect,
+            slot_ring_model(2, 3, 2, mutant=mutant, width=2)))
     for mutant, expect in EPOCH_MUTANTS.items():
         out.append(ModelResult(
             "epoch", "W=2 E=2", mutant, expect,
@@ -315,7 +371,7 @@ def check_protocols() -> list[ModelResult]:
 class _FakePool:
     """Just the shadow plane the sanitizer's slot hooks touch."""
 
-    def __init__(self, nslots: int = 2):
+    def __init__(self, nslots: int = 3):
         self._tsan_holder = [0] * nslots
         self._tsan_gen = [0] * nslots
 
@@ -373,6 +429,13 @@ def sanitizer_selfcheck() -> list[str]:
         token = san.slot_publish(pool, 0)
         san.slot_consume(pool, 0, token)
         san.slot_released(pool, 0)
+        # clean run round: the same verbs over every slot of a run
+        for s in (1, 2):
+            san.slot_acquired(pool, s)
+        token = san.slot_publish(pool, 1, 2)
+        san.slot_consume(pool, 1, token)
+        for s in (1, 2):
+            san.slot_released(pool, s)
         # clean epoch round: open -> wait -> put -> commit -> fence -> read
         seg = _FakeSeg()
         san.win_open(seg, 1)
@@ -399,6 +462,17 @@ def sanitizer_selfcheck() -> list[str]:
         san.slot_acquired(pool, 0)     # re-acquire bumps the generation
         san.slot_consume(pool, 0, token)
         expect("ABA consume", [sanitize.SLOT_REUSE])
+
+        # seeded: a pump frees the run's second slot before reading,
+        # and the ring hands that slot out again
+        pool = _FakePool()
+        for s in (0, 1):
+            san.slot_acquired(pool, s)
+        token = san.slot_publish(pool, 0, 2)
+        san.slot_released(pool, 1)
+        san.slot_acquired(pool, 1)     # second slot of the run moves on
+        san.slot_consume(pool, 0, token)
+        expect("ABA consume inside a run", [sanitize.SLOT_REUSE])
 
         # seeded: publish without holding (unsynchronized write)
         pool = _FakePool()

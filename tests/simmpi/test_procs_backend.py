@@ -106,9 +106,14 @@ def test_send_isolates_payloads(backend):
     assert out[1] == (4000.0, 4.0, {"k": [1, 2]})
 
 
+#: 4 KiB slots, 8 per ring: a 32 KiB ring, so messages of 4 KiB-32 KiB
+#: ride runs of 1-8 slots and anything wider goes inline
+_SMALL_RING = {"slot_bytes": 4096}
+
+
 def _oversize(comm):
     peer = 1 - comm.rank
-    data = np.arange(4096, dtype=np.float64) + comm.rank  # 32 KB > slot
+    data = np.arange(8192, dtype=np.float64) + comm.rank  # 64 KB > ring
     comm.send(data, peer, tag=9)
     got = comm.recv(peer, tag=9)
     from repro.simmpi.procs import slot_stats
@@ -116,12 +121,13 @@ def _oversize(comm):
 
 
 def test_procs_oversize_payload_falls_back_inline():
-    """A payload larger than a slot degrades to the control queue —
-    correct, never wrong, and counted as an allocation."""
+    """A payload wider than the sender's whole ring — the one case no
+    run of slots can hold — degrades to the control queue: correct,
+    never wrong, and counted as an allocation."""
     out = run_spmd(2, _oversize, backend="procs",
-                   transport_opts={"slot_bytes": 4096})
-    base = float(np.arange(4096).sum())
-    assert out[0][0] == base + 4096 and out[1][0] == base
+                   transport_opts=_SMALL_RING)
+    base = float(np.arange(8192).sum())
+    assert out[0][0] == base + 8192 and out[1][0] == base
     for _, stats in out:
         assert stats["oversize"] >= 1
         assert stats["allocations"] >= 1
@@ -143,11 +149,172 @@ def _oversize_lent(comm):
 
 def test_procs_oversize_lent_views_arrive_byte_identical():
     """A lent non-contiguous view larger than a slot — strided, or an
-    n-D sub-block — rides the inline path in C order, shape kept."""
+    n-D sub-block — is copied in C order into a run of slots that spans
+    the whole ring, shape kept, with no inline allocation."""
     stats, got = run_spmd(2, _oversize_lent, backend="procs",
-                          transport_opts={"slot_bytes": 4096})
+                          transport_opts=_SMALL_RING)
     assert stats["oversize"] == 2
+    assert stats["allocations"] == 0
     assert got == [((4096,), True), ((64, 64), True)]
+
+
+def _run_payloads():
+    """One payload of every wire kind spanning 2-8 of 4 KiB slots."""
+    base = np.arange(4096, dtype=np.float64)
+    return [
+        base[:1000] * 3.0,                            # ND, 2 slots
+        base.reshape(64, 64)[::2, :48],               # ND 2-D view, 3 slots
+        payload.Borrowed(base[::2]),                  # lent strided, 4 slots
+        payload.Borrowed(base.reshape(64, 64)[3:50, 7:63]),  # lent 2-D, 6
+        bytes(range(256)) * 100,                      # BYTES, 7 slots
+        {"blob": list(range(3000))},                  # PICKLE, several
+        base[:4090].copy(),                           # ND, 8: the whole ring
+    ]
+
+
+def _runs_exchange(comm):
+    from repro.simmpi.procs import slot_stats
+    if comm.rank == 0:
+        for p in _run_payloads():
+            comm.send(p, 1, tag=4)
+        return slot_stats()
+    got = [comm.recv(0, tag=4) for _ in _run_payloads()]
+    return got, slot_stats()
+
+
+def _wire_bytes(p):
+    if isinstance(p, np.ndarray):
+        return p.nbytes
+    if isinstance(p, bytes):
+        return len(p)
+    return len(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def test_procs_multi_slot_payloads_ride_runs_byte_identical():
+    """Every payload kind wider than one slot but no wider than the ring
+    — plain, strided and 2-D lent arrays, bytes, pickled objects — lands
+    in a run of adjacent slots and arrives byte-identical, with no
+    inline allocation."""
+    stats, (got, rstats) = run_spmd(2, _runs_exchange, backend="procs",
+                                    transport_opts=_SMALL_RING)
+    sent = [p.value if isinstance(p, payload.Borrowed) else p
+            for p in _run_payloads()]
+    widths = [-(-_wire_bytes(p) // 4096) for p in sent]
+    assert all(2 <= w <= 8 for w in widths), widths
+    for want, have in zip(sent, got):
+        if isinstance(want, np.ndarray):
+            assert have.shape == want.shape
+            assert have.tobytes() == want.tobytes()
+        else:
+            assert have == want
+    assert stats["oversize"] == len(sent)
+    assert stats["allocations"] == 0
+    assert stats["reuses"] == len(sent)
+    assert rstats["releases"] == len(sent)
+
+
+def _flood(comm, messages):
+    if comm.rank == 0:
+        before = TRANSPORT_STATS.get("shm_inline_msgs")
+        for k in range(messages):
+            comm.send(np.full(4096, float(k)), 1, tag=2)   # 32 KiB each
+        from repro.simmpi.procs import slot_stats
+        return TRANSPORT_STATS.get("shm_inline_msgs") - before, slot_stats()
+    import time
+    time.sleep(0.3)
+    return [float(comm.recv(0, tag=2)[0]) for _ in range(messages)]
+
+
+def test_procs_full_ring_blocks_until_release():
+    """A sender pushing 3x its ring to a receiver that sleeps first
+    waits for the receiver's pump to free each run instead of going
+    inline: every message rides the ring, in order, and the waits are
+    counted once per message."""
+    (inline, stats), got = run_spmd(2, _flood, 3, backend="procs",
+                                    transport_opts=_SMALL_RING)
+    assert got == [0.0, 1.0, 2.0]
+    assert inline == 0
+    assert stats["allocations"] == 0
+    assert 1 <= stats["ring_full"] <= 2
+    assert stats["reuses"] == 3
+
+
+def _sender_outlives_receiver(comm):
+    if comm.rank == 1:
+        comm.send("bye", 0, tag=1)
+        return None                      # exits without receiving
+    comm.recv(1, tag=1)
+    import time
+    time.sleep(1.0)                      # let rank 1's process exit
+    for _ in range(3):
+        comm.send(np.zeros(4096), 1, tag=2)
+
+
+#: 3 MiB: Block 2 -> 3 migrates pairs of 512 KiB and 1 MiB, runs of 2
+#: and 4 default 256 KiB slots
+_BIG = 3 << 17
+_BIG_GLOBAL = np.arange(float(_BIG))
+
+
+def _resize_2_to_3(comm):
+    from repro.dad.template import block_template
+    from repro.highlevel import reconfigure
+    from repro.simmpi.procs import slot_stats
+
+    old = DistArrayDescriptor(block_template((_BIG,), (2,)))
+    new = DistArrayDescriptor(block_template((_BIG,), (3,)))
+    da = (DistributedArray.from_global(old, comm.rank, _BIG_GLOBAL)
+          if comm.rank < 2 else None)
+    return reconfigure(comm, da, new), slot_stats()
+
+
+def _one_shot_2_to_3(comm):
+    from repro.dad.template import block_template
+    from repro.schedule import GLOBAL_CACHE, execute_intra
+    from repro.simmpi.procs import slot_stats
+
+    src = DistArrayDescriptor(block_template((_BIG,), (2,)))
+    dst = DistArrayDescriptor(block_template((_BIG,), (3,)))
+    sa = (DistributedArray.from_global(src, comm.rank, _BIG_GLOBAL)
+          if comm.rank < 2 else None)
+    da = DistributedArray.allocate(dst, comm.rank)
+    execute_intra(GLOBAL_CACHE.get(src, dst), comm, src_array=sa,
+                  dst_array=da, src_ranks=range(2), dst_ranks=range(3))
+    return da, slot_stats()
+
+
+@pytest.mark.parametrize("fn", [_resize_2_to_3, _one_shot_2_to_3],
+                         ids=["reconfigure", "redistribute"])
+def test_procs_default_options_big_pairs_ride_runs(fn):
+    """A live resize and a one-shot redistribute on procs with default
+    transport options, pairs over the 256 KiB slot: byte-identical, with
+    every pair message in a run of slots and none inline."""
+    out = run_spmd(3, fn, backend="procs")
+    parts = [da for da, _ in out]
+    np.testing.assert_array_equal(DistributedArray.assemble(parts),
+                                  _BIG_GLOBAL)
+    stats = [s for _, s in out]
+    assert sum(s.get("oversize", 0) for s in stats) >= 2
+    assert all(s["allocations"] == 0 for s in stats)
+
+
+def test_procs_redistribute_big_pairs_byte_identical():
+    from repro.highlevel import redistribute
+    g = _BIG_GLOBAL.reshape(768, 512)
+    np.testing.assert_array_equal(
+        redistribute(g, (2, 1), (3, 1), backend="procs"), g)
+
+
+def test_procs_full_ring_with_gone_receiver_is_a_watchdog_deadlock():
+    """A sender blocked on a ring nobody will ever free is a deadlock
+    the watchdog reports — naming the slot wait — not a hang."""
+    with pytest.raises(SpmdError) as ei:
+        run_spmd(2, _sender_outlives_receiver, backend="procs",
+                 transport_opts=_SMALL_RING, deadlock_timeout=1.0)
+    exc = ei.value.failures[0]
+    assert isinstance(exc, DeadlockError)
+    assert "watchdog" in str(exc)
+    assert "slot_ring" in exc.blocked[0]
 
 
 def test_segment_pool_ring_exhaustion_and_reuse():
@@ -507,14 +674,76 @@ def test_matching_counters_track_rendezvous_cost():
 
 
 def test_slot_view_rejects_oversized_payload():
+    """A view may span a run up to the end of its ring, never past it."""
     from repro.simmpi.shm import SegmentPool
 
     pool = SegmentPool(1, slot_bytes=128, slots_per_endpoint=2)
     try:
         slot = pool.acquire(0)
         with pytest.raises(ValueError, match="does not fit"):
-            pool.slot_view(slot, 129)
-        assert pool.slot_view(slot, 128).nbytes == 128
+            pool.slot_view(slot, 257)
+        assert pool.slot_view(slot, 256).nbytes == 256
+        with pytest.raises(ValueError, match="does not fit"):
+            pool.slot_view(slot + 1, 129)
+        assert pool.slot_view(slot + 1, 128).nbytes == 128
+    finally:
+        pool.close()
+        pool.unlink()
+
+
+def test_segment_pool_runs_first_fit_and_release():
+    from repro.simmpi.shm import SegmentPool
+
+    pool = SegmentPool(2, slot_bytes=128, slots_per_endpoint=4)
+    try:
+        assert pool.acquire(1, 3) == 4          # endpoint 1's ring: 4-7
+        assert pool.acquire(1, 2) is None       # one slot left
+        assert pool.acquire(1) == 7
+        assert pool.acquire(0, 4) == 0          # a whole ring is one run
+        assert pool.find_run(0) is None
+        pool.release(0, 4)                      # the run frees as a whole
+        assert pool.find_run(0, 4) == 0
+        pool.release(4, 3)
+        assert pool.acquire(1, 2) == 4          # lowest fitting run
+        assert pool.stats.get("ring_full") == 1
+        assert pool.stats.get("reuses") == 4
+        view = pool.slot_view(4, 200)           # crosses slot 4 -> 5
+        view[:] = np.arange(200) % 251
+        assert (pool.slot_view(4, 256)[:200] == view).all()
+    finally:
+        pool.close()
+        pool.unlink()
+
+
+def test_segment_pool_fragmented_ring_has_no_run():
+    """Free slots 0 and 2 of 4 hold two one-slot messages but not one
+    two-slot message: runs are adjacent slots only."""
+    from repro.simmpi.shm import SegmentPool
+
+    pool = SegmentPool(1, slot_bytes=128, slots_per_endpoint=4)
+    try:
+        slots = [pool.acquire(0) for _ in range(4)]
+        assert slots == [0, 1, 2, 3]
+        pool.release(0)
+        pool.release(2)
+        assert pool.find_run(0, 2) is None
+        assert pool.acquire(0, 2) is None
+        assert pool.acquire(0) == 0 and pool.acquire(0) == 2
+    finally:
+        pool.close()
+        pool.unlink()
+
+
+def test_segment_pool_run_view_never_crosses_into_next_ring():
+    from repro.simmpi.shm import SegmentPool
+
+    pool = SegmentPool(2, slot_bytes=128, slots_per_endpoint=4)
+    try:
+        assert pool.acquire(0, 2) == 0
+        assert pool.acquire(0, 2) == 2
+        assert pool.slot_view(2, 256).nbytes == 256   # ends with ring 0
+        with pytest.raises(ValueError, match="does not fit"):
+            pool.slot_view(2, 257)                    # would reach slot 4
     finally:
         pool.close()
         pool.unlink()

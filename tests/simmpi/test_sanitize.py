@@ -95,6 +95,33 @@ def test_early_release_mutant_fires_aba(tsan):
         pool.unlink()
 
 
+def test_run_round_clean_and_reuse_of_any_slot_fires(tsan):
+    """A message spanning a run of slots: the clean round through the
+    real verbs is report-free, and re-acquiring only the run's *last*
+    slot before the consume (a pump that freed it early) is caught —
+    the wire token carries every slot's generation."""
+    pool = _pool(slots_per_endpoint=3)
+    try:
+        s = pool.acquire(0, 3)
+        token = tsan.slot_publish(pool, s, 3)
+        assert len(token[0]) == 3
+        tsan.slot_consume(pool, s, token)
+        pool.release(s, 3)
+        assert tsan.race_reports == []
+
+        s = pool.acquire(0, 3)
+        token = tsan.slot_publish(pool, s, 3)
+        pool.release(s + 2)                # seeded bug: last slot freed
+        assert pool.acquire(0) == s + 2    # ...and handed out again
+        tsan.slot_consume(pool, s, token)
+        reps = tsan.race_reports
+        assert [r.kind for r in reps] == [sanitize.SLOT_REUSE]
+        assert f"slot={s + 2}" in reps[0].site
+    finally:
+        pool.close()
+        pool.unlink()
+
+
 def test_double_release_mutant_fires(tsan):
     pool = _pool()
     try:
@@ -372,7 +399,7 @@ def test_slot_view_validates_dtype_and_alignment():
         with pytest.raises(ValueError, match="dtype mismatch"):
             pool.slot_view(0, 13, dtype=np.float64)
         with pytest.raises(ValueError, match="does not fit"):
-            pool.slot_view(0, pool.slot_bytes + 1)
+            pool.slot_view(0, pool.slots_per_endpoint * pool.slot_bytes + 1)
     finally:
         pool.close()
         pool.unlink()

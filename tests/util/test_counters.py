@@ -107,3 +107,42 @@ def test_buffer_pool_moves_memory_gauges():
     assert TRANSPORT_STATS.get("peak_pool_bytes") == nbytes
     assert TRANSPORT_STATS.get("peak_resident_bytes") == nbytes
     TRANSPORT_STATS.reset()
+
+
+_SLOT = 4096
+_RING = 8 * _SLOT
+
+
+def _one_way_slot_traffic(comm):
+    import numpy as np
+
+    from repro.util.counters import TRANSPORT_STATS
+
+    TRANSPORT_STATS.reset()          # this rank process's own gauges
+    comm.barrier()                   # ...before any message is queued
+    levels = []
+    for k in range(24):
+        if comm.rank == 0:            # runs of 1, 2 and 3 slots
+            comm.send(np.full(512 * (1 + k % 3), float(k)), 1, tag=3)
+        else:
+            comm.recv(0, tag=3)
+        levels.append((TRANSPORT_STATS.get("slot_bytes"),
+                       TRANSPORT_STATS.get("resident_bytes")))
+    return levels, TRANSPORT_STATS.get("peak_slot_bytes")
+
+
+def test_procs_slot_gauges_never_drift_below_zero():
+    """On procs the sender's process charges *and* credits the slots of
+    its ring, so no process's gauge goes negative (the receiver's used
+    to, crediting slots it never charged) and the sender's level stays
+    within its ring instead of growing with every message."""
+    from repro.simmpi import run_spmd
+
+    (sent, sender_peak), (recvd, receiver_peak) = run_spmd(
+        2, _one_way_slot_traffic, backend="procs",
+        transport_opts={"slot_bytes": _SLOT})
+    for slot_level, resident_level in sent + recvd:
+        assert slot_level >= 0 and resident_level >= 0
+    assert all(level <= _RING for level, _ in sent)
+    assert 0 < sender_peak <= _RING
+    assert receiver_peak == 0 and all(level == 0 for level, _ in recvd)

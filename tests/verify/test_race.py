@@ -13,6 +13,7 @@ from repro.simmpi import sanitize
 from repro.verify.commgraph import explore_states
 from repro.verify.race import (
     EPOCH_MUTANTS,
+    RUN_MUTANTS,
     SLOT_MUTANTS,
     check_protocols,
     epoch_model,
@@ -96,6 +97,34 @@ def test_slot_ring_mutants_fire(mutant, expect):
     assert ex.witness()
 
 
+def test_slot_ring_runs_clean_at_depth_three():
+    for width in (1, 2):
+        ex = slot_ring_model(2, 3, 2, width=width)
+        assert ex.ok, ex.witness()
+        assert ex.states > 10
+
+
+def test_slot_ring_width_one_is_the_one_slot_ring():
+    for writers, depth, messages in ((2, 2, 2), (3, 2, 2)):
+        assert (slot_ring_model(writers, depth, messages, width=1).states
+                == slot_ring_model(writers, depth, messages).states)
+
+
+@pytest.mark.parametrize("mutant,expect", sorted(RUN_MUTANTS.items()))
+def test_slot_ring_run_mutants_fire(mutant, expect):
+    ex = slot_ring_model(2, 3, 2, mutant=mutant, width=2)
+    assert not ex.ok
+    if expect == "stuck":
+        assert ex.stuck is not None
+    else:
+        kind = expect.split(":", 1)[1]
+        assert ex.violation is not None
+        assert ex.message.startswith(kind)
+    assert ex.trace
+    # the bug is invisible to a ring whose messages take one slot each
+    assert slot_ring_model(2, 3, 2, mutant=mutant, width=1).ok
+
+
 def test_slot_ring_rejects_unknown_mutant():
     with pytest.raises(ValueError, match="unknown slot-ring mutant"):
         slot_ring_model(mutant="off_by_one")
@@ -133,8 +162,10 @@ def test_epoch_rejects_unknown_mutant():
 
 def test_check_protocols_matrix_all_pass():
     results = check_protocols()
-    # clean proofs at two scopes per protocol + one run per mutant
-    assert len(results) == 4 + len(SLOT_MUTANTS) + len(EPOCH_MUTANTS)
+    # clean proofs at two scopes per protocol, two run widths, and one
+    # run per mutant
+    assert len(results) == 6 + len(SLOT_MUTANTS) + len(RUN_MUTANTS) \
+        + len(EPOCH_MUTANTS)
     for r in results:
         assert r.passed, f"{r.label}: expected {r.expect}, got {r.outcome}"
     cleans = [r for r in results if r.mutant is None]
