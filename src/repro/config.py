@@ -13,8 +13,8 @@ applies one rule to all of them:
   a lower bound — anything else raises the row's typed error naming the
   knob and its variable.
 
-Call sites resolve at import time (``INLINE_MAX`` and the three debug
-switches, whose setters override afterwards) or at construct / bind /
+Call sites resolve at import time (the three debug switches, whose
+setters override afterwards) or at construct / bind /
 open time — never per step or per invocation.  ``python -m
 repro.config`` prints every knob's effective value and where it came
 from; ``--markdown`` emits the README table.  The lint rule V110 keeps
@@ -93,8 +93,6 @@ KNOBS = {k.name: k for k in (
          "Happens-before race sanitizer over the shared-memory protocols."),
     Knob("rma", "REPRO_RMA", "flag", False, None, ValueError,
          "Request the one-sided RMA tier where the transport supports it."),
-    Knob("shm_inline_max", "REPRO_SHM_INLINE_MAX", "int", 2048, 0, ValueError,
-         "Procs backend: largest payload (bytes) sent inline, not by slot."),
     Knob("planner", "REPRO_PLANNER", "choice", "p2p",
          ("p2p", "collective", "auto"), ScheduleError,
          "Per-pair messages, memory-bounded rounds, or the cost model's pick."),

@@ -16,10 +16,6 @@ class CommunicatorError(ReproError):
     """Invalid communicator usage (bad rank, freed communicator, ...)."""
 
 
-class MessageTruncationError(CommunicatorError):
-    """A receive buffer was too small for the matched message."""
-
-
 class DeadlockError(ReproError):
     """The runtime watchdog determined that a set of ranks can no longer
     make progress.

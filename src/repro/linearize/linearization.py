@@ -1,12 +1,17 @@
-"""Core linearization machinery: runs, extraction and injection.
+"""Core linearization machinery: runs, layouts, extraction and injection.
 
 The contract every linearization satisfies:
 
 * every element of the structure has exactly one linear position,
 * :meth:`Linearization.runs` reports each rank's owned positions as
   maximal half-open intervals,
+* :meth:`Linearization.layout` says where those positions sit in the
+  rank's flat local storage — what a schedule's plans compile against,
+  exactly as a DAD's owned patches do (a linear run is a region with
+  ``ndim = 1``),
 * :meth:`extract` reads the values of a linear interval out of local
-  storage and :meth:`inject` writes them back.
+  storage and :meth:`inject` writes them back — the per-run reference,
+  and how a structure with no flat storage (a graph, a tree) is staged.
 
 For dense arrays the canonical (row-major) linearization turns a
 rectangular patch into one run per contiguous row segment — which is
@@ -25,8 +30,8 @@ import numpy as np
 from repro.errors import DistributionError, ScheduleError
 from repro.dad.darray import DistributedArray
 from repro.dad.descriptor import DistArrayDescriptor
-from repro.util.indexing import row_major_strides
-from repro.util.regions import Region
+from repro.util.indexing import ragged_arange, row_major_strides
+from repro.util.regions import RegionList
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,6 +69,25 @@ def coalesce_runs(runs: Sequence[Run]) -> list[Run]:
     return out
 
 
+def run_layout(runs: Sequence[Run]) -> tuple[RegionList, np.ndarray]:
+    """``runs`` (ascending) stored back to back: ``(regions, offsets)``,
+    the non-empty runs as 1-D regions and the flat local offset of each
+    one's first element."""
+    bounds = np.array([(r.lo, r.hi) for r in runs if r.hi > r.lo],
+                      dtype=np.int64).reshape(-1, 2)
+    length = bounds[:, 1] - bounds[:, 0]
+    return (RegionList.from_arrays(bounds[:, :1], bounds[:, 1:]),
+            np.cumsum(length) - length)
+
+
+def _chains(lo: np.ndarray, hi: np.ndarray):
+    """Masks of the first and the last interval of every maximal chain
+    of consecutive intervals each starting where the previous ends."""
+    first = np.ones(len(lo), dtype=bool)
+    first[1:] = lo[1:] != hi[:-1]
+    return first, np.roll(first, -1)
+
+
 class Linearization(ABC):
     """Maps a distributed structure's elements onto ``[0, total)``."""
 
@@ -94,23 +118,22 @@ class Linearization(ABC):
         with a known storage dtype should override."""
         return np.dtype(np.float64)
 
-    # -- flat-index plan support (optional) -------------------------------
+    # -- flat storage -----------------------------------------------------
 
     def flat_storage(self, rank: int, storage) -> np.ndarray | None:
-        """The rank's 1-D local buffer that :meth:`run_indices` values
-        address, or ``None`` when this linearization has no flat-index
-        support (e.g. dict-backed graph storage).  When non-``None``,
-        the schedule executors compile gather/scatter index plans and
-        move each pair's runs with one vectorized call instead of one
-        :meth:`extract`/:meth:`inject` per run."""
+        """The rank's 1-D local buffer that :meth:`layout` describes, or
+        ``None`` when the structure has none (e.g. dict-backed graph
+        storage) — the executor then stages the rank's owned runs
+        through one buffer laid out as the default :meth:`layout`."""
         return None
 
-    def run_indices(self, rank: int, run: Run) -> np.ndarray:
-        """Flat indices of ``run``'s positions inside ``rank``'s flat
-        storage, in linear order.  Only meaningful when
-        :meth:`flat_storage` returns a buffer."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no flat-index plan support")
+    def layout(self, rank: int) -> tuple[RegionList, np.ndarray]:
+        """Where ``rank``'s owned positions sit in its flat storage:
+        ``(runs, offsets)``, owned linear intervals as 1-D regions and
+        the flat local offset of each one's first element — a
+        :class:`~repro.schedule.indexplan.LocalIndexer`'s arguments.
+        Default: :meth:`runs` back to back (:func:`run_layout`)."""
+        return run_layout(self.runs(rank))
 
     # -- shared -----------------------------------------------------------
 
@@ -146,9 +169,7 @@ class DenseLinearization(Linearization):
         self.nranks = descriptor.nranks
         self._strides = row_major_strides(descriptor.shape)
         self._runs_cache: dict[int, list[Run]] = {}
-        #: rank -> (glo, ghi, lbase) int64 arrays: the rank's owned
-        #: global-linear intervals (ascending) and the flat-local
-        #: position of each interval's first element.
+        #: rank -> (glo, ghi, lbase) int64 arrays: see _local_table.
         self._table_cache: dict[int, tuple[np.ndarray, np.ndarray,
                                            np.ndarray]] = {}
 
@@ -163,79 +184,65 @@ class DenseLinearization(Linearization):
     def dtype(self) -> np.dtype:
         return np.dtype(self.descriptor.dtype)
 
-    def _region_runs(self, region: Region) -> list[Run]:
-        """Contiguous row-major runs covering ``region`` (vectorized)."""
-        shape = self.descriptor.shape
-        ndim = len(shape)
-        # The trailing axes that are full-width in both region and array
-        # stay contiguous; find the largest contiguous tail.
-        tail = ndim
-        run_len = 1
-        for d in range(ndim - 1, -1, -1):
-            run_len *= region.hi[d] - region.lo[d]
-            tail = d
-            if region.hi[d] - region.lo[d] != shape[d]:
-                break
-        # Leading coordinates enumerate run starts.
-        lead_axes = [np.arange(region.lo[d], region.hi[d], dtype=np.int64)
-                     for d in range(tail)]
-        if not lead_axes:
-            start = sum(l * s for l, s in zip(region.lo, self._strides))
-            return [Run(int(start), int(start) + region.volume)]
-        offset = np.zeros((), dtype=np.int64)
-        for d in range(tail):
-            offset = offset[..., None] + lead_axes[d] * self._strides[d]
-        base = sum(region.lo[d] * self._strides[d] for d in range(tail, ndim))
-        starts = (offset + base).reshape(-1)
-        seg = region.volume // max(1, len(starts))
-        return coalesce_runs([Run(int(s), int(s) + seg) for s in starts])
-
     def runs(self, rank: int) -> list[Run]:
         if rank not in self._runs_cache:
-            runs: list[Run] = []
-            for region in self.descriptor.local_regions(rank):
-                runs.extend(self._region_runs(region))
-            self._runs_cache[rank] = coalesce_runs(runs)
+            glo, ghi, _ = self._local_table(rank)
+            first, last = _chains(glo, ghi)
+            self._runs_cache[rank] = [
+                Run(a, b) for a, b in zip(glo[first].tolist(),
+                                          ghi[last].tolist())]
         return self._runs_cache[rank]
+
+    def layout(self, rank: int) -> tuple[RegionList, np.ndarray]:
+        glo, ghi, lbase = self._local_table(rank)
+        return RegionList.from_arrays(glo[:, None], ghi[:, None]), lbase
 
     # -- data movement ------------------------------------------------------
 
     def _local_table(self, rank: int) -> tuple[np.ndarray, np.ndarray,
                                                np.ndarray]:
-        """(glo, ghi, lbase) interval table mapping the rank's owned
-        global-linear positions to its flat-local storage.
+        """``(glo, ghi, lbase)``: the rank's owned linear intervals that
+        are contiguous in its flat local storage, ascending, and the
+        local position of each one's first element.
 
-        Built once per rank: patches enumerate in lo-sorted order (the
+        Built once per rank from the ownership columns, with no object
+        per row: patches enumerate in lo-sorted order (the
         :meth:`~repro.dad.darray.DistributedArray.flat_local` layout),
-        and each patch's row-major enumeration visits global offsets in
-        ascending order run by run, so local positions are the running
-        element count.
+        each one last-axis row at a time in row-major order, so a row's
+        local position is the running element count; consecutive rows
+        that are also adjacent in the linear space merge.
         """
         table = self._table_cache.get(rank)
         if table is None:
-            glo: list[int] = []
-            ghi: list[int] = []
-            lbase: list[int] = []
-            off = 0
-            for region in sorted(self.descriptor.local_regions(rank),
-                                 key=lambda r: r.lo):
-                for patch_run in self._region_runs(region):
-                    glo.append(patch_run.lo)
-                    ghi.append(patch_run.hi)
-                    lbase.append(off)
-                    off += patch_run.length
-            order = np.argsort(np.asarray(glo, dtype=np.int64)) \
-                if glo else np.empty(0, dtype=np.intp)
-            table = (np.asarray(glo, dtype=np.int64)[order],
-                     np.asarray(ghi, dtype=np.int64)[order],
-                     np.asarray(lbase, dtype=np.int64)[order])
-            self._table_cache[rank] = table
+            owned = self.descriptor.local_regions(rank)
+            if not len(owned.lo):
+                empty = np.empty(0, dtype=np.int64)
+                table = self._table_cache[rank] = (empty, empty, empty)
+                return table
+            order = np.lexsort(owned.lo.T[::-1])
+            plo, shape = owned.lo[order], (owned.hi - owned.lo)[order]
+            volume = shape.prod(axis=1)
+            nrows = shape[:, :-1].prod(axis=1)
+            patch = np.repeat(np.arange(len(plo)), nrows)
+            ordinal = ragged_arange(nrows)
+            width = shape[patch, -1]
+            lbase = (np.cumsum(volume) - volume)[patch] + ordinal * width
+            glo = plo[patch, -1].copy()
+            for d in range(shape.shape[1] - 2, -1, -1):
+                ordinal, coord = np.divmod(ordinal, shape[patch, d])
+                glo += (plo[patch, d] + coord) * self._strides[d]
+            ghi = glo + width
+            first, last = _chains(glo, ghi)
+            glo, ghi, lbase = glo[first], ghi[last], lbase[first]
+            by_lo = np.argsort(glo)
+            table = self._table_cache[rank] = (glo[by_lo], ghi[by_lo],
+                                               lbase[by_lo])
         return table
 
     def run_indices(self, rank: int, run: Run) -> np.ndarray:
         """Flat-local indices of ``run``, via binary search over the
-        rank's interval table — O(log intervals + overlapping
-        segments), not a walk over every patch."""
+        rank's interval table — the per-run reference :meth:`extract` /
+        :meth:`inject` use and compiled plans are tested against."""
         glo, ghi, lbase = self._local_table(rank)
         parts: list[np.ndarray] = []
         pos = run.lo

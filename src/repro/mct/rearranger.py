@@ -3,9 +3,9 @@
 The same schedule machinery as the :class:`~repro.mct.router.Router`,
 but both decompositions live on one model's communicator — every rank
 is (potentially) both a source and a destination.  Like the Router, the
-transfer runs on compiled row-index plans: one multi-field 2-D block
+transfer runs on the same compiled row plans: one multi-field 2-D block
 per communicating rank pair, with zero-copy slice views when a pair's
-runs are adjacent in local storage.
+rows are a regular progression in local storage.
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ from __future__ import annotations
 from repro.errors import MCTError
 from repro.mct.attrvect import AttrVect
 from repro.mct.gsmap import GlobalSegMap
-from repro.mct.router import _pair_wire, _run_row_indices, build_gsmap_schedule
+from repro.mct.router import _pair_wire, _RowPlans
 from repro.simmpi.communicator import Communicator
 
 REARRANGE_TAG = 161
 
 
-class Rearranger:
+class Rearranger(_RowPlans):
     """Intra-model redistribution between two GlobalSegMaps."""
 
     def __init__(self, src_gsmap: GlobalSegMap, dst_gsmap: GlobalSegMap):
@@ -27,9 +27,7 @@ class Rearranger:
             raise MCTError(
                 f"rearranger needs equal rank counts, got "
                 f"{src_gsmap.nranks} and {dst_gsmap.nranks}")
-        self.src_gsmap = src_gsmap
-        self.dst_gsmap = dst_gsmap
-        self.schedule = build_gsmap_schedule(src_gsmap, dst_gsmap)
+        super().__init__(src_gsmap, dst_gsmap)
 
     def rearrange(self, comm: Communicator, av_src: AttrVect,
                   av_dst: AttrVect, *, tag: int = REARRANGE_TAG) -> int:
@@ -44,15 +42,10 @@ class Rearranger:
             raise MCTError(
                 f"field lists differ: {av_src.fields} vs {av_dst.fields}")
         me = comm.rank
-        src_gsmap, dst_gsmap = self.src_gsmap, self.dst_gsmap
-        send_plan = self.schedule.send_plan(
-            me, lambda run: _run_row_indices(src_gsmap, me, run))
-        for pp in send_plan.pairs:
-            comm.send(_pair_wire(pp, av_src), pp.peer, tag)
+        for peer, _size, rows in self._pairs("send", me):
+            comm.send(_pair_wire(rows, av_src), peer, tag)
         received = 0
-        recv_plan = self.schedule.recv_plan(
-            me, lambda run: _run_row_indices(dst_gsmap, me, run))
-        for pp in recv_plan.pairs:
-            av_dst.data[pp.selector, :] = comm.recv(source=pp.peer, tag=tag)
-            received += pp.size
+        for peer, size, rows in self._pairs("recv", me):
+            av_dst.data[rows, :] = comm.recv(source=peer, tag=tag)
+            received += size
         return received

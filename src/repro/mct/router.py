@@ -4,14 +4,16 @@ Built once from the source and destination GlobalSegMaps (schedule
 reuse), a Router moves an AttrVect between two models living on
 disjoint rank sets of the world communicator.
 
-The transfer runs on **compiled row-index plans**: at first use the
-Router turns each (src, dst) rank pair's runs into one flat row-index
-array over the AttrVect's local storage (cached on the schedule), so
-every pair exchanges exactly **one message** carrying a single 2-D
+The transfer runs on **compiled row plans**: at first use the Router
+compiles each rank's side of the linear schedule against the rank's
+GlobalSegMap layout (its owned runs, stored back to back in ascending
+order) with the same compiler every schedule uses, so every (src, dst)
+rank pair exchanges exactly **one message** carrying a single 2-D
 ``(rows, nfields)`` block — all of the pair's runs coalesced in
-ascending global order, all fields fused as AttrVect columns.  When a
-pair's runs are adjacent in local storage the plan degenerates to a
-slice and the send block is a zero-copy view.
+ascending global order, all fields fused as AttrVect columns.  Each
+pair's row selector is computed once: a slice when its rows are a
+regular progression (the send block is then a zero-copy view), an index
+array otherwise.
 
 ``fused=False`` (the E13 ablation) now *only* controls field fusion: it
 ships one 1-D per-field message per rank pair (``nfields`` messages per
@@ -25,11 +27,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MCTError
+from repro.linearize.linearization import run_layout
 from repro.mct.attrvect import AttrVect
 from repro.mct.gsmap import GlobalSegMap
 from repro.mct.registry import MCTWorld
 from repro.schedule.builder import build_linear_schedule
-from repro.schedule.plan import LinearSchedule
+from repro.schedule.indexplan import LocalIndexer
+from repro.schedule.plan import CommSchedule
 from repro.simmpi import payload
 
 ROUTER_TAG = 160
@@ -51,7 +55,7 @@ class _GsmapLinearization:
 
 
 def build_gsmap_schedule(src: GlobalSegMap,
-                         dst: GlobalSegMap) -> LinearSchedule:
+                         dst: GlobalSegMap) -> CommSchedule:
     """Linear schedule between two segmented decompositions."""
     if src.gsize != dst.gsize:
         raise MCTError(
@@ -60,36 +64,41 @@ def build_gsmap_schedule(src: GlobalSegMap,
                                  _GsmapLinearization(dst))
 
 
-def _run_row_indices(gsmap: GlobalSegMap, pe: int, run) -> np.ndarray:
-    """Local AttrVect row indices of global interval ``run`` on ``pe``.
+class _RowPlans:
+    """A gsmap schedule and its compiled row plans: per (side, rank),
+    each pair as ``(peer, size, rows)`` with the AttrVect row selector
+    computed once — a pair that folds to a multi-axis box expands its
+    indices, which must not happen per transfer."""
 
-    A single ascending range: local storage order follows segments
-    sorted by global start, so a (sub-)run of coalesced adjacent
-    segments is contiguous locally.
-    """
-    off = gsmap.local_offset(pe, run.lo)
-    return np.arange(off, off + run.length, dtype=np.int64)
+    def __init__(self, src_gsmap: GlobalSegMap, dst_gsmap: GlobalSegMap):
+        self.src_gsmap = src_gsmap
+        self.dst_gsmap = dst_gsmap
+        self.schedule = build_gsmap_schedule(src_gsmap, dst_gsmap)
+        self._rows: dict[tuple[str, int], list] = {}
+
+    def _pairs(self, side: str, rank: int) -> list:
+        pairs = self._rows.get((side, rank))
+        if pairs is None:
+            gsmap = self.src_gsmap if side == "send" else self.dst_gsmap
+            plan = self.schedule.rank_plan(
+                side, rank, LocalIndexer(*run_layout(gsmap.runs(rank))))
+            pairs = self._rows[side, rank] = [
+                (pp.peer, pp.size, pp.selector) for pp in plan.pairs]
+        return pairs
 
 
-def _pair_rows(plan_pair, av: AttrVect) -> np.ndarray:
-    """The AttrVect rows a compiled pair plan addresses — a zero-copy
-    view for a one-axis box (contiguous or strided), a fancy-gather
-    otherwise."""
-    return av.data[plan_pair.selector, :]
-
-
-def _pair_wire(plan_pair, av: AttrVect):
-    """Transport marker for one pair's fused 2-D block: box pairs (row
-    plans only ever hold one-axis boxes) lend their live view (consumed
-    synchronously by the send), gathered blocks move (the fresh
-    fancy-index result has no other owner)."""
-    block = _pair_rows(plan_pair, av)
-    if plan_pair.idx is None:
+def _pair_wire(rows, av: AttrVect):
+    """Transport marker for one pair's fused 2-D block: a slice of rows
+    lends its live view (consumed synchronously by the send), a
+    gathered block moves (the fresh fancy-index result has no other
+    owner)."""
+    block = av.data[rows, :]
+    if isinstance(rows, slice):
         return payload.Borrowed(block)
     return payload.OwnedBuffer(block)
 
 
-class Router:
+class Router(_RowPlans):
     """Inter-model transfer scheduler over an MCTWorld."""
 
     def __init__(self, world: MCTWorld, src_model: str, dst_model: str,
@@ -102,12 +111,10 @@ class Router:
             raise MCTError(
                 f"dest GlobalSegMap has {dst_gsmap.nranks} ranks but "
                 f"model {dst_model!r} has {world.size_of(dst_model)}")
+        super().__init__(src_gsmap, dst_gsmap)
         self.world = world
         self.src_model = src_model
         self.dst_model = dst_model
-        self.src_gsmap = src_gsmap
-        self.dst_gsmap = dst_gsmap
-        self.schedule = build_gsmap_schedule(src_gsmap, dst_gsmap)
         self._src_ranks = world.ranks_of(src_model)
         self._dst_ranks = world.ranks_of(dst_model)
 
@@ -136,19 +143,16 @@ class Router:
                 raise MCTError(
                     f"send AttrVect lsize {av_send.lsize} != gsmap local "
                     f"size {self.src_gsmap.local_size(s)}")
-            gsmap = self.src_gsmap
-            plan = self.schedule.send_plan(
-                s, lambda run: _run_row_indices(gsmap, s, run))
-            for pp in plan.pairs:
+            for peer, size, rows in self._pairs("send", s):
                 if fused:
-                    comm.send(_pair_wire(pp, av_send),
-                              self._dst_ranks[pp.peer], tag)
+                    comm.send(_pair_wire(rows, av_send),
+                              self._dst_ranks[peer], tag)
                 else:
-                    block = _pair_rows(pp, av_send)
+                    block = av_send.data[rows, :]
                     for col in range(block.shape[1]):
                         comm.send(np.ascontiguousarray(block[:, col]),
-                                  self._dst_ranks[pp.peer], tag)
-                moved += pp.size
+                                  self._dst_ranks[peer], tag)
+                moved += size
         if me in self._dst_ranks:
             if av_recv is None:
                 raise MCTError(f"rank {me} is in {self.dst_model!r} but "
@@ -158,19 +162,15 @@ class Router:
                 raise MCTError(
                     f"recv AttrVect lsize {av_recv.lsize} != gsmap local "
                     f"size {self.dst_gsmap.local_size(d)}")
-            gsmap = self.dst_gsmap
-            plan = self.schedule.recv_plan(
-                d, lambda run: _run_row_indices(gsmap, d, run))
-            for pp in plan.pairs:
-                rows = pp.selector
+            for peer, size, rows in self._pairs("recv", d):
                 if fused:
                     av_recv.data[rows, :] = comm.recv(
-                        source=self._src_ranks[pp.peer], tag=tag)
+                        source=self._src_ranks[peer], tag=tag)
                 else:
                     for col in range(av_recv.nfields):
                         av_recv.data[rows, col] = comm.recv(
-                            source=self._src_ranks[pp.peer], tag=tag)
-                moved += pp.size
+                            source=self._src_ranks[peer], tag=tag)
+                moved += size
         return moved
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -133,10 +133,6 @@ class MxNConnection:
     # -- metrics ------------------------------------------------------------
 
     @property
-    def bytes_per_transfer(self) -> int:
-        return self.schedule.nbytes(self.spec.src_desc.dtype)
-
-    @property
     def pool_stats(self) -> dict | None:
         """Buffer-pool counters (persistent source side; None for
         one-shot connections)."""

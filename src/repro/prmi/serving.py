@@ -209,14 +209,6 @@ class ServerLoop:
             self._handle(env)
         return dict(self.served)
 
-    def serve_events(self, count: int) -> dict[str, int]:
-        """Serve exactly ``count`` ingress events (tests/benchmarks that
-        drive the loop without a shutdown phase)."""
-        for _ in range(count):
-            env = self.inter.wait_any(self._specs())
-            self._handle(env)
-        return dict(self.served)
-
     def _handle(self, env) -> None:
         tag = env.tag
         if tag == frame_tag(REQUEST_STREAM):

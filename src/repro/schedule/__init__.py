@@ -7,14 +7,18 @@ prior to the transfer operation, and can be reused in consecutive
 transfers, and even for different arrays as long as they conform to the
 same distribution template."
 
-Two schedule families are provided:
+Two builders, one schedule type (:class:`CommSchedule`):
 
-* region schedules (:func:`build_region_schedule`) computed from DAD
-  pairs — the CUMULVS/PAWS/InterComm approach, with a closed-form fast
-  path for structured Cartesian templates, and
-* linear schedules (:func:`build_linear_schedule`) computed from
-  linearization pairs — the Meta-Chaos approach, which also couples
-  non-array structures.
+* :func:`build_region_schedule` computes it from DAD pairs — the
+  CUMULVS/PAWS/InterComm approach, with a closed-form fast path for
+  structured Cartesian templates, and
+* :func:`build_linear_schedule` from linearization pairs — the
+  Meta-Chaos approach, which also couples non-array structures; its
+  regions are the ``ndim = 1`` runs of the shared linear space.
+
+Both compile to the same plans (:func:`compile_rank_plan`, against a
+rank's owned patches or a linearization's layout) and move bytes the
+same way.
 
 Schedules are plain data with one lifecycle — **cache → bind → step →
 close**: ``GLOBAL_CACHE.get(src, dst)`` is where every subsystem obtains
@@ -27,7 +31,7 @@ holds.  :func:`execute_inter` / :func:`execute_intra` are that lifecycle
 for a single step.
 """
 
-from repro.schedule.plan import CommSchedule, LinearSchedule, TransferItem, LinearItem
+from repro.schedule.plan import CommSchedule, TransferItem
 from repro.schedule.indexplan import (
     PLAN_STATS,
     Box,
@@ -35,7 +39,6 @@ from repro.schedule.indexplan import (
     PairPlan,
     RankPlan,
     compile_pair,
-    compile_pair_plans,
     compile_rank_plan,
 )
 from repro.schedule.builder import (
@@ -79,9 +82,7 @@ from repro.schedule.packing import (
 
 __all__ = [
     "CommSchedule",
-    "LinearSchedule",
     "TransferItem",
-    "LinearItem",
     "ScheduleCache",
     "GLOBAL_CACHE",
     "DeltaSchedule",
@@ -115,5 +116,4 @@ __all__ = [
     "RankPlan",
     "compile_pair",
     "compile_rank_plan",
-    "compile_pair_plans",
 ]

@@ -51,7 +51,7 @@ from repro.dad.axis import (
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.dad.template import CartesianTemplate
 from repro.linearize.linearization import Linearization
-from repro.schedule.plan import CommSchedule, LinearSchedule
+from repro.schedule.plan import CommSchedule
 from repro.util.indexing import ragged_arange
 from repro.util.regions import intersect_boxes
 
@@ -236,8 +236,9 @@ def build_sweep_schedule(src: DistArrayDescriptor,
 
 
 def build_linear_schedule(src: Linearization,
-                          dst: Linearization) -> LinearSchedule:
-    """Intersect two linearizations' run lists by a sorted merge sweep.
+                          dst: Linearization) -> CommSchedule:
+    """Intersect two linearizations' run lists by a sorted merge sweep:
+    a schedule of ``ndim = 1`` regions, the runs of the linear space.
 
     Cost is O((Rs + Rd) log) in the total number of runs, independent of
     element count — but the number of runs itself is what a
@@ -265,8 +266,8 @@ def build_linear_schedule(src: Linearization,
         if dhi <= shi:
             j += 1
     cols = np.array(rows, dtype=np.int64).reshape(-1, 4)
-    return LinearSchedule.from_columns(cols[:, 0], cols[:, 1], cols[:, 2:3],
-                                       cols[:, 3:], src.nranks, dst.nranks)
+    return CommSchedule.from_columns(cols[:, 0], cols[:, 1], cols[:, 2:3],
+                                     cols[:, 3:], src.nranks, dst.nranks)
 
 
 class ScheduleCache:

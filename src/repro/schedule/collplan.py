@@ -7,7 +7,7 @@ at once, so peak transfer memory grows **O(pairs)** — at large fan-out
 it blows past any fixed ceiling.  Following Rink et al.'s
 memory-efficient redistribution-through-collectives construction (arXiv
 2112.01075), this module rewrites a compiled :class:`~repro.schedule.
-plan.CommSchedule`/:class:`~repro.schedule.plan.LinearSchedule` into a
+plan.CommSchedule` — region or linear, the one schedule type — into a
 short sequence of ``alltoallv`` **rounds** with a *statically provable*
 peak-bytes-resident bound:
 
@@ -128,9 +128,6 @@ class CollectivePlan:
 
     def send_bytes(self, rnd: int, src: int) -> int:
         return self._send_bytes[rnd].get(src, 0)
-
-    def recv_bytes(self, rnd: int, dst: int) -> int:
-        return self._recv_bytes[rnd].get(dst, 0)
 
     def inflight_bound(self) -> int:
         """Process-wide bound on bytes simultaneously in flight: every

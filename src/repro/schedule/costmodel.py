@@ -49,14 +49,6 @@ class CostEstimate:
     nrounds: int            # rounds the collective plan needs
     chosen: str             # "p2p" or "collective"
 
-    @property
-    def savings_ratio(self) -> float:
-        """How much smaller the collective ceiling is (>1 means the
-        collective plan is the tighter bound)."""
-        if self.coll_peak_bytes == 0:
-            return float("inf") if self.p2p_peak_bytes else 1.0
-        return self.p2p_peak_bytes / self.coll_peak_bytes
-
 
 def estimate(schedule, itemsize: int, *,
              round_bytes: int | None = None) -> CostEstimate:

@@ -7,8 +7,7 @@ local storage, a link and an execution tier and returns a
 releases what the tier holds.  Everything else is that lifecycle:
 
 * a **one-shot** transfer (:func:`execute_inter`, :func:`execute_intra`,
-  the flat-storage path of :func:`execute_linear_inter`) is literally
-  bind → step → close;
+  :func:`execute_linear_inter`) is literally bind → step → close;
 * an **intra-job** transfer binds a sender half and a receiver half on
   the same :class:`~repro.simmpi.communicator.Communicator` (peer
   translation = the cohort rank lists) instead of running a second
@@ -85,7 +84,8 @@ from repro.linearize.linearization import Linearization
 from repro.schedule.bufpool import BufferPool
 from repro.schedule.collplan import CollectivePlan
 from repro.schedule.costmodel import choose_planner
-from repro.schedule.plan import CommSchedule, LinearSchedule
+from repro.schedule.indexplan import LocalIndexer
+from repro.schedule.plan import CommSchedule
 from repro.simmpi import payload, rma
 from repro.simmpi import sanitize as _san
 from repro.simmpi.communicator import Communicator
@@ -636,50 +636,39 @@ class _FlatStorage:
         return self._flat
 
 
-def execute_linear_inter(schedule: LinearSchedule, inter: Intercommunicator,
+def execute_linear_inter(schedule: CommSchedule, inter: Intercommunicator,
                          side: str, lin: Linearization, storage,
                          *, tag: int = TRANSFER_TAG) -> int:
-    """Run a linearization schedule once across an intercommunicator.
+    """Run a linearization schedule once across an intercommunicator:
+    the same bind → step → close as :func:`execute_inter`, over a plan
+    compiled against ``lin.layout`` and cached on the schedule.
 
     ``storage`` is whatever local form ``lin`` extracts from / injects
     into (a :class:`DistributedArray`, a graph-value dict, ...).  The
-    wire carries one packed buffer per communicating rank pair (the
-    pair's runs in ascending-``lo`` order).  When ``lin`` supports flat
-    indexing (:meth:`~repro.linearize.linearization.Linearization.
-    flat_storage`) this is the same bind → step → close as
-    :func:`execute_inter`, over a plan compiled from ``lin.run_indices``
-    and cached on the schedule; otherwise the pair's buffer is
-    assembled/consumed run by run via ``extract``/``inject``.  Either
-    side may fall back independently — the wire format is identical.
+    plan addresses ``lin.flat_storage``; a structure with none (a graph,
+    a tree) is staged once — a sender extracts its owned runs into one
+    buffer laid out as those runs, a receiver injects that buffer back
+    after the step.  The wire carries one packed buffer per
+    communicating rank pair either way.
     """
     if side not in _PLAN_SIDE:
         raise ValueError(f"side must be 'src' or 'dst', got {side!r}")
     me = inter.rank
     flat = lin.flat_storage(me, storage)
-    if flat is not None:
-        plan = schedule.rank_plan(_PLAN_SIDE[side], me,
-                                  lambda run: lin.run_indices(me, run))
-        return _once(_half(Tier("two_sided"), side, plan, _FlatStorage(flat),
-                           inter, tag=tag, me=me))
-    if side == "src":
-        moved = 0
-        for d, runs, offsets in schedule.send_groups(me):
-            buf = np.concatenate(
-                [np.asarray(lin.extract(me, run, storage)).reshape(-1)
-                 for run in runs]) if runs else np.empty(0, dtype=lin.dtype)
-            # np.concatenate always yields a fresh contiguous buffer
-            # with no other owner, so it moves rather than copies.
-            inter.send(payload.OwnedBuffer(buf), dest=d, tag=tag)
-            moved += int(offsets[-1])
-        return moved
-    received = 0
-    for s, runs, offsets in schedule.recv_groups(me):
-        values = np.asarray(inter.recv(source=s, tag=tag)).reshape(-1)
-        if values.size != offsets[-1]:
-            raise ScheduleError(
-                f"packed linear buffer holds {values.size} elements,"
-                f" runs expect {int(offsets[-1])}")
-        for run, lo, hi in zip(runs, offsets, offsets[1:]):
-            lin.inject(me, run, values[lo:hi], storage)
-        received += int(offsets[-1])
-    return received
+    runs = None
+    if flat is None:
+        runs = lin.runs(me)
+        flat = (np.concatenate([np.asarray(lin.extract(me, run, storage))
+                                .reshape(-1) for run in runs])
+                if side == "src" and runs else
+                np.empty(sum(run.length for run in runs), dtype=lin.dtype))
+    plan = schedule.rank_plan(_PLAN_SIDE[side], me,
+                              LocalIndexer(*lin.layout(me)))
+    moved = _once(_half(Tier("two_sided"), side, plan, _FlatStorage(flat),
+                        inter, tag=tag, me=me))
+    if runs is not None and side == "dst":
+        off = 0
+        for run in runs:
+            lin.inject(me, run, flat[off:off + run.length], storage)
+            off += run.length
+    return moved

@@ -26,8 +26,8 @@ handle) or fancy-indexed.
 
 **index** — the fallback: one ``np.int64`` element index per element in
 wire order, for pairs that do not fold into :data:`MAX_BOXES` boxes
-(irregular explicit templates, linearization runs that are not an
-arithmetic progression).
+(irregular explicit templates, linearization runs with no regular
+stride).
 
 **Lending.**  A single-box plan *lends*: :meth:`PairPlan.lend` hands out
 the n-D view itself, and the executor sends that view as a
@@ -39,8 +39,10 @@ is the C order of the payload, so it reshapes whichever side is
 contiguous to the other's shape (free), copies box to box when the
 shapes agree, and stages through a loan only when neither holds.
 
-Plans are pure functions of (a rank's wire columns, owner patch
-layout), so they are compiled once and cached on the schedule —
+Plans are pure functions of (a rank's wire columns, its local layout:
+owned patches, or owned linear runs and where each starts in local
+storage — :class:`LocalIndexer`), so they are compiled once and cached
+on the schedule —
 repeated transfers over a reused schedule (the paper's
 persistent-channel case) pay compilation once.
 ``PLAN_STATS`` counts compilations so tests can pin that down.
@@ -68,7 +70,6 @@ __all__ = [
     "LocalIndexer",
     "compile_pair",
     "compile_rank_plan",
-    "compile_pair_plans",
     "plan_from_indices",
 ]
 
@@ -359,8 +360,7 @@ class RankPlan:
 def plan_from_indices(peer: int, idx: np.ndarray) -> PairPlan:
     """Wrap a flat index array as a :class:`PairPlan`: a one-axis box
     when the indices form an ascending arithmetic progression, else the
-    index array itself — never a multi-axis box, because callers index
-    a dimension with :attr:`PairPlan.selector` (AttrVect rows)."""
+    index array itself."""
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     size = int(idx.size)
     if size <= 1:
@@ -447,7 +447,9 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     # not np.unique: its first call imports numpy.ma (~10 ms), which
     # every forked rank process would pay inside its first bind
     values = np.sort(values)
-    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 def _region(lo: np.ndarray, hi: np.ndarray) -> Region:
@@ -457,18 +459,24 @@ def _region(lo: np.ndarray, hi: np.ndarray) -> Region:
 class LocalIndexer:
     """Where global regions live inside one rank's local storage.
 
-    The local buffer layout is the one :class:`~repro.dad.darray.
-    DistributedArray` guarantees: owned patches sorted by ``region.lo``,
-    each flattened row-major, concatenated.  :meth:`locate` answers for
-    many regions at once, in closed form: the per-axis patch edges cut
-    the index space into cells each owned by at most one patch, so a
-    region's patch is one ``searchsorted`` per axis and one table
-    lookup, and its box ``lo`` one dot with the patch strides.
+    Each owned patch is flattened row-major and starts at its offset in
+    the flat local buffer.  By default the patches are stored back to
+    back in ``lo`` order — the layout :class:`~repro.dad.darray.
+    DistributedArray` guarantees; a linearization says where each of its
+    owned runs starts instead (:meth:`~repro.linearize.linearization.
+    Linearization.layout`).  :meth:`locate` answers for many regions at
+    once, in closed form: the per-axis patch edges cut the index space
+    into cells each owned by at most one patch, so a region's patch is
+    one ``searchsorted`` per axis and one table lookup, and its box
+    ``lo`` one dot with the patch strides.
     """
 
-    def __init__(self, owned_regions: RegionList | Sequence[Region]):
+    def __init__(self, owned_regions: RegionList | Sequence[Region],
+                 offsets: np.ndarray | None = None):
         """``owned_regions``: a :class:`RegionList` (its columns are read
-        as they are) or any sequence of :class:`Region`."""
+        as they are) or any sequence of :class:`Region`; ``offsets``:
+        the flat local position of each one's first element, in the
+        same order (default: back to back in ``lo`` order)."""
         if not isinstance(owned_regions, RegionList):
             owned_regions = RegionList(owned_regions, validate=False)
         n, ndim = owned_regions.lo.shape
@@ -477,8 +485,11 @@ class LocalIndexer:
         self._phi = owned_regions.hi[order]
         self._patches: list[Region] | None = None
         shape = self._phi - self._plo
-        self._offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(shape.prod(axis=1), out=self._offsets[1:])
+        if offsets is None:
+            volume = shape.prod(axis=1)
+            self._offsets = np.cumsum(volume) - volume
+        else:
+            self._offsets = np.asarray(offsets, dtype=np.int64)[order]
         self._strides = np.ones_like(shape)
         for d in range(ndim - 2, -1, -1):
             self._strides[:, d] = self._strides[:, d + 1] * shape[:, d + 1]
@@ -520,6 +531,29 @@ class LocalIndexer:
             inside &= (c >= 0) & (c < self._cells.shape[d])
             cell.append(np.clip(c, 0, self._cells.shape[d] - 1))
         return np.where(inside, self._cells[tuple(cell)], -1)
+
+    def cut(self, lo: np.ndarray, hi: np.ndarray, bounds: np.ndarray):
+        """1-D rows cut at the patch edges inside them, and the pair
+        ``bounds`` over the cut rows: a linear run may cross from one
+        owned run into the next, which local storage need not hold next
+        to it.  n-D rows (regions, each inside one patch) and rows that
+        cross no edge pass through."""
+        if lo.shape[1] != 1:
+            return lo, hi, bounds
+        edges = self._edges[0]
+        first = np.searchsorted(edges, lo[:, 0], side="right")
+        inner = np.searchsorted(edges, hi[:, 0], side="left") - first
+        if not inner.any():
+            return lo, hi, bounds
+        count = inner + 1
+        row = np.repeat(np.arange(len(lo)), count)
+        k = ragged_arange(count)
+        at = first[row] + k
+        cuts = np.append(edges, 0)      # ``at`` may step one past the end
+        start = np.where(k == 0, lo[row, 0], cuts[at - 1])
+        stop = np.where(k == inner[row], hi[row, 0], cuts[at])
+        ends = np.concatenate(([0], np.cumsum(count)))
+        return start[:, None], stop[:, None], ends[bounds]
 
     def locate(self, lo: np.ndarray, hi: np.ndarray):
         """Rows ``(lo, shape, strides)`` — one box per row of the
@@ -570,33 +604,22 @@ def compile_pair(indexer: LocalIndexer, peer: int, lo: np.ndarray,
 
 
 def compile_rank_plan(peers: np.ndarray, bounds: np.ndarray, lo: np.ndarray,
-                      hi: np.ndarray, owned_regions) -> RankPlan:
+                      hi: np.ndarray, layout) -> RankPlan:
     """Compile one rank's side of a schedule — the columns of
-    :meth:`~repro.schedule.plan.CommSchedule.wire` — against its patch
-    layout.  All rows are located in one vectorised pass; each pair then
-    folds its slice of them, in wire order, so plan-based and loop-based
-    buffers are byte-identical."""
+    :meth:`~repro.schedule.plan.CommSchedule.wire` — against its local
+    layout: a :class:`LocalIndexer`, or the owned regions to build the
+    default one from.  All rows are cut and located in one vectorised
+    pass; each pair then folds its slice of them, in wire order, so
+    plan-based and loop-based buffers are byte-identical."""
     pairs: tuple[PairPlan, ...] = ()
     if len(peers):
-        rows = LocalIndexer(owned_regions).locate(lo, hi)
+        if not isinstance(layout, LocalIndexer):
+            layout = LocalIndexer(layout)
+        lo, hi, bounds = layout.cut(lo, hi, bounds)
+        rows = layout.locate(lo, hi)
         pairs = tuple(_pair_from_rows(peer, *(r[a:b] for r in rows))
                       for peer, a, b in zip(peers.tolist(),
                                             bounds[:-1].tolist(),
                                             bounds[1:].tolist()))
     PLAN_STATS.add("rank_plans")
     return RankPlan(pairs)
-
-
-def compile_pair_plans(groups: Sequence[tuple[int, Sequence, object]],
-                       indices_of: Callable[[object], np.ndarray]) -> RankPlan:
-    """Generic plan compiler: ``indices_of(item)`` yields each group
-    item's flat local indices (linearization runs, AttrVect rows, ...).
-    """
-    pairs: list[PairPlan] = []
-    for peer, items, _offsets in groups:
-        parts = [np.asarray(indices_of(it), dtype=np.int64) for it in items]
-        idx = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        pairs.append(plan_from_indices(peer, idx))
-        PLAN_STATS.add("pair_plans")
-    PLAN_STATS.add("rank_plans")
-    return RankPlan(tuple(pairs))

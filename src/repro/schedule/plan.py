@@ -5,25 +5,26 @@ triples in a deterministic order — so it can be computed once, cached,
 shipped to a third party, or replayed against any array conforming to
 the same templates (paper §2.3).  ``k`` items are four int64 columns:
 ``src``, ``dst`` ``(k,)`` and the half-open bounds ``lo``, ``hi``
-``(k, ndim)`` of what moves — a region for a :class:`CommSchedule`, a
-linear run (``ndim = 1``) for a :class:`LinearSchedule`.  The builders
-write them directly; a pickled schedule is them plus any compiled plans.
+``(k, ndim)`` of the region that moves.  One class serves both ways of
+describing the data: a linearization schedule is a :class:`CommSchedule`
+of ``ndim = 1`` regions, the runs of the shared linear space.  The
+builders write the columns directly; a pickled schedule is them plus
+any compiled plans.
 
 **Wire order** is ``(src, dst, lo)``, one stable ``np.lexsort``: every
 (src, dst) pair is one contiguous row range in ascending ``lo`` — the
 order both sides pack and unpack the pair's message in, with no
 metadata — a sender visits its pairs by destination and a receiver by
 source.  A rank's plan compiles straight from its rows
-(:meth:`_Schedule.wire`).
+(:meth:`CommSchedule.wire`) against the rank's local layout.
 
 **Objects on demand.**  ``items`` is a lazy sequence: ``len`` is O(1);
 iterating, indexing, slicing, ``==`` and ``+`` materialise the
-:class:`TransferItem` / :class:`LinearItem` objects, once.  The per-rank
-``send_groups`` / ``recv_groups`` / ``sends_from`` / ``recvs_at`` views
-are built on first use too — for the verifier, the experiment tables and
-the linear extract/inject fallback, never a build, a compile or a step.
-A list of items (the oracle, tests, mutants) still constructs a
-schedule; it is converted to columns once.
+:class:`TransferItem` objects, once.  The per-rank ``send_groups`` /
+``recv_groups`` / ``sends_from`` / ``recvs_at`` views are built on first
+use too — for the verifier and the experiment tables, never a build, a
+compile or a step.  A list of items (the oracle, tests, mutants) still
+constructs a schedule; it is converted to columns once.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ import numpy as np
 
 from repro.errors import ScheduleError, VerificationError
 from repro.dad.descriptor import DistArrayDescriptor
-from repro.linearize.linearization import Linearization, Run
-from repro.schedule.indexplan import RankPlan, compile_pair_plans, compile_rank_plan
+from repro.schedule.indexplan import RankPlan, compile_rank_plan
 from repro.util.regions import Region
 
 
@@ -48,22 +48,13 @@ class TransferItem:
     region: Region
 
 
-@dataclass(frozen=True, slots=True)
-class LinearItem:
-    """Move linear interval ``run`` from src rank to dst rank."""
-
-    src: int
-    dst: int
-    run: Run
-
-
 class _Items:
     """A schedule's ``items``: ``len`` reads the columns; anything else
     materialises the item objects (once, cached on the schedule)."""
 
     __slots__ = ("_schedule",)
 
-    def __init__(self, schedule: "_Schedule"):
+    def __init__(self, schedule: "CommSchedule"):
         self._schedule = schedule
 
     def __len__(self) -> int:
@@ -89,23 +80,22 @@ _DERIVED = ("pair_src", "pair_dst", "pair_size", "element_count",
             "_item_objects", "_group_views", "_by_dst")
 
 
-class _Schedule:
-    """What region and linear schedules share: the sorted columns, the
-    pair index (``pair_src`` / ``pair_dst`` / ``pair_size``: the
-    communicating pairs in (src, dst) order), the plan caches and the
-    object views.  Subclasses say how an item's bounds read (``_span``)
-    and how a row materialises (``_what``, ``_item``), and compile a
-    rank (:meth:`_compile`)."""
+class CommSchedule:
+    """A communication schedule between two templates (or two
+    linearizations): the sorted columns, the pair index (``pair_src`` /
+    ``pair_dst`` / ``pair_size``: the communicating pairs in (src, dst)
+    order), the plan caches and the object views."""
 
     def __init__(self, items, src_nranks: int, dst_nranks: int):
         items = list(items)
-        spans = [self._span(it) for it in items]
-        shape = (len(items), len(spans[0][0]) if spans else 0)
+        shape = (len(items), items[0].region.ndim if items else 0)
         self._set_columns(
             np.array([it.src for it in items], dtype=np.int64),
             np.array([it.dst for it in items], dtype=np.int64),
-            np.array([lo for lo, _ in spans], dtype=np.int64).reshape(shape),
-            np.array([hi for _, hi in spans], dtype=np.int64).reshape(shape),
+            np.array([it.region.lo for it in items],
+                     dtype=np.int64).reshape(shape),
+            np.array([it.region.hi for it in items],
+                     dtype=np.int64).reshape(shape),
             src_nranks, dst_nranks)
 
     @classmethod
@@ -185,7 +175,8 @@ class _Schedule:
     def _objects(self) -> list:
         if self._item_objects is None:
             self._item_objects = [
-                self._item(s, d, self._what(a, b)) for s, d, a, b in zip(
+                TransferItem(s, d, Region(tuple(a), tuple(b)))
+                for s, d, a, b in zip(
                     self.src.tolist(), self.dst.tolist(), self.lo.tolist(),
                     self.hi.tolist())]
         return self._item_objects
@@ -194,7 +185,8 @@ class _Schedule:
         groups = self._group_views.get((side, rank))
         if groups is None:
             peers, bounds, lo, hi = self.wire(side, rank)
-            moved = [self._what(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+            moved = [Region(tuple(a), tuple(b))
+                     for a, b in zip(lo.tolist(), hi.tolist())]
             ends = np.concatenate(([0], np.cumsum((hi - lo).prod(axis=1))))
             groups = self._group_views[(side, rank)] = [
                 (peer, moved[a:b], ends[a:b + 1] - ends[a])
@@ -203,8 +195,8 @@ class _Schedule:
         return groups
 
     def send_groups(self, src: int) -> list[tuple[int, list, np.ndarray]]:
-        """Per-destination groups of rank ``src``: ``(dst, items,
-        offsets)``, the regions/runs in wire order and their ``np.int64``
+        """Per-destination groups of rank ``src``: ``(dst, regions,
+        offsets)``, the regions in wire order and their ``np.int64``
         element offsets in the pair's packed buffer (total appended).
         Callers must not mutate the returned lists."""
         return self._groups("send", src)
@@ -216,12 +208,12 @@ class _Schedule:
         return self._groups("recv", dst)
 
     def sends_from(self, src: int) -> list[tuple]:
-        """(dst, region-or-run) pairs rank ``src`` sends, in wire order."""
+        """(dst, region) pairs rank ``src`` sends, in wire order."""
         return [(d, moved) for d, items, _ in self.send_groups(src)
                 for moved in items]
 
     def recvs_at(self, dst: int) -> list[tuple]:
-        """(src, region-or-run) pairs rank ``dst`` receives, by (src, lo)
+        """(src, region) pairs rank ``dst`` receives, by (src, lo)
         — per source the order :meth:`sends_from` produces, so FIFO
         matching lines up."""
         return [(s, moved) for s, items, _ in self.recv_groups(dst)
@@ -230,15 +222,17 @@ class _Schedule:
     # -- compiled index plans ------------------------------------------------
 
     def send_plan(self, src: int, layout) -> RankPlan:
-        """Compiled gather plan for schedule rank ``src``: one flat
-        index array (or slice) per destination, addressing the rank's
-        flat local storage.  ``layout`` says where things live there —
-        the rank's patch regions (``descriptor.local_regions(src)``) for
-        a region schedule, an ``indices_of(run)`` mapping for a linear
-        one.  Plans are compiled on first use and cached for the
-        schedule's lifetime, which is sound because everything replayed
-        against one schedule conforms to the same template — every
-        caller must therefore supply an equivalent ``layout``."""
+        """Compiled gather plan for schedule rank ``src``: one
+        :class:`~repro.schedule.indexplan.PairPlan` per destination,
+        addressing the rank's flat local storage.  ``layout`` says where
+        things live there — the rank's patch regions
+        (``descriptor.local_regions(src)``), or a
+        :class:`~repro.schedule.indexplan.LocalIndexer` over a
+        linearization's owned runs and their local offsets.  Plans are
+        compiled on first use and cached for the schedule's lifetime,
+        which is sound because everything replayed against one schedule
+        conforms to the same template — every caller must therefore
+        supply an equivalent ``layout``."""
         return self.rank_plan("send", src, layout)
 
     def recv_plan(self, dst: int, layout) -> RankPlan:
@@ -251,8 +245,8 @@ class _Schedule:
         (``"recv"``) — the form the executor binds through."""
         plan = self._plans.get((side, rank))
         if plan is None:
-            plan = self._plans[(side, rank)] = self._compile(side, rank,
-                                                             layout)
+            plan = self._plans[(side, rank)] = compile_rank_plan(
+                *self.wire(side, rank), layout)
         return plan
 
     def plan_if_compiled(self, side: str, rank: int) -> RankPlan | None:
@@ -302,23 +296,6 @@ class _Schedule:
         """Bookkeeping size of the schedule itself, in integers."""
         return 2 * (self.src.size + self.lo.size)
 
-
-class CommSchedule(_Schedule):
-    """A region-based communication schedule between two templates."""
-
-    _item = TransferItem
-
-    @staticmethod
-    def _span(item: TransferItem):
-        return item.region.lo, item.region.hi
-
-    @staticmethod
-    def _what(lo: list, hi: list) -> Region:
-        return Region(tuple(lo), tuple(hi))
-
-    def _compile(self, side: str, rank: int, owned_regions) -> RankPlan:
-        return compile_rank_plan(*self.wire(side, rank), owned_regions)
-
     def nbytes(self, dtype: np.dtype | str = np.float64) -> int:
         return self.element_count * np.dtype(dtype).itemsize
 
@@ -326,7 +303,9 @@ class CommSchedule(_Schedule):
                  dst_desc: DistArrayDescriptor) -> None:
         """Ownership on both sides and exactly-once coverage: the static
         proof :func:`repro.verify.schedule.verify_schedule` (no plans),
-        failures raised as :class:`~repro.errors.ScheduleError`."""
+        failures raised as :class:`~repro.errors.ScheduleError`.  A
+        linearization schedule's proof is
+        :func:`repro.verify.schedule.verify_linear_schedule`."""
         from repro.verify.schedule import verify_schedule
         try:
             verify_schedule(self, src_desc, dst_desc, check_plans=False)
@@ -337,34 +316,3 @@ class CommSchedule(_Schedule):
         return (f"CommSchedule({self.message_count} messages, "
                 f"{self.element_count} elements, "
                 f"{self.src_nranks}x{self.dst_nranks})")
-
-
-class LinearSchedule(_Schedule):
-    """A linearization-based schedule: runs moved between rank pairs."""
-
-    _item = LinearItem
-
-    @staticmethod
-    def _span(item: LinearItem):
-        return (item.run.lo,), (item.run.hi,)
-
-    @staticmethod
-    def _what(lo: list, hi: list) -> Run:
-        return Run(lo[0], hi[0])
-
-    def _compile(self, side: str, rank: int, indices_of) -> RankPlan:
-        return compile_pair_plans(self._groups(side, rank), indices_of)
-
-    def validate(self, src_lin: Linearization, dst_lin: Linearization) -> None:
-        """Run ownership and exactly-once coverage: the static proof
-        :func:`repro.verify.schedule.verify_linear_schedule`, failures
-        raised as :class:`~repro.errors.ScheduleError`."""
-        from repro.verify.schedule import verify_linear_schedule
-        try:
-            verify_linear_schedule(self, src_lin, dst_lin)
-        except VerificationError as exc:
-            raise ScheduleError(str(exc)) from exc
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"LinearSchedule({self.message_count} runs, "
-                f"{self.element_count} elements)")

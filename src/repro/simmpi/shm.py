@@ -56,7 +56,6 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro import config
 from repro.simmpi import sanitize as _san
 from repro.util.counters import Counters, TRANSPORT_STATS
 
@@ -79,9 +78,7 @@ OBJ = "ob"
 #: Payloads at most this many bytes ride inline in the control message
 #: even when a slot is free — a pipe write beats a slot round-trip for
 #: tiny protocol traffic (barrier tokens, handshakes, scalar reduces).
-#: Override with ``REPRO_SHM_INLINE_MAX`` (bytes; 0 disables inlining
-#: of anything but slot-ring overflow).
-INLINE_MAX = config.resolve("shm_inline_max")
+INLINE_MAX = 2048
 
 _FREE = 0
 _BUSY = 1
@@ -559,10 +556,6 @@ class SharedState:
 
     def aborted(self) -> bool:
         return bool(self._abort[0])
-
-    def abort_reason(self) -> str:
-        raw = bytes(self._reason)
-        return raw.split(b"\0", 1)[0].decode("utf-8", "replace")
 
     def close(self) -> None:
         self.progress = self.state = self._descs = None

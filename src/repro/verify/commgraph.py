@@ -357,18 +357,6 @@ class CommProgram:
     def read(self, win: Window) -> None:
         self.add(win.owner, ReadOp(win))
 
-    def rma_channel(self, src: Proc, dst: Proc,
-                    label: str = "win") -> Window:
-        """Model one one-sided ``push``/``pull`` step pair: the consumer
-        opens an exposure epoch and fences (``pull``), the producer
-        puts (``push``).  Returns the window so multi-step or
-        multi-writer programs can keep appending to it."""
-        win = self.window(dst, label)
-        self.epoch_open(win)
-        self.fence(win, (src,))
-        self.put(src, win)
-        return win
-
     # -- structural epoch-consistency ---------------------------------------
 
     def epoch_violations(self) -> list[str]:

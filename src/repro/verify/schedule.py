@@ -46,8 +46,8 @@ from repro.errors import ScheduleError, VerificationError
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.linearize.linearization import Linearization
 from repro.schedule.indexplan import LocalIndexer, PairPlan
-from repro.schedule.plan import CommSchedule, LinearSchedule, TransferItem
-from repro.util.indexing import region_flat_indices, shape_volume
+from repro.schedule.plan import CommSchedule, TransferItem
+from repro.util.indexing import ragged_arange, region_flat_indices, shape_volume
 
 __all__ = [
     "ScheduleProof",
@@ -609,11 +609,12 @@ def verify_delta_equivalence(old_desc: DistArrayDescriptor,
     return proof
 
 
-def verify_linear_schedule(schedule: LinearSchedule, src_lin: Linearization,
+def verify_linear_schedule(schedule: CommSchedule, src_lin: Linearization,
                            dst_lin: Linearization) -> ScheduleProof:
-    """Prove a linearization schedule: completeness/disjointness over
-    the destination linear space, run ownership on both sides, and run
-    conservation against the coalescing groups."""
+    """Prove a linearization schedule (``ndim = 1`` regions), straight
+    from its columns: completeness/disjointness over the destination
+    linear space, run ownership on both sides, and run conservation
+    against the coalescing groups."""
     failures: list[str] = []
     proof = ScheduleProof(items=len(schedule.items))
     if src_lin.total != dst_lin.total:
@@ -631,14 +632,13 @@ def verify_linear_schedule(schedule: LinearSchedule, src_lin: Linearization,
 
     src_owner = owner_runs(src_lin, schedule.src_nranks)
     dst_owner = owner_runs(dst_lin, schedule.dst_nranks)
-    marks = np.zeros(total, dtype=np.int64)
-    bad_src = bad_dst = 0
-    for it in schedule.items:
-        marks[it.run.lo:it.run.hi] += 1
-        sl = slice(it.run.lo, it.run.hi)
-        bad_src += int(np.count_nonzero(src_owner[sl] != it.src))
-        bad_dst += int(np.count_nonzero(dst_owner[sl] != it.dst))
-        proof.elements += it.run.length
+    lo, length = schedule.lo[:, 0], schedule.hi[:, 0] - schedule.lo[:, 0]
+    item = np.repeat(np.arange(len(lo)), length)
+    pos = lo[item] + ragged_arange(length)
+    marks = np.bincount(pos, minlength=total)
+    bad_src = int(np.count_nonzero(src_owner[pos] != schedule.src[item]))
+    bad_dst = int(np.count_nonzero(dst_owner[pos] != schedule.dst[item]))
+    proof.elements = int(length.sum())
     if bad_src or bad_dst:
         failures.append(
             f"ownership: {bad_src} position(s) outside the source rank's "

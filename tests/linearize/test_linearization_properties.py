@@ -14,6 +14,7 @@ from repro.dad import (
 )
 from repro.linearize import DenseLinearization
 from repro.schedule import build_linear_schedule
+from repro.verify.schedule import verify_linear_schedule
 
 
 @st.composite
@@ -92,5 +93,5 @@ def test_linear_schedule_between_random_descriptors(data):
     src_lin = DenseLinearization(src_desc)
     dst_lin = DenseLinearization(dst_desc)
     sched = build_linear_schedule(src_lin, dst_lin)
-    sched.validate(src_lin, dst_lin)
+    verify_linear_schedule(sched, src_lin, dst_lin)
     assert sched.element_count == src_lin.total

@@ -43,7 +43,7 @@ def test_schedule_covers_everything(data):
     assert sched.element_count == gsize
     covered = np.zeros(gsize, dtype=int)
     for item in sched.items:
-        covered[item.run.lo:item.run.hi] += 1
+        covered[item.region.lo[0]:item.region.hi[0]] += 1
     assert np.all(covered == 1)
 
 

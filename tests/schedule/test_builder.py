@@ -18,6 +18,7 @@ from repro.schedule import (
     build_structured_schedule,
 )
 from repro.util.regions import Region
+from repro.verify.schedule import verify_linear_schedule
 
 
 def desc(template, dtype=np.float64):
@@ -113,10 +114,11 @@ class TestLinearSchedule:
     def test_dense_to_dense(self):
         src = desc(block_template((6, 6), (3, 1)))
         dst = desc(block_template((6, 6), (1, 2)))
-        ls = build_linear_schedule(DenseLinearization(src),
-                                   DenseLinearization(dst))
-        ls.validate(DenseLinearization(src), DenseLinearization(dst))
+        src_lin, dst_lin = DenseLinearization(src), DenseLinearization(dst)
+        ls = build_linear_schedule(src_lin, dst_lin)
+        verify_linear_schedule(ls, src_lin, dst_lin)
         assert ls.element_count == 36
+        assert ls.lo.shape[1] == 1
 
     def test_fragmentation_increases_messages(self):
         """Linearization fragments column blocks into per-row runs, so it

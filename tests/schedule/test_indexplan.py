@@ -21,7 +21,7 @@ from repro.dad import (
 )
 from repro.dad.template import block_template
 from repro.errors import ScheduleError
-from repro.linearize import DenseLinearization
+from repro.linearize import DenseLinearization, Run
 from repro.schedule import (
     PLAN_STATS,
     bind,
@@ -143,10 +143,10 @@ class TestPlanLoopEquivalence:
         back = {r: DistributedArray.allocate(desc, r)
                 for r in range(desc.nranks)}
         for it in sched.items:
-            values = lin.extract(it.src, it.run, arrays[it.src])
-            np.testing.assert_array_equal(
-                values, gflat[it.run.lo:it.run.hi])
-            lin.inject(it.src, it.run, values, back[it.src])
+            run = Run(it.region.lo[0], it.region.hi[0])
+            values = lin.extract(it.src, run, arrays[it.src])
+            np.testing.assert_array_equal(values, gflat[run.lo:run.hi])
+            lin.inject(it.src, run, values, back[it.src])
         for r in range(desc.nranks):
             assert back[r].flat_local().tobytes() == \
                 arrays[r].flat_local().tobytes()

@@ -4,7 +4,7 @@
 changed variable name, default, bound or error class fails here.  Its
 rows carry the assertions of the per-resolver tests this file replaced
 (``ScheduleError`` for the planner knobs, ``PRMIError`` for the serving
-knobs, ``ValueError`` for backend / inline-max).
+knobs, ``ValueError`` for the backend and the flags).
 """
 
 import os
@@ -31,8 +31,6 @@ EXPECTED = {
              {"true": True, "0": False}, ["2", "maybe"]),
     "rma": ("REPRO_RMA", False, ValueError,
             {"true": True, "1": True, "no": False}, ["2", "maybe"]),
-    "shm_inline_max": ("REPRO_SHM_INLINE_MAX", 2048, ValueError,
-                       {"4096": 4096, "0": 0}, ["-1", "lots"]),
     "planner": ("REPRO_PLANNER", "p2p", ScheduleError,
                 {"collective": "collective", "AUTO": "auto"}, ["bogus"]),
     "round_bytes": ("REPRO_ROUND_BYTES", 1 << 16, ScheduleError,
@@ -51,8 +49,8 @@ ROWS = [pytest.param(name, *row, id=name) for name, row in EXPECTED.items()]
 FLAGS = [name for name, row in EXPECTED.items() if isinstance(row[1], bool)]
 
 
-def test_registry_is_exactly_the_twelve_knobs():
-    assert len(EXPECTED) == 12 and "REPRO_MEM_CEILING" not in str(EXPECTED)
+def test_registry_is_exactly_the_eleven_knobs():
+    assert len(EXPECTED) == 11 and "REPRO_MEM_CEILING" not in str(EXPECTED)
     assert [(k.name, k.env) for k in config.KNOBS.values()] == \
         [(name, row[0]) for name, row in EXPECTED.items()]
 
@@ -111,10 +109,6 @@ def _python(*args, **env):
 
 
 @pytest.mark.parametrize("env, text, code, printed", [
-    ("REPRO_SHM_INLINE_MAX", "4096",
-     "from repro.simmpi import shm; print(shm.INLINE_MAX)", "4096"),
-    ("REPRO_SHM_INLINE_MAX", "",
-     "from repro.simmpi import shm; print(shm.INLINE_MAX)", "2048"),
     ("REPRO_VERIFY", "false",
      "from repro.verify import hook; print(hook.verify_enabled())", "False"),
     ("REPRO_VERIFY", "on",
@@ -137,10 +131,10 @@ def test_import_time_knobs(env, text, code, printed):
 
 
 def test_import_time_garbage_names_the_variable():
-    done = _python("-c", "import repro", REPRO_SHM_INLINE_MAX="lots")
+    done = _python("-c", "import repro", REPRO_VERIFY="maybe")
     assert done.returncode != 0
     assert "ValueError" in done.stderr
-    assert "REPRO_SHM_INLINE_MAX" in done.stderr
+    assert "REPRO_VERIFY" in done.stderr
 
 
 def test_cli_lists_every_knob_with_provenance():
