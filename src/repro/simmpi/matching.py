@@ -6,11 +6,18 @@ present.  Matching is FIFO *per (context, source, tag)* — the MPI
 non-overtaking rule: two messages from the same source with matching
 tags are received in send order.
 
-Blocking receivers register what they are waiting for so the job's
-watchdog can produce a rank-state dump on deadlock.  Abort is fully
-event-driven: :meth:`AbortFlag.set` notifies every subscribed mailbox
-condition, so a blocked receive raises immediately instead of noticing
-the flag on the next poll tick (there is no poll tick any more).
+Blocking receivers register what they are waiting for — once their
+first check has missed — so the job's watchdog can produce a
+rank-state dump on deadlock.  Abort is fully event-driven:
+:meth:`AbortFlag.set` wakes every subscribed mailbox, so a blocked
+receive raises immediately instead of noticing the flag on the next
+poll tick.
+
+On the procs backend a mailbox also owns the rank's *inbox*, its
+incoming shared-memory control rings: every entry point drains them
+into ordinary matching before it checks, and a blocked wait parks on
+the inbox doorbell instead of the condition — only once the rings are
+empty, so no wakeup is lost.
 
 Two zero-copy transport hooks live here:
 
@@ -69,21 +76,21 @@ class Envelope:
 class AbortFlag:
     """Shared job-wide abort signal set by the deadlock watchdog.
 
-    Mailboxes subscribe their condition variables; :meth:`set` notifies
-    all of them so blocked receivers wake and raise immediately.
+    Mailboxes subscribe a wake-up callback; :meth:`set` calls all of
+    them so blocked receivers wake and raise immediately.
     """
 
     def __init__(self) -> None:
         self._event = threading.Event()
         self._lock = threading.Lock()
-        self._waiters: list[threading.Condition] = []
+        self._waiters: list[Callable[[], None]] = []
         self.reason: str = ""
         self.blocked_dump: dict[int, str] = {}
 
-    def subscribe(self, cond: threading.Condition) -> None:
-        """Register a condition to be notified when the flag is set."""
+    def subscribe(self, wake: Callable[[], None]) -> None:
+        """Register a callback to run when the flag is set."""
         with self._lock:
-            self._waiters.append(cond)
+            self._waiters.append(wake)
 
     def set(self, reason: str, blocked: dict[int, str]) -> None:
         with self._lock:
@@ -96,21 +103,11 @@ class AbortFlag:
                 self.blocked_dump = blocked
                 self._event.set()
             waiters = list(self._waiters)
-        for cond in waiters:
-            with cond:
-                cond.notify_all()
+        for wake in waiters:
+            wake()
 
     def is_set(self) -> bool:
         return self._event.is_set()
-
-    def wait(self, timeout: float) -> bool:
-        """Sleep up to ``timeout`` seconds, waking early on abort.
-
-        The backoff primitive of :meth:`Mailbox.wait_until`: there is
-        no condition variable spanning processes, so waiters poll the
-        shared state — but they sleep on the abort event, keeping the
-        wait abort-responsive without a bare ``time.sleep`` loop."""
-        return self._event.wait(timeout)
 
 
 class PrepostSlot:
@@ -156,11 +153,20 @@ class PrepostSlot:
 
 
 class Mailbox:
-    """Thread-safe message store for one rank."""
+    """Thread-safe message store for one rank.
+
+    ``inbox`` (procs backend) is the rank's incoming control rings:
+    every entry point drains it into ordinary matching before it
+    checks, and a blocked wait parks on its doorbell — only while the
+    rings are empty — instead of the condition variable.  One waiting
+    thread parks at a time; any other waits on the condition and is
+    handed the doorbell when the parker leaves.
+    """
 
     def __init__(self, rank: int, abort: AbortFlag,
                  progress: Optional[Callable[[], None]] = None,
-                 block_state: Optional[Callable[[int, str | None], None]] = None):
+                 block_state: Optional[Callable[[int, str | None], None]] = None,
+                 inbox: Any = None):
         self.rank = rank
         self._abort = abort
         self._lock = threading.Lock()
@@ -168,13 +174,100 @@ class Mailbox:
         self._messages: list[Envelope] = []
         self._slots: list[PrepostSlot] = []
         self._seq = 0
+        self._inbox = inbox
+        self._parked = False
         # progress(): bump the job's global progress counter (watchdog input)
         self._progress = progress or (lambda: None)
         # block_state(rank, desc | None): record/clear what this rank waits on
         self._block_state = block_state or (lambda rank, desc: None)
-        abort.subscribe(self._cond)
+        abort.subscribe(self._wake)
 
-    # -- non-mailbox waits (RMA epochs, a full slot ring) ------------------
+    def _wake(self) -> None:
+        with self._cond:
+            self._cond.notify_all()
+        if self._inbox is not None:
+            self._inbox.kick()
+
+    def _drain(self) -> None:
+        # caller holds the lock
+        if self._inbox is not None:
+            self._inbox.drain(self)
+
+    # -- the one blocking-wait loop ----------------------------------------
+
+    def _wait(self, find: Callable[[], Any], describe: Callable[[], str],
+              timeout: float | None, *, poll: float | None = None) -> Any:
+        """Drain, then call ``find()`` under the lock until it returns
+        something other than ``None``; return that.
+
+        Only after the first check misses does the wait record this
+        rank's blocked state (the watchdog input) and count a
+        ``rendezvous_waits`` (receives only: ``poll`` waits are for
+        shared state no delivery changes).  Between checks it parks on
+        the inbox doorbell — the condition on the threads backend —
+        for at most ``poll`` seconds when given.  An abort raises
+        :class:`DeadlockError`; an explicit ``timeout`` raises
+        :class:`TimeoutError` (``timeout <= 0`` means no limit).
+        Completing counts as progress."""
+        with self._cond:
+            self._drain()
+            got = find()
+        if got is None:
+            got = self._wait_blocked(find, describe(), timeout, poll)
+        self._progress()
+        return got
+
+    def _wait_blocked(self, find, desc: str, timeout, poll) -> Any:
+        limit = None if timeout is None else (
+            threading.TIMEOUT_MAX if timeout <= 0 else timeout)
+        start = time.monotonic()
+        if poll is None:
+            # the message is not here yet: this receive pays a real
+            # rendezvous wait (two-sided overhead the one-sided tier is
+            # designed to remove)
+            TRANSPORT_STATS.add("rendezvous_waits")
+        self._block_state(self.rank, desc)
+        try:
+            with self._cond:
+                while True:
+                    self._drain()
+                    got = find()
+                    if got is not None:
+                        return got
+                    if self._abort.is_set():
+                        raise DeadlockError(
+                            f"rank {self.rank} aborted while blocked in "
+                            f"{desc}: {self._abort.reason}",
+                            blocked=self._abort.blocked_dump)
+                    step = poll
+                    if limit is not None:
+                        waited = time.monotonic() - start
+                        if waited >= limit:
+                            raise TimeoutError(
+                                f"rank {self.rank}: no match for {desc} "
+                                f"after {waited:.2f}s")
+                        step = limit - waited if step is None \
+                            else min(step, limit - waited)
+                    self._park(step)
+        finally:
+            self._block_state(self.rank, None)
+
+    def _park(self, timeout: float | None) -> None:
+        # caller holds the lock, has drained and found nothing
+        inbox = self._inbox
+        if inbox is None or self._parked:
+            self._cond.wait(timeout)
+            return
+        self._parked = True
+        self._cond.release()
+        try:
+            inbox.park(timeout)
+        finally:
+            self._cond.acquire()
+            self._parked = False
+            self._cond.notify_all()      # hand the doorbell on
+
+    # -- non-mailbox waits (RMA epochs, a full slot or control ring) -------
 
     def wait_until(self, ready: Callable[[], Any], desc: str, *,
                    poll: float, timeout: float | None = None) -> Any:
@@ -182,32 +275,12 @@ class Mailbox:
         ``None`` and return that value.
 
         The wait for shared-memory state no condition variable spans (a
-        peer's epoch or done counter, a free run of slots): it is
-        recorded as this rank's blocked state, so the watchdog sees it
-        like a mailbox wait; it backs off on the abort flag between
-        polls, so an abort wakes it at once and raises
-        :class:`DeadlockError`; an explicit ``timeout`` raises
-        :class:`TimeoutError`.  Completing it counts as progress."""
-        got = ready()
-        if got is not None:
-            return got
-        abort = self._abort
-        deadline = None if timeout is None else time.monotonic() + timeout
-        self._block_state(self.rank, desc)
-        try:
-            while (got := ready()) is None:
-                if abort.is_set():
-                    raise DeadlockError(
-                        f"rank {self.rank} aborted while blocked in "
-                        f"{desc}: {abort.reason}",
-                        blocked=abort.blocked_dump)
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise TimeoutError(f"rank {self.rank}: {desc} timed out")
-                abort.wait(poll)
-        finally:
-            self._block_state(self.rank, None)
-        self._progress()
-        return got
+        peer's epoch or done counter, a free run of slots, room in a
+        control ring): it is recorded as this rank's blocked state, so
+        the watchdog sees it like a mailbox wait, and it keeps draining
+        the inbox between polls, so incoming messages — and the slots
+        and ring records they hold — never wait on it."""
+        return self._wait(ready, lambda: desc, timeout, poll=poll)
 
     # -- sending ----------------------------------------------------------
 
@@ -220,23 +293,28 @@ class Mailbox:
         into ``env.payload`` before enqueueing — no alias to the
         sender's storage survives this call either way.
         """
+        with self._cond:
+            self._deliver_locked(env, live)
+            if self._parked:
+                self._inbox.kick()
+
+    def _deliver_locked(self, env: Envelope, live=None) -> None:
+        """:meth:`deliver` with the lock held — also the inbox drain's
+        delivery step."""
         san = _san.ACTIVE
         if san is not None:
             san.env_stamp(env)
-        with self._cond:
-            slot = self._match_slot(env)
-            if slot is not None:
-                self._slots.remove(slot)
-                slot.clock = env.clock
-                slot._complete(live if live is not None else env.payload)
-                if env.release is not None:
-                    env.release()
-                TRANSPORT_STATS.add("direct_deliveries")
-                TRANSPORT_STATS.add("direct_bytes", env.nbytes)
-                TRANSPORT_STATS.add("messages_matched")
-                self._progress()
-                self._cond.notify_all()
-                return
+        slot = self._match_slot(env)
+        if slot is not None:
+            self._slots.remove(slot)
+            slot.clock = env.clock
+            slot._complete(live if live is not None else env.payload)
+            if env.release is not None:
+                env.release()
+            TRANSPORT_STATS.add("direct_deliveries")
+            TRANSPORT_STATS.add("direct_bytes", env.nbytes)
+            TRANSPORT_STATS.add("messages_matched")
+        else:
             if live is not None:
                 env.payload = payload.snapshot(live)
             self._seq += 1
@@ -245,8 +323,8 @@ class Mailbox:
             # queued (unconsumed) bytes are resident transfer memory —
             # the O(pairs) term the collective planner exists to bound.
             TRANSPORT_STATS.gauge_add("resident_bytes", env.nbytes)
-            self._progress()
-            self._cond.notify_all()
+        self._progress()
+        self._cond.notify_all()
 
     def _match_slot(self, env: Envelope) -> Optional[PrepostSlot]:
         """Oldest armed slot matching ``env`` — but only if no *queued*
@@ -275,6 +353,16 @@ class Mailbox:
             return i
         return None
 
+    def _take(self, idx: int) -> Envelope:
+        # caller holds the lock
+        env = self._messages.pop(idx)
+        TRANSPORT_STATS.gauge_add("resident_bytes", -env.nbytes)
+        TRANSPORT_STATS.add("messages_matched")
+        san = _san.ACTIVE
+        if san is not None:
+            san.env_join(env.clock)
+        return env
+
     def prepost(self, context: int, source: int, tag: int,
                 sink: Callable[[Any], int]) -> PrepostSlot:
         """Arm a preposted receive: subsequent matching sends write
@@ -283,7 +371,9 @@ class Mailbox:
         A message that was already queued when the slot is armed is
         consumed immediately (preserving per-stream FIFO order); the
         returned slot may then already be ``done``.  Complete the slot
-        with :meth:`PrepostSlot.wait`.
+        with :meth:`PrepostSlot.wait`.  Arming does not drain the
+        inbox: a message still in a control ring completes the slot
+        straight out of shared memory on the wait's drain.
         """
         slot = PrepostSlot(self, context, source, tag, sink)
         with self._cond:
@@ -304,46 +394,18 @@ class Mailbox:
         return slot
 
     def _wait_slot(self, slot: PrepostSlot, timeout: float | None) -> int:
-        desc = (f"prepost_recv(context={slot.context}, "
-                f"source={'ANY' if slot.source == ANY_SOURCE else slot.source}, "
-                f"tag={'ANY' if slot.tag == ANY_TAG else slot.tag})")
-        limit = None if timeout is None else (
-            threading.TIMEOUT_MAX if timeout <= 0 else timeout)
-        start = time.monotonic()
-        self._block_state(self.rank, desc)
-        blocked = False
-        try:
-            with self._cond:
-                while True:
-                    if slot.done:
-                        san = _san.ACTIVE
-                        if san is not None:
-                            san.env_join(slot.clock)
-                        self._progress()
-                        return slot.result
-                    if not blocked:
-                        # the message is not here yet: this receive pays
-                        # a real rendezvous wait (two-sided overhead the
-                        # one-sided tier is designed to remove)
-                        TRANSPORT_STATS.add("rendezvous_waits")
-                        blocked = True
-                    if self._abort.is_set():
-                        raise DeadlockError(
-                            f"rank {self.rank} aborted while blocked in {desc}: "
-                            f"{self._abort.reason}",
-                            blocked=self._abort.blocked_dump,
-                        )
-                    if limit is None:
-                        self._cond.wait()
-                    else:
-                        waited = time.monotonic() - start
-                        if waited >= limit:
-                            raise TimeoutError(
-                                f"rank {self.rank}: no match for {desc} "
-                                f"after {waited:.2f}s")
-                        self._cond.wait(limit - waited)
-        finally:
-            self._block_state(self.rank, None)
+        def find():
+            if not slot.done:
+                return None
+            san = _san.ACTIVE
+            if san is not None:
+                san.env_join(slot.clock)
+            return slot.result
+
+        return self._wait(find, lambda: (
+            f"prepost_recv(context={slot.context}, "
+            f"source={_spec(slot.source, ANY_SOURCE)}, "
+            f"tag={_spec(slot.tag, ANY_TAG)})"), timeout)
 
     def wait_match(self, context: int, source: int, tag: int,
                    *, timeout: float | None = None) -> Envelope:
@@ -353,48 +415,12 @@ class Mailbox:
         :class:`TimeoutError` if an explicit ``timeout`` expires first.
         Wakeups are purely event-driven (delivery or abort notification).
         """
-        desc = (f"recv(context={context}, "
-                f"source={'ANY' if source == ANY_SOURCE else source}, "
-                f"tag={'ANY' if tag == ANY_TAG else tag})")
-        limit = None if timeout is None else (
-            threading.TIMEOUT_MAX if timeout <= 0 else timeout)
-        start = time.monotonic()
-        self._block_state(self.rank, desc)
-        blocked = False
-        try:
-            with self._cond:
-                while True:
-                    idx = self._find(context, source, tag)
-                    if idx is not None:
-                        env = self._messages.pop(idx)
-                        TRANSPORT_STATS.gauge_add("resident_bytes",
-                                                  -env.nbytes)
-                        TRANSPORT_STATS.add("messages_matched")
-                        san = _san.ACTIVE
-                        if san is not None:
-                            san.env_join(env.clock)
-                        self._progress()
-                        return env
-                    if not blocked:
-                        TRANSPORT_STATS.add("rendezvous_waits")
-                        blocked = True
-                    if self._abort.is_set():
-                        raise DeadlockError(
-                            f"rank {self.rank} aborted while blocked in {desc}: "
-                            f"{self._abort.reason}",
-                            blocked=self._abort.blocked_dump,
-                        )
-                    if limit is None:
-                        self._cond.wait()
-                    else:
-                        waited = time.monotonic() - start
-                        if waited >= limit:
-                            raise TimeoutError(
-                                f"rank {self.rank}: no match for {desc} "
-                                f"after {waited:.2f}s")
-                        self._cond.wait(limit - waited)
-        finally:
-            self._block_state(self.rank, None)
+        def find():
+            idx = self._find(context, source, tag)
+            return None if idx is None else self._take(idx)
+
+        return self._wait(find, lambda: _recv_desc(context, source, tag),
+                          timeout)
 
     def wait_match_any(self, specs: "list[tuple[int, int, int]]",
                        *, timeout: float | None = None) -> Envelope:
@@ -412,58 +438,35 @@ class Mailbox:
         specs = list(specs)
         if not specs:
             raise ValueError("wait_match_any needs at least one spec")
-        desc = "recv_any(" + ", ".join(
-            f"(context={c}, "
-            f"source={'ANY' if s == ANY_SOURCE else s}, "
-            f"tag={'ANY' if t == ANY_TAG else t})"
-            for c, s, t in specs) + ")"
-        limit = None if timeout is None else (
-            threading.TIMEOUT_MAX if timeout <= 0 else timeout)
-        start = time.monotonic()
-        self._block_state(self.rank, desc)
-        blocked = False
-        try:
-            with self._cond:
-                while True:
-                    for context, source, tag in specs:
-                        idx = self._find(context, source, tag)
-                        if idx is not None:
-                            env = self._messages.pop(idx)
-                            TRANSPORT_STATS.gauge_add("resident_bytes",
-                                                      -env.nbytes)
-                            TRANSPORT_STATS.add("messages_matched")
-                            san = _san.ACTIVE
-                            if san is not None:
-                                san.env_join(env.clock)
-                            self._progress()
-                            return env
-                    if not blocked:
-                        TRANSPORT_STATS.add("rendezvous_waits")
-                        blocked = True
-                    if self._abort.is_set():
-                        raise DeadlockError(
-                            f"rank {self.rank} aborted while blocked in "
-                            f"{desc}: {self._abort.reason}",
-                            blocked=self._abort.blocked_dump,
-                        )
-                    if limit is None:
-                        self._cond.wait()
-                    else:
-                        waited = time.monotonic() - start
-                        if waited >= limit:
-                            raise TimeoutError(
-                                f"rank {self.rank}: no match for {desc} "
-                                f"after {waited:.2f}s")
-                        self._cond.wait(limit - waited)
-        finally:
-            self._block_state(self.rank, None)
+
+        def find():
+            for context, source, tag in specs:
+                idx = self._find(context, source, tag)
+                if idx is not None:
+                    return self._take(idx)
+            return None
+
+        return self._wait(find, lambda: "recv_any(" + ", ".join(
+            _recv_desc(c, s, t)[len("recv"):] for c, s, t in specs) + ")",
+            timeout)
 
     def probe(self, context: int, source: int, tag: int) -> Optional[Envelope]:
         """Non-destructive match test (MPI_Iprobe analogue)."""
-        with self._lock:
+        with self._cond:
+            self._drain()
             idx = self._find(context, source, tag)
             return self._messages[idx] if idx is not None else None
 
     def pending_count(self) -> int:
-        with self._lock:
+        with self._cond:
+            self._drain()
             return len(self._messages)
+
+
+def _spec(value: int, wildcard: int) -> Any:
+    return "ANY" if value == wildcard else value
+
+
+def _recv_desc(context: int, source: int, tag: int) -> str:
+    return (f"recv(context={context}, source={_spec(source, ANY_SOURCE)}, "
+            f"tag={_spec(tag, ANY_TAG)})")

@@ -6,31 +6,40 @@ job of a :func:`~repro.simmpi.runner.run_coupled` launch — one shared
 scatters execute on separate GILs and a redistribution's copy phase
 scales with cores instead of serializing in one interpreter.
 
-Data plane: payload bytes travel through the domain's
-:class:`~repro.simmpi.shm.SegmentPool` — per-sender rings of fixed-size
-shared-memory slots, a payload wider than one slot taking a run of
-adjacent ones — while a small control message (context, source, tag,
-payload kind, first slot) rides an unbounded per-endpoint
-``multiprocessing`` queue.  A sender whose ring has no free run waits
-for one (abort-aware, visible to the watchdog); only tiny payloads and
-payloads wider than the whole ring ride inline in the queue.  On the
-receive side a per-process *pump thread* replays control messages into
-the rank's ordinary :class:`~repro.simmpi.matching.Mailbox`, handing
-array payloads over as lent views of the shared run — so a preposted
-recv-into-destination sink scatters **straight out of shared memory**
-into the destination array, with no staging buffer, and the run is
-released the moment the mailbox has consumed it.  Because the pump
-consumes whatever the rank's main thread is doing, a full ring drains
-on its own: the wait ends unless a receiver has exited.
+Messages: a send writes one fixed-size descriptor record into the
+(sender, receiver) ring of the domain's
+:class:`~repro.simmpi.shm.ControlSegment`, stores the ring's ``tail``
+and posts the receiver's doorbell semaphore.  Payload bytes go in the
+record itself when tiny, else in a run of adjacent slots of the
+:class:`~repro.simmpi.shm.SegmentPool` (a sender whose slot ring or
+control ring is full waits — abort-aware, visible to the watchdog —
+while draining its own incoming rings).  Nothing on this path is
+pickled or crosses a pipe.
 
-Control plane: the parent process supervises.  A
+Receives: every entry point of the rank's
+:class:`~repro.simmpi.matching.Mailbox` first *drains* the rank's
+incoming rings (:class:`ControlInbox`) into ordinary matching, in ring
+order, handing array payloads over as lent views of the shared run or
+record — so a preposted recv-into-destination sink scatters **straight
+out of shared memory** into the destination array, in the waiting
+thread, and the run is released the moment it is consumed.  A wait
+with nothing to match parks on the doorbell only once the rings are
+empty; a publish after the drain posts it, so no wakeup is lost.
+
+The endpoint's ``multiprocessing`` queue and its *pump thread* remain
+for what no ring carries: payloads wider than the whole slot ring
+(their placeholder record holds their place in send order until the
+pump has stashed the bytes), rendezvous replies, and ``ABORT``.
+
+Supervision: the parent process supervises.  A
 :class:`~repro.simmpi.shm.SharedState` struct carries each endpoint's
 progress counter and blocked-state record (written by the rank's
 mailbox callbacks); the supervisor applies the same stall rule as the
 threads watchdog and aborts a deadlocked domain by raising the shared
-abort flag *and* posting an ``ABORT`` control message to every
-endpoint's queue, which the pump turns into the event-driven
-:meth:`~repro.simmpi.matching.AbortFlag.set` wake-up.  Rank crashes
+abort flag, posting an ``ABORT`` message to every endpoint's queue —
+which the pump turns into the event-driven
+:meth:`~repro.simmpi.matching.AbortFlag.set` wake-up — and ringing
+every doorbell, so a parked rank raises at once.  Rank crashes
 propagate the same way: the failing rank reports to the supervisor,
 which aborts every peer so nobody waits for messages that will never
 come.
@@ -57,12 +66,13 @@ import pickle
 import queue as _queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import CommunicatorError, SpmdError
+from repro.errors import CommunicatorError, DeadlockError, SpmdError
 from repro.simmpi import communicator as _comm_mod
 from repro.simmpi import payload as _payload
 from repro.simmpi import sanitize as _san
@@ -72,7 +82,8 @@ from repro.simmpi.matching import Envelope, Mailbox
 from repro.simmpi.transport import EndpointRemoteGroup, Transport
 from repro.util.counters import TRANSPORT_STATS
 
-__all__ = ["run_spmd_procs", "run_coupled_procs", "ProcRuntime"]
+__all__ = ["run_spmd_procs", "run_coupled_procs", "ProcRuntime",
+           "ControlInbox"]
 
 #: Child-side context allocators are rebased to ``(endpoint+1) << 20``
 #: after fork; the broker hands out intercomm contexts from ``1 << 40``.
@@ -82,11 +93,11 @@ BROKER_CTX_BASE = 1 << 40
 
 _SUPERVISE_TICK = 0.05
 
-#: Backoff between flag scans while a sender waits for a free run.  A
-#: release lands within one scatter of the wait starting.  Measured on
-#: ``stream_default`` (2-core guest): 5 and 20 µs polls are
-#: indistinguishable (timer slack makes either a ~60-80 µs sleep),
-#: while RMA's 200 µs poll costs ~7 % of a step.
+#: Backoff between flag scans while a sender waits for a free run (or a
+#: free control record).  A release lands within one scatter of the
+#: wait starting.  Measured on ``stream_default`` (2-core guest): 5 and
+#: 20 µs polls are indistinguishable (timer slack makes either a
+#: ~60-80 µs sleep), while RMA's 200 µs poll costs ~7 % of a step.
 RING_POLL = 20e-6
 
 
@@ -118,12 +129,15 @@ class DomainSpec:
         self.jobs = list(jobs)
         self.endpoints = sum(j.n for j in jobs)
         self.queues = [ctx.Queue() for _ in range(self.endpoints)]
+        #: one doorbell per endpoint, posted after every record publish
+        self.doorbells = [ctx.Semaphore(0) for _ in range(self.endpoints)]
         self.results = ctx.Queue()
         self.broker_q = ctx.Queue()
         self.pool = shm.SegmentPool(
             self.endpoints, slot_bytes=slot_bytes,
             slots_per_endpoint=slots_per_endpoint)
         self.state = shm.SharedState(self.endpoints)
+        self.ctl = shm.ControlSegment(self.endpoints)
 
     def job_of(self, endpoint: int) -> JobSpec:
         for j in self.jobs:
@@ -146,13 +160,16 @@ class DomainSpec:
         self.pool.unlink()
         self.state.close()
         self.state.unlink()
+        self.ctl.close()
+        self.ctl.unlink()
 
 
 # -- rank-process side -------------------------------------------------------
 
 
 class ProcTransport(Transport):
-    """Child-side transport: one local mailbox, shared-slot delivery out."""
+    """Child-side transport: one local mailbox fed by the rank's control
+    rings, descriptor-record delivery out."""
 
     backend = "procs"
     isolating = False
@@ -163,7 +180,11 @@ class ProcTransport(Transport):
                  block_state: Callable[[int, str | None], None]):
         self._rt = runtime
         self._own = Mailbox(runtime.job_rank, abort,
-                            progress=progress, block_state=block_state)
+                            progress=progress, block_state=block_state,
+                            inbox=runtime.inbox)
+        self._send_lock = threading.Lock()
+        #: next record seq of this endpoint's ring to each receiver
+        self._next = [0] * runtime.spec.endpoints
 
     def mailbox(self, job_rank: int) -> Mailbox:
         if job_rank != self._rt.job_rank:
@@ -193,71 +214,209 @@ class ProcTransport(Transport):
                 "payload.Raw wraps a process-local handle; it cannot be "
                 "sent to another process (procs backend)")
         if isinstance(obj, _payload.PickledWire):
-            kind, meta, buf = shm.PICKLE, None, \
-                np.frombuffer(obj.blob, dtype=np.uint8)
-            inline = None
+            kind, buf = shm.PICKLE, np.frombuffer(obj.blob, dtype=np.uint8)
         else:
-            kind, meta, buf, inline = shm.encode_payload(obj)
-        slot = -1
-        width = 0
+            kind, buf = shm.encode_payload(obj)
+        with self._send_lock:
+            self._send(endpoint, env, kind, buf)
+        rt.spec.doorbells[endpoint].release()
+        rt.bump_progress()
+
+    def _send(self, dst: int, env: Envelope, kind: int,
+              buf: Optional[np.ndarray]) -> None:
+        """Place the payload, then fill and publish the next record of
+        this endpoint's ring to ``dst`` (caller holds the send lock:
+        one producer per ring)."""
+        rt = self._rt
+        ctl, pool, me = rt.ctl, rt.pool, rt.endpoint
+        seq = self._next[dst]
+        if seq - ctl.head(dst, me) >= ctl.depth:
+            self._wait_for_record(dst, seq)
+        slot, width = shm.SLOT_INLINE, 0
         if buf is not None:
-            pool = rt.pool
             nbytes = buf.nbytes
             width = -(-nbytes // pool.slot_bytes)
             if width > 1:
                 pool.stats.add("oversize")
-            if nbytes > shm.INLINE_MAX and width <= pool.slots_per_endpoint:
-                slot = pool.acquire(rt.endpoint, width)
+            fits = kind != shm.ND or shm.record_fits(buf)
+            if fits and nbytes <= shm.INLINE_MAX:
+                TRANSPORT_STATS.add("shm_inline_msgs")
+                TRANSPORT_STATS.add("shm_inline_bytes", nbytes)
+            elif fits and width <= pool.slots_per_endpoint:
+                slot = pool.acquire(me, width)
                 if slot is None:
                     slot = self._wait_for_run(width)
-                dst = pool.slot_view(
-                    slot, nbytes,
-                    dtype=buf.dtype if kind == shm.ND else None)
+                view = pool.slot_view(
+                    slot, nbytes, dtype=buf.dtype if kind == shm.ND else None)
                 if kind == shm.ND:
-                    np.copyto(dst.view(buf.dtype).reshape(buf.shape), buf)
+                    np.copyto(view.view(buf.dtype).reshape(buf.shape), buf)
                 else:
-                    dst[:] = buf
-                inline = None
+                    view[:] = buf
                 TRANSPORT_STATS.add("shm_slot_msgs")
                 TRANSPORT_STATS.add("shm_slot_bytes", nbytes)
             else:
-                # inline: a tiny payload, or one wider than the whole
-                # ring (tobytes() emits C order from any view, lent
-                # strided and n-D ones included, in one pass)
-                inline = buf.tobytes()
+                # wider than the whole slot ring (or an array no record
+                # can describe): the bytes ride the receiver's queue and
+                # a placeholder record keeps their place in send order
+                # (tobytes() emits C order from any view, lent strided
+                # and n-D ones included, in one pass)
+                slot = shm.SLOT_QUEUE
+                meta = (buf.dtype, buf.shape) if kind == shm.ND else None
+                rt.spec.queues[dst].put((shm.MSG, me, meta, buf.tobytes()))
                 if nbytes > shm.INLINE_MAX:
                     pool.stats.add("allocations")
                     pool.stats.add("allocated_bytes", nbytes)
+                TRANSPORT_STATS.add("ctl_queue_msgs")
                 TRANSPORT_STATS.add("shm_inline_msgs")
                 TRANSPORT_STATS.add("shm_inline_bytes", nbytes)
+        if slot != shm.SLOT_QUEUE:
+            TRANSPORT_STATS.add("ctl_ring_msgs")
         if env.release is not None:
-            # the wire (slot run or inline blob) now owns the bytes: the
-            # sender's pooled buffer is free to be reused immediately
+            # the wire (record, slot run or queue blob) now owns the
+            # bytes: the sender's pooled buffer is free to be reused
             env.release()
-        msg = (shm.MSG, env.context, env.source, env.tag, env.nbytes,
-               kind, meta, slot, inline)
+        token = b""
         san = _san.ACTIVE
         if san is not None:
-            # wire piggyback: the sender's vector clock plus the run's
-            # shadow generations ride as an optional tenth field (the
-            # nine-field format is untouched when the sanitizer is off)
-            msg = msg + (san.slot_publish(rt.pool, slot, width),)
-        rt.spec.queues[endpoint].put(msg)
-        self._rt.bump_progress()
+            # the record's token area carries the sender's vector clock,
+            # the run's shadow generations and the record's own seq
+            san.ring_publish(_ring_site(me, dst), seq, ctl.head(dst, me),
+                             ctl.depth)
+            gens, clock, site = san.slot_publish(pool, slot, width)
+            token = pickle.dumps((seq, (gens, clock, site)))
+            if len(token) > shm.CTL_TOKEN_MAX:
+                # a clock too wide for the record: keep the checks, drop
+                # the ordering context reports would carry
+                token = pickle.dumps((seq, (gens, {}, site)))
+        ctl.write(dst, me, seq, env.context, env.source, env.tag,
+                  env.nbytes, slot, kind, buf, token)
+        ctl.publish(dst, me, seq)
+        self._next[dst] = seq + 1
+
+    def _wait_for_record(self, dst: int, seq: int) -> None:
+        """Block until ``dst`` has consumed enough of this endpoint's
+        ring to it for record ``seq`` to fit.  ``dst`` drains whenever
+        it touches its mailbox, so the wait ends unless ``dst`` has
+        returned — then it raises at once rather than wait for the
+        watchdog."""
+        rt = self._rt
+        ctl, me, state = rt.ctl, rt.endpoint, rt.spec.state
+        desc = f"ctl_ring(endpoint={me} -> {dst}, depth={ctl.depth})"
+        TRANSPORT_STATS.add("ctl_ring_full")
+
+        def room():
+            if seq - ctl.head(dst, me) < ctl.depth:
+                return True
+            if state.finished(dst):
+                raise DeadlockError(
+                    f"rank {rt.job_rank} blocked in {desc}: endpoint "
+                    f"{dst} returned with {ctl.depth} message(s) from this "
+                    f"rank unreceived", blocked={rt.job_rank: desc})
+            return None
+
+        self._own.wait_until(room, desc, poll=RING_POLL)
 
     def _wait_for_run(self, width: int) -> int:
         """Block until the receivers of this endpoint's messages release
-        a run of ``width`` slots, then claim it.  Each receiver's pump
-        frees its run right after delivery, whatever its rank is doing,
-        so the wait ends unless a receiver is gone — then the watchdog
-        sees this rank blocked on the ring and aborts the domain.  This
-        rank is its ring's only claimant, so the claim cannot miss."""
+        a run of ``width`` slots, then claim it.  Each receiver frees its
+        run as it drains the record, whenever it touches its mailbox, so
+        the wait ends unless a receiver is gone — then the watchdog sees
+        this rank blocked on the ring and aborts the domain.  This rank
+        is its ring's only claimant, so the claim cannot miss."""
         pool, ep = self._rt.pool, self._rt.endpoint
         self._own.wait_until(
             lambda: pool.find_run(ep, width),
             f"slot_ring(endpoint={ep}, run of {width} slot(s))",
             poll=RING_POLL)
         return pool.acquire(ep, width)
+
+
+def _ring_site(src: int, dst: int) -> str:
+    return f"ctl_ring({src}->{dst})"
+
+
+class ControlInbox:
+    """Receiver side of one endpoint's control plane: its incoming
+    descriptor rings, its doorbell, and the payloads the pump stashed
+    for placeholder records.  :class:`~repro.simmpi.matching.Mailbox`
+    calls :meth:`drain` (lock held) at every entry point and
+    :meth:`park` when a wait finds nothing."""
+
+    def __init__(self, runtime: "ProcRuntime"):
+        spec = runtime.spec
+        self._ctl = spec.ctl
+        self._pool = spec.pool
+        self._me = runtime.endpoint
+        self._bell = spec.doorbells[runtime.endpoint]
+        self._heads = [0] * spec.endpoints
+        #: per sender: (meta, blob) of placeholder records, in send order
+        self._wide = [deque() for _ in range(spec.endpoints)]
+
+    def kick(self) -> None:
+        """Post this endpoint's doorbell (wake a parked waiter)."""
+        self._bell.release()
+
+    def park(self, timeout: float | None) -> None:
+        """Sleep on the doorbell until a post (or ``timeout``); absorb
+        the posts of records a drain has already consumed."""
+        bell = self._bell
+        if bell.acquire(True, timeout):
+            while bell.acquire(False):
+                pass
+
+    def stash(self, src: int, meta: Any, blob: bytes) -> None:
+        """Pump side: the queued payload of ``src``'s next placeholder."""
+        self._wide[src].append((meta, blob))
+        self.kick()
+
+    def drain(self, mailbox: Mailbox) -> None:
+        """Deliver every published record of every incoming ring into
+        ``mailbox``, in ring order, then hand the records back."""
+        ctl, me, heads = self._ctl, self._me, self._heads
+        for src, tail in enumerate(ctl.tails(me)):
+            head = start = heads[src]
+            while head < tail and self._consume(mailbox, src, head):
+                head += 1
+            if head != start:
+                heads[src] = head
+                ctl.set_head(me, src, head)
+
+    def _consume(self, mailbox: Mailbox, src: int, seq: int) -> bool:
+        ctl, pool = self._ctl, self._pool
+        (context, source, tag, nbytes, wire, slot, kind, dtype, shape,
+         raw) = ctl.read(self._me, src, seq)
+        if slot == shm.SLOT_QUEUE:
+            wide = self._wide[src]
+            if not wide:
+                return False         # the pump has not stashed it yet
+            meta, blob = wide.popleft()
+            if meta is not None:
+                dtype, shape = meta
+            raw = np.frombuffer(blob, dtype=np.uint8)
+        elif slot >= 0:
+            raw = pool.slot_view(
+                slot, wire, dtype=dtype if kind == shm.ND else None)
+        san = _san.ACTIVE
+        if san is not None and ctl.tsan:
+            # the record's seq stamp, then the happens-before join with
+            # the sender plus the generation check that catches reuse of
+            # any slot of the run in flight
+            token = ctl.token(self._me, src, seq)
+            stamp, slot_token = pickle.loads(token) if token else (-1, None)
+            san.ring_consume(_ring_site(src, self._me), seq, stamp)
+            san.slot_consume(pool, slot, slot_token)
+        value = shm.decode_payload(kind, raw, dtype, shape)
+        env = Envelope(context, source, tag, None, nbytes)
+        if isinstance(value, np.ndarray):
+            # lent view of the shared run or record: an armed prepost
+            # sink scatters straight out of shared memory
+            mailbox._deliver_locked(env, live=value)
+        else:
+            env.payload = value
+            mailbox._deliver_locked(env)
+        if slot >= 0:
+            pool.release(slot, -(-wire // pool.slot_bytes))
+        return True
 
 
 class ProcRuntime:
@@ -270,6 +429,8 @@ class ProcRuntime:
         self.job_base = self.jobspec.base
         self.job_rank = endpoint - self.job_base
         self.pool = spec.pool
+        self.ctl = spec.ctl
+        self.inbox = ControlInbox(self)
         self.rdv: _queue.Queue = _queue.Queue()
         self.job = None          # set by _child_main
         self.transport: Optional[ProcTransport] = None
@@ -343,8 +504,6 @@ class ProcRuntime:
 
     def _pump_loop(self) -> None:
         q = self.spec.queues[self.endpoint]
-        mailbox = self.transport.mailbox(self.job_rank)
-        pool = self.spec.pool
         _san.register_actor(f"ep{self.endpoint}.pump")
         while True:
             msg = q.get()
@@ -358,30 +517,8 @@ class ProcRuntime:
             if verb == shm.RDV_REPLY:
                 self.rdv.put(msg[1])
                 continue
-            (_, context, source, tag, nbytes, kind, meta, slot, inline,
-             *extra) = msg
-            san = _san.ACTIVE
-            if san is not None and extra:
-                # happens-before join with the sender, plus the
-                # generation check that catches reuse of any slot of
-                # the run in flight
-                san.slot_consume(pool, slot, extra[0])
-            raw = (pool.slot_view(
-                       slot, nbytes,
-                       dtype=np.dtype(meta[0]) if kind == shm.ND else None)
-                   if slot >= 0 else inline)
-            value = shm.decode_payload(kind, meta, raw, inline)
-            env = Envelope(context, source, tag, None, nbytes)
-            if isinstance(value, np.ndarray):
-                # lent view of the shared slot (or inline blob): an armed
-                # prepost sink scatters straight out of shared memory
-                mailbox.deliver(env, live=value)
-            else:
-                env.payload = value
-                mailbox.deliver(env)
-            if slot >= 0:
-                # the run's width is implied by its payload size
-                pool.release(slot, -(-nbytes // pool.slot_bytes))
+            _, src, meta, blob = msg
+            self.inbox.stash(src, meta, blob)
 
 
 def _safe_dumps(obj: Any) -> bytes:
@@ -482,6 +619,7 @@ def _abort_all(spec: DomainSpec, pending: set[int], reason: str,
     spec.state.set_abort(reason)
     for ep in pending:
         spec.queues[ep].put((shm.ABORT, reason, dump))
+        spec.doorbells[ep].release()
 
 
 def _supervise_domain(spec: DomainSpec, procs: dict[int, Any],

@@ -2,9 +2,11 @@
 
 The procs backend's fast paths are lock-free protocols over shared
 segments: the :class:`~repro.simmpi.shm.SegmentPool` slot ring
-(FREE/BUSY flag transitions ordered by the control queue), the
-:class:`~repro.simmpi.shm.WindowSegment` epoch/done seqlock, the
-single-writer :class:`~repro.simmpi.shm.SharedState` watchdog fields,
+(FREE/BUSY flag transitions ordered by the descriptor record that
+announces each run), the :class:`~repro.simmpi.shm.ControlSegment`
+descriptor rings, the :class:`~repro.simmpi.shm.WindowSegment`
+epoch/done seqlock, the single-writer
+:class:`~repro.simmpi.shm.SharedState` watchdog fields,
 and the mailbox prepost handoff that completes a receive in the
 sender's thread.  Each is correct only under an ordering discipline no
 type checker sees.  This module is the *dynamic* half of that proof
@@ -17,10 +19,11 @@ not happens-after the operation that must precede it.
 Happens-before edges tracked:
 
 * **slot ring** — ``acquire`` joins the consumer's release clock
-  (in-process), ``publish`` ships the sender's clock with the control
-  message (the wire piggyback under procs), ``consume`` joins it.  A
-  per-slot *holder* / *generation* shadow pair lives in a side region
-  of the pool's own segment, so the checks see cross-process state:
+  (in-process), ``publish`` ships the sender's clock in the descriptor
+  record's token area (the wire piggyback under procs), ``consume``
+  joins it.  A per-slot *holder* / *generation* shadow pair lives in a
+  side region of the pool's own segment, so the checks see
+  cross-process state:
   acquiring a slot whose holder is still set, or consuming a
   generation the ring has moved past, is reuse before release (ABA).
   A message spanning a run of slots is checked slot by slot: the wire
@@ -31,6 +34,12 @@ Happens-before edges tracked:
   torn unless ``min(done) == epoch`` (fence complete, next epoch not
   yet open).  Clocks are published per window / per done-counter so
   reports carry the ordering context.
+* **descriptor rings** — the procs control plane's per-pair record
+  rings: a sender must not fill a record its receiver has not yet
+  consumed (``seq - head < depth``), and each record carries its seq
+  stamp (in the ``REPRO_TSAN``-only token area, beside the slot token)
+  so a receiver that reads a record published before its fill, or
+  overwritten by a wrap, reports it.
 * **watchdog fields** — every per-endpoint field has exactly one
   writing process (the owning rank) and the abort record exactly one
   (the supervisor); writes from anyone else are unsynchronized.
@@ -41,10 +50,10 @@ Happens-before edges tracked:
 Zero cost when off: call sites guard with ``if _san.ACTIVE is not
 None`` — one module-global load and an identity test, the same
 discipline as :func:`repro.verify.hook.maybe_verify_side` — and the
-wire format is untouched (the clock rides as an optional tenth tuple
-field only while enabled).  The A2 ablation benchmark proves the
-disabled path adds no counter traffic and no measurable per-step wall
-time.
+wire format is untouched (descriptor records grow a token area only
+when the segment is built with the sanitizer enabled).  The A2
+ablation benchmark proves the disabled path adds no counter traffic
+and no measurable per-step wall time.
 
 Reports are recorded, not raised: a race does not change control flow
 (the shipped tree must run identically under the sanitizer), but
@@ -136,8 +145,8 @@ class Sanitizer:
     # -- actors and clocks -------------------------------------------------
 
     def register_actor(self, name: str) -> str:
-        """Bind the calling thread to a logical actor (a rank, a pump
-        thread, a supervisor)."""
+        """Bind the calling thread to a logical actor (a rank, a queue
+        pump thread, a supervisor)."""
         self._tls.actor = name
         self._tls.clock = {name: 0}
         return name
@@ -231,7 +240,7 @@ class Sanitizer:
     def slot_publish(self, pool, slot: int, nslots: int = 1) -> tuple:
         """Sender is done writing the payload bytes of the run of
         ``nslots`` slots starting at ``slot``; returns the wire token
-        ``(generations, clock, site-tag)`` the control message carries,
+        ``(generations, clock, site-tag)`` the descriptor record carries,
         one generation per slot of the run.  ``slot`` may be ``-1`` for
         inline payloads (clock only)."""
         actor = self.actor()
@@ -254,7 +263,7 @@ class Sanitizer:
         return (gens, clock, f"{actor}:slot_publish(slot={slot})")
 
     def slot_consume(self, pool, slot: int, token: Optional[tuple]) -> None:
-        """Receiver observed the control message for the run starting
+        """Receiver observed the descriptor record for the run starting
         at ``slot``; the payload bytes it is about to read must still
         be the generations ``token[0]`` records, slot by slot."""
         if token is None:
@@ -286,6 +295,39 @@ class Sanitizer:
         snap = self._publish(("slot-release", id(pool), slot))
         with self._lock:
             self._release_clocks[key] = snap
+
+    # -- descriptor-ring sites (the procs control plane calls these) -------
+
+    def ring_publish(self, site: str, seq: int, head: int,
+                     depth: int) -> None:
+        """Sender filled record ``seq`` and is about to store
+        ``tail = seq + 1``; the receiver has consumed ``head`` records.
+        The record's index must have been handed back (``seq - head <
+        depth``), else the fill overwrote a record still unread."""
+        if seq - head >= depth:
+            self._report(
+                SLOT_REUSE, f"{site}.publish(seq={seq})",
+                f"record {seq} overwrote record {seq - depth} before its "
+                f"receiver consumed it (head {head}, depth {depth}) — "
+                f"the sender skipped the wait for room")
+        self._tick()
+
+    def ring_consume(self, site: str, seq: int, stamp: int) -> None:
+        """Receiver reads record ``seq``, whose sender-written seq stamp
+        is ``stamp``.  An older stamp means the ``tail`` store published
+        the record before its fill; a newer one, that the sender wrapped
+        around and overwrote it before this read."""
+        if stamp < seq:
+            self._report(
+                UNSYNC_WRITE, f"{site}.consume(seq={seq})",
+                f"record {seq} read with stamp {stamp}: tail was "
+                f"published before the record was filled")
+        elif stamp > seq:
+            self._report(
+                SLOT_REUSE, f"{site}.consume(seq={seq})",
+                f"record {seq} overwritten by record {stamp} before this "
+                f"read (wrap overwrite)")
+        self._tick()
 
     # -- seqlock window sites (rma.py calls these) -------------------------
 

@@ -1,8 +1,23 @@
 """Shared-memory primitives of the procs backend.
 
-Two fixed-layout ``multiprocessing.shared_memory`` segments per domain
+Three fixed-layout ``multiprocessing.shared_memory`` segments per domain
 (a domain = all ranks of a ``run_spmd`` job, or all ranks of every job
 of a ``run_coupled`` launch):
+
+* :class:`ControlSegment` — the control plane.  One single-producer /
+  single-consumer ring of :data:`CTL_DEPTH` fixed-size descriptor
+  records per (sender, receiver) endpoint pair.  A record carries the
+  envelope (context, source, tag, nbytes), the payload kind, where the
+  payload bytes are (first slot of a run, the record's own inline area
+  of :data:`INLINE_MAX` bytes, or the queue), the ND dtype and shape,
+  and — under ``REPRO_TSAN`` only — the sanitizer's wire token.  The
+  sender writes the record, then stores ``tail``; the receiver reads
+  every record below ``tail``, then stores ``head``: each counter has
+  exactly one writer.  Nothing on this path is pickled: ND, bytes and
+  scalar payloads are raw bytes in a record or a slot.  Each endpoint
+  owns one fork-inherited semaphore, its *doorbell*, which a sender
+  posts after every publish; a receiver with nothing to match parks on
+  it only once its rings are empty.
 
 * :class:`SegmentPool` — the payload plane.  One segment holds
   ``endpoints * slots_per_endpoint`` fixed-size slots plus a one-byte
@@ -13,20 +28,20 @@ of a ``run_coupled`` launch):
   scattered out of by one read.  Allocation is a lock-free first-fit
   scan of the sender's own ring: the sender flips the run's flags
   ``FREE -> BUSY`` before writing payload bytes into it, the receiver
-  flips them back after consuming.  The control message announcing the
-  run carries only its first slot; the receiver derives ``k`` from the
-  ``nbytes`` field it already gets.  The message travels through an OS
-  pipe (:class:`multiprocessing.queues.Queue`), which orders the
-  flag/payload writes before the receiver's reads.  A ring with no free
-  run of width ``k`` **blocks the sender** until a receiver releases
-  one (abort-aware and visible to the watchdog; ``ring_full`` counts
-  each message that had to wait).  Only tiny payloads (at most
-  :data:`INLINE_MAX` bytes) and payloads wider than the whole ring ride
-  inline in the control message.  The accounting mirrors
+  flips them back after consuming.  The descriptor record announcing
+  the run carries its first slot and byte length, and its ``tail``
+  store orders the flag/payload writes before the receiver's reads.  A
+  ring with no free run of width ``k`` **blocks the sender** until a
+  receiver releases one (abort-aware and visible to the watchdog;
+  ``ring_full`` counts each message that had to wait).  Payloads of at
+  most :data:`INLINE_MAX` bytes ride in the record itself; only
+  payloads wider than the whole slot ring travel through the
+  endpoint's ``multiprocessing`` queue, behind a placeholder record
+  that keeps their place in send order.  The accounting mirrors
   :class:`repro.schedule.bufpool.BufferPool`: ``loans`` / ``reuses``
-  (run grants) vs ``allocations`` (inline payloads wider than the ring
-  — the only path that allocates per message); ``oversize`` counts
-  messages wider than one slot.
+  (run grants) vs ``allocations`` (payloads wider than the ring — the
+  only path that allocates per message); ``oversize`` counts messages
+  wider than one slot.
 
 * :class:`SharedState` — the watchdog plane.  A per-endpoint progress
   counter, run-state byte (running / blocked / finished) and a short
@@ -37,18 +52,16 @@ of a ``run_coupled`` launch):
   domain is deadlocked when every unfinished endpoint is blocked and
   the progress sum has not moved for the timeout.
 
-Wire format of one control message (pickled by the queue):
-``(MSG, context, source, tag, nbytes, kind, meta, slot, inline)`` where
-``kind`` is ``ND`` (array: meta = (dtype-str, shape)), ``BYTES``,
-``PICKLE`` or ``OBJ`` (small immutable scalars shipped inline), and
-``slot`` is the first slot of the payload's run or ``-1`` for inline
-payloads.
+The per-endpoint queue carries only what no ring can: ``ABORT`` and
+``RDV_REPLY`` from the supervisor, ``STOP``, and ``(MSG, sender, meta,
+blob)`` payloads of placeholder records.
 """
 
 from __future__ import annotations
 
 import itertools
 import pickle
+import struct
 import sys
 import threading
 from multiprocessing import shared_memory
@@ -59,25 +72,31 @@ import numpy as np
 from repro.simmpi import sanitize as _san
 from repro.util.counters import Counters, TRANSPORT_STATS
 
-__all__ = ["SegmentPool", "SharedState", "WindowSegment",
+__all__ = ["ControlSegment", "SegmentPool", "SharedState", "WindowSegment",
            "encode_payload", "decode_payload"]
 
-# control-message verbs
+# queue verbs
 MSG = "MSG"
 ABORT = "ABORT"
 RDV_REPLY = "RDV_REPLY"
 STOP = "STOP"
 
-# payload kinds
-ND = "nd"
-BYTES = "by"
-PICKLE = "pk"
-OBJ = "ob"
+# payload kinds (one byte of a descriptor record)
+ND = 1
+BYTES = 2
+PICKLE = 3
+STR = 4
+NONE = 5
+BOOL = 6
+INT = 7
+FLOAT = 8
+COMPLEX = 9
 
 
-#: Payloads at most this many bytes ride inline in the control message
-#: even when a slot is free — a pipe write beats a slot round-trip for
-#: tiny protocol traffic (barrier tokens, handshakes, scalar reduces).
+#: Payloads at most this many bytes ride in the descriptor record's
+#: inline area even when a slot is free — a record write beats a slot
+#: round-trip for tiny protocol traffic (barrier tokens, handshakes,
+#: scalar reduces).
 INLINE_MAX = 2048
 
 _FREE = 0
@@ -527,6 +546,11 @@ class SharedState:
                             f"state.set_finished(endpoint={endpoint})")
         self.state[endpoint] = STATE_FINISHED
 
+    def finished(self, endpoint: int) -> bool:
+        """Has ``endpoint``'s rank returned (it will never receive
+        again)?"""
+        return bool(self.state[endpoint] == STATE_FINISHED)
+
     # -- supervisor side ---------------------------------------------------
 
     def desc(self, endpoint: int) -> str:
@@ -572,49 +596,257 @@ class SharedState:
             pass
 
 
+# -- control plane: per-pair descriptor rings --------------------------------
+
+#: Descriptor records per (sender, receiver) ring.  A sender that finds
+#: its ring to a peer full waits (``ctl_ring(...)`` in watchdog dumps)
+#: while draining its own incoming rings, so two ranks flooding each
+#: other cannot deadlock.
+CTL_DEPTH = 64
+
+#: ``first slot`` values of a record that name no slot: the payload is
+#: in the record's inline area, or in the receiver's queue (placeholder).
+SLOT_INLINE = -1
+SLOT_QUEUE = -2
+
+#: Record header: context, source, tag, envelope nbytes, wire bytes,
+#: first slot, kind, ndim, <pad>, dtype string, shape[8] — 128 bytes,
+#: so the inline area after it starts 64-byte aligned.
+_CTL_HDR = struct.Struct("<6q2B2x12s8q")
+CTL_MAX_NDIM = 8
+_CTL_DTYPE_BYTES = 12
+#: Sanitizer token area appended to every record under ``REPRO_TSAN``
+#: (a length word, then the pickled token of at most CTL_TOKEN_MAX).
+_CTL_TSAN_BYTES = 2048
+_TOKEN_LEN = struct.Struct("<I")
+CTL_TOKEN_MAX = _CTL_TSAN_BYTES - _TOKEN_LEN.size
+_NO_SHAPE = (0,) * CTL_MAX_NDIM
+
+_DTYPES: dict[bytes, np.dtype] = {}
+
+
+def record_fits(arr: np.ndarray) -> bool:
+    """Can a descriptor record describe ``arr`` (dtype string and shape
+    within the fixed header)?  Arrays it cannot describe ride the queue
+    behind a placeholder record, whatever their size."""
+    dt = arr.dtype
+    return (arr.ndim <= CTL_MAX_NDIM and dt.fields is None
+            and dt.subdtype is None and len(dt.str) <= _CTL_DTYPE_BYTES)
+
+
+class ControlSegment:
+    """Per-pair single-producer/single-consumer descriptor rings.
+
+    Layout (``E`` endpoints, counters indexed ``receiver * E + sender``
+    so a receiver's incoming counters are one contiguous row)::
+
+        tail    u64[E*E]          # sender-written: records published
+        head    u64[E*E]          # receiver-written: records consumed
+        records [E*E][CTL_DEPTH]  # fixed-size, 64-byte aligned
+
+    Record ``seq`` of a pair lives at index ``seq % CTL_DEPTH``.  The
+    sender may fill it only while ``seq - head < CTL_DEPTH`` and stores
+    ``tail = seq + 1`` after the fill; the receiver reads every record
+    below ``tail`` and then stores ``head``.  Aligned 8-byte counter
+    stores plus x86-TSO order the record bytes before the counter that
+    publishes them — the discipline of :class:`WindowSegment`.
+
+    Created in the supervisor, inherited over ``fork``; the segment is
+    never written at creation (a fresh mapping reads as zeros), so only
+    rings a rank actually uses cost resident pages.
+    """
+
+    def __init__(self, endpoints: int):
+        self.endpoints = e = int(endpoints)
+        self.depth = CTL_DEPTH
+        self.tsan = _san.enabled()
+        self._inline_off = _CTL_HDR.size
+        self._token_off = _CTL_HDR.size + INLINE_MAX
+        self.rec_bytes = self._token_off + (_CTL_TSAN_BYTES if self.tsan
+                                            else 0)
+        ctr = (8 * e * e + 63) & ~63
+        self._rec_off = 2 * ctr
+        self._shm = shared_memory.SharedMemory(
+            create=True,
+            size=self._rec_off + e * e * CTL_DEPTH * self.rec_bytes)
+        self._buf = self._shm.buf
+        self._tail = np.ndarray(e * e, dtype=np.uint64, buffer=self._buf)
+        self._head = np.ndarray(e * e, dtype=np.uint64, buffer=self._buf,
+                                offset=ctr)
+
+    def _record(self, dst: int, src: int, seq: int) -> int:
+        return self._rec_off + (
+            (dst * self.endpoints + src) * CTL_DEPTH + seq % CTL_DEPTH
+        ) * self.rec_bytes
+
+    # -- sender side (tail writer) -------------------------------------------
+
+    def head(self, dst: int, src: int) -> int:
+        """Records of the ``src -> dst`` ring its receiver has consumed."""
+        return int(self._head[dst * self.endpoints + src])
+
+    def write(self, dst: int, src: int, seq: int, context: int,
+              source: int, tag: int, nbytes: int, slot: int, kind: int,
+              buf: Optional[np.ndarray], token: bytes = b"") -> None:
+        """Fill record ``seq`` of the ``src -> dst`` ring (not yet
+        visible: :meth:`publish` makes it so).  ``buf`` is the payload
+        (``None`` for ``NONE``); its bytes are copied into the inline
+        area when ``slot`` is :data:`SLOT_INLINE`."""
+        off = self._record(dst, src, seq)
+        wire = 0 if buf is None else buf.nbytes
+        if kind == ND and slot != SLOT_QUEUE:
+            dt, ndim = buf.dtype.str.encode(), buf.ndim
+            shape = buf.shape + _NO_SHAPE[ndim:]
+        else:
+            dt, ndim, shape = b"", 0, _NO_SHAPE
+        _CTL_HDR.pack_into(self._buf, off, context, source, tag, nbytes,
+                           wire, slot, kind, ndim, dt, *shape)
+        if slot == SLOT_INLINE and wire:
+            lo = off + self._inline_off
+            self._buf[lo:lo + wire] = buf.tobytes()
+        if self.tsan:
+            if len(token) > CTL_TOKEN_MAX:
+                raise ValueError(f"sanitizer token of {len(token)} bytes "
+                                 f"exceeds the record's {CTL_TOKEN_MAX}")
+            lo = off + self._token_off
+            _TOKEN_LEN.pack_into(self._buf, lo, len(token))
+            lo += _TOKEN_LEN.size
+            self._buf[lo:lo + len(token)] = token
+
+    def publish(self, dst: int, src: int, seq: int) -> None:
+        """Make record ``seq`` visible: store ``tail = seq + 1``."""
+        self._tail[dst * self.endpoints + src] = seq + 1
+
+    # -- receiver side (head writer) -----------------------------------------
+
+    def tails(self, dst: int) -> list[int]:
+        """Published-record counts of every ring into ``dst``, indexed
+        by sender."""
+        e = self.endpoints
+        return self._tail[dst * e:(dst + 1) * e].tolist()
+
+    def read(self, dst: int, src: int, seq: int) -> tuple:
+        """Record ``seq`` of the ``src -> dst`` ring: ``(context, source,
+        tag, nbytes, wire, slot, kind, dtype, shape, inline)`` where
+        ``inline`` is a uint8 view of the inline payload bytes (valid
+        until :meth:`set_head` passes ``seq``) or ``None``."""
+        off = self._record(dst, src, seq)
+        (context, source, tag, nbytes, wire, slot, kind, ndim, dt,
+         *shape) = _CTL_HDR.unpack_from(self._buf, off)
+        dtype = None
+        if dt[0]:                    # ND records only (b"" packs as NULs)
+            dtype = _DTYPES.get(dt)
+            if dtype is None:
+                dtype = _DTYPES[dt] = np.dtype(dt.rstrip(b"\0").decode())
+        inline = None
+        if slot == SLOT_INLINE and wire:
+            inline = np.frombuffer(self._buf, dtype=np.uint8, count=wire,
+                                   offset=off + self._inline_off)
+        return (context, source, tag, nbytes, wire, slot, kind, dtype,
+                tuple(shape[:ndim]), inline)
+
+    def token(self, dst: int, src: int, seq: int) -> bytes:
+        """The sanitizer token of record ``seq`` (``b""`` when the
+        segment was built without a token area)."""
+        if not self.tsan:
+            return b""
+        lo = self._record(dst, src, seq) + self._token_off
+        (n,) = _TOKEN_LEN.unpack_from(self._buf, lo)
+        lo += _TOKEN_LEN.size
+        return bytes(self._buf[lo:lo + n])
+
+    def set_head(self, dst: int, src: int, value: int) -> None:
+        """Release every record of the ``src -> dst`` ring below
+        ``value`` back to its sender."""
+        self._head[dst * self.endpoints + src] = value
+
+    # -- lifecycle -----------------------------------------------------------
+
+    def close(self) -> None:
+        self._tail = self._head = self._buf = None
+        try:
+            self._shm.close()
+        except BufferError:  # pragma: no cover - stray views in teardown
+            pass
+
+    def unlink(self) -> None:
+        try:
+            self._shm.unlink()
+        except FileNotFoundError:  # pragma: no cover - double teardown
+            pass
+
+
 # -- payload encode/decode ---------------------------------------------------
 
+_INT = struct.Struct("<q")
+_FLOAT = struct.Struct("<d")
+_COMPLEX = struct.Struct("<dd")
+_INT_MIN, _INT_MAX = -(1 << 63), (1 << 63) - 1
 
-def encode_payload(obj: Any) -> tuple[str, Any, Optional[np.ndarray], Any]:
+
+def _raw(b: bytes) -> np.ndarray:
+    return np.frombuffer(b, dtype=np.uint8)
+
+
+def encode_payload(obj: Any) -> tuple[int, Optional[np.ndarray]]:
     """Classify one wire payload for the procs transport.
 
-    Returns ``(kind, meta, buf, inline)``: ``buf`` holds the bytes to
-    place in a run of slots (or ship inline when tiny or wider than the
-    ring), ``inline`` the ready-to-pickle object for slot-less kinds.
+    Returns ``(kind, buf)``: ``buf`` holds the payload bytes to place in
+    a record's inline area, a run of slots, or the queue — the array
+    itself for ``ND``, a uint8 array otherwise, ``None`` for ``NONE``.
+    Only objects with no raw-byte form (and object arrays) are pickled.
     """
     if isinstance(obj, np.ndarray):
-        arr = obj
-        return ND, (arr.dtype.str, arr.shape), arr, None
-    if isinstance(obj, (bytes, bytearray)):
-        raw = np.frombuffer(bytes(obj), dtype=np.uint8)
-        return BYTES, None, raw, None
-    if obj is None or isinstance(obj, (bool, int, float, complex, str)):
-        return OBJ, None, None, obj
+        if not obj.dtype.hasobject:
+            return ND, obj
+    elif isinstance(obj, (bytes, bytearray)):
+        return BYTES, _raw(bytes(obj))
+    elif obj is None:
+        return NONE, None
+    elif isinstance(obj, bool):
+        return BOOL, _raw(b"\1" if obj else b"\0")
+    elif isinstance(obj, int):
+        if _INT_MIN <= obj <= _INT_MAX:
+            return INT, _raw(_INT.pack(obj))
+    elif isinstance(obj, float):
+        return FLOAT, _raw(_FLOAT.pack(obj))
+    elif isinstance(obj, complex):
+        return COMPLEX, _raw(_COMPLEX.pack(obj.real, obj.imag))
+    elif isinstance(obj, str):
+        return STR, _raw(obj.encode("utf-8", "surrogatepass"))
     blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    return PICKLE, None, np.frombuffer(blob, dtype=np.uint8), None
+    return PICKLE, _raw(blob)
 
 
-def decode_payload(kind: str, meta: Any, raw: np.ndarray | bytes | None,
-                   inline: Any) -> Any:
-    """Rebuild the receiver-side payload.
+def decode_payload(kind: int, raw: Optional[np.ndarray], dtype: Any = None,
+                   shape: tuple = ()) -> Any:
+    """Rebuild the receiver-side payload from its uint8 bytes ``raw``.
 
     For ``ND`` the result is a (possibly read-only) view over ``raw`` —
     the mailbox consumes it synchronously as a lent view, so scattering
-    straight out of a shared slot needs no staging copy.
+    straight out of a shared slot or record needs no staging copy.
     """
-    if kind == OBJ:
-        return inline
-    if raw is None:
-        raise ValueError(f"kind {kind!r} needs payload bytes")
     if kind == ND:
-        dtype_str, shape = meta
-        buf = raw if isinstance(raw, np.ndarray) else \
-            np.frombuffer(raw, dtype=np.uint8)
-        return buf.view(np.dtype(dtype_str)).reshape(shape)
+        dt = np.dtype(dtype)
+        if raw is None:
+            return np.empty(shape, dtype=dt)
+        return raw.view(dt).reshape(shape)
+    if kind == NONE:
+        return None
+    if raw is None:
+        raw = _raw(b"")
     if kind == BYTES:
-        return bytes(raw if not isinstance(raw, np.ndarray)
-                     else raw.tobytes())
+        return raw.tobytes()
+    if kind == INT:
+        return _INT.unpack_from(raw)[0]
+    if kind == FLOAT:
+        return _FLOAT.unpack_from(raw)[0]
+    if kind == STR:
+        return raw.tobytes().decode("utf-8", "surrogatepass")
+    if kind == BOOL:
+        return bool(raw[0])
+    if kind == COMPLEX:
+        return complex(*_COMPLEX.unpack_from(raw))
     if kind == PICKLE:
-        blob = raw.tobytes() if isinstance(raw, np.ndarray) else bytes(raw)
-        return pickle.loads(blob)
+        return pickle.loads(raw.tobytes())
     raise ValueError(f"unknown payload kind {kind!r}")

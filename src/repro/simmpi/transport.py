@@ -24,7 +24,8 @@ The matching semantics (per-``(context, source, tag)`` FIFO, preposted
 recv-into-destination slots, event-driven abort) live in
 :class:`~repro.simmpi.matching.Mailbox` and are shared by both
 backends: the procs backend runs one local mailbox per rank process
-and a pump thread that replays remote deliveries into it.
+that drains the rank's incoming shared-memory control rings at every
+entry point.
 """
 
 from __future__ import annotations

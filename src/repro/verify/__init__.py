@@ -11,10 +11,11 @@ Three analyzers, one CLI (``python -m repro.verify``):
   mismatches), reporting in the runtime watchdog's blocked-rank dump
   format.
 * :mod:`repro.verify.race` — bounded explicit-state model checks of
-  the lock-free slot-ring and epoch seqlock protocols (clean proofs at
-  bounded scope plus a seeded-mutant matrix), sharing the commgraph
-  search engine; the static half of the ``REPRO_TSAN`` race-sanitizer
-  proof obligation (:mod:`repro.simmpi.sanitize` is the dynamic half).
+  the lock-free slot-ring, descriptor-ring and epoch seqlock protocols
+  (clean proofs at bounded scope plus a seeded-mutant matrix), sharing
+  the commgraph search engine; the static half of the ``REPRO_TSAN``
+  race-sanitizer proof obligation (:mod:`repro.simmpi.sanitize` is the
+  dynamic half).
 * :mod:`repro.verify.lint` — AST enforcement of the zero-copy
   transport's ownership contract over ``src/``.
 
@@ -49,6 +50,7 @@ _EXPORTS = {
     "fig5_model": "commgraph",
     "ModelResult": "race",
     "slot_ring_model": "race",
+    "descriptor_ring_model": "race",
     "epoch_model": "race",
     "check_protocols": "race",
     "sanitizer_selfcheck": "race",

@@ -341,13 +341,14 @@ def cmd_race(_args) -> int:
         if not r.passed and not r.exploration.ok:
             print(r.exploration.witness())
     print("  properties: no lost wakeups (every interleaving "
-          "completes), no ABA slot reuse, no unexposed-epoch puts, "
-          "no torn seqlock reads")
+          "completes), no ABA slot or record reuse, no record read "
+          "before its fill, no unexposed-epoch puts, no torn seqlock "
+          "reads")
     selfcheck = sanitizer_selfcheck()
     for msg in selfcheck:
         failures += 1
         print(f"  sanitizer selfcheck MISMATCH: {msg}")
-    print(f"  sanitizer selfcheck (live hooks, clean round + 6 seeded "
+    print(f"  sanitizer selfcheck (live hooks, clean round + 9 seeded "
           f"corruptions): " + ("OK" if not selfcheck else "FAIL"))
     print("race: " + ("FAIL" if failures else "OK"))
     return 1 if failures else 0

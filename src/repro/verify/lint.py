@@ -42,10 +42,11 @@ over ``src/``:
   is exempt (it is the one place a loop may legitimately feed the
   single frame pickle).
 * **V108 — raw shared-segment field access.**  The lock-free shared
-  segments (slot-ring flags, window epoch/done counters, watchdog
-  fields, the sanitizer shadow plane) are only safe through the
-  accessor layer in :mod:`repro.simmpi.shm`, where every transition
-  carries its ordering discipline (and its ``REPRO_TSAN`` hook).
+  segments (slot-ring flags, descriptor-ring head/tail counters and
+  records, window epoch/done counters, watchdog fields, the sanitizer
+  shadow plane) are only safe through the accessor layer in
+  :mod:`repro.simmpi.shm`, where every transition carries its
+  ordering discipline (and its ``REPRO_TSAN`` hook).
   Indexing one of those fields anywhere else bypasses both.
 * **V109 — flag transition without a paired accessor.**  Storing a
   FREE/BUSY or lifecycle flag constant into a subscript outside the
@@ -119,11 +120,12 @@ _WINDOW_NAME_RE = re.compile(r"win", re.IGNORECASE)
 PROCS_BACKEND_MODULES = ("simmpi/procs.py", "simmpi/shm.py")
 
 #: Shared-segment field names whose raw indexing is confined to the
-#: accessor layer (V108 scope): slot-ring flags, window seqlock
-#: counters, watchdog fields and the sanitizer shadow plane.
+#: accessor layer (V108 scope): slot-ring flags, descriptor-ring
+#: counters and records, window seqlock counters, watchdog fields and
+#: the sanitizer shadow plane.
 SHARED_SEGMENT_FIELDS = {
-    "_flags", "_epoch", "_done", "_descs", "_abort", "_reason",
-    "_tsan_holder", "_tsan_gen", "progress", "state",
+    "_flags", "_head", "_tail", "_buf", "_epoch", "_done", "_descs",
+    "_abort", "_reason", "_tsan_holder", "_tsan_gen", "progress", "state",
 }
 
 #: The accessor layer: the only modules allowed to index shared fields.

@@ -1,23 +1,29 @@
 """Bounded model checking of the lock-free shared-memory protocols.
 
-The procs backend's data plane rests on two tiny lock-free protocols
+The procs backend rests on three tiny lock-free protocols
 (:mod:`repro.simmpi.shm`): the **slot ring** — senders acquire a FREE
-slot, fill it, publish the index over the control queue, the receiving
-pump consumes and releases it — and the **seqlock window** — an owner
-opens exposure epochs that license remote puts, writers commit, the
-owner fences and reads.  :mod:`repro.simmpi.sanitize` checks these
-disciplines *dynamically* (on real executions, ``REPRO_TSAN=1``); this
-module is the *static* half of the proof obligation: each protocol is
-extracted into an explicit-state model and the commgraph search engine
+slot, fill it, publish the index in a descriptor record, the receiver
+consumes and releases it — the **descriptor ring** — per (sender,
+receiver) pair a single-producer/single-consumer ring of records with a
+sender-written ``tail``, a receiver-written ``head`` and one doorbell
+semaphore per receiver that the receiver parks on once its rings are
+empty — and the **seqlock window** — an owner opens exposure epochs
+that license remote puts, writers commit, the owner fences and reads.
+:mod:`repro.simmpi.sanitize` checks these disciplines *dynamically* (on
+real executions, ``REPRO_TSAN=1``); this module is the *static* half of
+the proof obligation: each protocol is extracted into an explicit-state
+model and the commgraph search engine
 (:func:`repro.verify.commgraph.explore_states`) exhaustively explores
 every interleaving at a bounded scope (2–3 writers, ring depth 2, two
-epochs; depth 3 with messages spanning runs of up to two slots),
-proving
+epochs; depth 3 with messages spanning runs of up to two slots; three
+records through a depth-2 descriptor ring), proving
 
 * **no lost wakeups** — every interleaving of the shipped protocol
-  runs to completion (no reachable stuck state),
-* **no ABA slot reuse** — a consumer never reads a slot generation the
-  ring has moved past,
+  runs to completion (no reachable stuck state), the receiver's park on
+  its doorbell included,
+* **no ABA slot or record reuse** — a consumer never reads a slot
+  generation the ring has moved past, nor a record the sender has
+  wrapped over or not yet filled,
 * **no unexposed-epoch puts / torn reads** — writes land only inside
   an open exposure epoch and owner reads only after its fence.
 
@@ -50,7 +56,9 @@ __all__ = [
     "SLOT_MUTANTS",
     "RUN_MUTANTS",
     "EPOCH_MUTANTS",
+    "RING_MUTANTS",
     "slot_ring_model",
+    "descriptor_ring_model",
     "epoch_model",
     "check_protocols",
     "sanitizer_selfcheck",
@@ -70,6 +78,13 @@ RUN_MUTANTS = {
     "release_first_only": "stuck",
 }
 
+#: Seeded descriptor-ring bugs and the outcome each must produce.
+RING_MUTANTS = {
+    "publish_before_fill": "violation:" + sanitize.UNSYNC_WRITE,
+    "lost_wakeup_on_park": "stuck",
+    "wrap_overwrite": "violation:" + sanitize.SLOT_REUSE,
+}
+
 #: Seeded epoch-protocol bugs and the outcome each must produce.
 EPOCH_MUTANTS = {
     "skip_wait": "violation:" + sanitize.UNSYNC_WRITE,
@@ -82,7 +97,7 @@ EPOCH_MUTANTS = {
 class ModelResult:
     """One model run: a clean proof or a mutant-fires demonstration."""
 
-    model: str                 #: ``slot_ring`` or ``epoch``
+    model: str                 #: ``slot_ring``, ``descriptor_ring`` or ``epoch``
     scope: str                 #: bound description, e.g. ``W=2 D=2 M=3``
     mutant: Optional[str]      #: seeded bug, ``None`` for the shipped protocol
     expect: str                #: ``clean`` / ``stuck`` / ``violation:<kind>``
@@ -120,7 +135,7 @@ def slot_ring_model(writers: int = 2, depth: int = 2, messages: int = 2,
     ring and fragment it.  ``width=1`` is the one-slot ring.
 
     State: per-slot FREE/BUSY flags and generation counters, the FIFO
-    control queue of published ``(first slot, run generations)``
+    FIFO of published ``(first slot, run generations)``
     pairs, each writer's ``(remaining, held-run start)`` and the
     consumer's ``(consumed, in-flight read)``.  Transitions mirror the
     runtime verbs — acquire (first fit: lowest run of FREE slots, flip
@@ -138,7 +153,7 @@ def slot_ring_model(writers: int = 2, depth: int = 2, messages: int = 2,
     init = (
         (0,) * depth,                     # flags: 0 FREE / 1 BUSY
         (0,) * depth,                     # per-slot generation
-        (),                               # control queue of (slot, gens)
+        (),                               # published (slot, gens) FIFO
         ((messages, -1),) * writers,      # writer (remaining, held slot)
         0,                                # messages consumed
         (-1, ()),                         # consumer in-flight (slot, gens)
@@ -205,7 +220,7 @@ def slot_ring_model(writers: int = 2, depth: int = 2, messages: int = 2,
             slot, run = queue[0]
             nflags = flags
             if mutant == "release_before_consume":
-                # the corrupted pump frees the run before reading it
+                # the corrupted receiver frees the run before reading it
                 nflags = setting(flags, slot, len(run), 0)
             out.append((f"consumer: pop(slot={slot}, "
                         f"gen={gen_label(run)})",
@@ -225,7 +240,7 @@ def slot_ring_model(writers: int = 2, depth: int = 2, messages: int = 2,
             if mutant == "skip_release":
                 nflags = flags
             elif mutant == "release_first_only":
-                # the corrupted pump frees only the run's first slot
+                # the corrupted receiver frees only the run's first slot
                 nflags = setting(flags, slot, 1, 0)
             else:
                 nflags = setting(flags, slot, k, 0)
@@ -238,6 +253,116 @@ def slot_ring_model(writers: int = 2, depth: int = 2, messages: int = 2,
         _, _, queue, ws, consumed, reading, _ = state
         return (consumed == total and not queue and reading[0] < 0
                 and all(r == 0 and h < 0 for r, h in ws))
+
+    return explore_states(init, successors, is_final,
+                          check=lambda state: state[-1])
+
+
+def descriptor_ring_model(writers: int = 1, depth: int = 2,
+                          messages: int = 3,
+                          mutant: Optional[str] = None) -> Exploration:
+    """Explicit-state model of the :class:`~repro.simmpi.shm.
+    ControlSegment` control plane: ``writers`` senders, each with its
+    own single-producer ring of ``depth`` records into one receiver,
+    each publishing ``messages`` records, plus the receiver's one
+    doorbell semaphore.
+
+    State: per ring its records (each holding the seq stamp its last
+    fill wrote), ``head`` and ``tail``; per writer ``(sent, step)``;
+    the doorbell count; the receiver's ``(consumed, step)``.  A writer
+    fills record ``tail % depth`` once ``tail - head < depth``, stores
+    ``tail + 1``, then posts the doorbell.  The receiver reads any
+    published record (its stamp must equal its seq) and advances
+    ``head``; when every ring is empty it decides to park, then sleeps
+    until the doorbell count is positive and absorbs it — a publish
+    between its emptiness check and the sleep leaves a post behind, so
+    no wakeup is lost.  See :data:`RING_MUTANTS` for the seeded
+    corruptions.
+    """
+    if mutant is not None and mutant not in RING_MUTANTS:
+        raise ValueError(f"unknown descriptor-ring mutant {mutant!r}")
+    total = writers * messages
+    # writer steps in order, per message
+    fill_first = mutant != "publish_before_fill"
+    steps = ("fill", "publish", "post") if fill_first else \
+        ("publish", "fill", "post")
+    init = (
+        (((-1,) * depth, 0, 0),) * writers,   # rings: (stamps, head, tail)
+        ((0, 0),) * writers,                  # writer (sent, step)
+        0,                                    # doorbell count
+        (0, 0),                               # receiver (consumed, step)
+        "",                                   # safety-violation tag
+    )
+
+    def put(seq, i, value):
+        return tuple(value if j == i else v for j, v in enumerate(seq))
+
+    def successors(state):
+        rings, ws, bell, (consumed, rstep), err = state
+        out = []
+        for w, (sent, step) in enumerate(ws):
+            if sent == messages:
+                continue
+            stamps, head, tail = rings[w]
+            verb = steps[step]
+            nws = put(ws, w, (sent + (verb == "post"), (step + 1) % 3))
+            if verb == "fill":
+                # publish-first fills the record it already published
+                seq = tail if fill_first else tail - 1
+                room = seq - head < depth
+                if not room and mutant != "wrap_overwrite":
+                    continue                 # waits for the receiver
+                nerr = err
+                if not room:
+                    nerr = (f"{sanitize.SLOT_REUSE}: writer {w} fills "
+                            f"record {seq} over unread record "
+                            f"{seq - depth} (head {head})")
+                ring = (put(stamps, seq % depth, seq), head, tail)
+                out.append((f"writer {w}: fill(seq={seq})",
+                            (put(rings, w, ring), nws, bell,
+                             (consumed, rstep), nerr)))
+            elif verb == "publish":
+                if not fill_first and tail - head >= depth:
+                    continue
+                out.append((f"writer {w}: publish(tail={tail + 1})",
+                            (put(rings, w, (stamps, head, tail + 1)), nws,
+                             bell, (consumed, rstep), err)))
+            else:
+                out.append((f"writer {w}: post doorbell",
+                            (rings, nws, bell + 1, (consumed, rstep), err)))
+        if rstep == 0:
+            for w, (stamps, head, tail) in enumerate(rings):
+                if head == tail:
+                    continue
+                stamp = stamps[head % depth]
+                nerr = err
+                if stamp < head:
+                    nerr = (f"{sanitize.UNSYNC_WRITE}: receiver reads "
+                            f"record {head} of ring {w} with stamp "
+                            f"{stamp} — published before its fill")
+                elif stamp > head:
+                    nerr = (f"{sanitize.SLOT_REUSE}: receiver reads "
+                            f"record {head} of ring {w} overwritten by "
+                            f"record {stamp}")
+                out.append((f"receiver: consume(ring={w}, seq={head})",
+                            (put(rings, w, (stamps, head + 1, tail)), ws,
+                             bell, (consumed + 1, 0), nerr)))
+            if consumed < total and all(h == t for _, h, t in rings):
+                out.append(("receiver: rings empty, park",
+                            (rings, ws, bell, (consumed, 1), err)))
+        elif rstep == 1 and mutant == "lost_wakeup_on_park":
+            # the corrupted park clears stale posts *after* checking the
+            # rings, swallowing any publish that landed in between
+            out.append(("receiver: clear doorbell",
+                        (rings, ws, 0, (consumed, 2), err)))
+        elif bell > 0:
+            out.append(("receiver: wake, absorb posts",
+                        (rings, ws, 0, (consumed, 0), err)))
+        return out
+
+    def is_final(state):
+        _, ws, _, (consumed, _), _ = state
+        return consumed == total and all(s == messages for s, _ in ws)
 
     return explore_states(init, successors, is_final,
                           check=lambda state: state[-1])
@@ -328,10 +453,12 @@ def epoch_model(writers: int = 2, epochs: int = 2,
                           check=lambda state: state[-1])
 
 
-#: Clean-proof scopes (2–3 writers, depth 2; runs at depth 3).
+#: Clean-proof scopes (2–3 writers, depth 2; runs at depth 3; one and
+#: two descriptor rings of depth 2 carrying three records each).
 _SLOT_SCOPES = ((2, 2, 3), (3, 2, 2))
 _RUN_SCOPES = ((2, 3, 2, 1), (2, 3, 2, 2))
 _EPOCH_SCOPES = ((2, 2), (3, 2))
+_RING_SCOPES = ((1, 2, 3), (2, 2, 3))
 
 
 def check_protocols() -> list[ModelResult]:
@@ -347,6 +474,10 @@ def check_protocols() -> list[ModelResult]:
         out.append(ModelResult(
             "slot_ring", f"W={w} D={d} M={m} width={r}", None, "clean",
             slot_ring_model(w, d, m, width=r)))
+    for w, d, m in _RING_SCOPES:
+        out.append(ModelResult(
+            "descriptor_ring", f"W={w} D={d} M={m}", None, "clean",
+            descriptor_ring_model(w, d, m)))
     for w, e in _EPOCH_SCOPES:
         out.append(ModelResult(
             "epoch", f"W={w} E={e}", None, "clean", epoch_model(w, e)))
@@ -358,6 +489,10 @@ def check_protocols() -> list[ModelResult]:
         out.append(ModelResult(
             "slot_ring", "W=2 D=3 M=2 width=2", mutant, expect,
             slot_ring_model(2, 3, 2, mutant=mutant, width=2)))
+    for mutant, expect in RING_MUTANTS.items():
+        out.append(ModelResult(
+            "descriptor_ring", "W=1 D=2 M=3", mutant, expect,
+            descriptor_ring_model(1, 2, 3, mutant=mutant)))
     for mutant, expect in EPOCH_MUTANTS.items():
         out.append(ModelResult(
             "epoch", "W=2 E=2", mutant, expect,
@@ -463,7 +598,7 @@ def sanitizer_selfcheck() -> list[str]:
         san.slot_consume(pool, 0, token)
         expect("ABA consume", [sanitize.SLOT_REUSE])
 
-        # seeded: a pump frees the run's second slot before reading,
+        # seeded: a receiver frees the run's second slot before reading,
         # and the ring hands that slot out again
         pool = _FakePool()
         for s in (0, 1):
@@ -473,6 +608,23 @@ def sanitizer_selfcheck() -> list[str]:
         san.slot_acquired(pool, 1)     # second slot of the run moves on
         san.slot_consume(pool, 0, token)
         expect("ABA consume inside a run", [sanitize.SLOT_REUSE])
+
+        # clean descriptor-ring round: publish into room, consume the
+        # record whose stamp is its seq
+        san.ring_publish("selfcheck", 2, 1, 2)
+        san.ring_consume("selfcheck", 2, 2)
+        expect("clean descriptor-ring round", [])
+
+        # seeded: fill over an unread record (wrap_overwrite)
+        san.ring_publish("selfcheck", 3, 1, 2)
+        expect("record wrap overwrite", [sanitize.SLOT_REUSE])
+
+        # seeded: read a record published before its fill
+        # (publish_before_fill), then one wrapped over before the read
+        san.ring_consume("selfcheck", 3, 1)
+        san.ring_consume("selfcheck", 3, 5)
+        expect("stale and overwritten records",
+               [sanitize.UNSYNC_WRITE, sanitize.SLOT_REUSE])
 
         # seeded: publish without holding (unsynchronized write)
         pool = _FakePool()

@@ -227,7 +227,7 @@ def _flood(comm, messages):
 
 def test_procs_full_ring_blocks_until_release():
     """A sender pushing 3x its ring to a receiver that sleeps first
-    waits for the receiver's pump to free each run instead of going
+    waits for the receiver's drain to free each run instead of going
     inline: every message rides the ring, in order, and the waits are
     counted once per message."""
     (inline, stats), got = run_spmd(2, _flood, 3, backend="procs",

@@ -98,7 +98,7 @@ def test_early_release_mutant_fires_aba(tsan):
 def test_run_round_clean_and_reuse_of_any_slot_fires(tsan):
     """A message spanning a run of slots: the clean round through the
     real verbs is report-free, and re-acquiring only the run's *last*
-    slot before the consume (a pump that freed it early) is caught —
+    slot before the consume (a receiver that freed it early) is caught —
     the wire token carries every slot's generation."""
     pool = _pool(slots_per_endpoint=3)
     try:

@@ -1,7 +1,7 @@
 """Bounded model checker for the lock-free protocols (repro.verify.race).
 
 Three layers: the generic explicit-state search engine
-(``explore_states``), the two protocol models (clean proofs at every
+(``explore_states``), the three protocol models (clean proofs at every
 bounded scope, every seeded mutant firing with a witness trace), and
 the dynamic-half selfcheck that replays the same corruptions through
 the live sanitizer hooks.
@@ -13,9 +13,11 @@ from repro.simmpi import sanitize
 from repro.verify.commgraph import explore_states
 from repro.verify.race import (
     EPOCH_MUTANTS,
+    RING_MUTANTS,
     RUN_MUTANTS,
     SLOT_MUTANTS,
     check_protocols,
+    descriptor_ring_model,
     epoch_model,
     sanitizer_selfcheck,
     slot_ring_model,
@@ -130,6 +132,46 @@ def test_slot_ring_rejects_unknown_mutant():
         slot_ring_model(mutant="off_by_one")
 
 
+# -- descriptor-ring model ----------------------------------------------------
+
+
+def test_descriptor_ring_clean_at_bounded_scopes():
+    for writers, depth, messages in ((1, 2, 3), (2, 2, 3), (1, 1, 2)):
+        ex = descriptor_ring_model(writers, depth, messages)
+        assert ex.ok, ex.witness()
+        assert ex.states > 10
+
+
+@pytest.mark.parametrize("mutant,expect", sorted(RING_MUTANTS.items()))
+def test_descriptor_ring_mutants_fire(mutant, expect):
+    ex = descriptor_ring_model(1, 2, 3, mutant=mutant)
+    assert not ex.ok
+    if expect == "stuck":
+        assert ex.stuck is not None
+    else:
+        kind = expect.split(":", 1)[1]
+        assert ex.violation is not None
+        assert ex.message.startswith(kind)
+    assert ex.trace
+    assert ex.witness()
+
+
+def test_descriptor_ring_lost_wakeup_needs_a_publish_inside_the_park():
+    """The stuck witness of ``lost_wakeup_on_park`` is a publish landing
+    between the receiver's emptiness check and its doorbell clear."""
+    ex = descriptor_ring_model(1, 2, 1, mutant="lost_wakeup_on_park")
+    trace = ex.trace
+    park = trace.index("receiver: rings empty, park")
+    clear = trace.index("receiver: clear doorbell")
+    assert any(t.startswith("writer 0: publish")
+               for t in trace[park:clear])
+
+
+def test_descriptor_ring_rejects_unknown_mutant():
+    with pytest.raises(ValueError, match="unknown descriptor-ring mutant"):
+        descriptor_ring_model(mutant="skip_post")
+
+
 # -- epoch model --------------------------------------------------------------
 
 
@@ -164,8 +206,8 @@ def test_check_protocols_matrix_all_pass():
     results = check_protocols()
     # clean proofs at two scopes per protocol, two run widths, and one
     # run per mutant
-    assert len(results) == 6 + len(SLOT_MUTANTS) + len(RUN_MUTANTS) \
-        + len(EPOCH_MUTANTS)
+    assert len(results) == 8 + len(SLOT_MUTANTS) + len(RUN_MUTANTS) \
+        + len(RING_MUTANTS) + len(EPOCH_MUTANTS)
     for r in results:
         assert r.passed, f"{r.label}: expected {r.expect}, got {r.outcome}"
     cleans = [r for r in results if r.mutant is None]
@@ -180,6 +222,7 @@ def test_model_result_labels_are_informative():
     labels = {r.label for r in results}
     assert any("slot_ring" in x and "mutant=" not in x for x in labels)
     assert any("mutant=skip_wait" in x for x in labels)
+    assert any(x.startswith("descriptor_ring[") for x in labels)
 
 
 # -- dynamic-half selfcheck ---------------------------------------------------
