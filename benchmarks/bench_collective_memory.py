@@ -22,7 +22,7 @@ noise.  The gates:
   claim, on >=16-rank cyclic/block-cyclic fan-outs),
 * collective wall time within 1.5x of p2p on the acceptance pair
   (payloads sized so copies dominate per-message overhead),
-* the ``auto`` cost model picks p2p on the small A7-style workload and
+* the ``auto`` cost model picks two_sided on the small A7-style workload and
   collective on the fan-out sweep.
 
 ``python benchmarks/bench_collective_memory.py [--json PATH] [--smoke]``
@@ -164,7 +164,7 @@ def _measure(kind, m, n, extent, round_bytes, steps=STEPS, sched=None):
     src_job, dst_job = Job(src_desc.nranks), Job(dst_desc.nranks)
     c_src_inters, c_dst_inters = couple_jobs(src_job, dst_job)
     c_srcs, c_dsts = _arrays(src_desc, dst_desc, extent)
-    bound = dict(tag=720, planner="collective", round_bytes=round_bytes)
+    bound = dict(tag=720, tier="collective", round_bytes=round_bytes)
     senders = [bind(sched, "src", c_src_inters[r], c_srcs[r], **bound)
                for r in range(src_desc.nranks)]
     receivers = [bind(sched, "dst", c_dst_inters[r], c_dsts[r],
@@ -226,7 +226,7 @@ def _measure(kind, m, n, extent, round_bytes, steps=STEPS, sched=None):
 
 def cost_model_decisions(fanout_sched=None):
     """The ``auto`` rule on both canonical workloads: the small
-    A7-style pair must stay p2p (latency-optimal, fits the ceiling);
+    A7-style pair must stay two_sided (latency-optimal, fits the ceiling);
     the fan-out sweep must switch to collective.  Pass the fan-out
     schedule if a caller already built it."""
     small_src, small_dst = _pair("cyclic", 32, 48, 4800)  # A7 acceptance
@@ -240,7 +240,8 @@ def cost_model_decisions(fanout_sched=None):
                            "chosen": small.chosen},
         "fanout_workload": {"total_bytes": big.total_bytes,
                             "chosen": big.chosen},
-        "passed": small.chosen == "p2p" and big.chosen == "collective",
+        "passed": (small.chosen == "two_sided"
+                   and big.chosen == "collective"),
     }
 
 
@@ -359,7 +360,7 @@ def smoke():
     if not decisions["passed"]:
         raise SystemExit(
             f"cost-model regression: small workload chose "
-            f"{decisions['small_workload']['chosen']} (want p2p), "
+            f"{decisions['small_workload']['chosen']} (want two_sided), "
             f"fan-out chose {decisions['fanout_workload']['chosen']} "
             f"(want collective)")
     print("bench_collective_memory smoke: OK "

@@ -5,7 +5,7 @@ but every step still pays per-message *transport* costs: each pair's
 payload is packed, copied through a shared slot ring, matched in the
 consumer's mailbox, and scattered — one envelope per pair per step,
 plus ack tokens to keep producers and consumers in lockstep.  The
-one-sided tier (``Coupler.open(..., one_sided=True)``) deletes all of
+one-sided tier (``Coupler.open(..., tier="rma")``) deletes all of
 it: the consumer's destination array lives inside a shared RMA window,
 each producer executes the receiver's compiled scatter plan directly
 into that window, and one epoch fence per step replaces per-message
@@ -94,15 +94,16 @@ def _deltas(snap0):
 
 # -- rank programs (module level: fork-safe on the procs backend) ------------
 
-def _producer(comm, extent, steps, dst_of, one_sided):
+def _producer(comm, extent, steps, dst_of, tier):
     src_desc, _ = _descs(extent)
     da = DistributedArray.from_global(src_desc, comm.rank, _global(extent))
     chan = Coupler(_FIELD, default_nameservice).open(
-        comm, "source", da, one_sided=one_sided)
+        comm, "source", da, tier=tier)
     # Two-sided needs an ack side-channel to stay in lockstep (slot
     # rings must not overfill); one-sided is lockstep by construction —
     # each put waits for the consumer's exposure epoch.
-    ack = None if one_sided else default_nameservice.accept(_ACK, comm)
+    ack = (default_nameservice.accept(_ACK, comm) if tier == "two_sided"
+           else None)
     mine = dst_of.get(comm.rank, ())
 
     def step():
@@ -134,11 +135,12 @@ def _producer(comm, extent, steps, dst_of, one_sided):
     }
 
 
-def _consumer(comm, extent, steps, src_of, collect, one_sided):
+def _consumer(comm, extent, steps, src_of, collect, tier):
     _, dst_desc = _descs(extent)
     chan = Coupler(_FIELD, default_nameservice).open(
-        comm, "destination", dst_desc, one_sided=one_sided)
-    ack = None if one_sided else default_nameservice.connect(_ACK, comm)
+        comm, "destination", dst_desc, tier=tier)
+    ack = (default_nameservice.connect(_ACK, comm) if tier == "two_sided"
+           else None)
     mine = src_of.get(comm.rank, ())
 
     def step():
@@ -169,7 +171,7 @@ def _consumer(comm, extent, steps, src_of, collect, one_sided):
 
 # -- measurement -------------------------------------------------------------
 
-def _measure(one_sided, extent=EXTENT, steps=STEPS, *, collect=False,
+def _measure(tier, extent=EXTENT, steps=STEPS, *, collect=False,
              transport_opts=None):
     src_desc, dst_desc = _descs(extent)
     # pre-warm: forked ranks inherit the cached schedule
@@ -181,9 +183,8 @@ def _measure(one_sided, extent=EXTENT, steps=STEPS, *, collect=False,
     _global(extent)
 
     res = run_coupled(
-        [("prod", M, _producer, (extent, steps, dst_of, one_sided)),
-         ("cons", N, _consumer, (extent, steps, src_of, collect,
-                                 one_sided))],
+        [("prod", M, _producer, (extent, steps, dst_of, tier)),
+         ("cons", N, _consumer, (extent, steps, src_of, collect, tier))],
         deadlock_timeout=180.0, backend="procs",
         transport_opts=transport_opts)
     prods, cons = res["prod"], res["cons"]
@@ -214,9 +215,9 @@ def _full_opts():
 
 
 def sweep(extent=EXTENT, steps=STEPS, *, collect=False, opts=None):
-    two = _measure(False, extent, steps, collect=collect,
+    two = _measure("two_sided", extent, steps, collect=collect,
                    transport_opts=opts)
-    rma = _measure(True, extent, steps, collect=collect,
+    rma = _measure("rma", extent, steps, collect=collect,
                    transport_opts=opts)
     ratio = rma["gbps"] / two["gbps"] if two["gbps"] else 0.0
     return [two, rma], ratio

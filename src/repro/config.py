@@ -17,7 +17,9 @@ Call sites resolve at import time (the three debug switches, whose
 setters override afterwards) or at construct / bind /
 open time — never per step or per invocation.  ``python -m
 repro.config`` prints every knob's effective value and where it came
-from; ``--markdown`` emits the README table.  The lint rule V110 keeps
+from, lists any set ``REPRO_*`` variable that names no knob (a retired
+one such as ``REPRO_RMA``) as ``unknown`` and then exits 1;
+``--markdown`` emits the README table.  The lint rule V110 keeps
 ``REPRO_*`` environment reads out of every other module.
 """
 
@@ -91,11 +93,10 @@ KNOBS = {k.name: k for k in (
          "Prove compiled plans against the fallback gather once per bind."),
     Knob("tsan", "REPRO_TSAN", "flag", False, None, ValueError,
          "Happens-before race sanitizer over the shared-memory protocols."),
-    Knob("rma", "REPRO_RMA", "flag", False, None, ValueError,
-         "Request the one-sided RMA tier where the transport supports it."),
-    Knob("planner", "REPRO_PLANNER", "choice", "p2p",
-         ("p2p", "collective", "auto"), ScheduleError,
-         "Per-pair messages, memory-bounded rounds, or the cost model's pick."),
+    Knob("tier", "REPRO_TIER", "choice", "two_sided",
+         ("two_sided", "rma", "collective", "auto"), ScheduleError,
+         "Per-pair messages, one-sided RMA, memory-bounded rounds, or the "
+         "cost model's pick."),
     Knob("round_bytes", "REPRO_ROUND_BYTES", "int", 1 << 16, 1, ScheduleError,
          "Per-rank, per-round byte cap of collective round plans."),
     Knob("schedule_cache_max", "REPRO_SCHEDULE_CACHE_MAX", "int", 512, 0,
@@ -141,7 +142,8 @@ def markdown() -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.config",
-        description="Print every knob's effective value and its source.")
+        description="Print every knob's effective value and its source; "
+                    "exit 1 if a set REPRO_* variable names no knob.")
     parser.add_argument("--markdown", action="store_true",
                         help="emit the README knob table instead")
     if parser.parse_args(argv).markdown:
@@ -150,7 +152,12 @@ def main(argv=None) -> int:
     for knob in KNOBS.values():
         value, source = lookup(knob.name)
         print(f"{knob.env:<26} {_shown(value):<12} {source}")
-    return 0
+    known = {k.env for k in KNOBS.values()}
+    stale = {var: raw.strip() for var, raw in sorted(os.environ.items())
+             if var.startswith("REPRO_") and var not in known and raw.strip()}
+    for var, raw in stale.items():
+        print(f"{var:<26} {raw:<12} unknown")
+    return 1 if stale else 0
 
 
 if __name__ == "__main__":

@@ -24,16 +24,15 @@ from typing import Sequence
 
 import numpy as np
 
-from repro import config
 from repro.errors import ConnectionError_, ScheduleError
 from repro.dad.darray import DistributedArray
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.dad.template import Template, block_template
+from repro.mxn.connection import agreed_requests, handshake
 from repro.schedule.bufpool import BufferPool
 from repro.schedule.builder import GLOBAL_CACHE
 from repro.schedule.delta import compile_delta
-from repro.schedule.executor import (bind, execute_inter, execute_intra,
-                                     resolve_tier)
+from repro.schedule.executor import bind, execute_inter, execute_intra
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.intercomm import Intercommunicator, NameService
 from repro.simmpi.runner import run_spmd
@@ -43,25 +42,21 @@ _HANDSHAKE_TAG = 150
 _DATA_TAG = 151
 _RESIZE_TAG = 152
 
-#: Knobs both jobs of a coupling must resolve identically: with the
-#: agreed schedule, dtype and transport they determine the tier.
-_AGREED = ("planner", "round_bytes", "rma")
-
 
 def redistribute(global_array: np.ndarray,
                  src_grid: Sequence[int],
                  dst_grid: Sequence[int],
                  *, backend: str | None = None,
-                 planner: str | None = None) -> np.ndarray:
+                 tier: str | None = None) -> np.ndarray:
     """Scatter ``global_array`` onto ``src_grid`` blocks, redistribute to
     ``dst_grid`` blocks, and reassemble — the whole Fig. 1 pipeline in
     one call (runs an SPMD job internally).
 
     ``backend="procs"`` runs the ranks as real processes with payloads
     in shared memory (see :mod:`repro.simmpi.transport`); the default
-    is the ``backend`` knob.  ``planner`` picks the execution strategy
-    (``p2p``/``collective``/``auto``, the ``planner`` knob) — see
-    :mod:`repro.config`."""
+    is the ``backend`` knob.  ``tier`` picks the execution tier (the
+    ``tier`` knob; a one-shot runs ``rma`` two-sided) — see
+    :func:`~repro.schedule.executor.resolve_tier`."""
     global_array = np.asarray(global_array)
     src = DistArrayDescriptor(
         block_template(global_array.shape, src_grid), global_array.dtype)
@@ -77,7 +72,7 @@ def redistribute(global_array: np.ndarray,
               if comm.rank < dst.nranks else None)
         execute_intra(sched, comm, src_array=sa, dst_array=da,
                       src_ranks=range(src.nranks),
-                      dst_ranks=range(dst.nranks), planner=planner)
+                      dst_ranks=range(dst.nranks), tier=tier)
         return da
 
     parts = [p for p in run_spmd(n, main, backend=backend) if p is not None]
@@ -113,7 +108,7 @@ def _resolve_new_descriptor(old_desc: DistArrayDescriptor, new_dist,
 
 def reconfigure(comm: Communicator, darray: DistributedArray | None,
                 new_dist, new_nranks: int | None = None, *,
-                planner: str | None = None,
+                tier: str | None = None,
                 round_bytes: int | None = None,
                 cache=None) -> DistributedArray | None:
     """Resize a live distributed array to a new decomposition, moving
@@ -133,8 +128,8 @@ def reconfigure(comm: Communicator, darray: DistributedArray | None,
     repeated resize is a pure cache hit, and a first-time resize
     warm-starts from any cached sibling's compiled plans), split it
     into migration + kept, repack kept bytes locally, stream only the
-    migration through the existing execution engines (``planner`` /
-    ``round_bytes`` as in :func:`redistribute`; the ``auto`` cost
+    migration through the existing execution engines (``tier`` /
+    ``round_bytes`` as in :func:`redistribute`; under ``auto`` the cost
     model picks the tier), then — after a drain barrier guarantees no
     rank still has transfer steps in flight — atomically swap the
     ownership map (:meth:`~repro.dad.darray.DistributedArray.adopt`).
@@ -187,12 +182,12 @@ def reconfigure(comm: Communicator, darray: DistributedArray | None,
     if comm.size > max(old_n, new_n):
         # Spare ranks hold neither side, and collective rounds need
         # every comm rank on at least one; all ranks compute this
-        # predicate identically, so the cohort agrees on p2p.
-        planner = "p2p"
+        # predicate identically, so the cohort agrees on two-sided.
+        tier = "two_sided"
     execute_intra(delta.migration, comm, src_array=darray,
                   dst_array=incoming, src_ranks=range(old_n),
                   dst_ranks=range(new_n), tag=_RESIZE_TAG,
-                  planner=planner, round_bytes=round_bytes)
+                  tier=tier, round_bytes=round_bytes)
     # Drain: no rank may swap its ownership map while any peer still
     # has migration steps in flight — after this barrier every receive
     # everywhere has completed, so the swap is globally atomic.
@@ -224,41 +219,30 @@ class Channel:
     ``pool_stats`` exposes the pool counters (producer side; all zeros
     on the consumer, which needs no staging at all).
 
-    The execution tier is resolved once, at open, by
-    :func:`~repro.schedule.executor.resolve_tier` (its table says what
-    each tier costs and releases); both sides must request the same
-    ``one_sided``/``planner`` (:meth:`Coupler.open` checks).
-    ``one_sided=True`` requests the RMA tier: on the procs backend the
-    consumer's array lives inside a shared window and each ``push``
-    writes directly into it.  ``planner="collective"`` (or ``auto``
-    deciding so) selects memory-bounded acknowledged rounds instead.
-    Both of those make a ``push`` wait for the consumer's matching
-    ``pull``, so producer and consumer
-    proceed in lockstep — two programs that each push before pulling
-    the reverse channel must stay two-sided (or pre-arm) to avoid a
-    cycle.
+    The execution tier is resolved once, at open, from the ``tier``
+    request by :func:`~repro.schedule.executor.resolve_tier` (its table
+    says what each tier costs and releases); both sides must request
+    the same ``tier`` (:meth:`Coupler.open` checks).  ``tier="rma"``
+    requests the one-sided tier: on the procs backend the consumer's
+    array lives inside a shared window and each ``push`` writes
+    directly into it.  ``tier="collective"`` (or ``auto`` deciding so)
+    selects memory-bounded acknowledged rounds instead.  Both of those
+    make a ``push`` wait for the consumer's matching ``pull``, so
+    producer and consumer proceed in lockstep — two programs that each
+    push before pulling the reverse channel must stay two-sided (or
+    pre-arm) to avoid a cycle.
     """
 
     def __init__(self, inter: Intercommunicator, role: str,
                  schedule, darray: DistributedArray,
-                 one_sided: bool | None = None,
-                 planner: str | None = None):
+                 tier: str | None = None):
         self._role = role
         self._darray = darray
         self.pool = BufferPool()
-        tier = resolve_tier(
-            schedule, np.dtype(darray.descriptor.dtype).itemsize, inter,
-            mode="rma" if config.resolve("rma", one_sided) else "two_sided",
-            planner=planner)
         self._transfer = bind(
             schedule, "src" if role == "source" else "dst", inter, darray,
             tag=_DATA_TAG, pool=self.pool, tier=tier)
         self.transfers = 0
-
-    @property
-    def planner(self) -> str:
-        """The resolved execution strategy ("p2p" or "collective")."""
-        return "collective" if self.mode == "collective" else "p2p"
 
     @property
     def mode(self) -> str:
@@ -314,31 +298,19 @@ class Coupler:
 
     def _handshake(self, comm: Communicator, role: str,
                    descriptor: DistArrayDescriptor, *,
-                   one_sided: bool | None = False,
-                   planner: str | None = None):
-        """Connect, then exchange the descriptor and this job's resolved
-        :data:`_AGREED` requests in one message.  Every rank of both
+                   tier: str | None = None, persistent: bool = False):
+        """Connect, then exchange the descriptor and this job's
+        :func:`~repro.mxn.connection.agreed_requests` in one message
+        (:func:`~repro.mxn.connection.handshake`): every rank of both
         jobs raises :class:`~repro.errors.ConnectionError_` when the
-        requests differ — before any transfer could stall on it.
-        One-shots are always two-sided, hence ``one_sided=False``."""
+        requests differ — before any transfer could stall on it."""
         if role == "source":
             inter = self.nameservice.accept(self.name, comm)
         else:
             inter = self.nameservice.connect(self.name, comm)
-        mine = tuple(config.resolve(knob, arg) for knob, arg
-                     in zip(_AGREED, (planner, None, one_sided)))
-        if comm.rank == 0:
-            inter.send((descriptor, mine), dest=0, tag=_HANDSHAKE_TAG)
-            peer = inter.recv(source=0, tag=_HANDSHAKE_TAG)
-        else:
-            peer = None
-        peer, theirs = comm.bcast(peer, root=0)
-        for knob, a, b in zip(_AGREED, mine, theirs):
-            if a != b:
-                raise ConnectionError_(
-                    f"coupling {self.name!r}: the jobs disagree on {knob} "
-                    f"({config.KNOBS[knob].env}) — this {role} resolved "
-                    f"{a!r}, its peer {b!r}")
+        peer = handshake(inter, _HANDSHAKE_TAG, descriptor,
+                         agreed_requests(tier, one_shot=not persistent),
+                         what=f"coupling {self.name!r}")
         if role == "source":
             sched = GLOBAL_CACHE.get(descriptor, peer)
         else:
@@ -364,19 +336,20 @@ class Coupler:
     # -- persistent ------------------------------------------------------------------
 
     def open(self, comm: Communicator, role: str,
-             darray_or_layout, *, one_sided: bool | None = None,
-             planner: str | None = None) -> Channel:
+             darray_or_layout, *, tier: str | None = None,
+             one_sided: bool | None = None) -> Channel:
         """Open a persistent channel.
 
         Producer: ``open(comm, "source", darray)``.
         Consumer: ``open(comm, "destination", layout_descriptor)`` —
         the local array is allocated for you (``channel.array``).
 
-        ``one_sided=True`` requests the RMA execution tier (see
-        :class:`Channel`); ``planner`` selects the redistribution
-        strategy (``p2p``/``collective``/``auto``).  ``None`` defers to
-        the ``rma`` / ``planner`` knobs of :mod:`repro.config`.  Both
-        sides must resolve the same requests — the handshake raises
+        ``tier`` requests the execution tier (see :class:`Channel`;
+        ``None`` defers to the ``tier`` knob of :mod:`repro.config`).
+        ``one_sided`` is its older spelling, kept for existing callers:
+        ``True`` means ``tier="rma"``, ``False`` ``tier="two_sided"``;
+        passing both raises :class:`TypeError`.  Both sides must
+        resolve the same requests — the handshake raises
         :class:`~repro.errors.ConnectionError_` on every rank of both
         jobs otherwise — and the tier then follows from the handshaken
         schedule and the dtype without negotiating.
@@ -384,10 +357,13 @@ class Coupler:
         if role not in ("source", "destination"):
             raise ConnectionError_(
                 f"role must be 'source' or 'destination', got {role!r}")
+        if one_sided is not None:
+            if tier is not None:
+                raise TypeError("Coupler.open takes tier= or one_sided=, "
+                                "not both")
+            tier = "rma" if one_sided else "two_sided"
         darray = (darray_or_layout if role == "source" else
                   DistributedArray.allocate(darray_or_layout, comm.rank))
-        inter, sched = self._handshake(
-            comm, role, darray.descriptor, one_sided=one_sided,
-            planner=planner)
-        return Channel(inter, role, sched, darray, one_sided=one_sided,
-                       planner=planner)
+        inter, sched = self._handshake(comm, role, darray.descriptor,
+                                       tier=tier, persistent=True)
+        return Channel(inter, role, sched, darray, tier=tier)

@@ -19,6 +19,8 @@ from repro.mxn.connection import (
     ConnectionKind,
     ConnectionSpec,
     MxNConnection,
+    agreed_requests,
+    handshake,
 )
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.intercomm import Intercommunicator
@@ -94,38 +96,35 @@ class MxNComponent:
         Successive connections over one intercommunicator get successive
         connection ids — each its own data tag, so their transfers may
         fire in any order on either side — which the handshake
-        cross-checks together with ``kind`` and ``period``.
+        cross-checks together with ``kind``, ``period`` and the
+        :func:`~repro.mxn.connection.agreed_requests`.  A bad role
+        or a refused access mode travels inside the handshake, so both
+        jobs raise :class:`~repro.errors.ConnectionError_` on every rank.
         """
         entry = self._entry(local_field)
-        if role == "source" and not entry.mode.allows_read():
-            raise ConnectionError_(
-                f"field {local_field!r} is not readable (mode {entry.mode})")
-        if role == "destination" and not entry.mode.allows_write():
-            raise ConnectionError_(
-                f"field {local_field!r} is not writable (mode {entry.mode})")
+        error = None
+        if role not in ("source", "destination"):
+            error = f"role must be 'source' or 'destination', got {role!r}"
+        elif role == "source" and not entry.mode.allows_read():
+            error = (f"field {local_field!r} is not readable "
+                     f"(mode {entry.mode})")
+        elif role == "destination" and not entry.mode.allows_write():
+            error = (f"field {local_field!r} is not writable "
+                     f"(mode {entry.mode})")
 
         my_desc = entry.darray.descriptor
         conn_id = self._handshakes.get(inter.recv_context, 0)
         self._handshakes[inter.recv_context] = conn_id + 1
-        mine = (kind.value, period, conn_id)
-        if self.local_comm.rank == 0:
-            inter.send((my_desc, *mine), dest=0, tag=90)
-            peer_desc, *theirs = inter.recv(source=0, tag=90)
-            if tuple(theirs) != mine:
-                raise ConnectionError_(
-                    f"connection parameter mismatch (kind, period, id): "
-                    f"local {mine} vs peer {tuple(theirs)}")
-        else:
-            peer_desc = None
-        peer_desc = self.local_comm.bcast(peer_desc, root=0)
+        agreed = {"kind": kind.value, "period": period,
+                  "connection id": conn_id,
+                  **agreed_requests(one_shot=kind is ConnectionKind.ONE_SHOT)}
+        peer_desc = handshake(inter, 90, my_desc, agreed, error=error,
+                              what="M×N connection")
 
         if role == "source":
             spec = ConnectionSpec(my_desc, peer_desc, kind, period, conn_id)
-        elif role == "destination":
-            spec = ConnectionSpec(peer_desc, my_desc, kind, period, conn_id)
         else:
-            raise ConnectionError_(
-                f"role must be 'source' or 'destination', got {role!r}")
+            spec = ConnectionSpec(peer_desc, my_desc, kind, period, conn_id)
         return MxNConnection(spec, inter, role, entry.darray)
 
     def connect_with_spec(self, inter: Intercommunicator, role: str,

@@ -12,14 +12,17 @@ additional synchronization barriers are required on either side."
 A connection fetches its schedule from the process-wide cache
 (:data:`~repro.schedule.builder.GLOBAL_CACHE`) and binds it once, at
 construction; connections sharing an intercommunicator are kept apart
-by their ``connection_id``'s data tag.
+by their ``connection_id``'s data tag.  :func:`handshake` is the one
+descriptor-and-parameter exchange every coupling runs before that.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Any
 
+from repro import config
 from repro.errors import ConnectionError_
 from repro.dad.darray import DistributedArray
 from repro.dad.descriptor import DistArrayDescriptor
@@ -31,6 +34,52 @@ from repro.simmpi.intercomm import Intercommunicator
 #: Tag space for M×N connection data (distinct per connection id).
 MXN_DATA_TAG_BASE = 6000
 _TAG_SPACE = 512
+
+#: Knobs both jobs of a coupling must resolve identically: with the
+#: agreed schedule, dtype and transport they determine the tier.
+_AGREED = ("tier", "round_bytes")
+
+
+def agreed_requests(tier: str | None = None, *,
+                    one_shot: bool = False) -> dict:
+    """This job's :data:`_AGREED` requests, resolved and named for
+    :func:`handshake`'s messages.  A one-shot never takes RMA, so its
+    ``rma`` request agrees with ``two_sided``."""
+    tier = config.resolve("tier", tier)
+    mine = {"tier": "two_sided" if one_shot and tier == "rma" else tier,
+            "round_bytes": config.resolve("round_bytes", None)}
+    return {f"{k} ({config.KNOBS[k].env})": mine[k] for k in _AGREED}
+
+
+def handshake(inter: Intercommunicator, tag: int, descriptor, agreed: dict,
+              *, what: str, error: str | None = None) -> Any:
+    """Trade ``descriptor``, the ``agreed`` values (name -> value) and
+    this rank's refusal ``error`` with the peer job; returns the peer's
+    descriptor.  ``what`` names the coupling in every error message.
+
+    Rank 0 of each job sends one message and broadcasts the peer's to
+    its job, so every rank of *both* jobs sees both sides and raises
+    :class:`~repro.errors.ConnectionError_` on its own error, the peer's
+    or the first value that differs — before any transfer could stall
+    on it, and without waiting for the deadlock watchdog.
+    """
+    comm = inter.local_comm
+    if comm.rank == 0:
+        inter.send((descriptor, agreed, error), dest=0, tag=tag)
+        peer = inter.recv(source=0, tag=tag)
+    else:
+        peer = None
+    peer_desc, theirs, peer_error = comm.bcast(peer, root=0)
+    if error is not None:
+        raise ConnectionError_(f"{what}: {error}")
+    if peer_error is not None:
+        raise ConnectionError_(f"{what}: the peer job refused — {peer_error}")
+    for name, value in agreed.items():
+        if value != theirs[name]:
+            raise ConnectionError_(
+                f"{what}: the jobs disagree on {name} — this job has "
+                f"{value!r}, its peer {theirs[name]!r}")
+    return peer_desc
 
 
 class ConnectionKind(enum.Enum):
@@ -75,11 +124,13 @@ class MxNConnection:
     instance and per cycle; it never synchronizes beyond the
     point-to-point messages the schedule itself requires.
 
-    A one-shot connection is the same path, always two-sided (a window
-    is only worth its setup amortized over steps), closed after its
-    single transfer.  A persistent one holds its transfer across cycles
-    — pooled pack buffers on the source, recv-into-destination on the
-    other side — until :meth:`close`.
+    The execution tier follows the ``tier`` knob
+    (:func:`~repro.schedule.executor.resolve_tier`).  A one-shot
+    connection is the same path, never RMA (a window is only worth its
+    setup amortized over steps), closed after its single transfer.  A
+    persistent one holds its transfer across cycles — pooled pack
+    buffers on the source, recv-into-destination on the other side —
+    until :meth:`close`.
     """
 
     def __init__(self, spec: ConnectionSpec, inter: Intercommunicator,
@@ -99,7 +150,7 @@ class MxNConnection:
         self._transfer = bind(
             self.schedule, "src" if role == "source" else "dst", inter,
             darray, tag=MXN_DATA_TAG_BASE + spec.connection_id % _TAG_SPACE,
-            pool=self.pool, mode="two_sided" if one_shot else None)
+            pool=self.pool, one_shot=one_shot)
 
     # -- the dataReady protocol -------------------------------------------
 

@@ -62,7 +62,6 @@ from repro.schedule.collplan import (
 )
 from repro.schedule.costmodel import (
     CostEstimate,
-    choose_planner,
     estimate,
 )
 from repro.schedule.executor import (
@@ -105,7 +104,6 @@ __all__ = [
     "plan_collective_rounds",
     "CostEstimate",
     "estimate",
-    "choose_planner",
     "pack_regions",
     "unpack_regions",
     "region_offsets",

@@ -278,7 +278,7 @@ class ScheduleCache:
     distribution template".  Builder options participate in the key:
     ``get(src, dst, force_general=True)`` never returns a fast-path
     schedule cached by a plain ``get(src, dst)``.  The execution
-    planner does not: a schedule's memoized plans serve every tier, so
+    tier does not: a schedule's memoized plans serve every tier, so
     one template pair is one entry whichever tier replays it.
 
     Two behaviors beyond plain memoization:

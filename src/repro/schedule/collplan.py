@@ -28,8 +28,7 @@ round buffer)** per rank — independent of the pair count — and
 :meth:`CollectivePlan.resident_ceiling` computes the exact process-wide
 bound the A10 benchmark gates in CI.  Whether a given transfer *should*
 pay the extra round synchronization is the cost model's call
-(:mod:`repro.schedule.costmodel`, ``REPRO_PLANNER={p2p,collective,
-auto}``).
+(:mod:`repro.schedule.costmodel`, under ``REPRO_TIER=auto``).
 
 Plans are pure functions of (schedule pair sizes, itemsize, round_bytes);
 :meth:`CommSchedule.collective_plan` memoizes them on the schedule next

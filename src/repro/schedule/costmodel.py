@@ -1,29 +1,31 @@
-"""Planner selection: point-to-point vs memory-bounded collective.
+"""The ``auto`` tier's cost model: two-sided vs memory-bounded collective.
 
-The packed p2p executors are latency-optimal (one message per pair, no
-round synchronization) but their peak transfer memory is the **sum of
-all pair buffers** — on a buffered transport every packed buffer can be
-queued at once.  The collective planner (:mod:`repro.schedule.collplan`)
-caps peak residency at O(round buffer) per rank, at the price of one
+The two-sided tier is latency-optimal (one message per pair, no round
+synchronization) but its peak transfer memory is the **sum of all pair
+buffers** — on a buffered transport every packed buffer can be queued
+at once.  The collective tier (:mod:`repro.schedule.collplan`) caps
+peak residency at O(round buffer) per rank, at the price of one
 barrier/ack handshake per round.  This module holds the *static* cost
-model that picks between them per (schedule, itemsize, world size):
+model that picks between them per (schedule, itemsize):
 
-* ``p2p``: peak resident bytes ≈ total wire bytes of the transfer
+* ``two_sided``: peak resident bytes ≈ total wire bytes of the transfer
   (every pair's packed buffer simultaneously loaned + queued in the
   worst case) — the O(pairs) term;
 * ``collective``: peak resident bytes ≤
   :meth:`~repro.schedule.collplan.CollectivePlan.resident_ceiling`,
   i.e. twice the sum over sources of their largest single-round send
   load — the O(local shard + round buffer) term;
-* ``auto`` picks ``collective`` exactly when the p2p estimate exceeds
-  the memory ceiling *and* the collective ceiling actually improves on
-  it, else ``p2p`` (small transfers keep the latency-optimal path).
+* the pick is ``collective`` exactly when the two-sided estimate
+  exceeds the memory ceiling *and* the collective ceiling actually
+  improves on it, else ``two_sided`` (small transfers keep the
+  latency-optimal path).  The model never picks ``rma``.
 
-Both sides of a coupled handshake evaluate the model independently, so
+Both sides of a coupled handshake evaluate the model independently
+(:func:`~repro.schedule.executor.resolve_tier` is its one caller), so
 every input is deterministic: the schedule (agreed via the descriptor
 handshake), the dtype itemsize, the constant :data:`MEM_CEILING`, and
-the ``planner`` / ``round_bytes`` knobs (:mod:`repro.config`; the
-handshake cross-checks them).
+the ``round_bytes`` knob (:mod:`repro.config`; the handshake
+cross-checks it together with ``tier``).
 """
 
 from __future__ import annotations
@@ -32,27 +34,27 @@ from dataclasses import dataclass
 
 from repro import config
 
-__all__ = ["MEM_CEILING", "CostEstimate", "estimate", "choose_planner"]
+__all__ = ["MEM_CEILING", "CostEstimate", "estimate"]
 
-#: Resident bytes above which ``auto`` abandons p2p (1 MiB).
+#: Resident bytes above which ``auto`` abandons two-sided (1 MiB).
 MEM_CEILING = 1 << 20
 
 
 @dataclass(frozen=True, slots=True)
 class CostEstimate:
-    """The model's static view of one transfer under both planners."""
+    """The model's static view of one transfer under both tiers."""
 
     pair_count: int
     total_bytes: int        # wire bytes of one full transfer
-    p2p_peak_bytes: int     # worst-case resident bytes under p2p
+    p2p_peak_bytes: int     # worst-case resident bytes under two-sided
     coll_peak_bytes: int    # static resident ceiling under collective
     nrounds: int            # rounds the collective plan needs
-    chosen: str             # "p2p" or "collective"
+    chosen: str             # tier name: "two_sided" or "collective"
 
 
 def estimate(schedule, itemsize: int, *,
              round_bytes: int | None = None) -> CostEstimate:
-    """Evaluate both planners for ``schedule`` at ``itemsize`` and pick
+    """Evaluate both tiers for ``schedule`` at ``itemsize`` and pick
     one under the ``auto`` rule.  Pure: depends only on the schedule,
     the itemsize, and the resolved ``round_bytes``, so all ranks and
     both coupled sides agree without communicating."""
@@ -65,7 +67,7 @@ def estimate(schedule, itemsize: int, *,
     p2p_peak = 2 * total
     coll_peak = coll.resident_ceiling()
     chosen = "collective" if (p2p_peak > MEM_CEILING
-                              and coll_peak < p2p_peak) else "p2p"
+                              and coll_peak < p2p_peak) else "two_sided"
     return CostEstimate(pair_count=schedule.pair_count,
                         total_bytes=total,
                         p2p_peak_bytes=p2p_peak,
@@ -73,13 +75,3 @@ def estimate(schedule, itemsize: int, *,
                         nrounds=coll.nrounds,
                         chosen=chosen)
 
-
-def choose_planner(schedule, itemsize: int, *,
-                   planner: str | None = None,
-                   round_bytes: int | None = None) -> str:
-    """Resolve ``planner`` to a concrete execution strategy ("p2p" or
-    "collective"), running the cost model when it is ``auto``."""
-    planner = config.resolve("planner", planner)
-    if planner != "auto":
-        return planner
-    return estimate(schedule, itemsize, round_bytes=round_bytes).chosen

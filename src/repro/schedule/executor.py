@@ -53,12 +53,12 @@ releases                             remote windows;
                                      receiver evacuates its
                                      array to private heap,
                                      retires the window
-picked       by default              ``mode="rma"`` /        ``planner=
-when                                 ``REPRO_RMA=1`` on an   "collective"``, or
-                                     ``rma_capable``         ``auto`` when the cost
-                                     transport (else         model says p2p
-                                     two-sided, counted as   residency exceeds the
-                                     ``rma_fallbacks``)      ceiling; beats ``rma``
+picked       ``tier="two_sided"``    ``tier="rma"`` on a     ``tier="collective"``,
+when         (the default), ``rma``  persistent transfer     or ``auto`` when the
+             on a one-shot or an     over an                 cost model says
+             incapable transport,    ``rma_capable``         two-sided residency
+             ``auto`` under the      transport               exceeds the ceiling
+             ceiling
 ===========  ======================  ======================  ======================
 
 Both wires of the collective tier replay the same bind-time
@@ -83,7 +83,7 @@ from repro.dad.darray import DistributedArray
 from repro.linearize.linearization import Linearization
 from repro.schedule.bufpool import BufferPool
 from repro.schedule.collplan import CollectivePlan
-from repro.schedule.costmodel import choose_planner
+from repro.schedule.costmodel import estimate
 from repro.schedule.indexplan import LocalIndexer
 from repro.schedule.plan import CommSchedule
 from repro.simmpi import payload, rma
@@ -114,40 +114,37 @@ class Tier:
     coll: CollectivePlan | None = None
 
 
-def resolve_tier(schedule, itemsize: int | None, link, *,
-                 mode: str | None = None, planner: str | None = None,
-                 round_bytes: int | None = None) -> Tier:
+def resolve_tier(schedule, itemsize: int, link, *,
+                 tier: str | None = None, round_bytes: int | None = None,
+                 one_shot: bool = False) -> Tier:
     """The one place a transfer's execution tier is decided.
 
-    ``planner``, ``round_bytes`` and ``mode`` (``None`` = the ``rma``
-    flag) are knobs of :mod:`repro.config`.  ``planner`` goes first:
-    ``collective``, or ``auto`` with the cost model saying so, wins over
-    everything and carries the round plan for ``round_bytes``.
-    Otherwise ``mode`` picks between the point-to-point tiers; RMA needs
-    ranks that can attach each other's windows, so on a transport that
-    cannot (the threads backend) it falls back to two-sided, counted as
-    ``rma_fallbacks``.
+    ``tier`` and ``round_bytes`` are knobs of :mod:`repro.config`
+    (``None`` = environment, then default).  ``collective`` carries the
+    round plan for ``round_bytes``; ``auto`` takes the cost model's pick
+    (:func:`~repro.schedule.costmodel.estimate`: collective or
+    two-sided, never RMA).  ``rma`` needs a window worth its set-up and
+    ranks that can attach each other's windows: a one-shot runs
+    two-sided instead, and a transport that cannot attach (the threads
+    backend) falls back to two-sided, counted as ``rma_fallbacks``.
 
-    A pure function of the schedule, the itemsize, the transport and
-    those three requests: two coupled jobs that agree on the requests
-    (:meth:`repro.highlevel.Coupler.open` cross-checks them at the
-    handshake) resolve the same tier without negotiating.  ``itemsize``
-    may be ``None`` only when ``planner`` resolves to ``p2p``.
+    A pure function of the schedule, the itemsize, the transport, the
+    persistence and those two requests: two coupled jobs that agree on
+    the requests (:meth:`repro.highlevel.Coupler.open` cross-checks
+    them at the handshake) resolve the same tier without negotiating.
     """
-    rb = config.resolve("round_bytes", round_bytes)
-    if choose_planner(schedule, itemsize, planner=planner,
-                      round_bytes=rb) == "collective":
-        return Tier("collective", schedule.collective_plan(itemsize, rb))
-    if mode is None:
-        mode = "rma" if config.resolve("rma") else "two_sided"
-    if mode not in ("two_sided", "rma"):
-        raise ValueError(f"unknown execution mode {mode!r}; expected "
-                         f"'two_sided' or 'rma'")
-    comm = link.local_comm if isinstance(link, Intercommunicator) else link
-    if mode == "rma" and not comm.job.transport.rma_capable:
+    kind = config.resolve("tier", tier)
+    if kind == "auto":
+        kind = estimate(schedule, itemsize, round_bytes=round_bytes).chosen
+    if kind == "collective":
+        return Tier(kind, schedule.collective_plan(
+            itemsize, config.resolve("round_bytes", round_bytes)))
+    if kind == "rma" and not one_shot:
+        comm = link.local_comm if isinstance(link, Intercommunicator) else link
+        if comm.job.transport.rma_capable:
+            return Tier(kind)
         TRANSPORT_STATS.add("rma_fallbacks")
-        mode = "two_sided"
-    return Tier(mode)
+    return Tier("two_sided")
 
 
 # -- the core -----------------------------------------------------------------
@@ -439,7 +436,7 @@ class _RoundRecv(BoundTransfer):
 
 
 def _alltoallv_rounds(comm: Communicator, tx: _RoundSend | None,
-                      rx: _RoundRecv | None, nrounds: int) -> int:
+                      rx: _RoundRecv | None) -> int:
     """The collective tier's intra-job wire: per round one ``alltoallv``
     (statically known counts — no count exchange) and one tree barrier,
     collective over **all** ranks of ``comm``, so no rank packs round
@@ -447,7 +444,8 @@ def _alltoallv_rounds(comm: Communicator, tx: _RoundSend | None,
     lockstep.  ``tx``/``rx`` are this rank's bound halves (either may be
     absent); returns the elements this rank received."""
     received = 0
-    dtype = (tx if tx is not None else rx)._dtype
+    half = tx if tx is not None else rx
+    dtype, nrounds = half._dtype, len(half._rounds)
     flat = tx._storage.flat_local() if tx is not None else None
     rflat = rx._storage.flat_local() if rx is not None else None
     for rnd in range(nrounds):
@@ -497,9 +495,9 @@ def _half(tier: Tier, side: str, plan, storage, link, **kw) -> BoundTransfer:
 def bind(schedule: CommSchedule, side: str, link, array: DistributedArray,
          *, tag: int = TRANSFER_TAG, rank: int | None = None,
          peer_map: Sequence[int] | None = None,
-         pool: BufferPool | None = None, tier: Tier | None = None,
-         mode: str | None = None, planner: str | None = None,
-         round_bytes: int | None = None) -> BoundTransfer:
+         pool: BufferPool | None = None, tier: str | None = None,
+         round_bytes: int | None = None,
+         one_shot: bool = False) -> BoundTransfer:
     """Bind ``side`` (``"src"``/``"dst"``) of ``schedule`` to ``array``
     over ``link``.
 
@@ -507,11 +505,12 @@ def bind(schedule: CommSchedule, side: str, link, array: DistributedArray,
     overrides this side's schedule rank (PRMI sub-setting, where
     effective caller ranks differ from cohort ranks; intra-job cohorts)
     and ``peer_map`` translates the *peer* side's schedule ranks to
-    actual ranks on the link for the same reason.  ``tier`` is an
-    already-resolved :class:`Tier`; without one, ``mode``/``planner``/
-    ``round_bytes`` go through :func:`resolve_tier`.  On the RMA tier
-    the two sides' binds rendezvous (window handles travel receiver →
-    sender), so a single thread must bind receivers first.
+    actual ranks on the link for the same reason.  ``tier``,
+    ``round_bytes`` and ``one_shot`` (a transfer stepped once, then
+    closed) go through :func:`resolve_tier`; the result is the handle's
+    ``tier``.  On the RMA tier the two sides' binds rendezvous (window
+    handles travel receiver → sender), so a single thread must bind
+    receivers first.
     """
     if side not in _PLAN_SIDE:
         raise ValueError(f"side must be 'src' or 'dst', got {side!r}")
@@ -522,11 +521,10 @@ def bind(schedule: CommSchedule, side: str, link, array: DistributedArray,
     maybe_verify_side(schedule, _PLAN_SIDE[side], me, descriptor)
     plan = schedule.rank_plan(_PLAN_SIDE[side], me,
                               descriptor.local_regions(me))
-    if tier is None:
-        tier = resolve_tier(schedule, np.dtype(descriptor.dtype).itemsize,
-                            link, mode=mode, planner=planner,
-                            round_bytes=round_bytes)
-    return _half(tier, side, plan, array, link, tag=tag, me=me,
+    resolved = resolve_tier(schedule, np.dtype(descriptor.dtype).itemsize,
+                            link, tier=tier, round_bytes=round_bytes,
+                            one_shot=one_shot)
+    return _half(resolved, side, plan, array, link, tag=tag, me=me,
                  peer_map=peer_map, pool=pool)
 
 
@@ -543,12 +541,12 @@ def execute_inter(schedule: CommSchedule, inter: Intercommunicator,
                   side: str, array: DistributedArray,
                   *, tag: int = TRANSFER_TAG, rank: int | None = None,
                   peer_map: Sequence[int] | None = None,
-                  planner: str | None = None,
+                  tier: str | None = None,
                   round_bytes: int | None = None) -> int:
     """Run ``schedule`` once across an intercommunicator; returns
     elements sent (``side="src"``) or received (``"dst"``).
 
-    ``rank``/``peer_map``/``planner``/``round_bytes`` as in :func:`bind`.
+    ``rank``/``peer_map``/``tier``/``round_bytes`` as in :func:`bind`.
     A one-shot never takes the RMA tier (a window's setup is only worth
     it amortized over steps).  On the collective tier the send side
     blocks until the peer consumes each round, so both jobs must drive
@@ -556,8 +554,8 @@ def execute_inter(schedule: CommSchedule, inter: Intercommunicator,
     halves itself and drives ``send_round``/``recv_round``.
     """
     return _once(bind(schedule, side, inter, array, tag=tag, rank=rank,
-                      peer_map=peer_map, mode="two_sided", planner=planner,
-                      round_bytes=round_bytes))
+                      peer_map=peer_map, tier=tier, round_bytes=round_bytes,
+                      one_shot=True))
 
 
 def execute_intra(schedule: CommSchedule, comm: Communicator,
@@ -566,7 +564,7 @@ def execute_intra(schedule: CommSchedule, comm: Communicator,
                   src_ranks: Sequence[int] | None = None,
                   dst_ranks: Sequence[int] | None = None,
                   tag: int = TRANSFER_TAG,
-                  planner: str | None = None,
+                  tier: str | None = None,
                   round_bytes: int | None = None) -> int:
     """Run ``schedule`` once inside one communicator; returns the
     elements this rank received.
@@ -578,9 +576,10 @@ def execute_intra(schedule: CommSchedule, comm: Communicator,
     sends, then completes its receives — no barrier on either side,
     which is what experiment E9 counts.  Every participating rank calls
     this collectively with the same schedule.  On the collective tier
-    (``planner``/``round_bytes`` as in :func:`resolve_tier`) the rounds
-    are collective over the *whole* communicator, so every comm rank
-    must hold at least one side's array.
+    (``tier``/``round_bytes`` as in :func:`resolve_tier`; ``rma`` runs
+    two-sided, as on every one-shot) the rounds are collective over the
+    *whole* communicator, so every comm rank must hold at least one
+    side's array.
     """
     src_ranks = list(src_ranks if src_ranks is not None
                      else range(schedule.src_nranks))
@@ -593,30 +592,28 @@ def execute_intra(schedule: CommSchedule, comm: Communicator,
         raise ScheduleError(
             f"need {schedule.dst_nranks} dest ranks, got {len(dst_ranks)}")
     me = comm.rank
-    held = src_array if src_array is not None else dst_array
-    if held is None and config.resolve("planner", planner) != "p2p":
+    tier = config.resolve("tier", tier)
+    if src_array is None and dst_array is None and \
+            tier in ("collective", "auto"):
         raise ScheduleError(
-            f"rank {me} joins collective-planner execution holding neither "
+            f"rank {me} joins {tier}-tier execution holding neither "
             f"array — the rounds need every comm rank on at least one side")
-    tier = resolve_tier(
-        schedule,
-        None if held is None else np.dtype(held.descriptor.dtype).itemsize,
-        comm, mode="two_sided", planner=planner, round_bytes=round_bytes)
+    kw = dict(tag=tag, tier=tier, round_bytes=round_bytes, one_shot=True)
     tx = rx = None
     if me in src_ranks:
         if src_array is None:
             raise ScheduleError(f"rank {me} is a source but has no src_array")
-        tx = bind(schedule, "src", comm, src_array, tag=tag, tier=tier,
-                  rank=src_ranks.index(me), peer_map=dst_ranks)
+        tx = bind(schedule, "src", comm, src_array,
+                  rank=src_ranks.index(me), peer_map=dst_ranks, **kw)
     if me in dst_ranks:
         if dst_array is None:
             raise ScheduleError(
                 f"rank {me} is a destination but has no dst_array")
-        rx = bind(schedule, "dst", comm, dst_array, tag=tag, tier=tier,
-                  rank=dst_ranks.index(me), peer_map=src_ranks)
+        rx = bind(schedule, "dst", comm, dst_array,
+                  rank=dst_ranks.index(me), peer_map=src_ranks, **kw)
     try:
-        if tier.coll is not None:
-            return _alltoallv_rounds(comm, tx, rx, tier.coll.nrounds)
+        if "collective" in (tx and tx.tier, rx and rx.tier):
+            return _alltoallv_rounds(comm, tx, rx)
         if tx is not None:
             tx.step()
         return rx.step() if rx is not None else 0

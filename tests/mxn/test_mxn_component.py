@@ -244,6 +244,41 @@ def test_connection_parameter_mismatch_detected():
     assert all(out["src"]) and all(out["dst"])
 
 
+def _connect_timed(comm, ns, role, desc, period):
+    """Try one persistent connection; return (seconds until the typed
+    error, its message), or None if the connection opened."""
+    import time
+
+    inter = (ns.accept("pm23", comm) if role == "source"
+             else ns.connect("pm23", comm))
+    mxn = MxNComponent(comm)
+    mxn.register("f", DistributedArray.allocate(desc, comm.rank))
+    t0 = time.perf_counter()
+    try:
+        mxn.connect(inter, role, "f", ConnectionKind.PERSISTENT, period=period)
+    except ConnectionError_ as exc:
+        return time.perf_counter() - t0, str(exc)
+    return None
+
+
+def test_period_mismatch_raises_on_every_rank_of_both_jobs():
+    """The handshake result is broadcast before it is compared, so a
+    mismatch is a ``ConnectionError_`` on all 2 + 3 ranks — not on rank 0
+    only, with the others dying as aborts."""
+    src_desc, dst_desc = make_sides(2, 3)
+    ns = NameService()
+    out = run_coupled(
+        [("src", 2, _connect_timed, (ns, "source", src_desc, 2)),
+         ("dst", 3, _connect_timed, (ns, "destination", dst_desc, 5))])
+    for job in ("src", "dst"):
+        assert len(out[job]) == (2 if job == "src" else 3)
+        for result in out[job]:
+            assert result is not None, f"{job} opened a mismatched connection"
+            seconds, message = result
+            assert seconds < 1.0
+            assert "period" in message
+
+
 # -- connections sharing one intercommunicator stay independent ---------------
 
 def _two_fields(comm, role, order):
@@ -279,3 +314,34 @@ def test_connections_on_one_intercomm_do_not_cross(backend):
     for fired, id_a, id_b, _, _ in out["src"] + out["dst"]:
         assert fired == [True, True]
         assert (id_a, id_b) == (0, 1)
+
+
+def _connect_under(comm, role, desc, tier):
+    """One persistent connection with this job's ``REPRO_TIER`` set to
+    ``tier`` (each procs rank is its own process); returns the typed
+    error's message, or None if the connection opened."""
+    import os
+
+    os.environ["REPRO_TIER"] = tier
+    inter = (default_nameservice.accept("tiers", comm) if role == "source"
+             else default_nameservice.connect("tiers", comm))
+    mxn = MxNComponent(comm)
+    mxn.register("f", DistributedArray.allocate(desc, comm.rank))
+    try:
+        mxn.connect(inter, role, "f", ConnectionKind.PERSISTENT).close()
+    except ConnectionError_ as exc:
+        return str(exc)
+    return None
+
+
+def test_tier_mismatch_raises_on_every_rank_of_both_jobs():
+    """Both jobs compute the transfer on their own, so a persistent
+    connection whose jobs resolve different tiers is refused at the
+    handshake instead of stalling until the deadlock watchdog."""
+    src_desc, dst_desc = make_sides(2, 3)
+    out = run_coupled(
+        [("src", 2, _connect_under, ("source", src_desc, "rma")),
+         ("dst", 3, _connect_under, ("destination", dst_desc, "collective"))],
+        backend="procs")
+    for message in out["src"] + out["dst"]:
+        assert message is not None and "REPRO_TIER" in message

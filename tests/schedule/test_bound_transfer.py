@@ -45,7 +45,7 @@ def _same_bytes(parts, truth):
 
 # -- the tier-equivalence matrix ----------------------------------------------
 
-def _intra(src_desc, dst_desc, planner, steps):
+def _intra(src_desc, dst_desc, tier, steps):
     """``steps`` one-shot transfers inside one job; returns per-step
     (assembled-bytes-ok, data messages, barriers)."""
     sched = build_region_schedule(src_desc, dst_desc)
@@ -62,7 +62,7 @@ def _intra(src_desc, dst_desc, planner, steps):
             execute_intra(sched, comm, src_array=src, dst_array=dst,
                           src_ranks=range(src_desc.nranks),
                           dst_ranks=range(dst_desc.nranks),
-                          planner=planner, round_bytes=ROUND_BYTES)
+                          tier=tier, round_bytes=ROUND_BYTES)
             return dst, comm.counters   # shared per job; read after join
 
         res = run_spmd(n, main)
@@ -72,13 +72,13 @@ def _intra(src_desc, dst_desc, planner, steps):
     return sched, out
 
 
-def _inter(src_desc, dst_desc, planner, steps, persistent):
+def _inter(src_desc, dst_desc, tier, steps, persistent):
     """``steps`` transfers between two coupled jobs — one bound transfer
     stepped ``steps`` times, or a fresh one-shot per step; returns
     per-step (assembled-bytes-ok, data + ack messages sent by the
     producers, acks sent by the consumers)."""
     sched = build_region_schedule(src_desc, dst_desc)
-    kw = dict(tag=77, planner=planner, round_bytes=ROUND_BYTES)
+    kw = dict(tag=77, tier=tier, round_bytes=ROUND_BYTES)
 
     def producer(comm):
         inter = default_nameservice.accept("matrix", comm)
@@ -129,16 +129,17 @@ def _inter(src_desc, dst_desc, planner, steps, persistent):
 
 
 @pytest.mark.parametrize("src_t,dst_t", CASES)
-@pytest.mark.parametrize("planner", ["p2p", "collective"])
+@pytest.mark.parametrize("tier", [pytest.param("two_sided", id="p2p"),
+                                  "collective"])
 class TestTierEquivalence:
-    def test_intra_one_shot(self, src_t, dst_t, planner):
+    def test_intra_one_shot(self, src_t, dst_t, tier):
         src_desc, dst_desc = _descs(src_t, dst_t)
-        sched, steps = _intra(src_desc, dst_desc, planner, STEPS)
+        sched, steps = _intra(src_desc, dst_desc, tier, STEPS)
         coll = sched.collective_plan(8, ROUND_BYTES)
         assert coll.nrounds > 1
         for ok, msgs, barriers in steps:
             assert ok
-            if planner == "p2p":
+            if tier == "two_sided":
                 # one packed message per communicating pair, no barrier
                 assert (msgs, barriers) == (sched.pair_count, 0)
             else:
@@ -148,12 +149,12 @@ class TestTierEquivalence:
 
     @pytest.mark.parametrize("persistent", [False, True],
                              ids=["one-shot", "persistent"])
-    def test_inter(self, src_t, dst_t, planner, persistent):
+    def test_inter(self, src_t, dst_t, tier, persistent):
         src_desc, dst_desc = _descs(src_t, dst_t)
-        sched, oks, sent, acks = _inter(src_desc, dst_desc, planner, STEPS,
+        sched, oks, sent, acks = _inter(src_desc, dst_desc, tier, STEPS,
                                         persistent)
         assert oks == [True] * STEPS
-        if planner == "p2p":
+        if tier == "two_sided":
             assert sent == STEPS * sched.pair_count
             assert acks == 0
         else:
@@ -172,7 +173,7 @@ _SRC_DESC, _DST_DESC = _descs(_SRC_T, _DST_T)
 def _rma_producer(comm, steps):
     chan = Coupler("core-rma", default_nameservice).open(
         comm, "source",
-        DistributedArray.allocate(_SRC_DESC, comm.rank), one_sided=True)
+        DistributedArray.allocate(_SRC_DESC, comm.rank), tier="rma")
     matched = []
     for step in range(steps):
         chan.array.flat_local()[:] = DistributedArray.from_global(
@@ -189,7 +190,7 @@ def _rma_producer(comm, steps):
 
 def _rma_consumer(comm, steps):
     chan = Coupler("core-rma", default_nameservice).open(
-        comm, "destination", _DST_DESC, one_sided=True)
+        comm, "destination", _DST_DESC, tier="rma")
     snaps = [chan.pull().flat_local().copy() for _ in range(steps)]
     chan.close()
     with pytest.raises(ConnectionError_):
@@ -217,13 +218,13 @@ def test_rma_tier_on_procs_matches_truth_and_refuses_steps_after_close():
 
 # -- a closed transfer refuses every verb -------------------------------------
 
-def _bound_pair(planner):
+def _bound_pair(tier):
     src_desc, dst_desc = _descs(*CASES[2])
     sched = build_region_schedule(src_desc, dst_desc)
     src_inters, dst_inters = couple_jobs(Job(src_desc.nranks),
                                          Job(dst_desc.nranks))
     g = _truth(src_desc.shape, 0)
-    kw = dict(planner=planner, round_bytes=ROUND_BYTES)
+    kw = dict(tier=tier, round_bytes=ROUND_BYTES)
     tx = bind(sched, "src", src_inters[0],
               DistributedArray.from_global(src_desc, 0, g), **kw)
     rx = bind(sched, "dst", dst_inters[0],
@@ -232,7 +233,7 @@ def _bound_pair(planner):
 
 
 def test_closed_two_sided_transfer_raises():
-    tx, rx = _bound_pair("p2p")
+    tx, rx = _bound_pair("two_sided")
     assert (tx.tier, rx.tier) == ("two_sided", "two_sided")
     for half in (tx, rx):
         half.close()
@@ -297,7 +298,7 @@ def _mxn_side(comm, role):
 
 
 def test_mxn_close_retires_the_rma_window(monkeypatch):
-    monkeypatch.setenv("REPRO_RMA", "1")
+    monkeypatch.setenv("REPRO_TIER", "rma")
     res = run_coupled([("src", _SRC_DESC.nranks, _mxn_side, ("source",)),
                        ("dst", _DST_DESC.nranks, _mxn_side, ("destination",))],
                       deadlock_timeout=30.0, backend="procs")
@@ -312,9 +313,9 @@ def test_mxn_close_retires_the_rma_window(monkeypatch):
 # -- closed before the first transfer: the handle's own state is the only state
 
 _TIER_ENV = {"two_sided": {},
-             "collective": {"REPRO_PLANNER": "collective",
+             "collective": {"REPRO_TIER": "collective",
                             "REPRO_ROUND_BYTES": str(ROUND_BYTES)},
-             "rma": {"REPRO_RMA": "1"}}
+             "rma": {"REPRO_TIER": "rma"}}
 
 
 def _both_jobs_here(comm, sync):
@@ -385,7 +386,7 @@ def _bind_after_peer_closed(comm, side):
         inter = default_nameservice.connect("gone", comm)
         bind(sched, "dst", inter,
              DistributedArray.allocate(_DST_DESC, comm.rank),
-             mode="rma").close()
+             tier="rma").close()
         comm.barrier()
         if comm.rank == 0:
             for s in range(_SRC_DESC.nranks):
@@ -395,7 +396,7 @@ def _bind_after_peer_closed(comm, side):
     inter.recv(source=0, tag=78)       # every receiver has closed
     with pytest.raises(ConnectionError_, match="closed its transfer"):
         bind(sched, "src", inter,
-             DistributedArray.allocate(_SRC_DESC, comm.rank), mode="rma")
+             DistributedArray.allocate(_SRC_DESC, comm.rank), tier="rma")
 
 
 def test_rma_bind_after_the_receiver_closed_is_a_typed_error():
@@ -422,7 +423,7 @@ def test_verify_hook_proves_collective_binds_inter(verify_on):
     src_inters, dst_inters = couple_jobs(Job(src_desc.nranks),
                                          Job(dst_desc.nranks))
     g = _truth(src_desc.shape, 0)
-    kw = dict(planner="collective", round_bytes=ROUND_BYTES)
+    kw = dict(tier="collective", round_bytes=ROUND_BYTES)
     senders = [bind(sched, "src", src_inters[r],
                     DistributedArray.from_global(src_desc, r, g), **kw)
         for r in range(src_desc.nranks)]

@@ -22,12 +22,11 @@ from repro.schedule import (
     PLAN_STATS,
     bind,
     build_region_schedule,
-    choose_planner,
     estimate,
     execute_intra,
     plan_collective_rounds,
 )
-from repro.schedule.executor import ACK_TAG_OFFSET
+from repro.schedule.executor import ACK_TAG_OFFSET, resolve_tier
 from repro.simmpi import run_spmd
 from repro.simmpi.intercomm import couple_jobs
 from repro.simmpi.runner import Job
@@ -124,24 +123,71 @@ def test_collective_plan_memoized_on_schedule():
     assert sched.collective_plan(8, 64) is not sched.collective_plan(8, 128)
 
 
-# -- planner resolution and the cost model -------------------------------------
+# -- tier resolution and the cost model ----------------------------------------
 
 
-def test_auto_picks_p2p_on_small_and_collective_on_fanout(monkeypatch):
-    monkeypatch.delenv("REPRO_PLANNER", raising=False)
+_T, _R, _C = "two_sided", "rma", "collective"
+
+#: ``tier`` request -> schedule -> resolved kind for (a persistent
+#: transfer on procs, a persistent transfer on threads, a one-shot on
+#: either).  The comments name the old ``(rma, planner)`` knob pair each
+#: request replaces; ``(1, auto)`` has no successor.  Only threads
+#: cannot attach windows, so a persistent ``rma`` request there — and
+#: nothing else — falls back and counts one ``rma_fallbacks``.
+TIER_TABLE = {
+    "two_sided": {"small": (_T, _T, _T), "fanout": (_T, _T, _T)},   # 0, p2p
+    "rma": {"small": (_R, _T, _T), "fanout": (_R, _T, _T)},         # 1, p2p
+    "collective": {"small": (_C, _C, _C), "fanout": (_C, _C, _C)},  # *, coll.
+    "auto": {"small": (_T, _T, _T), "fanout": (_C, _C, _C)},        # 0, auto
+}
+
+
+def _tier_schedules():
     small = build_region_schedule(*_fanout_pair(extent=96, m=4, n=3))
-    assert choose_planner(small, 8, planner="auto") == "p2p"
     # a wire volume past the 1 MiB default ceiling, cheap to build
-    big_src = _cart(BlockCyclic(400_000, 4, 64))
-    big_dst = _cart(Block(400_000, 6))
-    big = build_region_schedule(big_src, big_dst)
+    fanout = build_region_schedule(_cart(BlockCyclic(400_000, 4, 64)),
+                                   _cart(Block(400_000, 6)))
+    return {"small": small, "fanout": fanout}
+
+
+def _resolve_every_request(comm, schedules):
+    out = {}
+    for request in TIER_TABLE:
+        for name, sched in schedules.items():
+            for one_shot in (False, True):
+                before = TRANSPORT_STATS.get("rma_fallbacks")
+                kind = resolve_tier(sched, 8, comm, tier=request,
+                                    one_shot=one_shot).kind
+                out[request, name, one_shot] = (
+                    kind, TRANSPORT_STATS.get("rma_fallbacks") - before)
+    return out
+
+
+def test_cost_model_picks_two_sided_on_small_and_collective_on_fanout():
+    schedules = _tier_schedules()
+    assert estimate(schedules["small"], 8).chosen == "two_sided"
+    big = schedules["fanout"]
     est = estimate(big, 8)
     assert est.p2p_peak_bytes == 2 * big.nbytes(np.float64)
     assert est.coll_peak_bytes < est.p2p_peak_bytes
     assert est.chosen == "collective"
-    assert choose_planner(big, 8, planner="auto") == "collective"
-    # explicit planner bypasses the estimate entirely
-    assert choose_planner(big, 8, planner="p2p") == "p2p"
+
+
+@pytest.mark.parametrize("backend", ["threads", "procs"],
+                         ids=["backend-threads", "backend-procs"])
+def test_resolve_tier_table(monkeypatch, backend):
+    monkeypatch.delenv("REPRO_TIER", raising=False)
+    monkeypatch.delenv("REPRO_ROUND_BYTES", raising=False)
+    (got,) = run_spmd(1, _resolve_every_request, _tier_schedules(),
+                      backend=backend)
+    column = 0 if backend == "procs" else 1
+    for (request, name, one_shot), (kind, fallbacks) in got.items():
+        procs, threads, once = TIER_TABLE[request][name]
+        want = once if one_shot else (procs, threads)[column]
+        assert kind == want, (request, name, one_shot)
+        assert fallbacks == int(not one_shot and backend == "threads"
+                                and procs != threads), (request, name)
+    assert len(got) == len(TIER_TABLE) * 2 * 2
 
 
 # -- schedule-cache keying ------------------------------------------------------
@@ -204,7 +250,7 @@ def test_collective_redistribution_is_lossless(backend, pair, seed):
         execute_intra(sched, comm, src_array=src, dst_array=dst,
                       src_ranks=range(src_desc.nranks),
                       dst_ranks=range(dst_desc.nranks),
-                      planner="collective", round_bytes=64)
+                      tier="collective", round_bytes=64)
         return dst
 
     parts = [p for p in run_spmd(n, main, backend=backend)
@@ -217,17 +263,17 @@ def test_intra_collective_matches_p2p_exactly():
     g = np.arange(96.0)
     sched = build_region_schedule(src_desc, dst_desc)
 
-    def run(planner):
+    def run(tier):
         def main(comm):
             src = DistributedArray.from_global(src_desc, comm.rank, g)
             dst = DistributedArray.allocate(dst_desc, comm.rank)
             execute_intra(sched, comm, src_array=src, dst_array=dst,
                           src_ranks=range(4), dst_ranks=range(4),
-                          planner=planner, round_bytes=64)
+                          tier=tier, round_bytes=64)
             return dst
         return DistributedArray.assemble(run_spmd(4, main))
 
-    np.testing.assert_array_equal(run("p2p"), run("collective"))
+    np.testing.assert_array_equal(run("two_sided"), run("collective"))
 
 
 # -- inter-communicator engines ---------------------------------------------------
@@ -243,7 +289,7 @@ def _build_engines(src_desc, dst_desc, g, round_bytes, tag=610):
             for r in range(src_desc.nranks)]
     dsts = [DistributedArray.allocate(dst_desc, r)
             for r in range(dst_desc.nranks)]
-    bound = dict(tag=tag, planner="collective", round_bytes=round_bytes)
+    bound = dict(tag=tag, tier="collective", round_bytes=round_bytes)
     senders = [bind(sched, "src", src_inters[r], srcs[r], **bound)
                for r in range(src_desc.nranks)]
     receivers = [bind(sched, "dst", dst_inters[r], dsts[r], **bound)
@@ -304,7 +350,7 @@ def test_inter_engines_reuse_pools_after_warmup():
                for tx in senders) == allocs0
 
 
-def _coupler_round_trip(planner):
+def _coupler_round_trip(tier):
     from repro.highlevel import Coupler
     from repro.simmpi import NameService, run_coupled
 
@@ -315,16 +361,16 @@ def _coupler_round_trip(planner):
     def producer(comm):
         coupler = Coupler("field", ns)
         darray = DistributedArray.from_global(src_desc, comm.rank, g)
-        ch = coupler.open(comm, "source", darray, planner=planner)
-        assert ch.planner == planner
+        ch = coupler.open(comm, "source", darray, tier=tier)
+        assert ch.mode == tier
         for _ in range(2):
             ch.push()
         return ch.transfers
 
     def consumer(comm):
         coupler = Coupler("field", ns)
-        ch = coupler.open(comm, "destination", dst_desc, planner=planner)
-        assert ch.planner == planner
+        ch = coupler.open(comm, "destination", dst_desc, tier=tier)
+        assert ch.mode == tier
         for _ in range(2):
             out = ch.pull()
         return out
@@ -340,11 +386,11 @@ def test_coupler_collective_round_trip():
 
 
 def test_one_template_pair_is_one_cache_entry_under_both_planners():
-    """§2.3 reuse: the planner is not part of the cache key, so opening
-    the same template pair under ``p2p`` then ``collective`` builds one
-    schedule and compiles its rank plans once."""
+    """§2.3 reuse: the tier is not part of the cache key, so opening
+    the same template pair under ``two_sided`` then ``collective`` builds
+    one schedule and compiles its rank plans once."""
     GLOBAL_CACHE.clear()
-    _coupler_round_trip("p2p")
+    _coupler_round_trip("two_sided")
     first, plans = GLOBAL_CACHE.stats(), PLAN_STATS.get("rank_plans")
     assert (first["entries"], first["misses"], first["hits"]) == (1, 1, 6)
     assert plans == 7  # one per (side, rank)

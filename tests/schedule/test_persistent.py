@@ -102,10 +102,10 @@ def _rma_engines(src_desc, dst_desc, g):
     dst_arrays = [DistributedArray.allocate(dst_desc, r)
                   for r in range(dst_desc.nranks)]
     receivers = [bind(sched, "dst", dst_inters[r], dst_arrays[r],
-                      mode="rma")
+                      tier="rma")
                  for r in range(dst_desc.nranks)]
     senders = [bind(sched, "src", src_inters[r], src_arrays[r],
-                    mode="rma")
+                    tier="rma")
                for r in range(src_desc.nranks)]
     return src_arrays, dst_arrays, senders, receivers
 
@@ -339,7 +339,7 @@ class TestRmaEquivalence:
                    for arr, was in zip(dst_arrays, in_window))
 
     def test_rma_falls_back_on_incapable_transport(self):
-        """mode="rma" on the plain threads transport (no shared windows
+        """tier="rma" on the plain threads transport (no shared windows
         across real processes to model) degrades to two-sided,
         counted as a fallback — results stay correct."""
         src_desc = DistArrayDescriptor(CartesianTemplate([Cyclic(24, 2)]))
@@ -354,10 +354,10 @@ class TestRmaEquivalence:
                       for r in range(dst_desc.nranks)]
         before = TRANSPORT_STATS.get("rma_fallbacks")
         receivers = [bind(sched, "dst", dst_inters[r], dst_arrays[r],
-                          mode="rma")
+                          tier="rma")
                      for r in range(dst_desc.nranks)]
         senders = [bind(sched, "src", src_inters[r], src_arrays[r],
-                        mode="rma")
+                        tier="rma")
                    for r in range(src_desc.nranks)]
         assert TRANSPORT_STATS.get("rma_fallbacks") > before
         assert all(e.tier == "two_sided" for e in senders + receivers)
@@ -368,9 +368,9 @@ class TestRmaEquivalence:
             assert arr.flat_local().tobytes() == expect.flat_local().tobytes()
 
     def test_rma_env_var_selects_mode(self, monkeypatch):
-        """REPRO_RMA=1 turns the one-sided tier on without code
-        changes; explicit mode always wins."""
-        monkeypatch.setenv("REPRO_RMA", "1")
+        """REPRO_TIER=rma turns the one-sided tier on without code
+        changes; an explicit tier always wins."""
+        monkeypatch.setenv("REPRO_TIER", "rma")
         src_desc = DistArrayDescriptor(CartesianTemplate([Block(12, 2)]))
         dst_desc = DistArrayDescriptor(CartesianTemplate([Block(12, 3)]))
         g = np.arange(12.0)

@@ -60,13 +60,13 @@ def resize_pairs(draw):
     return old, new
 
 
-def _resize(old_desc, new_desc, g, backend, planner=None):
+def _resize(old_desc, new_desc, g, backend, tier=None):
     n = max(old_desc.nranks, new_desc.nranks)
 
     def main(comm):
         da = (DistributedArray.from_global(old_desc, comm.rank, g)
               if comm.rank < old_desc.nranks else None)
-        return reconfigure(comm, da, new_desc, planner=planner,
+        return reconfigure(comm, da, new_desc, tier=tier,
                            cache=ScheduleCache())
 
     return [p for p in run_spmd(n, main, backend=backend) if p is not None]
@@ -182,7 +182,7 @@ def test_collective_planner_resize():
     new = DistArrayDescriptor(
         CartesianTemplate([BlockCyclic(96, 10, 4)]))
     g = np.arange(96, dtype=np.float64)
-    parts = _resize(old, new, g, "threads", planner="collective")
+    parts = _resize(old, new, g, "threads", tier="collective")
     np.testing.assert_array_equal(DistributedArray.assemble(parts), g)
 
 

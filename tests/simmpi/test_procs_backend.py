@@ -576,7 +576,7 @@ def test_procs_nameservice_rendezvous_both_directions():
 def _rma_producer(comm, steps, crash_rank=None):
     coupler = Coupler("procs-rma", default_nameservice)
     da = DistributedArray.from_global(_SRC_DESC, comm.rank, _GLOBAL)
-    chan = coupler.open(comm, "source", da, one_sided=True)
+    chan = coupler.open(comm, "source", da, tier="rma")
     stats0 = dict(TRANSPORT_STATS.snapshot())
     for s in range(1, steps + 1):
         if crash_rank is not None and comm.rank == crash_rank:
@@ -592,7 +592,7 @@ def _rma_producer(comm, steps, crash_rank=None):
 
 def _rma_consumer(comm, steps):
     coupler = Coupler("procs-rma", default_nameservice)
-    chan = coupler.open(comm, "destination", _DST_DESC, one_sided=True)
+    chan = coupler.open(comm, "destination", _DST_DESC, tier="rma")
     generations = []
     for _ in range(steps):
         da = chan.pull()

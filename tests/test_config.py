@@ -3,8 +3,8 @@
 ``EXPECTED`` is written by hand, not derived from the registry, so a
 changed variable name, default, bound or error class fails here.  Its
 rows carry the assertions of the per-resolver tests this file replaced
-(``ScheduleError`` for the planner knobs, ``PRMIError`` for the serving
-knobs, ``ValueError`` for the backend and the flags).
+(``ScheduleError`` for the tier and round knobs, ``PRMIError`` for the
+serving knobs, ``ValueError`` for the backend and the flags).
 """
 
 import os
@@ -29,10 +29,9 @@ EXPECTED = {
                {"1": True, "false": False}, ["2", "maybe"]),
     "tsan": ("REPRO_TSAN", False, ValueError,
              {"true": True, "0": False}, ["2", "maybe"]),
-    "rma": ("REPRO_RMA", False, ValueError,
-            {"true": True, "1": True, "no": False}, ["2", "maybe"]),
-    "planner": ("REPRO_PLANNER", "p2p", ScheduleError,
-                {"collective": "collective", "AUTO": "auto"}, ["bogus"]),
+    "tier": ("REPRO_TIER", "two_sided", ScheduleError,
+             {"rma": "rma", "collective": "collective", "AUTO": "auto",
+              "Two_Sided": "two_sided"}, ["bogus", "p2p", "1"]),
     "round_bytes": ("REPRO_ROUND_BYTES", 1 << 16, ScheduleError,
                     {"4096": 4096, "1": 1}, ["0", "-1", "64k"]),
     "schedule_cache_max": ("REPRO_SCHEDULE_CACHE_MAX", 512, ScheduleError,
@@ -49,8 +48,10 @@ ROWS = [pytest.param(name, *row, id=name) for name, row in EXPECTED.items()]
 FLAGS = [name for name, row in EXPECTED.items() if isinstance(row[1], bool)]
 
 
-def test_registry_is_exactly_the_eleven_knobs():
-    assert len(EXPECTED) == 11 and "REPRO_MEM_CEILING" not in str(EXPECTED)
+def test_registry_is_exactly_the_ten_knobs():
+    assert len(EXPECTED) == 10
+    for retired in ("REPRO_MEM_CEILING", "REPRO_RMA", "REPRO_PLANNER"):
+        assert retired not in str(EXPECTED)
     assert [(k.name, k.env) for k in config.KNOBS.values()] == \
         [(name, row[0]) for name, row in EXPECTED.items()]
 
@@ -138,14 +139,33 @@ def test_import_time_garbage_names_the_variable():
 
 
 def test_cli_lists_every_knob_with_provenance():
-    done = _python("-m", "repro.config", REPRO_PLANNER="auto",
+    done = _python("-m", "repro.config", REPRO_TIER="auto",
                    REPRO_VERIFY="")
     assert done.returncode == 0, done.stderr
     rows = dict((line.split()[0], line.split()[1:])
                 for line in done.stdout.splitlines())
     assert list(rows) == [row[0] for row in EXPECTED.values()]
-    assert rows["REPRO_PLANNER"] == ["auto", "env"]
+    assert rows["REPRO_TIER"] == ["auto", "env"]
     assert rows["REPRO_VERIFY"] == ["0", "default"]
+
+
+def test_cli_flags_set_variables_that_name_no_knob():
+    """A retired variable still set in a shell silently does nothing at
+    import; the CLI lists it as ``unknown`` and exits 1."""
+    done = _python("-m", "repro.config", REPRO_RMA="1",
+                   REPRO_PLANNER="auto", REPRO_MEM_CEILING="4096",
+                   REPRO_SHM_GONE="")
+    assert done.returncode == 1, done.stderr
+    rows = dict((line.split()[0], line.split()[1:])
+                for line in done.stdout.splitlines())
+    assert list(rows)[:len(EXPECTED)] == [row[0] for row in EXPECTED.values()]
+    assert {var: row for var, row in rows.items()
+            if row[-1] == "unknown"} == {
+        "REPRO_MEM_CEILING": ["4096", "unknown"],
+        "REPRO_PLANNER": ["auto", "unknown"],
+        "REPRO_RMA": ["1", "unknown"]}      # a blank variable is unset
+    done = _python("-c", "import repro", REPRO_RMA="1")
+    assert done.returncode == 0, done.stderr
 
 
 def test_readme_table_is_the_generated_one():

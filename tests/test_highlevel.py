@@ -138,26 +138,106 @@ def _open_and_step(comm, role, kwargs):
 
 @pytest.mark.parametrize("backend", ["threads", "procs"],
                          ids=["backend-threads", "backend-procs"])
-@pytest.mark.parametrize("knob, variable, prod, cons", [
-    ("planner", "REPRO_PLANNER",
-     {"planner": "collective"}, {"planner": "p2p"}),
-    ("rma", "REPRO_RMA", {"one_sided": True}, {"one_sided": False}),
-])
-def test_mismatched_requests_fail_typed_on_both_jobs(backend, knob, variable,
-                                                     prod, cons):
-    """Two jobs that resolve different tier requests raise
-    ``ConnectionError_`` naming the knob on every rank of both, at the
-    handshake — not a one-sided ``DeadlockError`` after the stall
-    watchdog."""
+@pytest.mark.parametrize("prod, cons", [
+    ("collective", "two_sided"), ("rma", "two_sided"), ("auto", "collective"),
+], ids=["collective-vs-two_sided", "rma-vs-two_sided", "auto-vs-collective"])
+def test_mismatched_requests_fail_typed_on_both_jobs(backend, prod, cons):
+    """Two jobs that request different tiers raise ``ConnectionError_``
+    naming the knob on every rank of both, at the handshake — not a
+    one-sided ``DeadlockError`` after the stall watchdog."""
     out = run_coupled(
-        [("prod", 2, _open_and_step, ("source", prod)),
-         ("cons", 3, _open_and_step, ("destination", cons))],
+        [("prod", 2, _open_and_step, ("source", {"tier": prod})),
+         ("cons", 3, _open_and_step, ("destination", {"tier": cons}))],
         backend=backend)
     for job, mine, theirs in (("prod", prod, cons), ("cons", cons, prod)):
         for result in out[job]:
             assert result is not None, f"{job} opened a mismatched channel"
             seconds, message = result
             assert seconds < 1.0
-            assert knob in message and variable in message
-            (a,), (b,) = mine.values(), theirs.values()
-            assert message.index(repr(a)) < message.index(repr(b))
+            assert "tier" in message and "REPRO_TIER" in message
+            assert message.index(repr(mine)) < message.index(repr(theirs))
+
+
+def test_open_takes_tier_or_one_sided_not_both():
+    def one(comm):
+        with pytest.raises(TypeError, match="not both"):
+            Coupler("both", NameService()).open(
+                comm, "source", None, tier="rma", one_sided=True)
+        return True
+
+    from repro.simmpi import run_spmd
+    assert all(run_spmd(1, one))
+
+
+def _one_shot_under(comm, role, tier):
+    """One-shot publish / subscribe of the 'mismatch' coupling with this
+    job's ``REPRO_TIER`` set to ``tier`` (each procs rank is its own
+    process, so the two jobs may differ); returns the subscribed patch
+    sums, or the typed error's message."""
+    import os
+
+    from repro.simmpi.intercomm import default_nameservice
+
+    os.environ["REPRO_TIER"] = tier
+    coupler = Coupler("mismatch", default_nameservice)
+    try:
+        if role == "source":
+            g = np.arange(4096.0)
+            coupler.publish(comm, DistributedArray.from_global(
+                _MISMATCH_SRC, comm.rank, g))
+            return None
+        da = coupler.subscribe(comm, _MISMATCH_DST)
+        return sum(float(p.sum()) for p in da.patches.values())
+    except ConnectionError_ as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("prod, cons, agree", [
+    ("rma", "two_sided", True), ("collective", "two_sided", False),
+], ids=["rma-vs-two_sided", "collective-vs-two_sided"])
+def test_one_shot_handshake_compares_the_tier_a_one_shot_runs(
+        prod, cons, agree):
+    """A one-shot never takes RMA, so ``rma`` on one job and
+    ``two_sided`` on the other couple as before; a difference that
+    changes the one-shot's tier still raises on every rank of both."""
+    out = run_coupled(
+        [("prod", 2, _one_shot_under, ("source", prod)),
+         ("cons", 3, _one_shot_under, ("destination", cons))],
+        backend="procs")
+    if agree:
+        assert out["prod"] == [None, None]
+        assert sum(out["cons"]) == float(np.arange(4096.0).sum())
+    else:
+        for message in out["prod"] + out["cons"]:
+            assert "REPRO_TIER" in message
+
+
+@pytest.mark.parametrize("one_sided, mode", [(True, "rma"),
+                                             (False, "two_sided")])
+def test_one_sided_spelling_maps_to_a_tier(monkeypatch, one_sided, mode):
+    """``Coupler.open(one_sided=...)`` is ``tier="rma"`` / ``"two_sided"``
+    and so overrides ``REPRO_TIER``; the procs transport honours RMA."""
+    monkeypatch.setenv("REPRO_TIER", "collective")
+    src_desc = DistArrayDescriptor(block_template((8,), (2,)))
+    dst_desc = DistArrayDescriptor(block_template((8,), (1,)))
+
+    def producer(comm):
+        from repro.simmpi.intercomm import default_nameservice
+        chan = Coupler("spelling", default_nameservice).open(
+            comm, "source", DistributedArray.allocate(src_desc, comm.rank),
+            one_sided=one_sided)
+        chan.push()
+        chan.close()
+        return chan.mode
+
+    def consumer(comm):
+        from repro.simmpi.intercomm import default_nameservice
+        chan = Coupler("spelling", default_nameservice).open(
+            comm, "destination", dst_desc, one_sided=one_sided)
+        chan.pull()
+        chan.close()
+        return chan.mode
+
+    out = run_coupled([("p", 2, producer, ()), ("c", 1, consumer, ())],
+                      backend="procs")
+    assert out["p"] + out["c"] == [mode] * 3

@@ -207,13 +207,13 @@ def test_rma_epoch_misuse_static_matches_live_procs():
     def producer(comm):
         coupler = Coupler("rma-misuse", default_nameservice)
         da = DistributedArray.from_global(src_desc, 0, np.arange(64.0))
-        chan = coupler.open(comm, "source", da, one_sided=True)
+        chan = coupler.open(comm, "source", da, tier="rma")
         chan.push()
         chan.push()                   # no matching pull: never licensed
 
     def consumer(comm):
         coupler = Coupler("rma-misuse", default_nameservice)
-        chan = coupler.open(comm, "destination", dst_desc, one_sided=True)
+        chan = coupler.open(comm, "destination", dst_desc, tier="rma")
         chan.pull()
         chan.close()
 

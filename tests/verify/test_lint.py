@@ -382,14 +382,14 @@ def test_v110_every_environment_spelling_fires():
         import os
         from os import environ, getenv
 
-        a = os.environ.get("REPRO_PLANNER", "p2p")
-        b = os.getenv("REPRO_RMA")
+        a = os.environ.get("REPRO_TIER", "two_sided")
+        b = os.getenv("REPRO_ROUND_BYTES")
         c = os.environ["REPRO_BACKEND"]
         d = environ.get("REPRO_VERIFY")
         e = getenv("REPRO_TSAN", "0")
     """, "src/repro/schedule/costmodel.py")
     assert [h.rule for h in hits] == ["V110"] * 5
-    assert "REPRO_PLANNER" in hits[0].message
+    assert "REPRO_TIER" in hits[0].message
     assert "config.resolve" in hits[0].message
 
 
@@ -397,15 +397,15 @@ def test_v110_config_module_and_other_variables_are_exempt():
     code = """
         import os
 
-        raw = os.environ.get("REPRO_PLANNER", "")
+        raw = os.environ.get("REPRO_TIER", "")
     """
     assert lint(code, "src/repro/config.py") == []
     assert lint("""
         import os
 
         home = os.environ.get("HOME")
-        knob = config.resolve("planner")
-        label = names.get("REPRO_PLANNER")
+        knob = config.resolve("tier")
+        label = names.get("REPRO_TIER")
     """) == []
 
 
