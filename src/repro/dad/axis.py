@@ -110,6 +110,14 @@ class Collapsed(AxisDistribution):
         return 1
 
 
+def _dealt_cells(extent: int, block: int,
+                 nprocs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of ``block``-wide blocks dealt round-robin to ``nprocs``."""
+    starts = np.arange(0, extent, block, dtype=np.int64)
+    return (np.append(starts, np.int64(extent)),
+            np.arange(len(starts), dtype=np.int64) % nprocs)
+
+
 class Block(AxisDistribution):
     """One contiguous block per process (HPF BLOCK).
 
@@ -130,6 +138,9 @@ class Block(AxisDistribution):
         lo = min(proc * self.block, self.extent)
         hi = min(lo + self.block, self.extent)
         return [(lo, hi)] if hi > lo else []
+
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        return _dealt_cells(self.extent, self.block, self.nprocs)
 
     def descriptor_entries(self) -> int:
         return 2
@@ -154,18 +165,13 @@ class BlockCyclic(AxisDistribution):
 
     def intervals(self, proc: int) -> list[tuple[int, int]]:
         self._check_proc(proc)
-        out = []
-        nblocks = -(-self.extent // self.block) if self.extent else 0
-        for b in range(proc, nblocks, self.nprocs):
-            lo = b * self.block
-            hi = min(lo + self.block, self.extent)
-            out.append((lo, hi))
-        return out
+        lo = np.arange(proc * self.block, self.extent,
+                       self.nprocs * self.block, dtype=np.int64)
+        return list(zip(lo.tolist(),
+                        np.minimum(lo + self.block, self.extent).tolist()))
 
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
-        starts = np.arange(0, self.extent, self.block, dtype=np.int64)
-        return (np.append(starts, np.int64(self.extent)),
-                np.arange(len(starts), dtype=np.int64) % self.nprocs)
+        return _dealt_cells(self.extent, self.block, self.nprocs)
 
     def descriptor_entries(self) -> int:
         return 3
@@ -205,6 +211,11 @@ class GeneralizedBlock(AxisDistribution):
         lo, hi = int(self._bounds[proc]), int(self._bounds[proc + 1])
         return [(lo, hi)] if hi > lo else []
 
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        owned = np.flatnonzero(self.sizes)
+        return (np.append(np.int64(0), self._bounds[owned + 1]),
+                owned.astype(np.int64))
+
     def descriptor_entries(self) -> int:
         return self.nprocs + 1
 
@@ -242,6 +253,11 @@ class Implicit(AxisDistribution):
         edges = np.flatnonzero(padded[1:] != padded[:-1])
         starts, stops = edges[0::2], edges[1::2]
         return list(zip(starts.tolist(), stops.tolist()))
+
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        starts = np.flatnonzero(np.diff(self.owners, prepend=-1))
+        return np.append(starts, self.extent).astype(np.int64), \
+            self.owners[starts]
 
     def descriptor_entries(self) -> int:
         return self.extent

@@ -11,13 +11,20 @@ field are allowed (read, write or read/write)".
 from __future__ import annotations
 
 import enum
+import threading
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import AlignmentError
+from repro.dad.ownership import Ownership
 from repro.dad.template import Template
 from repro.util.regions import Region, RegionList
+
+
+#: Guards the one build of a descriptor's ownership table, which
+#: threads-backend ranks sharing the descriptor may all ask for at once.
+_OWNERSHIP_LOCK = threading.Lock()
 
 
 class AccessMode(enum.Flag):
@@ -48,16 +55,16 @@ class DistArrayDescriptor:
         self.dtype = np.dtype(dtype)
         self.name = name
         self.mode = mode
-        self._region_cache: dict[int, RegionList] = {}
+        self._ownership: Ownership | None = None
 
     def __getstate__(self):
-        # The region memo is rebuilt on demand and, on the threads
+        # The ownership memo is rebuilt on demand and, on the threads
         # backend, may be concurrently filled by sibling ranks of a
         # shared descriptor while rank 0 pickles it for the handshake —
         # serializing it would race (and ship O(extent) regions for
         # cyclic templates for nothing).
         state = dict(self.__dict__)
-        state["_region_cache"] = {}
+        state["_ownership"] = None
         return state
 
     # -- layout queries (the DAD run-time interface) -----------------------
@@ -74,20 +81,23 @@ class DistArrayDescriptor:
     def nranks(self) -> int:
         return self.template.nranks
 
-    def local_regions(self, rank: int) -> RegionList:
-        """Global regions of the array stored by ``rank``.
+    def ownership(self) -> Ownership:
+        """Every rank's regions as one table (:meth:`~repro.dad.template.
+        Template.ownership`), built once — sound because templates are
+        immutable after construction.  Schedules built from this
+        descriptor carry it, and compile a whole side against it."""
+        if self._ownership is None:
+            with _OWNERSHIP_LOCK:
+                if self._ownership is None:
+                    self._ownership = self.template.ownership()
+        return self._ownership
 
-        Memoized per rank: cyclic templates enumerate O(extent) regions
-        and the executors ask once per transfer, so recomputing would
-        make steady-state transfer cost scale with the region count
-        instead of the byte count.  Sound because templates are
-        immutable after construction.
-        """
-        regions = self._region_cache.get(rank)
-        if regions is None:
-            regions = self._region_cache[rank] = \
-                self.template.owner_regions(rank)
-        return regions
+    def local_regions(self, rank: int) -> RegionList:
+        """Global regions of the array stored by ``rank``, in ``lo``
+        order: a slice of :meth:`ownership`, memoized per rank (the
+        executors ask once per bind)."""
+        self.template._check_rank(rank)
+        return self.ownership().regions(rank)
 
     def local_volume(self, rank: int) -> int:
         return self.template.local_volume(rank)
@@ -124,11 +134,7 @@ class DistArrayDescriptor:
         owned = self.local_regions(rank)
         if not len(owned):
             return ()
-        # Sorted by lo — the same normalization LocalIndexer applies to
-        # the patch layout, so equal keys really mean equal layouts.
-        order = np.lexsort(owned.lo.T[::-1])
-        return (owned.lo.shape, owned.lo[order].tobytes(),
-                owned.hi[order].tobytes())
+        return (owned.lo.shape, owned.lo.tobytes(), owned.hi.tobytes())
 
     # -- alignment ---------------------------------------------------------
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.errors import DistributionError
 from repro.dad.axis import AxisDistribution
+from repro.dad.ownership import Ownership
 from repro.util.indexing import row_major_coords, row_major_offset
 from repro.util.regions import Region, RegionList, tile_check
 
@@ -46,6 +47,11 @@ class Template(ABC):
         """Global regions owned by ``rank`` (disjoint, ascending order)."""
 
     @abstractmethod
+    def ownership(self) -> Ownership:
+        """Every rank's regions as one :class:`~repro.dad.ownership.
+        Ownership` table, patches back to back in ``lo`` order."""
+
+    @abstractmethod
     def owner_of(self, point: Sequence[int]) -> int:
         """Rank owning the element at global coordinates ``point``."""
 
@@ -64,18 +70,18 @@ class Template(ABC):
         return self.owner_regions(rank).volume
 
     def all_owner_regions(self) -> list[tuple[int, Region]]:
-        """Every (rank, region) ownership pair of the template."""
-        out = []
-        for r in range(self.nranks):
-            for reg in self.owner_regions(r):
-                out.append((r, reg))
-        return out
+        """Every (rank, region) ownership pair of the template, by
+        (rank, lo)."""
+        table = self.ownership()
+        return list(zip(table.rank.tolist(),
+                        RegionList.from_arrays(table.lo, table.hi).regions))
 
     def validate(self) -> None:
         """Check the fundamental ownership invariant: the per-rank
         regions partition the global index space exactly."""
-        regions = [reg for _, reg in self.all_owner_regions()]
-        tile_check(regions, self.global_region)
+        table = self.ownership()
+        tile_check(RegionList.from_arrays(table.lo, table.hi).regions,
+                   self.global_region)
 
     def cache_key(self) -> tuple:
         """Hashable identity used to key schedule caches (paper §2.3:
@@ -128,6 +134,22 @@ class CartesianTemplate(Template):
         return RegionList.from_arrays(
             np.stack([a[i] for a, i in zip(lo, pick)], axis=1),
             np.stack([b[i] for b, i in zip(hi, pick)], axis=1))
+
+    def ownership(self) -> Ownership:
+        """The outer product of every axis's cells
+        (:meth:`~repro.dad.axis.AxisDistribution.cells`), each cell
+        owned by the rank of its per-axis process coordinates."""
+        cells = [axis.cells() for axis in self.axes]
+        pick = np.indices([len(procs) for _, procs in cells]).reshape(
+            self.ndim, -1)
+        return Ownership(
+            self.nranks,
+            np.ravel_multi_index([procs[i] for (_, procs), i
+                                  in zip(cells, pick)], self.grid),
+            np.stack([cuts[:-1][i] for (cuts, _), i in zip(cells, pick)],
+                     axis=1),
+            np.stack([cuts[1:][i] for (cuts, _), i in zip(cells, pick)],
+                     axis=1))
 
     def owner_of(self, point: Sequence[int]) -> int:
         if len(point) != self.ndim:
@@ -190,6 +212,14 @@ class ExplicitTemplate(Template):
     def owner_regions(self, rank: int) -> RegionList:
         self._check_rank(rank)
         return RegionList(self._by_rank.get(rank, []), validate=False)
+
+    def ownership(self) -> Ownership:
+        return Ownership(
+            self.nranks, [r for r, _ in self.patches],
+            np.array([reg.lo for _, reg in self.patches],
+                     dtype=np.int64).reshape(-1, self.ndim),
+            np.array([reg.hi for _, reg in self.patches],
+                     dtype=np.int64).reshape(-1, self.ndim))
 
     def owner_of(self, point: Sequence[int]) -> int:
         for r, reg in self.patches:

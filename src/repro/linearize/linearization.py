@@ -30,6 +30,7 @@ import numpy as np
 from repro.errors import DistributionError, ScheduleError
 from repro.dad.darray import DistributedArray
 from repro.dad.descriptor import DistArrayDescriptor
+from repro.dad.ownership import Ownership
 from repro.util.indexing import ragged_arange, row_major_strides
 from repro.util.regions import RegionList
 
@@ -80,11 +81,15 @@ def run_layout(runs: Sequence[Run]) -> tuple[RegionList, np.ndarray]:
             np.cumsum(length) - length)
 
 
-def _chains(lo: np.ndarray, hi: np.ndarray):
+def _chains(lo: np.ndarray, hi: np.ndarray,
+            owner: np.ndarray | None = None):
     """Masks of the first and the last interval of every maximal chain
-    of consecutive intervals each starting where the previous ends."""
+    of consecutive intervals each starting where the previous ends (and,
+    given ``owner``, owned by the same rank)."""
     first = np.ones(len(lo), dtype=bool)
     first[1:] = lo[1:] != hi[:-1]
+    if owner is not None:
+        first[1:] |= owner[1:] != owner[:-1]
     return first, np.roll(first, -1)
 
 
@@ -135,6 +140,17 @@ class Linearization(ABC):
         Default: :meth:`runs` back to back (:func:`run_layout`)."""
         return run_layout(self.runs(rank))
 
+    def ownership(self) -> Ownership:
+        """Every rank's :meth:`layout` as one table of 1-D regions — the
+        side table a linear schedule carries and compiles against."""
+        layouts = [self.layout(r) for r in range(self.nranks)]
+        return Ownership(
+            self.nranks,
+            np.repeat(np.arange(self.nranks), [len(o) for o, _ in layouts]),
+            np.concatenate([o.lo.reshape(-1, 1) for o, _ in layouts]),
+            np.concatenate([o.hi.reshape(-1, 1) for o, _ in layouts]),
+            np.concatenate([off for _, off in layouts]))
+
     # -- shared -----------------------------------------------------------
 
     def descriptor_entries(self) -> int:
@@ -169,9 +185,7 @@ class DenseLinearization(Linearization):
         self.nranks = descriptor.nranks
         self._strides = row_major_strides(descriptor.shape)
         self._runs_cache: dict[int, list[Run]] = {}
-        #: rank -> (glo, ghi, lbase) int64 arrays: see _local_table.
-        self._table_cache: dict[int, tuple[np.ndarray, np.ndarray,
-                                           np.ndarray]] = {}
+        self._ownership: Ownership | None = None
 
     @property
     def total(self) -> int:
@@ -194,50 +208,50 @@ class DenseLinearization(Linearization):
         return self._runs_cache[rank]
 
     def layout(self, rank: int) -> tuple[RegionList, np.ndarray]:
-        glo, ghi, lbase = self._local_table(rank)
-        return RegionList.from_arrays(glo[:, None], ghi[:, None]), lbase
+        return self.ownership().layout(rank)
 
-    # -- data movement ------------------------------------------------------
+    def ownership(self) -> Ownership:
+        """Every rank's owned linear intervals that are contiguous in its
+        flat local storage, and the local position of each one's first
+        element, as one table.
+
+        Built once, for all ranks, from the descriptor's ownership table
+        with no object per row: each patch (in the :meth:`~repro.dad.
+        darray.DistributedArray.flat_local` layout) enumerates one
+        last-axis row at a time in row-major order, so a row's local
+        position is its patch offset plus the running element count;
+        consecutive rows of one rank that are also adjacent in the
+        linear space merge.
+        """
+        if self._ownership is None:
+            owned = self.descriptor.ownership()
+            shape = owned.hi - owned.lo
+            nrows = shape[:, :-1].prod(axis=1)
+            patch = np.repeat(np.arange(len(shape)), nrows)
+            ordinal = ragged_arange(nrows)
+            width = shape[patch, -1]
+            lbase = owned.offset[patch] + ordinal * width
+            glo = owned.lo[patch, -1].copy()
+            for d in range(shape.shape[1] - 2, -1, -1):
+                ordinal, coord = np.divmod(ordinal, shape[patch, d])
+                glo += (owned.lo[patch, d] + coord) * self._strides[d]
+            ghi = glo + width
+            rank = owned.rank[patch]
+            first, last = _chains(glo, ghi, rank)
+            self._ownership = Ownership(self.nranks, rank[first],
+                                        glo[first, None], ghi[last, None],
+                                        lbase[first])
+        return self._ownership
 
     def _local_table(self, rank: int) -> tuple[np.ndarray, np.ndarray,
                                                np.ndarray]:
-        """``(glo, ghi, lbase)``: the rank's owned linear intervals that
-        are contiguous in its flat local storage, ascending, and the
-        local position of each one's first element.
+        """``(glo, ghi, lbase)`` of rank ``rank``: its rows of
+        :meth:`ownership`, ascending."""
+        table = self.ownership()
+        s = table.rows(rank)
+        return table.lo[s, 0], table.hi[s, 0], table.offset[s]
 
-        Built once per rank from the ownership columns, with no object
-        per row: patches enumerate in lo-sorted order (the
-        :meth:`~repro.dad.darray.DistributedArray.flat_local` layout),
-        each one last-axis row at a time in row-major order, so a row's
-        local position is the running element count; consecutive rows
-        that are also adjacent in the linear space merge.
-        """
-        table = self._table_cache.get(rank)
-        if table is None:
-            owned = self.descriptor.local_regions(rank)
-            if not len(owned.lo):
-                empty = np.empty(0, dtype=np.int64)
-                table = self._table_cache[rank] = (empty, empty, empty)
-                return table
-            order = np.lexsort(owned.lo.T[::-1])
-            plo, shape = owned.lo[order], (owned.hi - owned.lo)[order]
-            volume = shape.prod(axis=1)
-            nrows = shape[:, :-1].prod(axis=1)
-            patch = np.repeat(np.arange(len(plo)), nrows)
-            ordinal = ragged_arange(nrows)
-            width = shape[patch, -1]
-            lbase = (np.cumsum(volume) - volume)[patch] + ordinal * width
-            glo = plo[patch, -1].copy()
-            for d in range(shape.shape[1] - 2, -1, -1):
-                ordinal, coord = np.divmod(ordinal, shape[patch, d])
-                glo += (plo[patch, d] + coord) * self._strides[d]
-            ghi = glo + width
-            first, last = _chains(glo, ghi)
-            glo, ghi, lbase = glo[first], ghi[last], lbase[first]
-            by_lo = np.argsort(glo)
-            table = self._table_cache[rank] = (glo[by_lo], ghi[by_lo],
-                                               lbase[by_lo])
-        return table
+    # -- data movement ------------------------------------------------------
 
     def run_indices(self, rank: int, run: Run) -> np.ndarray:
         """Flat-local indices of ``run``, via binary search over the

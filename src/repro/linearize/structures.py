@@ -6,17 +6,22 @@ structures, from multidimensional arrays to trees or graphs."  These
 classes let a field stored on graph nodes couple to anything else that
 shares the linear space — including a dense array on a different
 process count (see ``examples`` and the integration tests).
+
+``networkx`` is imported where a graph algorithm runs, not at module
+import: ``import repro`` would otherwise load it for every user.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import DistributionError, ScheduleError
 from repro.linearize.linearization import Linearization, Run, coalesce_runs
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class GraphLinearization(Linearization):
@@ -105,6 +110,8 @@ class TreeLinearization(GraphLinearization):
 
     def __init__(self, tree: nx.Graph, root: Hashable,
                  owners: Mapping[Hashable, int]):
+        import networkx as nx
+
         if not nx.is_tree(tree):
             raise DistributionError("TreeLinearization requires a tree")
         order = list(nx.dfs_preorder_nodes(tree, root))
@@ -115,6 +122,8 @@ class TreeLinearization(GraphLinearization):
 
     def subtree_run(self, node: Hashable) -> Run:
         """The linear interval covering ``node``'s entire subtree."""
+        import networkx as nx
+
         sub = [node] + list(nx.descendants(self._rooted, node))
         positions = [self.position[n] for n in sub]
         lo, hi = min(positions), max(positions) + 1
@@ -125,6 +134,8 @@ class TreeLinearization(GraphLinearization):
 
 def bfs_order(graph: nx.Graph) -> list:
     """Deterministic BFS ordering covering all components."""
+    import networkx as nx
+
     order: list = []
     seen: set = set()
     for start in sorted(graph.nodes, key=repr):

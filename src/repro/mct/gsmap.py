@@ -13,8 +13,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.dad.ownership import Ownership
 from repro.errors import MCTError
-from repro.linearize.linearization import Run, coalesce_runs
+from repro.linearize.linearization import Run, _chains, coalesce_runs
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,6 +144,17 @@ class GlobalSegMap:
         """Owned index intervals as linearization runs (schedule input)."""
         return coalesce_runs(
             [Run(s.gstart, s.gend) for s in self.segments_of(pe)])
+
+    def ownership(self) -> Ownership:
+        """Every pe's :meth:`runs` as one table of 1-D regions, stored
+        back to back — the side table of a gsmap schedule."""
+        seg = np.array([(s.pe, s.gstart, s.gend) for s in self.segments
+                        if s.length], dtype=np.int64).reshape(-1, 3)
+        seg = seg[np.lexsort((seg[:, 1], seg[:, 0]))]
+        pe, lo, hi = seg.T
+        first, last = _chains(lo, hi, pe)
+        return Ownership(self.nranks, pe[first], lo[first, None],
+                         hi[last, None])
 
     def _check_pe(self, pe: int) -> None:
         if not (0 <= pe < self.nranks):

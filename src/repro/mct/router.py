@@ -53,6 +53,9 @@ class _GsmapLinearization:
     def runs(self, rank: int):
         return self.gsmap.runs(rank)
 
+    def ownership(self):
+        return self.gsmap.ownership()
+
 
 def build_gsmap_schedule(src: GlobalSegMap,
                          dst: GlobalSegMap) -> CommSchedule:

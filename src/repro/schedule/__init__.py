@@ -16,9 +16,9 @@ Two builders, one schedule type (:class:`CommSchedule`):
   Meta-Chaos approach, which also couples non-array structures; its
   regions are the ``ndim = 1`` runs of the shared linear space.
 
-Both compile to the same plans (:func:`compile_rank_plan`, against a
-rank's owned patches or a linearization's layout) and move bytes the
-same way.
+Both compile to the same plans — a whole side at once, against the
+side's ownership table of patches or of a linearization's layouts — and
+move bytes the same way.
 
 Schedules are plain data with one lifecycle — **cache → bind → step →
 close**: ``GLOBAL_CACHE.get(src, dst)`` is where every subsystem obtains

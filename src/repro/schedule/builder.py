@@ -77,14 +77,6 @@ def build_region_schedule(src: DistArrayDescriptor,
     return build_sweep_schedule(src, dst)
 
 
-def _owner_columns(desc: DistArrayDescriptor):
-    """Every ownership region of ``desc`` as columns: rank, lo, hi."""
-    owned = [desc.local_regions(r) for r in range(desc.nranks)]
-    return (np.repeat(np.arange(desc.nranks), [len(o) for o in owned]),
-            np.concatenate([o.lo.reshape(-1, desc.ndim) for o in owned]),
-            np.concatenate([o.hi.reshape(-1, desc.ndim) for o in owned]))
-
-
 # -- structured fast path -----------------------------------------------------
 
 #: Axis types whose ownership pieces over an interval have a closed form.
@@ -171,10 +163,12 @@ def build_structured_schedule(src: DistArrayDescriptor,
         s, d, lo, hi = _cell_overlay(src.template, dst.template)
     else:
         structured, other = (src, dst) if s_ok else (dst, src)
-        ranks, olo, ohi = _owner_columns(other)
-        row, own, lo, hi = _structured_overlaps(structured.template, olo, ohi)
-        s, d = (own, ranks[row]) if s_ok else (ranks[row], own)
-    return CommSchedule.from_columns(s, d, lo, hi, src.nranks, dst.nranks)
+        owned = other.ownership()
+        row, own, lo, hi = _structured_overlaps(structured.template,
+                                                owned.lo, owned.hi)
+        s, d = (own, owned.rank[row]) if s_ok else (owned.rank[row], own)
+    return CommSchedule.from_columns(s, d, lo, hi, src.nranks, dst.nranks,
+                                     (src.ownership(), dst.ownership()))
 
 
 # -- sweep-line general builder ----------------------------------------------
@@ -222,17 +216,16 @@ def build_sweep_schedule(src: DistArrayDescriptor,
         raise ScheduleError(
             f"cannot build schedule between shapes {src.shape} and "
             f"{dst.shape}")
-    s_rank, s_lo, s_hi = _owner_columns(src)
-    d_rank, d_lo, d_hi = _owner_columns(dst)
-    pairs = _overlap_pairs_1d(list(zip(s_lo[:, 0].tolist(),
-                                       s_hi[:, 0].tolist())),
-                              list(zip(d_lo[:, 0].tolist(),
-                                       d_hi[:, 0].tolist())))
+    s, d = src.ownership(), dst.ownership()
+    pairs = _overlap_pairs_1d(list(zip(s.lo[:, 0].tolist(),
+                                       s.hi[:, 0].tolist())),
+                              list(zip(d.lo[:, 0].tolist(),
+                                       d.hi[:, 0].tolist())))
     si, di = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
-    lo, hi, keep = intersect_boxes(s_lo[si], s_hi[si], d_lo[di], d_hi[di])
-    return CommSchedule.from_columns(s_rank[si][keep], d_rank[di][keep],
+    lo, hi, keep = intersect_boxes(s.lo[si], s.hi[si], d.lo[di], d.hi[di])
+    return CommSchedule.from_columns(s.rank[si][keep], d.rank[di][keep],
                                      lo[keep], hi[keep],
-                                     src.nranks, dst.nranks)
+                                     src.nranks, dst.nranks, (s, d))
 
 
 def build_linear_schedule(src: Linearization,
@@ -267,7 +260,8 @@ def build_linear_schedule(src: Linearization,
             j += 1
     cols = np.array(rows, dtype=np.int64).reshape(-1, 4)
     return CommSchedule.from_columns(cols[:, 0], cols[:, 1], cols[:, 2:3],
-                                     cols[:, 3:], src.nranks, dst.nranks)
+                                     cols[:, 3:], src.nranks, dst.nranks,
+                                     (src.ownership(), dst.ownership()))
 
 
 class ScheduleCache:

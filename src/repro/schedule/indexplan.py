@@ -42,9 +42,15 @@ shapes agree, and stages through a loan only when neither holds.
 Plans are pure functions of (a rank's wire columns, its local layout:
 owned patches, or owned linear runs and where each starts in local
 storage — :class:`LocalIndexer`), so they are compiled once and cached
-on the schedule —
-repeated transfers over a reused schedule (the paper's
-persistent-channel case) pay compilation once.
+on the schedule — repeated transfers over a reused schedule (the
+paper's persistent-channel case) pay compilation once.  One compiler
+serves every caller, and its cost follows the number of rows, not of
+ranks: rows grouped by (rank, peer) are cut, located and folded in
+whole-array passes, so a schedule side compiles all its ranks at once
+against an all-ranks ownership table (:class:`SidePlans`, the way the
+closed-form redistribution tables of arXiv 0706.2146 cover every
+processor at once), while :func:`compile_rank_plan` and
+:func:`compile_pair` run it over one rank's or one pair's rows.
 ``PLAN_STATS`` counts compilations so tests can pin that down.
 """
 
@@ -56,6 +62,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.dad.ownership import Ownership
 from repro.errors import ScheduleError
 from repro.util.counters import Counters, TRANSPORT_STATS
 from repro.util.indexing import ragged_arange, region_flat_indices
@@ -68,13 +75,15 @@ __all__ = [
     "RankPlan",
     "PLAN_STATS",
     "LocalIndexer",
+    "SidePlans",
     "compile_pair",
     "compile_rank_plan",
     "plan_from_indices",
 ]
 
 #: Compilation counters: ``rank_plans`` increments once per compiled
-#: per-rank plan, ``pair_plans`` once per (src, dst) pair inside it.
+#: per-rank plan (a side compile produces its side's rank count),
+#: ``pair_plans`` once per (src, dst) pair inside them.
 #: Regression tests assert these do not grow under repeated transfers
 #: over a cached schedule.
 PLAN_STATS = Counters()
@@ -376,41 +385,54 @@ def plan_from_indices(peer: int, idx: np.ndarray) -> PairPlan:
 # -- compilation --------------------------------------------------------------
 #
 # Rows: k boxes as three int64 arrays ``lo (k,)``, ``shape (k, m)``,
-# ``strides (k, m)`` — one per transfer region to start with.
+# ``strides (k, m)`` — one per transfer region to start with — grouped
+# by ``bounds``: group ``g`` (one rank pair) is rows
+# ``bounds[g]:bounds[g+1]``, in wire order.
 
-def _fold(lo, shape, strides):
-    """One folding level: every maximal run of consecutive rows with
-    equal shape and strides and one constant positive ``lo`` delta
-    becomes a single row with one more outer axis ``(count, delta)``."""
+def _fold(lo, shape, strides, bounds):
+    """One folding level over every group at once: each maximal run of
+    consecutive rows of one group with equal shape and strides and one
+    constant positive ``lo`` delta becomes a single row with one more
+    outer axis ``(count, delta)``.  Returns the rows and their bounds.
+
+    Greedy, left to right, as a loop over one pair would run: a run
+    keeps extending while its link (the ``lo`` delta to the next row, 0
+    where rows do not chain) repeats; the first differing link closes it
+    and belongs to neither run, so the next run starts one row later.
+    Whether a group of equal links starts one row late thus depends on
+    the group before it, and alternates through a streak of one-link
+    groups: a parity, computed below without a loop."""
     k = len(lo)
+    link = np.zeros(k, dtype=np.int64)
     delta = np.diff(lo)
     same = ((shape[1:] == shape[:-1]).all(axis=1)
             & (strides[1:] == strides[:-1]).all(axis=1) & (delta > 0))
-    link = np.where(same, delta, 0)             # 0 = rows do not chain
-    cuts = np.flatnonzero(link[1:] != link[:-1]) + 1
-    # Greedy over groups of equal links: a run keeps extending while the
-    # link repeats; the first differing link is the boundary to the next
-    # run and belongs to neither.
-    first, last = [], []
-    a = 0
-    starts = [0, *cuts.tolist()]
-    for gs, ge, chained in zip(starts, [*starts[1:], k - 1],
-                               link[starts].tolist()):
-        if not chained:
-            first += [a, *range(gs + 1, ge)]
-            last += [gs, *range(gs + 1, ge)]
-            a = ge
-        elif a < gs:
-            first.append(a)
-            last.append(gs)
-            a = gs + 1
-    first.append(a)
-    last.append(k - 1)
-    first = np.asarray(first)
-    count = np.asarray(last) - first + 1
+    link[:-1] = np.where(same, delta, 0)
+    link[bounds[1:] - 1] = 0                # a group boundary breaks a chain
+    # Groups of equal links: links gs[j]..ge[j]-1, rows gs[j]..ge[j].
+    gs = np.flatnonzero(np.diff(link, prepend=link[0] + 1))
+    ge = np.append(gs[1:], k)
+    chained = link[gs] != 0
+    # cut[j]: row gs[j] already ends the previous group's run.  It does
+    # iff the previous group is chained and its run did not start at
+    # its last row — flipping through each streak of one-link groups.
+    j = np.arange(len(gs))
+    streak = chained & (ge - gs == 1)
+    base = np.maximum.accumulate(np.where(streak, -1, j))
+    base = np.concatenate(([-1], base[:-1]))
+    cut = (np.where(base >= 0, chained[base], False)
+           ^ ((j - 1 - base) % 2 == 1))
+    entry = gs + cut
+    # A chained group yields one run entry..ge (if any row is left), a
+    # link-0 group one single-row run per remaining row.
+    n = np.where(chained, entry < ge, ge - entry)
+    first = np.repeat(entry, n) + ragged_arange(n)
+    last = np.where(np.repeat(chained, n), np.repeat(ge, n), first)
+    count = last - first + 1
     step = np.where(count > 1, lo[np.minimum(first + 1, k - 1)] - lo[first], 0)
-    return (lo[first], np.column_stack((count, shape[first])),
-            np.column_stack((step, strides[first])))
+    return ((lo[first], np.column_stack((count, shape[first])),
+             np.column_stack((step, strides[first]))),
+            np.searchsorted(first, bounds))
 
 
 def _expand(lo, shape, strides) -> np.ndarray:
@@ -426,21 +448,61 @@ def _expand(lo, shape, strides) -> np.ndarray:
     return idx
 
 
-def _pair_from_rows(peer: int, lo, shape, strides) -> PairPlan:
-    PLAN_STATS.add("pair_plans")
-    size = int(shape.prod(axis=1).sum())
-    rows = (lo, shape, strides)
-    while len(rows[0]) > 1:
-        folded = _fold(*rows)
+class _Unfolded(NamedTuple):
+    """A pair that does not fold into :data:`MAX_BOXES` boxes, kept as
+    its located rows until its own rank's plan is asked for."""
+
+    peer: int
+    size: int
+    lo: np.ndarray
+    shape: np.ndarray
+    strides: np.ndarray
+
+    def plan(self) -> PairPlan:
+        return PairPlan(self.peer, self.size, (),
+                        _expand(self.lo, self.shape, self.strides))
+
+
+def _compile(indexer: "LocalIndexer", peers: np.ndarray, bounds: np.ndarray,
+             lo: np.ndarray, hi: np.ndarray,
+             ranks: np.ndarray | None = None) -> list:
+    """The one compiler: rows grouped by (rank, peer) in wire order —
+    pair ``g`` exchanges rows ``bounds[g]:bounds[g+1]`` with
+    ``peers[g]`` — cut, located (each row inside a patch of its own
+    rank, ``ranks[g]``, when ``indexer`` covers several), folded one
+    level at a time over all pairs together, and boxed per pair.
+    Returns one :class:`PairPlan`, or :class:`_Unfolded`, per pair."""
+    PLAN_STATS.add("pair_plans", len(peers))
+    if not len(lo):
+        return [PairPlan(peer, 0, (_EMPTY,)) for peer in peers.tolist()]
+    lo, hi, bounds = indexer.cut(lo, hi, bounds)
+    located = indexer.locate(
+        lo, hi, None if ranks is None else np.repeat(ranks, np.diff(bounds)))
+    ends = np.concatenate(([0], np.cumsum(located[1].prod(axis=1))))
+    sizes = (ends[bounds[1:]] - ends[bounds[:-1]]).tolist()
+    rows, rb = located, bounds
+    while True:
+        folded, fb = _fold(*rows, rb)
         if len(folded[0]) == len(rows[0]):
             break
-        rows = folded
-    if len(rows[0]) > MAX_BOXES:
-        return PairPlan(peer, size, (), _expand(lo, shape, strides))
-    boxes = [_box(*raw) for raw in zip(
-        rows[0].tolist(), rows[1].tolist(), rows[2].tolist())]
-    boxes = tuple(b for b in boxes if b.size) or (_EMPTY,)
-    return PairPlan(peer, size, boxes)
+        rows, rb = folded, fb
+    flo, fshape, fstrides = (r.tolist() for r in rows)
+    out: list = []
+    for g, (peer, size, a, b) in enumerate(zip(
+            peers.tolist(), sizes, rb[:-1].tolist(), rb[1:].tolist())):
+        if b - a > MAX_BOXES:
+            a, b = bounds[g], bounds[g + 1]
+            out.append(_Unfolded(peer, size, *(r[a:b] for r in located)))
+            continue
+        boxes = [_box(*raw) for raw in zip(flo[a:b], fshape[a:b],
+                                           fstrides[a:b])]
+        out.append(PairPlan(peer, size,
+                            tuple(x for x in boxes if x.size) or (_EMPTY,)))
+    return out
+
+
+def _plan(pair) -> PairPlan:
+    return pair if isinstance(pair, PairPlan) else pair.plan()
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -457,77 +519,102 @@ def _region(lo: np.ndarray, hi: np.ndarray) -> Region:
 
 
 class LocalIndexer:
-    """Where global regions live inside one rank's local storage.
+    """Where global regions live inside local storage — one rank's, or
+    every rank's of a decomposition at once.
 
     Each owned patch is flattened row-major and starts at its offset in
-    the flat local buffer.  By default the patches are stored back to
-    back in ``lo`` order — the layout :class:`~repro.dad.darray.
+    its rank's flat local buffer.  By default the patches are stored
+    back to back in ``lo`` order — the layout :class:`~repro.dad.darray.
     DistributedArray` guarantees; a linearization says where each of its
     owned runs starts instead (:meth:`~repro.linearize.linearization.
     Linearization.layout`).  :meth:`locate` answers for many regions at
     once, in closed form: the per-axis patch edges cut the index space
     into cells each owned by at most one patch, so a region's patch is
     one ``searchsorted`` per axis and one table lookup, and its box
-    ``lo`` one dot with the patch strides.
+    ``lo`` one dot with the patch strides.  Over an
+    :class:`~repro.dad.ownership.Ownership` table it also checks that
+    each region's patch belongs to the region's rank.
     """
 
-    def __init__(self, owned_regions: RegionList | Sequence[Region],
+    def __init__(self, owned: Ownership | RegionList | Sequence[Region],
                  offsets: np.ndarray | None = None):
-        """``owned_regions``: a :class:`RegionList` (its columns are read
-        as they are) or any sequence of :class:`Region`; ``offsets``:
+        """``owned``: an :class:`~repro.dad.ownership.Ownership` table
+        (patches of one or many ranks, with their offsets), a
+        :class:`RegionList` (its columns are read as they are) or any
+        sequence of :class:`Region`; ``offsets``: for the latter two,
         the flat local position of each one's first element, in the
         same order (default: back to back in ``lo`` order)."""
-        if not isinstance(owned_regions, RegionList):
-            owned_regions = RegionList(owned_regions, validate=False)
-        n, ndim = owned_regions.lo.shape
-        order = np.lexsort(owned_regions.lo.T[::-1]) if n else slice(None)
-        self._plo = owned_regions.lo[order]
-        self._phi = owned_regions.hi[order]
-        self._patches: list[Region] | None = None
-        shape = self._phi - self._plo
-        if offsets is None:
-            volume = shape.prod(axis=1)
-            self._offsets = np.cumsum(volume) - volume
+        self._prank = None
+        if isinstance(owned, Ownership):
+            self._plo, self._phi = owned.lo, owned.hi
+            self._offsets, self._prank = owned.offset, owned.rank
         else:
-            self._offsets = np.asarray(offsets, dtype=np.int64)[order]
+            if not isinstance(owned, RegionList):
+                owned = RegionList(owned, validate=False)
+            order = (np.lexsort(owned.lo.T[::-1]) if len(owned.lo)
+                     else slice(None))
+            self._plo, self._phi = owned.lo[order], owned.hi[order]
+            if offsets is None:
+                volume = (self._phi - self._plo).prod(axis=1)
+                self._offsets = np.cumsum(volume) - volume
+            else:
+                self._offsets = np.asarray(offsets, dtype=np.int64)[order]
+        self._patches: list[Region] | None = None
+        self._edges: list[np.ndarray] | None = None
+        self._cells: np.ndarray | None = None
+
+    def _index(self) -> list[np.ndarray]:
+        """The per-axis edges and cell table (built on first use, so an
+        indexer made only to describe a layout costs nothing)."""
+        if self._edges is not None:
+            return self._edges
+        n, ndim = self._plo.shape
+        shape = self._phi - self._plo
         self._strides = np.ones_like(shape)
         for d in range(ndim - 2, -1, -1):
             self._strides[:, d] = self._strides[:, d + 1] * shape[:, d + 1]
-        self._edges = [_sorted_unique(np.concatenate((self._plo[:, d],
-                                                      self._phi[:, d])))
-                       for d in range(ndim)]
-        cells = tuple(max(len(e) - 1, 0) for e in self._edges)
-        # A Cartesian rank's patches are a product of per-axis intervals
-        # (at most 2**ndim cells per patch); an irregular layout whose
-        # edges do not line up could need far more, and scans instead.
-        self._cells = None
+        edges = [_sorted_unique(np.concatenate((self._plo[:, d],
+                                                self._phi[:, d])))
+                 for d in range(ndim)]
+        cells = tuple(max(len(e) - 1, 0) for e in edges)
+        # A Cartesian layout's patches are a product of per-axis
+        # intervals (at most 2**ndim cells per patch); an irregular
+        # layout whose edges do not line up could need far more, and
+        # scans instead.
         if n and prod(cells) <= (n << ndim) + (1 << 16):
             self._cells = np.full(cells, -1, dtype=np.int64)
             a = [np.searchsorted(e, self._plo[:, d])
-                 for d, e in enumerate(self._edges)]
+                 for d, e in enumerate(edges)]
             z = [np.searchsorted(e, self._phi[:, d])
-                 for d, e in enumerate(self._edges)]
+                 for d, e in enumerate(edges)]
             single = np.all([zd - ad == 1 for ad, zd in zip(a, z)], axis=0)
             ids = np.arange(n)
             self._cells[tuple(ad[single] for ad in a)] = ids[single]
             for i in ids[~single].tolist():
                 self._cells[tuple(slice(ad[i], zd[i])
                                   for ad, zd in zip(a, z))] = i
+        self._edges = edges
+        return edges
 
-    def _patch_of(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        k = len(lo)
+    def _patch_of(self, lo: np.ndarray) -> np.ndarray:
+        """The patch holding each row's ``lo`` corner, or -1."""
+        edges = self._index()
         if self._cells is None:
-            patch = np.full(k, -1, dtype=np.int64)
-            for i in range(k):
-                hit = np.flatnonzero(((self._plo <= lo[i])
-                                      & (hi[i] <= self._phi)).all(axis=1))
-                if hit.size:
-                    patch[i] = hit[0]
+            # Patches are disjoint, so at most one holds a corner: test
+            # rows against all patches, a block of rows at a time.
+            patch = np.full(len(lo), -1, dtype=np.int64)
+            block = max(1, (1 << 20) // max(self._plo.size, 1))
+            for a in range(0, len(lo), block):
+                corner = lo[a:a + block, None]
+                hit = ((self._plo <= corner)
+                       & (corner < self._phi)).all(axis=2)
+                patch[a:a + block] = np.where(hit.any(axis=1),
+                                              hit.argmax(axis=1), -1)
             return patch
-        inside = np.ones(k, dtype=bool)
+        inside = np.ones(len(lo), dtype=bool)
         cell = []
-        for d, edges in enumerate(self._edges):
-            c = np.searchsorted(edges, lo[:, d], side="right") - 1
+        for d, e in enumerate(edges):
+            c = np.searchsorted(e, lo[:, d], side="right") - 1
             inside &= (c >= 0) & (c < self._cells.shape[d])
             cell.append(np.clip(c, 0, self._cells.shape[d] - 1))
         return np.where(inside, self._cells[tuple(cell)], -1)
@@ -538,9 +625,9 @@ class LocalIndexer:
         owned run into the next, which local storage need not hold next
         to it.  n-D rows (regions, each inside one patch) and rows that
         cross no edge pass through."""
-        if lo.shape[1] != 1:
+        if lo.shape[1] != 1 or not len(self._plo):
             return lo, hi, bounds
-        edges = self._edges[0]
+        edges = self._index()[0]
         first = np.searchsorted(edges, lo[:, 0], side="right")
         inner = np.searchsorted(edges, hi[:, 0], side="left") - first
         if not inner.any():
@@ -555,21 +642,27 @@ class LocalIndexer:
         ends = np.concatenate(([0], np.cumsum(count)))
         return start[:, None], stop[:, None], ends[bounds]
 
-    def locate(self, lo: np.ndarray, hi: np.ndarray):
+    def locate(self, lo: np.ndarray, hi: np.ndarray,
+               ranks: np.ndarray | None = None):
         """Rows ``(lo, shape, strides)`` — one box per row of the
         ``(k, ndim)`` region bounds ``lo`` / ``hi``, in the order given:
-        the region inside its containing patch."""
+        the region inside its containing patch, which over a table must
+        be one of rank ``ranks[i]``'s."""
         if len(lo) and not len(self._plo):
             raise ScheduleError(
                 f"transfer region {_region(lo[0], hi[0])} not contained in "
                 f"any owned patch")
-        patch = self._patch_of(lo, hi)
-        bad = np.flatnonzero((patch < 0) | (hi > self._phi[patch]).any(axis=1))
+        patch = self._patch_of(lo)
+        bad = (patch < 0) | (hi > self._phi[patch]).any(axis=1)
+        if ranks is not None and self._prank is not None:
+            bad |= self._prank[patch] != ranks
+        bad = np.flatnonzero(bad)
         if bad.size:
             i = int(bad[0])
+            owner = "" if ranks is None else f" of rank {int(ranks[i])}"
             raise ScheduleError(
                 f"transfer region {_region(lo[i], hi[i])} not contained in "
-                f"any owned patch")
+                f"any owned patch{owner}")
         strides = self._strides[patch]
         return (self._offsets[patch] + ((lo - self._plo[patch]) * strides
                                         ).sum(axis=1),
@@ -600,7 +693,8 @@ def compile_pair(indexer: LocalIndexer, peer: int, lo: np.ndarray,
     layout): two calls with equal bound columns over an equal layout
     yield byte-identical plans — the soundness basis for the delta
     compiler's verbatim plan reuse (:mod:`repro.schedule.delta`)."""
-    return _pair_from_rows(peer, *indexer.locate(lo, hi))
+    return _plan(_compile(indexer, np.array([peer]),
+                          np.array([0, len(lo)]), lo, hi)[0])
 
 
 def compile_rank_plan(peers: np.ndarray, bounds: np.ndarray, lo: np.ndarray,
@@ -608,18 +702,46 @@ def compile_rank_plan(peers: np.ndarray, bounds: np.ndarray, lo: np.ndarray,
     """Compile one rank's side of a schedule — the columns of
     :meth:`~repro.schedule.plan.CommSchedule.wire` — against its local
     layout: a :class:`LocalIndexer`, or the owned regions to build the
-    default one from.  All rows are cut and located in one vectorised
-    pass; each pair then folds its slice of them, in wire order, so
-    plan-based and loop-based buffers are byte-identical."""
+    default one from.  Plan-based and loop-based buffers are
+    byte-identical: every pair packs its rows in wire order."""
     pairs: tuple[PairPlan, ...] = ()
     if len(peers):
         if not isinstance(layout, LocalIndexer):
             layout = LocalIndexer(layout)
-        lo, hi, bounds = layout.cut(lo, hi, bounds)
-        rows = layout.locate(lo, hi)
-        pairs = tuple(_pair_from_rows(peer, *(r[a:b] for r in rows))
-                      for peer, a, b in zip(peers.tolist(),
-                                            bounds[:-1].tolist(),
-                                            bounds[1:].tolist()))
+        pairs = tuple(map(_plan, _compile(layout, peers, bounds, lo, hi)))
     PLAN_STATS.add("rank_plans")
     return RankPlan(pairs)
+
+
+class SidePlans:
+    """Every rank's plan of one schedule side, compiled in one pass
+    against the side's ownership table: rows grouped by (rank, peer) in
+    wire order — pair ``g`` is rank ``ranks[g]`` exchanging rows
+    ``bounds[g]:bounds[g+1]`` with ``peers[g]``, ranks ascending.
+    :meth:`plan` slices one rank's pairs out; an index-fallback pair is
+    expanded only then, so nobody holds another rank's index arrays."""
+
+    def __init__(self, table: Ownership, ranks: np.ndarray,
+                 peers: np.ndarray, bounds: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray):
+        self._pairs = _compile(LocalIndexer(table), peers, bounds, lo, hi,
+                               ranks)
+        self._starts = np.searchsorted(ranks, np.arange(table.nranks + 1))
+        PLAN_STATS.add("rank_plans", table.nranks)
+
+    def plan(self, rank: int) -> RankPlan:
+        if not 0 <= rank < len(self._starts) - 1:
+            return RankPlan(())
+        a, b = self._starts[rank], self._starts[rank + 1]
+        return RankPlan(tuple(map(_plan, self._pairs[a:b])))
+
+
+def same_layout(table: Ownership, rank: int, layout) -> bool:
+    """Whether ``layout`` — anything :func:`compile_rank_plan` takes —
+    is exactly rank ``rank``'s part of ``table``: the same patches, each
+    at the same flat offset."""
+    if layout is table.regions(rank):
+        return True
+    if not isinstance(layout, LocalIndexer):
+        layout = LocalIndexer(layout)
+    return table.matches(rank, layout._plo, layout._phi, layout._offsets)

@@ -15,8 +15,16 @@ any compiled plans.
 (src, dst) pair is one contiguous row range in ascending ``lo`` — the
 order both sides pack and unpack the pair's message in, with no
 metadata — a sender visits its pairs by destination and a receiver by
-source.  A rank's plan compiles straight from its rows
-(:meth:`CommSchedule.wire`) against the rank's local layout.
+source.
+
+**Plans per side.**  Every builder attaches the two sides' ownership
+tables (:class:`~repro.dad.ownership.Ownership`, ``owners``), and the
+first plan asked of a side compiles all its ranks in one vectorised
+pass over the side's rows against its table (:class:`~repro.schedule.
+indexplan.SidePlans`); each rank's plan is a slice of the result, and a
+layout that is not the rank's part of the table is refused.  A schedule
+without tables compiles just the rank asked for, from its rows
+(:meth:`CommSchedule.wire`) against the layout given.
 
 **Objects on demand.**  ``items`` is a lazy sequence: ``len`` is O(1);
 iterating, indexing, slicing, ``==`` and ``+`` materialise the
@@ -31,11 +39,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import threading
+
 import numpy as np
 
 from repro.errors import ScheduleError, VerificationError
 from repro.dad.descriptor import DistArrayDescriptor
-from repro.schedule.indexplan import RankPlan, compile_rank_plan
+from repro.dad.ownership import Ownership
+from repro.schedule.indexplan import (
+    RankPlan,
+    SidePlans,
+    compile_rank_plan,
+    same_layout,
+)
 from repro.util.regions import Region
 
 
@@ -77,7 +93,10 @@ class _Items:
 
 #: Derived from the columns by ``_index`` — not pickled, re-derived.
 _DERIVED = ("pair_src", "pair_dst", "pair_size", "element_count",
-            "_item_objects", "_group_views", "_by_dst")
+            "_item_objects", "_group_views", "_side_rows", "_side_plans",
+            "_lock")
+
+_SIDES = ("send", "recv")
 
 
 class CommSchedule:
@@ -100,10 +119,14 @@ class CommSchedule:
 
     @classmethod
     def from_columns(cls, src: np.ndarray, dst: np.ndarray, lo: np.ndarray,
-                     hi: np.ndarray, src_nranks: int, dst_nranks: int):
-        """A schedule over int64 columns in any row order (sorted here)."""
+                     hi: np.ndarray, src_nranks: int, dst_nranks: int,
+                     owners: tuple[Ownership, Ownership] | None = None):
+        """A schedule over int64 columns in any row order (sorted here);
+        ``owners`` are the source and destination ownership tables the
+        rows were cut from, which every builder attaches."""
         schedule = cls.__new__(cls)
         schedule._set_columns(src, dst, lo, hi, src_nranks, dst_nranks)
+        schedule.owners = owners
         return schedule
 
     def _set_columns(self, src, dst, lo, hi, src_nranks, dst_nranks) -> None:
@@ -112,6 +135,9 @@ class CommSchedule:
             src[order], dst[order], lo[order], hi[order])
         self.src_nranks = src_nranks
         self.dst_nranks = dst_nranks
+        #: The (send, recv) side ownership tables, or ``None`` for a
+        #: schedule built from item lists — see rank_plan.
+        self.owners: tuple[Ownership, Ownership] | None = None
         #: compiled index plans, keyed ("send"/"recv", rank) — see
         #: rank_plan.
         self._plans: dict[tuple[str, int], RankPlan] = {}
@@ -128,41 +154,60 @@ class CommSchedule:
         self.element_count = int(volume.sum())
         self._item_objects: list | None = None
         self._group_views: dict[tuple[str, int], list] = {}
-        self._by_dst: tuple[np.ndarray, np.ndarray] | None = None
+        self._side_rows: dict[str, tuple] = {}
+        self._side_plans: dict[str, SidePlans] = {}
+        self._lock = threading.Lock()
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k not in _DERIVED}
+        # The ownership tables stay home too: a pickle is the columns
+        # plus any compiled plans, and its unpickler compiles per rank.
+        return {k: v for k, v in self.__dict__.items()
+                if k not in _DERIVED and k != "owners"}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self.owners = None
         self._index()
 
     def subset(self, mask: np.ndarray):
-        """The schedule of the rows ``mask`` selects, over the same ranks."""
+        """The schedule of the rows ``mask`` selects, over the same ranks
+        and the same ownership tables."""
         return self.from_columns(self.src[mask], self.dst[mask],
                                  self.lo[mask], self.hi[mask],
-                                 self.src_nranks, self.dst_nranks)
+                                 self.src_nranks, self.dst_nranks,
+                                 self.owners)
+
+    def _side(self, side: str):
+        """Side ``side``'s rows in wire order and its pairs, memoized:
+        ``(rows, ranks, peers, bounds)`` — pair ``g`` is rank
+        ``ranks[g]`` exchanging rows ``rows[bounds[g]:bounds[g+1]]`` with
+        ``peers[g]``, by (rank, peer).  A receiver's rows keep the sorted
+        order, which is ``(src, lo)`` for one ``dst``."""
+        index = self._side_rows.get(side)
+        if index is None:
+            if side == "send":
+                rows = np.arange(len(self.src))
+                rank, peer = self.src, self.dst
+            else:
+                # stable, so each destination keeps its (src, lo) order
+                rows = np.argsort(self.dst, kind="stable")
+                rank, peer = self.dst[rows], self.src[rows]
+            first = np.flatnonzero((np.diff(rank, prepend=-1) != 0)
+                                   | (np.diff(peer, prepend=-1) != 0))
+            index = self._side_rows.setdefault(side, (
+                rows, rank[first], peer[first],
+                np.append(first, len(rows))))
+        return index
 
     def wire(self, side: str, rank: int):
         """Rank ``rank``'s ``side`` (``"send"``/``"recv"``) as columns, in
         wire order: ``(peers, bounds, lo, hi)`` — pair ``i`` moves the
         rows ``bounds[i]:bounds[i+1]`` of ``lo`` / ``hi`` to or from
-        ``peers[i]``.  A receiver's rows keep the sorted order, which is
-        ``(src, lo)`` for one ``dst``."""
-        if side == "send":
-            a, b = np.searchsorted(self.src, (rank, rank + 1))
-            rows = np.arange(a, b)
-        else:
-            if self._by_dst is None:
-                # stable, so each destination keeps its (src, lo) order
-                order = np.argsort(self.dst, kind="stable")
-                self._by_dst = order, self.dst[order]
-            order, dst = self._by_dst
-            a, b = np.searchsorted(dst, (rank, rank + 1))
-            rows = order[a:b]
-        peer = (self.dst if side == "send" else self.src)[rows]
-        starts = np.flatnonzero(np.diff(peer, prepend=-1))
-        return (peer[starts], np.append(starts, len(rows)),
+        ``peers[i]``."""
+        rows, ranks, peers, bounds = self._side(side)
+        a, b = np.searchsorted(ranks, (rank, rank + 1))
+        rows = rows[bounds[a]:bounds[b]]
+        return (peers[a:b], bounds[a:b + 1] - bounds[a],
                 self.lo[rows], self.hi[rows])
 
     # -- object views ----------------------------------------------------------
@@ -231,8 +276,9 @@ class CommSchedule:
         linearization's owned runs and their local offsets.  Plans are
         compiled on first use and cached for the schedule's lifetime,
         which is sound because everything replayed against one schedule
-        conforms to the same template — every caller must therefore
-        supply an equivalent ``layout``."""
+        conforms to the same template: on a schedule that carries its
+        ownership tables a ``layout`` that differs from the rank's part
+        of the table raises :class:`~repro.errors.ScheduleError`."""
         return self.rank_plan("send", src, layout)
 
     def recv_plan(self, dst: int, layout) -> RankPlan:
@@ -242,12 +288,38 @@ class CommSchedule:
 
     def rank_plan(self, side: str, rank: int, layout) -> RankPlan:
         """:meth:`send_plan` (``side="send"``) or :meth:`recv_plan`
-        (``"recv"``) — the form the executor binds through."""
+        (``"recv"``) — the form the executor binds through.
+
+        On a schedule with ownership tables the first request compiles
+        every rank of the side in one pass (:class:`~repro.schedule.
+        indexplan.SidePlans`) and each rank's plan is sliced out of it on
+        its first request; without tables only the requested rank
+        compiles.  Plans installed by :meth:`seed_plan` win."""
+        table = None
+        if self.owners is not None:
+            table = self.owners[_SIDES.index(side)]
+            if not same_layout(table, rank, layout):
+                raise ScheduleError(
+                    f"{side} layout of rank {rank} is not the ownership "
+                    f"this schedule was built for")
         plan = self._plans.get((side, rank))
         if plan is None:
-            plan = self._plans[(side, rank)] = compile_rank_plan(
-                *self.wire(side, rank), layout)
+            with self._lock:
+                plan = self._plans.get((side, rank))
+                if plan is None:
+                    plan = self._plans[(side, rank)] = (
+                        compile_rank_plan(*self.wire(side, rank), layout)
+                        if table is None else
+                        self._compiled_side(side, table).plan(rank))
         return plan
+
+    def _compiled_side(self, side: str, table: Ownership) -> SidePlans:
+        compiled = self._side_plans.get(side)
+        if compiled is None:
+            rows, ranks, peers, bounds = self._side(side)
+            compiled = self._side_plans[side] = SidePlans(
+                table, ranks, peers, bounds, self.lo[rows], self.hi[rows])
+        return compiled
 
     def plan_if_compiled(self, side: str, rank: int) -> RankPlan | None:
         """The cached compiled plan for ``(side, rank)``, or ``None`` if
@@ -262,7 +334,7 @@ class CommSchedule:
         the soundness argument: the plan must equal what
         :meth:`send_plan`/:meth:`recv_plan` would compile (same wire
         items over the same layout)."""
-        if side not in ("send", "recv"):
+        if side not in _SIDES:
             raise ScheduleError(f"unknown schedule side {side!r}")
         self._plans[(side, rank)] = plan
 

@@ -58,8 +58,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
-import networkx as nx
-
 from repro.errors import DeadlockError
 from repro.schedule.plan import CommSchedule
 
@@ -547,6 +545,8 @@ class CommProgram:
         stuck = self._explore()
         if stuck is None:
             return None
+        import networkx as nx   # only a found deadlock needs the graph
+
         pcs, commits, done, ops, n, consumed = stuck
         blocked: dict[str, str] = {}
         graph = nx.DiGraph()

@@ -202,9 +202,9 @@ def test_pickle_drops_the_region_memo():
                                name="field")
     for r in range(desc.nranks):
         desc.local_regions(r)
-    assert desc._region_cache
+    assert desc._ownership is not None
     clone = pickle.loads(pickle.dumps(desc))
-    assert clone._region_cache == {}
+    assert clone._ownership is None
     for r in range(desc.nranks):
         assert list(clone.local_regions(r)) == list(desc.local_regions(r))
     assert clone.cache_key() == desc.cache_key()

@@ -115,3 +115,19 @@ def test_explicit_template_partitions(template):
         seen[region.to_slices()] += 1
     assert np.all(seen == 1)
     template.validate()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(cartesian_templates(), explicit_templates()))
+def test_ownership_table_slices_are_owner_regions(template):
+    """The all-ranks table, rank by rank, is the per-rank reference
+    ``owner_regions`` in ``lo`` order, its patches back to back."""
+    table = template.ownership()
+    for r in range(template.nranks):
+        ref = sorted(template.owner_regions(r), key=lambda reg: reg.lo)
+        s = table.rows(r)
+        assert (table.rank[s] == r).all()
+        assert table.regions(r).regions == ref
+        volumes = [reg.volume for reg in ref]
+        np.testing.assert_array_equal(
+            table.offset[s], np.cumsum([0] + volumes)[:-1])
