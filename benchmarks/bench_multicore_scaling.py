@@ -87,6 +87,14 @@ def _descs(extent):
 
 # -- rank programs (module level: fork-safe on the procs backend) ------------
 
+def _sent(comm):
+    """Messages this rank has sent: point-to-point, collective-internal
+    and intercommunicator (on procs each rank's job counters are its
+    own)."""
+    c = comm.job.counters
+    return c.get("msgs") + c.get("internal_msgs") + c.get("inter_msgs")
+
+
 def _producer(comm, extent, steps, dst_of):
     src_desc, _ = _descs(extent)
     da = DistributedArray.from_global(src_desc, comm.rank, _global(extent))
@@ -101,7 +109,7 @@ def _producer(comm, extent, steps, dst_of):
     step()                                 # warm-up: pools fill here
     s0 = slot_stats()
     p0 = chan.pool_stats.get("allocations", 0)
-    q0 = TRANSPORT_STATS.get("ctl_queue_msgs")
+    q0, n0 = TRANSPORT_STATS.get("ctl_ring_msgs"), _sent(comm)
     comm.barrier()
     t0 = time.perf_counter()
     for _ in range(steps):
@@ -115,7 +123,8 @@ def _producer(comm, extent, steps, dst_of):
         "ring_full": s1.get("ring_full", 0) - s0.get("ring_full", 0),
         "slot_loans": s1.get("loans", 0) - s0.get("loans", 0),
         "oversize": s1.get("oversize", 0) - s0.get("oversize", 0),
-        "ctl_queue_msgs": TRANSPORT_STATS.get("ctl_queue_msgs") - q0,
+        "ring_msgs": TRANSPORT_STATS.get("ctl_ring_msgs") - q0,
+        "sent": _sent(comm) - n0,
     }
 
 
@@ -133,7 +142,7 @@ def _consumer(comm, extent, steps, src_of, collect):
         return out
     step()                                 # warm-up
     d0 = TRANSPORT_STATS.get("direct_deliveries")
-    q0 = TRANSPORT_STATS.get("ctl_queue_msgs")
+    q0, n0 = TRANSPORT_STATS.get("ctl_ring_msgs"), _sent(comm)
     comm.barrier()
     t0 = time.perf_counter()
     for _ in range(steps):
@@ -143,7 +152,8 @@ def _consumer(comm, extent, steps, src_of, collect):
         "elapsed": elapsed,
         "sum": sum(float(v.sum()) for v in out.patches.values()),
         "direct": TRANSPORT_STATS.get("direct_deliveries") - d0,
-        "ctl_queue_msgs": TRANSPORT_STATS.get("ctl_queue_msgs") - q0,
+        "ring_msgs": TRANSPORT_STATS.get("ctl_ring_msgs") - q0,
+        "sent": _sent(comm) - n0,
         "array": out if collect else None,
     }
 
@@ -182,7 +192,8 @@ def _measure(backend, extent=EXTENT, steps=STEPS, *, collect=False,
         "slot_loans": sum(r["slot_loans"] for r in prods),
         "oversize": sum(r["oversize"] for r in prods),
         "direct": sum(r["direct"] for r in cons),
-        "ctl_queue_msgs": sum(r["ctl_queue_msgs"] for r in prods + cons),
+        "ring_msgs": sum(r["ring_msgs"] for r in prods + cons),
+        "sent": sum(r["sent"] for r in prods + cons),
         "sum": sum(r["sum"] for r in cons),
         "parts": [r["array"] for r in cons] if collect else None,
     }
@@ -277,14 +288,14 @@ def smoke():
           f"backends, 0 steady-state slot allocs, ratio {ratio:.2f}x on "
           f"{cores} core(s); default options: {runs['oversize']} "
           f"multi-slot messages, {runs['ring_full']} ring-full waits, "
-          f"0 slot allocs, 0 queued control messages)")
+          f"0 slot allocs, every message on its pair's ring)")
 
 
 def smoke_runs(base):
     """CI gate for messages wider than one slot on default transport
     options: every pair message rides a run of slots — byte-identical,
-    never an inline allocation, and every message's descriptor rides
-    its pair's control ring (no payload falls back to the queue)."""
+    never an inline allocation — and every message sent rides its
+    pair's control ring."""
     row = _measure("procs", RUNS_EXTENT, collect=True)
     got = DistributedArray.assemble([p for p in row["parts"] if p is not None])
     if not np.array_equal(got, _global(RUNS_EXTENT)):
@@ -300,10 +311,10 @@ def smoke_runs(base):
             f"procs, default options: {row['slot_allocs']} slot-pool "
             f"allocations for multi-slot messages, baseline "
             f"{base['slot_allocs_per_step']}")
-    if row["ctl_queue_msgs"] != 0:
+    if row["ring_msgs"] != row["sent"] or not row["sent"]:
         raise SystemExit(
-            f"procs, default options: {row['ctl_queue_msgs']} messages "
-            f"took the control queue instead of their pair's ring")
+            f"procs, default options: {row['ring_msgs']} of {row['sent']} "
+            f"messages sent rode their pair's control ring")
     return row
 
 

@@ -196,7 +196,8 @@ class Mailbox:
     # -- the one blocking-wait loop ----------------------------------------
 
     def _wait(self, find: Callable[[], Any], describe: Callable[[], str],
-              timeout: float | None, *, poll: float | None = None) -> Any:
+              timeout: float | None, *, poll: float | None = None,
+              watched: bool = True) -> Any:
         """Drain, then call ``find()`` under the lock until it returns
         something other than ``None``; return that.
 
@@ -205,7 +206,8 @@ class Mailbox:
         ``rendezvous_waits`` (receives only: ``poll`` waits are for
         shared state no delivery changes).  Between checks it parks on
         the inbox doorbell — the condition on the threads backend —
-        for at most ``poll`` seconds when given.  An abort raises
+        for at most ``poll`` seconds when given.  An unwatched wait
+        records no blocked state.  An abort raises
         :class:`DeadlockError`; an explicit ``timeout`` raises
         :class:`TimeoutError` (``timeout <= 0`` means no limit).
         Completing counts as progress."""
@@ -213,11 +215,13 @@ class Mailbox:
             self._drain()
             got = find()
         if got is None:
-            got = self._wait_blocked(find, describe(), timeout, poll)
+            got = self._wait_blocked(find, describe(), timeout, poll,
+                                     watched)
         self._progress()
         return got
 
-    def _wait_blocked(self, find, desc: str, timeout, poll) -> Any:
+    def _wait_blocked(self, find, desc: str, timeout, poll,
+                      watched: bool) -> Any:
         limit = None if timeout is None else (
             threading.TIMEOUT_MAX if timeout <= 0 else timeout)
         start = time.monotonic()
@@ -226,7 +230,8 @@ class Mailbox:
             # rendezvous wait (two-sided overhead the one-sided tier is
             # designed to remove)
             TRANSPORT_STATS.add("rendezvous_waits")
-        self._block_state(self.rank, desc)
+        if watched:
+            self._block_state(self.rank, desc)
         try:
             with self._cond:
                 while True:
@@ -250,7 +255,8 @@ class Mailbox:
                             else min(step, limit - waited)
                     self._park(step)
         finally:
-            self._block_state(self.rank, None)
+            if watched:
+                self._block_state(self.rank, None)
 
     def _park(self, timeout: float | None) -> None:
         # caller holds the lock, has drained and found nothing
@@ -270,17 +276,20 @@ class Mailbox:
     # -- non-mailbox waits (RMA epochs, a full slot or control ring) -------
 
     def wait_until(self, ready: Callable[[], Any], desc: str, *,
-                   poll: float, timeout: float | None = None) -> Any:
+                   poll: float, timeout: float | None = None,
+                   watched: bool = True) -> Any:
         """Poll ``ready()`` until it returns something other than
         ``None`` and return that value.
 
         The wait for shared-memory state no condition variable spans (a
         peer's epoch or done counter, a free run of slots, room in a
-        control ring): it is recorded as this rank's blocked state, so
-        the watchdog sees it like a mailbox wait, and it keeps draining
-        the inbox between polls, so incoming messages — and the slots
-        and ring records they hold — never wait on it."""
-        return self._wait(ready, lambda: desc, timeout, poll=poll)
+        control ring, a rendezvous reply): it is recorded as this rank's
+        blocked state unless ``watched`` is false, so the watchdog sees
+        it like a mailbox wait, and it keeps draining the inbox between
+        polls, so incoming messages — and the slots and ring records
+        they hold — never wait on it."""
+        return self._wait(ready, lambda: desc, timeout, poll=poll,
+                          watched=watched)
 
     # -- sending ----------------------------------------------------------
 

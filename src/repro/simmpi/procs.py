@@ -13,8 +13,11 @@ and posts the receiver's doorbell semaphore.  Payload bytes go in the
 record itself when tiny, else in a run of adjacent slots of the
 :class:`~repro.simmpi.shm.SegmentPool` (a sender whose slot ring or
 control ring is full waits — abort-aware, visible to the watchdog —
-while draining its own incoming rings).  Nothing on this path is
-pickled or crosses a pipe.
+while draining its own incoming rings).  A payload wider than the
+whole slot ring *streams*: consecutive records of its pair's ring, each
+carrying one ring-width run and its byte offset.  Nothing on this path
+crosses a pipe, and while ``fn`` runs a rank process runs no thread
+besides its own.
 
 Receives: every entry point of the rank's
 :class:`~repro.simmpi.matching.Mailbox` first *drains* the rank's
@@ -22,35 +25,31 @@ incoming rings (:class:`ControlInbox`) into ordinary matching, in ring
 order, handing array payloads over as lent views of the shared run or
 record — so a preposted recv-into-destination sink scatters **straight
 out of shared memory** into the destination array, in the waiting
-thread, and the run is released the moment it is consumed.  A wait
-with nothing to match parks on the doorbell only once the rings are
-empty; a publish after the drain posts it, so no wakeup is lost.
-
-The endpoint's ``multiprocessing`` queue and its *pump thread* remain
-for what no ring carries: payloads wider than the whole slot ring
-(their placeholder record holds their place in send order until the
-pump has stashed the bytes), rendezvous replies, and ``ABORT``.
+thread, and the run is released the moment it is consumed.  A streamed
+payload's runs are copied into its own heap array as they drain, and
+the last run delivers that array.  A wait with nothing to match parks
+on the doorbell only once the rings are empty; a publish after the
+drain posts it, so no wakeup is lost.
 
 Supervision: the parent process supervises.  A
 :class:`~repro.simmpi.shm.SharedState` struct carries each endpoint's
 progress counter and blocked-state record (written by the rank's
 mailbox callbacks); the supervisor applies the same stall rule as the
-threads watchdog and aborts a deadlocked domain by raising the shared
-abort flag, posting an ``ABORT`` message to every endpoint's queue —
-which the pump turns into the event-driven
-:meth:`~repro.simmpi.matching.AbortFlag.set` wake-up — and ringing
-every doorbell, so a parked rank raises at once.  Rank crashes
-propagate the same way: the failing rank reports to the supervisor,
-which aborts every peer so nobody waits for messages that will never
-come.
+threads watchdog and aborts a deadlocked domain by writing the shared
+abort record (reason, blocked dump), raising its flag and posting every
+doorbell: a parked rank wakes, reads the flag and raises at once.  Rank
+crashes propagate the same way: the failing rank reports to the
+supervisor, which aborts every peer so nobody waits for messages that
+will never come.
 
 Rendezvous: ``NameService.accept/connect`` inside a procs rank routes
 to the parent's *broker thread* (shared in-memory conditions cannot
 cross processes).  The broker pairs accepts with connects, allocates
-intercommunicator contexts from a reserved range, and replies with the
-peer's endpoint list — picklable ints, no ``Raw`` job handles.  Context
-ranges are partitioned so child-side ``dup``/``split`` allocations can
-never collide across processes.
+intercommunicator contexts from a reserved range, and answers in the
+requesting endpoint's row of the shared reply table — the peer's
+endpoint list, plain ints — then posts its doorbell.  Context ranges
+are partitioned so child-side ``dup``/``split`` allocations can never
+collide across processes.
 
 Limitations (documented, enforced with clear errors where possible):
 ``payload.Raw`` process-local handles cannot cross a process boundary,
@@ -66,7 +65,6 @@ import pickle
 import queue as _queue
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -128,11 +126,14 @@ class DomainSpec:
                  slot_bytes: int, slots_per_endpoint: int):
         self.jobs = list(jobs)
         self.endpoints = sum(j.n for j in jobs)
-        self.queues = [ctx.Queue() for _ in range(self.endpoints)]
-        #: one doorbell per endpoint, posted after every record publish
+        #: one doorbell per endpoint, posted after every record publish,
+        #: rendezvous reply and abort
         self.doorbells = [ctx.Semaphore(0) for _ in range(self.endpoints)]
+        #: rank -> supervisor reports, read once ``fn`` has returned
         self.results = ctx.Queue()
-        self.broker_q = ctx.Queue()
+        #: rank -> broker rendezvous requests; a SimpleQueue writes its
+        #: pipe directly, so a rank that rendezvouses starts no thread
+        self.broker_q = ctx.SimpleQueue()
         self.pool = shm.SegmentPool(
             self.endpoints, slot_bytes=slot_bytes,
             slots_per_endpoint=slots_per_endpoint)
@@ -153,15 +154,12 @@ class DomainSpec:
         return f"{j.name} rank {r}" if qualified else r
 
     def cleanup(self) -> None:
-        for q in self.queues + [self.results, self.broker_q]:
-            q.close()
-            q.join_thread()
-        self.pool.close()
-        self.pool.unlink()
-        self.state.close()
-        self.state.unlink()
-        self.ctl.close()
-        self.ctl.unlink()
+        self.results.close()
+        self.results.join_thread()
+        self.broker_q.close()
+        for seg in (self.pool, self.state, self.ctl):
+            seg.close()
+            seg.unlink()
 
 
 # -- rank-process side -------------------------------------------------------
@@ -219,62 +217,76 @@ class ProcTransport(Transport):
             kind, buf = shm.encode_payload(obj)
         with self._send_lock:
             self._send(endpoint, env, kind, buf)
-        rt.spec.doorbells[endpoint].release()
-        rt.bump_progress()
+        if env.release is not None:
+            # the wire (records and slot runs) now owns the bytes: the
+            # sender's pooled buffer is free to be reused
+            env.release()
 
     def _send(self, dst: int, env: Envelope, kind: int,
               buf: Optional[np.ndarray]) -> None:
-        """Place the payload, then fill and publish the next record of
-        this endpoint's ring to ``dst`` (caller holds the send lock:
-        one producer per ring)."""
+        """Publish one message on this endpoint's ring to ``dst``: in
+        the record when tiny, else in a run of slots — or, wider than
+        the whole slot ring, *streamed* as consecutive records of at
+        most one ring-width run each.  The caller holds the send lock:
+        one producer per ring, and a stream's records stay adjacent."""
+        TRANSPORT_STATS.add("ctl_ring_msgs")
+        if buf is None:                  # NONE: the record is the message
+            self._publish(dst, env, kind, buf)
+            return
+        pool, nbytes = self._rt.pool, buf.nbytes
+        if nbytes <= shm.INLINE_MAX:
+            TRANSPORT_STATS.add("shm_inline_msgs")
+            TRANSPORT_STATS.add("shm_inline_bytes", nbytes)
+            self._publish(dst, env, kind, buf)
+            return
+        TRANSPORT_STATS.add("shm_slot_msgs")
+        TRANSPORT_STATS.add("shm_slot_bytes", nbytes)
+        if nbytes > pool.slot_bytes:
+            pool.stats.add("oversize")
+        ring = pool.slot_bytes * pool.slots_per_endpoint
+        if nbytes <= ring:
+            self._publish(dst, env, kind, buf, buf)
+            return
+        # the receiver assembles the stream in a heap array of its own
+        pool.stats.add("allocations")
+        pool.stats.add("allocated_bytes", nbytes)
+        # runs are C-order byte ranges: a lent strided view is packed
+        # once (the one staging copy of the stream), anything else is
+        # already contiguous
+        buf = np.ascontiguousarray(buf)
+        flat = buf.reshape(-1).view(np.uint8)
+        for off in range(0, nbytes, ring):
+            n = min(ring, nbytes - off)
+            self._publish(dst, env, kind, buf, flat[off:off + n], (off, n))
+
+    def _publish(self, dst: int, env: Envelope, kind: int,
+                 buf: Optional[np.ndarray], part: Optional[np.ndarray] = None,
+                 span: Optional[tuple[int, int]] = None) -> None:
+        """Fill and publish the next record of this endpoint's ring to
+        ``dst``, post ``dst``'s doorbell, and count it as progress (a
+        long stream must not look stalled to the watchdog).  ``part``
+        (the payload, or one run of a streamed one at ``span``) is
+        copied into a run of slots; without it the payload rides in the
+        record."""
         rt = self._rt
         ctl, pool, me = rt.ctl, rt.pool, rt.endpoint
         seq = self._next[dst]
         if seq - ctl.head(dst, me) >= ctl.depth:
             self._wait_for_record(dst, seq)
         slot, width = shm.SLOT_INLINE, 0
-        if buf is not None:
-            nbytes = buf.nbytes
-            width = -(-nbytes // pool.slot_bytes)
-            if width > 1:
-                pool.stats.add("oversize")
-            fits = kind != shm.ND or shm.record_fits(buf)
-            if fits and nbytes <= shm.INLINE_MAX:
-                TRANSPORT_STATS.add("shm_inline_msgs")
-                TRANSPORT_STATS.add("shm_inline_bytes", nbytes)
-            elif fits and width <= pool.slots_per_endpoint:
-                slot = pool.acquire(me, width)
-                if slot is None:
-                    slot = self._wait_for_run(width)
-                view = pool.slot_view(
-                    slot, nbytes, dtype=buf.dtype if kind == shm.ND else None)
-                if kind == shm.ND:
-                    np.copyto(view.view(buf.dtype).reshape(buf.shape), buf)
-                else:
-                    view[:] = buf
-                TRANSPORT_STATS.add("shm_slot_msgs")
-                TRANSPORT_STATS.add("shm_slot_bytes", nbytes)
+        if part is not None:
+            width = -(-part.nbytes // pool.slot_bytes)
+            slot = pool.acquire(me, width)
+            if slot is None:
+                slot = self._wait_for_run(width)
+            nd = kind == shm.ND and span is None
+            view = pool.slot_view(slot, part.nbytes,
+                                  dtype=part.dtype if nd else None)
+            if nd:
+                # one pass from any view, lent strided and n-D ones
+                np.copyto(view.view(part.dtype).reshape(part.shape), part)
             else:
-                # wider than the whole slot ring (or an array no record
-                # can describe): the bytes ride the receiver's queue and
-                # a placeholder record keeps their place in send order
-                # (tobytes() emits C order from any view, lent strided
-                # and n-D ones included, in one pass)
-                slot = shm.SLOT_QUEUE
-                meta = (buf.dtype, buf.shape) if kind == shm.ND else None
-                rt.spec.queues[dst].put((shm.MSG, me, meta, buf.tobytes()))
-                if nbytes > shm.INLINE_MAX:
-                    pool.stats.add("allocations")
-                    pool.stats.add("allocated_bytes", nbytes)
-                TRANSPORT_STATS.add("ctl_queue_msgs")
-                TRANSPORT_STATS.add("shm_inline_msgs")
-                TRANSPORT_STATS.add("shm_inline_bytes", nbytes)
-        if slot != shm.SLOT_QUEUE:
-            TRANSPORT_STATS.add("ctl_ring_msgs")
-        if env.release is not None:
-            # the wire (record, slot run or queue blob) now owns the
-            # bytes: the sender's pooled buffer is free to be reused
-            env.release()
+                view[:] = part
         token = b""
         san = _san.ACTIVE
         if san is not None:
@@ -289,9 +301,11 @@ class ProcTransport(Transport):
                 # the ordering context reports would carry
                 token = pickle.dumps((seq, (gens, {}, site)))
         ctl.write(dst, me, seq, env.context, env.source, env.tag,
-                  env.nbytes, slot, kind, buf, token)
+                  env.nbytes, slot, kind, buf, token, span)
         ctl.publish(dst, me, seq)
         self._next[dst] = seq + 1
+        rt.spec.doorbells[dst].release()
+        rt.bump_progress()
 
     def _wait_for_record(self, dst: int, seq: int) -> None:
         """Block until ``dst`` has consumed enough of this endpoint's
@@ -337,20 +351,22 @@ def _ring_site(src: int, dst: int) -> str:
 
 class ControlInbox:
     """Receiver side of one endpoint's control plane: its incoming
-    descriptor rings, its doorbell, and the payloads the pump stashed
-    for placeholder records.  :class:`~repro.simmpi.matching.Mailbox`
-    calls :meth:`drain` (lock held) at every entry point and
-    :meth:`park` when a wait finds nothing."""
+    descriptor rings, its doorbell, and one partly assembled streamed
+    payload per sender.  :class:`~repro.simmpi.matching.Mailbox` calls
+    :meth:`drain` (lock held) at every entry point and :meth:`park`
+    when a wait finds nothing."""
 
     def __init__(self, runtime: "ProcRuntime"):
         spec = runtime.spec
+        self._rt = runtime
         self._ctl = spec.ctl
         self._pool = spec.pool
         self._me = runtime.endpoint
         self._bell = spec.doorbells[runtime.endpoint]
+        self._state = spec.state
         self._heads = [0] * spec.endpoints
-        #: per sender: (meta, blob) of placeholder records, in send order
-        self._wide = [deque() for _ in range(spec.endpoints)]
+        #: per sender: the heap array its streamed payload lands in
+        self._partial: list[Optional[np.ndarray]] = [None] * spec.endpoints
 
     def kick(self) -> None:
         """Post this endpoint's doorbell (wake a parked waiter)."""
@@ -358,44 +374,40 @@ class ControlInbox:
 
     def park(self, timeout: float | None) -> None:
         """Sleep on the doorbell until a post (or ``timeout``); absorb
-        the posts of records a drain has already consumed."""
+        the posts of records a drain has already consumed.  A domain
+        abort posts every doorbell after raising the shared flag, so a
+        waiter learns of it here."""
         bell = self._bell
         if bell.acquire(True, timeout):
             while bell.acquire(False):
                 pass
-
-    def stash(self, src: int, meta: Any, blob: bytes) -> None:
-        """Pump side: the queued payload of ``src``'s next placeholder."""
-        self._wide[src].append((meta, blob))
-        self.kick()
+        if self._state.aborted():
+            self._rt.adopt_abort()
 
     def drain(self, mailbox: Mailbox) -> None:
-        """Deliver every published record of every incoming ring into
-        ``mailbox``, in ring order, then hand the records back."""
+        """Consume every published record of every incoming ring, in
+        ring order, then hand the records back."""
         ctl, me, heads = self._ctl, self._me, self._heads
         for src, tail in enumerate(ctl.tails(me)):
-            head = start = heads[src]
-            while head < tail and self._consume(mailbox, src, head):
-                head += 1
-            if head != start:
-                heads[src] = head
-                ctl.set_head(me, src, head)
+            head = heads[src]
+            if head != tail:
+                for seq in range(head, tail):
+                    self._consume(mailbox, src, seq)
+                heads[src] = tail
+                ctl.set_head(me, src, tail)
 
-    def _consume(self, mailbox: Mailbox, src: int, seq: int) -> bool:
+    def _consume(self, mailbox: Mailbox, src: int, seq: int) -> None:
+        """Deliver record ``seq`` of ``src``'s ring into ``mailbox`` and
+        release its slot run.  A run of a streamed payload is copied
+        into the payload's own array instead and released at once; the
+        last run delivers the array."""
         ctl, pool = self._ctl, self._pool
         (context, source, tag, nbytes, wire, slot, kind, dtype, shape,
-         raw) = ctl.read(self._me, src, seq)
-        if slot == shm.SLOT_QUEUE:
-            wide = self._wide[src]
-            if not wide:
-                return False         # the pump has not stashed it yet
-            meta, blob = wide.popleft()
-            if meta is not None:
-                dtype, shape = meta
-            raw = np.frombuffer(blob, dtype=np.uint8)
-        elif slot >= 0:
+         raw, span) = ctl.read(self._me, src, seq)
+        if slot >= 0:
             raw = pool.slot_view(
-                slot, wire, dtype=dtype if kind == shm.ND else None)
+                slot, wire,
+                dtype=dtype if kind == shm.ND and span is None else None)
         san = _san.ACTIVE
         if san is not None and ctl.tsan:
             # the record's seq stamp, then the happens-before join with
@@ -405,18 +417,33 @@ class ControlInbox:
             stamp, slot_token = pickle.loads(token) if token else (-1, None)
             san.ring_consume(_ring_site(src, self._me), seq, stamp)
             san.slot_consume(pool, slot, slot_token)
-        value = shm.decode_payload(kind, raw, dtype, shape)
         env = Envelope(context, source, tag, None, nbytes)
-        if isinstance(value, np.ndarray):
-            # lent view of the shared run or record: an armed prepost
-            # sink scatters straight out of shared memory
-            mailbox._deliver_locked(env, live=value)
-        else:
-            env.payload = value
+        if span is None:
+            value = shm.decode_payload(kind, raw, dtype, shape)
+            if isinstance(value, np.ndarray):
+                # lent view of the shared run or record: an armed prepost
+                # sink scatters straight out of shared memory
+                mailbox._deliver_locked(env, live=value)
+            else:
+                env.payload = value
+                mailbox._deliver_locked(env)
+            if slot >= 0:
+                pool.release(slot, -(-wire // pool.slot_bytes))
+            return
+        offset, total = span
+        if offset == 0:
+            self._partial[src] = (np.empty(shape, dtype) if kind == shm.ND
+                                  else np.empty(total, np.uint8))
+        whole = self._partial[src]
+        whole.reshape(-1).view(np.uint8)[offset:offset + wire] = raw
+        pool.release(slot, -(-wire // pool.slot_bytes))
+        if offset + wire == total:
+            # the assembled array is the envelope's own payload: an
+            # unmatched message needs no snapshot copy
+            self._partial[src] = None
+            env.payload = (whole if kind == shm.ND
+                           else shm.decode_payload(kind, whole))
             mailbox._deliver_locked(env)
-        if slot >= 0:
-            pool.release(slot, -(-wire // pool.slot_bytes))
-        return True
 
 
 class ProcRuntime:
@@ -431,7 +458,6 @@ class ProcRuntime:
         self.pool = spec.pool
         self.ctl = spec.ctl
         self.inbox = ControlInbox(self)
-        self.rdv: _queue.Queue = _queue.Queue()
         self.job = None          # set by _child_main
         self.transport: Optional[ProcTransport] = None
 
@@ -453,72 +479,47 @@ class ProcRuntime:
     def bump_progress(self) -> None:
         self.spec.state.bump(self.endpoint)
 
+    def adopt_abort(self) -> None:
+        """Raise this rank's abort flag from the domain's shared abort
+        record (reason, and the watchdog's blocked dump keyed like the
+        supervisor's failure map)."""
+        abort = self.job.abort
+        if not abort.is_set():
+            spec = self.spec
+            reason, dump = spec.state.abort_record()
+            qualified = len(spec.jobs) > 1
+            abort.set(reason, {spec.label(ep, qualified=qualified): desc
+                               for ep, desc in dump.items()})
+
     # -- rendezvous (NameService over the parent broker) -------------------
 
     def rendezvous(self, mode: str, name: str, comm, timeout: float):
+        info = None
         if comm.rank == 0:
-            endpoints = [self.job_base + r for r in comm.job_ranks]
-            self.spec.broker_q.put(("RDV", mode, name, endpoints,
-                                    self.endpoint))
-            info = self._wait_rdv(name, timeout)
-        else:
-            info = None
-        info = comm.bcast(info, root=0)
-        if info[0] == "ERR":
-            raise CommunicatorError(info[1])
-        recv_ctx, send_ctx, remote_eps = info
+            state, ep = self.spec.state, self.endpoint
+            seen = state.rdv_count(ep)
+            self.spec.broker_q.put(
+                (mode, name, [self.job_base + r for r in comm.job_ranks], ep))
+            # Deliberately *not* watched: like the threads NameService, a
+            # rank waiting for its coupling peer must not trip the
+            # deadlock watchdog — the rendezvous timeout is the failure
+            # path for a peer that never shows up.  The broker posts this
+            # endpoint's doorbell with the reply, as does an abort.
+            desc = f"rendezvous({name!r})"
+            try:
+                info = self.transport.mailbox(self.job_rank).wait_until(
+                    lambda: state.rdv_reply(ep, seen), desc, poll=0.1,
+                    timeout=timeout if timeout and timeout > 0 else 3600.0,
+                    watched=False)
+            except TimeoutError:
+                raise TimeoutError(f"{desc} timed out") from None
+        status, recv_ctx, send_ctx, remote_eps = comm.bcast(info, root=0)
+        if status == shm.RDV_BUSY:
+            raise CommunicatorError(f"service {name!r} is already accepting")
         from repro.simmpi.intercomm import Intercommunicator
         group = EndpointRemoteGroup(self.transport, remote_eps)
         return Intercommunicator(comm, recv_ctx, send_ctx, group,
                                  tuple(range(len(remote_eps))))
-
-    def _wait_rdv(self, name: str, timeout: float):
-        # Deliberately *not* registered as blocked: like the threads
-        # NameService, a rank waiting for its coupling peer must not
-        # trip the deadlock watchdog — the rendezvous timeout below is
-        # the failure path for a peer that never shows up.
-        from repro.errors import DeadlockError
-        desc = f"rendezvous({name!r})"
-        deadline = time.monotonic() + (timeout if timeout and timeout > 0
-                                       else 3600.0)
-        while True:
-            if self.job is not None and self.job.abort.is_set():
-                raise DeadlockError(
-                    f"rank {self.job_rank} aborted while blocked in "
-                    f"{desc}: {self.job.abort.reason}",
-                    blocked=self.job.abort.blocked_dump)
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(f"{desc} timed out")
-            try:
-                return self.rdv.get(timeout=min(0.1, remaining))
-            except _queue.Empty:
-                continue
-
-    # -- pump --------------------------------------------------------------
-
-    def start_pump(self) -> None:
-        t = threading.Thread(target=self._pump_loop, daemon=True,
-                             name=f"pump-ep{self.endpoint}")
-        t.start()
-
-    def _pump_loop(self) -> None:
-        q = self.spec.queues[self.endpoint]
-        _san.register_actor(f"ep{self.endpoint}.pump")
-        while True:
-            msg = q.get()
-            verb = msg[0]
-            if verb == shm.STOP:
-                return
-            if verb == shm.ABORT:
-                _, reason, dump = msg
-                self.job.abort.set(reason, dump)
-                continue
-            if verb == shm.RDV_REPLY:
-                self.rdv.put(msg[1])
-                continue
-            _, src, meta, blob = msg
-            self.inbox.stash(src, meta, blob)
 
 
 def _safe_dumps(obj: Any) -> bytes:
@@ -552,7 +553,6 @@ def _child_main(spec: DomainSpec, endpoint: int, job_index: int,
     job = Job(jobspec.n, name=jobspec.name,
               transport_factory=rt.make_transport)
     rt.job = job
-    rt.start_pump()
     comm = job.world(rt.job_rank, jobspec.world_context)
     try:
         result = fn(comm, *args, **kwargs)
@@ -579,24 +579,24 @@ def _child_main(spec: DomainSpec, endpoint: int, job_index: int,
 
 
 def _broker_loop(spec: DomainSpec) -> None:
-    """Pair accept/connect rendezvous requests; allocate contexts."""
+    """Pair accept/connect rendezvous requests; allocate contexts.  A
+    reply is a row of the shared reply table plus a doorbell post."""
     ctx_counter = itertools.count(BROKER_CTX_BASE)
     waiting: dict[str, tuple[str, list[int], int]] = {}
-    while True:
-        msg = spec.broker_q.get()
-        if msg[0] == shm.STOP:
-            return
-        _, mode, name, endpoints, reply_ep = msg
+
+    def reply(ep: int, *answer) -> None:
+        spec.state.rdv_post(ep, *answer)
+        spec.doorbells[ep].release()
+
+    while (msg := spec.broker_q.get()) is not None:
+        mode, name, endpoints, reply_ep = msg
         other = waiting.get(name)
         if other is None or other[0] == mode:
-            if other is not None and other[0] == mode:
-                # mirror the threads NameService "already accepting"
-                # error for double-accepts; double-connects just queue
-                if mode == "accept":
-                    spec.queues[reply_ep].put(
-                        (shm.RDV_REPLY,
-                         ("ERR", f"service {name!r} is already accepting")))
-                    continue
+            # mirror the threads NameService "already accepting" error
+            # for double-accepts; double-connects just queue
+            if other is not None and mode == "accept":
+                reply(reply_ep, shm.RDV_BUSY)
+                continue
             waiting[name] = (mode, list(endpoints), reply_ep)
             continue
         omode, oendpoints, oreply = waiting.pop(name)
@@ -608,17 +608,17 @@ def _broker_loop(spec: DomainSpec) -> None:
             con_eps, con_reply = endpoints, reply_ep
         acc_ctx = next(ctx_counter)   # acceptor receives on this
         con_ctx = next(ctx_counter)   # connector receives on this
-        spec.queues[acc_reply].put(
-            (shm.RDV_REPLY, (acc_ctx, con_ctx, con_eps)))
-        spec.queues[con_reply].put(
-            (shm.RDV_REPLY, (con_ctx, acc_ctx, acc_eps)))
+        reply(acc_reply, shm.RDV_OK, acc_ctx, con_ctx, con_eps)
+        reply(con_reply, shm.RDV_OK, con_ctx, acc_ctx, acc_eps)
 
 
 def _abort_all(spec: DomainSpec, pending: set[int], reason: str,
-               dump: dict) -> None:
-    spec.state.set_abort(reason)
+               dump: dict[int, str]) -> None:
+    """Abort the domain: the shared abort record (``dump`` keyed by
+    endpoint), then a post to every pending doorbell, so a parked rank
+    reads the record at once."""
+    spec.state.set_abort(reason, dump)
     for ep in pending:
-        spec.queues[ep].put((shm.ABORT, reason, dump))
         spec.doorbells[ep].release()
 
 
@@ -635,10 +635,6 @@ def _supervise_domain(spec: DomainSpec, procs: dict[int, Any],
     aborted = False
     stall_deadline: Optional[float] = None
     stall_progress = -1
-
-    def labeled(dump: dict[int, str]) -> dict:
-        return {spec.label(ep, qualified=qualified): desc
-                for ep, desc in dump.items()}
 
     while pending:
         try:
@@ -685,7 +681,7 @@ def _supervise_domain(spec: DomainSpec, procs: dict[int, Any],
             elif time.monotonic() >= stall_deadline and not aborted:
                 aborted = True
                 _abort_all(spec, pending,
-                           "deadlock detected by watchdog", labeled(dump))
+                           "deadlock detected by watchdog", dump)
         else:
             stall_deadline = None
     return results, failures
@@ -735,7 +731,7 @@ def _launch(jobs: Sequence[tuple[str, int, Callable[..., Any], tuple, dict]],
                 p.join(timeout=1.0)
         return spec, results, failures
     finally:
-        spec.broker_q.put((shm.STOP,))
+        spec.broker_q.put(None)
         broker.join(timeout=2.0)
         for p in procs.values():
             if p.is_alive():  # pragma: no cover

@@ -185,6 +185,8 @@ class SpmdRunner:
         self._results: dict[int, Any] = {}
         self._failures: dict[int, BaseException] = {}
         self._threads: list[threading.Thread] = []
+        #: every job of the launch (``run_coupled`` sets all of them)
+        self._launch: list[Job] = [self.job]
 
     def _rank_main(self, rank: int, fn: Callable[..., Any],
                    args: tuple, kwargs: dict) -> None:
@@ -194,12 +196,14 @@ class SpmdRunner:
             self._results[rank] = fn(comm, *args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - reported via SpmdError
             self._failures[rank] = exc
-            # Unblock everyone else: a crashed rank will never send the
-            # messages its peers are waiting for.
-            self.job.abort.set(
-                f"rank {rank} raised {type(exc).__name__}: {exc}",
-                blocked={},
-            )
+            # Unblock everyone else in the launch, coupled jobs included:
+            # a crashed rank will never send the messages its peers are
+            # waiting for.
+            who = (f"{self.job.name} rank {rank}" if len(self._launch) > 1
+                   else f"rank {rank}")
+            for job in self._launch:
+                job.abort.set(f"{who} raised {type(exc).__name__}: {exc}",
+                              blocked={})
         finally:
             self.job.mark_finished(rank)
 
@@ -274,7 +278,9 @@ def run_coupled(jobs: Sequence[tuple[str, int, Callable[..., Any], tuple]],
     ------
     SpmdError
         keyed by ``"{job} rank {r}"`` strings identifying each failed
-        rank across all jobs.
+        rank across all jobs.  A rank that raises aborts every job of
+        the launch at once, so a peer blocked on it fails with a
+        :class:`~repro.errors.DeadlockError` naming that rank.
     """
     backend = config.resolve("backend", backend)
     if backend == "procs":
@@ -288,8 +294,10 @@ def run_coupled(jobs: Sequence[tuple[str, int, Callable[..., Any], tuple]],
     # Coupled jobs share one watch condition so the single watchdog's
     # event wait sees every job's progress/finish notifications.
     shared_watch = threading.Condition()
+    launch = [runner.job for runner in runners.values()]
     for runner in runners.values():
         runner.job.watch = shared_watch
+        runner._launch = launch
     all_threads: list[threading.Thread] = []
     for name, n, fn, args in jobs:
         runner = runners[name]

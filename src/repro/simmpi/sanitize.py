@@ -145,8 +145,8 @@ class Sanitizer:
     # -- actors and clocks -------------------------------------------------
 
     def register_actor(self, name: str) -> str:
-        """Bind the calling thread to a logical actor (a rank, a queue
-        pump thread, a supervisor)."""
+        """Bind the calling thread to a logical actor (a rank, a
+        supervisor)."""
         self._tls.actor = name
         self._tls.clock = {name: 0}
         return name

@@ -8,16 +8,17 @@ of a ``run_coupled`` launch):
   single-consumer ring of :data:`CTL_DEPTH` fixed-size descriptor
   records per (sender, receiver) endpoint pair.  A record carries the
   envelope (context, source, tag, nbytes), the payload kind, where the
-  payload bytes are (first slot of a run, the record's own inline area
-  of :data:`INLINE_MAX` bytes, or the queue), the ND dtype and shape,
-  and — under ``REPRO_TSAN`` only — the sanitizer's wire token.  The
-  sender writes the record, then stores ``tail``; the receiver reads
-  every record below ``tail``, then stores ``head``: each counter has
-  exactly one writer.  Nothing on this path is pickled: ND, bytes and
-  scalar payloads are raw bytes in a record or a slot.  Each endpoint
-  owns one fork-inherited semaphore, its *doorbell*, which a sender
-  posts after every publish; a receiver with nothing to match parks on
-  it only once its rings are empty.
+  payload bytes are (first slot of a run, or the record's own inline
+  area of :data:`INLINE_MAX` bytes), the ND dtype and shape, and —
+  under ``REPRO_TSAN`` only — the sanitizer's wire token.  The sender
+  writes the record, then stores ``tail``; the receiver reads every
+  record below ``tail``, then stores ``head``: each counter has
+  exactly one writer.  ND, bytes and scalar payloads are raw bytes in a
+  record or a slot; only objects with no raw-byte form, and arrays no
+  header describes, are pickled.  Each endpoint owns one fork-inherited
+  semaphore, its *doorbell*, which a sender posts after every publish;
+  a receiver with nothing to match parks on it only once its rings are
+  empty.  The rings are the only way a rank receives anything.
 
 * :class:`SegmentPool` — the payload plane.  One segment holds
   ``endpoints * slots_per_endpoint`` fixed-size slots plus a one-byte
@@ -33,28 +34,27 @@ of a ``run_coupled`` launch):
   store orders the flag/payload writes before the receiver's reads.  A
   ring with no free run of width ``k`` **blocks the sender** until a
   receiver releases one (abort-aware and visible to the watchdog;
-  ``ring_full`` counts each message that had to wait).  Payloads of at
-  most :data:`INLINE_MAX` bytes ride in the record itself; only
-  payloads wider than the whole slot ring travel through the
-  endpoint's ``multiprocessing`` queue, behind a placeholder record
-  that keeps their place in send order.  The accounting mirrors
-  :class:`repro.schedule.bufpool.BufferPool`: ``loans`` / ``reuses``
-  (run grants) vs ``allocations`` (payloads wider than the ring — the
+  ``ring_full`` counts each acquire that had to wait).  Payloads of at
+  most :data:`INLINE_MAX` bytes ride in the record itself.  A payload
+  wider than the whole ring **streams**: consecutive records of its
+  pair's ring each carry one run of at most the whole ring plus the
+  run's byte offset, and the receiver copies each run into the
+  payload's own heap array and releases it at once.  The accounting
+  mirrors :class:`repro.schedule.bufpool.BufferPool`: ``loans`` /
+  ``reuses`` (run grants) vs ``allocations`` (streamed payloads — the
   only path that allocates per message); ``oversize`` counts messages
   wider than one slot.
 
 * :class:`SharedState` — the watchdog plane.  A per-endpoint progress
   counter, run-state byte (running / blocked / finished) and a short
-  blocked-on description, plus a domain-wide abort flag and reason.
-  Each per-endpoint field has exactly one writer (the owning rank
-  process); the abort record is written by the supervisor only.  The
-  supervisor applies the same stall rule as the threads watchdog: the
-  domain is deadlocked when every unfinished endpoint is blocked and
-  the progress sum has not moved for the timeout.
-
-The per-endpoint queue carries only what no ring can: ``ABORT`` and
-``RDV_REPLY`` from the supervisor, ``STOP``, and ``(MSG, sender, meta,
-blob)`` payloads of placeholder records.
+  blocked-on description, plus a domain-wide abort record (flag,
+  reason, blocked dump) and one rendezvous reply row per endpoint.
+  Each per-endpoint watchdog field has exactly one writer (the owning
+  rank process); the abort record and the reply rows are written by
+  the supervisor only.  The supervisor applies the same stall rule as
+  the threads watchdog: the domain is deadlocked when every unfinished
+  endpoint is blocked and the progress sum has not moved for the
+  timeout.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ import struct
 import sys
 import threading
 from multiprocessing import shared_memory
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -74,12 +74,6 @@ from repro.util.counters import Counters, TRANSPORT_STATS
 
 __all__ = ["ControlSegment", "SegmentPool", "SharedState", "WindowSegment",
            "encode_payload", "decode_payload"]
-
-# queue verbs
-MSG = "MSG"
-ABORT = "ABORT"
-RDV_REPLY = "RDV_REPLY"
-STOP = "STOP"
 
 # payload kinds (one byte of a descriptor record)
 ND = 1
@@ -480,41 +474,56 @@ STATE_FINISHED = 2
 _DESC_BYTES = 120
 _REASON_BYTES = 480
 
+#: Rendezvous reply row: reply counter, status, recv context, send
+#: context, peer count, then the peer endpoints.
+_RDV_HDR = 5
+RDV_OK = 0
+RDV_BUSY = 1            # the service already has an acceptor
+
+
+def _put_text(row: np.ndarray, text: str) -> None:
+    raw = text.encode("utf-8", "replace")[:len(row)]
+    row[:len(raw)] = np.frombuffer(raw, dtype=np.uint8)
+    row[len(raw):] = 0
+
+
+def _text(row: np.ndarray) -> str:
+    return bytes(row).split(b"\0", 1)[0].decode("utf-8", "replace")
+
 
 class SharedState:
     """Cross-process watchdog struct: per-endpoint progress counters and
-    blocked-state table, plus the domain abort record.
+    blocked-state table, the domain abort record, and the rendezvous
+    reply table.
 
-    Layout per endpoint: ``progress u64 | state u8 | desc char[120]``.
-    Domain header: ``abort u8 | reason char[480]``.
+    Layout: ``progress u64[E] | state u8[E] | desc char[E][120] | abort
+    u8 | reason char[480] | dump char[E][120] | rdv i64[E][5 + E]``.
+    ``dump`` rows hold the blocked dump of a watchdog abort (an empty
+    row: the endpoint is not in it).
     """
 
     def __init__(self, endpoints: int):
-        self.endpoints = endpoints
-        size = (8 * endpoints) + endpoints + (_DESC_BYTES * endpoints) \
-            + 1 + _REASON_BYTES
-        size = (size + 63) & ~63
-        self._shm = shared_memory.SharedMemory(create=True, size=size)
-        buf = self._shm.buf
-        off = 0
-        self.progress = np.ndarray(endpoints, dtype=np.uint64,
-                                   buffer=buf, offset=off)
-        off += 8 * endpoints
-        self.state = np.ndarray(endpoints, dtype=np.uint8,
-                                buffer=buf, offset=off)
-        off += endpoints
-        self._descs = np.ndarray((endpoints, _DESC_BYTES), dtype=np.uint8,
-                                 buffer=buf, offset=off)
-        off += _DESC_BYTES * endpoints
-        self._abort = np.ndarray(1, dtype=np.uint8, buffer=buf, offset=off)
-        off += 1
-        self._reason = np.ndarray(_REASON_BYTES, dtype=np.uint8,
-                                  buffer=buf, offset=off)
-        self.progress[:] = 0
-        self.state[:] = STATE_RUNNING  # verify: allow(V109) - init
-        self._descs[:] = 0
-        self._abort[0] = 0
-        self._reason[:] = 0
+        self.endpoints = e = endpoints
+        # in order, each aligned to its item size, the per-message fields
+        # first; a fresh segment reads as zeros: no progress, every
+        # endpoint RUNNING, no abort, no reply posted
+        layout = (("progress", np.uint64, (e,)),
+                  ("state", np.uint8, (e,)),
+                  ("_descs", np.uint8, (e, _DESC_BYTES)),
+                  ("_abort", np.uint8, (1,)),
+                  ("_reason", np.uint8, (_REASON_BYTES,)),
+                  ("_dump", np.uint8, (e, _DESC_BYTES)),
+                  ("_rdv", np.int64, (e, _RDV_HDR + e)))
+        offsets, off = [], 0
+        for _, dt, shape in layout:
+            size = np.dtype(dt).itemsize
+            off = -(-off // size) * size
+            offsets.append(off)
+            off += size * int(np.prod(shape))
+        self._shm = shared_memory.SharedMemory(create=True, size=off)
+        for (name, dt, shape), off in zip(layout, offsets):
+            setattr(self, name, np.ndarray(shape, dtype=dt, offset=off,
+                                           buffer=self._shm.buf))
 
     # -- rank side (single writer per endpoint) ----------------------------
 
@@ -534,9 +543,7 @@ class SharedState:
         if desc is None:
             self.state[endpoint] = STATE_RUNNING
             return
-        raw = desc.encode("utf-8", "replace")[:_DESC_BYTES]
-        self._descs[endpoint, :len(raw)] = np.frombuffer(raw, dtype=np.uint8)
-        self._descs[endpoint, len(raw):] = 0
+        _put_text(self._descs[endpoint], desc)
         self.state[endpoint] = STATE_BLOCKED
 
     def set_finished(self, endpoint: int) -> None:
@@ -551,11 +558,34 @@ class SharedState:
         again)?"""
         return bool(self.state[endpoint] == STATE_FINISHED)
 
+    def aborted(self) -> bool:
+        return bool(self._abort[0])
+
+    def abort_record(self) -> tuple[str, dict[int, str]]:
+        """The raised abort's reason and blocked dump (endpoint ->
+        what it was blocked on)."""
+        return _text(self._reason), {
+            ep: _text(row) for ep, row in enumerate(self._dump) if row[0]}
+
+    def rdv_count(self, endpoint: int) -> int:
+        """Replies the broker has posted to ``endpoint`` so far."""
+        return int(self._rdv[endpoint, 0])
+
+    def rdv_reply(self, endpoint: int, seen: int) -> Optional[tuple]:
+        """``(status, recv_ctx, send_ctx, peer endpoints)`` once the
+        broker has posted reply ``seen + 1`` to ``endpoint``, else
+        ``None``."""
+        row = self._rdv[endpoint]
+        if int(row[0]) == seen:
+            return None
+        status, recv_ctx, send_ctx, n = row[1:_RDV_HDR].tolist()
+        return (status, recv_ctx, send_ctx,
+                row[_RDV_HDR:_RDV_HDR + n].tolist())
+
     # -- supervisor side ---------------------------------------------------
 
     def desc(self, endpoint: int) -> str:
-        raw = bytes(self._descs[endpoint])
-        return raw.split(b"\0", 1)[0].decode("utf-8", "replace") or "?"
+        return _text(self._descs[endpoint]) or "?"
 
     def total_progress(self) -> int:
         return int(self.progress.sum())
@@ -569,21 +599,33 @@ class SharedState:
             return {int(e): self.desc(int(e)) for e in unfinished}
         return None
 
-    def set_abort(self, reason: str) -> None:
+    def set_abort(self, reason: str,
+                  dump: Optional[dict[int, str]] = None) -> None:
+        """Raise the domain abort: the blocked dump and the reason
+        first, then the flag byte ranks read when they wake."""
         san = _san.ACTIVE
         if san is not None:
             san.state_write(None, "state.set_abort")
-        raw = reason.encode("utf-8", "replace")[:_REASON_BYTES]
-        self._reason[:len(raw)] = np.frombuffer(raw, dtype=np.uint8)
-        self._reason[len(raw):] = 0
+        for ep, desc in (dump or {}).items():
+            _put_text(self._dump[ep], desc)
+        _put_text(self._reason, reason)
         self._abort[0] = 1
 
-    def aborted(self) -> bool:
-        return bool(self._abort[0])
+    def rdv_post(self, endpoint: int, status: int, recv_ctx: int = 0,
+                 send_ctx: int = 0, peers: Sequence[int] = ()) -> None:
+        """Broker: answer ``endpoint``'s rendezvous — the fields first,
+        then the row's reply counter."""
+        san = _san.ACTIVE
+        if san is not None:
+            san.state_write(None, "state.rdv_post")
+        row = self._rdv[endpoint]
+        row[1:_RDV_HDR] = (status, recv_ctx, send_ctx, len(peers))
+        row[_RDV_HDR:_RDV_HDR + len(peers)] = peers
+        row[0] += 1
 
     def close(self) -> None:
-        self.progress = self.state = self._descs = None
-        self._abort = self._reason = None
+        self.progress = self.state = self._descs = self._dump = None
+        self._rdv = self._abort = self._reason = None
         try:
             self._shm.close()
         except BufferError:  # pragma: no cover
@@ -604,15 +646,18 @@ class SharedState:
 #: other cannot deadlock.
 CTL_DEPTH = 64
 
-#: ``first slot`` values of a record that name no slot: the payload is
-#: in the record's inline area, or in the receiver's queue (placeholder).
+#: ``first slot`` of a record whose payload is in its inline area.
 SLOT_INLINE = -1
-SLOT_QUEUE = -2
 
 #: Record header: context, source, tag, envelope nbytes, wire bytes,
-#: first slot, kind, ndim, <pad>, dtype string, shape[8] — 128 bytes,
-#: so the inline area after it starts 64-byte aligned.
-_CTL_HDR = struct.Struct("<6q2B2x12s8q")
+#: first slot, kind, ndim, flags, <pad>, dtype string, shape[8] — 128
+#: bytes, so the inline area after it starts 64-byte aligned.
+_CTL_HDR = struct.Struct("<6q3Bx12s8q")
+#: ``flags`` bit of a record carrying one run of a streamed payload: its
+#: inline area holds the run's byte offset into the payload and the
+#: payload's total wire bytes (:data:`_SPAN`).
+_STREAMED = 1
+_SPAN = struct.Struct("<2q")
 CTL_MAX_NDIM = 8
 _CTL_DTYPE_BYTES = 12
 #: Sanitizer token area appended to every record under ``REPRO_TSAN``
@@ -627,8 +672,7 @@ _DTYPES: dict[bytes, np.dtype] = {}
 
 def record_fits(arr: np.ndarray) -> bool:
     """Can a descriptor record describe ``arr`` (dtype string and shape
-    within the fixed header)?  Arrays it cannot describe ride the queue
-    behind a placeholder record, whatever their size."""
+    within the fixed header)?  Arrays it cannot describe are pickled."""
     dt = arr.dtype
     return (arr.ndim <= CTL_MAX_NDIM and dt.fields is None
             and dt.subdtype is None and len(dt.str) <= _CTL_DTYPE_BYTES)
@@ -687,20 +731,27 @@ class ControlSegment:
 
     def write(self, dst: int, src: int, seq: int, context: int,
               source: int, tag: int, nbytes: int, slot: int, kind: int,
-              buf: Optional[np.ndarray], token: bytes = b"") -> None:
+              buf: Optional[np.ndarray], token: bytes = b"",
+              span: Optional[tuple[int, int]] = None) -> None:
         """Fill record ``seq`` of the ``src -> dst`` ring (not yet
         visible: :meth:`publish` makes it so).  ``buf`` is the payload
         (``None`` for ``NONE``); its bytes are copied into the inline
-        area when ``slot`` is :data:`SLOT_INLINE`."""
+        area when ``slot`` is :data:`SLOT_INLINE`.  ``span = (offset,
+        nbytes)`` marks a record whose slot run carries only bytes
+        ``offset .. offset + nbytes`` of a streamed ``buf``."""
         off = self._record(dst, src, seq)
         wire = 0 if buf is None else buf.nbytes
-        if kind == ND and slot != SLOT_QUEUE:
+        flags = 0
+        if span is not None:
+            _SPAN.pack_into(self._buf, off + self._inline_off, span[0], wire)
+            wire, flags = span[1], _STREAMED
+        if kind == ND:
             dt, ndim = buf.dtype.str.encode(), buf.ndim
             shape = buf.shape + _NO_SHAPE[ndim:]
         else:
             dt, ndim, shape = b"", 0, _NO_SHAPE
         _CTL_HDR.pack_into(self._buf, off, context, source, tag, nbytes,
-                           wire, slot, kind, ndim, dt, *shape)
+                           wire, slot, kind, ndim, flags, dt, *shape)
         if slot == SLOT_INLINE and wire:
             lo = off + self._inline_off
             self._buf[lo:lo + wire] = buf.tobytes()
@@ -727,23 +778,27 @@ class ControlSegment:
 
     def read(self, dst: int, src: int, seq: int) -> tuple:
         """Record ``seq`` of the ``src -> dst`` ring: ``(context, source,
-        tag, nbytes, wire, slot, kind, dtype, shape, inline)`` where
-        ``inline`` is a uint8 view of the inline payload bytes (valid
-        until :meth:`set_head` passes ``seq``) or ``None``."""
+        tag, nbytes, wire, slot, kind, dtype, shape, inline, span)``
+        where ``inline`` is a uint8 view of the inline payload bytes
+        (valid until :meth:`set_head` passes ``seq``) or ``None``, and
+        ``span`` is ``(offset, total wire bytes)`` of a streamed
+        payload's run, else ``None``."""
         off = self._record(dst, src, seq)
-        (context, source, tag, nbytes, wire, slot, kind, ndim, dt,
+        (context, source, tag, nbytes, wire, slot, kind, ndim, flags, dt,
          *shape) = _CTL_HDR.unpack_from(self._buf, off)
         dtype = None
         if dt[0]:                    # ND records only (b"" packs as NULs)
             dtype = _DTYPES.get(dt)
             if dtype is None:
                 dtype = _DTYPES[dt] = np.dtype(dt.rstrip(b"\0").decode())
-        inline = None
-        if slot == SLOT_INLINE and wire:
+        inline = span = None
+        if flags:
+            span = _SPAN.unpack_from(self._buf, off + self._inline_off)
+        elif slot == SLOT_INLINE and wire:
             inline = np.frombuffer(self._buf, dtype=np.uint8, count=wire,
                                    offset=off + self._inline_off)
         return (context, source, tag, nbytes, wire, slot, kind, dtype,
-                tuple(shape[:ndim]), inline)
+                tuple(shape[:ndim]), inline, span)
 
     def token(self, dst: int, src: int, seq: int) -> bytes:
         """The sanitizer token of record ``seq`` (``b""`` when the
@@ -792,12 +847,13 @@ def encode_payload(obj: Any) -> tuple[int, Optional[np.ndarray]]:
     """Classify one wire payload for the procs transport.
 
     Returns ``(kind, buf)``: ``buf`` holds the payload bytes to place in
-    a record's inline area, a run of slots, or the queue — the array
-    itself for ``ND``, a uint8 array otherwise, ``None`` for ``NONE``.
-    Only objects with no raw-byte form (and object arrays) are pickled.
+    a record's inline area or in slot runs — the array itself for
+    ``ND``, a uint8 array otherwise, ``None`` for ``NONE``.  Only
+    objects with no raw-byte form, object arrays and arrays no record
+    header describes are pickled.
     """
     if isinstance(obj, np.ndarray):
-        if not obj.dtype.hasobject:
+        if not obj.dtype.hasobject and record_fits(obj):
             return ND, obj
     elif isinstance(obj, (bytes, bytearray)):
         return BYTES, _raw(bytes(obj))

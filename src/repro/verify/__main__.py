@@ -342,8 +342,8 @@ def cmd_race(_args) -> int:
             print(r.exploration.witness())
     print("  properties: no lost wakeups (every interleaving "
           "completes), no ABA slot or record reuse, no record read "
-          "before its fill, no unexposed-epoch puts, no torn seqlock "
-          "reads")
+          "before its fill, no streamed message delivered before its "
+          "last run, no unexposed-epoch puts, no torn seqlock reads")
     selfcheck = sanitizer_selfcheck()
     for msg in selfcheck:
         failures += 1

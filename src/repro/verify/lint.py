@@ -125,7 +125,8 @@ PROCS_BACKEND_MODULES = ("simmpi/procs.py", "simmpi/shm.py")
 #: the sanitizer shadow plane.
 SHARED_SEGMENT_FIELDS = {
     "_flags", "_head", "_tail", "_buf", "_epoch", "_done", "_descs",
-    "_abort", "_reason", "_tsan_holder", "_tsan_gen", "progress", "state",
+    "_dump", "_rdv", "_abort", "_reason", "_tsan_holder", "_tsan_gen",
+    "progress", "state",
 }
 
 #: The accessor layer: the only modules allowed to index shared fields.

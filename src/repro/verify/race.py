@@ -15,8 +15,9 @@ the proof obligation: each protocol is extracted into an explicit-state
 model and the commgraph search engine
 (:func:`repro.verify.commgraph.explore_states`) exhaustively explores
 every interleaving at a bounded scope (2–3 writers, ring depth 2, two
-epochs; depth 3 with messages spanning runs of up to two slots; three
-records through a depth-2 descriptor ring), proving
+epochs; depth 3 with messages spanning runs of up to two slots;
+messages streamed as three ring-wide runs; three records through a
+depth-2 descriptor ring), proving
 
 * **no lost wakeups** — every interleaving of the shipped protocol
   runs to completion (no reachable stuck state), the receiver's park on
@@ -24,6 +25,8 @@ records through a depth-2 descriptor ring), proving
 * **no ABA slot or record reuse** — a consumer never reads a slot
   generation the ring has moved past, nor a record the sender has
   wrapped over or not yet filled,
+* **no partial delivery** — a streamed message is delivered only once
+  every one of its runs has been copied,
 * **no unexposed-epoch puts / torn reads** — writes land only inside
   an open exposure epoch and owner reads only after its fence.
 
@@ -55,6 +58,7 @@ __all__ = [
     "ModelResult",
     "SLOT_MUTANTS",
     "RUN_MUTANTS",
+    "STREAM_MUTANTS",
     "EPOCH_MUTANTS",
     "RING_MUTANTS",
     "slot_ring_model",
@@ -76,6 +80,13 @@ SLOT_MUTANTS = {
 RUN_MUTANTS = {
     "run_checks_first_only": "violation:" + sanitize.UNSYNC_WRITE,
     "release_first_only": "stuck",
+}
+
+#: Seeded bugs of streamed messages (runs of one message, visible only
+#: at ``chunks > 1``) and the outcome each must produce.
+STREAM_MUTANTS = {
+    "release_before_copy": "violation:" + sanitize.SLOT_REUSE,
+    "deliver_before_last_chunk": "violation:" + sanitize.TORN_READ,
 }
 
 #: Seeded descriptor-ring bugs and the outcome each must produce.
@@ -124,7 +135,7 @@ class ModelResult:
 
 def slot_ring_model(writers: int = 2, depth: int = 2, messages: int = 2,
                     mutant: Optional[str] = None,
-                    width: int = 1) -> Exploration:
+                    width: int = 1, chunks: int = 1) -> Exploration:
     """Explicit-state model of the :class:`~repro.simmpi.shm.SegmentPool`
     slot ring: ``writers`` senders each pushing ``messages`` payloads
     through one consumer's ring of ``depth`` slots.
@@ -132,36 +143,44 @@ def slot_ring_model(writers: int = 2, depth: int = 2, messages: int = 2,
     A payload occupies a *run* of adjacent slots: message ``m`` of
     writer ``w`` spans ``width`` slots when ``w + m`` is odd and one
     slot otherwise, so at ``width > 1`` runs of mixed widths share the
-    ring and fragment it.  ``width=1`` is the one-slot ring.
+    ring and fragment it.  ``width=1`` is the one-slot ring.  At
+    ``chunks > 1`` every message is *streamed* as ``chunks`` such runs
+    in a row: the consumer copies each run into the message's own
+    buffer, releases it, and delivers the message with its last run.
 
     State: per-slot FREE/BUSY flags and generation counters, the FIFO
-    FIFO of published ``(first slot, run generations)``
-    pairs, each writer's ``(remaining, held-run start)`` and the
-    consumer's ``(consumed, in-flight read)``.  Transitions mirror the
+    of published ``(first slot, run generations, writer, last run)``
+    entries, each writer's ``(remaining runs, held-run start)``, the
+    consumer's ``(consumed, in-flight read)`` and the runs it has
+    copied of each writer's current message.  Transitions mirror the
     runtime verbs — acquire (first fit: lowest run of FREE slots, flip
     them BUSY, bump their generations; a writer with no fitting run
     waits), publish (enqueue), pop, read (every generation of the run
-    must match) and release (the run's flags back to FREE).  A
+    must match), release (the run's flags back to FREE) and, after a
+    message's last run, deliver (every run of it copied).  A
     transition that breaks the discipline carries an error tag the
-    safety check reports; see :data:`SLOT_MUTANTS` and
-    :data:`RUN_MUTANTS` for the seeded corruptions.
+    safety check reports; see :data:`SLOT_MUTANTS`,
+    :data:`RUN_MUTANTS` and :data:`STREAM_MUTANTS` for the seeded
+    corruptions.
     """
     if mutant is not None and mutant not in SLOT_MUTANTS \
-            and mutant not in RUN_MUTANTS:
+            and mutant not in RUN_MUTANTS and mutant not in STREAM_MUTANTS:
         raise ValueError(f"unknown slot-ring mutant {mutant!r}")
     total = writers * messages
+    runs = messages * chunks
     init = (
         (0,) * depth,                     # flags: 0 FREE / 1 BUSY
         (0,) * depth,                     # per-slot generation
-        (),                               # published (slot, gens) FIFO
-        ((messages, -1),) * writers,      # writer (remaining, held slot)
+        (),                               # published run FIFO
+        ((runs, -1),) * writers,          # writer (remaining, held slot)
         0,                                # messages consumed
-        (-1, ()),                         # consumer in-flight (slot, gens)
+        (-1, (), -1, False),              # consumer in-flight run
+        (0,) * writers,                   # runs copied, per writer
         "",                               # safety-violation tag
     )
 
     def run_of(w, remaining):
-        return width if (w + messages - remaining) % 2 else 1
+        return width if (w + (runs - remaining) // chunks) % 2 else 1
 
     def gen_label(gs):
         return gs[0] if len(gs) == 1 else gs
@@ -174,7 +193,7 @@ def slot_ring_model(writers: int = 2, depth: int = 2, messages: int = 2,
                      for i, f in enumerate(flags))
 
     def successors(state):
-        flags, gens, queue, ws, consumed, reading, err = state
+        flags, gens, queue, ws, consumed, reading, parts, err = state
         out = []
         for w, (remaining, held) in enumerate(ws):
             if held < 0 and remaining > 0:
@@ -206,28 +225,30 @@ def slot_ring_model(writers: int = 2, depth: int = 2, messages: int = 2,
                                 for i, (r, h) in enumerate(ws))
                     out.append((f"writer {w}: acquire({slots_label(s, k)})",
                                 (setting(flags, s, k, 1), ngens, queue,
-                                 nws, consumed, reading, nerr)))
+                                 nws, consumed, reading, parts, nerr)))
             elif held >= 0:
                 k = run_of(w, remaining)
                 run = gens[held:held + k]
+                last = (runs - remaining) % chunks == chunks - 1
                 nws = tuple((r - 1, -1) if i == w else (r, h)
                             for i, (r, h) in enumerate(ws))
                 out.append((f"writer {w}: publish(slot={held}, "
                             f"gen={gen_label(run)})",
-                            (flags, gens, queue + ((held, run),),
-                             nws, consumed, reading, err)))
+                            (flags, gens, queue + ((held, run, w, last),),
+                             nws, consumed, reading, parts, err)))
         if reading[0] < 0 and queue:
-            slot, run = queue[0]
+            slot, run, w, last = queue[0]
             nflags = flags
-            if mutant == "release_before_consume":
+            if mutant == "release_before_consume" or (
+                    mutant == "release_before_copy" and chunks > 1):
                 # the corrupted receiver frees the run before reading it
                 nflags = setting(flags, slot, len(run), 0)
             out.append((f"consumer: pop(slot={slot}, "
                         f"gen={gen_label(run)})",
                         (nflags, gens, queue[1:], ws, consumed,
-                         (slot, run), err)))
+                         queue[0], parts, err)))
         elif reading[0] >= 0:
-            slot, run = reading
+            slot, run, w, last = reading
             k = len(run)
             nerr = err
             stale = [(i, g) for i, g in enumerate(run, slot) if gens[i] != g]
@@ -244,13 +265,24 @@ def slot_ring_model(writers: int = 2, depth: int = 2, messages: int = 2,
                 nflags = setting(flags, slot, 1, 0)
             else:
                 nflags = setting(flags, slot, k, 0)
-            out.append((f"consumer: read+release({slots_label(slot, k)})",
-                        (nflags, gens, queue, ws, consumed + 1,
-                         (-1, ()), nerr)))
+            copied = parts[w] + 1
+            label = f"consumer: read+release({slots_label(slot, k)})"
+            if last or mutant == "deliver_before_last_chunk":
+                if copied < chunks and not nerr:
+                    nerr = (f"{sanitize.TORN_READ}: consumer delivers "
+                            f"writer {w}'s message with {copied} of its "
+                            f"{chunks} runs copied — the rest still in "
+                            f"flight")
+                label += ", deliver"
+                consumed, copied = consumed + 1, 0
+            nparts = tuple(copied if i == w else p
+                           for i, p in enumerate(parts))
+            out.append((label, (nflags, gens, queue, ws, consumed,
+                                (-1, (), -1, False), nparts, nerr)))
         return out
 
     def is_final(state):
-        _, _, queue, ws, consumed, reading, _ = state
+        _, _, queue, ws, consumed, reading, _, _ = state
         return (consumed == total and not queue and reading[0] < 0
                 and all(r == 0 and h < 0 for r, h in ws))
 
@@ -453,10 +485,12 @@ def epoch_model(writers: int = 2, epochs: int = 2,
                           check=lambda state: state[-1])
 
 
-#: Clean-proof scopes (2–3 writers, depth 2; runs at depth 3; one and
-#: two descriptor rings of depth 2 carrying three records each).
+#: Clean-proof scopes (2–3 writers, depth 2; runs at depth 3; messages
+#: streamed as runs as wide as the depth-2 ring; one and two descriptor
+#: rings of depth 2 carrying three records each).
 _SLOT_SCOPES = ((2, 2, 3), (3, 2, 2))
 _RUN_SCOPES = ((2, 3, 2, 1), (2, 3, 2, 2))
+_STREAM_SCOPES = ((1, 2, 2, 3), (2, 2, 1, 3))
 _EPOCH_SCOPES = ((2, 2), (3, 2))
 _RING_SCOPES = ((1, 2, 3), (2, 2, 3))
 
@@ -474,6 +508,10 @@ def check_protocols() -> list[ModelResult]:
         out.append(ModelResult(
             "slot_ring", f"W={w} D={d} M={m} width={r}", None, "clean",
             slot_ring_model(w, d, m, width=r)))
+    for w, d, m, c in _STREAM_SCOPES:
+        out.append(ModelResult(
+            "slot_ring", f"W={w} D={d} M={m} width={d} chunks={c}", None,
+            "clean", slot_ring_model(w, d, m, width=d, chunks=c)))
     for w, d, m in _RING_SCOPES:
         out.append(ModelResult(
             "descriptor_ring", f"W={w} D={d} M={m}", None, "clean",
@@ -489,6 +527,10 @@ def check_protocols() -> list[ModelResult]:
         out.append(ModelResult(
             "slot_ring", "W=2 D=3 M=2 width=2", mutant, expect,
             slot_ring_model(2, 3, 2, mutant=mutant, width=2)))
+    for mutant, expect in STREAM_MUTANTS.items():
+        out.append(ModelResult(
+            "slot_ring", "W=2 D=2 M=1 width=2 chunks=2", mutant, expect,
+            slot_ring_model(2, 2, 1, mutant=mutant, width=2, chunks=2)))
     for mutant, expect in RING_MUTANTS.items():
         out.append(ModelResult(
             "descriptor_ring", "W=1 D=2 M=3", mutant, expect,

@@ -5,7 +5,16 @@ the process-wide schedule cache every subsystem now shares — around
 each test, so absolute-value assertions (compile counts, cache misses)
 cannot bleed between tests under xdist or reordering — shared here
 instead of being duplicated per test package.
+
+A second one fails any test that leaves a ``/dev/shm`` entry or a live
+child process behind: the procs backend's teardown must release every
+segment and join every rank process.
 """
+
+import multiprocessing
+import os
+from multiprocessing import resource_tracker
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +39,33 @@ def transport_stats():
     _reset_all()
     yield TRANSPORT_STATS
     _reset_all()
+
+
+def _shm_entries() -> set[str]:
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:
+        return set()
+
+
+def _live_children() -> set[int]:
+    path = Path(f"/proc/self/task/{os.getpid()}/children")
+    try:
+        return {int(p) for p in path.read_text().split()}
+    except OSError:
+        return {p.pid for p in multiprocessing.active_children()}
+
+
+@pytest.fixture(autouse=True)
+def no_leaks():
+    """After each test, no ``/dev/shm`` entry and no live child process
+    it created remains."""
+    # the shared-memory resource tracker is a session-long child: start
+    # it before the first snapshot so it is never a test's leak
+    resource_tracker.ensure_running()
+    shm0, kids0 = _shm_entries(), _live_children()
+    yield
+    leaked = sorted(_shm_entries() - shm0)
+    assert not leaked, f"test left /dev/shm entries behind: {leaked}"
+    alive = sorted(_live_children() - kids0)
+    assert not alive, f"test left live child processes behind: {alive}"

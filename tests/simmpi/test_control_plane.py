@@ -6,7 +6,7 @@ drained by whichever thread touches the receiving mailbox.  Covered
 here: the record codec, the ``ctl_*`` transport counters, the two ways
 a bounded ring or a parked waiter must fail loud instead of hanging,
 and a hypothesis property test that drives every payload placement
-(record inline area, one slot, a run, the queue placeholder) through
+(record inline area, one slot, a run, a stream of runs) through
 mixed tags, wildcards and ``iprobe`` — with more sends than the ring
 holds while the receiver computes — and compares the result with the
 threads backend.
@@ -28,7 +28,7 @@ from repro.util.counters import TRANSPORT_STATS
 
 DEPTH = shm.CTL_DEPTH
 
-#: 4 KiB slots, 4 per ring: payloads over 16 KiB ride the queue
+#: 4 KiB slots, 4 per ring: payloads over 16 KiB stream through it
 _OPTS = {"slot_bytes": 4096, "slots_per_endpoint": 4}
 
 
@@ -59,9 +59,9 @@ def test_control_segment_record_round_trip():
         seg.publish(1, 0, 0)
         assert seg.tails(1) == [1, 0]
         (context, source, tag, nbytes, wire, slot, k, dtype, shape,
-         raw) = seg.read(1, 0, 0)
-        assert (context, source, tag, nbytes, wire, slot, k) == \
-            (77, 3, 9, arr.nbytes, arr.nbytes, shm.SLOT_INLINE, shm.ND)
+         raw, span) = seg.read(1, 0, 0)
+        assert (context, source, tag, nbytes, wire, slot, k, span) == \
+            (77, 3, 9, arr.nbytes, arr.nbytes, shm.SLOT_INLINE, shm.ND, None)
         got = shm.decode_payload(k, raw, dtype, shape)
         assert got.shape == arr.shape and got.tobytes() == arr.tobytes()
         del raw, got
@@ -92,7 +92,9 @@ def _structured(comm):
     return got.dtype.names, got["a"].tolist()
 
 
-def test_procs_structured_array_rides_the_queue_intact():
+def test_procs_structured_array_is_pickled_intact():
+    """No record header describes a structured dtype: the array travels
+    pickled, as a ``PICKLE`` payload, and arrives with its fields."""
     assert run_spmd(2, _structured, backend="procs")[1] == \
         (("a", "b"), [1, 2, 3])
 
@@ -101,18 +103,19 @@ def test_procs_structured_array_rides_the_queue_intact():
 
 
 def _counted_traffic(comm):
-    keys = ("ctl_ring_msgs", "ctl_queue_msgs", "ctl_ring_full")
+    keys = ("ctl_ring_msgs", "ctl_ring_full")
     if comm.rank == 0:
         before = {k: TRANSPORT_STATS.get(k) for k in keys}
         from repro.simmpi.procs import slot_stats
         s0 = slot_stats().get("ring_full", 0)
-        comm.send(np.ones(100), 1, tag=1)          # record inline
-        comm.send(np.ones(1000), 1, tag=1)         # slot run
-        comm.send(np.ones(4096), 1, tag=1)         # 32 KiB: queue
         for _ in range(DEPTH + 4):                 # overflows the ring
             comm.send(None, 1, tag=2)
+        slot_full = slot_stats().get("ring_full", 0) - s0
+        comm.send(np.ones(100), 1, tag=1)          # record inline
+        comm.send(np.ones(1000), 1, tag=1)         # slot run
+        comm.send(np.ones(4096), 1, tag=1)         # 32 KiB: streamed
         return ({k: TRANSPORT_STATS.get(k) - before[k] for k in keys},
-                slot_stats().get("ring_full", 0) - s0)
+                slot_full)
     time.sleep(0.5)                                # compute first
     sizes = [comm.recv(0, tag=1).size for _ in range(3)]
     for _ in range(DEPTH + 4):
@@ -120,17 +123,16 @@ def _counted_traffic(comm):
     return sizes
 
 
-def test_ctl_counters_split_ring_queue_and_full_waits():
-    """``ctl_ring_msgs`` counts messages carried wholly by a ring,
-    ``ctl_queue_msgs`` those whose payload took the queue, and
-    ``ctl_ring_full`` each send that found its control ring full —
-    which the slot pool's own ``ring_full`` does not see."""
+def test_ctl_counters_count_ring_messages_and_full_waits():
+    """``ctl_ring_msgs`` counts every message once — a streamed one,
+    which takes several records, included — and ``ctl_ring_full`` each
+    send that found its control ring full, which the slot pool's own
+    ``ring_full`` does not see."""
     (deltas, slot_full), sizes = run_spmd(2, _counted_traffic,
                                           backend="procs",
                                           transport_opts=_OPTS)
     assert sizes == [100, 1000, 4096]
-    assert deltas == {"ctl_ring_msgs": 2 + DEPTH + 4, "ctl_queue_msgs": 1,
-                      "ctl_ring_full": 1}
+    assert deltas == {"ctl_ring_msgs": 3 + DEPTH + 4, "ctl_ring_full": 1}
     assert slot_full == 0
 
 
@@ -244,7 +246,7 @@ def _payload(kind, seed):
         return rng.integers(0, 1 << 15, size=(3, int(rng.integers(0, 60))),
                             dtype=np.int16)
     size = {"slot": 400, "run": 1200, "wide": 2500}[kind]
-    return rng.random(size)                        # 1, 3 slots / > ring
+    return rng.random(size)                        # 1, 3 slots / stream
 
 
 def _canon(obj):

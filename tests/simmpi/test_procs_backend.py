@@ -4,13 +4,14 @@ memory.
 Everything here runs the *same* rank functions the threads backend runs
 — the point of the Transport abstraction is that matching semantics,
 collectives, intercommunicators and the persistent engines are backend
-invariants.  The procs-only mechanics (slot rings, inline fallbacks,
+invariants.  The procs-only mechanics (slot rings, streamed payloads,
 cross-process watchdog and abort propagation, broker rendezvous) get
 targeted coverage.
 """
 
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def test_send_isolates_payloads(backend):
 
 
 #: 4 KiB slots, 8 per ring: a 32 KiB ring, so messages of 4 KiB-32 KiB
-#: ride runs of 1-8 slots and anything wider goes inline
+#: ride runs of 1-8 slots and anything wider streams through the ring
 _SMALL_RING = {"slot_bytes": 4096}
 
 
@@ -120,17 +121,19 @@ def _oversize(comm):
     return float(got.sum()), slot_stats()
 
 
-def test_procs_oversize_payload_falls_back_inline():
+def test_procs_wide_payload_streams_through_the_ring():
     """A payload wider than the sender's whole ring — the one case no
-    run of slots can hold — degrades to the control queue: correct,
-    never wrong, and counted as an allocation."""
+    run of slots can hold — streams through the ring as two ring-width
+    runs, both ranks sending at once: correct, and counted as one
+    oversize message and one allocation (the receiver's array)."""
     out = run_spmd(2, _oversize, backend="procs",
                    transport_opts=_SMALL_RING)
     base = float(np.arange(8192).sum())
     assert out[0][0] == base + 8192 and out[1][0] == base
     for _, stats in out:
-        assert stats["oversize"] >= 1
-        assert stats["allocations"] >= 1
+        assert stats["oversize"] == 1
+        assert stats["allocations"] == 1
+        assert stats["reuses"] == 2 and stats["releases"] == 2
 
 
 def _oversize_lent(comm):
@@ -432,6 +435,24 @@ def test_coupled_crash_aborts_peer_job_and_names_ranks(backend):
     assert "producer died" in str(failures["alpha rank 0"])
     assert isinstance(failures["beta rank 0"], DeadlockError)
     assert "alpha rank 0" in str(ei.value)
+
+
+def test_threads_coupled_crash_aborts_peer_job_at_once():
+    """On threads a crash in one coupled job aborts every job of the
+    launch at once, like the procs supervisor does: the peer's
+    DeadlockError names the originating job, rank and exception long
+    before the watchdog timeout."""
+    t0 = time.monotonic()
+    with pytest.raises(SpmdError) as ei:
+        run_coupled([("alpha", 1, _coupled_crasher, ()),
+                     ("beta", 1, _coupled_blocker, ())],
+                    deadlock_timeout=30.0, backend="threads")
+    assert time.monotonic() - t0 < 5.0
+    peer = ei.value.failures["beta rank 0"]
+    assert isinstance(peer, DeadlockError)
+    assert ("alpha rank 0 raised ValueError: producer died before "
+            "coupling") in str(peer)
+    assert peer.blocked == {}
 
 
 @pytest.mark.parametrize("backend", BACKENDS,

@@ -16,6 +16,7 @@ from repro.verify.race import (
     RING_MUTANTS,
     RUN_MUTANTS,
     SLOT_MUTANTS,
+    STREAM_MUTANTS,
     check_protocols,
     descriptor_ring_model,
     epoch_model,
@@ -127,6 +128,26 @@ def test_slot_ring_run_mutants_fire(mutant, expect):
     assert slot_ring_model(2, 3, 2, mutant=mutant, width=1).ok
 
 
+def test_slot_ring_streamed_messages_clean():
+    """Messages streamed as several ring-wide runs, one writer or two
+    interleaving theirs, deliver whole and never reuse a run early."""
+    for writers, messages in ((1, 2), (2, 1)):
+        ex = slot_ring_model(writers, 2, messages, width=2, chunks=3)
+        assert ex.ok, ex.witness()
+        assert ex.states > 10
+
+
+@pytest.mark.parametrize("mutant,expect", sorted(STREAM_MUTANTS.items()))
+def test_slot_ring_stream_mutants_fire(mutant, expect):
+    ex = slot_ring_model(2, 2, 1, mutant=mutant, width=2, chunks=2)
+    kind = expect.split(":", 1)[1]
+    assert ex.violation is not None
+    assert ex.message.startswith(kind)
+    assert ex.trace
+    # the bug is invisible when no message streams
+    assert slot_ring_model(2, 2, 1, mutant=mutant, width=2).ok
+
+
 def test_slot_ring_rejects_unknown_mutant():
     with pytest.raises(ValueError, match="unknown slot-ring mutant"):
         slot_ring_model(mutant="off_by_one")
@@ -204,9 +225,10 @@ def test_epoch_rejects_unknown_mutant():
 
 def test_check_protocols_matrix_all_pass():
     results = check_protocols()
-    # clean proofs at two scopes per protocol, two run widths, and one
-    # run per mutant
-    assert len(results) == 8 + len(SLOT_MUTANTS) + len(RUN_MUTANTS) \
+    # clean proofs at two scopes per protocol, two run widths, two
+    # streamed scopes, and one run per mutant
+    assert len(results) == 10 + len(SLOT_MUTANTS) + len(RUN_MUTANTS) \
+        + len(STREAM_MUTANTS) \
         + len(RING_MUTANTS) + len(EPOCH_MUTANTS)
     for r in results:
         assert r.passed, f"{r.label}: expected {r.expect}, got {r.outcome}"
