@@ -6,9 +6,10 @@ present.  Matching is FIFO *per (context, source, tag)* — the MPI
 non-overtaking rule: two messages from the same source with matching
 tags are received in send order.
 
-Blocking receivers register what they are waiting for — once their
-first check has missed — so the job's watchdog can produce a
-rank-state dump on deadlock.  Abort is fully event-driven:
+Blocking receivers write what they are waiting for — once their first
+check has missed — into their rank's row of the job's
+:class:`~repro.simmpi.shm.Liveness` table, so the watchdog can produce
+a rank-state dump on deadlock.  Abort is fully event-driven:
 :meth:`AbortFlag.set` wakes every subscribed mailbox, so a blocked
 receive raises immediately instead of noticing the flag on the next
 poll tick.
@@ -50,6 +51,7 @@ from repro.errors import DeadlockError
 from repro.simmpi import payload
 from repro.simmpi import sanitize as _san
 from repro.simmpi.constants import ANY_SOURCE, ANY_TAG
+from repro.simmpi.shm import Liveness
 from repro.util.counters import TRANSPORT_STATS
 
 
@@ -164,10 +166,10 @@ class Mailbox:
     """
 
     def __init__(self, rank: int, abort: AbortFlag,
-                 progress: Optional[Callable[[], None]] = None,
-                 block_state: Optional[Callable[[int, str | None], None]] = None,
-                 inbox: Any = None):
+                 live: Optional[Liveness] = None, inbox: Any = None):
         self.rank = rank
+        #: the job's liveness table; this mailbox writes row ``rank``
+        self._live = live if live is not None else Liveness(rank + 1)
         self._abort = abort
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -176,10 +178,6 @@ class Mailbox:
         self._seq = 0
         self._inbox = inbox
         self._parked = False
-        # progress(): bump the job's global progress counter (watchdog input)
-        self._progress = progress or (lambda: None)
-        # block_state(rank, desc | None): record/clear what this rank waits on
-        self._block_state = block_state or (lambda rank, desc: None)
         abort.subscribe(self._wake)
 
     def _wake(self) -> None:
@@ -202,22 +200,21 @@ class Mailbox:
         something other than ``None``; return that.
 
         Only after the first check misses does the wait record this
-        rank's blocked state (the watchdog input) and count a
-        ``rendezvous_waits`` (receives only: ``poll`` waits are for
-        shared state no delivery changes).  Between checks it parks on
-        the inbox doorbell — the condition on the threads backend —
-        for at most ``poll`` seconds when given.  An unwatched wait
-        records no blocked state.  An abort raises
+        rank's blocked state in its liveness row (the watchdog input)
+        and count a ``rendezvous_waits`` (receives only: ``poll`` waits
+        are for shared state no delivery changes); leaving the wait, by
+        any exit, marks the row running and counts one progress.
+        Between checks it parks on the inbox doorbell — the condition
+        on the threads backend — for at most ``poll`` seconds when
+        given.  An unwatched wait writes nothing to the row.  An abort raises
         :class:`DeadlockError`; an explicit ``timeout`` raises
-        :class:`TimeoutError` (``timeout <= 0`` means no limit).
-        Completing counts as progress."""
+        :class:`TimeoutError` (``timeout <= 0`` means no limit)."""
         with self._cond:
             self._drain()
             got = find()
         if got is None:
             got = self._wait_blocked(find, describe(), timeout, poll,
                                      watched)
-        self._progress()
         return got
 
     def _wait_blocked(self, find, desc: str, timeout, poll,
@@ -231,7 +228,7 @@ class Mailbox:
             # designed to remove)
             TRANSPORT_STATS.add("rendezvous_waits")
         if watched:
-            self._block_state(self.rank, desc)
+            self._live.set_blocked(self.rank, desc)
         try:
             with self._cond:
                 while True:
@@ -256,7 +253,8 @@ class Mailbox:
                     self._park(step)
         finally:
             if watched:
-                self._block_state(self.rank, None)
+                self._live.set_blocked(self.rank, None)
+                self._live.bump(self.rank)
 
     def _park(self, timeout: float | None) -> None:
         # caller holds the lock, has drained and found nothing
@@ -332,7 +330,6 @@ class Mailbox:
             # queued (unconsumed) bytes are resident transfer memory —
             # the O(pairs) term the collective planner exists to bound.
             TRANSPORT_STATS.gauge_add("resident_bytes", env.nbytes)
-        self._progress()
         self._cond.notify_all()
 
     def _match_slot(self, env: Envelope) -> Optional[PrepostSlot]:
@@ -397,7 +394,6 @@ class Mailbox:
                 if env.release is not None:
                     env.release()
                 TRANSPORT_STATS.add("messages_matched")
-                self._progress()
             else:
                 self._slots.append(slot)
         return slot

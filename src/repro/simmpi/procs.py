@@ -31,14 +31,15 @@ the last run delivers that array.  A wait with nothing to match parks
 on the doorbell only once the rings are empty; a publish after the
 drain posts it, so no wakeup is lost.
 
-Supervision: the parent process supervises.  A
-:class:`~repro.simmpi.shm.SharedState` struct carries each endpoint's
-progress counter and blocked-state record (written by the rank's
-mailbox callbacks); the supervisor applies the same stall rule as the
-threads watchdog and aborts a deadlocked domain by writing the shared
-abort record (reason, blocked dump), raising its flag and posting every
-doorbell: a parked rank wakes, reads the flag and raises at once.  Rank
-crashes propagate the same way: the failing rank reports to the
+Supervision: the parent process supervises.  The domain's
+:class:`~repro.simmpi.shm.SharedState` segment holds its liveness table,
+one row per endpoint; each rank's :class:`~repro.simmpi.runner.Job` is a
+view of its rows, which its mailbox writes directly.  The supervisor
+samples the table with the :class:`~repro.simmpi.shm.StallRule` the
+threads launcher uses and aborts a deadlocked domain by writing the
+shared abort record (reason, blocked dump), raising its flag and posting
+every doorbell: a parked rank wakes, reads the flag and raises at once.
+Rank crashes propagate the same way: the failing rank reports to the
 supervisor, which aborts every peer so nobody waits for messages that
 will never come.
 
@@ -64,7 +65,6 @@ import multiprocessing
 import pickle
 import queue as _queue
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -88,8 +88,6 @@ __all__ = ["run_spmd_procs", "run_coupled_procs", "ProcRuntime",
 #: Pre-fork (parent) allocations stay far below either range.
 CHILD_CTX_SHIFT = 20
 BROKER_CTX_BASE = 1 << 40
-
-_SUPERVISE_TICK = 0.05
 
 #: Backoff between flag scans while a sender waits for a free run (or a
 #: free control record).  A release lands within one scatter of the
@@ -173,12 +171,9 @@ class ProcTransport(Transport):
     isolating = False
     rma_capable = True
 
-    def __init__(self, runtime: "ProcRuntime", abort,
-                 progress: Callable[[], None],
-                 block_state: Callable[[int, str | None], None]):
+    def __init__(self, runtime: "ProcRuntime", abort, live: shm.Liveness):
         self._rt = runtime
-        self._own = Mailbox(runtime.job_rank, abort,
-                            progress=progress, block_state=block_state,
+        self._own = Mailbox(runtime.job_rank, abort, live,
                             inbox=runtime.inbox)
         self._send_lock = threading.Lock()
         #: next record seq of this endpoint's ring to each receiver
@@ -263,11 +258,9 @@ class ProcTransport(Transport):
                  buf: Optional[np.ndarray], part: Optional[np.ndarray] = None,
                  span: Optional[tuple[int, int]] = None) -> None:
         """Fill and publish the next record of this endpoint's ring to
-        ``dst``, post ``dst``'s doorbell, and count it as progress (a
-        long stream must not look stalled to the watchdog).  ``part``
-        (the payload, or one run of a streamed one at ``span``) is
-        copied into a run of slots; without it the payload rides in the
-        record."""
+        ``dst`` and post ``dst``'s doorbell.  ``part`` (the payload, or
+        one run of a streamed one at ``span``) is copied into a run of
+        slots; without it the payload rides in the record."""
         rt = self._rt
         ctl, pool, me = rt.ctl, rt.pool, rt.endpoint
         seq = self._next[dst]
@@ -305,7 +298,6 @@ class ProcTransport(Transport):
         ctl.publish(dst, me, seq)
         self._next[dst] = seq + 1
         rt.spec.doorbells[dst].release()
-        rt.bump_progress()
 
     def _wait_for_record(self, dst: int, seq: int) -> None:
         """Block until ``dst`` has consumed enough of this endpoint's
@@ -463,21 +455,10 @@ class ProcRuntime:
 
     # -- wiring ------------------------------------------------------------
 
-    def make_transport(self, n: int, abort, progress, block_state
+    def make_transport(self, n: int, abort, live: shm.Liveness
                        ) -> ProcTransport:
-        def prog():
-            progress()
-            self.bump_progress()
-
-        def blocked(rank: int, desc: str | None):
-            block_state(rank, desc)
-            self.spec.state.set_blocked(self.endpoint, desc)
-
-        self.transport = ProcTransport(self, abort, prog, blocked)
+        self.transport = ProcTransport(self, abort, live)
         return self.transport
-
-    def bump_progress(self) -> None:
-        self.spec.state.bump(self.endpoint)
 
     def adopt_abort(self) -> None:
         """Raise this rank's abort flag from the domain's shared abort
@@ -551,6 +532,7 @@ def _child_main(spec: DomainSpec, endpoint: int, job_index: int,
     _transport.set_current_runtime(rt)
     _san.register_actor(f"ep{endpoint}")
     job = Job(jobspec.n, name=jobspec.name,
+              live=spec.state.rows(jobspec.base, jobspec.n),
               transport_factory=rt.make_transport)
     rt.job = job
     comm = job.world(rt.job_rank, jobspec.world_context)
@@ -633,12 +615,11 @@ def _supervise_domain(spec: DomainSpec, procs: dict[int, Any],
     failures: dict[int, bytes] = {}
     pending = set(procs)
     aborted = False
-    stall_deadline: Optional[float] = None
-    stall_progress = -1
+    rule = shm.StallRule(spec.state, deadlock_timeout)
 
     while pending:
         try:
-            verb, ep, blob = spec.results.get(timeout=_SUPERVISE_TICK)
+            verb, ep, blob = spec.results.get(timeout=rule.wait())
         except _queue.Empty:
             verb = None
         if verb is not None:
@@ -671,19 +652,10 @@ def _supervise_domain(spec: DomainSpec, procs: dict[int, Any],
                 _abort_all(spec, pending,
                            f"rank process(es) {keys} died", {})
             continue
-        # watchdog: every unfinished endpoint blocked + no progress
-        progress = spec.state.total_progress()
-        dump = spec.state.stalled()
-        if dump:
-            if stall_deadline is None or progress != stall_progress:
-                stall_progress = progress
-                stall_deadline = time.monotonic() + deadlock_timeout
-            elif time.monotonic() >= stall_deadline and not aborted:
-                aborted = True
-                _abort_all(spec, pending,
-                           "deadlock detected by watchdog", dump)
-        else:
-            stall_deadline = None
+        dump = rule.check()
+        if dump is not None and not aborted:
+            aborted = True
+            _abort_all(spec, pending, "deadlock detected by watchdog", dump)
     return results, failures
 
 

@@ -45,16 +45,15 @@ of a ``run_coupled`` launch):
   only path that allocates per message); ``oversize`` counts messages
   wider than one slot.
 
-* :class:`SharedState` — the watchdog plane.  A per-endpoint progress
-  counter, run-state byte (running / blocked / finished) and a short
-  blocked-on description, plus a domain-wide abort record (flag,
-  reason, blocked dump) and one rendezvous reply row per endpoint.
-  Each per-endpoint watchdog field has exactly one writer (the owning
-  rank process); the abort record and the reply rows are written by
-  the supervisor only.  The supervisor applies the same stall rule as
-  the threads watchdog: the domain is deadlocked when every unfinished
-  endpoint is blocked and the progress sum has not moved for the
-  timeout.
+* :class:`SharedState` — the watchdog plane: the domain's
+  :class:`Liveness` table (per endpoint a progress counter, a run-state
+  byte — running / blocked / finished — and a short blocked-on
+  description), plus a domain-wide abort record (flag, reason, blocked
+  dump) and one rendezvous reply row per endpoint.  Each liveness row
+  has exactly one writer (the owning rank process); the abort record
+  and the reply rows are written by the supervisor only.  The
+  supervisor applies :class:`StallRule`, the rule the threads launcher
+  applies to its heap-allocated table.
 """
 
 from __future__ import annotations
@@ -64,16 +63,17 @@ import pickle
 import struct
 import sys
 import threading
+import time
 from multiprocessing import shared_memory
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.simmpi import sanitize as _san
 from repro.util.counters import Counters, TRANSPORT_STATS
 
-__all__ = ["ControlSegment", "SegmentPool", "SharedState", "WindowSegment",
-           "encode_payload", "decode_payload"]
+__all__ = ["ControlSegment", "Liveness", "SegmentPool", "SharedState",
+           "StallRule", "WindowSegment", "encode_payload", "decode_payload"]
 
 # payload kinds (one byte of a descriptor record)
 ND = 1
@@ -491,10 +491,148 @@ def _text(row: np.ndarray) -> str:
     return bytes(row).split(b"\0", 1)[0].decode("utf-8", "replace")
 
 
-class SharedState:
-    """Cross-process watchdog struct: per-endpoint progress counters and
-    blocked-state table, the domain abort record, and the rendezvous
-    reply table.
+class Liveness:
+    """The liveness table both supervisors read: one row per rank — a
+    progress count, a RUNNING / BLOCKED / FINISHED byte and a short
+    blocked-on description.
+
+    A rank writes only its own row, so no write takes a lock.  (Two
+    threads of one rank waiting at once can lose a progress increment;
+    the count still changes, and a change is all :class:`StallRule`
+    reads.)  A threads launch keeps the table on the heap; on procs the
+    rows live in the domain's :class:`SharedState` segment.
+    :meth:`rows` is a view of a contiguous run of rows (one job of a
+    launch): its row ``r`` is the table's row ``base + r``, the
+    endpoint the sanitizer's single-writer claim is checked against.
+    Progress counts the blocked waits a rank has left, so a rank that
+    was blocked and moved on shows up even between two supervisor
+    samples.
+    """
+
+    base = 0
+
+    def __init__(self, n: int):
+        self.progress = np.zeros(n, np.uint64)
+        self.state = np.zeros(n, np.uint8)
+        self._descs = np.zeros((n, _DESC_BYTES), np.uint8)
+
+    def rows(self, first: int, n: int) -> "Liveness":
+        view = Liveness.__new__(Liveness)
+        view.progress = self.progress[first:first + n]
+        view.state = self.state[first:first + n]
+        view._descs = self._descs[first:first + n]
+        view.base = self.base + first
+        return view
+
+    # -- rank side (single writer per row) ---------------------------------
+
+    def bump(self, rank: int) -> None:
+        san = _san.ACTIVE
+        if san is not None:
+            endpoint = self.base + rank
+            san.state_write(endpoint, f"state.bump(endpoint={endpoint})")
+        self.progress[rank] += np.uint64(1)
+
+    def set_blocked(self, rank: int, desc: Optional[str]) -> None:
+        san = _san.ACTIVE
+        if san is not None:
+            endpoint = self.base + rank
+            san.state_write(endpoint,
+                            f"state.set_blocked(endpoint={endpoint})")
+        if self.state[rank] == STATE_FINISHED:
+            return
+        if desc is None:
+            self.state[rank] = STATE_RUNNING
+            return
+        _put_text(self._descs[rank], desc)
+        self.state[rank] = STATE_BLOCKED
+
+    def set_finished(self, rank: int) -> None:
+        san = _san.ACTIVE
+        if san is not None:
+            endpoint = self.base + rank
+            san.state_write(endpoint,
+                            f"state.set_finished(endpoint={endpoint})")
+        self.state[rank] = STATE_FINISHED
+
+    def finished(self, rank: int) -> bool:
+        """Has ``rank`` returned (it will never receive again)?"""
+        return bool(self.state[rank] == STATE_FINISHED)
+
+    # -- supervisor side ---------------------------------------------------
+
+    def total_progress(self) -> int:
+        return int(self.progress.sum())
+
+    def stalled(self) -> Optional[dict[int, str]]:
+        """``{row: blocked-on}`` of every unfinished rank if none of
+        them is runnable (empty once all finished), else ``None``."""
+        state = self.state.copy()
+        unfinished = np.flatnonzero(state != STATE_FINISHED)
+        if np.all(state[unfinished] == STATE_BLOCKED):
+            return {int(r): _text(self._descs[r]) or "?"
+                    for r in unfinished}
+        return None
+
+
+#: Supervisor sampling period: a finish or abort never waits for it,
+#: only a stall's detection does.
+SUPERVISE_TICK = 0.05
+
+
+class StallRule:
+    """The deadlock rule, for both backends' supervisors: a launch is
+    deadlocked once every unfinished rank of ``live`` has been blocked,
+    with total progress unchanged, for ``timeout`` seconds.
+
+    The supervisor calls :meth:`check` at least once per :attr:`tick`
+    (:data:`SUPERVISE_TICK`, shortened to a twentieth of short
+    timeouts), sleeping :meth:`wait` in between, so a stall trips
+    within one tick of ``timeout`` after it began; ``clock`` is
+    injectable for tests.
+    """
+
+    def __init__(self, live: Liveness, timeout: float,
+                 clock: Callable[[], float] = time.monotonic):
+        self.live = live
+        self.timeout = timeout
+        self.tick = min(SUPERVISE_TICK, timeout / 20)
+        self._clock = clock
+        self._since: Optional[float] = None
+        self._progress = -1
+
+    def check(self) -> Optional[dict[int, str]]:
+        """The blocked dump (row -> blocked-on) once the stall has lasted
+        ``timeout``, else ``None``."""
+        dump = self.live.stalled()
+        if not dump:
+            self._since = None
+            return None
+        progress, now = self.live.total_progress(), self._clock()
+        if self._since is None or progress != self._progress:
+            self._since, self._progress = now, progress
+            return None
+        if now - self._since < self.timeout:
+            return None
+        # a stall that outlives its abort trips again only after another
+        # full timeout, and the supervisor's waits stay a tick long
+        self._since = None
+        return dump
+
+    def wait(self) -> float:
+        """How long the supervisor may sleep before the next
+        :meth:`check`: a tick, or less when a stall's deadline is
+        nearer."""
+        if self._since is None:
+            return self.tick
+        left = self._since + self.timeout - self._clock()
+        return max(0.0, min(self.tick, left))
+
+
+class SharedState(Liveness):
+    """The procs domain's cross-process state: its :class:`Liveness`
+    table (one row per endpoint), the domain abort record, and the
+    rendezvous reply table.
 
     Layout: ``progress u64[E] | state u8[E] | desc char[E][120] | abort
     u8 | reason char[480] | dump char[E][120] | rdv i64[E][5 + E]``.
@@ -525,39 +663,6 @@ class SharedState:
             setattr(self, name, np.ndarray(shape, dtype=dt, offset=off,
                                            buffer=self._shm.buf))
 
-    # -- rank side (single writer per endpoint) ----------------------------
-
-    def bump(self, endpoint: int) -> None:
-        san = _san.ACTIVE
-        if san is not None:
-            san.state_write(endpoint, f"state.bump(endpoint={endpoint})")
-        self.progress[endpoint] += np.uint64(1)
-
-    def set_blocked(self, endpoint: int, desc: Optional[str]) -> None:
-        san = _san.ACTIVE
-        if san is not None:
-            san.state_write(endpoint,
-                            f"state.set_blocked(endpoint={endpoint})")
-        if self.state[endpoint] == STATE_FINISHED:
-            return
-        if desc is None:
-            self.state[endpoint] = STATE_RUNNING
-            return
-        _put_text(self._descs[endpoint], desc)
-        self.state[endpoint] = STATE_BLOCKED
-
-    def set_finished(self, endpoint: int) -> None:
-        san = _san.ACTIVE
-        if san is not None:
-            san.state_write(endpoint,
-                            f"state.set_finished(endpoint={endpoint})")
-        self.state[endpoint] = STATE_FINISHED
-
-    def finished(self, endpoint: int) -> bool:
-        """Has ``endpoint``'s rank returned (it will never receive
-        again)?"""
-        return bool(self.state[endpoint] == STATE_FINISHED)
-
     def aborted(self) -> bool:
         return bool(self._abort[0])
 
@@ -583,21 +688,6 @@ class SharedState:
                 row[_RDV_HDR:_RDV_HDR + n].tolist())
 
     # -- supervisor side ---------------------------------------------------
-
-    def desc(self, endpoint: int) -> str:
-        return _text(self._descs[endpoint]) or "?"
-
-    def total_progress(self) -> int:
-        return int(self.progress.sum())
-
-    def stalled(self) -> Optional[dict[int, str]]:
-        """Blocked dump if no unfinished endpoint is runnable (mirrors
-        :meth:`repro.simmpi.runner.Job.stalled`)."""
-        state = self.state.copy()
-        unfinished = np.flatnonzero(state != STATE_FINISHED)
-        if np.all(state[unfinished] == STATE_BLOCKED):
-            return {int(e): self.desc(int(e)) for e in unfinished}
-        return None
 
     def set_abort(self, reason: str,
                   dump: Optional[dict[int, str]] = None) -> None:

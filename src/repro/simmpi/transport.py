@@ -30,9 +30,10 @@ entry point.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Sequence
 
 from repro.simmpi.matching import AbortFlag, Envelope, Mailbox
+from repro.simmpi.shm import Liveness
 
 __all__ = [
     "Transport",
@@ -84,13 +85,8 @@ class ThreadTransport(Transport):
     isolating = True
     rma_capable = False
 
-    def __init__(self, n: int, abort: AbortFlag,
-                 progress: Optional[Callable[[], None]] = None,
-                 block_state: Optional[Callable[[int, str | None], None]] = None):
-        self.mailboxes = [
-            Mailbox(r, abort, progress=progress, block_state=block_state)
-            for r in range(n)
-        ]
+    def __init__(self, n: int, abort: AbortFlag, live: Liveness):
+        self.mailboxes = [Mailbox(r, abort, live) for r in range(n)]
 
     def mailbox(self, job_rank: int) -> Mailbox:
         return self.mailboxes[job_rank]

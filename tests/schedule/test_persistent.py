@@ -35,9 +35,7 @@ class RmaThreadTransport(ThreadTransport):
 
 
 def _rma_job(n):
-    return Job(n, transport_factory=lambda n_, abort, progress, block_state:
-               RmaThreadTransport(n_, abort, progress=progress,
-                                  block_state=block_state))
+    return Job(n, transport_factory=RmaThreadTransport)
 
 
 @pytest.fixture(autouse=True)

@@ -104,7 +104,7 @@ class TestBorrowed:
         np.testing.assert_array_equal(dest, np.arange(4.0))
         assert TRANSPORT_STATS.get("direct_deliveries") == before + 1
         # nothing was queued: the bytes went straight through the sink
-        assert job.mailboxes[1].pending_count() == 0
+        assert job.transport.mailboxes[1].pending_count() == 0
 
 
 class TestPrepost:
