@@ -11,9 +11,10 @@ remove the first copy and the steady-state allocations:
   strided view is written straight into the destination's consolidated
   local base — one strided-to-strided copy per pair, no wire buffer;
 * index-array pairs gather into buffers loaned from a per-engine
-  :class:`~repro.schedule.bufpool.BufferPool` and move them with
-  :class:`~repro.simmpi.payload.OwnedBuffer`; the loan is released on
-  delivery, so after warm-up no step allocates anything.
+  :class:`~repro.schedule.bufpool.BufferPool` and lend them to the send
+  (:class:`~repro.simmpi.payload.Borrowed`); the loan is released as
+  soon as the send returns, so after warm-up no step allocates
+  anything.
 
 This report drives both paths through the real simulated transport, but
 single-threaded (``couple_jobs`` + explicit arm/send/complete ordering),

@@ -13,7 +13,7 @@ applies one rule to all of them:
   a lower bound — anything else raises the row's typed error naming the
   knob and its variable.
 
-Call sites resolve at import time (the three debug switches, whose
+Call sites resolve at import time (the two debug switches, whose
 setters override afterwards) or at construct / bind /
 open time — never per step or per invocation.  ``python -m
 repro.config`` prints every knob's effective value and where it came
@@ -86,9 +86,6 @@ KNOBS = {k.name: k for k in (
     Knob("backend", "REPRO_BACKEND", "choice", "threads",
          ("threads", "procs"), ValueError,
          "Ranks of `run_spmd`/`run_coupled`: threads or forked processes."),
-    Knob("transport_debug", "REPRO_TRANSPORT_DEBUG", "flag", False, None,
-         ValueError,
-         "Fill moved buffers with `0xCB`: use-after-move reads poison."),
     Knob("verify", "REPRO_VERIFY", "flag", False, None, ValueError,
          "Prove compiled plans against the fallback gather once per bind."),
     Knob("tsan", "REPRO_TSAN", "flag", False, None, ValueError,

@@ -213,7 +213,7 @@ class Channel:
     bound at open and stepped by every ``push``/``pull``: the
     producer packs through a per-channel
     :class:`~repro.schedule.bufpool.BufferPool` (zero steady-state
-    allocations) and ships move/borrow-semantics payloads; the consumer
+    allocations) and lends every payload to its send; the consumer
     preposts recv-into-destination slots so in-flight data lands
     straight in ``channel.array``'s consolidated local base.
     ``pool_stats`` exposes the pool counters (producer side; all zeros

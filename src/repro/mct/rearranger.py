@@ -13,7 +13,8 @@ from __future__ import annotations
 from repro.errors import MCTError
 from repro.mct.attrvect import AttrVect
 from repro.mct.gsmap import GlobalSegMap
-from repro.mct.router import _pair_wire, _RowPlans
+from repro.mct.router import _RowPlans
+from repro.simmpi import payload
 from repro.simmpi.communicator import Communicator
 
 REARRANGE_TAG = 161
@@ -43,7 +44,7 @@ class Rearranger(_RowPlans):
                 f"field lists differ: {av_src.fields} vs {av_dst.fields}")
         me = comm.rank
         for peer, _size, rows in self._pairs("send", me):
-            comm.send(_pair_wire(rows, av_src), peer, tag)
+            comm.send(payload.Borrowed(av_src.data[rows, :]), peer, tag)
         received = 0
         for peer, size, rows in self._pairs("recv", me):
             av_dst.data[rows, :] = comm.recv(source=peer, tag=tag)

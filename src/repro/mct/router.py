@@ -90,17 +90,6 @@ class _RowPlans:
         return pairs
 
 
-def _pair_wire(rows, av: AttrVect):
-    """Transport marker for one pair's fused 2-D block: a slice of rows
-    lends its live view (consumed synchronously by the send), a
-    gathered block moves (the fresh fancy-index result has no other
-    owner)."""
-    block = av.data[rows, :]
-    if isinstance(rows, slice):
-        return payload.Borrowed(block)
-    return payload.OwnedBuffer(block)
-
-
 class Router(_RowPlans):
     """Inter-model transfer scheduler over an MCTWorld."""
 
@@ -148,7 +137,7 @@ class Router(_RowPlans):
                     f"size {self.src_gsmap.local_size(s)}")
             for peer, size, rows in self._pairs("send", s):
                 if fused:
-                    comm.send(_pair_wire(rows, av_send),
+                    comm.send(payload.Borrowed(av_send.data[rows, :]),
                               self._dst_ranks[peer], tag)
                 else:
                     block = av_send.data[rows, :]

@@ -4,18 +4,15 @@ A persistent schedule sends the same pair plans every step, so the pack
 buffers it needs have the same sizes every step — allocating them anew
 per step (and leaving the old ones to the garbage collector) is pure
 overhead.  A :class:`BufferPool` recycles them: a buffer is *loaned*
-against a key identifying its pair plan, shipped as an
-:class:`~repro.simmpi.payload.OwnedBuffer` whose release callback
-returns it to the pool the moment the transport has consumed it
-(direct delivery into a preposted destination), and reused on the next
-step.  In steady state — every loan released before the next step
-needs it — the pool performs **zero allocations**, which
-``stats["allocations"]`` lets tests and the CI regression gate assert.
-
-A loan whose buffer is still outstanding (e.g. the receiver was not
-preposted, so the buffer itself became the delivered message and now
-belongs to the receiver) simply allocates a fresh buffer — graceful
-degradation, visible in the counters, never a correctness hazard.
+against a key identifying its pair plan, gathered into, lent to one
+send (:class:`~repro.simmpi.payload.Borrowed`, consumed before the
+send returns), and released by the same code right after — so the
+transport never calls back into a pool.  Every loan is therefore
+released before the next step needs it, and in steady state the pool
+performs **zero allocations**, which ``stats["allocations"]`` lets
+tests and the CI regression gate assert.  A loan whose key has no idle
+buffer (the first step, or a caller that has not released yet) simply
+allocates a fresh one.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ class BufferPool:
     * ``loans`` — total loan calls,
     * ``reuses`` — loans satisfied from a free-list,
     * ``allocations`` / ``allocated_bytes`` — fresh buffers created,
-    * ``releases`` — buffers returned by the transport,
+    * ``releases`` — buffers returned by their borrower,
     * ``mismatch_discards`` — pooled buffers dropped because their
       shape/dtype no longer matched the key's request (only possible if
       a key is reused across differently-shaped plans).
@@ -53,10 +50,9 @@ class BufferPool:
              ) -> tuple[np.ndarray, Callable[[], None]]:
         """A 1-D buffer of ``size`` elements and its release callback.
 
-        The caller fills the buffer and ships it as an
-        :class:`~repro.simmpi.payload.OwnedBuffer` with this release;
-        the transport fires the release exactly once when the buffer's
-        contents have been consumed without keeping the buffer.
+        The caller fills the buffer, lends it to a send as
+        :class:`~repro.simmpi.payload.Borrowed` and calls the release
+        exactly once when that send has returned.
         """
         dtype = np.dtype(dtype)
         self.stats.add("loans")

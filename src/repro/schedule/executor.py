@@ -23,13 +23,14 @@ Bind does, once: side validation, the ``REPRO_VERIFY`` proof
 compilation through the schedule's cache, tier resolution
 (:func:`resolve_tier`), peer translation of every pair, and the tier's
 bootstrap.  A step replays compiled :class:`~repro.schedule.indexplan.
-PairPlan` objects only: a single-box pair lends its strided n-D view of
-local storage (:class:`~repro.simmpi.payload.Borrowed`) so the wire's
-own copy reads source storage, multi-box and index pairs gather into a
-:class:`~repro.schedule.bufpool.BufferPool` loan that moves
-(:class:`~repro.simmpi.payload.OwnedBuffer`) and returns to the pool on
-consumption — zero steady-state allocations.  Every verb of a closed
-transfer raises :class:`~repro.errors.ConnectionError_`.
+PairPlan` objects only: every pair lends
+(:class:`~repro.simmpi.payload.Borrowed`) — a single-box pair its
+strided n-D view of local storage, so the wire's own copy reads source
+storage, multi-box and index pairs a
+:class:`~repro.schedule.bufpool.BufferPool` loan they gathered into and
+release as soon as the send returns — zero steady-state allocations.
+Every verb of a closed transfer raises
+:class:`~repro.errors.ConnectionError_`.
 
 The tiers — small strategy halves over that shared core (``picked
 when`` is :func:`resolve_tier`'s rule):
@@ -225,10 +226,9 @@ class _TwoSidedSend(BoundTransfer):
         moved = 0
         for pp, peer in self._pairs:
             buf, release = self._staged(pp, flat)
-            self._link.send(
-                payload.Borrowed(buf) if release is None
-                else payload.OwnedBuffer(buf, release=release),
-                peer, self._tag)
+            self._link.send(payload.Borrowed(buf), peer, self._tag)
+            if release is not None:
+                release()
             moved += pp.size
         return moved
 
@@ -389,8 +389,8 @@ class _RoundSend(BoundTransfer):
             buf, release = self.pool.loan(
                 ("collsend", self._me, rnd, peer), total, self._dtype)
             _gather_subs(subs, flat, buf)
-            self._link.send(payload.OwnedBuffer(buf, release=release),
-                            peer, self._tag)
+            self._link.send(payload.Borrowed(buf), peer, self._tag)
+            release()
             self._awaiting.append(peer)
             moved += total
         return moved

@@ -114,14 +114,14 @@ class Communicator:
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Buffered send: isolates ``obj`` and returns immediately.
 
-        Plain payloads are copied (value semantics);
-        :class:`~repro.simmpi.payload.OwnedBuffer` moves and
-        :class:`~repro.simmpi.payload.Borrowed` lends — see
+        Plain payloads are copied (value semantics) and
+        :class:`~repro.simmpi.payload.Borrowed` lends; either way the
+        caller may reuse its buffer once this returns — see
         :mod:`repro.simmpi.payload` for the ownership contract.
         """
         self._check_rank(dest, "destination")
         transport = self.job.transport
-        data, nbytes, release, live = payload.wire_parts(
+        data, nbytes, live = payload.wire_parts(
             obj, isolate=transport.isolating)
         # Collective-internal protocol traffic is counted separately so
         # benchmarks can report application data movement alone.
@@ -131,8 +131,7 @@ class Communicator:
         self.job.counters.add(f"rank{self.job_ranks[dest]}.rx_bytes", nbytes)
         transport.deliver(
             self.job_ranks[dest],
-            Envelope(self.context, self._rank, tag, data, nbytes,
-                     release=release),
+            Envelope(self.context, self._rank, tag, data, nbytes),
             live=live)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,

@@ -192,14 +192,14 @@ class Intercommunicator:
             raise CommunicatorError(
                 f"remote rank {dest} out of range (remote size "
                 f"{self.remote_size})")
-        data, nbytes, release, live = payload.wire_parts(
+        data, nbytes, live = payload.wire_parts(
             obj, isolate=self.local_comm.job.transport.isolating)
         self.local_comm.job.counters.add("inter_msgs")
         self.local_comm.job.counters.add("inter_bytes", nbytes)
         self._remote.deliver(
             dest,
             Envelope(self._send_context, self.local_comm.rank, tag,
-                     data, nbytes, release=release),
+                     data, nbytes),
             live=live)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,

@@ -20,20 +20,15 @@ into ordinary matching before it checks, and a blocked wait parks on
 the inbox doorbell instead of the condition — only once the rings are
 empty, so no wakeup is lost.
 
-Two zero-copy transport hooks live here:
-
-* Envelopes may carry a ``release`` callback — the loan-return hook of
-  runtime-owned (pooled) buffers, fired once the transport is done with
-  the buffer.
-* :meth:`Mailbox.prepost` arms a **preposted receive**
-  (``MPI_Recv_init`` / rendezvous-RDMA analogue): the receiver
-  registers a destination *sink* before the message exists, and a
-  matching send writes its bytes straight through the sink — in the
-  sender's thread, with no staging buffer and no queue traversal on
-  receipt.  Borrowed (lent-view) payloads hit their fast path here:
-  the view is consumed synchronously inside ``deliver``, so no alias to
-  the sender's storage ever survives, and when no slot is armed the
-  view degrades to a snapshot — value semantics either way.
+The zero-copy transport hook lives here.  :meth:`Mailbox.prepost`
+arms a **preposted receive** (``MPI_Recv_init`` / rendezvous-RDMA
+analogue): the receiver registers a destination *sink* before the
+message exists, and a matching send writes its bytes straight through
+the sink — in the sender's thread, with no staging buffer and no queue
+traversal on receipt.  Borrowed (lent-view) payloads hit their fast
+path here: the view is consumed synchronously inside ``deliver``, so
+no alias to the sender's storage ever survives, and when no slot is
+armed the view degrades to a snapshot — value semantics either way.
 
 FIFO safety: ``prepost`` first drains the oldest matching *queued*
 envelope, and ``deliver`` only completes a slot when no queued envelope
@@ -65,10 +60,6 @@ class Envelope:
     payload: Any
     nbytes: int
     seq: int = 0
-    #: Loan-return callback for runtime-owned buffers (pooled pack
-    #: buffers): invoked exactly once when the transport has consumed
-    #: the payload without handing the buffer itself to the receiver.
-    release: Optional[Callable[[], None]] = None
     #: Sender's vector clock under ``REPRO_TSAN=1`` (the mailbox
     #: handoff happens-before edge); ``None`` — and never touched —
     #: when the sanitizer is off.
@@ -316,8 +307,6 @@ class Mailbox:
             self._slots.remove(slot)
             slot.clock = env.clock
             slot._complete(live if live is not None else env.payload)
-            if env.release is not None:
-                env.release()
             TRANSPORT_STATS.add("direct_deliveries")
             TRANSPORT_STATS.add("direct_bytes", env.nbytes)
             TRANSPORT_STATS.add("messages_matched")
@@ -391,8 +380,6 @@ class Mailbox:
                 if san is not None:
                     san.env_join(env.clock)
                 slot._complete(env.payload)
-                if env.release is not None:
-                    env.release()
                 TRANSPORT_STATS.add("messages_matched")
             else:
                 self._slots.append(slot)

@@ -212,10 +212,6 @@ class ProcTransport(Transport):
             kind, buf = shm.encode_payload(obj)
         with self._send_lock:
             self._send(endpoint, env, kind, buf)
-        if env.release is not None:
-            # the wire (records and slot runs) now owns the bytes: the
-            # sender's pooled buffer is free to be reused
-            env.release()
 
     def _send(self, dst: int, env: Envelope, kind: int,
               buf: Optional[np.ndarray]) -> None:

@@ -53,7 +53,7 @@ class Counters:
         return f"Counters({self.snapshot()!r})"
 
 
-#: Process-wide transport accounting (bytes copied, buffers moved,
+#: Process-wide transport accounting (bytes copied, borrow snapshots,
 #: direct recv-into-destination deliveries, ...).  Lives here rather
 #: than in :mod:`repro.simmpi.payload` users' modules to avoid import
 #: cycles between the payload, matching and schedule layers; reset it
@@ -81,10 +81,9 @@ class Counters:
 #: receiver.  ``peak_resident_bytes`` is therefore the process-wide
 #: transfer-buffer footprint high-water mark the A10 memory-ceiling
 #: benchmark gates on (per process: the threads backend sums all rank
-#: threads, the procs backend counts each rank's own process).  A
-#: pooled buffer travelling inside a queued envelope is counted by both
-#: the pool and the queue until its release fires — a deliberately
-#: conservative upper bound.
+#: threads, the procs backend counts each rank's own process).  A loan
+#: is released before its send returns and a queued envelope holds its
+#: own snapshot, so no byte is counted twice.
 TRANSPORT_STATS = Counters()
 
 

@@ -6,18 +6,12 @@ policy should be checkable as a property of the code, not of a
 particular run.  These rules enforce the PR-3/PR-4 contract statically
 over ``src/``:
 
-* **V101 — use after move.**  Wrapping an array in ``OwnedBuffer(buf)``
-  transfers ownership to the transport; any later load of ``buf`` in
-  the same function (without an intervening rebinding) races the
-  consumer and, under ``REPRO_TRANSPORT_DEBUG=1``, reads poisoned
-  bytes.
-* **V102 — escaped Borrowed/OwnedBuffer marker.**  A payload marker is
+* **V102 — escaped Borrowed marker.**  A ``Borrowed`` lend is
   consumed synchronously inside the ``send`` it is passed to.  Storing
   one on an attribute, into a subscript, or into a container
-  (``.append``/``.add``/``.insert``/``.extend``) keeps a lent view (or
-  a moved buffer) alive past its consumption scope.  Returning a
-  freshly built marker is fine — a helper may hand one straight to
-  the send call.
+  (``.append``/``.add``/``.insert``/``.extend``) keeps a lent view
+  alive past its consumption scope.  Returning a freshly built marker
+  is fine — a helper may hand one straight to the send call.
 * **V103 — Raw payload in the procs backend.**  ``Raw`` wraps
   process-local handles whose identity cannot survive a fork; modules
   implementing the forked-process backend must never construct one.
@@ -93,8 +87,7 @@ __all__ = ["LintViolation", "lint_source", "lint_paths", "RULES"]
 
 #: Rule id -> one-line description (the CLI's legend).
 RULES = {
-    "V101": "OwnedBuffer payload used after its buffer was moved",
-    "V102": "Borrowed/OwnedBuffer marker stored past its consumption scope",
+    "V102": "Borrowed marker stored past its consumption scope",
     "V103": "Raw payload constructed in a procs-backend module",
     "V104": "time.sleep polling loop in transport code",
     "V105": "one-sided put into a window with no epoch guard in scope",
@@ -171,8 +164,8 @@ class LintViolation:
 
 
 def _call_name(node: ast.AST) -> str | None:
-    """The trailing identifier of a call target: ``OwnedBuffer(...)``
-    and ``payload.OwnedBuffer(...)`` both yield ``"OwnedBuffer"``."""
+    """The trailing identifier of a call target: ``Borrowed(...)``
+    and ``payload.Borrowed(...)`` both yield ``"Borrowed"``."""
     if isinstance(node, ast.Call):
         func = node.func
         if isinstance(func, ast.Name):
@@ -197,37 +190,11 @@ def _allowed_lines(source: str) -> dict[int, set[str]]:
     return allowed
 
 
-def _check_use_after_move(func: ast.AST) -> Iterator[tuple[int, str]]:
-    """V101 inside one function body, by line-ordered dataflow
-    approximation: a name passed positionally to ``OwnedBuffer`` is
-    *moved*; a later load without an intervening store is a violation."""
-    moves: dict[str, int] = {}
-    events: list[tuple[int, str, str]] = []
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call) and _call_name(node) == "OwnedBuffer":
-            if node.args and isinstance(node.args[0], ast.Name):
-                events.append((node.lineno, "move", node.args[0].id))
-        elif isinstance(node, ast.Name):
-            kind = ("load" if isinstance(node.ctx, ast.Load) else "store")
-            events.append((node.lineno, kind, node.id))
-    for line, kind, name in sorted(events):
-        if kind == "move":
-            moves[name] = line
-        elif kind == "store":
-            moves.pop(name, None)
-        elif name in moves and line > moves[name]:
-            yield (line, f"{name!r} was moved into an OwnedBuffer on line "
-                         f"{moves[name]} and read again here")
-            del moves[name]
-
-
 def _check_escaped_marker(tree: ast.AST) -> Iterator[tuple[int, str]]:
-    """V102: marker expressions assigned to attributes/subscripts or
-    pushed into containers."""
-    markers = {"Borrowed", "OwnedBuffer"}
-
+    """V102: ``Borrowed`` expressions assigned to attributes/subscripts
+    or pushed into containers."""
     def is_marker(node: ast.AST) -> bool:
-        return _call_name(node) in markers
+        return _call_name(node) == "Borrowed"
 
     for node in ast.walk(tree):
         if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
@@ -245,10 +212,8 @@ def _check_escaped_marker(tree: ast.AST) -> Iterator[tuple[int, str]]:
                           else [t])
                 for tp in tparts:
                     if isinstance(tp, (ast.Attribute, ast.Subscript)):
-                        name = _call_name(next(
-                            p for p in parts if is_marker(p)))
                         yield (node.lineno,
-                               f"{name} marker stored on "
+                               f"Borrowed marker stored on "
                                f"{'an attribute' if isinstance(tp, ast.Attribute) else 'a subscript'}"
                                f" — markers must be consumed synchronously"
                                f" by the send they are passed to")
@@ -257,9 +222,8 @@ def _check_escaped_marker(tree: ast.AST) -> Iterator[tuple[int, str]]:
             if (isinstance(func, ast.Attribute)
                     and func.attr in _CONTAINER_SINKS
                     and any(is_marker(a) for a in node.args)):
-                name = _call_name(next(a for a in node.args if is_marker(a)))
                 yield (node.lineno,
-                       f"{name} marker pushed into a container via "
+                       f"Borrowed marker pushed into a container via "
                        f".{func.attr}() — markers must not outlive the "
                        f"send call")
 
@@ -500,8 +464,6 @@ def lint_source(source: str, path: str = "<string>",
 
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            hits.extend((ln, "V101", msg)
-                        for ln, msg in _check_use_after_move(node))
             hits.extend((ln, "V105", msg)
                         for ln, msg in _check_unexposed_put(node))
             hits.extend((ln, "V109", msg)

@@ -1,7 +1,7 @@
 """Persistent-channel engines: zero-allocation steady state, preposted
-recv-into-destination correctness, and byte-identity of the zero-copy
-transport (move/borrow semantics) with the copy-semantics reference
-across all distribution kinds."""
+recv-into-destination correctness, loans scoped to their send, and
+byte-identity of the zero-copy transport (borrow semantics) with the
+copy-semantics reference across all distribution kinds."""
 
 import numpy as np
 import pytest
@@ -17,9 +17,10 @@ from repro.dad import (
     GeneralizedBlock,
 )
 from repro.dad.template import ExplicitTemplate, block_template
+from repro.highlevel import Coupler
 from repro.schedule import bind, build_region_schedule
-from repro.simmpi import payload
-from repro.simmpi.intercomm import couple_jobs
+from repro.simmpi import run_coupled
+from repro.simmpi.intercomm import couple_jobs, default_nameservice
 from repro.simmpi.runner import Job
 from repro.simmpi.transport import ThreadTransport
 from repro.util.counters import TRANSPORT_STATS
@@ -36,13 +37,6 @@ class RmaThreadTransport(ThreadTransport):
 
 def _rma_job(n):
     return Job(n, transport_factory=RmaThreadTransport)
-
-
-@pytest.fixture(autouse=True)
-def debug_off():
-    payload.set_transport_debug(False)
-    yield
-    payload.set_transport_debug(False)
 
 
 @st.composite
@@ -151,8 +145,8 @@ class TestPersistentEquivalence:
     @given(template_pairs(), st.integers(0, 2 ** 31 - 1))
     def test_unarmed_receiver_still_correct(self, pair, seed):
         """Producer running ahead of the consumer (nothing preposted):
-        borrows degrade to snapshots, owned buffers queue — results must
-        still be exact."""
+        every lend degrades to a snapshot — results must still be
+        exact."""
         src_t, dst_t = pair
         src_desc = DistArrayDescriptor(src_t, np.float64)
         dst_desc = DistArrayDescriptor(dst_t, np.float64)
@@ -206,38 +200,108 @@ class TestZeroAllocationSteadyState:
         assert TRANSPORT_STATS.get("direct_deliveries") == before + pairs
 
 
-class TestPoisonMode:
-    def test_poison_catches_engine_aliasing(self):
-        """With REPRO_TRANSPORT_DEBUG the pooled buffers an engine moves
-        are poisoned at send time, so any aliasing bug inside the
-        transport (or a sender reusing a loaned buffer) surfaces as the
-        pattern — while the wire contents stay correct."""
-        payload.set_transport_debug(True)
-        # An explicit irregular layout: twenty patches of sizes 1..20
-        # dealt alternately to two ranks never fold into boxes, so the
-        # sender's pairs are index plans that stage through the pool.
-        bounds = np.concatenate(([0], np.cumsum(np.arange(1, 21))))
-        src_desc = DistArrayDescriptor(block_template((210,), (1,)))
-        dst_desc = DistArrayDescriptor(ExplicitTemplate(
-            (210,), [(k % 2, Region((int(a),), (int(b),)))
-                     for k, (a, b) in enumerate(zip(bounds, bounds[1:]))]))
+def _irregular_descs():
+    """An explicit irregular layout: twenty patches of sizes 1..20 dealt
+    alternately to two ranks never fold into boxes, so the one sender's
+    pairs are index plans that stage through the pool."""
+    bounds = np.concatenate(([0], np.cumsum(np.arange(1, 21))))
+    src_desc = DistArrayDescriptor(block_template((210,), (1,)))
+    dst_desc = DistArrayDescriptor(ExplicitTemplate(
+        (210,), [(k % 2, Region((int(a),), (int(b),)))
+                 for k, (a, b) in enumerate(zip(bounds, bounds[1:]))]))
+    return src_desc, dst_desc
+
+
+def _scribble(pool):
+    """Overwrite every idle buffer in ``pool``'s free lists; returns how
+    many there were."""
+    bufs = [buf for free in pool._free.values() for buf in free]
+    for buf in bufs:
+        buf[:] = -1.0
+    return len(bufs)
+
+
+def _scoped_producer(comm, steps):
+    src_desc, _ = _irregular_descs()
+    da = DistributedArray.from_global(src_desc, comm.rank, np.arange(210.0))
+    chan = Coupler("loans-scoped", default_nameservice).open(
+        comm, "source", da)
+    token = default_nameservice.accept("loans-scoped-token", comm)
+    seen = []
+    for step in range(steps):
+        da.flat_local()[:] = DistributedArray.from_global(
+            src_desc, comm.rank, np.arange(210.0) + step).flat_local()
+        chan.push()
+        stats = chan.pool_stats
+        seen.append((stats.get("loans", 0), stats.get("releases", 0),
+                     _scribble(chan.pool)))
+        for d in range(token.remote_size):   # pull only after the scribble
+            token.send(step, d, tag=1)
+    chan.close()
+    return seen
+
+
+def _scoped_consumer(comm, steps):
+    _, dst_desc = _irregular_descs()
+    chan = Coupler("loans-scoped", default_nameservice).open(
+        comm, "destination", dst_desc)
+    token = default_nameservice.connect("loans-scoped-token", comm)
+    exact = []
+    for step in range(steps):
+        token.recv(0, tag=1)
+        got = chan.pull().flat_local()
+        expect = DistributedArray.from_global(
+            dst_desc, comm.rank, np.arange(210.0) + step).flat_local()
+        exact.append(got.tobytes() == expect.tobytes())
+    chan.close()
+    return exact
+
+
+class TestLoansAreScoped:
+    """Every send lends, so a pooled staging buffer is back in its pool
+    once the send returns: after every step the sender's pool has
+    released each loan, and overwriting its idle buffers cannot reach
+    the consumer's bytes."""
+
+    @pytest.mark.parametrize("armed", [True, False],
+                             ids=["armed", "unarmed"])
+    def test_threads(self, armed):
+        src_desc, dst_desc = _irregular_descs()
         g = np.arange(210.0)
-        _, dst_arrays, senders, receivers = _engines(src_desc, dst_desc, g)
+        src_arrays, dst_arrays, senders, receivers = _engines(
+            src_desc, dst_desc, g)
         assert all(pp.idx is not None
                    for tx in senders for pp in tx._plan.pairs)
-        got = _step(senders, receivers)
-        assert got == 210
-        for d, arr in enumerate(dst_arrays):
-            expect = DistributedArray.from_global(dst_desc, d, g)
-            assert arr.flat_local().tobytes() == expect.flat_local().tobytes()
-        # the loaned buffers returned to the pools carry the poison
-        poisoned = 0
-        for tx in senders:
-            for bufs in tx.pool._free.values():
-                for buf in bufs:
-                    assert payload.is_poisoned(buf)
-                    poisoned += 1
-        assert poisoned > 0
+        for step in range(3):
+            if armed:
+                for rx in receivers:
+                    rx.arm()
+            for tx in senders:
+                tx.step()
+            for tx in senders:
+                stats = tx.pool.stats
+                assert stats.get("loans") == stats.get("releases") > 0
+                assert _scribble(tx.pool) > 0
+            assert sum(rx.complete(timeout=30) for rx in receivers) == 210
+            for d, arr in enumerate(dst_arrays):
+                expect = DistributedArray.from_global(dst_desc, d, g)
+                assert arr.flat_local().tobytes() == \
+                    expect.flat_local().tobytes()
+            g = g + 1.0
+            for r, arr in enumerate(src_arrays):
+                arr.flat_local()[:] = DistributedArray.from_global(
+                    src_desc, r, g).flat_local()
+
+    def test_procs_channel(self):
+        steps = 3
+        res = run_coupled([("prod", 1, _scoped_producer, (steps,)),
+                           ("cons", 2, _scoped_consumer, (steps,))],
+                          deadlock_timeout=30.0, backend="procs")
+        (seen,) = res["prod"]
+        for loans, releases, scribbled in seen:
+            assert loans == releases > 0
+            assert scribbled > 0
+        assert res["cons"] == [[True] * steps] * 2
 
 
 def _close_all(senders, receivers):

@@ -1,6 +1,5 @@
-"""Zero-copy transport: move/borrow payload semantics, preposted
-recv-into-destination slots, loaned-buffer release, poison-on-move debug
-mode, and event-driven abort wakeups."""
+"""Zero-copy transport: borrow payload semantics, preposted
+recv-into-destination slots, and event-driven abort wakeups."""
 
 import threading
 import time
@@ -17,68 +16,12 @@ from repro.simmpi.runner import Job
 from repro.util.counters import TRANSPORT_STATS
 
 
-@pytest.fixture
-def debug_off():
-    payload.set_transport_debug(False)
-    yield
-    payload.set_transport_debug(False)
-
-
-@pytest.fixture
-def debug_on():
-    payload.set_transport_debug(True)
-    yield
-    payload.set_transport_debug(False)
-
-
 def _mailbox():
     return Mailbox(0, AbortFlag())
 
 
-class TestOwnedBuffer:
-    def test_moves_without_copy(self, debug_off):
-        buf = np.arange(8.0)
-        data, nbytes = payload.pack(payload.OwnedBuffer(buf))
-        assert data is buf
-        assert nbytes == buf.nbytes
-
-    def test_send_delivers_same_object(self, debug_off):
-        job = Job(2)
-        src, dst = couple_jobs(job, job)
-        buf = np.arange(6.0)
-        src[0].send(payload.OwnedBuffer(buf), dest=1, tag=7)
-        got = dst[1].recv(source=0, tag=7)
-        assert got is buf
-
-    def test_requires_contiguous(self):
-        with pytest.raises(ValueError):
-            payload.OwnedBuffer(np.arange(10.0)[::2])
-
-    def test_debug_mode_poisons_original(self, debug_on):
-        buf = np.arange(8.0)
-        keep = buf.copy()
-        data, _ = payload.pack(payload.OwnedBuffer(buf))
-        assert data is not buf
-        np.testing.assert_array_equal(data, keep)
-        assert payload.is_poisoned(buf)
-        assert not payload.is_poisoned(data)
-
-    def test_debug_mode_catches_sender_side_aliasing(self, debug_on):
-        """A buggy sender that keeps using its moved buffer reads the
-        poison pattern instead of silently aliasing the wire."""
-        job = Job(2)
-        src, dst = couple_jobs(job, job)
-        buf = np.arange(8.0)
-        src[0].send(payload.OwnedBuffer(buf), dest=1, tag=3)
-        # deliberate use-after-move: the debug tripwire must fire
-        assert payload.is_poisoned(buf)
-        got = dst[1].recv(source=0, tag=3)
-        np.testing.assert_array_equal(got, np.arange(8.0))
-        assert not payload.is_poisoned(got)
-
-
 class TestBorrowed:
-    def test_snapshot_isolates_without_prepost(self, debug_off):
+    def test_snapshot_isolates_without_prepost(self):
         job = Job(2)
         src, dst = couple_jobs(job, job)
         store = np.arange(10.0)
@@ -88,7 +31,7 @@ class TestBorrowed:
         np.testing.assert_array_equal(got, [0.0, 2.0, 4.0, 6.0, 8.0])
         assert not np.shares_memory(got, store)
 
-    def test_prepost_writes_directly_into_destination(self, debug_off):
+    def test_prepost_writes_directly_into_destination(self):
         job = Job(2)
         src, dst = couple_jobs(job, job)
         dest = np.zeros(4)
@@ -117,22 +60,6 @@ class TestPrepost:
         assert slot.done and slot.wait(timeout=1) == 1
         assert got[0][0] == 1.0  # the older message, not the newer
         assert mbox.pending_count() == 1
-
-    def test_release_fires_on_direct_consumption(self):
-        mbox = _mailbox()
-        released = []
-        mbox.prepost(1, 0, 5, lambda v: 1)
-        mbox.deliver(Envelope(1, 0, 5, np.array([3.0]), 8,
-                              release=lambda: released.append(True)))
-        assert released == [True]
-
-    def test_release_fires_when_prepost_drains_queue(self):
-        mbox = _mailbox()
-        released = []
-        mbox.deliver(Envelope(1, 0, 5, np.array([3.0]), 8,
-                              release=lambda: released.append(True)))
-        mbox.prepost(1, 0, 5, lambda v: 1)
-        assert released == [True]
 
     def test_unmatched_tag_stays_queued(self):
         mbox = _mailbox()

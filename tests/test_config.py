@@ -23,8 +23,6 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 EXPECTED = {
     "backend": ("REPRO_BACKEND", "threads", ValueError,
                 {"procs": "procs", "Threads": "threads"}, ["fibers"]),
-    "transport_debug": ("REPRO_TRANSPORT_DEBUG", False, ValueError,
-                        {"1": True, "off": False}, ["2", "maybe"]),
     "verify": ("REPRO_VERIFY", False, ValueError,
                {"1": True, "false": False}, ["2", "maybe"]),
     "tsan": ("REPRO_TSAN", False, ValueError,
@@ -48,9 +46,10 @@ ROWS = [pytest.param(name, *row, id=name) for name, row in EXPECTED.items()]
 FLAGS = [name for name, row in EXPECTED.items() if isinstance(row[1], bool)]
 
 
-def test_registry_is_exactly_the_ten_knobs():
-    assert len(EXPECTED) == 10
-    for retired in ("REPRO_MEM_CEILING", "REPRO_RMA", "REPRO_PLANNER"):
+def test_registry_is_exactly_the_nine_knobs():
+    assert len(EXPECTED) == 9
+    for retired in ("REPRO_MEM_CEILING", "REPRO_RMA", "REPRO_PLANNER",
+                    "REPRO_TRANSPORT_DEBUG"):
         assert retired not in str(EXPECTED)
     assert [(k.name, k.env) for k in config.KNOBS.values()] == \
         [(name, row[0]) for name, row in EXPECTED.items()]
@@ -114,12 +113,6 @@ def _python(*args, **env):
      "from repro.verify import hook; print(hook.verify_enabled())", "False"),
     ("REPRO_VERIFY", "on",
      "from repro.verify import hook; print(hook.verify_enabled())", "True"),
-    ("REPRO_TRANSPORT_DEBUG", "off",
-     "from repro.simmpi import payload; print(payload.transport_debug())",
-     "False"),
-    ("REPRO_TRANSPORT_DEBUG", "1",
-     "from repro.simmpi import payload; print(payload.transport_debug())",
-     "True"),
     ("REPRO_TSAN", "true",
      "from repro.simmpi import sanitize; print(sanitize.enabled())", "True"),
     ("REPRO_TSAN", "no",
@@ -154,7 +147,7 @@ def test_cli_flags_set_variables_that_name_no_knob():
     import; the CLI lists it as ``unknown`` and exits 1."""
     done = _python("-m", "repro.config", REPRO_RMA="1",
                    REPRO_PLANNER="auto", REPRO_MEM_CEILING="4096",
-                   REPRO_SHM_GONE="")
+                   REPRO_TRANSPORT_DEBUG="1", REPRO_SHM_GONE="")
     assert done.returncode == 1, done.stderr
     rows = dict((line.split()[0], line.split()[1:])
                 for line in done.stdout.splitlines())
@@ -163,7 +156,8 @@ def test_cli_flags_set_variables_that_name_no_knob():
             if row[-1] == "unknown"} == {
         "REPRO_MEM_CEILING": ["4096", "unknown"],
         "REPRO_PLANNER": ["auto", "unknown"],
-        "REPRO_RMA": ["1", "unknown"]}      # a blank variable is unset
+        "REPRO_RMA": ["1", "unknown"],
+        "REPRO_TRANSPORT_DEBUG": ["1", "unknown"]}  # a blank one is unset
     done = _python("-c", "import repro", REPRO_RMA="1")
     assert done.returncode == 0, done.stderr
 
