@@ -5,8 +5,8 @@ machinery pays the full M×N price every time: rebuild the region
 schedule, recompile every index plan, ship every byte.  The delta
 pipeline (:func:`repro.schedule.delta.compile_delta` +
 :func:`repro.highlevel.reconfigure`) diffs the two decompositions,
-ships only changed-owner bytes, repacks kept bytes locally, and
-warm-starts all compiled artifacts out of the shared
+ships only changed-owner bytes and repacks kept bytes locally, with
+every schedule and delta cached in the shared
 :class:`~repro.schedule.builder.ScheduleCache` — so a *repeated*
 resize (the elastic steady state: shrink on idle, grow on load) is a
 pure replay.
@@ -17,7 +17,7 @@ Measured per case, on the threads backend under one SPMD cohort:
   allocate the destination, transfer *all* bytes (plans recompiled
   each rep, like every static coupling would after a cohort change);
 * **delta resize** — per rep: one warm :func:`reconfigure` call
-  (cached schedule, memoized delta, seeded plans, delta bytes on the
+  (cached schedule, memoized delta, cached plans, delta bytes on the
   wire, vectorized local repack), measured over A→B/B→A cycles so
   every timed resize is live.
 
@@ -30,10 +30,7 @@ committed baseline in BENCH_schedule.json):
 * migrated bytes *strictly* fewer than the full rebuild's wire bytes
   on every case (minimality is proved exactly in
   ``python -m repro.verify schedule``; here it is the measured
-  counter),
-* ``pairs_reused`` > 0 under ``REDIST_STATS`` — the resize-back leg
-  of each cycle must warm-start its migration plans from the
-  forward leg's compiled artifacts.
+  counter).
 
 ``python benchmarks/bench_reconfigure.py [--json PATH] [--smoke]``
 """
@@ -107,7 +104,7 @@ def _descs(kind, extent):
 
 
 def _measure(kind, extent, reps=REPS):
-    """Wall time per resize, both ways, plus the byte/reuse counters.
+    """Wall time per resize, both ways, plus the byte counters.
 
     One SPMD cohort runs both phases so thread-spawn cost cancels.
     The full-rebuild phase is deliberately cold (fresh schedule every
@@ -184,13 +181,11 @@ def _measure(kind, extent, reps=REPS):
         "migrated_bytes": migrated, "kept_bytes": kept,
         "fewer_bytes": migrated < full_wire,
         "identity_ranks": stats.get("identity_ranks", 0) // resizes,
-        "pairs_reused": stats.get("pairs_reused", 0),
-        "pairs_recompiled": stats.get("pairs_recompiled", 0),
     }
 
 
 def _gate(row, floor=WALL_RATIO_FLOOR):
-    """The three acceptance properties on one measured row."""
+    """The two acceptance properties on one measured row."""
     failures = []
     if row["wall_ratio"] < floor:
         failures.append(
@@ -200,10 +195,6 @@ def _gate(row, floor=WALL_RATIO_FLOOR):
         failures.append(
             f"{row['kind']}: migrated {row['migrated_bytes']} B not "
             f"strictly below the full rebuild's {row['full_wire_bytes']} B")
-    if row["pairs_reused"] <= 0:
-        failures.append(
-            f"{row['kind']}: no pair plans warm-started across the "
-            f"resize cycle (pairs_reused == 0)")
     return failures
 
 
@@ -224,13 +215,13 @@ def report(json_path=None):
     rows = sweep_rows()
     print(fmt_table(
         ["kind", "m->m'", "extent", "full ms", "delta ms", "speedup",
-         "wire KiB", "migrated KiB", "ident", "reused"],
+         "wire KiB", "migrated KiB", "ident"],
         [[r["kind"], f"{r['old_nranks']}->{r['new_nranks']}", r["extent"],
           f"{r['full_ms']:.2f}", f"{r['delta_ms']:.2f}",
           f"{r['wall_ratio']:.1f}x",
           f"{r['full_wire_bytes'] / 1024:.0f}",
           f"{r['migrated_bytes'] / 1024:.0f}",
-          r["identity_ranks"], r["pairs_reused"]]
+          r["identity_ranks"]]
          for r in rows]))
 
     failures = [f for r in rows if r["gated"]
@@ -241,10 +232,8 @@ def report(json_path=None):
           + ", ".join(f"{r['wall_ratio']:.1f}x" for r in gated)
           + f" below the full rebuild (floor {WALL_RATIO_FLOOR}x); "
           f"every case migrates strictly fewer bytes than the "
-          f"{'full wire volume' if all(r['fewer_bytes'] for r in rows) else 'FULL VOLUME — REGRESSION'}; "
-          f"pairs_reused "
-          + ", ".join(str(r["pairs_reused"]) for r in rows)
-          + f"  [{'OK' if not failures else '; '.join(failures)}]")
+          f"{'full wire volume' if all(r['fewer_bytes'] for r in rows) else 'FULL VOLUME — REGRESSION'}"
+          f"  [{'OK' if not failures else '; '.join(failures)}]")
 
     payload = {
         "reps": REPS, "rows": rows,
@@ -261,8 +250,8 @@ def report(json_path=None):
 
 def smoke():
     """CI gate: re-measure the two acceptance rows at reduced extent
-    and hold them to the committed floor.  The byte and reuse counters
-    are deterministic integers; only the wall ratio is a measurement,
+    and hold them to the committed floor.  The byte counters are
+    deterministic integers; only the wall ratio is a measurement,
     and the compile-versus-replay gap it gates is far wider than
     scheduler noise at these extents."""
     with open(BASELINE_PATH) as fh:
@@ -277,18 +266,16 @@ def smoke():
         print(f"bench_reconfigure smoke: {kind} OK "
               f"({row['wall_ratio']:.1f}x >= {floor}x, "
               f"{row['migrated_bytes']} B migrated of "
-              f"{row['full_wire_bytes']} B, "
-              f"{row['pairs_reused']} pairs reused)")
+              f"{row['full_wire_bytes']} B)")
 
 
 # --- pytest hooks ------------------------------------------------------------
 
 def test_delta_resize_beats_full_rebuild():
-    # Tiny extent for test latency: the byte/reuse gates are exact at
-    # any scale; the 3x wall gate runs at smoke sizing in CI.
+    # Tiny extent for test latency: the byte gate is exact at any
+    # scale; the 3x wall gate runs at smoke sizing in CI.
     row = _measure("cyclic", 2_000, reps=1)
     assert row["fewer_bytes"]
-    assert row["pairs_reused"] > 0
     assert row["wall_ratio"] > 1.0
 
 

@@ -125,9 +125,8 @@ def reconfigure(comm: Communicator, darray: DistributedArray | None,
     The pipeline is the delta-schedule compiler's
     (:mod:`repro.schedule.delta`): fetch the old→new schedule through
     the shared :class:`~repro.schedule.builder.ScheduleCache` (a
-    repeated resize is a pure cache hit, and a first-time resize
-    warm-starts from any cached sibling's compiled plans), split it
-    into migration + kept, repack kept bytes locally, stream only the
+    repeated resize is a pure cache hit), split it into migration +
+    kept, repack kept bytes locally, stream only the
     migration through the existing execution engines (``tier`` /
     ``round_bytes`` as in :func:`redistribute`; under ``auto`` the cost
     model picks the tier), then — after a drain barrier guarantees no

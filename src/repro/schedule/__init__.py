@@ -38,7 +38,6 @@ from repro.schedule.indexplan import (
     LocalIndexer,
     PairPlan,
     RankPlan,
-    compile_pair,
     compile_rank_plan,
 )
 from repro.schedule.builder import (
@@ -53,7 +52,6 @@ from repro.schedule.bufpool import BufferPool
 from repro.schedule.delta import (
     DeltaSchedule,
     compile_delta,
-    warm_start_plans,
 )
 from repro.schedule.collplan import (
     CollectivePlan,
@@ -86,7 +84,6 @@ __all__ = [
     "GLOBAL_CACHE",
     "DeltaSchedule",
     "compile_delta",
-    "warm_start_plans",
     "build_region_schedule",
     "build_structured_schedule",
     "build_sweep_schedule",
@@ -112,6 +109,5 @@ __all__ = [
     "LocalIndexer",
     "PairPlan",
     "RankPlan",
-    "compile_pair",
     "compile_rank_plan",
 ]

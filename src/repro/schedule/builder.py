@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 import threading
 from collections import OrderedDict
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -269,39 +269,26 @@ class ScheduleCache:
 
     Implements §2.3's reuse: "can be reused in consecutive transfers,
     and even for different arrays as long as they conform to the same
-    distribution template".  Builder options participate in the key:
-    ``get(src, dst, force_general=True)`` never returns a fast-path
-    schedule cached by a plain ``get(src, dst)``.  The execution
-    tier does not: a schedule's memoized plans serve every tier, so
-    one template pair is one entry whichever tier replays it.
+    distribution template".  ``get(src, dst)`` returns the cached
+    :func:`build_region_schedule` of the pair, building it on a miss.
+    The execution tier is not part of the key: a schedule's memoized
+    plans serve every tier, so one template pair is one entry whichever
+    tier replays it.
 
-    Two behaviors beyond plain memoization:
-
-    * **Bounded.**  At most ``max_entries`` entries are retained (the
-      ``schedule_cache_max`` knob of :mod:`repro.config`, resolved per
-      insert so the variable is live; 512 pinned schedules is far beyond
-      any single coupling, small enough that a long-lived process cannot
-      grow without limit); least-recently-*used* entries are evicted
-      and counted in ``evictions``.
-    * **Warm starts.**  On a miss whose key shares one descriptor side
-      with a cached entry (the elastic-resize signature: same source
-      template, new destination), the freshly built schedule is seeded
-      with every compiled :class:`~repro.schedule.indexplan.PairPlan`
-      of the sibling that is provably still valid — see
-      :func:`repro.schedule.delta.warm_start_plans`.  ``REDIST_STATS``
-      counts ``pairs_reused`` / ``pairs_recompiled``.
+    At most ``max_entries`` entries are retained (the
+    ``schedule_cache_max`` knob of :mod:`repro.config`, resolved per
+    insert so the variable is live; 512 pinned schedules is far beyond
+    any single coupling, small enough that a long-lived process cannot
+    grow without limit); least-recently-*used* entries are evicted and
+    counted in ``evictions``.
 
     All operations hold one lock, so threads-backend ranks sharing the
     process-global cache serialize on build and never duplicate work.
     """
 
-    def __init__(self, builder: Callable[..., CommSchedule] = build_region_schedule,
-                 *, max_entries: int | None = None):
-        self._builder = builder
+    def __init__(self, *, max_entries: int | None = None):
         self._lock = threading.Lock()
-        # key -> (schedule, src_desc, dst_desc); descriptors are kept so
-        # warm starts can check per-rank ownership against the sibling.
-        self._cache: "OrderedDict[tuple, tuple[CommSchedule, DistArrayDescriptor, DistArrayDescriptor]]" = OrderedDict()
+        self._cache: "OrderedDict[tuple, CommSchedule]" = OrderedDict()
         self._max_entries = max_entries
         self.hits = 0
         self.misses = 0
@@ -313,61 +300,22 @@ class ScheduleCache:
         return config.resolve("schedule_cache_max", self._max_entries)
 
     def get(self, src: DistArrayDescriptor,
-            dst: DistArrayDescriptor, **kwargs) -> CommSchedule:
-        key = (src.cache_key(), dst.cache_key(),
-               tuple(sorted(kwargs.items())))
+            dst: DistArrayDescriptor) -> CommSchedule:
+        key = (src.cache_key(), dst.cache_key())
         with self._lock:
-            entry = self._cache.get(key)
-            if entry is not None:
+            schedule = self._cache.get(key)
+            if schedule is not None:
                 self.hits += 1
                 self._cache.move_to_end(key)
-                return entry[0]
+                return schedule
             self.misses += 1
-            schedule = self._builder(src, dst, **kwargs)
-            sibling = next(self._siblings(key), None)
-            if sibling is not None:
-                from repro.schedule.delta import warm_start_plans
-                old_sched, old_src, old_dst = sibling
-                warm_start_plans(schedule, old_sched,
-                                 src, dst, old_src, old_dst)
-            self._cache[key] = (schedule, src, dst)
+            schedule = self._cache[key] = build_region_schedule(src, dst)
             limit = self.max_entries
             if limit:
                 while len(self._cache) > limit:
                     self._cache.popitem(last=False)
                     self.evictions += 1
             return schedule
-
-    def _siblings(self, key: tuple):
-        """Cached entries sharing a descriptor side (and all builder
-        options) with ``key``, most recently used first.  Either side of
-        a sibling may match either side of the key — compiled plans are
-        side-agnostic (pure functions of layout + wire regions), and
-        an elastic resize chain alternates sides: the (d8→d10) entry is
-        the artifact source for a (d10→d12) miss."""
-        src_key, dst_key, opts = key
-        for other, entry in reversed(self._cache.items()):
-            o_src, o_dst, o_opts = other
-            if other != key and o_opts == opts and (
-                    src_key in (o_src, o_dst) or dst_key in (o_src, o_dst)):
-                yield entry
-
-    def delta_sibling(self, src: DistArrayDescriptor,
-                      dst: DistArrayDescriptor, **kwargs):
-        """Most-recently-used sibling of ``(src, dst)`` whose schedule
-        already carries a compiled delta split — the artifact source
-        for warm-starting a fresh delta's *migration* plans
-        (:func:`repro.schedule.delta.compile_delta`).  Returns the
-        sibling's :class:`~repro.schedule.delta.DeltaSchedule` or
-        ``None``."""
-        key = (src.cache_key(), dst.cache_key(),
-               tuple(sorted(kwargs.items())))
-        with self._lock:
-            for sched, _src, _dst in self._siblings(key):
-                delta = getattr(sched, "_delta_split", None)
-                if delta is not None:
-                    return delta
-        return None
 
     def stats(self) -> dict[str, int]:
         with self._lock:

@@ -18,14 +18,10 @@ delta) into the two things a live resize needs:
   (equal :meth:`~repro.dad.descriptor.DistArrayDescriptor.
   ownership_key`) skip even that and keep their buffer.
 
-:func:`warm_start_plans` carries compiled artifacts across a resize: on
-a :class:`~repro.schedule.builder.ScheduleCache` miss whose key shares a
-descriptor side with a cached entry, every sibling :class:`PairPlan`
-whose owner layout and wire region columns are unchanged is installed
-verbatim (a plan is a pure function of both — see
-:func:`~repro.schedule.indexplan.compile_pair`); only the changed pairs
-are recompiled.  ``REDIST_STATS`` counts ``pairs_reused`` /
-``pairs_recompiled``.
+Both halves are plain schedules over the full schedule's ownership
+tables, so their plans come the one way every plan does: the first
+request of a side compiles all of its ranks
+(:meth:`~repro.schedule.plan.CommSchedule.rank_plan`).
 """
 
 from __future__ import annotations
@@ -37,19 +33,12 @@ import numpy as np
 from repro.errors import ScheduleError
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.schedule.builder import build_region_schedule
-from repro.schedule.indexplan import (
-    LocalIndexer,
-    PairPlan,
-    RankPlan,
-    compile_pair,
-)
+from repro.schedule.indexplan import PairPlan
 from repro.schedule.plan import CommSchedule
-from repro.util.counters import REDIST_STATS
 
 __all__ = [
     "DeltaSchedule",
     "compile_delta",
-    "warm_start_plans",
 ]
 
 _SPLIT_LOCK = threading.Lock()
@@ -85,7 +74,6 @@ class DeltaSchedule:
         self.identity_ranks = frozenset(
             r for r in range(common)
             if old_desc.ownership_key(r) == new_desc.ownership_key(r))
-        self._local_plans: dict[int, tuple[PairPlan, PairPlan] | None] = {}
 
     # -- byte accounting ---------------------------------------------------
 
@@ -111,20 +99,22 @@ class DeltaSchedule:
         """The compiled (gather, scatter) pair repacking ``rank``'s kept
         elements from its old flat layout into its new one, or ``None``
         when the rank keeps nothing — or keeps *everything in place*
-        (identity rank).  Memoized: a resize replayed over many arrays
-        (or many reps of a benchmark) compiles the repack once."""
-        if rank in self._local_plans:
-            return self._local_plans[rank]
-        _peers, _bounds, lo, hi = self.kept.wire("recv", rank)
-        if not len(lo) or rank in self.identity_ranks:
-            plans = None
-        else:
-            plans = tuple(
-                compile_pair(LocalIndexer(desc.local_regions(rank)), rank,
-                             lo, hi)
-                for desc in (self.old_desc, self.new_desc))
-        self._local_plans[rank] = plans
-        return plans
+        (identity rank).  They are the kept schedule's own ``rank →
+        rank`` send and receive plans, cached there, so a resize
+        replayed over many arrays compiles the repack once."""
+        if rank in self.identity_ranks or not len(
+                self.kept.wire("recv", rank)[2]):
+            return None
+        gather = self.kept.send_plan(
+            rank, self.old_desc.local_regions(rank)).pairs
+        scatter = self.kept.recv_plan(
+            rank, self.new_desc.local_regions(rank)).pairs
+        peers = [pair.peer for pair in gather + scatter]
+        if peers != [rank, rank]:
+            raise ScheduleError(
+                f"kept rows of rank {rank} pair it with ranks {peers}, "
+                f"not only with itself")
+        return gather[0], scatter[0]
 
     def apply_local(self, rank: int, old_flat: np.ndarray,
                     new_flat: np.ndarray) -> int:
@@ -173,102 +163,12 @@ def compile_delta(old_desc: DistArrayDescriptor,
             full = cache.get(old_desc, new_desc)
         else:
             full = build_region_schedule(old_desc, new_desc)
-    # One split (and one warm start) per schedule object, even when
-    # threads-backend ranks race through a shared cache.
+    # One split per schedule object, even when threads-backend ranks
+    # race through a shared cache.
     with _SPLIT_LOCK:
         delta = getattr(full, "_delta_split", None)
-        if delta is not None:
-            return delta
-        moved = full.src != full.dst
-        migration = full.subset(moved)
-        delta = DeltaSchedule(old_desc, new_desc, migration,
-                              full.subset(~moved))
-        if cache is not None and migration.message_count:
-            # Live-resize warm start: only the *migration* schedule's
-            # plans get compiled in the reconfigure path (the cached
-            # full schedule stays uncompiled), so seed them from the
-            # nearest sibling resize's migration — a resize back (B→A
-            # after A→B) reuses every pair verbatim, the items merely
-            # reversed.
-            sibling = cache.delta_sibling(old_desc, new_desc)
-            if sibling is not None:
-                warm_start_plans(migration, sibling.migration,
-                                 old_desc, new_desc,
-                                 sibling.old_desc, sibling.new_desc)
-        full._delta_split = delta
+        if delta is None:
+            moved = full.src != full.dst
+            delta = full._delta_split = DeltaSchedule(
+                old_desc, new_desc, full.subset(moved), full.subset(~moved))
     return delta
-
-
-def _wire_pairs(schedule: CommSchedule, side: str, rank: int) -> list:
-    """``(peer, lo, hi)`` per pair of ``(side, rank)``, in wire order."""
-    peers, bounds, lo, hi = schedule.wire(side, rank)
-    return [(peer, lo[a:b], hi[a:b]) for peer, a, b in
-            zip(peers.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())]
-
-
-def warm_start_plans(new_sched: CommSchedule, old_sched: CommSchedule,
-                     src_desc: DistArrayDescriptor,
-                     dst_desc: DistArrayDescriptor,
-                     old_src_desc: DistArrayDescriptor,
-                     old_dst_desc: DistArrayDescriptor,
-                     ) -> tuple[int, int]:
-    """Seed ``new_sched`` with every compiled plan of ``old_sched``
-    that is provably still valid; returns ``(reused, recompiled)`` pair
-    counts (also accumulated into ``REDIST_STATS``).
-
-    Reuse test, per (side, rank): the rank's owner layout must equal its
-    layout under one of the old schedule's sides (``ownership_key``),
-    and a pair transfers only if its peer and wire region columns match
-    exactly — then :func:`~repro.schedule.indexplan.compile_pair` would
-    reproduce the old plan bit-for-bit.  A plan may cross sides (an old
-    *recv* plan seeding a new *send* rank: gather and scatter address
-    the same flat index set), which carries artifacts down an elastic
-    chain.  Only ranks the old schedule compiled are considered, and a
-    rank with no reusable pair is left lazy.
-    """
-    reused = recompiled = 0
-    old_sides = (
-        ("send", old_src_desc, old_sched.src_nranks),
-        ("recv", old_dst_desc, old_sched.dst_nranks),
-    )
-    for side, desc, nranks in (("send", src_desc, new_sched.src_nranks),
-                               ("recv", dst_desc, new_sched.dst_nranks)):
-        # Prefer the old side with the identical descriptor key (its
-        # fingerprints match for every rank); fall back to the other.
-        candidates = sorted(
-            old_sides,
-            key=lambda o: o[1].cache_key() != desc.cache_key())
-        for rank in range(nranks):
-            wire = _wire_pairs(new_sched, side, rank)
-            if not wire:
-                continue
-            for old_side, old_desc, old_nranks in candidates:
-                old_plan = (old_sched.plan_if_compiled(old_side, rank)
-                            if rank < old_nranks else None)
-                if old_plan is None or (desc.ownership_key(rank)
-                                        != old_desc.ownership_key(rank)):
-                    continue  # nothing compiled, or the layout changed
-                old_by_peer = {
-                    peer: (lo, hi, plan) for (peer, lo, hi), plan
-                    in zip(_wire_pairs(old_sched, old_side, rank),
-                           old_plan.pairs)}
-                matches = []
-                for peer, lo, hi in wire:
-                    olo, ohi, plan = old_by_peer.get(peer, (None, None, None))
-                    matches.append(plan if np.array_equal(olo, lo)
-                                   and np.array_equal(ohi, hi) else None)
-                n_hit = sum(m is not None for m in matches)
-                if n_hit == 0:
-                    continue
-                indexer = (LocalIndexer(desc.local_regions(rank))
-                           if n_hit < len(wire) else None)
-                new_sched.seed_plan(side, rank, RankPlan(tuple(
-                    m if m is not None else compile_pair(indexer, peer, lo, hi)
-                    for m, (peer, lo, hi) in zip(matches, wire))))
-                reused += n_hit
-                recompiled += len(wire) - n_hit
-                break
-    if reused or recompiled:
-        REDIST_STATS.add("pairs_reused", reused)
-        REDIST_STATS.add("pairs_recompiled", recompiled)
-    return reused, recompiled

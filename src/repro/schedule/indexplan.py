@@ -49,8 +49,8 @@ ranks: rows grouped by (rank, peer) are cut, located and folded in
 whole-array passes, so a schedule side compiles all its ranks at once
 against an all-ranks ownership table (:class:`SidePlans`, the way the
 closed-form redistribution tables of arXiv 0706.2146 cover every
-processor at once), while :func:`compile_rank_plan` and
-:func:`compile_pair` run it over one rank's or one pair's rows.
+processor at once), while :func:`compile_rank_plan` runs it over one
+rank's rows.
 ``PLAN_STATS`` counts compilations so tests can pin that down.
 """
 
@@ -76,7 +76,6 @@ __all__ = [
     "PLAN_STATS",
     "LocalIndexer",
     "SidePlans",
-    "compile_pair",
     "compile_rank_plan",
     "plan_from_indices",
 ]
@@ -684,17 +683,6 @@ class LocalIndexer:
                 return idx
         raise ScheduleError(
             f"transfer region {region} not contained in any owned patch")
-
-
-def compile_pair(indexer: LocalIndexer, peer: int, lo: np.ndarray,
-                 hi: np.ndarray) -> PairPlan:
-    """Compile one (src, dst) pair's wire-order region bounds against a
-    rank's patch layout.  The plan is a pure function of (regions,
-    layout): two calls with equal bound columns over an equal layout
-    yield byte-identical plans — the soundness basis for the delta
-    compiler's verbatim plan reuse (:mod:`repro.schedule.delta`)."""
-    return _plan(_compile(indexer, np.array([peer]),
-                          np.array([0, len(lo)]), lo, hi)[0])
 
 
 def compile_rank_plan(peers: np.ndarray, bounds: np.ndarray, lo: np.ndarray,

@@ -294,7 +294,7 @@ class CommSchedule:
         every rank of the side in one pass (:class:`~repro.schedule.
         indexplan.SidePlans`) and each rank's plan is sliced out of it on
         its first request; without tables only the requested rank
-        compiles.  Plans installed by :meth:`seed_plan` win."""
+        compiles."""
         table = None
         if self.owners is not None:
             table = self.owners[_SIDES.index(side)]
@@ -320,23 +320,6 @@ class CommSchedule:
             compiled = self._side_plans[side] = SidePlans(
                 table, ranks, peers, bounds, self.lo[rows], self.hi[rows])
         return compiled
-
-    def plan_if_compiled(self, side: str, rank: int) -> RankPlan | None:
-        """The cached compiled plan for ``(side, rank)``, or ``None`` if
-        it was never compiled — the delta compiler's probe for artifacts
-        worth carrying across a resize (no compilation is triggered)."""
-        return self._plans.get((side, rank))
-
-    def seed_plan(self, side: str, rank: int, plan: RankPlan) -> None:
-        """Install a precompiled :class:`~repro.schedule.indexplan.
-        RankPlan` for ``(side, rank)`` — the warm-start path of
-        :func:`repro.schedule.delta.warm_start_plans`.  The caller owns
-        the soundness argument: the plan must equal what
-        :meth:`send_plan`/:meth:`recv_plan` would compile (same wire
-        items over the same layout)."""
-        if side not in _SIDES:
-            raise ScheduleError(f"unknown schedule side {side!r}")
-        self._plans[(side, rank)] = plan
 
     def collective_plan(self, itemsize: int, round_bytes: int):
         """The memory-bounded round decomposition of this schedule (see

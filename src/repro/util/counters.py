@@ -189,23 +189,12 @@ PRMI_LATENCY = Histogram()
 RACE_STATS = Counters()
 
 #: Process-wide elastic-redistribution accounting
-#: (:mod:`repro.schedule.delta`, :func:`repro.highlevel.reconfigure`).
-#:
-#: Compilation reuse: ``pairs_reused`` counts :class:`~repro.schedule.
-#: indexplan.PairPlan`\ s copied verbatim from a previously compiled
-#: schedule during a cache warm start (same owner layout, same wire
-#: regions — the plan is a pure function of both, so byte-identical),
-#: ``pairs_recompiled`` the pairs a warm start had to compile fresh
-#: because the peer set or region list changed.  A resize that shows
-#: ``pairs_reused > 0`` proves the delta compiler skipped work a full
-#: rebuild would repeat — the A12 benchmark gates on it.
-#:
-#: Data movement: ``migrated_bytes`` — bytes whose owner actually
-#: changed and therefore crossed the wire during a ``reconfigure``,
-#: ``kept_bytes`` — bytes that stayed on their rank and were repacked
-#: locally (or left in place on identity ranks), ``identity_ranks`` —
-#: ranks whose ownership was completely unchanged and skipped even the
-#: local repack.  ``resizes`` counts completed live resizes and
+#: (:func:`repro.highlevel.reconfigure`): ``migrated_bytes`` — bytes
+#: whose owner actually changed and therefore crossed the wire during a
+#: ``reconfigure``, ``kept_bytes`` — bytes that stayed on their rank and
+#: were repacked locally (or left in place on identity ranks),
+#: ``identity_ranks`` — ranks whose ownership was completely unchanged
+#: and skipped even the local repack.  ``resizes`` counts completed live resizes and
 #: ``resize_wall_us`` accumulates their rank-0 wall time; reset around
 #: a measured section for per-section deltas, as with TRANSPORT_STATS.
 REDIST_STATS = Counters()

@@ -645,6 +645,14 @@ class Diagnosis:
     collective: bool = False
     rma: bool = False
 
+    def __post_init__(self):
+        # networkx yields cycles in hash order: start each at its
+        # smallest key and sort them, so the text is the same under
+        # every hash seed.
+        self.cycles = sorted(
+            cyc[cyc.index(min(cyc)):] + cyc[:cyc.index(min(cyc))]
+            for cyc in self.cycles)
+
     @property
     def kind(self) -> str:
         if self.collective:

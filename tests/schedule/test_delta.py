@@ -1,6 +1,6 @@
 """Delta-schedule compiler unit tests: partition/minimality of the
-diff, verbatim plan reuse on warm starts, the bounded LRU schedule
-cache, and the DRI reorg routing through it."""
+diff, plans compiled from each schedule's own sides, the bounded LRU
+schedule cache, and the DRI reorg routing through it."""
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from repro.schedule import (
     compile_delta,
 )
 from repro.schedule.delta import DeltaSchedule
-from repro.util.counters import REDIST_STATS
+from repro.schedule.indexplan import PLAN_STATS
 from repro.verify.schedule import verify_delta_equivalence
 
 
@@ -163,67 +163,54 @@ def test_verify_delta_equivalence_catches_tampering():
     assert "minimality" in str(exc.value)
 
 
-# -- warm starts ------------------------------------------------------------
+# -- plans come from their own schedule -------------------------------------
 
 
-def _compile_all(sched, src, dst):
-    for r in range(src.nranks):
-        sched.send_plan(r, src.local_regions(r))
-    for r in range(dst.nranks):
-        sched.recv_plan(r, dst.local_regions(r))
+def _compiled_sides(sched, src, dst):
+    """Every rank's (send, recv) plans of ``sched``."""
+    return ([sched.send_plan(r, src.local_regions(r))
+             for r in range(src.nranks)],
+            [sched.recv_plan(r, dst.local_regions(r))
+             for r in range(dst.nranks)])
 
 
-def test_warm_start_reuses_pairs_verbatim():
-    src = DistArrayDescriptor(block_template((80,), (4,)))
+def _same_plan(a, b):
+    assert len(a.pairs) == len(b.pairs)
+    for x, y in zip(a.pairs, b.pairs):
+        assert (x.peer, x.size, x.boxes) == (y.peer, y.size, y.boxes)
+        assert (x.idx is None) == (y.idx is None)
+        if x.idx is not None:
+            np.testing.assert_array_equal(x.idx, y.idx)
+
+
+def test_first_resize_back_compiles_each_side_once():
+    """A→B then the first B→A through one cache: the resize back's
+    migration plans cost exactly one side compile per side and equal a
+    cold build's, and the local repack is the kept schedule's own
+    cached plan."""
+    a = DistArrayDescriptor(CartesianTemplate([Cyclic(80, 8)]))
+    b = DistArrayDescriptor(CartesianTemplate([Cyclic(80, 10)]))
     cache = ScheduleCache()
-    s1 = cache.get(src, GB8)
-    _compile_all(s1, src, GB8)
-    REDIST_STATS.reset()
-    s2 = cache.get(src, GB10)
-    stats = REDIST_STATS.snapshot()
-    assert stats["pairs_reused"] > 0
-    fresh = build_region_schedule(src, GB10)
-    for r in range(src.nranks):
-        seeded = s2.plan_if_compiled("send", r)
-        if seeded is None:
+    _compiled_sides(compile_delta(a, b, cache=cache).migration, a, b)
+    back = compile_delta(b, a, cache=cache)
+    before = PLAN_STATS.get("rank_plans")
+    sends, recvs = _compiled_sides(back.migration, b, a)
+    assert PLAN_STATS.get("rank_plans") - before == b.nranks + a.nranks
+    cold = compile_delta(b, a, full=build_region_schedule(b, a)).migration
+    cold_sends, cold_recvs = _compiled_sides(cold, b, a)
+    for got, want in zip(sends + recvs, cold_sends + cold_recvs):
+        _same_plan(got, want)
+    kept_ranks = 0
+    for r in range(a.nranks):
+        plans = back.local_plan(r)
+        if plans is None:
             continue
-        ref = fresh.send_plan(r, src.local_regions(r))
-        for a, b in zip(seeded.pairs, ref.pairs):
-            assert (a.peer, a.size, a.boxes) == (b.peer, b.size, b.boxes)
-            assert (a.idx is None) == (b.idx is None)
-            if a.idx is not None:
-                np.testing.assert_array_equal(a.idx, b.idx)
-
-
-def test_warm_start_chains_across_resizes():
-    """8→10→12: the (8→10) entry seeds the (10→12) miss even though
-    the shared descriptor sits on opposite sides of the two keys."""
-    gb12 = _gb([10] * 7 + [4, 3, 2, 1])
-    cache = ScheduleCache()
-    s1 = cache.get(GB8, GB10)
-    _compile_all(s1, GB8, GB10)
-    REDIST_STATS.reset()
-    cache.get(GB10, gb12)
-    assert REDIST_STATS.get("pairs_reused") > 0
-
-
-def test_warm_start_never_reuses_across_changed_layouts():
-    """A cyclic resize changes every rank's layout: nothing may be
-    seeded, and the schedule must still verify."""
-    c8 = DistArrayDescriptor(CartesianTemplate([Cyclic(40, 8)]))
-    c10 = DistArrayDescriptor(CartesianTemplate([Cyclic(40, 10)]))
-    src = DistArrayDescriptor(block_template((40,), (4,)))
-    cache = ScheduleCache()
-    s1 = cache.get(src, c8)
-    _compile_all(s1, src, c8)
-    REDIST_STATS.reset()
-    s2 = cache.get(src, c10)
-    # src-side layouts unchanged -> send pairs with identical wire
-    # regions may be reused; recv side (all layouts changed) may not.
-    for r in range(c10.nranks):
-        assert s2.plan_if_compiled("recv", r) is None
-    from repro.verify.schedule import verify_schedule
-    verify_schedule(s2, src, c10)
+        kept_ranks += 1
+        gather, scatter = plans
+        assert gather is back.kept.send_plan(r, b.local_regions(r)).pairs[0]
+        assert scatter is back.kept.recv_plan(r, a.local_regions(r)).pairs[0]
+        assert gather.peer == scatter.peer == r
+    assert kept_ranks == a.nranks
 
 
 # -- the bounded cache ------------------------------------------------------

@@ -520,12 +520,13 @@ class TestLocalIndexer:
 
     @staticmethod
     def _agree(patches, regions):
-        from repro.schedule.indexplan import LocalIndexer, compile_pair
+        from repro.schedule.indexplan import LocalIndexer, compile_rank_plan
         ix = LocalIndexer(patches)
         want = np.concatenate([ix.region_indices(r) for r in regions])
         rows = RegionList(regions, validate=False)
-        np.testing.assert_array_equal(
-            compile_pair(ix, 0, rows.lo, rows.hi).indices(), want)
+        pair, = compile_rank_plan(np.array([0]), np.array([0, len(rows.lo)]),
+                                  rows.lo, rows.hi, ix).pairs
+        np.testing.assert_array_equal(pair.indices(), want)
         return ix
 
     @staticmethod

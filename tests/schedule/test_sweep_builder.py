@@ -21,9 +21,8 @@ from repro.dad import (
     DistArrayDescriptor,
     GeneralizedBlock,
 )
-from repro.dad.template import ExplicitTemplate, block_template
+from repro.dad.template import ExplicitTemplate
 from repro.schedule import (
-    ScheduleCache,
     build_region_schedule,
     build_structured_schedule,
     build_sweep_schedule,
@@ -134,35 +133,6 @@ class TestSweepPrimitive:
         n = 50
         iv = [(i, i + 1) for i in range(n)]
         assert sorted(_overlap_pairs_1d(iv, iv)) == [(i, i) for i in range(n)]
-
-
-class TestScheduleCacheKwargsKey:
-    def test_force_general_not_served_fast_path_schedule(self):
-        cache = ScheduleCache()
-        src = desc(block_template((8, 8), (2, 2)))
-        dst = desc(block_template((8, 8), (4, 1)))
-        plain = cache.get(src, dst)
-        general = cache.get(src, dst, force_general=True)
-        assert plain is not general
-        assert cache.misses == 2
-        # each variant still hits its own entry
-        assert cache.get(src, dst) is plain
-        assert cache.get(src, dst, force_general=True) is general
-        assert cache.hits == 2
-
-    def test_kwarg_order_insensitive(self):
-        calls = []
-
-        def builder(src, dst, **kwargs):
-            calls.append(kwargs)
-            return build_region_schedule(src, dst)
-
-        cache = ScheduleCache(builder)
-        src = desc(block_template((4,), (2,)))
-        dst = desc(block_template((4,), (4,)))
-        cache.get(src, dst, force_general=False)
-        cache.get(src, dst, force_general=False)
-        assert len(calls) == 1
 
 
 class TestStructuredRejects:

@@ -1,6 +1,11 @@
 """Communication-graph deadlock detector, validated against the
 runtime behavior of the Fig. 5 programs on both backends."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.dad import Block, CartesianTemplate, Cyclic, DistArrayDescriptor
@@ -31,6 +36,23 @@ def test_fig5_eager_flagged_as_collective_order_mismatch():
         "callers rank 2"}
     assert diag.cycles, "a wait-for cycle through the provider must exist"
     assert any("provider rank 0" in cyc for cyc in diag.cycles)
+
+
+def test_fig5_diagnosis_text_is_the_same_under_every_hash_seed():
+    """networkx names wait cycles in hash order; the diagnosis rotates
+    each to its smallest key and sorts them."""
+    code = ("from repro.dca.engine import DeliveryPolicy\n"
+            "from repro.verify.commgraph import fig5_model, would_deadlock\n"
+            "print(would_deadlock(fig5_model(DeliveryPolicy.EAGER))"
+            ".to_error())")
+    src = Path(__file__).resolve().parents[2] / "src"
+    texts = [subprocess.run(
+        [sys.executable, "-c", code], check=True, timeout=120,
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+    ).stdout for seed in ("0", "1")]
+    assert "wait cycle: " in texts[0]
+    assert texts[0] == texts[1]
 
 
 def test_fig5_barrier_is_deadlock_free():

@@ -420,7 +420,7 @@ def test_v111_builder_packages_and_the_cache_are_exempt():
 
         def fetch(src, dst):
             linear = build_linear_schedule(src, dst)   # not a region builder
-            custom = ScheduleCache(build_region_schedule)   # passed, not called
+            builders = {"region": build_region_schedule}   # named, not called
             return GLOBAL_CACHE.get(src, dst)
     """, "src/repro/pubsub/endpoints.py") == []
 
