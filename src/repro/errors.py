@@ -131,14 +131,3 @@ class CoordinationError(ReproError):
 
 class MCTError(ReproError):
     """Model Coupling Toolkit usage error."""
-
-
-class WindowError(ReproError):
-    """Roccom-style window misuse: unknown window/pane/function."""
-
-
-class PermissionError_(WindowError):
-    """Access to a window denied by its owner module.
-
-    Named with a trailing underscore to avoid shadowing the builtin.
-    """

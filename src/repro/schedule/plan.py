@@ -91,10 +91,10 @@ class _Items:
         return self._schedule._objects() + list(other)
 
 
-#: Derived from the columns by ``_index`` — not pickled, re-derived.
-_DERIVED = ("pair_src", "pair_dst", "pair_size", "element_count",
-            "_item_objects", "_group_views", "_side_rows", "_side_plans",
-            "_lock")
+#: What a pickle carries: the columns and the compiled index plans.
+#: Everything else — the pair index, the memos, the ownership tables —
+#: is re-derived or recompiled by the unpickler.
+_PICKLED = ("src", "dst", "lo", "hi", "src_nranks", "dst_nranks", "_plans")
 
 _SIDES = ("send", "recv")
 
@@ -159,14 +159,13 @@ class CommSchedule:
         self._lock = threading.Lock()
 
     def __getstate__(self) -> dict:
-        # The ownership tables stay home too: a pickle is the columns
-        # plus any compiled plans, and its unpickler compiles per rank.
-        return {k: v for k, v in self.__dict__.items()
-                if k not in _DERIVED and k != "owners"}
+        # without the ownership tables, the unpickler compiles per rank
+        return {k: self.__dict__[k] for k in _PICKLED}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self.owners = None
+        self._coll_plans = {}
         self._index()
 
     def subset(self, mask: np.ndarray):

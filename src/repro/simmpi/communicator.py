@@ -18,7 +18,7 @@ barrier), but the critical path shrinks from O(P) serialized sends at
 the root to O(log P) levels, which is what the coupling benchmarks and
 the DCA engine sit on top of.  Set :attr:`Communicator.coll_algo` to
 ``"flat"`` (consistently on every rank) to restore the flat loops —
-kept for the tree-vs-flat equivalence tests and benchmarks.
+kept for the tree-vs-flat equivalence tests.
 """
 
 from __future__ import annotations

@@ -21,7 +21,13 @@ from repro.dad import (
     ExplicitTemplate,
     GeneralizedBlock,
 )
-from repro.schedule import GLOBAL_CACHE, bind, build_region_schedule
+from repro.schedule import (
+    GLOBAL_CACHE,
+    ScheduleCache,
+    bind,
+    build_region_schedule,
+    compile_delta,
+)
 from repro.schedule.indexplan import LocalIndexer
 from repro.schedule.plan import TransferItem
 from repro.simmpi.intercomm import couple_jobs
@@ -219,3 +225,10 @@ def test_pickled_schedule_is_its_columns():
     assert back.items == sched.items
     assert back.pair_count == sched.pair_count
     assert back.element_count == sched.element_count
+    # memos stay home: a delta split or a round plan adds no byte
+    cache = ScheduleCache()
+    cached = cache.get(_cyclic(8), _cyclic(10))
+    data = pickle.dumps(cached)
+    compile_delta(_cyclic(8), _cyclic(10), cache=cache)
+    cached.collective_plan(8, 256)
+    assert pickle.dumps(cached) == data

@@ -1,6 +1,6 @@
 """Delta-schedule compiler unit tests: partition/minimality of the
-diff, plans compiled from each schedule's own sides, the bounded LRU
-schedule cache, and the DRI reorg routing through it."""
+diff, plans compiled from each schedule's own sides, and the bounded LRU
+schedule cache."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from repro.dad import (
 from repro.dad.template import block_template
 from repro.errors import ScheduleError, VerificationError
 from repro.schedule import (
-    GLOBAL_CACHE,
     ScheduleCache,
     build_region_schedule,
     compile_delta,
@@ -248,33 +247,3 @@ def test_cache_max_env_knob(monkeypatch):
     with pytest.raises(ScheduleError, match="REPRO_SCHEDULE_CACHE_MAX"):
         cache.get(GB10, GB8)
     assert ScheduleCache(max_entries=3).max_entries == 3  # arg beats env
-
-
-# -- DRI reorg routing ------------------------------------------------------
-
-
-def test_dri_reorg_shares_the_schedule_cache():
-    from repro.dri.dataset import BLOCK, DRIDataset
-    from repro.dri.reorg import DRIReorg
-
-    cache = ScheduleCache()
-    src = DRIDataset((64,), [BLOCK(8)])
-    dst = DRIDataset((64,), [BLOCK(10)])
-    r1 = DRIReorg(src, dst, cache=cache)
-    r2 = DRIReorg(src, dst, cache=cache)
-    assert r1.schedule is r2.schedule
-    assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 1
-
-
-def test_dri_reorg_defaults_to_global_cache():
-    from repro.dri.dataset import BLOCK, DRIDataset
-    from repro.dri.reorg import DRIReorg
-
-    src = DRIDataset((48,), [BLOCK(6)])
-    dst = DRIDataset((48,), [BLOCK(8)])
-    before = len(GLOBAL_CACHE)
-    hits0 = GLOBAL_CACHE.hits
-    DRIReorg(src, dst)
-    DRIReorg(src, dst)
-    assert GLOBAL_CACHE.hits == hits0 + 1
-    assert len(GLOBAL_CACHE) >= before

@@ -1,0 +1,48 @@
+"""The subsystem census (ROADMAP item 11(a)): every package or module
+directly under ``src/repro`` is imported by a benchmark, an example, or
+another ``repro`` package.  A subsystem only its own tests reach runs in
+no row, experiment or example, and leaves ``src/``.  Re-exports in
+``repro/__init__.py`` and imports from ``tests/`` do not count."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PKG = ROOT / "src" / "repro"
+
+
+def _subsystems() -> set[str]:
+    return ({p.parent.name for p in PKG.glob("*/__init__.py")}
+            | {p.stem for p in PKG.glob("*.py")} - {"__init__"})
+
+
+def _imported(path: Path) -> set[str]:
+    """The ``repro`` subsystems that ``path`` imports anywhere in its
+    body (``repro`` uses absolute imports only)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules = [a.name.split(".") for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module.split(".") + [a.name] for a in node.names]
+        else:
+            continue
+        found |= {m[1] for m in modules if len(m) > 1 and m[0] == "repro"}
+    return found
+
+
+def test_every_subsystem_is_reached_outside_its_own_tests():
+    reached = set()
+    for top in ("bench", "benchmarks", "examples"):
+        for path in (ROOT / top).rglob("*.py"):
+            reached |= _imported(path)
+    for path in PKG.rglob("*.py"):
+        if path == PKG / "__init__.py":
+            continue
+        own = path.relative_to(PKG).parts[0].removesuffix(".py")
+        reached |= _imported(path) - {own}
+    orphans = sorted(_subsystems() - reached)
+    assert not orphans, (
+        f"repro subsystems no benchmark, example or other repro package "
+        f"imports: {', '.join(orphans)} — ROADMAP item 11(a): give each "
+        f"an E-row or delete it from src/")
