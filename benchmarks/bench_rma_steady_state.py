@@ -20,9 +20,12 @@ float64 snapshots) over the procs backend in both modes and compares:
 * **messages matched per step** — the headline metric: two-sided
   matches one envelope per pair (+ acks) per step, one-sided matches
   *zero* after the bootstrap handshake,
-* **bytes copied per step** — two-sided moves every payload byte at
-  least twice (pack/slot-ring + scatter), one-sided exactly once
-  (scatter straight into the window),
+* **bytes copied per step** — two-sided moves every payload byte of an
+  eager pair at least twice (pack/slot-ring + scatter), one-sided
+  exactly once (scatter straight into the window).  That holds because
+  every pair here, full size (~0.7 MiB) or smoke, is below
+  ``EAGER_MAX``: a persistent two-sided pair above it is put like a
+  one-sided one and moves once too,
 * steady-state allocations (must be zero in both modes).
 
 ``python benchmarks/bench_rma_steady_state.py [--json PATH] [--smoke]``

@@ -5,6 +5,9 @@ paper-shaped tables.  EXPERIMENTS.md is produced from this output.
 Usage:  python benchmarks/run_all.py [E1 E5 ...]
         python benchmarks/run_all.py --smoke
 
+An ID that names no experiment runs nothing and exits 2, naming it and
+listing the known IDs.
+
 ``--smoke`` imports every experiment module and checks it still
 exposes a callable ``report`` without running anything — the CI guard
 that keeps new benchmarks from rotting unimported.
@@ -77,6 +80,12 @@ def main():
         sys.exit(smoke())
     sys.path.insert(0, str(HERE))
     selected = set(sys.argv[1:])
+    unknown = sorted(selected - {exp_id for exp_id, _ in EXPERIMENTS})
+    if unknown:
+        print(f"unknown experiment id(s): {' '.join(unknown)}; known: "
+              f"{' '.join(exp_id for exp_id, _ in EXPERIMENTS)}",
+              file=sys.stderr)
+        sys.exit(2)
     t0 = time.perf_counter()
     for exp_id, module_name in EXPERIMENTS:
         if selected and exp_id not in selected:

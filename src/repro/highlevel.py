@@ -221,15 +221,18 @@ class Channel:
     The execution tier is resolved once, at open, from the ``tier``
     request by :func:`~repro.schedule.executor.resolve_tier` (its table
     says what each tier costs and releases); both sides must request
-    the same ``tier`` (:meth:`Coupler.open` checks).  ``tier="rma"``
-    requests the one-sided tier: on the procs backend the consumer's
-    array lives inside a shared window and each ``push`` writes
-    directly into it.  ``tier="collective"`` (or ``auto`` deciding so)
-    selects memory-bounded acknowledged rounds instead.  Both of those
-    make a ``push`` wait for the consumer's matching ``pull``, so
-    producer and consumer proceed in lockstep — two programs that each
-    push before pulling the reverse channel must stay two-sided (or
-    pre-arm) to avoid a cycle.
+    the same ``tier`` (:meth:`Coupler.open` checks).  On the procs
+    backend a pair may go by *put*: the consumer's array lives inside a
+    shared window and ``push`` writes that pair straight into it, after
+    waiting for the consumer's matching ``pull``.  ``tier="rma"`` puts
+    every pair; the default ``two_sided`` puts the pairs above
+    :data:`~repro.schedule.executor.EAGER_MAX` wire bytes (MPI's
+    rendezvous) and sends the rest as buffered messages that never
+    wait.  ``tier="collective"`` (or ``auto`` deciding so) selects
+    memory-bounded acknowledged rounds, which wait too.  Producer and
+    consumer of a channel that waits proceed in lockstep — two programs
+    that each push before pulling the reverse channel need one whose
+    pairs stay eager (or pre-arm) to avoid a cycle.
     """
 
     def __init__(self, inter: Intercommunicator, role: str,
@@ -245,8 +248,8 @@ class Channel:
 
     @property
     def mode(self) -> str:
-        """The resolved execution tier: ``"two_sided"``, ``"rma"`` or
-        ``"collective"``."""
+        """The resolved execution tier: ``"two_sided"`` (put pairs
+        included), ``"rma"`` or ``"collective"``."""
         return self._transfer.tier
 
     def push(self) -> None:
@@ -265,8 +268,8 @@ class Channel:
         return self._darray
 
     def close(self) -> None:
-        """Close the bound transfer, releasing what its tier holds (RMA
-        windows); ``push``/``pull`` raise
+        """Close the bound transfer, releasing what its tier holds (the
+        window of its put pairs); ``push``/``pull`` raise
         :class:`~repro.errors.ConnectionError_` afterwards.  Idempotent;
         safe on channels that never transferred."""
         self._transfer.close()

@@ -126,11 +126,15 @@ class MxNConnection:
 
     The execution tier follows the ``tier`` knob
     (:func:`~repro.schedule.executor.resolve_tier`).  A one-shot
-    connection is the same path, never RMA (a window is only worth its
+    connection is the same path, never a put (a window is only worth its
     setup amortized over steps), closed after its single transfer.  A
     persistent one holds its transfer across cycles — pooled pack
     buffers on the source, recv-into-destination on the other side —
-    until :meth:`close`.
+    until :meth:`close`.  On the procs backend its pairs above
+    :data:`~repro.schedule.executor.EAGER_MAX` wire bytes are put
+    straight into the destination's window even when two-sided (every
+    pair is on the ``rma`` tier), so a source's ``data_ready`` waits for
+    the destination's matching cycle on those pairs.
     """
 
     def __init__(self, spec: ConnectionSpec, inter: Intercommunicator,

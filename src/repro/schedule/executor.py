@@ -33,27 +33,29 @@ Every verb of a closed transfer raises
 :class:`~repro.errors.ConnectionError_`.
 
 The tiers — small strategy halves over that shared core (``picked
-when`` is :func:`resolve_tier`'s rule):
+when`` is :func:`resolve_tier`'s rule).  The two point-to-point tiers
+are the same halves: a pair goes *eager* (one lent message into a sink
+the receiver preposts) or, above the tier's ``eager_max`` wire bytes,
+by *put* (``wait_open → put → commit`` straight into the receiver's
+shared window, the array rebased into it at bind):
 
 ===========  ======================  ======================  ======================
              ``two_sided``           ``rma``                 ``collective``
 ===========  ======================  ======================  ======================
-wire per     one message per pair;   ``wait_open → put →     ``round_bytes``-capped
-step         the receiver preposts   commit`` per pair       rounds: ``alltoallv``
-             one scatter sink per    straight into the       + tree barrier on a
-             pair, so armed data     receiver's shared       communicator, acked
-             lands with one copy     window — no message,    messages across an
-                                     no matching             intercommunicator
-who blocks   nobody: sends are       sender waits for the    round *r+1* is not
-on whom      buffered, a receiver    receiver's exposure     packed until round *r*
-             waits only for its      epoch, receiver fences  is drained: lockstep,
-             own pairs               once per step:          peak residency
-                                     lockstep                O(round buffer)
-``close()``  nothing                 sender detaches its     nothing
-releases                             remote windows;
-                                     receiver evacuates its
-                                     array to private heap,
-                                     retires the window
+put pairs    above :data:`EAGER_MAX` all (``eager_max`` 0)   —
+             if persistent over an
+             ``rma_capable``
+             transport, else none
+who blocks   nobody on an eager      a sender waits for the  round *r+1* is not
+on whom      pair (buffered sends);  receiver's exposure     packed until round *r*
+             a put pair's sender     epoch, the receiver     is drained: lockstep,
+             waits for the           fences once per step:   peak residency
+             receiver's ``arm``      lockstep                O(round buffer)
+``close()``  as ``rma`` if it has    sender detaches its     nothing
+releases     put pairs, else         remote windows;
+             nothing                 receiver evacuates its
+                                     array, retires the
+                                     window
 picked       ``tier="two_sided"``    ``tier="rma"`` on a     ``tier="collective"``,
 when         (the default), ``rma``  persistent transfer     or ``auto`` when the
              on a one-shot or an     over an                 cost model says
@@ -61,6 +63,9 @@ when         (the default), ``rma``  persistent transfer     or ``auto`` when th
              ``auto`` under the      transport               exceeds the ceiling
              ceiling
 ===========  ======================  ======================  ======================
+
+Both jobs derive the split from the same schedule, dtype and limit, so
+nothing is negotiated.
 
 Both wires of the collective tier replay the same bind-time
 :meth:`~repro.schedule.collplan.CollectivePlan.round_table`; which one
@@ -105,14 +110,23 @@ ACK_TAG_OFFSET = 1
 #: set of valid sides.
 _PLAN_SIDE = {"src": "send", "dst": "recv"}
 
+#: Wire bytes above which a persistent two-sided pair over an
+#: ``rma_capable`` transport goes by put instead of an eager message: the
+#: rendezvous limit, from a 2 -> 3 pair-size sweep (DESIGN.md §8).  It
+#: must stay above ``stream_default``'s 1 MiB pairs.
+EAGER_MAX = 4 << 20
+
 
 @dataclass(frozen=True, slots=True)
 class Tier:
     """A resolved execution tier: ``kind`` is ``"two_sided"``, ``"rma"``
-    or ``"collective"``; ``coll`` is the round plan of the last."""
+    or ``"collective"``; ``coll`` is the round plan of the last.  A
+    point-to-point pair whose wire bytes exceed ``eager_max`` goes by
+    put (``None``: no pair does)."""
 
     kind: str
     coll: CollectivePlan | None = None
+    eager_max: int | None = None
 
 
 def resolve_tier(schedule, itemsize: int, link, *,
@@ -124,10 +138,12 @@ def resolve_tier(schedule, itemsize: int, link, *,
     (``None`` = environment, then default).  ``collective`` carries the
     round plan for ``round_bytes``; ``auto`` takes the cost model's pick
     (:func:`~repro.schedule.costmodel.estimate`: collective or
-    two-sided, never RMA).  ``rma`` needs a window worth its set-up and
+    two-sided, never RMA).  A put needs a window worth its set-up and
     ranks that can attach each other's windows: a one-shot runs
-    two-sided instead, and a transport that cannot attach (the threads
-    backend) falls back to two-sided, counted as ``rma_fallbacks``.
+    two-sided with every pair eager, and so does a transport that cannot
+    attach (the threads backend), counting an ``rma`` request as
+    ``rma_fallbacks``.  Otherwise ``rma`` puts every pair and
+    ``two_sided`` those above :data:`EAGER_MAX`.
 
     A pure function of the schedule, the itemsize, the transport, the
     persistence and those two requests: two coupled jobs that agree on
@@ -140,12 +156,14 @@ def resolve_tier(schedule, itemsize: int, link, *,
     if kind == "collective":
         return Tier(kind, schedule.collective_plan(
             itemsize, config.resolve("round_bytes", round_bytes)))
-    if kind == "rma" and not one_shot:
-        comm = link.local_comm if isinstance(link, Intercommunicator) else link
-        if comm.job.transport.rma_capable:
-            return Tier(kind)
-        TRANSPORT_STATS.add("rma_fallbacks")
-    return Tier("two_sided")
+    if one_shot:
+        return Tier("two_sided")
+    comm = link.local_comm if isinstance(link, Intercommunicator) else link
+    if not comm.job.transport.rma_capable:
+        if kind == "rma":
+            TRANSPORT_STATS.add("rma_fallbacks")
+        return Tier("two_sided")
+    return Tier(kind, eager_max=0 if kind == "rma" else EAGER_MAX)
 
 
 # -- the core -----------------------------------------------------------------
@@ -155,8 +173,8 @@ class BoundTransfer:
     storage × link × translated peers × tag × tier.
 
     ``storage`` is anything with ``flat_local()`` (re-read every step —
-    a rebase or an ownership swap may move it) and, for an RMA
-    destination, ``rebase()``.  ``link`` is a communicator or an
+    a rebase or an ownership swap may move it) and, for a destination
+    with put pairs, ``rebase()``.  ``link`` is a communicator or an
     intercommunicator.  ``tier`` names the resolved tier; ``pool`` is
     the staging-buffer pool (``pool.stats`` proves the zero-allocation
     steady state).  Construct through :func:`bind`.
@@ -218,70 +236,41 @@ class BoundTransfer:
         """Tier teardown."""
 
 
-class _TwoSidedSend(BoundTransfer):
+def _by_put(pairs, dtype, eager_max) -> tuple[list, list]:
+    """Split translated pairs into (eager, put) by wire bytes."""
+    limit = np.inf if eager_max is None else eager_max
+    return ([p for p in pairs if p[0].size * dtype.itemsize <= limit],
+            [p for p in pairs if p[0].size * dtype.itemsize > limit])
+
+
+class _PointSend(BoundTransfer):
+
+    def _setup(self, tier: Tier) -> None:
+        # Bootstrap: one WindowHandle per put pair, shipped by the
+        # receiver on the data tag, which no eager message to or from a
+        # put peer uses.
+        self._eager, put = _by_put(self._pairs, self._dtype, tier.eager_max)
+        self._puts = [
+            (pp, rma.RemoteWindow(rma.check_handle(
+                self._link.recv(source=peer, tag=self._tag), pp.size),
+                self._link._my_mailbox()))
+            for pp, peer in put]
+        self._epoch = 0
 
     def step(self) -> int:
+        """Send every eager pair (buffered, so no wait), then put each put
+        pair once the receiver has opened this step's epoch."""
         self._live()
+        self._epoch += 1
         flat = self._storage.flat_local()
         moved = 0
-        for pp, peer in self._pairs:
+        for pp, peer in self._eager:
             buf, release = self._staged(pp, flat)
             self._link.send(payload.Borrowed(buf), peer, self._tag)
             if release is not None:
                 release()
             moved += pp.size
-        return moved
-
-
-class _TwoSidedRecv(BoundTransfer):
-    _slots = None
-
-    def arm(self) -> None:
-        """Prepost every pair's recv-into-destination sink.  Messages
-        already queued are consumed at once (FIFO-safe); later sends
-        write straight into final storage.  A producer running ahead of
-        an unarmed consumer falls back to snapshot buffering, so the
-        consumer's array never changes outside a step."""
-        self._live()
-        if self._slots is None:
-            flat = self._storage.flat_local()
-            self._slots = [
-                self._link.prepost_recv(
-                    partial(pp.scatter, flat, loan=self._scratch(pp)),
-                    source=peer, tag=self._tag)
-                for pp, peer in self._pairs]
-
-    def complete(self, *, timeout: float | None = None) -> int:
-        """Arm if needed, then block until every sink has fired."""
-        self.arm()
-        slots, self._slots = self._slots, None
-        return sum(slot.wait(timeout) for slot in slots)
-
-    def step(self) -> int:
-        return self.complete()
-
-
-class _RmaSend(BoundTransfer):
-
-    def _setup(self, tier: Tier) -> None:
-        # Bootstrap: one WindowHandle per pair, shipped by the receiver
-        # over the ordinary two-sided channel.  The data tag is free for
-        # this — on this tier no data message ever travels on it again.
-        mailbox = self._link._my_mailbox()
-        self._rwins = [
-            rma.RemoteWindow(
-                rma.check_handle(
-                    self._link.recv(source=peer, tag=self._tag), pp.size),
-                mailbox)
-            for pp, peer in self._pairs]
-        self._epoch = 0
-
-    def step(self) -> int:
-        self._live()
-        self._epoch += 1
-        flat = self._storage.flat_local()
-        moved = 0
-        for (pp, _peer), rwin in zip(self._pairs, self._rwins):
+        for pp, rwin in self._puts:
             rwin.wait_open(self._epoch)
             buf, release = self._staged(pp, flat)
             moved += rwin.put(buf, loan=self._scratch(pp))
@@ -291,45 +280,60 @@ class _RmaSend(BoundTransfer):
         return moved
 
     def _release(self) -> None:
-        for rwin in self._rwins:
+        for _, rwin in self._puts:
             rwin.close()
 
 
-class _RmaRecv(BoundTransfer):
-    _armed = False
+class _PointRecv(BoundTransfer):
+    _slots = None
+    _win = None
 
     def _setup(self, tier: Tier) -> None:
-        # Expose the array's consolidated base as a window and rebase the
-        # array into it, so remote puts land in final storage; each
-        # sender gets the handle carrying its pair's scatter plan.
-        flat = self._storage.flat_local()
-        self._win = rma.ExposedWindow(flat.nbytes, flat.dtype,
-                                      len(self._pairs),
-                                      self._link._my_mailbox())
-        self._storage.rebase(self._win.buffer)
-        for i, (pp, peer) in enumerate(self._pairs):
-            self._link.send(self._win.handle(i, pp), peer, self._tag)
+        # With put pairs: expose the array's consolidated base as a
+        # window and rebase the array into it, so remote puts land in
+        # final storage; each put peer gets the handle carrying its
+        # pair's scatter plan.
+        self._eager, put = _by_put(self._pairs, self._dtype, tier.eager_max)
+        self._put_size = sum(pp.size for pp, _ in put)
+        if put:
+            flat = self._storage.flat_local()
+            self._win = rma.ExposedWindow(flat.nbytes, flat.dtype, len(put),
+                                          self._link._my_mailbox())
+            self._storage.rebase(self._win.buffer)
+            for i, (pp, peer) in enumerate(put):
+                self._link.send(self._win.handle(i, pp), peer, self._tag)
 
     def arm(self) -> None:
-        """Open the next exposure epoch: from here until
-        :meth:`complete`'s fence returns, senders may write into the
-        window (= the destination array's storage)."""
+        """Prepost every eager pair's recv-into-destination sink (queued
+        messages are consumed at once, FIFO-safe) and open the window's
+        exposure epoch for the put pairs.  A producer running ahead of
+        an unarmed consumer is buffered on an eager pair and waits on a
+        put pair, so the array never changes outside a step."""
         self._live()
-        if not self._armed:
-            self._win.epoch_open()
-            self._armed = True
+        if self._slots is None:
+            flat = self._storage.flat_local()
+            self._slots = [
+                self._link.prepost_recv(
+                    partial(pp.scatter, flat, loan=self._scratch(pp)),
+                    source=peer, tag=self._tag)
+                for pp, peer in self._eager]
+            if self._win is not None:
+                self._win.epoch_open()
 
     def complete(self, *, timeout: float | None = None) -> int:
-        """Fence the open epoch — one wait amortized over all pairs
-        replaces per-message rendezvous."""
+        """Arm if needed, then block until every sink has fired and every
+        put peer has committed (one fence for all of them)."""
         self.arm()
-        self._armed = False
-        self._win.fence(timeout=timeout)
-        if _san.ACTIVE is not None:
-            # The destination array is handed back to the caller here —
-            # the seqlock read site of the epoch protocol.
-            self._win.check_read()
-        return self._plan.element_count
+        slots, self._slots = self._slots, None
+        moved = sum(slot.wait(timeout) for slot in slots)
+        if self._win is not None:
+            self._win.fence(timeout=timeout)
+            if _san.ACTIVE is not None:
+                # The destination array is handed back to the caller
+                # here — the seqlock read site of the epoch protocol.
+                self._win.check_read()
+            moved += self._put_size
+        return moved
 
     def step(self) -> int:
         return self.complete()
@@ -339,9 +343,10 @@ class _RmaRecv(BoundTransfer):
         # the last fenced contents) before the mapping goes away: no
         # remote write can reach it afterwards and its lifetime no
         # longer pins the window.
-        flat = self._storage.flat_local()
-        self._storage.rebase(np.empty(flat.size, dtype=flat.dtype))
-        self._win.close()
+        if self._win is not None:
+            flat = self._storage.flat_local()
+            self._storage.rebase(np.empty(flat.size, dtype=flat.dtype))
+            self._win.close()
 
 
 def _gather_subs(subs, flat, buf) -> None:
@@ -477,19 +482,10 @@ def _alltoallv_rounds(comm: Communicator, tx: _RoundSend | None,
     return received
 
 
-_HALVES = {
-    ("two_sided", "src"): _TwoSidedSend, ("two_sided", "dst"): _TwoSidedRecv,
-    ("rma", "src"): _RmaSend, ("rma", "dst"): _RmaRecv,
-    ("collective", "src"): _RoundSend, ("collective", "dst"): _RoundRecv,
-}
-
-
 def _half(tier: Tier, side: str, plan, storage, link, **kw) -> BoundTransfer:
-    # A point-to-point rank with no pairs has nothing to bootstrap (no
-    # window to expose or attach): it runs the empty two-sided loops
-    # while still reporting the resolved tier.
-    kind = tier.kind if plan.pairs or tier.coll is not None else "two_sided"
-    return _HALVES[kind, side](plan, storage, link, tier, **kw)
+    halves = ((_RoundSend, _RoundRecv) if tier.coll is not None
+              else (_PointSend, _PointRecv))
+    return halves[side == "dst"](plan, storage, link, tier, **kw)
 
 
 def bind(schedule: CommSchedule, side: str, link, array: DistributedArray,
@@ -508,7 +504,7 @@ def bind(schedule: CommSchedule, side: str, link, array: DistributedArray,
     actual ranks on the link for the same reason.  ``tier``,
     ``round_bytes`` and ``one_shot`` (a transfer stepped once, then
     closed) go through :func:`resolve_tier`; the result is the handle's
-    ``tier``.  On the RMA tier the two sides' binds rendezvous (window
+    ``tier``.  With put pairs the two sides' binds rendezvous (window
     handles travel receiver → sender), so a single thread must bind
     receivers first.
     """

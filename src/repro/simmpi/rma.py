@@ -1,23 +1,31 @@
-"""One-sided RMA verbs for persistent channels (procs backend).
+"""One-sided RMA verbs: the *put* pairs of persistent channels (procs
+backend).
 
-The two-sided persistent engines pay mailbox rendezvous on every
-replayed step: slot acquire, envelope match, prepost scatter.  But a
-compiled :class:`~repro.schedule.indexplan.PairPlan` already tells each
-sender *exactly where in the receiver's flat buffer* its bytes land —
-so once the receiver exposes that buffer as an RMA *window*
+An eager pair pays the mailbox on every replayed step: slot acquire,
+envelope match, prepost scatter — and two copies of its bytes (into the
+slot, out of it).  But a compiled
+:class:`~repro.schedule.indexplan.PairPlan` already tells each sender
+*exactly where in the receiver's flat buffer* its bytes land — so once
+the receiver exposes that buffer as an RMA *window*
 (:class:`~repro.simmpi.shm.WindowSegment`), the sender can execute the
 receiver's scatter plan **directly into remote memory**: a box pair is
 a single cross-process copy, the sender's strided box straight into the
 receiver's, with no slot ring, no envelope, and no per-message matching.
 Per-epoch fences replace rendezvous, so one fence amortizes over all
-pairs in a step.
+put pairs in a step.
+
+Both point-to-point tiers of :mod:`repro.schedule.executor` use these
+verbs, through the same two halves: the ``rma`` tier for every pair, the
+``two_sided`` tier for pairs above
+:data:`~repro.schedule.executor.EAGER_MAX` wire bytes (MPI's
+eager/rendezvous split; the pairs below stay eager messages).
 
 Protocol (MPI post-start-complete-wait flavour, one window per
-receiving rank):
+receiving rank with put pairs):
 
 * **Bootstrap** (once, over the ordinary two-sided channel): the
   receiver creates its window, moves its destination array's storage
-  into the window payload, and ships each sender a
+  into the window payload, and ships each put peer a
   :class:`WindowHandle` — segment name, geometry, the sender's
   ``done``-counter slot, and the receiver-side scatter plan for that
   pair.
@@ -27,9 +35,9 @@ receiving rank):
   ``epoch >= k`` (abort-aware, watchdog-visible), scatter the pair's
   bytes straight into the window payload, then store ``done[i] = k``
   to publish them.
-* **fence** (receiver, per step): spin until ``min(done) >= k``.  The
-  destination array *is* the window payload, so after the fence the
-  step's data is simply there.
+* **fence** (receiver, per step, after its eager sinks have fired):
+  spin until ``min(done) >= k``.  The destination array *is* the window
+  payload, so after the fence the step's data is simply there.
 
 Seqlock-style torn-read safety: the receiver only reads its array
 between ``fence(k)`` and ``epoch_open(k+1)``, and no sender writes in
@@ -72,8 +80,8 @@ class WindowHandle:
     a receiver's window and write its pair directly.
 
     Shipped receiver -> sender exactly once over the ordinary two-sided
-    channel when the persistent engines are constructed; after that the
-    channel's data plane never touches the mailbox again.
+    channel when the persistent halves are bound; after that the pair's
+    data plane never touches the mailbox again.
     """
 
     name: str          #: shared-memory segment name

@@ -404,7 +404,12 @@ def epoch_model(writers: int = 2, epochs: int = 2,
                 mutant: Optional[str] = None) -> Exploration:
     """Explicit-state model of the :class:`~repro.simmpi.rma` epoch
     seqlock: one owner opening/fencing/reading ``epochs`` exposure
-    epochs over ``writers`` remote writers doing wait/put/commit.
+    epochs over ``writers`` remote writers doing wait/put/commit.  The
+    writers are a receiver's put pairs on either point-to-point tier —
+    every pair on ``rma``, the pairs above ``EAGER_MAX`` on
+    ``two_sided`` — which run the same halves and the same verbs; the
+    eager pairs beside them are the owner's own writes, finished before
+    its fence, and add no state to the seqlock.
 
     The owner's fence is enabled only once ``min(done) >= k`` and a
     writer's put only after its wait observed ``epoch >= k`` — exactly

@@ -1,0 +1,204 @@
+"""The eager/put split of the point-to-point tiers on real processes.
+
+A persistent two-sided pair whose wire bytes exceed ``EAGER_MAX`` is
+put straight into the receiver's window (rendezvous: the push waits for
+the consumer's arm); a pair at or below it stays an eager message.
+Every size here is derived from ``EAGER_MAX``.
+
+Block 2 -> 3 has four pairs: two of a third of the extent, two of a
+sixth.  At ``MIXED`` elements the thirds exceed the limit and the
+sixths do not; at ``LARGE`` every pair exceeds it.
+"""
+
+import time
+
+import numpy as np
+import pytest
+
+from repro.dad import (Block, CartesianTemplate, DistArrayDescriptor,
+                       DistributedArray)
+from repro.errors import SpmdError
+from repro.highlevel import Coupler
+from repro.schedule.executor import EAGER_MAX
+from repro.simmpi import run_coupled
+from repro.simmpi.intercomm import default_nameservice
+from repro.util.counters import TRANSPORT_STATS
+
+M, N = 2, 3
+STEPS = 3
+LIMIT = EAGER_MAX // np.dtype(np.float64).itemsize   # elements
+MIXED = 4 * LIMIT        # pairs of 4/3 LIMIT (put) and 2/3 LIMIT (eager)
+LARGE = 8 * LIMIT        # pairs of 8/3 and 4/3 LIMIT: all put
+_COPY_KEYS = ("bytes_copied", "shm_slot_bytes", "shm_inline_bytes")
+
+
+def _descs(extent, m=M, n=N):
+    return tuple(DistArrayDescriptor(CartesianTemplate([Block(extent, p)]))
+                 for p in (m, n))
+
+
+def _truth(extent, step):
+    return np.arange(extent, dtype=np.float64) + 1000.0 * step
+
+
+def _counts():
+    return {k: TRANSPORT_STATS.get(k)
+            for k in ("rma_puts", "messages_matched") + _COPY_KEYS}
+
+
+def _delta(before, after):
+    return {k: after[k] - before[k] for k in after}
+
+
+def _producer(comm, extent, name):
+    src_desc, _ = _descs(extent)
+    da = DistributedArray.from_global(src_desc, comm.rank, _truth(extent, 0))
+    chan = Coupler(name, default_nameservice).open(comm, "source", da)
+    deltas = []
+    for step in range(STEPS):
+        da.flat_local()[:] = DistributedArray.from_global(
+            src_desc, comm.rank, _truth(extent, step)).flat_local()
+        before = _counts()
+        chan.push()
+        deltas.append(_delta(before, _counts()))
+    chan.close()
+    return chan.mode, deltas
+
+
+def _consumer(comm, extent, name):
+    _, dst_desc = _descs(extent)
+    chan = Coupler(name, default_nameservice).open(comm, "destination",
+                                                   dst_desc)
+    snaps, deltas = [], []
+    for _ in range(STEPS):
+        before = _counts()
+        snaps.append(chan.pull().flat_local().copy())
+        deltas.append(_delta(before, _counts()))
+    chan.close()
+    return chan.mode, deltas, snaps, chan.array.flat_local().copy()
+
+
+def _run(extent, name, backend="procs"):
+    res = run_coupled([("prod", M, _producer, (extent, name)),
+                       ("cons", N, _consumer, (extent, name))],
+                      deadlock_timeout=60.0, backend=backend)
+    per_step = [
+        {k: sum(r[1][step][k] for r in res["prod"] + res["cons"])
+         for k in res["prod"][0][1][0]}
+        for step in range(STEPS)]
+    return res, per_step
+
+
+def _assembled(parts, extent):
+    _, dst_desc = _descs(extent)
+    das = []
+    for r, flat in enumerate(parts):
+        da = DistributedArray.allocate(dst_desc, r)
+        da.flat_local()[:] = flat
+        das.append(da)
+    return DistributedArray.assemble(das)
+
+
+def test_pairs_above_the_limit_are_put_and_the_rest_stay_eager():
+    res, per_step = _run(MIXED, "rdv-mixed")
+    assert {r[0] for r in res["prod"] + res["cons"]} == {"two_sided"}
+    for step in range(STEPS):
+        got = _assembled([r[2][step] for r in res["cons"]], MIXED)
+        assert got.tobytes() == _truth(MIXED, step).tobytes()
+        assert per_step[step]["rma_puts"] == 2
+        assert per_step[step]["messages_matched"] == 2
+    # after close the consumer's array, evacuated from the window, keeps
+    # the last snapshot (the no_leaks fixture checks the window is gone)
+    last = _assembled([r[3] for r in res["cons"]], MIXED)
+    assert last.tobytes() == _truth(MIXED, STEPS - 1).tobytes()
+
+
+def test_all_put_pairs_move_each_wire_byte_once():
+    res, per_step = _run(LARGE, "rdv-large")
+    wire = LARGE * np.dtype(np.float64).itemsize
+    for step in range(STEPS):
+        assert per_step[step]["rma_puts"] == 4
+        assert per_step[step]["messages_matched"] == 0
+        moved = sum(per_step[step][k] for k in _COPY_KEYS)
+        assert moved / wire == 1.0
+    got = _assembled([r[2][-1] for r in res["cons"]], LARGE)
+    assert got.tobytes() == _truth(LARGE, STEPS - 1).tobytes()
+
+
+def test_threads_make_no_puts_and_count_no_fallback():
+    res, _ = _run(MIXED, "rdv-threads", backend="threads")
+    assert {r[0] for r in res["prod"] + res["cons"]} == {"two_sided"}
+    # thread ranks share this process's counters, bind included
+    assert TRANSPORT_STATS.get("rma_puts") == 0
+    assert TRANSPORT_STATS.get("rma_fallbacks") == 0
+    got = _assembled([r[2][-1] for r in res["cons"]], MIXED)
+    assert got.tobytes() == _truth(MIXED, STEPS - 1).tobytes()
+
+
+def _publish(comm):
+    src_desc, _ = _descs(MIXED)
+    da = DistributedArray.from_global(src_desc, comm.rank, _truth(MIXED, 0))
+    Coupler("rdv-once", default_nameservice).publish(comm, da)
+    return TRANSPORT_STATS.get("rma_puts")
+
+
+def _subscribe(comm):
+    _, dst_desc = _descs(MIXED)
+    da = Coupler("rdv-once", default_nameservice).subscribe(comm, dst_desc)
+    return TRANSPORT_STATS.get("rma_puts"), da.flat_local().copy()
+
+
+def test_a_one_shot_makes_no_puts():
+    res = run_coupled([("prod", M, _publish, ()),
+                       ("cons", N, _subscribe, ())],
+                      deadlock_timeout=60.0, backend="procs")
+    assert res["prod"] == [0] * M
+    assert [puts for puts, _ in res["cons"]] == [0] * N
+    got = _assembled([flat for _, flat in res["cons"]], MIXED)
+    assert got.tobytes() == _truth(MIXED, 0).tobytes()
+
+
+# -- a put pair is a rendezvous: pushing ahead fails loud, not silently ------
+
+_TIMEOUT = 3.0
+
+
+def _push_twice(comm, extent):
+    src_desc, _ = _descs(extent, 1, 1)
+    da = DistributedArray.from_global(src_desc, 0, _truth(extent, 0))
+    chan = Coupler("rdv-ahead", default_nameservice).open(comm, "source", da)
+    chan.push()
+    chan.push()                   # no matching pull
+    chan.close()
+
+
+def _pull_once(comm, extent):
+    _, dst_desc = _descs(extent, 1, 1)
+    chan = Coupler("rdv-ahead", default_nameservice).open(
+        comm, "destination", dst_desc)
+    chan.pull()
+    chan.close()
+    return chan.array.flat_local().copy()
+
+
+def _ahead(extent):
+    # every slot holds a whole below-limit pair and the ring two of them,
+    # so the eager producer never waits for the consumer to drain
+    return run_coupled(
+        [("prod", 1, _push_twice, (extent,)),
+         ("cons", 1, _pull_once, (extent,))],
+        deadlock_timeout=_TIMEOUT, backend="procs",
+        transport_opts={"slot_bytes": EAGER_MAX, "slots_per_endpoint": 2})
+
+
+def test_pushing_ahead_of_a_put_pair_raises_naming_rma_put():
+    t0 = time.monotonic()
+    with pytest.raises(SpmdError) as ei:
+        _ahead(2 * LIMIT)
+    assert time.monotonic() - t0 < 4 * _TIMEOUT
+    assert any("rma_put" in str(e) for e in ei.value.failures.values())
+
+
+def test_pushing_ahead_below_the_limit_buffers_and_completes():
+    res = _ahead(LIMIT // 2)
+    assert res["cons"][0].tobytes() == _truth(LIMIT // 2, 0).tobytes()
