@@ -88,15 +88,17 @@ class DistributedArray:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def allocate(cls, descriptor: DistArrayDescriptor,
-                 rank: int) -> "DistributedArray":
-        """Zero-initialized local storage for ``rank``."""
+    def allocate(cls, descriptor: DistArrayDescriptor, rank: int, *,
+                 zeroed: bool = True) -> "DistributedArray":
+        """Local storage for ``rank``: zero-initialized, or uninitialized
+        with ``zeroed=False`` (for a caller about to overwrite every
+        element)."""
         obj = cls.__new__(cls)
         descriptor.template._check_rank(rank)
         obj.descriptor = descriptor
         obj.rank = rank
-        obj._base = np.zeros(descriptor.local_regions(rank).volume,
-                             dtype=descriptor.dtype)
+        obj._base = (np.zeros if zeroed else np.empty)(
+            descriptor.local_regions(rank).volume, dtype=descriptor.dtype)
         obj._patches = None
         return obj
 

@@ -228,7 +228,8 @@ class Channel:
     every pair; the default ``two_sided`` puts the pairs above
     :data:`~repro.schedule.executor.EAGER_MAX` wire bytes (MPI's
     rendezvous) and sends the rest as buffered messages that never
-    wait.  ``tier="collective"`` (or ``auto`` deciding so) selects
+    wait.  On the threads backend those pairs wait for the consumer's
+    ``pull`` too, for its ready token instead of its window.  ``tier="collective"`` (or ``auto`` deciding so) selects
     memory-bounded acknowledged rounds, which wait too.  Producer and
     consumer of a channel that waits proceed in lockstep — two programs
     that each push before pulling the reverse channel need one whose

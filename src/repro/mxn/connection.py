@@ -134,7 +134,9 @@ class MxNConnection:
     :data:`~repro.schedule.executor.EAGER_MAX` wire bytes are put
     straight into the destination's window even when two-sided (every
     pair is on the ``rma`` tier), so a source's ``data_ready`` waits for
-    the destination's matching cycle on those pairs.
+    the destination's matching cycle on those pairs; on the threads
+    backend it waits for the destination's ready token on them, one-shot
+    or persistent.
     """
 
     def __init__(self, spec: ConnectionSpec, inter: Intercommunicator,

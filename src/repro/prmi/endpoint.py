@@ -35,7 +35,7 @@ from repro.dad.darray import DistributedArray
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.prmi.args import LazyParallelArg, ParallelArg
 from repro.schedule.builder import GLOBAL_CACHE
-from repro.schedule.executor import execute_inter
+from repro.schedule.executor import allocate_dst, execute_inter
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.intercomm import Intercommunicator
 
@@ -432,8 +432,8 @@ class CalleeEndpoint:
         callers and receive the redistributed data."""
         if self.local_comm.rank == 0:
             self.inter.send(layout, dest=self._pull_root, tag=PULL_TAG)
-        dst = DistributedArray.allocate(layout, self.local_comm.rank)
         sched = GLOBAL_CACHE.get(src_descriptor, layout)
+        dst = allocate_dst(sched, layout, self.local_comm.rank)
         execute_inter(sched, self.inter, "dst", dst, tag=DATA_TAG,
                       peer_map=self._caller_map)
         return dst

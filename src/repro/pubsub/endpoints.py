@@ -17,7 +17,7 @@ from repro.dad.darray import DistributedArray
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.pubsub.board import Subscription, SubscriptionBoard
 from repro.schedule.builder import GLOBAL_CACHE
-from repro.schedule.executor import execute_inter
+from repro.schedule.executor import allocate_dst, execute_inter
 from repro.simmpi import payload as _payload
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.intercomm import Intercommunicator, NameService
@@ -158,7 +158,7 @@ class Subscriber:
         if ctrl == "bye":
             self._open = False
             return None
-        darray = DistributedArray.allocate(self.layout, self.comm.rank)
+        darray = allocate_dst(self.schedule, self.layout, self.comm.rank)
         execute_inter(self.schedule, self.inter, "dst", darray,
                       tag=DATA_TAG)
         self.received += 1

@@ -36,21 +36,32 @@ The tiers — small strategy halves over that shared core (``picked
 when`` is :func:`resolve_tier`'s rule).  The two point-to-point tiers
 are the same halves: a pair goes *eager* (one lent message into a sink
 the receiver preposts) or, above the tier's ``eager_max`` wire bytes,
-by *put* (``wait_open → put → commit`` straight into the receiver's
-shared window, the array rebased into it at bind):
+by *rendezvous*.  Over an ``rma_capable`` transport (procs) a
+rendezvous pair is a *put* (``wait_open → put → commit`` straight into
+the receiver's shared window, the array rebased into it at bind);
+over one with no windows (threads) it is a *token* pair (the
+receiver's ``arm`` preposts the sink and then sends a ready token on
+``READY_TAG_BASE`` + the data tag; the sender receives it before it
+lends the pair, so the lent view always meets an armed sink and is
+never snapshotted):
 
 ===========  ======================  ======================  ======================
              ``two_sided``           ``rma``                 ``collective``
 ===========  ======================  ======================  ======================
-put pairs    above :data:`EAGER_MAX` all (``eager_max`` 0)   —
-             if persistent over an
+rendezvous   above :data:`EAGER_MAX` all, as puts           —
+pairs        — puts if persistent    (``eager_max`` 0)
+             over an
              ``rma_capable``
-             transport, else none
+             transport, tokens over
+             one with no windows
+             (one-shots too), none
+             on a procs one-shot
 who blocks   nobody on an eager      a sender waits for the  round *r+1* is not
 on whom      pair (buffered sends);  receiver's exposure     packed until round *r*
-             a put pair's sender     epoch, the receiver     is drained: lockstep,
-             waits for the           fences once per step:   peak residency
+             a rendezvous pair's     epoch, the receiver     is drained: lockstep,
+             sender waits for the    fences once per step:   peak residency
              receiver's ``arm``      lockstep                O(round buffer)
+             (its epoch or token)
 ``close()``  as ``rma`` if it has    sender detaches its     nothing
 releases     put pairs, else         remote windows;
              nothing                 receiver evacuates its
@@ -64,8 +75,8 @@ when         (the default), ``rma``  persistent transfer     or ``auto`` when th
              ceiling
 ===========  ======================  ======================  ======================
 
-Both jobs derive the split from the same schedule, dtype and limit, so
-nothing is negotiated.
+Both jobs derive the split from the same schedule, dtype, limit and
+transport, so nothing is negotiated.
 
 Both wires of the collective tier replay the same bind-time
 :meth:`~repro.schedule.collplan.CollectivePlan.round_table`; which one
@@ -95,6 +106,7 @@ from repro.schedule.plan import CommSchedule
 from repro.simmpi import payload, rma
 from repro.simmpi import sanitize as _san
 from repro.simmpi.communicator import Communicator
+from repro.simmpi.constants import READY_TAG_BASE
 from repro.simmpi.intercomm import Intercommunicator
 from repro.util.counters import TRANSPORT_STATS
 from repro.verify.hook import maybe_verify_side
@@ -110,19 +122,22 @@ ACK_TAG_OFFSET = 1
 #: set of valid sides.
 _PLAN_SIDE = {"src": "send", "dst": "recv"}
 
-#: Wire bytes above which a persistent two-sided pair over an
-#: ``rma_capable`` transport goes by put instead of an eager message: the
-#: rendezvous limit, from a 2 -> 3 pair-size sweep (DESIGN.md §8).  It
-#: must stay above ``stream_default``'s 1 MiB pairs.
-EAGER_MAX = 4 << 20
+#: Wire bytes above which a two-sided pair is a rendezvous instead of an
+#: eager message — a put on a persistent transfer over an
+#: ``rma_capable`` transport, a token pair on any transfer over one with
+#: no windows: the limit from 2 -> 3 pair-size sweeps on both backends
+#: (DESIGN.md §8).  It must stay below ``prmi_parallel_arg``'s 2.66 MiB
+#: pairs and above ``stream_default``'s 1 MiB pairs.
+EAGER_MAX = 2 << 20
 
 
 @dataclass(frozen=True, slots=True)
 class Tier:
     """A resolved execution tier: ``kind`` is ``"two_sided"``, ``"rma"``
     or ``"collective"``; ``coll`` is the round plan of the last.  A
-    point-to-point pair whose wire bytes exceed ``eager_max`` goes by
-    put (``None``: no pair does)."""
+    point-to-point pair whose wire bytes exceed ``eager_max`` is a
+    rendezvous (``None``: no pair is) — a put over an ``rma_capable``
+    transport, a token pair over one with no windows."""
 
     kind: str
     coll: CollectivePlan | None = None
@@ -138,12 +153,14 @@ def resolve_tier(schedule, itemsize: int, link, *,
     (``None`` = environment, then default).  ``collective`` carries the
     round plan for ``round_bytes``; ``auto`` takes the cost model's pick
     (:func:`~repro.schedule.costmodel.estimate`: collective or
-    two-sided, never RMA).  A put needs a window worth its set-up and
-    ranks that can attach each other's windows: a one-shot runs
-    two-sided with every pair eager, and so does a transport that cannot
-    attach (the threads backend), counting an ``rma`` request as
-    ``rma_fallbacks``.  Otherwise ``rma`` puts every pair and
-    ``two_sided`` those above :data:`EAGER_MAX`.
+    two-sided, never RMA).  A transport that cannot attach windows (the
+    threads backend) runs every transfer, one-shot or persistent,
+    two-sided with the pairs above :data:`EAGER_MAX` opened by ready
+    tokens; a persistent ``rma`` request there counts as
+    ``rma_fallbacks``.  Over one that can, a put needs a window worth
+    its set-up: a one-shot runs two-sided with every pair eager,
+    otherwise ``rma`` puts every pair and ``two_sided`` those above
+    :data:`EAGER_MAX`.
 
     A pure function of the schedule, the itemsize, the transport, the
     persistence and those two requests: two coupled jobs that agree on
@@ -156,14 +173,19 @@ def resolve_tier(schedule, itemsize: int, link, *,
     if kind == "collective":
         return Tier(kind, schedule.collective_plan(
             itemsize, config.resolve("round_bytes", round_bytes)))
+    if not _windowed(link):
+        if kind == "rma" and not one_shot:
+            TRANSPORT_STATS.add("rma_fallbacks")
+        return Tier("two_sided", eager_max=EAGER_MAX)
     if one_shot:
         return Tier("two_sided")
-    comm = link.local_comm if isinstance(link, Intercommunicator) else link
-    if not comm.job.transport.rma_capable:
-        if kind == "rma":
-            TRANSPORT_STATS.add("rma_fallbacks")
-        return Tier("two_sided")
     return Tier(kind, eager_max=0 if kind == "rma" else EAGER_MAX)
+
+
+def _windowed(link) -> bool:
+    """Whether ``link``'s ranks can attach each other's RMA windows."""
+    comm = link.local_comm if isinstance(link, Intercommunicator) else link
+    return comm.job.transport.rma_capable
 
 
 # -- the core -----------------------------------------------------------------
@@ -236,8 +258,8 @@ class BoundTransfer:
         """Tier teardown."""
 
 
-def _by_put(pairs, dtype, eager_max) -> tuple[list, list]:
-    """Split translated pairs into (eager, put) by wire bytes."""
+def _split(pairs, dtype, eager_max) -> tuple[list, list]:
+    """Split translated pairs into (eager, rendezvous) by wire bytes."""
     limit = np.inf if eager_max is None else eager_max
     return ([p for p in pairs if p[0].size * dtype.itemsize <= limit],
             [p for p in pairs if p[0].size * dtype.itemsize > limit])
@@ -246,10 +268,12 @@ def _by_put(pairs, dtype, eager_max) -> tuple[list, list]:
 class _PointSend(BoundTransfer):
 
     def _setup(self, tier: Tier) -> None:
-        # Bootstrap: one WindowHandle per put pair, shipped by the
+        # Bootstrap of put pairs: one WindowHandle each, shipped by the
         # receiver on the data tag, which no eager message to or from a
-        # put peer uses.
-        self._eager, put = _by_put(self._pairs, self._dtype, tier.eager_max)
+        # put peer uses.  Token pairs need none.
+        self._eager, rdv = _split(self._pairs, self._dtype, tier.eager_max)
+        put, self._tokened = ((rdv, []) if _windowed(self._link)
+                              else ([], rdv))
         self._puts = [
             (pp, rma.RemoteWindow(rma.check_handle(
                 self._link.recv(source=peer, tag=self._tag), pp.size),
@@ -257,19 +281,25 @@ class _PointSend(BoundTransfer):
             for pp, peer in put]
         self._epoch = 0
 
+    def _lend(self, pp, peer, flat) -> int:
+        """Send one pair as a lent payload; returns its elements."""
+        buf, release = self._staged(pp, flat)
+        self._link.send(payload.Borrowed(buf), peer, self._tag)
+        if release is not None:
+            release()
+        return pp.size
+
     def step(self) -> int:
-        """Send every eager pair (buffered, so no wait), then put each put
+        """Send every eager pair (buffered, so no wait), then each token
+        pair once its receiver's ready token arrives, then put each put
         pair once the receiver has opened this step's epoch."""
         self._live()
         self._epoch += 1
         flat = self._storage.flat_local()
-        moved = 0
-        for pp, peer in self._eager:
-            buf, release = self._staged(pp, flat)
-            self._link.send(payload.Borrowed(buf), peer, self._tag)
-            if release is not None:
-                release()
-            moved += pp.size
+        moved = sum(self._lend(pp, peer, flat) for pp, peer in self._eager)
+        for pp, peer in self._tokened:
+            self._link.recv(source=peer, tag=READY_TAG_BASE + self._tag)
+            moved += self._lend(pp, peer, flat)
         for pp, rwin in self._puts:
             rwin.wait_open(self._epoch)
             buf, release = self._staged(pp, flat)
@@ -289,11 +319,15 @@ class _PointRecv(BoundTransfer):
     _win = None
 
     def _setup(self, tier: Tier) -> None:
-        # With put pairs: expose the array's consolidated base as a
-        # window and rebase the array into it, so remote puts land in
-        # final storage; each put peer gets the handle carrying its
-        # pair's scatter plan.
-        self._eager, put = _by_put(self._pairs, self._dtype, tier.eager_max)
+        # Token pairs are preposted like eager ones; their peers get a
+        # ready token per arm.  With put pairs: expose the array's
+        # consolidated base as a window and rebase the array into it, so
+        # remote puts land in final storage; each put peer gets the
+        # handle carrying its pair's scatter plan.
+        eager, rdv = _split(self._pairs, self._dtype, tier.eager_max)
+        put, tokened = (rdv, []) if _windowed(self._link) else ([], rdv)
+        self._sinks = eager + tokened
+        self._token_peers = [peer for _, peer in tokened]
         self._put_size = sum(pp.size for pp, _ in put)
         if put:
             flat = self._storage.flat_local()
@@ -304,11 +338,12 @@ class _PointRecv(BoundTransfer):
                 self._link.send(self._win.handle(i, pp), peer, self._tag)
 
     def arm(self) -> None:
-        """Prepost every eager pair's recv-into-destination sink (queued
-        messages are consumed at once, FIFO-safe) and open the window's
-        exposure epoch for the put pairs.  A producer running ahead of
-        an unarmed consumer is buffered on an eager pair and waits on a
-        put pair, so the array never changes outside a step."""
+        """Prepost every eager and token pair's recv-into-destination
+        sink (queued messages are consumed at once, FIFO-safe), send each
+        token pair's ready token, and open the window's exposure epoch
+        for the put pairs.  A producer running ahead of an unarmed
+        consumer is buffered on an eager pair and waits on a rendezvous
+        pair, so the array never changes outside a step."""
         self._live()
         if self._slots is None:
             flat = self._storage.flat_local()
@@ -316,7 +351,9 @@ class _PointRecv(BoundTransfer):
                 self._link.prepost_recv(
                     partial(pp.scatter, flat, loan=self._scratch(pp)),
                     source=peer, tag=self._tag)
-                for pp, peer in self._eager]
+                for pp, peer in self._sinks]
+            for peer in self._token_peers:
+                self._link.send(None, peer, READY_TAG_BASE + self._tag)
             if self._win is not None:
                 self._win.epoch_open()
 
@@ -506,7 +543,9 @@ def bind(schedule: CommSchedule, side: str, link, array: DistributedArray,
     closed) go through :func:`resolve_tier`; the result is the handle's
     ``tier``.  With put pairs the two sides' binds rendezvous (window
     handles travel receiver → sender), so a single thread must bind
-    receivers first.
+    receivers first; with token pairs a sender's step waits for its
+    receivers' tokens, so a single thread must ``arm`` receivers before
+    it steps senders.
     """
     if side not in _PLAN_SIDE:
         raise ValueError(f"side must be 'src' or 'dst', got {side!r}")
@@ -522,6 +561,18 @@ def bind(schedule: CommSchedule, side: str, link, array: DistributedArray,
                             one_shot=one_shot)
     return _half(resolved, side, plan, array, link, tag=tag, me=me,
                  peer_map=peer_map, pool=pool)
+
+
+def allocate_dst(schedule: CommSchedule, descriptor, rank: int
+                 ) -> DistributedArray:
+    """``rank``'s destination array for a transfer of ``schedule``:
+    uninitialized when the rank's receive plan covers every local
+    element (template patches never overlap, so its pairs are disjoint
+    and the transfer writes each element once), zeroed otherwise."""
+    plan = schedule.rank_plan("recv", rank, descriptor.local_regions(rank))
+    return DistributedArray.allocate(
+        descriptor, rank,
+        zeroed=plan.element_count < descriptor.local_volume(rank))
 
 
 # -- one-shot transfers: bind, step, close ---------------------------------------
@@ -545,9 +596,11 @@ def execute_inter(schedule: CommSchedule, inter: Intercommunicator,
     ``rank``/``peer_map``/``tier``/``round_bytes`` as in :func:`bind`.
     A one-shot never takes the RMA tier (a window's setup is only worth
     it amortized over steps).  On the collective tier the send side
-    blocks until the peer consumes each round, so both jobs must drive
-    the transfer concurrently; a single-threaded harness binds the
-    halves itself and drives ``send_round``/``recv_round``.
+    blocks until the peer consumes each round, and on the threads
+    backend it waits for the ready token of each pair above
+    :data:`EAGER_MAX`, so both jobs must drive the transfer
+    concurrently; a single-threaded harness binds the halves itself and
+    drives ``arm``/``step``/``complete`` or ``send_round``/``recv_round``.
     """
     return _once(bind(schedule, side, inter, array, tag=tag, rank=rank,
                       peer_map=peer_map, tier=tier, round_bytes=round_bytes,
@@ -568,9 +621,11 @@ def execute_intra(schedule: CommSchedule, comm: Communicator,
     ``src_ranks[i]`` is the comm rank playing source-template rank ``i``
     (default: identity); likewise ``dst_ranks``.  A rank may appear on
     both sides (e.g. a transpose over the same cohort): it binds a
-    sender half and a receiver half on ``comm``, posts its (buffered)
-    sends, then completes its receives — no barrier on either side,
-    which is what experiment E9 counts.  Every participating rank calls
+    sender half and a receiver half on ``comm``, arms its receives
+    (sending the ready tokens of its token pairs), posts its sends, then
+    completes its receives — no barrier on either side, which is what
+    experiment E9 counts; arming first means no rank's send waits on a
+    token its peer has not sent.  Every participating rank calls
     this collectively with the same schedule.  On the collective tier
     (``tier``/``round_bytes`` as in :func:`resolve_tier`; ``rma`` runs
     two-sided, as on every one-shot) the rounds are collective over the
@@ -610,9 +665,11 @@ def execute_intra(schedule: CommSchedule, comm: Communicator,
     try:
         if "collective" in (tx and tx.tier, rx and rx.tier):
             return _alltoallv_rounds(comm, tx, rx)
+        if rx is not None:
+            rx.arm()
         if tx is not None:
             tx.step()
-        return rx.step() if rx is not None else 0
+        return rx.complete() if rx is not None else 0
     finally:
         for half in (tx, rx):
             if half is not None:

@@ -45,7 +45,7 @@ from typing import Any, Callable, Optional
 from repro.errors import DeadlockError
 from repro.simmpi import payload
 from repro.simmpi import sanitize as _san
-from repro.simmpi.constants import ANY_SOURCE, ANY_TAG
+from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, READY_TAG_BASE
 from repro.simmpi.shm import Liveness
 from repro.util.counters import TRANSPORT_STATS
 
@@ -460,5 +460,8 @@ def _spec(value: int, wildcard: int) -> Any:
 
 
 def _recv_desc(context: int, source: int, tag: int) -> str:
+    # a ready token shows as the data tag of the pair it opens
+    shown = (f"ready({tag - READY_TAG_BASE})" if tag >= READY_TAG_BASE
+             else _spec(tag, ANY_TAG))
     return (f"recv(context={context}, source={_spec(source, ANY_SOURCE)}, "
-            f"tag={_spec(tag, ANY_TAG)})")
+            f"tag={shown})")

@@ -18,7 +18,9 @@ Both point-to-point tiers of :mod:`repro.schedule.executor` use these
 verbs, through the same two halves: the ``rma`` tier for every pair, the
 ``two_sided`` tier for pairs above
 :data:`~repro.schedule.executor.EAGER_MAX` wire bytes (MPI's
-eager/rendezvous split; the pairs below stay eager messages).
+eager/rendezvous split; the pairs below stay eager messages, and a
+transport with no windows opens the pairs above with a ready token
+instead).
 
 Protocol (MPI post-start-complete-wait flavour, one window per
 receiving rank with put pairs):

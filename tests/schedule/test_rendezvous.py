@@ -1,9 +1,11 @@
-"""The eager/put split of the point-to-point tiers on real processes.
+"""The eager/rendezvous split of the point-to-point tiers.
 
-A persistent two-sided pair whose wire bytes exceed ``EAGER_MAX`` is
-put straight into the receiver's window (rendezvous: the push waits for
-the consumer's arm); a pair at or below it stays an eager message.
-Every size here is derived from ``EAGER_MAX``.
+On procs a persistent two-sided pair whose wire bytes exceed
+``EAGER_MAX`` is put straight into the receiver's window; on threads
+such a pair, one-shot or persistent, is lent once the receiver's ready
+token arrives.  Either way the push waits for the consumer's arm; a
+pair at or below the limit stays an eager message.  Every size here is
+derived from ``EAGER_MAX``.
 
 Block 2 -> 3 has four pairs: two of a third of the extent, two of a
 sixth.  At ``MIXED`` elements the thirds exceed the limit and the
@@ -17,10 +19,12 @@ import pytest
 
 from repro.dad import (Block, CartesianTemplate, DistArrayDescriptor,
                        DistributedArray)
+from repro.dad.template import block_template
 from repro.errors import SpmdError
 from repro.highlevel import Coupler
-from repro.schedule.executor import EAGER_MAX
-from repro.simmpi import run_coupled
+from repro.schedule import GLOBAL_CACHE
+from repro.schedule.executor import EAGER_MAX, execute_inter, execute_intra
+from repro.simmpi import run_coupled, run_spmd
 from repro.simmpi.intercomm import default_nameservice
 from repro.util.counters import TRANSPORT_STATS
 
@@ -135,6 +139,80 @@ def test_threads_make_no_puts_and_count_no_fallback():
     assert got.tobytes() == _truth(MIXED, STEPS - 1).tobytes()
 
 
+# -- threads: a token pair never meets an unarmed receiver ------------------
+
+_SENT_TAG = 9
+
+
+def _send_once(comm, extent, name):
+    src_desc, dst_desc = _descs(extent)
+    da = DistributedArray.from_global(src_desc, comm.rank, _truth(extent, 0))
+    inter = default_nameservice.accept(name, comm)
+    execute_inter(GLOBAL_CACHE.get(src_desc, dst_desc), inter, "src", da)
+    for r in range(N):
+        inter.send(None, r, tag=_SENT_TAG)
+
+
+def _recv_once_late(comm, extent, name, after_sends):
+    src_desc, dst_desc = _descs(extent)
+    inter = default_nameservice.connect(name, comm)
+
+    def sends_returned():
+        for r in range(M):
+            inter.recv(source=r, tag=_SENT_TAG)
+
+    if after_sends:
+        sends_returned()          # no sender may wait for this receiver
+    else:
+        time.sleep(0.05)          # every sender is ready long before this
+    da = DistributedArray.allocate(dst_desc, comm.rank)
+    execute_inter(GLOBAL_CACHE.get(src_desc, dst_desc), inter, "dst", da)
+    if not after_sends:
+        sends_returned()
+    return da.flat_local().copy()
+
+
+@pytest.mark.parametrize("extent, after_sends, late_pairs", [
+    (LARGE, False, 0),            # every pair above the limit: tokens
+    (LIMIT, True, 4),             # every pair below it: eager, snapshotted
+], ids=["above-limit", "below-limit"])
+def test_a_threads_one_shot_waits_for_a_late_receiver_above_the_limit(
+        extent, after_sends, late_pairs):
+    name = f"rdv-late-{extent}"
+    res = run_coupled(
+        [("prod", M, _send_once, (extent, name)),
+         ("cons", N, _recv_once_late, (extent, name, after_sends))],
+        deadlock_timeout=60.0, backend="threads")
+    assert _assembled(res["cons"], extent).tobytes() == \
+        _truth(extent, 0).tobytes()
+    # block 2 -> 3 has four pairs; thread ranks share these counters
+    assert TRANSPORT_STATS.get("borrow_snapshots") == late_pairs
+    assert TRANSPORT_STATS.get("direct_deliveries") == 4 - late_pairs
+
+
+def _transpose(comm, rows, cols):
+    # every rank is a source and a destination of the same cohort
+    truth = np.arange(rows * cols, dtype=np.float64).reshape(rows, cols)
+    src = DistArrayDescriptor(block_template((rows, cols), (comm.size, 1)))
+    dst = DistArrayDescriptor(block_template((rows, cols), (1, comm.size)))
+    sa = DistributedArray.from_global(src, comm.rank, truth)
+    da = DistributedArray.allocate(dst, comm.rank)
+    execute_intra(GLOBAL_CACHE.get(src, dst), comm, src_array=sa,
+                  dst_array=da)
+    return da
+
+
+def test_an_intra_job_transpose_above_the_limit_lends_every_pair_once():
+    rows = 256
+    cols = 2 * 2 * (2 * LIMIT) // rows     # 2 x 2 pairs of 2 LIMIT each
+    parts = run_spmd(2, _transpose, rows, cols, deadlock_timeout=60.0,
+                     backend="threads")
+    got = DistributedArray.assemble(parts)
+    assert got.tobytes() == np.arange(rows * cols, dtype=np.float64).tobytes()
+    assert TRANSPORT_STATS.get("borrow_snapshots") == 0
+    assert TRANSPORT_STATS.get("direct_deliveries") == 4
+
+
 def _publish(comm):
     src_desc, _ = _descs(MIXED)
     da = DistributedArray.from_global(src_desc, comm.rank, _truth(MIXED, 0))
@@ -181,24 +259,39 @@ def _pull_once(comm, extent):
     return chan.array.flat_local().copy()
 
 
-def _ahead(extent):
-    # every slot holds a whole below-limit pair and the ring two of them,
-    # so the eager producer never waits for the consumer to drain
+def _ahead(extent, backend="procs"):
+    # on procs every slot holds a whole below-limit pair and the ring two
+    # of them, so the eager producer never waits for the consumer to drain
+    opts = ({"slot_bytes": EAGER_MAX, "slots_per_endpoint": 2}
+            if backend == "procs" else None)
     return run_coupled(
         [("prod", 1, _push_twice, (extent,)),
          ("cons", 1, _pull_once, (extent,))],
-        deadlock_timeout=_TIMEOUT, backend="procs",
-        transport_opts={"slot_bytes": EAGER_MAX, "slots_per_endpoint": 2})
+        deadlock_timeout=_TIMEOUT, backend=backend, transport_opts=opts)
+
+
+def _raises_naming(extent, backend, waits_on):
+    t0 = time.monotonic()
+    with pytest.raises(SpmdError) as ei:
+        _ahead(extent, backend)
+    assert time.monotonic() - t0 < 4 * _TIMEOUT
+    assert any(waits_on in str(e) for e in ei.value.failures.values())
 
 
 def test_pushing_ahead_of_a_put_pair_raises_naming_rma_put():
-    t0 = time.monotonic()
-    with pytest.raises(SpmdError) as ei:
-        _ahead(2 * LIMIT)
-    assert time.monotonic() - t0 < 4 * _TIMEOUT
-    assert any("rma_put" in str(e) for e in ei.value.failures.values())
+    _raises_naming(2 * LIMIT, "procs", "rma_put")
+
+
+def test_pushing_ahead_of_a_token_pair_raises_naming_the_token_wait():
+    # the second push waits for a ready token the consumer never sends
+    _raises_naming(2 * LIMIT, "threads", "tag=ready(")
 
 
 def test_pushing_ahead_below_the_limit_buffers_and_completes():
     res = _ahead(LIMIT // 2)
+    assert res["cons"][0].tobytes() == _truth(LIMIT // 2, 0).tobytes()
+
+
+def test_pushing_ahead_below_the_limit_buffers_and_completes_on_threads():
+    res = _ahead(LIMIT // 2, "threads")
     assert res["cons"][0].tobytes() == _truth(LIMIT // 2, 0).tobytes()
