@@ -12,6 +12,7 @@ data that stub generators and dispatchers consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import OneWayReturnError, PRMIError
 
@@ -45,7 +46,8 @@ class MethodSpec:
     together; the framework groups the calls into one logical
     invocation) or ``independent`` (one caller rank to one callee rank).
     ``oneway``: the caller continues immediately; no return value and no
-    out arguments are allowed (§2.4).
+    out arguments are allowed (§2.4).  The derived parameter tuples are
+    computed on first use and kept (the spec is immutable).
     """
 
     name: str
@@ -66,15 +68,15 @@ class MethodSpec:
                 raise OneWayReturnError(
                     f"one-way method {self.name!r} must not have out args")
 
-    @property
+    @cached_property
     def in_params(self) -> tuple[Param, ...]:
         return tuple(p for p in self.params if p.mode in ("in", "inout"))
 
-    @property
+    @cached_property
     def out_params(self) -> tuple[Param, ...]:
         return tuple(p for p in self.params if p.mode in ("out", "inout"))
 
-    @property
+    @cached_property
     def parallel_params(self) -> tuple[Param, ...]:
         return tuple(p for p in self.params if p.kind == "parallel")
 
@@ -87,18 +89,21 @@ class PortType:
     methods: tuple[MethodSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        names = [m.name for m in self.methods]
-        if len(names) != len(set(names)):
+        by_name = {m.name: m for m in self.methods}
+        if len(by_name) != len(self.methods):
             raise PRMIError(f"port {self.name!r} has duplicate method names")
+        # not a field: kept out of eq, hash and repr
+        object.__setattr__(self, "_by_name", by_name)
 
     def method(self, name: str) -> MethodSpec:
-        for m in self.methods:
-            if m.name == name:
-                return m
-        raise PRMIError(f"port {self.name!r} has no method {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise PRMIError(
+                f"port {self.name!r} has no method {name!r}") from None
 
     def has_method(self, name: str) -> bool:
-        return any(m.name == name for m in self.methods)
+        return name in self._by_name
 
 
 def port(name: str, *methods: MethodSpec) -> PortType:

@@ -88,9 +88,9 @@ def _package_result(spec: MethodSpec, result: Any) -> Any:
     one key per out parameter, plus ``"return"`` when the method also
     declares a return value.  Plain methods pass through unchanged.
     """
-    out_names = [p.name for p in spec.out_params]
-    if not out_names:
+    if not spec.out_params:
         return result
+    out_names = [p.name for p in spec.out_params]
     if any(p.kind == "parallel" for p in spec.out_params):
         raise PRMIError(
             f"method {spec.name!r}: parallel out parameters are not "

@@ -8,15 +8,18 @@ contiguous buffer per communicating pair, positional layout agreed
 without metadata exchange), a *batch frame* coalesces every request a
 (caller, callee) pair exchanges per flush into one message:
 
-``[u64 header length | header | padded, packed array payloads]``
+``[u64 header length | header | padded array blocks]``
 
-The header is **one** pickle for the whole frame: the entry list with
-every NumPy array leaf replaced by an :class:`_ArrayRef` index, plus the
-(shape, dtype, offset, nbytes) table of the packed payload region.
-Array bytes are packed back-to-back (16-byte aligned) after the header,
-so decoding reconstructs each array as a zero-copy view into the
-received frame — no per-request pickling on either side, which is
-exactly what lint rule V107 enforces everywhere else.
+Array leaves of one (dtype, shape) form one *block*: a single
+``np.stack`` packs them as the rows of one ``(rows, *shape)`` array,
+and blocks sit back-to-back (16-byte aligned) after the header.  The
+header is **one** pickle for the whole frame: the entry list with every
+NumPy array leaf replaced by an :class:`_ArrayRef` naming its (block,
+row), plus the (dtype, shape, rows, offset) table of the blocks.
+Decoding makes one view per block and hands each leaf out as a row of
+it — zero-copy, and a 0-d leaf comes back as a 0-d array — so no
+per-request pickling happens on either side, which is exactly what
+lint rule V107 enforces everywhere else.
 
 Entries are ``(seq, name, payload)`` triples and deliberately
 direction-agnostic: the caller encodes ``(seq, method, kwargs)`` request
@@ -28,17 +31,22 @@ from __future__ import annotations
 
 import pickle
 import struct
+from math import prod
 from typing import Any, Sequence
 
 import numpy as np
 
 __all__ = ["encode_frame", "decode_frame", "FrameError"]
 
-#: Alignment of each packed array payload (bytes) — keeps decoded views
+#: Alignment of each packed block (bytes) — keeps decoded views
 #: aligned for every native dtype.
 _ALIGN = 16
 
 _LEN = struct.Struct("<Q")
+
+#: Leaf types that are neither arrays nor containers: both tree walks
+#: pass them through at the cost of one set lookup.
+_ATOMS = frozenset({int, float, str, bytes, bool, type(None)})
 
 
 class FrameError(ValueError):
@@ -46,45 +54,57 @@ class FrameError(ValueError):
 
 
 class _ArrayRef:
-    """Placeholder for an extracted array leaf: index into the frame's
-    payload table."""
+    """Placeholder for an extracted array leaf: row ``row`` of the
+    frame's block ``block``."""
 
-    __slots__ = ("index",)
+    __slots__ = ("block", "row")
 
-    def __init__(self, index: int):
-        self.index = index
+    def __init__(self, block: int, row: int):
+        self.block = block
+        self.row = row
 
     def __reduce__(self):
-        return (_ArrayRef, (self.index,))
+        return (_ArrayRef, (self.block, self.row))
 
 
-def _extract(value: Any, arrays: list[np.ndarray]) -> Any:
+def _extract(value: Any, blocks: dict) -> Any:
     """Replace every packable ndarray leaf in ``value`` with an
-    :class:`_ArrayRef`, appending the leaves to ``arrays``.  Containers
-    are rebuilt (the caller's objects are never mutated); object-dtype
-    arrays stay in the pickled header — raw bytes cannot carry them."""
-    if isinstance(value, np.ndarray) and value.dtype != object:
-        # ascontiguousarray promotes 0-d to 1-d; reshape restores it.
-        arrays.append(np.ascontiguousarray(value).reshape(value.shape))
-        return _ArrayRef(len(arrays) - 1)
+    :class:`_ArrayRef`, appending the leaf to the rows of its (dtype,
+    shape) block in ``blocks``.  Containers are rebuilt (the caller's
+    objects are never mutated); object-dtype arrays stay in the pickled
+    header — raw bytes cannot carry them."""
+    if type(value) in _ATOMS:
+        return value
+    if isinstance(value, np.ndarray) and not value.dtype.hasobject:
+        key = (value.dtype, value.shape)
+        block = blocks.get(key)
+        if block is None:
+            block = blocks[key] = (len(blocks), [])
+        rows = block[1]
+        rows.append(value)
+        return _ArrayRef(block[0], len(rows) - 1)
     if isinstance(value, dict):
-        return {k: _extract(v, arrays) for k, v in value.items()}
+        return {k: v if type(v) in _ATOMS else _extract(v, blocks)
+                for k, v in value.items()}
     if isinstance(value, tuple):
-        return tuple(_extract(v, arrays) for v in value)
+        return tuple(_extract(v, blocks) for v in value)
     if isinstance(value, list):
-        return [_extract(v, arrays) for v in value]
+        return [_extract(v, blocks) for v in value]
     return value
 
 
-def _restore(value: Any, arrays: Sequence[np.ndarray]) -> Any:
+def _restore(value: Any, views: Sequence[np.ndarray]) -> Any:
+    if type(value) in _ATOMS:
+        return value
     if isinstance(value, _ArrayRef):
-        return arrays[value.index]
+        return views[value.block][value.row, ...]
     if isinstance(value, dict):
-        return {k: _restore(v, arrays) for k, v in value.items()}
+        return {k: v if type(v) in _ATOMS else _restore(v, views)
+                for k, v in value.items()}
     if isinstance(value, tuple):
-        return tuple(_restore(v, arrays) for v in value)
+        return tuple(_restore(v, views) for v in value)
     if isinstance(value, list):
-        return [_restore(v, arrays) for v in value]
+        return [_restore(v, views) for v in value]
     return value
 
 
@@ -98,15 +118,18 @@ def encode_frame(entries: Sequence[tuple[int, str, Any]]) -> np.ndarray:
     Returns a 1-D ``uint8`` array (transports treat it as raw bytes; on
     the procs backend it rides a shared-memory slot untouched).
     """
-    arrays: list[np.ndarray] = []
-    wire_entries = [(int(seq), name, _extract(payload, arrays))
+    blocks: dict = {}
+    wire_entries = [(int(seq), name, _extract(payload, blocks))
                     for seq, name, payload in entries]
-    metas = []
+    layout = []
     offset = 0
-    for arr in arrays:
+    for (dtype, shape), (_index, rows) in blocks.items():
         offset = _pad(offset)
-        metas.append((arr.shape, arr.dtype.str, offset, arr.nbytes))
-        offset += arr.nbytes
+        nbytes = len(rows) * prod(shape) * dtype.itemsize
+        layout.append((dtype, shape, rows, offset, nbytes))
+        offset += nbytes
+    metas = [(dtype.str, shape, len(rows), off)
+             for dtype, shape, rows, off, _nbytes in layout]
     header = pickle.dumps((wire_entries, metas),
                           protocol=pickle.HIGHEST_PROTOCOL)
     payload_base = _pad(_LEN.size + len(header))
@@ -114,10 +137,11 @@ def encode_frame(entries: Sequence[tuple[int, str, Any]]) -> np.ndarray:
     frame[:_LEN.size] = np.frombuffer(_LEN.pack(len(header)), dtype=np.uint8)
     frame[_LEN.size:_LEN.size + len(header)] = np.frombuffer(
         header, dtype=np.uint8)
-    for arr, (_shape, _dt, off, nbytes) in zip(arrays, metas):
+    for dtype, shape, rows, off, nbytes in layout:
         if nbytes:
-            frame[payload_base + off:payload_base + off + nbytes] = \
-                arr.reshape(-1).view(np.uint8)
+            start = payload_base + off
+            np.stack(rows, out=frame[start:start + nbytes].view(dtype)
+                     .reshape((len(rows),) + shape))
     return frame
 
 
@@ -141,16 +165,17 @@ def decode_frame(frame: Any) -> list[tuple[int, str, Any]]:
     except Exception as exc:  # noqa: BLE001 - surface as protocol error
         raise FrameError(f"frame header failed to unpickle: {exc}") from exc
     payload_base = _pad(_LEN.size + hlen)
-    arrays: list[np.ndarray] = []
-    for shape, dtype_str, off, nbytes in metas:
-        end = payload_base + off + nbytes
+    views: list[np.ndarray] = []
+    for dtype_str, shape, count, off in metas:
+        dtype = np.dtype(dtype_str)
+        items = count * prod(shape)
+        end = payload_base + off + items * dtype.itemsize
         if end > len(buf):
             raise FrameError(
-                f"frame payload table overruns the buffer "
+                f"frame block table overruns the buffer "
                 f"({end} > {len(buf)})")
-        arr = np.frombuffer(buf, dtype=np.dtype(dtype_str),
-                            count=nbytes // np.dtype(dtype_str).itemsize,
-                            offset=payload_base + off).reshape(shape)
-        arrays.append(arr)
-    return [(seq, name, _restore(payload, arrays))
+        views.append(np.frombuffer(buf, dtype=dtype, count=items,
+                                   offset=payload_base + off)
+                     .reshape((count,) + shape))
+    return [(seq, name, _restore(payload, views))
             for seq, name, payload in wire_entries]

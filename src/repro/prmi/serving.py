@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro import config
 from repro.errors import PRMIError, ServerOverloaded
@@ -94,22 +94,27 @@ class InvocationFuture:
 
     Futures resolve lazily: :meth:`result` drains reply traffic (FIFO
     per source stream) until this future settles — there is no
-    background thread.  Latency from submission to settlement is
+    background thread.  ``resolve`` is the owning pipeline's bound
+    resolver, called with the future; ``source`` is the rank whose
+    stream answers it.  Latency from submission to settlement is
     recorded in :data:`~repro.util.counters.PRMI_LATENCY`.
     """
 
     __slots__ = ("method", "seq", "_resolve", "_t0", "_done",
-                 "_value", "_error", "_source")
+                 "_value", "_error", "_source", "_sent")
 
-    def __init__(self, method: str, seq: int, resolve=None):
+    def __init__(self, method: str, seq: int, resolve=None,
+                 source: int = -1, t0: float | None = None):
         self.method = method
         self.seq = seq
         self._resolve = resolve
-        self._t0 = time.perf_counter()
+        self._t0 = time.perf_counter() if t0 is None else t0
         self._done = False
         self._value: Any = None
         self._error: BaseException | None = None
-        self._source = -1
+        self._source = source
+        #: Whether the request has left its pending batch for the wire.
+        self._sent = False
 
     def done(self) -> bool:
         return self._done
@@ -148,6 +153,18 @@ def _completed(method: str, value: Any) -> InvocationFuture:
     fut = InvocationFuture(method, NOREPLY_SEQ)
     fut._settle(value=value)
     return fut
+
+
+class _Route(NamedTuple):
+    """How one method's requests travel through a pipeline — every
+    decision that depends on the method and the policy table alone,
+    resolved on the method's first submit."""
+
+    expects_reply: bool
+    batched: bool
+    cached: CachedRead | None
+    batch_max: int
+    delay_us: int
 
 
 class ServerLoop:
@@ -259,8 +276,8 @@ class ServerLoop:
             budget = self.queue_max
             for source, entries in frames:
                 replies: list[tuple[int, str, Any]] = []
+                self.served["requests"] += len(entries)
                 for seq, method, kwargs in entries:
-                    self.served["requests"] += 1
                     if budget <= 0:
                         self.served["overloads"] += 1
                         PRMI_STATS.add("overloads")
@@ -300,6 +317,12 @@ class InvocationPipeline:
     submitted-but-unresolved invocations: at the cap, ``overflow="block"``
     resolves the oldest future to make room and ``overflow="raise"``
     raises :class:`ServerOverloaded` at the call site.
+
+    A method's route (spec checks, policy, reply expectation, batch
+    limits) is resolved on its first submit and kept; assigning
+    :attr:`policies` drops every route.  The ``inflight`` gauge of
+    :data:`~repro.util.counters.PRMI_STATS` is posted once per frame,
+    increments before decrements, so its peak stays exact.
     """
 
     def __init__(self, caller: CallerEndpoint, *,
@@ -329,17 +352,31 @@ class InvocationPipeline:
         self._collective: deque = deque()
         self._seq = 0
         self._inflight = 0
+        #: in-flight increments not yet posted to the gauge.
+        self._unposted = 0
         self._closed = False
+
+    @property
+    def policies(self) -> PolicyTable:
+        return self._policies
+
+    @policies.setter
+    def policies(self, table: PolicyTable) -> None:
+        self._policies = table
+        self._routes: dict[str, _Route] = {}
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _inc_inflight(self) -> None:
-        self._inflight += 1
-        PRMI_STATS.gauge_add("inflight", 1)
-
-    def _dec_inflight(self) -> None:
-        self._inflight -= 1
-        PRMI_STATS.gauge_add("inflight", -1)
+    def _post_inflight(self, settled: int = 0) -> None:
+        """Post the unposted increments to the ``inflight`` gauge, then
+        ``settled`` decrements: this pipeline's level only falls after
+        every rise is on the gauge, so the peak it records is exact."""
+        if self._unposted:
+            PRMI_STATS.gauge_add("inflight", self._unposted)
+            self._unposted = 0
+        if settled:
+            self._inflight -= settled
+            PRMI_STATS.gauge_add("inflight", -settled)
 
     def _admit(self) -> None:
         while self._inflight >= self.inflight_max:
@@ -378,6 +415,48 @@ class InvocationPipeline:
         (one-way methods, :class:`~repro.prmi.policy.OneWay` policy)."""
         if self._closed:
             raise PRMIError("pipeline is closed")
+        route = self._routes.get(method) or self._route(method)
+        cached = route.cached
+        if cached is not None:
+            hit, value = cached.lookup(method, kwargs)
+            if hit:
+                return _completed(method, value)
+        if self._inflight >= self.inflight_max:
+            self._admit()
+        PRMI_STATS.add("invocations")
+        self.caller.stats.calls += 1
+        now = time.perf_counter()
+        if route.expects_reply:
+            fut = InvocationFuture(method, self._seq, self._resolve_reply,
+                                   callee_rank, now)
+            seq = self._seq
+            self._seq += 1
+        else:
+            fut = None
+            seq = NOREPLY_SEQ
+        pend = self._pending.get(callee_rank)
+        if not pend:
+            if pend is None:
+                pend = self._pending[callee_rank] = []
+            self._pending_t0[callee_rank] = now
+        pend.append((seq, method, kwargs, fut))
+        self._inflight += 1
+        self._unposted += 1
+        if not route.batched:
+            self._flush_callee(callee_rank, "flush_forced")
+            if fut is not None:
+                # Sync / cached-read contract: the reply is awaited
+                # before submit returns (the future comes back settled).
+                self._drain_replies(callee_rank, fut)
+                if cached is not None and fut._error is None:
+                    cached.store(method, kwargs, fut._value)
+        elif len(pend) >= route.batch_max:
+            self._flush_callee(callee_rank, "flush_full")
+        elif (now - self._pending_t0[callee_rank]) * 1e6 >= route.delay_us:
+            self._flush_callee(callee_rank, "flush_deadline")
+        return fut
+
+    def _route(self, method: str) -> _Route:
         spec = self.caller.port_type.method(method)
         if spec.invocation != "independent":
             raise PRMIError(
@@ -387,50 +466,16 @@ class InvocationPipeline:
             raise PRMIError(
                 "pipelined independent invocations cannot carry "
                 "parallel arguments")
-        policy = self.policies.for_method(spec)
-        expects_reply = policy.expects_reply(spec)
-        cached = isinstance(policy, CachedRead)
-        if cached:
-            hit, value = policy.lookup(method, kwargs)
-            if hit:
-                return _completed(method, value)
-        self._admit()
-        PRMI_STATS.add("invocations")
-        self.caller.stats.calls += 1
-        if expects_reply:
-            fut = InvocationFuture(
-                method, self._seq,
-                resolve=lambda f, c=callee_rank: self._ensure_resolved(c, f))
-            self._seq += 1
-        else:
-            fut = None
-        pend = self._pending.setdefault(callee_rank, [])
-        if not pend:
-            self._pending_t0[callee_rank] = time.perf_counter()
-        pend.append((fut.seq if fut is not None else NOREPLY_SEQ,
-                     method, kwargs, fut))
-        self._inc_inflight()
-        if not policy.batched:
-            self._flush_callee(callee_rank, "flush_forced")
-        else:
-            bmax = policy.batch_max if isinstance(policy, Batched) \
-                else self.batch_max
-            delay = policy.delay_us if isinstance(policy, Batched) \
-                else self.delay_us
-            if len(pend) >= bmax:
-                self._flush_callee(callee_rank, "flush_full")
-            else:
-                age_us = (time.perf_counter()
-                          - self._pending_t0[callee_rank]) * 1e6
-                if age_us >= delay:
-                    self._flush_callee(callee_rank, "flush_deadline")
-        if fut is not None and not policy.batched:
-            # Sync / cached-read contract: the reply is awaited before
-            # submit returns (the future comes back already settled).
-            self._drain_replies(callee_rank, fut)
-            if cached and fut._error is None:
-                policy.store(method, kwargs, fut._value)
-        return fut
+        policy = self._policies.for_method(spec)
+        own = isinstance(policy, Batched)
+        route = _Route(
+            expects_reply=policy.expects_reply(spec),
+            batched=policy.batched,
+            cached=policy if isinstance(policy, CachedRead) else None,
+            batch_max=policy.batch_max if own else self.batch_max,
+            delay_us=policy.delay_us if own else self.delay_us)
+        self._routes[method] = route
+        return route
 
     def invoke_collective(self, method: str,
                           **kwargs: Any) -> InvocationFuture:
@@ -451,12 +496,14 @@ class InvocationPipeline:
         self._admit()
         PRMI_STATS.add("invocations")
         PRMI_STATS.add("pipelined_calls")
-        fut = InvocationFuture(method, self._seq,
-                               resolve=self._drain_collective)
+        fut = InvocationFuture(method, self._seq, self._drain_collective,
+                               me % self.caller.n)
+        fut._sent = True
         self._seq += 1
-        fut._source = me % self.caller.n
         self._collective.append(fut)
-        self._inc_inflight()
+        self._inflight += 1
+        self._unposted += 1
+        self._post_inflight()
         return fut
 
     # -- flushing ------------------------------------------------------------
@@ -491,22 +538,26 @@ class InvocationPipeline:
         PRMI_STATS.add("frame_bytes", frame.nbytes)
         PRMI_STATS.add(reason)
         self.inter.send(frame, dest=callee, tag=frame_tag(REQUEST_STREAM))
-        queue = self._awaiting.setdefault(callee, deque())
+        queue = self._awaiting.get(callee)
+        if queue is None:
+            queue = self._awaiting[callee] = deque()
+        # Fire-and-forget entries leave the in-flight window when the
+        # request hits the wire.
+        noreply = 0
         for _seq, _method, _kwargs, fut in pend:
-            if fut is not None:
-                queue.append(fut)
+            if fut is None:
+                noreply += 1
             else:
-                # Fire-and-forget: leaves the in-flight window when the
-                # request hits the wire.
-                self._dec_inflight()
+                fut._sent = True
+                queue.append(fut)
+        self._post_inflight(noreply)
 
     # -- resolution ----------------------------------------------------------
 
-    def _ensure_resolved(self, callee: int, target: InvocationFuture) -> None:
-        if any(entry[3] is target
-               for entry in self._pending.get(callee, ())):
-            self._flush_callee(callee, "flush_forced")
-        self._drain_replies(callee, target)
+    def _resolve_reply(self, target: InvocationFuture) -> None:
+        if not target._sent:
+            self._flush_callee(target._source, "flush_forced")
+        self._drain_replies(target._source, target)
 
     def _drain_replies(self, callee: int,
                        target: InvocationFuture | None = None) -> None:
@@ -519,7 +570,8 @@ class InvocationPipeline:
         while queue and (target is None or not target._done):
             buf = self.inter.recv(source=callee,
                                   tag=frame_tag(REPLY_STREAM))
-            for seq, status, value in decode_frame(buf):
+            entries = decode_frame(buf)
+            for seq, status, value in entries:
                 if not queue:  # pragma: no cover - protocol guard
                     raise PRMIError(
                         f"reply frame entry seq {seq} with no future "
@@ -536,7 +588,7 @@ class InvocationPipeline:
                 else:
                     fut._settle(error=value if isinstance(value, BaseException)
                                 else PRMIError(str(value)))
-                self._dec_inflight()
+            self._post_inflight(len(entries))
 
     def _drain_collective(self, target: InvocationFuture) -> None:
         """Settle pipelined collective futures FIFO until ``target``
@@ -548,7 +600,7 @@ class InvocationPipeline:
             fut = self._collective.popleft()
             value = self.inter.recv(source=fut._source, tag=RETURN_TAG)
             fut._settle(value=value)
-            self._dec_inflight()
+            self._post_inflight(1)
 
     def drain(self) -> None:
         """Flush and settle everything outstanding.  Errors are kept in

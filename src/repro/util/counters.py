@@ -3,6 +3,12 @@
 Every communicator carries a :class:`Counters` instance so benchmarks can
 report deterministic *shape* metrics — messages, bytes, barriers — beside
 wall-clock time (which on a thread-simulated runtime is only indicative).
+
+Increments take no lock: each thread adds into its own *shard*,
+registered on its first increment, and reads sum the shards under the
+lock.  Counts stay exact — a shard has one writer, and a reader copies
+it in one step — and a finished thread's shard is folded into the base
+on the next read, so the shard list is bounded by the live threads.
 """
 
 from __future__ import annotations
@@ -12,16 +18,80 @@ from bisect import bisect_left
 from collections import defaultdict
 
 
-class Counters:
-    """Thread-safe named integer counters."""
+class _Sharded:
+    """The shard registry :class:`Counters` and :class:`Histogram`
+    share: one accumulator per thread, looked up through a
+    ``threading.local`` on the increment path, and a lock taken only to
+    register a shard, read, or reset."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        self._local = threading.local()
+        self._shards: list[tuple[threading.Thread, object]] = []
+
+    def _new_shard(self):  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _fold(self, shard) -> None:  # pragma: no cover - abstract
+        """Add a finished thread's ``shard`` into the base (lock held)."""
+        raise NotImplementedError
+
+    def _register(self):
+        shard = self._new_shard()
+        with self._lock:
+            self._local.shard = shard
+            self._shards.append((threading.current_thread(), shard))
+        return shard
+
+    def _live_shards(self) -> list:
+        """The live threads' shards, after folding the finished
+        threads' shards into the base (lock held).  A reader takes each
+        one whole with ``.copy()`` or ``.get()`` — a single step under
+        the GIL, so it never sees a half-made increment."""
+        live = []
+        for thread, shard in self._shards:
+            if thread.is_alive():
+                live.append((thread, shard))
+            else:
+                self._fold(shard)
+        self._shards = live
+        return [shard for _thread, shard in live]
+
+    def _drop_shards(self) -> None:
+        """Forget every shard (lock held).  A thread keeps adding into
+        its old shard only for an increment already under way, which
+        then lands before the reset; nothing is revived after it."""
+        self._local = threading.local()
+        self._shards = []
+
+
+class Counters(_Sharded):
+    """Named integer counters, exact under any number of threads.
+
+    :meth:`add` takes no lock: it increments the calling thread's shard.
+    :meth:`get` and :meth:`snapshot` sum the base and every shard under
+    the lock, and :meth:`reset` clears both.  Gauges
+    (:meth:`gauge_add`) keep the lock: a peak needs the level in one
+    place.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
         self._data: dict[str, int] = defaultdict(int)
 
+    def _new_shard(self) -> dict[str, int]:
+        return defaultdict(int)
+
+    def _fold(self, shard: dict[str, int]) -> None:
+        for name, value in shard.items():
+            self._data[name] += value
+
     def add(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            self._data[name] += int(amount)
+        try:
+            shard = self._local.shard
+        except AttributeError:
+            shard = self._register()
+        shard[name] += int(amount)
 
     def gauge_add(self, name: str, delta: int) -> None:
         """Move a *level* gauge by ``delta`` and maintain its high-water
@@ -39,15 +109,23 @@ class Counters:
 
     def get(self, name: str) -> int:
         with self._lock:
-            return self._data.get(name, 0)
+            live = self._live_shards()      # folds finished threads first
+            return self._data.get(name, 0) + sum(
+                shard.get(name, 0) for shard in live)
 
     def snapshot(self) -> dict[str, int]:
         with self._lock:
-            return dict(self._data)
+            live = self._live_shards()      # folds finished threads first
+            out = dict(self._data)
+            for shard in live:
+                for name, value in shard.copy().items():
+                    out[name] = out.get(name, 0) + value
+            return out
 
     def reset(self) -> None:
         with self._lock:
             self._data.clear()
+            self._drop_shards()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Counters({self.snapshot()!r})"
@@ -87,8 +165,9 @@ class Counters:
 TRANSPORT_STATS = Counters()
 
 
-class Histogram:
-    """Thread-safe log-spaced latency histogram (microsecond domain).
+class Histogram(_Sharded):
+    """Log-spaced latency histogram (microsecond domain), exact under
+    any number of threads.
 
     Buckets grow geometrically from 1 µs to ~17 s (×2 per bucket), which
     keeps recording O(log n) and percentile error under a factor of two
@@ -96,49 +175,70 @@ class Histogram:
     order-of-magnitude events.  ``record`` takes seconds (what
     ``time.perf_counter`` subtraction yields); ``percentile`` returns
     microseconds (the upper edge of the bucket holding the quantile).
+    Like :class:`Counters`, :meth:`record` takes no lock: it adds into
+    the calling thread's shard (the bucket counts, then the µs sum), and
+    every read sums the shards under the lock.
     """
 
     #: Bucket upper edges in microseconds: 1, 2, 4, ... 2**24.
     EDGES = tuple(float(1 << i) for i in range(25))
+    #: A shard's (and the base's) slots: one per bucket, then the µs sum.
+    _SLOTS = len(EDGES) + 2
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._buckets = [0] * (len(self.EDGES) + 1)
-        self._count = 0
-        self._sum_us = 0.0
+        super().__init__()
+        self._base = self._new_shard()
+
+    def _new_shard(self) -> list:
+        shard = [0] * self._SLOTS
+        shard[-1] = 0.0
+        return shard
+
+    def _fold(self, shard: list) -> None:
+        self._base = [a + b for a, b in zip(self._base, shard)]
 
     def record(self, seconds: float) -> None:
         us = seconds * 1e6
-        idx = bisect_left(self.EDGES, us)
+        try:
+            shard = self._local.shard
+        except AttributeError:
+            shard = self._register()
+        shard[bisect_left(self.EDGES, us)] += 1
+        shard[-1] += us
+
+    def _totals(self) -> list:
         with self._lock:
-            self._buckets[idx] += 1
-            self._count += 1
-            self._sum_us += us
+            live = self._live_shards()      # folds finished threads first
+            totals = self._base
+            for shard in live:
+                totals = [a + b for a, b in zip(totals, shard.copy())]
+            return totals
 
     @property
     def count(self) -> int:
-        with self._lock:
-            return self._count
+        return sum(self._totals()[:-1])
 
     def mean_us(self) -> float:
-        with self._lock:
-            return self._sum_us / self._count if self._count else 0.0
+        totals = self._totals()
+        count = sum(totals[:-1])
+        return totals[-1] / count if count else 0.0
 
     def percentile(self, q: float) -> float:
         """Upper bucket edge (µs) at quantile ``q`` in [0, 1]."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q} outside [0, 1]")
-        with self._lock:
-            if self._count == 0:
-                return 0.0
-            target = q * self._count
-            seen = 0
-            for i, c in enumerate(self._buckets):
-                seen += c
-                if seen >= target and c:
-                    return (self.EDGES[i] if i < len(self.EDGES)
-                            else self.EDGES[-1] * 2)
-            return self.EDGES[-1] * 2
+        buckets = self._totals()[:-1]
+        count = sum(buckets)
+        if count == 0:
+            return 0.0
+        target = q * count
+        seen = 0
+        for i, c in enumerate(buckets):
+            seen += c
+            if seen >= target and c:
+                return (self.EDGES[i] if i < len(self.EDGES)
+                        else self.EDGES[-1] * 2)
+        return self.EDGES[-1] * 2
 
     def snapshot(self) -> dict[str, float]:
         return {"count": self.count, "mean_us": self.mean_us(),
@@ -147,9 +247,8 @@ class Histogram:
 
     def reset(self) -> None:
         with self._lock:
-            self._buckets = [0] * (len(self.EDGES) + 1)
-            self._count = 0
-            self._sum_us = 0.0
+            self._base = self._new_shard()
+            self._drop_shards()
 
 
 #: Process-wide PRMI serving accounting (:mod:`repro.prmi.serving`).
@@ -168,8 +267,10 @@ class Histogram:
 #: backpressure (caller-side credit or the server's bounded queue).
 #:
 #: Gauge (via :meth:`Counters.gauge_add`): ``inflight`` — submitted-but-
-#: unresolved requests across pipelines; ``peak_inflight`` is the queue
-#: depth high-water mark the serving benchmark records.
+#: unresolved requests across pipelines, posted once per frame (a batch
+#: not yet shipped is not on it); ``peak_inflight`` is the queue depth
+#: high-water mark the serving benchmark records, exact because a
+#: pipeline posts its increments before any decrement.
 PRMI_STATS = Counters()
 
 #: Caller-observed request latency (submit → resolved), µs buckets.

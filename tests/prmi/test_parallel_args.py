@@ -1,5 +1,7 @@
 """Parallel-argument PRMI tests: both callee-layout strategies."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -233,9 +235,12 @@ def _compiles():
 ], ids=["preregistered", "lazy", "subset", "merged"])
 def test_parallel_arg_schedule_is_fetched_and_compiled_once(cohort, subset,
                                                             n, lazy):
-    """Both cohorts take the M×N schedule from the shared cache: after
-    the first call no call builds a schedule or compiles a plan, and
-    every call still delivers exactly its own bytes."""
+    """Both cohorts take the M×N schedule from their process's cache:
+    each address space builds it once, on the first call, and compiles
+    only the plans of the sides its ranks are on; after the first call
+    nothing is built or compiled, and every call still delivers exactly
+    its own bytes.  On threads every rank shares one process; on procs
+    each rank is its own."""
     m = len(subset) if subset else cohort
     src_desc = DistArrayDescriptor(block_template(SHAPE, (m, 1)), G.dtype)
     layout = DistArrayDescriptor(block_template(SHAPE, (1, n)), G.dtype)
@@ -266,7 +271,7 @@ def test_parallel_arg_schedule_is_fetched_and_compiled_once(cohort, subset,
                 inter.recv(source=0, tag=_SYNC_TAG)
             comm.barrier()
             snaps.append(_compiles())
-        return snaps
+        return os.getpid(), ep.caller_rank is not None, snaps
 
     def callee(comm):
         inter = ns.accept("fp", comm)
@@ -276,25 +281,39 @@ def test_parallel_arg_schedule_is_fetched_and_compiled_once(cohort, subset,
             ep.set_param_layout("norm", "field", layout)
         if subset:
             ep.accept_subset()
+        snaps = []
         for _ in range(_CALLS):
             ep.serve_one()
             comm.barrier()
+            snaps.append(_compiles())
             if comm.rank == 0:
                 inter.send(None, 0, tag=_SYNC_TAG)
-        return impl.seen
+        return os.getpid(), impl.seen, snaps
 
     out = run_coupled([("callee", n, callee, ()),
                        ("caller", cohort, caller, ())])
     for call in range(_CALLS):
         parts = []
-        for r, seen in enumerate(out["callee"]):
+        for r, (_pid, seen, _snaps) in enumerate(out["callee"]):
             da = DistributedArray.allocate(layout, r)
             da.flat_local()[:] = seen[call]
             parts.append(da)
         assert (DistributedArray.assemble(parts).tobytes()
                 == _truth(call).tobytes())
-    snaps = out["caller"][0]
-    # one template pair: one build, one plan per (side, rank) that moves data
-    assert snaps[0] == (1, m + n, 2 * GLOBAL_CACHE.get(
-        src_desc, layout).pair_count)
-    assert snaps[1:] == [snaps[0]] * (_CALLS - 1)
+    # per address space: the sides its participating ranks are on
+    ranks = ([(pid, "src" if engaged else None, snaps)
+              for pid, engaged, snaps in out["caller"]]
+             + [(pid, "dst", snaps) for pid, _seen, snaps in out["callee"]])
+    sides: dict[int, set] = {}
+    for pid, side, _snaps in ranks:
+        sides.setdefault(pid, set()).update([side] if side else [])
+    side_ranks = {"src": m, "dst": n}
+    pairs = GLOBAL_CACHE.get(src_desc, layout).pair_count
+    for pid, _side, snaps in ranks:
+        mine = sides[pid]
+        # one template pair: one build, and each of its sides compiles
+        # every rank of that side in one pass
+        assert snaps[0] == (int(bool(mine)),
+                            sum(side_ranks[s] for s in mine),
+                            len(mine) * pairs)
+        assert snaps[1:] == [snaps[0]] * (_CALLS - 1)

@@ -24,6 +24,7 @@ from repro.prmi import (
 from repro.prmi.endpoint import _args_equal
 from repro.simmpi import NameService, run_coupled
 from repro.simmpi.intercomm import default_nameservice
+from repro.util.counters import PRMI_STATS
 
 BACKENDS = ["threads", "procs"]
 
@@ -131,6 +132,77 @@ def test_batched_oneway_interleave_matches_unbatched(backend):
         assert tallies["errors"] == 0
         # one-way notes rode the frames: requests > replied invocations
         assert tallies["requests"] >= 11
+
+
+# -- policy swap mid-life ------------------------------------------------------
+
+_SHIP = ("frames_sent", "flush_forced", "frame_requests")
+
+
+def _policy_swap_caller(comm, service):
+    table = PolicyTable(default=Batched(batch_max=64, delay_us=10**7))
+    pipe = _pipeline(comm, service, policies=table)
+    batched = [pipe.submit("add", 0, a=i, b=0) for i in range(3)]
+    batched = [f.result() for f in batched]
+    pipe.policies = PolicyTable(default=Sync())
+    shipped, synced = [], []
+    for i in range(3):
+        before = PRMI_STATS.snapshot()
+        fut = pipe.submit("add", 0, a=i, b=1)
+        after = PRMI_STATS.snapshot()
+        shipped.append(tuple(after.get(k, 0) - before.get(k, 0)
+                             for k in _SHIP))
+        synced.append((fut.done(), fut.result()))
+    pipe.close()
+    return batched, shipped, synced
+
+
+@pytest.mark.parametrize("backend", BACKENDS,
+                         ids=[f"backend-{b}" for b in BACKENDS])
+def test_policy_swap_takes_effect_on_the_next_submit(backend):
+    """A pipeline resolves each method's route once; assigning a new
+    policy table must drop those routes, so the next submit ships as
+    its own frame under the new policy."""
+    out = run_coupled([
+        ("callee", 1, _callee, ("serve-swap",)),
+        ("caller", 1, _policy_swap_caller, ("serve-swap",)),
+    ], backend=backend)
+    batched, shipped, synced = out["caller"][0]
+    assert batched == [0, 1, 2]
+    assert shipped == [(1, 1, 1)] * 3
+    assert synced == [(True, 1), (True, 2), (True, 3)]
+
+
+# -- the in-flight gauge ---------------------------------------------------------
+
+def _gauge_caller(comm, service):
+    table = PolicyTable(default=Batched(batch_max=4, delay_us=10**7))
+    pipe = _pipeline(comm, service, policies=table, inflight_max=6,
+                     overflow="block")
+    PRMI_STATS.reset()
+    futs = [pipe.submit("add", 0, a=i, b=0) for i in range(6)]
+    full = PRMI_STATS.get("inflight")       # 2 requests still unposted
+    futs += [pipe.submit("add", 0, a=i, b=0) for i in range(6, 20)]
+    pipe.drain()
+    got = ([f.result() for f in futs], full, PRMI_STATS.get("inflight"),
+           PRMI_STATS.get("peak_inflight"))
+    pipe.close()
+    return got
+
+
+def test_inflight_gauge_peak_is_exact_when_posted_per_frame():
+    """The gauge is posted once per frame; the increments of a batch
+    not yet shipped are posted before any decrement, so a pipeline
+    that fills its window records exactly ``inflight_max``."""
+    out = run_coupled([
+        ("callee", 1, _callee, ("serve-gauge",)),
+        ("caller", 1, _gauge_caller, ("serve-gauge",)),
+    ])
+    values, full, level, peak = out["caller"][0]
+    assert values == list(range(20))
+    assert full == 4
+    assert level == 0
+    assert peak == 6
 
 
 # -- subset engagement mid-pipeline ------------------------------------------

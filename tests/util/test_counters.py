@@ -1,8 +1,9 @@
 """Instrumentation counter tests."""
 
+import sys
 import threading
 
-from repro.util.counters import Counters
+from repro.util.counters import Counters, Histogram
 
 
 def test_basic_accounting():
@@ -45,6 +46,107 @@ def test_thread_safety():
     for t in threads:
         t.join()
     assert c.get("hits") == n * per
+
+
+def _run_threads(targets, timeout=30.0):
+    """Start one thread per target under a short switch interval (so
+    increments interleave), join each with a timeout, and check every
+    one finished."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=t) for t in targets]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_adds_stay_exact_while_another_thread_snapshots():
+    c = Counters()
+    n, per = 8, 2000
+    done = threading.Event()
+    seen = []
+
+    def adder():
+        for _ in range(per):
+            c.add("hits")
+            c.add("bytes", 3)
+
+    def reader():
+        while not done.is_set():
+            snap = c.snapshot()
+            seen.append((snap.get("hits", 0), c.get("hits")))
+
+    watcher = threading.Thread(target=reader)
+    watcher.start()
+    try:
+        _run_threads([adder] * n)
+    finally:
+        done.set()
+        watcher.join(30.0)
+    assert not watcher.is_alive()
+    assert c.get("hits") == n * per
+    assert c.snapshot() == {"hits": n * per, "bytes": 3 * n * per}
+    # reads in between never run ahead of the adds, nor backwards
+    assert all(0 <= a <= b <= n * per for a, b in seen)
+
+
+def test_a_finished_thread_keeps_its_counts():
+    c = Counters()
+    _run_threads([lambda: c.add("x", 5)])
+    assert c.get("x") == 5           # folded into the base on this read
+    _run_threads([lambda: c.add("x", 2)] * 3)
+    c.add("x")
+    assert c.snapshot() == {"x": 12}
+    assert len(c._shards) == 1       # only this (live) thread's shard
+
+
+def test_reset_clears_every_shard():
+    c = Counters()
+    go, stop = threading.Event(), threading.Event()
+
+    def parked():
+        c.add("x", 10)
+        go.set()
+        stop.wait(30.0)
+        c.add("x", 1)                # after the reset: a fresh shard
+
+    t = threading.Thread(target=parked)
+    t.start()
+    try:
+        assert go.wait(30.0)
+        c.add("x", 100)
+        assert c.get("x") == 110
+        c.reset()
+        assert c.snapshot() == {}
+        c.add("y")
+    finally:
+        stop.set()
+        t.join(30.0)
+    assert not t.is_alive()
+    assert c.snapshot() == {"x": 1, "y": 1}
+
+
+def test_histogram_count_and_p50_exact_under_concurrent_record():
+    h = Histogram()
+    n, per = 8, 1000
+
+    def recorder():
+        for k in range(per):
+            # three quarters at 3 µs (bucket edge 4), a quarter at 100 µs
+            h.record(100e-6 if k % 4 == 0 else 3e-6)
+
+    _run_threads([recorder] * n)
+    assert h.count == n * per
+    assert h.percentile(0.50) == 4.0
+    assert h.percentile(0.99) == 128.0
+    assert abs(h.mean_us() - (0.75 * 3 + 0.25 * 100)) < 1e-6
+    h.reset()
+    assert h.count == 0 and h.percentile(0.5) == 0.0
 
 
 def test_gauge_add_tracks_level_and_peak():
