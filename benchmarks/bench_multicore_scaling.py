@@ -285,10 +285,13 @@ def smoke():
                          f"< floor {base['ratio_floor']}x on {cores} cores")
     runs = smoke_runs(base)
     print(f"bench_multicore_scaling smoke: OK (identical bytes on both "
-          f"backends, 0 steady-state slot allocs, ratio {ratio:.2f}x on "
-          f"{cores} core(s); default options: {runs['oversize']} "
-          f"multi-slot messages, {runs['ring_full']} ring-full waits, "
-          f"0 slot allocs, every message on its pair's ring)")
+          f"backends, 0 steady-state slot allocs; default options: "
+          f"{runs['oversize']} multi-slot messages, 0 slot allocs, every "
+          f"message on its pair's ring)")
+    # timing-dependent counts on their own line, so the line above
+    # compares literally between two revisions
+    print(f"timing: ratio {ratio:.2f}x on {cores} core(s), "
+          f"{runs['ring_full']} ring-full waits")
 
 
 def smoke_runs(base):

@@ -46,7 +46,6 @@ EXPERIMENTS = [
     ("A7", "bench_persistent_steady_state"),
     ("A8", "bench_multicore_scaling"),
     ("A9", "bench_rma_steady_state"),
-    ("A10", "bench_collective_memory"),
     ("A11", "bench_prmi_serving"),
     ("A12", "bench_reconfigure"),
 ]

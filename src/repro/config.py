@@ -91,12 +91,9 @@ KNOBS = {k.name: k for k in (
     Knob("tsan", "REPRO_TSAN", "flag", False, None, ValueError,
          "Happens-before race sanitizer over the shared-memory protocols."),
     Knob("tier", "REPRO_TIER", "choice", "two_sided",
-         ("two_sided", "rma", "collective", "auto"), ScheduleError,
+         ("two_sided", "rma"), ScheduleError,
          "Eager messages (above `EAGER_MAX` puts on procs, ready tokens on "
-         "threads), puts for every pair, memory-bounded rounds, or the cost "
-         "model's pick."),
-    Knob("round_bytes", "REPRO_ROUND_BYTES", "int", 1 << 16, 1, ScheduleError,
-         "Per-rank, per-round byte cap of collective round plans."),
+         "threads) or puts for every pair."),
     Knob("schedule_cache_max", "REPRO_SCHEDULE_CACHE_MAX", "int", 512, 0,
          ScheduleError,
          "LRU bound of a `ScheduleCache`, live per insert (`0` = unbounded)."),

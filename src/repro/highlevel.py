@@ -109,7 +109,6 @@ def _resolve_new_descriptor(old_desc: DistArrayDescriptor, new_dist,
 def reconfigure(comm: Communicator, darray: DistributedArray | None,
                 new_dist, new_nranks: int | None = None, *,
                 tier: str | None = None,
-                round_bytes: int | None = None,
                 cache=None) -> DistributedArray | None:
     """Resize a live distributed array to a new decomposition, moving
     only the bytes whose owner changed — the elastic counterpart of
@@ -127,9 +126,8 @@ def reconfigure(comm: Communicator, darray: DistributedArray | None,
     the shared :class:`~repro.schedule.builder.ScheduleCache` (a
     repeated resize is a pure cache hit), split it into migration +
     kept, repack kept bytes locally, stream only the
-    migration through the existing execution engines (``tier`` /
-    ``round_bytes`` as in :func:`redistribute`; under ``auto`` the cost
-    model picks the tier), then — after a drain barrier guarantees no
+    migration through the existing execution engines (``tier`` as in
+    :func:`redistribute`), then — after a drain barrier guarantees no
     rank still has transfer steps in flight — atomically swap the
     ownership map (:meth:`~repro.dad.darray.DistributedArray.adopt`).
 
@@ -178,15 +176,10 @@ def reconfigure(comm: Communicator, darray: DistributedArray | None,
             if darray is not None:
                 delta.apply_local(me, darray.flat_local(),
                                   incoming.flat_local())
-    if comm.size > max(old_n, new_n):
-        # Spare ranks hold neither side, and collective rounds need
-        # every comm rank on at least one; all ranks compute this
-        # predicate identically, so the cohort agrees on two-sided.
-        tier = "two_sided"
     execute_intra(delta.migration, comm, src_array=darray,
                   dst_array=incoming, src_ranks=range(old_n),
                   dst_ranks=range(new_n), tag=_RESIZE_TAG,
-                  tier=tier, round_bytes=round_bytes)
+                  tier=tier)
     # Drain: no rank may swap its ownership map while any peer still
     # has migration steps in flight — after this barrier every receive
     # everywhere has completed, so the swap is globally atomic.
@@ -229,11 +222,10 @@ class Channel:
     :data:`~repro.schedule.executor.EAGER_MAX` wire bytes (MPI's
     rendezvous) and sends the rest as buffered messages that never
     wait.  On the threads backend those pairs wait for the consumer's
-    ``pull`` too, for its ready token instead of its window.  ``tier="collective"`` (or ``auto`` deciding so) selects
-    memory-bounded acknowledged rounds, which wait too.  Producer and
-    consumer of a channel that waits proceed in lockstep — two programs
-    that each push before pulling the reverse channel need one whose
-    pairs stay eager (or pre-arm) to avoid a cycle.
+    ``pull`` too, for its ready token instead of its window.  Producer
+    and consumer of a channel that waits proceed in lockstep — two
+    programs that each push before pulling the reverse channel need one
+    whose pairs stay eager (or pre-arm) to avoid a cycle.
     """
 
     def __init__(self, inter: Intercommunicator, role: str,
@@ -249,8 +241,8 @@ class Channel:
 
     @property
     def mode(self) -> str:
-        """The resolved execution tier: ``"two_sided"`` (put pairs
-        included), ``"rma"`` or ``"collective"``."""
+        """The resolved execution tier: ``"two_sided"`` (put and token
+        pairs included) or ``"rma"``."""
         return self._transfer.tier
 
     def push(self) -> None:

@@ -37,17 +37,17 @@ _TAG_SPACE = 512
 
 #: Knobs both jobs of a coupling must resolve identically: with the
 #: agreed schedule, dtype and transport they determine the tier.
-_AGREED = ("tier", "round_bytes")
+_AGREED = ("tier",)
 
 
 def agreed_requests(tier: str | None = None, *,
                     one_shot: bool = False) -> dict:
     """This job's :data:`_AGREED` requests, resolved and named for
     :func:`handshake`'s messages.  A one-shot never takes RMA, so its
-    ``rma`` request agrees with ``two_sided``."""
+    ``rma`` request agrees with ``two_sided``: one-shots cannot
+    disagree."""
     tier = config.resolve("tier", tier)
-    mine = {"tier": "two_sided" if one_shot and tier == "rma" else tier,
-            "round_bytes": config.resolve("round_bytes", None)}
+    mine = {"tier": "two_sided" if one_shot else tier}
     return {f"{k} ({config.KNOBS[k].env})": mine[k] for k in _AGREED}
 
 

@@ -15,7 +15,9 @@ Array leaves of one (dtype, shape) form one *block*: a single
 and blocks sit back-to-back (16-byte aligned) after the header.  The
 header is **one** pickle for the whole frame: the entry list with every
 NumPy array leaf replaced by an :class:`_ArrayRef` naming its (block,
-row), plus the (dtype, shape, rows, offset) table of the blocks.
+row), plus the (dtype, shape, rows, offset) table of the blocks, each
+dtype as its ``.npy`` descriptor so a structured or padded one comes
+back whole.
 Decoding makes one view per block and hands each leaf out as a row of
 it — zero-copy, and a 0-d leaf comes back as a 0-d array — so no
 per-request pickling happens on either side, which is exactly what
@@ -35,6 +37,7 @@ from math import prod
 from typing import Any, Sequence
 
 import numpy as np
+from numpy.lib.format import descr_to_dtype, dtype_to_descr
 
 __all__ = ["encode_frame", "decode_frame", "FrameError"]
 
@@ -128,7 +131,7 @@ def encode_frame(entries: Sequence[tuple[int, str, Any]]) -> np.ndarray:
         nbytes = len(rows) * prod(shape) * dtype.itemsize
         layout.append((dtype, shape, rows, offset, nbytes))
         offset += nbytes
-    metas = [(dtype.str, shape, len(rows), off)
+    metas = [(dtype_to_descr(dtype), shape, len(rows), off)
              for dtype, shape, rows, off, _nbytes in layout]
     header = pickle.dumps((wire_entries, metas),
                           protocol=pickle.HIGHEST_PROTOCOL)
@@ -166,8 +169,8 @@ def decode_frame(frame: Any) -> list[tuple[int, str, Any]]:
         raise FrameError(f"frame header failed to unpickle: {exc}") from exc
     payload_base = _pad(_LEN.size + hlen)
     views: list[np.ndarray] = []
-    for dtype_str, shape, count, off in metas:
-        dtype = np.dtype(dtype_str)
+    for descr, shape, count, off in metas:
+        dtype = descr_to_dtype(descr)
         items = count * prod(shape)
         end = payload_base + off + items * dtype.itemsize
         if end > len(buf):

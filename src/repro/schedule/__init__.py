@@ -53,15 +53,6 @@ from repro.schedule.delta import (
     DeltaSchedule,
     compile_delta,
 )
-from repro.schedule.collplan import (
-    CollectivePlan,
-    RoundChunk,
-    plan_collective_rounds,
-)
-from repro.schedule.costmodel import (
-    CostEstimate,
-    estimate,
-)
 from repro.schedule.executor import (
     BoundTransfer,
     Tier,
@@ -96,11 +87,6 @@ __all__ = [
     "Tier",
     "resolve_tier",
     "BufferPool",
-    "CollectivePlan",
-    "RoundChunk",
-    "plan_collective_rounds",
-    "CostEstimate",
-    "estimate",
     "pack_regions",
     "unpack_regions",
     "region_offsets",

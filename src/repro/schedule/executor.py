@@ -1,4 +1,4 @@
-"""Schedule execution: one bound-transfer core, three tiers.
+"""Schedule execution: one bound-transfer core, two tiers.
 
 A schedule is computed once and replayed (paper §2.3); this module is
 the one way to replay it.  :func:`bind` ties one side of a schedule to
@@ -32,58 +32,47 @@ release as soon as the send returns — zero steady-state allocations.
 Every verb of a closed transfer raises
 :class:`~repro.errors.ConnectionError_`.
 
-The tiers — small strategy halves over that shared core (``picked
-when`` is :func:`resolve_tier`'s rule).  The two point-to-point tiers
-are the same halves: a pair goes *eager* (one lent message into a sink
-the receiver preposts) or, above the tier's ``eager_max`` wire bytes,
-by *rendezvous*.  Over an ``rma_capable`` transport (procs) a
-rendezvous pair is a *put* (``wait_open → put → commit`` straight into
-the receiver's shared window, the array rebased into it at bind);
-over one with no windows (threads) it is a *token* pair (the
-receiver's ``arm`` preposts the sink and then sends a ready token on
-``READY_TAG_BASE`` + the data tag; the sender receives it before it
-lends the pair, so the lent view always meets an armed sink and is
-never snapshotted):
+The two tiers are the same pair of halves over that shared core
+(``picked when`` is :func:`resolve_tier`'s rule): a pair goes *eager*
+(one lent message into a sink the receiver preposts) or, above the
+tier's ``eager_max`` wire bytes, by *rendezvous*.  Over an
+``rma_capable`` transport (procs) a rendezvous pair is a *put*
+(``wait_open → put → commit`` straight into the receiver's shared
+window, the array rebased into it at bind); over one with no windows
+(threads) it is a *token* pair (the receiver's ``arm`` preposts the sink
+and then sends a ready token on ``READY_TAG_BASE`` + the data tag; the
+sender receives it before it lends the pair, so the lent view always
+meets an armed sink and is never snapshotted):
 
-===========  ======================  ======================  ======================
-             ``two_sided``           ``rma``                 ``collective``
-===========  ======================  ======================  ======================
-rendezvous   above :data:`EAGER_MAX` all, as puts           —
-pairs        — puts if persistent    (``eager_max`` 0)
-             over an
-             ``rma_capable``
-             transport, tokens over
-             one with no windows
-             (one-shots too), none
-             on a procs one-shot
-who blocks   nobody on an eager      a sender waits for the  round *r+1* is not
-on whom      pair (buffered sends);  receiver's exposure     packed until round *r*
-             a rendezvous pair's     epoch, the receiver     is drained: lockstep,
-             sender waits for the    fences once per step:   peak residency
-             receiver's ``arm``      lockstep                O(round buffer)
-             (its epoch or token)
-``close()``  as ``rma`` if it has    sender detaches its     nothing
-releases     put pairs, else         remote windows;
-             nothing                 receiver evacuates its
-                                     array, retires the
-                                     window
-picked       ``tier="two_sided"``    ``tier="rma"`` on a     ``tier="collective"``,
-when         (the default), ``rma``  persistent transfer     or ``auto`` when the
-             on a one-shot or an     over an                 cost model says
-             incapable transport,    ``rma_capable``         two-sided residency
-             ``auto`` under the      transport               exceeds the ceiling
-             ceiling
-===========  ======================  ======================  ======================
+===========  ==========================  ==========================
+             ``two_sided``               ``rma``
+===========  ==========================  ==========================
+rendezvous   above :data:`EAGER_MAX` —   all, as puts
+pairs        puts if persistent over an  (``eager_max`` 0)
+             ``rma_capable`` transport,
+             tokens over one with no
+             windows (one-shots too),
+             none on a procs one-shot
+who blocks   nobody on an eager pair     a sender waits for the
+on whom      (buffered sends); a         receiver's exposure epoch,
+             rendezvous pair's sender    the receiver fences once
+             waits for the receiver's    per step: lockstep
+             ``arm`` (its epoch or
+             token)
+``close()``  as ``rma`` if it has put    sender detaches its remote
+releases     pairs, else nothing         windows; receiver evacuates
+                                         its array, retires the
+                                         window
+picked       ``tier="two_sided"`` (the   ``tier="rma"`` on a
+when         default), ``rma`` on a      persistent transfer over an
+             one-shot or an incapable    ``rma_capable`` transport
+             transport
+===========  ==========================  ==========================
 
 Both jobs derive the split from the same schedule, dtype, limit and
-transport, so nothing is negotiated.
-
-Both wires of the collective tier replay the same bind-time
-:meth:`~repro.schedule.collplan.CollectivePlan.round_table`; which one
-runs follows from the link type, because the static memory bound and
-its proofs are stated per wire.  The receiver's ``arm()``/``complete()``
-split and the collective halves' ``send_round``/``recv_round`` exist so
-a single thread can drive both sides deterministically (tests, A7, A10).
+transport, so nothing is negotiated.  The receiver's
+``arm()``/``complete()`` split exists so a single thread can drive both
+sides deterministically (tests, A7).
 """
 
 from __future__ import annotations
@@ -99,8 +88,6 @@ from repro.errors import ConnectionError_, ScheduleError
 from repro.dad.darray import DistributedArray
 from repro.linearize.linearization import Linearization
 from repro.schedule.bufpool import BufferPool
-from repro.schedule.collplan import CollectivePlan
-from repro.schedule.costmodel import estimate
 from repro.schedule.indexplan import LocalIndexer
 from repro.schedule.plan import CommSchedule
 from repro.simmpi import payload, rma
@@ -113,10 +100,6 @@ from repro.verify.hook import maybe_verify_side
 
 #: Default tag for schedule-driven data messages.
 TRANSFER_TAG = 64
-
-#: Tag offset of the collective tier's round-acknowledgement stream
-#: relative to the data tag (both scoped by the link's context).
-ACK_TAG_OFFSET = 1
 
 #: Executor side names -> the schedule's plan-cache side names; also the
 #: set of valid sides.
@@ -133,46 +116,34 @@ EAGER_MAX = 2 << 20
 
 @dataclass(frozen=True, slots=True)
 class Tier:
-    """A resolved execution tier: ``kind`` is ``"two_sided"``, ``"rma"``
-    or ``"collective"``; ``coll`` is the round plan of the last.  A
-    point-to-point pair whose wire bytes exceed ``eager_max`` is a
+    """A resolved execution tier: ``kind`` is ``"two_sided"`` or
+    ``"rma"``.  A pair whose wire bytes exceed ``eager_max`` is a
     rendezvous (``None``: no pair is) — a put over an ``rma_capable``
     transport, a token pair over one with no windows."""
 
     kind: str
-    coll: CollectivePlan | None = None
     eager_max: int | None = None
 
 
-def resolve_tier(schedule, itemsize: int, link, *,
-                 tier: str | None = None, round_bytes: int | None = None,
+def resolve_tier(link, *, tier: str | None = None,
                  one_shot: bool = False) -> Tier:
     """The one place a transfer's execution tier is decided.
 
-    ``tier`` and ``round_bytes`` are knobs of :mod:`repro.config`
-    (``None`` = environment, then default).  ``collective`` carries the
-    round plan for ``round_bytes``; ``auto`` takes the cost model's pick
-    (:func:`~repro.schedule.costmodel.estimate`: collective or
-    two-sided, never RMA).  A transport that cannot attach windows (the
-    threads backend) runs every transfer, one-shot or persistent,
-    two-sided with the pairs above :data:`EAGER_MAX` opened by ready
-    tokens; a persistent ``rma`` request there counts as
-    ``rma_fallbacks``.  Over one that can, a put needs a window worth
-    its set-up: a one-shot runs two-sided with every pair eager,
-    otherwise ``rma`` puts every pair and ``two_sided`` those above
-    :data:`EAGER_MAX`.
+    ``tier`` is a knob of :mod:`repro.config` (``None`` = environment,
+    then default).  A transport that cannot attach windows (the threads
+    backend) runs every transfer, one-shot or persistent, two-sided with
+    the pairs above :data:`EAGER_MAX` opened by ready tokens; a
+    persistent ``rma`` request there counts as ``rma_fallbacks``.  Over
+    one that can, a put needs a window worth its set-up: a one-shot runs
+    two-sided with every pair eager, otherwise ``rma`` puts every pair
+    and ``two_sided`` those above :data:`EAGER_MAX`.
 
-    A pure function of the schedule, the itemsize, the transport, the
-    persistence and those two requests: two coupled jobs that agree on
-    the requests (:meth:`repro.highlevel.Coupler.open` cross-checks
-    them at the handshake) resolve the same tier without negotiating.
+    A pure function of the transport, the persistence and the request:
+    two coupled jobs that agree on the request
+    (:meth:`repro.highlevel.Coupler.open` cross-checks it at the
+    handshake) resolve the same tier without negotiating.
     """
     kind = config.resolve("tier", tier)
-    if kind == "auto":
-        kind = estimate(schedule, itemsize, round_bytes=round_bytes).chosen
-    if kind == "collective":
-        return Tier(kind, schedule.collective_plan(
-            itemsize, config.resolve("round_bytes", round_bytes)))
     if not _windowed(link):
         if kind == "rma" and not one_shot:
             TRANSPORT_STATS.add("rma_fallbacks")
@@ -214,12 +185,12 @@ class BoundTransfer:
         self._tag = tag
         self._me = me
         self._closed = False
-        self._peer_of = lambda r: peer_map[r] if peer_map is not None else r
-        self._pairs = [(pp, self._peer_of(pp.peer)) for pp in plan.pairs]
+        self._pairs = [(pp, peer_map[pp.peer] if peer_map is not None
+                        else pp.peer) for pp in plan.pairs]
         self._setup(tier)
 
     def _setup(self, tier: Tier) -> None:
-        """Tier bootstrap (window exchange, round table)."""
+        """Tier bootstrap (window exchange)."""
 
     def _live(self) -> None:
         if self._closed:
@@ -386,150 +357,15 @@ class _PointRecv(BoundTransfer):
             self._win.close()
 
 
-def _gather_subs(subs, flat, buf) -> None:
-    off = 0
-    for sub in subs:
-        sub.gather_into(flat, buf[off:off + sub.size])
-        off += sub.size
-
-
-def _scatter_subs(subs, total: int, flat, values) -> int:
-    values = np.asarray(values).reshape(-1)
-    if values.size != total:
-        raise ScheduleError(f"round buffer holds {values.size} elements, "
-                            f"plan expects {total}")
-    off = 0
-    for sub in subs:
-        off += sub.scatter(flat, values[off:off + sub.size])
-    return off
-
-
-class _RoundSend(BoundTransfer):
-    """Acknowledged rounds, source half: a step does not return until
-    the consumer has drained it (same trade as the RMA tier), so two
-    programs that each push before pulling a reverse channel must keep
-    that channel two-sided."""
-
-    def _setup(self, tier: Tier) -> None:
-        self._rounds = tier.coll.round_table(self._plan, "src", self._me,
-                                             self._peer_of)
-        self._awaiting: list[int] = []
-
-    def _wait_acks(self) -> None:
-        awaiting, self._awaiting = self._awaiting, []
-        for peer in awaiting:
-            self._link.recv(source=peer, tag=self._tag + ACK_TAG_OFFSET)
-
-    def send_round(self, rnd: int) -> int:
-        """Drain the previous round's acknowledgements, then pack and
-        post round ``rnd`` — one pooled buffer per destination."""
-        self._live()
-        self._wait_acks()
-        flat = self._storage.flat_local()
-        moved = 0
-        for peer, subs, total in self._rounds[rnd]:
-            buf, release = self.pool.loan(
-                ("collsend", self._me, rnd, peer), total, self._dtype)
-            _gather_subs(subs, flat, buf)
-            self._link.send(payload.Borrowed(buf), peer, self._tag)
-            release()
-            self._awaiting.append(peer)
-            moved += total
-        return moved
-
-    def finish(self) -> None:
-        """Drain the final round's acknowledgements — the step's memory
-        is fully released when this returns."""
-        self._wait_acks()
-
-    def step(self) -> int:
-        self._live()
-        moved = sum(self.send_round(rnd) for rnd in range(len(self._rounds)))
-        self.finish()
-        return moved
-
-
-class _RoundRecv(BoundTransfer):
-
-    def _setup(self, tier: Tier) -> None:
-        self._rounds = tier.coll.round_table(self._plan, "dst", self._me,
-                                             self._peer_of)
-
-    def recv_round(self, rnd: int) -> int:
-        """Prepost one sink per source (scattering the round buffer
-        through the pair's sub-plans into final storage), wait for all
-        of them, acknowledge each source."""
-        self._live()
-        flat = self._storage.flat_local()
-        slots = [
-            (peer, self._link.prepost_recv(
-                partial(_scatter_subs, subs, total, flat),
-                source=peer, tag=self._tag))
-            for peer, subs, total in self._rounds[rnd]]
-        received = 0
-        for peer, slot in slots:
-            received += slot.wait()
-            self._link.send(None, peer, self._tag + ACK_TAG_OFFSET)
-        return received
-
-    def step(self) -> int:
-        self._live()
-        return sum(self.recv_round(rnd) for rnd in range(len(self._rounds)))
-
-
-def _alltoallv_rounds(comm: Communicator, tx: _RoundSend | None,
-                      rx: _RoundRecv | None) -> int:
-    """The collective tier's intra-job wire: per round one ``alltoallv``
-    (statically known counts — no count exchange) and one tree barrier,
-    collective over **all** ranks of ``comm``, so no rank packs round
-    r+1 before every rank has drained round r — the static bound's
-    lockstep.  ``tx``/``rx`` are this rank's bound halves (either may be
-    absent); returns the elements this rank received."""
-    received = 0
-    half = tx if tx is not None else rx
-    dtype, nrounds = half._dtype, len(half._rounds)
-    flat = tx._storage.flat_local() if tx is not None else None
-    rflat = rx._storage.flat_local() if rx is not None else None
-    for rnd in range(nrounds):
-        sendcounts = [0] * comm.size
-        recvcounts = [0] * comm.size
-        segs = tx._rounds[rnd] if tx is not None else ()
-        total = sum(n for _, _, n in segs)
-        if total:
-            buf, release = tx.pool.loan(("collsend", comm.rank, rnd), total,
-                                        dtype)
-        else:
-            buf, release = np.empty(0, dtype=dtype), None
-        off = 0
-        for peer, subs, n in segs:
-            _gather_subs(subs, flat, buf[off:off + n])
-            sendcounts[peer] = n
-            off += n
-        rsegs = rx._rounds[rnd] if rx is not None else ()
-        for peer, _, n in rsegs:
-            recvcounts[peer] = n
-        arrived = comm.alltoallv(buf, sendcounts, recvcounts=recvcounts)
-        if release is not None:
-            release()
-        off = 0
-        for _, subs, n in rsegs:
-            received += _scatter_subs(subs, n, rflat, arrived[off:off + n])
-            off += n
-        comm.barrier()
-    return received
-
-
 def _half(tier: Tier, side: str, plan, storage, link, **kw) -> BoundTransfer:
-    halves = ((_RoundSend, _RoundRecv) if tier.coll is not None
-              else (_PointSend, _PointRecv))
-    return halves[side == "dst"](plan, storage, link, tier, **kw)
+    return (_PointSend, _PointRecv)[side == "dst"](plan, storage, link, tier,
+                                                   **kw)
 
 
 def bind(schedule: CommSchedule, side: str, link, array: DistributedArray,
          *, tag: int = TRANSFER_TAG, rank: int | None = None,
          peer_map: Sequence[int] | None = None,
          pool: BufferPool | None = None, tier: str | None = None,
-         round_bytes: int | None = None,
          one_shot: bool = False) -> BoundTransfer:
     """Bind ``side`` (``"src"``/``"dst"``) of ``schedule`` to ``array``
     over ``link``.
@@ -538,14 +374,13 @@ def bind(schedule: CommSchedule, side: str, link, array: DistributedArray,
     overrides this side's schedule rank (PRMI sub-setting, where
     effective caller ranks differ from cohort ranks; intra-job cohorts)
     and ``peer_map`` translates the *peer* side's schedule ranks to
-    actual ranks on the link for the same reason.  ``tier``,
-    ``round_bytes`` and ``one_shot`` (a transfer stepped once, then
-    closed) go through :func:`resolve_tier`; the result is the handle's
-    ``tier``.  With put pairs the two sides' binds rendezvous (window
-    handles travel receiver → sender), so a single thread must bind
-    receivers first; with token pairs a sender's step waits for its
-    receivers' tokens, so a single thread must ``arm`` receivers before
-    it steps senders.
+    actual ranks on the link for the same reason.  ``tier`` and
+    ``one_shot`` (a transfer stepped once, then closed) go through
+    :func:`resolve_tier`; the result is the handle's ``tier``.  With put
+    pairs the two sides' binds rendezvous (window handles travel
+    receiver → sender), so a single thread must bind receivers first;
+    with token pairs a sender's step waits for its receivers' tokens, so
+    a single thread must ``arm`` receivers before it steps senders.
     """
     if side not in _PLAN_SIDE:
         raise ValueError(f"side must be 'src' or 'dst', got {side!r}")
@@ -556,9 +391,7 @@ def bind(schedule: CommSchedule, side: str, link, array: DistributedArray,
     maybe_verify_side(schedule, _PLAN_SIDE[side], me, descriptor)
     plan = schedule.rank_plan(_PLAN_SIDE[side], me,
                               descriptor.local_regions(me))
-    resolved = resolve_tier(schedule, np.dtype(descriptor.dtype).itemsize,
-                            link, tier=tier, round_bytes=round_bytes,
-                            one_shot=one_shot)
+    resolved = resolve_tier(link, tier=tier, one_shot=one_shot)
     return _half(resolved, side, plan, array, link, tag=tag, me=me,
                  peer_map=peer_map, pool=pool)
 
@@ -588,23 +421,19 @@ def execute_inter(schedule: CommSchedule, inter: Intercommunicator,
                   side: str, array: DistributedArray,
                   *, tag: int = TRANSFER_TAG, rank: int | None = None,
                   peer_map: Sequence[int] | None = None,
-                  tier: str | None = None,
-                  round_bytes: int | None = None) -> int:
+                  tier: str | None = None) -> int:
     """Run ``schedule`` once across an intercommunicator; returns
     elements sent (``side="src"``) or received (``"dst"``).
 
-    ``rank``/``peer_map``/``tier``/``round_bytes`` as in :func:`bind`.
-    A one-shot never takes the RMA tier (a window's setup is only worth
-    it amortized over steps).  On the collective tier the send side
-    blocks until the peer consumes each round, and on the threads
-    backend it waits for the ready token of each pair above
-    :data:`EAGER_MAX`, so both jobs must drive the transfer
-    concurrently; a single-threaded harness binds the halves itself and
-    drives ``arm``/``step``/``complete`` or ``send_round``/``recv_round``.
+    ``rank``/``peer_map``/``tier`` as in :func:`bind`.  A one-shot never
+    takes the RMA tier (a window's setup is only worth it amortized over
+    steps).  On the threads backend the send side waits for the ready
+    token of each pair above :data:`EAGER_MAX`, so both jobs must drive
+    the transfer concurrently; a single-threaded harness binds the
+    halves itself and drives ``arm``/``step``/``complete``.
     """
     return _once(bind(schedule, side, inter, array, tag=tag, rank=rank,
-                      peer_map=peer_map, tier=tier, round_bytes=round_bytes,
-                      one_shot=True))
+                      peer_map=peer_map, tier=tier, one_shot=True))
 
 
 def execute_intra(schedule: CommSchedule, comm: Communicator,
@@ -613,8 +442,7 @@ def execute_intra(schedule: CommSchedule, comm: Communicator,
                   src_ranks: Sequence[int] | None = None,
                   dst_ranks: Sequence[int] | None = None,
                   tag: int = TRANSFER_TAG,
-                  tier: str | None = None,
-                  round_bytes: int | None = None) -> int:
+                  tier: str | None = None) -> int:
     """Run ``schedule`` once inside one communicator; returns the
     elements this rank received.
 
@@ -626,11 +454,8 @@ def execute_intra(schedule: CommSchedule, comm: Communicator,
     completes its receives — no barrier on either side, which is what
     experiment E9 counts; arming first means no rank's send waits on a
     token its peer has not sent.  Every participating rank calls
-    this collectively with the same schedule.  On the collective tier
-    (``tier``/``round_bytes`` as in :func:`resolve_tier`; ``rma`` runs
-    two-sided, as on every one-shot) the rounds are collective over the
-    *whole* communicator, so every comm rank must hold at least one
-    side's array.
+    this collectively with the same schedule; ``tier`` is as in
+    :func:`resolve_tier` (``rma`` runs two-sided, as on every one-shot).
     """
     src_ranks = list(src_ranks if src_ranks is not None
                      else range(schedule.src_nranks))
@@ -643,13 +468,7 @@ def execute_intra(schedule: CommSchedule, comm: Communicator,
         raise ScheduleError(
             f"need {schedule.dst_nranks} dest ranks, got {len(dst_ranks)}")
     me = comm.rank
-    tier = config.resolve("tier", tier)
-    if src_array is None and dst_array is None and \
-            tier in ("collective", "auto"):
-        raise ScheduleError(
-            f"rank {me} joins {tier}-tier execution holding neither "
-            f"array — the rounds need every comm rank on at least one side")
-    kw = dict(tag=tag, tier=tier, round_bytes=round_bytes, one_shot=True)
+    kw = dict(tag=tag, tier=tier, one_shot=True)
     tx = rx = None
     if me in src_ranks:
         if src_array is None:
@@ -663,8 +482,6 @@ def execute_intra(schedule: CommSchedule, comm: Communicator,
         rx = bind(schedule, "dst", comm, dst_array,
                   rank=dst_ranks.index(me), peer_map=src_ranks, **kw)
     try:
-        if "collective" in (tx and tx.tier, rx and rx.tier):
-            return _alltoallv_rounds(comm, tx, rx)
         if rx is not None:
             rx.arm()
         if tx is not None:

@@ -138,13 +138,6 @@ class Box(NamedTuple):
             idx = idx[..., None] + np.arange(n, dtype=np.int64) * s
         return idx.reshape(-1)
 
-    def sub(self, a: int, b: int) -> list["Box"]:
-        """Wire-order elements ``[a, b)`` as boxes: head-partial row,
-        whole rows, tail-partial row, recursively per axis — at most
-        ``2 * naxes - 1`` of them."""
-        return [_box(*raw) for raw in
-                _sub_raw(self.lo, self.shape, self.strides, a, b)]
-
 
 _EMPTY = Box(0, (0,), (1,))
 
@@ -168,25 +161,6 @@ def _box(lo: int, shape: Sequence[int], strides: Sequence[int]) -> Box:
     if not out_n:
         return Box(int(lo), (1,), (1,))
     return Box(int(lo), tuple(out_n), tuple(out_s))
-
-
-def _sub_raw(lo, shape, strides, a, b):
-    if a >= b:
-        return
-    if len(shape) == 1:
-        yield lo + a * strides[0], (b - a,), strides
-        return
-    inner, step = prod(shape[1:]), strides[0]
-    (r0, a0), (r1, b1) = divmod(a, inner), divmod(b, inner)
-    if r0 == r1:
-        yield from _sub_raw(lo + r0 * step, shape[1:], strides[1:], a0, b1)
-        return
-    if a0:
-        yield from _sub_raw(lo + r0 * step, shape[1:], strides[1:], a0, inner)
-        r0 += 1
-    if r1 > r0:
-        yield lo + r0 * step, (r1 - r0,) + shape[1:], strides
-    yield from _sub_raw(lo + r1 * step, shape[1:], strides[1:], 0, b1)
 
 
 def _copy_box(dst: np.ndarray, src: np.ndarray, loan: Loan | None) -> None:
@@ -294,29 +268,6 @@ class PairPlan:
                 off += box.size
         TRANSPORT_STATS.add("bytes_copied", out.nbytes)
         return out
-
-    def sub(self, lo: int, hi: int) -> "PairPlan":
-        """The sub-plan addressing wire-order elements ``[lo, hi)`` of
-        this pair — the collective planner's chunking primitive.  Boxes
-        stay boxes (a range of a two-axis box is at most head-partial
-        row, whole rows, tail-partial row); index pairs re-detect
-        progressions on the restricted range.  Does not count as a
-        fresh compilation in ``PLAN_STATS``."""
-        if not (0 <= lo <= hi <= self.size):
-            raise ScheduleError(
-                f"sub-plan range [{lo}, {hi}) outside pair of size "
-                f"{self.size}")
-        if self.idx is not None:
-            return plan_from_indices(self.peer, self.idx[lo:hi])
-        boxes: list[Box] = []
-        off = 0
-        for box in self.boxes:
-            boxes += box.sub(max(lo - off, 0), min(hi - off, box.size))
-            off += box.size
-        if len(boxes) > MAX_BOXES:
-            return PairPlan(self.peer, hi - lo, (),
-                            np.concatenate([b.indices() for b in boxes]))
-        return PairPlan(self.peer, hi - lo, tuple(boxes) or (_EMPTY,))
 
     def scatter(self, flat_local: np.ndarray, values, *,
                 loan: Loan | None = None) -> int:

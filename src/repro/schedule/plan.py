@@ -141,8 +141,6 @@ class CommSchedule:
         #: compiled index plans, keyed ("send"/"recv", rank) — see
         #: rank_plan.
         self._plans: dict[tuple[str, int], RankPlan] = {}
-        #: memoized collective round plans, keyed (itemsize, round_bytes)
-        self._coll_plans: dict[tuple[int, int], object] = {}
         self._index()
 
     def _index(self) -> None:
@@ -165,7 +163,6 @@ class CommSchedule:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self.owners = None
-        self._coll_plans = {}
         self._index()
 
     def subset(self, mask: np.ndarray):
@@ -319,21 +316,6 @@ class CommSchedule:
             compiled = self._side_plans[side] = SidePlans(
                 table, ranks, peers, bounds, self.lo[rows], self.hi[rows])
         return compiled
-
-    def collective_plan(self, itemsize: int, round_bytes: int):
-        """The memory-bounded round decomposition of this schedule (see
-        :func:`repro.schedule.collplan.plan_collective_rounds`), memoized
-        per (itemsize, round_bytes) next to the index plans — sound
-        because the decomposition depends only on the schedule's pair
-        sizes."""
-        key = (int(itemsize), int(round_bytes))
-        plan = self._coll_plans.get(key)
-        if plan is None:
-            from repro.schedule.collplan import plan_collective_rounds
-            plan = plan_collective_rounds(self, itemsize=key[0],
-                                          round_bytes=key[1])
-            self._coll_plans[key] = plan
-        return plan
 
     # -- metrics -----------------------------------------------------------------
 

@@ -364,8 +364,8 @@ class Communicator:
         ``sendbuf[sdispls[j]:sdispls[j]+sendcounts[j]]`` goes to rank j.
         When ``recvcounts`` is None the counts are exchanged first (an
         extra alltoall), mirroring how DCA's stubs operate (paper §4.3);
-        supplying statically known counts (the collective round planner
-        does) skips that exchange entirely.  Returns the concatenated
+        supplying statically known counts skips that exchange entirely.
+        Returns the concatenated
         received buffer, ordered by source rank.
 
         Zero-count segments exchange **no message** in either direction

@@ -157,9 +157,9 @@ class Counters(_Sharded):
 #: ``resident_bytes`` —
 #: the sum of both plus every envelope queued in a mailbox awaiting its
 #: receiver.  ``peak_resident_bytes`` is therefore the process-wide
-#: transfer-buffer footprint high-water mark the A10 memory-ceiling
-#: benchmark gates on (per process: the threads backend sums all rank
-#: threads, the procs backend counts each rank's own process).  A loan
+#: transfer-buffer footprint high-water mark (per process: the threads
+#: backend sums all rank threads, the procs backend counts each rank's
+#: own process).  A loan
 #: is released before its send returns and a queued envelope holds its
 #: own snapshot, so no byte is counted twice.
 TRANSPORT_STATS = Counters()

@@ -36,7 +36,6 @@ _EXPORTS = {
     "ScheduleProof": "schedule",
     "verify_schedule": "schedule",
     "verify_against_oracle": "schedule",
-    "verify_collective_plan": "schedule",
     "verify_delta_equivalence": "schedule",
     "verify_linear_schedule": "schedule",
     "verify_rank_plans": "schedule",

@@ -91,8 +91,7 @@ def _delta_cases():
 
 def cmd_schedule(_args) -> int:
     from repro.schedule.builder import build_region_schedule
-    from repro.verify.schedule import (verify_against_oracle,
-                                       verify_collective_plan)
+    from repro.verify.schedule import verify_against_oracle
 
     failures = 0
     print("schedule proofs (fast-path builders vs all-pairs oracle)")
@@ -114,26 +113,8 @@ def cmd_schedule(_args) -> int:
             elems = proof.elements if proof else 0
             print(f"{name:<18} {builder:<10} {items:>6} {pairs:>6} "
                   f"{fast:>5} {elems:>7}  {verdict}")
-        # Collective round plan: byte conservation, chunk tiling and
-        # the per-round memory bound on top of the full oracle proof
-        # (small cap so every case actually chunks into rounds).
-        sched = build_region_schedule(src, dst)
-        try:
-            proof = verify_collective_plan(sched, src, dst,
-                                           round_bytes=256)
-            coll = sched.collective_plan(8, 256)
-            verdict = (f"proved ({coll.nrounds} rounds, "
-                       f"ceiling {coll.resident_ceiling()}B)")
-            elems = proof.elements
-        except VerificationError as exc:
-            failures += 1
-            verdict = f"FAILED: {exc}"
-            elems = 0
-        print(f"{name:<18} {'collective':<10} {len(sched.items):>6} "
-              f"{sched.pair_count:>6} {'-':>5} {elems:>7}  {verdict}")
     checks = ("completeness, disjointness, ownership, conservation, "
-              "plan consistency, oracle routing; collective rows add "
-              "chunk tiling, round byte conservation, memory bound")
+              "plan consistency, oracle routing")
     print(f"checks per case: {checks}")
 
     # Delta-vs-full equivalence: delta schedule ∘ old ownership must

@@ -52,8 +52,8 @@ over ``src/``:
   array allocation (``np.empty``/``zeros``/``ones``/``full``) inside a
   loop over communication pairs (``for pp in plan.pairs``,
   ``for pair in ...``) allocates O(pairs) buffers per transfer — the
-  exact footprint the :class:`~repro.schedule.bufpool.BufferPool` and
-  the collective round planner exist to avoid.  Loops that loan from a
+  exact footprint the :class:`~repro.schedule.bufpool.BufferPool`
+  exists to avoid.  Loops that loan from a
   pool (any ``.loan(...)`` call in the loop body) are exempt, as are
   constant-size allocations (empty placeholders).
 * **V110 — knob read outside the config table.**  An ``environ`` /

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import config
 from repro.errors import ScheduleError, VerificationError
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.linearize.linearization import Linearization
@@ -54,7 +53,6 @@ __all__ = [
     "build_allpairs_schedule",
     "verify_schedule",
     "verify_against_oracle",
-    "verify_collective_plan",
     "verify_delta_equivalence",
     "verify_linear_schedule",
     "verify_rank_plans",
@@ -310,135 +308,6 @@ def verify_against_oracle(schedule: CommSchedule,
                 f"{tuple(int(c) for c in coord)})"])
     proof.passed(
         f"oracle agreement (routing identical over {total} elements)")
-    return proof
-
-
-def verify_collective_plan(schedule: CommSchedule,
-                           src_desc: DistArrayDescriptor,
-                           dst_desc: DistArrayDescriptor, *,
-                           round_bytes: int | None = None) -> ScheduleProof:
-    """Prove a collective round plan byte-conserving and complete.
-
-    Builds the memory-bounded round decomposition the collective
-    executors would use (:meth:`~repro.schedule.plan.CommSchedule.
-    collective_plan` at the descriptor dtype and ``round_bytes`` /
-    ``REPRO_ROUND_BYTES``) and establishes, on top of the full
-    :func:`verify_against_oracle` proof of the underlying schedule:
-
-    * **chunk tiling** — per (src, dst) pair, the plan's chunks tile the
-      pair's wire-order element range ``[0, size)`` exactly once, in
-      monotonically increasing rounds (so chunked streams reassemble in
-      wire order without reordering buffers),
-    * **byte conservation** — summed over all rounds, the plan moves
-      exactly the schedule's elements: every byte of the p2p transfer,
-      each exactly once, no more,
-    * **memory bound** — every (round, rank) send and receive load is
-      at most ``round_bytes`` (whenever one element fits a round), and
-      the plan's advertised ``peak_send_bytes``/``peak_recv_bytes``
-      and ``resident_ceiling()`` match the loads recomputed here from
-      the raw chunks.
-    """
-    proof = verify_against_oracle(schedule, src_desc, dst_desc)
-    itemsize = np.dtype(src_desc.dtype).itemsize
-    round_bytes = config.resolve("round_bytes", round_bytes)
-    coll = schedule.collective_plan(itemsize, round_bytes)
-    failures: list[str] = []
-
-    # chunk tiling: per pair, chunks cover [0, size) exactly once and
-    # round order is monotone in wire order.
-    pair_sizes: dict[tuple[int, int], int] = {}
-    for src in range(schedule.src_nranks):
-        for dst, _items, offsets in schedule.send_groups(src):
-            pair_sizes[(src, dst)] = int(offsets[-1])
-    chunks_of: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for rnd, chunks in enumerate(coll.rounds):
-        for c in chunks:
-            if c.hi <= c.lo:
-                failures.append(
-                    f"pair ({c.src}, {c.dst}): empty/inverted chunk "
-                    f"[{c.lo}, {c.hi}) in round {rnd}")
-            chunks_of.setdefault((c.src, c.dst), []).append(
-                (c.lo, c.hi, rnd))
-    if set(chunks_of) != set(pair_sizes):
-        ghost = sorted(set(chunks_of) - set(pair_sizes))
-        lost = sorted(set(pair_sizes) - set(chunks_of))
-        failures.append(
-            f"pair coverage: {len(ghost)} chunked pair(s) not in the "
-            f"schedule {ghost[:3]}, {len(lost)} schedule pair(s) never "
-            f"chunked {lost[:3]}")
-    tiled = 0
-    for key, size in pair_sizes.items():
-        spans = sorted(chunks_of.get(key, []))
-        pos, rnd_prev, ok = 0, -1, True
-        for lo, hi, rnd in spans:
-            if lo != pos or rnd <= rnd_prev:
-                ok = False
-                break
-            pos, rnd_prev = hi, rnd
-        if not (ok and pos == size):
-            failures.append(
-                f"pair {key}: chunks {[(lo, hi) for lo, hi, _ in spans]} "
-                f"do not tile [0, {size}) in monotone round order")
-        else:
-            tiled += 1
-    if tiled == len(pair_sizes) and set(chunks_of) == set(pair_sizes):
-        proof.passed(
-            f"chunk tiling ({coll.chunk_count} chunks over "
-            f"{len(pair_sizes)} pairs, {coll.nrounds} rounds)")
-
-    # byte conservation across rounds.
-    moved = coll.element_count
-    if moved != schedule.element_count:
-        failures.append(
-            f"conservation: rounds move {moved} elements, schedule "
-            f"has {schedule.element_count}")
-    else:
-        proof.passed(
-            f"round byte conservation ({moved * itemsize} bytes)")
-
-    # memory bound: recompute per-(round, rank) loads from raw chunks
-    # and check both the cap and the plan's advertised peaks.
-    cap_elems = max(1, round_bytes // itemsize)
-    peak_send = peak_recv = 0
-    for rnd, chunks in enumerate(coll.rounds):
-        send: dict[int, int] = {}
-        recv: dict[int, int] = {}
-        for c in chunks:
-            send[c.src] = send.get(c.src, 0) + c.size
-            recv[c.dst] = recv.get(c.dst, 0) + c.size
-        for rank, n in send.items():
-            peak_send = max(peak_send, n * itemsize)
-            if n > cap_elems:
-                failures.append(
-                    f"round {rnd}: source rank {rank} sends {n} elements,"
-                    f" cap is {cap_elems}")
-        for rank, n in recv.items():
-            peak_recv = max(peak_recv, n * itemsize)
-            if n > cap_elems:
-                failures.append(
-                    f"round {rnd}: dest rank {rank} receives {n} "
-                    f"elements, cap is {cap_elems}")
-        for rank, n in send.items():
-            if coll.send_bytes(rnd, rank) != n * itemsize:
-                failures.append(
-                    f"round {rnd}: plan books {coll.send_bytes(rnd, rank)}"
-                    f" send bytes for rank {rank}, chunks hold "
-                    f"{n * itemsize}")
-    if (peak_send, peak_recv) != (coll.peak_send_bytes,
-                                  coll.peak_recv_bytes):
-        failures.append(
-            f"advertised peaks ({coll.peak_send_bytes}, "
-            f"{coll.peak_recv_bytes}) differ from recomputed "
-            f"({peak_send}, {peak_recv})")
-    if not failures:
-        proof.passed(
-            f"memory bound (peak {peak_send}B send / {peak_recv}B recv "
-            f"per rank-round <= {round_bytes}B cap; resident ceiling "
-            f"{coll.resident_ceiling()}B)")
-
-    if failures:
-        raise VerificationError(
-            "collective round plan failed verification", failures)
     return proof
 
 

@@ -341,7 +341,7 @@ def test_tier_mismatch_raises_on_every_rank_of_both_jobs():
     src_desc, dst_desc = make_sides(2, 3)
     out = run_coupled(
         [("src", 2, _connect_under, ("source", src_desc, "rma")),
-         ("dst", 3, _connect_under, ("destination", dst_desc, "collective"))],
+         ("dst", 3, _connect_under, ("destination", dst_desc, "two_sided"))],
         backend="procs")
     for message in out["src"] + out["dst"]:
         assert message is not None and "REPRO_TIER" in message

@@ -78,6 +78,22 @@ def test_dtype_and_shape_survive(arr):
     assert np.array_equal(got, arr)
 
 
+def test_structured_and_padded_dtypes_survive():
+    """A block's dtype travels whole: ``dtype.str`` alone would turn a
+    structured leaf into ``|V10`` and an aligned one into ``|V16``."""
+    packed = np.zeros(3, dtype=[("x", "<f8"), ("y", "<i2")])
+    packed["x"], packed["y"] = [1.5, 2.5, 3.5], [7, 8, 9]
+    aligned = np.zeros(2, dtype=np.dtype([("a", "i1"), ("b", "<f8")],
+                                         align=True))
+    aligned["a"], aligned["b"] = [1, 2], [0.25, 0.5]
+    [(_, _, out)] = decode_frame(encode_frame([(0, "m", (packed, aligned))]))
+    for got, arr in zip(out, (packed, aligned)):
+        assert got.dtype == arr.dtype
+        assert got.dtype.itemsize == arr.dtype.itemsize
+        assert got.tobytes() == arr.tobytes()
+        assert _args_equal(got, arr)
+
+
 def test_zero_dim_and_empty_arrays():
     z = np.array(3.5)
     e = np.zeros((0, 4), dtype=np.int32)

@@ -1,8 +1,8 @@
 """The single execution core: every tier through bind → step → close.
 
 One equivalence matrix (tier × deployment shape × one-shot/persistent)
-against the global truth, the closed-transfer contract on every tier,
-and the ``REPRO_VERIFY`` hook's reach onto the collective tier.
+against the global truth, and the closed-transfer contract on every
+tier.
 """
 
 import os
@@ -21,11 +21,9 @@ from repro.simmpi import run_coupled, run_spmd
 from repro.simmpi.intercomm import couple_jobs, default_nameservice
 from repro.simmpi.runner import Job
 from repro.util.counters import TRANSPORT_STATS
-from repro.verify import hook
 
 from tests.schedule.test_packing import CASES
 
-ROUND_BYTES = 32          # small enough that every case needs several rounds
 STEPS = 3
 
 
@@ -62,7 +60,7 @@ def _intra(src_desc, dst_desc, tier, steps):
             execute_intra(sched, comm, src_array=src, dst_array=dst,
                           src_ranks=range(src_desc.nranks),
                           dst_ranks=range(dst_desc.nranks),
-                          tier=tier, round_bytes=ROUND_BYTES)
+                          tier=tier)
             return dst, comm.counters   # shared per job; read after join
 
         res = run_spmd(n, main)
@@ -75,10 +73,10 @@ def _intra(src_desc, dst_desc, tier, steps):
 def _inter(src_desc, dst_desc, tier, steps, persistent):
     """``steps`` transfers between two coupled jobs — one bound transfer
     stepped ``steps`` times, or a fresh one-shot per step; returns
-    per-step (assembled-bytes-ok, data + ack messages sent by the
-    producers, acks sent by the consumers)."""
+    per-step (assembled-bytes-ok, data messages sent by the producers,
+    acks sent by the consumers)."""
     sched = build_region_schedule(src_desc, dst_desc)
-    kw = dict(tag=77, tier=tier, round_bytes=ROUND_BYTES)
+    kw = dict(tag=77, tier=tier)
 
     def producer(comm):
         inter = default_nameservice.accept("matrix", comm)
@@ -129,23 +127,19 @@ def _inter(src_desc, dst_desc, tier, steps, persistent):
 
 
 @pytest.mark.parametrize("src_t,dst_t", CASES)
-@pytest.mark.parametrize("tier", [pytest.param("two_sided", id="p2p"),
-                                  "collective"])
+@pytest.mark.parametrize("tier", [pytest.param("two_sided", id="p2p"), "rma"])
 class TestTierEquivalence:
+    """Every request moves the same bytes in one packed message per
+    communicating pair: threads cannot attach windows, so ``rma`` runs
+    two-sided here (the procs RMA tier is tested below)."""
+
     def test_intra_one_shot(self, src_t, dst_t, tier):
         src_desc, dst_desc = _descs(src_t, dst_t)
         sched, steps = _intra(src_desc, dst_desc, tier, STEPS)
-        coll = sched.collective_plan(8, ROUND_BYTES)
-        assert coll.nrounds > 1
         for ok, msgs, barriers in steps:
             assert ok
-            if tier == "two_sided":
-                # one packed message per communicating pair, no barrier
-                assert (msgs, barriers) == (sched.pair_count, 0)
-            else:
-                # one alltoallv + one barrier per round on every rank
-                n = max(src_desc.nranks, dst_desc.nranks)
-                assert barriers == coll.nrounds * n
+            # one packed message per communicating pair, no barrier
+            assert (msgs, barriers) == (sched.pair_count, 0)
 
     @pytest.mark.parametrize("persistent", [False, True],
                              ids=["one-shot", "persistent"])
@@ -154,14 +148,8 @@ class TestTierEquivalence:
         sched, oks, sent, acks = _inter(src_desc, dst_desc, tier, STEPS,
                                         persistent)
         assert oks == [True] * STEPS
-        if tier == "two_sided":
-            assert sent == STEPS * sched.pair_count
-            assert acks == 0
-        else:
-            # every chunk of every round is one data message and one ack
-            coll = sched.collective_plan(8, ROUND_BYTES)
-            assert coll.nrounds > 1
-            assert sent == acks == STEPS * coll.chunk_count
+        assert sent == STEPS * sched.pair_count
+        assert acks == 0
 
 
 # -- RMA on real processes ----------------------------------------------------
@@ -224,11 +212,10 @@ def _bound_pair(tier):
     src_inters, dst_inters = couple_jobs(Job(src_desc.nranks),
                                          Job(dst_desc.nranks))
     g = _truth(src_desc.shape, 0)
-    kw = dict(tier=tier, round_bytes=ROUND_BYTES)
     tx = bind(sched, "src", src_inters[0],
-              DistributedArray.from_global(src_desc, 0, g), **kw)
+              DistributedArray.from_global(src_desc, 0, g), tier=tier)
     rx = bind(sched, "dst", dst_inters[0],
-              DistributedArray.allocate(dst_desc, 0), **kw)
+              DistributedArray.allocate(dst_desc, 0), tier=tier)
     return tx, rx
 
 
@@ -239,18 +226,6 @@ def test_closed_two_sided_transfer_raises():
         half.close()
         half.close()                   # idempotent
     for verb in (tx.step, rx.step, rx.arm, rx.complete):
-        with pytest.raises(ConnectionError_):
-            verb()
-
-
-def test_closed_collective_transfer_raises():
-    tx, rx = _bound_pair("collective")
-    assert (tx.tier, rx.tier) == ("collective", "collective")
-    for half in (tx, rx):
-        half.close()
-        half.close()
-    for verb in (tx.step, rx.step, lambda: tx.send_round(0),
-                 lambda: rx.recv_round(0)):
         with pytest.raises(ConnectionError_):
             verb()
 
@@ -312,10 +287,7 @@ def test_mxn_close_retires_the_rma_window(monkeypatch):
 
 # -- closed before the first transfer: the handle's own state is the only state
 
-_TIER_ENV = {"two_sided": {},
-             "collective": {"REPRO_TIER": "collective",
-                            "REPRO_ROUND_BYTES": str(ROUND_BYTES)},
-             "rma": {"REPRO_TIER": "rma"}}
+_TIER_ENV = {"two_sided": {}, "rma": {"REPRO_TIER": "rma"}}
 
 
 def _both_jobs_here(comm, sync):
@@ -403,55 +375,3 @@ def test_rma_bind_after_the_receiver_closed_is_a_typed_error():
     run_coupled([("src", _SRC_DESC.nranks, _bind_after_peer_closed, ("src",)),
                  ("dst", _DST_DESC.nranks, _bind_after_peer_closed, ("dst",))],
                 deadlock_timeout=30.0, backend="procs")
-
-
-# -- REPRO_VERIFY reaches the collective tier ---------------------------------
-
-@pytest.fixture
-def verify_on():
-    was = hook.verify_enabled()
-    hook.set_verify(True)
-    hook.VERIFY_STATS.reset()
-    yield hook.VERIFY_STATS
-    hook.set_verify(was)
-    hook.VERIFY_STATS.reset()
-
-
-def test_verify_hook_proves_collective_binds_inter(verify_on):
-    src_desc, dst_desc = _descs(*CASES[2])
-    sched = build_region_schedule(src_desc, dst_desc)
-    src_inters, dst_inters = couple_jobs(Job(src_desc.nranks),
-                                         Job(dst_desc.nranks))
-    g = _truth(src_desc.shape, 0)
-    kw = dict(tier="collective", round_bytes=ROUND_BYTES)
-    senders = [bind(sched, "src", src_inters[r],
-                    DistributedArray.from_global(src_desc, r, g), **kw)
-        for r in range(src_desc.nranks)]
-    dsts = [DistributedArray.allocate(dst_desc, r)
-            for r in range(dst_desc.nranks)]
-    receivers = [bind(sched, "dst", dst_inters[r], dsts[r], **kw)
-                 for r in range(dst_desc.nranks)]
-    bound = verify_on.snapshot()
-    assert bound["rank_checks"] == src_desc.nranks + dst_desc.nranks
-    nrounds = sched.collective_plan(8, ROUND_BYTES).nrounds
-    for _ in range(STEPS):
-        for rnd in range(nrounds):
-            for tx in senders:
-                tx.send_round(rnd)
-            for rx in receivers:
-                rx.recv_round(rnd)
-        for tx in senders:
-            tx.finish()
-    assert _same_bytes(dsts, g)
-    assert verify_on.snapshot() == bound          # zero hook calls per step
-
-
-def test_verify_hook_proves_collective_binds_intra(verify_on):
-    src_desc, dst_desc = _descs(*CASES[2])
-    _, steps = _intra(src_desc, dst_desc, "collective", 2)
-    assert all(ok for ok, _, _ in steps)
-    stats = verify_on.snapshot()
-    # proved once per (side, rank); the second transfer re-binds and hits
-    # the proof cache
-    assert stats["rank_checks"] == src_desc.nranks + dst_desc.nranks
-    assert stats["cache_hits"] == src_desc.nranks + dst_desc.nranks

@@ -225,10 +225,9 @@ def test_pickled_schedule_is_its_columns():
     assert back.items == sched.items
     assert back.pair_count == sched.pair_count
     assert back.element_count == sched.element_count
-    # memos stay home: a delta split or a round plan adds no byte
+    # memos stay home: a delta split adds no byte
     cache = ScheduleCache()
     cached = cache.get(_cyclic(8), _cyclic(10))
     data = pickle.dumps(cached)
     compile_delta(_cyclic(8), _cyclic(10), cache=cache)
-    cached.collective_plan(8, 256)
     assert pickle.dumps(cached) == data

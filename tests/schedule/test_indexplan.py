@@ -393,48 +393,6 @@ class TestBoxLoopEquivalence:
             PairPlan(0, 4, (Box(-1, (4,), (1,)),)).lend(np.zeros(23))
 
 
-class TestSubPlans:
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_sub_of_a_box_is_its_index_range(self, data):
-        naxes = data.draw(st.integers(1, 3))
-        shape = tuple(data.draw(st.integers(2, 5)) for _ in range(naxes))
-        # inner strides that never chain, so the box stays naxes-axis
-        strides, reach = [], 1
-        for n in reversed(shape):
-            stride = reach + data.draw(st.integers(0 if not strides else 1, 3))
-            strides.insert(0, stride)
-            reach = stride * n
-        pp = PairPlan(1, int(np.prod(shape)),
-                      (Box(data.draw(st.integers(0, 7)), shape,
-                           tuple(strides)),))
-        lo = data.draw(st.integers(0, pp.size))
-        hi = data.draw(st.integers(lo, pp.size))
-        sub = pp.sub(lo, hi)
-        assert sub.size == hi - lo and sub.peer == 1
-        np.testing.assert_array_equal(sub.indices(), pp.indices()[lo:hi])
-        if naxes <= 2:
-            assert sub.idx is None and len(sub.boxes) <= 3
-
-    def test_sub_of_a_ragged_plan_spans_its_boxes(self):
-        pp = PairPlan(0, 29, (Box(0, (6, 4), (12, 1)), Box(80, (5,), (1,))))
-        for lo, hi in [(0, 29), (3, 27), (24, 29), (23, 25), (7, 7)]:
-            np.testing.assert_array_equal(pp.sub(lo, hi).indices(),
-                                          pp.indices()[lo:hi])
-            assert pp.sub(lo, hi).idx is None
-        with pytest.raises(ScheduleError):
-            pp.sub(3, 30)
-
-    def test_sub_past_the_box_cutoff_falls_back_to_an_index(self):
-        """Two five-axis boxes cut mid-row at every level: 5 + 5 pieces."""
-        shape, strides = (3, 3, 3, 3, 2), (1000, 300, 90, 25, 3)
-        pp = PairPlan(0, 324, (Box(0, shape, strides),
-                               Box(5000, shape, strides)))
-        sub = pp.sub(27, 162 + 135)
-        assert sub.boxes == () and MAX_BOXES < 10
-        np.testing.assert_array_equal(sub.idx, pp.indices()[27:162 + 135])
-
-
 class TestBoxesNotIndices:
     """Regular pairs never construct an int64 element index."""
 

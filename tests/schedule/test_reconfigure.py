@@ -60,14 +60,13 @@ def resize_pairs(draw):
     return old, new
 
 
-def _resize(old_desc, new_desc, g, backend, tier=None):
+def _resize(old_desc, new_desc, g, backend):
     n = max(old_desc.nranks, new_desc.nranks)
 
     def main(comm):
         da = (DistributedArray.from_global(old_desc, comm.rank, g)
               if comm.rank < old_desc.nranks else None)
-        return reconfigure(comm, da, new_desc, tier=tier,
-                           cache=ScheduleCache())
+        return reconfigure(comm, da, new_desc, cache=ScheduleCache())
 
     return [p for p in run_spmd(n, main, backend=backend) if p is not None]
 
@@ -174,16 +173,6 @@ def test_grid_and_nranks_arguments():
             reconfigure(comm, da, (3, 2), 7)
 
     run_spmd(6, bad, backend="threads")
-
-
-def test_collective_planner_resize():
-    old = DistArrayDescriptor(
-        CartesianTemplate([BlockCyclic(96, 8, 4)]))
-    new = DistArrayDescriptor(
-        CartesianTemplate([BlockCyclic(96, 10, 4)]))
-    g = np.arange(96, dtype=np.float64)
-    parts = _resize(old, new, g, "threads", tier="collective")
-    np.testing.assert_array_equal(DistributedArray.assemble(parts), g)
 
 
 def test_redist_stats_account_the_resize():

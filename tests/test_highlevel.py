@@ -139,12 +139,14 @@ def _open_and_step(comm, role, kwargs):
 @pytest.mark.parametrize("backend", ["threads", "procs"],
                          ids=["backend-threads", "backend-procs"])
 @pytest.mark.parametrize("prod, cons", [
-    ("collective", "two_sided"), ("rma", "two_sided"), ("auto", "collective"),
-], ids=["collective-vs-two_sided", "rma-vs-two_sided", "auto-vs-collective"])
+    ("rma", "two_sided"), ("two_sided", "rma"),
+], ids=["rma-vs-two_sided", "two_sided-vs-rma"])
 def test_mismatched_requests_fail_typed_on_both_jobs(backend, prod, cons):
     """Two jobs that request different tiers raise ``ConnectionError_``
     naming the knob on every rank of both, at the handshake — not a
-    one-sided ``DeadlockError`` after the stall watchdog."""
+    one-sided ``DeadlockError`` after the stall watchdog.  The request
+    is compared, not the resolved tier, so they raise on threads too,
+    where both would run two-sided."""
     out = run_coupled(
         [("prod", 2, _open_and_step, ("source", {"tier": prod})),
          ("cons", 3, _open_and_step, ("destination", {"tier": cons}))],
@@ -192,32 +194,29 @@ def _one_shot_under(comm, role, tier):
         return str(exc)
 
 
-@pytest.mark.parametrize("prod, cons, agree", [
-    ("rma", "two_sided", True), ("collective", "two_sided", False),
-], ids=["rma-vs-two_sided", "collective-vs-two_sided"])
-def test_one_shot_handshake_compares_the_tier_a_one_shot_runs(
-        prod, cons, agree):
+@pytest.mark.parametrize("prod, cons", [
+    ("rma", "two_sided"), ("two_sided", "rma"),
+], ids=["rma-vs-two_sided", "two_sided-vs-rma"])
+def test_one_shot_handshake_compares_the_tier_a_one_shot_runs(prod, cons):
     """A one-shot never takes RMA, so ``rma`` on one job and
-    ``two_sided`` on the other couple as before; a difference that
-    changes the one-shot's tier still raises on every rank of both."""
+    ``two_sided`` on the other couple as before.  Those are the only two
+    tiers, so one-shots can no longer disagree: the handshake compares
+    the tier a one-shot runs, which is always ``two_sided``."""
     out = run_coupled(
         [("prod", 2, _one_shot_under, ("source", prod)),
          ("cons", 3, _one_shot_under, ("destination", cons))],
         backend="procs")
-    if agree:
-        assert out["prod"] == [None, None]
-        assert sum(out["cons"]) == float(np.arange(4096.0).sum())
-    else:
-        for message in out["prod"] + out["cons"]:
-            assert "REPRO_TIER" in message
+    assert out["prod"] == [None, None]
+    assert sum(out["cons"]) == float(np.arange(4096.0).sum())
 
 
 @pytest.mark.parametrize("one_sided, mode", [(True, "rma"),
                                              (False, "two_sided")])
 def test_one_sided_spelling_maps_to_a_tier(monkeypatch, one_sided, mode):
     """``Coupler.open(one_sided=...)`` is ``tier="rma"`` / ``"two_sided"``
-    and so overrides ``REPRO_TIER``; the procs transport honours RMA."""
-    monkeypatch.setenv("REPRO_TIER", "collective")
+    and so overrides ``REPRO_TIER``, set here to the other tier; the
+    procs transport honours RMA."""
+    monkeypatch.setenv("REPRO_TIER", "two_sided" if mode == "rma" else "rma")
     src_desc = DistArrayDescriptor(block_template((8,), (2,)))
     dst_desc = DistArrayDescriptor(block_template((8,), (1,)))
 

@@ -352,11 +352,11 @@ def test_v110_every_environment_spelling_fires():
         from os import environ, getenv
 
         a = os.environ.get("REPRO_TIER", "two_sided")
-        b = os.getenv("REPRO_ROUND_BYTES")
+        b = os.getenv("REPRO_SCHEDULE_CACHE_MAX")
         c = os.environ["REPRO_BACKEND"]
         d = environ.get("REPRO_VERIFY")
         e = getenv("REPRO_TSAN", "0")
-    """, "src/repro/schedule/costmodel.py")
+    """, "src/repro/schedule/executor.py")
     assert [h.rule for h in hits] == ["V110"] * 5
     assert "REPRO_TIER" in hits[0].message
     assert "config.resolve" in hits[0].message

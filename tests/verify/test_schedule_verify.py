@@ -204,108 +204,3 @@ def test_verification_error_pickles_with_failures():
     back = pickle.loads(pickle.dumps(err))
     assert back.failures == err.failures
     assert "bad schedule" in str(back)
-
-
-# -- collective round plans ---------------------------------------------------
-
-def _coll_pair():
-    """A fan-out pair whose 256-byte rounds must chunk (pair streams
-    larger than the 32-element cap)."""
-    return cart(Cyclic(360, 3)), cart(Block(360, 4))
-
-
-def _tamper(sched, rounds, *, itemsize=8, round_bytes=256):
-    """Replace the memoized collective plan with a corrupted one so the
-    verifier re-derives its proof from the tampered rounds."""
-    from repro.schedule.collplan import CollectivePlan
-
-    sched._coll_plans[(itemsize, round_bytes)] = CollectivePlan(
-        [list(r) for r in rounds], itemsize=itemsize,
-        round_bytes=round_bytes, src_nranks=sched.src_nranks,
-        dst_nranks=sched.dst_nranks)
-
-
-@pytest.mark.parametrize("kind", sorted(PAIRS))
-def test_collective_plan_proves_on_every_builder_kind(kind):
-    from repro.verify.schedule import verify_collective_plan
-
-    src, dst = PAIRS[kind]
-    sched = build_region_schedule(src, dst)
-    proof = verify_collective_plan(sched, src, dst, round_bytes=64)
-    assert any("chunk tiling" in c for c in proof.checks)
-    assert any("round byte conservation" in c for c in proof.checks)
-    assert any("memory bound" in c for c in proof.checks)
-
-
-def test_collective_plan_chunks_when_streams_exceed_cap():
-    from repro.verify.schedule import verify_collective_plan
-
-    src, dst = _coll_pair()
-    sched = build_region_schedule(src, dst)
-    coll = sched.collective_plan(8, 256)
-    assert coll.nrounds > 1  # the cap actually forced chunking
-    verify_collective_plan(sched, src, dst, round_bytes=256)
-
-
-def test_collective_dropped_chunk_fails_conservation():
-    from repro.verify.schedule import verify_collective_plan
-
-    src, dst = _coll_pair()
-    sched = build_region_schedule(src, dst)
-    good = sched.collective_plan(8, 256)
-    rounds = [list(r) for r in good.rounds]
-    rounds[0] = rounds[0][1:]  # lose one chunk
-    _tamper(sched, rounds)
-    with pytest.raises(VerificationError) as exc:
-        verify_collective_plan(sched, src, dst, round_bytes=256)
-    assert any("conservation" in f for f in exc.value.failures)
-    assert any("do not tile" in f for f in exc.value.failures)
-
-
-def test_collective_duplicated_chunk_fails_tiling():
-    from repro.verify.schedule import verify_collective_plan
-
-    src, dst = _coll_pair()
-    sched = build_region_schedule(src, dst)
-    good = sched.collective_plan(8, 256)
-    rounds = [list(r) for r in good.rounds]
-    rounds[-1] = rounds[-1] + [rounds[0][0]]  # re-ship an early chunk
-    _tamper(sched, rounds)
-    with pytest.raises(VerificationError) as exc:
-        verify_collective_plan(sched, src, dst, round_bytes=256)
-    assert any("do not tile" in f for f in exc.value.failures)
-
-
-def test_collective_cap_violation_detected():
-    from repro.schedule.collplan import RoundChunk
-    from repro.verify.schedule import verify_collective_plan
-
-    src, dst = _coll_pair()
-    sched = build_region_schedule(src, dst)
-    good = sched.collective_plan(8, 256)
-    # fuse each pair's chunked stream into one oversized chunk in round 0
-    fused = {}
-    for r in good.rounds:
-        for c in r:
-            lo, hi = fused.get((c.src, c.dst), (c.lo, c.hi))
-            fused[(c.src, c.dst)] = (min(lo, c.lo), max(hi, c.hi))
-    rounds = [[RoundChunk(s, d, lo, hi)
-               for (s, d), (lo, hi) in sorted(fused.items())]]
-    _tamper(sched, rounds)
-    with pytest.raises(VerificationError) as exc:
-        verify_collective_plan(sched, src, dst, round_bytes=256)
-    assert any("cap is" in f for f in exc.value.failures)
-
-
-def test_collective_misbooked_load_table_detected():
-    from repro.verify.schedule import verify_collective_plan
-
-    src, dst = _coll_pair()
-    sched = build_region_schedule(src, dst)
-    coll = sched.collective_plan(8, 256)
-    some_src = next(iter(coll._send_bytes[0]))
-    coll._send_bytes[0][some_src] += 8  # cook the books, keep the chunks
-    with pytest.raises(VerificationError) as exc:
-        verify_collective_plan(sched, src, dst, round_bytes=256)
-    assert any("books" in f or "advertised" in f
-               for f in exc.value.failures)
