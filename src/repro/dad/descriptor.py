@@ -56,15 +56,16 @@ class DistArrayDescriptor:
         self.name = name
         self.mode = mode
         self._ownership: Ownership | None = None
+        self._key: tuple | None = None
 
     def __getstate__(self):
-        # The ownership memo is rebuilt on demand and, on the threads
-        # backend, may be concurrently filled by sibling ranks of a
-        # shared descriptor while rank 0 pickles it for the handshake —
-        # serializing it would race (and ship O(extent) regions for
+        # The ownership and key memos are rebuilt on demand and, on the
+        # threads backend, may be concurrently filled by sibling ranks of
+        # a shared descriptor while rank 0 pickles it for the handshake —
+        # serializing them would race (and ship O(extent) regions for
         # cyclic templates for nothing).
         state = dict(self.__dict__)
-        state["_ownership"] = None
+        state["_ownership"] = state["_key"] = None
         return state
 
     # -- layout queries (the DAD run-time interface) -----------------------
@@ -85,11 +86,15 @@ class DistArrayDescriptor:
         """Every rank's regions as one table (:meth:`~repro.dad.template.
         Template.ownership`), built once — sound because templates are
         immutable after construction.  Schedules built from this
-        descriptor carry it, and compile a whole side against it."""
+        descriptor carry it, and compile a whole side against it; its
+        ``key`` is the template's cache key, so a schedule recognises
+        the table of any descriptor of the same template as its own."""
         if self._ownership is None:
             with _OWNERSHIP_LOCK:
                 if self._ownership is None:
-                    self._ownership = self.template.ownership()
+                    table = self.template.ownership()
+                    table.key = self.template.cache_key()
+                    self._ownership = table
         return self._ownership
 
     def local_regions(self, rank: int) -> RegionList:
@@ -100,7 +105,7 @@ class DistArrayDescriptor:
         return self.ownership().regions(rank)
 
     def local_volume(self, rank: int) -> int:
-        return self.template.local_volume(rank)
+        return self.local_regions(rank).volume
 
     def owner_of(self, point: Sequence[int]) -> int:
         return self.template.owner_of(point)
@@ -116,8 +121,11 @@ class DistArrayDescriptor:
     def cache_key(self) -> tuple:
         """Schedule-cache identity: two descriptors with equal keys can
         reuse each other's communication schedules even if they describe
-        different actual arrays (paper §2.3)."""
-        return (self.template.cache_key(), self.dtype.str)
+        different actual arrays (paper §2.3).  Memoized: the template and
+        dtype never change, and the cache asks on every fetch."""
+        if self._key is None:
+            self._key = (self.template.cache_key(), self.dtype.str)
+        return self._key
 
     def ownership_key(self, rank: int) -> tuple:
         """Hashable fingerprint of ``rank``'s exact ownership: the

@@ -44,6 +44,11 @@ class Ownership:
         else:
             self.offset = np.asarray(offset, dtype=np.int64)[order]
         self._lists: dict[int, RegionList] = {}
+        #: The cache key of the template this table was built from
+        #: (:meth:`~repro.dad.descriptor.DistArrayDescriptor.ownership`),
+        #: ``None`` for a table with stated offsets: two tables with equal
+        #: keys are the same decomposition.
+        self.key: tuple | None = None
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)

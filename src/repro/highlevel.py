@@ -294,17 +294,18 @@ class Coupler:
     def _handshake(self, comm: Communicator, role: str,
                    descriptor: DistArrayDescriptor, *,
                    tier: str | None = None, persistent: bool = False):
-        """Connect, then exchange the descriptor and this job's
-        :func:`~repro.mxn.connection.agreed_requests` in one message
-        (:func:`~repro.mxn.connection.handshake`): every rank of both
-        jobs raises :class:`~repro.errors.ConnectionError_` when the
-        requests differ — before any transfer could stall on it."""
+        """Connect, then exchange the descriptor and, for a persistent
+        channel, this job's :func:`~repro.mxn.connection.agreed_requests`
+        in one message (:func:`~repro.mxn.connection.handshake`): every
+        rank of both jobs raises :class:`~repro.errors.ConnectionError_`
+        when the requests differ — before any transfer could stall on
+        it."""
         if role == "source":
             inter = self.nameservice.accept(self.name, comm)
         else:
             inter = self.nameservice.connect(self.name, comm)
         peer = handshake(inter, _HANDSHAKE_TAG, descriptor,
-                         agreed_requests(tier, one_shot=not persistent),
+                         agreed_requests(tier) if persistent else {},
                          what=f"coupling {self.name!r}")
         if role == "source":
             sched = GLOBAL_CACHE.get(descriptor, peer)

@@ -117,7 +117,8 @@ class MxNComponent:
         self._handshakes[inter.recv_context] = conn_id + 1
         agreed = {"kind": kind.value, "period": period,
                   "connection id": conn_id,
-                  **agreed_requests(one_shot=kind is ConnectionKind.ONE_SHOT)}
+                  **(agreed_requests() if kind is not ConnectionKind.ONE_SHOT
+                     else {})}
         peer_desc = handshake(inter, 90, my_desc, agreed, error=error,
                               what="M×N connection")
 

@@ -35,19 +35,18 @@ from repro.simmpi.intercomm import Intercommunicator
 MXN_DATA_TAG_BASE = 6000
 _TAG_SPACE = 512
 
-#: Knobs both jobs of a coupling must resolve identically: with the
-#: agreed schedule, dtype and transport they determine the tier.
+#: Knobs both jobs of a persistent coupling must resolve identically:
+#: with the agreed schedule, dtype and transport they determine the
+#: tier.
 _AGREED = ("tier",)
 
 
-def agreed_requests(tier: str | None = None, *,
-                    one_shot: bool = False) -> dict:
+def agreed_requests(tier: str | None = None) -> dict:
     """This job's :data:`_AGREED` requests, resolved and named for
-    :func:`handshake`'s messages.  A one-shot never takes RMA, so its
-    ``rma`` request agrees with ``two_sided``: one-shots cannot
-    disagree."""
-    tier = config.resolve("tier", tier)
-    mine = {"tier": "two_sided" if one_shot else tier}
+    :func:`handshake`'s messages.  Only a persistent coupling sends
+    them: a one-shot never takes RMA, so it runs ``two_sided`` whatever
+    either job requests and its handshake agrees on nothing."""
+    mine = {"tier": config.resolve("tier", tier)}
     return {f"{k} ({config.KNOBS[k].env})": mine[k] for k in _AGREED}
 
 
@@ -74,11 +73,13 @@ def handshake(inter: Intercommunicator, tag: int, descriptor, agreed: dict,
         raise ConnectionError_(f"{what}: {error}")
     if peer_error is not None:
         raise ConnectionError_(f"{what}: the peer job refused — {peer_error}")
-    for name, value in agreed.items():
-        if value != theirs[name]:
+    # either side's names: a one-shot sends no tier, so a one-shot and
+    # a persistent side refuse each other on both jobs
+    for name in dict.fromkeys([*agreed, *theirs]):
+        if agreed.get(name) != theirs.get(name):
             raise ConnectionError_(
                 f"{what}: the jobs disagree on {name} — this job has "
-                f"{value!r}, its peer {theirs[name]!r}")
+                f"{agreed.get(name)!r}, its peer {theirs.get(name)!r}")
     return peer_desc
 
 

@@ -16,12 +16,49 @@ lazily from inside the method body — the paper's two strategies), both
 cohorts fetch the same M×N schedule for the descriptor pair from the
 process-wide cache (built and compiled on the first call, a hit on every
 one after), and the data moves as schedule point-to-point messages.
+
+A pre-registered layout moves by *epoch* (the transmission-policy idea
+of arXiv 1006.3739, which :class:`~repro.prmi.policy.CachedRead`
+applies to results): a layout's epoch is a digest of its schedule-cache
+key, so equal layouts share one on every rank and across endpoints; the
+callers keep the ``(epoch, layout)`` the callee shipped them, and every
+invocation names the epoch they hold.  Per call and parallel argument:
+
+===================  ===============================================
+callers hold         the callee
+===================  ===============================================
+nothing              ships ``(epoch, layout)`` on :data:`PULL_TAG`
+                     (caller 0 broadcasts it), then pulls into it —
+                     the first call, and every lazy (strategy 2) call
+the current epoch    pulls into it: no layout message, no broadcast
+a stale epoch        pulls in the layout of that epoch (it keeps every
+                     one registered), redistributes it into the
+                     current one over its cohort (``execute_intra``)
+                     and sends the current ``(epoch, layout)`` with
+                     the return, so every caller switches before its
+                     next call; a one-way call has no return and stays
+                     on the stale epoch
+===================  ===============================================
+
+Only a synchronous :meth:`CallerEndpoint.invoke` adopts a layout from a
+return: the pipelined path (:mod:`repro.prmi.serving`) drains its
+returns at points that differ between callers.  So every caller makes a
+collective call the same way — all through ``invoke``, or all through
+one pipeline's ``invoke_collective``.
+
+The argument's own descriptor travels the same way: an invocation
+carries it only when it is not the object that caller sent last
+(``None`` otherwise), and the callee keeps each caller's.  What a
+caller endpoint holds is therefore state of its pairing with one
+callee endpoint: a new callee endpoint refuses an old caller endpoint's
+call with :class:`~repro.errors.PRMIError`.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -35,7 +72,7 @@ from repro.dad.darray import DistributedArray
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.prmi.args import LazyParallelArg, ParallelArg
 from repro.schedule.builder import GLOBAL_CACHE
-from repro.schedule.executor import allocate_dst, execute_inter
+from repro.schedule.executor import allocate_dst, execute_inter, execute_intra
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.intercomm import Intercommunicator
 
@@ -58,6 +95,28 @@ class InvocationStats:
     merged_invocations: int = 0
     simple_checks: int = 0
     subset_engagements: int = 0
+
+
+class _Relayout(NamedTuple):
+    """A return value carrying the callee's current layouts: ``layouts``
+    maps a parallel parameter's name to its ``(epoch, descriptor)``."""
+
+    result: Any
+    layouts: dict
+
+
+def _parallel_in(spec: MethodSpec) -> list:
+    return [p for p in spec.in_params if p.kind == "parallel"]
+
+
+def _epoch(layout: DistArrayDescriptor) -> bytes:
+    """A registered layout's epoch: a digest of its schedule-cache key.
+    Equal layouts share one — on every callee rank, whatever order it
+    registers in, and across re-registrations — and different ones
+    never do, so an epoch the callers hold always names the layout they
+    send in."""
+    return hashlib.blake2b(repr(layout.cache_key()).encode(),
+                           digest_size=16).digest()
 
 
 def _args_equal(a: Any, b: Any) -> bool:
@@ -128,6 +187,14 @@ class CallerEndpoint:
         #: simple-arg verification); the full cohort when no subset.
         self._pcomm = (_participation_comm if _participation_comm
                        is not None else local_comm)
+        #: Pre-registered callee layouts this endpoint holds:
+        #: (method, param) -> (epoch, descriptor).  Every participating
+        #: rank updates it at the same call boundary (see invoke).
+        self._held: dict[tuple[str, str], tuple[bytes, DistArrayDescriptor]] = {}
+        #: The descriptor each parallel parameter last went out with; an
+        #: invocation repeating it sends ``None`` in its place (this
+        #: rank's callees kept it).
+        self._sent: dict[str, DistArrayDescriptor] = {}
 
     # -- helpers ------------------------------------------------------------
 
@@ -234,7 +301,10 @@ class CallerEndpoint:
         """Collective call: every caller rank must invoke this together.
 
         Returns the callee's return value (every caller gets one);
-        one-way methods return ``None`` immediately.
+        one-way methods return ``None`` immediately.  A return that
+        carries the callee's re-registered layouts updates the ones this
+        endpoint holds, on every caller at once: each caller receives
+        its return before it can start the next call.
         """
         sent = self._invoke_send(method, kwargs)
         if sent is None:
@@ -242,7 +312,12 @@ class CallerEndpoint:
         spec, me = sent
         if spec.oneway:
             return None
-        return self.inter.recv(source=me % self.n, tag=RETURN_TAG)
+        value = self.inter.recv(source=me % self.n, tag=RETURN_TAG)
+        if isinstance(value, _Relayout):
+            self._held.update({(method, name): held for name, held
+                               in value.layouts.items()})
+            value = value.result
+        return value
 
     def _invoke_send(self, method: str,
                      kwargs: dict) -> tuple[MethodSpec, int] | None:
@@ -253,6 +328,12 @@ class CallerEndpoint:
         (:class:`repro.prmi.serving.InvocationPipeline`) defers only the
         return receive — argument pulls stay synchronous, so parallel
         arguments may be reused or freed as soon as this returns.
+
+        Each parallel argument moves in the layout this endpoint holds
+        for it; the invocation names that layout's epoch.  Holding none,
+        the callers wait for the callee to ship ``(epoch, layout)`` on
+        :data:`PULL_TAG` (to the effective rank 0, which broadcasts it)
+        and keep a pre-registered one for the calls that follow.
         """
         spec = self.port_type.method(method)
         if spec.invocation != "collective":
@@ -269,25 +350,33 @@ class CallerEndpoint:
 
         self.stats.calls += 1
         pull_root = (self._subset[0] if self._subset is not None else 0)
-        parallel_meta = {name: arg.descriptor
-                         for name, arg in parallel.items()}
+        parallel_meta = {}
+        for name, arg in parallel.items():
+            descriptor = arg.descriptor
+            parallel_meta[name] = (None if self._sent.get(name) is descriptor
+                                   else descriptor)
+            self._sent[name] = descriptor
+        params = _parallel_in(spec)
+        held = [self._held.get((method, p.name)) for p in params]
+        epochs = tuple(h[0] if h is not None else None for h in held)
         my_callees = [nn for nn in range(self.n) if nn % self.m == me] \
             if self.n >= self.m else [me % self.n]
         for callee in my_callees:
-            self.inter.send((method, simple, parallel_meta, pull_root),
-                            dest=callee, tag=INVOKE_TAG)
+            self.inter.send((method, simple, parallel_meta, pull_root,
+                             epochs), dest=callee, tag=INVOKE_TAG)
         self.stats.ghost_invocations += max(0, len(my_callees) - 1)
 
         # Serve the callee's pulls, one per parallel in-param, in
         # declared order.
-        for p in spec.in_params:
-            if p.kind != "parallel":
-                continue
-            if me == 0:
-                layout = self.inter.recv(source=0, tag=PULL_TAG)
+        for p, mine in zip(params, held):
+            if mine is not None:
+                layout = mine[1]
             else:
-                layout = None
-            layout = self._pcomm.bcast(layout, root=0)
+                shipped = (self.inter.recv(source=0, tag=PULL_TAG)
+                           if me == 0 else None)
+                epoch, layout = self._pcomm.bcast(shipped, root=0)
+                if epoch is not None:
+                    self._held[(method, p.name)] = (epoch, layout)
             arg = parallel[p.name]
             sched = GLOBAL_CACHE.get(arg.descriptor, layout)
             execute_inter(sched, self.inter, "src", arg.darray,
@@ -352,10 +441,17 @@ class CalleeEndpoint:
         self.impl = impl
         self.verify_simple = verify_simple
         self.stats = InvocationStats()
-        #: Pre-registered layouts: (method, param) -> descriptor
-        #: (the paper's first strategy: "specify the layout using a
-        #: special framework service before the call is received").
-        self._layouts: dict[tuple[str, str], DistArrayDescriptor] = {}
+        #: Pre-registered layouts (the paper's first strategy: "specify
+        #: the layout using a special framework service before the call
+        #: is received"): (method, param) -> the epoch of its current
+        #: layout, and every layout ever registered by epoch — what
+        #: callers holding a stale epoch still send in.
+        self._layouts: dict[tuple[str, str], bytes] = {}
+        self._registered: dict[bytes, DistArrayDescriptor] = {}
+        #: (actual caller rank, parallel parameter) -> the source
+        #: descriptor that caller last sent (it sends ``None`` while it
+        #: is unchanged).
+        self._sources: dict[tuple[int, str], DistArrayDescriptor] = {}
         #: Effective caller rank -> actual remote rank; identity until a
         #: subset is engaged (§4.2 sub-setting).
         self._caller_map: list[int] | None = None
@@ -417,25 +513,59 @@ class CalleeEndpoint:
     def set_param_layout(self, method: str, param: str,
                          layout: DistArrayDescriptor) -> None:
         """Register the desired layout of a parallel parameter ahead of
-        invocation time."""
+        invocation time (every callee rank registers its part of the
+        same layout); a re-registration takes effect on the next call."""
         spec = self.port_type.method(method)
         if param not in {p.name for p in spec.parallel_params}:
             raise PRMIError(
                 f"method {method!r} has no parallel parameter {param!r}")
-        self._layouts[(method, param)] = layout
+        epoch = _epoch(layout)
+        self._layouts[(method, param)] = epoch
+        self._registered[epoch] = layout
 
     # -- data pull --------------------------------------------------------------
 
+    def _ship(self, epoch: bytes | None,
+              layout: DistArrayDescriptor) -> None:
+        """Announce ``layout`` (with its epoch, ``None`` when lazy) to
+        the callers' effective rank 0."""
+        if self.local_comm.rank == 0:
+            self.inter.send((epoch, layout), dest=self._pull_root,
+                            tag=PULL_TAG)
+
     def _pull(self, src_descriptor: DistArrayDescriptor,
               layout: DistArrayDescriptor) -> DistributedArray:
-        """Collective over the callee cohort: announce ``layout`` to the
-        callers and receive the redistributed data."""
-        if self.local_comm.rank == 0:
-            self.inter.send(layout, dest=self._pull_root, tag=PULL_TAG)
+        """Collective over the callee cohort: receive the redistributed
+        data in ``layout``."""
         sched = GLOBAL_CACHE.get(src_descriptor, layout)
         dst = allocate_dst(sched, layout, self.local_comm.rank)
         execute_inter(sched, self.inter, "dst", dst, tag=DATA_TAG,
                       peer_map=self._caller_map)
+        return dst
+
+    def _pull_registered(self, src_descriptor: DistArrayDescriptor,
+                         epoch: bytes, held: bytes | None
+                         ) -> DistributedArray:
+        """Pull a parameter whose current layout is ``epoch`` and that
+        the callers send in the layout of epoch ``held``: ship the
+        layout first if they hold none, pull straight into it if they
+        hold it, and otherwise pull in the stale layout and redistribute
+        inside the cohort."""
+        layout = self._registered[epoch]
+        if held is None:
+            self._ship(epoch, layout)
+        if held is None or held == epoch:
+            return self._pull(src_descriptor, layout)
+        stale = self._registered.get(held)
+        if stale is None:
+            raise PRMIError(
+                f"the callers hold layout epoch {held.hex()}, which this "
+                f"endpoint never registered")
+        pulled = self._pull(src_descriptor, stale)
+        sched = GLOBAL_CACHE.get(stale, layout)
+        dst = allocate_dst(sched, layout, self.local_comm.rank)
+        execute_intra(sched, self.local_comm, src_array=pulled,
+                      dst_array=dst, tag=DATA_TAG)
         return dst
 
     # -- collective servicing ------------------------------------------------------
@@ -475,13 +605,23 @@ class CalleeEndpoint:
         ``wait_any`` and dispatch here."""
         me = self.local_comm.rank
         expected = len(invocations)
-        method, simple, parallel_meta, pull_root = invocations[0]
+        callers = self._expected_callers()
+        for caller, (_, _, meta, _, _) in zip(callers, invocations):
+            self._sources.update({(caller, name): descriptor
+                                  for name, descriptor in meta.items()
+                                  if descriptor is not None})
+        method, simple, _, pull_root, held = invocations[0]
         self._pull_root = pull_root
-        for other_method, other_simple, _, _ in invocations[1:]:
+        for other_method, other_simple, _, _, other_held in invocations[1:]:
             if other_method != method:
                 raise ParticipationError(
                     f"callee rank {me} received merged invocations of "
                     f"different methods: {method!r} vs {other_method!r}")
+            if other_held != held:
+                raise ParticipationError(
+                    f"callee rank {me} received merged invocations of "
+                    f"{method!r} holding different layout epochs: "
+                    f"{held} vs {other_held}")
             if self.verify_simple and not _args_equal(other_simple, simple):
                 raise SimpleArgumentMismatch(
                     f"merged invocations disagree on simple args: "
@@ -492,21 +632,32 @@ class CalleeEndpoint:
 
         ctx = InvocationContext(self, spec)
         call_kwargs: dict[str, Any] = dict(simple)
-        for p in spec.in_params:
-            if p.kind != "parallel":
-                continue
-            src_desc = parallel_meta[p.name]
-            registered = self._layouts.get((method, p.name))
-            if registered is not None:
+        relayout = {}
+        for p, epoch in zip(_parallel_in(spec), held):
+            src_desc = self._sources.get((callers[0], p.name))
+            if src_desc is None:
+                raise PRMIError(
+                    f"{method}.{p.name}: caller {callers[0]} sent no "
+                    f"source descriptor this endpoint has seen")
+            current = self._layouts.get((method, p.name))
+            if current is not None:
                 # Strategy 1: layout known up front; pull eagerly.
                 ctx.expect_next(p.name)
-                call_kwargs[p.name] = self._pull(src_desc, registered)
+                call_kwargs[p.name] = self._pull_registered(
+                    src_desc, current, epoch)
+                if epoch not in (None, current):
+                    relayout[p.name] = (current, self._registered[current])
+            elif epoch is not None:
+                raise PRMIError(
+                    f"{method}.{p.name}: the callers hold layout epoch "
+                    f"{epoch.hex()}, but no layout is registered")
             else:
                 # Strategy 2: hand the method a reference; the transfer
                 # happens when it specifies the layout.
                 def make_pull(name=p.name, src=src_desc):
                     def pull(layout: DistArrayDescriptor) -> DistributedArray:
                         ctx.expect_next(name)
+                        self._ship(None, layout)
                         return self._pull(src, layout)
                     return pull
                 call_kwargs[p.name] = LazyParallelArg(p.name, make_pull())
@@ -520,6 +671,10 @@ class CalleeEndpoint:
                 f"parallel argument; the callers are still waiting to send")
 
         if not spec.oneway:
+            if relayout:
+                # every caller adopts the current layouts with this
+                # return, before its next call
+                result = _Relayout(result, relayout)
             return_to = [mm for mm in range(self.m) if mm % self.n == me]
             for caller in return_to:
                 self.inter.send(result, dest=self._actual_caller(caller),

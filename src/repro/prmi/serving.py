@@ -64,6 +64,7 @@ from repro.prmi.endpoint import (
     INVOKE_TAG,
     RETURN_TAG,
     SUBSET_TAG,
+    _Relayout,
 )
 from repro.prmi.frames import decode_frame, encode_frame
 from repro.prmi.policy import Batched, CachedRead, PolicyTable
@@ -593,13 +594,18 @@ class InvocationPipeline:
     def _drain_collective(self, target: InvocationFuture) -> None:
         """Settle pipelined collective futures FIFO until ``target``
         settles — returns arrive in invocation order on the per-source
-        RETURN stream."""
+        RETURN stream.  A return carrying re-registered layouts settles
+        with its result only: callers drain at different points, so no
+        pipelined call may change the layouts the endpoint holds (the
+        callee redistributes the stale one; the next synchronous
+        :meth:`CallerEndpoint.invoke` adopts the new one)."""
         while not target._done:
             if not self._collective:  # pragma: no cover - protocol guard
                 raise PRMIError("collective future not in pipeline order")
             fut = self._collective.popleft()
             value = self.inter.recv(source=fut._source, tag=RETURN_TAG)
-            fut._settle(value=value)
+            fut._settle(value=value.result if isinstance(value, _Relayout)
+                        else value)
             self._post_inflight(1)
 
     def drain(self) -> None:

@@ -170,14 +170,16 @@ class BoundTransfer:
     with put pairs, ``rebase()``.  ``link`` is a communicator or an
     intercommunicator.  ``tier`` names the resolved tier; ``pool`` is
     the staging-buffer pool (``pool.stats`` proves the zero-allocation
-    steady state).  Construct through :func:`bind`.
+    steady state), made on first use — a transfer whose pairs all lend
+    views of local storage never needs one.  Construct through
+    :func:`bind`.
     """
 
     def __init__(self, plan, storage, link, tier: Tier, *, tag: int,
                  me: int, peer_map: Sequence[int] | None = None,
                  pool: BufferPool | None = None):
         self.tier = tier.kind
-        self.pool = pool if pool is not None else BufferPool()
+        self._pool = pool
         self._plan = plan
         self._storage = storage
         self._dtype = storage.flat_local().dtype
@@ -188,6 +190,12 @@ class BoundTransfer:
         self._pairs = [(pp, peer_map[pp.peer] if peer_map is not None
                         else pp.peer) for pp in plan.pairs]
         self._setup(tier)
+
+    @property
+    def pool(self) -> BufferPool:
+        if self._pool is None:
+            self._pool = BufferPool()
+        return self._pool
 
     def _setup(self, tier: Tier) -> None:
         """Tier bootstrap (window exchange)."""
@@ -243,8 +251,12 @@ class _PointSend(BoundTransfer):
         # receiver on the data tag, which no eager message to or from a
         # put peer uses.  Token pairs need none.
         self._eager, rdv = _split(self._pairs, self._dtype, tier.eager_max)
-        put, self._tokened = ((rdv, []) if _windowed(self._link)
-                              else ([], rdv))
+        put, tokened = (rdv, []) if _windowed(self._link) else ([], rdv)
+        # one ready-token spec per token pair's peer, and its pair
+        ready = READY_TAG_BASE + self._tag
+        self._ready = [(self._link.recv_context, peer, ready)
+                       for _, peer in tokened]
+        self._tokened = {peer: pp for pp, peer in tokened}
         self._puts = [
             (pp, rma.RemoteWindow(rma.check_handle(
                 self._link.recv(source=peer, tag=self._tag), pp.size),
@@ -262,15 +274,18 @@ class _PointSend(BoundTransfer):
 
     def step(self) -> int:
         """Send every eager pair (buffered, so no wait), then each token
-        pair once its receiver's ready token arrives, then put each put
-        pair once the receiver has opened this step's epoch."""
+        pair as its receiver's ready token arrives — whichever receiver
+        arms first is served first — then put each put pair once the
+        receiver has opened this step's epoch."""
         self._live()
         self._epoch += 1
         flat = self._storage.flat_local()
         moved = sum(self._lend(pp, peer, flat) for pp, peer in self._eager)
-        for pp, peer in self._tokened:
-            self._link.recv(source=peer, tag=READY_TAG_BASE + self._tag)
-            moved += self._lend(pp, peer, flat)
+        waiting = self._ready
+        while waiting:
+            peer = self._link.wait_any(waiting).source
+            waiting = [spec for spec in waiting if spec[1] != peer]
+            moved += self._lend(self._tokened[peer], peer, flat)
         for pp, rwin in self._puts:
             rwin.wait_open(self._epoch)
             buf, release = self._staged(pp, flat)
@@ -389,8 +404,7 @@ def bind(schedule: CommSchedule, side: str, link, array: DistributedArray,
     # Verification happens here — never in step() — so the steady-state
     # path carries zero hook overhead.
     maybe_verify_side(schedule, _PLAN_SIDE[side], me, descriptor)
-    plan = schedule.rank_plan(_PLAN_SIDE[side], me,
-                              descriptor.local_regions(me))
+    plan = schedule.rank_plan(_PLAN_SIDE[side], me, descriptor.ownership())
     resolved = resolve_tier(link, tier=tier, one_shot=one_shot)
     return _half(resolved, side, plan, array, link, tag=tag, me=me,
                  peer_map=peer_map, pool=pool)
@@ -402,10 +416,10 @@ def allocate_dst(schedule: CommSchedule, descriptor, rank: int
     uninitialized when the rank's receive plan covers every local
     element (template patches never overlap, so its pairs are disjoint
     and the transfer writes each element once), zeroed otherwise."""
-    plan = schedule.rank_plan("recv", rank, descriptor.local_regions(rank))
+    plan = schedule.rank_plan("recv", rank, descriptor.ownership())
     return DistributedArray.allocate(
         descriptor, rank,
-        zeroed=plan.element_count < descriptor.local_volume(rank))
+        zeroed=plan.element_count < descriptor.local_regions(rank).volume)
 
 
 # -- one-shot transfers: bind, step, close ---------------------------------------

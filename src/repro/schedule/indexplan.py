@@ -676,10 +676,18 @@ class SidePlans:
 
 
 def same_layout(table: Ownership, rank: int, layout) -> bool:
-    """Whether ``layout`` — anything :func:`compile_rank_plan` takes —
-    is exactly rank ``rank``'s part of ``table``: the same patches, each
-    at the same flat offset."""
-    if layout is table.regions(rank):
+    """Whether ``layout`` — anything :func:`compile_rank_plan` takes, or
+    a whole :class:`~repro.dad.ownership.Ownership` table standing for
+    its rank-``rank`` part — is exactly rank ``rank``'s part of
+    ``table``: the same patches, each at the same flat offset.  A table
+    with ``table``'s key is the same decomposition, so it answers
+    without comparing a column."""
+    if isinstance(layout, Ownership):
+        if layout is table or (layout.key is not None
+                               and layout.key == table.key):
+            return True
+        layout = LocalIndexer(*layout.layout(rank))
+    elif layout is table.regions(rank):
         return True
     if not isinstance(layout, LocalIndexer):
         layout = LocalIndexer(layout)

@@ -47,6 +47,7 @@ from repro.errors import ScheduleError, VerificationError
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.dad.ownership import Ownership
 from repro.schedule.indexplan import (
+    LocalIndexer,
     RankPlan,
     SidePlans,
     compile_rank_plan,
@@ -154,6 +155,9 @@ class CommSchedule:
         self._group_views: dict[tuple[str, int], list] = {}
         self._side_rows: dict[str, tuple] = {}
         self._side_plans: dict[str, SidePlans] = {}
+        #: the last layout that passed the ownership check, per
+        #: (side, rank) — see rank_plan
+        self._accepted: dict[tuple[str, int], object] = {}
         self._lock = threading.Lock()
 
     def __getstate__(self) -> dict:
@@ -267,7 +271,9 @@ class CommSchedule:
         :class:`~repro.schedule.indexplan.PairPlan` per destination,
         addressing the rank's flat local storage.  ``layout`` says where
         things live there — the rank's patch regions
-        (``descriptor.local_regions(src)``), or a
+        (``descriptor.local_regions(src)``), a descriptor's whole
+        ownership table (``descriptor.ownership()``, standing for its
+        rank-``src`` part), or a
         :class:`~repro.schedule.indexplan.LocalIndexer` over a
         linearization's owned runs and their local offsets.  Plans are
         compiled on first use and cached for the schedule's lifetime,
@@ -290,16 +296,24 @@ class CommSchedule:
         every rank of the side in one pass (:class:`~repro.schedule.
         indexplan.SidePlans`) and each rank's plan is sliced out of it on
         its first request; without tables only the requested rank
-        compiles."""
+        compiles.  The ownership check answers from identity for the
+        layout it last accepted for ``(side, rank)`` and from the table
+        key for a table of the same template
+        (:func:`~repro.schedule.indexplan.same_layout`); only another
+        layout is compared column by column."""
         table = None
         if self.owners is not None:
             table = self.owners[_SIDES.index(side)]
-            if not same_layout(table, rank, layout):
-                raise ScheduleError(
-                    f"{side} layout of rank {rank} is not the ownership "
-                    f"this schedule was built for")
+            if self._accepted.get((side, rank)) is not layout:
+                if not same_layout(table, rank, layout):
+                    raise ScheduleError(
+                        f"{side} layout of rank {rank} is not the "
+                        f"ownership this schedule was built for")
+                self._accepted[(side, rank)] = layout
         plan = self._plans.get((side, rank))
         if plan is None:
+            if table is None and isinstance(layout, Ownership):
+                layout = LocalIndexer(*layout.layout(rank))
             with self._lock:
                 plan = self._plans.get((side, rank))
                 if plan is None:

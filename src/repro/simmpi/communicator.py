@@ -146,6 +146,20 @@ class Communicator:
             return env.payload, Status(env.source, env.tag, env.nbytes)
         return env.payload
 
+    @property
+    def recv_context(self) -> int:
+        """The context id this communicator matches incoming traffic on
+        — :attr:`context`; named as on an intercommunicator, so a
+        :meth:`wait_any` spec is built the same way over either link."""
+        return self.context
+
+    def wait_any(self, specs, *, timeout: float | None = None) -> Envelope:
+        """Block until a message matches any ``(context, source, tag)``
+        spec and return its :class:`~repro.simmpi.matching.Envelope`
+        (as :meth:`repro.simmpi.intercomm.Intercommunicator.wait_any`)."""
+        return self._mailbox(self._rank).wait_match_any(specs,
+                                                        timeout=timeout)
+
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         """Nonblocking send (completes immediately: sends are buffered)."""
         self.send(obj, dest, tag)

@@ -213,7 +213,7 @@ class RegionList:
     ownership is always a bug in this domain.
     """
 
-    __slots__ = ("lo", "hi", "_regions")
+    __slots__ = ("lo", "hi", "_regions", "_volume")
 
     def __init__(self, regions: Iterable[Region] = (), *, validate: bool = True):
         regions = [r for r in regions if not r.empty]
@@ -223,6 +223,7 @@ class RegionList:
         self.hi = np.array([r.hi for r in regions],
                            dtype=np.int64).reshape(shape)
         self._regions: list[Region] | None = regions
+        self._volume: int | None = None
         if validate:
             self._check_disjoint()
 
@@ -234,6 +235,7 @@ class RegionList:
         out = cls.__new__(cls)
         out.lo, out.hi = (lo, hi) if keep.all() else (lo[keep], hi[keep])
         out._regions = None
+        out._volume = None
         return out
 
     @property
@@ -262,7 +264,10 @@ class RegionList:
 
     @property
     def volume(self) -> int:
-        return int((self.hi - self.lo).prod(axis=1).sum())
+        """Total elements, computed once (the columns never change)."""
+        if self._volume is None:
+            self._volume = int((self.hi - self.lo).prod(axis=1).sum())
+        return self._volume
 
     def intersect_region(self, other: Region) -> "RegionList":
         """All parts of this list lying inside ``other``."""

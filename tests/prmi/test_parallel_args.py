@@ -317,3 +317,222 @@ def test_parallel_arg_schedule_is_fetched_and_compiled_once(cohort, subset,
                             sum(side_ranks[s] for s in mine),
                             len(mine) * pairs)
         assert snaps[1:] == [snaps[0]] * (_CALLS - 1)
+
+
+# -- layouts by epoch: shipped once, re-registered between calls -------------
+
+_EPOCH_PORT = port(
+    "EpochPort",
+    method("norm", arg("field", kind="parallel")),
+    method("push", arg("field", kind="parallel"), returns=False,
+           oneway=True))
+_COLS = DistArrayDescriptor(block_template(SHAPE, (1, 3)), G.dtype)
+_ROWS = DistArrayDescriptor(block_template(SHAPE, (3, 1)), G.dtype)
+
+
+def _epoch_run(calls, *, name="norm", layouts=None, backend="threads",
+               watch=False):
+    """2 callers -> 3 callees, ``calls`` collective calls of ``name``.
+    The callees hold ``layouts[k]`` for call ``k`` (registered before
+    it whenever it changes; default: ``_COLS`` throughout) and reduce
+    over their cohort like ``bench/``'s ``norm``.  With ``watch``, every
+    caller records the tags it receives on the intercommunicator and
+    its broadcasts, per call."""
+    layouts = layouts or [_COLS] * calls
+    src_desc = DistArrayDescriptor(block_template(SHAPE, (2, 1)), G.dtype)
+    ns = NameService()
+
+    class Impl:
+        def __init__(self, comm):
+            self.comm, self.seen = comm, []
+
+        def norm(self, field):
+            self.seen.append((field.descriptor.cache_key(),
+                              field.flat_local().copy()))
+            flat = field.flat_local()
+            return self.comm.allreduce(float(np.dot(flat, flat)))
+
+        def push(self, field):
+            self.norm(field)
+
+    def caller(comm):
+        inter = ns.connect("epochs", comm)
+        ep = CallerEndpoint(comm, inter, _EPOCH_PORT)
+        log = []
+        if watch:
+            recv, bcast = inter.recv, ep._pcomm.bcast
+            inter.recv = lambda *a, **k: log[-1].append(
+                ("recv", k.get("tag"))) or recv(*a, **k)
+            ep._pcomm.bcast = lambda *a, **k: log[-1].append(
+                ("bcast",)) or bcast(*a, **k)
+        for call in range(calls):
+            log.append([])
+            field = DistributedArray.from_global(src_desc, comm.rank,
+                                                 _truth(call))
+            ep.invoke(name, field=ParallelArg(field))
+        return log
+
+    def callee(comm):
+        inter = ns.accept("epochs", comm)
+        impl = Impl(comm)
+        ep = CalleeEndpoint(comm, inter, _EPOCH_PORT, impl)
+        for call, layout in enumerate(layouts):
+            if call == 0 or layout is not layouts[call - 1]:
+                ep.set_param_layout(name, "field", layout)
+            ep.serve_one()
+        return impl.seen
+
+    return run_coupled([("callee", 3, callee, ()),
+                        ("caller", 2, caller, ())], backend=backend)
+
+
+def test_steady_state_call_makes_no_layout_round_trip(monkeypatch):
+    """A pre-registered layout travels once: every call after the first
+    matches two messages fewer on threads (no layout on ``PULL_TAG``, no
+    broadcast of it over the callers) — 21 per call with this geometry,
+    whose six pairs are all token pairs as in ``prmi_parallel_arg``."""
+    from repro.prmi.endpoint import PULL_TAG
+    from repro.schedule import executor
+    from repro.util.counters import TRANSPORT_STATS
+
+    monkeypatch.setattr(executor, "EAGER_MAX", 0)
+    matched = []
+    for calls in (1, 5):
+        TRANSPORT_STATS.reset()
+        out = _epoch_run(calls, watch=True)
+        matched.append(TRANSPORT_STATS.get("messages_matched"))
+    per_call = (matched[1] - matched[0]) / 4
+    assert per_call <= 21, per_call
+    first, *steady = out["caller"][0]
+    assert ("recv", PULL_TAG) in first and ("bcast",) in first
+    assert ("bcast",) in out["caller"][1][0]
+    for log in [*steady, *out["caller"][1][1:]]:
+        assert ("recv", PULL_TAG) not in log and ("bcast",) not in log
+
+
+@pytest.mark.parametrize("backend", ["threads", "procs"])
+@pytest.mark.parametrize("name", ["norm", "push"])
+def test_reregistered_layout_takes_effect_on_the_next_call(backend, name):
+    """``set_param_layout`` between calls: the very next call delivers
+    its bytes in the new layout, whether the callers still hold the old
+    one (a stale epoch: pulled in the old layout and redistributed in
+    the cohort) or have taken the new one from a return — and the
+    one-way method, which has no return to carry it, stays correct on
+    the stale epoch."""
+    layouts = [_COLS, _ROWS, _ROWS, _ROWS, _COLS, _COLS]
+    out = _epoch_run(len(layouts), name=name, layouts=layouts,
+                     backend=backend)
+    for call, layout in enumerate(layouts):
+        parts = []
+        for r, seen in enumerate(out["callee"]):
+            key, flat = seen[call]
+            assert key == layout.cache_key(), (call, r)
+            da = DistributedArray.allocate(layout, r)
+            da.flat_local()[:] = flat
+            parts.append(da)
+        assert (DistributedArray.assemble(parts).tobytes()
+                == _truth(call).tobytes()), call
+
+
+def test_a_new_callee_endpoint_refuses_an_old_caller_endpoints_call():
+    """A caller endpoint keeps what its callee endpoint shipped or kept
+    (the layout epoch, its argument's descriptor).  A callee endpoint
+    that did not serve its earlier calls refuses the next one with a
+    typed error instead of guessing the layout the bytes come in."""
+    from repro.errors import PRMIError
+
+    src_desc = DistArrayDescriptor(block_template(SHAPE, (2, 1)), G.dtype)
+    ns = NameService()
+
+    class Impl:
+        def norm(self, field):
+            return None
+
+    def caller(comm):
+        ep = CallerEndpoint(comm, ns.connect("again", comm), _EPOCH_PORT)
+        field = ParallelArg(DistributedArray.from_global(src_desc,
+                                                         comm.rank, G))
+        for _ in range(2):
+            ep.invoke("norm", field=field)
+
+    def callee(comm):
+        inter = ns.accept("again", comm)
+        for _ in range(2):
+            ep = CalleeEndpoint(comm, inter, _EPOCH_PORT, Impl())
+            ep.set_param_layout("norm", "field", _COLS)
+            ep.serve_one()
+
+    with pytest.raises(SpmdError) as exc_info:
+        run_coupled([("callee", 3, callee, ()), ("caller", 2, caller, ())],
+                    deadlock_timeout=2.0)
+    assert any(isinstance(e, PRMIError)
+               for e in exc_info.value.failures.values())
+
+
+@pytest.mark.parametrize("backend", ["threads", "procs"])
+def test_pipelined_calls_stay_on_the_stale_epoch_until_a_synchronous_one(
+        backend):
+    """Pipelined collective calls drain their returns at points that
+    differ between callers, so none adopts a re-registered layout: each
+    is pulled in the stale one and redistributed.  The next synchronous
+    ``invoke`` adopts it on every caller.  Every call's bytes land in
+    the layout registered for it."""
+    from repro.prmi import InvocationPipeline
+    from repro.prmi.endpoint import _epoch
+
+    layouts = [_COLS, _COLS, _ROWS, _ROWS, _ROWS, _ROWS]
+    src_desc = DistArrayDescriptor(block_template(SHAPE, (2, 1)), G.dtype)
+    ns = NameService()
+
+    class Impl:
+        def __init__(self):
+            self.seen = []
+
+        def norm(self, field):
+            self.seen.append((field.descriptor.cache_key(),
+                              field.flat_local().copy()))
+            return len(self.seen)
+
+    def arg_for(comm, call):
+        return ParallelArg(DistributedArray.from_global(
+            src_desc, comm.rank, _truth(call)))
+
+    def caller(comm):
+        ep = CallerEndpoint(comm, ns.connect("piped", comm), _EPOCH_PORT)
+        pipe = InvocationPipeline(ep)
+        futs = [pipe.invoke_collective("norm", field=arg_for(comm, call))
+                for call in range(4)]
+        pipe.drain()
+        held = [ep._held[("norm", "field")][0]]
+        results = [f.result() for f in futs]
+        results.append(ep.invoke("norm", field=arg_for(comm, 4)))
+        held.append(ep._held[("norm", "field")][0])
+        results.append(pipe.invoke_collective(
+            "norm", field=arg_for(comm, 5)).result())
+        return held, results
+
+    def callee(comm):
+        impl = Impl()
+        ep = CalleeEndpoint(comm, ns.accept("piped", comm), _EPOCH_PORT,
+                            impl)
+        for call, layout in enumerate(layouts):
+            if call == 0 or layout is not layouts[call - 1]:
+                ep.set_param_layout("norm", "field", layout)
+            ep.serve_one()
+        return impl.seen
+
+    out = run_coupled([("callee", 3, callee, ()), ("caller", 2, caller, ())],
+                      backend=backend)
+    for held, results in out["caller"]:
+        assert held == [_epoch(_COLS), _epoch(_ROWS)]
+        assert results == list(range(1, len(layouts) + 1))
+    for call, layout in enumerate(layouts):
+        parts = []
+        for r, seen in enumerate(out["callee"]):
+            key, flat = seen[call]
+            assert key == layout.cache_key(), (call, r)
+            da = DistributedArray.allocate(layout, r)
+            da.flat_local()[:] = flat
+            parts.append(da)
+        assert (DistributedArray.assemble(parts).tobytes()
+                == _truth(call).tobytes()), call

@@ -225,6 +225,13 @@ def test_pickled_schedule_is_its_columns():
     assert back.items == sched.items
     assert back.pair_count == sched.pair_count
     assert back.element_count == sched.element_count
+    # without its tables it compiles one rank from whatever layout form
+    # bind passes: a descriptor's whole ownership table
+    src = _cyclic(32)
+    got = back.send_plan(1, src.ownership())
+    want = sched.send_plan(1, src.local_regions(1))
+    assert [(p.peer, p.size, p.boxes) for p in got.pairs] == \
+        [(p.peer, p.size, p.boxes) for p in want.pairs]
     # memos stay home: a delta split adds no byte
     cache = ScheduleCache()
     cached = cache.get(_cyclic(8), _cyclic(10))

@@ -23,7 +23,8 @@ from repro.dad.template import block_template
 from repro.errors import SpmdError
 from repro.highlevel import Coupler
 from repro.schedule import GLOBAL_CACHE
-from repro.schedule.executor import EAGER_MAX, execute_inter, execute_intra
+from repro.schedule.executor import (EAGER_MAX, bind, execute_inter,
+                                     execute_intra)
 from repro.simmpi import run_coupled, run_spmd
 from repro.simmpi.intercomm import default_nameservice
 from repro.util.counters import TRANSPORT_STATS
@@ -188,6 +189,43 @@ def test_a_threads_one_shot_waits_for_a_late_receiver_above_the_limit(
     # block 2 -> 3 has four pairs; thread ranks share these counters
     assert TRANSPORT_STATS.get("borrow_snapshots") == late_pairs
     assert TRANSPORT_STATS.get("direct_deliveries") == 4 - late_pairs
+
+
+def _send_to_two(comm, extent):
+    src_desc, dst_desc = _descs(extent, 1, 2)
+    inter = default_nameservice.accept("rdv-order", comm)
+    da = DistributedArray.from_global(src_desc, 0, _truth(extent, 0))
+    return execute_inter(GLOBAL_CACHE.get(src_desc, dst_desc), inter, "src",
+                         da)
+
+
+def _arm_after_peer(comm, extent):
+    """Receiver 0 arms only once receiver 1 holds its whole pair."""
+    src_desc, dst_desc = _descs(extent, 1, 2)
+    inter = default_nameservice.connect("rdv-order", comm)
+    da = DistributedArray.allocate(dst_desc, comm.rank)
+    rx = bind(GLOBAL_CACHE.get(src_desc, dst_desc), "dst", inter, da,
+              one_shot=True)
+    if comm.rank == 0:
+        comm.recv(source=1, tag=7)
+    rx.complete()
+    rx.close()
+    if comm.rank == 1:
+        comm.send(None, dest=0, tag=7)
+    return da.flat_local().copy()
+
+
+def test_a_sender_serves_token_pairs_in_the_order_their_receivers_arm():
+    """The first receiver in pair order arms only after the second has
+    its bytes: a sender that waited for the tokens in pair order would
+    never send the second pair (the watchdog would fire)."""
+    extent = 4 * LIMIT                      # two pairs of 2 LIMIT each
+    res = run_coupled([("prod", 1, _send_to_two, (extent,)),
+                       ("cons", 2, _arm_after_peer, (extent,))],
+                      deadlock_timeout=10.0, backend="threads")
+    assert res["prod"] == [extent]
+    got = np.concatenate(res["cons"])
+    assert got.tobytes() == _truth(extent, 0).tobytes()
 
 
 def _transpose(comm, rows, cols):

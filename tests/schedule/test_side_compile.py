@@ -263,6 +263,46 @@ def test_layout_must_be_the_ranks_ownership():
         sched.recv_plan(2, dst.local_regions(3))
 
 
+def test_accepted_layouts_answer_without_comparing_and_wrong_ones_raise(
+        monkeypatch):
+    """The check's two fast paths — the layout last accepted for a
+    (side, rank), and the ownership table of any descriptor of the
+    schedule's template — build no indexer; a layout that differs from
+    the table still raises, fresh or after a correct one was accepted
+    for the same (side, rank), in either form."""
+    from repro.schedule import indexplan
+
+    src = DistArrayDescriptor(CartesianTemplate([Cyclic(24, 3)]))
+    dst = DistArrayDescriptor(block_template((24,), (4,)))
+    sched = build_region_schedule(src, dst)
+    twin = DistArrayDescriptor(CartesianTemplate([Cyclic(24, 3)]))
+    other = DistArrayDescriptor(block_template((24,), (3,)))
+    assert twin.ownership() is not src.ownership()
+    # a fresh wrong layout, as regions and as another template's table
+    with pytest.raises(ScheduleError, match="not the ownership"):
+        sched.send_plan(1, other.local_regions(1))
+    with pytest.raises(ScheduleError, match="not the ownership"):
+        sched.send_plan(1, other.ownership())
+    sched.send_plan(1, twin.local_regions(1))   # compared once, accepted
+
+    class NoIndexer(LocalIndexer):
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("an accepted layout built a LocalIndexer")
+
+    monkeypatch.setattr(indexplan, "LocalIndexer", NoIndexer)
+    for _ in range(2):
+        sched.send_plan(1, twin.local_regions(1))   # the one last accepted
+    for layout in (twin.ownership(), src.ownership(), twin.ownership()):
+        sched.send_plan(1, layout)                  # the template's key
+    monkeypatch.undo()
+    # a wrong layout on the same (side, rank) after the correct ones
+    for wrong in (other.ownership(), src.local_regions(2),
+                  [Region((0,), (24,))]):
+        with pytest.raises(ScheduleError, match="not the ownership"):
+            sched.send_plan(1, wrong)
+    sched.send_plan(1, twin.local_regions(1))
+
+
 def test_rows_must_lie_in_their_own_ranks_patches():
     """Against the all-ranks table a row that another rank owns is
     refused exactly as a one-rank compile refuses it."""

@@ -197,17 +197,45 @@ def _one_shot_under(comm, role, tier):
 @pytest.mark.parametrize("prod, cons", [
     ("rma", "two_sided"), ("two_sided", "rma"),
 ], ids=["rma-vs-two_sided", "two_sided-vs-rma"])
-def test_one_shot_handshake_compares_the_tier_a_one_shot_runs(prod, cons):
+def test_one_shots_couple_whatever_tier_each_job_requests(prod, cons):
     """A one-shot never takes RMA, so ``rma`` on one job and
-    ``two_sided`` on the other couple as before.  Those are the only two
-    tiers, so one-shots can no longer disagree: the handshake compares
-    the tier a one-shot runs, which is always ``two_sided``."""
+    ``two_sided`` on the other couple as before: a one-shot handshake
+    carries no tier at all (it could only ever compare ``two_sided``
+    with ``two_sided``)."""
     out = run_coupled(
         [("prod", 2, _one_shot_under, ("source", prod)),
          ("cons", 3, _one_shot_under, ("destination", cons))],
         backend="procs")
     assert out["prod"] == [None, None]
     assert sum(out["cons"]) == float(np.arange(4096.0).sum())
+
+
+def _one_shot_against_open(comm, role):
+    """Publish one-shot against a persistent ``open`` of the same
+    coupling; returns the typed error's message."""
+    from repro.simmpi.intercomm import default_nameservice
+
+    coupler = Coupler("mixed", default_nameservice)
+    try:
+        if role == "source":
+            coupler.publish(comm, DistributedArray.from_global(
+                _MISMATCH_SRC, comm.rank, np.arange(4096.0)))
+        else:
+            coupler.open(comm, "destination", _MISMATCH_DST).pull()
+    except ConnectionError_ as exc:
+        return str(exc)
+    return None
+
+
+def test_a_one_shot_and_a_persistent_side_refuse_each_other():
+    """The persistent side sends its tier and the one-shot side none:
+    every rank of both jobs raises at the handshake, naming the knob."""
+    out = run_coupled(
+        [("prod", 2, _one_shot_against_open, ("source",)),
+         ("cons", 3, _one_shot_against_open, ("destination",))],
+        backend="threads")
+    for message in out["prod"] + out["cons"]:
+        assert message is not None and "REPRO_TIER" in message
 
 
 @pytest.mark.parametrize("one_sided, mode", [(True, "rma"),
