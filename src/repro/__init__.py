@@ -60,7 +60,6 @@ from repro.simmpi import (
     Communicator,
     Intercommunicator,
     NameService,
-    SpmdRunner,
     run_coupled,
     run_spmd,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "Communicator",
     "Intercommunicator",
     "NameService",
-    "SpmdRunner",
     "run_spmd",
     "run_coupled",
     # M×N component

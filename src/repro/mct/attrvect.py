@@ -49,9 +49,6 @@ class AttrVect:
         out.data[:] = self.data
         return out
 
-    def zeros_like(self, lsize: int | None = None) -> "AttrVect":
-        return AttrVect(self.fields, self.lsize if lsize is None else lsize)
-
     # -- accessors ----------------------------------------------------------------
 
     @property

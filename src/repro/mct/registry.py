@@ -42,15 +42,8 @@ class MCTWorld:
         except KeyError:
             raise MCTError(f"no model {model!r} registered") from None
 
-    def root_of(self, model: str) -> int:
-        return self.ranks_of(model)[0]
-
     def size_of(self, model: str) -> int:
         return len(self.ranks_of(model))
-
-    @property
-    def my_ranks(self) -> list[int]:
-        return self.ranks_of(self.my_model)
 
     @property
     def my_model_rank(self) -> int:

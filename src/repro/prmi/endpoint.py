@@ -40,12 +40,6 @@ a stale epoch        pulls in the layout of that epoch (it keeps every
                      on the stale epoch
 ===================  ===============================================
 
-Only a synchronous :meth:`CallerEndpoint.invoke` adopts a layout from a
-return: the pipelined path (:mod:`repro.prmi.serving`) drains its
-returns at points that differ between callers.  So every caller makes a
-collective call the same way — all through ``invoke``, or all through
-one pipeline's ``invoke_collective``.
-
 The argument's own descriptor travels the same way: an invocation
 carries it only when it is not the object that caller sent last
 (``None`` otherwise), and the callee keeps each caller's.  What a
@@ -301,39 +295,17 @@ class CallerEndpoint:
         """Collective call: every caller rank must invoke this together.
 
         Returns the callee's return value (every caller gets one);
-        one-way methods return ``None`` immediately.  A return that
-        carries the callee's re-registered layouts updates the ones this
-        endpoint holds, on every caller at once: each caller receives
-        its return before it can start the next call.
-        """
-        sent = self._invoke_send(method, kwargs)
-        if sent is None:
-            return None
-        spec, me = sent
-        if spec.oneway:
-            return None
-        value = self.inter.recv(source=me % self.n, tag=RETURN_TAG)
-        if isinstance(value, _Relayout):
-            self._held.update({(method, name): held for name, held
-                               in value.layouts.items()})
-            value = value.result
-        return value
-
-    def _invoke_send(self, method: str,
-                     kwargs: dict) -> tuple[MethodSpec, int] | None:
-        """The send half of :meth:`invoke`: ship the invocation
-        fragments and serve the callee's pulls, but do **not** receive
-        the return value.  Returns ``(spec, effective caller rank)``, or
-        ``None`` when this rank is subset out.  The pipelined path
-        (:class:`repro.prmi.serving.InvocationPipeline`) defers only the
-        return receive — argument pulls stay synchronous, so parallel
-        arguments may be reused or freed as soon as this returns.
+        a one-way method returns ``None`` once its arguments are sent,
+        and a rank subset out of the call returns ``None`` at once.
 
         Each parallel argument moves in the layout this endpoint holds
         for it; the invocation names that layout's epoch.  Holding none,
         the callers wait for the callee to ship ``(epoch, layout)`` on
         :data:`PULL_TAG` (to the effective rank 0, which broadcasts it)
-        and keep a pre-registered one for the calls that follow.
+        and keep a pre-registered one for the calls that follow.  A
+        return that carries the callee's re-registered layouts updates
+        the ones this endpoint holds, on every caller at once: each
+        caller receives its return before it can start the next call.
         """
         spec = self.port_type.method(method)
         if spec.invocation != "collective":
@@ -382,7 +354,14 @@ class CallerEndpoint:
             execute_inter(sched, self.inter, "src", arg.darray,
                           tag=DATA_TAG, rank=me)
 
-        return spec, me
+        if spec.oneway:
+            return None
+        value = self.inter.recv(source=me % self.n, tag=RETURN_TAG)
+        if isinstance(value, _Relayout):
+            self._held.update({(method, name): entry for name, entry
+                               in value.layouts.items()})
+            value = value.result
+        return value
 
     # -- independent invocation -------------------------------------------------
 

@@ -62,9 +62,7 @@ from repro.prmi.endpoint import (
     CallerEndpoint,
     IND_TAG,
     INVOKE_TAG,
-    RETURN_TAG,
     SUBSET_TAG,
-    _Relayout,
 )
 from repro.prmi.frames import decode_frame, encode_frame
 from repro.prmi.policy import Batched, CachedRead, PolicyTable
@@ -312,9 +310,10 @@ class InvocationPipeline:
     Wraps a :class:`CallerEndpoint` whose callee cohort runs a
     :class:`ServerLoop`.  :meth:`submit` routes an independent
     invocation through its method's transmission policy; batched
-    requests coalesce into one frame per (caller, callee) flush, and
-    :meth:`invoke_collective` pipelines collective calls by deferring
-    only the return receive.  ``inflight_max`` bounds
+    requests coalesce into one frame per (caller, callee) flush.
+    Collective calls go through the wrapped endpoint's
+    :meth:`~repro.prmi.endpoint.CallerEndpoint.invoke` (:attr:`caller`);
+    the loop serves them amid the frames.  ``inflight_max`` bounds
     submitted-but-unresolved invocations: at the cap, ``overflow="block"``
     resolves the oldest future to make room and ``overflow="raise"``
     raises :class:`ServerOverloaded` at the call site.
@@ -349,8 +348,6 @@ class InvocationPipeline:
         self._pending_t0: dict[int, float] = {}
         #: callee -> futures awaiting reply-frame entries, FIFO.
         self._awaiting: dict[int, deque] = {}
-        #: pipelined collective futures, FIFO (single return stream).
-        self._collective: deque = deque()
         self._seq = 0
         self._inflight = 0
         #: in-flight increments not yet posted to the gauge.
@@ -395,9 +392,6 @@ class InvocationPipeline:
             if queue:
                 self._drain_replies(callee, queue[0])
                 return
-        if self._collective:
-            self._drain_collective(self._collective[0])
-            return
         if any(self._pending.values()):
             # Nothing awaits yet — ship the pending batches first; their
             # no-reply entries leave the window at flush time.
@@ -462,7 +456,7 @@ class InvocationPipeline:
         if spec.invocation != "independent":
             raise PRMIError(
                 f"method {method!r} is declared collective; use "
-                f"invoke_collective")
+                f"caller.invoke")
         if spec.parallel_params:
             raise PRMIError(
                 "pipelined independent invocations cannot carry "
@@ -477,35 +471,6 @@ class InvocationPipeline:
             delay_us=policy.delay_us if own else self.delay_us)
         self._routes[method] = route
         return route
-
-    def invoke_collective(self, method: str,
-                          **kwargs: Any) -> InvocationFuture:
-        """Pipelined collective invocation: ship the fragments and serve
-        the argument pulls now, defer only the return receive.  Pending
-        batches flush first so per-callee program order is preserved.
-        Returns an already-settled future for one-way methods and on
-        subset-out ranks."""
-        if self._closed:
-            raise PRMIError("pipeline is closed")
-        self.flush()
-        sent = self.caller._invoke_send(method, kwargs)
-        if sent is None:
-            return _completed(method, None)
-        spec, me = sent
-        if spec.oneway:
-            return _completed(method, None)
-        self._admit()
-        PRMI_STATS.add("invocations")
-        PRMI_STATS.add("pipelined_calls")
-        fut = InvocationFuture(method, self._seq, self._drain_collective,
-                               me % self.caller.n)
-        fut._sent = True
-        self._seq += 1
-        self._collective.append(fut)
-        self._inflight += 1
-        self._unposted += 1
-        self._post_inflight()
-        return fut
 
     # -- flushing ------------------------------------------------------------
 
@@ -591,31 +556,12 @@ class InvocationPipeline:
                                 else PRMIError(str(value)))
             self._post_inflight(len(entries))
 
-    def _drain_collective(self, target: InvocationFuture) -> None:
-        """Settle pipelined collective futures FIFO until ``target``
-        settles — returns arrive in invocation order on the per-source
-        RETURN stream.  A return carrying re-registered layouts settles
-        with its result only: callers drain at different points, so no
-        pipelined call may change the layouts the endpoint holds (the
-        callee redistributes the stale one; the next synchronous
-        :meth:`CallerEndpoint.invoke` adopts the new one)."""
-        while not target._done:
-            if not self._collective:  # pragma: no cover - protocol guard
-                raise PRMIError("collective future not in pipeline order")
-            fut = self._collective.popleft()
-            value = self.inter.recv(source=fut._source, tag=RETURN_TAG)
-            fut._settle(value=value.result if isinstance(value, _Relayout)
-                        else value)
-            self._post_inflight(1)
-
     def drain(self) -> None:
         """Flush and settle everything outstanding.  Errors are kept in
         their futures (raised when their owners call ``result()``)."""
         self.flush()
         for callee in list(self._awaiting):
             self._drain_replies(callee)
-        while self._collective:
-            self._drain_collective(self._collective[-1])
 
     # -- lifecycle -----------------------------------------------------------
 

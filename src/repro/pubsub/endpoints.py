@@ -117,10 +117,6 @@ class Publisher:
         for sub_id in sorted(self._channels):
             self._close_channel(sub_id)
 
-    @property
-    def subscriber_count(self) -> int:
-        return len(self._channels)
-
 
 class Subscriber:
     """The consuming side: one subscription on one topic."""

@@ -77,7 +77,6 @@ __all__ = [
     "LocalIndexer",
     "SidePlans",
     "compile_rank_plan",
-    "plan_from_indices",
 ]
 
 #: Compilation counters: ``rank_plans`` increments once per compiled
@@ -314,22 +313,6 @@ class RankPlan:
     @property
     def element_count(self) -> int:
         return sum(p.size for p in self.pairs)
-
-
-def plan_from_indices(peer: int, idx: np.ndarray) -> PairPlan:
-    """Wrap a flat index array as a :class:`PairPlan`: a one-axis box
-    when the indices form an ascending arithmetic progression, else the
-    index array itself."""
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
-    size = int(idx.size)
-    if size <= 1:
-        return PairPlan(peer, size,
-                        (_box(int(idx[0]) if size else 0, (size,), (1,)),))
-    d = np.diff(idx)
-    step = int(d[0])
-    if step >= 1 and bool((d == step).all()):
-        return PairPlan(peer, size, (_box(int(idx[0]), (size,), (step,)),))
-    return PairPlan(peer, size, (), idx)
 
 
 # -- compilation --------------------------------------------------------------

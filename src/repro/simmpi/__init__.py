@@ -2,19 +2,19 @@
 
 This package is the out-of-band transport substrate the paper assumes
 (Section 2.1: cohort-internal communication "out-of-band from the CCA
-framework (e.g. using MPI)").  It provides the MPI subset the M×N
-middleware needs:
+framework (e.g. using MPI)").  It provides only the MPI that the M×N
+middleware calls:
 
-* SPMD job launch (:class:`SpmdRunner`) with per-rank exception capture
-  and a deadlock watchdog,
-* communicators with tagged point-to-point messaging (blocking and
-  nonblocking, ``ANY_SOURCE``/``ANY_TAG`` matching),
-* the collective set used by the paper's systems: barrier, bcast,
-  scatter(v), gather(v), allgather(v), alltoall(v), reduce, allreduce,
-  scan,
-* groups, ``split``/``dup``, and intercommunicators established through
-  an in-memory name service (MPI ``Connect``/``Accept`` analogue) so two
-  independently launched "parallel programs" can couple — the M×N case.
+* SPMD job launch (:func:`run_spmd`, :func:`run_coupled`) with per-rank
+  exception capture and a deadlock watchdog,
+* communicators with tagged blocking point-to-point messaging
+  (``ANY_SOURCE``/``ANY_TAG`` matching, probes, preposted receives),
+* the collectives the paper's systems use: barrier, bcast, gather,
+  allgather, alltoall, reduce and allreduce, over binomial trees,
+* ``split`` sub-communicators, and intercommunicators established
+  through an in-memory name service (MPI ``Connect``/``Accept``
+  analogue) so two independently launched "parallel programs" can
+  couple — the M×N case.
 
 Semantics notes: sends are buffered (a send never blocks), receives
 block; message payloads are copied at send time (value semantics, like a
@@ -33,7 +33,7 @@ from repro.simmpi.constants import ANY_SOURCE, ANY_TAG
 from repro.simmpi.status import Status
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.intercomm import Intercommunicator, NameService
-from repro.simmpi.runner import SpmdRunner, run_spmd, run_coupled
+from repro.simmpi.runner import run_spmd, run_coupled
 
 __all__ = [
     "ANY_SOURCE",
@@ -42,7 +42,6 @@ __all__ = [
     "Communicator",
     "Intercommunicator",
     "NameService",
-    "SpmdRunner",
     "run_spmd",
     "run_coupled",
 ]

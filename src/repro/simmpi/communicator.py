@@ -11,14 +11,10 @@ is sound under the usual MPI rule that all ranks of a communicator call
 collectives in the same order.
 
 ``barrier``/``bcast``/``gather`` (and through them ``allgather``,
-``reduce``, ``allreduce``, ``scan``, ``dup``, ``split``) run binomial
-log-P tree algorithms by default: the total message count is identical
-to the historical flat loops (P-1 per rooted collective, 2(P-1) per
-barrier), but the critical path shrinks from O(P) serialized sends at
-the root to O(log P) levels, which is what the coupling benchmarks and
-the DCA engine sit on top of.  Set :attr:`Communicator.coll_algo` to
-``"flat"`` (consistently on every rank) to restore the flat loops —
-kept for the tree-vs-flat equivalence tests.
+``reduce``, ``allreduce`` and ``split``) run binomial trees: P-1
+messages per rooted collective and 2(P-1) per barrier, over a critical
+path of O(log P) levels rather than O(P) serialized sends at the root.
+``alltoall`` is the one personalized exchange (P-1 sends per rank).
 """
 
 from __future__ import annotations
@@ -26,14 +22,11 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Sequence, TYPE_CHECKING
 
-import numpy as np
-
 from repro.errors import CommunicatorError
 from repro.simmpi import payload
 from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, INTERNAL_TAG_BASE
 from repro.simmpi.matching import Envelope, Mailbox
 from repro.simmpi.ops import resolve_op
-from repro.simmpi.request import Request
 from repro.simmpi.status import Status
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -69,11 +62,6 @@ class _TreeRaw:
 
 class Communicator:
     """An ordered group of ranks with isolated message context."""
-
-    #: Collective algorithm: "tree" (binomial, log-P critical path) or
-    #: "flat" (the historical root-serialized loops).  Every rank of a
-    #: communicator must use the same value.
-    coll_algo = "tree"
 
     def __init__(self, job: "Job", context: int, rank: int,
                  job_ranks: Sequence[int]):
@@ -160,25 +148,6 @@ class Communicator:
         return self._mailbox(self._rank).wait_match_any(specs,
                                                         timeout=timeout)
 
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        """Nonblocking send (completes immediately: sends are buffered)."""
-        self.send(obj, dest, tag)
-        return Request(value=None, status=None)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Nonblocking receive; the match happens at ``wait`` time."""
-        def completer(timeout: float | None) -> tuple[Any, Status]:
-            env = self._mailbox(self._rank).wait_match(
-                self.context, source, tag, timeout=timeout)
-            return env.payload, Status(env.source, env.tag, env.nbytes)
-        return Request(completer)
-
-    def sendrecv(self, obj: Any, dest: int, source: int,
-                 sendtag: int = 0, recvtag: int = ANY_TAG) -> Any:
-        """Combined send+receive (deadlock-free because sends buffer)."""
-        self.send(obj, dest, sendtag)
-        return self.recv(source, recvtag)
-
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
         """Non-destructive test for a matching message."""
         env = self._mailbox(self._rank).probe(self.context, source, tag)
@@ -206,20 +175,10 @@ class Communicator:
 
     def barrier(self) -> None:
         """Barrier: binomial reduce-to-0 then binomial release (log-P
-        depth); "flat" mode gathers a token at rank 0 and releases."""
+        depth)."""
         tag = self._next_coll_tag()
         self.job.counters.add("barriers")
         if self.size == 1:
-            return
-        if self.coll_algo == "flat":
-            if self._rank == 0:
-                for _ in range(self.size - 1):
-                    self.recv(ANY_SOURCE, tag)
-                for r in range(1, self.size):
-                    self.send(None, r, tag)
-            else:
-                self.send(None, 0, tag)
-                self.recv(0, tag)
             return
         size, vrank = self.size, self._rank
         # Arrival phase: wait for each subtree, then notify the parent.
@@ -258,7 +217,7 @@ class Communicator:
         local handles that must never be pickled) stay zero-copy across
         *every* hop: the value travels inside a :class:`_TreeRaw` marker
         that each intermediate rank re-wraps in ``Raw`` before
-        forwarding, mirroring what the single-hop flat loop did.
+        forwarding.
         """
         size = self.size
         vrank = (self._rank - root) % size
@@ -288,51 +247,16 @@ class Communicator:
         tag = self._next_coll_tag()
         if self.size == 1:
             return obj
-        if self.coll_algo == "flat":
-            if self._rank == root:
-                for r in range(self.size):
-                    if r != root:
-                        self.send(obj, r, tag)
-                return obj
-            return self.recv(root, tag)
         return self._tree_bcast_value(obj, root, tag)
-
-    def scatter(self, seq: Sequence[Any] | None, root: int = 0) -> Any:
-        """Scatter one element of ``seq`` (length ``size``, root only) to
-        each rank."""
-        self._check_rank(root, "root")
-        tag = self._next_coll_tag()
-        if self._rank == root:
-            if seq is None or len(seq) != self.size:
-                raise CommunicatorError(
-                    f"scatter at root needs a length-{self.size} sequence")
-            for r in range(self.size):
-                if r != root:
-                    self.send(seq[r], r, tag)
-            mine, _ = payload.pack(seq[root])
-            return mine
-        return self.recv(root, tag)
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Gather one value per rank to ``root`` (others return None).
 
-        Tree mode merges subtree contributions up a binomial tree: the
-        same P-1 messages as the flat loop, but the root receives log P
-        aggregated messages instead of P-1 serialized ones.
+        Subtree contributions merge up a binomial tree: P-1 messages in
+        all, of which the root receives log P aggregated ones.
         """
         self._check_rank(root, "root")
         tag = self._next_coll_tag()
-        if self.coll_algo == "flat":
-            if self._rank == root:
-                out: list[Any] = [None] * self.size
-                mine, _ = payload.pack(obj)
-                out[root] = mine
-                for _ in range(self.size - 1):
-                    val, st = self.recv(ANY_SOURCE, tag, return_status=True)
-                    out[st.source] = val
-                return out
-            self.send(obj, root, tag)
-            return None
         size = self.size
         vrank = (self._rank - root) % size
         mine, _ = payload.pack(obj)
@@ -370,71 +294,6 @@ class Communicator:
             out[st.source] = val
         return out
 
-    def alltoallv(self, sendbuf: np.ndarray, sendcounts: Sequence[int],
-                  sdispls: Sequence[int] | None = None,
-                  recvcounts: Sequence[int] | None = None) -> np.ndarray:
-        """MPI_Alltoallv over a 1-D NumPy buffer.
-
-        ``sendbuf[sdispls[j]:sdispls[j]+sendcounts[j]]`` goes to rank j.
-        When ``recvcounts`` is None the counts are exchanged first (an
-        extra alltoall), mirroring how DCA's stubs operate (paper §4.3);
-        supplying statically known counts skips that exchange entirely.
-        Returns the concatenated
-        received buffer, ordered by source rank.
-
-        Zero-count segments exchange **no message** in either direction
-        (MPI semantics: an empty segment is not a transfer), so sparse
-        communication patterns cost messages proportional to their
-        nonzero pairs, and a 1-rank world moves no messages at all.
-        ``sendbuf`` may be any 1-D view — non-contiguous (strided)
-        segments are canonicalized before hitting the wire.
-        """
-        sendbuf = np.asarray(sendbuf)
-        if sendbuf.ndim != 1:
-            raise CommunicatorError("alltoallv sendbuf must be 1-D")
-        if len(sendcounts) != self.size:
-            raise CommunicatorError(
-                f"alltoallv needs {self.size} sendcounts, got {len(sendcounts)}")
-        if any(c < 0 for c in sendcounts):
-            raise CommunicatorError("alltoallv sendcounts must be >= 0")
-        if sdispls is None:
-            sdispls = np.concatenate(([0], np.cumsum(sendcounts)[:-1])).tolist()
-        elif len(sdispls) != self.size:
-            raise CommunicatorError(
-                f"alltoallv needs {self.size} sdispls, got {len(sdispls)}")
-        for r in range(self.size):
-            if sdispls[r] + sendcounts[r] > sendbuf.shape[0]:
-                raise CommunicatorError(
-                    f"alltoallv: segment for rank {r} "
-                    f"([{sdispls[r]}, {sdispls[r] + sendcounts[r]})) "
-                    f"overruns sendbuf of size {sendbuf.shape[0]}")
-        if recvcounts is None:
-            recvcounts = self.alltoall(list(sendcounts))
-        elif len(recvcounts) != self.size:
-            raise CommunicatorError(
-                f"alltoallv needs {self.size} recvcounts, got {len(recvcounts)}")
-        tag = self._next_coll_tag()
-        for r in range(self.size):
-            if r != self._rank and sendcounts[r]:
-                chunk = sendbuf[sdispls[r]:sdispls[r] + sendcounts[r]]
-                # Canonicalize strided views: the wire carries (and the
-                # receiver concatenates) contiguous buffers.
-                self.send(np.ascontiguousarray(chunk), r, tag)
-        empty = sendbuf[:0].copy()
-        parts: list[np.ndarray] = [empty] * self.size
-        own = sendbuf[sdispls[self._rank]:
-                      sdispls[self._rank] + sendcounts[self._rank]]
-        if own.shape[0]:
-            parts[self._rank] = own.copy()
-        for r in range(self.size):
-            if r != self._rank and recvcounts[r]:
-                parts[r] = np.asarray(self.recv(r, tag))
-        for r, (p, c) in enumerate(zip(parts, recvcounts)):
-            if p.shape[0] != c:
-                raise CommunicatorError(
-                    f"alltoallv: expected {c} items from rank {r}, got {p.shape[0]}")
-        return np.concatenate(parts) if parts else empty
-
     def reduce(self, obj: Any, op: str | Callable[[Any, Any], Any] = "sum",
                root: int = 0) -> Any:
         """Reduce values to ``root`` (others return None)."""
@@ -453,21 +312,7 @@ class Communicator:
         res = self.reduce(obj, op=op, root=0)
         return self.bcast(res, root=0)
 
-    def scan(self, obj: Any, op: str | Callable[[Any, Any], Any] = "sum") -> Any:
-        """Inclusive prefix reduction: rank i returns op over ranks 0..i."""
-        fn = resolve_op(op)
-        vals = self.allgather(obj)
-        acc = vals[0]
-        for v in vals[1:self._rank + 1]:
-            acc = fn(acc, v)
-        return acc
-
     # -- communicator construction --------------------------------------------
-
-    def dup(self) -> "Communicator":
-        """A new communicator over the same ranks with a fresh context."""
-        ctx = self.bcast(allocate_context() if self._rank == 0 else None, root=0)
-        return Communicator(self.job, ctx, self._rank, self.job_ranks)
 
     def split(self, color: int, key: int = 0) -> "Communicator | None":
         """MPI_Comm_split: group ranks by ``color``, order by ``key``.

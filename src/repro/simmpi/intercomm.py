@@ -24,9 +24,8 @@ from repro.simmpi import transport as _transport
 from repro.simmpi.communicator import Communicator, allocate_context
 from repro.simmpi.constants import ANY_SOURCE, ANY_TAG
 from repro.simmpi.matching import Envelope, Mailbox
-from repro.simmpi.request import Request
 from repro.simmpi.status import Status
-from repro.simmpi.transport import JobRemoteGroup, RemoteGroup
+from repro.simmpi.transport import JobRemoteGroup
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simmpi.runner import Job
@@ -95,7 +94,7 @@ class NameService:
             info = None
         recv_ctx, send_ctx, remote_job, remote_ranks = _bcast_handle(comm, info)
         return Intercommunicator(comm, recv_ctx, send_ctx,
-                                 remote_job, remote_ranks)
+                                 JobRemoteGroup(remote_job, remote_ranks))
 
     def connect(self, name: str, comm: Communicator,
                 *, timeout: float = 30.0) -> "Intercommunicator":
@@ -123,7 +122,7 @@ class NameService:
             info = None
         recv_ctx, send_ctx, remote_job, remote_ranks = _bcast_handle(comm, info)
         return Intercommunicator(comm, recv_ctx, send_ctx,
-                                 remote_job, remote_ranks)
+                                 JobRemoteGroup(remote_job, remote_ranks))
 
 
 def _bcast_handle(comm: Communicator, info: Any) -> Any:
@@ -147,16 +146,14 @@ class Intercommunicator:
     """
 
     def __init__(self, local_comm: Communicator, recv_context: int,
-                 send_context: int, remote: Any,
-                 remote_job_ranks: tuple[int, ...] = ()):
+                 send_context: int, remote: Any):
         self.local_comm = local_comm
         self._recv_context = recv_context
         self._send_context = send_context
-        if isinstance(remote, RemoteGroup):
-            self._remote = remote
-        else:
-            # historical signature: (remote_job, remote_job_ranks)
-            self._remote = JobRemoteGroup(remote, tuple(remote_job_ranks))
+        #: delivery handle for the remote ranks: a
+        #: :class:`~repro.simmpi.transport.JobRemoteGroup` on threads, an
+        #: :class:`~repro.simmpi.transport.EndpointRemoteGroup` on procs
+        self._remote = remote
 
     # -- identity ---------------------------------------------------------
 
@@ -187,11 +184,14 @@ class Intercommunicator:
 
     # -- point-to-point -----------------------------------------------------
 
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        if not (0 <= dest < self.remote_size):
+    def _check_remote(self, r: int) -> None:
+        if not (0 <= r < self.remote_size):
             raise CommunicatorError(
-                f"remote rank {dest} out of range (remote size "
+                f"remote rank {r} out of range (remote size "
                 f"{self.remote_size})")
+
+    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
+        self._check_remote(dest)
         data, nbytes, live = payload.wire_parts(
             obj, isolate=self.local_comm.job.transport.isolating)
         self.local_comm.job.counters.add("inter_msgs")
@@ -205,22 +205,13 @@ class Intercommunicator:
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              *, timeout: float | None = None,
              return_status: bool = False) -> Any:
+        if source != ANY_SOURCE:
+            self._check_remote(source)
         env = self._my_mailbox().wait_match(
             self._recv_context, source, tag, timeout=timeout)
         if return_status:
             return env.payload, Status(env.source, env.tag, env.nbytes)
         return env.payload
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        self.send(obj, dest, tag)
-        return Request(value=None)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        def completer(timeout: float | None) -> tuple[Any, Status]:
-            env = self._my_mailbox().wait_match(
-                self._recv_context, source, tag, timeout=timeout)
-            return env.payload, Status(env.source, env.tag, env.nbytes)
-        return Request(completer)
 
     def wait_any(self, specs, *, timeout: float | None = None) -> Envelope:
         """Block until a message matches any ``(context, source, tag)``
@@ -235,6 +226,8 @@ class Intercommunicator:
 
     def iprobe(self, source: int = ANY_SOURCE,
                tag: int = ANY_TAG) -> Optional[Status]:
+        if source != ANY_SOURCE:
+            self._check_remote(source)
         env = self._my_mailbox().probe(self._recv_context, source, tag)
         if env is None:
             return None
@@ -246,10 +239,8 @@ class Intercommunicator:
         matching send writes its payload straight through ``sink`` (no
         staging buffer).  Returns the
         :class:`~repro.simmpi.matching.PrepostSlot`."""
-        if source != ANY_SOURCE and not (0 <= source < self.remote_size):
-            raise CommunicatorError(
-                f"remote rank {source} out of range (remote size "
-                f"{self.remote_size})")
+        if source != ANY_SOURCE:
+            self._check_remote(source)
         return self._my_mailbox().prepost(
             self._recv_context, source, tag, sink)
 
@@ -278,10 +269,10 @@ def couple_jobs(src_job: "Job", dst_job: "Job",
     dst_ranks = tuple(range(dst_job.n))
     src_inters = [
         Intercommunicator(Communicator(src_job, ctx_src, r, src_ranks),
-                          ctx_bwd, ctx_fwd, dst_job, dst_ranks)
+                          ctx_bwd, ctx_fwd, JobRemoteGroup(dst_job, dst_ranks))
         for r in range(src_job.n)]
     dst_inters = [
         Intercommunicator(Communicator(dst_job, ctx_dst, r, dst_ranks),
-                          ctx_fwd, ctx_bwd, src_job, src_ranks)
+                          ctx_fwd, ctx_bwd, JobRemoteGroup(src_job, src_ranks))
         for r in range(dst_job.n)]
     return src_inters, dst_inters

@@ -449,11 +449,6 @@ class Mailbox:
             idx = self._find(context, source, tag)
             return self._messages[idx] if idx is not None else None
 
-    def pending_count(self) -> int:
-        with self._cond:
-            self._drain()
-            return len(self._messages)
-
 
 def _spec(value: int, wildcard: int) -> Any:
     return "ANY" if value == wildcard else value

@@ -494,9 +494,9 @@ class ProcRuntime:
         if status == shm.RDV_BUSY:
             raise CommunicatorError(f"service {name!r} is already accepting")
         from repro.simmpi.intercomm import Intercommunicator
-        group = EndpointRemoteGroup(self.transport, remote_eps)
-        return Intercommunicator(comm, recv_ctx, send_ctx, group,
-                                 tuple(range(len(remote_eps))))
+        return Intercommunicator(comm, recv_ctx, send_ctx,
+                                 EndpointRemoteGroup(self.transport,
+                                                     remote_eps))
 
 
 def _safe_dumps(obj: Any) -> bytes:

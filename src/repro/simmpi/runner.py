@@ -130,38 +130,16 @@ def _launch(launch: Sequence[tuple[str, int, Callable[..., Any], tuple, dict]],
             for job in jobs}
 
 
-class SpmdRunner:
-    """Launches and supervises one SPMD job (threads backend).
-
-    Parameters
-    ----------
-    n:
-        Number of ranks.
-    deadlock_timeout:
-        Seconds of global stall (all unfinished ranks blocked in receives,
-        no progress) before the watchdog aborts the job.
-    """
-
-    def __init__(self, n: int, *, name: str = "job",
-                 deadlock_timeout: float = 5.0):
-        self.n = n
-        self.name = name
-        self.deadlock_timeout = deadlock_timeout
-
-    def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> list[Any]:
-        """Run ``fn(comm, *args, **kwargs)`` on every rank; return values
-        ordered by rank."""
-        return _launch([(self.name, self.n, fn, args, kwargs)],
-                       self.deadlock_timeout, qualify=False)[self.name]
-
-
 def run_spmd(n: int, fn: Callable[..., Any], *args: Any,
              deadlock_timeout: float = 5.0, backend: Optional[str] = None,
              transport_opts: Optional[dict] = None,
              **kwargs: Any) -> list[Any]:
-    """Convenience wrapper: launch ``fn`` on ``n`` ranks and collect results.
+    """Run ``fn(comm, *args, **kwargs)`` on ``n`` ranks; return the
+    values ordered by rank.
 
-    ``backend="procs"`` forks one process per rank and moves payloads
+    ``deadlock_timeout`` is the seconds of global stall (every
+    unfinished rank blocked, no progress) before the watchdog aborts
+    the job.  ``backend="procs"`` forks one process per rank and moves payloads
     through shared-memory slot rings; ``transport_opts`` tunes the ring
     (``slot_bytes``, ``slots_per_endpoint``).  Default: ``"threads"``
     (or the ``REPRO_BACKEND`` environment variable).
@@ -172,8 +150,8 @@ def run_spmd(n: int, fn: Callable[..., Any], *args: Any,
         return run_spmd_procs(n, fn, args, kwargs,
                               deadlock_timeout=deadlock_timeout,
                               opts=transport_opts)
-    return SpmdRunner(n, deadlock_timeout=deadlock_timeout).run(
-        fn, *args, **kwargs)
+    return _launch([("job", n, fn, args, kwargs)], deadlock_timeout,
+                   qualify=False)["job"]
 
 
 def run_coupled(jobs: Sequence[tuple[str, int, Callable[..., Any], tuple]],

@@ -74,7 +74,7 @@ from repro import config
 from repro.util.counters import RACE_STATS
 
 __all__ = ["RaceReport", "Sanitizer", "enabled", "set_tsan",
-           "register_actor", "current_actor", "reports", "clear_reports",
+           "register_actor", "reports", "clear_reports",
            "UNSYNC_WRITE", "TORN_READ", "SLOT_REUSE"]
 
 # report kinds
@@ -461,11 +461,6 @@ def register_actor(name: str) -> Optional[str]:
     disabled)."""
     san = ACTIVE
     return san.register_actor(name) if san is not None else None
-
-
-def current_actor() -> Optional[str]:
-    san = ACTIVE
-    return san.actor() if san is not None else None
 
 
 def reports() -> list[RaceReport]:

@@ -128,23 +128,9 @@ def current_endpoint():
     return getattr(rt, "endpoint", None) if rt is not None else None
 
 
-class RemoteGroup:
-    """Delivery handle for the ranks of a *remote* job (intercomm target).
-
-    The threads backend wraps the remote job object directly; the procs
-    backend addresses global endpoint ids through the domain transport.
-    """
-
-    def deliver(self, idx: int, env: Envelope, live=None) -> None:
-        raise NotImplementedError
-
-    @property
-    def size(self) -> int:
-        raise NotImplementedError
-
-
-class JobRemoteGroup(RemoteGroup):
-    """Threads-backend remote group: direct mailbox delivery."""
+class JobRemoteGroup:
+    """Delivery handle for the ranks of a remote job (an
+    intercommunicator's target) on threads: direct mailbox delivery."""
 
     def __init__(self, job, job_ranks: Sequence[int]):
         self.job = job
@@ -158,8 +144,9 @@ class JobRemoteGroup(RemoteGroup):
         return len(self.job_ranks)
 
 
-class EndpointRemoteGroup(RemoteGroup):
-    """Procs-backend remote group: global domain endpoints."""
+class EndpointRemoteGroup:
+    """The procs twin of :class:`JobRemoteGroup`: the remote ranks are
+    global domain endpoints."""
 
     def __init__(self, transport, endpoints: Sequence[int]):
         self._transport = transport

@@ -254,17 +254,16 @@ class Histogram(_Sharded):
 #: Process-wide PRMI serving accounting (:mod:`repro.prmi.serving`).
 #:
 #: Counters: ``invocations`` — requests admitted by a pipeline (batched,
-#: sync, one-way and pipelined-collective alike), ``frames_sent`` /
-#: ``frame_requests`` — coalesced frames and the requests they carry
-#: (their ratio is the batch occupancy the A11 benchmark reports),
-#: ``frame_bytes`` — encoded frame payload bytes, ``flush_full`` /
-#: ``flush_deadline`` / ``flush_forced`` — why each flush fired (batch
-#: cap, ``REPRO_BATCH_DELAY_US`` deadline, or an explicit
-#: ``flush()``/``result()``), ``pipelined_calls`` — collective
-#: invocations whose RETURN wait was deferred to a future,
-#: ``cached_read_hits`` — invocations answered from a CachedRead policy
-#: without touching the wire, ``overloads`` — admissions refused by
-#: backpressure (caller-side credit or the server's bounded queue).
+#: sync and one-way alike), ``frames_sent`` / ``frame_requests`` —
+#: coalesced frames and the requests they carry (their ratio is the
+#: batch occupancy the A11 benchmark reports), ``frame_bytes`` —
+#: encoded frame payload bytes, ``flush_full`` / ``flush_deadline`` /
+#: ``flush_forced`` — why each flush fired (batch cap,
+#: ``REPRO_BATCH_DELAY_US`` deadline, or an explicit
+#: ``flush()``/``result()``), ``cached_read_hits`` — invocations
+#: answered from a CachedRead policy without touching the wire,
+#: ``overloads`` — admissions refused by backpressure (caller-side
+#: credit or the server's bounded queue).
 #:
 #: Gauge (via :meth:`Counters.gauge_add`): ``inflight`` — submitted-but-
 #: unresolved requests across pipelines, posted once per frame (a batch

@@ -154,7 +154,6 @@ def _commgraph_cases():
         CommProgram,
         fig5_model,
         prmi_batch_deadlock_model,
-        prmi_pipeline_model,
         prmi_serving_model,
         rma_channel_model,
         transfer_model,
@@ -200,12 +199,11 @@ def _commgraph_cases():
         # tests/simmpi/test_procs_backend.py for the live twin).
         ("rma-channel", rma_channel_model(steps=3), False),
         ("rma-epoch-misuse", rma_channel_model(misuse=True), True),
-        # Serving tier: the shipped batched / pipelined protocols are
-        # clean; withholding replies to batch them (no deadline) against
-        # a caller blocked on its first future is the cycle the flush
+        # Serving tier: the shipped batched protocol is clean;
+        # withholding replies to batch them (no deadline) against a
+        # caller blocked on its first future is the cycle the flush
         # deadline and one-reply-frame-per-request-frame rule prevent.
         ("prmi-batched-serving", prmi_serving_model(callers=3), False),
-        ("prmi-pipelined", prmi_pipeline_model(depth=4), False),
         ("prmi-batch-no-deadline", prmi_batch_deadlock_model(), True),
     ]
 

@@ -74,7 +74,6 @@ __all__ = [
     "fig5_model",
     "rma_channel_model",
     "prmi_serving_model",
-    "prmi_pipeline_model",
     "prmi_batch_deadlock_model",
 ]
 
@@ -802,28 +801,6 @@ def prmi_serving_model(callers: int = 2,
     for c in cs:
         for _ in range(flushes):
             prog.recv(c, server, _REP)
-    return prog
-
-
-def prmi_pipeline_model(depth: int = 3) -> CommProgram:
-    """Pipelined collective invocation: the caller ships ``depth``
-    invocation headers back-to-back (futures defer the return receive),
-    then drains the returns in FIFO order; the callee services and
-    answers them in arrival order.  Deadlock-free because returns
-    travel on a per-source FIFO stream and the caller resolves futures
-    in submission order — the protocol
-    :meth:`~repro.prmi.serving.InvocationPipeline.invoke_collective`
-    implements."""
-    prog = CommProgram()
-    caller = prog.proc("caller", 0)
-    callee = prog.proc("callee", 0)
-    for _ in range(depth):
-        prog.send(caller, callee, _REQ)
-    for _ in range(depth):
-        prog.recv(callee, caller, _REQ)
-        prog.send(callee, caller, _REP)
-    for _ in range(depth):
-        prog.recv(caller, callee, _REP)
     return prog
 
 

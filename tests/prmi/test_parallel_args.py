@@ -467,72 +467,3 @@ def test_a_new_callee_endpoint_refuses_an_old_caller_endpoints_call():
                     deadlock_timeout=2.0)
     assert any(isinstance(e, PRMIError)
                for e in exc_info.value.failures.values())
-
-
-@pytest.mark.parametrize("backend", ["threads", "procs"])
-def test_pipelined_calls_stay_on_the_stale_epoch_until_a_synchronous_one(
-        backend):
-    """Pipelined collective calls drain their returns at points that
-    differ between callers, so none adopts a re-registered layout: each
-    is pulled in the stale one and redistributed.  The next synchronous
-    ``invoke`` adopts it on every caller.  Every call's bytes land in
-    the layout registered for it."""
-    from repro.prmi import InvocationPipeline
-    from repro.prmi.endpoint import _epoch
-
-    layouts = [_COLS, _COLS, _ROWS, _ROWS, _ROWS, _ROWS]
-    src_desc = DistArrayDescriptor(block_template(SHAPE, (2, 1)), G.dtype)
-    ns = NameService()
-
-    class Impl:
-        def __init__(self):
-            self.seen = []
-
-        def norm(self, field):
-            self.seen.append((field.descriptor.cache_key(),
-                              field.flat_local().copy()))
-            return len(self.seen)
-
-    def arg_for(comm, call):
-        return ParallelArg(DistributedArray.from_global(
-            src_desc, comm.rank, _truth(call)))
-
-    def caller(comm):
-        ep = CallerEndpoint(comm, ns.connect("piped", comm), _EPOCH_PORT)
-        pipe = InvocationPipeline(ep)
-        futs = [pipe.invoke_collective("norm", field=arg_for(comm, call))
-                for call in range(4)]
-        pipe.drain()
-        held = [ep._held[("norm", "field")][0]]
-        results = [f.result() for f in futs]
-        results.append(ep.invoke("norm", field=arg_for(comm, 4)))
-        held.append(ep._held[("norm", "field")][0])
-        results.append(pipe.invoke_collective(
-            "norm", field=arg_for(comm, 5)).result())
-        return held, results
-
-    def callee(comm):
-        impl = Impl()
-        ep = CalleeEndpoint(comm, ns.accept("piped", comm), _EPOCH_PORT,
-                            impl)
-        for call, layout in enumerate(layouts):
-            if call == 0 or layout is not layouts[call - 1]:
-                ep.set_param_layout("norm", "field", layout)
-            ep.serve_one()
-        return impl.seen
-
-    out = run_coupled([("callee", 3, callee, ()), ("caller", 2, caller, ())],
-                      backend=backend)
-    for held, results in out["caller"]:
-        assert held == [_epoch(_COLS), _epoch(_ROWS)]
-        assert results == list(range(1, len(layouts) + 1))
-    for call, layout in enumerate(layouts):
-        parts = []
-        for r, seen in enumerate(out["callee"]):
-            key, flat = seen[call]
-            assert key == layout.cache_key(), (call, r)
-            da = DistributedArray.allocate(layout, r)
-            da.flat_local()[:] = flat
-            parts.append(da)
-        assert (DistributedArray.assemble(parts).tobytes()
-                == _truth(call).tobytes()), call

@@ -88,7 +88,7 @@ def _interleave_caller(comm, service, n):
             pipe.submit("note", callee, msg=f"r{comm.rank}i{i}")
     vec = np.arange(6, dtype=np.float32)
     arr_fut = pipe.submit("scale", callee, v=vec)
-    coll = pipe.invoke_collective("echo_m", x=comm.rank * 0 + 7)
+    coll = pipe.caller.invoke("echo_m", x=7)
     batched = [f.result() for f in futs]
     batched_arr = arr_fut.result()
     # The same requests again, unbatched (sync per-request frames), and
@@ -105,7 +105,7 @@ def _interleave_caller(comm, service, n):
                  for i in range(10)]
     unbatched_arr = pipe.caller.invoke_independent("scale", callee, v=vec)
     pipe.close()
-    return (batched, sync_pipe_results, unbatched, coll.result(),
+    return (batched, sync_pipe_results, unbatched, coll,
             _args_equal(batched_arr, unbatched_arr),
             batched_arr.dtype.str)
 
@@ -210,12 +210,12 @@ def test_inflight_gauge_peak_is_exact_when_posted_per_frame():
 def _subset_caller(comm, service, n):
     table = PolicyTable(default=Batched(batch_max=8, delay_us=10**7))
     pipe = _pipeline(comm, service, policies=table)
-    before = pipe.invoke_collective("echo_m", x=1)
+    before = pipe.caller.invoke("echo_m", x=1)
     futs = [pipe.submit("add", comm.rank % n, a=i, b=0) for i in range(4)]
     pipe.engage_subset([0, 2])
-    after = pipe.invoke_collective("echo_m", x=2)
+    after = pipe.caller.invoke("echo_m", x=2)
     late = [pipe.submit("add", comm.rank % n, a=i, b=10) for i in range(3)]
-    got = ([f.result() for f in futs], before.result(), after.result(),
+    got = ([f.result() for f in futs], before, after,
            [f.result() for f in late])
     pipe.close()
     return got

@@ -1,24 +1,7 @@
-"""Communicator construction: dup, split, subcommunicators."""
+"""Communicator construction: split and subcommunicators."""
 
 
 from repro.simmpi import run_spmd
-
-
-def test_dup_isolated_context():
-    """Messages on the dup must not match receives on the parent."""
-    def main(comm):
-        dup = comm.dup()
-        assert dup.context != comm.context
-        assert (dup.rank, dup.size) == (comm.rank, comm.size)
-        if comm.rank == 0:
-            dup.send("on-dup", dest=1, tag=7)
-            comm.send("on-parent", dest=1, tag=7)
-            return None
-        first = comm.recv(source=0, tag=7)
-        second = dup.recv(source=0, tag=7)
-        return (first, second)
-
-    assert run_spmd(2, main)[1] == ("on-parent", "on-dup")
 
 
 def test_split_even_odd():

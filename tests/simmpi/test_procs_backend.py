@@ -11,6 +11,7 @@ targeted coverage.
 
 import os
 import pickle
+import signal
 import time
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.dad import (
     DistArrayDescriptor,
     DistributedArray,
 )
+from repro.dad.template import block_template
 from repro.errors import CommunicatorError, DeadlockError, SpmdError
 from repro.highlevel import Coupler
 from repro.schedule import bind, build_region_schedule
@@ -65,10 +67,9 @@ def test_backend_env_var_selects_procs(monkeypatch):
 def _collectives(comm):
     root_val = comm.bcast({"shape": (4, 5)} if comm.rank == 0 else None)
     gathered = comm.gather(comm.rank * 10)
-    counts = [comm.rank + 1] * comm.size
-    buf = np.full(sum(counts), float(comm.rank))
-    swapped = comm.alltoallv(buf, counts)
-    total = comm.allreduce(float(swapped.sum()))
+    swapped = comm.alltoall([np.full(comm.rank + 1, float(comm.rank))]
+                            * comm.size)
+    total = comm.allreduce(float(sum(part.sum() for part in swapped)))
     return root_val, gathered, total
 
 
@@ -667,6 +668,71 @@ def test_rma_crash_mid_epoch_propagates_abort():
     # every consumer unblocked with an error instead of spinning forever
     cons_keys = [k for k in failures if str(k).startswith("cons")]
     assert cons_keys
+
+
+# -- rank death on procs -----------------------------------------------------
+
+# Rows over 2 producers, columns over 3 consumers: every consumer rank
+# takes a pair from every producer rank, so each one blocks on a
+# producer that dies.  (60, 60) makes 4.7 KiB pairs (eager); (600, 3000)
+# makes 2.3 MiB pairs, above EAGER_MAX (put).
+_DEATH_SHAPES = {"eager": (60, 60), "put": (600, 3000)}
+
+
+def _death_descs(shape):
+    return (DistArrayDescriptor(block_template(shape, (2, 1))),
+            DistArrayDescriptor(block_template(shape, (1, 3))))
+
+
+def _dying_producer(comm, service, shape):
+    src, _ = _death_descs(shape)
+    da = DistributedArray.allocate(src, comm.rank)
+    da.fill(1.0)
+    chan = Coupler(service, default_nameservice).open(comm, "source", da)
+    chan.push()
+    if comm.rank == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    chan.push()
+
+
+def _death_consumer(comm, service, shape):
+    _, dst = _death_descs(shape)
+    chan = Coupler(service, default_nameservice).open(
+        comm, "destination", dst)
+    for _ in range(2):
+        chan.pull()
+
+
+@pytest.mark.parametrize("case", sorted(_DEATH_SHAPES))
+def test_procs_rank_killed_between_pushes_fails_every_peer_fast(case):
+    """A producer rank SIGKILLed between two pushes — its pairs eager,
+    or put into the consumers' windows — fails the launch within a
+    stall tick, far inside the watchdog's timeout: the dead rank reads
+    as a rank that exited without reporting, and every consumer blocked
+    on it raises a DeadlockError that names it.  The ``no_leaks``
+    fixture checks that the launch leaves no segment behind."""
+    from repro.schedule.executor import EAGER_MAX
+
+    rows, cols = shape = _DEATH_SHAPES[case]
+    pair_bytes = rows // 2 * cols // 3 * 8
+    assert (pair_bytes > EAGER_MAX) == (case == "put")
+    service = f"rank-death-{case}"
+    t0 = time.monotonic()
+    with pytest.raises(SpmdError) as ei:
+        run_coupled([("prod", 2, _dying_producer, (service, shape)),
+                     ("cons", 3, _death_consumer, (service, shape))],
+                    deadlock_timeout=10.0, backend="procs")
+    assert time.monotonic() - t0 < 3.0
+    failures = ei.value.failures
+    assert ("exited without reporting (exit code -9)"
+            in str(failures["prod rank 1"]))
+    for r in range(3):
+        peer = failures[f"cons rank {r}"]
+        assert isinstance(peer, DeadlockError)
+        assert "prod rank 1" in str(peer)
+        # blocked where the case says: an armed eager sink, or a fence
+        assert ("rma_fence(" if case == "put" else "prepost_recv(") \
+            in str(peer)
 
 
 # -- transport counters and tunables -----------------------------------------

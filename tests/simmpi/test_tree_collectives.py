@@ -1,9 +1,10 @@
-"""Tree vs. flat collectives: identical values, identical message totals.
+"""Binomial-tree collectives: exact values and exact message totals.
 
-The binomial algorithms change the *shape* of the communication (log-P
-critical path instead of a root-serialized loop) but not its semantics:
-every rooted collective still moves exactly P-1 messages and a barrier
-2(P-1), so the flat implementations serve as an executable oracle.
+The trees change the *shape* of the communication (an O(log P)
+critical path instead of a root-serialized loop), not its totals: a
+rooted collective moves exactly P-1 internal messages and a barrier
+2(P-1), the figures of a root-serialized loop.  Each case asserts the
+values and those totals, at sizes whose trees have several levels.
 """
 
 import numpy as np
@@ -12,31 +13,27 @@ import pytest
 from repro.simmpi import NameService, run_coupled, run_spmd
 
 
-def _run_both(n, body):
-    """Run ``body(comm)`` once under tree and once under flat collectives;
-    returns ((tree_results, tree_msgs), (flat_results, flat_msgs))."""
-    out = []
-    for algo in ("tree", "flat"):
-        def main(comm, algo=algo):
-            comm.coll_algo = algo
-            # counters are shared per job; snapshot after all threads join
-            return body(comm), comm.counters
+def _run(n, body):
+    """Run ``body(comm)`` on ``n`` ranks; returns (per-rank results,
+    the job's ``internal_msgs``)."""
+    def main(comm):
+        # counters are shared per job; read them after all threads join
+        return body(comm), comm.counters
 
-        results = run_spmd(n, main)
-        out.append(([r[0] for r in results],
-                    results[0][1].get("internal_msgs")))
-    return out
+    results = run_spmd(n, main)
+    return [r[0] for r in results], results[0][1].get("internal_msgs")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
 def test_bcast_tree_equals_flat(n):
-    def body(comm):
-        data = {"v": list(range(10)), "r": "root"} if comm.rank == 1 else None
-        return comm.bcast(data, root=1)
+    data = {"v": list(range(10)), "r": "root"}
 
-    (tree_vals, tree_msgs), (flat_vals, flat_msgs) = _run_both(n, body)
-    assert tree_vals == flat_vals
-    assert tree_msgs == flat_msgs  # both: n-1 messages per bcast
+    def body(comm):
+        return comm.bcast(data if comm.rank == 1 else None, root=1)
+
+    vals, msgs = _run(n, body)
+    assert vals == [data] * n
+    assert msgs == n - 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7])
@@ -44,23 +41,24 @@ def test_gather_tree_equals_flat(n):
     def body(comm):
         return comm.gather(np.full(comm.rank + 1, comm.rank), root=0)
 
-    (tree_vals, tree_msgs), (flat_vals, flat_msgs) = _run_both(n, body)
-    assert tree_msgs == flat_msgs
-    assert tree_vals[1:] == flat_vals[1:]  # non-roots return None
-    for a, b in zip(tree_vals[0], flat_vals[0]):
-        np.testing.assert_array_equal(a, b)
+    vals, msgs = _run(n, body)
+    assert msgs == n - 1
+    assert vals[1:] == [None] * (n - 1)
+    assert len(vals[0]) == n
+    for r, part in enumerate(vals[0]):
+        np.testing.assert_array_equal(part, np.full(r + 1, r))
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_allgather_and_reductions(n):
     def body(comm):
         return (comm.allgather(comm.rank * 3),
-                comm.allreduce(comm.rank + 1, op="sum"),
-                comm.scan(comm.rank + 1, op="sum"))
+                comm.allreduce(comm.rank + 1, op="sum"))
 
-    (tree_vals, tree_msgs), (flat_vals, flat_msgs) = _run_both(n, body)
-    assert tree_vals == flat_vals
-    assert tree_msgs == flat_msgs
+    vals, msgs = _run(n, body)
+    assert vals == [([3 * r for r in range(n)], n * (n + 1) // 2)] * n
+    # each is a gather and a bcast: 2(n-1) messages apiece
+    assert msgs == 4 * (n - 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
@@ -73,8 +71,8 @@ def test_barrier_message_accounting(n):
     counters = run_spmd(n, main)[0]
     assert counters.get("barriers") == 3 * n
     if n > 1:
-        # 2(n-1) internal messages per barrier, same total as the flat
-        # central-counter barrier — only the depth differs.
+        # 2(n-1) internal messages per barrier: a reduce-to-0 tree,
+        # then the bcast tree.
         assert counters.get("internal_msgs") == 3 * 2 * (n - 1)
 
 
@@ -120,18 +118,18 @@ def test_nonzero_root_tree_gather_order():
     assert all(results[i] is None for i in range(6) if i != 2)
 
 
-def test_split_and_dup_still_work_at_depth():
-    """split/dup ride on bcast/allgather; exercise them at sizes that
-    need multi-hop trees."""
+def test_split_and_subcomm_still_work_at_depth():
+    """split/create_subcomm ride on bcast/allgather; exercise them at
+    sizes that need multi-hop trees."""
     def main(comm):
         sub = comm.split(comm.rank % 2, key=-comm.rank)
         val = sub.allreduce(comm.rank, op="sum")
-        dup = comm.dup()
-        return val, dup.bcast(comm.rank, root=0)
+        tail = comm.create_subcomm(range(1, comm.size))
+        return val, tail.bcast(comm.rank, root=0) if tail else None
 
     results = run_spmd(7, main)
     evens = sum(r for r in range(7) if r % 2 == 0)
     odds = sum(r for r in range(7) if r % 2 == 1)
     for rank, (val, b) in enumerate(results):
         assert val == (evens if rank % 2 == 0 else odds)
-        assert b == 0
+        assert b == (1 if rank else None)

@@ -18,7 +18,6 @@ from repro.verify.commgraph import (
     assert_deadlock_free,
     fig5_model,
     prmi_batch_deadlock_model,
-    prmi_pipeline_model,
     prmi_serving_model,
     transfer_model,
     would_deadlock,
@@ -251,11 +250,6 @@ def test_prmi_batched_serving_model_is_deadlock_free():
     """One reply frame per request frame + flush-without-recv: every
     interleaving of the shipped batched protocol completes."""
     assert_deadlock_free(prmi_serving_model(callers=3, flushes=2))
-
-
-def test_prmi_pipelined_model_is_deadlock_free():
-    """Deferred return receives drained in FIFO submission order."""
-    assert_deadlock_free(prmi_pipeline_model(depth=4))
 
 
 def test_prmi_batch_without_deadline_deadlocks():
