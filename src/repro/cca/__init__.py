@@ -18,7 +18,7 @@ need: ``collective``/``independent`` invocation, ``oneway`` methods, and
 from repro.cca.sidl import MethodSpec, Param, PortType
 from repro.cca.ports import ProvidesPort, UsesPort
 from repro.cca.component import Component, Services
-from repro.cca.framework import DirectFramework, GO_PORT
+from repro.cca.framework import DirectFramework
 
 __all__ = [
     "MethodSpec",
@@ -29,5 +29,4 @@ __all__ = [
     "Component",
     "Services",
     "DirectFramework",
-    "GO_PORT",
 ]

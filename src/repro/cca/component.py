@@ -27,8 +27,6 @@ class Services:
         self.comm = comm
         self._provides: dict[str, ProvidesPort] = {}
         self._uses: dict[str, UsesPort] = {}
-        #: framework-level services (e.g. M×N) keyed by service name
-        self._framework_services: dict[str, Any] = {}
 
     # -- provides side ------------------------------------------------------
 
@@ -45,9 +43,6 @@ class Services:
             raise PortError(
                 f"component {self.instance_name!r} provides no port "
                 f"{name!r}") from None
-
-    def provided_port_names(self) -> list[str]:
-        return sorted(self._provides)
 
     # -- uses side --------------------------------------------------------------
 
@@ -67,21 +62,6 @@ class Services:
     def get_port(self, name: str) -> BoundPort:
         """Fetch a connected uses port for invocation."""
         return self.uses_port(name).get()
-
-    def release_port(self, name: str) -> None:
-        """CCA convention: signal the component is done with the port."""
-        self.uses_port(name)
-
-    # -- framework services --------------------------------------------------------
-
-    def register_framework_service(self, name: str, service: Any) -> None:
-        self._framework_services[name] = service
-
-    def get_framework_service(self, name: str) -> Any:
-        try:
-            return self._framework_services[name]
-        except KeyError:
-            raise PortError(f"no framework service {name!r}") from None
 
 
 class Component:

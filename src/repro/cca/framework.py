@@ -13,14 +13,6 @@ from typing import Any, Type
 
 from repro.errors import PortError
 from repro.cca.component import Component, Services
-from repro.cca.sidl import MethodSpec, PortType
-
-#: Name of the conventional Go port (the component "main").
-GO_PORT = "go"
-
-#: The standard Go port type: a single collective ``go()`` method.
-GO_PORT_TYPE = PortType("gov.cca.ports.GoPort",
-                        (MethodSpec("go", (), returns=True),))
 
 
 class DirectFramework:
@@ -33,7 +25,6 @@ class DirectFramework:
         self.name = name
         self._components: dict[str, Component] = {}
         self._services: dict[str, Services] = {}
-        self._framework_services: dict[str, Any] = {}
 
     # -- lifecycle --------------------------------------------------------
 
@@ -46,28 +37,10 @@ class DirectFramework:
                 f"component instance {instance_name!r} already exists")
         comp = component_class(*args, **kwargs)
         services = Services(instance_name, self.comm)
-        for sname, svc in self._framework_services.items():
-            services.register_framework_service(sname, svc)
         comp.set_services(services)
         self._components[instance_name] = comp
         self._services[instance_name] = services
         return comp
-
-    def destroy_component(self, instance_name: str) -> None:
-        if instance_name not in self._components:
-            raise PortError(f"no component instance {instance_name!r}")
-        del self._components[instance_name]
-        del self._services[instance_name]
-
-    def component(self, instance_name: str) -> Component:
-        try:
-            return self._components[instance_name]
-        except KeyError:
-            raise PortError(
-                f"no component instance {instance_name!r}") from None
-
-    def component_names(self) -> list[str]:
-        return sorted(self._components)
 
     # -- wiring ---------------------------------------------------------------
 
@@ -93,29 +66,3 @@ class DirectFramework:
         except KeyError:
             raise PortError(
                 f"no component instance {instance_name!r}") from None
-
-    # -- framework services (e.g. the M×N service) ----------------------------
-
-    def register_framework_service(self, name: str, service: Any) -> None:
-        self._framework_services[name] = service
-        for services in self._services.values():
-            services.register_framework_service(name, service)
-
-    # -- Go ports -----------------------------------------------------------------
-
-    def run_go(self, instance_name: str) -> Any:
-        """Invoke a component's Go port — "the component equivalent of
-        the 'main' function" (§4.3 footnote)."""
-        services = self._services_for(instance_name)
-        go = services.get_provides_port(GO_PORT)
-        return go.impl.go()
-
-    def run_all_go(self) -> dict[str, Any]:
-        """Start every component that provides a Go port (DCA §4.3:
-        "all CCA Go ports are called at startup time")."""
-        results = {}
-        for name in self.component_names():
-            services = self._services[name]
-            if GO_PORT in services.provided_port_names():
-                results[name] = self.run_go(name)
-        return results

@@ -73,10 +73,6 @@ class UsesPort:
     def disconnect(self) -> None:
         self._bound = None
 
-    @property
-    def connected(self) -> bool:
-        return self._bound is not None
-
     def get(self) -> BoundPort:
         if self._bound is None:
             raise PortError(

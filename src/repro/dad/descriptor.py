@@ -115,9 +115,6 @@ class DistArrayDescriptor:
         metric for experiment E7)."""
         return self.template.descriptor_entries()
 
-    def descriptor_nbytes(self) -> int:
-        return self.descriptor_entries() * 8
-
     def cache_key(self) -> tuple:
         """Schedule-cache identity: two descriptors with equal keys can
         reuse each other's communication schedules even if they describe

@@ -94,10 +94,6 @@ class DCABuffer:
     counts: list[int]          #: chunk length per participant
     sources: list[int]         #: participant caller ranks, header order
 
-    def chunk_from(self, participant_index: int) -> np.ndarray:
-        lo = sum(self.counts[:participant_index])
-        return self.data[lo:lo + self.counts[participant_index]]
-
 
 class DCACallerPort:
     """Uses side of a DCA remote port."""

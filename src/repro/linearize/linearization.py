@@ -123,15 +123,6 @@ class Linearization(ABC):
         with a known storage dtype should override."""
         return np.dtype(np.float64)
 
-    # -- flat storage -----------------------------------------------------
-
-    def flat_storage(self, rank: int, storage) -> np.ndarray | None:
-        """The rank's 1-D local buffer that :meth:`layout` describes, or
-        ``None`` when the structure has none (e.g. dict-backed graph
-        storage) — the executor then stages the rank's owned runs
-        through one buffer laid out as the default :meth:`layout`."""
-        return None
-
     def layout(self, rank: int) -> tuple[RegionList, np.ndarray]:
         """Where ``rank``'s owned positions sit in its flat storage:
         ``(runs, offsets)``, owned linear intervals as 1-D regions and
@@ -275,10 +266,6 @@ class DenseLinearization(Linearization):
             return parts[0]
         return np.concatenate(parts) if parts else \
             np.empty(0, dtype=np.int64)
-
-    def flat_storage(self, rank: int,
-                     storage: DistributedArray) -> np.ndarray:
-        return storage.flat_local()
 
     def extract(self, rank: int, run: Run,
                 storage: DistributedArray) -> np.ndarray:

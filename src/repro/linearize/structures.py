@@ -73,14 +73,6 @@ class GraphLinearization(Linearization):
     # Storage for a graph field is a plain dict node -> float value,
     # holding only the rank's owned nodes.
 
-    def make_storage(self, rank: int,
-                     values: Mapping[Hashable, float] | None = None) -> dict:
-        store = {n: 0.0 for n, r in self.owners.items() if r == rank}
-        if values is not None:
-            for n in store:
-                store[n] = values[n]
-        return store
-
     def extract(self, rank: int, run: Run, storage: Mapping) -> np.ndarray:
         out = np.empty(run.length, dtype=np.float64)
         for i, pos in enumerate(range(run.lo, run.hi)):
@@ -117,19 +109,6 @@ class TreeLinearization(GraphLinearization):
         order = list(nx.dfs_preorder_nodes(tree, root))
         super().__init__(tree, owners, order)
         self.root = root
-        # Rooted orientation: lets subtree queries exclude the parent side.
-        self._rooted = nx.bfs_tree(tree, root)
-
-    def subtree_run(self, node: Hashable) -> Run:
-        """The linear interval covering ``node``'s entire subtree."""
-        import networkx as nx
-
-        sub = [node] + list(nx.descendants(self._rooted, node))
-        positions = [self.position[n] for n in sub]
-        lo, hi = min(positions), max(positions) + 1
-        if hi - lo != len(sub):  # pragma: no cover - preorder guarantees this
-            raise ScheduleError("subtree not contiguous in preorder")
-        return Run(lo, hi)
 
 
 def bfs_order(graph: nx.Graph) -> list:

@@ -11,9 +11,9 @@ lists:
 * :class:`AttrVect` — "a multi-field data storage object that is the
   common currency modules use in data exchange";
 * :class:`GlobalSegMap` — "domain decomposition descriptors";
-* :class:`Router` / :class:`Rearranger` — "communications schedulers for
-  intermodule parallel data transfer and intra-module parallel data
-  redistribution";
+* :class:`Router` — "communications schedulers for intermodule parallel
+  data transfer" (the intra-module Rearranger is not modelled: no row
+  or example runs one);
 * :class:`SparseMatrix` — "distributed sparse matrix elements and
   communication schedulers used in performing interpolation as parallel
   sparse matrix-vector multiplication in a multi-field, cache-friendly
@@ -33,7 +33,6 @@ from repro.mct.registry import MCTWorld
 from repro.mct.gsmap import GlobalSegMap, Segment
 from repro.mct.attrvect import AttrVect
 from repro.mct.router import Router
-from repro.mct.rearranger import Rearranger
 from repro.mct.sparsematrix import InterpolationScheduler, SparseMatrix
 from repro.mct.grid import GeneralGrid
 from repro.mct.accumulator import Accumulator
@@ -50,7 +49,6 @@ __all__ = [
     "Segment",
     "AttrVect",
     "Router",
-    "Rearranger",
     "SparseMatrix",
     "InterpolationScheduler",
     "GeneralGrid",

@@ -52,9 +52,6 @@ class GeneralGrid:
     def ndim(self) -> int:
         return len(self.coords)
 
-    def coordinates(self, point: int) -> tuple[float, ...]:
-        return tuple(self.coords[d][point] for d in self.dims)
-
     def weight(self, name: str) -> np.ndarray:
         try:
             return self.weights[name]
@@ -71,10 +68,6 @@ class GeneralGrid:
         """Weights with masked-out (mask == 0) points zeroed — the form
         integrals and merges consume."""
         return self.weight(weight) * (self.mask(mask) != 0)
-
-    def active_points(self, mask: str) -> np.ndarray:
-        """Indices of unmasked points."""
-        return np.flatnonzero(self.mask(mask) != 0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"GeneralGrid({self.dims}, npoints={self.npoints}, "

@@ -9,7 +9,7 @@ order is segments sorted by global start — the mapping every
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -89,21 +89,6 @@ class GlobalSegMap:
             pos += length
             b += 1
         return cls(gsize, segments, nranks)
-
-    @classmethod
-    def from_owners(cls, owners: Sequence[int],
-                    nranks: int | None = None) -> "GlobalSegMap":
-        """Build from a per-element owner array, compressing runs."""
-        owners_arr = np.asarray(owners, dtype=np.int64)
-        segments = []
-        if owners_arr.size:
-            change = np.flatnonzero(np.diff(owners_arr)) + 1
-            starts = np.concatenate(([0], change))
-            ends = np.concatenate((change, [owners_arr.size]))
-            for a, b in zip(starts, ends):
-                segments.append(Segment(int(a), int(b - a),
-                                        int(owners_arr[a])))
-        return cls(len(owners_arr), segments, nranks)
 
     # -- queries -----------------------------------------------------------------
 

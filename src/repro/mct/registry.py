@@ -32,9 +32,6 @@ class MCTWorld:
         self.model_comm = world.split(color=names.index(my_model),
                                       key=world.rank)
 
-    def models(self) -> list[str]:
-        return sorted(self._ranks)
-
     def ranks_of(self, model: str) -> list[int]:
         """World ranks hosting ``model`` — the process ID look-up table."""
         try:

@@ -60,19 +60,11 @@ class MxNComponent:
                 f"this instance is rank {self.local_comm.rank}")
         self._fields[name] = _FieldEntry(darray, mode)
 
-    def unregister(self, name: str) -> None:
-        if name not in self._fields:
-            raise RegistrationError(f"no field {name!r} registered")
-        del self._fields[name]
-
     def field(self, name: str) -> DistributedArray:
         return self._entry(name).darray
 
     def descriptor(self, name: str) -> DistArrayDescriptor:
         return self._entry(name).darray.descriptor
-
-    def field_names(self) -> list[str]:
-        return sorted(self._fields)
 
     def _entry(self, name: str) -> _FieldEntry:
         try:

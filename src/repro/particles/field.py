@@ -91,11 +91,6 @@ class ParticleField:
             {name: np.concatenate([f.attributes[name] for f in fields])
              for name in names})
 
-    def move(self, displacement: np.ndarray) -> None:
-        """Advance every particle by ``displacement`` (per-particle or
-        broadcastable)."""
-        self.positions += displacement
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ParticleField({self.count} particles, ndim={self.ndim}, "
                 f"attrs={self.attribute_names()})")

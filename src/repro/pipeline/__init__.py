@@ -15,7 +15,7 @@ component" (§6).
 This package provides exactly that:
 
 * :mod:`repro.pipeline.filters` — elementwise translation filters (unit
-  conversion, clamping, arbitrary functions) and temporal blending,
+  conversion, clamping) and temporal blending,
 * :class:`Pipeline` — an ordered chain of filter and redistribution
   stages with a naive stage-by-stage executor, and
 * :meth:`Pipeline.fuse` — the super-component optimizer: adjacent affine
@@ -29,7 +29,6 @@ from repro.pipeline.filters import (
     AffineFilter,
     ClampFilter,
     Filter,
-    FunctionFilter,
     TemporalBlendFilter,
     UnitConversion,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "AffineFilter",
     "UnitConversion",
     "ClampFilter",
-    "FunctionFilter",
     "TemporalBlendFilter",
     "Pipeline",
     "FilterStage",

@@ -10,7 +10,6 @@ copies" technique from §6.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable
 
 import numpy as np
 
@@ -95,22 +94,6 @@ class ClampFilter(Filter):
 
     def apply(self, values, *, out=None):
         return np.clip(values, self.lo, self.hi, out=out)
-
-
-class FunctionFilter(Filter):
-    """Arbitrary vectorized elementwise function."""
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray],
-                 name: str = "fn"):
-        self.fn = fn
-        self.name = name
-
-    def apply(self, values, *, out=None):
-        result = self.fn(values)
-        if out is not None:
-            out[...] = result
-            return out
-        return result
 
 
 class TemporalBlendFilter(Filter):

@@ -47,10 +47,6 @@ class LazyParallelArg:
         self._pull = pull
         self._result: DistributedArray | None = None
 
-    @property
-    def materialized(self) -> bool:
-        return self._result is not None
-
     def materialize(self, layout: DistArrayDescriptor) -> DistributedArray:
         """Pull the data into ``layout``; collective over the callee."""
         if self._result is not None:

@@ -46,6 +46,29 @@ carries it only when it is not the object that caller sent last
 caller endpoint holds is therefore state of its pairing with one
 callee endpoint: a new callee endpoint refuses an old caller endpoint's
 call with :class:`~repro.errors.PRMIError`.
+
+An independent (one-to-one) call travels as request/reply *frames*
+(:mod:`repro.prmi.frames`), the one wire every independent invocation
+uses — one at a time here, batched and pipelined by
+:class:`~repro.prmi.serving.InvocationPipeline`.  The tags:
+
+=============================  ======================================
+tag                            carries
+=============================  ======================================
+:data:`INVOKE_TAG` 100         collective invocation fragments
+:data:`RETURN_TAG` 101         collective return values
+:data:`PULL_TAG` 102           ``(epoch, layout)`` announcements
+:data:`DATA_TAG` 103           parallel-argument schedule messages
+:data:`SUBSET_TAG` 106         sub-setting announcements and acks
+``frame_tag(REQUEST_STREAM)``  request frames of ``(seq, method,
+                               kwargs)`` entries, caller → callee;
+                               ``seq`` :data:`NOREPLY_SEQ` expects no
+                               reply
+``frame_tag(REPLY_STREAM)``    one reply frame of ``(seq, status,
+                               value)`` entries per request frame
+                               that expects any reply
+``frame_tag(CONTROL_STREAM)``  serve-loop shutdown tokens
+=============================  ======================================
 """
 
 from __future__ import annotations
@@ -59,24 +82,34 @@ import numpy as np
 from repro.errors import (
     ParticipationError,
     PRMIError,
+    ServerOverloaded,
     SimpleArgumentMismatch,
 )
 from repro.cca.sidl import MethodSpec, PortType
 from repro.dad.darray import DistributedArray
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.prmi.args import LazyParallelArg, ParallelArg
+from repro.prmi.frames import decode_frame, encode_frame
 from repro.schedule.builder import GLOBAL_CACHE
 from repro.schedule.executor import allocate_dst, execute_inter, execute_intra
 from repro.simmpi.communicator import Communicator
+from repro.simmpi.constants import frame_tag
 from repro.simmpi.intercomm import Intercommunicator
+from repro.util.counters import PRMI_STATS
 
 INVOKE_TAG = 100
 RETURN_TAG = 101
 PULL_TAG = 102
 DATA_TAG = 103
-IND_TAG = 104
-IND_RETURN_TAG = 105
 SUBSET_TAG = 106
+
+#: Framed-protocol stream ids (see the tag table above).
+REQUEST_STREAM = 0
+REPLY_STREAM = 1
+CONTROL_STREAM = 2
+
+#: Sequence number of fire-and-forget request entries (no reply travels).
+NOREPLY_SEQ = -1
 
 
 @dataclass
@@ -157,6 +190,16 @@ def _package_result(spec: MethodSpec, result: Any) -> Any:
     return result
 
 
+def reply_error(status: str, value: Any) -> BaseException:
+    """The exception a reply entry of ``status`` other than ``"ok"``
+    settles with: the callee's own (``"err"``), or
+    :class:`~repro.errors.ServerOverloaded` when admission control
+    refused the request (``"overload"``)."""
+    if status == "overload":
+        return ServerOverloaded(str(value))
+    return value if isinstance(value, BaseException) else PRMIError(str(value))
+
+
 class CallerEndpoint:
     """The uses side of a parallel remote port."""
 
@@ -220,8 +263,9 @@ class CallerEndpoint:
         modified, then a sub-setting mechanism is engaged."
 
         Collective over the *full* cohort.  Announces the new
-        participant set to the callee cohort (which must call
-        :meth:`CalleeEndpoint.accept_subset`) and returns a new endpoint
+        participant set to the callee cohort (whose
+        :class:`~repro.prmi.serving.ServerLoop` installs it) and returns
+        a new endpoint
         on which only ``ranks`` make collective calls.  Ranks outside
         the subset receive the endpoint too, but their :meth:`invoke`
         is a no-op returning None.
@@ -367,7 +411,15 @@ class CallerEndpoint:
 
     def invoke_independent(self, method: str, callee_rank: int,
                            **kwargs: Any) -> Any:
-        """One-to-one non-collective invocation (Damevski's second kind)."""
+        """One-to-one non-collective invocation (Damevski's second kind):
+        a request frame of one entry to ``callee_rank`` and, unless the
+        method is one-way (entry :data:`NOREPLY_SEQ`; returns ``None``
+        at once), that frame's one reply — the value, or the exception
+        the callee raised.
+
+        The reply shares the callee's reply stream with an
+        :class:`~repro.prmi.serving.InvocationPipeline` over this
+        endpoint, so settle the pipeline's futures first."""
         spec = self.port_type.method(method)
         if spec.invocation != "independent":
             raise PRMIError(
@@ -381,10 +433,16 @@ class CallerEndpoint:
                 f"method {method!r} expects arguments {sorted(declared)}, "
                 f"got {sorted(kwargs)}")
         self.stats.calls += 1
-        self.inter.send((method, kwargs), dest=callee_rank, tag=IND_TAG)
+        seq = NOREPLY_SEQ if spec.oneway else 0
+        self.inter.send(encode_frame([(seq, method, kwargs)]),
+                        dest=callee_rank, tag=frame_tag(REQUEST_STREAM))
         if spec.oneway:
             return None
-        return self.inter.recv(source=callee_rank, tag=IND_RETURN_TAG)
+        [(_seq, status, value)] = decode_frame(self.inter.recv(
+            source=callee_rank, tag=frame_tag(REPLY_STREAM)))
+        if status != "ok":
+            raise reply_error(status, value)
+        return value
 
 
 class InvocationContext:
@@ -452,27 +510,13 @@ class CalleeEndpoint:
             return effective
         return self._caller_map[effective]
 
-    def accept_subset(self) -> list[int]:
-        """Complete the caller side's :meth:`CallerEndpoint.engage_subset`.
-
-        Every callee rank must call this; returns the new participant
-        list (actual caller cohort ranks).  Only rank 0 hears from the
-        caller job — the announcement fans out over a binomial tree on
-        the local communicator (tag :data:`SUBSET_TAG` in both hops).
-        """
-        me = self.local_comm.rank
-        if me == 0:
-            announcement = self.inter.recv(source=0, tag=SUBSET_TAG)
-        else:
-            parent = me - (me & -me)
-            announcement = self.local_comm.recv(parent, SUBSET_TAG)
-        return self._install_subset(announcement)
-
-    def _install_subset(self, announcement: Any) -> list[int]:
-        """Relay a subset announcement to this rank's tree children,
-        adopt the new caller map, and join the install barrier (rank 0
-        then acks the caller side).  Shared with the serve loop, which
-        receives the announcement event-driven rather than blocking."""
+    def _install_subset(self, announcement: Any) -> None:
+        """Complete the caller side's :meth:`CallerEndpoint.engage_subset`
+        (the serve loop calls this on every callee rank): relay the
+        announcement to this rank's children on a binomial tree over the
+        local communicator (only rank 0 hears from the caller job; tag
+        :data:`SUBSET_TAG` in both hops), adopt the new caller map, and
+        join the install barrier (rank 0 then acks the caller side)."""
         kind, ranks = announcement
         if kind != "subset":  # pragma: no cover - protocol guard
             raise PRMIError(f"expected subset announcement, got {kind!r}")
@@ -487,7 +531,6 @@ class CalleeEndpoint:
         if me == 0:
             self.inter.send(("subset-ack", list(ranks)), dest=0,
                             tag=SUBSET_TAG)
-        return self._caller_map
 
     def set_param_layout(self, method: str, param: str,
                          layout: DistArrayDescriptor) -> None:
@@ -664,31 +707,47 @@ class CalleeEndpoint:
     # -- independent servicing -------------------------------------------------------
 
     def serve_independent(self) -> str:
-        """Service one independent (one-to-one) invocation on this rank."""
-        (method, kwargs), status = self.inter.recv(
-            tag=IND_TAG, return_status=True)
-        return self._dispatch_independent(method, kwargs, status.source)
+        """Answer one request frame (an independent invocation) on this
+        rank; returns the method name of its first entry."""
+        buf, status = self.inter.recv(tag=frame_tag(REQUEST_STREAM),
+                                      return_status=True)
+        entries = decode_frame(buf)
+        self.answer_frame(status.source, entries)
+        return entries[0][1]
 
-    def execute_local(self, method: str, kwargs: dict) -> tuple[MethodSpec, Any]:
-        """Run one simple-argument method body on this rank and return
-        ``(spec, packaged result)`` without touching the wire — the
-        execution core shared by :meth:`serve_independent` and the batch
-        frame path (whose replies coalesce into one frame)."""
-        spec = self.port_type.method(method)
-        if spec.parallel_params:
-            raise PRMIError(
-                f"method {method!r} declares parallel parameters; framed "
-                f"and independent requests carry simple arguments only")
-        self.stats.calls += 1
-        result = _package_result(spec, getattr(self.impl, method)(**kwargs))
-        return spec, result
-
-    def _dispatch_independent(self, method: str, kwargs: dict,
-                              source: int) -> str:
-        """Execute an already-received independent request from remote
-        rank ``source`` and send its reply (split from
-        :meth:`serve_independent` for the event-driven serve loop)."""
-        spec, result = self.execute_local(method, kwargs)
-        if not spec.oneway:
-            self.inter.send(result, dest=source, tag=IND_RETURN_TAG)
-        return method
+    def answer_frame(self, source: int, entries: list,
+                     budget: float = float("inf")) -> tuple[int, int]:
+        """Run one request frame's ``(seq, method, kwargs)`` entries from
+        remote rank ``source`` in order and send its one reply frame —
+        none when every entry is :data:`NOREPLY_SEQ`.  An entry that
+        raises ships the exception (``"err"``); entries past ``budget``
+        are refused (``"overload"``, the serve loop's admission cap).
+        Returns ``(errors, overloads)``."""
+        replies: list[tuple[int, str, Any]] = []
+        errors = overloads = 0
+        for seq, method, kwargs in entries:
+            if budget <= 0:
+                overloads += 1
+                PRMI_STATS.add("overloads")
+                reply = ("overload", "ingress queue cap exceeded")
+            else:
+                budget -= 1
+                try:
+                    spec = self.port_type.method(method)
+                    if spec.parallel_params:
+                        raise PRMIError(
+                            f"method {method!r} declares parallel "
+                            f"parameters; framed requests carry simple "
+                            f"arguments only")
+                    self.stats.calls += 1
+                    reply = ("ok", _package_result(
+                        spec, getattr(self.impl, method)(**kwargs)))
+                except Exception as exc:  # noqa: BLE001 - shipped back
+                    errors += 1
+                    reply = ("err", exc)
+            if seq != NOREPLY_SEQ:
+                replies.append((seq, *reply))
+        if replies:
+            self.inter.send(encode_frame(replies), dest=source,
+                            tag=frame_tag(REPLY_STREAM))
+        return errors, overloads

@@ -26,8 +26,8 @@ Policies
   ``prmi_batch_deadlock_model`` in :mod:`repro.verify.commgraph`).
 * :class:`CachedRead` — memoize results per argument tuple on the
   caller side; repeat invocations are answered locally with zero wire
-  traffic until :meth:`CachedRead.invalidate` is called.  Only sound
-  for read-like methods; staleness is the caller's explicit contract.
+  traffic for as long as the policy object is bound.  Only sound for
+  read-like methods; staleness is the caller's explicit contract.
 
 ``batch_max``/``delay_us`` are the ``batch_max`` / ``batch_delay_us``
 knobs of :mod:`repro.config`.
@@ -58,8 +58,6 @@ class TransmissionPolicy:
 
     #: Display / table name.
     name = "abstract"
-    #: Coalesce into batch frames (vs one immediate frame per request).
-    batched = False
 
     def expects_reply(self, spec: MethodSpec) -> bool:
         """Whether the caller should await (and the server produce) a
@@ -89,7 +87,6 @@ class Batched(TransmissionPolicy):
     """Coalesce into batch frames under a (count, deadline) trigger."""
 
     name = "batched"
-    batched = True
 
     def __init__(self, batch_max: int | None = None,
                  delay_us: int | None = None):
@@ -114,10 +111,11 @@ def _canonical(value: Any) -> Any:
 
 
 class CachedRead(TransmissionPolicy):
-    """Caller-side result cache with explicit invalidation.
+    """Caller-side result cache.
 
     The cache is per-policy-object: bind one instance per method (or
-    share one across methods of a port — keys include the method name).
+    share one across methods of a port — keys include the method name);
+    binding a fresh one starts empty.
     """
 
     name = "cached-read"
@@ -137,18 +135,6 @@ class CachedRead(TransmissionPolicy):
 
     def store(self, method: str, kwargs: dict, value: Any) -> None:
         self._cache[self.key(method, kwargs)] = value
-
-    def invalidate(self, method: str | None = None) -> int:
-        """Drop cached results (all of them, or one method's); returns
-        the number of entries dropped."""
-        if method is None:
-            n = len(self._cache)
-            self._cache.clear()
-            return n
-        victims = [k for k in self._cache if k[0] == method]
-        for k in victims:
-            del self._cache[k]
-        return len(victims)
 
     def __len__(self) -> int:
         return len(self._cache)

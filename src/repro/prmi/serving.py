@@ -2,15 +2,16 @@
 
 The base endpoints (:mod:`repro.prmi.endpoint`) run lockstep: the callee
 cohort calls ``serve_one``/``serve_independent`` knowing what arrives
-next, and every invocation pays one transport message each way plus a
-blocked caller.  This module adds the serving tier the ROADMAP's
+next, and every invocation pays one message each way (an independent
+one a request frame of one entry and its reply frame) plus a blocked
+caller.  This module adds the serving tier the ROADMAP's
 production-scale north star needs:
 
 * :class:`ServerLoop` — the callee side blocks in **one**
-  ``wait_any`` across every ingress stream (batch frames, independent
-  invocations, collective fragments, subset announcements, shutdown
-  tokens) and dispatches whatever arrives, instead of committing to one
-  protocol per call site.
+  ``wait_any`` across every ingress stream (request frames, collective
+  fragments, subset announcements, shutdown tokens) and dispatches
+  whatever arrives, instead of committing to one protocol per call
+  site.
 * :class:`InvocationPipeline` — the caller side coalesces independent
   invocations into batch frames (:mod:`repro.prmi.frames`), returns
   :class:`InvocationFuture`\\ s instead of blocking per call, and
@@ -21,25 +22,18 @@ production-scale north star needs:
 Wire protocol
 -------------
 
-Framed streams live in the tag band ``[FRAME_TAG_BASE,
-INTERNAL_TAG_BASE)`` (:func:`repro.simmpi.constants.frame_tag`), so
-they can never collide with application tags or the per-message PRMI
-tags 100–106:
-
-========================  =======================================
-stream                    carries
-========================  =======================================
-``frame_tag(0)``          request frames, caller → callee
-``frame_tag(1)``          reply frames, callee → caller
-``frame_tag(2)``          shutdown tokens, caller → callee
-========================  =======================================
-
-A request frame holds ``(seq, method, kwargs)`` entries; ``seq ==
-NOREPLY_SEQ`` flags fire-and-forget entries the server must not answer.
-Each request frame with at least one reply-expecting entry produces
-exactly **one** reply frame of ``(seq, status, value)`` entries, status
-``"ok"`` / ``"err"`` (value is the raised exception) / ``"overload"``
-(admission control refused the request).  Because a ``(source, tag)``
+The streams are the framed rows of :mod:`repro.prmi.endpoint`'s tag
+table, in the tag band ``[FRAME_TAG_BASE, INTERNAL_TAG_BASE)``
+(:func:`repro.simmpi.constants.frame_tag`), so they can never collide
+with application tags or the per-message PRMI tags 100–106.  A request
+frame holds ``(seq, method, kwargs)`` entries; ``seq == NOREPLY_SEQ``
+flags fire-and-forget entries the server must not answer.  Each request
+frame with at least one reply-expecting entry produces exactly **one**
+reply frame of ``(seq, status, value)`` entries, status ``"ok"`` /
+``"err"`` (value is the raised exception) / ``"overload"`` (admission
+control refused the request) — :meth:`CalleeEndpoint.answer_frame
+<repro.prmi.endpoint.CalleeEndpoint.answer_frame>`, the same code a
+lockstep ``serve_independent`` runs.  Because a ``(source, tag)``
 stream is FIFO, sequence numbers arrive in submission order and the
 caller resolves futures by popping its per-callee queue.
 
@@ -58,11 +52,15 @@ from typing import Any, NamedTuple
 from repro import config
 from repro.errors import PRMIError, ServerOverloaded
 from repro.prmi.endpoint import (
+    CONTROL_STREAM,
+    INVOKE_TAG,
+    NOREPLY_SEQ,
+    REPLY_STREAM,
+    REQUEST_STREAM,
+    SUBSET_TAG,
     CalleeEndpoint,
     CallerEndpoint,
-    IND_TAG,
-    INVOKE_TAG,
-    SUBSET_TAG,
+    reply_error,
 )
 from repro.prmi.frames import decode_frame, encode_frame
 from repro.prmi.policy import Batched, CachedRead, PolicyTable
@@ -78,14 +76,6 @@ __all__ = [
     "CONTROL_STREAM",
     "NOREPLY_SEQ",
 ]
-
-#: Framed-protocol stream ids (see module docstring).
-REQUEST_STREAM = 0
-REPLY_STREAM = 1
-CONTROL_STREAM = 2
-
-#: Sequence number of fire-and-forget request entries (no reply travels).
-NOREPLY_SEQ = -1
 
 
 class InvocationFuture:
@@ -157,13 +147,13 @@ def _completed(method: str, value: Any) -> InvocationFuture:
 class _Route(NamedTuple):
     """How one method's requests travel through a pipeline — every
     decision that depends on the method and the policy table alone,
-    resolved on the method's first submit."""
+    resolved on the method's first submit.  ``batched`` is the method's
+    :class:`~repro.prmi.policy.Batched` policy (its flush limits), or
+    ``None``: a request flushes on submit."""
 
     expects_reply: bool
-    batched: bool
+    batched: Batched | None
     cached: CachedRead | None
-    batch_max: int
-    delay_us: int
 
 
 class ServerLoop:
@@ -185,9 +175,8 @@ class ServerLoop:
         self.queue_max = config.resolve("inflight_max", queue_max)
         self._stopped: set[int] = set()
         #: Dispatch tallies, returned by :meth:`serve_forever`.
-        self.served = {"collective": 0, "independent": 0, "frames": 0,
-                       "requests": 0, "overloads": 0, "errors": 0,
-                       "subsets": 0}
+        self.served = {"collective": 0, "frames": 0, "requests": 0,
+                       "overloads": 0, "errors": 0, "subsets": 0}
 
     # -- ingress specs -------------------------------------------------------
 
@@ -199,11 +188,10 @@ class ServerLoop:
         shutdown tokens rank last so no work is abandoned."""
         ictx = self.inter.recv_context
         me = self.callee.local_comm.rank
-        specs = [(ictx, ANY_SOURCE, frame_tag(REQUEST_STREAM)),
-                 (ictx, ANY_SOURCE, IND_TAG)]
+        specs = [(ictx, ANY_SOURCE, frame_tag(REQUEST_STREAM))]
         if me == 0:
             # Subset announcements enter the cohort at rank 0 and fan
-            # out over the local binomial tree (endpoint.accept_subset).
+            # out over the local binomial tree (_install_subset).
             specs.append((ictx, 0, SUBSET_TAG))
         else:
             parent = me - (me & -me)
@@ -229,10 +217,6 @@ class ServerLoop:
         tag = env.tag
         if tag == frame_tag(REQUEST_STREAM):
             self._on_request_frames(env)
-        elif tag == IND_TAG:
-            method, kwargs = env.payload
-            self.callee._dispatch_independent(method, kwargs, env.source)
-            self.served["independent"] += 1
         elif tag == SUBSET_TAG:
             self.callee._install_subset(env.payload)
             self.served["subsets"] += 1
@@ -274,31 +258,12 @@ class ServerLoop:
         try:
             budget = self.queue_max
             for source, entries in frames:
-                replies: list[tuple[int, str, Any]] = []
+                errors, overloads = self.callee.answer_frame(
+                    source, entries, budget)
+                budget = max(0, budget - len(entries))
                 self.served["requests"] += len(entries)
-                for seq, method, kwargs in entries:
-                    if budget <= 0:
-                        self.served["overloads"] += 1
-                        PRMI_STATS.add("overloads")
-                        if seq != NOREPLY_SEQ:
-                            replies.append((seq, "overload",
-                                            f"ingress queue cap "
-                                            f"{self.queue_max} exceeded"))
-                        continue
-                    budget -= 1
-                    try:
-                        _spec, result = self.callee.execute_local(
-                            method, kwargs)
-                    except Exception as exc:  # noqa: BLE001 - shipped back
-                        self.served["errors"] += 1
-                        if seq != NOREPLY_SEQ:
-                            replies.append((seq, "err", exc))
-                        continue
-                    if seq != NOREPLY_SEQ:
-                        replies.append((seq, "ok", result))
-                if replies:
-                    self.inter.send(encode_frame(replies), dest=source,
-                                    tag=frame_tag(REPLY_STREAM))
+                self.served["errors"] += errors
+                self.served["overloads"] += overloads
                 self.served["frames"] += 1
         finally:
             PRMI_STATS.gauge_add("queue_depth", -depth)
@@ -319,7 +284,8 @@ class InvocationPipeline:
     raises :class:`ServerOverloaded` at the call site.
 
     A method's route (spec checks, policy, reply expectation, batch
-    limits) is resolved on its first submit and kept; assigning
+    limits — a :class:`~repro.prmi.policy.Batched` policy's own) is
+    resolved on its first submit and kept; assigning
     :attr:`policies` drops every route.  The ``inflight`` gauge of
     :data:`~repro.util.counters.PRMI_STATS` is posted once per frame,
     increments before decrements, so its peak stays exact.
@@ -327,8 +293,6 @@ class InvocationPipeline:
 
     def __init__(self, caller: CallerEndpoint, *,
                  policies: PolicyTable | None = None,
-                 batch_max: int | None = None,
-                 delay_us: int | None = None,
                  inflight_max: int | None = None,
                  overflow: str = "block"):
         if overflow not in ("block", "raise"):
@@ -338,8 +302,6 @@ class InvocationPipeline:
         self.caller = caller
         self.inter = caller.inter
         self.policies = policies if policies is not None else PolicyTable()
-        self.batch_max = config.resolve("batch_max", batch_max)
-        self.delay_us = config.resolve("batch_delay_us", delay_us)
         self.inflight_max = config.resolve("inflight_max", inflight_max)
         self.overflow = overflow
         #: callee -> [(seq, method, kwargs, future-or-None)], unsent.
@@ -437,7 +399,8 @@ class InvocationPipeline:
         pend.append((seq, method, kwargs, fut))
         self._inflight += 1
         self._unposted += 1
-        if not route.batched:
+        batched = route.batched
+        if batched is None:
             self._flush_callee(callee_rank, "flush_forced")
             if fut is not None:
                 # Sync / cached-read contract: the reply is awaited
@@ -445,9 +408,9 @@ class InvocationPipeline:
                 self._drain_replies(callee_rank, fut)
                 if cached is not None and fut._error is None:
                     cached.store(method, kwargs, fut._value)
-        elif len(pend) >= route.batch_max:
+        elif len(pend) >= batched.batch_max:
             self._flush_callee(callee_rank, "flush_full")
-        elif (now - self._pending_t0[callee_rank]) * 1e6 >= route.delay_us:
+        elif (now - self._pending_t0[callee_rank]) * 1e6 >= batched.delay_us:
             self._flush_callee(callee_rank, "flush_deadline")
         return fut
 
@@ -462,34 +425,21 @@ class InvocationPipeline:
                 "pipelined independent invocations cannot carry "
                 "parallel arguments")
         policy = self._policies.for_method(spec)
-        own = isinstance(policy, Batched)
         route = _Route(
             expects_reply=policy.expects_reply(spec),
-            batched=policy.batched,
-            cached=policy if isinstance(policy, CachedRead) else None,
-            batch_max=policy.batch_max if own else self.batch_max,
-            delay_us=policy.delay_us if own else self.delay_us)
+            batched=policy if isinstance(policy, Batched) else None,
+            cached=policy if isinstance(policy, CachedRead) else None)
         self._routes[method] = route
         return route
 
     # -- flushing ------------------------------------------------------------
 
-    def flush(self, callee_rank: int | None = None) -> None:
-        """Force-ship pending batches (one callee, or all of them)."""
-        targets = ([callee_rank] if callee_rank is not None
-                   else [c for c, p in self._pending.items() if p])
-        for callee in targets:
+    def flush(self) -> None:
+        """Force-ship every pending batch.  Flush triggers are otherwise
+        evaluated at submit time (there is no background flusher
+        thread)."""
+        for callee in [c for c, p in self._pending.items() if p]:
             self._flush_callee(callee, "flush_forced")
-
-    def poll(self) -> None:
-        """Deadline sweep: flush every pending batch whose oldest
-        request has waited at least ``delay_us``.  Flush triggers are
-        otherwise evaluated at submit time (there is no background
-        flusher thread) — long gaps between submits should poll."""
-        now = time.perf_counter()
-        for callee, t0 in list(self._pending_t0.items()):
-            if self._pending.get(callee) and (now - t0) * 1e6 >= self.delay_us:
-                self._flush_callee(callee, "flush_deadline")
 
     def _flush_callee(self, callee: int, reason: str) -> None:
         pend = self._pending.get(callee)
@@ -549,11 +499,8 @@ class InvocationPipeline:
                         f"{fut.seq}, got {seq}")
                 if status == "ok":
                     fut._settle(value=value)
-                elif status == "overload":
-                    fut._settle(error=ServerOverloaded(str(value)))
                 else:
-                    fut._settle(error=value if isinstance(value, BaseException)
-                                else PRMIError(str(value)))
+                    fut._settle(error=reply_error(status, value))
             self._post_inflight(len(entries))
 
     def drain(self) -> None:

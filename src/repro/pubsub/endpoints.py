@@ -161,7 +161,8 @@ class Subscriber:
         return darray
 
     def leave(self) -> None:
-        """Depart gracefully: flag the board, then drain until the
+        """Depart gracefully — XChangemxn's "dynamic ... departures of
+        components" (§5): flag the board, then drain until the
         publisher's bye arrives."""
         if self.comm.rank == 0:
             self.board.unsubscribe(self.sub)

@@ -38,7 +38,6 @@ from repro.schedule.indexplan import (
     LocalIndexer,
     PairPlan,
     RankPlan,
-    compile_rank_plan,
 )
 from repro.schedule.builder import (
     GLOBAL_CACHE,
@@ -59,7 +58,6 @@ from repro.schedule.executor import (
     bind,
     execute_inter,
     execute_intra,
-    execute_linear_inter,
     resolve_tier,
 )
 from repro.schedule.packing import (
@@ -81,7 +79,6 @@ __all__ = [
     "build_linear_schedule",
     "execute_intra",
     "execute_inter",
-    "execute_linear_inter",
     "bind",
     "BoundTransfer",
     "Tier",
@@ -95,5 +92,4 @@ __all__ = [
     "LocalIndexer",
     "PairPlan",
     "RankPlan",
-    "compile_rank_plan",
 ]

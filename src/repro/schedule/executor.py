@@ -6,8 +6,8 @@ local storage, a link and an execution tier and returns a
 :class:`BoundTransfer`: ``step()`` moves one snapshot, ``close()``
 releases what the tier holds.  Everything else is that lifecycle:
 
-* a **one-shot** transfer (:func:`execute_inter`, :func:`execute_intra`,
-  :func:`execute_linear_inter`) is literally bind → step → close;
+* a **one-shot** transfer (:func:`execute_inter`, :func:`execute_intra`)
+  is literally bind → step → close;
 * an **intra-job** transfer binds a sender half and a receiver half on
   the same :class:`~repro.simmpi.communicator.Communicator` (peer
   translation = the cohort rank lists) instead of running a second
@@ -86,9 +86,7 @@ import numpy as np
 from repro import config
 from repro.errors import ConnectionError_, ScheduleError
 from repro.dad.darray import DistributedArray
-from repro.linearize.linearization import Linearization
 from repro.schedule.bufpool import BufferPool
-from repro.schedule.indexplan import LocalIndexer
 from repro.schedule.plan import CommSchedule
 from repro.simmpi import payload, rma
 from repro.simmpi import sanitize as _san
@@ -506,50 +504,3 @@ def execute_intra(schedule: CommSchedule, comm: Communicator,
             if half is not None:
                 half.close()
 
-
-class _FlatStorage:
-    """A bare flat array as bound storage (linearized structures)."""
-
-    def __init__(self, flat: np.ndarray):
-        self._flat = flat
-
-    def flat_local(self) -> np.ndarray:
-        return self._flat
-
-
-def execute_linear_inter(schedule: CommSchedule, inter: Intercommunicator,
-                         side: str, lin: Linearization, storage,
-                         *, tag: int = TRANSFER_TAG) -> int:
-    """Run a linearization schedule once across an intercommunicator:
-    the same bind → step → close as :func:`execute_inter`, over a plan
-    compiled against ``lin.layout`` and cached on the schedule.
-
-    ``storage`` is whatever local form ``lin`` extracts from / injects
-    into (a :class:`DistributedArray`, a graph-value dict, ...).  The
-    plan addresses ``lin.flat_storage``; a structure with none (a graph,
-    a tree) is staged once — a sender extracts its owned runs into one
-    buffer laid out as those runs, a receiver injects that buffer back
-    after the step.  The wire carries one packed buffer per
-    communicating rank pair either way.
-    """
-    if side not in _PLAN_SIDE:
-        raise ValueError(f"side must be 'src' or 'dst', got {side!r}")
-    me = inter.rank
-    flat = lin.flat_storage(me, storage)
-    runs = None
-    if flat is None:
-        runs = lin.runs(me)
-        flat = (np.concatenate([np.asarray(lin.extract(me, run, storage))
-                                .reshape(-1) for run in runs])
-                if side == "src" and runs else
-                np.empty(sum(run.length for run in runs), dtype=lin.dtype))
-    plan = schedule.rank_plan(_PLAN_SIDE[side], me,
-                              LocalIndexer(*lin.layout(me)))
-    moved = _once(_half(Tier("two_sided"), side, plan, _FlatStorage(flat),
-                        inter, tag=tag, me=me))
-    if runs is not None and side == "dst":
-        off = 0
-        for run in runs:
-            lin.inject(me, run, flat[off:off + run.length], storage)
-            off += run.length
-    return moved

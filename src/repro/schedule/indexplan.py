@@ -49,8 +49,7 @@ ranks: rows grouped by (rank, peer) are cut, located and folded in
 whole-array passes, so a schedule side compiles all its ranks at once
 against an all-ranks ownership table (:class:`SidePlans`, the way the
 closed-form redistribution tables of arXiv 0706.2146 cover every
-processor at once), while :func:`compile_rank_plan` runs it over one
-rank's rows.
+processor at once).
 ``PLAN_STATS`` counts compilations so tests can pin that down.
 """
 
@@ -76,7 +75,6 @@ __all__ = [
     "PLAN_STATS",
     "LocalIndexer",
     "SidePlans",
-    "compile_rank_plan",
 ]
 
 #: Compilation counters: ``rank_plans`` increments once per compiled
@@ -619,22 +617,6 @@ class LocalIndexer:
             f"transfer region {region} not contained in any owned patch")
 
 
-def compile_rank_plan(peers: np.ndarray, bounds: np.ndarray, lo: np.ndarray,
-                      hi: np.ndarray, layout) -> RankPlan:
-    """Compile one rank's side of a schedule — the columns of
-    :meth:`~repro.schedule.plan.CommSchedule.wire` — against its local
-    layout: a :class:`LocalIndexer`, or the owned regions to build the
-    default one from.  Plan-based and loop-based buffers are
-    byte-identical: every pair packs its rows in wire order."""
-    pairs: tuple[PairPlan, ...] = ()
-    if len(peers):
-        if not isinstance(layout, LocalIndexer):
-            layout = LocalIndexer(layout)
-        pairs = tuple(map(_plan, _compile(layout, peers, bounds, lo, hi)))
-    PLAN_STATS.add("rank_plans")
-    return RankPlan(pairs)
-
-
 class SidePlans:
     """Every rank's plan of one schedule side, compiled in one pass
     against the side's ownership table: rows grouped by (rank, peer) in
@@ -659,9 +641,9 @@ class SidePlans:
 
 
 def same_layout(table: Ownership, rank: int, layout) -> bool:
-    """Whether ``layout`` — anything :func:`compile_rank_plan` takes, or
-    a whole :class:`~repro.dad.ownership.Ownership` table standing for
-    its rank-``rank`` part — is exactly rank ``rank``'s part of
+    """Whether ``layout`` — a :class:`LocalIndexer`, a rank's owned
+    regions, or a whole :class:`~repro.dad.ownership.Ownership` table
+    standing for its rank-``rank`` part — is exactly rank ``rank``'s part of
     ``table``: the same patches, each at the same flat offset.  A table
     with ``table``'s key is the same decomposition, so it answers
     without comparing a column."""

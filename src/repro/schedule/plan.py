@@ -8,8 +8,8 @@ the same templates (paper §2.3).  ``k`` items are four int64 columns:
 ``(k, ndim)`` of the region that moves.  One class serves both ways of
 describing the data: a linearization schedule is a :class:`CommSchedule`
 of ``ndim = 1`` regions, the runs of the shared linear space.  The
-builders write the columns directly; a pickled schedule is them plus
-any compiled plans.
+builders write the columns directly; a pickled schedule is them, the
+ownership tables and any compiled plans.
 
 **Wire order** is ``(src, dst, lo)``, one stable ``np.lexsort``: every
 (src, dst) pair is one contiguous row range in ascending ``lo`` — the
@@ -17,22 +17,21 @@ order both sides pack and unpack the pair's message in, with no
 metadata — a sender visits its pairs by destination and a receiver by
 source.
 
-**Plans per side.**  Every builder attaches the two sides' ownership
+**Plans per side.**  Every schedule carries the two sides' ownership
 tables (:class:`~repro.dad.ownership.Ownership`, ``owners``), and the
 first plan asked of a side compiles all its ranks in one vectorised
 pass over the side's rows against its table (:class:`~repro.schedule.
 indexplan.SidePlans`); each rank's plan is a slice of the result, and a
-layout that is not the rank's part of the table is refused.  A schedule
-without tables compiles just the rank asked for, from its rows
-(:meth:`CommSchedule.wire`) against the layout given.
+layout that is not the rank's part of the table is refused.
 
 **Objects on demand.**  ``items`` is a lazy sequence: ``len`` is O(1);
 iterating, indexing, slicing, ``==`` and ``+`` materialise the
 :class:`TransferItem` objects, once.  The per-rank ``send_groups`` /
 ``recv_groups`` / ``sends_from`` / ``recvs_at`` views are built on first
 use too — for the verifier and the experiment tables, never a build, a
-compile or a step.  A list of items (the oracle, tests, mutants) still
-constructs a schedule; it is converted to columns once.
+compile or a step.  A list of items and the two tables (the oracle,
+tests, mutants) still construct a schedule; the items are converted to
+columns once.
 """
 
 from __future__ import annotations
@@ -46,13 +45,7 @@ import numpy as np
 from repro.errors import ScheduleError, VerificationError
 from repro.dad.descriptor import DistArrayDescriptor
 from repro.dad.ownership import Ownership
-from repro.schedule.indexplan import (
-    LocalIndexer,
-    RankPlan,
-    SidePlans,
-    compile_rank_plan,
-    same_layout,
-)
+from repro.schedule.indexplan import RankPlan, SidePlans, same_layout
 from repro.util.regions import Region
 
 
@@ -92,10 +85,11 @@ class _Items:
         return self._schedule._objects() + list(other)
 
 
-#: What a pickle carries: the columns and the compiled index plans.
-#: Everything else — the pair index, the memos, the ownership tables —
-#: is re-derived or recompiled by the unpickler.
-_PICKLED = ("src", "dst", "lo", "hi", "src_nranks", "dst_nranks", "_plans")
+#: What a pickle carries: the columns, the ownership tables and the
+#: compiled index plans.  Everything else — the pair index, the memos,
+#: the side compiles — is re-derived or recompiled by the unpickler.
+_PICKLED = ("src", "dst", "lo", "hi", "src_nranks", "dst_nranks", "owners",
+            "_plans")
 
 _SIDES = ("send", "recv")
 
@@ -106,7 +100,11 @@ class CommSchedule:
     ``pair_dst`` / ``pair_size``: the communicating pairs in (src, dst)
     order), the plan caches and the object views."""
 
-    def __init__(self, items, src_nranks: int, dst_nranks: int):
+    def __init__(self, items, src_nranks: int, dst_nranks: int,
+                 owners: tuple[Ownership, Ownership]):
+        """A schedule of ``items`` (:class:`TransferItem`) moving between
+        the source and destination decompositions whose ownership tables
+        are ``owners``."""
         items = list(items)
         shape = (len(items), items[0].region.ndim if items else 0)
         self._set_columns(
@@ -116,29 +114,29 @@ class CommSchedule:
                      dtype=np.int64).reshape(shape),
             np.array([it.region.hi for it in items],
                      dtype=np.int64).reshape(shape),
-            src_nranks, dst_nranks)
+            src_nranks, dst_nranks, owners)
 
     @classmethod
     def from_columns(cls, src: np.ndarray, dst: np.ndarray, lo: np.ndarray,
                      hi: np.ndarray, src_nranks: int, dst_nranks: int,
-                     owners: tuple[Ownership, Ownership] | None = None):
+                     owners: tuple[Ownership, Ownership]):
         """A schedule over int64 columns in any row order (sorted here);
         ``owners`` are the source and destination ownership tables the
-        rows were cut from, which every builder attaches."""
+        rows were cut from."""
         schedule = cls.__new__(cls)
-        schedule._set_columns(src, dst, lo, hi, src_nranks, dst_nranks)
-        schedule.owners = owners
+        schedule._set_columns(src, dst, lo, hi, src_nranks, dst_nranks,
+                              owners)
         return schedule
 
-    def _set_columns(self, src, dst, lo, hi, src_nranks, dst_nranks) -> None:
+    def _set_columns(self, src, dst, lo, hi, src_nranks, dst_nranks,
+                     owners) -> None:
         order = np.lexsort((*lo.T[::-1], dst, src))
         self.src, self.dst, self.lo, self.hi = (
             src[order], dst[order], lo[order], hi[order])
         self.src_nranks = src_nranks
         self.dst_nranks = dst_nranks
-        #: The (send, recv) side ownership tables, or ``None`` for a
-        #: schedule built from item lists — see rank_plan.
-        self.owners: tuple[Ownership, Ownership] | None = None
+        #: The (send, recv) side ownership tables — see rank_plan.
+        self.owners: tuple[Ownership, Ownership] = owners
         #: compiled index plans, keyed ("send"/"recv", rank) — see
         #: rank_plan.
         self._plans: dict[tuple[str, int], RankPlan] = {}
@@ -161,12 +159,10 @@ class CommSchedule:
         self._lock = threading.Lock()
 
     def __getstate__(self) -> dict:
-        # without the ownership tables, the unpickler compiles per rank
         return {k: self.__dict__[k] for k in _PICKLED}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self.owners = None
         self._index()
 
     def subset(self, mask: np.ndarray):
@@ -278,9 +274,9 @@ class CommSchedule:
         linearization's owned runs and their local offsets.  Plans are
         compiled on first use and cached for the schedule's lifetime,
         which is sound because everything replayed against one schedule
-        conforms to the same template: on a schedule that carries its
-        ownership tables a ``layout`` that differs from the rank's part
-        of the table raises :class:`~repro.errors.ScheduleError`."""
+        conforms to the same template: a ``layout`` that differs from
+        the rank's part of the schedule's ownership table raises
+        :class:`~repro.errors.ScheduleError`."""
         return self.rank_plan("send", src, layout)
 
     def recv_plan(self, dst: int, layout) -> RankPlan:
@@ -292,34 +288,26 @@ class CommSchedule:
         """:meth:`send_plan` (``side="send"``) or :meth:`recv_plan`
         (``"recv"``) — the form the executor binds through.
 
-        On a schedule with ownership tables the first request compiles
-        every rank of the side in one pass (:class:`~repro.schedule.
-        indexplan.SidePlans`) and each rank's plan is sliced out of it on
-        its first request; without tables only the requested rank
-        compiles.  The ownership check answers from identity for the
-        layout it last accepted for ``(side, rank)`` and from the table
-        key for a table of the same template
-        (:func:`~repro.schedule.indexplan.same_layout`); only another
-        layout is compared column by column."""
-        table = None
-        if self.owners is not None:
-            table = self.owners[_SIDES.index(side)]
-            if self._accepted.get((side, rank)) is not layout:
-                if not same_layout(table, rank, layout):
-                    raise ScheduleError(
-                        f"{side} layout of rank {rank} is not the "
-                        f"ownership this schedule was built for")
-                self._accepted[(side, rank)] = layout
+        The first request compiles every rank of the side in one pass
+        (:class:`~repro.schedule.indexplan.SidePlans`) and each rank's
+        plan is sliced out of it on its first request.  The ownership
+        check answers from identity for the layout it last accepted for
+        ``(side, rank)`` and from the table key for a table of the same
+        template (:func:`~repro.schedule.indexplan.same_layout`); only
+        another layout is compared column by column."""
+        table = self.owners[_SIDES.index(side)]
+        if self._accepted.get((side, rank)) is not layout:
+            if not same_layout(table, rank, layout):
+                raise ScheduleError(
+                    f"{side} layout of rank {rank} is not the "
+                    f"ownership this schedule was built for")
+            self._accepted[(side, rank)] = layout
         plan = self._plans.get((side, rank))
         if plan is None:
-            if table is None and isinstance(layout, Ownership):
-                layout = LocalIndexer(*layout.layout(rank))
             with self._lock:
                 plan = self._plans.get((side, rank))
                 if plan is None:
                     plan = self._plans[(side, rank)] = (
-                        compile_rank_plan(*self.wire(side, rank), layout)
-                        if table is None else
                         self._compiled_side(side, table).plan(rank))
         return plan
 

@@ -45,18 +45,6 @@ class Region:
         """The region covering a whole array of the given shape."""
         return Region(tuple(0 for _ in shape), tuple(int(s) for s in shape))
 
-    @staticmethod
-    def from_slices(slices: Sequence[slice], shape: Sequence[int]) -> "Region":
-        """Build a region from plain (non-strided) slices over ``shape``."""
-        lo, hi = [], []
-        for sl, n in zip(slices, shape):
-            start, stop, step = sl.indices(int(n))
-            if step != 1:
-                raise DistributionError("Region slices must be contiguous (step 1)")
-            lo.append(start)
-            hi.append(stop)
-        return Region(tuple(lo), tuple(hi))
-
     # -- basic properties -----------------------------------------------
 
     @property
@@ -164,19 +152,6 @@ class Region:
 
     # -- misc ---------------------------------------------------------------
 
-    def corners(self) -> Iterator[tuple[int, ...]]:
-        """Iterate the 2^ndim corner points (hi corners are inclusive-1)."""
-        def rec(d: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-            if d == self.ndim:
-                yield tuple(acc)
-                return
-            for val in (self.lo[d], self.hi[d] - 1):
-                yield from rec(d + 1, acc + [val])
-                if self.hi[d] - 1 == self.lo[d]:
-                    break
-        if not self.empty:
-            yield from rec(0, [])
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         spans = ", ".join(f"{a}:{b}" for a, b in zip(self.lo, self.hi))
         return f"Region[{spans}]"
@@ -268,15 +243,6 @@ class RegionList:
         if self._volume is None:
             self._volume = int((self.hi - self.lo).prod(axis=1).sum())
         return self._volume
-
-    def intersect_region(self, other: Region) -> "RegionList":
-        """All parts of this list lying inside ``other``."""
-        out = []
-        for r in self.regions:
-            inter = r.intersect(other)
-            if inter is not None:
-                out.append(inter)
-        return RegionList(out, validate=False)
 
     def intersect(self, other: "RegionList") -> "RegionList":
         out = []

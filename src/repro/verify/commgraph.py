@@ -30,10 +30,9 @@ post-mortem it prevents.
 (:mod:`repro.dca.fig5`) under either delivery policy;
 :func:`transfer_model` reconstructs the wait-for structure of a
 schedule-driven transfer (one buffered send plus one blocking receive
-per communicating rank pair, exactly what the packed executors post);
-:meth:`CommProgram.channel_pair` models a ``Channel.push``/``pull``
-exchange so coupled Coupler scripts can be checked for pull-before-push
-cycles.
+per communicating rank pair, exactly what the packed executors post),
+which is also how a ``Channel.push``/``pull`` exchange is modelled, so
+coupled Coupler scripts can be checked for pull-before-push cycles.
 
 The one-sided execution tier (:mod:`repro.simmpi.rma`) adds epoch
 synchronization: :class:`EpochOpenOp` (owner licenses remote writes),
@@ -47,7 +46,7 @@ window whose owner never opens an epoch (or opens fewer epochs than the
 writer puts), and no read may sit inside an open epoch (between
 ``epoch_open`` and its ``fence`` — exactly the torn-read window the
 seqlock protocol exists to close).  :func:`rma_channel_model` builds
-the one-sided analogue of ``channel_pair`` so epoch-misuse deadlocks —
+the one-sided analogue of a push/pull hop so epoch-misuse deadlocks —
 e.g. two programs that each push before pulling the reverse channel —
 are caught before launch, mirroring the runtime watchdog's
 ``rma_put``/``rma_fence`` blocked dumps.
@@ -330,12 +329,6 @@ class CommProgram:
         for d in range(schedule.dst_nranks):
             for s, _regions, _offs in schedule.recv_groups(d):
                 self.recv(dst_procs[d], src_procs[s], tag)
-
-    def channel_pair(self, src: Proc, dst: Proc, tag: int = 0) -> None:
-        """Model one ``Channel.push``/``pull`` hop between two ranks:
-        a buffered data send met by a blocking receive."""
-        self.send(src, dst, tag)
-        self.recv(dst, src, tag)
 
     # -- one-sided (RMA) construction ---------------------------------------
 

@@ -272,7 +272,8 @@ def build_allpairs_schedule(src: DistArrayDescriptor,
                 inter = sreg.intersect(dreg)
                 if inter is not None:
                     items.append(TransferItem(s, d, inter))
-    return CommSchedule(items, src.nranks, dst.nranks)
+    return CommSchedule(items, src.nranks, dst.nranks,
+                        (src.ownership(), dst.ownership()))
 
 
 def verify_against_oracle(schedule: CommSchedule,

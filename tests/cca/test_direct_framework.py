@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.cca import Component, DirectFramework, GO_PORT
-from repro.cca.framework import GO_PORT_TYPE
+from repro.cca import Component, DirectFramework
 from repro.cca.sidl import arg, method, port
 from repro.errors import PortError
 from repro.simmpi import run_spmd
 
 INTEGRATOR_PORT = port("IntegratorPort", method("integrate", arg("lo"), arg("hi")))
 FUNCTION_PORT = port("FunctionPort", method("evaluate", arg("x")))
+#: The CCA Go port: the component's "main" (§4.3 footnote).
+GO_PORT_TYPE = port("gov.cca.ports.GoPort", method("go"))
 
 
 class FunctionComponent(Component):
@@ -40,7 +41,7 @@ class IntegratorComponent(Component):
 class DriverComponent(Component):
     def set_services(self, services):
         super().set_services(services)
-        services.add_provides_port(GO_PORT, GO_PORT_TYPE, self)
+        services.add_provides_port("go", GO_PORT_TYPE, self)
         services.register_uses_port("integrator", INTEGRATOR_PORT)
 
     def go(self):
@@ -59,27 +60,21 @@ class TestDirectFramework:
     def test_wiring_and_go(self):
         fw = DirectFramework()
         build_app(fw)
-        result = fw.run_go("driver")
+        result = fw._components["driver"].go()
         assert result == pytest.approx(1.0 / 3.0, rel=1e-3)
-
-    def test_run_all_go(self):
-        fw = DirectFramework()
-        build_app(fw)
-        results = fw.run_all_go()
-        assert set(results) == {"driver"}
 
     def test_port_invocation_is_direct_reference(self):
         fw = DirectFramework()
         build_app(fw)
         bound = fw._services["integ"].get_port("function")
-        func = fw.component("func")
+        func = fw._components["func"]
         assert bound.evaluate(3) == func.evaluate(3) == 9
 
     def test_unconnected_uses_port_raises(self):
         fw = DirectFramework()
-        fw.create_component("integ", IntegratorComponent)
+        integ = fw.create_component("integ", IntegratorComponent)
         with pytest.raises(PortError):
-            fw.component("integ").integrate(0, 1)
+            integ.integrate(0, 1)
 
     def test_type_mismatch_rejected(self):
         fw = DirectFramework()
@@ -101,12 +96,6 @@ class TestDirectFramework:
         fw.create_component("func", FunctionComponent)
         with pytest.raises(PortError):
             fw.create_component("func", FunctionComponent)
-
-    def test_destroy_component(self):
-        fw = DirectFramework()
-        fw.create_component("func", FunctionComponent)
-        fw.destroy_component("func")
-        assert fw.component_names() == []
 
     def test_disconnect(self):
         fw = DirectFramework()
@@ -148,13 +137,3 @@ def test_cohort_spmd_component():
 
     results = run_spmd(4, main)
     assert results == [10, 10, 10, 10]
-
-
-def test_framework_service_injection():
-    fw = DirectFramework()
-    fw.register_framework_service("mxn", object())
-    fw.create_component("func", FunctionComponent)
-    svc = fw._services["func"].get_framework_service("mxn")
-    assert svc is not None
-    with pytest.raises(PortError):
-        fw._services["func"].get_framework_service("nope")

@@ -43,9 +43,7 @@ class TestProvidesPort:
 class TestUsesPort:
     def test_connect_and_invoke(self):
         uses = UsesPort(CALC)
-        assert not uses.connected
         uses.connect(ProvidesPort(CALC, CalcImpl()))
-        assert uses.connected
         assert uses.get().add(x=1) == 2
 
     def test_type_name_mismatch(self):
@@ -61,7 +59,8 @@ class TestUsesPort:
         uses = UsesPort(CALC)
         uses.connect(ProvidesPort(CALC, CalcImpl()))
         uses.disconnect()
-        assert not uses.connected
+        with pytest.raises(PortError):
+            uses.get()
 
     def test_proxy_connection(self):
         class Proxy:

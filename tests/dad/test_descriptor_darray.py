@@ -46,9 +46,6 @@ class TestDescriptor:
         b = DistArrayDescriptor(t, np.float32)
         assert a.cache_key() != b.cache_key()
 
-    def test_descriptor_nbytes(self, desc2d):
-        assert desc2d.descriptor_nbytes() == desc2d.descriptor_entries() * 8
-
 
 class TestDistributedArray:
     def test_allocate_zeros(self, desc2d):

@@ -1,9 +1,9 @@
 """Linear schedules are 1-D region schedules: every rank plan compiles
-through ``compile_rank_plan`` from a layout (owned runs + local
-offsets), equals the per-run reference element for element, is compiled
-without building a per-item object, and moves bytes through the one
-bind → step → close wire — flat storage or staged (graph, tree) — on
-both backends; the MCT Router and Rearranger ride the same plans."""
+from a layout (owned runs + local offsets), equals the per-run
+reference element for element, and is compiled without building a
+per-item object; the MCT Router rides the same plans."""
+
+import itertools
 
 import networkx as nx
 import numpy as np
@@ -11,17 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dad import BlockCyclic, CartesianTemplate, DistArrayDescriptor
-from repro.dad import DistributedArray
 from repro.dad.template import block_template
 from repro.linearize import (DenseLinearization, GraphLinearization, Run,
                              TreeLinearization)
 from repro.linearize.linearization import run_layout
-from repro.mct import AttrVect, GlobalSegMap, MCTWorld, Rearranger, Router
+from repro.mct import AttrVect, GlobalSegMap, MCTWorld, Router, Segment
 from repro.mct.router import _GsmapLinearization
-from repro.schedule import build_linear_schedule, execute_linear_inter
+from repro.schedule import build_linear_schedule
 from repro.schedule.indexplan import LocalIndexer, PairPlan
-from repro.simmpi import run_coupled, run_spmd
-from repro.simmpi.intercomm import default_nameservice
+from repro.simmpi import run_spmd
 from repro.util.regions import Region
 from repro.verify.schedule import verify_linear_schedule
 
@@ -87,7 +85,12 @@ def sides(draw, rows, cols):
         if draw(st.booleans()):
             return _gsmap(GlobalSegMap.cyclic(total, nranks,
                                               draw(st.integers(1, 4))))
-        return _gsmap(GlobalSegMap.from_owners(owners, nranks=nranks))
+        segments, start = [], 0
+        for pe, run in itertools.groupby(owners):
+            n = len(list(run))
+            segments.append(Segment(start, n, pe))
+            start += n
+        return _gsmap(GlobalSegMap(total, segments, nranks))
     if kind == "graph":
         graph = nx.path_graph(total)
         return _staged(GraphLinearization(graph, dict(enumerate(owners))))
@@ -163,70 +166,6 @@ def test_compiling_constructs_no_run_and_no_region(monkeypatch):
     assert counts == {"Run": 0, "Region": 4 * 64}
 
 
-# -- one wire: flat and staged sides, both backends ---------------------------
-
-SHAPE = (6, 8)
-TRUTH = np.arange(48.0) * 1.5 + 0.25
-_GRAPH = nx.path_graph(48)          # BFS order from node 0 is 0..47
-_LINS = {
-    "flat_src": _bc2d(6, 8, 2, 2, 2, 3),
-    "flat_dst": DenseLinearization(DistArrayDescriptor(
-        block_template(SHAPE, (1, 3)))),
-    "staged": GraphLinearization(_GRAPH, {n: (n // 5) % 3 for n in _GRAPH}),
-}
-
-
-def _linear_side(comm, role, name, peer_name, channel):
-    lin = _LINS[name]
-    src, dst = ((lin, _LINS[peer_name]) if role == "src"
-                else (_LINS[peer_name], lin))
-    sched = build_linear_schedule(src, dst)
-    inter = (default_nameservice.accept(channel, comm) if role == "src"
-             else default_nameservice.connect(channel, comm))
-    r = comm.rank
-    if isinstance(lin, GraphLinearization):
-        store = lin.make_storage(r, {n: TRUTH[lin.position[n]]
-                                     for n in _GRAPH})
-        if role == "dst":
-            store = lin.make_storage(r)
-    else:
-        store = (DistributedArray.from_global(lin.descriptor, r,
-                                              TRUTH.reshape(SHAPE))
-                 if role == "src" else
-                 DistributedArray.allocate(lin.descriptor, r))
-    moved = execute_linear_inter(sched, inter, role, lin, store)
-    if isinstance(store, DistributedArray):
-        return moved, store
-    return moved, {n: v for n, v in store.items()}
-
-
-@pytest.mark.parametrize("backend", ["threads", "procs"])
-@pytest.mark.parametrize("src_name, dst_name", [
-    ("flat_src", "flat_dst"), ("flat_src", "staged"),
-    ("staged", "flat_dst")], ids=["flat-flat", "flat-staged", "staged-flat"])
-def test_execute_linear_inter_is_byte_identical(backend, src_name, dst_name):
-    channel = f"lin-{src_name}-{dst_name}-{backend}"
-    out = run_coupled(
-        [("src", _LINS[src_name].nranks, _linear_side,
-          ("src", src_name, dst_name, channel)),
-         ("dst", _LINS[dst_name].nranks, _linear_side,
-          ("dst", dst_name, src_name, channel))],
-        deadlock_timeout=30.0, backend=backend)
-    assert sum(m for m, _ in out["src"]) == sum(m for m, _ in out["dst"]) \
-        == TRUTH.size
-    parts = [store for _, store in out["dst"]]
-    lin = _LINS[dst_name]
-    if isinstance(lin, GraphLinearization):
-        got = np.empty_like(TRUTH)
-        for store in parts:
-            for node, value in store.items():
-                got[lin.position[node]] = value
-        assert got.tobytes() == TRUTH.tobytes()
-    else:
-        assert DistributedArray.assemble(parts).tobytes() == \
-            TRUTH.reshape(SHAPE).tobytes()
-
-
 # -- MCT on a gapped GlobalSegMap ---------------------------------------------
 
 GSIZE = 24
@@ -250,28 +189,6 @@ def indices_calls(monkeypatch):
 
     monkeypatch.setattr(PairPlan, "indices", counted)
     return calls
-
-
-def test_rearranger_gapped_gsmap_selectors_once(indices_calls):
-    fwd, back = Rearranger(_GAPPED, _BLOCKS), Rearranger(_BLOCKS, _GAPPED)
-
-    def main(comm):
-        av0 = _fields(_GAPPED, comm.rank)
-        av1 = AttrVect(["a", "b"], _BLOCKS.local_size(comm.rank))
-        av2 = AttrVect(["a", "b"], _GAPPED.local_size(comm.rank))
-        for _ in range(3):
-            fwd.rearrange(comm, av0, av1)
-            back.rearrange(comm, av1, av2)
-        return av0, av1, av2, _fields(_BLOCKS, comm.rank)
-
-    for av0, av1, av2, want in run_spmd(2, main):
-        assert av1.data.tobytes() == want.data.tobytes()
-        assert av2.data.tobytes() == av0.data.tobytes()
-    # the block side receives rows 0-2 and 6-8 from rank 0: a two-axis
-    # box with no slice form, whose selector expands its indices — once
-    # per compiled pair (2 ranks x 2 pairs x 2 rearrangers), not per call
-    assert not isinstance(fwd._pairs("recv", 0)[0][2], slice)
-    assert len(indices_calls) == 8
 
 
 def test_router_gapped_gsmap_byte_identical(indices_calls):

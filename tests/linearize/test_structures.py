@@ -36,7 +36,7 @@ class TestGraphLinearization:
         owners = {n: 0 if n < 5 else 1 for n in path_graph}
         lin = GraphLinearization(path_graph, owners)
         values = {n: float(n * 10) for n in path_graph}
-        store0 = lin.make_storage(0, values)
+        store0 = {n: values[n] for n in range(5)}
         out = lin.extract(0, Run(2, 5), store0)
         np.testing.assert_array_equal(out, [20.0, 30.0, 40.0])
         lin.inject(0, Run(0, 2), np.array([5.0, 6.0]), store0)
@@ -45,7 +45,7 @@ class TestGraphLinearization:
     def test_extract_unowned_node_raises(self, path_graph):
         owners = {n: 0 if n < 5 else 1 for n in path_graph}
         lin = GraphLinearization(path_graph, owners)
-        store1 = lin.make_storage(1)
+        store1 = {n: 0.0 for n in range(5, 8)}
         from repro.errors import ScheduleError
         with pytest.raises(ScheduleError):
             lin.extract(1, Run(0, 2), store1)
@@ -76,20 +76,27 @@ class TestTreeLinearization:
         t.add_edges_from([(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)])
         return t
 
+    @staticmethod
+    def _subtree_run(lin, node):
+        """The positions of ``node``'s subtree, as one run."""
+        sub = {node} | nx.descendants(nx.bfs_tree(lin.graph, lin.root), node)
+        positions = sorted(lin.position[n] for n in sub)
+        return Run(positions[0], positions[-1] + 1), len(positions)
+
     def test_preorder_contiguous_subtrees(self):
         tree = self._tree()
         owners = {n: 0 for n in tree}
         lin = TreeLinearization(tree, 0, owners)
-        run = lin.subtree_run(1)
+        run, size = self._subtree_run(lin, 1)
         # subtree {1,3,4} occupies a contiguous interval
-        assert run.length == 3
+        assert run.length == size == 3
         nodes = {lin.order[p] for p in range(run.lo, run.hi)}
         assert nodes == {1, 3, 4}
 
     def test_subtree_ownership_gives_single_run(self):
         tree = self._tree()
         lin0 = TreeLinearization(tree, 0, {n: 0 for n in tree})
-        sub = lin0.subtree_run(1)
+        sub, _ = self._subtree_run(lin0, 1)
         owners = {n: (1 if lin0.position[n] in range(sub.lo, sub.hi) else 0)
                   for n in tree}
         lin = TreeLinearization(tree, 0, owners)

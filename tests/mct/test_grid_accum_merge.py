@@ -29,16 +29,11 @@ class TestGeneralGrid:
         assert g.npoints == 4
         assert g.ndim == 2
         assert g.dims == ["lat", "lon"]
-        assert g.coordinates(2) == (20.0, 5.0)
 
     def test_masked_weight(self):
         g = self._grid()
         np.testing.assert_array_equal(
             g.masked_weight("area", "ocean"), [1.0, 0.0, 3.0, 0.0])
-
-    def test_active_points(self):
-        np.testing.assert_array_equal(
-            self._grid().active_points("ocean"), [0, 2])
 
     def test_unstructured_any_dim(self):
         g = GeneralGrid(coords={"x": [0.0], "y": [1.0], "z": [2.0]})

@@ -21,11 +21,6 @@ class TestGlobalSegMap:
         assert g.local_size(1) == 3
         assert g.owner_of(5) == 0
 
-    def test_from_owners_compresses_runs(self):
-        g = GlobalSegMap.from_owners([0, 0, 1, 1, 1, 0])
-        assert len(g.segments) == 3
-        assert g.local_size(0) == 3
-
     def test_partition_validated(self):
         with pytest.raises(MCTError):
             GlobalSegMap(4, [Segment(0, 3, 0), Segment(2, 2, 1)])  # overlap

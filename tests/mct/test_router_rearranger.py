@@ -1,10 +1,10 @@
-"""MCTWorld, Router, and Rearranger tests over the simulated runtime."""
+"""MCTWorld and Router tests over the simulated runtime."""
 
 import numpy as np
 import pytest
 
 from repro.errors import MCTError
-from repro.mct import AttrVect, GlobalSegMap, MCTWorld, Rearranger, Router
+from repro.mct import AttrVect, GlobalSegMap, MCTWorld, Router
 from repro.simmpi import run_spmd
 
 
@@ -12,17 +12,16 @@ def test_mct_world_registry():
     def main(comm):
         model = "atm" if comm.rank < 2 else "ocn"
         world = MCTWorld(comm, model)
-        return (world.models(), world.ranks_of("atm"),
+        return (world.ranks_of("atm"),
                 world.ranks_of("ocn"), world.model_comm.size,
                 world.my_model_rank)
 
     results = run_spmd(5, main)
-    for r, (models, atm, ocn, msize, _mrank) in enumerate(results):
-        assert models == ["atm", "ocn"]
+    for r, (atm, ocn, msize, _mrank) in enumerate(results):
         assert atm == [0, 1]
         assert ocn == [2, 3, 4]
         assert msize == (2 if r < 2 else 3)
-    assert [r[4] for r in results] == [0, 1, 0, 1, 2]
+    assert [r[3] for r in results] == [0, 1, 0, 1, 2]
 
 
 def test_router_transfer_multi_field():
@@ -127,36 +126,3 @@ def test_router_validates_sizes():
 
     assert all(run_spmd(2, main))
 
-
-def test_rearranger_roundtrip():
-    gsize = 10
-
-    def main(comm):
-        block = GlobalSegMap.block(gsize, comm.size)
-        cyc = GlobalSegMap.cyclic(gsize, comm.size)
-        r_fwd = Rearranger(block, cyc)
-        r_back = Rearranger(cyc, block)
-        gidx = block.global_indices(comm.rank)
-        av0 = AttrVect.from_arrays({"f": gidx.astype(float) + 0.5})
-        av1 = AttrVect(["f"], cyc.local_size(comm.rank))
-        r_fwd.rearrange(comm, av0, av1)
-        # verify cyclic placement
-        np.testing.assert_array_equal(
-            av1["f"], cyc.global_indices(comm.rank).astype(float) + 0.5)
-        av2 = AttrVect(["f"], block.local_size(comm.rank))
-        r_back.rearrange(comm, av1, av2)
-        np.testing.assert_array_equal(av2["f"], av0["f"])
-        return True
-
-    assert all(run_spmd(3, main))
-
-
-def test_rearranger_field_mismatch():
-    def main(comm):
-        g = GlobalSegMap.block(4, 1)
-        r = Rearranger(g, g)
-        with pytest.raises(MCTError):
-            r.rearrange(comm, AttrVect(["a"], 4), AttrVect(["b"], 4))
-        return True
-
-    assert all(run_spmd(1, main))

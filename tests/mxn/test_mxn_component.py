@@ -27,7 +27,7 @@ class TestRegistration:
             mxn = MxNComponent(comm)
             da = DistributedArray.from_global(desc, comm.rank, G)
             mxn.register("temperature", da, AccessMode.READ)
-            assert mxn.field_names() == ["temperature"]
+            assert mxn.field("temperature") is da
             assert mxn.descriptor("temperature").shape == SHAPE
             return True
 
@@ -56,18 +56,6 @@ class TestRegistration:
 
         assert all(run_spmd(2, main))
 
-    def test_unregister(self):
-        def main(comm):
-            desc = DistArrayDescriptor(block_template(SHAPE, (1, 1)), G.dtype)
-            mxn = MxNComponent(comm)
-            mxn.register("f", DistributedArray.allocate(desc, 0))
-            mxn.unregister("f")
-            assert mxn.field_names() == []
-            with pytest.raises(RegistrationError):
-                mxn.unregister("f")
-            return True
-
-        assert all(run_spmd(1, main))
 
 
 def run_transfer(m, n, kind=ConnectionKind.ONE_SHOT, period=1, cycles=1,

@@ -58,11 +58,6 @@ class TestParticleField:
         assert f.ndim == 3
         assert f.attributes["vel"].shape == (0, 3)
 
-    def test_move(self):
-        f = self._field()
-        f.move(np.array([0.1, 0.0]))
-        assert f.positions[0, 0] == pytest.approx(0.2)
-
 
 class TestSpatialDecomposition:
     def test_block_cells(self):

@@ -70,7 +70,7 @@ class TestMigrate:
             field = make_particles(comm.rank, 15, 2, seed=3)
             field = migrate(comm, field, decomp)
             for _ in range(3):
-                field.move(rng.normal(0, 0.2, size=(field.count, 2)))
+                field.positions += rng.normal(0, 0.2, size=(field.count, 2))
                 field.positions[:] = np.clip(field.positions, 0.0, 1.0)
                 field = migrate(comm, field, decomp)
                 assert np.all(

@@ -7,7 +7,6 @@ from repro.errors import ReproError
 from repro.pipeline import (
     AffineFilter,
     ClampFilter,
-    FunctionFilter,
     TemporalBlendFilter,
     UnitConversion,
 )
@@ -80,19 +79,6 @@ class TestClamp:
     def test_needs_a_bound(self):
         with pytest.raises(ReproError):
             ClampFilter()
-
-
-class TestFunctionFilter:
-    def test_apply(self):
-        f = FunctionFilter(np.sqrt, "sqrt")
-        np.testing.assert_array_equal(f.apply(np.array([4.0, 9.0])),
-                                      [2.0, 3.0])
-
-    def test_out(self):
-        f = FunctionFilter(lambda x: x * 2)
-        buf = np.zeros(2)
-        f.apply(np.array([1.0, 2.0]), out=buf)
-        np.testing.assert_array_equal(buf, [2.0, 4.0])
 
 
 class TestTemporalBlend:

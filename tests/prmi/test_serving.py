@@ -173,6 +173,32 @@ def test_policy_swap_takes_effect_on_the_next_submit(backend):
     assert synced == [(True, 1), (True, 2), (True, 3)]
 
 
+# -- the flush deadline --------------------------------------------------------
+
+def _deadline_caller(comm, service, delay_us):
+    table = PolicyTable(default=Batched(batch_max=64, delay_us=delay_us))
+    pipe = _pipeline(comm, service, policies=table)
+    before = PRMI_STATS.get("flush_deadline")
+    futs = [pipe.submit("add", 0, a=i, b=0) for i in range(5)]
+    deadline = PRMI_STATS.get("flush_deadline") - before
+    got = [f.result() for f in futs]
+    pipe.close()
+    return deadline, got
+
+
+@pytest.mark.parametrize("delay_us, flushes", [(0, 5), (10**7, 0)])
+def test_batched_flush_deadline_is_the_policys(delay_us, flushes):
+    """A batched route flushes on its own ``Batched.delay_us``: at 0 every
+    submit has waited long enough and ships as its own frame, at 10 s
+    none does (the batch goes when the results are asked for)."""
+    out = run_coupled([
+        ("callee", 1, _callee, (f"serve-deadline-{delay_us}",)),
+        ("caller", 1, _deadline_caller,
+         (f"serve-deadline-{delay_us}", delay_us)),
+    ])
+    assert out["caller"][0] == (flushes, [0, 1, 2, 3, 4])
+
+
 # -- the in-flight gauge ---------------------------------------------------------
 
 def _gauge_caller(comm, service):
@@ -327,7 +353,7 @@ def _cached_caller(comm, service):
     a = pipe.submit("get_config", 0, key="alpha").result()
     b = pipe.submit("get_config", 0, key="alpha").result()   # cache hit
     c = pipe.submit("get_config", 0, key="beta").result()
-    cache.invalidate("get_config")
+    pipe.policies = PolicyTable(get_config=CachedRead())     # fresh cache
     d = pipe.submit("get_config", 0, key="alpha").result()   # refetched
     pipe.close()
     return a, b, c, d
@@ -383,3 +409,99 @@ def test_verify_simple_catches_dtype_divergence():
         ("caller", 2, _dtype_mismatch_caller, ("serve-dtype",)),
     ])
     assert set(out["caller"]) == {"mismatch"}
+
+
+# -- one wire for independent calls ------------------------------------------
+
+IND_PORT = port(
+    "IndPort",
+    method("boom", arg("x"), invocation="independent"),
+    method("fire", arg("x"), oneway=True, returns=False,
+           invocation="independent"),
+    method("inc", arg("x"), invocation="independent"),
+)
+
+
+class IndImpl:
+    def __init__(self):
+        self.fired = []
+
+    def boom(self, x):
+        raise ValueError(f"boom {x}")
+
+    def fire(self, x):
+        self.fired.append(x)
+
+    def inc(self, x):
+        return x + 1
+
+
+def _ind_callee(comm, service):
+    inter = default_nameservice.accept(service, comm)
+    impl = IndImpl()
+    ep = CalleeEndpoint(comm, inter, IND_PORT, impl)
+    sent = [comm.counters.get("inter_msgs")]
+    for _ in range(3):          # boom, fire, inc
+        ep.serve_independent()
+        sent.append(comm.counters.get("inter_msgs"))
+    return [b - a for a, b in zip(sent, sent[1:])], impl.fired
+
+
+def _ind_caller(comm, service):
+    inter = default_nameservice.connect(service, comm)
+    ep = CallerEndpoint(comm, inter, IND_PORT)
+    with pytest.raises(ValueError, match="boom 1"):
+        ep.invoke_independent("boom", 0, x=1)
+    fired = ep.invoke_independent("fire", 0, x=2)
+    return fired, ep.invoke_independent("inc", 0, x=3)
+
+
+@pytest.mark.parametrize("backend", BACKENDS,
+                         ids=[f"backend-{b}" for b in BACKENDS])
+def test_independent_call_is_one_request_frame(backend):
+    """A lockstep independent call travels the frame wire: the
+    exception a callee method raises reaches the caller (the callee
+    carries on), and a one-way call sends no reply frame."""
+    out = run_coupled([
+        ("callee", 1, _ind_callee, (f"ind-wire-{backend}",)),
+        ("caller", 1, _ind_caller, (f"ind-wire-{backend}",)),
+    ], backend=backend)
+    assert out["caller"][0] == (None, 4)
+    replies, fired = out["callee"][0]
+    assert replies == [1, 0, 1]
+    assert fired == [2]
+
+
+def _ind_loop_callee(comm, service):
+    inter = default_nameservice.accept(service, comm)
+    impl = IndImpl()
+    served = ServerLoop(CalleeEndpoint(comm, inter, IND_PORT,
+                                       impl)).serve_forever()
+    return served, impl.fired
+
+
+def _ind_loop_caller(comm, service):
+    inter = default_nameservice.connect(service, comm)
+    with InvocationPipeline(CallerEndpoint(comm, inter, IND_PORT)) as pipe:
+        try:
+            pipe.caller.invoke_independent("boom", 0, x=1)
+        except ValueError as exc:
+            raised = str(exc)
+        pipe.caller.invoke_independent("fire", 0, x=2)
+        return raised, pipe.caller.invoke_independent("inc", 0, x=3)
+
+
+@pytest.mark.parametrize("backend", BACKENDS,
+                         ids=[f"backend-{b}" for b in BACKENDS])
+def test_serve_loop_answers_independent_calls_as_frames(backend):
+    """The serve loop has no independent stream of its own: a direct
+    independent call is one request frame, answered like a batch."""
+    out = run_coupled([
+        ("callee", 1, _ind_loop_callee, (f"ind-loop-{backend}",)),
+        ("caller", 1, _ind_loop_caller, (f"ind-loop-{backend}",)),
+    ], backend=backend)
+    assert out["caller"][0] == ("boom 1", 4)
+    served, fired = out["callee"][0]
+    assert (served["frames"], served["requests"], served["errors"]) == (3, 3, 1)
+    assert "independent" not in served
+    assert fired == [2]

@@ -3,6 +3,10 @@
 "If the needs of a component change at run-time and the choice of
 processes participating in a call needs to be modified, then a
 sub-setting mechanism is engaged to allow greater flexibility."
+
+The callee cohort serves under a :class:`ServerLoop`, the one place a
+subset announcement is installed; the callers close an
+:class:`InvocationPipeline` to end it.
 """
 
 import numpy as np
@@ -13,6 +17,7 @@ from repro.dad import DistArrayDescriptor, DistributedArray
 from repro.dad.template import block_template
 from repro.errors import PRMIError
 from repro.prmi import CalleeEndpoint, CallerEndpoint, ParallelArg
+from repro.prmi.serving import InvocationPipeline, ServerLoop
 from repro.simmpi import NameService, run_coupled
 
 PORT = port(
@@ -39,8 +44,8 @@ def run_subset_scenario(caller_fn, callee_fn, m=4, n=2):
 
     def caller(comm):
         inter = ns.connect("sp", comm)
-        ep = CallerEndpoint(comm, inter, PORT)
-        return caller_fn(ep, comm)
+        with InvocationPipeline(CallerEndpoint(comm, inter, PORT)) as pipe:
+            return caller_fn(pipe, comm)
 
     def callee(comm):
         inter = ns.accept("sp", comm)
@@ -53,20 +58,18 @@ def run_subset_scenario(caller_fn, callee_fn, m=4, n=2):
 def test_subset_collective_call():
     """Only ranks {1, 3} of a 4-rank cohort participate after the
     sub-setting mechanism is engaged."""
-    def caller_fn(ep, comm):
-        full = ep.invoke("echo_m", x="full")
-        sub_ep = ep.engage_subset([1, 3])
+    def caller_fn(pipe, comm):
+        full = pipe.caller.invoke("echo_m", x="full")
+        sub_ep = pipe.engage_subset([1, 3])
         result = sub_ep.invoke("echo_m", x="subset")
         return (full, result, sub_ep.caller_rank)
 
     def callee_fn(ep, comm):
-        first = ep.serve_one()
         assert ep.m == 4
-        ranks = ep.accept_subset()
-        assert ranks == [1, 3]
+        served = ServerLoop(ep).serve_forever()
+        assert ep._caller_map == [1, 3]
         assert ep.m == 2
-        second = ep.serve_one()
-        return (first, second)
+        return (served["collective"], served["subsets"])
 
     out = run_subset_scenario(caller_fn, callee_fn)
     # every cohort rank got the full-call return
@@ -75,7 +78,7 @@ def test_subset_collective_call():
     assert [r[1] for r in out["caller"]] == [None, "subset", None, "subset"]
     # effective caller ranks inside the subset
     assert [r[2] for r in out["caller"]] == [None, 0, None, 1]
-    assert out["callee"] == [("echo_m", "echo_m")] * 2
+    assert out["callee"] == [(2, 1)] * 2
 
 
 def test_subset_with_parallel_argument():
@@ -87,8 +90,8 @@ def test_subset_with_parallel_argument():
     src_desc = DistArrayDescriptor(block_template(shape, (2,)))
     layout = DistArrayDescriptor(block_template(shape, (2,)))
 
-    def caller_fn(ep, comm):
-        sub_ep = ep.engage_subset(sub_ranks)
+    def caller_fn(pipe, comm):
+        sub_ep = pipe.engage_subset(sub_ranks)
         if sub_ep.caller_rank is None:
             return None  # subset out: no data, no call
         field = DistributedArray.from_global(
@@ -97,43 +100,41 @@ def test_subset_with_parallel_argument():
 
     def callee_fn(ep, comm):
         ep.set_param_layout("norm", "field", layout)
-        ep.accept_subset()
-        ep.serve_one()
-        return True
+        return ServerLoop(ep).serve_forever()["collective"]
 
     out = run_subset_scenario(caller_fn, callee_fn, m=4, n=2)
     assert out["caller"][0] == pytest.approx(g.sum())
     assert out["caller"][2] == pytest.approx(g.sum())
     assert out["caller"][1] is None and out["caller"][3] is None
+    assert out["callee"] == [1, 1]
 
 
 def test_subset_ghost_bookkeeping():
     """Subset of 2 callers against 5 callees: ghosts follow M'=2."""
-    def caller_fn(ep, comm):
-        sub_ep = ep.engage_subset([0, 1])
+    def caller_fn(pipe, comm):
+        sub_ep = pipe.engage_subset([0, 1])
         sub_ep.invoke("echo_m", x=1)
         return sub_ep.stats.ghost_invocations
 
     def callee_fn(ep, comm):
-        ep.accept_subset()
-        ep.serve_one()
-        return True
+        return ServerLoop(ep).serve_forever()["collective"]
 
     out = run_subset_scenario(caller_fn, callee_fn, m=3, n=5)
     # callers 0,1 fan out to 5 callees: 3 + 2 -> 3 ghosts total
     assert sum(g for g in out["caller"] if g) == 3
+    assert out["callee"] == [1] * 5
 
 
 def test_invalid_subset_rejected():
-    def caller_fn(ep, comm):
+    def caller_fn(pipe, comm):
         with pytest.raises(PRMIError):
-            ep.engage_subset([7])
+            pipe.engage_subset([7])
         with pytest.raises(PRMIError):
-            ep.engage_subset([])
+            pipe.engage_subset([])
         return True
 
     def callee_fn(ep, comm):
-        return True
+        return ServerLoop(ep).serve_forever()["subsets"] == 0
 
     out = run_subset_scenario(caller_fn, callee_fn, m=2, n=1)
-    assert all(out["caller"])
+    assert all(out["caller"]) and all(out["callee"])

@@ -23,6 +23,7 @@ from repro.dad import (
 )
 from repro.schedule import (
     GLOBAL_CACHE,
+    PLAN_STATS,
     ScheduleCache,
     bind,
     build_region_schedule,
@@ -216,14 +217,23 @@ class TestNoObjectPerItem:
 
 
 def test_pickled_schedule_is_its_columns():
-    sched = build_region_schedule(_cyclic(32), _cyclic(48))
+    """A pickle is the schedule's columns and its two ownership tables
+    (rank, lo, hi, offset per patch), so an unpickled schedule compiles
+    a side in one pass too."""
+    src, dst = _cyclic(32), _cyclic(48)
+    sched = build_region_schedule(src, dst)
     data = pickle.dumps(sched)
     assert b"TransferItem" not in data and b"Region" not in data
     ndim = 1
-    assert len(data) < len(sched.items) * (2 + 2 * ndim) * 8 + 4096
+    tables = sum(len(t.rank) * (2 + 2 * ndim) * 8 + len(t.starts) * 8
+                 for t in sched.owners)
+    assert len(data) < len(sched.items) * (2 + 2 * ndim) * 8 + tables + 4096
     back = pickle.loads(data)
     assert back.items == sched.items
     assert back.pair_count == sched.pair_count
+    before = PLAN_STATS.get("rank_plans")
+    back.send_plan(0, src.local_regions(0))
+    assert PLAN_STATS.get("rank_plans") - before == src.nranks
     assert back.element_count == sched.element_count
     # without its tables it compiles one rank from whatever layout form
     # bind passes: a descriptor's whole ownership table

@@ -154,9 +154,9 @@ def test_verify_delta_equivalence_catches_tampering():
     bad = DeltaSchedule(
         B8, B10,
         type(full)(list(delta.migration.items[1:]),
-                   full.src_nranks, full.dst_nranks),
+                   full.src_nranks, full.dst_nranks, full.owners),
         type(full)(delta.kept.items + [delta.migration.items[0]],
-                   full.src_nranks, full.dst_nranks))
+                   full.src_nranks, full.dst_nranks, full.owners))
     with pytest.raises(VerificationError) as exc:
         verify_delta_equivalence(B8, B10, delta=bad)
     assert "minimality" in str(exc.value)

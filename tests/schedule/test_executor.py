@@ -11,13 +11,10 @@ from repro.dad import (
     DistributedArray,
 )
 from repro.dad.template import ExplicitTemplate, block_template
-from repro.linearize import DenseLinearization, GraphLinearization
 from repro.schedule import (
-    build_linear_schedule,
     build_region_schedule,
     execute_inter,
     execute_intra,
-    execute_linear_inter,
 )
 from repro.simmpi import NameService, run_coupled, run_spmd
 from repro.util.regions import Region
@@ -159,39 +156,6 @@ class TestExecuteInter:
         np.testing.assert_array_equal(
             DistributedArray.assemble(out["consumer"]), g)
         assert sum(out["producer"]) == 60
-
-    def test_linear_schedule_graph_to_array(self):
-        """Couple a graph-distributed field to a dense array through the
-        shared linear space (the Meta-Chaos generality argument)."""
-        import networkx as nx
-
-        graph = nx.path_graph(12)
-        owners = {n: 0 if n < 7 else 1 for n in graph}
-        glin = GraphLinearization(graph, owners)
-        arr_desc = DistArrayDescriptor(block_template((12,), (3,)))
-        alin = DenseLinearization(arr_desc)
-        sched = build_linear_schedule(glin, alin)
-        values = {n: float(n) ** 2 for n in graph}
-        ns = NameService()
-
-        def graph_side(comm):
-            inter = ns.accept("g2a", comm)
-            store = glin.make_storage(comm.rank, values)
-            return execute_linear_inter(sched, inter, "src", glin, store)
-
-        def array_side(comm):
-            inter = ns.connect("g2a", comm)
-            dst = DistributedArray.allocate(arr_desc, comm.rank)
-            execute_linear_inter(sched, inter, "dst", alin, dst)
-            return dst
-
-        out = run_coupled([
-            ("graph", 2, graph_side, ()),
-            ("array", 3, array_side, ()),
-        ])
-        assembled = DistributedArray.assemble(out["array"])
-        np.testing.assert_array_equal(assembled,
-                                      np.arange(12.0) ** 2)
 
     def test_bad_side_rejected(self):
         src_desc = DistArrayDescriptor(block_template((4,), (2,)))

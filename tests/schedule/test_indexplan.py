@@ -478,12 +478,12 @@ class TestLocalIndexer:
 
     @staticmethod
     def _agree(patches, regions):
-        from repro.schedule.indexplan import LocalIndexer, compile_rank_plan
+        from repro.schedule.indexplan import LocalIndexer, _compile, _plan
         ix = LocalIndexer(patches)
         want = np.concatenate([ix.region_indices(r) for r in regions])
         rows = RegionList(regions, validate=False)
-        pair, = compile_rank_plan(np.array([0]), np.array([0, len(rows.lo)]),
-                                  rows.lo, rows.hi, ix).pairs
+        pair = _plan(_compile(ix, np.array([0]), np.array([0, len(rows.lo)]),
+                              rows.lo, rows.hi)[0])
         np.testing.assert_array_equal(pair.indices(), want)
         return ix
 

@@ -24,14 +24,23 @@ from repro.linearize import DenseLinearization
 from repro.linearize.linearization import run_layout
 from repro.mct.router import build_gsmap_schedule
 from repro.schedule import (PLAN_STATS, build_linear_schedule,
-                            build_region_schedule, compile_rank_plan)
+                            build_region_schedule)
 from repro.schedule.indexplan import (MAX_BOXES, LocalIndexer, PairPlan,
-                                      _box, _compile, _EMPTY, _expand,
-                                      _plan, _Unfolded)
+                                      RankPlan, _box, _compile, _EMPTY,
+                                      _expand, _plan, _Unfolded)
 from repro.util.regions import Region
 from tests.dad.test_template_properties import explicit_templates
 from tests.mct.test_gsmap_properties import gsmaps
 from tests.schedule.test_redistribution_properties import axis_for
+
+
+def compile_rank_plan(peers, bounds, lo, hi, layout):
+    """The reference: one rank's side (the columns of ``wire``)
+    compiled alone, against that rank's own layout."""
+    if not isinstance(layout, LocalIndexer):
+        layout = LocalIndexer(layout)
+    return RankPlan(tuple(map(_plan, _compile(layout, peers, bounds, lo, hi)))
+                    if len(peers) else ())
 
 
 def _key(plan):

@@ -5,14 +5,50 @@
   subsystem only its own tests reach runs in no row, experiment or
   example, and leaves ``src/``.  Re-exports in ``repro/__init__.py`` and
   imports from ``tests/`` do not count.
-* Definitions: every public module-level ``def``/``class`` is named
-  somewhere outside its own body, tests included."""
+* Definitions: every public module-level ``def``/``class`` and every
+  public method of a module-level class is named in ``src/``,
+  ``bench/``, ``benchmarks/`` or ``examples/`` outside its own body.
+  Tests, ``__all__`` lists and package ``__init__`` re-exports do not
+  count; :data:`KEEP` names the few definitions that stay anyway."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PKG = ROOT / "src" / "repro"
+TOPS = ("src", "bench", "benchmarks", "examples")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+#: Definitions nothing outside ``tests/`` names that stay: each models a
+#: paper passage its own or its module's docstring quotes, or is the
+#: reference check a property test holds the code to.
+KEEP = {
+    "dad/axis.py:AxisDistribution.validate_partition": "reference check",
+    "linearize/linearization.py:Linearization.validate_partition":
+        "reference check",
+    "mxn/api.py:MxNComponent.connect_with_spec":
+        "§4.1: connections initiated \"by a third party controller\"",
+    "dca/framework.py:DCAApplication":
+        "§4.3: Go ports \"are called at startup time\", concurrently",
+    "dca/framework.py:DCAApplication.add_component":
+        "§4.3: declares one component of a DCAApplication",
+    "dca/stubgen.py:generate_stubs":
+        "§4.3: the stub generator \"adds an extra argument to all port "
+        "methods, of type MPI_Comm\"",
+    "mct/integrals.py:paired_integrals":
+        "§4.5: \"paired integrals and averages for use in conservation of "
+        "global flux integrals\"",
+    "linearize/structures.py:TreeLinearization":
+        "§2.2.1: linearization matches structures \"from multidimensional "
+        "arrays to trees or graphs\"",
+    "highlevel.py:redistribute":
+        "§6: \"user-friendly simplifications ... for the most common "
+        "operations\"",
+    "pipeline/filters.py:TemporalBlendFilter":
+        "§1: component filters \"for spatial and temporal interpolation\"",
+    "pubsub/endpoints.py:Subscriber.leave":
+        "§5: XChangemxn's \"dynamic arrivals and departures of components\"",
+}
 
 
 def _subsystems() -> set[str]:
@@ -52,48 +88,95 @@ def test_every_subsystem_is_reached_outside_its_own_tests():
         f"an E-row or delete it from src/")
 
 
-def _public_defs(path: Path) -> list[str]:
-    """The public module-level ``def``/``class`` names of ``path``."""
-    tree = ast.parse(path.read_text(), str(path))
-    return [node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not node.name.startswith("_")]
+def _members(tree: ast.Module):
+    """``(qualified name, node)`` of every module-level ``def``/``class``
+    and every method of a module-level class, private ones included."""
+    for node in tree.body:
+        if isinstance(node, DEFS):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, DEFS[:2]):
+                        yield f"{node.name}.{sub.name}", sub
 
 
-def _references(path: Path) -> set[str]:
-    """The names ``path`` references: every ``Name``, ``Attribute`` and
-    import alias, except that a module-level ``def``/``class`` body does
-    not reference its own name.  Strings (``__all__``) never count."""
-    found = set()
-    for stmt in ast.parse(path.read_text(), str(path)).body:
-        own = (stmt.name if isinstance(stmt, (ast.FunctionDef,
-                                              ast.AsyncFunctionDef,
-                                              ast.ClassDef)) else None)
-        names = set()
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.update(node.name.split("."))
-        found |= names - {own}
+def _public_defs() -> dict[str, tuple[str, ast.AST]]:
+    """``{"module.py:qualified name": (name, node)}`` of every public
+    definition under ``src/repro`` the census covers."""
+    found = {}
+    for path in PKG.rglob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        for qual, node in _members(tree):
+            name = qual.rpartition(".")[2]
+            if not name.startswith("_"):
+                found[f"{path.relative_to(PKG)}:{qual}"] = name, node
     return found
 
 
-def test_every_public_definition_is_referenced():
-    """Every public module-level function or class under ``src/repro``
-    is named somewhere outside its own body — in ``src/``, ``bench/``,
-    ``benchmarks/``, ``examples/`` or ``tests/``.  A definition nothing
-    names is dead code (ROADMAP item 11)."""
-    referenced = set()
-    for top in ("src", "bench", "benchmarks", "examples", "tests"):
+def _references(path: Path, refs: dict[str, list[set]]) -> None:
+    """Add every name ``path`` references to ``refs``: name -> the
+    definitions enclosing each occurrence.  A ``Name``, an ``Attribute``,
+    an import alias (not in a package ``__init__``) and a string that is
+    an identifier (``hasattr(cls, "invoke")``) count; ``__all__`` does
+    not."""
+    tree = ast.parse(path.read_text(), str(path))
+    reexports = path.name == "__init__.py"
+    members = {id(node) for _, node in _members(tree)}
+
+    def walk(node: ast.AST, owners: frozenset) -> None:
+        if id(node) in members:
+            owners = owners | {id(node)}
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = [] if reexports else node.name.split(".")
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            names = [node.value]
+        else:
+            names = []
+        for name in names:
+            refs.setdefault(name, []).append(owners)
+        for child in ast.iter_child_nodes(node):
+            walk(child, owners)
+
+    walk(tree, frozenset())
+
+
+def _unreferenced() -> list[str]:
+    """The public definitions nothing outside ``tests/`` names outside
+    their own body."""
+    refs: dict[str, list] = {}
+    for top in TOPS:
         for path in (ROOT / top).rglob("*.py"):
-            referenced |= _references(path)
-    unreferenced = sorted(
-        f"{path.relative_to(PKG)}:{name}"
-        for path in PKG.rglob("*.py")
-        for name in _public_defs(path) if name not in referenced)
-    assert not unreferenced, (
-        f"public definitions nothing references: {', '.join(unreferenced)}")
+            _references(path, refs)
+    return sorted(
+        key for key, (name, node) in _public_defs().items()
+        if not any(id(node) not in owners for owners in refs.get(name, ())))
+
+
+def test_every_public_definition_is_referenced():
+    """Every public module-level function or class, and every public
+    method of one, is named outside its own body by ``src/``,
+    ``bench/``, ``benchmarks/`` or ``examples/`` — or is on
+    :data:`KEEP`.  A definition only tests reach is dead code
+    (ROADMAP item 11)."""
+    flagged = [key for key in _unreferenced() if key not in KEEP]
+    assert not flagged, (
+        f"public definitions only tests reach: {', '.join(flagged)} — "
+        f"delete them, or keep one on KEEP with the paper passage its "
+        f"docstring quotes")
+
+
+def test_keep_list_names_only_flagged_definitions():
+    """A :data:`KEEP` entry must exist and be flagged: once something
+    outside ``tests/`` names it, or it is gone, its entry goes too."""
+    assert len(KEEP) <= 12
+    stale = sorted(set(KEEP) - set(_unreferenced()))
+    assert not stale, f"KEEP entries the census no longer flags: {stale}"

@@ -25,14 +25,6 @@ class TestRegionBasics:
         assert r.lo == (0, 0, 0)
         assert r.hi == (4, 5, 6)
 
-    def test_from_slices(self):
-        r = Region.from_slices((slice(1, 3), slice(None)), (5, 7))
-        assert r == Region((1, 0), (3, 7))
-
-    def test_from_slices_rejects_step(self):
-        with pytest.raises(DistributionError):
-            Region.from_slices((slice(0, 4, 2),), (5,))
-
     def test_invalid_bounds(self):
         with pytest.raises(DistributionError):
             Region((3,), (1,))
@@ -101,10 +93,6 @@ class TestRegionAlgebra:
             assert p.intersect(hole) is None
         RegionList(pieces)  # validates disjointness
 
-    def test_corners(self):
-        r = Region((0, 0), (2, 3))
-        assert set(r.corners()) == {(0, 0), (0, 2), (1, 0), (1, 2)}
-
 
 class TestRegionNumpyInterop:
     def test_view_is_view(self):
@@ -149,11 +137,6 @@ class TestRegionList:
     def test_covers_with_gap(self):
         rl = RegionList([Region((0, 0), (2, 4)), Region((3, 0), (4, 4))])
         assert not rl.covers(Region((0, 0), (4, 4)))
-
-    def test_intersect_region(self):
-        rl = RegionList([Region((0,), (4,)), Region((6,), (10,))])
-        out = rl.intersect_region(Region((2,), (8,)))
-        assert out.volume == 4
 
     def test_intersect_lists(self):
         a = RegionList([Region((0, 0), (4, 4))])

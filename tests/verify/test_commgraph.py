@@ -116,8 +116,10 @@ def test_consistent_exchange_passes():
     prog = CommProgram()
     a = prog.proc("left", 0)
     b = prog.proc("right", 0)
-    prog.channel_pair(a, b, tag=1)
-    prog.channel_pair(b, a, tag=2)
+    prog.send(a, b, 1)      # a buffered data send met by a blocking
+    prog.recv(b, a, 1)      # receive, each way
+    prog.send(b, a, 2)
+    prog.recv(a, b, 2)
     assert would_deadlock(prog) is None
 
 

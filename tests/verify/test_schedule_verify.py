@@ -76,7 +76,8 @@ def _block_pair():
 def test_dropped_item_fails_completeness():
     src, dst = _block_pair()
     good = build_region_schedule(src, dst)
-    broken = CommSchedule(good.items[:-1], good.src_nranks, good.dst_nranks)
+    broken = CommSchedule(good.items[:-1], good.src_nranks, good.dst_nranks,
+                          good.owners)
     with pytest.raises(VerificationError, match="completeness"):
         verify_schedule(broken, src, dst)
 
@@ -85,7 +86,7 @@ def test_duplicated_item_fails_disjointness():
     src, dst = _block_pair()
     good = build_region_schedule(src, dst)
     broken = CommSchedule(good.items + [good.items[0]],
-                          good.src_nranks, good.dst_nranks)
+                          good.src_nranks, good.dst_nranks, good.owners)
     with pytest.raises(VerificationError, match="disjointness"):
         verify_schedule(broken, src, dst)
 
@@ -98,7 +99,7 @@ def test_misrouted_item_fails_ownership():
                              it.region)] + good.items[1:]
     with pytest.raises(VerificationError, match="ownership"):
         verify_schedule(CommSchedule(rerouted, good.src_nranks,
-                                     good.dst_nranks), src, dst)
+                                     good.dst_nranks, good.owners), src, dst)
 
 
 def test_all_failures_reported_together():
@@ -108,7 +109,7 @@ def test_all_failures_reported_together():
     broken = CommSchedule(
         [TransferItem((it.src + 1) % good.src_nranks, it.dst, it.region),
          it] + good.items[1:],
-        good.src_nranks, good.dst_nranks)
+        good.src_nranks, good.dst_nranks, good.owners)
     with pytest.raises(VerificationError) as exc:
         verify_schedule(broken, src, dst)
     text = str(exc.value)
@@ -192,7 +193,7 @@ def test_linear_schedule_proof_and_corruption():
     proof = verify_linear_schedule(sched, src_lin, dst_lin)
     assert proof.elements == 30
     broken = type(sched)(sched.items[:-1], sched.src_nranks,
-                         sched.dst_nranks)
+                         sched.dst_nranks, sched.owners)
     with pytest.raises(VerificationError, match="completeness"):
         verify_linear_schedule(broken, src_lin, dst_lin)
 
