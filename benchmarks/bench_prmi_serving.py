@@ -82,10 +82,10 @@ class _Impl:
 
 # -- rank programs (module level: fork-safe on the procs backend) ------------
 
-def _callee(comm, service, queue_max=None):
+def _callee(comm, service):
     inter = default_nameservice.accept(service, comm)
     ep = CalleeEndpoint(comm, inter, PORT, _Impl(comm))
-    return ServerLoop(ep, queue_max=queue_max).serve_forever()
+    return ServerLoop(ep).serve_forever()
 
 
 def _vec(rank):

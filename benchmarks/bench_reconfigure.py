@@ -132,7 +132,7 @@ def _measure(kind, extent, reps=REPS):
                    if me < new_n else None)
             execute_intra(sched, comm, src_array=src, dst_array=dst,
                           src_ranks=range(old_n), dst_ranks=range(new_n),
-                          tag=730, tier="two_sided")
+                          tag=730)
             comm.barrier()
             return dst
 
@@ -144,17 +144,17 @@ def _measure(kind, extent, reps=REPS):
         full_s = (time.perf_counter() - t0) / reps
 
         da = src
-        da = reconfigure(comm, da, new_desc, cache=cache, tier="two_sided")
-        da = reconfigure(comm, da, old_desc, cache=cache, tier="two_sided")
+        da = reconfigure(comm, da, new_desc, cache=cache)
+        da = reconfigure(comm, da, old_desc, cache=cache)
         comm.barrier()
         t0 = time.perf_counter()
         for _ in range(reps):
-            da = reconfigure(comm, da, new_desc, cache=cache, tier="two_sided")
-            da = reconfigure(comm, da, old_desc, cache=cache, tier="two_sided")
+            da = reconfigure(comm, da, new_desc, cache=cache)
+            da = reconfigure(comm, da, old_desc, cache=cache)
         delta_s = (time.perf_counter() - t0) / (2 * reps)
         # Finish on the new decomposition so assembly checks the
         # direction the gates describe.
-        da = reconfigure(comm, da, new_desc, cache=cache, tier="two_sided")
+        da = reconfigure(comm, da, new_desc, cache=cache)
         return full_s, delta_s, dst, da
 
     REDIST_STATS.reset()

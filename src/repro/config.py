@@ -9,9 +9,13 @@ applies one rule to all of them:
 * explicit argument > environment variable > default;
 * an unset **or blank** variable means the default;
 * flags accept ``0/false/off/no`` and ``1/true/on/yes`` in any case
-  (and ``bool`` arguments), choices are case-insensitive, integers have
-  a lower bound — anything else raises the row's typed error naming the
-  knob and its variable.
+  (and ``bool`` arguments), choices are case-insensitive — anything
+  else raises the row's typed error naming the knob and its variable.
+
+A limit no deployment sets (a batch size, an in-flight window, the
+schedule cache's LRU bound) is not a knob: it is a module constant next
+to its one reader, overridden by a constructor argument that
+:func:`at_least` checks.
 
 Call sites resolve at import time (the two debug switches, whose
 setters override afterwards) or at construct / bind /
@@ -31,9 +35,9 @@ import os
 import sys
 from typing import NamedTuple
 
-from repro.errors import PRMIError, ScheduleError
+from repro.errors import ScheduleError
 
-__all__ = ["Knob", "KNOBS", "lookup", "resolve", "markdown"]
+__all__ = ["Knob", "KNOBS", "lookup", "resolve", "markdown", "at_least"]
 
 _FLAG_WORDS = {**dict.fromkeys(("0", "false", "off", "no"), False),
                **dict.fromkeys(("1", "true", "on", "yes"), True)}
@@ -41,8 +45,8 @@ _FLAG_WORDS = {**dict.fromkeys(("0", "false", "off", "no"), False),
 
 class Knob(NamedTuple):
     """One row of the table.  ``domain`` is the allowed names of a
-    ``choice``, the lower bound of an ``int``, ``None`` for a ``flag``;
-    ``error`` is the exception class the owning subsystem raises."""
+    ``choice``, ``None`` for a ``flag``; ``error`` is the exception
+    class the owning subsystem raises."""
 
     name: str
     env: str
@@ -60,18 +64,9 @@ class Knob(NamedTuple):
             parsed = (text if isinstance(text, bool)
                       else _FLAG_WORDS.get(str(text)))
             expected = "one of 0/false/off/no or 1/true/on/yes"
-        elif self.kind == "choice":
+        else:
             parsed = text if text in self.domain else None
             expected = f"one of {', '.join(self.domain)}"
-        else:
-            try:
-                parsed = (int(text) if isinstance(text, str)
-                          else operator.index(text))
-            except (TypeError, ValueError):
-                parsed = None
-            if parsed is not None and parsed < self.domain:
-                parsed = None
-            expected = f"an integer >= {self.domain}"
         if parsed is None:
             raise self.error(f"{self.name} ({self.env}) must be {expected}, "
                              f"got {value!r}")
@@ -94,15 +89,6 @@ KNOBS = {k.name: k for k in (
          ("two_sided", "rma"), ScheduleError,
          "Eager messages (above `EAGER_MAX` puts on procs, ready tokens on "
          "threads) or puts for every pair."),
-    Knob("schedule_cache_max", "REPRO_SCHEDULE_CACHE_MAX", "int", 512, 0,
-         ScheduleError,
-         "LRU bound of a `ScheduleCache`, live per insert (`0` = unbounded)."),
-    Knob("batch_max", "REPRO_BATCH_MAX", "int", 32, 1, PRMIError,
-         "PRMI: invocations per batch frame before a size-triggered flush."),
-    Knob("batch_delay_us", "REPRO_BATCH_DELAY_US", "int", 200, 0, PRMIError,
-         "PRMI: µs the oldest batched invocation waits before a flush."),
-    Knob("inflight_max", "REPRO_INFLIGHT_MAX", "int", 1024, 1, PRMIError,
-         "PRMI: caller in-flight window and `ServerLoop` queue depth."),
 )}
 
 
@@ -123,12 +109,23 @@ def resolve(name: str, arg=None):
     return lookup(name, arg)[0]
 
 
+def at_least(name: str, value, lower: int, error: type) -> int:
+    """``value`` as an integer ``>= lower``, or ``error`` naming the
+    argument ``name``."""
+    try:
+        parsed = operator.index(value)
+    except TypeError:
+        parsed = None
+    if parsed is None or parsed < lower:
+        raise error(f"{name} must be an integer >= {lower}, got {value!r}")
+    return parsed
+
+
 def markdown() -> str:
     """The README's environment-variable table."""
     rows = ["| Variable | Values | Default | Effect |", "|---|---|---|---|"]
     for k in KNOBS.values():
-        values = (f"integer ≥ {k.domain}" if k.kind == "int" else
-                  ", ".join(f"`{v}`" for v in k.domain or ("0", "1")))
+        values = ", ".join(f"`{v}`" for v in k.domain or ("0", "1"))
         rows.append(f"| `{k.env}` | {values} | `{_shown(k.default)}` | "
                     f"{k.doc} |")
     return "\n".join(rows)

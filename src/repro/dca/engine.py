@@ -57,7 +57,9 @@ def _method_key(method: str) -> int:
 
 
 class DCAParallelArg:
-    """Caller-side parallel data in DCA's alltoallv idiom.
+    """Caller-side parallel data in DCA's alltoallv idiom (§4.3: "the
+    user define[s] the data distribution layout using MPI data types,
+    displacement and count arrays").
 
     ``sendbuf[displs[j] : displs[j] + counts[j]]`` is the chunk destined
     for callee rank ``j``.

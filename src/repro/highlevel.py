@@ -46,17 +46,15 @@ _RESIZE_TAG = 152
 def redistribute(global_array: np.ndarray,
                  src_grid: Sequence[int],
                  dst_grid: Sequence[int],
-                 *, backend: str | None = None,
-                 tier: str | None = None) -> np.ndarray:
+                 *, backend: str | None = None) -> np.ndarray:
     """Scatter ``global_array`` onto ``src_grid`` blocks, redistribute to
     ``dst_grid`` blocks, and reassemble — the whole Fig. 1 pipeline in
     one call (runs an SPMD job internally).
 
     ``backend="procs"`` runs the ranks as real processes with payloads
     in shared memory (see :mod:`repro.simmpi.transport`); the default
-    is the ``backend`` knob.  ``tier`` picks the execution tier (the
-    ``tier`` knob; a one-shot runs ``rma`` two-sided) — see
-    :func:`~repro.schedule.executor.resolve_tier`."""
+    is the ``backend`` knob.  Like every one-shot the transfer runs
+    two-sided (:func:`~repro.schedule.executor.resolve_tier`)."""
     global_array = np.asarray(global_array)
     src = DistArrayDescriptor(
         block_template(global_array.shape, src_grid), global_array.dtype)
@@ -72,7 +70,7 @@ def redistribute(global_array: np.ndarray,
               if comm.rank < dst.nranks else None)
         execute_intra(sched, comm, src_array=sa, dst_array=da,
                       src_ranks=range(src.nranks),
-                      dst_ranks=range(dst.nranks), tier=tier)
+                      dst_ranks=range(dst.nranks))
         return da
 
     parts = [p for p in run_spmd(n, main, backend=backend) if p is not None]
@@ -108,7 +106,6 @@ def _resolve_new_descriptor(old_desc: DistArrayDescriptor, new_dist,
 
 def reconfigure(comm: Communicator, darray: DistributedArray | None,
                 new_dist, new_nranks: int | None = None, *,
-                tier: str | None = None,
                 cache=None) -> DistributedArray | None:
     """Resize a live distributed array to a new decomposition, moving
     only the bytes whose owner changed — the elastic counterpart of
@@ -126,7 +123,7 @@ def reconfigure(comm: Communicator, darray: DistributedArray | None,
     the shared :class:`~repro.schedule.builder.ScheduleCache` (a
     repeated resize is a pure cache hit), split it into migration +
     kept, repack kept bytes locally, stream only the
-    migration through the existing execution engines (``tier`` as in
+    migration as a one-shot transfer (two-sided, as in
     :func:`redistribute`), then — after a drain barrier guarantees no
     rank still has transfer steps in flight — atomically swap the
     ownership map (:meth:`~repro.dad.darray.DistributedArray.adopt`).
@@ -178,8 +175,7 @@ def reconfigure(comm: Communicator, darray: DistributedArray | None,
                                   incoming.flat_local())
     execute_intra(delta.migration, comm, src_array=darray,
                   dst_array=incoming, src_ranks=range(old_n),
-                  dst_ranks=range(new_n), tag=_RESIZE_TAG,
-                  tier=tier)
+                  dst_ranks=range(new_n), tag=_RESIZE_TAG)
     # Drain: no rank may swap its ownership map while any peer still
     # has migration steps in flight — after this barrier every receive
     # everywhere has completed, so the swap is globally atomic.

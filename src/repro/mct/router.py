@@ -13,18 +13,12 @@ rank pair exchanges exactly **one message** carrying a single 2-D
 ascending global order, all fields fused as AttrVect columns.  Each
 pair's row selector is computed once: a slice when its rows are a
 regular progression (the send block is then a zero-copy view), an index
-array otherwise.
-
-``fused=False`` (the E13 ablation) now *only* controls field fusion: it
-ships one 1-D per-field message per rank pair (``nfields`` messages per
-pair) instead of the single 2-D block, but runs stay coalesced per pair
-either way — the historical one-message-per-run-per-field protocol is
-gone.
+array otherwise.  (E13's per-field ablation is the sparse matrix's,
+:meth:`~repro.mct.sparsematrix.SparseMatrix.apply`.)
 """
 
 from __future__ import annotations
 
-import numpy as np
 
 from repro.errors import MCTError
 from repro.linearize.linearization import run_layout
@@ -112,15 +106,13 @@ class Router(_RowPlans):
 
     def transfer(self, av_send: AttrVect | None = None,
                  av_recv: AttrVect | None = None, *,
-                 fused: bool = True, tag: int = ROUTER_TAG) -> int:
+                 tag: int = ROUTER_TAG) -> int:
         """Move data per the schedule; collective over both models.
 
         Source ranks pass ``av_send``; destination ranks pass
         ``av_recv``.  A rank in neither model passes nothing and the
-        call is a no-op there.  Runs are always coalesced to one block
-        per (src, dst) rank pair; ``fused`` only controls whether the
-        block's fields travel together (one 2-D message) or one field
-        per message.  Both models must agree on ``fused``.  Returns
+        call is a no-op there.  Each (src, dst) rank pair exchanges one
+        2-D block, its runs coalesced and its fields fused.  Returns
         elements moved at this rank.
         """
         comm = self.world.world
@@ -136,14 +128,8 @@ class Router(_RowPlans):
                     f"send AttrVect lsize {av_send.lsize} != gsmap local "
                     f"size {self.src_gsmap.local_size(s)}")
             for peer, size, rows in self._pairs("send", s):
-                if fused:
-                    comm.send(payload.Borrowed(av_send.data[rows, :]),
-                              self._dst_ranks[peer], tag)
-                else:
-                    block = av_send.data[rows, :]
-                    for col in range(block.shape[1]):
-                        comm.send(np.ascontiguousarray(block[:, col]),
-                                  self._dst_ranks[peer], tag)
+                comm.send(payload.Borrowed(av_send.data[rows, :]),
+                          self._dst_ranks[peer], tag)
                 moved += size
         if me in self._dst_ranks:
             if av_recv is None:
@@ -155,13 +141,8 @@ class Router(_RowPlans):
                     f"recv AttrVect lsize {av_recv.lsize} != gsmap local "
                     f"size {self.dst_gsmap.local_size(d)}")
             for peer, size, rows in self._pairs("recv", d):
-                if fused:
-                    av_recv.data[rows, :] = comm.recv(
-                        source=self._src_ranks[peer], tag=tag)
-                else:
-                    for col in range(av_recv.nfields):
-                        av_recv.data[rows, col] = comm.recv(
-                            source=self._src_ranks[peer], tag=tag)
+                av_recv.data[rows, :] = comm.recv(
+                    source=self._src_ranks[peer], tag=tag)
                 moved += size
         return moved
 

@@ -20,22 +20,15 @@ delivery, alltoall-style parallel data) lives in :mod:`repro.dca`.
 
 The high-throughput serving tier (:mod:`repro.prmi.serving`) layers an
 event-driven serve loop, adaptive invocation batching
-(:mod:`repro.prmi.frames`), pipelined futures, backpressure, and
-per-method transmission policies (:mod:`repro.prmi.policy`) on top of
-the lockstep endpoints.
+(:mod:`repro.prmi.frames`), pipelined futures, backpressure, and a
+per-port transmission policy (:mod:`repro.prmi.policy`) on top of the
+lockstep endpoints.
 """
 
 from repro.prmi.args import LazyParallelArg, ParallelArg
 from repro.prmi.endpoint import CalleeEndpoint, CallerEndpoint, InvocationStats
 from repro.prmi.frames import FrameError, decode_frame, encode_frame
-from repro.prmi.policy import (
-    Batched,
-    CachedRead,
-    OneWay,
-    PolicyTable,
-    Sync,
-    TransmissionPolicy,
-)
+from repro.prmi.policy import Batched, PolicyTable
 from repro.prmi.serving import (
     InvocationFuture,
     InvocationPipeline,
@@ -51,11 +44,7 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "FrameError",
-    "TransmissionPolicy",
-    "Sync",
-    "OneWay",
     "Batched",
-    "CachedRead",
     "PolicyTable",
     "ServerLoop",
     "InvocationPipeline",

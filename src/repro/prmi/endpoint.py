@@ -18,8 +18,7 @@ process-wide cache (built and compiled on the first call, a hit on every
 one after), and the data moves as schedule point-to-point messages.
 
 A pre-registered layout moves by *epoch* (the transmission-policy idea
-of arXiv 1006.3739, which :class:`~repro.prmi.policy.CachedRead`
-applies to results): a layout's epoch is a digest of its schedule-cache
+of arXiv 1006.3739, applied to the layout): a layout's epoch is a digest of its schedule-cache
 key, so equal layouts share one on every rank and across endpoints; the
 callers keep the ``(epoch, layout)`` the callee shipped them, and every
 invocation names the epoch they hold.  Per call and parallel argument:

@@ -16,7 +16,7 @@ production-scale north star needs:
   invocations into batch frames (:mod:`repro.prmi.frames`), returns
   :class:`InvocationFuture`\\ s instead of blocking per call, and
   enforces backpressure with a bounded in-flight window.  Transmission
-  policy (:mod:`repro.prmi.policy`) is chosen per method, orthogonal to
+  policy (:mod:`repro.prmi.policy`) is chosen per port, orthogonal to
   the method implementation.
 
 Wire protocol
@@ -63,7 +63,7 @@ from repro.prmi.endpoint import (
     reply_error,
 )
 from repro.prmi.frames import decode_frame, encode_frame
-from repro.prmi.policy import Batched, CachedRead, PolicyTable
+from repro.prmi.policy import Batched, PolicyTable
 from repro.simmpi.constants import ANY_SOURCE, frame_tag
 from repro.util.counters import PRMI_LATENCY, PRMI_STATS
 
@@ -76,6 +76,10 @@ __all__ = [
     "CONTROL_STREAM",
     "NOREPLY_SEQ",
 ]
+
+#: The caller's in-flight window and the :class:`ServerLoop`'s ingress
+#: queue depth.
+INFLIGHT_MAX = 1024
 
 
 class InvocationFuture:
@@ -138,22 +142,14 @@ class InvocationFuture:
         return f"InvocationFuture({self.method!r}, seq={self.seq}, {state})"
 
 
-def _completed(method: str, value: Any) -> InvocationFuture:
-    fut = InvocationFuture(method, NOREPLY_SEQ)
-    fut._settle(value=value)
-    return fut
-
-
 class _Route(NamedTuple):
-    """How one method's requests travel through a pipeline — every
-    decision that depends on the method and the policy table alone,
-    resolved on the method's first submit.  ``batched`` is the method's
-    :class:`~repro.prmi.policy.Batched` policy (its flush limits), or
-    ``None``: a request flushes on submit."""
+    """How one method's requests travel through a pipeline, resolved on
+    the method's first submit: whether a reply comes back, and the
+    port's :class:`~repro.prmi.policy.Batched` policy (its flush
+    limits), or ``None``: a request flushes on submit."""
 
     expects_reply: bool
     batched: Batched | None
-    cached: CachedRead | None
 
 
 class ServerLoop:
@@ -169,10 +165,11 @@ class ServerLoop:
     """
 
     def __init__(self, callee: CalleeEndpoint, *,
-                 queue_max: int | None = None):
+                 queue_max: int = INFLIGHT_MAX):
+        self.queue_max = config.at_least("queue_max", queue_max, 1,
+                                         PRMIError)
         self.callee = callee
         self.inter = callee.inter
-        self.queue_max = config.resolve("inflight_max", queue_max)
         self._stopped: set[int] = set()
         #: Dispatch tallies, returned by :meth:`serve_forever`.
         self.served = {"collective": 0, "frames": 0, "requests": 0,
@@ -274,7 +271,7 @@ class InvocationPipeline:
 
     Wraps a :class:`CallerEndpoint` whose callee cohort runs a
     :class:`ServerLoop`.  :meth:`submit` routes an independent
-    invocation through its method's transmission policy; batched
+    invocation through the port's transmission policy; batched
     requests coalesce into one frame per (caller, callee) flush.
     Collective calls go through the wrapped endpoint's
     :meth:`~repro.prmi.endpoint.CallerEndpoint.invoke` (:attr:`caller`);
@@ -283,26 +280,28 @@ class InvocationPipeline:
     resolves the oldest future to make room and ``overflow="raise"``
     raises :class:`ServerOverloaded` at the call site.
 
-    A method's route (spec checks, policy, reply expectation, batch
-    limits — a :class:`~repro.prmi.policy.Batched` policy's own) is
-    resolved on its first submit and kept; assigning
-    :attr:`policies` drops every route.  The ``inflight`` gauge of
-    :data:`~repro.util.counters.PRMI_STATS` is posted once per frame,
-    increments before decrements, so its peak stays exact.
+    The policy table is read once, here: its default is every
+    method's batching.  A method's route (spec checks, reply
+    expectation) is resolved on its first submit and kept.  The
+    ``inflight`` gauge of :data:`~repro.util.counters.PRMI_STATS` is
+    posted once per frame, increments before decrements, so its peak
+    stays exact.
     """
 
     def __init__(self, caller: CallerEndpoint, *,
                  policies: PolicyTable | None = None,
-                 inflight_max: int | None = None,
+                 inflight_max: int = INFLIGHT_MAX,
                  overflow: str = "block"):
         if overflow not in ("block", "raise"):
             raise PRMIError(
                 f"overflow policy must be 'block' or 'raise', "
                 f"got {overflow!r}")
+        self.inflight_max = config.at_least("inflight_max", inflight_max,
+                                            1, PRMIError)
         self.caller = caller
         self.inter = caller.inter
-        self.policies = policies if policies is not None else PolicyTable()
-        self.inflight_max = config.resolve("inflight_max", inflight_max)
+        self._batched = policies.default if policies is not None else None
+        self._routes: dict[str, _Route] = {}
         self.overflow = overflow
         #: callee -> [(seq, method, kwargs, future-or-None)], unsent.
         self._pending: dict[int, list] = {}
@@ -315,15 +314,6 @@ class InvocationPipeline:
         #: in-flight increments not yet posted to the gauge.
         self._unposted = 0
         self._closed = False
-
-    @property
-    def policies(self) -> PolicyTable:
-        return self._policies
-
-    @policies.setter
-    def policies(self, table: PolicyTable) -> None:
-        self._policies = table
-        self._routes: dict[str, _Route] = {}
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -366,18 +356,14 @@ class InvocationPipeline:
 
     def submit(self, method: str, callee_rank: int,
                **kwargs: Any) -> InvocationFuture | None:
-        """Route one independent invocation through its transmission
-        policy.  Returns an :class:`InvocationFuture` (already settled
-        for sync/cached policies), or ``None`` when no reply will travel
-        (one-way methods, :class:`~repro.prmi.policy.OneWay` policy)."""
+        """Route one independent invocation through the port's
+        transmission policy.  Returns an :class:`InvocationFuture`
+        (already settled when the table has no :class:`~repro.prmi.
+        policy.Batched` default), or ``None`` when no reply will travel
+        (one-way methods)."""
         if self._closed:
             raise PRMIError("pipeline is closed")
         route = self._routes.get(method) or self._route(method)
-        cached = route.cached
-        if cached is not None:
-            hit, value = cached.lookup(method, kwargs)
-            if hit:
-                return _completed(method, value)
         if self._inflight >= self.inflight_max:
             self._admit()
         PRMI_STATS.add("invocations")
@@ -403,11 +389,9 @@ class InvocationPipeline:
         if batched is None:
             self._flush_callee(callee_rank, "flush_forced")
             if fut is not None:
-                # Sync / cached-read contract: the reply is awaited
-                # before submit returns (the future comes back settled).
+                # Unbatched contract: the reply is awaited before submit
+                # returns (the future comes back settled).
                 self._drain_replies(callee_rank, fut)
-                if cached is not None and fut._error is None:
-                    cached.store(method, kwargs, fut._value)
         elif len(pend) >= batched.batch_max:
             self._flush_callee(callee_rank, "flush_full")
         elif (now - self._pending_t0[callee_rank]) * 1e6 >= batched.delay_us:
@@ -424,11 +408,7 @@ class InvocationPipeline:
             raise PRMIError(
                 "pipelined independent invocations cannot carry "
                 "parallel arguments")
-        policy = self._policies.for_method(spec)
-        route = _Route(
-            expects_reply=policy.expects_reply(spec),
-            batched=policy if isinstance(policy, Batched) else None,
-            cached=policy if isinstance(policy, CachedRead) else None)
+        route = _Route(expects_reply=not spec.oneway, batched=self._batched)
         self._routes[method] = route
         return route
 

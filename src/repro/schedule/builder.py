@@ -39,7 +39,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro import config
 from repro.errors import ScheduleError
 from repro.dad.axis import (
     AxisDistribution,
@@ -264,6 +263,10 @@ def build_linear_schedule(src: Linearization,
                                      (src.ownership(), dst.ownership()))
 
 
+#: The LRU bound of a :class:`ScheduleCache`.
+SCHEDULE_CACHE_MAX = 512
+
+
 class ScheduleCache:
     """Template-pair keyed, LRU-bounded schedule cache with statistics.
 
@@ -275,29 +278,21 @@ class ScheduleCache:
     plans serve every tier, so one template pair is one entry whichever
     tier replays it.
 
-    At most ``max_entries`` entries are retained (the
-    ``schedule_cache_max`` knob of :mod:`repro.config`, resolved per
-    insert so the variable is live; 512 pinned schedules is far beyond
-    any single coupling, small enough that a long-lived process cannot
-    grow without limit); least-recently-*used* entries are evicted and
-    counted in ``evictions``.
+    At most :data:`SCHEDULE_CACHE_MAX` entries are retained (512 pinned
+    schedules is far beyond any single coupling, small enough that a
+    long-lived process cannot grow without limit); least-recently-*used*
+    entries are evicted and counted in ``evictions``.
 
     All operations hold one lock, so threads-backend ranks sharing the
     process-global cache serialize on build and never duplicate work.
     """
 
-    def __init__(self, *, max_entries: int | None = None):
+    def __init__(self):
         self._lock = threading.Lock()
         self._cache: "OrderedDict[tuple, CommSchedule]" = OrderedDict()
-        self._max_entries = max_entries
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    @property
-    def max_entries(self) -> int:
-        """The currently effective LRU bound (0 = unbounded)."""
-        return config.resolve("schedule_cache_max", self._max_entries)
 
     def get(self, src: DistArrayDescriptor,
             dst: DistArrayDescriptor) -> CommSchedule:
@@ -310,11 +305,9 @@ class ScheduleCache:
                 return schedule
             self.misses += 1
             schedule = self._cache[key] = build_region_schedule(src, dst)
-            limit = self.max_entries
-            if limit:
-                while len(self._cache) > limit:
-                    self._cache.popitem(last=False)
-                    self.evictions += 1
+            while len(self._cache) > SCHEDULE_CACHE_MAX:
+                self._cache.popitem(last=False)
+                self.evictions += 1
             return schedule
 
     def stats(self) -> dict[str, int]:

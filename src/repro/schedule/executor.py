@@ -11,9 +11,10 @@ releases what the tier holds.  Everything else is that lifecycle:
 * an **intra-job** transfer binds a sender half and a receiver half on
   the same :class:`~repro.simmpi.communicator.Communicator` (peer
   translation = the cohort rank lists) instead of running a second
-  engine — a communicator and an intercommunicator expose the same
-  ``send``/``recv``/``prepost_recv`` shape, so a half never knows which
-  one its link is;
+  engine — a communicator and an intercommunicator share one
+  point-to-point core (``send``/``recv``/``wait_any``/``prepost_recv``,
+  ``local_comm``, the calling rank's mailbox), so a half never knows
+  which one its link is;
 * a **persistent channel** keeps the handle and calls ``step()`` per
   time step (:func:`bind`, re-exported as ``repro.schedule.bind``, is
   the one public constructor).
@@ -153,8 +154,7 @@ def resolve_tier(link, *, tier: str | None = None,
 
 def _windowed(link) -> bool:
     """Whether ``link``'s ranks can attach each other's RMA windows."""
-    comm = link.local_comm if isinstance(link, Intercommunicator) else link
-    return comm.job.transport.rma_capable
+    return link.local_comm.job.transport.rma_capable
 
 
 # -- the core -----------------------------------------------------------------
@@ -432,20 +432,19 @@ def _once(half: BoundTransfer) -> int:
 def execute_inter(schedule: CommSchedule, inter: Intercommunicator,
                   side: str, array: DistributedArray,
                   *, tag: int = TRANSFER_TAG, rank: int | None = None,
-                  peer_map: Sequence[int] | None = None,
-                  tier: str | None = None) -> int:
+                  peer_map: Sequence[int] | None = None) -> int:
     """Run ``schedule`` once across an intercommunicator; returns
     elements sent (``side="src"``) or received (``"dst"``).
 
-    ``rank``/``peer_map``/``tier`` as in :func:`bind`.  A one-shot never
-    takes the RMA tier (a window's setup is only worth it amortized over
-    steps).  On the threads backend the send side waits for the ready
+    ``rank``/``peer_map`` as in :func:`bind`.  A one-shot takes no tier:
+    it runs two-sided (a window's setup is only worth it amortized over
+    steps), see :func:`resolve_tier`.  On the threads backend the send side waits for the ready
     token of each pair above :data:`EAGER_MAX`, so both jobs must drive
     the transfer concurrently; a single-threaded harness binds the
     halves itself and drives ``arm``/``step``/``complete``.
     """
     return _once(bind(schedule, side, inter, array, tag=tag, rank=rank,
-                      peer_map=peer_map, tier=tier, one_shot=True))
+                      peer_map=peer_map, one_shot=True))
 
 
 def execute_intra(schedule: CommSchedule, comm: Communicator,
@@ -453,8 +452,7 @@ def execute_intra(schedule: CommSchedule, comm: Communicator,
                   dst_array: DistributedArray | None = None,
                   src_ranks: Sequence[int] | None = None,
                   dst_ranks: Sequence[int] | None = None,
-                  tag: int = TRANSFER_TAG,
-                  tier: str | None = None) -> int:
+                  tag: int = TRANSFER_TAG) -> int:
     """Run ``schedule`` once inside one communicator; returns the
     elements this rank received.
 
@@ -466,8 +464,8 @@ def execute_intra(schedule: CommSchedule, comm: Communicator,
     completes its receives — no barrier on either side, which is what
     experiment E9 counts; arming first means no rank's send waits on a
     token its peer has not sent.  Every participating rank calls
-    this collectively with the same schedule; ``tier`` is as in
-    :func:`resolve_tier` (``rma`` runs two-sided, as on every one-shot).
+    this collectively with the same schedule; like every one-shot it
+    runs two-sided (:func:`resolve_tier`).
     """
     src_ranks = list(src_ranks if src_ranks is not None
                      else range(schedule.src_nranks))
@@ -480,7 +478,7 @@ def execute_intra(schedule: CommSchedule, comm: Communicator,
         raise ScheduleError(
             f"need {schedule.dst_nranks} dest ranks, got {len(dst_ranks)}")
     me = comm.rank
-    kw = dict(tag=tag, tier=tier, one_shot=True)
+    kw = dict(tag=tag, one_shot=True)
     tx = rx = None
     if me in src_ranks:
         if src_array is None:

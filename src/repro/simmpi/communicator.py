@@ -5,6 +5,14 @@ matched on a per-communicator context id, so overlapping communicators
 (e.g. those produced by :meth:`Communicator.split`) never interfere —
 the property DCA relies on to scope process participation (paper §4.3).
 
+Point-to-point is one core, :class:`_Link`, which an
+:class:`~repro.simmpi.intercomm.Intercommunicator` shares: a
+communicator is the link whose remote group is its own job ranks, with
+one context for sending and receiving.  The two kinds differ only in
+the counters a send adds to — ``msgs`` (``internal_msgs`` on an
+internal tag), ``bytes`` and ``rank{r}.rx_bytes`` here, ``inter_msgs``
+and ``inter_bytes`` across jobs.
+
 Collectives are implemented over point-to-point with internal tags.  A
 per-rank collective sequence counter keeps internal tags aligned, which
 is sound under the usual MPI rule that all ranks of a communicator call
@@ -28,6 +36,7 @@ from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, INTERNAL_TAG_BASE
 from repro.simmpi.matching import Envelope, Mailbox
 from repro.simmpi.ops import resolve_op
 from repro.simmpi.status import Status
+from repro.simmpi.transport import JobRemoteGroup
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simmpi.runner import Job
@@ -60,44 +69,61 @@ class _TreeRaw:
         self.value = value
 
 
-class Communicator:
-    """An ordered group of ranks with isolated message context."""
+class _Link:
+    """The point-to-point core both communicator kinds share.
 
-    def __init__(self, job: "Job", context: int, rank: int,
-                 job_ranks: Sequence[int]):
-        self.job = job
-        self.context = context
-        self._rank = rank
-        #: communicator rank -> job rank
-        self.job_ranks = tuple(job_ranks)
-        self._coll_seq = 0
+    A link sends on ``_send_context`` to rank ``dest`` of its remote
+    group ``_remote`` (:class:`~repro.simmpi.transport.JobRemoteGroup`,
+    or its procs twin ``EndpointRemoteGroup``) and matches incoming
+    traffic on ``_recv_context`` in the calling rank's own mailbox.  A
+    :class:`Communicator` is the link whose remote group is its own job
+    ranks, with one context both ways; an
+    :class:`~repro.simmpi.intercomm.Intercommunicator` addresses another
+    job's ranks.  Only the counter keys differ, and they are class
+    attributes.
+    """
 
-    # -- identity -----------------------------------------------------------
+    #: The counter a send adds one to, by tag band: (application tag,
+    #: internal tag).
+    _MSG_KEYS = ("inter_msgs", "inter_msgs")
+    #: The counter a send adds its wire bytes to.
+    _BYTES_KEY = "inter_bytes"
+    #: The per-destination received-bytes counter, a pattern over the
+    #: destination's job rank, or ``None``.
+    _RX_BYTES_KEY: str | None = None
+
+    local_comm: "Communicator"
+    _send_context: int
+    _recv_context: int
+    _remote: Any
 
     @property
     def rank(self) -> int:
-        return self._rank
+        """This rank in the local group."""
+        return self.local_comm._rank
 
     @property
-    def size(self) -> int:
-        return len(self.job_ranks)
+    def remote_size(self) -> int:
+        return self._remote.size
 
     @property
-    def counters(self):
-        """The owning job's instrumentation counters."""
-        return self.job.counters
+    def recv_context(self) -> int:
+        """The context id this link matches incoming traffic on —
+        public so multi-stream receivers (the PRMI serve loop) can
+        compose :meth:`wait_any` specs mixing links."""
+        return self._recv_context
 
-    def _mailbox(self, comm_rank: int) -> Mailbox:
-        # receive-side only: backends may restrict this to the calling
-        # rank's own mailbox (the procs backend has no in-process peers)
-        return self.job.transport.mailbox(self.job_ranks[comm_rank])
+    def _my_mailbox(self) -> Mailbox:
+        # the calling rank's own mailbox: backends may support no other
+        # (the procs backend has no in-process peers)
+        comm = self.local_comm
+        return comm.job.transport.mailbox(comm.job_ranks[comm._rank])
 
-    def _check_rank(self, r: int, what: str) -> None:
-        if not (0 <= r < self.size):
+    def _check_peer(self, r: int) -> None:
+        if not (0 <= r < self._remote.size):
             raise CommunicatorError(
-                f"{what} rank {r} out of range for size-{self.size} communicator")
-
-    # -- point-to-point ------------------------------------------------------
+                f"remote rank {r} out of range (remote size "
+                f"{self._remote.size})")
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Buffered send: isolates ``obj`` and returns immediately.
@@ -107,19 +133,22 @@ class Communicator:
         caller may reuse its buffer once this returns — see
         :mod:`repro.simmpi.payload` for the ownership contract.
         """
-        self._check_rank(dest, "destination")
-        transport = self.job.transport
+        self._check_peer(dest)
+        job = self.local_comm.job
         data, nbytes, live = payload.wire_parts(
-            obj, isolate=transport.isolating)
+            obj, isolate=job.transport.isolating)
         # Collective-internal protocol traffic is counted separately so
         # benchmarks can report application data movement alone.
-        kind = "internal_msgs" if tag >= INTERNAL_TAG_BASE else "msgs"
-        self.job.counters.add(kind)
-        self.job.counters.add("bytes", nbytes)
-        self.job.counters.add(f"rank{self.job_ranks[dest]}.rx_bytes", nbytes)
-        transport.deliver(
-            self.job_ranks[dest],
-            Envelope(self.context, self._rank, tag, data, nbytes),
+        counters = job.counters
+        counters.add(self._MSG_KEYS[tag >= INTERNAL_TAG_BASE])
+        counters.add(self._BYTES_KEY, nbytes)
+        if self._RX_BYTES_KEY is not None:
+            counters.add(self._RX_BYTES_KEY.format(
+                self._remote.job_ranks[dest]), nbytes)
+        self._remote.deliver(
+            dest,
+            Envelope(self._send_context, self.local_comm._rank, tag, data,
+                     nbytes),
             live=live)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
@@ -127,30 +156,30 @@ class Communicator:
              return_status: bool = False) -> Any:
         """Blocking receive; returns the payload (and optionally a Status)."""
         if source != ANY_SOURCE:
-            self._check_rank(source, "source")
-        env = self._mailbox(self._rank).wait_match(
-            self.context, source, tag, timeout=timeout)
+            self._check_peer(source)
+        env = self._my_mailbox().wait_match(
+            self._recv_context, source, tag, timeout=timeout)
         if return_status:
             return env.payload, Status(env.source, env.tag, env.nbytes)
         return env.payload
 
-    @property
-    def recv_context(self) -> int:
-        """The context id this communicator matches incoming traffic on
-        — :attr:`context`; named as on an intercommunicator, so a
-        :meth:`wait_any` spec is built the same way over either link."""
-        return self.context
-
     def wait_any(self, specs, *, timeout: float | None = None) -> Envelope:
         """Block until a message matches any ``(context, source, tag)``
-        spec and return its :class:`~repro.simmpi.matching.Envelope`
-        (as :meth:`repro.simmpi.intercomm.Intercommunicator.wait_any`)."""
-        return self._mailbox(self._rank).wait_match_any(specs,
-                                                        timeout=timeout)
+        spec and return its :class:`~repro.simmpi.matching.Envelope`.
 
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
+        Contexts may name any link's :attr:`recv_context` of the calling
+        rank — one blocked wait drains every ingress stream an
+        event-driven server watches (see
+        :class:`repro.prmi.serving.ServerLoop`).
+        """
+        return self._my_mailbox().wait_match_any(specs, timeout=timeout)
+
+    def iprobe(self, source: int = ANY_SOURCE,
+               tag: int = ANY_TAG) -> Status | None:
         """Non-destructive test for a matching message."""
-        env = self._mailbox(self._rank).probe(self.context, source, tag)
+        if source != ANY_SOURCE:
+            self._check_peer(source)
+        env = self._my_mailbox().probe(self._recv_context, source, tag)
         if env is None:
             return None
         return Status(env.source, env.tag, env.nbytes)
@@ -163,9 +192,40 @@ class Communicator:
         :class:`~repro.simmpi.matching.PrepostSlot`; complete it with
         ``slot.wait()``."""
         if source != ANY_SOURCE:
-            self._check_rank(source, "source")
-        return self._mailbox(self._rank).prepost(
-            self.context, source, tag, sink)
+            self._check_peer(source)
+        return self._my_mailbox().prepost(
+            self._recv_context, source, tag, sink)
+
+
+class Communicator(_Link):
+    """An ordered group of ranks with isolated message context."""
+
+    _MSG_KEYS = ("msgs", "internal_msgs")
+    _BYTES_KEY = "bytes"
+    _RX_BYTES_KEY = "rank{}.rx_bytes"
+
+    def __init__(self, job: "Job", context: int, rank: int,
+                 job_ranks: Sequence[int]):
+        self.job = job
+        self.context = context
+        self._rank = rank
+        #: communicator rank -> job rank
+        self.job_ranks = tuple(job_ranks)
+        self._coll_seq = 0
+        self.local_comm = self
+        self._send_context = self._recv_context = context
+        self._remote = JobRemoteGroup(job, self.job_ranks)
+
+    # -- identity -----------------------------------------------------------
+
+    @property
+    def size(self) -> int:
+        return len(self.job_ranks)
+
+    @property
+    def counters(self):
+        """The owning job's instrumentation counters."""
+        return self.job.counters
 
     # -- collectives -----------------------------------------------------------
 
@@ -243,7 +303,7 @@ class Communicator:
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root``; every rank returns the value."""
-        self._check_rank(root, "root")
+        self._check_peer(root)
         tag = self._next_coll_tag()
         if self.size == 1:
             return obj
@@ -255,7 +315,7 @@ class Communicator:
         Subtree contributions merge up a binomial tree: P-1 messages in
         all, of which the root receives log P aggregated ones.
         """
-        self._check_rank(root, "root")
+        self._check_peer(root)
         tag = self._next_coll_tag()
         size = self.size
         vrank = (self._rank - root) % size

@@ -9,22 +9,23 @@ components (Fig. 3) and distributed frameworks need.
 
 Context ids for the two directions are allocated by the accepting side
 and shipped through the rendezvous slot, so intercomm traffic can never
-collide with either job's intra-communicators.
+collide with either job's intra-communicators.  The point-to-point
+verbs are the intra-communicator's own core
+(:class:`~repro.simmpi.communicator._Link`); only the remote group, the
+two contexts and the counter keys (``inter_msgs``/``inter_bytes``)
+differ.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Any, TYPE_CHECKING
 
 from repro.errors import CommunicatorError
 from repro.simmpi import payload
 from repro.simmpi import transport as _transport
-from repro.simmpi.communicator import Communicator, allocate_context
-from repro.simmpi.constants import ANY_SOURCE, ANY_TAG
-from repro.simmpi.matching import Envelope, Mailbox
-from repro.simmpi.status import Status
+from repro.simmpi.communicator import Communicator, _Link, allocate_context
 from repro.simmpi.transport import JobRemoteGroup
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -137,12 +138,14 @@ def _bcast_handle(comm: Communicator, info: Any) -> Any:
 default_nameservice = NameService()
 
 
-class Intercommunicator:
+class Intercommunicator(_Link):
     """Point-to-point channel between two jobs' rank groups.
 
     ``send(obj, dest)`` addresses rank ``dest`` of the *remote* group;
     ``recv(source)`` matches messages from remote rank ``source``.  The
     local intra-communicator remains available as :attr:`local_comm`.
+    The verbs are :class:`~repro.simmpi.communicator.Communicator`'s
+    own core; a send counts ``inter_msgs`` and ``inter_bytes``.
     """
 
     def __init__(self, local_comm: Communicator, recv_context: int,
@@ -155,98 +158,9 @@ class Intercommunicator:
         #: :class:`~repro.simmpi.transport.EndpointRemoteGroup` on procs
         self._remote = remote
 
-    # -- identity ---------------------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        """This process's rank in the local group."""
-        return self.local_comm.rank
-
-    @property
-    def local_size(self) -> int:
-        return self.local_comm.size
-
-    @property
-    def remote_size(self) -> int:
-        return self._remote.size
-
-    @property
-    def recv_context(self) -> int:
-        """The context id this side matches incoming traffic on —
-        public so multi-stream receivers (the PRMI serve loop) can
-        compose :meth:`wait_any` specs mixing this intercommunicator
-        with intra-communicator contexts."""
-        return self._recv_context
-
-    def _my_mailbox(self) -> Mailbox:
-        job_rank = self.local_comm.job_ranks[self.local_comm.rank]
-        return self.local_comm.job.transport.mailbox(job_rank)
-
-    # -- point-to-point -----------------------------------------------------
-
-    def _check_remote(self, r: int) -> None:
-        if not (0 <= r < self.remote_size):
-            raise CommunicatorError(
-                f"remote rank {r} out of range (remote size "
-                f"{self.remote_size})")
-
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        self._check_remote(dest)
-        data, nbytes, live = payload.wire_parts(
-            obj, isolate=self.local_comm.job.transport.isolating)
-        self.local_comm.job.counters.add("inter_msgs")
-        self.local_comm.job.counters.add("inter_bytes", nbytes)
-        self._remote.deliver(
-            dest,
-            Envelope(self._send_context, self.local_comm.rank, tag,
-                     data, nbytes),
-            live=live)
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-             *, timeout: float | None = None,
-             return_status: bool = False) -> Any:
-        if source != ANY_SOURCE:
-            self._check_remote(source)
-        env = self._my_mailbox().wait_match(
-            self._recv_context, source, tag, timeout=timeout)
-        if return_status:
-            return env.payload, Status(env.source, env.tag, env.nbytes)
-        return env.payload
-
-    def wait_any(self, specs, *, timeout: float | None = None) -> Envelope:
-        """Block until a message matches any ``(context, source, tag)``
-        spec and return its :class:`~repro.simmpi.matching.Envelope`.
-
-        Contexts may name this intercommunicator's :attr:`recv_context`
-        or any intra-communicator context of the same rank — one blocked
-        wait drains every ingress stream an event-driven server watches
-        (see :class:`repro.prmi.serving.ServerLoop`).
-        """
-        return self._my_mailbox().wait_match_any(specs, timeout=timeout)
-
-    def iprobe(self, source: int = ANY_SOURCE,
-               tag: int = ANY_TAG) -> Optional[Status]:
-        if source != ANY_SOURCE:
-            self._check_remote(source)
-        env = self._my_mailbox().probe(self._recv_context, source, tag)
-        if env is None:
-            return None
-        return Status(env.source, env.tag, env.nbytes)
-
-    def prepost_recv(self, sink, source: int = ANY_SOURCE,
-                     tag: int = ANY_TAG):
-        """Arm a preposted receive from remote rank ``source``: a
-        matching send writes its payload straight through ``sink`` (no
-        staging buffer).  Returns the
-        :class:`~repro.simmpi.matching.PrepostSlot`."""
-        if source != ANY_SOURCE:
-            self._check_remote(source)
-        return self._my_mailbox().prepost(
-            self._recv_context, source, tag, sink)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"Intercommunicator(local {self.rank}/{self.local_size}, "
-                f"remote size {self.remote_size})")
+        return (f"Intercommunicator(local {self.rank}/"
+                f"{self.local_comm.size}, remote size {self.remote_size})")
 
 
 def couple_jobs(src_job: "Job", dst_job: "Job",

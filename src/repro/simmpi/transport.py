@@ -129,8 +129,9 @@ def current_endpoint():
 
 
 class JobRemoteGroup:
-    """Delivery handle for the ranks of a remote job (an
-    intercommunicator's target) on threads: direct mailbox delivery."""
+    """Delivery handle for ranks of a job through its transport: a
+    communicator's own ranks on either backend, an intercommunicator's
+    remote job on threads."""
 
     def __init__(self, job, job_ranks: Sequence[int]):
         self.job = job

@@ -254,16 +254,14 @@ class Histogram(_Sharded):
 #: Process-wide PRMI serving accounting (:mod:`repro.prmi.serving`).
 #:
 #: Counters: ``invocations`` — requests admitted by a pipeline (batched,
-#: sync and one-way alike), ``frames_sent`` / ``frame_requests`` —
+#: unbatched and one-way alike), ``frames_sent`` / ``frame_requests`` —
 #: coalesced frames and the requests they carry (their ratio is the
 #: batch occupancy the A11 benchmark reports), ``frame_bytes`` —
 #: encoded frame payload bytes, ``flush_full`` / ``flush_deadline`` /
 #: ``flush_forced`` — why each flush fired (batch cap,
-#: ``REPRO_BATCH_DELAY_US`` deadline, or an explicit
-#: ``flush()``/``result()``), ``cached_read_hits`` — invocations
-#: answered from a CachedRead policy without touching the wire,
-#: ``overloads`` — admissions refused by backpressure (caller-side
-#: credit or the server's bounded queue).
+#: ``Batched.delay_us`` deadline, or an unbatched submit or an explicit
+#: ``flush()``/``result()``), ``overloads`` — admissions refused by
+#: backpressure (caller-side credit or the server's bounded queue).
 #:
 #: Gauge (via :meth:`Counters.gauge_add`): ``inflight`` — submitted-but-
 #: unresolved requests across pipelines, posted once per frame (a batch

@@ -192,22 +192,20 @@ def indices_calls(monkeypatch):
 
 
 def test_router_gapped_gsmap_byte_identical(indices_calls):
-    def main(comm, fused):
+    def main(comm):
         model = "atm" if comm.rank < 2 else "ocn"
         world = MCTWorld(comm, model)
         router = Router(world, "atm", "ocn", _BLOCKS, _GAPPED)
         pe = world.my_model_rank
         for _ in range(3):
             if model == "atm":
-                router.transfer(av_send=_fields(_BLOCKS, pe), fused=fused)
+                router.transfer(av_send=_fields(_BLOCKS, pe))
             else:
                 av = AttrVect(["a", "b"], _GAPPED.local_size(pe))
-                router.transfer(av_recv=av, fused=fused)
+                router.transfer(av_recv=av)
         return None if model == "atm" else (av, _fields(_GAPPED, pe))
 
-    for fused in (True, False):
-        before = len(indices_calls)
-        for got, want in run_spmd(4, main, fused)[2:]:
-            assert got.data.tobytes() == want.data.tobytes()
-        # each atm rank's Router expands each of its 2 pairs once
-        assert len(indices_calls) - before == 2 * 2
+    for got, want in run_spmd(4, main)[2:]:
+        assert got.data.tobytes() == want.data.tobytes()
+    # each atm rank's Router expands each of its 2 pairs once
+    assert len(indices_calls) == 2 * 2

@@ -54,40 +54,13 @@ def test_router_transfer_multi_field():
         np.testing.assert_array_equal(av["u"], gidx.astype(float) * 10)
 
 
-def test_router_unfused_same_result_more_messages():
-    gsize = 8
-
-    def main(comm, fused):
-        model = "a" if comm.rank == 0 else "b"
-        world = MCTWorld(comm, model)
-        src = GlobalSegMap.block(gsize, 1)
-        dst = GlobalSegMap.block(gsize, 1)
-        router = Router(world, "a", "b", src, dst)
-        if model == "a":
-            av = AttrVect.from_arrays({
-                "x": np.arange(gsize, dtype=float),
-                "y": np.ones(gsize),
-                "z": np.zeros(gsize)})
-            router.transfer(av_send=av, fused=fused)
-            return comm.counters.snapshot().get("msgs", 0)
-        av = AttrVect(["x", "y", "z"], gsize)
-        router.transfer(av_recv=av, fused=fused)
-        return av
-
-    fused_out = run_spmd(2, main, True)
-    unfused_out = run_spmd(2, main, False)
-    np.testing.assert_array_equal(fused_out[1].data, unfused_out[1].data)
-    # counters are job-global; the unfused run sends 3x the data messages
-
-
-def test_unfused_still_coalesces_runs_per_pair():
-    """``fused=False`` only unfuses fields: message count is
-    pairs x nfields, NOT runs x nfields — runs stay coalesced into one
-    buffer per rank pair either way."""
+def test_router_ships_one_block_per_pair():
+    """Every (src, dst) rank pair exchanges one message: its runs
+    coalesce into one block and its fields travel together — the
+    message count is the pair count, not runs x fields."""
     gsize = 12
-    nfields = 3
 
-    def main(comm, fused):
+    def main(comm):
         model = "a" if comm.rank == 0 else "b"
         world = MCTWorld(comm, model)
         src = GlobalSegMap.block(gsize, 1)
@@ -99,19 +72,19 @@ def test_unfused_still_coalesces_runs_per_pair():
                 "x": np.arange(gsize, dtype=float),
                 "y": np.ones(gsize),
                 "z": np.zeros(gsize)})
-            router.transfer(av_send=av, fused=fused)
+            router.transfer(av_send=av)
             return comm.counters.snapshot().get("msgs", 0) - before
-        av = AttrVect(["x", "y", "z"], dst.local_size(world.my_model_rank))
-        router.transfer(av_recv=av, fused=fused)
-        return av
+        pe = world.my_model_rank
+        av = AttrVect(["x", "y", "z"], dst.local_size(pe))
+        router.transfer(av_recv=av)
+        return dst.global_indices(pe), av
 
-    pairs = 2  # one source rank feeding two destination ranks
-    assert run_spmd(3, main, True)[0] == pairs
-    assert run_spmd(3, main, False)[0] == pairs * nfields
-    fused_out = run_spmd(3, main, True)
-    unfused_out = run_spmd(3, main, False)
-    for f, u in zip(fused_out[1:], unfused_out[1:]):
-        np.testing.assert_array_equal(f.data, u.data)
+    out = run_spmd(3, main)
+    assert out[0] == 2  # one source rank feeding two destination ranks
+    for gidx, av in out[1:]:
+        np.testing.assert_array_equal(av["x"], gidx.astype(float))
+        np.testing.assert_array_equal(av["y"], np.ones(len(gidx)))
+        np.testing.assert_array_equal(av["z"], np.zeros(len(gidx)))
 
 
 def test_router_validates_sizes():

@@ -13,16 +13,15 @@ from repro.cca.sidl import arg, method, port
 from repro.errors import ServerOverloaded, SimpleArgumentMismatch
 from repro.prmi import (
     Batched,
-    CachedRead,
     CalleeEndpoint,
     CallerEndpoint,
     InvocationPipeline,
     PolicyTable,
     ServerLoop,
-    Sync,
 )
 from repro.prmi.endpoint import _args_equal
-from repro.simmpi import NameService, run_coupled
+from repro.prmi.serving import INFLIGHT_MAX
+from repro.simmpi import run_coupled
 from repro.simmpi.intercomm import default_nameservice
 from repro.util.counters import PRMI_STATS
 
@@ -33,7 +32,6 @@ PORT = port(
     method("echo_m", arg("x")),
     method("add", arg("a"), arg("b"), invocation="independent"),
     method("scale", arg("v"), invocation="independent"),
-    method("get_config", arg("key"), invocation="independent"),
     method("note", arg("msg"), oneway=True, returns=False,
            invocation="independent"),
 )
@@ -53,14 +51,11 @@ class ServeImpl:
     def scale(self, v):
         return v * 2.0
 
-    def get_config(self, key):
-        return {"key": key, "rank": self.comm.rank}
-
     def note(self, msg):
         self.notes.append(msg)
 
 
-def _callee(comm, service, queue_max=None):
+def _callee(comm, service, queue_max=INFLIGHT_MAX):
     inter = default_nameservice.accept(service, comm)
     ep = CalleeEndpoint(comm, inter, PORT, ServeImpl(comm))
     loop = ServerLoop(ep, queue_max=queue_max)
@@ -91,15 +86,15 @@ def _interleave_caller(comm, service, n):
     coll = pipe.caller.invoke("echo_m", x=7)
     batched = [f.result() for f in futs]
     batched_arr = arr_fut.result()
-    # The same requests again, unbatched (sync per-request frames), and
-    # through the classic per-message independent path the loop also
-    # serves: all three executions must agree exactly.
-    sync_pipe_results = []
-    sync_table = PolicyTable(default=Sync())
-    pipe.policies = sync_table
-    for i in range(10):
-        sync_pipe_results.append(
-            pipe.submit("add", callee, a=i, b=comm.rank).result())
+    # The same requests again through a separate unbatched pipeline
+    # on the same endpoint (one frame per submit), and as lockstep
+    # independent calls the loop also serves: all three executions
+    # must agree exactly.
+    pipe.drain()
+    unbatched_pipe = InvocationPipeline(pipe.caller)
+    sync_pipe_results = [
+        unbatched_pipe.submit("add", callee, a=i, b=comm.rank).result()
+        for i in range(10)]
     unbatched = [pipe.caller.invoke_independent("add", callee,
                                                 a=i, b=comm.rank)
                  for i in range(10)]
@@ -134,21 +129,23 @@ def test_batched_oneway_interleave_matches_unbatched(backend):
         assert tallies["requests"] >= 11
 
 
-# -- policy swap mid-life ------------------------------------------------------
+# -- an unbatched pipeline ----------------------------------------------------
 
 _SHIP = ("frames_sent", "flush_forced", "frame_requests")
 
 
-def _policy_swap_caller(comm, service):
+def _unbatched_caller(comm, service):
     table = PolicyTable(default=Batched(batch_max=64, delay_us=10**7))
     pipe = _pipeline(comm, service, policies=table)
     batched = [pipe.submit("add", 0, a=i, b=0) for i in range(3)]
     batched = [f.result() for f in batched]
-    pipe.policies = PolicyTable(default=Sync())
+    # a second pipeline on the same endpoint, with no table: the table
+    # is read once, at construction
+    unbatched = InvocationPipeline(pipe.caller)
     shipped, synced = [], []
     for i in range(3):
         before = PRMI_STATS.snapshot()
-        fut = pipe.submit("add", 0, a=i, b=1)
+        fut = unbatched.submit("add", 0, a=i, b=1)
         after = PRMI_STATS.snapshot()
         shipped.append(tuple(after.get(k, 0) - before.get(k, 0)
                              for k in _SHIP))
@@ -159,13 +156,12 @@ def _policy_swap_caller(comm, service):
 
 @pytest.mark.parametrize("backend", BACKENDS,
                          ids=[f"backend-{b}" for b in BACKENDS])
-def test_policy_swap_takes_effect_on_the_next_submit(backend):
-    """A pipeline resolves each method's route once; assigning a new
-    policy table must drop those routes, so the next submit ships as
-    its own frame under the new policy."""
+def test_unbatched_pipeline_ships_each_submit_as_its_own_frame(backend):
+    """A pipeline whose table has no ``Batched`` default ships every
+    submit as its own frame and hands back a settled future."""
     out = run_coupled([
-        ("callee", 1, _callee, ("serve-swap",)),
-        ("caller", 1, _policy_swap_caller, ("serve-swap",)),
+        ("callee", 1, _callee, ("serve-unbatched",)),
+        ("caller", 1, _unbatched_caller, ("serve-unbatched",)),
     ], backend=backend)
     batched, shipped, synced = out["caller"][0]
     assert batched == [0, 1, 2]
@@ -342,33 +338,6 @@ def test_inflight_cap_block_policy_makes_progress():
         ("caller", 1, _inflight_block_caller, ("serve-inflight-block",)),
     ])
     assert out["caller"][0] == list(range(12))
-
-
-# -- cached-read policy -------------------------------------------------------
-
-def _cached_caller(comm, service):
-    cache = CachedRead()
-    table = PolicyTable(get_config=cache)
-    pipe = _pipeline(comm, service, policies=table)
-    a = pipe.submit("get_config", 0, key="alpha").result()
-    b = pipe.submit("get_config", 0, key="alpha").result()   # cache hit
-    c = pipe.submit("get_config", 0, key="beta").result()
-    pipe.policies = PolicyTable(get_config=CachedRead())     # fresh cache
-    d = pipe.submit("get_config", 0, key="alpha").result()   # refetched
-    pipe.close()
-    return a, b, c, d
-
-
-def test_cached_read_hits_skip_the_wire():
-    out = run_coupled([
-        ("callee", 1, _callee, ("serve-cached",)),
-        ("caller", 1, _cached_caller, ("serve-cached",)),
-    ])
-    a, b, c, d = out["caller"][0]
-    assert a == b == d == {"key": "alpha", "rank": 0}
-    assert c == {"key": "beta", "rank": 0}
-    # 4 results, but only 3 requests crossed the wire.
-    assert out["callee"][0]["requests"] == 3
 
 
 # -- _args_equal dtype regression --------------------------------------------

@@ -43,7 +43,7 @@ def _same_bytes(parts, truth):
 
 # -- the tier-equivalence matrix ----------------------------------------------
 
-def _intra(src_desc, dst_desc, tier, steps):
+def _intra(src_desc, dst_desc, steps):
     """``steps`` one-shot transfers inside one job; returns per-step
     (assembled-bytes-ok, data messages, barriers)."""
     sched = build_region_schedule(src_desc, dst_desc)
@@ -59,8 +59,7 @@ def _intra(src_desc, dst_desc, tier, steps):
                    if comm.rank < dst_desc.nranks else None)
             execute_intra(sched, comm, src_array=src, dst_array=dst,
                           src_ranks=range(src_desc.nranks),
-                          dst_ranks=range(dst_desc.nranks),
-                          tier=tier)
+                          dst_ranks=range(dst_desc.nranks))
             return dst, comm.counters   # shared per job; read after join
 
         res = run_spmd(n, main)
@@ -76,12 +75,13 @@ def _inter(src_desc, dst_desc, tier, steps, persistent):
     per-step (assembled-bytes-ok, data messages sent by the producers,
     acks sent by the consumers)."""
     sched = build_region_schedule(src_desc, dst_desc)
-    kw = dict(tag=77, tier=tier)
+    kw = dict(tag=77)
 
     def producer(comm):
         inter = default_nameservice.accept("matrix", comm)
         da = DistributedArray.allocate(src_desc, comm.rank)
-        tx = bind(sched, "src", inter, da, **kw) if persistent else None
+        tx = (bind(sched, "src", inter, da, tier=tier, **kw) if persistent
+              else None)
         for step in range(steps):
             da.flat_local()[:] = DistributedArray.from_global(
                 src_desc, comm.rank, _truth(src_desc.shape, step)).flat_local()
@@ -95,7 +95,7 @@ def _inter(src_desc, dst_desc, tier, steps, persistent):
     def consumer(comm):
         inter = default_nameservice.connect("matrix", comm)
         da = DistributedArray.allocate(dst_desc, comm.rank)
-        rx = (bind(sched, "dst", inter, da, **kw) if persistent
+        rx = (bind(sched, "dst", inter, da, tier=tier, **kw) if persistent
               else None)
         snaps = []
         for _ in range(steps):
@@ -131,11 +131,14 @@ def _inter(src_desc, dst_desc, tier, steps, persistent):
 class TestTierEquivalence:
     """Every request moves the same bytes in one packed message per
     communicating pair: threads cannot attach windows, so ``rma`` runs
-    two-sided here (the procs RMA tier is tested below)."""
+    two-sided here (the procs RMA tier is tested below).  A one-shot
+    takes no tier argument; ``tier`` is then the ``REPRO_TIER`` it runs
+    under, which it only validates."""
 
-    def test_intra_one_shot(self, src_t, dst_t, tier):
+    def test_intra_one_shot(self, src_t, dst_t, tier, monkeypatch):
+        monkeypatch.setenv("REPRO_TIER", tier)
         src_desc, dst_desc = _descs(src_t, dst_t)
-        sched, steps = _intra(src_desc, dst_desc, tier, STEPS)
+        sched, steps = _intra(src_desc, dst_desc, STEPS)
         for ok, msgs, barriers in steps:
             assert ok
             # one packed message per communicating pair, no barrier
@@ -143,7 +146,8 @@ class TestTierEquivalence:
 
     @pytest.mark.parametrize("persistent", [False, True],
                              ids=["one-shot", "persistent"])
-    def test_inter(self, src_t, dst_t, tier, persistent):
+    def test_inter(self, src_t, dst_t, tier, persistent, monkeypatch):
+        monkeypatch.setenv("REPRO_TIER", tier)
         src_desc, dst_desc = _descs(src_t, dst_t)
         sched, oks, sent, acks = _inter(src_desc, dst_desc, tier, STEPS,
                                         persistent)

@@ -19,6 +19,7 @@ from repro.schedule import (
     build_region_schedule,
     compile_delta,
 )
+from repro.schedule import builder
 from repro.schedule.delta import DeltaSchedule
 from repro.schedule.indexplan import PLAN_STATS
 from repro.verify.schedule import verify_delta_equivalence
@@ -215,8 +216,9 @@ def test_first_resize_back_compiles_each_side_once():
 # -- the bounded cache ------------------------------------------------------
 
 
-def test_cache_lru_eviction_and_counters():
-    cache = ScheduleCache(max_entries=2)
+def test_cache_lru_eviction_and_counters(monkeypatch):
+    monkeypatch.setattr(builder, "SCHEDULE_CACHE_MAX", 2)
+    cache = ScheduleCache()
     cache.get(B8, B10)
     cache.get(GB8, GB10)
     cache.get(B8, B10)  # refresh recency
@@ -232,18 +234,16 @@ def test_cache_lru_eviction_and_counters():
                              "evictions": 0, "entries": 0}
 
 
-def test_cache_max_env_knob(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULE_CACHE_MAX", "1")
+def test_cache_bound_is_read_per_insert(monkeypatch):
+    """The LRU bound is :data:`~repro.schedule.builder.SCHEDULE_CACHE_MAX`
+    (no knob sets it), read on every insert."""
+    assert builder.SCHEDULE_CACHE_MAX == 512
+    monkeypatch.setattr(builder, "SCHEDULE_CACHE_MAX", 1)
     cache = ScheduleCache()
-    assert cache.max_entries == 1
     cache.get(B8, B10)
     cache.get(GB8, GB10)
     assert len(cache) == 1 and cache.evictions == 1
-    monkeypatch.setenv("REPRO_SCHEDULE_CACHE_MAX", "0")  # unbounded
+    monkeypatch.setattr(builder, "SCHEDULE_CACHE_MAX", 3)
     cache.get(B8, B10)
     cache.get(B10, B8)
-    assert len(cache) == 3
-    monkeypatch.setenv("REPRO_SCHEDULE_CACHE_MAX", "-3")
-    with pytest.raises(ScheduleError, match="REPRO_SCHEDULE_CACHE_MAX"):
-        cache.get(GB10, GB8)
-    assert ScheduleCache(max_entries=3).max_entries == 3  # arg beats env
+    assert len(cache) == 3 and cache.evictions == 1

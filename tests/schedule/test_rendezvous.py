@@ -251,6 +251,44 @@ def test_an_intra_job_transpose_above_the_limit_lends_every_pair_once():
     assert TRANSPORT_STATS.get("direct_deliveries") == 4
 
 
+def _persistent_intra(comm, extent):
+    # one Communicator carries both halves of every rank: the link kind
+    # must not matter to a put pair
+    desc = DistArrayDescriptor(block_template((extent,), (comm.size,)))
+    sched = GLOBAL_CACHE.get(desc, desc)
+    src = DistributedArray.from_global(desc, comm.rank, _truth(extent, 0))
+    dst = DistributedArray.allocate(desc, comm.rank)
+    puts = TRANSPORT_STATS.get("rma_puts")
+    rx = bind(sched, "dst", comm, dst)   # receivers first: the handle
+    tx = bind(sched, "src", comm, src)   # travels to the sender's bind
+    same = []
+    for step in range(STEPS):
+        want = DistributedArray.from_global(desc, comm.rank,
+                                            _truth(extent, step))
+        src.flat_local()[:] = want.flat_local()
+        rx.arm()
+        tx.step()
+        rx.complete()
+        same.append(dst.flat_local().tobytes() == want.flat_local().tobytes())
+    puts = TRANSPORT_STATS.get("rma_puts") - puts
+    tx.close()
+    rx.close()
+    return same, puts
+
+
+def test_a_persistent_intra_job_bind_puts_pairs_above_the_limit():
+    """Halves bound on one ``Communicator`` on procs put each pair above
+    ``EAGER_MAX`` (4 MiB here) into the receiver's window, exactly as
+    halves bound on an intercommunicator do."""
+    extent = 1 << 20
+    assert extent // 2 > LIMIT
+    res = run_spmd(2, _persistent_intra, extent, deadlock_timeout=60.0,
+                   backend="procs")
+    for same, puts in res:
+        assert same == [True] * STEPS
+        assert puts > 0
+
+
 def _publish(comm):
     src_desc, _ = _descs(MIXED)
     da = DistributedArray.from_global(src_desc, comm.rank, _truth(MIXED, 0))

@@ -9,7 +9,14 @@
   public method of a module-level class is named in ``src/``,
   ``bench/``, ``benchmarks/`` or ``examples/`` outside its own body.
   Tests, ``__all__`` lists and package ``__init__`` re-exports do not
-  count; :data:`KEEP` names the few definitions that stay anyway."""
+  count.
+* Classes: every public module-level class is *used* there outside its
+  own body — called, subclassed, an attribute read, or passed as a
+  value.  Being the class argument of ``isinstance``/``issubclass``,
+  an annotation, an import or an ``__all__`` entry is no use: a class
+  only its own dispatch names is never constructed.
+
+:data:`KEEP` names the few definitions that stay anyway."""
 
 import ast
 from pathlib import Path
@@ -48,6 +55,9 @@ KEEP = {
         "§1: component filters \"for spatial and temporal interpolation\"",
     "pubsub/endpoints.py:Subscriber.leave":
         "§5: XChangemxn's \"dynamic arrivals and departures of components\"",
+    "dca/engine.py:DCAParallelArg":
+        "§4.3: the user defines the data distribution layout using "
+        "\"displacement and count arrays\"",
 }
 
 
@@ -174,9 +184,78 @@ def test_every_public_definition_is_referenced():
         f"docstring quotes")
 
 
+def _class_uses(path: Path, uses: dict[str, list]) -> None:
+    """Add every class use ``path`` makes to ``uses``: name -> the
+    definitions enclosing each one.  A loaded ``Name`` or ``Attribute``
+    is a use — a call, a base, an attribute read, a value passed on —
+    unless it sits in an annotation, the class argument of
+    ``isinstance``/``issubclass`` or ``__all__``; imports and strings
+    never are."""
+    tree = ast.parse(path.read_text(), str(path))
+    members = {id(node) for _, node in _members(tree)}
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            skip.add(id(node.annotation))
+        elif isinstance(node, DEFS[:2]) and node.returns is not None:
+            skip.add(id(node.returns))
+        elif isinstance(node, ast.AnnAssign):
+            skip.add(id(node.annotation))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("isinstance", "issubclass")
+              and len(node.args) == 2):
+            skip.add(id(node.args[1]))
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            skip.add(id(node))
+
+    def walk(node: ast.AST, owners: frozenset) -> None:
+        if id(node) in skip:
+            return
+        if id(node) in members:
+            owners = owners | {id(node)}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            uses.setdefault(node.id, []).append(owners)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            uses.setdefault(node.attr, []).append(owners)
+        for child in ast.iter_child_nodes(node):
+            walk(child, owners)
+
+    walk(tree, frozenset())
+
+
+def _unused_classes() -> list[str]:
+    """The public module-level classes nothing outside ``tests/`` uses
+    outside their own body."""
+    uses: dict[str, list] = {}
+    for top in TOPS:
+        for path in (ROOT / top).rglob("*.py"):
+            _class_uses(path, uses)
+    return sorted(
+        key for key, (name, node) in _public_defs().items()
+        if isinstance(node, ast.ClassDef)
+        and not any(id(node) not in owners for owners in uses.get(name, ())))
+
+
+def test_every_public_class_is_used():
+    """Every public module-level class is constructed, subclassed, read
+    or passed on by ``src/``, ``bench/``, ``benchmarks/`` or
+    ``examples/`` — or is on :data:`KEEP`.  A class that only an
+    ``isinstance`` test names is never made outside ``tests/``
+    (ROADMAP item 11)."""
+    flagged = [key for key in _unused_classes() if key not in KEEP]
+    assert not flagged, (
+        f"public classes nothing outside tests/ uses: "
+        f"{', '.join(flagged)} — delete them, or keep one on KEEP with "
+        f"the paper passage its docstring quotes")
+
+
 def test_keep_list_names_only_flagged_definitions():
-    """A :data:`KEEP` entry must exist and be flagged: once something
-    outside ``tests/`` names it, or it is gone, its entry goes too."""
+    """A :data:`KEEP` entry must exist and be flagged by a rule: once
+    something outside ``tests/`` uses it, or it is gone, its entry goes
+    too."""
     assert len(KEEP) <= 12
-    stale = sorted(set(KEEP) - set(_unreferenced()))
+    stale = sorted(set(KEEP) - set(_unreferenced()) - set(_unused_classes()))
     assert not stale, f"KEEP entries the census no longer flags: {stale}"

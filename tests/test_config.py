@@ -1,10 +1,11 @@
 """The knob table (:mod:`repro.config`): one rule for every knob.
 
 ``EXPECTED`` is written by hand, not derived from the registry, so a
-changed variable name, default, bound or error class fails here.  Its
-rows carry the assertions of the per-resolver tests this file replaced
-(``ScheduleError`` for the tier and schedule-cache knobs, ``PRMIError``
-for the serving knobs, ``ValueError`` for the backend and the flags).
+changed variable name, default or error class fails here.  Its rows
+carry the assertions of the per-resolver tests this file replaced
+(``ScheduleError`` for the tier knob, ``ValueError`` for the backend
+and the flags).  The limits that are constructor arguments, not knobs,
+raise their owner's error naming the argument (``LIMITS``).
 """
 
 import os
@@ -16,6 +17,7 @@ import pytest
 
 from repro import config
 from repro.errors import PRMIError, ScheduleError
+from repro.prmi import Batched, InvocationPipeline, ServerLoop
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -30,24 +32,21 @@ EXPECTED = {
     "tier": ("REPRO_TIER", "two_sided", ScheduleError,
              {"rma": "rma", "Two_Sided": "two_sided"},
              ["bogus", "p2p", "1", "collective", "auto"]),
-    "schedule_cache_max": ("REPRO_SCHEDULE_CACHE_MAX", 512, ScheduleError,
-                           {"7": 7, "0": 0}, ["-3", "lots"]),
-    "batch_max": ("REPRO_BATCH_MAX", 32, PRMIError,
-                  {"4": 4, "1": 1}, ["0", "many"]),
-    "batch_delay_us": ("REPRO_BATCH_DELAY_US", 200, PRMIError,
-                       {"50": 50, "0": 0}, ["-1", "soon"]),
-    "inflight_max": ("REPRO_INFLIGHT_MAX", 1024, PRMIError,
-                     {"8": 8, "1": 1}, ["0", "many"]),
 }
+
+#: Variables of retired knobs: a set one is an ``unknown`` CLI row.
+RETIRED = ("REPRO_MEM_CEILING", "REPRO_RMA", "REPRO_PLANNER",
+           "REPRO_TRANSPORT_DEBUG", "REPRO_ROUND_BYTES",
+           "REPRO_SCHEDULE_CACHE_MAX", "REPRO_BATCH_MAX",
+           "REPRO_BATCH_DELAY_US", "REPRO_INFLIGHT_MAX")
 
 ROWS = [pytest.param(name, *row, id=name) for name, row in EXPECTED.items()]
 FLAGS = [name for name, row in EXPECTED.items() if isinstance(row[1], bool)]
 
 
-def test_registry_is_exactly_the_eight_knobs():
-    assert len(EXPECTED) == 8
-    for retired in ("REPRO_MEM_CEILING", "REPRO_RMA", "REPRO_PLANNER",
-                    "REPRO_TRANSPORT_DEBUG", "REPRO_ROUND_BYTES"):
+def test_registry_is_exactly_the_four_knobs():
+    assert len(EXPECTED) == 4
+    for retired in RETIRED:
         assert retired not in str(EXPECTED)
     assert [(k.name, k.env) for k in config.KNOBS.values()] == \
         [(name, row[0]) for name, row in EXPECTED.items()]
@@ -86,9 +85,31 @@ def test_rejected_values_raise_the_rows_error(monkeypatch, name, env,
         monkeypatch.delenv(env)
         with pytest.raises(error, match=env):
             config.resolve(name, text)
-    if isinstance(default, int) and not isinstance(default, bool):
-        with pytest.raises(error, match=env):
-            config.resolve(name, 2.5)
+
+
+#: Limits no deployment sets: id -> (construct with the value, the
+#: argument's name, its lower bound).  An owner needs no live link to
+#: check its arguments.
+_NO_LINK = type("NoLink", (), {"inter": None})()
+LIMITS = {
+    "batch_max": (lambda v: Batched(batch_max=v), "batch_max", 1),
+    "delay_us": (lambda v: Batched(delay_us=v), "delay_us", 0),
+    "inflight_max": (lambda v: InvocationPipeline(_NO_LINK, inflight_max=v),
+                     "inflight_max", 1),
+    "queue_max": (lambda v: ServerLoop(_NO_LINK, queue_max=v),
+                  "queue_max", 1),
+}
+
+
+@pytest.mark.parametrize("make, arg, lower", LIMITS.values(),
+                         ids=list(LIMITS))
+def test_limits_raise_the_owners_error_naming_the_argument(make, arg, lower):
+    """A limit is a module constant its constructor argument overrides;
+    an argument out of range raises ``PRMIError`` naming it."""
+    assert make(lower) is not None
+    for bad in (lower - 1, 2.5, "4"):
+        with pytest.raises(PRMIError, match=f"{arg} must be an integer"):
+            make(bad)
 
 
 @pytest.mark.parametrize("name", FLAGS)
@@ -150,13 +171,14 @@ def test_cli_flags_set_variables_that_name_no_knob():
     done = _python("-m", "repro.config", REPRO_RMA="1",
                    REPRO_PLANNER="auto", REPRO_MEM_CEILING="4096",
                    REPRO_ROUND_BYTES="65536", REPRO_TRANSPORT_DEBUG="1",
-                   REPRO_SHM_GONE="")
+                   REPRO_BATCH_MAX="4", REPRO_SHM_GONE="")
     assert done.returncode == 1, done.stderr
     rows = dict((line.split()[0], line.split()[1:])
                 for line in done.stdout.splitlines())
     assert list(rows)[:len(EXPECTED)] == [row[0] for row in EXPECTED.values()]
     assert {var: row for var, row in rows.items()
             if row[-1] == "unknown"} == {
+        "REPRO_BATCH_MAX": ["4", "unknown"],
         "REPRO_MEM_CEILING": ["4096", "unknown"],
         "REPRO_PLANNER": ["auto", "unknown"],
         "REPRO_RMA": ["1", "unknown"],
