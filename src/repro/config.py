@@ -87,8 +87,8 @@ KNOBS = {k.name: k for k in (
          "Happens-before race sanitizer over the shared-memory protocols."),
     Knob("tier", "REPRO_TIER", "choice", "two_sided",
          ("two_sided", "rma"), ScheduleError,
-         "Eager messages (above `EAGER_MAX` puts on procs, ready tokens on "
-         "threads) or puts for every pair."),
+         "Eager messages (puts above `EAGER_MAX`) or puts for every "
+         "pair."),
 )}
 
 

@@ -210,18 +210,18 @@ class Channel:
     The execution tier is resolved once, at open, from the ``tier``
     request by :func:`~repro.schedule.executor.resolve_tier` (its table
     says what each tier costs and releases); both sides must request
-    the same ``tier`` (:meth:`Coupler.open` checks).  On the procs
-    backend a pair may go by *put*: the consumer's array lives inside a
-    shared window and ``push`` writes that pair straight into it, after
-    waiting for the consumer's matching ``pull``.  ``tier="rma"`` puts
-    every pair; the default ``two_sided`` puts the pairs above
-    :data:`~repro.schedule.executor.EAGER_MAX` wire bytes (MPI's
-    rendezvous) and sends the rest as buffered messages that never
-    wait.  On the threads backend those pairs wait for the consumer's
-    ``pull`` too, for its ready token instead of its window.  Producer
-    and consumer of a channel that waits proceed in lockstep — two
-    programs that each push before pulling the reverse channel need one
-    whose pairs stay eager (or pre-arm) to avoid a cycle.
+    the same ``tier`` (:meth:`Coupler.open` checks).  A pair may go by
+    *put*, on either backend: the consumer's array is exposed as a
+    window (on procs it moves into a shared segment; on threads the
+    array itself is the window) and ``push`` writes that pair straight
+    into it, after waiting for the consumer's matching ``pull``.
+    ``tier="rma"`` puts every pair; the default ``two_sided`` puts the
+    pairs above :data:`~repro.schedule.executor.EAGER_MAX` wire bytes
+    (MPI's rendezvous) and sends the rest as buffered messages that
+    never wait.  Producer and consumer of a channel that waits proceed
+    in lockstep — two programs that each push before pulling the
+    reverse channel need one whose pairs stay eager (or pre-arm) to
+    avoid a cycle.
     """
 
     def __init__(self, inter: Intercommunicator, role: str,
@@ -237,8 +237,8 @@ class Channel:
 
     @property
     def mode(self) -> str:
-        """The resolved execution tier: ``"two_sided"`` (put and token
-        pairs included) or ``"rma"``."""
+        """The resolved execution tier: ``"two_sided"`` (put pairs
+        above the eager limit included) or ``"rma"``."""
         return self._transfer.tier
 
     def push(self) -> None:

@@ -127,17 +127,17 @@ class MxNConnection:
 
     The execution tier follows the ``tier`` knob
     (:func:`~repro.schedule.executor.resolve_tier`).  A one-shot
-    connection is the same path, never a put (a window is only worth its
-    setup amortized over steps), closed after its single transfer.  A
+    connection is the same path, closed after its single transfer.  A
     persistent one holds its transfer across cycles — pooled pack
     buffers on the source, recv-into-destination on the other side —
-    until :meth:`close`.  On the procs backend its pairs above
+    until :meth:`close`.  Its pairs above
     :data:`~repro.schedule.executor.EAGER_MAX` wire bytes are put
     straight into the destination's window even when two-sided (every
     pair is on the ``rma`` tier), so a source's ``data_ready`` waits for
-    the destination's matching cycle on those pairs; on the threads
-    backend it waits for the destination's ready token on them, one-shot
-    or persistent.
+    the destination's matching cycle on those pairs — one-shot or
+    persistent on threads, persistent on procs (a procs one-shot sends
+    every pair eager: a shared window is only worth its setup amortized
+    over steps).
     """
 
     def __init__(self, spec: ConnectionSpec, inter: Intercommunicator,

@@ -36,38 +36,30 @@ Every verb of a closed transfer raises
 The two tiers are the same pair of halves over that shared core
 (``picked when`` is :func:`resolve_tier`'s rule): a pair goes *eager*
 (one lent message into a sink the receiver preposts) or, above the
-tier's ``eager_max`` wire bytes, by *rendezvous*.  Over an
-``rma_capable`` transport (procs) a rendezvous pair is a *put*
-(``wait_open → put → commit`` straight into the receiver's shared
-window, the array rebased into it at bind); over one with no windows
-(threads) it is a *token* pair (the receiver's ``arm`` preposts the sink
-and then sends a ready token on ``READY_TAG_BASE`` + the data tag; the
-sender receives it before it lends the pair, so the lent view always
-meets an armed sink and is never snapshotted):
+tier's ``eager_max`` wire bytes, as a *put* — ``wait_open → put →
+commit`` straight into the receiver's RMA window (:mod:`repro.simmpi.
+rma`), whatever the backend.  The window is the transport's: on threads
+the receiver's own array under a heap epoch header, on procs a shared
+segment the array is rebased into at bind.  A put is the only
+rendezvous:
 
 ===========  ==========================  ==========================
              ``two_sided``               ``rma``
 ===========  ==========================  ==========================
-rendezvous   above :data:`EAGER_MAX` —   all, as puts
-pairs        puts if persistent over an  (``eager_max`` 0)
-             ``rma_capable`` transport,
-             tokens over one with no
-             windows (one-shots too),
-             none on a procs one-shot
+put pairs    above :data:`EAGER_MAX`;    all (``eager_max`` 0)
+             none on a one-shot over a
+             shared segment (procs)
 who blocks   nobody on an eager pair     a sender waits for the
-on whom      (buffered sends); a         receiver's exposure epoch,
-             rendezvous pair's sender    the receiver fences once
-             waits for the receiver's    per step: lockstep
-             ``arm`` (its epoch or
-             token)
+on whom      (buffered sends); a put     receiver's exposure epoch,
+             pair's sender waits for     the receiver fences once
+             the receiver's ``arm``      per step: lockstep
+             (its epoch)
 ``close()``  as ``rma`` if it has put    sender detaches its remote
-releases     pairs, else nothing         windows; receiver evacuates
-                                         its array, retires the
-                                         window
+releases     pairs, else nothing         windows; a receiver rebased
+                                         into a segment evacuates its
+                                         array and retires the window
 picked       ``tier="two_sided"`` (the   ``tier="rma"`` on a
-when         default), ``rma`` on a      persistent transfer over an
-             one-shot or an incapable    ``rma_capable`` transport
-             transport
+when         default), every one-shot    persistent transfer
 ===========  ==========================  ==========================
 
 Both jobs derive the split from the same schedule, dtype, limit and
@@ -92,9 +84,7 @@ from repro.schedule.plan import CommSchedule
 from repro.simmpi import payload, rma
 from repro.simmpi import sanitize as _san
 from repro.simmpi.communicator import Communicator
-from repro.simmpi.constants import READY_TAG_BASE
 from repro.simmpi.intercomm import Intercommunicator
-from repro.util.counters import TRANSPORT_STATS
 from repro.verify.hook import maybe_verify_side
 
 #: Default tag for schedule-driven data messages.
@@ -104,21 +94,19 @@ TRANSFER_TAG = 64
 #: set of valid sides.
 _PLAN_SIDE = {"src": "send", "dst": "recv"}
 
-#: Wire bytes above which a two-sided pair is a rendezvous instead of an
-#: eager message — a put on a persistent transfer over an
-#: ``rma_capable`` transport, a token pair on any transfer over one with
-#: no windows: the limit from 2 -> 3 pair-size sweeps on both backends
-#: (DESIGN.md §8).  It must stay below ``prmi_parallel_arg``'s 2.66 MiB
-#: pairs and above ``stream_default``'s 1 MiB pairs.
+#: Wire bytes above which a two-sided pair is put into the receiver's
+#: window instead of sent as an eager message: the limit from 2 -> 3
+#: pair-size sweeps on both backends (DESIGN.md §8).  It must stay below
+#: ``prmi_parallel_arg``'s 2.66 MiB pairs and above ``stream_default``'s
+#: 1 MiB pairs.
 EAGER_MAX = 2 << 20
 
 
 @dataclass(frozen=True, slots=True)
 class Tier:
     """A resolved execution tier: ``kind`` is ``"two_sided"`` or
-    ``"rma"``.  A pair whose wire bytes exceed ``eager_max`` is a
-    rendezvous (``None``: no pair is) — a put over an ``rma_capable``
-    transport, a token pair over one with no windows."""
+    ``"rma"``.  A pair whose wire bytes exceed ``eager_max`` is a put
+    (``None``: no pair is)."""
 
     kind: str
     eager_max: int | None = None
@@ -129,32 +117,23 @@ def resolve_tier(link, *, tier: str | None = None,
     """The one place a transfer's execution tier is decided.
 
     ``tier`` is a knob of :mod:`repro.config` (``None`` = environment,
-    then default).  A transport that cannot attach windows (the threads
-    backend) runs every transfer, one-shot or persistent, two-sided with
-    the pairs above :data:`EAGER_MAX` opened by ready tokens; a
-    persistent ``rma`` request there counts as ``rma_fallbacks``.  Over
-    one that can, a put needs a window worth its set-up: a one-shot runs
-    two-sided with every pair eager, otherwise ``rma`` puts every pair
-    and ``two_sided`` those above :data:`EAGER_MAX`.
+    then default).  A persistent transfer runs it on either backend:
+    ``rma`` puts every pair, ``two_sided`` those above
+    :data:`EAGER_MAX`.  A one-shot takes no tier and runs two-sided,
+    putting the pairs above :data:`EAGER_MAX` into a heap window
+    (threads) and none into a shared segment (procs): one transfer
+    cannot amortise a segment and a rebase.
 
-    A pure function of the transport, the persistence and the request:
-    two coupled jobs that agree on the request
+    A pure function of the transport's window, the persistence and the
+    request: two coupled jobs that agree on the request
     (:meth:`repro.highlevel.Coupler.open` cross-checks it at the
     handshake) resolve the same tier without negotiating.
     """
     kind = config.resolve("tier", tier)
-    if not _windowed(link):
-        if kind == "rma" and not one_shot:
-            TRANSPORT_STATS.add("rma_fallbacks")
-        return Tier("two_sided", eager_max=EAGER_MAX)
     if one_shot:
-        return Tier("two_sided")
+        shared = link.local_comm.job.transport.window.shared
+        return Tier("two_sided", eager_max=None if shared else EAGER_MAX)
     return Tier(kind, eager_max=0 if kind == "rma" else EAGER_MAX)
-
-
-def _windowed(link) -> bool:
-    """Whether ``link``'s ranks can attach each other's RMA windows."""
-    return link.local_comm.job.transport.rma_capable
 
 
 # -- the core -----------------------------------------------------------------
@@ -236,7 +215,7 @@ class BoundTransfer:
 
 
 def _split(pairs, dtype, eager_max) -> tuple[list, list]:
-    """Split translated pairs into (eager, rendezvous) by wire bytes."""
+    """Split translated pairs into (eager, put) by wire bytes."""
     limit = np.inf if eager_max is None else eager_max
     return ([p for p in pairs if p[0].size * dtype.itemsize <= limit],
             [p for p in pairs if p[0].size * dtype.itemsize > limit])
@@ -247,18 +226,11 @@ class _PointSend(BoundTransfer):
     def _setup(self, tier: Tier) -> None:
         # Bootstrap of put pairs: one WindowHandle each, shipped by the
         # receiver on the data tag, which no eager message to or from a
-        # put peer uses.  Token pairs need none.
-        self._eager, rdv = _split(self._pairs, self._dtype, tier.eager_max)
-        put, tokened = (rdv, []) if _windowed(self._link) else ([], rdv)
-        # one ready-token spec per token pair's peer, and its pair
-        ready = READY_TAG_BASE + self._tag
-        self._ready = [(self._link.recv_context, peer, ready)
-                       for _, peer in tokened]
-        self._tokened = {peer: pp for pp, peer in tokened}
+        # put peer uses.
+        self._eager, put = _split(self._pairs, self._dtype, tier.eager_max)
         self._puts = [
-            (pp, rma.RemoteWindow(rma.check_handle(
-                self._link.recv(source=peer, tag=self._tag), pp.size),
-                self._link._my_mailbox()))
+            (pp, rma.RemoteWindow(self._link.recv(source=peer, tag=self._tag),
+                                  self._link, peer, pp.size))
             for pp, peer in put]
         self._epoch = 0
 
@@ -271,21 +243,15 @@ class _PointSend(BoundTransfer):
         return pp.size
 
     def step(self) -> int:
-        """Send every eager pair (buffered, so no wait), then each token
-        pair as its receiver's ready token arrives — whichever receiver
-        arms first is served first — then put each put pair once the
-        receiver has opened this step's epoch."""
+        """Send every eager pair (buffered, so no wait), then put each
+        put pair once its receiver has opened this step's epoch —
+        whichever receiver opens first is served first."""
         self._live()
         self._epoch += 1
         flat = self._storage.flat_local()
         moved = sum(self._lend(pp, peer, flat) for pp, peer in self._eager)
-        waiting = self._ready
-        while waiting:
-            peer = self._link.wait_any(waiting).source
-            waiting = [spec for spec in waiting if spec[1] != peer]
-            moved += self._lend(self._tokened[peer], peer, flat)
-        for pp, rwin in self._puts:
-            rwin.wait_open(self._epoch)
+        for pp, rwin in rma.wait_open(self._puts, self._epoch,
+                                      tag=self._tag):
             buf, release = self._staged(pp, flat)
             moved += rwin.put(buf, loan=self._scratch(pp))
             if release is not None:
@@ -303,31 +269,28 @@ class _PointRecv(BoundTransfer):
     _win = None
 
     def _setup(self, tier: Tier) -> None:
-        # Token pairs are preposted like eager ones; their peers get a
-        # ready token per arm.  With put pairs: expose the array's
-        # consolidated base as a window and rebase the array into it, so
-        # remote puts land in final storage; each put peer gets the
-        # handle carrying its pair's scatter plan.
-        eager, rdv = _split(self._pairs, self._dtype, tier.eager_max)
-        put, tokened = (rdv, []) if _windowed(self._link) else ([], rdv)
-        self._sinks = eager + tokened
-        self._token_peers = [peer for _, peer in tokened]
+        # With put pairs: expose the array's consolidated base as a
+        # window — the array itself on a heap window, a segment the
+        # array is rebased into otherwise — so remote puts land in final
+        # storage; each put peer gets the handle carrying its pair's
+        # scatter plan.
+        self._sinks, put = _split(self._pairs, self._dtype, tier.eager_max)
         self._put_size = sum(pp.size for pp, _ in put)
         if put:
-            flat = self._storage.flat_local()
-            self._win = rma.ExposedWindow(flat.nbytes, flat.dtype, len(put),
-                                          self._link._my_mailbox())
-            self._storage.rebase(self._win.buffer)
+            self._win = rma.ExposedWindow(
+                self._link, self._storage.flat_local(),
+                [peer for _, peer in put])
+            if self._win.shared:
+                self._storage.rebase(self._win.buffer)
             for i, (pp, peer) in enumerate(put):
                 self._link.send(self._win.handle(i, pp), peer, self._tag)
 
     def arm(self) -> None:
-        """Prepost every eager and token pair's recv-into-destination
-        sink (queued messages are consumed at once, FIFO-safe), send each
-        token pair's ready token, and open the window's exposure epoch
-        for the put pairs.  A producer running ahead of an unarmed
-        consumer is buffered on an eager pair and waits on a rendezvous
-        pair, so the array never changes outside a step."""
+        """Prepost every eager pair's recv-into-destination sink (queued
+        messages are consumed at once, FIFO-safe) and open the window's
+        exposure epoch for the put pairs.  A producer running ahead of
+        an unarmed consumer is buffered on an eager pair and waits on a
+        put pair, so the array never changes outside a step."""
         self._live()
         if self._slots is None:
             flat = self._storage.flat_local()
@@ -336,8 +299,6 @@ class _PointRecv(BoundTransfer):
                     partial(pp.scatter, flat, loan=self._scratch(pp)),
                     source=peer, tag=self._tag)
                 for pp, peer in self._sinks]
-            for peer in self._token_peers:
-                self._link.send(None, peer, READY_TAG_BASE + self._tag)
             if self._win is not None:
                 self._win.epoch_open()
 
@@ -360,19 +321,15 @@ class _PointRecv(BoundTransfer):
         return self.complete()
 
     def _release(self) -> None:
-        # Evacuate the array onto a private heap buffer (a rebase with
-        # the last fenced contents) before the mapping goes away: no
-        # remote write can reach it afterwards and its lifetime no
-        # longer pins the window.
+        # A rebased array is evacuated onto a private heap buffer (a
+        # rebase with the last fenced contents) before the mapping goes
+        # away: no remote write can reach it afterwards and its lifetime
+        # no longer pins the window.
         if self._win is not None:
-            flat = self._storage.flat_local()
-            self._storage.rebase(np.empty(flat.size, dtype=flat.dtype))
+            if self._win.shared:
+                flat = self._storage.flat_local()
+                self._storage.rebase(np.empty(flat.size, dtype=flat.dtype))
             self._win.close()
-
-
-def _half(tier: Tier, side: str, plan, storage, link, **kw) -> BoundTransfer:
-    return (_PointSend, _PointRecv)[side == "dst"](plan, storage, link, tier,
-                                                   **kw)
 
 
 def bind(schedule: CommSchedule, side: str, link, array: DistributedArray,
@@ -391,9 +348,9 @@ def bind(schedule: CommSchedule, side: str, link, array: DistributedArray,
     ``one_shot`` (a transfer stepped once, then closed) go through
     :func:`resolve_tier`; the result is the handle's ``tier``.  With put
     pairs the two sides' binds rendezvous (window handles travel
-    receiver → sender), so a single thread must bind receivers first;
-    with token pairs a sender's step waits for its receivers' tokens, so
-    a single thread must ``arm`` receivers before it steps senders.
+    receiver → sender), so a single thread must bind receivers first,
+    and a sender's step waits for its receivers' exposure epochs, so it
+    must also ``arm`` receivers before it steps senders.
     """
     if side not in _PLAN_SIDE:
         raise ValueError(f"side must be 'src' or 'dst', got {side!r}")
@@ -403,9 +360,10 @@ def bind(schedule: CommSchedule, side: str, link, array: DistributedArray,
     # path carries zero hook overhead.
     maybe_verify_side(schedule, _PLAN_SIDE[side], me, descriptor)
     plan = schedule.rank_plan(_PLAN_SIDE[side], me, descriptor.ownership())
-    resolved = resolve_tier(link, tier=tier, one_shot=one_shot)
-    return _half(resolved, side, plan, array, link, tag=tag, me=me,
-                 peer_map=peer_map, pool=pool)
+    half = _PointRecv if side == "dst" else _PointSend
+    return half(plan, array, link, resolve_tier(link, tier=tier,
+                                                one_shot=one_shot),
+                tag=tag, me=me, peer_map=peer_map, pool=pool)
 
 
 def allocate_dst(schedule: CommSchedule, descriptor, rank: int
@@ -437,11 +395,11 @@ def execute_inter(schedule: CommSchedule, inter: Intercommunicator,
     elements sent (``side="src"``) or received (``"dst"``).
 
     ``rank``/``peer_map`` as in :func:`bind`.  A one-shot takes no tier:
-    it runs two-sided (a window's setup is only worth it amortized over
-    steps), see :func:`resolve_tier`.  On the threads backend the send side waits for the ready
-    token of each pair above :data:`EAGER_MAX`, so both jobs must drive
-    the transfer concurrently; a single-threaded harness binds the
-    halves itself and drives ``arm``/``step``/``complete``.
+    it runs two-sided, see :func:`resolve_tier`.  On the threads backend
+    the send side puts each pair above :data:`EAGER_MAX`, waiting for the
+    receiver's window handle and epoch, so both jobs must drive the
+    transfer concurrently; a single-threaded harness binds the halves
+    itself and drives ``arm``/``step``/``complete``.
     """
     return _once(bind(schedule, side, inter, array, tag=tag, rank=rank,
                       peer_map=peer_map, one_shot=True))
@@ -459,13 +417,14 @@ def execute_intra(schedule: CommSchedule, comm: Communicator,
     ``src_ranks[i]`` is the comm rank playing source-template rank ``i``
     (default: identity); likewise ``dst_ranks``.  A rank may appear on
     both sides (e.g. a transpose over the same cohort): it binds a
-    sender half and a receiver half on ``comm``, arms its receives
-    (sending the ready tokens of its token pairs), posts its sends, then
-    completes its receives — no barrier on either side, which is what
-    experiment E9 counts; arming first means no rank's send waits on a
-    token its peer has not sent.  Every participating rank calls
-    this collectively with the same schedule; like every one-shot it
-    runs two-sided (:func:`resolve_tier`).
+    receiver half and then a sender half on ``comm``, arms its receives
+    (opening its window's epoch), posts its sends, then completes its
+    receives — no barrier on either side, which is what experiment E9
+    counts.  Receivers bind and arm first, so no rank's bind waits for a
+    window handle, nor its send for an epoch, that its peer has not yet
+    offered.  Every participating rank calls this collectively with the
+    same schedule; like every one-shot it runs two-sided
+    (:func:`resolve_tier`).
     """
     src_ranks = list(src_ranks if src_ranks is not None
                      else range(schedule.src_nranks))
@@ -478,19 +437,16 @@ def execute_intra(schedule: CommSchedule, comm: Communicator,
         raise ScheduleError(
             f"need {schedule.dst_nranks} dest ranks, got {len(dst_ranks)}")
     me = comm.rank
+    if me in src_ranks and src_array is None:
+        raise ScheduleError(f"rank {me} is a source but has no src_array")
+    if me in dst_ranks and dst_array is None:
+        raise ScheduleError(
+            f"rank {me} is a destination but has no dst_array")
     kw = dict(tag=tag, one_shot=True)
-    tx = rx = None
-    if me in src_ranks:
-        if src_array is None:
-            raise ScheduleError(f"rank {me} is a source but has no src_array")
-        tx = bind(schedule, "src", comm, src_array,
-                  rank=src_ranks.index(me), peer_map=dst_ranks, **kw)
-    if me in dst_ranks:
-        if dst_array is None:
-            raise ScheduleError(
-                f"rank {me} is a destination but has no dst_array")
-        rx = bind(schedule, "dst", comm, dst_array,
-                  rank=dst_ranks.index(me), peer_map=src_ranks, **kw)
+    rx = (bind(schedule, "dst", comm, dst_array, rank=dst_ranks.index(me),
+               peer_map=src_ranks, **kw) if me in dst_ranks else None)
+    tx = (bind(schedule, "src", comm, src_array, rank=src_ranks.index(me),
+               peer_map=dst_ranks, **kw) if me in src_ranks else None)
     try:
         if rx is not None:
             rx.arm()

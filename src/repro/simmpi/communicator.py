@@ -151,6 +151,13 @@ class _Link:
                      nbytes),
             live=live)
 
+    def kick(self, dest: int) -> None:
+        """Wake rank ``dest`` if it is parked on shared state this rank
+        has just stored (an RMA epoch or commit): not a message, so it
+        matches nothing and counts nothing."""
+        self._check_peer(dest)
+        self._remote.kick(dest)
+
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              *, timeout: float | None = None,
              return_status: bool = False) -> Any:

@@ -9,11 +9,11 @@ mailbox can never collide:
   streams: each stream id maps to one tag via :func:`frame_tag`, so a
   batch frame, its return frame, and control traffic ride distinct
   FIFO-ordered (source, tag) streams without reserving application tags,
-* ``[INTERNAL_TAG_BASE, READY_TAG_BASE)`` — collective-internal
-  sequence tags,
-* ``[READY_TAG_BASE, ∞)`` — rendezvous ready tokens: the token that
-  opens a point-to-point pair sent on data tag ``t`` rides tag
-  ``READY_TAG_BASE + t``, which no data message uses.
+* ``[INTERNAL_TAG_BASE, ∞)`` — collective-internal sequence tags.
+
+A rendezvous needs no band of its own: a pair above a transfer's eager
+limit is a put into the receiver's RMA window, whose epoch waits are
+woken by a kick, not a message (:mod:`repro.simmpi.rma`).
 """
 
 #: Match a message from any source rank.
@@ -24,10 +24,6 @@ ANY_TAG: int = -1
 
 #: Tags >= this value are reserved for internal collective protocols.
 INTERNAL_TAG_BASE: int = 1 << 28
-
-#: Base of the ready-token band, above every collective sequence tag
-#: (``INTERNAL_TAG_BASE`` plus a 20-bit counter).
-READY_TAG_BASE: int = INTERNAL_TAG_BASE + (1 << 20)
 
 #: Base of the framed-protocol tag band (batched PRMI serving streams).
 FRAME_TAG_BASE: int = 1 << 20

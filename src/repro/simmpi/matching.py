@@ -45,7 +45,7 @@ from typing import Any, Callable, Optional
 from repro.errors import DeadlockError
 from repro.simmpi import payload
 from repro.simmpi import sanitize as _san
-from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, READY_TAG_BASE
+from repro.simmpi.constants import ANY_SOURCE, ANY_TAG
 from repro.simmpi.shm import Liveness
 from repro.util.counters import TRANSPORT_STATS
 
@@ -169,9 +169,11 @@ class Mailbox:
         self._seq = 0
         self._inbox = inbox
         self._parked = False
-        abort.subscribe(self._wake)
+        abort.subscribe(self.wake)
 
-    def _wake(self) -> None:
+    def wake(self) -> None:
+        """Wake this rank's blocked waits to re-check what they wait
+        for — an abort, or a peer's store into shared state (a kick)."""
         with self._cond:
             self._cond.notify_all()
         if self._inbox is not None:
@@ -186,34 +188,34 @@ class Mailbox:
 
     def _wait(self, find: Callable[[], Any], describe: Callable[[], str],
               timeout: float | None, *, poll: float | None = None,
-              watched: bool = True) -> Any:
+              watched: bool = True, receive: bool = True) -> Any:
         """Drain, then call ``find()`` under the lock until it returns
         something other than ``None``; return that.
 
         Only after the first check misses does the wait record this
         rank's blocked state in its liveness row (the watchdog input)
-        and count a ``rendezvous_waits`` (receives only: ``poll`` waits
-        are for shared state no delivery changes); leaving the wait, by
-        any exit, marks the row running and counts one progress.
-        Between checks it parks on the inbox doorbell — the condition
-        on the threads backend — for at most ``poll`` seconds when
-        given.  An unwatched wait writes nothing to the row.  An abort raises
-        :class:`DeadlockError`; an explicit ``timeout`` raises
-        :class:`TimeoutError` (``timeout <= 0`` means no limit)."""
+        and, for a ``receive``, count a ``rendezvous_waits``; leaving
+        the wait, by any exit, marks the row running and counts one
+        progress.  Between checks it parks on the inbox doorbell — the
+        condition on the threads backend — for at most ``poll`` seconds
+        when given.  An unwatched wait writes nothing to the row.  An
+        abort raises :class:`DeadlockError`; an explicit ``timeout``
+        raises :class:`TimeoutError` (``timeout <= 0`` means no
+        limit)."""
         with self._cond:
             self._drain()
             got = find()
         if got is None:
             got = self._wait_blocked(find, describe(), timeout, poll,
-                                     watched)
+                                     watched, receive)
         return got
 
     def _wait_blocked(self, find, desc: str, timeout, poll,
-                      watched: bool) -> Any:
+                      watched: bool, receive: bool) -> Any:
         limit = None if timeout is None else (
             threading.TIMEOUT_MAX if timeout <= 0 else timeout)
         start = time.monotonic()
-        if poll is None:
+        if receive:
             # the message is not here yet: this receive pays a real
             # rendezvous wait (two-sided overhead the one-sided tier is
             # designed to remove)
@@ -265,20 +267,23 @@ class Mailbox:
     # -- non-mailbox waits (RMA epochs, a full slot or control ring) -------
 
     def wait_until(self, ready: Callable[[], Any], desc: str, *,
-                   poll: float, timeout: float | None = None,
+                   poll: float | None = None, timeout: float | None = None,
                    watched: bool = True) -> Any:
-        """Poll ``ready()`` until it returns something other than
+        """Check ``ready()`` until it returns something other than
         ``None`` and return that value.
 
-        The wait for shared-memory state no condition variable spans (a
-        peer's epoch or done counter, a free run of slots, room in a
-        control ring, a rendezvous reply): it is recorded as this rank's
-        blocked state unless ``watched`` is false, so the watchdog sees
-        it like a mailbox wait, and it keeps draining the inbox between
-        polls, so incoming messages — and the slots and ring records
-        they hold — never wait on it."""
+        The wait for shared state no delivery changes (a peer's epoch or
+        done counter, a free run of slots, room in a control ring, a
+        rendezvous reply): it is recorded as this rank's blocked state
+        unless ``watched`` is false, so the watchdog sees it like a
+        mailbox wait, and it keeps draining the inbox between checks,
+        so incoming messages — and the slots and ring records they hold
+        — never wait on it.  It re-checks every ``poll`` seconds, or,
+        with no ``poll``, only when woken: the peer whose store ends the
+        wait must :meth:`wake` this mailbox after the store (a link's
+        ``kick``)."""
         return self._wait(ready, lambda: desc, timeout, poll=poll,
-                          watched=watched)
+                          watched=watched, receive=False)
 
     # -- sending ----------------------------------------------------------
 
@@ -455,8 +460,5 @@ def _spec(value: int, wildcard: int) -> Any:
 
 
 def _recv_desc(context: int, source: int, tag: int) -> str:
-    # a ready token shows as the data tag of the pair it opens
-    shown = (f"ready({tag - READY_TAG_BASE})" if tag >= READY_TAG_BASE
-             else _spec(tag, ANY_TAG))
     return (f"recv(context={context}, source={_spec(source, ANY_SOURCE)}, "
-            f"tag={shown})")
+            f"tag={_spec(tag, ANY_TAG)})")

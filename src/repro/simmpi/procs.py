@@ -93,7 +93,7 @@ BROKER_CTX_BASE = 1 << 40
 #: free control record).  A release lands within one scatter of the
 #: wait starting.  Measured on ``stream_default`` (2-core guest): 5 and
 #: 20 µs polls are indistinguishable (timer slack makes either a
-#: ~60-80 µs sleep), while RMA's 200 µs poll costs ~7 % of a step.
+#: ~60-80 µs sleep), while a 200 µs poll cost ~7 % of a step.
 RING_POLL = 20e-6
 
 
@@ -169,7 +169,8 @@ class ProcTransport(Transport):
 
     backend = "procs"
     isolating = False
-    rma_capable = True
+    #: A process reaches a peer's array only through a segment.
+    window = shm.WindowSegment
 
     def __init__(self, runtime: "ProcRuntime", abort, live: shm.Liveness):
         self._rt = runtime
@@ -188,6 +189,16 @@ class ProcTransport(Transport):
 
     def deliver(self, job_rank: int, env: Envelope, live=None) -> None:
         self.deliver_endpoint(self._rt.job_base + job_rank, env, live=live)
+
+    def kick(self, job_rank: int) -> None:
+        self.kick_endpoint(self._rt.job_base + job_rank)
+
+    def kick_endpoint(self, endpoint: int) -> None:
+        """Post ``endpoint``'s doorbell; this rank's own wakes locally."""
+        if endpoint == self._rt.endpoint:
+            self._own.wake()
+        else:
+            self._rt.spec.doorbells[endpoint].release()
 
     def deliver_endpoint(self, endpoint: int, env: Envelope,
                          live=None) -> None:

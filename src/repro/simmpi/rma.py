@@ -1,92 +1,78 @@
-"""One-sided RMA verbs: the *put* pairs of persistent channels (procs
-backend).
+"""One-sided RMA verbs: the *put* pairs of both point-to-point tiers,
+on both backends.
 
 An eager pair pays the mailbox on every replayed step: slot acquire,
-envelope match, prepost scatter — and two copies of its bytes (into the
-slot, out of it).  But a compiled
-:class:`~repro.schedule.indexplan.PairPlan` already tells each sender
-*exactly where in the receiver's flat buffer* its bytes land — so once
-the receiver exposes that buffer as an RMA *window*
-(:class:`~repro.simmpi.shm.WindowSegment`), the sender can execute the
-receiver's scatter plan **directly into remote memory**: a box pair is
-a single cross-process copy, the sender's strided box straight into the
-receiver's, with no slot ring, no envelope, and no per-message matching.
-Per-epoch fences replace rendezvous, so one fence amortizes over all
-put pairs in a step.
+envelope match, prepost scatter — and, on procs, two copies of its
+bytes.  But a compiled :class:`~repro.schedule.indexplan.PairPlan`
+already tells each sender *exactly where in the receiver's flat buffer*
+its bytes land — so once the receiver exposes that buffer as an RMA
+*window*, the sender executes the receiver's scatter plan **directly
+into it**: a box pair is one copy, box to box, with no envelope and no
+matching.  One fence per step amortizes over all put pairs.
 
-Both point-to-point tiers of :mod:`repro.schedule.executor` use these
-verbs, through the same two halves: the ``rma`` tier for every pair, the
-``two_sided`` tier for pairs above
-:data:`~repro.schedule.executor.EAGER_MAX` wire bytes (MPI's
-eager/rendezvous split; the pairs below stay eager messages, and a
-transport with no windows opens the pairs above with a ready token
-instead).
+A put is the only rendezvous of :mod:`repro.schedule.executor`: the
+``rma`` tier puts every pair, ``two_sided`` the pairs above its eager
+limit (MPI's eager/rendezvous split).  The window is the storage the
+transport has (``Transport.window``): on threads a
+:class:`~repro.simmpi.shm.HeapWindow` over the destination array itself,
+carried by the handle; on procs a :class:`~repro.simmpi.shm.
+WindowSegment` the receiver rebases its array into, attached by name.
 
 Protocol (MPI post-start-complete-wait flavour, one window per
 receiving rank with put pairs):
 
 * **Bootstrap** (once, over the ordinary two-sided channel): the
-  receiver creates its window, moves its destination array's storage
-  into the window payload, and ships each put peer a
-  :class:`WindowHandle` — segment name, geometry, the sender's
-  ``done``-counter slot, and the receiver-side scatter plan for that
-  pair.
-* **epoch_open** (receiver, per step): store ``epoch = k``.  This is
-  the exposure epoch — remote writes are now licensed.
-* **wait_open + put + commit** (sender, per step): spin until
-  ``epoch >= k`` (abort-aware, watchdog-visible), scatter the pair's
-  bytes straight into the window payload, then store ``done[i] = k``
-  to publish them.
+  receiver exposes its window and ships each put peer a
+  :class:`WindowHandle` — the window, its geometry, the sender's
+  ``done``-counter slot and the receiver-side scatter plan of the pair.
+* **epoch_open** (receiver, per step): store ``epoch = k``, then kick
+  every writer — remote writes are now licensed.
+* **wait_open + put + commit** (sender, per step): park until an
+  owner's ``epoch >= k`` — owners are served in the order they open —
+  scatter the pair straight into its window, store ``done[i] = k`` and
+  kick the owner.
 * **fence** (receiver, per step, after its eager sinks have fired):
-  spin until ``min(done) >= k``.  The destination array *is* the window
-  payload, so after the fence the step's data is simply there.
+  park until ``min(done) >= k``; the destination array *is* the window
+  payload, so the step's data is simply there.
 
 Seqlock-style torn-read safety: the receiver only reads its array
 between ``fence(k)`` and ``epoch_open(k+1)``, and no sender writes in
-that span (each is spinning on ``epoch >= k+1``) — so a reader
-observes generation ``k`` in full, never a mix.
+that span (each is parked on ``epoch >= k+1``).
 
-The spin waits have no cross-process condition variable to sleep on;
-they poll through :meth:`~repro.simmpi.matching.Mailbox.wait_until`,
-which backs off on the job's abort flag (waking immediately on abort)
-and registers a blocked-state description so the deadlock watchdog
-sees RMA waits exactly like mailbox waits.
+Waits park and never poll.  A kick (the link's ``kick``) is no message:
+it wakes the peer's mailbox — its condition on threads, its doorbell on
+procs — and the woken wait re-checks the counter.  Every store precedes
+its kick and a wait re-checks under its mailbox lock (threads) or after
+absorbing a doorbell post (procs), so no wakeup is lost (``verify
+race``'s epoch model).  An abort wakes a parked wait the same way, and
+the wait's blocked-state text names the peers it waits on.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import ConnectionError_, ScheduleError
 from repro.schedule.indexplan import PairPlan
+from repro.simmpi import payload
 from repro.simmpi import sanitize as _san
-from repro.simmpi.matching import Mailbox
 from repro.simmpi.shm import WindowSegment
 from repro.util.counters import TRANSPORT_STATS
 
-__all__ = ["WindowHandle", "ExposedWindow", "RemoteWindow"]
-
-#: Backoff between shared-counter polls in epoch waits.  Short enough
-#: that a steady-state step never stalls measurably, long enough that a
-#: blocked rank does not burn a core.
-RMA_POLL = 0.0002
+__all__ = ["WindowHandle", "ExposedWindow", "RemoteWindow", "wait_open"]
 
 
 @dataclass(frozen=True)
 class WindowHandle:
-    """Picklable bootstrap ticket: everything one sender needs to attach
-    a receiver's window and write its pair directly.
+    """Bootstrap ticket: everything one sender needs to reach a
+    receiver's window and write its pair directly, shipped receiver ->
+    sender once when the halves are bound."""
 
-    Shipped receiver -> sender exactly once over the ordinary two-sided
-    channel when the persistent halves are bound; after that the pair's
-    data plane never touches the mailbox again.
-    """
-
-    name: str          #: shared-memory segment name
+    window: Any        #: segment name, or the heap window itself
     nbytes: int        #: payload size (the receiver's flat buffer)
     dtype: str         #: element dtype (numpy dtype string)
     nwriters: int      #: total writers on this window
@@ -94,42 +80,31 @@ class WindowHandle:
     plan: PairPlan     #: receiver-side scatter plan for this pair
 
 
-def _close_owner(seg: WindowSegment) -> None:
-    seg.close()
-    seg.unlink()
-
-
-def _close_writer(seg: WindowSegment) -> None:
-    seg.close()
-
-
 class ExposedWindow:
-    """Receiver side: one rank's destination buffer exposed for remote
-    writes, plus the epoch verbs that sequence them."""
+    """Receiver side: one rank's destination buffer ``flat`` exposed for
+    remote writes by the link ranks ``writers``, plus the epoch verbs
+    that sequence them."""
 
-    def __init__(self, nbytes: int, dtype, nwriters: int,
-                 mailbox: Mailbox):
-        self._seg = WindowSegment(nbytes, nwriters)
-        #: Typed flat view of the window payload — the new home of the
-        #: destination array's consolidated base buffer.
-        self.buffer = self._seg.data.view(np.dtype(dtype))
-        self._mailbox = mailbox
+    def __init__(self, link, flat: np.ndarray, writers: Sequence[int]):
+        self._seg = link.local_comm.job.transport.window.expose(
+            flat, len(writers))
+        #: Whether the window is storage of its own, which the array
+        #: must be rebased into (and evacuated from at close).
+        self.shared = self._seg.shared
+        self.buffer = self._seg.data.view(flat.dtype)
+        self._link = link
+        self._writers = list(writers)
         self._epoch = 0
-        self._finalizer = weakref.finalize(self, _close_owner, self._seg)
+        self._finalizer = weakref.finalize(self, self._seg.close)
 
-    @property
-    def name(self) -> str:
-        return self._seg.name
-
-    @property
-    def epoch(self) -> int:
-        return self._epoch
-
-    def handle(self, writer: int, plan: PairPlan) -> WindowHandle:
-        """The bootstrap ticket for writer slot ``writer``."""
-        return WindowHandle(self._seg.name, self._seg.nbytes,
-                            np.dtype(self.buffer.dtype).str,
-                            self._seg.nwriters, writer, plan)
+    def handle(self, writer: int, plan: PairPlan):
+        """Writer slot ``writer``'s ticket, ready to send (a heap window
+        travels as itself, never copied)."""
+        seg = self._seg
+        ticket = WindowHandle(seg.name if self.shared else seg, seg.nbytes,
+                              self.buffer.dtype.str, seg.nwriters, writer,
+                              plan)
+        return ticket if self.shared else payload.Raw(ticket)
 
     def epoch_open(self) -> int:
         """Open the next exposure epoch: remote writes are licensed
@@ -139,22 +114,22 @@ class ExposedWindow:
         if san is not None:
             san.win_open(self._seg, self._epoch)
         self._seg.set_epoch(self._epoch)
+        for peer in self._writers:
+            self._link.kick(peer)
         return self._epoch
 
     def fence(self, *, timeout: float | None = None) -> None:
-        """Block until every writer has committed the current epoch.
-
-        After this returns the window payload holds generation
-        ``epoch`` in full; the receiver may read it until the next
-        :meth:`epoch_open`.
-        """
+        """Block until every writer has committed the current epoch; the
+        payload then holds that generation in full until the next
+        :meth:`epoch_open`."""
         k = self._epoch
         seg = self._seg
         if seg.min_done() < k:
-            self._mailbox.wait_until(
+            behind = [peer for i, peer in enumerate(self._writers)
+                      if seg.done(i) < k]
+            self._link._my_mailbox().wait_until(
                 lambda: seg.min_done() >= k or None,
-                f"rma_fence(window={seg.name}, epoch={k})",
-                poll=RMA_POLL, timeout=timeout)
+                f"rma_fence(epoch={k}, writers={behind})", timeout=timeout)
         san = _san.ACTIVE
         if san is not None:
             san.win_fence(seg, k)
@@ -170,44 +145,42 @@ class ExposedWindow:
             san.win_read(self._seg)
 
     def close(self) -> None:
-        """Tear the window down (close + unlink; owner side)."""
+        """Tear the window down (owner side)."""
         self._finalizer()
 
 
 class RemoteWindow:
-    """Sender side: an attached peer window plus the put/commit verbs
-    that execute the receiver's scatter plan into it."""
+    """Sender side: the window of link rank ``owner`` for a pair of
+    ``size`` elements, plus the put/commit verbs that execute the
+    receiver's scatter plan into it.  The ticket must match the pair:
+    both sides compiled the same schedule, or the jobs disagree on tier
+    or schedule."""
 
-    def __init__(self, handle: WindowHandle, mailbox: Mailbox):
-        try:
-            self._seg = WindowSegment.attach(handle.name, handle.nbytes,
-                                             handle.nwriters)
-        except FileNotFoundError:
-            raise ConnectionError_(
-                f"window {handle.name} is gone: the receiving side closed "
-                f"its transfer before this side bound") from None
-        self.buffer = self._seg.data.view(np.dtype(handle.dtype))
+    def __init__(self, handle: WindowHandle, link, owner: int, size: int):
+        if not isinstance(handle, WindowHandle):
+            raise ScheduleError(
+                f"RMA bootstrap expected a WindowHandle, got "
+                f"{type(handle).__name__} — peer is not in one-sided mode?")
+        if handle.plan.size != size:
+            raise ScheduleError(
+                f"RMA bootstrap plan covers {handle.plan.size} elements, "
+                f"sender's pair expects {size} — schedule mismatch")
+        seg = handle.window
+        if isinstance(seg, str):
+            try:
+                seg = WindowSegment.attach(seg, handle.nbytes,
+                                           handle.nwriters)
+            except FileNotFoundError:
+                raise ConnectionError_(
+                    f"window {handle.window} is gone: the receiving side "
+                    f"closed its transfer before this side bound") from None
+        self._seg = seg
+        self.buffer = seg.data.view(np.dtype(handle.dtype))
         self._plan = handle.plan
         self._writer = handle.writer
-        self._mailbox = mailbox
-        self._finalizer = weakref.finalize(self, _close_writer, self._seg)
-
-    @property
-    def plan(self) -> PairPlan:
-        return self._plan
-
-    def wait_open(self, epoch: int, *, timeout: float | None = None) -> None:
-        """Spin until the owner has opened exposure epoch ``epoch``."""
-        seg = self._seg
-        if seg.epoch() < epoch:
-            TRANSPORT_STATS.add("rma_epoch_waits")
-            self._mailbox.wait_until(
-                lambda: seg.epoch() >= epoch or None,
-                f"rma_put(window={seg.name}, epoch={epoch})",
-                poll=RMA_POLL, timeout=timeout)
-        san = _san.ACTIVE
-        if san is not None:
-            san.win_wait_open(seg, epoch)
+        self._link = link
+        self.owner = owner
+        self._finalizer = weakref.finalize(self, seg.close)
 
     def put(self, values: np.ndarray, *, loan=None) -> int:
         """Scatter one pair's elements — a packed buffer, or the
@@ -215,7 +188,7 @@ class RemoteWindow:
         the remote window via the receiver's compiled plan (``loan`` as
         in :meth:`~repro.schedule.indexplan.PairPlan.scatter`).
         Returns the element count.  Must only run inside an open
-        exposure epoch (:meth:`wait_open`)."""
+        exposure epoch (:func:`wait_open`)."""
         san = _san.ACTIVE
         if san is not None:
             san.win_put(self._seg, self._writer)
@@ -225,28 +198,43 @@ class RemoteWindow:
         return n
 
     def commit(self, epoch: int) -> None:
-        """Publish this writer's puts for ``epoch`` (store the done
-        counter the owner's fence spins on)."""
+        """Publish this writer's puts for ``epoch``: store the done
+        counter the owner's fence waits on, then kick the owner."""
         san = _san.ACTIVE
         if san is not None:
             san.win_commit(self._seg, self._writer, epoch)
         self._seg.set_done(self._writer, epoch)
+        self._link.kick(self.owner)
 
     def close(self) -> None:
-        """Detach from the window (close only; the owner unlinks)."""
+        """Detach from the window (the owner tears it down)."""
         self._finalizer()
 
 
-def check_handle(handle: WindowHandle, expected_size: int) -> WindowHandle:
-    """Validate a bootstrap ticket against the sender's own pair plan:
-    both sides compiled the same schedule, so the element counts must
-    agree — a mismatch means the jobs disagree on mode or schedule."""
-    if not isinstance(handle, WindowHandle):
-        raise ScheduleError(
-            f"RMA bootstrap expected a WindowHandle, got "
-            f"{type(handle).__name__} — peer is not in one-sided mode?")
-    if handle.plan.size != expected_size:
-        raise ScheduleError(
-            f"RMA bootstrap plan covers {handle.plan.size} elements, "
-            f"sender's pair expects {expected_size} — schedule mismatch")
-    return handle
+def wait_open(puts: Sequence[tuple[Any, RemoteWindow]], epoch: int, *,
+              tag: int) -> Iterator[tuple[Any, RemoteWindow]]:
+    """Yield each ``(pair, window)`` of ``puts`` once the window's owner
+    has opened exposure epoch ``epoch``, in the order the owners open
+    it.  While none of the rest is open the writer parks — one
+    ``rma_epoch_waits`` — until an owner's kick; ``tag`` is the data
+    tag its watchdog text names."""
+    pending = list(puts)
+
+    def opened():
+        for i, (_, rwin) in enumerate(pending):
+            if rwin._seg.epoch() >= epoch:
+                return i
+        return None
+
+    while pending:
+        i = opened()
+        if i is None:
+            TRANSPORT_STATS.add("rma_epoch_waits")
+            owners = [rwin.owner for _, rwin in pending]
+            i = pending[0][1]._link._my_mailbox().wait_until(
+                opened, f"rma_put(owners={owners}, tag={tag}, epoch={epoch})")
+        item = pending.pop(i)
+        san = _san.ACTIVE
+        if san is not None:
+            san.win_wait_open(item[1]._seg, epoch)
+        yield item

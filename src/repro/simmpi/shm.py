@@ -72,8 +72,9 @@ import numpy as np
 from repro.simmpi import sanitize as _san
 from repro.util.counters import Counters, TRANSPORT_STATS
 
-__all__ = ["ControlSegment", "Liveness", "SegmentPool", "SharedState",
-           "StallRule", "WindowSegment", "encode_payload", "decode_payload"]
+__all__ = ["ControlSegment", "HeapWindow", "Liveness", "SegmentPool",
+           "SharedState", "StallRule", "WindowSegment", "encode_payload",
+           "decode_payload"]
 
 # payload kinds (one byte of a descriptor record)
 ND = 1
@@ -291,8 +292,8 @@ class WindowSegment:
     writes visible before the ``done`` store that publishes them — the
     same single-writer discipline as :class:`SharedState`.
 
-    The owner creates the segment and is responsible for ``unlink``;
-    writers attach by name and only ever ``close``.
+    The owner creates the segment and its ``close`` unlinks it too;
+    writers attach by name.
 
     ``close`` deliberately does **not** unmap immediately.  NumPy
     releases its ``Py_buffer`` on ``shm.buf`` as soon as a view's data
@@ -311,6 +312,10 @@ class WindowSegment:
     """
 
     _HDR_ALIGN = 64
+    #: The owner's array lives in the window only once rebased into it
+    #: (and is evacuated again at close), so a window pays a segment
+    #: and a copy per transfer.
+    shared = True
 
     def __init__(self, nbytes: int, nwriters: int, *,
                  _attach_name: Optional[str] = None):
@@ -339,6 +344,7 @@ class WindowSegment:
                 raise ValueError(
                     f"window segment {_attach_name!r} is {self._shm.size} "
                     f"bytes, need {size} — geometry mismatch with owner")
+        self.name = self._shm.name
         buf = self._shm.buf
         self._epoch = np.ndarray(1, dtype=np.uint64, buffer=buf)
         self._nwriters = np.ndarray(1, dtype=np.uint64, buffer=buf, offset=8)
@@ -356,13 +362,14 @@ class WindowSegment:
                 f"{int(self._nwriters[0])} writers, expected {self.nwriters}")
 
     @classmethod
+    def expose(cls, flat: np.ndarray, nwriters: int) -> "WindowSegment":
+        """A new window with room for ``flat`` (owner side)."""
+        return cls(flat.nbytes, nwriters)
+
+    @classmethod
     def attach(cls, name: str, nbytes: int, nwriters: int) -> "WindowSegment":
         """Map an existing window by segment name (writer side)."""
         return cls(nbytes, nwriters, _attach_name=name)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
 
     # -- epoch header (single writer per field) ------------------------------
 
@@ -385,13 +392,16 @@ class WindowSegment:
 
     def close(self) -> None:
         """Drop the header views and retire the mapping into the
-        generation-counted free list (see the class docstring)."""
+        generation-counted free list (see the class docstring); the
+        owner also unlinks the segment."""
         if getattr(self, "_closed", False):
             return
         self._closed = True
         root, self.data = self.data, None
         self._epoch = self._nwriters = self._done = None
         RETIRED_WINDOWS.retire(self._shm, self._shm.size, root)
+        if self.owner:
+            self.unlink()
 
     def unlink(self) -> None:
         try:
@@ -463,6 +473,31 @@ class _RetiredWindows:
 
 #: Closed-window mappings awaiting reclamation (one per process).
 RETIRED_WINDOWS = _RetiredWindows()
+
+
+class HeapWindow(WindowSegment):
+    """The threads twin of :class:`WindowSegment`: the same epoch
+    header on the heap, over the owner's own flat buffer.  Ranks that
+    share an address space share the destination array already, so the
+    window *is* that array: no segment, no rebase, no evacuation and
+    nothing to retire; writers reach it through the bootstrap handle."""
+
+    shared = False
+    _names = itertools.count(1)
+
+    def __init__(self, flat: np.ndarray, nwriters: int):
+        self.nbytes, self.nwriters = flat.nbytes, nwriters
+        self.name = f"heap-window-{next(self._names)}"
+        self.data = flat.view(np.uint8)
+        self._epoch = np.zeros(1, np.uint64)
+        self._done = np.zeros(nwriters, np.uint64)
+
+    @classmethod
+    def expose(cls, flat: np.ndarray, nwriters: int) -> "HeapWindow":
+        return cls(flat, nwriters)
+
+    def close(self) -> None:
+        """Nothing to release: the buffer is the owner's array."""
 
 
 # -- watchdog state ----------------------------------------------------------

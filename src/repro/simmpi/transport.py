@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.simmpi.matching import AbortFlag, Envelope, Mailbox
-from repro.simmpi.shm import Liveness
+from repro.simmpi.shm import HeapWindow, Liveness
 
 __all__ = [
     "Transport",
@@ -56,12 +56,9 @@ class Transport:
     backend = "?"
     #: Whether plain payloads must be isolated before :meth:`deliver`.
     isolating = True
-    #: Whether ranks can expose/attach shared-memory RMA windows
-    #: (:mod:`repro.simmpi.rma`).  Only the procs backend can: its ranks
-    #: are processes that attach each other's window segments by name.
-    #: The persistent engines fall back to two-sided transparently when
-    #: this is False.
-    rma_capable = False
+    #: The RMA window a rank exposes (:mod:`repro.simmpi.rma`): ranks
+    #: sharing an address space expose the destination array itself.
+    window = HeapWindow
 
     def mailbox(self, job_rank: int) -> Mailbox:
         """The local mailbox of ``job_rank`` (receive side).
@@ -77,13 +74,17 @@ class Transport:
         sender's storage may survive the call."""
         raise NotImplementedError
 
+    def kick(self, job_rank: int) -> None:
+        """Wake a rank of this job parked on shared state this rank
+        just stored — no message, nothing to match."""
+        raise NotImplementedError
+
 
 class ThreadTransport(Transport):
     """The threads backend: one in-process mailbox per rank."""
 
     backend = "threads"
     isolating = True
-    rma_capable = False
 
     def __init__(self, n: int, abort: AbortFlag, live: Liveness):
         self.mailboxes = [Mailbox(r, abort, live) for r in range(n)]
@@ -93,6 +94,9 @@ class ThreadTransport(Transport):
 
     def deliver(self, job_rank: int, env: Envelope, live=None) -> None:
         self.mailboxes[job_rank].deliver(env, live=live)
+
+    def kick(self, job_rank: int) -> None:
+        self.mailboxes[job_rank].wake()
 
 
 # -- procs-backend rank runtime registry -------------------------------------
@@ -140,6 +144,9 @@ class JobRemoteGroup:
     def deliver(self, idx: int, env: Envelope, live=None) -> None:
         self.job.transport.deliver(self.job_ranks[idx], env, live=live)
 
+    def kick(self, idx: int) -> None:
+        self.job.transport.kick(self.job_ranks[idx])
+
     @property
     def size(self) -> int:
         return len(self.job_ranks)
@@ -155,6 +162,9 @@ class EndpointRemoteGroup:
 
     def deliver(self, idx: int, env: Envelope, live=None) -> None:
         self._transport.deliver_endpoint(self.endpoints[idx], env, live=live)
+
+    def kick(self, idx: int) -> None:
+        self._transport.kick_endpoint(self.endpoints[idx])
 
     @property
     def size(self) -> int:

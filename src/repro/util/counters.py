@@ -141,12 +141,14 @@ class Counters(_Sharded):
 #: ``messages_matched`` counts every envelope consumed by a receiver
 #: (queue match, prepost drain, or direct slot completion) and
 #: ``rendezvous_waits`` every receive that actually blocked waiting for
-#: its sender.  One-sided cost (:mod:`repro.simmpi.rma`): ``rma_puts`` /
-#: ``rma_put_bytes`` count remote-window writes, ``rma_fences``
-#: completed exposure epochs, and ``rma_epoch_waits`` put-side spins on
-#: a not-yet-open epoch.  A persistent channel in RMA mode should show
-#: zero matched messages per steady-state step — that delta is the A9
-#: benchmark's headline metric.
+#: its sender.  One-sided cost (:mod:`repro.simmpi.rma`, on both
+#: backends): ``rma_puts`` / ``rma_put_bytes`` count remote-window
+#: writes, ``rma_fences`` completed exposure epochs, and
+#: ``rma_epoch_waits`` the put side's parks while none of its pending
+#: windows had opened the epoch (a parked epoch wait counts no
+#: ``rendezvous_waits``, and the kick that ends it is no message).  A
+#: persistent channel in RMA mode should show zero matched messages per
+#: steady-state step — that delta is the A9 benchmark's headline metric.
 #:
 #: Memory gauges (maintained with :meth:`Counters.gauge_add`, each with
 #: a ``peak_``-prefixed high-water twin): ``pool_bytes`` — bytes on

@@ -21,7 +21,7 @@ depth-2 descriptor ring), proving
 
 * **no lost wakeups** — every interleaving of the shipped protocol
   runs to completion (no reachable stuck state), the receiver's park on
-  its doorbell included,
+  its doorbell and the epoch waits' parks on their kicks included,
 * **no ABA slot or record reuse** — a consumer never reads a slot
   generation the ring has moved past, nor a record the sender has
   wrapped over or not yet filled,
@@ -51,7 +51,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.simmpi import sanitize
+import numpy as np
+
+from repro.simmpi import sanitize, shm
 from repro.verify.commgraph import Exploration, explore_states
 
 __all__ = [
@@ -97,10 +99,13 @@ RING_MUTANTS = {
 }
 
 #: Seeded epoch-protocol bugs and the outcome each must produce.
+#: ``kick_before_store`` kicks the writers before it stores the epoch:
+#: a writer that checks in between parks for good (a lost wakeup).
 EPOCH_MUTANTS = {
     "skip_wait": "violation:" + sanitize.UNSYNC_WRITE,
     "read_before_fence": "violation:" + sanitize.TORN_READ,
     "skip_commit": "stuck",
+    "kick_before_store": "stuck",
 }
 
 
@@ -411,80 +416,83 @@ def epoch_model(writers: int = 2, epochs: int = 2,
     eager pairs beside them are the owner's own writes, finished before
     its fence, and add no state to the seqlock.
 
-    The owner's fence is enabled only once ``min(done) >= k`` and a
-    writer's put only after its wait observed ``epoch >= k`` — exactly
-    the runtime spins.  Safety: a put with ``epoch < k`` is an
+    Waits park, as the descriptor ring's receiver does: the owner opens
+    by storing ``epoch = k`` and then kicking every writer, a writer
+    commits by storing ``done[i] = k`` and then kicking the owner.  A
+    writer's wait (the owner's fence) checks ``epoch >= k``
+    (``min(done) >= k``); on a miss it parks until its wake count — the
+    doorbell on procs, the condition's notify on threads — is positive,
+    absorbs it and checks again, so a kick between the check and the
+    sleep is not lost.  Safety: a put with ``epoch < k`` is an
     unexposed-epoch write; an owner read with ``min(done) < epoch`` is
     a torn seqlock read.  See :data:`EPOCH_MUTANTS`.
     """
     if mutant is not None and mutant not in EPOCH_MUTANTS:
         raise ValueError(f"unknown epoch mutant {mutant!r}")
-    owner_ops = []
+    owner_ops, writer_ops = [], []
     for k in range(1, epochs + 1):
-        owner_ops.append(("open", k))
-        if mutant != "read_before_fence":
-            owner_ops.append(("fence", k))
-        owner_ops.append(("read", k))
-    writer_ops = []
-    for k in range(1, epochs + 1):
-        if mutant != "skip_wait":
-            writer_ops.append(("wait", k))
-        writer_ops.append(("put", k))
-        if mutant != "skip_commit":
-            writer_ops.append(("commit", k))
+        opening = [("open", k), ("kick", k)]
+        if mutant == "kick_before_store":
+            opening.reverse()
+        owner_ops += opening + [("fence", k)] * (
+            mutant != "read_before_fence") + [("read", k)]
+        writer_ops += [("wait_open", k)] * (mutant != "skip_wait") + [
+            ("put", k)] + [("commit", k), ("kick", k)] * (
+            mutant != "skip_commit")
+    ops = [owner_ops] + [writer_ops] * writers      # party 0: the owner
 
-    init = (0, (0,) * writers, 0, (0,) * writers, "")
+    def put(seq, i, value):
+        return tuple(value if j == i else v for j, v in enumerate(seq))
+
+    # per party: (program counter, parked, wake count)
+    init = (0, (0,) * writers, ((0, False, 0),) * (writers + 1), "")
 
     def successors(state):
-        epoch, done, opc, wpcs, err = state
+        epoch, done, parties, err = state
         out = []
-        if opc < len(owner_ops):
-            kind, k = owner_ops[opc]
-            if kind == "open":
-                out.append((f"owner: epoch_open({k})",
-                            (k, done, opc + 1, wpcs, err)))
-            elif kind == "fence":
-                if min(done) >= k:
-                    out.append((f"owner: fence({k})",
-                                (epoch, done, opc + 1, wpcs, err)))
-            else:  # read
-                nerr = err
-                if min(done) < epoch:
-                    nerr = (f"{sanitize.TORN_READ}: owner reads "
-                            f"generation {k} with min(done)="
-                            f"{min(done)} < epoch {epoch} — writers "
-                            f"may still be scattering")
-                out.append((f"owner: read({k})",
-                            (epoch, done, opc + 1, wpcs, nerr)))
-        for w in range(writers):
-            pc = wpcs[w]
-            if pc >= len(writer_ops):
+        for p, (pc, parked, bell) in enumerate(parties):
+            if pc == len(ops[p]):
                 continue
-            kind, k = writer_ops[pc]
-            adv = tuple(pc + 1 if i == w else c for i, c in enumerate(wpcs))
-            if kind == "wait":
-                if epoch >= k:
-                    out.append((f"writer {w}: wait_open({k})",
-                                (epoch, done, opc, adv, err)))
+            kind, k = ops[p][pc]
+            who = f"writer {p - 1}" if p else "owner"
+            nxt = put(parties, p, (pc + 1, False, bell))
+            if parked:
+                if bell:
+                    out.append((f"{who}: wake, absorb kicks", (
+                        epoch, done, put(parties, p, (pc, False, 0)), err)))
+            elif kind in ("wait_open", "fence"):
+                if (epoch if kind == "wait_open" else min(done)) >= k:
+                    out.append((f"{who}: {kind}({k})",
+                                (epoch, done, nxt, err)))
+                else:
+                    out.append((f"{who}: {kind}({k}) misses, park", (
+                        epoch, done, put(parties, p, (pc, True, bell)),
+                        err)))
+            elif kind == "open":
+                out.append((f"owner: epoch_open({k})", (k, done, nxt, err)))
+            elif kind == "kick":  # the owner its writers, a writer the owner
+                out.append((f"{who}: kick", (epoch, done, tuple(
+                    (c, z, b + ((q == 0) != (p == 0)))
+                    for q, (c, z, b) in enumerate(nxt)), err)))
+            elif kind == "commit":
+                out.append((f"{who}: commit({k})",
+                            (epoch, put(done, p - 1, k), nxt, err)))
             elif kind == "put":
-                nerr = err
-                if epoch < k:
-                    nerr = (f"{sanitize.UNSYNC_WRITE}: writer {w} put "
-                            f"lands in unexposed epoch {k} (window "
-                            f"exposes epoch {epoch}) — wait_open "
-                            f"skipped")
-                out.append((f"writer {w}: put({k})",
-                            (epoch, done, opc, adv, nerr)))
-            else:  # commit
-                ndone = tuple(k if i == w else d for i, d in enumerate(done))
-                out.append((f"writer {w}: commit({k})",
-                            (epoch, ndone, opc, adv, err)))
+                nerr = err or (epoch < k and (
+                    f"{sanitize.UNSYNC_WRITE}: {who} put lands in "
+                    f"unexposed epoch {k} (window exposes epoch {epoch}) "
+                    f"— wait_open skipped")) or ""
+                out.append((f"{who}: put({k})", (epoch, done, nxt, nerr)))
+            else:  # read
+                nerr = err or (min(done) < epoch and (
+                    f"{sanitize.TORN_READ}: owner reads generation {k} "
+                    f"with min(done)={min(done)} < epoch {epoch} — "
+                    f"writers may still be scattering")) or ""
+                out.append((f"owner: read({k})", (epoch, done, nxt, nerr)))
         return out
 
     def is_final(state):
-        _, _, opc, wpcs, _ = state
-        return (opc == len(owner_ops)
-                and all(pc == len(writer_ops) for pc in wpcs))
+        return all(pc == len(ops[p]) for p, (pc, _, _) in enumerate(state[2]))
 
     return explore_states(init, successors, is_final,
                           check=lambda state: state[-1])
@@ -558,29 +566,9 @@ class _FakePool:
         self._tsan_gen = [0] * nslots
 
 
-class _FakeSeg:
-    """Just the epoch/done header surface the window hooks read."""
-
-    def __init__(self, nwriters: int = 1):
-        self.name = "selfcheck"
-        self.nwriters = nwriters
-        self._epoch = 0
-        self._done_ctrs = [0] * nwriters
-
-    def epoch(self) -> int:
-        return self._epoch
-
-    def set_epoch(self, k: int) -> None:
-        self._epoch = k
-
-    def done(self, w: int) -> int:
-        return self._done_ctrs[w]
-
-    def set_done(self, w: int, k: int) -> None:
-        self._done_ctrs[w] = k
-
-    def min_done(self) -> int:
-        return min(self._done_ctrs)
+def _heap_window(nwriters: int = 1) -> shm.HeapWindow:
+    """A real epoch header over a private buffer: the threads window."""
+    return shm.HeapWindow(np.zeros(1), nwriters)
 
 
 def sanitizer_selfcheck() -> list[str]:
@@ -588,9 +576,9 @@ def sanitizer_selfcheck() -> list[str]:
     and each seeded corruption; returns failure descriptions (empty =
     the dynamic checks agree with the model checker).
 
-    Runs against in-process fakes of the shadow plane and the window
-    header, so it needs no shared memory and is safe anywhere
-    ``verify race`` runs.
+    Runs against an in-process fake of the shadow plane and a real
+    heap window header, so it needs no shared memory and is safe
+    anywhere ``verify race`` runs.
     """
     failures: list[str] = []
     was = sanitize.set_tsan(True)
@@ -619,7 +607,7 @@ def sanitizer_selfcheck() -> list[str]:
         for s in (1, 2):
             san.slot_released(pool, s)
         # clean epoch round: open -> wait -> put -> commit -> fence -> read
-        seg = _FakeSeg()
+        seg = _heap_window()
         san.win_open(seg, 1)
         seg.set_epoch(1)
         san.win_wait_open(seg, 1)
@@ -679,12 +667,12 @@ def sanitizer_selfcheck() -> list[str]:
         expect("publish without acquire", [sanitize.UNSYNC_WRITE])
 
         # seeded: put into an unexposed epoch (skip_wait)
-        seg = _FakeSeg()
+        seg = _heap_window()
         san.win_put(seg, 0)
         expect("unexposed-epoch put", [sanitize.UNSYNC_WRITE])
 
         # seeded: owner read inside an open epoch (read_before_fence)
-        seg = _FakeSeg()
+        seg = _heap_window()
         san.win_open(seg, 1)
         seg.set_epoch(1)
         san.win_read(seg)

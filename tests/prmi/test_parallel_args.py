@@ -399,8 +399,9 @@ def _epoch_run(calls, *, name="norm", layouts=None, backend="threads",
 def test_steady_state_call_makes_no_layout_round_trip(monkeypatch):
     """A pre-registered layout travels once: every call after the first
     matches two messages fewer on threads (no layout on ``PULL_TAG``, no
-    broadcast of it over the callers) — 21 per call with this geometry,
-    whose six pairs are all token pairs as in ``prmi_parallel_arg``."""
+    broadcast of it over the callers) — 15 per call with this geometry,
+    whose six pairs are all put pairs (one window handle each, no data
+    message) as in ``prmi_parallel_arg``."""
     from repro.prmi.endpoint import PULL_TAG
     from repro.schedule import executor
     from repro.util.counters import TRANSPORT_STATS
@@ -412,7 +413,7 @@ def test_steady_state_call_makes_no_layout_round_trip(monkeypatch):
         out = _epoch_run(calls, watch=True)
         matched.append(TRANSPORT_STATS.get("messages_matched"))
     per_call = (matched[1] - matched[0]) / 4
-    assert per_call <= 21, per_call
+    assert per_call == 15, per_call
     first, *steady = out["caller"][0]
     assert ("recv", PULL_TAG) in first and ("bcast",) in first
     assert ("bcast",) in out["caller"][1][0]

@@ -22,17 +22,19 @@ from repro.schedule import bind, build_region_schedule
 from repro.simmpi import run_coupled
 from repro.simmpi.intercomm import couple_jobs, default_nameservice
 from repro.simmpi.runner import Job
+from repro.simmpi.shm import WindowSegment
 from repro.simmpi.transport import ThreadTransport
 from repro.util.counters import TRANSPORT_STATS
 from repro.util.regions import Region
 
 
 class RmaThreadTransport(ThreadTransport):
-    """In-process harness for the one-sided tier: ranks are threads of
-    one process, so every rank can map every window — the engines run
-    the real RMA protocol without forked processes."""
+    """In-process harness for the procs window: ranks are threads of
+    one process exposing shared-segment windows, so the engines run the
+    segment protocol (rebase at bind, evacuation at close) without
+    forked processes."""
 
-    rma_capable = True
+    window = WindowSegment
 
 
 def _rma_job(n):
@@ -400,10 +402,10 @@ class TestRmaEquivalence:
         assert all(home(arr) != was
                    for arr, was in zip(dst_arrays, in_window))
 
-    def test_rma_falls_back_on_incapable_transport(self):
-        """tier="rma" on the plain threads transport (no shared windows
-        across real processes to model) degrades to two-sided,
-        counted as a fallback — results stay correct."""
+    def test_rma_puts_on_the_threads_transport(self):
+        """tier="rma" on the plain threads transport puts every pair
+        into a heap window over the destination array itself: the
+        array stays where it is, and results stay correct."""
         src_desc = DistArrayDescriptor(CartesianTemplate([Cyclic(24, 2)]))
         dst_desc = DistArrayDescriptor(CartesianTemplate([Block(24, 3)]))
         g = np.arange(24.0)
@@ -414,20 +416,22 @@ class TestRmaEquivalence:
                       for r in range(src_desc.nranks)]
         dst_arrays = [DistributedArray.allocate(dst_desc, r)
                       for r in range(dst_desc.nranks)]
-        before = TRANSPORT_STATS.get("rma_fallbacks")
+        homes = [arr.flat_local() for arr in dst_arrays]
         receivers = [bind(sched, "dst", dst_inters[r], dst_arrays[r],
                           tier="rma")
                      for r in range(dst_desc.nranks)]
         senders = [bind(sched, "src", src_inters[r], src_arrays[r],
                         tier="rma")
                    for r in range(src_desc.nranks)]
-        assert TRANSPORT_STATS.get("rma_fallbacks") > before
-        assert all(e.tier == "two_sided" for e in senders + receivers)
+        assert all(e.tier == "rma" for e in senders + receivers)
         got = _step(senders, receivers)
         assert got == 24
+        assert TRANSPORT_STATS.get("rma_puts") > 0
         for d, arr in enumerate(dst_arrays):
+            assert arr.flat_local() is homes[d]
             expect = DistributedArray.from_global(dst_desc, d, g)
             assert arr.flat_local().tobytes() == expect.flat_local().tobytes()
+        _close_all(senders, receivers)
 
     def test_rma_env_var_selects_mode(self, monkeypatch):
         """REPRO_TIER=rma turns the one-sided tier on without code

@@ -1,11 +1,11 @@
 """The eager/rendezvous split of the point-to-point tiers.
 
-On procs a persistent two-sided pair whose wire bytes exceed
-``EAGER_MAX`` is put straight into the receiver's window; on threads
-such a pair, one-shot or persistent, is lent once the receiver's ready
-token arrives.  Either way the push waits for the consumer's arm; a
-pair at or below the limit stays an eager message.  Every size here is
-derived from ``EAGER_MAX``.
+A two-sided pair whose wire bytes exceed ``EAGER_MAX`` is put straight
+into the receiver's window: on procs on a persistent transfer, on
+threads (whose window is the receiver's own array) on one-shots too.
+Either way the push waits for the consumer's arm; a pair at or below
+the limit stays an eager message.  Every size here is derived from
+``EAGER_MAX``.
 
 Block 2 -> 3 has four pairs: two of a third of the extent, two of a
 sixth.  At ``MIXED`` elements the thirds exceed the limit and the
@@ -26,7 +26,8 @@ from repro.schedule import GLOBAL_CACHE
 from repro.schedule.executor import (EAGER_MAX, bind, execute_inter,
                                      execute_intra)
 from repro.simmpi import run_coupled, run_spmd
-from repro.simmpi.intercomm import default_nameservice
+from repro.simmpi.intercomm import couple_jobs, default_nameservice
+from repro.simmpi.runner import Job
 from repro.util.counters import TRANSPORT_STATS
 
 M, N = 2, 3
@@ -130,17 +131,101 @@ def test_all_put_pairs_move_each_wire_byte_once():
     assert got.tobytes() == _truth(LARGE, STEPS - 1).tobytes()
 
 
-def test_threads_make_no_puts_and_count_no_fallback():
+def test_threads_put_the_pairs_above_the_limit_too():
     res, _ = _run(MIXED, "rdv-threads", backend="threads")
     assert {r[0] for r in res["prod"] + res["cons"]} == {"two_sided"}
+    for step in range(STEPS):
+        got = _assembled([r[2][step] for r in res["cons"]], MIXED)
+        assert got.tobytes() == _truth(MIXED, step).tobytes()
     # thread ranks share this process's counters, bind included
-    assert TRANSPORT_STATS.get("rma_puts") == 0
-    assert TRANSPORT_STATS.get("rma_fallbacks") == 0
-    got = _assembled([r[2][-1] for r in res["cons"]], MIXED)
-    assert got.tobytes() == _truth(MIXED, STEPS - 1).tobytes()
+    assert TRANSPORT_STATS.get("rma_puts") == 2 * STEPS
 
 
-# -- threads: a token pair never meets an unarmed receiver ------------------
+def _rma_step(comm, name, late):
+    """One persistent ``rma`` step, the consumer arming ``late`` seconds
+    after the producer is ready to put; returns this rank's counts."""
+    src_desc, dst_desc = _descs(LARGE, 1, 1)
+    if comm.job.name == "prod":
+        da = DistributedArray.from_global(src_desc, 0, _truth(LARGE, 0))
+        chan = Coupler(name, default_nameservice).open(comm, "source", da,
+                                                       tier="rma")
+    else:
+        chan = Coupler(name, default_nameservice).open(
+            comm, "destination", dst_desc, tier="rma")
+    before = {k: TRANSPORT_STATS.get(k) for k in
+              ("rma_epoch_waits", "rma_puts")}
+    parks = _PARKS[0]
+    if comm.job.name == "prod":
+        chan.push()
+        flat = None
+    else:
+        time.sleep(late)
+        flat = chan.pull().flat_local().copy()
+    delta = {k: TRANSPORT_STATS.get(k) - v for k, v in before.items()}
+    delta["parks"] = _PARKS[0] - parks
+    chan.close()
+    return delta, flat
+
+
+_PARKS = [0]
+
+
+def _counting_parks(monkeypatch):
+    from repro.simmpi.matching import Mailbox
+    park = Mailbox._park
+
+    def counted(self, timeout):
+        _PARKS[0] += 1
+        park(self, timeout)
+
+    monkeypatch.setattr(Mailbox, "_park", counted)
+
+
+@pytest.mark.parametrize("backend", ["threads", "procs"])
+def test_a_put_parked_on_a_late_arm_completes_once_the_receiver_arms(
+        monkeypatch, backend):
+    """The producer's put waits for an epoch the consumer opens 0.3 s
+    late: it parks once (no poll) and its bytes land when the consumer
+    arms.  Forked ranks inherit the counting park."""
+    _counting_parks(monkeypatch)
+    name = f"rdv-park-{backend}"
+    res = run_coupled([("prod", 1, _rma_step, (name, 0.0)),
+                       ("cons", 1, _rma_step, (name, 0.3))],
+                      deadlock_timeout=30.0, backend=backend)
+    (prod, _), = res["prod"]
+    (_, flat), = res["cons"]
+    assert flat.tobytes() == _truth(LARGE, 0).tobytes()
+    assert prod["rma_puts"] == 1
+    assert prod["rma_epoch_waits"] == 1
+    # a 0.2 ms poll would have parked about 1500 times
+    assert prod["parks"] <= 5, prod
+
+
+def test_a_threads_persistent_rma_step_matches_no_message():
+    src_desc, dst_desc = _descs(LARGE)
+    sched = GLOBAL_CACHE.get(src_desc, dst_desc)
+    src_inters, dst_inters = couple_jobs(Job(M), Job(N))
+    dsts = [DistributedArray.allocate(dst_desc, r) for r in range(N)]
+    rxs = [bind(sched, "dst", dst_inters[r], dsts[r], tier="rma")
+           for r in range(N)]
+    txs = [bind(sched, "src", src_inters[r], DistributedArray.from_global(
+        src_desc, r, _truth(LARGE, 0)), tier="rma") for r in range(M)]
+    before = TRANSPORT_STATS.get("messages_matched")
+    for rx in rxs:
+        rx.arm()
+    for tx in txs:
+        tx.step()
+    for rx in rxs:
+        rx.complete()
+    assert TRANSPORT_STATS.get("messages_matched") == before
+    assert TRANSPORT_STATS.get("rma_puts") == 4
+    assert DistributedArray.assemble(dsts).tobytes() == \
+        _truth(LARGE, 0).tobytes()
+    for half in txs + rxs:
+        half.close()
+
+
+# -- a one-shot's put pair never meets an unarmed receiver ------------------
 
 _SENT_TAG = 9
 
@@ -174,7 +259,7 @@ def _recv_once_late(comm, extent, name, after_sends):
 
 
 @pytest.mark.parametrize("extent, after_sends, late_pairs", [
-    (LARGE, False, 0),            # every pair above the limit: tokens
+    (LARGE, False, 0),            # every pair above the limit: puts
     (LIMIT, True, 4),             # every pair below it: eager, snapshotted
 ], ids=["above-limit", "below-limit"])
 def test_a_threads_one_shot_waits_for_a_late_receiver_above_the_limit(
@@ -188,7 +273,10 @@ def test_a_threads_one_shot_waits_for_a_late_receiver_above_the_limit(
         _truth(extent, 0).tobytes()
     # block 2 -> 3 has four pairs; thread ranks share these counters
     assert TRANSPORT_STATS.get("borrow_snapshots") == late_pairs
-    assert TRANSPORT_STATS.get("direct_deliveries") == 4 - late_pairs
+    if late_pairs:
+        assert TRANSPORT_STATS.get("direct_deliveries") == 0
+    else:
+        assert TRANSPORT_STATS.get("rma_puts") == 4
 
 
 def _send_to_two(comm, extent):
@@ -215,10 +303,10 @@ def _arm_after_peer(comm, extent):
     return da.flat_local().copy()
 
 
-def test_a_sender_serves_token_pairs_in_the_order_their_receivers_arm():
+def test_a_sender_serves_put_pairs_in_the_order_their_receivers_open_epochs():
     """The first receiver in pair order arms only after the second has
-    its bytes: a sender that waited for the tokens in pair order would
-    never send the second pair (the watchdog would fire)."""
+    its bytes: a sender that waited for the epochs in pair order would
+    never put the second pair (the watchdog would fire)."""
     extent = 4 * LIMIT                      # two pairs of 2 LIMIT each
     res = run_coupled([("prod", 1, _send_to_two, (extent,)),
                        ("cons", 2, _arm_after_peer, (extent,))],
@@ -240,7 +328,7 @@ def _transpose(comm, rows, cols):
     return da
 
 
-def test_an_intra_job_transpose_above_the_limit_lends_every_pair_once():
+def test_an_intra_job_transpose_above_the_limit_puts_every_pair_once():
     rows = 256
     cols = 2 * 2 * (2 * LIMIT) // rows     # 2 x 2 pairs of 2 LIMIT each
     parts = run_spmd(2, _transpose, rows, cols, deadlock_timeout=60.0,
@@ -248,7 +336,7 @@ def test_an_intra_job_transpose_above_the_limit_lends_every_pair_once():
     got = DistributedArray.assemble(parts)
     assert got.tobytes() == np.arange(rows * cols, dtype=np.float64).tobytes()
     assert TRANSPORT_STATS.get("borrow_snapshots") == 0
-    assert TRANSPORT_STATS.get("direct_deliveries") == 4
+    assert TRANSPORT_STATS.get("rma_puts") == 4
 
 
 def _persistent_intra(comm, extent):
@@ -354,13 +442,17 @@ def _raises_naming(extent, backend, waits_on):
     assert any(waits_on in str(e) for e in ei.value.failures.values())
 
 
+# the second push waits for an epoch the consumer never opens; the dump
+# names the consumer (rank 0 of its job) and the channel's data tag
+_PUT_WAIT = "rma_put(owners=[0], tag="
+
+
 def test_pushing_ahead_of_a_put_pair_raises_naming_rma_put():
-    _raises_naming(2 * LIMIT, "procs", "rma_put")
+    _raises_naming(2 * LIMIT, "procs", _PUT_WAIT)
 
 
-def test_pushing_ahead_of_a_token_pair_raises_naming_the_token_wait():
-    # the second push waits for a ready token the consumer never sends
-    _raises_naming(2 * LIMIT, "threads", "tag=ready(")
+def test_pushing_ahead_of_a_put_pair_on_threads_raises_naming_rma_put():
+    _raises_naming(2 * LIMIT, "threads", _PUT_WAIT)
 
 
 def test_pushing_ahead_below_the_limit_buffers_and_completes():

@@ -14,7 +14,6 @@ from repro.dad import (
 from repro.schedule import GLOBAL_CACHE, PLAN_STATS
 from repro.schedule.executor import EAGER_MAX, Tier, resolve_tier
 from repro.simmpi import run_spmd
-from repro.util.counters import TRANSPORT_STATS
 
 
 def _cart(*axes):
@@ -26,26 +25,20 @@ def _cart(*axes):
 
 _T = Tier("two_sided", eager_max=EAGER_MAX)
 
-#: ``tier`` request -> resolved tier for (a persistent transfer on
-#: procs, a persistent transfer on threads, a one-shot on procs, a
-#: one-shot on threads).  Only threads cannot attach windows, so a
-#: persistent ``rma`` request there — and nothing else — falls back and
-#: counts one ``rma_fallbacks``; a procs one-shot sends every pair eager.
+#: ``tier`` request -> resolved tier for (a persistent transfer, a
+#: one-shot on procs, a one-shot on threads).  A persistent transfer
+#: resolves the same on both backends; a procs one-shot sends every pair
+#: eager, a threads one-shot puts the pairs above the limit.
 TIER_TABLE = {
-    "two_sided": (_T, _T, Tier("two_sided"), _T),
-    "rma": (Tier("rma", eager_max=0), _T, Tier("two_sided"), _T),
+    "two_sided": (_T, Tier("two_sided"), _T),
+    "rma": (Tier("rma", eager_max=0), Tier("two_sided"), _T),
 }
 
 
 def _resolve_every_request(comm):
-    out = {}
-    for request in TIER_TABLE:
-        for one_shot in (False, True):
-            before = TRANSPORT_STATS.get("rma_fallbacks")
-            tier = resolve_tier(comm, tier=request, one_shot=one_shot)
-            out[request, one_shot] = (
-                tier, TRANSPORT_STATS.get("rma_fallbacks") - before)
-    return out
+    return {(request, one_shot): resolve_tier(comm, tier=request,
+                                              one_shot=one_shot)
+            for request in TIER_TABLE for one_shot in (False, True)}
 
 
 @pytest.mark.parametrize("backend", ["threads", "procs"],
@@ -53,12 +46,9 @@ def _resolve_every_request(comm):
 def test_resolve_tier_table(monkeypatch, backend):
     monkeypatch.delenv("REPRO_TIER", raising=False)
     (got,) = run_spmd(1, _resolve_every_request, backend=backend)
-    threads = backend == "threads"
-    for (request, one_shot), (tier, fallbacks) in got.items():
-        want = TIER_TABLE[request][2 * one_shot + threads]
-        assert tier == want, (request, one_shot)
-        assert fallbacks == int(not one_shot and threads
-                                and request == "rma"), request
+    for (request, one_shot), tier in got.items():
+        column = one_shot * (1 + (backend == "threads"))
+        assert tier == TIER_TABLE[request][column], (request, one_shot)
     assert len(got) == len(TIER_TABLE) * 2
 
 

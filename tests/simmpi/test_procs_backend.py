@@ -11,6 +11,7 @@ targeted coverage.
 
 import os
 import pickle
+import re
 import signal
 import time
 
@@ -731,8 +732,12 @@ def test_procs_rank_killed_between_pushes_fails_every_peer_fast(case):
         assert isinstance(peer, DeadlockError)
         assert "prod rank 1" in str(peer)
         # blocked where the case says: an armed eager sink, or a fence
+        # naming the writers behind, the dead rank 1 among them
         assert ("rma_fence(" if case == "put" else "prepost_recv(") \
             in str(peer)
+        if case == "put":
+            assert re.search(r"rma_fence\(epoch=2, writers=\[(0, )?1\]\)",
+                             str(peer))
 
 
 # -- transport counters and tunables -----------------------------------------

@@ -35,6 +35,8 @@ from hypothesis import strategies as st
 from repro.errors import SpmdError
 from repro.simmpi import rma, run_spmd, sanitize, shm
 from repro.simmpi import transport
+from repro.simmpi.communicator import allocate_context
+from repro.simmpi.runner import Job
 from repro.util.counters import RACE_STATS, TRANSPORT_STATS
 
 
@@ -148,11 +150,23 @@ def test_publish_without_acquire_fires_unsync(tsan):
         pool.unlink()
 
 
+class _SegmentTransport(transport.ThreadTransport):
+    window = shm.WindowSegment
+
+
+def _window():
+    """A real one-writer shared-segment window on a one-rank job, whose
+    rank is its own writer."""
+    comm = Job(1, transport_factory=_SegmentTransport).world(
+        0, allocate_context())
+    return rma.ExposedWindow(comm, np.empty(8), [0])
+
+
 def test_window_epoch_round_clean_and_torn_read_fires(tsan):
     """Real :class:`rma.ExposedWindow` verbs: a full open/put/commit/
     fence/read round is clean; a ``check_read`` inside the open epoch
     (the ``read_before_fence`` mutant) reports a torn seqlock read."""
-    win = rma.ExposedWindow(64, np.float64, 1, mailbox=None)
+    win = _window()
     try:
         seg = win._seg
         win.epoch_open()
@@ -175,7 +189,7 @@ def test_window_epoch_round_clean_and_torn_read_fires(tsan):
 
 
 def test_unexposed_put_and_repeat_commit_fire(tsan):
-    win = rma.ExposedWindow(64, np.float64, 1, mailbox=None)
+    win = _window()
     try:
         seg = win._seg
         tsan.win_put(seg, 0)               # no epoch open yet
