@@ -26,6 +26,9 @@ from repro.util.counters import Counters, TRANSPORT_STATS
 
 __all__ = ["BufferPool"]
 
+#: The memory gauges a loan moves.
+_GAUGES = ("pool_bytes", "resident_bytes")
+
 
 class BufferPool:
     """Thread-safe free-lists of staging buffers, keyed by pair plan.
@@ -55,7 +58,8 @@ class BufferPool:
         exactly once when that send has returned.
         """
         dtype = np.dtype(dtype)
-        self.stats.add("loans")
+        stats = self.stats.shard()
+        stats["loans"] += 1
         buf = None
         with self._lock:
             free = self._free.get(key)
@@ -64,19 +68,17 @@ class BufferPool:
                 if cand.size == size and cand.dtype == dtype:
                     buf = cand
                     break
-                self.stats.add("mismatch_discards")
+                stats["mismatch_discards"] += 1
         if buf is None:
             buf = np.empty(size, dtype)
-            self.stats.add("allocations")
-            self.stats.add("allocated_bytes", buf.nbytes)
+            stats["allocations"] += 1
+            stats["allocated_bytes"] += buf.nbytes
         else:
-            self.stats.add("reuses")
-        TRANSPORT_STATS.gauge_add("pool_bytes", buf.nbytes)
-        TRANSPORT_STATS.gauge_add("resident_bytes", buf.nbytes)
+            stats["reuses"] += 1
+        TRANSPORT_STATS.gauge_add(_GAUGES, buf.nbytes)
 
         def release(buf=buf, key=key):
-            TRANSPORT_STATS.gauge_add("pool_bytes", -buf.nbytes)
-            TRANSPORT_STATS.gauge_add("resident_bytes", -buf.nbytes)
+            TRANSPORT_STATS.gauge_add(_GAUGES, -buf.nbytes)
             with self._lock:
                 self._free.setdefault(key, []).append(buf)
             self.stats.add("releases")

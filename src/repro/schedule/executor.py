@@ -233,23 +233,31 @@ class _PointSend(BoundTransfer):
                                   self._link, peer, pp.size))
             for pp, peer in put]
         self._epoch = 0
-
-    def _lend(self, pp, peer, flat) -> int:
-        """Send one pair as a lent payload; returns its elements."""
-        buf, release = self._staged(pp, flat)
-        self._link.send(payload.Borrowed(buf), peer, self._tag)
-        if release is not None:
-            release()
-        return pp.size
+        #: the storage the eager pairs' lent views below are of
+        self._flat = None
+        self._views: list = []
 
     def step(self) -> int:
-        """Send every eager pair (buffered, so no wait), then put each
-        put pair once its receiver has opened this step's epoch —
-        whichever receiver opens first is served first."""
+        """Send every eager pair (buffered, so no wait) as a lent
+        payload, then put each put pair once its receiver has opened
+        this step's epoch — whichever receiver opens first is served
+        first."""
         self._live()
         self._epoch += 1
         flat = self._storage.flat_local()
-        moved = sum(self._lend(pp, peer, flat) for pp, peer in self._eager)
+        if flat is not self._flat:
+            # per eager pair its lent view, or None (it stages through a
+            # pool loan), kept while the storage stays
+            self._flat = flat
+            self._views = [pp.lend(flat) for pp, _ in self._eager]
+        send, tag, moved = self._link.send, self._tag, 0
+        for (pp, peer), view in zip(self._eager, self._views):
+            buf, release = ((view, None) if view is not None
+                            else self._staged(pp, flat))
+            send(payload.Borrowed(buf), peer, tag)
+            if release is not None:
+                release()
+            moved += pp.size
         for pp, rwin in rma.wait_open(self._puts, self._epoch,
                                       tag=self._tag):
             buf, release = self._staged(pp, flat)
@@ -260,6 +268,7 @@ class _PointSend(BoundTransfer):
         return moved
 
     def _release(self) -> None:
+        self._flat = self._views = None
         for _, rwin in self._puts:
             rwin.close()
 
@@ -267,6 +276,8 @@ class _PointSend(BoundTransfer):
 class _PointRecv(BoundTransfer):
     _slots = None
     _win = None
+    #: the storage the bound sinks below scatter into
+    _flat = None
 
     def _setup(self, tier: Tier) -> None:
         # With put pairs: expose the array's consolidated base as a
@@ -274,7 +285,7 @@ class _PointRecv(BoundTransfer):
         # array is rebased into otherwise — so remote puts land in final
         # storage; each put peer gets the handle carrying its pair's
         # scatter plan.
-        self._sinks, put = _split(self._pairs, self._dtype, tier.eager_max)
+        self._eager, put = _split(self._pairs, self._dtype, tier.eager_max)
         self._put_size = sum(pp.size for pp, _ in put)
         if put:
             self._win = rma.ExposedWindow(
@@ -294,11 +305,16 @@ class _PointRecv(BoundTransfer):
         self._live()
         if self._slots is None:
             flat = self._storage.flat_local()
-            self._slots = [
-                self._link.prepost_recv(
-                    partial(pp.scatter, flat, loan=self._scratch(pp)),
-                    source=peer, tag=self._tag)
-                for pp, peer in self._sinks]
+            if flat is not self._flat:
+                # per eager pair its scatter, kept while the storage stays
+                self._flat = flat
+                self._sinks = [partial(pp.scatter, flat,
+                                       loan=self._scratch(pp))
+                               for pp, _ in self._eager]
+            prepost, tag = self._link.prepost_recv, self._tag
+            self._slots = [prepost(sink, source=peer, tag=tag)
+                           for sink, (_, peer) in zip(self._sinks,
+                                                      self._eager)]
             if self._win is not None:
                 self._win.epoch_open()
 
@@ -324,7 +340,8 @@ class _PointRecv(BoundTransfer):
         # A rebased array is evacuated onto a private heap buffer (a
         # rebase with the last fenced contents) before the mapping goes
         # away: no remote write can reach it afterwards and its lifetime
-        # no longer pins the window.
+        # no longer pins the window — nor do the sinks bound to it.
+        self._flat = self._sinks = None
         if self._win is not None:
             if self._win.shared:
                 flat = self._storage.flat_local()

@@ -36,7 +36,6 @@ from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, INTERNAL_TAG_BASE
 from repro.simmpi.matching import Envelope, Mailbox
 from repro.simmpi.ops import resolve_op
 from repro.simmpi.status import Status
-from repro.simmpi.transport import JobRemoteGroup
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simmpi.runner import Job
@@ -73,11 +72,11 @@ class _Link:
     """The point-to-point core both communicator kinds share.
 
     A link sends on ``_send_context`` to rank ``dest`` of its remote
-    group ``_remote`` (:class:`~repro.simmpi.transport.JobRemoteGroup`,
-    or its procs twin ``EndpointRemoteGroup``) and matches incoming
-    traffic on ``_recv_context`` in the calling rank's own mailbox.  A
-    :class:`Communicator` is the link whose remote group is its own job
-    ranks, with one context both ways; an
+    group — ``_transport.send`` to address ``_addrs[dest]``, resolved
+    once by :meth:`~repro.simmpi.transport.Transport.addresses` — and
+    matches incoming traffic on ``_recv_context`` in the calling rank's
+    own mailbox.  A :class:`Communicator` is the link whose remote group
+    is its own job ranks, with one context both ways; an
     :class:`~repro.simmpi.intercomm.Intercommunicator` addresses another
     job's ranks.  Only the counter keys differ, and they are class
     attributes.
@@ -88,14 +87,15 @@ class _Link:
     _MSG_KEYS = ("inter_msgs", "inter_msgs")
     #: The counter a send adds its wire bytes to.
     _BYTES_KEY = "inter_bytes"
-    #: The per-destination received-bytes counter, a pattern over the
-    #: destination's job rank, or ``None``.
-    _RX_BYTES_KEY: str | None = None
+    #: Per remote rank, the received-bytes counter a send adds its wire
+    #: bytes to, or ``None``.
+    _rx_keys: tuple[str, ...] | None = None
 
     local_comm: "Communicator"
     _send_context: int
     _recv_context: int
-    _remote: Any
+    _transport: Any
+    _addrs: tuple
 
     @property
     def rank(self) -> int:
@@ -104,7 +104,7 @@ class _Link:
 
     @property
     def remote_size(self) -> int:
-        return self._remote.size
+        return len(self._addrs)
 
     @property
     def recv_context(self) -> int:
@@ -116,14 +116,13 @@ class _Link:
     def _my_mailbox(self) -> Mailbox:
         # the calling rank's own mailbox: backends may support no other
         # (the procs backend has no in-process peers)
-        comm = self.local_comm
-        return comm.job.transport.mailbox(comm.job_ranks[comm._rank])
+        return self.local_comm._mbox
 
     def _check_peer(self, r: int) -> None:
-        if not (0 <= r < self._remote.size):
+        if not (0 <= r < len(self._addrs)):
             raise CommunicatorError(
                 f"remote rank {r} out of range (remote size "
-                f"{self._remote.size})")
+                f"{len(self._addrs)})")
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Buffered send: isolates ``obj`` and returns immediately.
@@ -133,30 +132,26 @@ class _Link:
         caller may reuse its buffer once this returns — see
         :mod:`repro.simmpi.payload` for the ownership contract.
         """
-        self._check_peer(dest)
-        job = self.local_comm.job
-        data, nbytes, live = payload.wire_parts(
-            obj, isolate=job.transport.isolating)
+        addrs = self._addrs
+        if not 0 <= dest < len(addrs):
+            self._check_peer(dest)
+        local = self.local_comm
+        nbytes = self._transport.send(addrs[dest], self._send_context,
+                                      local._rank, tag, obj)
         # Collective-internal protocol traffic is counted separately so
         # benchmarks can report application data movement alone.
-        counters = job.counters
-        counters.add(self._MSG_KEYS[tag >= INTERNAL_TAG_BASE])
-        counters.add(self._BYTES_KEY, nbytes)
-        if self._RX_BYTES_KEY is not None:
-            counters.add(self._RX_BYTES_KEY.format(
-                self._remote.job_ranks[dest]), nbytes)
-        self._remote.deliver(
-            dest,
-            Envelope(self._send_context, self.local_comm._rank, tag, data,
-                     nbytes),
-            live=live)
+        tally = local.job.counters.shard()
+        tally[self._MSG_KEYS[tag >= INTERNAL_TAG_BASE]] += 1
+        tally[self._BYTES_KEY] += nbytes
+        if self._rx_keys is not None:
+            tally[self._rx_keys[dest]] += nbytes
 
     def kick(self, dest: int) -> None:
         """Wake rank ``dest`` if it is parked on shared state this rank
         has just stored (an RMA epoch or commit): not a message, so it
         matches nothing and counts nothing."""
         self._check_peer(dest)
-        self._remote.kick(dest)
+        self._transport.kick(self._addrs[dest])
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              *, timeout: float | None = None,
@@ -164,7 +159,7 @@ class _Link:
         """Blocking receive; returns the payload (and optionally a Status)."""
         if source != ANY_SOURCE:
             self._check_peer(source)
-        env = self._my_mailbox().wait_match(
+        env = self.local_comm._mbox.wait_match(
             self._recv_context, source, tag, timeout=timeout)
         if return_status:
             return env.payload, Status(env.source, env.tag, env.nbytes)
@@ -200,7 +195,7 @@ class _Link:
         ``slot.wait()``."""
         if source != ANY_SOURCE:
             self._check_peer(source)
-        return self._my_mailbox().prepost(
+        return self.local_comm._mbox.prepost(
             self._recv_context, source, tag, sink)
 
 
@@ -209,7 +204,6 @@ class Communicator(_Link):
 
     _MSG_KEYS = ("msgs", "internal_msgs")
     _BYTES_KEY = "bytes"
-    _RX_BYTES_KEY = "rank{}.rx_bytes"
 
     def __init__(self, job: "Job", context: int, rank: int,
                  job_ranks: Sequence[int]):
@@ -221,7 +215,10 @@ class Communicator(_Link):
         self._coll_seq = 0
         self.local_comm = self
         self._send_context = self._recv_context = context
-        self._remote = JobRemoteGroup(job, self.job_ranks)
+        self._transport = job.transport
+        self._addrs = job.transport.addresses(self.job_ranks)
+        self._rx_keys = tuple(f"rank{r}.rx_bytes" for r in self.job_ranks)
+        self._mbox = job.transport.mailbox(self.job_ranks[rank])
 
     # -- identity -----------------------------------------------------------
 

@@ -26,7 +26,6 @@ from repro.errors import CommunicatorError
 from repro.simmpi import payload
 from repro.simmpi import transport as _transport
 from repro.simmpi.communicator import Communicator, _Link, allocate_context
-from repro.simmpi.transport import JobRemoteGroup
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simmpi.runner import Job
@@ -95,7 +94,8 @@ class NameService:
             info = None
         recv_ctx, send_ctx, remote_job, remote_ranks = _bcast_handle(comm, info)
         return Intercommunicator(comm, recv_ctx, send_ctx,
-                                 JobRemoteGroup(remote_job, remote_ranks))
+                                 remote_job.transport,
+                                 remote_job.transport.addresses(remote_ranks))
 
     def connect(self, name: str, comm: Communicator,
                 *, timeout: float = 30.0) -> "Intercommunicator":
@@ -123,7 +123,8 @@ class NameService:
             info = None
         recv_ctx, send_ctx, remote_job, remote_ranks = _bcast_handle(comm, info)
         return Intercommunicator(comm, recv_ctx, send_ctx,
-                                 JobRemoteGroup(remote_job, remote_ranks))
+                                 remote_job.transport,
+                                 remote_job.transport.addresses(remote_ranks))
 
 
 def _bcast_handle(comm: Communicator, info: Any) -> Any:
@@ -149,14 +150,14 @@ class Intercommunicator(_Link):
     """
 
     def __init__(self, local_comm: Communicator, recv_context: int,
-                 send_context: int, remote: Any):
+                 send_context: int, transport: Any, addrs: tuple):
         self.local_comm = local_comm
         self._recv_context = recv_context
         self._send_context = send_context
-        #: delivery handle for the remote ranks: a
-        #: :class:`~repro.simmpi.transport.JobRemoteGroup` on threads, an
-        #: :class:`~repro.simmpi.transport.EndpointRemoteGroup` on procs
-        self._remote = remote
+        #: the transport reaching the remote ranks (the remote job's on
+        #: threads, this rank's own on procs) and their addresses
+        self._transport = transport
+        self._addrs = addrs
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Intercommunicator(local {self.rank}/"
@@ -183,10 +184,12 @@ def couple_jobs(src_job: "Job", dst_job: "Job",
     dst_ranks = tuple(range(dst_job.n))
     src_inters = [
         Intercommunicator(Communicator(src_job, ctx_src, r, src_ranks),
-                          ctx_bwd, ctx_fwd, JobRemoteGroup(dst_job, dst_ranks))
+                          ctx_bwd, ctx_fwd, dst_job.transport,
+                          dst_job.transport.addresses(dst_ranks))
         for r in range(src_job.n)]
     dst_inters = [
         Intercommunicator(Communicator(dst_job, ctx_dst, r, dst_ranks),
-                          ctx_fwd, ctx_bwd, JobRemoteGroup(src_job, src_ranks))
+                          ctx_fwd, ctx_bwd, src_job.transport,
+                          src_job.transport.addresses(src_ranks))
         for r in range(dst_job.n)]
     return src_inters, dst_inters

@@ -1,39 +1,37 @@
 """Per-rank mailboxes with MPI-style (context, source, tag) matching.
 
-Each rank of each job owns one :class:`Mailbox`.  Senders append
-:class:`Envelope` objects; receivers block until a matching envelope is
-present.  Matching is FIFO *per (context, source, tag)* — the MPI
-non-overtaking rule: two messages from the same source with matching
-tags are received in send order.
+Each rank of each job owns one :class:`Mailbox`.  Matching is FIFO *per
+(context, source, tag)* — the MPI non-overtaking rule: two messages from
+the same source with matching tags are received in send order.  A
+delivery completes the oldest armed preposted slot it matches, else
+queues the envelope.
 
-Blocking receivers write what they are waiting for — once their first
-check has missed — into their rank's row of the job's
-:class:`~repro.simmpi.shm.Liveness` table, so the watchdog can produce
-a rank-state dump on deadlock.  Abort is fully event-driven:
-:meth:`AbortFlag.set` wakes every subscribed mailbox, so a blocked
-receive raises immediately instead of noticing the flag on the next
-poll tick.
+Receiving is one drain-and-match loop, :meth:`Mailbox._wait`: under the
+lock a receive checks the queue and then (procs) drains the rank's
+*inbox* — its incoming shared-memory control rings — which hands the
+first matching record straight to the receive and queues or
+sink-delivers the rest in ring order.  Only when that misses does the
+wait write what it is waiting for into its rank's row of the job's
+:class:`~repro.simmpi.shm.Liveness` table (the watchdog's input) and
+park: on the inbox doorbell on procs, only once the rings are empty, so
+no wakeup is lost; on the condition on threads, which is notified only
+while a thread waits on it.  :meth:`AbortFlag.set` wakes every
+subscribed mailbox, so a blocked receive raises at once.
 
-On the procs backend a mailbox also owns the rank's *inbox*, its
-incoming shared-memory control rings: every entry point drains them
-into ordinary matching before it checks, and a blocked wait parks on
-the inbox doorbell instead of the condition — only once the rings are
-empty, so no wakeup is lost.
+The zero-copy hook lives here.  :meth:`Mailbox.prepost` arms a
+**preposted receive** (``MPI_Recv_init`` / rendezvous-RDMA analogue): a
+destination *sink* registered before the message exists, which a
+matching delivery writes straight through — in the sender's thread on
+threads, straight out of shared memory on procs.  A lent
+(:class:`~repro.simmpi.payload.Borrowed`) view is consumed
+synchronously inside the delivery: written through an armed sink or
+snapshotted, so no alias to the sender's storage survives.
 
-The zero-copy transport hook lives here.  :meth:`Mailbox.prepost`
-arms a **preposted receive** (``MPI_Recv_init`` / rendezvous-RDMA
-analogue): the receiver registers a destination *sink* before the
-message exists, and a matching send writes its bytes straight through
-the sink — in the sender's thread, with no staging buffer and no queue
-traversal on receipt.  Borrowed (lent-view) payloads hit their fast
-path here: the view is consumed synchronously inside ``deliver``, so
-no alias to the sender's storage ever survives, and when no slot is
-armed the view degrades to a snapshot — value semantics either way.
-
-FIFO safety: ``prepost`` first drains the oldest matching *queued*
-envelope, and ``deliver`` only completes a slot when no queued envelope
+FIFO safety: ``prepost`` first takes the oldest matching *queued*
+envelope, and a delivery only completes a slot when no queued envelope
 matches it, so a preposted receive can never overtake an earlier send.
 """
+
 
 from __future__ import annotations
 
@@ -59,7 +57,6 @@ class Envelope:
     tag: int
     payload: Any
     nbytes: int
-    seq: int = 0
     #: Sender's vector clock under ``REPRO_TSAN=1`` (the mailbox
     #: handoff happens-before edge); ``None`` — and never touched —
     #: when the sanitizer is off.
@@ -74,9 +71,10 @@ class AbortFlag:
     """
 
     def __init__(self) -> None:
-        self._event = threading.Event()
         self._lock = threading.Lock()
         self._waiters: list[Callable[[], None]] = []
+        #: the flag itself (set once, under the lock; a plain read)
+        self.raised = False
         self.reason: str = ""
         self.blocked_dump: dict[int, str] = {}
 
@@ -91,16 +89,16 @@ class AbortFlag:
             # already fired (e.g. re-raising DeadlockError out of a
             # blocked recv) must not clobber the watchdog's blocked-rank
             # dump with its secondary report.
-            if not self._event.is_set():
+            if not self.raised:
                 self.reason = reason
                 self.blocked_dump = blocked
-                self._event.set()
+                self.raised = True
             waiters = list(self._waiters)
         for wake in waiters:
             wake()
 
     def is_set(self) -> bool:
-        return self._event.is_set()
+        return self.raised
 
 
 class PrepostSlot:
@@ -128,11 +126,7 @@ class PrepostSlot:
         self._mailbox = mailbox
 
     def matches(self, env: Envelope) -> bool:
-        if env.context != self.context:
-            return False
-        if self.source != ANY_SOURCE and env.source != self.source:
-            return False
-        return self.tag == ANY_TAG or env.tag == self.tag
+        return _matches(self.context, self.source, self.tag, env)
 
     def _complete(self, values: Any) -> None:
         # caller holds the mailbox lock
@@ -153,7 +147,8 @@ class Mailbox:
     checks, and a blocked wait parks on its doorbell — only while the
     rings are empty — instead of the condition variable.  One waiting
     thread parks at a time; any other waits on the condition and is
-    handed the doorbell when the parker leaves.
+    handed the doorbell when the parker leaves.  The condition is
+    notified only while a thread waits on it.
     """
 
     def __init__(self, rank: int, abort: AbortFlag,
@@ -166,52 +161,47 @@ class Mailbox:
         self._cond = threading.Condition(self._lock)
         self._messages: list[Envelope] = []
         self._slots: list[PrepostSlot] = []
-        self._seq = 0
         self._inbox = inbox
         self._parked = False
+        #: threads waiting on the condition (lock held to change it)
+        self._waiting = 0
         abort.subscribe(self.wake)
 
     def wake(self) -> None:
         """Wake this rank's blocked waits to re-check what they wait
         for — an abort, or a peer's store into shared state (a kick)."""
-        with self._cond:
-            self._cond.notify_all()
+        with self._lock:
+            if self._waiting:
+                self._cond.notify_all()
         if self._inbox is not None:
             self._inbox.kick()
-
-    def _drain(self) -> None:
-        # caller holds the lock
-        if self._inbox is not None:
-            self._inbox.drain(self)
 
     # -- the one blocking-wait loop ----------------------------------------
 
     def _wait(self, find: Callable[[], Any], describe: Callable[[], str],
               timeout: float | None, *, poll: float | None = None,
-              watched: bool = True, receive: bool = True) -> Any:
-        """Drain, then call ``find()`` under the lock until it returns
-        something other than ``None``; return that.
+              watched: bool = True, receive: bool = True,
+              drain: bool = True) -> Any:
+        """Drain the inbox (procs; a ``find`` that drains itself passes
+        ``drain`` false), then call ``find()`` under the lock until it
+        returns something other than ``None``; return that.
 
-        Only after the first check misses does the wait record this
-        rank's blocked state in its liveness row (the watchdog input)
-        and, for a ``receive``, count a ``rendezvous_waits``; leaving
-        the wait, by any exit, marks the row running and counts one
-        progress.  Between checks it parks on the inbox doorbell — the
-        condition on the threads backend — for at most ``poll`` seconds
-        when given.  An unwatched wait writes nothing to the row.  An
-        abort raises :class:`DeadlockError`; an explicit ``timeout``
-        raises :class:`TimeoutError` (``timeout <= 0`` means no
-        limit)."""
-        with self._cond:
-            self._drain()
+        Only after the first check misses does the wait write its
+        blocked state to its liveness row (unless not ``watched``) and,
+        for a ``receive``, count a ``rendezvous_waits``; leaving it, by
+        any exit, marks the row running and counts one progress.
+        Between checks it parks on the inbox doorbell (the condition on
+        threads), for at most ``poll`` seconds when given.  An abort
+        raises :class:`DeadlockError`; an explicit ``timeout`` raises
+        :class:`TimeoutError` (``timeout <= 0`` means no limit)."""
+        inbox = self._inbox if drain else None
+        with self._lock:
+            if inbox is not None:
+                inbox.drain(self)
             got = find()
-        if got is None:
-            got = self._wait_blocked(find, describe(), timeout, poll,
-                                     watched, receive)
-        return got
-
-    def _wait_blocked(self, find, desc: str, timeout, poll,
-                      watched: bool, receive: bool) -> Any:
+        if got is not None:
+            return got
+        desc = describe()
         limit = None if timeout is None else (
             threading.TIMEOUT_MAX if timeout <= 0 else timeout)
         start = time.monotonic()
@@ -223,13 +213,14 @@ class Mailbox:
         if watched:
             self._live.set_blocked(self.rank, desc)
         try:
-            with self._cond:
+            with self._lock:
                 while True:
-                    self._drain()
+                    if inbox is not None:
+                        inbox.drain(self)
                     got = find()
                     if got is not None:
                         return got
-                    if self._abort.is_set():
+                    if self._abort.raised:
                         raise DeadlockError(
                             f"rank {self.rank} aborted while blocked in "
                             f"{desc}: {self._abort.reason}",
@@ -247,22 +238,26 @@ class Mailbox:
         finally:
             if watched:
                 self._live.set_blocked(self.rank, None)
-                self._live.bump(self.rank)
 
     def _park(self, timeout: float | None) -> None:
         # caller holds the lock, has drained and found nothing
         inbox = self._inbox
         if inbox is None or self._parked:
-            self._cond.wait(timeout)
+            self._waiting += 1
+            try:
+                self._cond.wait(timeout)
+            finally:
+                self._waiting -= 1
             return
         self._parked = True
-        self._cond.release()
+        self._lock.release()
         try:
             inbox.park(timeout)
         finally:
-            self._cond.acquire()
+            self._lock.acquire()
             self._parked = False
-            self._cond.notify_all()      # hand the doorbell on
+            if self._waiting:
+                self._cond.notify_all()      # hand the doorbell on
 
     # -- non-mailbox waits (RMA epochs, a full slot or control ring) -------
 
@@ -296,35 +291,45 @@ class Mailbox:
         into ``env.payload`` before enqueueing — no alias to the
         sender's storage survives this call either way.
         """
-        with self._cond:
+        with self._lock:
             self._deliver_locked(env, live)
             if self._parked:
                 self._inbox.kick()
 
-    def _deliver_locked(self, env: Envelope, live=None) -> None:
+    def _deliver_locked(self, env: Envelope, live=None,
+                        want: Optional[tuple[int, int, int]] = None
+                        ) -> Optional[Envelope]:
         """:meth:`deliver` with the lock held — also the inbox drain's
-        delivery step."""
+        delivery step, whose ``want`` is the draining receive's
+        ``(context, source, tag)``: an envelope matching it that no armed
+        slot takes is returned, matched, instead of queued."""
         san = _san.ACTIVE
         if san is not None:
             san.env_stamp(env)
-        slot = self._match_slot(env)
+        slot = self._match_slot(env) if self._slots else None
         if slot is not None:
             self._slots.remove(slot)
             slot.clock = env.clock
             slot._complete(live if live is not None else env.payload)
-            TRANSPORT_STATS.add("direct_deliveries")
-            TRANSPORT_STATS.add("direct_bytes", env.nbytes)
-            TRANSPORT_STATS.add("messages_matched")
+            tally = TRANSPORT_STATS.shard()
+            tally["direct_deliveries"] += 1
+            tally["direct_bytes"] += env.nbytes
+            tally["messages_matched"] += 1
         else:
             if live is not None:
                 env.payload = payload.snapshot(live)
-            self._seq += 1
-            env.seq = self._seq
+            if want is not None and _matches(*want, env):
+                TRANSPORT_STATS.add("messages_matched")
+                if san is not None:
+                    san.env_join(env.clock)
+                return env
             self._messages.append(env)
             # queued (unconsumed) bytes are resident transfer memory —
             # the O(pairs) term the collective planner exists to bound.
             TRANSPORT_STATS.gauge_add("resident_bytes", env.nbytes)
-        self._cond.notify_all()
+        if self._waiting:
+            self._cond.notify_all()
+        return None
 
     def _match_slot(self, env: Envelope) -> Optional[PrepostSlot]:
         """Oldest armed slot matching ``env`` — but only if no *queued*
@@ -335,7 +340,8 @@ class Mailbox:
         keeps the invariant local and obvious."""
         for slot in self._slots:
             if slot.matches(env):
-                if any(slot.matches(m) for m in self._messages):
+                if self._messages and any(
+                        slot.matches(m) for m in self._messages):
                     return None
                 return slot
         return None
@@ -344,13 +350,8 @@ class Mailbox:
 
     def _find(self, context: int, source: int, tag: int) -> Optional[int]:
         for i, env in enumerate(self._messages):
-            if env.context != context:
-                continue
-            if source != ANY_SOURCE and env.source != source:
-                continue
-            if tag != ANY_TAG and env.tag != tag:
-                continue
-            return i
+            if _matches(context, source, tag, env):
+                return i
         return None
 
     def _take(self, idx: int) -> Envelope:
@@ -376,16 +377,11 @@ class Mailbox:
         straight out of shared memory on the wait's drain.
         """
         slot = PrepostSlot(self, context, source, tag, sink)
-        with self._cond:
-            idx = self._find(context, source, tag)
+        with self._lock:
+            idx = self._find(context, source, tag) if self._messages \
+                else None
             if idx is not None:
-                env = self._messages.pop(idx)
-                TRANSPORT_STATS.gauge_add("resident_bytes", -env.nbytes)
-                san = _san.ACTIVE
-                if san is not None:
-                    san.env_join(env.clock)
-                slot._complete(env.payload)
-                TRANSPORT_STATS.add("messages_matched")
+                slot._complete(self._take(idx).payload)
             else:
                 self._slots.append(slot)
         return slot
@@ -408,16 +404,24 @@ class Mailbox:
                    *, timeout: float | None = None) -> Envelope:
         """Block until a matching envelope arrives, then remove and return it.
 
-        Raises :class:`DeadlockError` if the job's watchdog aborts, or
-        :class:`TimeoutError` if an explicit ``timeout`` expires first.
-        Wakeups are purely event-driven (delivery or abort notification).
+        One drain-and-match loop: the queue first, then (procs) the
+        inbox drain, which hands the first matching record straight to
+        this receive.  Raises :class:`DeadlockError` if the job's
+        watchdog aborts, or :class:`TimeoutError` if an explicit
+        ``timeout`` expires first.  Wakeups are purely event-driven
+        (delivery or abort notification).
         """
+        inbox, want = self._inbox, (context, source, tag)
+
         def find():
-            idx = self._find(context, source, tag)
-            return None if idx is None else self._take(idx)
+            if self._messages:
+                idx = self._find(context, source, tag)
+                if idx is not None:
+                    return self._take(idx)
+            return inbox.drain(self, want) if inbox is not None else None
 
         return self._wait(find, lambda: _recv_desc(context, source, tag),
-                          timeout)
+                          timeout, drain=False)
 
     def wait_match_any(self, specs: "list[tuple[int, int, int]]",
                        *, timeout: float | None = None) -> Envelope:
@@ -449,10 +453,18 @@ class Mailbox:
 
     def probe(self, context: int, source: int, tag: int) -> Optional[Envelope]:
         """Non-destructive match test (MPI_Iprobe analogue)."""
-        with self._cond:
-            self._drain()
+        with self._lock:
+            if self._inbox is not None:
+                self._inbox.drain(self)
             idx = self._find(context, source, tag)
             return self._messages[idx] if idx is not None else None
+
+
+def _matches(context: int, source: int, tag: int, env: Envelope) -> bool:
+    """Does ``env`` match the receive spec ``(context, source, tag)``?"""
+    return (env.context == context
+            and (source == ANY_SOURCE or env.source == source)
+            and (tag == ANY_TAG or env.tag == tag))
 
 
 def _spec(value: int, wildcard: int) -> Any:
@@ -460,5 +472,6 @@ def _spec(value: int, wildcard: int) -> Any:
 
 
 def _recv_desc(context: int, source: int, tag: int) -> str:
-    return (f"recv(context={context}, source={_spec(source, ANY_SOURCE)}, "
-            f"tag={_spec(tag, ANY_TAG)})")
+    return (f"recv(context={context}, "
+            f"source={'ANY' if source == ANY_SOURCE else source}, "
+            f"tag={'ANY' if tag == ANY_TAG else tag})")

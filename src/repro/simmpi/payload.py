@@ -55,22 +55,6 @@ class Raw:
         self.value = value
 
 
-class PickledWire:
-    """Internal wire marker: an object already serialized for transport.
-
-    Produced by :func:`wire_parts` on non-isolating backends (procs),
-    where pickling *is* the isolation step and the bytes go straight
-    into a shared slot — deserializing in the sender process just to
-    re-serialize in the queue would double the work.  Local deliveries
-    rehydrate with one ``pickle.loads``.
-    """
-
-    __slots__ = ("blob",)
-
-    def __init__(self, blob: bytes):
-        self.blob = blob
-
-
 class Borrowed:
     """Borrow-semantics marker: lend a live array view for one send.
 
@@ -90,9 +74,10 @@ class Borrowed:
 def snapshot(arr: np.ndarray) -> np.ndarray:
     """Contiguous isolated copy of a borrowed view (counted)."""
     copy = np.array(arr, order="C", copy=True)
-    TRANSPORT_STATS.add("bytes_copied", copy.nbytes)
-    TRANSPORT_STATS.add("alloc_bytes", copy.nbytes)
-    TRANSPORT_STATS.add("borrow_snapshots")
+    tally = TRANSPORT_STATS.shard()
+    tally["bytes_copied"] += copy.nbytes
+    tally["alloc_bytes"] += copy.nbytes
+    tally["borrow_snapshots"] += 1
     return copy
 
 
@@ -122,9 +107,8 @@ def pack(obj: Any) -> tuple[Any, int]:
     return pickle.loads(blob), len(blob)
 
 
-def wire_parts(obj: Any, *, isolate: bool = True
-               ) -> tuple[Any, int, Optional[np.ndarray]]:
-    """Decompose ``obj`` for the mailbox transport.
+def wire_parts(obj: Any) -> tuple[Any, int, Optional[np.ndarray]]:
+    """Decompose ``obj`` for a mailbox delivery (an in-process send).
 
     Returns ``(data, nbytes, live)``:
 
@@ -134,26 +118,11 @@ def wire_parts(obj: Any, *, isolate: bool = True
       write into a preposted destination, else snapshot) before the
       send returns.
 
-    ``isolate=False`` is for backends whose delivery step is itself an
-    isolating copy (``Transport.isolating == False``, i.e. the procs
-    backend writing bytes into a shared slot): plain arrays are handed
-    over as lent ``live`` views with no defensive copy, and generic
-    objects are pickled exactly once into a :class:`PickledWire`.
+    A send to another process needs neither: writing the bytes into
+    shared memory is itself the isolating copy
+    (:func:`repro.simmpi.shm.encode_payload`).
     """
     if isinstance(obj, Borrowed):
         return None, obj.value.nbytes, obj.value
-    if not isolate:
-        if isinstance(obj, np.ndarray):
-            # the transport's slot write is the isolation copy
-            return None, obj.nbytes, np.asarray(obj)
-        if isinstance(obj, Raw):
-            return obj, 0, None
-        if isinstance(obj, (bytes, bytearray)):
-            return bytes(obj), len(obj), None
-        if obj is None or isinstance(obj, (bool, int, float, complex, str)):
-            nbytes = 8 if not isinstance(obj, str) else len(obj.encode())
-            return obj, nbytes, None
-        blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        return PickledWire(blob), len(blob), None
     data, nbytes = pack(obj)
     return data, nbytes, None

@@ -1,37 +1,31 @@
 """Pluggable execution backends: how a job's ranks exchange bytes.
 
-The runtime supports two backends, selected per job at launch time
-(``run_spmd(..., backend=...)`` / ``run_coupled(..., backend=...)`` or
-the ``REPRO_BACKEND`` environment variable):
+Two backends, selected per job at launch (``run_spmd(...,
+backend=...)`` / ``run_coupled(..., backend=...)`` or the
+``REPRO_BACKEND`` knob):
 
-* ``"threads"`` — the historical backend: every rank is a thread of one
-  process and a send is an in-process object handoff into the
-  destination rank's :class:`~repro.simmpi.matching.Mailbox`.  Cheap to
-  launch and fully deterministic, but packing, protocol work and
-  scatters all serialize on the GIL.
-* ``"procs"`` — every rank is a real ``multiprocessing`` process and
-  message payloads travel through ``multiprocessing.shared_memory``
-  slot rings (:mod:`repro.simmpi.shm` / :mod:`repro.simmpi.procs`), so
-  the copy phases of a redistribution run truly concurrently.
+* ``"threads"`` — every rank is a thread of one process; a send is an
+  in-process hand-off into the destination rank's
+  :class:`~repro.simmpi.matching.Mailbox`.  Cheap to launch and
+  deterministic, but packing and scatters serialize on the GIL.
+* ``"procs"`` — every rank is a process; a send is one descriptor
+  record (and slot run) in shared memory (:mod:`repro.simmpi.shm` /
+  :mod:`repro.simmpi.procs`), so copy phases run truly concurrently.
 
-Both backends implement the small :class:`Transport` contract this
-module defines.  Everything above it — communicators, collectives,
-intercommunicators, the persistent engines, :mod:`repro.highlevel` —
-is backend-agnostic: it delivers through ``job.transport`` and never
-touches mailboxes of other ranks directly.
-
-The matching semantics (per-``(context, source, tag)`` FIFO, preposted
-recv-into-destination slots, event-driven abort) live in
-:class:`~repro.simmpi.matching.Mailbox` and are shared by both
-backends: the procs backend runs one local mailbox per rank process
-that drains the rank's incoming shared-memory control rings at every
-entry point.
+Both implement the small :class:`Transport` contract.  A link
+(:class:`~repro.simmpi.communicator._Link`) resolves its remote ranks'
+addresses once, so every send is one ``transport.send`` call; everything
+above it is backend-agnostic.  Receiving is the shared
+:class:`~repro.simmpi.matching.Mailbox`, which on procs drains the
+rank's incoming control rings itself.
 """
+
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
+from repro.simmpi import payload
 from repro.simmpi.matching import AbortFlag, Envelope, Mailbox
 from repro.simmpi.shm import HeapWindow, Liveness
 
@@ -43,48 +37,34 @@ __all__ = [
 ]
 
 class Transport:
-    """Backend contract: deliver to any rank, receive on the local one.
+    """Backend contract: send to any rank, receive on the local one.
 
-    ``isolating`` tells :meth:`repro.simmpi.payload.wire_parts` whether
-    plain array payloads need a defensive copy at send time.  The
-    threads backend does (the handed-off object *is* the wire); the
-    procs backend does not — writing the bytes into a shared slot is
-    itself the isolating copy, so the defensive copy would be pure
-    waste.
+    * ``mailbox(job_rank)`` — the local mailbox of ``job_rank`` (receive
+      side); a backend may support only the calling rank's own (procs
+      has no in-process view of its peers).
+    * ``addresses(job_ranks)`` — what ``send`` and ``kick`` take for
+      ranks of this transport's job: a job rank on threads, a domain
+      endpoint on procs.  A link resolves its remote group's addresses
+      once, so a send is one call.
+    * ``send(addr, context, source, tag, obj)`` — send ``obj`` and
+      return its wire byte count.  Plain payloads go by value and a
+      :class:`~repro.simmpi.payload.Borrowed` lend is consumed before
+      the call returns: no alias to the sender's storage survives.
+    * ``kick(addr)`` — wake the rank at ``addr`` parked on shared state
+      this rank just stored: no message, nothing to match.
     """
 
     backend = "?"
-    #: Whether plain payloads must be isolated before :meth:`deliver`.
-    isolating = True
     #: The RMA window a rank exposes (:mod:`repro.simmpi.rma`): ranks
     #: sharing an address space expose the destination array itself.
     window = HeapWindow
 
-    def mailbox(self, job_rank: int) -> Mailbox:
-        """The local mailbox of ``job_rank`` (receive side).
-
-        Backends may only support the calling rank's own mailbox (the
-        procs backend has no in-process view of its peers).
-        """
-        raise NotImplementedError
-
-    def deliver(self, job_rank: int, env: Envelope, live=None) -> None:
-        """Send ``env`` (with optional lent view ``live``) to a rank of
-        this job.  Must consume ``live`` synchronously — no alias to the
-        sender's storage may survive the call."""
-        raise NotImplementedError
-
-    def kick(self, job_rank: int) -> None:
-        """Wake a rank of this job parked on shared state this rank
-        just stored — no message, nothing to match."""
-        raise NotImplementedError
-
 
 class ThreadTransport(Transport):
-    """The threads backend: one in-process mailbox per rank."""
+    """The threads backend: one in-process mailbox per rank, addressed
+    by job rank."""
 
     backend = "threads"
-    isolating = True
 
     def __init__(self, n: int, abort: AbortFlag, live: Liveness):
         self.mailboxes = [Mailbox(r, abort, live) for r in range(n)]
@@ -92,11 +72,19 @@ class ThreadTransport(Transport):
     def mailbox(self, job_rank: int) -> Mailbox:
         return self.mailboxes[job_rank]
 
-    def deliver(self, job_rank: int, env: Envelope, live=None) -> None:
-        self.mailboxes[job_rank].deliver(env, live=live)
+    def addresses(self, job_ranks: Sequence[int]) -> tuple[int, ...]:
+        return tuple(job_ranks)
 
-    def kick(self, job_rank: int) -> None:
-        self.mailboxes[job_rank].wake()
+    def send(self, addr: int, context: int, source: int, tag: int,
+             obj: Any) -> int:
+        # the handed-off object *is* the wire: plain payloads are copied
+        data, nbytes, live = payload.wire_parts(obj)
+        self.mailboxes[addr].deliver(
+            Envelope(context, source, tag, data, nbytes), live)
+        return nbytes
+
+    def kick(self, addr: int) -> None:
+        self.mailboxes[addr].wake()
 
 
 # -- procs-backend rank runtime registry -------------------------------------
@@ -130,42 +118,3 @@ def current_endpoint():
     against."""
     rt = _current_runtime
     return getattr(rt, "endpoint", None) if rt is not None else None
-
-
-class JobRemoteGroup:
-    """Delivery handle for ranks of a job through its transport: a
-    communicator's own ranks on either backend, an intercommunicator's
-    remote job on threads."""
-
-    def __init__(self, job, job_ranks: Sequence[int]):
-        self.job = job
-        self.job_ranks = tuple(job_ranks)
-
-    def deliver(self, idx: int, env: Envelope, live=None) -> None:
-        self.job.transport.deliver(self.job_ranks[idx], env, live=live)
-
-    def kick(self, idx: int) -> None:
-        self.job.transport.kick(self.job_ranks[idx])
-
-    @property
-    def size(self) -> int:
-        return len(self.job_ranks)
-
-
-class EndpointRemoteGroup:
-    """The procs twin of :class:`JobRemoteGroup`: the remote ranks are
-    global domain endpoints."""
-
-    def __init__(self, transport, endpoints: Sequence[int]):
-        self._transport = transport
-        self.endpoints = tuple(endpoints)
-
-    def deliver(self, idx: int, env: Envelope, live=None) -> None:
-        self._transport.deliver_endpoint(self.endpoints[idx], env, live=live)
-
-    def kick(self, idx: int) -> None:
-        self._transport.kick_endpoint(self.endpoints[idx])
-
-    @property
-    def size(self) -> int:
-        return len(self.endpoints)

@@ -86,26 +86,29 @@ class Counters(_Sharded):
         for name, value in shard.items():
             self._data[name] += value
 
-    def add(self, name: str, amount: int = 1) -> None:
+    def shard(self) -> dict[str, int]:
+        """The calling thread's shard, for a path that adds several
+        counts at once (one message's tally).  Add ints only."""
         try:
-            shard = self._local.shard
+            return self._local.shard
         except AttributeError:
-            shard = self._register()
-        shard[name] += int(amount)
+            return self._register()
 
-    def gauge_add(self, name: str, delta: int) -> None:
-        """Move a *level* gauge by ``delta`` and maintain its high-water
-        mark: ``name`` tracks the current level, ``peak_<name>`` the
-        maximum level ever observed (both under one lock, so concurrent
-        acquire/release races can never record a stale peak).  Resetting
-        the counters zeroes both — reset around a measured section, as
-        with plain counters."""
+    def add(self, name: str, amount: int = 1) -> None:
+        self.shard()[name] += int(amount)
+
+    def gauge_add(self, names: str | tuple[str, ...], delta: int) -> None:
+        """Move a *level* gauge — or each of a tuple of gauges — by
+        ``delta`` and maintain its high-water mark: ``name`` tracks the
+        current level, ``peak_<name>`` the maximum level ever observed
+        (under one lock, so concurrent moves never record a stale peak).
+        Resetting the counters zeroes both, as with plain counters."""
+        data = self._data
         with self._lock:
-            level = self._data[name] + int(delta)
-            self._data[name] = level
-            peak = "peak_" + name
-            if level > self._data[peak]:
-                self._data[peak] = level
+            for name in (names,) if type(names) is str else names:
+                level = data[name] = data[name] + delta
+                if level > data["peak_" + name]:
+                    data["peak_" + name] = level
 
     def get(self, name: str) -> int:
         with self._lock:

@@ -6,9 +6,11 @@ each test, so absolute-value assertions (compile counts, cache misses)
 cannot bleed between tests under xdist or reordering — shared here
 instead of being duplicated per test package.
 
-A second one fails any test that leaves a ``/dev/shm`` entry or a live
-child process behind: the procs backend's teardown must release every
-segment and join every rank process.
+A second one fails any test that leaves a shared-memory segment of this
+session (``repro.simmpi.shm.segments()``: named with a prefix fixed at
+import in this process, so a benchmark or a second pytest running beside
+it is not counted) or a live child process behind: the procs backend's
+teardown must release every segment and join every rank process.
 """
 
 import multiprocessing
@@ -20,6 +22,7 @@ import pytest
 
 from repro.schedule.builder import GLOBAL_CACHE
 from repro.schedule.indexplan import PLAN_STATS
+from repro.simmpi.shm import segments
 from repro.util.counters import RACE_STATS, TRANSPORT_STATS
 from repro.verify.hook import VERIFY_STATS
 
@@ -41,13 +44,6 @@ def transport_stats():
     _reset_all()
 
 
-def _shm_entries() -> set[str]:
-    try:
-        return set(os.listdir("/dev/shm"))
-    except OSError:
-        return set()
-
-
 def _live_children() -> set[int]:
     path = Path(f"/proc/self/task/{os.getpid()}/children")
     try:
@@ -58,14 +54,14 @@ def _live_children() -> set[int]:
 
 @pytest.fixture(autouse=True)
 def no_leaks():
-    """After each test, no ``/dev/shm`` entry and no live child process
-    it created remains."""
+    """After each test, no segment and no live child process it created
+    remains."""
     # the shared-memory resource tracker is a session-long child: start
     # it before the first snapshot so it is never a test's leak
     resource_tracker.ensure_running()
-    shm0, kids0 = _shm_entries(), _live_children()
+    shm0, kids0 = segments(), _live_children()
     yield
-    leaked = sorted(_shm_entries() - shm0)
+    leaked = sorted(segments() - shm0)
     assert not leaked, f"test left /dev/shm entries behind: {leaked}"
     alive = sorted(_live_children() - kids0)
     assert not alive, f"test left live child processes behind: {alive}"

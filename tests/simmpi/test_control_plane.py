@@ -40,7 +40,7 @@ _OPTS = {"slot_bytes": 4096, "slots_per_endpoint": 4}
     "", "héllo", b"raw\x00bytes", {"k": [1, 2]}, 1 << 70,
 ], ids=repr)
 def test_scalar_and_object_payloads_round_trip(obj):
-    kind, buf = shm.encode_payload(obj)
+    kind, buf, _ = shm.encode_payload(obj)
     if obj is None or isinstance(obj, (bool, int, float, complex, str,
                                        bytes)) and obj != 1 << 70:
         assert kind != shm.PICKLE        # raw bytes, no pickle
@@ -52,8 +52,8 @@ def test_control_segment_record_round_trip():
     seg = shm.ControlSegment(2)
     try:
         arr = np.arange(12, dtype=np.int16).reshape(3, 4)[:, 1:]
-        kind, buf = shm.encode_payload(arr)
-        assert shm.record_fits(buf)
+        kind, buf, _ = shm.encode_payload(arr)
+        assert kind == shm.ND
         seg.write(1, 0, 0, 77, 3, 9, buf.nbytes, shm.SLOT_INLINE, kind, buf)
         assert seg.tails(1) == [0, 0]            # filled, not published
         seg.publish(1, 0, 0)
@@ -77,9 +77,12 @@ def test_control_segment_record_round_trip():
 
 
 def test_record_cannot_describe_structured_or_deep_arrays():
-    assert not shm.record_fits(np.zeros(2, dtype=[("a", "<i4")]))
-    assert not shm.record_fits(np.zeros((1,) * (shm.CTL_MAX_NDIM + 1)))
-    assert shm.record_fits(np.zeros((1,) * shm.CTL_MAX_NDIM))
+    def kind(arr):
+        return shm.encode_payload(arr)[0]
+
+    assert kind(np.zeros(2, dtype=[("a", "<i4")])) == shm.PICKLE
+    assert kind(np.zeros((1,) * (shm.CTL_MAX_NDIM + 1))) == shm.PICKLE
+    assert kind(np.zeros((1,) * shm.CTL_MAX_NDIM)) == shm.ND
 
 
 def _structured(comm):

@@ -1,5 +1,7 @@
 """Point-to-point messaging tests for the simulated MPI runtime."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -142,15 +144,24 @@ def test_recv_timeout():
 
 
 def test_counters_track_messages():
+    """Counters are per address space: one job-wide set on threads, one
+    per rank process on procs.  After the barrier each rank's snapshot
+    holds every count of its address space, so the sum over address
+    spaces is exact on either backend."""
     def main(comm):
         if comm.rank == 0:
             comm.send(np.zeros(128, dtype=np.float64), dest=1)
         else:
             comm.recv(source=0)
         comm.barrier()
-        return comm.counters.snapshot()
+        return os.getpid(), comm.counters.snapshot()
 
-    counters = run_spmd(2, main)[0]
-    assert counters["msgs"] >= 1
-    assert counters["bytes"] >= 128 * 8
-    assert counters["barriers"] == 2  # one per rank
+    spaces = dict(run_spmd(2, main))      # one snapshot per address space
+
+    def total(key):
+        return sum(snap.get(key, 0) for snap in spaces.values())
+
+    assert total("msgs") == 1
+    assert total("internal_msgs") == 2    # the barrier: up, then down
+    assert total("bytes") == 128 * 8 + 2 * 8
+    assert total("barriers") == 2         # one per rank

@@ -740,6 +740,82 @@ def test_procs_rank_killed_between_pushes_fails_every_peer_fast(case):
                              str(peer))
 
 
+def _pushing_producer(comm, service, shape):
+    src, _ = _death_descs(shape)
+    da = DistributedArray.allocate(src, comm.rank)
+    da.fill(1.0)
+    chan = Coupler(service, default_nameservice).open(comm, "source", da)
+    # eager pairs are buffered: keep pushing until the dead consumer's
+    # unconsumed messages fill the rings; a put pair waits at once
+    for _ in range(64):
+        chan.push()
+
+
+def _dying_consumer(comm, service, shape):
+    _, dst = _death_descs(shape)
+    chan = Coupler(service, default_nameservice).open(
+        comm, "destination", dst)
+    chan.pull()
+    if comm.rank == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    chan.pull()
+
+
+@pytest.mark.parametrize("case", sorted(_DEATH_SHAPES))
+def test_procs_consumer_killed_between_pulls_fails_every_producer_fast(case):
+    """The dead-consumer twin: a consumer rank SIGKILLed between two
+    pulls fails the launch within a stall tick, far inside the
+    watchdog's timeout.  The dead rank reads as a rank that exited
+    without reporting, and every producer left blocked on it — on a full
+    ring of its unconsumed eager messages, or on its window's next epoch
+    — raises a DeadlockError that names it.  The window the dead rank
+    owned (the ``put`` case) is reclaimed by the launcher, which the
+    ``no_leaks`` fixture checks."""
+    args = (f"consumer-death-{case}", _DEATH_SHAPES[case])
+    t0 = time.monotonic()
+    with pytest.raises(SpmdError) as ei:
+        run_coupled([("prod", 2, _pushing_producer, args),
+                     ("cons", 3, _dying_consumer, args)],
+                    deadlock_timeout=10.0, backend="procs")
+    assert time.monotonic() - t0 < 3.0
+    failures = ei.value.failures
+    assert ("exited without reporting (exit code -9)"
+            in str(failures["cons rank 1"]))
+    for r in range(2):
+        peer = failures[f"prod rank {r}"]
+        assert isinstance(peer, DeadlockError)
+        assert "cons rank 1" in str(peer)
+        assert ("rma_put(" if case == "put" else "_ring(") in str(peer)
+
+
+def test_leak_check_counts_only_this_sessions_segments():
+    """The ``no_leaks`` fixture diffs :func:`repro.simmpi.shm.segments`:
+    a segment another process makes while a test runs (a benchmark
+    beside pytest) is not counted, and one this session leaves is."""
+    from multiprocessing import shared_memory
+
+    from repro.simmpi import shm
+
+    before = shm.segments()
+    foreign = [shared_memory.SharedMemory(create=True, size=64),
+               shared_memory.SharedMemory(
+                   create=True, size=64,
+                   name=f"repro{os.getpid() + 1}_{os.getpid() + 1}_0")]
+    try:
+        assert shm.segments() == before
+    finally:
+        for seg in foreign:
+            seg.close()
+            seg.unlink()
+    ours = shm.SharedState(1)
+    try:
+        assert shm.segments() - before == {ours._shm.name.lstrip("/")}
+    finally:
+        ours.close()
+        ours.unlink()
+    assert shm.segments() == before
+
+
 # -- transport counters and tunables -----------------------------------------
 
 
@@ -755,6 +831,7 @@ def test_matching_counters_track_rendezvous_cost():
         if comm.rank == 0:
             comm.recv(source=1)                 # blocks: nothing in flight
         else:
+            time.sleep(0.05)                    # ...until rank 0 waits
             comm.send(np.zeros(8), dest=0)
         comm.barrier()
         return (TRANSPORT_STATS.get("messages_matched") - m0,
