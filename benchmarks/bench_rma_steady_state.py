@@ -161,7 +161,7 @@ def _consumer(comm, extent, steps, src_of, collect, tier):
     elapsed = time.perf_counter() - t0
     d = _deltas(c0)
     mode = chan.mode
-    chan.close()                           # evacuates the array
+    chan.close()                           # drops the window; the array stays
     return {
         "mode": mode,
         "elapsed": elapsed,

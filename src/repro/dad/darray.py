@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.errors import AlignmentError, DistributionError
 from repro.dad.descriptor import DistArrayDescriptor
+from repro.simmpi.shm import alloc
 from repro.util.regions import Region
 
 
@@ -25,12 +26,15 @@ class DistributedArray:
     (sampling a replicated global array — test/bootstrap convenience).
 
     Local storage is **consolidated**: one contiguous row-major base
-    buffer holds every owned patch (patches sorted by ``region.lo``,
-    each flattened row-major), and ``self.patches`` maps each region to
-    a shaped *view* into that buffer, carved on first use — transfers
-    address the base buffer, so a fresh array costs one buffer, not one
-    view per patch.  :meth:`flat_local` exposes the
-    base buffer, which is what the compiled gather/scatter index plans
+    buffer — from the rank-local allocator (:func:`~repro.simmpi.shm.
+    alloc`), so a procs peer can put straight into it — holds every
+    owned patch (patches sorted by ``region.lo``, each flattened
+    row-major), and ``self.patches`` maps each region to a shaped *view*
+    into that buffer, carved on first use — transfers address the base
+    buffer, so a fresh array costs one buffer, not one view per patch.
+    The buffer never moves while the array keeps its ownership.
+    :meth:`flat_local` exposes the base buffer, which is what the
+    compiled gather/scatter index plans
     (:mod:`repro.schedule.indexplan`) address — a single ``take`` or
     fancy assignment there reads/writes every patch at once, and slice
     views of it are zero-copy send buffers.  Patch data handed to the
@@ -53,8 +57,8 @@ class DistributedArray:
                 raise AlignmentError(
                     f"patch storage shape {arr.shape} != region shape "
                     f"{region.shape}")
-        self._base = np.empty(sum(r.volume for r in owned),
-                              dtype=descriptor.dtype)
+        self._base = alloc(sum(r.volume for r in owned), descriptor.dtype,
+                           zeroed=False)
         self._patches = None
         for region, view in self.patches.items():
             view[...] = patches[region]
@@ -97,8 +101,8 @@ class DistributedArray:
         descriptor.template._check_rank(rank)
         obj.descriptor = descriptor
         obj.rank = rank
-        obj._base = (np.zeros if zeroed else np.empty)(
-            descriptor.local_regions(rank).volume, dtype=descriptor.dtype)
+        obj._base = alloc(descriptor.local_regions(rank).volume,
+                          descriptor.dtype, zeroed=zeroed)
         obj._patches = None
         return obj
 
@@ -171,30 +175,6 @@ class DistributedArray:
 
     def fill(self, value) -> None:
         self._base.fill(value)
-
-    def rebase(self, base: np.ndarray) -> None:
-        """Move local storage into a caller-provided flat buffer.
-
-        ``base`` must match the consolidated buffer's size and dtype;
-        current contents are copied over and every patch view is rebound
-        so subsequent reads and writes — including :meth:`flat_local`,
-        which the compiled index plans address — go through ``base``.
-        The one-sided execution tier uses this to home the destination
-        array inside an RMA window's shared payload, so remote puts land
-        directly in final storage.
-        """
-        base = np.asarray(base)
-        if base.ndim != 1 or base.size != self._base.size:
-            raise DistributionError(
-                f"rebase buffer has shape {base.shape}, need a flat buffer "
-                f"of {self._base.size} elements")
-        if base.dtype != self._base.dtype:
-            raise DistributionError(
-                f"rebase buffer dtype {base.dtype} != array dtype "
-                f"{self._base.dtype}")
-        np.copyto(base, self._base)
-        self._base = base
-        self._patches = None
 
     def flat_local(self) -> np.ndarray:
         """The consolidated 1-D local buffer: owned patches sorted by

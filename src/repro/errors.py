@@ -66,6 +66,11 @@ class AlignmentError(DistributionError):
     """An actual array cannot be aligned to the requested template."""
 
 
+class StorageError(DistributionError):
+    """A rank-local array's storage cannot serve where it is used: on
+    procs a put destination must be storage its rank process allocated."""
+
+
 class ScheduleError(ReproError):
     """A communication schedule could not be built or executed."""
 

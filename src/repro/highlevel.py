@@ -212,8 +212,7 @@ class Channel:
     says what each tier costs and releases); both sides must request
     the same ``tier`` (:meth:`Coupler.open` checks).  A pair may go by
     *put*, on either backend: the consumer's array is exposed as a
-    window (on procs it moves into a shared segment; on threads the
-    array itself is the window) and ``push`` writes that pair straight
+    window over its own storage and ``push`` writes that pair straight
     into it, after waiting for the consumer's matching ``pull``.
     ``tier="rma"`` puts every pair; the default ``two_sided`` puts the
     pairs above :data:`~repro.schedule.executor.EAGER_MAX` wire bytes

@@ -134,10 +134,8 @@ class MxNConnection:
     :data:`~repro.schedule.executor.EAGER_MAX` wire bytes are put
     straight into the destination's window even when two-sided (every
     pair is on the ``rma`` tier), so a source's ``data_ready`` waits for
-    the destination's matching cycle on those pairs — one-shot or
-    persistent on threads, persistent on procs (a procs one-shot sends
-    every pair eager: a shared window is only worth its setup amortized
-    over steps).
+    the destination's matching cycle on those pairs, one-shot or
+    persistent, on either backend.
     """
 
     def __init__(self, spec: ConnectionSpec, inter: Intercommunicator,
@@ -183,9 +181,9 @@ class MxNConnection:
         return True
 
     def close(self) -> None:
-        """Close the bound transfer (an RMA destination array is
-        evacuated to private memory and its window retired);
-        transfer cycles raise afterwards.  Idempotent."""
+        """Close the bound transfer (it drops its windows; the array
+        stays where it is, with the last transfer's contents); transfer
+        cycles raise afterwards.  Idempotent."""
         self._transfer.close()
 
     # -- metrics ------------------------------------------------------------

@@ -38,32 +38,28 @@ The two tiers are the same pair of halves over that shared core
 (one lent message into a sink the receiver preposts) or, above the
 tier's ``eager_max`` wire bytes, as a *put* — ``wait_open → put →
 commit`` straight into the receiver's RMA window (:mod:`repro.simmpi.
-rma`), whatever the backend.  The window is the transport's: on threads
-the receiver's own array under a heap epoch header, on procs a shared
-segment the array is rebased into at bind.  A put is the only
-rendezvous:
+rma`), whatever the backend.  The window is an epoch header over the
+receiver's own array, whose storage never moves: the allocator made it
+where a writer can reach it (:func:`~repro.simmpi.shm.alloc`).  A put is
+the only rendezvous:
 
 ===========  ==========================  ==========================
              ``two_sided``               ``rma``
 ===========  ==========================  ==========================
-put pairs    above :data:`EAGER_MAX`;    all (``eager_max`` 0)
-             none on a one-shot over a
-             shared segment (procs)
+put pairs    above :data:`EAGER_MAX`     all (``eager_max`` 0)
 who blocks   nobody on an eager pair     a sender waits for the
 on whom      (buffered sends); a put     receiver's exposure epoch,
              pair's sender waits for     the receiver fences once
              the receiver's ``arm``      per step: lockstep
              (its epoch)
-``close()``  as ``rma`` if it has put    sender detaches its remote
-releases     pairs, else nothing         windows; a receiver rebased
-                                         into a segment evacuates its
-                                         array and retires the window
+``close()``  as ``rma`` if it has put    both sides drop their
+releases     pairs, else nothing         windows
 picked       ``tier="two_sided"`` (the   ``tier="rma"`` on a
 when         default), every one-shot    persistent transfer
 ===========  ==========================  ==========================
 
-Both jobs derive the split from the same schedule, dtype, limit and
-transport, so nothing is negotiated.  The receiver's
+Both jobs derive the split from the same schedule, dtype and limit, so
+nothing is negotiated.  The receiver's
 ``arm()``/``complete()`` split exists so a single thread can drive both
 sides deterministically (tests, A7).
 """
@@ -73,8 +69,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
-
-import numpy as np
 
 from repro import config
 from repro.errors import ConnectionError_, ScheduleError
@@ -105,35 +99,29 @@ EAGER_MAX = 2 << 20
 @dataclass(frozen=True, slots=True)
 class Tier:
     """A resolved execution tier: ``kind`` is ``"two_sided"`` or
-    ``"rma"``.  A pair whose wire bytes exceed ``eager_max`` is a put
-    (``None``: no pair is)."""
+    ``"rma"``.  A pair whose wire bytes exceed ``eager_max`` is a put."""
 
     kind: str
-    eager_max: int | None = None
+    eager_max: int
 
 
-def resolve_tier(link, *, tier: str | None = None,
-                 one_shot: bool = False) -> Tier:
+def resolve_tier(*, tier: str | None = None, one_shot: bool = False) -> Tier:
     """The one place a transfer's execution tier is decided.
 
     ``tier`` is a knob of :mod:`repro.config` (``None`` = environment,
-    then default).  A persistent transfer runs it on either backend:
-    ``rma`` puts every pair, ``two_sided`` those above
-    :data:`EAGER_MAX`.  A one-shot takes no tier and runs two-sided,
-    putting the pairs above :data:`EAGER_MAX` into a heap window
-    (threads) and none into a shared segment (procs): one transfer
-    cannot amortise a segment and a rebase.
+    then default).  A persistent transfer runs it: ``rma`` puts every
+    pair, ``two_sided`` those above :data:`EAGER_MAX`.  A one-shot takes
+    no tier and runs two-sided.
 
-    A pure function of the transport's window, the persistence and the
-    request: two coupled jobs that agree on the request
+    A pure function of the persistence and the request, the same on
+    both backends: two coupled jobs that agree on the request
     (:meth:`repro.highlevel.Coupler.open` cross-checks it at the
     handshake) resolve the same tier without negotiating.
     """
     kind = config.resolve("tier", tier)
-    if one_shot:
-        shared = link.local_comm.job.transport.window.shared
-        return Tier("two_sided", eager_max=None if shared else EAGER_MAX)
-    return Tier(kind, eager_max=0 if kind == "rma" else EAGER_MAX)
+    if one_shot or kind == "two_sided":
+        return Tier("two_sided", EAGER_MAX)
+    return Tier("rma", 0)
 
 
 # -- the core -----------------------------------------------------------------
@@ -143,8 +131,7 @@ class BoundTransfer:
     storage × link × translated peers × tag × tier.
 
     ``storage`` is anything with ``flat_local()`` (re-read every step —
-    a rebase or an ownership swap may move it) and, for a destination
-    with put pairs, ``rebase()``.  ``link`` is a communicator or an
+    an ownership swap may move it).  ``link`` is a communicator or an
     intercommunicator.  ``tier`` names the resolved tier; ``pool`` is
     the staging-buffer pool (``pool.stats`` proves the zero-allocation
     steady state), made on first use — a transfer whose pairs all lend
@@ -214,9 +201,8 @@ class BoundTransfer:
         """Tier teardown."""
 
 
-def _split(pairs, dtype, eager_max) -> tuple[list, list]:
+def _split(pairs, dtype, limit) -> tuple[list, list]:
     """Split translated pairs into (eager, put) by wire bytes."""
-    limit = np.inf if eager_max is None else eager_max
     return ([p for p in pairs if p[0].size * dtype.itemsize <= limit],
             [p for p in pairs if p[0].size * dtype.itemsize > limit])
 
@@ -268,9 +254,7 @@ class _PointSend(BoundTransfer):
         return moved
 
     def _release(self) -> None:
-        self._flat = self._views = None
-        for _, rwin in self._puts:
-            rwin.close()
+        self._flat = self._views = self._puts = None
 
 
 class _PointRecv(BoundTransfer):
@@ -281,18 +265,14 @@ class _PointRecv(BoundTransfer):
 
     def _setup(self, tier: Tier) -> None:
         # With put pairs: expose the array's consolidated base as a
-        # window — the array itself on a heap window, a segment the
-        # array is rebased into otherwise — so remote puts land in final
-        # storage; each put peer gets the handle carrying its pair's
-        # scatter plan.
+        # window, so remote puts land in final storage; each put peer
+        # gets the handle carrying its pair's scatter plan.
         self._eager, put = _split(self._pairs, self._dtype, tier.eager_max)
         self._put_size = sum(pp.size for pp, _ in put)
         if put:
             self._win = rma.ExposedWindow(
                 self._link, self._storage.flat_local(),
                 [peer for _, peer in put])
-            if self._win.shared:
-                self._storage.rebase(self._win.buffer)
             for i, (pp, peer) in enumerate(put):
                 self._link.send(self._win.handle(i, pp), peer, self._tag)
 
@@ -337,16 +317,8 @@ class _PointRecv(BoundTransfer):
         return self.complete()
 
     def _release(self) -> None:
-        # A rebased array is evacuated onto a private heap buffer (a
-        # rebase with the last fenced contents) before the mapping goes
-        # away: no remote write can reach it afterwards and its lifetime
-        # no longer pins the window — nor do the sinks bound to it.
-        self._flat = self._sinks = None
-        if self._win is not None:
-            if self._win.shared:
-                flat = self._storage.flat_local()
-                self._storage.rebase(np.empty(flat.size, dtype=flat.dtype))
-            self._win.close()
+        # the array stays where it is; only the window header goes
+        self._flat = self._sinks = self._win = None
 
 
 def bind(schedule: CommSchedule, side: str, link, array: DistributedArray,
@@ -378,8 +350,7 @@ def bind(schedule: CommSchedule, side: str, link, array: DistributedArray,
     maybe_verify_side(schedule, _PLAN_SIDE[side], me, descriptor)
     plan = schedule.rank_plan(_PLAN_SIDE[side], me, descriptor.ownership())
     half = _PointRecv if side == "dst" else _PointSend
-    return half(plan, array, link, resolve_tier(link, tier=tier,
-                                                one_shot=one_shot),
+    return half(plan, array, link, resolve_tier(tier=tier, one_shot=one_shot),
                 tag=tag, me=me, peer_map=peer_map, pool=pool)
 
 
@@ -412,11 +383,11 @@ def execute_inter(schedule: CommSchedule, inter: Intercommunicator,
     elements sent (``side="src"``) or received (``"dst"``).
 
     ``rank``/``peer_map`` as in :func:`bind`.  A one-shot takes no tier:
-    it runs two-sided, see :func:`resolve_tier`.  On the threads backend
-    the send side puts each pair above :data:`EAGER_MAX`, waiting for the
-    receiver's window handle and epoch, so both jobs must drive the
-    transfer concurrently; a single-threaded harness binds the halves
-    itself and drives ``arm``/``step``/``complete``.
+    it runs two-sided, see :func:`resolve_tier`.  The send side puts each
+    pair above :data:`EAGER_MAX`, waiting for the receiver's window
+    handle and epoch, so both jobs must drive the transfer concurrently;
+    a single-threaded harness binds the halves itself and drives
+    ``arm``/``step``/``complete``.
     """
     return _once(bind(schedule, side, inter, array, tag=tag, rank=rank,
                       peer_map=peer_map, one_shot=True))

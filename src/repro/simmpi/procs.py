@@ -30,8 +30,10 @@ Supervision: the parent samples the liveness table in the domain's
 :class:`~repro.simmpi.shm.SharedState` with the threads launcher's
 :class:`~repro.simmpi.shm.StallRule`.  A deadlock, a failing rank or a
 dead process aborts the domain: the shared abort record, then a post to
-every doorbell, so a parked rank raises at once.  At teardown the
-launcher unlinks the segments a killed rank left behind.
+every doorbell, so a parked rank raises at once.  A rank's arrays and
+window headers are named segments of its own (:func:`~repro.simmpi.shm.
+alloc`); at teardown the launcher unlinks those a rank still held when
+it exited or was killed.
 
 Rendezvous: ``NameService.accept/connect`` inside a procs rank routes
 to the parent's *broker thread*, which pairs them, allocates
@@ -72,7 +74,7 @@ from repro.util.counters import TRANSPORT_STATS
 __all__ = ["run_spmd_procs", "run_coupled_procs", "ProcRuntime",
            "ControlInbox"]
 
-#: Child-side context allocators are rebased to ``(endpoint+1) << 20``
+#: Child-side context allocators restart at ``(endpoint+1) << 20``
 #: after fork; the broker hands out intercomm contexts from ``1 << 40``.
 #: Pre-fork (parent) allocations stay far below either range.
 CHILD_CTX_SHIFT = 20
@@ -144,9 +146,6 @@ class DomainSpec:
         self.results.close()
         self.results.join_thread()
         self.broker_q.close()
-        for seg in (self.pool, self.state, self.ctl):
-            seg.close()
-            seg.unlink()
 
 
 # -- rank-process side -------------------------------------------------------
@@ -157,8 +156,6 @@ class ProcTransport(Transport):
     rings, descriptor-record delivery out."""
 
     backend = "procs"
-    #: A process reaches a peer's array only through a segment.
-    window = shm.WindowSegment
 
     def __init__(self, runtime: "ProcRuntime", abort, live: shm.Liveness):
         self._rt = runtime
@@ -518,6 +515,7 @@ def _child_main(spec: DomainSpec, endpoint: int, job_index: int,
     # collide with another process's allocations or the broker's range
     _comm_mod._next_context = (endpoint + 1) << CHILD_CTX_SHIFT
     _transport.set_current_runtime(rt)
+    shm.NAMED = True
     _san.register_actor(f"ep{endpoint}")
     job = Job(jobspec.n, name=jobspec.name,
               live=spec.state.rows(jobspec.base, jobspec.n),
@@ -697,7 +695,7 @@ def _launch(jobs: Sequence[tuple[str, int, Callable[..., Any], tuple, dict]],
             if p.is_alive():  # pragma: no cover
                 p.terminate()
         spec.cleanup()
-        # a killed rank's windows: nobody else would ever unlink them
+        # the storage a rank held at exit: nobody else would unlink it
         for p in procs.values():
             if p.pid is not None:
                 shm.reclaim(p.pid)

@@ -12,18 +12,18 @@ matching.  One fence per step amortizes over all put pairs.
 
 A put is the only rendezvous of :mod:`repro.schedule.executor`: the
 ``rma`` tier puts every pair, ``two_sided`` the pairs above its eager
-limit (MPI's eager/rendezvous split).  The window is the storage the
-transport has (``Transport.window``): on threads a
-:class:`~repro.simmpi.shm.HeapWindow` over the destination array itself,
-carried by the handle; on procs a :class:`~repro.simmpi.shm.
-WindowSegment` the receiver rebases its array into, attached by name.
+limit (MPI's eager/rendezvous split).  The window
+(:class:`~repro.simmpi.shm.Window`) is an epoch header over the
+destination array's own storage, which :func:`~repro.simmpi.shm.alloc`
+made where a peer can reach it: the handle carries the window itself on
+threads, and on procs the storage references a writer maps.
 
 Protocol (MPI post-start-complete-wait flavour, one window per
 receiving rank with put pairs):
 
 * **Bootstrap** (once, over the ordinary two-sided channel): the
   receiver exposes its window and ships each put peer a
-  :class:`WindowHandle` — the window, its geometry, the sender's
+  :class:`WindowHandle` — the window, its dtype, the sender's
   ``done``-counter slot and the receiver-side scatter plan of the pair.
 * **epoch_open** (receiver, per step): store ``epoch = k``, then kick
   every writer — remote writes are now licensed.
@@ -46,11 +46,14 @@ its kick and a wait re-checks under its mailbox lock (threads) or after
 absorbing a doorbell post (procs), so no wakeup is lost (``verify
 race``'s epoch model).  An abort wakes a parked wait the same way, and
 the wait's blocked-state text names the peers it waits on.
+
+Nothing is torn down: a window is storage, and each mapping of it lives
+as long as its views (:func:`~repro.simmpi.shm.alloc`), so a closed
+transfer just drops its windows.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
@@ -60,7 +63,7 @@ from repro.errors import ConnectionError_, ScheduleError
 from repro.schedule.indexplan import PairPlan
 from repro.simmpi import payload
 from repro.simmpi import sanitize as _san
-from repro.simmpi.shm import WindowSegment
+from repro.simmpi.shm import Window
 from repro.util.counters import TRANSPORT_STATS
 
 __all__ = ["WindowHandle", "ExposedWindow", "RemoteWindow", "wait_open"]
@@ -72,10 +75,8 @@ class WindowHandle:
     receiver's window and write its pair directly, shipped receiver ->
     sender once when the halves are bound."""
 
-    window: Any        #: segment name, or the heap window itself
-    nbytes: int        #: payload size (the receiver's flat buffer)
+    window: Any        #: the window itself, or its storage references
     dtype: str         #: element dtype (numpy dtype string)
-    nwriters: int      #: total writers on this window
     writer: int        #: this sender's done-counter slot
     plan: PairPlan     #: receiver-side scatter plan for this pair
 
@@ -86,25 +87,19 @@ class ExposedWindow:
     that sequence them."""
 
     def __init__(self, link, flat: np.ndarray, writers: Sequence[int]):
-        self._seg = link.local_comm.job.transport.window.expose(
-            flat, len(writers))
-        #: Whether the window is storage of its own, which the array
-        #: must be rebased into (and evacuated from at close).
-        self.shared = self._seg.shared
-        self.buffer = self._seg.data.view(flat.dtype)
+        self._win = Window.expose(flat, len(writers))
+        self._dtype = flat.dtype.str
         self._link = link
         self._writers = list(writers)
         self._epoch = 0
-        self._finalizer = weakref.finalize(self, self._seg.close)
 
     def handle(self, writer: int, plan: PairPlan):
-        """Writer slot ``writer``'s ticket, ready to send (a heap window
-        travels as itself, never copied)."""
-        seg = self._seg
-        ticket = WindowHandle(seg.name if self.shared else seg, seg.nbytes,
-                              self.buffer.dtype.str, seg.nwriters, writer,
-                              plan)
-        return ticket if self.shared else payload.Raw(ticket)
+        """Writer slot ``writer``'s ticket, ready to send: the storage
+        references, or the window itself (never copied) where there are
+        none."""
+        refs = self._win.refs
+        ticket = WindowHandle(refs or self._win, self._dtype, writer, plan)
+        return ticket if refs else payload.Raw(ticket)
 
     def epoch_open(self) -> int:
         """Open the next exposure epoch: remote writes are licensed
@@ -112,8 +107,8 @@ class ExposedWindow:
         self._epoch += 1
         san = _san.ACTIVE
         if san is not None:
-            san.win_open(self._seg, self._epoch)
-        self._seg.set_epoch(self._epoch)
+            san.win_open(self._win, self._epoch)
+        self._win.set_epoch(self._epoch)
         for peer in self._writers:
             self._link.kick(peer)
         return self._epoch
@@ -123,16 +118,16 @@ class ExposedWindow:
         payload then holds that generation in full until the next
         :meth:`epoch_open`."""
         k = self._epoch
-        seg = self._seg
-        if seg.min_done() < k:
+        win = self._win
+        if win.min_done() < k:
             behind = [peer for i, peer in enumerate(self._writers)
-                      if seg.done(i) < k]
+                      if win.done(i) < k]
             self._link._my_mailbox().wait_until(
-                lambda: seg.min_done() >= k or None,
+                lambda: win.min_done() >= k or None,
                 f"rma_fence(epoch={k}, writers={behind})", timeout=timeout)
         san = _san.ACTIVE
         if san is not None:
-            san.win_fence(seg, k)
+            san.win_fence(win, k)
         TRANSPORT_STATS.add("rma_fences")
 
     def check_read(self) -> None:
@@ -142,11 +137,7 @@ class ExposedWindow:
         No-op when the sanitizer is off."""
         san = _san.ACTIVE
         if san is not None:
-            san.win_read(self._seg)
-
-    def close(self) -> None:
-        """Tear the window down (owner side)."""
-        self._finalizer()
+            san.win_read(self._win)
 
 
 class RemoteWindow:
@@ -165,22 +156,20 @@ class RemoteWindow:
             raise ScheduleError(
                 f"RMA bootstrap plan covers {handle.plan.size} elements, "
                 f"sender's pair expects {size} — schedule mismatch")
-        seg = handle.window
-        if isinstance(seg, str):
+        win = handle.window
+        if not isinstance(win, Window):
             try:
-                seg = WindowSegment.attach(seg, handle.nbytes,
-                                           handle.nwriters)
+                win = Window.attach(win)
             except FileNotFoundError:
                 raise ConnectionError_(
-                    f"window {handle.window} is gone: the receiving side "
+                    f"window {win[0][0]} is gone: the receiving side "
                     f"closed its transfer before this side bound") from None
-        self._seg = seg
-        self.buffer = seg.data.view(np.dtype(handle.dtype))
+        self._win = win
+        self.buffer = win.data.view(np.dtype(handle.dtype))
         self._plan = handle.plan
         self._writer = handle.writer
         self._link = link
         self.owner = owner
-        self._finalizer = weakref.finalize(self, seg.close)
 
     def put(self, values: np.ndarray, *, loan=None) -> int:
         """Scatter one pair's elements — a packed buffer, or the
@@ -191,7 +180,7 @@ class RemoteWindow:
         exposure epoch (:func:`wait_open`)."""
         san = _san.ACTIVE
         if san is not None:
-            san.win_put(self._seg, self._writer)
+            san.win_put(self._win, self._writer)
         n = self._plan.scatter(self.buffer, values, loan=loan)
         TRANSPORT_STATS.add("rma_puts")
         TRANSPORT_STATS.add("rma_put_bytes", n * self.buffer.itemsize)
@@ -202,13 +191,9 @@ class RemoteWindow:
         counter the owner's fence waits on, then kick the owner."""
         san = _san.ACTIVE
         if san is not None:
-            san.win_commit(self._seg, self._writer, epoch)
-        self._seg.set_done(self._writer, epoch)
+            san.win_commit(self._win, self._writer, epoch)
+        self._win.set_done(self._writer, epoch)
         self._link.kick(self.owner)
-
-    def close(self) -> None:
-        """Detach from the window (the owner tears it down)."""
-        self._finalizer()
 
 
 def wait_open(puts: Sequence[tuple[Any, RemoteWindow]], epoch: int, *,
@@ -222,7 +207,7 @@ def wait_open(puts: Sequence[tuple[Any, RemoteWindow]], epoch: int, *,
 
     def opened():
         for i, (_, rwin) in enumerate(pending):
-            if rwin._seg.epoch() >= epoch:
+            if rwin._win.epoch() >= epoch:
                 return i
         return None
 
@@ -236,5 +221,5 @@ def wait_open(puts: Sequence[tuple[Any, RemoteWindow]], epoch: int, *,
         item = pending.pop(i)
         san = _san.ACTIVE
         if san is not None:
-            san.win_wait_open(item[1]._seg, epoch)
+            san.win_wait_open(item[1]._win, epoch)
         yield item

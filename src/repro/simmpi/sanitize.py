@@ -4,7 +4,7 @@ The procs backend's fast paths are lock-free protocols over shared
 segments: the :class:`~repro.simmpi.shm.SegmentPool` slot ring
 (FREE/BUSY flag transitions ordered by the descriptor record that
 announces each run), the :class:`~repro.simmpi.shm.ControlSegment`
-descriptor rings, the :class:`~repro.simmpi.shm.WindowSegment`
+descriptor rings, the :class:`~repro.simmpi.shm.Window`
 epoch/done seqlock, the single-writer
 :class:`~repro.simmpi.shm.SharedState` watchdog fields,
 and the mailbox prepost handoff that completes a receive in the

@@ -1,8 +1,9 @@
 """Shared-memory primitives of the procs backend.
 
-Three fixed-layout ``multiprocessing.shared_memory`` segments per domain
-(a domain = all ranks of a ``run_spmd`` job, or all ranks of every job
-of a ``run_coupled`` launch):
+Three fixed-layout anonymous shared mappings per domain (a domain = all
+ranks of a ``run_spmd`` job, or all ranks of every job of a
+``run_coupled`` launch), made by the supervisor and inherited over
+``fork``, so none has a name:
 
 * :class:`ControlSegment` — the control plane.  One single-producer /
   single-consumer ring of :data:`CTL_DEPTH` fixed-size descriptor
@@ -20,7 +21,7 @@ of a ``run_coupled`` launch):
   a receiver with nothing to match parks on it only once its rings are
   empty.  The rings are the only way a rank receives anything.
 
-* :class:`SegmentPool` — the payload plane.  One segment holds
+* :class:`SegmentPool` — the payload plane.  One mapping holds
   ``endpoints * slots_per_endpoint`` fixed-size slots plus a one-byte
   ownership flag per slot.  Slots are **statically partitioned by
   sending endpoint**, and each endpoint's ring is one contiguous byte
@@ -54,30 +55,35 @@ of a ``run_coupled`` launch):
   and the reply rows are written by the supervisor only.  The
   supervisor applies :class:`StallRule`, the rule the threads launcher
   applies to its heap-allocated table.
+
+Rank-local storage — every :class:`~repro.dad.darray.DistributedArray`
+buffer and every :class:`Window` header — comes from :func:`alloc`: the
+heap, except in a procs rank process, where each allocation is a named
+segment of its own that a peer rank can map (:func:`locate`,
+:func:`attach`).  Only those segments have names.
 """
 
 from __future__ import annotations
 
 import itertools
+import mmap
 import os
 import pickle
 import struct
-import sys
-import threading
 import time
-from multiprocessing import resource_tracker, shared_memory
+import weakref
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import CommunicatorError
+from repro.errors import CommunicatorError, StorageError
 from repro.simmpi import sanitize as _san
 from repro.simmpi.payload import Borrowed, Raw
 from repro.util.counters import Counters, TRANSPORT_STATS
 
-__all__ = ["ControlSegment", "HeapWindow", "Liveness", "SegmentPool",
-           "SharedState", "StallRule", "WindowSegment", "encode_payload",
-           "decode_payload"]
+__all__ = ["ControlSegment", "Liveness", "SegmentPool", "SharedState",
+           "StallRule", "Window", "alloc", "attach", "locate",
+           "encode_payload", "decode_payload"]
 
 # payload kinds (one byte of a descriptor record)
 ND = 1
@@ -106,12 +112,7 @@ _BUSY = 1
 #: segments — and one process's — are told apart from any other's.
 SEGMENT_PREFIX = f"repro{os.getpid()}_"
 _serials = itertools.count()
-
-
-def _create(size: int) -> shared_memory.SharedMemory:
-    return shared_memory.SharedMemory(
-        create=True, size=size,
-        name=f"{SEGMENT_PREFIX}{os.getpid()}_{next(_serials)}")
+_SHM_DIR = "/dev/shm"
 
 
 def segments(pid: Optional[int] = None) -> set[str]:
@@ -119,26 +120,87 @@ def segments(pid: Optional[int] = None) -> set[str]:
     (none where the platform keeps no shared-memory directory)."""
     prefix = SEGMENT_PREFIX if pid is None else f"{SEGMENT_PREFIX}{pid}_"
     try:
-        return {e for e in os.listdir("/dev/shm") if e.startswith(prefix)}
+        return {e for e in os.listdir(_SHM_DIR) if e.startswith(prefix)}
     except OSError:
         return set()
 
 
 def reclaim(pid: int) -> None:
-    """Unlink every segment the exited process ``pid`` left behind — a
-    rank killed before it could close its windows."""
+    """Unlink every segment the exited process ``pid`` left behind: the
+    storage a rank still held when it exited or was killed."""
     for name in segments(pid):
-        os.unlink(os.path.join("/dev/shm", name))
-        resource_tracker.unregister("/" + name, "shared_memory")
+        os.unlink(os.path.join(_SHM_DIR, name))
+
+
+# -- rank-local storage --------------------------------------------------------
+
+#: Set in a procs rank process after ``fork``: its storage is then named
+#: segments a peer rank can map.  The heap everywhere else.
+NAMED = False
+
+
+class _Segment(mmap.mmap):
+    """A named mapping made by :func:`alloc` (``name`` set after)."""
+
+
+def alloc(n: int, dtype: Any, *, zeroed: bool = True) -> np.ndarray:
+    """``n`` elements of ``dtype`` of rank-local storage: the heap, or
+    under :data:`NAMED` a segment of its own, mapped and wrapped by
+    NumPy, which holds the mapping exactly as long as the last view of
+    it.  Dropping the mapping unlinks the name; a rank that exits still
+    holding storage leaves it to its launcher's :func:`reclaim`.  A
+    fresh segment reads as zeros, so ``zeroed`` costs it nothing."""
+    dt = np.dtype(dtype)
+    if not NAMED or not n:
+        return (np.zeros if zeroed else np.empty)(n, dt)
+    name = f"{SEGMENT_PREFIX}{os.getpid()}_{next(_serials)}"
+    path = os.path.join(_SHM_DIR, name)
+    fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o600)
+    try:
+        os.ftruncate(fd, n * dt.itemsize)
+        seg = _Segment(fd, n * dt.itemsize)
+    finally:
+        os.close(fd)
+    seg.name = name
+    weakref.finalize(seg, os.unlink, path)
+    return np.frombuffer(seg, dt)
+
+
+def locate(arr: np.ndarray) -> Optional[tuple[str, int, int]]:
+    """``(segment, offset, nbytes)`` of ``arr`` inside a segment
+    :func:`alloc` made, or ``None`` for any other storage."""
+    root = arr
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    seg = getattr(root.base, "obj", None)
+    if type(seg) is not _Segment:
+        return None
+    offset = (arr.__array_interface__["data"][0]
+              - root.__array_interface__["data"][0])
+    return seg.name, offset, arr.nbytes
+
+
+def attach(ref: tuple[str, int, int]) -> np.ndarray:
+    """Map a peer rank's storage ``ref`` (from :func:`locate`) as uint8
+    bytes, for as long as the returned view lives."""
+    name, offset, nbytes = ref
+    fd = os.open(os.path.join(_SHM_DIR, name), os.O_RDWR)
+    try:
+        size = os.fstat(fd).st_size
+        if offset + nbytes > size:
+            raise ValueError(f"segment {name!r} is {size} bytes, need "
+                             f"{offset + nbytes} — geometry mismatch")
+        return np.frombuffer(mmap.mmap(fd, size), np.uint8, nbytes, offset)
+    finally:
+        os.close(fd)
 
 
 class SegmentPool:
-    """Fixed-size payload slots in one shared segment, partitioned by
+    """Fixed-size payload slots in one shared mapping, partitioned by
     sending endpoint.
 
-    Created once in the supervisor process (which owns the segment's
-    lifetime and unlinks it at teardown); rank processes inherit the
-    handle across ``fork`` and build their NumPy views lazily.
+    Created once in the supervisor process; rank processes inherit the
+    mapping across ``fork``.
     """
 
     def __init__(self, endpoints: int, *, slot_bytes: int = 1 << 18,
@@ -153,24 +215,21 @@ class SegmentPool:
         self.nslots = endpoints * self.slots_per_endpoint
         # flags live at the front, 64-byte aligned payload area after;
         # under REPRO_TSAN a shadow plane (per-slot holder token +
-        # generation counter) rides at the tail of the same segment so
+        # generation counter) rides at the tail of the same mapping so
         # forked peers share one copy of the sanitizer's slot state.
         self._data_off = (self.nslots + 63) & ~63
         self._tsan_off = self._data_off + self.nslots * self.slot_bytes
         shadow = 8 * self.nslots if _san.enabled() else 0
-        self._shm = _create(self._tsan_off + shadow)
-        self._flags = np.ndarray(self.nslots, dtype=np.uint8,
-                                 buffer=self._shm.buf)
-        self._flags[:] = _FREE  # verify: allow(V109) - pre-publication init
+        # a fresh mapping reads as zeros: every flag FREE, shadow clear
+        buf = mmap.mmap(-1, self._tsan_off + shadow)
+        self._flags = np.ndarray(self.nslots, dtype=np.uint8, buffer=buf)
         if shadow:
             self._tsan_holder = np.ndarray(
-                self.nslots, dtype=np.int32, buffer=self._shm.buf,
+                self.nslots, dtype=np.int32, buffer=buf,
                 offset=self._tsan_off)
             self._tsan_gen = np.ndarray(
-                self.nslots, dtype=np.uint32, buffer=self._shm.buf,
+                self.nslots, dtype=np.uint32, buffer=buf,
                 offset=self._tsan_off + 4 * self.nslots)
-            self._tsan_holder[:] = 0
-            self._tsan_gen[:] = 0
         else:
             self._tsan_holder = self._tsan_gen = None
         #: per slot, a uint8 view from its start to the end of its
@@ -178,7 +237,7 @@ class SegmentPool:
         ring = self.slots_per_endpoint * self.slot_bytes
         self._runs = [
             np.ndarray(ring - s % self.slots_per_endpoint * self.slot_bytes,
-                       dtype=np.uint8, buffer=self._shm.buf,
+                       dtype=np.uint8, buffer=buf,
                        offset=self._data_off + s * self.slot_bytes)
             for s in range(self.nslots)]
         #: per-process slot accounting (bufpool-style names)
@@ -274,127 +333,79 @@ class SegmentPool:
                 f"inline")
         return run[:nbytes]
 
-    # -- lifecycle ---------------------------------------------------------
-
     def close(self) -> None:
+        """Drop this object's views; the anonymous mapping goes with the
+        last of them.  It has no name, so ``unlink`` is the same call
+        (kept for ``bench/probes.py``, which pairs the two)."""
         self._flags = self._runs = None
         self._tsan_holder = self._tsan_gen = None
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - stray views in teardown
-            pass
 
-    def unlink(self) -> None:
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - double teardown
-            pass
+    unlink = close
 
 
 # -- one-sided RMA windows ---------------------------------------------------
 
 
-class WindowSegment:
-    """One rank's RMA window: its persistent-channel destination buffer
-    exposed in a dedicated shared segment, plus the epoch header that
-    replaces per-message rendezvous.
+class Window:
+    """One rank's RMA window: an epoch header from :func:`alloc` over
+    the owner's own flat destination buffer, which therefore never
+    moves.
 
-    Layout::
+    Header (``u64``)::
 
-        epoch    u64            # generation counter, owner-written
-        nwriters u64            # sanity field, fixed at creation
-        done     u64[nwriters]  # per-writer commit counters
-        <pad to 64 bytes>
-        payload  u8[nbytes]     # the owner's flat recv buffer
+        epoch    # generation counter, owner-written
+        done     # [nwriters] per-writer commit counters
 
     Seqlock-style protocol: the owner opens exposure epoch ``k`` by
-    storing ``epoch = k``; writer ``i`` spins until ``epoch >= k``,
-    scatters its bytes straight into the payload area, then stores
-    ``done[i] = k``; the owner's fence spins until ``min(done) >= k``.
+    storing ``epoch = k``; writer ``i`` waits until ``epoch >= k``,
+    scatters its bytes straight into the payload, then stores
+    ``done[i] = k``; the owner's fence waits until ``min(done) >= k``.
     Every field has exactly one writer (epoch: owner; ``done[i]``:
     writer ``i``), all counters are aligned 8-byte stores, and the GIL's
     acquire/release semantics plus x86-TSO ordering make the payload
     writes visible before the ``done`` store that publishes them — the
     same single-writer discipline as :class:`SharedState`.
 
-    The owner creates the segment and its ``close`` unlinks it too;
-    writers attach by name.
-
-    ``close`` deliberately does **not** unmap immediately.  NumPy
-    releases its ``Py_buffer`` on ``shm.buf`` as soon as a view's data
-    pointer is captured (keeping only an object reference), so
-    ``SharedMemory.close()`` sees zero exports and happily munmaps
-    pages that application arrays — a :meth:`~repro.dad.darray.
-    DistributedArray.rebase`-d destination array lives *inside* the
-    payload — still address; the next read is a segfault.  ``close``
-    therefore drops this object's header views and retires the mapping
-    into :data:`RETIRED_WINDOWS`, a generation-counted free list that
-    reclaims it as soon as no live view can reference the pages (every
-    derived view — header fields, dtype views, rebased arrays — holds
-    a reference chain back to the payload root, so root refcount decay
-    is the proof).  The ``retired_segments`` / ``retired_bytes``
-    TRANSPORT_STATS gauges track what is parked awaiting reclamation.
+    Writers reach it through :attr:`refs`: ``None`` where ranks share
+    an address space (the window object itself travels), else the
+    ``(segment, offset, nbytes)`` of the header and of the payload,
+    which :meth:`attach` maps.  Nothing is closed: each mapping lives as
+    long as its views (:func:`alloc`).
     """
 
-    _HDR_ALIGN = 64
-    #: The owner's array lives in the window only once rebased into it
-    #: (and is evacuated again at close), so a window pays a segment
-    #: and a copy per transfer.
-    shared = True
+    _names = itertools.count(1)
 
-    def __init__(self, nbytes: int, nwriters: int, *,
-                 _attach_name: Optional[str] = None):
-        if nbytes <= 0 or nwriters <= 0:
-            raise ValueError("window needs nbytes > 0 and nwriters > 0")
-        # opportunistic reclamation: every new window sweeps the free
-        # list, so retired residue is bounded by *live* views, not by
-        # how many channels the process has ever opened
-        RETIRED_WINDOWS.sweep()
-        self.nbytes = int(nbytes)
-        self.nwriters = int(nwriters)
-        hdr = 8 + 8 + 8 * self.nwriters
-        self._data_off = (hdr + self._HDR_ALIGN - 1) & ~(self._HDR_ALIGN - 1)
-        size = self._data_off + self.nbytes
-        self.owner = _attach_name is None
-        if self.owner:
-            self._shm = _create(size)
-        else:
-            # NOTE: attaching registers the name with the resource
-            # tracker again.  That is fine here: procs ranks fork from
-            # the supervisor, so every process shares ONE tracker whose
-            # name cache is a set — the duplicate register is idempotent
-            # and the owner's unlink clears the single entry.
-            self._shm = shared_memory.SharedMemory(name=_attach_name)
-            if self._shm.size < size:
-                raise ValueError(
-                    f"window segment {_attach_name!r} is {self._shm.size} "
-                    f"bytes, need {size} — geometry mismatch with owner")
-        self.name = self._shm.name
-        buf = self._shm.buf
-        self._epoch = np.ndarray(1, dtype=np.uint64, buffer=buf)
-        self._nwriters = np.ndarray(1, dtype=np.uint64, buffer=buf, offset=8)
-        self._done = np.ndarray(self.nwriters, dtype=np.uint64,
-                                buffer=buf, offset=16)
-        self.data = np.ndarray(self.nbytes, dtype=np.uint8,
-                               buffer=buf, offset=self._data_off)
-        if self.owner:
-            self._epoch[0] = 0
-            self._nwriters[0] = self.nwriters
-            self._done[:] = 0
-        elif int(self._nwriters[0]) != self.nwriters:
-            raise ValueError(
-                f"window segment {_attach_name!r} has "
-                f"{int(self._nwriters[0])} writers, expected {self.nwriters}")
+    def __init__(self, header: np.ndarray, data: np.ndarray, name: str,
+                 refs: Optional[tuple] = None):
+        self._epoch, self._done = header[:1], header[1:]
+        self.nwriters = len(self._done)
+        self.data = data
+        self.name = name
+        self.refs = refs
 
     @classmethod
-    def expose(cls, flat: np.ndarray, nwriters: int) -> "WindowSegment":
-        """A new window with room for ``flat`` (owner side)."""
-        return cls(flat.nbytes, nwriters)
+    def expose(cls, flat: np.ndarray, nwriters: int) -> "Window":
+        """The owner's window over ``flat`` for ``nwriters`` writers.  In
+        a procs rank ``flat`` must be storage :func:`alloc` made there,
+        or no peer could map it: :class:`~repro.errors.StorageError`."""
+        header = alloc(1 + nwriters, np.uint64)
+        if not NAMED:
+            return cls(header, flat.view(np.uint8),
+                       f"window-{next(cls._names)}")
+        refs = locate(header), locate(flat)
+        if refs[1] is None:
+            raise StorageError(
+                "a procs put destination must be storage its rank "
+                "allocated (an array built before fork is not): make the "
+                "array inside the rank")
+        return cls(header, flat.view(np.uint8), refs[0][0], refs)
 
     @classmethod
-    def attach(cls, name: str, nbytes: int, nwriters: int) -> "WindowSegment":
-        """Map an existing window by segment name (writer side)."""
-        return cls(nbytes, nwriters, _attach_name=name)
+    def attach(cls, refs: tuple) -> "Window":
+        """A writer's view of a peer's window, mapped from its
+        :attr:`refs`."""
+        return cls(attach(refs[0]).view(np.uint64), attach(refs[1]),
+                   refs[0][0])
 
     # -- epoch header (single writer per field) ------------------------------
 
@@ -412,117 +423,6 @@ class WindowSegment:
 
     def min_done(self) -> int:
         return int(self._done.min())
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        """Drop the header views and retire the mapping into the
-        generation-counted free list (see the class docstring); the
-        owner also unlinks the segment."""
-        if getattr(self, "_closed", False):
-            return
-        self._closed = True
-        root, self.data = self.data, None
-        self._epoch = self._nwriters = self._done = None
-        RETIRED_WINDOWS.retire(self._shm, self._shm.size, root)
-        if self.owner:
-            self.unlink()
-
-    def unlink(self) -> None:
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - double teardown
-            pass
-
-
-class _RetiredWindows:
-    """Generation-counted free list of closed window mappings.
-
-    :meth:`WindowSegment.close` cannot unmap while application arrays
-    still view the payload, but parking mappings forever (the PR-6
-    behaviour) leaks a whole segment per closed channel.  Each retired
-    entry gets a monotonically increasing generation and keeps the
-    window's payload-root array alive; :meth:`sweep` reclaims every
-    entry whose root is no longer referenced from anywhere else —
-    every live view of the segment (header fields excepted, which
-    ``close`` already dropped; dtype views; rebased destination
-    arrays) holds a reference chain back to that root, so refcount
-    decay to the free list's own reference proves no live view can
-    address the pages.  Sweeps run on every retire and on every new
-    window construction, and are explicitly callable; the
-    ``retired_segments`` / ``retired_bytes`` gauges (with ``peak_``
-    high-water twins) expose the parked residue.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._gen = itertools.count(1)
-        #: generation -> (mapping, nbytes, payload-root view)
-        self._entries: dict[int, tuple] = {}
-
-    def retire(self, mapping, nbytes: int, root) -> int:
-        with self._lock:
-            gen = next(self._gen)
-            self._entries[gen] = (mapping, nbytes, root)
-        TRANSPORT_STATS.gauge_add("retired_segments", 1)
-        TRANSPORT_STATS.gauge_add("retired_bytes", nbytes)
-        self.sweep()
-        return gen
-
-    def sweep(self) -> int:
-        """Unmap every retired mapping with no outside reference to its
-        payload root; returns how many were reclaimed."""
-        freed = 0
-        with self._lock:
-            for gen in sorted(self._entries):
-                mapping, nbytes, _root = self._entries[gen]
-                # Baseline refcount 3: the entry tuple, the ``_root``
-                # local just unpacked, and getrefcount's own argument.
-                # Anything above that is a live outside view.
-                if _root is not None and sys.getrefcount(_root) > 3:
-                    continue
-                try:
-                    mapping.close()
-                except BufferError:  # pragma: no cover - exported view
-                    continue         # keep the entry; retry next sweep
-                del self._entries[gen]
-                TRANSPORT_STATS.gauge_add("retired_segments", -1)
-                TRANSPORT_STATS.gauge_add("retired_bytes", -nbytes)
-                freed += 1
-        return freed
-
-    def pending(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-#: Closed-window mappings awaiting reclamation (one per process).
-RETIRED_WINDOWS = _RetiredWindows()
-
-
-class HeapWindow(WindowSegment):
-    """The threads twin of :class:`WindowSegment`: the same epoch
-    header on the heap, over the owner's own flat buffer.  Ranks that
-    share an address space share the destination array already, so the
-    window *is* that array: no segment, no rebase, no evacuation and
-    nothing to retire; writers reach it through the bootstrap handle."""
-
-    shared = False
-    _names = itertools.count(1)
-
-    def __init__(self, flat: np.ndarray, nwriters: int):
-        self.nbytes, self.nwriters = flat.nbytes, nwriters
-        self.name = f"heap-window-{next(self._names)}"
-        self.data = flat.view(np.uint8)
-        self._epoch = np.zeros(1, np.uint64)
-        self._done = np.zeros(nwriters, np.uint64)
-
-    @classmethod
-    def expose(cls, flat: np.ndarray, nwriters: int) -> "HeapWindow":
-        return cls(flat, nwriters)
-
-    def close(self) -> None:
-        """Nothing to release: the buffer is the owner's array."""
 
 
 # -- watchdog state ----------------------------------------------------------
@@ -560,7 +460,7 @@ class Liveness:
     threads of one rank waiting at once can lose a progress increment;
     the count still changes, and a change is all :class:`StallRule`
     reads.)  A threads launch keeps the table on the heap; on procs the
-    rows live in the domain's :class:`SharedState` segment.
+    rows live in the domain's :class:`SharedState` mapping.
     :meth:`rows` is a view of a contiguous run of rows (one job of a
     launch): its row ``r`` is the table's row ``base + r``, the
     endpoint the sanitizer's single-writer claim is checked against.
@@ -719,7 +619,7 @@ class SharedState(Liveness):
     def __init__(self, endpoints: int):
         self.endpoints = e = endpoints
         # in order, each aligned to its item size, the per-message fields
-        # first; a fresh segment reads as zeros: no progress, every
+        # first; a fresh mapping reads as zeros: no progress, every
         # endpoint RUNNING, no abort, no reply posted
         layout = (("progress", np.uint64, (e,)),
                   ("state", np.uint8, (e,)),
@@ -734,10 +634,10 @@ class SharedState(Liveness):
             off = -(-off // size) * size
             offsets.append(off)
             off += size * int(np.prod(shape))
-        self._shm = _create(off)
+        buf = mmap.mmap(-1, off)
         for (name, dt, shape), off in zip(layout, offsets):
             setattr(self, name, np.ndarray(shape, dtype=dt, offset=off,
-                                           buffer=self._shm.buf))
+                                           buffer=buf))
         self._mirror(e)
 
     def aborted(self) -> bool:
@@ -789,20 +689,6 @@ class SharedState(Liveness):
         row[1:_RDV_HDR] = (status, recv_ctx, send_ctx, len(peers))
         row[_RDV_HDR:_RDV_HDR + len(peers)] = peers
         row[0] += 1
-
-    def close(self) -> None:
-        self.progress = self.state = self._descs = self._dump = None
-        self._rdv = self._abort = self._reason = None
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover
-            pass
-
-    def unlink(self) -> None:
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover
-            pass
 
 
 # -- control plane: per-pair descriptor rings --------------------------------
@@ -865,9 +751,9 @@ class ControlSegment:
     ``tail = seq + 1`` after the fill; the receiver reads every record
     below ``tail`` and then stores ``head``.  Aligned 8-byte counter
     stores plus x86-TSO order the record bytes before the counter that
-    publishes them — the discipline of :class:`WindowSegment`.
+    publishes them — the discipline of :class:`Window`.
 
-    Created in the supervisor, inherited over ``fork``; the segment is
+    Created in the supervisor, inherited over ``fork``; the mapping is
     never written at creation (a fresh mapping reads as zeros), so only
     rings a rank actually uses cost resident pages.
     """
@@ -882,15 +768,14 @@ class ControlSegment:
                                             else 0)
         ctr = (8 * e * e + 63) & ~63
         self._rec_off = 2 * ctr
-        self._shm = _create(
-            self._rec_off + e * e * CTL_DEPTH * self.rec_bytes)
-        self._buf = self._shm.buf
+        self._buf = memoryview(mmap.mmap(
+            -1, self._rec_off + e * e * CTL_DEPTH * self.rec_bytes))
         self._tail = np.ndarray(e * e, dtype=np.uint64, buffer=self._buf)
         self._head = np.ndarray(e * e, dtype=np.uint64, buffer=self._buf,
                                 offset=ctr)
-        #: per receiver, its incoming rings' tails; the segment's bytes
+        #: per receiver, its incoming rings' tails; the mapping's bytes
         self._tails = [self._tail[d * e:(d + 1) * e] for d in range(e)]
-        self._bytes = np.ndarray(self._shm.size, np.uint8, buffer=self._buf)
+        self._bytes = np.ndarray(len(self._buf), np.uint8, buffer=self._buf)
 
     def _record(self, dst: int, src: int, seq: int) -> int:
         return self._rec_off + (
@@ -976,7 +861,7 @@ class ControlSegment:
 
     def token(self, dst: int, src: int, seq: int) -> bytes:
         """The sanitizer token of record ``seq`` (``b""`` when the
-        segment was built without a token area)."""
+        mapping was built without a token area)."""
         if not self.tsan:
             return b""
         lo = self._record(dst, src, seq) + self._token_off
@@ -988,21 +873,6 @@ class ControlSegment:
         """Release every record of the ``src -> dst`` ring below
         ``value`` back to its sender."""
         self._head[dst * self.endpoints + src] = value
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        self._tail = self._head = self._buf = self._tails = self._bytes = None
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - stray views in teardown
-            pass
-
-    def unlink(self) -> None:
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - double teardown
-            pass
 
 
 # -- payload encode/decode ---------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Any, Sequence
 
 from repro.simmpi import payload
 from repro.simmpi.matching import AbortFlag, Envelope, Mailbox
-from repro.simmpi.shm import HeapWindow, Liveness
+from repro.simmpi.shm import Liveness
 
 __all__ = [
     "Transport",
@@ -55,9 +55,6 @@ class Transport:
     """
 
     backend = "?"
-    #: The RMA window a rank exposes (:mod:`repro.simmpi.rma`): ranks
-    #: sharing an address space expose the destination array itself.
-    window = HeapWindow
 
 
 class ThreadTransport(Transport):

@@ -227,7 +227,7 @@ class ServeOp:
 @dataclass(frozen=True)
 class Window:
     """One rank's RMA window: the owner's exposed destination buffer
-    (:class:`~repro.simmpi.shm.WindowSegment` in the runtime)."""
+    (:class:`~repro.simmpi.shm.Window` in the runtime)."""
 
     owner: Proc
     label: str = "win"

@@ -566,9 +566,9 @@ class _FakePool:
         self._tsan_gen = [0] * nslots
 
 
-def _heap_window(nwriters: int = 1) -> shm.HeapWindow:
+def _heap_window(nwriters: int = 1) -> shm.Window:
     """A real epoch header over a private buffer: the threads window."""
-    return shm.HeapWindow(np.zeros(1), nwriters)
+    return shm.Window.expose(np.zeros(1), nwriters)
 
 
 def sanitizer_selfcheck() -> list[str]:

@@ -478,3 +478,50 @@ def test_a_new_callee_endpoint_refuses_an_old_caller_endpoints_call():
                     deadlock_timeout=2.0)
     assert any(isinstance(e, PRMIError)
                for e in exc_info.value.failures.values())
+
+
+def test_a_procs_parallel_argument_above_the_limit_is_put():
+    """The headline call on procs: 2 callers -> 3 callees whose six
+    pairs of 4 MiB each exceed ``EAGER_MAX``.  Every caller puts its
+    three pairs straight into the callees' arguments (one put each, the
+    pairs' wire bytes in all), which arrive byte-identical."""
+    from repro.schedule.executor import EAGER_MAX
+    from repro.util.counters import TRANSPORT_STATS
+
+    shape = (1024, 3072)
+    src = DistArrayDescriptor(block_template(shape, (2, 1)), np.float64)
+    dst = DistArrayDescriptor(block_template(shape, (1, 3)), np.float64)
+    g = np.arange(shape[0] * shape[1], dtype=np.float64).reshape(shape)
+    pair = shape[0] // 2 * shape[1] // 3 * 8
+    assert pair > EAGER_MAX
+    ns = NameService()
+
+    class Impl:
+        def norm(self, field):
+            self.flat = field.flat_local().copy()
+            return 0.0
+
+    def caller(comm):
+        ep = CallerEndpoint(comm, ns.connect("big-arg", comm), _EPOCH_PORT)
+        ep.invoke("norm", field=ParallelArg(
+            DistributedArray.from_global(src, comm.rank, g)))
+        return (TRANSPORT_STATS.get("rma_puts"),
+                TRANSPORT_STATS.get("rma_put_bytes"))
+
+    def callee(comm):
+        impl = Impl()
+        ep = CalleeEndpoint(comm, ns.accept("big-arg", comm), _EPOCH_PORT,
+                            impl)
+        ep.set_param_layout("norm", "field", dst)
+        ep.serve_one()
+        return impl.flat
+
+    out = run_coupled([("callee", 3, callee, ()), ("caller", 2, caller, ())],
+                      backend="procs")
+    assert out["caller"] == [(3, 3 * pair)] * 2
+    parts = []
+    for r, flat in enumerate(out["callee"]):
+        da = DistributedArray.allocate(dst, r)
+        da.flat_local()[:] = flat
+        parts.append(da)
+    assert DistributedArray.assemble(parts).tobytes() == g.tobytes()

@@ -17,7 +17,7 @@ from repro.mxn.connection import (ConnectionKind, ConnectionSpec,
                                   MxNConnection)
 from repro.schedule import (bind, build_region_schedule, execute_inter,
                             execute_intra)
-from repro.simmpi import run_coupled, run_spmd
+from repro.simmpi import run_coupled, run_spmd, shm
 from repro.simmpi.intercomm import couple_jobs, default_nameservice
 from repro.simmpi.runner import Job
 from repro.util.counters import TRANSPORT_STATS
@@ -243,17 +243,22 @@ def _home(arr):
 
 
 def _shm_before(comm):
-    """/dev/shm as it is before any rank of this job binds (a window
-    is created by the bind, so nobody may bind until everybody looked)."""
+    """This process's segments before any rank of this job binds (a
+    window header is made by the bind, so nobody may bind until
+    everybody looked)."""
     comm.barrier()
-    before = set(os.listdir("/dev/shm"))
+    before = shm.segments(os.getpid())
     comm.barrier()
     return before
 
 
-def _shm_leaked(comm, before):
+def _shm_leaked(comm, before, da):
+    """Segments this process made since ``before`` that are not ``da``'s
+    own storage (none on threads: the heap)."""
     comm.barrier()                     # every rank of this job has closed
-    return sorted(set(os.listdir("/dev/shm")) - before)
+    own = shm.locate(da.flat_local())
+    return sorted(shm.segments(os.getpid()) - before
+                  - {own[0] if own else None})
 
 
 def _mxn_side(comm, role):
@@ -269,23 +274,27 @@ def _mxn_side(comm, role):
     conn = MxNConnection(spec, inter, role, da)
     for _ in range(2):
         conn.data_ready()
-    in_window = _home(da)
+    stepped = _home(da)
     conn.close()
     conn.close()                       # idempotent
-    leaked = _shm_leaked(comm, before)
+    leaked = _shm_leaked(comm, before, da)
     with pytest.raises(ConnectionError_):
         conn.data_ready()
-    return private, in_window, _home(da), leaked, da
+    return (private, stepped, _home(da)), leaked, da
 
 
-def test_mxn_close_retires_the_rma_window(monkeypatch):
+@pytest.mark.parametrize("backend", ["threads", "procs"])
+def test_mxn_storage_never_moves_and_close_drops_the_window(monkeypatch,
+                                                            backend):
+    """The window is the destination array's own storage: its address is
+    the same before bind, after steps and after close, and the closed
+    connection leaves no window header behind."""
     monkeypatch.setenv("REPRO_TIER", "rma")
     res = run_coupled([("src", _SRC_DESC.nranks, _mxn_side, ("source",)),
                        ("dst", _DST_DESC.nranks, _mxn_side, ("destination",))],
-                      deadlock_timeout=30.0, backend="procs")
-    for private, in_window, after, leaked, _ in res["dst"]:
-        assert in_window != private    # the bind rebased it into the window
-        assert after != in_window      # close() evacuated it again
+                      deadlock_timeout=30.0, backend=backend)
+    for homes, leaked, _ in res["dst"]:
+        assert len(set(homes)) == 1
         assert leaked == []
     assert _same_bytes([da for *_, da in res["dst"]],
                        _truth(_SRC_DESC.shape, 0))
@@ -307,7 +316,7 @@ def _both_jobs_here(comm, sync):
 def _close_first(comm, handle, role):
     """Open ``handle`` (the tier comes from the knobs), close it before
     any transfer; returns (the tier a Channel resolved, whether the
-    array sat in a window while open, segments left behind)."""
+    array moved while open, segments left behind)."""
     source = role == "source"
     sync = (default_nameservice.accept("close-first-sync", comm) if source
             else default_nameservice.connect("close-first-sync", comm))
@@ -318,7 +327,7 @@ def _close_first(comm, handle, role):
         h = Coupler("close-first", default_nameservice).open(
             comm, role, da if source else _DST_DESC)
         verb, mode, da = (h.push if source else h.pull), h.mode, h.array
-        windowed = False               # the channel allocated it: no "before"
+        moved = False                  # the channel allocated it: no "before"
     else:
         inter = (default_nameservice.accept("close-first", comm) if source
                  else default_nameservice.connect("close-first", comm))
@@ -327,16 +336,16 @@ def _close_first(comm, handle, role):
         h = MxNConnection(
             ConnectionSpec(_SRC_DESC, _DST_DESC, ConnectionKind(handle)),
             inter, role, da)
-        verb, mode, windowed = h.data_ready, None, _home(da) != private
+        verb, mode, moved = h.data_ready, None, _home(da) != private
     # Both sides are bound before either closes: a window closed under a
     # sender still attaching is the next test's typed error, not this one.
     _both_jobs_here(comm, sync)
     h.close()
     h.close()                          # idempotent
-    leaked = _shm_leaked(comm, before)
+    leaked = _shm_leaked(comm, before, da)
     with pytest.raises(ConnectionError_):
         verb()
-    return mode, windowed, leaked
+    return mode, moved, leaked
 
 
 @pytest.mark.parametrize("tier", list(_TIER_ENV))
@@ -352,10 +361,9 @@ def test_close_before_first_transfer_refuses_every_verb(monkeypatch, handle,
         deadlock_timeout=30.0, backend="procs" if tier == "rma" else "threads")
     if handle == "channel":
         assert {m for m, _, _ in res["src"] + res["dst"]} == {tier}
-    for _, windowed, leaked in res["dst"]:
-        # a one-shot never takes the RMA tier, whatever the knob says
-        assert windowed == (tier == "rma" and handle == "persistent")
-        assert leaked == []            # an unused window is retired too
+    for _, moved, leaked in res["dst"]:
+        assert not moved               # a window is the array's storage
+        assert leaked == []            # an unused window goes too
 
 
 def _bind_after_peer_closed(comm, side):

@@ -431,8 +431,9 @@ class TestBoxesNotIndices:
                 assert all(p.idx is None for p in plan.pairs)
                 assert len(pickle.dumps(plan)) < 1024
                 for w, pp in enumerate(plan.pairs):
-                    handle = WindowHandle("psm_0123456789abcdef", 2 ** 23,
-                                          "<f8", len(plan.pairs), w, pp)
+                    refs = (("repro1234_5678_9", 0, 8 * len(plan.pairs)),
+                            ("repro1234_5678_10", 0, 2 ** 23))
+                    handle = WindowHandle(refs, "<f8", w, pp)
                     assert len(pickle.dumps(handle)) < 1024
 
     def test_benchmark_geometries_hold_no_index(self):

@@ -22,23 +22,8 @@ from repro.schedule import bind, build_region_schedule
 from repro.simmpi import run_coupled
 from repro.simmpi.intercomm import couple_jobs, default_nameservice
 from repro.simmpi.runner import Job
-from repro.simmpi.shm import WindowSegment
-from repro.simmpi.transport import ThreadTransport
 from repro.util.counters import TRANSPORT_STATS
 from repro.util.regions import Region
-
-
-class RmaThreadTransport(ThreadTransport):
-    """In-process harness for the procs window: ranks are threads of
-    one process exposing shared-segment windows, so the engines run the
-    segment protocol (rebase at bind, evacuation at close) without
-    forked processes."""
-
-    window = WindowSegment
-
-
-def _rma_job(n):
-    return Job(n, transport_factory=RmaThreadTransport)
 
 
 @st.composite
@@ -89,7 +74,7 @@ def _rma_engines(src_desc, dst_desc, g):
     sender constructors then drain (the reverse order would block a
     single thread on a recv with nothing in flight)."""
     sched = build_region_schedule(src_desc, dst_desc)
-    src_job, dst_job = _rma_job(src_desc.nranks), _rma_job(dst_desc.nranks)
+    src_job, dst_job = Job(src_desc.nranks), Job(dst_desc.nranks)
     src_inters, dst_inters = couple_jobs(src_job, dst_job)
     src_arrays = [DistributedArray.from_global(src_desc, r, g)
                   for r in range(src_desc.nranks)]
@@ -378,29 +363,35 @@ class TestRmaEquivalence:
         assert [tx.pool.stats.get("allocations") for tx in senders] == allocs
         _close_all(senders, receivers)
 
-    def test_receiver_array_evacuated_on_close(self):
-        """After Channel/engine close the destination array must be
-        ordinary private memory again — intact contents, and writes to
-        it cannot be observed through the (closed) window."""
+    def test_receiver_array_stays_in_place_through_close(self):
+        """The window is an epoch header over the destination array's
+        own storage: the array's buffer is the same before bind, after
+        steps and after close, and keeps the last step's contents."""
         src_desc = DistArrayDescriptor(CartesianTemplate([Cyclic(24, 2)]))
         dst_desc = DistArrayDescriptor(CartesianTemplate([Block(24, 2)]))
         g = np.arange(24.0)
-        _, dst_arrays, senders, receivers = _rma_engines(
-            src_desc, dst_desc, g)
-        _step(senders, receivers)
-        def home(arr):
-            return arr.flat_local().__array_interface__["data"][0]
+        sched = build_region_schedule(src_desc, dst_desc)
+        src_inters, dst_inters = couple_jobs(Job(2), Job(2))
+        dst_arrays = [DistributedArray.allocate(dst_desc, r)
+                      for r in range(2)]
 
-        # bound: every destination array lives inside its exposed window
-        assert all(np.shares_memory(arr.flat_local(), rx._win.buffer)
-                   for arr, rx in zip(dst_arrays, receivers))
-        in_window = [home(arr) for arr in dst_arrays]
+        def homes():
+            return [arr.flat_local().__array_interface__["data"][0]
+                    for arr in dst_arrays]
+
+        before = homes()
+        receivers = [bind(sched, "dst", dst_inters[r], dst_arrays[r],
+                          tier="rma") for r in range(2)]
+        senders = [bind(sched, "src", src_inters[r],
+                        DistributedArray.from_global(src_desc, r, g),
+                        tier="rma") for r in range(2)]
+        _step(senders, receivers)
+        assert homes() == before
         _close_all(senders, receivers)
+        assert homes() == before
         for d, arr in enumerate(dst_arrays):
             expect = DistributedArray.from_global(dst_desc, d, g)
             assert arr.flat_local().tobytes() == expect.flat_local().tobytes()
-        assert all(home(arr) != was
-                   for arr, was in zip(dst_arrays, in_window))
 
     def test_rma_puts_on_the_threads_transport(self):
         """tier="rma" on the plain threads transport puts every pair
@@ -441,7 +432,7 @@ class TestRmaEquivalence:
         dst_desc = DistArrayDescriptor(CartesianTemplate([Block(12, 3)]))
         g = np.arange(12.0)
         sched = build_region_schedule(src_desc, dst_desc)
-        src_job, dst_job = _rma_job(2), _rma_job(3)
+        src_job, dst_job = Job(2), Job(3)
         src_inters, dst_inters = couple_jobs(src_job, dst_job)
         src_arrays = [DistributedArray.from_global(src_desc, r, g)
                       for r in range(2)]

@@ -1,11 +1,10 @@
 """The eager/rendezvous split of the point-to-point tiers.
 
 A two-sided pair whose wire bytes exceed ``EAGER_MAX`` is put straight
-into the receiver's window: on procs on a persistent transfer, on
-threads (whose window is the receiver's own array) on one-shots too.
-Either way the push waits for the consumer's arm; a pair at or below
-the limit stays an eager message.  Every size here is derived from
-``EAGER_MAX``.
+into the receiver's window, which is the receiver's own array: on
+persistent transfers and one-shots alike, on either backend.  Either
+way the push waits for the consumer's arm; a pair at or below the limit
+stays an eager message.  Every size here is derived from ``EAGER_MAX``.
 
 Block 2 -> 3 has four pairs: two of a third of the extent, two of a
 sixth.  At ``MIXED`` elements the thirds exceed the limit and the
@@ -21,8 +20,8 @@ from repro.dad import (Block, CartesianTemplate, DistArrayDescriptor,
                        DistributedArray)
 from repro.dad.template import block_template
 from repro.errors import SpmdError
-from repro.highlevel import Coupler
-from repro.schedule import GLOBAL_CACHE
+from repro.highlevel import Coupler, reconfigure
+from repro.schedule import GLOBAL_CACHE, build_region_schedule
 from repro.schedule.executor import (EAGER_MAX, bind, execute_inter,
                                      execute_intra)
 from repro.simmpi import run_coupled, run_spmd
@@ -113,8 +112,8 @@ def test_pairs_above_the_limit_are_put_and_the_rest_stay_eager():
         assert got.tobytes() == _truth(MIXED, step).tobytes()
         assert per_step[step]["rma_puts"] == 2
         assert per_step[step]["messages_matched"] == 2
-    # after close the consumer's array, evacuated from the window, keeps
-    # the last snapshot (the no_leaks fixture checks the window is gone)
+    # after close the consumer's array keeps the last snapshot (the
+    # no_leaks fixture checks that nothing the ranks made is left)
     last = _assembled([r[3] for r in res["cons"]], MIXED)
     assert last.tobytes() == _truth(MIXED, STEPS - 1).tobytes()
 
@@ -377,27 +376,71 @@ def test_a_persistent_intra_job_bind_puts_pairs_above_the_limit():
         assert puts > 0
 
 
+def _put_counts():
+    return TRANSPORT_STATS.get("rma_puts"), TRANSPORT_STATS.get(
+        "rma_put_bytes")
+
+
 def _publish(comm):
     src_desc, _ = _descs(MIXED)
     da = DistributedArray.from_global(src_desc, comm.rank, _truth(MIXED, 0))
     Coupler("rdv-once", default_nameservice).publish(comm, da)
-    return TRANSPORT_STATS.get("rma_puts")
+    return _put_counts()
 
 
 def _subscribe(comm):
     _, dst_desc = _descs(MIXED)
     da = Coupler("rdv-once", default_nameservice).subscribe(comm, dst_desc)
-    return TRANSPORT_STATS.get("rma_puts"), da.flat_local().copy()
+    return _put_counts(), da.flat_local().copy()
 
 
-def test_a_one_shot_makes_no_puts():
+def test_a_procs_one_shot_puts_each_pair_above_the_limit_once():
+    """A one-shot on procs splits its pairs as a persistent transfer
+    does: each pair above ``EAGER_MAX`` is put once, straight into the
+    consumer's array, and the rest stay eager."""
     res = run_coupled([("prod", M, _publish, ()),
                        ("cons", N, _subscribe, ())],
                       deadlock_timeout=60.0, backend="procs")
-    assert res["prod"] == [0] * M
-    assert [puts for puts, _ in res["cons"]] == [0] * N
+    src_desc, dst_desc = _descs(MIXED)
+    plans = [build_region_schedule(src_desc, dst_desc).rank_plan(
+        "send", r, src_desc.ownership()) for r in range(M)]
+    wires = [[pp.size * 8 for pp in plan.pairs if pp.size * 8 > EAGER_MAX]
+             for plan in plans]
+    assert [len(w) for w in wires] == [1, 1]          # and one eager each
+    assert res["prod"] == [(len(w), sum(w)) for w in wires]
+    assert [counts for counts, _ in res["cons"]] == [(0, 0)] * N
     got = _assembled([flat for _, flat in res["cons"]], MIXED)
     assert got.tobytes() == _truth(MIXED, 0).tobytes()
+
+
+def _resize(comm, extent):
+    """Block 2 -> 3 over 3 ranks, once by ``reconfigure`` and once as a
+    full redistribution of the same array into a fresh one."""
+    old, new = _descs(extent)
+    g, me = _truth(extent, 0), comm.rank
+    live = (DistributedArray.from_global(old, me, g) if me < 2 else None)
+    kept = (DistributedArray.from_global(old, me, g) if me < 2 else None)
+    puts = TRANSPORT_STATS.get("rma_puts")
+    resized = reconfigure(comm, live, new)
+    puts = TRANSPORT_STATS.get("rma_puts") - puts
+    full = DistributedArray.allocate(new, me)
+    execute_intra(GLOBAL_CACHE.get(old, new), comm, src_array=kept,
+                  dst_array=full, src_ranks=range(2), dst_ranks=range(3))
+    return (puts, resized.flat_local().tobytes() == full.flat_local()
+            .tobytes(), full.flat_local().copy())
+
+
+def test_a_procs_resize_puts_its_migration_pair_above_the_limit():
+    """6 LIMIT elements, Block 2 -> 3: rank 1 migrates 2 LIMIT to rank 2
+    (a put pair) and rank 0 exactly LIMIT to rank 1 (eager); the resized
+    array matches a full redistribution byte for byte."""
+    extent = 6 * LIMIT
+    res = run_spmd(3, _resize, extent, deadlock_timeout=60.0,
+                   backend="procs")
+    assert [puts for puts, _, _ in res] == [0, 1, 0]
+    assert all(same for _, same, _ in res)
+    got = _assembled([flat for _, _, flat in res], extent)
+    assert got.tobytes() == _truth(extent, 0).tobytes()
 
 
 # -- a put pair is a rendezvous: pushing ahead fails loud, not silently ------

@@ -23,20 +23,19 @@ def _cart(*axes):
 # -- tier resolution -----------------------------------------------------------
 
 
-_T = Tier("two_sided", eager_max=EAGER_MAX)
+_T = Tier("two_sided", EAGER_MAX)
 
 #: ``tier`` request -> resolved tier for (a persistent transfer, a
-#: one-shot on procs, a one-shot on threads).  A persistent transfer
-#: resolves the same on both backends; a procs one-shot sends every pair
-#: eager, a threads one-shot puts the pairs above the limit.
+#: one-shot).  Neither reads the backend: both put the pairs above the
+#: limit into the receiver's own storage.
 TIER_TABLE = {
-    "two_sided": (_T, Tier("two_sided"), _T),
-    "rma": (Tier("rma", eager_max=0), Tier("two_sided"), _T),
+    "two_sided": (_T, _T),
+    "rma": (Tier("rma", 0), _T),
 }
 
 
 def _resolve_every_request(comm):
-    return {(request, one_shot): resolve_tier(comm, tier=request,
+    return {(request, one_shot): resolve_tier(tier=request,
                                               one_shot=one_shot)
             for request in TIER_TABLE for one_shot in (False, True)}
 
@@ -47,8 +46,7 @@ def test_resolve_tier_table(monkeypatch, backend):
     monkeypatch.delenv("REPRO_TIER", raising=False)
     (got,) = run_spmd(1, _resolve_every_request, backend=backend)
     for (request, one_shot), tier in got.items():
-        column = one_shot * (1 + (backend == "threads"))
-        assert tier == TIER_TABLE[request][column], (request, one_shot)
+        assert tier == TIER_TABLE[request][one_shot], (request, one_shot)
     assert len(got) == len(TIER_TABLE) * 2
 
 

@@ -50,30 +50,26 @@ def test_scalar_and_object_payloads_round_trip(obj):
 
 def test_control_segment_record_round_trip():
     seg = shm.ControlSegment(2)
-    try:
-        arr = np.arange(12, dtype=np.int16).reshape(3, 4)[:, 1:]
-        kind, buf, _ = shm.encode_payload(arr)
-        assert kind == shm.ND
-        seg.write(1, 0, 0, 77, 3, 9, buf.nbytes, shm.SLOT_INLINE, kind, buf)
-        assert seg.tails(1) == [0, 0]            # filled, not published
-        seg.publish(1, 0, 0)
-        assert seg.tails(1) == [1, 0]
-        (context, source, tag, nbytes, wire, slot, k, dtype, shape,
-         raw, span) = seg.read(1, 0, 0)
-        assert (context, source, tag, nbytes, wire, slot, k, span) == \
-            (77, 3, 9, arr.nbytes, arr.nbytes, shm.SLOT_INLINE, shm.ND, None)
-        got = shm.decode_payload(k, raw, dtype, shape)
-        assert got.shape == arr.shape and got.tobytes() == arr.tobytes()
-        del raw, got
-        assert seg.head(1, 0) == 0
-        seg.set_head(1, 0, 1)
-        assert seg.head(1, 0) == 1
-        # a later record of the same ring lands DEPTH records on
-        seg.write(1, 0, DEPTH, 1, 0, 0, 8, 5, shm.NONE, None)
-        assert seg.read(1, 0, DEPTH)[5] == 5
-    finally:
-        seg.close()
-        seg.unlink()
+    arr = np.arange(12, dtype=np.int16).reshape(3, 4)[:, 1:]
+    kind, buf, _ = shm.encode_payload(arr)
+    assert kind == shm.ND
+    seg.write(1, 0, 0, 77, 3, 9, buf.nbytes, shm.SLOT_INLINE, kind, buf)
+    assert seg.tails(1) == [0, 0]            # filled, not published
+    seg.publish(1, 0, 0)
+    assert seg.tails(1) == [1, 0]
+    (context, source, tag, nbytes, wire, slot, k, dtype, shape,
+     raw, span) = seg.read(1, 0, 0)
+    assert (context, source, tag, nbytes, wire, slot, k, span) == \
+        (77, 3, 9, arr.nbytes, arr.nbytes, shm.SLOT_INLINE, shm.ND, None)
+    got = shm.decode_payload(k, raw, dtype, shape)
+    assert got.shape == arr.shape and got.tobytes() == arr.tobytes()
+    del raw, got
+    assert seg.head(1, 0) == 0
+    seg.set_head(1, 0, 1)
+    assert seg.head(1, 0) == 1
+    # a later record of the same ring lands DEPTH records on
+    seg.write(1, 0, DEPTH, 1, 0, 0, 8, 5, shm.NONE, None)
+    assert seg.read(1, 0, DEPTH)[5] == 5
 
 
 def test_record_cannot_describe_structured_or_deep_arrays():

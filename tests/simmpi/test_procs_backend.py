@@ -9,6 +9,7 @@ cross-process watchdog and abort propagation, broker rendezvous) get
 targeted coverage.
 """
 
+import gc
 import os
 import pickle
 import re
@@ -25,11 +26,12 @@ from repro.dad import (
     DistributedArray,
 )
 from repro.dad.template import block_template
-from repro.errors import CommunicatorError, DeadlockError, SpmdError
+from repro.errors import (CommunicatorError, DeadlockError, SpmdError,
+                          StorageError)
 from repro.highlevel import Coupler
 from repro.schedule import bind, build_region_schedule
 from repro.simmpi import run_coupled, run_spmd
-from repro.simmpi import payload
+from repro.simmpi import payload, rma, shm
 from repro.simmpi.intercomm import default_nameservice
 from repro.util.counters import TRANSPORT_STATS
 
@@ -643,7 +645,7 @@ def test_rma_channel_byte_identical_and_message_free():
     # lockstep epochs: pull s observes exactly generation s
     for _, generations, _ in res["cons"]:
         assert generations == [float(s) for s in range(1, steps + 1)]
-    # the evacuated arrays still assemble to the final generation
+    # the arrays, never moved, still assemble to the final generation
     parts = [arr for _, _, arr in res["cons"]]
     np.testing.assert_array_equal(
         DistributedArray.assemble(parts), np.full(_EXT, float(steps)))
@@ -788,13 +790,11 @@ def test_procs_consumer_killed_between_pulls_fails_every_producer_fast(case):
         assert ("rma_put(" if case == "put" else "_ring(") in str(peer)
 
 
-def test_leak_check_counts_only_this_sessions_segments():
+def test_leak_check_counts_only_this_sessions_segments(monkeypatch):
     """The ``no_leaks`` fixture diffs :func:`repro.simmpi.shm.segments`:
     a segment another process makes while a test runs (a benchmark
     beside pytest) is not counted, and one this session leaves is."""
     from multiprocessing import shared_memory
-
-    from repro.simmpi import shm
 
     before = shm.segments()
     foreign = [shared_memory.SharedMemory(create=True, size=64),
@@ -807,12 +807,10 @@ def test_leak_check_counts_only_this_sessions_segments():
         for seg in foreign:
             seg.close()
             seg.unlink()
-    ours = shm.SharedState(1)
-    try:
-        assert shm.segments() - before == {ours._shm.name.lstrip("/")}
-    finally:
-        ours.close()
-        ours.unlink()
+    monkeypatch.setattr(shm, "NAMED", True)
+    ours = shm.alloc(8, np.uint8)
+    assert shm.segments() - before == {shm.locate(ours)[0]}
+    del ours
     assert shm.segments() == before
 
 
@@ -918,23 +916,139 @@ def test_segment_pool_run_view_never_crosses_into_next_ring():
         pool.unlink()
 
 
-def test_window_segment_geometry_checks():
-    from repro.simmpi.shm import WindowSegment
+def test_window_segment_geometry_checks(monkeypatch):
+    """A writer maps both segments of a window from its references:
+    the owner's payload pages and epoch header are the writer's too,
+    and a reference past the end of its segment is refused."""
+    monkeypatch.setattr(shm, "NAMED", True)
+    flat = shm.alloc(32, np.float64)
+    win = shm.Window.expose(flat, 2)
+    peer = shm.Window.attach(win.refs)
+    assert peer.nwriters == 2 and peer.name == win.name
+    peer.data[:] = 7
+    assert (flat.view(np.uint8) == 7).all()      # same physical pages
+    win.set_epoch(3)
+    assert peer.epoch() == 3
+    peer.set_done(1, 3)
+    assert win.done(1) == 3 and win.min_done() == 0
+    name, _, nbytes = win.refs[1]
+    with pytest.raises(ValueError, match="geometry"):
+        shm.attach((name, 8, nbytes))
+    with pytest.raises(StorageError):
+        shm.Window.expose(np.zeros(4), 1)        # heap: no peer can map it
 
-    seg = WindowSegment(256, 2)
-    try:
-        with pytest.raises(ValueError, match="writers"):
-            WindowSegment.attach(seg.name, 256, 3).close()
-        with pytest.raises(ValueError, match="geometry"):
-            WindowSegment.attach(seg.name, 10_000, 2).close()
-        peer = WindowSegment.attach(seg.name, 256, 2)
-        peer.data[:] = 7
-        assert (seg.data == 7).all()            # same physical pages
-        seg.set_epoch(3)
-        assert peer.epoch() == 3
-        peer.set_done(1, 3)
-        assert seg.done(1) == 3 and seg.min_done() == 0
-        peer.close()
-    finally:
-        seg.close()
-        seg.unlink()
+
+# -- rank-local storage: arrays born where a peer can put into them ----------
+
+_STORE = DistArrayDescriptor(CartesianTemplate([Cyclic(4096, 1)]))
+
+
+def _drop_keeping_a_view(comm):
+    da = DistributedArray.from_global(_STORE, 0, np.arange(4096.0))
+    name = shm.locate(da.flat_local())[0]
+    view = da.flat_local()[10:20]
+    del da
+    gc.collect()
+    return name in shm.segments(os.getpid()), view.tolist()
+
+
+def test_a_view_of_a_dropped_arrays_storage_stays_readable():
+    """NumPy holds the mapping under every view: a view taken before
+    its array was dropped still reads the array's bytes."""
+    named, values = run_spmd(1, _drop_keeping_a_view, backend="procs")[0]
+    assert named                               # still mapped, still named
+    assert values == [float(v) for v in range(10, 20)]
+
+
+def _drop(comm):
+    da = DistributedArray.allocate(_STORE, 0)
+    name = shm.locate(da.flat_local())[0]
+    held = name in shm.segments(os.getpid())
+    del da
+    gc.collect()
+    return held, name in shm.segments(os.getpid())
+
+
+def test_a_dropped_arrays_segment_name_is_unlinked():
+    """In a procs rank an array's storage is a named segment of its own,
+    and dropping the array (with every view) unlinks the name."""
+    assert run_spmd(1, _drop, backend="procs") == [(True, False)]
+
+
+_BUILT_BEFORE_FORK = [DistributedArray.allocate(_STORE, 0)]
+
+
+def _send_into(comm):
+    inter = default_nameservice.accept("before-fork", comm)
+    bind(build_region_schedule(_STORE, _STORE), "src", inter,
+         DistributedArray.allocate(_STORE, 0), tier="rma").step()
+
+
+def _bind_into_supervisor_array(comm):
+    inter = default_nameservice.connect("before-fork", comm)
+    bind(build_region_schedule(_STORE, _STORE), "dst", inter,
+         _BUILT_BEFORE_FORK[0], tier="rma")
+
+
+def test_a_supervisor_built_put_destination_raises_at_bind():
+    """An array made in the supervisor and inherited over fork is heap
+    storage no peer process can map: binding it as a procs put
+    destination raises a StorageError instead of falling back."""
+    with pytest.raises(SpmdError) as ei:
+        run_coupled([("src", 1, _send_into, ()),
+                     ("dst", 1, _bind_into_supervisor_array, ())],
+                    deadlock_timeout=10.0, backend="procs")
+    assert isinstance(ei.value.failures["dst rank 0"], StorageError)
+
+
+# -- a rank killed inside a put ------------------------------------------------
+
+_DIE_IN_PUT = [False]
+
+
+def _dying_put(put):
+    def put_then_die(self, values, *, loan=None):
+        n = put(self, values, loan=loan)
+        if _DIE_IN_PUT[0]:
+            os.kill(os.getpid(), signal.SIGKILL)   # written, not committed
+        return n
+    return put_then_die
+
+
+def _producer_killed_in_put(comm, service, shape):
+    src, _ = _death_descs(shape)
+    da = DistributedArray.allocate(src, comm.rank)
+    da.fill(1.0)
+    chan = Coupler(service, default_nameservice).open(comm, "source", da)
+    chan.push()
+    _DIE_IN_PUT[0] = comm.rank == 1
+    chan.push()
+
+
+def test_procs_rank_killed_inside_a_put_fails_every_peer_fast(monkeypatch):
+    """A producer rank SIGKILLed inside ``RemoteWindow.put`` — its bytes
+    in the consumers' windows, its epoch never committed — fails the
+    launch within 4x the watchdog's timeout; every consumer raises a
+    DeadlockError naming the dead rank among the writers its fence waits
+    on, and no segment of the launch is left."""
+    monkeypatch.setattr(rma.RemoteWindow, "put",
+                        _dying_put(rma.RemoteWindow.put))
+    before, timeout = shm.segments(), 2.0
+    t0 = time.monotonic()
+    with pytest.raises(SpmdError) as ei:
+        run_coupled([("prod", 2, _producer_killed_in_put,
+                      ("rank-death-in-put", _DEATH_SHAPES["put"])),
+                     ("cons", 3, _death_consumer,
+                      ("rank-death-in-put", _DEATH_SHAPES["put"]))],
+                    deadlock_timeout=timeout, backend="procs")
+    assert time.monotonic() - t0 < 4 * timeout
+    failures = ei.value.failures
+    assert ("exited without reporting (exit code -9)"
+            in str(failures["prod rank 1"]))
+    for r in range(3):
+        peer = failures[f"cons rank {r}"]
+        assert isinstance(peer, DeadlockError)
+        assert "prod rank 1" in str(peer)
+        assert re.search(r"rma_fence\(epoch=2, writers=\[(0, )?1\]\)",
+                         str(peer))
+    assert shm.segments() == before

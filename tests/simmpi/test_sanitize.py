@@ -17,9 +17,8 @@ Three layers of evidence, mirroring the PR's proof obligation:
   and a rank that breaks the slot discipline through the *real*
   accessors fails its exit gate with the race report in the message.
 
-Plus the two satellites that live in :mod:`repro.simmpi.shm`: the
-generation-counted retired-window free list and ``slot_view`` dtype
-validation.
+Plus the satellite that lives in :mod:`repro.simmpi.shm`: ``slot_view``
+dtype validation.
 """
 
 import os
@@ -37,7 +36,7 @@ from repro.simmpi import rma, run_spmd, sanitize, shm
 from repro.simmpi import transport
 from repro.simmpi.communicator import allocate_context
 from repro.simmpi.runner import Job
-from repro.util.counters import RACE_STATS, TRANSPORT_STATS
+from repro.util.counters import RACE_STATS
 
 
 @pytest.fixture
@@ -150,25 +149,22 @@ def test_publish_without_acquire_fires_unsync(tsan):
         pool.unlink()
 
 
-class _SegmentTransport(transport.ThreadTransport):
-    window = shm.WindowSegment
+def _window(monkeypatch):
+    """A real one-writer window on a one-rank job, whose rank is its
+    own writer, over storage allocated as a procs rank allocates it: a
+    named segment for the array and one for the epoch header."""
+    monkeypatch.setattr(shm, "NAMED", True)
+    comm = Job(1).world(0, allocate_context())
+    return rma.ExposedWindow(comm, shm.alloc(8, np.float64), [0])
 
 
-def _window():
-    """A real one-writer shared-segment window on a one-rank job, whose
-    rank is its own writer."""
-    comm = Job(1, transport_factory=_SegmentTransport).world(
-        0, allocate_context())
-    return rma.ExposedWindow(comm, np.empty(8), [0])
-
-
-def test_window_epoch_round_clean_and_torn_read_fires(tsan):
+def test_window_epoch_round_clean_and_torn_read_fires(tsan, monkeypatch):
     """Real :class:`rma.ExposedWindow` verbs: a full open/put/commit/
     fence/read round is clean; a ``check_read`` inside the open epoch
     (the ``read_before_fence`` mutant) reports a torn seqlock read."""
-    win = _window()
+    win = _window(monkeypatch)
     try:
-        seg = win._seg
+        seg = win._win
         win.epoch_open()
         tsan.win_put(seg, 0)               # exposed epoch: clean
         tsan.win_commit(seg, 0, 1)
@@ -185,13 +181,12 @@ def test_window_epoch_round_clean_and_torn_read_fires(tsan):
             "reports_torn_seqlock_read", 0) == 1
     finally:
         tsan.clear()
-        win.close()
 
 
-def test_unexposed_put_and_repeat_commit_fire(tsan):
-    win = _window()
+def test_unexposed_put_and_repeat_commit_fire(tsan, monkeypatch):
+    win = _window(monkeypatch)
     try:
-        seg = win._seg
+        seg = win._win
         tsan.win_put(seg, 0)               # no epoch open yet
         win.epoch_open()
         tsan.win_commit(seg, 0, 1)
@@ -202,7 +197,6 @@ def test_unexposed_put_and_repeat_commit_fire(tsan):
         assert "unexposed epoch" in tsan.race_reports[0].detail
     finally:
         tsan.clear()
-        win.close()
 
 
 def test_state_single_writer_claims(tsan):
@@ -227,8 +221,6 @@ def test_state_single_writer_claims(tsan):
         assert kinds == [sanitize.UNSYNC_WRITE, sanitize.UNSYNC_WRITE]
     finally:
         transport.set_current_runtime(None)
-        state.close()
-        state.unlink()
 
 
 # -- hypothesis stress: concurrent ring exhaustion and reuse ------------------
@@ -362,47 +354,7 @@ def test_procs_exit_gate_fails_rank_on_seeded_report():
         sanitize.set_tsan(was)
 
 
-# -- satellites: retired-window free list, slot_view validation ---------------
-
-
-def test_retired_window_free_list_reclaims_on_refcount_decay():
-    """close() parks the mapping while any payload view is live (the
-    PR-6 segfault guard), but the generation-counted free list reclaims
-    it as soon as the last view dies — no unbounded retirement."""
-    seg = shm.WindowSegment(1 << 12, 1)
-    view = seg.data.view(np.float64)
-    view[:] = 7.0
-    pending0 = shm.RETIRED_WINDOWS.pending()
-    gauges0 = TRANSPORT_STATS.snapshot()
-    seg.close()
-    assert shm.RETIRED_WINDOWS.pending() == pending0 + 1
-    snap = TRANSPORT_STATS.snapshot()
-    assert (snap.get("retired_segments", 0)
-            - gauges0.get("retired_segments", 0)) == 1
-    assert (snap.get("retired_bytes", 0)
-            - gauges0.get("retired_bytes", 0)) > 0
-    assert float(view.sum()) == 7.0 * view.size   # pages still mapped
-    del view
-    assert shm.RETIRED_WINDOWS.sweep() >= 1
-    assert shm.RETIRED_WINDOWS.pending() == pending0
-    snap = TRANSPORT_STATS.snapshot()
-    assert (snap.get("retired_segments", 0)
-            - gauges0.get("retired_segments", 0)) == 0
-    assert (snap.get("retired_bytes", 0)
-            - gauges0.get("retired_bytes", 0)) == 0
-    seg.unlink()
-
-
-def test_new_window_construction_sweeps_free_list():
-    seg = shm.WindowSegment(1 << 10, 1)
-    seg.close()                            # no outside views: reclaimable
-    seg.unlink()
-    fresh = shm.WindowSegment(1 << 10, 1)  # construction sweeps
-    try:
-        assert shm.RETIRED_WINDOWS.pending() == 0
-    finally:
-        fresh.close()
-        fresh.unlink()
+# -- satellite: slot_view validation ------------------------------------------
 
 
 def test_slot_view_validates_dtype_and_alignment():
